@@ -5,8 +5,9 @@
 // key; one or more passive parties ("Party A") hold disjoint feature
 // columns for the same, pre-aligned instances. Per tree:
 //
-//  1. B computes per-instance gradients/hessians, encrypts them, and ships
-//     the ciphertexts to every passive party (Section 3.2);
+//  1. B computes per-instance gradients/hessians, folds each ⟨g,h⟩ pair
+//     into one plaintext (fixedpoint.PairPlan), encrypts it, and ships one
+//     ciphertext per instance to every passive party (Section 3.2);
 //  2. each passive party accumulates the ciphertexts into per-node,
 //     per-feature gradient histograms by homomorphic addition;
 //  3. B decrypts the passive histograms and finds the globally best split
@@ -87,7 +88,7 @@ type Config struct {
 	Scheme string
 	// HEBackend names the homomorphic backend from the he registry. Empty
 	// selects the scalar backend of the configured Scheme ("paillier" or
-	// "mock"), which is byte-identical to the pre-backend protocol. The
+	// "mock"): the folded one-ciphertext-per-instance protocol. The
 	// batched backends ("paillier-batched", "mock-batched") pack k ⟨g,h⟩
 	// pairs per ciphertext BatchCrypt-style, switching the gradient stream
 	// and histogram accumulation to the vectorized wire path. The backend's
@@ -141,7 +142,8 @@ type Config struct {
 	HistogramSubtraction bool
 
 	// BatchSize is the blaster batch size in instances (Section 4.1);
-	// <= 0 picks a default.
+	// <= 0 lets Party B derive it from its row count (rows/16, clamped to
+	// [64, 1024]).
 	BatchSize int
 
 	// WireCodec selects the cross-party message encoding: "binary" (the
@@ -262,9 +264,6 @@ func (c *Config) normalize() error {
 	}
 	if c.ExpSpread < 1 {
 		c.ExpSpread = 4
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 1024
 	}
 	if _, err := wire.ByName(c.WireCodec); err != nil {
 		return fmt.Errorf("core: %w", err)

@@ -18,8 +18,9 @@ type encTestRig struct {
 	mapper *gbdt.BinMapper
 	bm     *gbdt.BinnedMatrix
 	codec  *fixedpoint.Codec
+	pairs  fixedpoint.PairPlan
 	dec    he.Decryptor
-	gh     *encGH
+	gh     []fixedpoint.EncNum
 	grads  []float64
 	hess   []float64
 	insts  []int32
@@ -37,10 +38,14 @@ func newEncRig(t testing.TB, rows, cols int, density float64, seed int64) *encTe
 	}
 	dec := he.NewMock(512)
 	codec := fixedpoint.NewCodec(dec, fixedpoint.WithSeed(seed))
+	pairs, err := codec.PlanPairs(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rig := &encTestRig{
 		d: d, mapper: mapper, bm: gbdt.NewBinnedMatrix(d, mapper),
-		codec: codec, dec: dec,
-		gh:    &encGH{g: make([]fixedpoint.EncNum, rows), h: make([]fixedpoint.EncNum, rows)},
+		codec: codec, pairs: pairs, dec: dec,
+		gh:    make([]fixedpoint.EncNum, rows),
 		grads: make([]float64, rows),
 		hess:  make([]float64, rows),
 		insts: make([]int32, rows),
@@ -49,15 +54,9 @@ func newEncRig(t testing.TB, rows, cols int, density float64, seed int64) *encTe
 	for i := 0; i < rows; i++ {
 		rig.grads[i] = rng.Float64()*2 - 1
 		rig.hess[i] = rng.Float64() * 0.25
-		eg, err := codec.EncryptValue(rig.grads[i])
-		if err != nil {
+		if rig.gh[i], err = pairs.Encrypt(rig.grads[i], rig.hess[i], codec.ExpAt(0, 0, i)); err != nil {
 			t.Fatal(err)
 		}
-		eh, err := codec.EncryptValue(rig.hess[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		rig.gh.g[i], rig.gh.h[i] = eg, eh
 		rig.insts[i] = int32(i)
 	}
 	return rig
@@ -72,24 +71,17 @@ func (r *encTestRig) plaintextBins() *gbdt.Histogram {
 }
 
 // decryptAll decrypts a finalized encrypted histogram into flat sums.
-func (r *encTestRig) decryptAll(t *testing.T, g, h []fixedpoint.EncNum) (gs, hs []float64) {
+func (r *encTestRig) decryptAll(t *testing.T, bins []fixedpoint.EncNum) (gs, hs []float64) {
 	t.Helper()
-	gs = make([]float64, len(g))
-	hs = make([]float64, len(h))
-	for i := range g {
-		if g[i].Ct != nil {
-			v, err := r.codec.Decrypt(r.dec, g[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			gs[i] = v
+	gs = make([]float64, len(bins))
+	hs = make([]float64, len(bins))
+	for i, b := range bins {
+		if b.Ct == nil {
+			continue
 		}
-		if h[i].Ct != nil {
-			v, err := r.codec.Decrypt(r.dec, h[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			hs[i] = v
+		var err error
+		if gs[i], hs[i], err = r.pairs.Decrypt(r.dec, b); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return gs, hs
@@ -100,8 +92,7 @@ func TestEncHistogramMatchesPlaintext(t *testing.T) {
 		rig := newEncRig(t, 120, 6, 0.6, 31)
 		eh := NewEncHistogram(rig.codec, rig.mapper, reordered)
 		eh.Accumulate(rig.bm, rig.insts, rig.gh)
-		g, h := eh.FinalizeBins(-1)
-		gs, hs := rig.decryptAll(t, g, h)
+		gs, hs := rig.decryptAll(t, eh.FinalizeBins())
 		ref := rig.plaintextBins()
 		for i := range gs {
 			if math.Abs(gs[i]-ref.G[i]) > 1e-6 || math.Abs(hs[i]-ref.H[i]) > 1e-6 {
@@ -124,12 +115,10 @@ func TestEncHistogramMergeMatchesSingle(t *testing.T) {
 		h2.Accumulate(rig.bm, rig.insts[50:], rig.gh)
 		h1.Merge(h2)
 
-		gF, hF := full.FinalizeBins(-1)
-		gM, hM := h1.FinalizeBins(-1)
-		gsF, hsF := rig.decryptAll(t, gF, hF)
-		gsM, hsM := rig.decryptAll(t, gM, hM)
+		gsF, hsF := rig.decryptAll(t, full.FinalizeBins())
+		gsM, hsM := rig.decryptAll(t, h1.FinalizeBins())
 		for i := range gsF {
-			if math.Abs(gsF[i]-gsM[i]) > 1e-9 || math.Abs(hsF[i]-hsM[i]) > 1e-9 {
+			if gsF[i] != gsM[i] || hsF[i] != hsM[i] {
 				t.Fatalf("reordered=%v merged shard mismatch at bin %d", reordered, i)
 			}
 		}
@@ -145,9 +134,9 @@ func TestReorderedUsesNoAccumulationScalings(t *testing.T) {
 	if during != before {
 		t.Errorf("re-ordered accumulation performed %d scalings; must be zero", during-before)
 	}
-	eh.FinalizeBins(-1)
+	eh.FinalizeBins()
 	// Finalize may scale at most (E-1) per occupied bin.
-	budget := int64((rig.codec.ExpSpread() - 1)) * int64(eh.totalBins()) * 2
+	budget := int64((rig.codec.ExpSpread() - 1)) * int64(eh.totalBins())
 	if scaled := rig.codec.Stats().Scalings() - during; scaled > budget {
 		t.Errorf("finalize used %d scalings, budget %d", scaled, budget)
 	}
@@ -161,29 +150,57 @@ func TestReorderedUsesNoAccumulationScalings(t *testing.T) {
 	}
 }
 
+// TestOneHAddPerRowFeature pins the tentpole's cost claim on the passive
+// side: accumulating a node costs exactly one homomorphic addition per
+// (instance, stored feature).
+func TestOneHAddPerRowFeature(t *testing.T) {
+	rig := newEncRig(t, 150, 6, 0.5, 34)
+	nnz := int64(0)
+	for _, i := range rig.insts {
+		cols, _, err := rig.bm.Row(int(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nnz += int64(len(cols))
+	}
+	before := rig.codec.Stats().HAdds()
+	eh := NewEncHistogram(rig.codec, rig.mapper, true)
+	eh.Accumulate(rig.bm, rig.insts, rig.gh)
+	if got := rig.codec.Stats().HAdds() - before; got != nnz {
+		t.Errorf("accumulation used %d HAdds for %d stored cells", got, nnz)
+	}
+}
+
 func TestPackedFeatureRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dec := he.NewMock(512)
 		codec := fixedpoint.NewCodec(dec, fixedpoint.WithSeed(seed))
 		n := 50 + rng.Intn(100)
-		plan, err := planPacking(codec, n, 1, fixedpoint.DefaultPackBits)
+		pairs, err := codec.PlanPairs(n, 1)
 		if err != nil {
 			return false
 		}
-		shiftCt, err := encryptShift(codec, plan)
+		plan, err := planPacking(codec, pairs.W)
 		if err != nil {
 			return false
 		}
+		shiftCt, err := dec.Encrypt(plan.shift)
+		if err != nil {
+			return false
+		}
+		// Bin sums of up to n/numBins instances each keep every prefix
+		// inside the fields the plan sized for n rows.
 		numBins := 2 + rng.Intn(12)
 		bins := make([]fixedpoint.EncNum, numBins)
-		want := make([]float64, numBins)
+		wantG := make([]float64, numBins)
+		wantH := make([]float64, numBins)
 		for k := range bins {
 			if rng.Float64() < 0.2 {
 				continue // empty bin stays nil (exact zero)
 			}
-			v := rng.Float64()*2 - 1
-			num, err := codec.EncodeAt(v, plan.exp)
+			exp := codec.BaseExp() + rng.Intn(codec.ExpSpread())
+			num, err := pairs.Encode(rng.Float64()*2-1, rng.Float64(), exp)
 			if err != nil {
 				return false
 			}
@@ -191,20 +208,20 @@ func TestPackedFeatureRoundTripProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			bins[k] = fixedpoint.EncNum{Exp: plan.exp, Ct: ct}
+			bins[k] = fixedpoint.EncNum{Exp: exp, Ct: ct}
 			// Reference uses the same fixed-point rounding.
-			want[k] = fixedpoint.DecodeSigned(he.Signed(dec, num.Man), codec.Base(), plan.exp)
+			wantG[k], wantH[k] = pairs.Decode(he.Signed(dec, num.Man), exp)
 		}
 		packed, err := packFeature(codec, bins, shiftCt, plan)
 		if err != nil {
 			return false
 		}
-		got, err := unpackFeature(codec, dec, packed, numBins, plan)
+		gotG, gotH, err := unpackFeature(pairs, dec, codec.Stats(), packed, numBins, plan)
 		if err != nil {
 			return false
 		}
-		for k := range want {
-			if math.Abs(got[k]-want[k]) > 1e-9 {
+		for k := range wantG {
+			if gotG[k] != wantG[k] || gotH[k] != wantH[k] {
 				return false
 			}
 		}
@@ -216,26 +233,28 @@ func TestPackedFeatureRoundTripProperty(t *testing.T) {
 }
 
 func TestPlanPackingInfeasible(t *testing.T) {
-	dec := he.NewMock(64) // tiny modulus: shifted prefixes cannot fit
-	codec := fixedpoint.NewCodec(dec, fixedpoint.WithSeed(1))
-	if _, err := planPacking(codec, 1_000_000, 1, fixedpoint.DefaultPackBits); err == nil {
+	dec := he.NewMock(64) // tiny modulus: one 2W-bit slot cannot fit
+	codec := fixedpoint.NewCodec(dec)
+	if _, err := planPacking(codec, 32); err == nil {
 		t.Error("infeasible packing plan accepted")
 	}
 }
 
-func TestPlanPackingWidensSlots(t *testing.T) {
-	dec := he.NewMock(2048)
-	codec := fixedpoint.NewCodec(dec, fixedpoint.WithSeed(1))
-	// Huge N forces slots wider than the default 64 bits.
-	plan, err := planPacking(codec, 1_000_000_000, 1, fixedpoint.DefaultPackBits)
+// TestPlanPackingSlotWidth: a slot is exactly two pair fields wide — the
+// benchmark's rows-dominant shape packs 17 bins per 2048-bit ciphertext,
+// so 20 bins still take two ciphertexts, as the two-ciphertext layout did.
+func TestPlanPackingSlotWidth(t *testing.T) {
+	codec := fixedpoint.NewCodec(he.NewMock(2048))
+	pairs, err := codec.PlanPairs(2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.bits <= fixedpoint.DefaultPackBits {
-		t.Errorf("plan kept %d-bit slots for N=1e9", plan.bits)
+	plan, err := planPacking(codec, pairs.W)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if plan.capacity < 1 {
-		t.Errorf("capacity %d", plan.capacity)
+	if pairs.W != 57 || plan.bits != 114 || plan.capacity != 17 || plan.packedCts(20) != 2 {
+		t.Errorf("W=%d bits=%d capacity=%d cts(20)=%d, want 57/114/17/2", pairs.W, plan.bits, plan.capacity, plan.packedCts(20))
 	}
 }
 

@@ -42,11 +42,16 @@ func TestFastObfuscationMatchesBaselineModel(t *testing.T) {
 func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 	dec := testDecryptor(t)
 	codec := fixedpoint.NewCodec(dec, fixedpoint.WithSeed(1))
-	plan, err := planPacking(codec, 100, 1.0, 64)
+	pairs, err := codec.PlanPairs(100, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &activeParty{cfg: quickConfig(SchemePaillier), dec: dec, codec: codec, plan: plan}
+	plan, err := planPacking(codec, pairs.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &activeParty{cfg: quickConfig(SchemePaillier), dec: dec, codec: codec, pairs: pairs,
+		packing: true, plan: plan, featCounts: []int{2}}
 
 	n := dec.N()
 	n2 := new(big.Int).Mul(n, n)
@@ -58,34 +63,27 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 	}
 
 	for i, raw := range garbage {
-		if _, err := b.decryptBin(raw, 0); err == nil {
+		if _, _, err := b.decryptBin(raw, 8); err == nil {
 			t.Errorf("case %d: decryptBin accepted garbage", i)
 		}
-		unpacked := FeatHist{
-			NumBins: 2,
-			GBins:   [][]byte{raw, nil}, HBins: [][]byte{nil, raw},
-			GExp: []int16{0, 0}, HExp: []int16{0, 0},
-		}
+		unpacked := FeatHist{NumBins: 2, Bins: [][]byte{raw, nil}, BinExp: []int16{8, 8}}
 		if _, _, err := b.decryptFeature(unpacked); err == nil {
 			t.Errorf("case %d: decryptFeature accepted garbage bins", i)
 		}
-		packed := FeatHist{
-			NumBins: 2, Packed: true,
-			PackedG: [][]byte{raw}, PackedH: [][]byte{raw},
-		}
+		packed := FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{raw}}
 		if _, _, err := b.decryptFeature(packed); err == nil {
 			t.Errorf("case %d: decryptFeature accepted garbage packed payload", i)
 		}
 		nh := NodeHist{Node: 1, Feats: []FeatHist{unpacked, packed}}
-		if _, _, err := b.decryptNodeHist(nh); err == nil {
+		if _, _, err := b.decryptNodeHist(0, nh); err == nil {
 			t.Errorf("case %d: decryptNodeHist accepted garbage", i)
 		}
 	}
 
 	// Empty bins remain legal (zero contribution), so hardening must not
 	// reject the protocol's own encoding of an empty bin.
-	if v, err := b.decryptBin(nil, 0); err != nil || v != 0 {
-		t.Errorf("decryptBin(nil) = %g, %v; want 0, nil", v, err)
+	if g, h, err := b.decryptBin(nil, 8); err != nil || g != 0 || h != 0 {
+		t.Errorf("decryptBin(nil) = %g, %g, %v; want 0, 0, nil", g, h, err)
 	}
 }
 
@@ -181,14 +179,10 @@ func TestPassivePartyRejectsHostileGradientExponent(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender := &link{out: feed, in: feed}
-	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4}); err != nil {
+	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.send(MsgGradBatch{
-		Tree: 0, Start: 0,
-		G: [][]byte{{1}}, H: [][]byte{{1}},
-		GExp: []int16{99}, HExp: []int16{8},
-	}); err != nil {
+	if err := sender.send(MsgPairBatch{Tree: 0, Start: 0, Cts: [][]byte{{1}}, Exp: []int16{99}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.run(); err == nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -15,6 +16,22 @@ import (
 // carried over an mq topic pair, so the exact same engine runs in-process,
 // through the WAN shaper, or across the TCP gateway.
 
+// ErrLegacyLayout is the session error for a peer that still speaks the
+// retired scalar layout — two ciphertexts per instance and per histogram
+// bin (wire ids 3, 4, 22, 28). The folded layout replaced it without a
+// compatibility mode, so such a peer is refused at setup.
+var ErrLegacyLayout = errors.New("core: peer speaks the retired two-ciphertext scalar layout")
+
+// Upper bounds on the sizes a peer's frames may dictate, checked before
+// they size a codec table, a modulus, a per-class buffer or a bin vector
+// (maxWireBins is Config.MaxBins' own ceiling).
+const (
+	maxWireExp     = 64
+	maxWireKeyBits = 1 << 15
+	maxWireOutputs = 1 << 10
+	maxWireBins    = 256
+)
+
 // MsgSetup is sent once by B to each passive party before training: the
 // public key material and the encoding parameters both sides must share.
 type MsgSetup struct {
@@ -23,8 +40,14 @@ type MsgSetup struct {
 	Bits      int
 	BaseExp   int
 	ExpSpread int
-	PackBits  int
-	Shift     float64 // histogram-packing shift N·Bound
+	// PairBits is W, the low-field width of the folded ⟨g,h⟩ plaintext
+	// (fixedpoint.PairPlan) every scalar session runs; a scalar setup
+	// without it comes from a peer that still streams two ciphertexts per
+	// instance and is refused (ErrLegacyLayout). PackBits, when non-zero,
+	// enables histogram packing with slots of that width; the only width
+	// the folded layout uses is 2·PairBits.
+	PairBits int
+	PackBits int
 	// ObfBase, when non-empty, is the DJN fast-obfuscation base
 	// h = r₀^n mod n² derived by B at key setup; passive parties install
 	// it and obfuscate with short-exponent h^x instead of full r^n.
@@ -74,9 +97,29 @@ type MsgResume struct {
 	Trees int
 }
 
-// MsgGradBatch carries encrypted gradient/hessian pairs for a contiguous
-// instance range. With blaster encryption many small batches stream per
-// tree; without it a single batch carries everything.
+// MsgPairBatch carries the folded ⟨g,h⟩ ciphertexts of a contiguous
+// instance range: one ciphertext and one exponent per instance. With
+// blaster encryption many small batches stream per tree; without it a
+// single batch carries everything.
+type MsgPairBatch struct {
+	Tree  int
+	Start int
+	Cts   [][]byte
+	Exp   []int16
+	Last  bool
+	// Class is the output index the pairs belong to in a multi-output
+	// round (0 in binary sessions). A round of a k-output objective ships
+	// k class streams back-to-back under the same shipment tree ID; Tree
+	// stays the round's first global tree index (round·k) and the class
+	// c histogram round runs under tree round·k+c.
+	Class int
+}
+
+// MsgGradBatch is the retired two-ciphertext gradient frame (wire ids 3
+// and 28). No engine sends it; it stays decodable so a passive party can
+// refuse a peer that still does by name (ErrLegacyLayout), and because
+// benchmark/probes.go — which a protocol change may not edit — times its
+// codec. Delete it together with that probe.
 type MsgGradBatch struct {
 	Tree  int
 	Start int
@@ -85,13 +128,6 @@ type MsgGradBatch struct {
 	GExp  []int16
 	HExp  []int16
 	Last  bool
-	// Class is the output index the pairs belong to in a multi-output
-	// round (0 in binary sessions). A round of a k-output objective ships
-	// k class streams back-to-back under the same shipment tree ID; Tree
-	// stays the round's first global tree index (round·k) and the class
-	// c histogram round runs under tree round·k+c. Class 0 encodes under
-	// the original frame layout (the field decodes to its zero value), so
-	// binary sessions stay byte-identical on the wire.
 	Class int
 }
 
@@ -122,19 +158,22 @@ type NodeHist struct {
 	Feats []FeatHist
 }
 
-// FeatHist is one feature's bins. Exactly one representation is used:
-// per-bin ciphertexts with per-bin exponents (unpacked), or packed
-// shifted prefix sums at a single exponent.
+// FeatHist is one feature's bins in exactly one representation: folded
+// per-bin sums, packed shifted prefixes of them, or the batched backends'
+// vectorized accumulators.
 type FeatHist struct {
 	NumBins int
-	// Unpacked representation.
-	GBins [][]byte
-	HBins [][]byte
-	GExp  []int16
-	HExp  []int16
-	// Packed representation: ceil(NumBins/t) ciphertexts each for G and
-	// H prefix sums, shifted into the non-negative range.
-	Packed  bool
+	// Folded scalar representation (wire id 30). Unpacked, Bins holds one
+	// ciphertext per bin (empty payload = empty bin) at exponent
+	// BinExp[k]; Packed, it holds the ⌈NumBins/capacity⌉ ciphertexts of
+	// shifted prefix sums at the session's top exponent and BinExp is
+	// empty.
+	Bins   [][]byte
+	BinExp []int16
+	Packed bool
+	// Retired two-ciphertext packed layout (wire id 4): written by no
+	// engine and refused by Party B (ErrLegacyLayout); kept, like
+	// MsgGradBatch, for benchmark/probes.go.
 	PackedG [][]byte
 	PackedH [][]byte
 	Exp     int16
@@ -240,6 +279,7 @@ type MsgAbort struct {
 func init() {
 	gob.Register(MsgSetup{})
 	gob.Register(MsgReady{})
+	gob.Register(MsgPairBatch{})
 	gob.Register(MsgGradBatch{})
 	gob.Register(MsgVecGradBatch{})
 	gob.Register(MsgHistograms{})

@@ -41,14 +41,14 @@ func drivenLink() (*link, chanTransport) {
 func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 	l := loopbackLink()
 	msgs := []any{
-		MsgSetup{Scheme: "paillier", N: []byte{1, 2, 3}, Bits: 512, BaseExp: 8, ExpSpread: 4, PackBits: 64, Shift: 1000, ObfBase: []byte{7, 7}, ObfBits: 224},
+		MsgSetup{Scheme: "paillier", N: []byte{1, 2, 3}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 50, PackBits: 100, ObfBase: []byte{7, 7}, ObfBits: 224},
 		MsgReady{Party: 2, Features: 10, Rows: 100},
-		MsgGradBatch{Tree: 1, Start: 5, G: [][]byte{{9}}, H: [][]byte{{8}}, GExp: []int16{8}, HExp: []int16{9}, Last: true},
+		MsgPairBatch{Tree: 1, Start: 5, Cts: [][]byte{{9}}, Exp: []int16{8}, Last: true},
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{
 			Node: 3,
 			Feats: []FeatHist{
-				{NumBins: 2, GBins: [][]byte{{1}, nil}, HBins: [][]byte{{2}, {3}}, GExp: []int16{8, 8}, HExp: []int16{9, 9}},
-				{NumBins: 3, Packed: true, PackedG: [][]byte{{4}}, PackedH: [][]byte{{5}}, Exp: 11},
+				{NumBins: 2, Bins: [][]byte{{1}, nil}, BinExp: []int16{9, 8}},
+				{NumBins: 3, Packed: true, Bins: [][]byte{{4}}},
 			},
 		}}},
 		MsgDecisions{Tree: 1, Layer: 0, Tentative: true, Nodes: []NodeDecision{
@@ -72,13 +72,13 @@ func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 		switch want := m.(type) {
 		case MsgSetup:
 			g := got.(MsgSetup)
-			if g.Scheme != want.Scheme || g.Bits != want.Bits || g.PackBits != want.PackBits || g.Shift != want.Shift || !bytes.Equal(g.ObfBase, want.ObfBase) || g.ObfBits != want.ObfBits {
+			if g.Scheme != want.Scheme || g.Bits != want.Bits || g.PairBits != want.PairBits || g.PackBits != want.PackBits || !bytes.Equal(g.ObfBase, want.ObfBase) || g.ObfBits != want.ObfBits {
 				t.Errorf("MsgSetup round trip: %+v", g)
 			}
-		case MsgGradBatch:
-			g := got.(MsgGradBatch)
-			if g.Start != want.Start || !g.Last || len(g.G) != 1 || g.GExp[0] != 8 {
-				t.Errorf("MsgGradBatch round trip: %+v", g)
+		case MsgPairBatch:
+			g := got.(MsgPairBatch)
+			if g.Start != want.Start || !g.Last || len(g.Cts) != 1 || g.Exp[0] != 8 {
+				t.Errorf("MsgPairBatch round trip: %+v", g)
 			}
 		case MsgHistograms:
 			g := got.(MsgHistograms)
@@ -86,11 +86,11 @@ func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 				t.Fatalf("MsgHistograms round trip: %+v", g)
 			}
 			f0 := g.Nodes[0].Feats[0]
-			if f0.NumBins != 2 || len(f0.GBins[1]) != 0 {
+			if f0.NumBins != 2 || len(f0.Bins[1]) != 0 || f0.BinExp[0] != 9 {
 				t.Errorf("unpacked feature round trip: %+v", f0)
 			}
 			f1 := g.Nodes[0].Feats[1]
-			if !f1.Packed || f1.Exp != 11 {
+			if !f1.Packed || len(f1.Bins) != 1 {
 				t.Errorf("packed feature round trip: %+v", f1)
 			}
 		case MsgDecisions:
@@ -111,15 +111,14 @@ func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 	}
 }
 
-// TestLinkRoundTripMultiOutputFrames covers the append-only wire
-// revisions carrying the objective negotiation (setup v4) and per-class
-// gradient streams (grad batch v2). A zero Class must still select the
-// historical frame so binary sessions stay byte-identical on the wire.
+// TestLinkRoundTripMultiOutputFrames covers the objective negotiation in
+// the scalar setup and the per-class gradient streams, which ride the
+// same frames as binary sessions (Class is always on the wire).
 func TestLinkRoundTripMultiOutputFrames(t *testing.T) {
 	l := loopbackLink()
 
 	setup := MsgSetup{
-		Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4,
+		Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 56,
 		Objective: "multiclass:3", Outputs: 3,
 	}
 	if err := l.send(setup); err != nil {
@@ -130,14 +129,14 @@ func TestLinkRoundTripMultiOutputFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := got.(MsgSetup)
-	if gs.Objective != "multiclass:3" || gs.Outputs != 3 || gs.Scheme != SchemeMock || gs.Bits != 512 {
-		t.Errorf("MsgSetup v4 round trip: %+v", gs)
+	if gs.Objective != "multiclass:3" || gs.Outputs != 3 || gs.Scheme != SchemeMock || gs.Bits != 512 || gs.PairBits != 56 {
+		t.Errorf("MsgSetup round trip: %+v", gs)
 	}
 
 	for _, class := range []int{0, 2} {
-		gb := MsgGradBatch{
-			Tree: 6, Class: class, Start: 5, Last: true,
-			G: [][]byte{{9}}, H: [][]byte{{8}}, GExp: []int16{8}, HExp: []int16{9},
+		gb := MsgPairBatch{Tree: 6, Class: class, Start: 5, Last: true, Cts: [][]byte{{9}}, Exp: []int16{8}}
+		if gb.WireID() != idPairBatch {
+			t.Fatalf("class %d batch encodes under id %d", class, gb.WireID())
 		}
 		if err := l.send(gb); err != nil {
 			t.Fatal(err)
@@ -146,9 +145,9 @@ func TestLinkRoundTripMultiOutputFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gg := got.(MsgGradBatch)
-		if gg.Class != class || gg.Tree != 6 || gg.Start != 5 || !gg.Last || gg.GExp[0] != 8 {
-			t.Errorf("MsgGradBatch class %d round trip: %+v", class, gg)
+		gg := got.(MsgPairBatch)
+		if gg.Class != class || gg.Tree != 6 || gg.Start != 5 || !gg.Last || gg.Exp[0] != 8 {
+			t.Errorf("MsgPairBatch class %d round trip: %+v", class, gg)
 		}
 	}
 }
@@ -161,7 +160,7 @@ func TestPassivePartyRejectsUnknownMessageOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Gradients before setup must fail.
-	if err := (&link{out: feed, in: feed}).send(MsgGradBatch{Tree: 0}); err != nil {
+	if err := (&link{out: feed, in: feed}).send(MsgPairBatch{Tree: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.run(); err == nil {
@@ -178,7 +177,7 @@ func TestPassivePartyRejectsUnknownNodeDecision(t *testing.T) {
 		t.Fatal(err)
 	}
 	sender := &link{out: feed, in: feed}
-	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4}); err != nil {
+	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.send(MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}); err != nil {

@@ -264,7 +264,7 @@ func TestPeerObjectiveRejection(t *testing.T) {
 		t.Fatal(err)
 	}
 	setupErr := p.handleSetup(MsgSetup{
-		Scheme: SchemeMock, Bits: 256, BaseExp: 8, ExpSpread: 4,
+		Scheme: SchemeMock, Bits: 256, BaseExp: 8, ExpSpread: 4, PairBits: 60,
 		Objective: "nope:3", Outputs: 3,
 	})
 	if setupErr == nil {

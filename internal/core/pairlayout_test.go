@@ -1,0 +1,296 @@
+package core
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"vf2boost/internal/dataset"
+	"vf2boost/internal/fixedpoint"
+	"vf2boost/internal/gbdt"
+	"vf2boost/internal/he"
+	"vf2boost/internal/objective"
+	"vf2boost/internal/wire"
+)
+
+// TestGoldenModelAtFixedExponent pins the serialized model of one fixed
+// session per protocol shape, at ExpSpread=1, to the hash the
+// two-ciphertext layout produced for it (commit b5d83cb). Folding ⟨g,h⟩
+// into one plaintext changes how the bin sums travel, not which integers
+// they are, so with the exponent draw out of the picture the model bytes
+// must not move — on any scheme, packed or not.
+func TestGoldenModelAtFixedExponent(t *testing.T) {
+	const optimized = "56df290a8b7afc892b40e39dd99706ef5f9e2732ccd5cb0b8dd61c944c66b34e"
+	base := MockConfig()
+	base.Trees, base.MaxDepth, base.MaxBins, base.KeyBits, base.BatchSize = 3, 3, 8, 256, 100
+	alwaysPacked := quickConfig(SchemeMock)
+	alwaysPacked.AdaptivePacking = false
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"mock-optimized", quickConfig(SchemeMock), optimized},
+		{"mock-always-packed", alwaysPacked, optimized},
+		{"paillier-optimized", quickConfig(SchemePaillier), optimized},
+		{"mock-baseline", base, "a8c75d61d60dae2a142c01e632b7249bc4f9ebec97b31ab1974d0fe94240a195"},
+	} {
+		tc.cfg.ExpSpread = 1
+		tc.cfg.Seed = 7
+		_, parts := twoPartyData(t, 300, 4, 3, 0.6, false, 77)
+		m, _ := trainFed(t, parts, tc.cfg)
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.want {
+			t.Errorf("%s: model hash %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestOneEncryptionPerInstance pins Party B's side of the cost claim: a
+// tree costs exactly one encryption per row.
+func TestOneEncryptionPerInstance(t *testing.T) {
+	_, parts := twoPartyData(t, 200, 3, 3, 1, true, 5)
+	cfg := quickConfig(SchemeMock)
+	_, s := trainFed(t, parts, cfg)
+	if got, want := s.Crypto().Encryptions(), int64(200*cfg.Trees); got != want {
+		t.Errorf("%d encryptions for %d trees of 200 rows, want %d", got, cfg.Trees, want)
+	}
+}
+
+func TestDerivedBlasterBatch(t *testing.T) {
+	for _, tc := range []struct{ rows, configured, want int }{
+		{2000, 0, 125}, {300, 0, 64}, {16384, 0, 1024}, {20000, 0, 1024}, {2000, 500, 500},
+	} {
+		d, err := dataset.Generate(dataset.GenOptions{Rows: tc.rows, Cols: 2, Density: 1, Dense: true, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := quickConfig(SchemeMock)
+		cfg.BatchSize = tc.configured
+		b, err := newActiveParty(d, mustNormalize(t, cfg), he.NewMock(512), nil, &Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.batch != tc.want {
+			t.Errorf("rows=%d BatchSize=%d: batch %d, want %d", tc.rows, tc.configured, b.batch, tc.want)
+		}
+	}
+}
+
+// negHessObjective is a single-output objective whose first hessian is
+// negative — the input the folded low field must never see.
+type negHessObjective struct{ objective.Objective }
+
+func (o negHessObjective) GradHess(labels []float64, margins, grads, hess [][]float64) error {
+	if err := o.Objective.GradHess(labels, margins, grads, hess); err != nil {
+		return err
+	}
+	hess[0][0] = -0.01
+	return nil
+}
+
+// TestActiveRejectsUnfoldablePairs: a pair the layout cannot carry aborts
+// the session with the typed error before anything is encrypted from it.
+func TestActiveRejectsUnfoldablePairs(t *testing.T) {
+	_, parts := twoPartyData(t, 60, 2, 2, 1, true, 6)
+	cfg := quickConfig(SchemeMock)
+	cfg.Objective = negHessObjective{objective.FromLoss(gbdt.LogisticLoss{})}
+	s, err := NewSession(parts, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Train(); !errors.Is(err, fixedpoint.ErrPairRange) {
+		t.Fatalf("training on a negative hessian returned %v, want ErrPairRange", err)
+	}
+
+	b := newBareActiveParty(t, 10, 2, 7)
+	for name, gh := range map[string][2]float64{
+		"nan g": {math.NaN(), 0.1}, "inf h": {0.1, math.Inf(1)}, "h<0": {0.1, -1e-9},
+		"g beyond its field": {1e6, 0.1}, "h beyond its field": {0.1, 1e6},
+	} {
+		grads, hess := make([]float64, 10), make([]float64, 10)
+		grads[3], hess[3] = gh[0], gh[1]
+		m := MsgPairBatch{Cts: make([][]byte, 10), Exp: make([]int16, 10)}
+		if err := b.encryptRange(0, grads, hess, &m); !errors.Is(err, fixedpoint.ErrPairRange) {
+			t.Errorf("%s: encryptRange returned %v, want ErrPairRange", name, err)
+		}
+	}
+}
+
+// rawFrame hand-builds a binary frame, for layouts no encoder emits.
+func rawFrame(id uint16, body []byte) []byte {
+	f := []byte{wire.TagBinaryV1, 0, 0, 0, 0, 0, 0}
+	binary.BigEndian.PutUint16(f[1:3], id)
+	binary.BigEndian.PutUint32(f[3:7], uint32(len(body)))
+	return append(f, body...)
+}
+
+// legacySetupFrame is the scalar setup an old-layout Party B sends: the
+// retired idSetupV2 body, with its Shift and without a pair width.
+func legacySetupFrame() []byte {
+	b := wire.AppendString(nil, SchemeMock)
+	b = wire.AppendBytes(b, nil)
+	b = wire.AppendInt(b, 512)
+	b = wire.AppendInt(b, 8)
+	b = wire.AppendInt(b, 4)
+	b = wire.AppendInt(b, 64)
+	b = wire.AppendFloat64(b, 30)
+	b = wire.AppendBytes(b, nil)
+	b = wire.AppendInt(b, 0)
+	return rawFrame(idSetupV2, b)
+}
+
+// TestPassiveRejectsHostileFrames drives malformed and hostile setup and
+// gradient frames into a passive party. Every case must end the session
+// with an error — the typed ErrLegacyLayout for an old-layout peer —
+// after telling B why (MsgAbort), and never panic or size an allocation
+// from the frame.
+func TestPassiveRejectsHostileFrames(t *testing.T) {
+	const rows = 30
+	okSetup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60, PackBits: 120}
+	with := func(f func(*MsgSetup)) MsgSetup { m := okSetup; f(&m); return m }
+	ct := []byte{1}
+	batch := func(f func(*MsgPairBatch)) MsgPairBatch {
+		m := MsgPairBatch{Start: 0, Cts: [][]byte{ct, ct}, Exp: []int16{8, 11}}
+		f(&m)
+		return m
+	}
+	whole := MsgPairBatch{Cts: make([][]byte, rows), Exp: make([]int16, rows), Last: true}
+	for i := range whole.Cts {
+		whole.Cts[i], whole.Exp[i] = ct, 8
+	}
+	for _, tc := range []struct {
+		name   string
+		frames []any // MsgX values, or raw []byte frames
+		legacy bool
+		reason string
+	}{
+		{"setup without pair width", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = 0, 0 })}, true, ""},
+		{"retired setup frame", []any{legacySetupFrame()}, true, ""},
+		{"retired gradient frame", []any{okSetup, MsgGradBatch{G: [][]byte{ct}, H: [][]byte{ct}, GExp: []int16{8}, HExp: []int16{8}}}, true, ""},
+		{"pair fields wider than the modulus", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = 256, 0 })}, false, "do not fit"},
+		{"negative pair width", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = -4, 0 })}, false, "do not fit"},
+		{"slot width not two fields", []any{with(func(m *MsgSetup) { m.PackBits = 64 })}, false, "folded pairs need"},
+		{"slot width beyond the modulus", []any{with(func(m *MsgSetup) { m.PackBits = 1 << 20 })}, false, "folded pairs need"},
+		{"zero exponent spread", []any{with(func(m *MsgSetup) { m.ExpSpread = 0 })}, false, "exponents"},
+		{"huge exponent spread", []any{with(func(m *MsgSetup) { m.ExpSpread = 1 << 40 })}, false, "exponents"},
+		{"huge mock modulus", []any{with(func(m *MsgSetup) { m.Bits = 1 << 40 })}, false, "mock modulus"},
+		{"huge output count", []any{with(func(m *MsgSetup) { m.Objective, m.Outputs = "multiclass:3", 1<<40 })}, false, "outputs"},
+		{"batch past the last row", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = rows - 1 })}, false, "out of range"},
+		{"start beyond the rows", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = rows + 5 })}, false, "out of range"},
+		{"negative start", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = -1 })}, false, "out of range"},
+		{"negative tree", []any{okSetup, batch(func(m *MsgPairBatch) { m.Tree = -3 })}, false, "out of range"},
+		{"fewer exponents than ciphertexts", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp = m.Exp[:1] })}, false, "exponents"},
+		{"exponent below the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[1] = 7 })}, false, "outside codec range"},
+		{"exponent above the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[0] = 12 })}, false, "outside codec range"},
+		{"class beyond the outputs", []any{okSetup, batch(func(m *MsgPairBatch) { m.Class = 1 })}, false, "class 1 of 1"},
+		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, false, "after its last batch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, parts := twoPartyData(t, rows, 2, 2, 1, true, 75)
+			in := chanTransport{ch: make(chan []byte, 16)}
+			out := chanTransport{ch: make(chan []byte, 16)}
+			p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), &link{out: out, in: in}, &Stats{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sender := &link{out: in, in: in}
+			for _, f := range tc.frames {
+				if raw, ok := f.([]byte); ok {
+					in.ch <- raw
+				} else if err := sender.send(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, runErr := p.run()
+			if runErr == nil {
+				t.Fatal("hostile frame accepted")
+			}
+			if errors.Is(runErr, ErrLegacyLayout) != tc.legacy {
+				t.Errorf("error %q: ErrLegacyLayout = %v, want %v", runErr, !tc.legacy, tc.legacy)
+			}
+			if !strings.Contains(runErr.Error(), tc.reason) {
+				t.Errorf("error %q does not mention %q", runErr, tc.reason)
+			}
+			// The last frame this party sent must be the abort naming the
+			// same cause (a valid setup is answered first).
+			var last any
+			for len(out.ch) > 0 {
+				if last, err = (&link{in: out}).recv(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ab, ok := last.(MsgAbort); !ok || ab.Reason != runErr.Error() {
+				t.Errorf("last frame sent = %#v, want MsgAbort{%q}", last, runErr)
+			}
+		})
+	}
+}
+
+// TestActiveRejectsHostileHistograms is the same table for the frames a
+// passive party controls: every size in a folded histogram is checked
+// against the session's own plan before it sizes or indexes anything.
+func TestActiveRejectsHostileHistograms(t *testing.T) {
+	dec := he.NewMock(512)
+	codec := fixedpoint.NewCodec(dec, fixedpoint.WithExponents(8, 4))
+	pairs, err := codec.PlanPairs(100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planPacking(codec, pairs.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := pairs.Encrypt(-0.5, 0.25, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct := dec.Marshal(good.Ct)
+	newB := func(packing bool) *activeParty {
+		return &activeParty{cfg: quickConfig(SchemeMock), dec: dec, codec: codec, pairs: pairs,
+			packing: packing, plan: plan, featCounts: []int{1}}
+	}
+
+	// The well-formed shapes decrypt.
+	b := newB(true)
+	if g, h, err := b.decryptFeature(FeatHist{NumBins: 2, Bins: [][]byte{ct, nil}, BinExp: []int16{9, 8}}); err != nil || g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
+		t.Fatalf("well-formed bins: g=%v h=%v err=%v", g, h, err)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		packing bool
+		fh      FeatHist
+		legacy  bool
+	}{
+		{"negative bin count", true, FeatHist{NumBins: -1}, false},
+		{"bin count beyond MaxBins", true, FeatHist{NumBins: 1 << 40, Packed: true, Bins: [][]byte{ct}}, false},
+		{"fewer ciphertexts than bins", true, FeatHist{NumBins: 3, Bins: [][]byte{ct}, BinExp: []int16{9, 9, 9}}, false},
+		{"fewer exponents than bins", true, FeatHist{NumBins: 1, Bins: [][]byte{ct}}, false},
+		{"bin exponent below the range", true, FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{-3}}, false},
+		{"bin exponent above the range", true, FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{12}}, false},
+		{"too few packed ciphertexts", true, FeatHist{NumBins: plan.capacity + 1, Packed: true, Bins: [][]byte{ct}}, false},
+		{"too many packed ciphertexts", true, FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct, ct}}, false},
+		{"packed without negotiated packing", false, FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct}}, false},
+		{"retired packed layout", true, FeatHist{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}, true},
+	} {
+		_, _, err := newB(tc.packing).decryptFeature(tc.fh)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		} else if errors.Is(err, ErrLegacyLayout) != tc.legacy {
+			t.Errorf("%s: error %q, ErrLegacyLayout want %v", tc.name, err, tc.legacy)
+		}
+	}
+	two := NodeHist{Node: 1, Feats: make([]FeatHist, 2)}
+	if _, _, err := b.decryptNodeHist(0, two); err == nil {
+		t.Error("histogram with more features than announced accepted")
+	}
+}

@@ -60,9 +60,9 @@ type passiveParty struct {
 	// offsets are the per-feature bin offsets of this party's mapper.
 	offsets []int
 
-	// Per-tree state.
+	// Per-tree state: gh holds one folded ⟨g,h⟩ ciphertext per instance.
 	tree int
-	gh   *encGH
+	gh   []fixedpoint.EncNum
 	// vgh are the tree's gradient window ciphertexts in vec mode:
 	// instance i is pair slot i%pairs of window i/pairs.
 	vgh []he.VecCiphertext
@@ -82,7 +82,7 @@ type passiveParty struct {
 	// reuses for sibling subtraction.
 	outputs         int
 	roundTree       int
-	ghAll           []*encGH
+	ghAll           [][]fixedpoint.EncNum
 	rootPartsAll    [][]*EncHistogram
 	rootCountAll    []int
 	pendingRootBins []*cachedBins
@@ -149,10 +149,10 @@ func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, sta
 }
 
 // cachedBins are one node's finalized histogram bins, retained for
-// sibling subtraction — either the scalar per-bin form or the vectorized
+// sibling subtraction — either the folded per-bin form or the vectorized
 // accumulators, never both.
 type cachedBins struct {
-	g, h []fixedpoint.EncNum
+	bins []fixedpoint.EncNum
 	vec  *vecHist
 }
 
@@ -178,15 +178,17 @@ func (p *passiveParty) run() (*PartyModel, error) {
 		switch m := msg.(type) {
 		case MsgSetup:
 			if err := p.handleSetup(m); err != nil {
-				return nil, err
+				return nil, p.reject(err)
+			}
+		case MsgPairBatch:
+			if err := p.handlePairBatch(m); err != nil {
+				return nil, p.reject(err)
 			}
 		case MsgGradBatch:
-			if err := p.handleGradBatch(m); err != nil {
-				return nil, err
-			}
+			return nil, p.reject(fmt.Errorf("%w: two-ciphertext gradient batch", ErrLegacyLayout))
 		case MsgVecGradBatch:
 			if err := p.handleVecGradBatch(m); err != nil {
-				return nil, err
+				return nil, p.reject(err)
 			}
 		case MsgDecisions:
 			if err := p.handleDecisions(m); err != nil {
@@ -245,6 +247,14 @@ func (p *passiveParty) fail(err error) {
 	}
 }
 
+// reject fails the session on malformed or hostile peer input: B is told
+// (MsgAbort) before this party unwinds, so it never waits on an answer
+// that will not come.
+func (p *passiveParty) reject(err error) error {
+	p.fail(err)
+	return err
+}
+
 // failed returns the first recorded task failure, or nil.
 func (p *passiveParty) failed() error {
 	p.failMu.Lock()
@@ -253,14 +263,18 @@ func (p *passiveParty) failed() error {
 }
 
 // handleSetup installs the shared cryptographic context. A setup carrying
-// a backend name negotiates the vectorized protocol; the legacy scalar
-// switch is untouched so mixed fleets keep the byte-identical fallback.
+// a backend name negotiates the vectorized protocol; every other setup
+// must announce the folded pair width, and one that does not comes from a
+// peer still on the two-ciphertext layout.
 func (p *passiveParty) handleSetup(m MsgSetup) error {
 	if m.Backend != "" {
 		if err := p.setupBackend(m); err != nil {
 			return err
 		}
 	} else {
+		if m.PairBits == 0 {
+			return fmt.Errorf("%w: setup announces no pair width", ErrLegacyLayout)
+		}
 		switch m.Scheme {
 		case SchemePaillier:
 			n := new(big.Int).SetBytes(m.N)
@@ -276,6 +290,9 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 			}
 			p.scheme = he.NewPaillierPublic(pk)
 		case SchemeMock:
+			if m.Bits > maxWireKeyBits {
+				return fmt.Errorf("core: party %d: setup asks for a %d-bit mock modulus", p.index, m.Bits)
+			}
 			p.scheme = he.NewMock(m.Bits)
 		default:
 			return fmt.Errorf("core: setup with unknown scheme %q", m.Scheme)
@@ -287,9 +304,9 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 	// when the objective is not the binary default, keeping single-output
 	// setups wire-identical). Only the name and the output count are
 	// shared — gradients stay encrypted and labels never leave B.
-	p.outputs = m.Outputs
-	if p.outputs < 1 {
-		p.outputs = 1
+	p.outputs = max(m.Outputs, 1)
+	if p.outputs > maxWireOutputs {
+		return fmt.Errorf("core: party %d: setup announces %d outputs", p.index, p.outputs)
 	}
 	if m.Objective != "" && !objective.Registered(baseName(m.Objective)) {
 		return fmt.Errorf("core: party %d: peer negotiated unregistered objective %q (registered: %s)",
@@ -306,25 +323,33 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 		// in ipw units, mirroring B's layout.
 		p.pairs = ipw
 	}
-	p.codec = fixedpoint.NewCodec(p.scheme,
-		fixedpoint.WithExponents(m.BaseExp, m.ExpSpread),
-		fixedpoint.WithSeed(p.cfg.Seed+int64(p.index)+1))
+	if m.BaseExp < 1 || m.ExpSpread < 1 || m.BaseExp+m.ExpSpread > maxWireExp {
+		return fmt.Errorf("core: party %d: setup exponents [%d,%d+%d) invalid", p.index, m.BaseExp, m.BaseExp, m.ExpSpread)
+	}
+	// This party encrypts nothing but public constants and draws no
+	// exponents, so its codec needs no seed.
+	p.codec = fixedpoint.NewCodec(p.scheme, fixedpoint.WithExponents(m.BaseExp, m.ExpSpread))
 	if p.vec && m.PackBits > 0 {
 		return fmt.Errorf("core: party %d: setup combines histogram packing with the vectorized backend %q", p.index, m.Backend)
 	}
+	if !p.vec && (m.PairBits < 1 || 2*m.PairBits > p.scheme.Bits()-2) {
+		return fmt.Errorf("core: party %d: %d-bit pair fields do not fit the %d-bit modulus", p.index, m.PairBits, p.scheme.Bits())
+	}
 	p.packing = m.PackBits > 0
 	if p.packing {
-		p.plan = packPlan{
-			bits:     m.PackBits,
-			capacity: (p.scheme.Bits() - 1) / m.PackBits,
-			exp:      m.BaseExp + m.ExpSpread - 1,
-			shift:    m.Shift,
+		// The folded layout packs in slots of exactly two pair fields;
+		// planPacking bounds that width by the modulus.
+		if m.PackBits != 2*m.PairBits {
+			return fmt.Errorf("core: party %d: setup packs %d-bit slots, folded pairs need %d", p.index, m.PackBits, 2*m.PairBits)
 		}
-		ct, err := encryptShift(p.codec, p.plan)
+		plan, err := planPacking(p.codec, m.PairBits)
 		if err != nil {
+			return fmt.Errorf("core: party %d: %w", p.index, err)
+		}
+		p.plan = plan
+		if p.shiftCt, err = p.scheme.Encrypt(plan.shift); err != nil {
 			return fmt.Errorf("core: party %d encrypting shift: %w", p.index, err)
 		}
-		p.shiftCt = ct
 	}
 	if err := p.send(MsgReady{Party: p.index, Features: p.cols, Rows: p.view.Rows()}); err != nil {
 		return err
@@ -382,11 +407,13 @@ func (p *passiveParty) setupBackend(m MsgSetup) error {
 	return nil
 }
 
-// handleGradBatch stores a batch of encrypted gradient statistics and
+// handlePairBatch stores a batch of folded gradient ciphertexts and
 // accumulates it straight into the root histogram — with blaster-style
 // encryption the batches stream in while Party B is still encrypting, so
-// encryption, transfer and root construction overlap.
-func (p *passiveParty) handleGradBatch(m MsgGradBatch) error {
+// encryption, transfer and root construction overlap. Every size and
+// index the frame supplies is bounded by this party's own row count and
+// the negotiated exponent range before anything is allocated or indexed.
+func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 	if p.scheme == nil {
 		return fmt.Errorf("core: gradients before setup")
 	}
@@ -397,6 +424,12 @@ func (p *passiveParty) handleGradBatch(m MsgGradBatch) error {
 		return fmt.Errorf("core: gradient batch for class %d of %d", m.Class, p.outputs)
 	}
 	n := p.view.Rows()
+	if m.Tree < 0 || m.Start < 0 || m.Start > n || len(m.Cts) > n-m.Start {
+		return fmt.Errorf("core: gradient batch [%d,%d+%d) of tree %d out of range (%d rows)", m.Start, m.Start, len(m.Cts), m.Tree, n)
+	}
+	if len(m.Exp) != len(m.Cts) {
+		return fmt.Errorf("core: gradient batch with %d ciphertexts and %d exponents", len(m.Cts), len(m.Exp))
+	}
 	if p.ghAll == nil || p.roundTree != m.Tree {
 		// A replayed round (B resumed behind this party's checkpoint)
 		// invalidates the trees recorded at or after it: discard them and
@@ -406,18 +439,13 @@ func (p *passiveParty) handleGradBatch(m MsgGradBatch) error {
 		}
 		p.roundTree = m.Tree
 		p.tree = m.Tree
-		p.ghAll = make([]*encGH, p.outputs)
-		for c := range p.ghAll {
-			p.ghAll[c] = &encGH{
-				g: make([]fixedpoint.EncNum, n),
-				h: make([]fixedpoint.EncNum, n),
-			}
-		}
-		p.gh = p.ghAll[0]
+		p.ghAll = make([][]fixedpoint.EncNum, p.outputs)
 		p.rootPartsAll = make([][]*EncHistogram, p.outputs)
-		for c := range p.rootPartsAll {
+		for c := range p.ghAll {
+			p.ghAll[c] = make([]fixedpoint.EncNum, n)
 			p.rootPartsAll[c] = make([]*EncHistogram, p.cfg.Workers)
 		}
+		p.gh = p.ghAll[0]
 		p.rootCountAll = make([]int, p.outputs)
 		p.pendingRootBins = make([]*cachedBins, p.outputs)
 		p.nodeInsts = make(map[int32][]int32)
@@ -425,93 +453,39 @@ func (p *passiveParty) handleGradBatch(m MsgGradBatch) error {
 		p.binCache = make(map[int32]*cachedBins)
 	}
 	gh := p.ghAll[m.Class]
-	if m.Start+len(m.G) > n {
-		return fmt.Errorf("core: gradient batch [%d,%d) out of range", m.Start, m.Start+len(m.G))
-	}
-	if len(m.H) != len(m.G) || len(m.GExp) != len(m.G) || len(m.HExp) != len(m.G) {
-		return fmt.Errorf("core: gradient batch with mismatched lengths g=%d h=%d gexp=%d hexp=%d",
-			len(m.G), len(m.H), len(m.GExp), len(m.HExp))
-	}
 	// The session codec only produces exponents in [BaseExp,
 	// BaseExp+ExpSpread); anything else is corrupt or hostile input and
-	// must be rejected here — downstream accumulation indexes slot rows by
-	// exponent and treats out-of-range values as a programming error.
+	// must be rejected here — accumulation indexes workspace rows by it.
 	minExp, maxExp := p.codec.BaseExp(), p.codec.BaseExp()+p.codec.ExpSpread()
-	for k := range m.G {
-		if e := int(m.GExp[k]); e < minExp || e >= maxExp {
+	for k, payload := range m.Cts {
+		e := int(m.Exp[k])
+		if e < minExp || e >= maxExp {
 			return fmt.Errorf("core: gradient exponent %d outside codec range [%d,%d)", e, minExp, maxExp)
 		}
-		if e := int(m.HExp[k]); e < minExp || e >= maxExp {
-			return fmt.Errorf("core: hessian exponent %d outside codec range [%d,%d)", e, minExp, maxExp)
-		}
-		gc, err := p.scheme.Unmarshal(m.G[k])
+		ct, err := p.scheme.Unmarshal(payload)
 		if err != nil {
 			return err
 		}
-		hc, err := p.scheme.Unmarshal(m.H[k])
-		if err != nil {
-			return err
-		}
-		i := m.Start + k
-		gh.g[i] = fixedpoint.EncNum{Exp: int(m.GExp[k]), Ct: gc}
-		gh.h[i] = fixedpoint.EncNum{Exp: int(m.HExp[k]), Ct: hc}
+		gh[m.Start+k] = fixedpoint.EncNum{Exp: e, Ct: ct}
 	}
 
-	// Accumulate this batch into the root histogram immediately,
-	// sharded across workers (each worker owns a partial histogram;
-	// merged once the last batch arrives).
-	start := time.Now()
-	endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("root batch @%d", m.Start))
-	insts := make([]int32, len(m.G))
-	for k := range insts {
-		insts[k] = int32(m.Start + k)
-	}
 	rootParts := p.rootPartsAll[m.Class]
-	workers := len(rootParts)
-	var wg sync.WaitGroup
-	workerErrs := make([]error, workers)
-	chunk := (len(insts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(insts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(insts) {
-			hi = len(insts)
-		}
+	err := p.sweepRoot(m.Start, len(m.Cts), len(rootParts), func(w int, insts []int32) error {
 		if rootParts[w] == nil {
 			rootParts[w] = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			workerErrs[w] = rootParts[w].Accumulate(p.view, insts[lo:hi], gh)
-		}(w, lo, hi)
+		return rootParts[w].Accumulate(p.view, insts, gh)
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for _, err := range workerErrs {
-		if err != nil {
-			// Notify B before unwinding: without the abort the active
-			// party would wait forever for this root histogram.
-			err = fmt.Errorf("core: party %d root histogram sweep: %w", p.index, err)
-			p.fail(err)
-			return err
-		}
-	}
-	p.rootCountAll[m.Class] += len(insts)
-	endSpan()
-	addDur(&p.stats.buildHistTime, time.Since(start))
+	p.rootCountAll[m.Class] += len(m.Cts)
 
 	if m.Last {
 		if p.rootCountAll[m.Class] != n {
 			return fmt.Errorf("core: root saw %d of %d instances", p.rootCountAll[m.Class], n)
 		}
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		p.nodeInsts[rootID] = all
+		p.nodeInsts[rootID] = allInstances(n)
 		if p.cfg.MaxDepth > 0 {
 			var root *EncHistogram
 			for _, part := range rootParts {
@@ -527,8 +501,7 @@ func (p *passiveParty) handleGradBatch(m MsgGradBatch) error {
 			if root == nil {
 				root = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
 			}
-			g, h := root.FinalizeBins(-1)
-			bins := &cachedBins{g: g, h: h}
+			bins := &cachedBins{bins: root.FinalizeBins()}
 			var nh NodeHist
 			var err error
 			if m.Class == 0 {
@@ -604,59 +577,22 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 		end = n
 	}
 
-	// Accumulate this batch into the root accumulators immediately,
-	// sharded across workers like the scalar path.
-	start := time.Now()
-	endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("root batch @%d", m.Start))
-	insts := make([]int32, end-m.Start)
-	for k := range insts {
-		insts[k] = int32(m.Start + k)
-	}
-	workers := len(p.rootVecParts)
-	var wg sync.WaitGroup
-	workerErrs := make([]error, workers)
-	chunk := (len(insts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(insts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(insts) {
-			hi = len(insts)
-		}
+	err := p.sweepRoot(m.Start, end-m.Start, len(p.rootVecParts), func(w int, insts []int32) error {
 		if p.rootVecParts[w] == nil {
 			p.rootVecParts[w] = newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			workerErrs[w] = p.rootVecParts[w].accumulate(p.view, insts[lo:hi], p.vgh)
-		}(w, lo, hi)
+		return p.rootVecParts[w].accumulate(p.view, insts, p.vgh)
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for _, err := range workerErrs {
-		if err != nil {
-			// Notify B before unwinding: without the abort the active
-			// party would wait forever for this root histogram.
-			err = fmt.Errorf("core: party %d root histogram sweep: %w", p.index, err)
-			p.fail(err)
-			return err
-		}
-	}
-	p.rootCount += len(insts)
-	endSpan()
-	addDur(&p.stats.buildHistTime, time.Since(start))
+	p.rootCount += end - m.Start
 
 	if m.Last {
 		if p.rootCount != n {
 			return fmt.Errorf("core: root saw %d of %d instances", p.rootCount, n)
 		}
-		all := make([]int32, n)
-		for i := range all {
-			all[i] = int32(i)
-		}
-		p.nodeInsts[rootID] = all
+		p.nodeInsts[rootID] = allInstances(n)
 		if p.cfg.MaxDepth > 0 {
 			var root *vecHist
 			for _, part := range p.rootVecParts {
@@ -692,6 +628,43 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 	return nil
 }
 
+// sweepRoot accumulates the gradient batch [start, start+count) into the
+// root histogram as soon as it lands — the overlap blaster encryption
+// exists for — sharded across workers: sweep(w, insts) adds worker w's
+// contiguous share to its own partial accumulator, and the partials merge
+// once the last batch arrives.
+func (p *passiveParty) sweepRoot(start, count, workers int, sweep func(w int, insts []int32) error) error {
+	if workers == 0 {
+		// The partial accumulators are released once the root ships.
+		return fmt.Errorf("core: gradient batch @%d of a stream after its last batch", start)
+	}
+	began := time.Now()
+	endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("root batch @%d", start))
+	defer endSpan()
+	insts := make([]int32, count)
+	for k := range insts {
+		insts[k] = int32(start + k)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, workers)
+	chunk := (count + workers - 1) / workers
+	for w := 0; w < workers && w*chunk < count; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = sweep(w, insts[w*chunk:min((w+1)*chunk, count)])
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return fmt.Errorf("core: party %d root histogram sweep: %w", p.index, err)
+		}
+	}
+	addDur(&p.stats.buildHistTime, time.Since(began))
+	return nil
+}
+
 // wireCached caches a node's finalized bins for sibling subtraction and
 // serializes them, dispatching on the representation.
 func (p *passiveParty) wireCached(node int32, bins *cachedBins) (NodeHist, error) {
@@ -711,7 +684,7 @@ func (p *passiveParty) wireUncached(node int32, bins *cachedBins) (NodeHist, err
 	if bins.vec != nil {
 		return p.wireVecNodeHist(node, bins.vec), nil
 	}
-	return p.wireNodeHist(node, bins.g, bins.h)
+	return p.wireNodeHist(node, bins.bins)
 }
 
 // advanceClassTree moves this party to the next class tree of the
@@ -722,12 +695,7 @@ func (p *passiveParty) wireUncached(node int32, bins *cachedBins) (NodeHist, err
 // straight to the root decision without another encryption pass.
 func (p *passiveParty) advanceClassTree(t int) error {
 	p.tree = t
-	n := p.view.Rows()
-	all := make([]int32, n)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	p.nodeInsts = map[int32][]int32{rootID: all}
+	p.nodeInsts = map[int32][]int32{rootID: allInstances(p.view.Rows())}
 	p.tasks = make(map[int32]*histTask)
 	p.binCache = make(map[int32]*cachedBins)
 	if p.vec {
@@ -758,36 +726,33 @@ func (p *passiveParty) wireVecNodeHist(node int32, vh *vecHist) NodeHist {
 	return nh
 }
 
-// wireNodeHist serializes finalized scalar bins (callers go through
+// wireNodeHist serializes finalized folded bins (callers go through
 // wireCached, which owns the sibling-subtraction cache). With adaptive
 // packing a feature ships packed only when that reduces Party B's
 // decryptions (occupied bins exceed the packed ciphertext count);
 // packFeature scales the chosen features to the unified exponent.
-func (p *passiveParty) wireNodeHist(node int32, g, h []fixedpoint.EncNum) (NodeHist, error) {
+func (p *passiveParty) wireNodeHist(node int32, bins []fixedpoint.EncNum) (NodeHist, error) {
 	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
 	for j := 0; j < p.cols; j++ {
-		lo, hi := p.offsets[j], p.offsets[j+1]
-		fh := FeatHist{NumBins: hi - lo}
-		if p.packing && p.shouldPack(g[lo:hi], h[lo:hi]) {
-			pg, err := packFeature(p.codec, g[lo:hi], p.shiftCt, p.plan)
+		feat := bins[p.offsets[j]:p.offsets[j+1]]
+		fh := FeatHist{NumBins: len(feat)}
+		if p.packing && p.shouldPack(feat) {
+			packed, err := packFeature(p.codec, feat, p.shiftCt, p.plan)
 			if err != nil {
 				return NodeHist{}, err
 			}
-			ph, err := packFeature(p.codec, h[lo:hi], p.shiftCt, p.plan)
-			if err != nil {
-				return NodeHist{}, err
-			}
-			fh.Packed = true
-			fh.PackedG, fh.PackedH = pg, ph
-			fh.Exp = int16(p.plan.exp)
+			fh.Packed, fh.Bins = true, packed
 		} else {
-			fh.GBins = make([][]byte, hi-lo)
-			fh.HBins = make([][]byte, hi-lo)
-			fh.GExp = make([]int16, hi-lo)
-			fh.HExp = make([]int16, hi-lo)
-			for k := lo; k < hi; k++ {
-				fh.GBins[k-lo], fh.GExp[k-lo] = p.marshalBin(g[k])
-				fh.HBins[k-lo], fh.HExp[k-lo] = p.marshalBin(h[k])
+			fh.Bins = make([][]byte, len(feat))
+			fh.BinExp = make([]int16, len(feat))
+			for k, b := range feat {
+				// Empty bins ship as empty payloads, which the decoder
+				// treats as exact zero. Emptiness carries no extra
+				// information: Party B decrypts every bin sum anyway.
+				fh.BinExp[k] = int16(p.codec.BaseExp())
+				if b.Ct != nil {
+					fh.Bins[k], fh.BinExp[k] = p.scheme.Marshal(b.Ct), int16(b.Exp)
+				}
 			}
 		}
 		nh.Feats[j] = fh
@@ -797,29 +762,17 @@ func (p *passiveParty) wireNodeHist(node int32, g, h []fixedpoint.EncNum) (NodeH
 
 // shouldPack decides per feature whether packing pays off. Without
 // adaptive packing every feature is packed (the paper's behaviour).
-func (p *passiveParty) shouldPack(g, h []fixedpoint.EncNum) bool {
+func (p *passiveParty) shouldPack(bins []fixedpoint.EncNum) bool {
 	if !p.cfg.AdaptivePacking {
 		return true
 	}
 	occupied := 0
-	for i := range g {
-		if g[i].Ct != nil || h[i].Ct != nil {
+	for _, b := range bins {
+		if b.Ct != nil {
 			occupied++
 		}
 	}
-	packedCts := (len(g) + p.plan.capacity - 1) / p.plan.capacity
-	return occupied > packedCts
-}
-
-// marshalBin serializes a bin; empty bins become nil payloads, which the
-// decoder treats as exact zero. Emptiness carries no extra information:
-// Party B decrypts every bin sum anyway, so it would see the zeros
-// regardless.
-func (p *passiveParty) marshalBin(b fixedpoint.EncNum) ([]byte, int16) {
-	if b.Ct == nil {
-		return nil, int16(p.codec.BaseExp())
-	}
-	return p.scheme.Marshal(b.Ct), int16(b.Exp)
+	return occupied > p.plan.packedCts(len(bins))
 }
 
 // handleDecisions applies a layer's (tentative or final) node decisions.
@@ -863,9 +816,7 @@ func (p *passiveParty) applyDecision(layer int, d NodeDecision) error {
 			if err != nil {
 				// Notify B before unwinding: it is waiting on the placement
 				// this partition was about to produce.
-				err = fmt.Errorf("core: party %d partitioning node %d: %w", p.index, d.Node, err)
-				p.fail(err)
-				return err
+				return p.reject(fmt.Errorf("core: party %d partitioning node %d: %w", p.index, d.Node, err))
 			}
 			bits := make([]bool, len(insts))
 			li := 0
@@ -973,26 +924,35 @@ func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []
 		parentBins, ok := p.binCache[parent]
 		p.binCacheMu.Unlock()
 		if ok {
-			p.scheduleHistPair(parentBins, childLayer, leftID, left, rightID, right)
+			// Build only the smaller child; its sibling is parent − child.
+			if len(right) < len(left) {
+				p.scheduleHist(childLayer, rightID, right, parentBins, leftID)
+			} else {
+				p.scheduleHist(childLayer, leftID, left, parentBins, rightID)
+			}
 			return
 		}
 	}
-	p.scheduleHist(leftID, childLayer, left)
-	p.scheduleHist(rightID, childLayer, right)
+	p.scheduleHist(childLayer, leftID, left, nil, 0)
+	p.scheduleHist(childLayer, rightID, right, nil, 0)
 }
 
-// scheduleHistPair builds only the smaller child's histogram and derives
-// the sibling by homomorphic subtraction from the cached parent bins. One
-// abortable task covers both children.
-func (p *passiveParty) scheduleHistPair(parent *cachedBins, layer int, leftID int32, left []int32, rightID int32, right []int32) {
-	smallID, small, bigID := leftID, left, rightID
-	if len(right) < len(left) {
-		smallID, small, bigID = rightID, right, leftID
+// scheduleHist launches one abortable task (the "small sub-tasks which can
+// be processed in parallel" of Figure 6) that builds a node's histogram
+// and, given the cached parent bins, derives the sibling's by homomorphic
+// subtraction. Each histogram is sent to B as soon as it is ready — nodes
+// stream independently, which is what lets B validate early and abort
+// less work.
+func (p *passiveParty) scheduleHist(layer int, node int32, insts []int32, parent *cachedBins, sibling int32) {
+	task := &histTask{node: node, layer: layer}
+	ids := []int32{node}
+	if parent != nil {
+		ids = append(ids, sibling)
 	}
-	task := &histTask{node: smallID, layer: layer}
 	p.tasksMu.Lock()
-	p.tasks[smallID] = task
-	p.tasks[bigID] = task
+	for _, id := range ids {
+		p.tasks[id] = task
+	}
 	p.tasksMu.Unlock()
 	gh := p.gh
 	wins := p.vgh
@@ -1002,52 +962,51 @@ func (p *passiveParty) scheduleHistPair(parent *cachedBins, layer int, leftID in
 		defer p.taskWG.Done()
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
-		bins, ok, err := p.buildBins(task, small, gh, wins)
+		// Every failure below comes from the binned view (a shard beyond
+		// its self-healing budget) or from ciphertexts accumulated off the
+		// wire — e.g. a range-valid gradient with gcd(c, n) ≠ 1, which only
+		// the key owner can craft and only a failed ModInverse in Sub
+		// exposes. Either way it is input, not a protocol bug: abort the
+		// session instead of panicking or training on a partial histogram.
+		fail := func(id int32, err error) {
+			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, id, err))
+		}
+		ship := func(id int32, bins *cachedBins) bool {
+			nh, err := p.wireCached(id, bins)
+			if err != nil {
+				fail(id, err)
+				return false
+			}
+			if task.aborted.Load() {
+				return false
+			}
+			p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{nh}})
+			return true
+		}
+		bins, ok, err := p.buildBins(task, insts, gh, wins)
 		if err != nil {
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, smallID, err))
+			fail(node, err)
 			return
 		}
-		if !ok {
+		if !ok || !ship(node, bins) {
 			return
 		}
-		smallNH, err := p.wireCached(smallID, bins)
-		if err != nil {
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, smallID, err))
-			return
+		if parent != nil {
+			start := time.Now()
+			sib, err := subtractCached(p.codec, parent, bins)
+			if err != nil {
+				fail(sibling, err)
+				return
+			}
+			addDur(&p.stats.buildHistTime, time.Since(start))
+			if task.aborted.Load() || !ship(sibling, sib) {
+				return
+			}
 		}
-		if task.aborted.Load() {
-			return
-		}
-		p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{smallNH}})
-
-		// Sibling = parent - small, bin by bin. Range validation on the
-		// gradient stream cannot prove invertibility: the key owner (who
-		// knows p and q) can ship a range-valid ciphertext with
-		// gcd(c, n) ≠ 1, and the failure only shows up here when Sub's
-		// ModInverse returns nil. That is hostile input, not a protocol
-		// bug — fail the session instead of panicking.
-		start := time.Now()
-		sib, err := subtractCached(p.codec, parent, bins)
-		if err != nil {
-			p.fail(fmt.Errorf("core: party %d sibling histogram for node %d: %w", p.index, bigID, err))
-			return
-		}
-		addDur(&p.stats.buildHistTime, time.Since(start))
-		if task.aborted.Load() {
-			return
-		}
-		bigNH, err := p.wireCached(bigID, sib)
-		if err != nil {
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, bigID, err))
-			return
-		}
-		if task.aborted.Load() {
-			return
-		}
-		p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{bigNH}})
 		p.tasksMu.Lock()
-		delete(p.tasks, smallID)
-		delete(p.tasks, bigID)
+		for _, id := range ids {
+			delete(p.tasks, id)
+		}
 		p.tasksMu.Unlock()
 	}()
 }
@@ -1058,7 +1017,7 @@ func (p *passiveParty) scheduleHistPair(parent *cachedBins, layer int, leftID in
 // non-nil error means the binned view failed to deliver a row even after
 // its own retries/rebuilds — a storage fault the caller must turn into a
 // session abort.
-func (p *passiveParty) buildBins(task *histTask, insts []int32, gh *encGH, wins []he.VecCiphertext) (bins *cachedBins, ok bool, err error) {
+func (p *passiveParty) buildBins(task *histTask, insts []int32, gh []fixedpoint.EncNum, wins []he.VecCiphertext) (bins *cachedBins, ok bool, err error) {
 	if task.aborted.Load() {
 		return nil, false, nil
 	}
@@ -1106,8 +1065,7 @@ func (p *passiveParty) buildBins(task *histTask, insts []int32, gh *encGH, wins 
 	if task.aborted.Load() {
 		return nil, false, nil
 	}
-	g, h := eh.FinalizeBins(-1)
-	return &cachedBins{g: g, h: h}, true, nil
+	return &cachedBins{bins: eh.FinalizeBins()}, true, nil
 }
 
 // subtractCached derives the sibling bins as parent − child in whichever
@@ -1123,15 +1081,11 @@ func subtractCached(codec *fixedpoint.Codec, parent, child *cachedBins) (*cached
 		}
 		return &cachedBins{vec: vh}, nil
 	}
-	sg, err := subtractBins(codec, parent.g, child.g)
+	sib, err := subtractBins(codec, parent.bins, child.bins)
 	if err != nil {
 		return nil, err
 	}
-	sh, err := subtractBins(codec, parent.h, child.h)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedBins{g: sg, h: sh}, nil
+	return &cachedBins{bins: sib}, nil
 }
 
 // subtractBins computes parent - child per bin. A child can only have
@@ -1156,51 +1110,6 @@ func subtractBins(codec *fixedpoint.Codec, parent, child []fixedpoint.EncNum) ([
 		}
 	}
 	return out, nil
-}
-
-// scheduleHist launches an abortable histogram build for one node; the
-// result is sent to B as soon as it completes (nodes stream independently,
-// which is what lets B validate early and abort less work).
-func (p *passiveParty) scheduleHist(node int32, layer int, insts []int32) {
-	task := &histTask{node: node, layer: layer}
-	p.tasksMu.Lock()
-	p.tasks[node] = task
-	p.tasksMu.Unlock()
-	gh := p.gh
-	wins := p.vgh
-	tree := p.tree
-	p.taskWG.Add(1)
-	go func() {
-		defer p.taskWG.Done()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		bins, ok, err := p.buildBins(task, insts, gh, wins)
-		if err != nil {
-			// The binned view exhausted its self-healing (retry + rebuild)
-			// budget: the shard is unrecoverable, so abort the session
-			// cleanly instead of training on a partial histogram.
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, node, err))
-			return
-		}
-		if !ok {
-			return
-		}
-		nh, err := p.wireCached(node, bins)
-		if err != nil {
-			// Serialization works over ciphertexts accumulated from the
-			// wire gradient stream; treat any failure as hostile input and
-			// abort the session rather than crash the process.
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, node, err))
-			return
-		}
-		if task.aborted.Load() {
-			return
-		}
-		p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{nh}})
-		p.tasksMu.Lock()
-		delete(p.tasks, node)
-		p.tasksMu.Unlock()
-	}()
 }
 
 // applyPlacement splits an instance list by a placement bitmap (bit set =

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/big"
-	"sync"
 	"time"
 
 	"vf2boost/internal/checkpoint"
@@ -30,6 +30,11 @@ type activeParty struct {
 
 	dec   he.Decryptor
 	codec *fixedpoint.Codec
+	// pairs is the folded ⟨g,h⟩ plaintext layout of the scalar gradient
+	// stream and every passive histogram cell (unset in vec sessions).
+	pairs fixedpoint.PairPlan
+	// batch is the blaster batch size in instances.
+	batch int
 
 	// vec is set when the configured HE backend is slot-batched: vdec
 	// wraps dec with the lane layout, vplan is the negotiated geometry and
@@ -43,6 +48,9 @@ type activeParty struct {
 
 	links []*link
 	pumps []*pump
+	// featCounts[i] is the feature count passive party i announced at
+	// setup; its histograms must carry exactly that many features.
+	featCounts []int
 
 	packing bool
 	plan    packPlan
@@ -316,16 +324,28 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 			fixedpoint.WithExponents(plan.Exp, 1),
 			fixedpoint.WithStats(b.codec.Stats()))
 	}
-	// Histogram packing shifts scalar prefix-sum bins into one plaintext;
-	// the vectorized path already packs at the lane level, so the two are
+	// An unset batch size follows the row count: about sixteen batches
+	// per stream keep encryption, transfer and root accumulation
+	// overlapped at any size, and the un-overlapped tail is one batch.
+	b.batch = cfg.BatchSize
+	if b.batch <= 0 {
+		b.batch = min(max(b.rows/16, 64), 1024)
+	}
+	if cfg.vecMode() {
+		return b, nil
+	}
+	var err error
+	if b.pairs, err = b.codec.PlanPairs(b.rows, cfg.gradBound()); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	// Histogram packing packs shifted prefixes of folded bins; the
+	// vectorized path already packs at the lane level, so the two are
 	// mutually exclusive.
-	if cfg.HistogramPacking && !cfg.vecMode() {
-		plan, err := planPacking(b.codec, b.rows, cfg.gradBound(), fixedpoint.DefaultPackBits)
-		if err != nil {
+	if cfg.HistogramPacking {
+		if b.plan, err = planPacking(b.codec, b.pairs.W); err != nil {
 			return nil, err
 		}
 		b.packing = true
-		b.plan = plan
 	}
 	return b, nil
 }
@@ -366,9 +386,9 @@ func (b *activeParty) setup() error {
 		// must pay the paper's full r^n cost.
 		fo.DisableFastObfuscation()
 	}
+	setup.PairBits = b.pairs.W
 	if b.packing {
 		setup.PackBits = b.plan.bits
-		setup.Shift = b.plan.shift
 	}
 	if b.vec {
 		setup.Backend = b.cfg.HEBackend
@@ -394,6 +414,7 @@ func (b *activeParty) setup() error {
 		b.pumps[i] = startPump(l)
 	}
 	b.offsets = make([]int32, len(b.links))
+	b.featCounts = make([]int, len(b.links))
 	off := int32(0)
 	for i, p := range b.pumps {
 		select {
@@ -402,7 +423,10 @@ func (b *activeParty) setup() error {
 				return fmt.Errorf("core: party %d has %d rows, party B has %d (instances not aligned)",
 					i, r.Rows, b.rows)
 			}
-			b.offsets[i] = off
+			if r.Features < 0 || r.Features > math.MaxInt32-int(off) {
+				return fmt.Errorf("core: party %d announces %d features", i, r.Features)
+			}
+			b.offsets[i], b.featCounts[i] = off, r.Features
 			off += int32(r.Features)
 		case err := <-p.errs:
 			return err
@@ -473,16 +497,12 @@ func (b *activeParty) train() (*PartyModel, error) {
 	// outweighs the hidden idle time.
 	var start time.Time
 	for t := startTree; t < totalTrees; t++ {
-		round, class := t/k, t%k
+		class := t % k
 		b.class = class
 		b.margins = b.marginsAll[class]
 		b.grads = b.gradsAll[class]
 		b.hess = b.hessAll[class]
 		if class == 0 {
-			// Per-round obfuscation stream: reseeding here makes round r's
-			// exponent draws independent of how many rounds ran before it,
-			// so a resumed session reproduces an uninterrupted run exactly.
-			b.codec.ReseedExp(b.cfg.Seed + int64(round+1)*0x5DEECE66D)
 			start = time.Now()
 			if err := b.cfg.Objective.GradHess(b.labels, b.marginsAll, b.gradsAll, b.hessAll); err != nil {
 				return nil, fmt.Errorf("core: objective %s: %w", b.cfg.Objective.Name(), err)
@@ -567,78 +587,20 @@ func (b *activeParty) sendGradients(t int) error {
 	return nil
 }
 
-// sendGradStream encrypts and ships one output's gradient vector.
+// sendGradStream encrypts and ships one output's gradient vector as
+// folded pairs.
 func (b *activeParty) sendGradStream(t, class int, grads, hess []float64) error {
-	n := b.rows
-	batch := b.cfg.BatchSize
-	if !b.cfg.BlasterEncryption {
-		batch = n
-	}
-
-	// Blaster mode ships finished batches from a background goroutine
-	// (the paper's "blasts the ciphers to Party A in a background
-	// thread"), so encryption of batch k+1 overlaps the WAN transmission
-	// of batch k. Without blaster the single bulk batch is sent inline.
-	var sendCh chan MsgGradBatch
-	var sendErr error
-	done := make(chan struct{})
-	if b.cfg.BlasterEncryption {
-		sendCh = make(chan MsgGradBatch, 2)
-		go func() {
-			defer close(done)
-			for m := range sendCh {
-				for _, l := range b.links {
-					if err := l.send(m); err != nil {
-						sendErr = err
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		m := MsgGradBatch{
+	return b.blast(t, b.batch, func(start, end int) (any, error) {
+		m := MsgPairBatch{
 			Tree:  t,
 			Start: start,
-			G:     make([][]byte, end-start),
-			H:     make([][]byte, end-start),
-			GExp:  make([]int16, end-start),
-			HExp:  make([]int16, end-start),
-			Last:  end == n,
+			Cts:   make([][]byte, end-start),
+			Exp:   make([]int16, end-start),
+			Last:  end == b.rows,
 			Class: class,
 		}
-		encStart := time.Now()
-		endSpan := b.rec.Span("B:Encrypt", fmt.Sprintf("tree %d [%d,%d)", t, start, end))
-		if err := b.encryptRange(start, end, grads, hess, &m); err != nil {
-			return err
-		}
-		endSpan()
-		addDur(&b.stats.encryptTime, time.Since(encStart))
-		if sendCh != nil {
-			select {
-			case sendCh <- m:
-			case <-done:
-				return sendErr
-			}
-			continue
-		}
-		for _, l := range b.links {
-			if err := l.send(m); err != nil {
-				return err
-			}
-		}
-	}
-	if sendCh != nil {
-		close(sendCh)
-		<-done
-		return sendErr
-	}
-	return nil
+		return m, b.encryptRange(start, grads, hess, &m)
+	})
 }
 
 // sendVecGradients is the slot-batched gradient stream: ipw instances
@@ -650,70 +612,83 @@ func (b *activeParty) sendGradStream(t, class int, grads, hess []float64) error 
 // starts window-aligned and instance i always occupies slot-group i%ipw
 // of window i/ipw.
 func (b *activeParty) sendVecGradients(t int) error {
-	n := b.rows
 	pairs := b.ipw
-	batch := b.cfg.BatchSize
-	if !b.cfg.BlasterEncryption {
-		batch = n
-	}
+	batch := b.batch
 	if rem := batch % pairs; rem != 0 {
 		batch += pairs - rem
 	}
-
-	var sendCh chan MsgVecGradBatch
-	var sendErr error
-	done := make(chan struct{})
-	if b.cfg.BlasterEncryption {
-		sendCh = make(chan MsgVecGradBatch, 2)
-		go func() {
-			defer close(done)
-			for m := range sendCh {
-				for _, l := range b.links {
-					if err := l.send(m); err != nil {
-						sendErr = err
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
+	return b.blast(t, batch, func(start, end int) (any, error) {
 		m := MsgVecGradBatch{
 			Tree:  t,
 			Start: start,
 			Cts:   make([][]byte, (end-start+pairs-1)/pairs),
-			Last:  end == n,
+			Last:  end == b.rows,
 		}
-		encStart := time.Now()
-		endSpan := b.rec.Span("B:Encrypt", fmt.Sprintf("tree %d [%d,%d)", t, start, end))
-		if err := b.encryptVecRange(start, end, &m); err != nil {
-			return err
-		}
-		endSpan()
-		addDur(&b.stats.encryptTime, time.Since(encStart))
-		if sendCh != nil {
-			select {
-			case sendCh <- m:
-			case <-done:
-				return sendErr
-			}
-			continue
-		}
+		return m, b.encryptVecRange(start, end, &m)
+	})
+}
+
+// blast runs one gradient stream: build encrypts instances [start, end)
+// into a frame, batch instances at a time, and every frame goes to every
+// passive party. Blaster mode ships finished frames from a background
+// goroutine (the paper's "blasts the ciphers to Party A in a background
+// thread"), so encryption of batch k+1 overlaps the WAN transmission of
+// batch k; without it one bulk frame is sent inline.
+func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error)) (err error) {
+	n := b.rows
+	ship := func(m any) error {
 		for _, l := range b.links {
 			if err := l.send(m); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	if sendCh != nil {
-		close(sendCh)
-		<-done
-		return sendErr
+	if !b.cfg.BlasterEncryption {
+		batch = n
+	} else {
+		toLinks := ship
+		sendCh := make(chan any, 2) // one frame in flight, one ready behind it
+		var sendErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for m := range sendCh {
+				if sendErr = toLinks(m); sendErr != nil {
+					return
+				}
+			}
+		}()
+		// Whatever ends the loop, the shipper exits before blast returns.
+		defer func() {
+			close(sendCh)
+			<-done
+			if err == nil {
+				err = sendErr
+			}
+		}()
+		ship = func(m any) error {
+			select {
+			case sendCh <- m:
+				return nil
+			case <-done:
+				return sendErr
+			}
+		}
+	}
+	for start := 0; start < n; start += batch {
+		end := min(start+batch, n)
+		encStart := time.Now()
+		endSpan := b.rec.Span("B:Encrypt", fmt.Sprintf("tree %d [%d,%d)", t, start, end))
+		m, err := build(start, end)
+		if err != nil {
+			return err
+		}
+		endSpan()
+		addDur(&b.stats.encryptTime, time.Since(encStart))
+		if err := ship(m); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -728,75 +703,44 @@ func (b *activeParty) sendVecGradients(t int) error {
 func (b *activeParty) encryptVecRange(start, end int, m *MsgVecGradBatch) error {
 	pairs := b.ipw
 	k := b.outputs
-	var mu sync.Mutex
-	var firstErr error
-	parallelFor(len(m.Cts), b.cfg.Workers, func(lo, hi int) {
-		for w := lo; w < hi; w++ {
-			wStart := start + w*pairs
-			wEnd := wStart + pairs
-			if wEnd > end {
-				wEnd = end
-			}
-			lanes := make([]*big.Int, 0, 2*k*(wEnd-wStart))
-			var err error
-			for i := wStart; i < wEnd && err == nil; i++ {
-				for c := 0; c < k; c++ {
-					var gl, hl *big.Int
-					gl, hl, err = b.vcodec.EncodeLanePair(b.gradsAll[c][i], b.hessAll[c][i], b.vplan)
-					if err != nil {
-						break
-					}
-					lanes = append(lanes, gl, hl)
+	return parallelForErr(len(m.Cts), b.cfg.Workers, func(w int) error {
+		wStart := start + w*pairs
+		wEnd := min(wStart+pairs, end)
+		lanes := make([]*big.Int, 0, 2*k*(wEnd-wStart))
+		for i := wStart; i < wEnd; i++ {
+			for c := 0; c < k; c++ {
+				gl, hl, err := b.vcodec.EncodeLanePair(b.gradsAll[c][i], b.hessAll[c][i], b.vplan)
+				if err != nil {
+					return err
 				}
+				lanes = append(lanes, gl, hl)
 			}
-			if err == nil {
-				var v he.VecCiphertext
-				v, err = b.vcodec.EncryptLanes(lanes)
-				if err == nil {
-					m.Cts[w] = b.vdec.MarshalVec(v)
-					continue
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
 		}
+		v, err := b.vcodec.EncryptLanes(lanes)
+		if err != nil {
+			return err
+		}
+		m.Cts[w] = b.vdec.MarshalVec(v)
+		return nil
 	})
-	return firstErr
 }
 
-// encryptRange fills a gradient batch with ciphertexts, parallelized
-// across the configured workers.
-func (b *activeParty) encryptRange(start, end int, grads, hess []float64, m *MsgGradBatch) error {
-	var mu sync.Mutex
-	var firstErr error
-	parallelFor(end-start, b.cfg.Workers, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			i := start + k
-			eg, err := b.codec.EncryptValue(grads[i])
-			if err == nil {
-				var eh fixedpoint.EncNum
-				eh, err = b.codec.EncryptValue(hess[i])
-				if err == nil {
-					m.G[k] = b.dec.Marshal(eg.Ct)
-					m.H[k] = b.dec.Marshal(eh.Ct)
-					m.GExp[k] = int16(eg.Exp)
-					m.HExp[k] = int16(eh.Exp)
-					continue
-				}
-			}
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			mu.Unlock()
-			return
+// encryptRange fills a gradient batch with one folded ciphertext per
+// instance, parallelized across the configured workers. Instance i's
+// exponent is a pure function of (seed, tree, class, i), so the draw does
+// not depend on how the workers interleave. A pair the folded layout
+// cannot carry (fixedpoint.ErrPairRange) fails the batch and with it the
+// session.
+func (b *activeParty) encryptRange(start int, grads, hess []float64, m *MsgPairBatch) error {
+	return parallelForErr(len(m.Cts), b.cfg.Workers, func(k int) error {
+		i := start + k
+		e, err := b.pairs.Encrypt(grads[i], hess[i], b.codec.ExpAt(m.Tree, m.Class, i))
+		if err != nil {
+			return fmt.Errorf("core: instance %d: %w", i, err)
 		}
+		m.Cts[k], m.Exp[k] = b.dec.Marshal(e.Ct), int16(e.Exp)
+		return nil
 	})
-	return firstErr
 }
 
 // bNode is Party B's bookkeeping for one live tree node.
@@ -853,12 +797,18 @@ func (b *activeParty) ownBest(h *gbdt.Histogram, node *bNode) candidate {
 func (b *activeParty) passiveBest(party int, nh NodeHist, node *bNode) (candidate, error) {
 	decStart := time.Now()
 	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
-	gSums, hSums, err := b.decryptNodeHist(nh)
+	gSums, hSums, err := b.decryptNodeHist(party, nh)
 	endSpan()
 	addDur(&b.stats.decryptTime, time.Since(decStart))
 	if err != nil {
 		return candidate{}, err
 	}
+	return b.bestOf(party, gSums, hSums, node), nil
+}
+
+// bestOf finds a passive party's best split of a node from its decrypted
+// per-feature bin sums.
+func (b *activeParty) bestOf(party int, gSums, hSums [][]float64, node *bNode) candidate {
 	findStart := time.Now()
 	best := candidate{split: gbdt.NoSplit, party: party}
 	for j := range gSums {
@@ -872,7 +822,7 @@ func (b *activeParty) passiveBest(party int, nh NodeHist, node *bNode) (candidat
 		}
 	}
 	addDur(&b.stats.findSplitTime, time.Since(findStart))
-	return best, nil
+	return best
 }
 
 // vecRootHist caches one passive party's decoded root-histogram bin sums
@@ -926,71 +876,57 @@ func (b *activeParty) vecRootBest(party, tree int, node *bNode) (candidate, erro
 		}
 		rh.round, rh.g, rh.h = round+1, g, h
 	}
-	gSums, hSums := rh.g[b.class], rh.h[b.class]
-	findStart := time.Now()
-	best := candidate{split: gbdt.NoSplit, party: party}
-	for j := range gSums {
-		s := gbdt.BestSplitForFeature(int32(j), gSums[j], hSums[j], node.g, node.h, b.cfg.Split)
-		if !s.Valid() {
-			continue
-		}
-		c := candidate{split: s, party: party, globalFeat: b.offsets[party] + int32(j)}
-		if !best.valid() || betterCandidate(c, best) {
-			best = c
-		}
-	}
-	addDur(&b.stats.findSplitTime, time.Since(findStart))
-	return best, nil
+	return b.bestOf(party, rh.g[b.class], rh.h[b.class], node), nil
 }
 
 // decryptNodeHist recovers the per-feature (g, h) bin sums of a passive
-// histogram, parallelized across features.
-func (b *activeParty) decryptNodeHist(nh NodeHist) (gSums, hSums [][]float64, err error) {
+// party's histogram, parallelized across features.
+func (b *activeParty) decryptNodeHist(party int, nh NodeHist) (gSums, hSums [][]float64, err error) {
+	if len(nh.Feats) != b.featCounts[party] {
+		return nil, nil, fmt.Errorf("core: party %d histogram carries %d features, announced %d", party, len(nh.Feats), b.featCounts[party])
+	}
 	gSums = make([][]float64, len(nh.Feats))
 	hSums = make([][]float64, len(nh.Feats))
-	var mu sync.Mutex
-	var firstErr error
-	parallelFor(len(nh.Feats), b.cfg.Workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			g, h, err := b.decryptFeature(nh.Feats[j])
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			gSums[j], hSums[j] = g, h
-		}
+	err = parallelForErr(len(nh.Feats), b.cfg.Workers, func(j int) (err error) {
+		gSums[j], hSums[j], err = b.decryptFeature(nh.Feats[j])
+		return err
 	})
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if err != nil {
+		return nil, nil, err
 	}
 	return gSums, hSums, nil
 }
 
+// decryptFeature decrypts one feature's folded bins — one decryption per
+// occupied bin, or per packed ciphertext — and splits every sum into its
+// ⟨g,h⟩ fields. The frame's sizes are checked against each other and the
+// session's plan before they size anything.
 func (b *activeParty) decryptFeature(fh FeatHist) (g, h []float64, err error) {
 	if fh.Vec {
 		return b.decryptVecFeature(fh)
 	}
+	if len(fh.PackedG) > 0 || len(fh.PackedH) > 0 {
+		return nil, nil, fmt.Errorf("%w: two-ciphertext packed histogram", ErrLegacyLayout)
+	}
+	if b.vec {
+		return nil, nil, fmt.Errorf("core: passive party sent a scalar histogram to a vectorized session")
+	}
+	if fh.NumBins < 0 || fh.NumBins > maxWireBins {
+		return nil, nil, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
+	}
 	if fh.Packed {
-		g, err = unpackFeature(b.codec, b.dec, fh.PackedG, fh.NumBins, b.plan)
-		if err != nil {
-			return nil, nil, err
+		if !b.packing {
+			return nil, nil, fmt.Errorf("core: packed histogram in a session without histogram packing")
 		}
-		h, err = unpackFeature(b.codec, b.dec, fh.PackedH, fh.NumBins, b.plan)
-		return g, h, err
+		return unpackFeature(b.pairs, b.dec, b.codec.Stats(), fh.Bins, fh.NumBins, b.plan)
+	}
+	if len(fh.Bins) != fh.NumBins || len(fh.BinExp) != fh.NumBins {
+		return nil, nil, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))
 	}
 	g = make([]float64, fh.NumBins)
 	h = make([]float64, fh.NumBins)
-	for k := 0; k < fh.NumBins; k++ {
-		g[k], err = b.decryptBin(fh.GBins[k], int(fh.GExp[k]))
-		if err != nil {
-			return nil, nil, err
-		}
-		h[k], err = b.decryptBin(fh.HBins[k], int(fh.HExp[k]))
-		if err != nil {
+	for k, payload := range fh.Bins {
+		if g[k], h[k], err = b.decryptBin(payload, int(fh.BinExp[k])); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -1069,26 +1005,18 @@ func (b *activeParty) decryptVecNodeAllClasses(nh NodeHist) (gSums, hSums [][][]
 		gSums[c] = make([][]float64, len(nh.Feats))
 		hSums[c] = make([][]float64, len(nh.Feats))
 	}
-	var mu sync.Mutex
-	var firstErr error
-	parallelFor(len(nh.Feats), b.cfg.Workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			g, h, err := b.decryptVecFeatureAllClasses(nh.Feats[j])
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			for c := 0; c < k; c++ {
-				gSums[c][j], hSums[c][j] = g[c], h[c]
-			}
+	err = parallelForErr(len(nh.Feats), b.cfg.Workers, func(j int) error {
+		g, h, err := b.decryptVecFeatureAllClasses(nh.Feats[j])
+		if err != nil {
+			return err
 		}
+		for c := 0; c < k; c++ {
+			gSums[c][j], hSums[c][j] = g[c], h[c]
+		}
+		return nil
 	})
-	if firstErr != nil {
-		return nil, nil, firstErr
+	if err != nil {
+		return nil, nil, err
 	}
 	return gSums, hSums, nil
 }
@@ -1159,15 +1087,20 @@ func (b *activeParty) decryptVecFeatureAllClasses(fh FeatHist) (g, h [][]float64
 	return g, h, nil
 }
 
-func (b *activeParty) decryptBin(payload []byte, exp int) (float64, error) {
+// decryptBin decrypts one folded bin sum. The exponent is range-checked:
+// it scales the decoded value, so a stray one would silently skew a split.
+func (b *activeParty) decryptBin(payload []byte, exp int) (g, h float64, err error) {
 	if len(payload) == 0 {
-		return 0, nil // empty bin
+		return 0, 0, nil // empty bin
+	}
+	if exp < b.codec.BaseExp() || exp >= b.codec.BaseExp()+b.codec.ExpSpread() {
+		return 0, 0, fmt.Errorf("core: histogram bin exponent %d outside codec range", exp)
 	}
 	ct, err := b.dec.Unmarshal(payload)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return b.codec.Decrypt(b.dec, fixedpoint.EncNum{Exp: exp, Ct: ct})
+	return b.pairs.Decrypt(b.dec, fixedpoint.EncNum{Exp: exp, Ct: ct})
 }
 
 // childStats computes exact child gradient totals from B's plaintext

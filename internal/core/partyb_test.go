@@ -93,9 +93,9 @@ func TestBetterCandidateOrder(t *testing.T) {
 
 func TestDecryptBinEmptyPayload(t *testing.T) {
 	b := newBareActiveParty(t, 10, 2, 93)
-	v, err := b.decryptBin(nil, 8)
-	if err != nil || v != 0 {
-		t.Errorf("empty bin = %g, %v; want 0, nil", v, err)
+	g, h, err := b.decryptBin(nil, 8)
+	if err != nil || g != 0 || h != 0 {
+		t.Errorf("empty bin = %g, %g, %v; want 0, 0, nil", g, h, err)
 	}
 }
 

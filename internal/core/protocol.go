@@ -126,14 +126,8 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 func (b *activeParty) startTree() (*FedTree, *bNode) {
 	b.nextID = rootID
 	tree := NewFedTree(rootID)
-	n := b.rows
-	all := make([]int32, n)
-	var g0, h0 float64
-	for i := range all {
-		all[i] = int32(i)
-		g0 += b.grads[i]
-		h0 += b.hess[i]
-	}
+	all := allInstances(b.rows)
+	g0, h0 := b.childStats(all)
 	return tree, &bNode{id: rootID, insts: all, g: g0, h: h0}
 }
 
@@ -178,6 +172,35 @@ func (b *activeParty) childNodes(leftID int32, left []int32, rightID int32, righ
 		{id: leftID, insts: left, g: lg, h: lh},
 		{id: rightID, insts: right, g: rg, h: rh},
 	}
+}
+
+// allInstances is the root node's instance list, [0, n).
+func allInstances(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
+}
+
+// parallelForErr runs fn on every index of [0, n) across workers and
+// returns the first error; a worker stops at its first failure.
+func parallelForErr(n, workers int, fn func(i int) error) error {
+	var mu sync.Mutex
+	var first error
+	parallelFor(n, workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	return first
 }
 
 // parallelFor runs fn over [0, n) in contiguous chunks across workers.

@@ -189,7 +189,7 @@ func (s *Session) Stats() *Stats { return s.stats }
 // Crypto returns Party B's cipher-operation counters (encryptions,
 // decryptions, homomorphic adds), available after Train. Vectorized
 // backends show their ciphertext-count reduction here: one encryption per
-// lane-packed window instead of two per instance.
+// lane-packed window instead of one per instance.
 func (s *Session) Crypto() *fixedpoint.Stats { return s.crypto }
 
 // Shaper returns the WAN shaper, if any, for byte accounting.

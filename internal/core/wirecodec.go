@@ -9,10 +9,8 @@ import "vf2boost/internal/wire"
 // body encoding is fixed; adding a field means a new message ID or a new
 // frame version tag, never an in-place layout change.
 //
-// Every struct field is encoded, including the representation a message
-// does not use (e.g. a packed FeatHist's empty unpacked bins cost one zero
-// count byte each): binary and gob round trips must produce deep-equal
-// values for any representable message, which the equivalence tests check.
+// Binary and gob round trips must produce deep-equal values for every
+// message an engine can build, which the equivalence tests check.
 const (
 	// idSetupV1 (= 1) carried the pre-obfuscation-base MsgSetup layout.
 	// Per the append-only rule above, extending the message meant
@@ -65,6 +63,18 @@ const (
 	// (Class) appended after Last. Class-0 batches — every batch of a
 	// binary session — keep the idGradBatch frame.
 	idGradBatchV2 uint16 = 28
+	// The folded ⟨g,h⟩ layout (one ciphertext per instance, one cell per
+	// histogram bin) replaced the two-ciphertext scalar frames wholesale,
+	// so its three frames take fresh IDs: idPairBatch supersedes
+	// idGradBatch/idGradBatchV2 (Class always present), idHistogramsV3
+	// supersedes idHistograms, and idSetupV5 — the scalar setup, carrying
+	// PairBits and the objective but no Shift and no lane geometry —
+	// supersedes idSetupV2 and the scalar uses of idSetupV4. The retired
+	// scalar frames stay decodable only to be refused; the vectorized
+	// frames (24–27 for batched backends) are unchanged.
+	idPairBatch    uint16 = 29
+	idHistogramsV3 uint16 = 30
+	idSetupV5      uint16 = 31
 )
 
 // All ends of a deployment ship the same binary, so only the current
@@ -73,10 +83,17 @@ const (
 var _ = idSetupV1
 
 func init() {
-	wire.Register(idSetupV2, "MsgSetup", decodeMsg[MsgSetup])
+	wire.Register(idSetupV2, "MsgSetupV2", decodeAs(idSetupV2, (*MsgSetup).decodeFrom))
+	wire.Register(idSetupV3, "MsgSetupV3", decodeAs(idSetupV3, (*MsgSetup).decodeFrom))
+	wire.Register(idSetupV4, "MsgSetupV4", decodeAs(idSetupV4, (*MsgSetup).decodeFrom))
+	wire.Register(idSetupV5, "MsgSetup", decodeAs(idSetupV5, (*MsgSetup).decodeFrom))
 	wire.Register(idReady, "MsgReady", decodeMsg[MsgReady])
-	wire.Register(idGradBatch, "MsgGradBatch", decodeMsg[MsgGradBatch])
-	wire.Register(idHistograms, "MsgHistograms", decodeMsg[MsgHistograms])
+	wire.Register(idGradBatch, "MsgGradBatch", decodeAs(idGradBatch, (*MsgGradBatch).decodeFrom))
+	wire.Register(idGradBatchV2, "MsgGradBatchV2", decodeAs(idGradBatchV2, (*MsgGradBatch).decodeFrom))
+	wire.Register(idPairBatch, "MsgPairBatch", decodeMsg[MsgPairBatch])
+	wire.Register(idHistograms, "MsgHistogramsV1", decodeAs(idHistograms, (*MsgHistograms).decodeFrom))
+	wire.Register(idHistogramsV2, "MsgHistogramsV2", decodeAs(idHistogramsV2, (*MsgHistograms).decodeFrom))
+	wire.Register(idHistogramsV3, "MsgHistograms", decodeAs(idHistogramsV3, (*MsgHistograms).decodeFrom))
 	wire.Register(idDecisions, "MsgDecisions", decodeMsg[MsgDecisions])
 	wire.Register(idDirty, "MsgDirty", decodeMsg[MsgDirty])
 	wire.Register(idPlacement, "MsgPlacement", decodeMsg[MsgPlacement])
@@ -95,35 +112,19 @@ func init() {
 	wire.Register(idHeartbeat, "MsgHeartbeat", decodeMsg[MsgHeartbeat])
 	wire.Register(idResume, "MsgResume", decodeMsg[MsgResume])
 	wire.Register(idAbort, "MsgAbort", decodeMsg[MsgAbort])
-	wire.Register(idSetupV3, "MsgSetupV3", func(body []byte) (any, error) {
-		var m MsgSetup
-		if err := m.decodeFrom(body, true); err != nil {
-			return nil, err
-		}
-		return m, nil
-	})
 	wire.Register(idVecGradBatch, "MsgVecGradBatch", decodeMsg[MsgVecGradBatch])
-	wire.Register(idSetupV4, "MsgSetupV4", func(body []byte) (any, error) {
-		var m MsgSetup
-		if err := m.decodeFromV4(body); err != nil {
+}
+
+// decodeAs adapts a message whose body layout depends on the frame ID it
+// arrived under to the registry's decode signature.
+func decodeAs[M any](id uint16, dec func(*M, []byte, uint16) error) func([]byte) (any, error) {
+	return func(body []byte) (any, error) {
+		var m M
+		if err := dec(&m, body, id); err != nil {
 			return nil, err
 		}
 		return m, nil
-	})
-	wire.Register(idGradBatchV2, "MsgGradBatchV2", func(body []byte) (any, error) {
-		var m MsgGradBatch
-		if err := m.decodeFrom(body, true); err != nil {
-			return nil, err
-		}
-		return m, nil
-	})
-	wire.Register(idHistogramsV2, "MsgHistogramsV2", func(body []byte) (any, error) {
-		var m MsgHistograms
-		if err := m.decodeFrom(body, true); err != nil {
-			return nil, err
-		}
-		return m, nil
-	})
+	}
 }
 
 // wireBody is the decode half of a protocol message; every Msg* pointer
@@ -147,92 +148,81 @@ func decodeMsg[M any, PM interface {
 
 // --- MsgSetup ----------------------------------------------------------
 
-// vecWire reports whether the setup carries backend-negotiation fields,
-// selecting the idSetupV3 layout; a scalar setup stays on the idSetupV2
-// frame older peers understand.
+// vecWire reports whether the setup negotiates a batched backend, which
+// keeps the idSetupV3/idSetupV4 layouts; every scalar setup encodes under
+// idSetupV5.
 func (m MsgSetup) vecWire() bool {
 	return m.Backend != "" || m.Slots != 0 || m.LaneBits != 0 || m.Headroom != 0
 }
 
-// objWire reports whether the setup carries objective-negotiation
-// fields, selecting the idSetupV4 layout (vec fields always present).
-// Binary sessions leave both fields zero and keep the older frames.
-func (m MsgSetup) objWire() bool {
-	return m.Objective != "" || m.Outputs != 0
-}
-
+// WireID: every scalar setup is the folded idSetupV5; a vectorized one
+// that also names an objective needs the idSetupV4 layout.
 func (m MsgSetup) WireID() uint16 {
-	if m.objWire() {
+	switch {
+	case !m.vecWire():
+		return idSetupV5
+	case m.Objective != "" || m.Outputs != 0:
 		return idSetupV4
 	}
-	if m.vecWire() {
-		return idSetupV3
-	}
-	return idSetupV2
+	return idSetupV3
 }
 
 func (m MsgSetup) AppendTo(b []byte) []byte {
+	id := m.WireID()
 	b = wire.AppendString(b, m.Scheme)
 	b = wire.AppendBytes(b, m.N)
 	b = wire.AppendInt(b, m.Bits)
 	b = wire.AppendInt(b, m.BaseExp)
 	b = wire.AppendInt(b, m.ExpSpread)
+	if id == idSetupV5 {
+		b = wire.AppendInt(b, m.PairBits)
+	}
 	b = wire.AppendInt(b, m.PackBits)
-	b = wire.AppendFloat64(b, m.Shift)
+	if id != idSetupV5 {
+		// The pre-fold layouts carried the packing shift N·Bound here.
+		b = wire.AppendFloat64(b, 0)
+	}
 	b = wire.AppendBytes(b, m.ObfBase)
 	b = wire.AppendInt(b, m.ObfBits)
-	if m.vecWire() || m.objWire() {
+	if id != idSetupV5 {
 		b = wire.AppendString(b, m.Backend)
 		b = wire.AppendInt(b, m.Slots)
 		b = wire.AppendInt(b, m.LaneBits)
 		b = wire.AppendInt(b, m.Headroom)
 	}
-	if m.objWire() {
+	if id != idSetupV3 {
 		b = wire.AppendString(b, m.Objective)
 		b = wire.AppendInt(b, m.Outputs)
 	}
 	return b
 }
 
-func (m *MsgSetup) DecodeFrom(body []byte) error { return m.decodeFrom(body, false) }
-
-func (m *MsgSetup) decodeFrom(body []byte, vec bool) error {
+func (m *MsgSetup) decodeFrom(body []byte, id uint16) error {
 	d := wire.NewDec(body)
 	m.Scheme = d.String()
 	m.N = d.Bytes()
 	m.Bits = d.Int()
 	m.BaseExp = d.Int()
 	m.ExpSpread = d.Int()
+	if id == idSetupV5 {
+		m.PairBits = d.Int()
+	}
 	m.PackBits = d.Int()
-	m.Shift = d.Float64()
+	if id != idSetupV5 {
+		d.Float64() // retired Shift
+	}
 	m.ObfBase = d.Bytes()
 	m.ObfBits = d.Int()
-	if vec {
+	if id == idSetupV3 || id == idSetupV4 {
 		m.Backend = d.String()
 		m.Slots = d.Int()
 		m.LaneBits = d.Int()
 		m.Headroom = d.Int()
 	}
-	return d.Finish()
-}
-
-func (m *MsgSetup) decodeFromV4(body []byte) error {
-	d := wire.NewDec(body)
-	m.Scheme = d.String()
-	m.N = d.Bytes()
-	m.Bits = d.Int()
-	m.BaseExp = d.Int()
-	m.ExpSpread = d.Int()
-	m.PackBits = d.Int()
-	m.Shift = d.Float64()
-	m.ObfBase = d.Bytes()
-	m.ObfBits = d.Int()
-	m.Backend = d.String()
-	m.Slots = d.Int()
-	m.LaneBits = d.Int()
-	m.Headroom = d.Int()
-	m.Objective = d.String()
-	m.Outputs = d.Int()
+	if id == idSetupV4 || id == idSetupV5 {
+		m.Objective = d.String()
+		m.Outputs = d.Int()
+	}
 	return d.Finish()
 }
 
@@ -254,7 +244,29 @@ func (m *MsgReady) DecodeFrom(body []byte) error {
 	return d.Finish()
 }
 
-// --- MsgGradBatch ------------------------------------------------------
+// --- MsgPairBatch / retired MsgGradBatch -------------------------------
+
+func (MsgPairBatch) WireID() uint16 { return idPairBatch }
+
+func (m MsgPairBatch) AppendTo(b []byte) []byte {
+	b = wire.AppendInt(b, m.Tree)
+	b = wire.AppendInt(b, m.Start)
+	b = wire.AppendByteSlices(b, m.Cts)
+	b = wire.AppendInt16s(b, m.Exp)
+	b = wire.AppendBool(b, m.Last)
+	return wire.AppendInt(b, m.Class)
+}
+
+func (m *MsgPairBatch) DecodeFrom(body []byte) error {
+	d := wire.NewDec(body)
+	m.Tree = d.Int()
+	m.Start = d.Int()
+	m.Cts = d.ByteSlices()
+	m.Exp = d.Int16s()
+	m.Last = d.Bool()
+	m.Class = d.Int()
+	return d.Finish()
+}
 
 func (m MsgGradBatch) WireID() uint16 {
 	if m.Class != 0 {
@@ -277,9 +289,7 @@ func (m MsgGradBatch) AppendTo(b []byte) []byte {
 	return b
 }
 
-func (m *MsgGradBatch) DecodeFrom(body []byte) error { return m.decodeFrom(body, false) }
-
-func (m *MsgGradBatch) decodeFrom(body []byte, v2 bool) error {
+func (m *MsgGradBatch) decodeFrom(body []byte, id uint16) error {
 	d := wire.NewDec(body)
 	m.Tree = d.Int()
 	m.Start = d.Int()
@@ -288,7 +298,7 @@ func (m *MsgGradBatch) decodeFrom(body []byte, v2 bool) error {
 	m.GExp = d.Int16s()
 	m.HExp = d.Int16s()
 	m.Last = d.Bool()
-	if v2 {
+	if id == idGradBatchV2 {
 		m.Class = d.Int()
 	}
 	return d.Finish()
@@ -296,29 +306,27 @@ func (m *MsgGradBatch) decodeFrom(body []byte, v2 bool) error {
 
 // --- MsgHistograms -----------------------------------------------------
 
-// vecWire reports whether any feature carries the vectorized
-// representation, selecting the idHistogramsV2 layout (every FeatHist body
-// gains the vec fields); scalar histograms keep the idHistograms frame.
-func (m MsgHistograms) vecWire() bool {
+// WireID picks the frame by representation: folded histograms (the only
+// scalar form an engine produces) under idHistogramsV3, vectorized ones
+// under idHistogramsV2, and a message populating the retired
+// two-ciphertext fields under idHistograms.
+func (m MsgHistograms) WireID() uint16 {
+	id := idHistogramsV3
 	for _, n := range m.Nodes {
 		for _, f := range n.Feats {
 			if f.Vec || len(f.VecBin) > 0 || len(f.VecSlot) > 0 || len(f.VecCount) > 0 || len(f.VecCts) > 0 {
-				return true
+				return idHistogramsV2
+			}
+			if len(f.PackedG) > 0 || len(f.PackedH) > 0 || f.Exp != 0 {
+				id = idHistograms
 			}
 		}
 	}
-	return false
-}
-
-func (m MsgHistograms) WireID() uint16 {
-	if m.vecWire() {
-		return idHistogramsV2
-	}
-	return idHistograms
+	return id
 }
 
 func (m MsgHistograms) AppendTo(b []byte) []byte {
-	vec := m.vecWire()
+	id := m.WireID()
 	b = wire.AppendInt(b, m.Tree)
 	b = wire.AppendInt(b, m.Layer)
 	b = wire.AppendUvarint(b, uint64(len(m.Nodes)))
@@ -327,15 +335,23 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 		b = wire.AppendUvarint(b, uint64(len(n.Feats)))
 		for _, f := range n.Feats {
 			b = wire.AppendInt(b, f.NumBins)
-			b = wire.AppendByteSlices(b, f.GBins)
-			b = wire.AppendByteSlices(b, f.HBins)
-			b = wire.AppendInt16s(b, f.GExp)
-			b = wire.AppendInt16s(b, f.HExp)
+			if id == idHistogramsV3 {
+				b = wire.AppendByteSlices(b, f.Bins)
+				b = wire.AppendInt16s(b, f.BinExp)
+				b = wire.AppendBool(b, f.Packed)
+				continue
+			}
+			// The pre-fold layouts open with the per-bin G/H ciphertext and
+			// exponent columns, which no message carries any more.
+			b = wire.AppendByteSlices(b, nil)
+			b = wire.AppendByteSlices(b, nil)
+			b = wire.AppendInt16s(b, nil)
+			b = wire.AppendInt16s(b, nil)
 			b = wire.AppendBool(b, f.Packed)
 			b = wire.AppendByteSlices(b, f.PackedG)
 			b = wire.AppendByteSlices(b, f.PackedH)
 			b = wire.AppendInt16(b, f.Exp)
-			if vec {
+			if id == idHistogramsV2 {
 				b = wire.AppendBool(b, f.Vec)
 				b = wire.AppendInt32s(b, f.VecBin)
 				b = wire.AppendInt32s(b, f.VecSlot)
@@ -347,27 +363,29 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 	return b
 }
 
-func (m *MsgHistograms) DecodeFrom(body []byte) error { return m.decodeFrom(body, false) }
-
-func (m *MsgHistograms) decodeFrom(body []byte, vec bool) error {
+func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 	d := wire.NewDec(body)
 	m.Tree = d.Int()
 	m.Layer = d.Int()
 	m.Nodes = decodeSeq(d, func(d *wire.Dec) NodeHist {
 		n := NodeHist{Node: d.Int32()}
 		n.Feats = decodeSeq(d, func(d *wire.Dec) FeatHist {
-			f := FeatHist{
-				NumBins: d.Int(),
-				GBins:   d.ByteSlices(),
-				HBins:   d.ByteSlices(),
-				GExp:    d.Int16s(),
-				HExp:    d.Int16s(),
-				Packed:  d.Bool(),
-				PackedG: d.ByteSlices(),
-				PackedH: d.ByteSlices(),
-				Exp:     d.Int16(),
+			f := FeatHist{NumBins: d.Int()}
+			if id == idHistogramsV3 {
+				f.Bins = d.ByteSlices()
+				f.BinExp = d.Int16s()
+				f.Packed = d.Bool()
+				return f
 			}
-			if vec {
+			d.ByteSlices()
+			d.ByteSlices()
+			d.Int16s()
+			d.Int16s()
+			f.Packed = d.Bool()
+			f.PackedG = d.ByteSlices()
+			f.PackedH = d.ByteSlices()
+			f.Exp = d.Int16()
+			if id == idHistogramsV2 {
 				f.Vec = d.Bool()
 				f.VecBin = d.Int32s()
 				f.VecSlot = d.Int32s()

@@ -18,65 +18,47 @@ func benchCiphertext(n int, seed byte) []byte {
 
 // benchHistUnpacked models one layer's histogram upload at the repo's
 // working scale (a 3-feature passive party, MaxBins=8, the root layer):
-// 32-byte mock ciphertexts with per-bin exponents. At this message size
-// gob's per-send type descriptor is a material fraction of the frame,
-// which is exactly the overhead the binary codec retires.
+// one 32-byte mock ciphertext and one exponent per bin. At this message
+// size gob's per-send type descriptor is a material fraction of the
+// frame, which is exactly the overhead the binary codec retires.
 func benchHistUnpacked() MsgHistograms {
-	nodes := make([]NodeHist, 1)
-	for n := range nodes {
-		feats := make([]FeatHist, 3)
-		for f := range feats {
-			g := make([][]byte, 8)
-			h := make([][]byte, 8)
-			ge := make([]int16, 8)
-			he := make([]int16, 8)
-			for b := range g {
-				g[b] = benchCiphertext(32, byte(n*64+f*8+b))
-				h[b] = benchCiphertext(32, byte(n*64+f*8+b+1))
-				ge[b] = -8
-				he[b] = -8
-			}
-			feats[f] = FeatHist{NumBins: 8, GBins: g, HBins: h, GExp: ge, HExp: he}
+	feats := make([]FeatHist, 3)
+	for f := range feats {
+		bins := make([][]byte, 8)
+		exps := make([]int16, 8)
+		for b := range bins {
+			bins[b] = benchCiphertext(32, byte(f*8+b))
+			exps[b] = 8
 		}
-		nodes[n] = NodeHist{Node: int32(n + 1), Feats: feats}
+		feats[f] = FeatHist{NumBins: 8, Bins: bins, BinExp: exps}
 	}
-	return MsgHistograms{Tree: 1, Layer: 2, Nodes: nodes}
+	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 1, Feats: feats}}}
 }
 
 // benchHistPacked is the same layer under ciphertext packing: each
-// feature's bins ride in two 64-byte packed ciphertexts per statistic.
+// feature's bins ride in two 64-byte packed ciphertexts.
 func benchHistPacked() MsgHistograms {
-	nodes := make([]NodeHist, 1)
-	for n := range nodes {
-		feats := make([]FeatHist, 3)
-		for f := range feats {
-			feats[f] = FeatHist{
-				NumBins: 8,
-				Packed:  true,
-				PackedG: [][]byte{benchCiphertext(64, byte(n*16+f)), benchCiphertext(64, byte(n*16+f+1))},
-				PackedH: [][]byte{benchCiphertext(64, byte(n*16+f+2)), benchCiphertext(64, byte(n*16+f+3))},
-				Exp:     -12,
-			}
+	feats := make([]FeatHist, 3)
+	for f := range feats {
+		feats[f] = FeatHist{
+			NumBins: 8,
+			Packed:  true,
+			Bins:    [][]byte{benchCiphertext(64, byte(f)), benchCiphertext(64, byte(f+1))},
 		}
-		nodes[n] = NodeHist{Node: int32(n + 1), Feats: feats}
 	}
-	return MsgHistograms{Tree: 1, Layer: 2, Nodes: nodes}
+	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 1, Feats: feats}}}
 }
 
-// benchGradBatch models one encrypted gradient batch: 100 rows of
-// 32-byte ciphertext pairs plus exponents.
-func benchGradBatch() MsgGradBatch {
-	g := make([][]byte, 100)
-	h := make([][]byte, 100)
-	ge := make([]int16, 100)
-	he := make([]int16, 100)
-	for i := range g {
-		g[i] = benchCiphertext(32, byte(i))
-		h[i] = benchCiphertext(32, byte(i+3))
-		ge[i] = -8
-		he[i] = -8
+// benchPairBatch models one encrypted gradient batch: 100 rows of one
+// 32-byte folded ciphertext and one exponent each.
+func benchPairBatch() MsgPairBatch {
+	cts := make([][]byte, 100)
+	exps := make([]int16, 100)
+	for i := range cts {
+		cts[i] = benchCiphertext(32, byte(i))
+		exps[i] = 8
 	}
-	return MsgGradBatch{Tree: 2, Start: 1000, G: g, H: h, GExp: ge, HExp: he, Last: true}
+	return MsgPairBatch{Tree: 2, Start: 1000, Cts: cts, Exp: exps, Last: true}
 }
 
 // BenchmarkLinkCodec measures encode+decode round trips for the traffic
@@ -89,7 +71,7 @@ func BenchmarkLinkCodec(b *testing.B) {
 	}{
 		{"MsgHistograms-unpacked", benchHistUnpacked()},
 		{"MsgHistograms-packed", benchHistPacked()},
-		{"MsgGradBatch", benchGradBatch()},
+		{"MsgPairBatch", benchPairBatch()},
 	}
 	codecs := []wire.Codec{wire.Binary, wire.Gob}
 	for _, tc := range msgs {

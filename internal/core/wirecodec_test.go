@@ -14,20 +14,27 @@ import (
 // matching what both codecs produce on decode.
 func sampleMessages() []any {
 	return []any{
-		MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Bits: 512, BaseExp: 8, ExpSpread: 4, PackBits: 64, Shift: 12345.678, ObfBase: []byte{0xCA, 0xFE, 0x01}, ObfBits: 224},
-		MsgSetup{Scheme: "mock", Bits: 256},
+		MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ObfBase: []byte{0xCA, 0xFE, 0x01}, ObfBits: 224},
+		MsgSetup{Scheme: "mock", Bits: 256, PairBits: 60, Objective: "multiclass:3", Outputs: 3},
 		MsgSetup{Scheme: "paillier", N: []byte{0x01, 0x02}, Bits: 2048, BaseExp: 8, ExpSpread: 1, Backend: "paillier-batched", Slots: 30, LaneBits: 66, Headroom: 32},
+		MsgSetup{Scheme: "mock", Bits: 1024, BaseExp: 8, ExpSpread: 1, Backend: "mock-batched", Slots: 6, LaneBits: 66, Headroom: 32, Objective: "multiclass:3", Outputs: 3},
 		MsgVecGradBatch{Tree: 2, Start: 450, Cts: [][]byte{{1, 2, 3}, {4, 5}, nil}, Last: true},
 		MsgReady{Party: 2, Features: 17, Rows: 100000},
-		MsgGradBatch{Tree: 3, Start: 2048, G: [][]byte{{1, 2}, {3, 4}}, H: [][]byte{{5, 6}, {7, 8}}, GExp: []int16{-8, -7}, HExp: []int16{-8, -8}, Last: true},
-		MsgGradBatch{Tree: 0, Start: 0, G: [][]byte{{9, 9}, nil, {8, 8}}, H: [][]byte{nil, nil, nil}, GExp: []int16{0, 0, 0}, HExp: []int16{0, 0, 0}},
+		MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true},
+		MsgPairBatch{Tree: 6, Start: 0, Cts: [][]byte{{9, 9}, nil, {8, 8}}, Exp: []int16{0, 0, 0}, Class: 2},
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{
 			{Node: 5, Feats: []FeatHist{
-				{NumBins: 4, GBins: [][]byte{{1, 1}, nil, {2, 2}, {3, 3}}, HBins: [][]byte{{4, 4}, {5, 5}, nil, nil}, GExp: []int16{-8, 0, -7, -8}, HExp: []int16{-8, -8, 0, 0}},
-				{NumBins: 6, Packed: true, PackedG: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}, PackedH: [][]byte{{9, 9, 9, 9}, {8, 8, 8, 8}}, Exp: -12},
+				{NumBins: 4, Bins: [][]byte{{1, 1}, nil, {2, 2}, {3, 3}}, BinExp: []int16{8, 8, 9, 11}},
+				{NumBins: 6, Packed: true, Bins: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}},
 			}},
-			{Node: 6, Feats: []FeatHist{{NumBins: 2, GBins: [][]byte{nil, nil}, HBins: [][]byte{nil, nil}, GExp: []int16{0, 0}, HExp: []int16{0, 0}}}},
+			{Node: 6, Feats: []FeatHist{{NumBins: 2, Bins: [][]byte{nil, nil}, BinExp: []int16{8, 8}}}},
 		}},
+		// The retired two-ciphertext frames (ids 3, 28, 4) still round-trip.
+		MsgGradBatch{Tree: 3, Start: 2048, G: [][]byte{{1, 2}, {3, 4}}, H: [][]byte{{5, 6}, {7, 8}}, GExp: []int16{-8, -7}, HExp: []int16{-8, -8}, Last: true},
+		MsgGradBatch{Tree: 6, Start: 0, G: [][]byte{{9, 9}}, H: [][]byte{nil}, GExp: []int16{0}, HExp: []int16{0}, Class: 2},
+		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Feats: []FeatHist{
+			{NumBins: 6, Packed: true, PackedG: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}, PackedH: [][]byte{{9, 9, 9, 9}, {8, 8, 8, 8}}, Exp: -12},
+		}}}},
 		MsgHistograms{Tree: 9, Layer: 0},
 		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{
 			{Node: 3, Feats: []FeatHist{
@@ -111,8 +118,9 @@ func TestEveryMessageTypeHasWireID(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	if len(seen) != 25 {
-		t.Errorf("samples cover %d message IDs, protocol has 25", len(seen))
+	// Every registered ID except the decode-only retired setup (22).
+	if want := len(ids) - 1; len(seen) != want {
+		t.Errorf("samples cover %d message IDs, protocol encodes %d", len(seen), want)
 	}
 }
 

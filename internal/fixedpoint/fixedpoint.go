@@ -20,8 +20,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"vf2boost/internal/he"
 )
@@ -56,8 +56,10 @@ type Codec struct {
 	baseExp   int
 	expSpread int
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	// seed keys the counter-based exponent draws (ExpAt); draws numbers
+	// the positions RandExp consumes.
+	seed  uint64
+	draws atomic.Uint64
 
 	powMu sync.RWMutex
 	pows  map[int]*big.Int // B^k cache
@@ -78,9 +80,9 @@ func WithExponents(baseExp, spread int) Option {
 	return func(c *Codec) { c.baseExp, c.expSpread = baseExp, spread }
 }
 
-// WithSeed seeds the exponent-obfuscation RNG for reproducible runs.
+// WithSeed keys the exponent-obfuscation draws for reproducible runs.
 func WithSeed(seed int64) Option {
-	return func(c *Codec) { c.rng = rand.New(rand.NewSource(seed)) }
+	return func(c *Codec) { c.seed = uint64(seed) }
 }
 
 // WithStats attaches an operation counter.
@@ -93,7 +95,7 @@ func NewCodec(scheme he.Scheme, opts ...Option) *Codec {
 		base:      DefaultBase,
 		baseExp:   DefaultBaseExp,
 		expSpread: DefaultExpSpread,
-		rng:       rand.New(rand.NewSource(1)),
+		seed:      1,
 		pows:      make(map[int]*big.Int),
 		stats:     &Stats{},
 	}
@@ -142,51 +144,68 @@ func (c *Codec) pow(k int) *big.Int {
 	return p
 }
 
-// ReseedExp restarts the exponent-obfuscation stream from a new seed.
-// Callers that reseed at deterministic points (e.g. per boosting round)
-// make the stream position-independent, so a run resumed mid-sequence
-// draws the same exponents an uninterrupted run would.
-func (c *Codec) ReseedExp(seed int64) {
-	c.mu.Lock()
-	c.rng = rand.New(rand.NewSource(seed))
-	c.mu.Unlock()
+// splitmix64 is the SplitMix64 output function: a bijective 64-bit mix
+// whose successive applications decorrelate structured inputs.
+func splitmix64(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
 }
 
-// RandExp draws an obfuscated exponent from [baseExp, baseExp+spread).
-func (c *Codec) RandExp() int {
+// ExpAt draws the obfuscated exponent of stream position (tree, class,
+// inst) from [baseExp, baseExp+spread). It is a pure function of the
+// codec seed and the position — no state advances — so concurrent
+// encoders, replays and resumed sessions draw identical exponents
+// whatever their goroutine interleaving or starting round.
+func (c *Codec) ExpAt(tree, class, inst int) int {
 	if c.expSpread == 1 {
 		return c.baseExp
 	}
-	c.mu.Lock()
-	e := c.baseExp + c.rng.Intn(c.expSpread)
-	c.mu.Unlock()
-	return e
+	x := splitmix64(c.seed ^ uint64(tree))
+	x = splitmix64(x ^ uint64(class))
+	x = splitmix64(x ^ uint64(inst))
+	// Multiply-shift maps the top 32 bits onto [0, spread) without the
+	// low-bit bias of a modulo.
+	return c.baseExp + int((x>>32)*uint64(c.expSpread)>>32)
 }
 
-// EncodeAt encodes v with a fixed exponent. Values whose scaled mantissa
-// exceeds the int64 fast path are encoded exactly through big.Float.
+// RandExp draws the next obfuscated exponent of the codec's own
+// sequence: position n of a stream disjoint from every ExpAt(tree ≥ 0, …).
+func (c *Codec) RandExp() int {
+	return c.ExpAt(-1, 0, int(c.draws.Add(1)))
+}
+
+// roundedMagnitude is round(v·base^exp), half away from zero, as a signed
+// integer. It needs no scheme, so both sides of the wire derive constants
+// (lane offsets, field limits) with the rounding EncodeAt applies. Scaled
+// values beyond the int64 fast path multiply the 53-bit mantissa by the
+// exact integer power.
+func roundedMagnitude(v float64, base, exp int) *big.Int {
+	if scaled := v * math.Pow(float64(base), float64(exp)); math.Abs(scaled) < math.MaxInt64/2 {
+		return big.NewInt(int64(math.Round(scaled)))
+	}
+	pow := new(big.Int).Exp(big.NewInt(int64(base)), big.NewInt(int64(exp)), nil)
+	bf := new(big.Float).SetPrec(128).SetFloat64(v)
+	bf.Mul(bf, new(big.Float).SetPrec(128).SetInt(pow))
+	if bf.Signbit() {
+		bf.Sub(bf, big.NewFloat(0.5))
+	} else {
+		bf.Add(bf, big.NewFloat(0.5))
+	}
+	m, _ := bf.Int(nil)
+	return m
+}
+
+// EncodeAt encodes v with a fixed exponent (rounding half away from
+// zero; values beyond the int64 fast path are scaled exactly).
 func (c *Codec) EncodeAt(v float64, exp int) (Num, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return Num{}, fmt.Errorf("fixedpoint: cannot encode %v", v)
 	}
-	var man *big.Int
-	if scaled := v * math.Pow(float64(c.base), float64(exp)); math.Abs(scaled) < math.MaxInt64/2 {
-		man = big.NewInt(int64(math.Round(scaled)))
-	} else {
-		// Exact path: v (53-bit mantissa) times the exact integer B^exp,
-		// rounded half away from zero to match math.Round.
-		bf := new(big.Float).SetPrec(128).SetFloat64(v)
-		bf.Mul(bf, new(big.Float).SetPrec(128).SetInt(c.pow(exp)))
-		half := big.NewFloat(0.5)
-		if bf.Signbit() {
-			bf.Sub(bf, half)
-		} else {
-			bf.Add(bf, half)
-		}
-		man, _ = bf.Int(nil)
-		if man.CmpAbs(c.scheme.N()) >= 0 {
-			return Num{}, fmt.Errorf("fixedpoint: %g at exponent %d exceeds the plaintext space", v, exp)
-		}
+	man := roundedMagnitude(v, c.base, exp)
+	if man.CmpAbs(c.scheme.N()) >= 0 {
+		return Num{}, fmt.Errorf("fixedpoint: %g at exponent %d exceeds the plaintext space", v, exp)
 	}
 	if man.Sign() < 0 {
 		man.Add(man, c.scheme.N())

@@ -47,25 +47,6 @@ type LanePlan struct {
 // Slots returns the lane count a backend must provide for this plan.
 func (p LanePlan) Slots() int { return 2 * p.Pairs }
 
-// roundedMagnitude is EncodeAt's rounding (half away from zero) for a
-// non-negative value without a scheme: the lane offset must be derived
-// with bit-identical rounding on both sides of the wire.
-func roundedMagnitude(v float64, base, exp int) *big.Int {
-	if scaled := v * math.Pow(float64(base), float64(exp)); math.Abs(scaled) < math.MaxInt64/2 {
-		return big.NewInt(int64(math.Round(scaled)))
-	}
-	pow := new(big.Int).Exp(big.NewInt(int64(base)), big.NewInt(int64(exp)), nil)
-	bf := new(big.Float).SetPrec(128).SetFloat64(v)
-	bf.Mul(bf, new(big.Float).SetPrec(128).SetInt(pow))
-	if bf.Signbit() {
-		bf.Sub(bf, big.NewFloat(0.5))
-	} else {
-		bf.Add(bf, big.NewFloat(0.5))
-	}
-	m, _ := bf.Int(nil)
-	return m
-}
-
 // PlanLanes derives the lane geometry for a scheme of the given modulus
 // width: lanes wide enough for one offset-shifted value of magnitude ≤
 // bound at exponent exp, plus headroom bits of accumulation reserve, and

@@ -25,6 +25,17 @@ echo "== go test -race (mq, serve, core, fault, checkpoint, ooc) =="
 go test -race ./internal/mq/... ./internal/serve/... ./internal/core/... \
   ./internal/fault/... ./internal/checkpoint/... ./internal/ooc/...
 
+echo "== parity suites across core counts (same seed => byte-identical model on any schedule) =="
+# Every byte-identity contract the chaos, resume, ooc and backend suites
+# lean on must hold however the workers interleave: the obfuscation
+# exponent is a counter-based draw, not a shared stream. Run the parity
+# tests single-threaded, at two and at four procs, repeatedly, under the
+# race detector.
+for procs in 1 2 4; do
+  GOMAXPROCS=$procs go test -race -count=3 \
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset' ./internal/core
+done
+
 echo "== ooc smoke (bounded-memory training under GOMEMLIMIT, race-enabled) =="
 # GOMEMLIMIT makes the runtime itself enforce the bound: if the shard
 # cache leaked past its budget the test would thrash or OOM rather than
@@ -112,5 +123,12 @@ fi
 if [ -f BENCH_ooc.json ]; then
   go run ./cmd/benchfmt -check BENCH_ooc.json
 fi
+
+echo "== benchmark smoke (every BENCHMARK.json workload, short: correctness checks and probes must pass) =="
+# The suite exits non-zero when any operation of any workload fails — a
+# federated AUC off the co-located model's, a served margin off
+# PredictAll, a wire or cipher probe erroring — so a protocol change that
+# breaks a workload fails here, before the benchmark driver sees it.
+go run ./benchmark -short >/dev/null
 
 echo "== ci ok =="
