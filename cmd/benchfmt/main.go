@@ -153,6 +153,8 @@ func stripProcSuffix(name string) string {
 //
 //   - obfuscator_speedup/bits=N — baseline r^n versus fixed-base h^x
 //     obfuscator generation, per key size.
+//   - owner_obfuscator_speedup/bits=N — the public fixed-base h^x versus
+//     the key owner's CRT evaluation of the same term.
 //   - he_cts_reduction/bits=N — scalar versus lane-packed ciphertexts
 //     per boosting round (the BatchCrypt-style packing headline; the
 //     acceptance gate wants ≥8 at 2048-bit).
@@ -166,10 +168,15 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 	const (
 		basePrefix = "BenchmarkObfuscatorBaseline/"
 		fastPrefix = "BenchmarkObfuscatorFixedBase/"
+		ownPrefix  = "BenchmarkOwnerObfuscator/"
 	)
 	baseline := map[string]float64{}
 	fast := map[string]float64{}
+	owner := map[string]float64{}
 	for _, b := range benches {
+		if s, ok := strings.CutPrefix(b.Name, ownPrefix); ok && b.NsPerOp > 0 {
+			owner[s] = b.NsPerOp
+		}
 		if s, ok := strings.CutPrefix(b.Name, basePrefix); ok && b.NsPerOp > 0 {
 			baseline[s] = b.NsPerOp
 		}
@@ -181,6 +188,11 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 	for size, bn := range baseline {
 		if fn, ok := fast[size]; ok {
 			derived["obfuscator_speedup/"+size] = bn / fn
+		}
+	}
+	for size, fn := range fast {
+		if on, ok := owner[size]; ok {
+			derived["owner_obfuscator_speedup/"+size] = fn / on
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vf2boost/internal/clock"
 	"vf2boost/internal/wire"
 )
 
@@ -86,6 +87,10 @@ type ResilientConfig struct {
 	MaxRedials int
 	// Seed drives the retry jitter; jitter is the only randomness here.
 	Seed int64
+
+	// clock is the time source of every deadline above; tests put it on
+	// virtual time, everything else leaves it nil for the wall clock.
+	clock clock.Clock
 }
 
 // DefaultResilientConfig returns the WAN-shaped defaults.
@@ -105,6 +110,9 @@ func DefaultResilientConfig() ResilientConfig {
 
 func (c *ResilientConfig) normalize() {
 	d := DefaultResilientConfig()
+	if c.clock == nil {
+		c.clock = clock.Wall{}
+	}
 	if c.RetryInterval <= 0 {
 		c.RetryInterval = d.RetryInterval
 	}
@@ -220,9 +228,9 @@ func NewResilientTransport(inner Transport, dial func() (Transport, error), cfg 
 		deliver:  make(chan []byte, 1024),
 		dead:     make(chan struct{}),
 		done:     make(chan struct{}),
-		lastSend: time.Now(),
+		lastSend: cfg.clock.Now(),
 	}
-	r.heardAt.Store(time.Now().UnixNano())
+	r.heardAt.Store(r.lastSend.UnixNano())
 	go r.recvLoop()
 	go r.timerLoop()
 	return r, nil
@@ -310,7 +318,7 @@ func (r *ResilientTransport) Send(payload []byte) error {
 	default:
 	}
 	r.sendSeq++
-	now := time.Now()
+	now := r.cfg.clock.Now()
 	pf := &pendingFrame{
 		seq:      r.sendSeq,
 		frame:    payload,
@@ -414,11 +422,7 @@ func (r *ResilientTransport) reconnect(gen int, cause error) bool {
 	wait := r.cfg.RedialWait
 	for attempt := 0; attempt < r.cfg.MaxRedials; attempt++ {
 		if attempt > 0 {
-			select {
-			case <-time.After(wait):
-			case <-r.done:
-				return false
-			case <-r.dead:
+			if !r.sleep(wait) {
 				return false
 			}
 			wait *= 2
@@ -445,7 +449,7 @@ func (r *ResilientTransport) reconnect(gen int, cause error) bool {
 			r.transmit(tr, pf.seq, pf.frame)
 		}
 		// Give the peer a fresh chance to detect us before its timeout.
-		r.heardAt.Store(time.Now().UnixNano())
+		r.heardAt.Store(r.cfg.clock.Now().UnixNano())
 		return true
 	}
 	r.fail(fmt.Errorf("core: resilient link: redial failed %d times: %w", r.cfg.MaxRedials, cause))
@@ -455,7 +459,7 @@ func (r *ResilientTransport) reconnect(gen int, cause error) bool {
 // handleFrame routes one inbound frame: envelope, ack, heartbeat, or (for
 // mixed deployments) a bare frame passed through untouched.
 func (r *ResilientTransport) handleFrame(payload []byte) {
-	r.heardAt.Store(time.Now().UnixNano())
+	r.heardAt.Store(r.cfg.clock.Now().UnixNano())
 	if len(payload) >= 3 && payload[0] == wire.TagBinaryV1 {
 		switch binary.BigEndian.Uint16(payload[1:3]) {
 		case idEnvelope:
@@ -560,6 +564,20 @@ func (r *ResilientTransport) onAck(cum uint64) {
 	r.mu.Unlock()
 }
 
+// sleep waits d on the link's clock; it reports false if the link was
+// closed or failed first.
+func (r *ResilientTransport) sleep(d time.Duration) bool {
+	elapsed, stop := clock.After(r.cfg.clock, d)
+	defer stop()
+	select {
+	case <-elapsed:
+		return true
+	case <-r.done:
+	case <-r.dead:
+	}
+	return false
+}
+
 // timerLoop drives retransmissions, heartbeats, and the peer-death and
 // send-deadline checks.
 func (r *ResilientTransport) timerLoop() {
@@ -571,17 +589,13 @@ func (r *ResilientTransport) timerLoop() {
 	if tick < time.Millisecond {
 		tick = time.Millisecond
 	}
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
+	// The next tick is armed when the work of this one is done, so a
+	// test stepping a fake clock knows a re-armed loop has finished.
 	for {
-		select {
-		case <-ticker.C:
-		case <-r.done:
-			return
-		case <-r.dead:
+		if !r.sleep(tick) {
 			return
 		}
-		now := time.Now()
+		now := r.cfg.clock.Now()
 		if r.cfg.PeerTimeout > 0 && now.Sub(time.Unix(0, r.heardAt.Load())) > r.cfg.PeerTimeout {
 			r.fail(fmt.Errorf("%w (silent for over %v)", ErrPeerDead, r.cfg.PeerTimeout))
 			return

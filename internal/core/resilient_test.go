@@ -3,10 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"vf2boost/internal/clock"
 	"vf2boost/internal/fault"
 )
 
@@ -157,17 +159,33 @@ func TestResilientPeerDeath(t *testing.T) {
 }
 
 // TestResilientHeartbeatsKeepIdleLinkAlive: two wrapped idle peers
-// exchange heartbeats and outlive many PeerTimeout windows.
+// exchange heartbeats and outlive many PeerTimeout windows. The windows
+// pass on a fake clock, one timer tick at a time, so a stalled host
+// cannot make a live peer look dead.
 func TestResilientHeartbeatsKeepIdleLinkAlive(t *testing.T) {
 	a, b := newPipe()
+	clk := clock.NewFake()
 	cfg := fastResilient(6)
 	cfg.Heartbeat = 5 * time.Millisecond
 	cfg.PeerTimeout = 40 * time.Millisecond
+	cfg.clock = clk
 	ra, _ := NewResilientTransport(a, nil, cfg)
 	defer ra.Close()
 	rb, _ := NewResilientTransport(b, nil, cfg)
 	defer rb.Close()
-	time.Sleep(200 * time.Millisecond) // five timeout windows of idleness
+	// timerLoop's period for this config; 200ms is five timeout windows.
+	const tick = 5 * time.Millisecond / 4
+	for idle := time.Duration(0); idle < 200*time.Millisecond; idle += tick {
+		// Both timer loops are waiting for their next tick; a loop re-arms
+		// once its tick's work — possibly a heartbeat — is done. Then let
+		// the peers take those heartbeats off the pipe.
+		clk.BlockUntil(2)
+		clk.Advance(tick)
+		clk.BlockUntil(2)
+		for len(a.out) > 0 || len(b.out) > 0 {
+			runtime.Gosched()
+		}
+	}
 	if err := ra.Send([]byte("still-there")); err != nil {
 		t.Fatalf("send after idle period: %v", err)
 	}

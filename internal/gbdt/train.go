@@ -395,7 +395,7 @@ func shardedHistogram(bm BinView, insts []int32, grads, hess []float64, workers 
 func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64, workers int) error {
 	bins := splitBins(tree, bv.Mapper())
 	var ec errCollector
-	parallelRows(len(margins), workers, func(lo, hi int) {
+	update := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cols, rowBins, err := bv.Row(i)
 			if err != nil {
@@ -404,7 +404,20 @@ func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64,
 			}
 			margins[i] += eta * predictBinnedRow(tree, bins, cols, rowBins)
 		}
-	})
+	}
+	sv, ok := shardMajor(bv)
+	if !ok {
+		parallelRows(len(margins), workers, update)
+		return ec.first()
+	}
+	// Like every other sweep of the tree, one shard at a time with the
+	// workers inside it: spread over the row space they would each hold a
+	// different shard, evict one another's at a tight budget, and reload
+	// mid-sweep — loads beyond the one per shard this sweep is allowed.
+	for s := 0; s < sv.NumShards() && ec.first() == nil; s++ {
+		lo, hi := sv.ShardRowRange(s)
+		parallelRows(hi-lo, workers, func(a, b int) { update(lo+a, lo+b) })
+	}
 	return ec.first()
 }
 

@@ -15,28 +15,31 @@ type paillierCt struct {
 
 func (paillierCt) isCiphertext() {}
 
-// PaillierScheme adapts internal/paillier to the Scheme interface. When a
-// pool is configured, encryption consumes precomputed obfuscators.
+// PaillierScheme adapts internal/paillier to the Scheme interface: the
+// encrypt-only side every party holds. It obfuscates through the public
+// key alone.
 type PaillierScheme struct {
-	pk   *paillier.PublicKey
-	pool *paillier.ObfuscatorPool
+	pk *paillier.PublicKey
 	// half is n/2, precomputed so Signed never allocates the threshold
 	// in the decrypt hot loop.
 	half *big.Int
 }
 
 // PaillierDecryptor is the Scheme plus the private key; only Party B holds
-// one.
+// one. Its Encrypt obfuscates through the key owner's CRT path
+// (paillier.PrivateKey.Obfuscator), directly or via the pool.
 type PaillierDecryptor struct {
 	PaillierScheme
 	priv        *paillier.PrivateKey
+	pool        *paillier.ObfuscatorPool
 	poolWorkers int
 }
 
 // NewPaillier generates a fresh S-bit key pair and returns the decryptor
 // side. poolWorkers > 0 starts an obfuscator pool with that many
-// background workers (0 disables pooling, so each Encrypt pays the full
-// r^n exponentiation — this is the VF-GBDT baseline configuration).
+// background workers; 0 disables pooling, so each Encrypt computes its
+// own obfuscator inline — the full r^n exponentiation of the VF-GBDT
+// baseline until EnableFastObfuscation switches it to the owner's h^x.
 func NewPaillier(bits, poolWorkers int) (*PaillierDecryptor, error) {
 	priv, err := paillier.GenerateKey(rand.Reader, bits)
 	if err != nil {
@@ -53,41 +56,50 @@ func NewPaillierPublic(pk *paillier.PublicKey) *PaillierScheme {
 
 // NewPaillierFromKey wraps an existing private key.
 func NewPaillierFromKey(priv *paillier.PrivateKey, poolWorkers int) *PaillierDecryptor {
-	pk := priv.Public()
 	d := &PaillierDecryptor{
-		PaillierScheme: PaillierScheme{pk: pk, half: new(big.Int).Rsh(pk.N, 1)},
+		PaillierScheme: *NewPaillierPublic(priv.Public()),
 		priv:           priv,
 		poolWorkers:    poolWorkers,
 	}
-	if poolWorkers > 0 {
-		d.pool = paillier.NewObfuscatorPool(priv.Public(), poolWorkers, 8*poolWorkers, nil)
-	}
+	d.startPool()
 	return d
+}
+
+// startPool (re)starts the obfuscator pool over the private key, if the
+// decryptor is pooled.
+func (d *PaillierDecryptor) startPool() {
+	if d.poolWorkers > 0 {
+		d.pool = paillier.NewObfuscatorPool(d.priv, d.poolWorkers, 8*d.poolWorkers, nil)
+	}
+}
+
+// reconfigure runs a key setup step with the pool workers stopped and
+// joined: they read the key's obfuscator pointers on every draw, so
+// flipping those under a live pool is a data race. The pool is restarted
+// afterwards whatever the step returns — on error the key stays in its
+// previous mode and encryption must keep working.
+func (d *PaillierDecryptor) reconfigure(step func() error) error {
+	if d.pool != nil {
+		d.pool.Close()
+	}
+	err := step()
+	d.startPool()
+	return err
 }
 
 // EnableFastObfuscation derives the DJN obfuscation base h = r₀^n mod n²
 // and switches every encryption path — pooled or not — to short-exponent
-// h^x obfuscators. Call it during session setup, before concurrent use;
-// the obfuscator pool, if any, is restarted so its workers produce the
-// cheap terms. ObfuscationBase then returns the base to ship to passive
-// parties. Idempotent.
+// h^x obfuscators: this decryptor through the key owner's CRT tables
+// (built here, once per base), PublicScheme and the passive parties
+// through the public tables. Call it during session setup, before
+// concurrent use; the obfuscator pool, if any, is restarted so its
+// workers produce the cheap terms. ObfuscationBase then returns the base
+// to ship to passive parties. Idempotent.
 func (d *PaillierDecryptor) EnableFastObfuscation() error {
-	if d.pk.FastObfuscation() {
+	if d.priv.OwnerObfuscation() {
 		return nil
 	}
-	// Stop (and join) the pool workers before toggling pk.fast: workers
-	// read the fast-obfuscator pointer on every draw, so flipping it under
-	// a live pool is a data race. Close blocks until the workers exit.
-	if d.pool != nil {
-		d.pool.Close()
-	}
-	err := d.pk.EnableFastObfuscation(rand.Reader, 0)
-	if d.pool != nil {
-		// Restart the pool either way — on error the key stays in its
-		// previous (baseline) mode and encryption must keep working.
-		d.pool = paillier.NewObfuscatorPool(d.pk, d.poolWorkers, 8*d.poolWorkers, nil)
-	}
-	return err
+	return d.reconfigure(func() error { return d.priv.EnableFastObfuscation(rand.Reader, 0) })
 }
 
 // DisableFastObfuscation reverts to baseline r^n obfuscation (and flushes
@@ -97,15 +109,7 @@ func (d *PaillierDecryptor) DisableFastObfuscation() {
 	if !d.pk.FastObfuscation() {
 		return
 	}
-	// Same ordering as EnableFastObfuscation: join the workers first so
-	// none of them reads pk.fast while it is being cleared.
-	if d.pool != nil {
-		d.pool.Close()
-	}
-	d.pk.DisableFastObfuscation()
-	if d.pool != nil {
-		d.pool = paillier.NewObfuscatorPool(d.pk, d.poolWorkers, 8*d.poolWorkers, nil)
-	}
+	_ = d.reconfigure(func() error { d.priv.DisableFastObfuscation(); return nil })
 }
 
 // SetObfuscationBase installs a base received at session setup, enabling
@@ -124,7 +128,8 @@ func (s *PaillierScheme) ObfuscationBase() *big.Int { return s.pk.ObfuscationBas
 func (s *PaillierScheme) ObfuscationBits() int { return s.pk.ObfuscationBits() }
 
 // PublicScheme returns the encrypt-only view that is shared with passive
-// parties.
+// parties. It holds the public key only: neither the owner's tables nor
+// the pool fed by them are reachable from it.
 func (d *PaillierDecryptor) PublicScheme() *PaillierScheme { return &d.PaillierScheme }
 
 // Close releases the obfuscator pool, if any.
@@ -148,14 +153,24 @@ func (s *PaillierScheme) HalfN() *big.Int {
 }
 
 func (s *PaillierScheme) Encrypt(m *big.Int) (Ciphertext, error) {
-	if s.pool != nil {
-		rn, err := s.pool.Next()
+	ct, err := s.pk.Encrypt(rand.Reader, m)
+	if err != nil {
+		return nil, err
+	}
+	return paillierCt{ct}, nil
+}
+
+// Encrypt is the key owner's encryption: the obfuscator comes from the
+// pool when one is configured, else from the private key inline.
+func (d *PaillierDecryptor) Encrypt(m *big.Int) (Ciphertext, error) {
+	if d.pool != nil {
+		rn, err := d.pool.Next()
 		if err != nil {
 			return nil, err
 		}
-		return paillierCt{s.pk.EncryptWithObfuscator(m, rn)}, nil
+		return paillierCt{d.pk.EncryptWithObfuscator(m, rn)}, nil
 	}
-	ct, err := s.pk.Encrypt(rand.Reader, m)
+	ct, err := d.priv.Encrypt(rand.Reader, m)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,10 @@
 // (Section 3.3): topic-based message queues with effectively-once delivery
 // (duplicate suppression by message ID), HMAC token authentication, and a
 // WAN shaper that models the constrained public link between the two data
-// centers (300 Mbps in the paper's testbed). A TCP gateway (tcp.go) allows
-// parties in separate processes to attach to the same broker.
+// centers (300 Mbps in the paper's testbed) as a serialized pipe: senders
+// queue for the link, and a message becomes receivable one propagation
+// latency after its last byte left (shaper.go). A TCP gateway (tcp.go)
+// allows parties in separate processes to attach to the same broker.
 package mq
 
 import (
@@ -14,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 // ErrClosed is returned by operations on a closed broker or topic.
@@ -31,6 +35,9 @@ type Message struct {
 	Producer uint64
 	// Payload is the opaque body.
 	Payload []byte
+	// deliverAt is when the shaped link has carried the message to the
+	// far end; consumers do not see it earlier. Zero on an unshaped link.
+	deliverAt time.Time
 }
 
 // Broker routes messages between producers and consumers by topic name.
@@ -54,9 +61,17 @@ type Broker struct {
 type topic struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
+	clock  clock.Clock
 	queue  []Message
 	seen   map[uint64]uint64 // producer -> highest contiguous ID delivered
 	closed bool
+}
+
+// wake rouses every consumer waiting on the topic to look at it again.
+func (t *topic) wake() {
+	t.mu.Lock()
+	t.cond.Broadcast()
+	t.mu.Unlock()
 }
 
 // Option configures a broker.
@@ -86,7 +101,10 @@ func (b *Broker) getTopic(name string) (*topic, error) {
 	}
 	t, ok := b.topics[name]
 	if !ok {
-		t = &topic{seen: make(map[uint64]uint64)}
+		t = &topic{seen: make(map[uint64]uint64), clock: clock.Wall{}}
+		if b.shaper != nil {
+			t.clock = b.shaper.clock
+		}
 		t.cond = sync.NewCond(&t.mu)
 		b.topics[name] = t
 	}
@@ -157,7 +175,8 @@ func (b *Broker) DuplicatesSuppressed() int64 { return b.dupsSeen.Load() }
 
 // TopicDepth returns the number of messages currently queued on a topic
 // (published but not yet consumed) — the backpressure gauge of an online
-// serving deployment. An unknown topic has depth 0.
+// serving deployment. On a shaped link that includes messages still in
+// flight, which no consumer can receive yet. An unknown topic has depth 0.
 func (b *Broker) TopicDepth(name string) int {
 	b.mu.Lock()
 	t, ok := b.topics[name]
@@ -195,42 +214,48 @@ type Producer struct {
 	seq    uint64
 }
 
-// Send publishes a payload with the next sequence number, blocking for its
-// WAN transmission slot if a shaper is configured.
+// Send publishes a payload with the next sequence number, blocking until
+// its slot on the WAN link starts if a shaper is configured.
 func (p *Producer) Send(payload []byte) error {
 	p.seq++
 	return p.SendWithID(p.seq, payload)
 }
 
-// SendContext is Send with a deadline: if the context expires while the
-// producer is blocked on its WAN transmission slot, the send aborts with
-// the context's error and the message is not enqueued. Used by the
-// scoring server so a congested link cannot pin a round past its budget.
+// SendContext is Send with a deadline: an already-expired context
+// reserves nothing, and one that expires while the producer waits for its
+// slot aborts the send with the context's error — the reservation is
+// kept, the message is not enqueued. Used by the scoring server so a
+// congested link cannot pin a round past its budget.
 func (p *Producer) SendContext(ctx context.Context, payload []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	p.seq++
-	if p.broker.shaper != nil {
-		if err := p.broker.shaper.TransmitContext(ctx, len(payload)); err != nil {
-			return err
-		}
-	}
-	return p.enqueue(p.seq, payload)
+	return p.transmit(ctx, p.seq, payload)
 }
 
 // SendWithID publishes with an explicit sequence number; re-sending an
 // already-delivered ID is a no-op (effectively-once semantics, used by
 // retry loops in unreliable transports).
 func (p *Producer) SendWithID(id uint64, payload []byte) error {
-	if p.broker.shaper != nil {
-		p.broker.shaper.Transmit(len(payload))
+	return p.transmit(context.Background(), id, payload)
+}
+
+// transmit takes the message across the shaped link, if any, and
+// enqueues it stamped with its delivery time.
+func (p *Producer) transmit(ctx context.Context, id uint64, payload []byte) error {
+	var deliverAt time.Time
+	if sh := p.broker.shaper; sh != nil {
+		var err error
+		if deliverAt, err = sh.TransmitContext(ctx, len(payload)); err != nil {
+			return err
+		}
 	}
-	return p.enqueue(id, payload)
+	return p.enqueue(id, payload, deliverAt)
 }
 
 // enqueue appends one message to the topic under dup suppression.
-func (p *Producer) enqueue(id uint64, payload []byte) error {
+func (p *Producer) enqueue(id uint64, payload []byte, deliverAt time.Time) error {
 	t := p.topic
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -242,10 +267,12 @@ func (p *Producer) enqueue(id uint64, payload []byte) error {
 		return nil
 	}
 	t.seen[p.id] = id
-	t.queue = append(t.queue, Message{ID: id, Producer: p.id, Payload: payload})
+	t.queue = append(t.queue, Message{ID: id, Producer: p.id, Payload: payload, deliverAt: deliverAt})
 	p.broker.bytesSent.Add(int64(len(payload)))
 	p.broker.msgsSent.Add(1)
-	t.cond.Signal()
+	// Broadcast, not Signal: a consumer may be waiting with a deadline
+	// this message does not meet while another could take it.
+	t.cond.Broadcast()
 	return nil
 }
 
@@ -265,49 +292,63 @@ func (c *Consumer) Close() {
 	t.mu.Unlock()
 }
 
-// Receive blocks until a message is available, the consumer is closed, or
-// the broker closes.
-func (c *Consumer) Receive() ([]byte, error) {
-	t := c.topic
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for len(t.queue) == 0 {
-		if t.closed || c.closed {
-			return nil, ErrClosed
-		}
-		t.cond.Wait()
-	}
-	m := t.queue[0]
-	t.queue = t.queue[1:]
-	return m.Payload, nil
-}
+// Receive blocks until the head of the queue has been delivered by the
+// link, the consumer is closed, or the broker closes. Delivery is FIFO: a
+// message never overtakes one enqueued before it.
+func (c *Consumer) Receive() ([]byte, error) { return c.receive(time.Time{}) }
 
 // ReceiveTimeout is Receive with a deadline; it returns a timeout error if
-// no message arrives in time.
+// no message is deliverable in time.
 func (c *Consumer) ReceiveTimeout(d time.Duration) ([]byte, error) {
+	payload, err := c.receive(c.topic.clock.Now().Add(d))
+	if err == errDeadline {
+		err = fmt.Errorf("mq: receive timed out after %v", d)
+	}
+	return payload, err
+}
+
+var errDeadline = errors.New("mq: receive deadline passed")
+
+// receive is the one wait loop behind Receive and ReceiveTimeout (a zero
+// deadline means none). It sleeps on the topic's condition variable,
+// which releases the topic lock, and is woken by enqueues, by Close of
+// the consumer or the broker, and by a timer set for whichever comes
+// first of the head's delivery time and the deadline.
+func (c *Consumer) receive(deadline time.Time) ([]byte, error) {
 	t := c.topic
-	// sync.Cond has no timed wait; a one-shot timer flips a flag under the
-	// topic lock and wakes every waiter, so the wait burns no CPU.
-	expired := false
-	timer := time.AfterFunc(d, func() {
-		t.mu.Lock()
-		expired = true
-		t.cond.Broadcast()
-		t.mu.Unlock()
-	})
-	defer timer.Stop()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for len(t.queue) == 0 {
+	for {
+		// An unshaped topic without a deadline never reads the clock.
+		var now, wakeAt time.Time
+		if !deadline.IsZero() || (len(t.queue) > 0 && !t.queue[0].deliverAt.IsZero()) {
+			now = t.clock.Now()
+		}
+		if len(t.queue) > 0 {
+			head := t.queue[0]
+			if !head.deliverAt.After(now) {
+				t.queue = t.queue[1:]
+				return head.Payload, nil
+			}
+			wakeAt = head.deliverAt
+		}
 		if t.closed || c.closed {
 			return nil, ErrClosed
 		}
-		if expired {
-			return nil, fmt.Errorf("mq: receive timed out after %v", d)
+		if !deadline.IsZero() {
+			if !now.Before(deadline) {
+				return nil, errDeadline
+			}
+			if wakeAt.IsZero() || deadline.Before(wakeAt) {
+				wakeAt = deadline
+			}
 		}
+		if wakeAt.IsZero() {
+			t.cond.Wait()
+			continue
+		}
+		stop := t.clock.AfterFunc(wakeAt.Sub(now), t.wake)
 		t.cond.Wait()
+		stop()
 	}
-	m := t.queue[0]
-	t.queue = t.queue[1:]
-	return m.Payload, nil
 }

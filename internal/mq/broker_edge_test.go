@@ -3,6 +3,8 @@ package mq
 import (
 	"testing"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 func TestConsumerCloseWakesReceive(t *testing.T) {
@@ -130,12 +132,16 @@ func TestSendAfterTopicDrainedStillWorks(t *testing.T) {
 }
 
 func TestShaperBandwidthAndLatencyCompose(t *testing.T) {
-	// 1 Mbps + 30ms latency: 12500 bytes ~ 100ms tx + 30ms = ~130ms.
-	s := NewShaper(1, 30*time.Millisecond)
-	start := time.Now()
-	s.Transmit(12500)
-	if elapsed := time.Since(start); elapsed < 100*time.Millisecond {
-		t.Errorf("composed delay only %v", elapsed)
+	// 1 Mbps + 30ms latency: 12500 bytes = 100ms on the link + 30ms of
+	// propagation, none of it spent by the sender of a lone message.
+	clk := clock.NewFake()
+	s := newShaperClock(1, 30*time.Millisecond, clk)
+	t0 := clk.Now()
+	if at := s.Transmit(12500); !at.Equal(t0.Add(130 * time.Millisecond)) {
+		t.Errorf("composed delay %v, want 130ms", at.Sub(t0))
+	}
+	if !clk.Now().Equal(t0) {
+		t.Errorf("lone sender slept %v", clk.Now().Sub(t0))
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 func TestProduceConsumeFIFO(t *testing.T) {
@@ -199,19 +201,31 @@ func TestConcurrentProducersAndConsumer(t *testing.T) {
 }
 
 func TestShaperAccountsAndDelays(t *testing.T) {
-	// 1 Mbps -> 125000 B/s; 12500 bytes should take ~100ms.
-	s := NewShaper(1, 0)
-	start := time.Now()
-	s.Transmit(12500)
-	elapsed := time.Since(start)
-	if elapsed < 60*time.Millisecond {
-		t.Errorf("transmission of 12500B at 1Mbps took only %v", elapsed)
+	// 1 Mbps -> 125000 B/s; 12500 bytes occupy the link for 100ms.
+	clk := clock.NewFake()
+	s := newShaperClock(1, 0, clk)
+	t0 := clk.Now()
+	if at := s.Transmit(12500); !at.Equal(t0.Add(100 * time.Millisecond)) {
+		t.Errorf("12500B at 1Mbps deliverable after %v, want 100ms", at.Sub(t0))
 	}
-	if s.Bytes() != 12500 {
+	if !clk.Now().Equal(t0) || s.BlockedTime() != 0 {
+		t.Errorf("sender on an idle link slept %v (blocked %v), want 0", clk.Now().Sub(t0), s.BlockedTime())
+	}
+	// The second message queues behind the first: its sender is held
+	// until the link frees up, and that wait is what BlockedTime counts.
+	var at time.Time
+	clk.Drive(func() { at = s.Transmit(12500) })
+	if got := clk.Now().Sub(t0); got != 100*time.Millisecond {
+		t.Errorf("second sender released after %v, want 100ms (its slot start)", got)
+	}
+	if !at.Equal(t0.Add(200 * time.Millisecond)) {
+		t.Errorf("second message deliverable after %v, want 200ms", at.Sub(t0))
+	}
+	if s.Bytes() != 25000 {
 		t.Errorf("Bytes = %d", s.Bytes())
 	}
-	if s.BlockedTime() <= 0 {
-		t.Error("BlockedTime not accounted")
+	if s.BlockedTime() != 100*time.Millisecond {
+		t.Errorf("BlockedTime = %v, want 100ms", s.BlockedTime())
 	}
 	s.Reset()
 	if s.Bytes() != 0 || s.BlockedTime() != 0 {
@@ -220,37 +234,49 @@ func TestShaperAccountsAndDelays(t *testing.T) {
 }
 
 func TestShaperSerializesLink(t *testing.T) {
-	s := NewShaper(1, 0) // 125000 B/s
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.Transmit(6250) // 50ms each
-		}()
+	clk := clock.NewFake()
+	s := newShaperClock(1, 0, clk) // 125000 B/s
+	t0 := clk.Now()
+	var mu sync.Mutex
+	var last time.Time
+	send := func() {
+		at := s.Transmit(6250) // 50ms each
+		mu.Lock()
+		if at.After(last) {
+			last = at
+		}
+		mu.Unlock()
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed < 150*time.Millisecond {
-		t.Errorf("4 concurrent 50ms transmissions finished in %v; link not serialized", elapsed)
+	clk.Drive(send, send, send, send)
+	if got := last.Sub(t0); got != 200*time.Millisecond {
+		t.Errorf("4 concurrent 50ms transmissions all delivered after %v, want 200ms; link not serialized", got)
+	}
+	// Slots start at 0, 50, 100 and 150ms; each sender waits for its own.
+	if got := s.BlockedTime(); got != 300*time.Millisecond {
+		t.Errorf("BlockedTime = %v, want 300ms", got)
 	}
 }
 
 func TestShaperUnlimited(t *testing.T) {
-	s := NewShaper(0, 0)
-	start := time.Now()
-	s.Transmit(1 << 20)
-	if time.Since(start) > 10*time.Millisecond {
-		t.Error("unlimited shaper delayed transmission")
+	clk := clock.NewFake()
+	s := newShaperClock(0, 0, clk)
+	if at := s.Transmit(1 << 20); !at.IsZero() {
+		t.Errorf("unlimited shaper delays delivery until %v", at)
+	}
+	if s.BlockedTime() != 0 {
+		t.Error("unlimited shaper blocked the sender")
 	}
 }
 
 func TestShaperLatencyOnly(t *testing.T) {
-	s := NewShaper(0, 20*time.Millisecond)
-	start := time.Now()
-	s.Transmit(10)
-	if time.Since(start) < 15*time.Millisecond {
-		t.Error("latency not applied")
+	clk := clock.NewFake()
+	s := newShaperClock(0, 20*time.Millisecond, clk)
+	t0 := clk.Now()
+	if at := s.Transmit(10); !at.Equal(t0.Add(20 * time.Millisecond)) {
+		t.Errorf("deliverable after %v, want the 20ms latency", at.Sub(t0))
+	}
+	if s.BlockedTime() != 0 {
+		t.Error("propagation latency was charged to the sender")
 	}
 }
 

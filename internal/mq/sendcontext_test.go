@@ -6,54 +6,66 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
-// TestTransmitContextAbortsOnDeadline: a sender blocked on the serialized
-// WAN link unblocks when its context expires, but the link reservation is
-// kept — the bytes went on the wire, only the sender stopped waiting.
+// TestTransmitContextAbortsOnDeadline: a sender waiting for its slot on
+// the serialized WAN link unblocks when its context expires, but the link
+// reservation is kept — later traffic queues behind it all the same.
 func TestTransmitContextAbortsOnDeadline(t *testing.T) {
 	// 1 Mbps = 125000 B/s: 25000 bytes occupy the link for 200ms.
-	s := NewShaper(1, 0)
+	clk := clock.NewFake()
+	s := newShaperClock(1, 0, clk)
+	t0 := clk.Now()
 
 	// An already-expired context is refused before touching the link.
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.TransmitContext(expired, 25000); !errors.Is(err, context.Canceled) {
+	if _, err := s.TransmitContext(expired, 25000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("TransmitContext(expired) = %v, want context.Canceled", err)
 	}
 	if s.Bytes() != 0 {
 		t.Fatalf("expired send accounted %d bytes, want 0", s.Bytes())
 	}
 
-	// A 20ms budget cannot cover a 200ms transmission: the sender aborts
-	// near its deadline, far before the transmission slot ends.
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	start := time.Now()
-	err := s.TransmitContext(ctx, 25000)
-	elapsed := time.Since(start)
-	cancel()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("TransmitContext = %v, want context.DeadlineExceeded", err)
+	// The first message takes the idle link at once; the second has to
+	// wait 200ms for its slot and gives up when its context ends, with
+	// the clock still at t0.
+	if _, err := s.TransmitContext(context.Background(), 25000); err != nil {
+		t.Fatal(err)
 	}
-	if elapsed > 150*time.Millisecond {
-		t.Fatalf("aborted sender waited %v, want ~20ms", elapsed)
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := s.TransmitContext(ctx, 25000)
+		errc <- err
+	}()
+	clk.BlockUntil(1)
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("TransmitContext = %v, want context.Canceled", err)
+	}
+	if !clk.Now().Equal(t0) {
+		t.Fatalf("aborted sender waited %v for its slot, want 0", clk.Now().Sub(t0))
 	}
 
-	// The reservation survives the abort: a 10ms transmission that would
-	// clear an idle link immediately still cannot fit in a 50ms budget,
-	// because it queues behind the ~180ms the aborted sender left behind.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel2()
-	if err := s.TransmitContext(ctx2, 1250); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("send behind kept reservation = %v, want context.DeadlineExceeded", err)
+	// The reservation survives the abort: the next message is delivered
+	// behind both 200ms slots, not behind the first alone.
+	var at time.Time
+	clk.Drive(func() { at = s.Transmit(1250) })
+	if got, want := at.Sub(t0), 410*time.Millisecond; got != want {
+		t.Fatalf("send behind the kept reservation delivered after %v, want %v", got, want)
 	}
 }
 
-// TestProducerSendContext: a deadline-aborted send never reaches the
-// topic, and an unbounded send on the same producer still goes through.
+// TestProducerSendContext: a send aborted while it waits for its slot
+// never reaches the topic, and an unbounded send on the same producer
+// still goes through.
 func TestProducerSendContext(t *testing.T) {
 	// 80ms per 10000-byte message.
-	b := NewBroker(WithShaper(NewShaper(1, 0)))
+	clk := clock.NewFake()
+	b := NewBroker(WithShaper(newShaperClock(1, 0, clk)))
 	defer b.Close()
 	prod, err := b.Producer("x", "")
 	if err != nil {
@@ -65,24 +77,34 @@ func TestProducerSendContext(t *testing.T) {
 	}
 
 	payload := make([]byte, 10000)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	if err := prod.SendContext(ctx, payload); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("congested SendContext = %v, want context.DeadlineExceeded", err)
+	if err := prod.Send(payload); err != nil { // occupies the link
+		t.Fatal(err)
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- prod.SendContext(ctx, payload) }()
+	clk.BlockUntil(1)
 	cancel()
-	if depth := b.TopicDepth("x"); depth != 0 {
-		t.Fatalf("aborted send enqueued: topic depth %d, want 0", depth)
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("congested SendContext = %v, want context.Canceled", err)
+	}
+	if depth := b.TopicDepth("x"); depth != 1 {
+		t.Fatalf("aborted send enqueued: topic depth %d, want 1 (the message in flight)", depth)
 	}
 
-	if err := prod.SendContext(context.Background(), []byte("after")); err != nil {
-		t.Fatalf("unbounded SendContext: %v", err)
-	}
-	got, err := cons.ReceiveTimeout(5 * time.Second)
+	var first, after []byte
+	clk.Drive(func() {
+		if err := prod.SendContext(context.Background(), []byte("after")); err != nil {
+			t.Errorf("unbounded SendContext: %v", err)
+		}
+		first, _ = cons.Receive()
+		after, err = cons.ReceiveTimeout(5 * time.Second)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, []byte("after")) {
-		t.Fatalf("received %q, want %q", got, "after")
+	if len(first) != len(payload) || !bytes.Equal(after, []byte("after")) {
+		t.Fatalf("received %d bytes then %q, want %d bytes then %q", len(first), after, len(payload), "after")
 	}
 }
 

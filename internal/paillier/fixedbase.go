@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 // DefaultObfuscationBits is the short-exponent length fast obfuscation
@@ -61,9 +62,10 @@ func DefaultObfuscationBitsFor(modBits int) int {
 // vector on whoever builds the tables.
 func maxObfuscationBits(modBits int) int { return 2 * modBits }
 
-// fixedBaseWindow is the window width w; 2^w−1 table entries per window.
-// Width 4 balances table size (15 entries per window, ~430 KiB at
-// S = 2048) against multiplication count (one per non-zero window).
+// fixedBaseWindow is the window width w of the public tables; 2^w−1
+// entries per window. Width 4 balances table size (15 entries per window,
+// ~430 KiB at S = 2048) against multiplication count (one per non-zero
+// window). The key owner's tables use ownerWindow instead (owner.go).
 const fixedBaseWindow = 4
 
 // FixedBase holds precomputed power tables for exponentiating one fixed
@@ -72,6 +74,7 @@ const fixedBaseWindow = 4
 type FixedBase struct {
 	base   *big.Int
 	mod    *big.Int
+	window uint
 	tables [][]*big.Int // tables[i][j-1] = base^(j·2^(w·i)) mod m
 }
 
@@ -79,18 +82,25 @@ type FixedBase struct {
 // The one-time cost is roughly one full exponentiation's worth of modular
 // multiplications; every subsequent Exp is ⌈maxBits/w⌉ multiplications.
 func NewFixedBase(base, mod *big.Int, maxBits int) *FixedBase {
+	return newFixedBase(base, mod, maxBits, fixedBaseWindow)
+}
+
+// newFixedBase is NewFixedBase at window width w: table size grows as
+// 2^w/w, multiplication count falls as 1/w.
+func newFixedBase(base, mod *big.Int, maxBits int, w uint) *FixedBase {
 	if maxBits < 1 {
 		maxBits = 1
 	}
-	numWindows := (maxBits + fixedBaseWindow - 1) / fixedBaseWindow
+	numWindows := (maxBits + int(w) - 1) / int(w)
 	fb := &FixedBase{
 		base:   new(big.Int).Set(base),
 		mod:    new(big.Int).Set(mod),
+		window: w,
 		tables: make([][]*big.Int, numWindows),
 	}
 	cur := new(big.Int).Mod(base, mod)
 	for i := range fb.tables {
-		row := make([]*big.Int, (1<<fixedBaseWindow)-1)
+		row := make([]*big.Int, (1<<w)-1)
 		row[0] = new(big.Int).Set(cur)
 		for j := 1; j < len(row); j++ {
 			row[j] = new(big.Int).Mul(row[j-1], cur)
@@ -107,28 +117,55 @@ func NewFixedBase(base, mod *big.Int, maxBits int) *FixedBase {
 }
 
 // MaxBits is the largest exponent width the tables cover.
-func (fb *FixedBase) MaxBits() int { return len(fb.tables) * fixedBaseWindow }
+func (fb *FixedBase) MaxBits() int { return len(fb.tables) * int(fb.window) }
 
 // Exp computes base^x mod m for non-negative x. Exponents wider than
 // MaxBits fall back to math/big's general ladder, so the result is always
 // correct; only the precomputed range is fast.
 func (fb *FixedBase) Exp(x *big.Int) *big.Int {
-	if x.Sign() < 0 || x.BitLen() > fb.MaxBits() {
+	if !fb.covers(x) {
 		return new(big.Int).Exp(fb.base, x, fb.mod)
 	}
-	acc := big.NewInt(1)
-	bits := x.BitLen()
-	for i := 0; i*fixedBaseWindow < bits; i++ {
-		v := 0
-		for b := fixedBaseWindow - 1; b >= 0; b-- {
-			v = v<<1 | int(x.Bit(i*fixedBaseWindow+b))
-		}
-		if v != 0 {
-			acc.Mul(acc, fb.tables[i][v-1])
-			acc.Mod(acc, fb.mod)
+	var s expScratch
+	acc := new(big.Int)
+	fb.expInto(acc, x, &s)
+	return acc
+}
+
+// covers reports whether x lies in the precomputed range.
+func (fb *FixedBase) covers(x *big.Int) bool {
+	return x.Sign() >= 0 && x.BitLen() <= fb.MaxBits()
+}
+
+// expScratch is the working storage of one expInto call; reusing it
+// across calls makes the window loop allocation-free.
+type expScratch struct {
+	prod, quo big.Int
+}
+
+// expInto sets acc = base^x mod m for an x that covers() accepts, using
+// only the storage of acc and s: one table multiplication per non-zero
+// window, no squarings.
+func (fb *FixedBase) expInto(acc, x *big.Int, s *expScratch) {
+	acc.SetUint64(1)
+	words, n := x.Bits(), uint(x.BitLen())
+	for i := uint(0); i*fb.window < n; i++ {
+		if v := windowAt(words, i*fb.window, fb.window); v != 0 {
+			s.prod.Mul(acc, fb.tables[i][v-1])
+			s.quo.QuoRem(&s.prod, fb.mod, acc)
 		}
 	}
-	return acc
+}
+
+// windowAt extracts the w-bit window of x that starts at the given bit;
+// bit must lie inside x.
+func windowAt(x []big.Word, bit, w uint) uint {
+	i, off := bit/bits.UintSize, bit%bits.UintSize
+	v := uint(x[i]) >> off
+	if off+w > bits.UintSize && int(i)+1 < len(x) {
+		v |= uint(x[i+1]) << (bits.UintSize - off)
+	}
+	return v & (1<<w - 1)
 }
 
 // fastObfuscator produces obfuscators as h^x over a FixedBase table.

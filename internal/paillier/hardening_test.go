@@ -128,6 +128,13 @@ func FuzzCiphertextOps(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
+	// The same key with the owner's CRT path on: its ciphertexts are
+	// ordinary group elements and must behave as such.
+	owned, err := ownerKey(f, 128).Encrypt(rand.Reader, big.NewInt(11))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(owned.Bytes())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		ct := CiphertextFromBytes(raw)
 		if _, err := priv.Decrypt(ct); err != nil {

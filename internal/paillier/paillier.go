@@ -26,6 +26,10 @@
 // scheme needs p and q to be safe, and safe-prime generation would slow
 // setup by orders of magnitude.
 //
+//   - the key owner evaluates those h^x terms modulo p² and q² with CRT
+//     recombination (owner.go), roughly a third of the public fast path's
+//     cost, without changing the group element produced.
+//
 // All operations on PublicKey and PrivateKey are safe for concurrent use
 // once configured; EnableFastObfuscation / SetObfuscationBase are setup
 // steps that must complete before concurrent use begins.
@@ -72,6 +76,10 @@ type PrivateKey struct {
 	hp       *big.Int // (L_p(g^{p-1} mod p²))^{-1} mod p
 	hq       *big.Int // (L_q(g^{q-1} mod q²))^{-1} mod q
 	pInvQ    *big.Int // p^{-1} mod q
+	// owner, when non-nil, serves the key owner's obfuscators from
+	// half-size CRT tables (see owner.go). It embeds p² and q² and so
+	// lives here, never behind PublicKey.fast.
+	owner *ownerObfuscator
 }
 
 // Ciphertext is a Paillier ciphertext: an element of Z*_{n²}. The zero

@@ -20,7 +20,7 @@ var ErrPoolClosed = errors.New("paillier: obfuscator pool closed")
 // path while the producer is otherwise idle. When fast obfuscation is
 // enabled on the key, the workers produce the cheap h^x terms instead.
 type ObfuscatorPool struct {
-	pk        *PublicKey
+	src       ObfuscatorSource
 	out       chan poolItem
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -33,11 +33,18 @@ type poolItem struct {
 	err error
 }
 
+// ObfuscatorSource is what a pool draws from: a *PublicKey, or a
+// *PrivateKey when the pool belongs to the key owner and should be fed by
+// the cheaper CRT path.
+type ObfuscatorSource interface {
+	Obfuscator(random io.Reader) (*big.Int, error)
+}
+
 // NewObfuscatorPool starts `workers` goroutines that keep up to `buffer`
-// precomputed obfuscators ready. Close the pool with Close when done.
-// If random is nil, crypto/rand.Reader is used; workers <= 0 selects
-// GOMAXPROCS workers.
-func NewObfuscatorPool(pk *PublicKey, workers, buffer int, random io.Reader) *ObfuscatorPool {
+// precomputed obfuscators of src ready. Close the pool with Close when
+// done. If random is nil, crypto/rand.Reader is used; workers <= 0
+// selects GOMAXPROCS workers.
+func NewObfuscatorPool(src ObfuscatorSource, workers, buffer int, random io.Reader) *ObfuscatorPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -48,7 +55,7 @@ func NewObfuscatorPool(pk *PublicKey, workers, buffer int, random io.Reader) *Ob
 		random = rand.Reader
 	}
 	p := &ObfuscatorPool{
-		pk:     pk,
+		src:    src,
 		out:    make(chan poolItem, buffer),
 		stop:   make(chan struct{}),
 		random: random,
@@ -63,7 +70,7 @@ func NewObfuscatorPool(pk *PublicKey, workers, buffer int, random io.Reader) *Ob
 func (p *ObfuscatorPool) worker() {
 	defer p.wg.Done()
 	for {
-		rn, err := p.pk.Obfuscator(p.random)
+		rn, err := p.src.Obfuscator(p.random)
 		select {
 		case p.out <- poolItem{rn: rn, err: err}:
 			// An error (a transient RNG failure) is surfaced to one

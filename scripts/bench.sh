@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Reproducible crypto/serving benchmark harness. Runs the Paillier
 # primitive benchmarks (Enc, Dec, HAdd, SMul, obfuscator generation
-# baseline vs fixed-base), the paper's Fig. 7 histogram-accumulation
+# baseline vs fixed-base vs the key owner's CRT path, owner-vs-public
+# Encrypt), the paper's Fig. 7 histogram-accumulation
 # benches, and the online-scoring BenchmarkScoreBatch, then pipes the lot
 # through cmd/benchfmt into a committed JSON baseline.
 #
@@ -29,11 +30,11 @@ if [ "$short" -eq 1 ]; then
   benchtime="20x"
   # Small moduli only: 2048-bit keygen alone takes longer than the whole
   # smoke budget.
-  obf_filter='BenchmarkObfuscator(Baseline|FixedBase)/bits=(256|512)$'
+  obf_filter='Benchmark(Obfuscator(Baseline|FixedBase)|OwnerObfuscator)/bits=(256|512)$|BenchmarkEncryptOwnerVsPublic/.*/bits=512$'
   prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$|BenchmarkHAdd$|BenchmarkSMul$'
 else
   benchtime="1s"
-  obf_filter='BenchmarkObfuscator(Baseline|FixedBase)'
+  obf_filter='BenchmarkObfuscator(Baseline|FixedBase)|BenchmarkOwner(Obfuscator|TableBuild)|BenchmarkEncryptOwnerVsPublic'
   prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$|BenchmarkHAdd$|BenchmarkSMul$'
   [ -n "$out" ] || out="BENCH_crypto.json"
 fi
@@ -44,7 +45,7 @@ trap 'rm -f "$tmp"' EXIT
 echo "== paillier primitives ==" >&2
 go test -run '^$' -bench "$prim_filter" -benchtime "$benchtime" ./internal/paillier | tee -a "$tmp" >&2
 
-echo "== obfuscator generation: baseline r^n vs fixed-base h^x ==" >&2
+echo "== obfuscator generation: baseline r^n vs fixed-base h^x vs key-owner CRT h^x ==" >&2
 go test -run '^$' -bench "$obf_filter" -benchtime "$benchtime" -timeout 30m ./internal/paillier | tee -a "$tmp" >&2
 
 echo "== histogram accumulation (Fig. 7) ==" >&2

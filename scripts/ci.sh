@@ -33,8 +33,17 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # race detector.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden' ./internal/core
+  # Party B encrypts through the key owner's CRT tables; the backends
+  # built on them must conform, and the golden hashes above must not
+  # move, on any core count.
+  GOMAXPROCS=$procs go test -race -count=1 -run 'TestBackendConformance' ./internal/he
 done
+
+echo "== key-owner encryption (CRT obfuscator vs big.Exp, secrecy boundary, reconfiguration under a live pool; race-enabled) =="
+# -short trims the random-exponent sweep at the larger key sizes; the
+# edge, single-window and out-of-table exponents always run.
+go test -race -short -count=1 -run 'Owner' ./internal/paillier ./internal/he
 
 echo "== ooc smoke (bounded-memory training under GOMEMLIMIT, race-enabled) =="
 # GOMEMLIMIT makes the runtime itself enforce the bound: if the shard
