@@ -33,12 +33,14 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Document is the committed baseline format.
+// Document is the committed baseline format. CPUs is the core count of
+// the host that ran the benchmarks: parallel speedups flatten there.
 type Document struct {
 	Date       string             `json:"date,omitempty"`
 	GoVersion  string             `json:"go_version"`
 	GOOS       string             `json:"goos"`
 	GOARCH     string             `json:"goarch"`
+	CPUs       int                `json:"cpus"`
 	Benchmarks []Benchmark        `json:"benchmarks"`
 	Derived    map[string]float64 `json:"derived,omitempty"`
 }
@@ -81,6 +83,7 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
 		Benchmarks: benches,
 		Derived:    deriveSpeedups(benches),
 	}
@@ -164,6 +167,8 @@ func stripProcSuffix(name string) string {
 //     class tree, binary reference versus a k-class round: a k-class
 //     round ships one shared encrypted pass and root decode, so the
 //     ratio must exceed 1 (sub-linear cipher cost in k).
+//   - pack_parallel_speedup/workers=N — finalizing and packing one node
+//     histogram on one worker versus on N (bounded by the host's cpus).
 func deriveSpeedups(benches []Benchmark) map[string]float64 {
 	const (
 		basePrefix = "BenchmarkObfuscatorBaseline/"
@@ -223,6 +228,19 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 		}
 		if r.scalarNs > 0 && r.packedNs > 0 {
 			derived["he_round_speedup/"+size] = r.scalarNs / r.packedNs
+		}
+	}
+
+	const packPrefix = "BenchmarkWireNodeHist/bits=2048/"
+	packNs := map[string]float64{}
+	for _, b := range benches {
+		if s, ok := strings.CutPrefix(b.Name, packPrefix); ok && b.NsPerOp > 0 {
+			packNs[s] = b.NsPerOp
+		}
+	}
+	for workers, ns := range packNs {
+		if one := packNs["workers=1"]; one > 0 && workers != "workers=1" {
+			derived["pack_parallel_speedup/"+workers] = one / ns
 		}
 	}
 

@@ -132,13 +132,17 @@ type Config struct {
 	// the mock scheme.
 	FastObfuscation bool
 	// HistogramSubtraction applies the classic sibling-subtraction trick
-	// to the passive parties' *encrypted* histograms: only the child
-	// with fewer instances is accumulated; the sibling's bins are
-	// derived as parent − child with one homomorphic subtraction per
-	// occupied bin. The paper cites this technique as a reason for
-	// layer-wise processing (Section 7); here it is implemented for the
-	// ciphertext domain, where it saves at least half of the passive
-	// parties' HAdd work below the root.
+	// (the paper cites it as a reason for layer-wise processing, Section
+	// 7) across the parties: a passive party builds, packs and ships only
+	// the child of a split with fewer instances, announcing its sibling in
+	// the frame, and Party B — which holds the exact decrypted integers of
+	// the parent and of that child — derives the sibling as parent − child
+	// in plaintext. Below the root that halves the passive parties' HAdd
+	// and packing work, the histogram bytes on the link and B's
+	// decryptions, and the model bytes do not change. Off, the passive
+	// parties build and ship both children. Every party of a session must
+	// agree on it; a mismatch fails at the first split with
+	// ErrLegacySiblings or ErrSiblingDerivation.
 	HistogramSubtraction bool
 
 	// BatchSize is the blaster batch size in instances (Section 4.1);

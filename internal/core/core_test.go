@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"math"
 	"testing"
+	"vf2boost/internal/trace"
 
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/gbdt"
@@ -469,8 +470,26 @@ func TestStatsAreRecorded(t *testing.T) {
 	_, parts := twoPartyData(t, 300, 4, 4, 1, true, 14)
 	cfg := quickConfig(SchemePaillier)
 	cfg.Trees = 2
-	_, s := trainFed(t, parts, cfg)
+	rec := trace.NewRecorder()
+	_, s := trainFed(t, parts, cfg, WithTrace(rec))
 	st := s.Stats()
+	// Finalizing and packing is its own phase, with its own Gantt lane,
+	// and the session's cipher counters include the passive party's work.
+	if st.PackTime() <= 0 {
+		t.Error("no pack time recorded")
+	}
+	lanes := map[trace.Lane]int{}
+	for _, sp := range rec.Spans() {
+		lanes[sp.Lane]++
+	}
+	if lanes["A0:Pack"] == 0 || lanes["A0:BuildHist"] == 0 || lanes["B:Decrypt+FindSplitA"] == 0 {
+		t.Errorf("trace lanes %v lack A0:Pack, A0:BuildHist or B:Decrypt+FindSplitA", lanes)
+	}
+	if c := s.Crypto(); c.HAdds() < 300*4*int64(cfg.Trees) || c.SMuls() == 0 ||
+		c.Encryptions() != 300*int64(cfg.Trees) || c.Decryptions() == 0 {
+		t.Errorf("session crypto counters: %d HAdds, %d SMuls, %d encryptions, %d decryptions",
+			c.HAdds(), c.SMuls(), c.Encryptions(), c.Decryptions())
+	}
 	if st.EncryptTime() <= 0 {
 		t.Error("no encryption time recorded")
 	}

@@ -17,7 +17,7 @@ import (
 //   - naive: one accumulator per bin; a ciphertext whose exponent differs
 //     from the accumulator's triggers a scaling (SMul) on every addition;
 //   - re-ordered: one workspace row per exponent value, so every addition
-//     is a plain HAdd; FinalizeBins merges the E rows with at most E-1
+//     is a plain HAdd; finalizeRange merges the E rows with at most E-1
 //     scalings per occupied bin.
 type EncHistogram struct {
 	codec   *fixedpoint.Codec
@@ -123,15 +123,17 @@ func (eh *EncHistogram) Merge(o *EncHistogram) {
 	}
 }
 
-// FinalizeBins resolves the accumulation into one EncNum per bin. Empty
-// bins keep a nil ciphertext (serialized as an empty payload on the wire).
-func (eh *EncHistogram) FinalizeBins() []fixedpoint.EncNum {
+// finalizeRange resolves the accumulation of bins [lo, hi) into one EncNum
+// per bin. Empty bins keep a nil ciphertext (serialized as an empty
+// payload on the wire). Bins share no state, so disjoint ranges — one
+// feature each when a node is wired — finalize concurrently.
+func (eh *EncHistogram) finalizeRange(lo, hi int) []fixedpoint.EncNum {
 	if !eh.reordered {
-		return append([]fixedpoint.EncNum(nil), eh.acc...)
+		return append([]fixedpoint.EncNum(nil), eh.acc[lo:hi]...)
 	}
-	bins := make([]fixedpoint.EncNum, eh.totalBins())
-	for idx := range bins {
-		bins[idx] = eh.mergeBin(idx)
+	bins := make([]fixedpoint.EncNum, hi-lo)
+	for k := range bins {
+		bins[k] = eh.mergeBin(lo + k)
 	}
 	return bins
 }
@@ -196,11 +198,11 @@ func (p packPlan) packedCts(numBins int) int {
 	return (numBins + p.capacity - 1) / p.capacity
 }
 
-// packFeature turns one feature's finalized bins into packed shifted
-// prefix sums: prefix_0 = bin_0 + shift, prefix_k = prefix_{k-1} + bin_k,
-// all at plan.exp, packed plan.capacity per ciphertext. shiftCt must
-// encrypt plan.shift. Empty bins contribute nothing (they are zero).
-func packFeature(codec *fixedpoint.Codec, bins []fixedpoint.EncNum, shiftCt he.Ciphertext, plan packPlan) ([][]byte, error) {
+// shiftedPrefixes turns one feature's finalized bins into the shifted
+// prefix sums histogram packing ships: prefix_0 = bin_0 + shift,
+// prefix_k = prefix_{k-1} + bin_k, all at plan.exp. shiftCt must encrypt
+// plan.shift. Empty bins contribute nothing (they are zero).
+func shiftedPrefixes(codec *fixedpoint.Codec, bins []fixedpoint.EncNum, shiftCt he.Ciphertext, plan packPlan) ([]he.Ciphertext, error) {
 	s := codec.Scheme()
 	prefixes := make([]he.Ciphertext, len(bins))
 	run := shiftCt // shared read-only seed; Add always returns fresh ciphertexts
@@ -217,51 +219,53 @@ func packFeature(codec *fixedpoint.Codec, bins []fixedpoint.EncNum, shiftCt he.C
 		}
 		prefixes[k] = run
 	}
-	out := make([][]byte, 0, plan.packedCts(len(prefixes)))
-	for lo := 0; lo < len(prefixes); lo += plan.capacity {
-		hi := lo + plan.capacity
-		if hi > len(prefixes) {
-			hi = len(prefixes)
-		}
-		packed, err := codec.Pack(prefixes[lo:hi], plan.bits)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, s.Marshal(packed))
-	}
-	return out, nil
+	return prefixes, nil
 }
 
-// unpackFeature reverses packFeature on Party B: it decrypts the packed
-// ciphertexts, slices out the shifted prefixes, differences them back to
-// per-bin folded sums and splits each into its ⟨g,h⟩ fields. All
+// packChunk packs the c-th run of plan.capacity prefixes of a feature into
+// one marshalled ciphertext — the unit a node's packing is parallelized
+// over, since the capacity−1 scalar multiplications of one Horner chain
+// are where the time goes.
+func packChunk(codec *fixedpoint.Codec, prefixes []he.Ciphertext, c int, plan packPlan) ([]byte, error) {
+	lo := c * plan.capacity
+	packed, err := codec.Pack(prefixes[lo:min(lo+plan.capacity, len(prefixes))], plan.bits)
+	if err != nil {
+		return nil, err
+	}
+	return codec.Scheme().Marshal(packed), nil
+}
+
+// unpackFeature reverses the packing on Party B: it decrypts the packed
+// ciphertexts, slices out the shifted prefixes and differences them back
+// to per-bin folded sums at plan.exp, split into their ⟨g,h⟩ fields. All
 // arithmetic stays in the exact integer domain — shifted prefixes exceed
 // float64's 53-bit exact range, so converting before differencing would
 // corrupt low-order bits.
-func unpackFeature(pairs fixedpoint.PairPlan, dec he.Decryptor, stats *fixedpoint.Stats, packed [][]byte, numBins int, plan packPlan) (g, h []float64, err error) {
+func unpackFeature(pairs fixedpoint.PairPlan, dec he.Decryptor, stats *fixedpoint.Stats, packed [][]byte, numBins int, plan packPlan) (featSums, error) {
 	if len(packed) != plan.packedCts(numBins) {
-		return nil, nil, fmt.Errorf("core: packed feature of %d bins ships %d ciphertexts, want %d", numBins, len(packed), plan.packedCts(numBins))
+		return featSums{}, fmt.Errorf("core: packed feature of %d bins ships %d ciphertexts, want %d", numBins, len(packed), plan.packedCts(numBins))
 	}
-	g = make([]float64, 0, numBins)
-	h = make([]float64, 0, numBins)
+	fs := newFeatSums(numBins)
 	// The first prefix carries the shift; bin_0 = prefix_0 - shift and
 	// bin_k = prefix_k - prefix_{k-1}.
 	prev := plan.shift
+	k := 0
 	for _, ctBytes := range packed {
 		ct, err := dec.Unmarshal(ctBytes)
 		if err != nil {
-			return nil, nil, err
+			return featSums{}, err
 		}
 		plain, err := dec.Decrypt(ct)
 		if err != nil {
-			return nil, nil, err
+			return featSums{}, err
 		}
 		stats.AddDecryptions(1)
-		for _, m := range fixedpoint.Unpack(plain, plan.bits, min(plan.capacity, numBins-len(g))) {
-			gk, hk := pairs.Decode(new(big.Int).Sub(m, prev), plan.exp)
-			g, h = append(g, gk), append(h, hk)
+		for _, m := range fixedpoint.Unpack(plain, plan.bits, min(plan.capacity, numBins-k)) {
+			fs.g[k], fs.h[k] = pairs.Split(new(big.Int).Sub(m, prev))
+			fs.exp[k] = plan.exp
 			prev = m
+			k++
 		}
 	}
-	return g, h, nil
+	return fs, nil
 }

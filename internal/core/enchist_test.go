@@ -92,7 +92,7 @@ func TestEncHistogramMatchesPlaintext(t *testing.T) {
 		rig := newEncRig(t, 120, 6, 0.6, 31)
 		eh := NewEncHistogram(rig.codec, rig.mapper, reordered)
 		eh.Accumulate(rig.bm, rig.insts, rig.gh)
-		gs, hs := rig.decryptAll(t, eh.FinalizeBins())
+		gs, hs := rig.decryptAll(t, eh.finalizeRange(0, eh.totalBins()))
 		ref := rig.plaintextBins()
 		for i := range gs {
 			if math.Abs(gs[i]-ref.G[i]) > 1e-6 || math.Abs(hs[i]-ref.H[i]) > 1e-6 {
@@ -115,8 +115,8 @@ func TestEncHistogramMergeMatchesSingle(t *testing.T) {
 		h2.Accumulate(rig.bm, rig.insts[50:], rig.gh)
 		h1.Merge(h2)
 
-		gsF, hsF := rig.decryptAll(t, full.FinalizeBins())
-		gsM, hsM := rig.decryptAll(t, h1.FinalizeBins())
+		gsF, hsF := rig.decryptAll(t, full.finalizeRange(0, full.totalBins()))
+		gsM, hsM := rig.decryptAll(t, h1.finalizeRange(0, h1.totalBins()))
 		for i := range gsF {
 			if gsF[i] != gsM[i] || hsF[i] != hsM[i] {
 				t.Fatalf("reordered=%v merged shard mismatch at bin %d", reordered, i)
@@ -134,7 +134,7 @@ func TestReorderedUsesNoAccumulationScalings(t *testing.T) {
 	if during != before {
 		t.Errorf("re-ordered accumulation performed %d scalings; must be zero", during-before)
 	}
-	eh.FinalizeBins()
+	eh.finalizeRange(0, eh.totalBins())
 	// Finalize may scale at most (E-1) per occupied bin.
 	budget := int64((rig.codec.ExpSpread() - 1)) * int64(eh.totalBins())
 	if scaled := rig.codec.Stats().Scalings() - during; scaled > budget {
@@ -212,14 +212,21 @@ func TestPackedFeatureRoundTripProperty(t *testing.T) {
 			// Reference uses the same fixed-point rounding.
 			wantG[k], wantH[k] = pairs.Decode(he.Signed(dec, num.Man), exp)
 		}
-		packed, err := packFeature(codec, bins, shiftCt, plan)
+		prefixes, err := shiftedPrefixes(codec, bins, shiftCt, plan)
 		if err != nil {
 			return false
 		}
-		gotG, gotH, err := unpackFeature(pairs, dec, codec.Stats(), packed, numBins, plan)
+		packed := make([][]byte, plan.packedCts(numBins))
+		for c := range packed {
+			if packed[c], err = packChunk(codec, prefixes, c, plan); err != nil {
+				return false
+			}
+		}
+		got, err := unpackFeature(pairs, dec, codec.Stats(), packed, numBins, plan)
 		if err != nil {
 			return false
 		}
+		gotG, gotH := got.floats(codec.Base())
 		for k := range wantG {
 			if gotG[k] != wantG[k] || gotH[k] != wantH[k] {
 				return false

@@ -63,27 +63,18 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 	}
 
 	for i, raw := range garbage {
-		if _, _, err := b.decryptBin(raw, 8); err == nil {
-			t.Errorf("case %d: decryptBin accepted garbage", i)
-		}
 		unpacked := FeatHist{NumBins: 2, Bins: [][]byte{raw, nil}, BinExp: []int16{8, 8}}
-		if _, _, err := b.decryptFeature(unpacked); err == nil {
+		if _, err := b.decryptFeature(unpacked); err == nil {
 			t.Errorf("case %d: decryptFeature accepted garbage bins", i)
 		}
 		packed := FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{raw}}
-		if _, _, err := b.decryptFeature(packed); err == nil {
+		if _, err := b.decryptFeature(packed); err == nil {
 			t.Errorf("case %d: decryptFeature accepted garbage packed payload", i)
 		}
 		nh := NodeHist{Node: 1, Feats: []FeatHist{unpacked, packed}}
-		if _, _, err := b.decryptNodeHist(0, nh); err == nil {
+		if _, err := b.decryptNodeHist(0, nh); err == nil {
 			t.Errorf("case %d: decryptNodeHist accepted garbage", i)
 		}
-	}
-
-	// Empty bins remain legal (zero contribution), so hardening must not
-	// reject the protocol's own encoding of an empty bin.
-	if g, h, err := b.decryptBin(nil, 8); err != nil || g != 0 || h != 0 {
-		t.Errorf("decryptBin(nil) = %g, %g, %v; want 0, 0, nil", g, h, err)
 	}
 }
 

@@ -22,6 +22,20 @@ import (
 // compatibility mode, so such a peer is refused at setup.
 var ErrLegacyLayout = errors.New("core: peer speaks the retired two-ciphertext scalar layout")
 
+// ErrLegacySiblings is the session error for a passive party that still
+// subtracts sibling histograms itself: under HistogramSubtraction a split's
+// smaller child announces the sibling Party B derives from it (wire id
+// 32), and one that arrives unannounced comes from a peer that will ship
+// the sibling too. (The opposite skew, a Party B still waiting for a
+// shipped sibling, cannot decode wire id 32 at all.)
+var ErrLegacySiblings = errors.New("core: peer ships sibling histograms instead of announcing them")
+
+// ErrSiblingDerivation marks a sibling announcement Party B cannot honour:
+// an unknown or foreign parent, a node announced twice, mismatched bin
+// counts, or a derived ⟨g,h⟩ field outside its share of the plaintext —
+// the histogram-side counterpart of fixedpoint.ErrPairRange.
+var ErrSiblingDerivation = errors.New("core: sibling histogram derivation rejected")
+
 // Upper bounds on the sizes a peer's frames may dictate, checked before
 // they size a codec table, a modulus, a per-class buffer or a bin vector
 // (maxWireBins is Config.MaxBins' own ceiling).
@@ -152,10 +166,15 @@ type MsgHistograms struct {
 }
 
 // NodeHist is the encrypted histogram of one node over the sender's
-// features.
+// features. Under HistogramSubtraction only the smaller child of a split
+// is shipped, and its frame names the split: Parent is the node that was
+// split and Sibling the other child, whose histogram Party B derives as
+// parent − this node in plaintext. Both are zero on a root, and on every
+// node when subtraction is off.
 type NodeHist struct {
-	Node  int32
-	Feats []FeatHist
+	Node            int32
+	Parent, Sibling int32
+	Feats           []FeatHist
 }
 
 // FeatHist is one feature's bins in exactly one representation: folded
@@ -263,12 +282,13 @@ type MsgTreeDone struct {
 // MsgShutdown ends the session.
 type MsgShutdown struct{}
 
-// MsgAbort is sent by a passive party when one of its background
-// histogram tasks hits an unrecoverable input error — e.g. a range-valid
-// but non-invertible ciphertext in the gradient stream, which only
-// surfaces when a homomorphic subtraction fails. Party B fails the
-// session with the carried reason; the task goroutines must never panic
-// the passive process on hostile wire input.
+// MsgAbort ends the session from either side with the reason. A passive
+// party sends it when a frame from B is malformed or one of its background
+// histogram tasks hits an unrecoverable error (a storage fault, a
+// histogram that could not be sent); Party B sends it when a passive
+// party's histograms violate the sibling-derivation contract. The receiver
+// fails its session with the carried reason; hostile wire input must
+// never panic or hang either process.
 type MsgAbort struct {
 	Party  int
 	Reason string

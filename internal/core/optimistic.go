@@ -74,13 +74,7 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 			nd := tn.node
 			best := tn.cand
 			for pi := range b.links {
-				idle := time.Now()
-				nh, err := b.pumps[pi].histFor(t, nd.id)
-				addDur(&b.stats.bIdleTime, time.Since(idle))
-				if err != nil {
-					return nil, nil, err
-				}
-				c, err := b.passiveBest(pi, nh, nd)
+				c, err := b.passiveBest(pi, t, nd)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -96,7 +90,7 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 			case best.party == len(b.links):
 				// Tentative split confirmed as-is.
 				b.recordSplitB(tree, nd, best, tn.leftID, tn.rightID)
-				next = append(next, b.childNodes(tn.leftID, tn.left, tn.rightID, tn.right)...)
+				next = append(next, b.childNodes(nd.id, tn.leftID, tn.left, tn.rightID, tn.right)...)
 			default:
 				// Dirty node: a passive party had the better split.
 				b.stats.dirtyNodes.Add(1)
@@ -132,7 +126,7 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 					}
 				}
 				b.recordSplitA(tree, nd, best, newL, newR)
-				next = append(next, b.childNodes(newL, left, newR, right)...)
+				next = append(next, b.childNodes(nd.id, newL, left, newR, right)...)
 			}
 		}
 		active = next

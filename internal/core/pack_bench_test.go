@@ -1,0 +1,78 @@
+package core
+
+import (
+	"crypto/rand"
+	"fmt"
+	"testing"
+
+	"vf2boost/internal/fixedpoint"
+	"vf2boost/internal/he"
+	"vf2boost/internal/paillier"
+)
+
+// BenchmarkWireNodeHist times finalizing and packing one node histogram at
+// the benchmark harness's features-dominant shape — a 2048-bit key, 10
+// features of 20 bins, 600 rows at density 0.3 — on 1, 2 and 4 workers.
+// scripts/bench.sh derives pack_parallel_speedup/workers=N from it; on a
+// host with fewer cores than workers the ratio flattens at the core count.
+func BenchmarkWireNodeHist(b *testing.B) {
+	const rows = 600
+	_, parts := twoPartyData(b, rows, 10, 1, 0.3, false, 15)
+	priv, err := paillier.GenerateKey(rand.Reader, 2048)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dec := he.NewPaillierFromKey(priv, 0)
+	cfg := DefaultConfig()
+	codec := fixedpoint.NewCodec(dec, fixedpoint.WithExponents(cfg.BaseExp, cfg.ExpSpread))
+	pairs, err := codec.PlanPairs(rows, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	payloads := make([][]byte, rows)
+	exps := make([]int, rows)
+	for i := range payloads {
+		e, err := pairs.Encrypt(float64(i%7)/7-0.4, 0.2, codec.ExpAt(0, 0, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads[i], exps[i] = dec.Marshal(e.Ct), e.Exp
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("bits=2048/workers=%d", workers), func(b *testing.B) {
+			cfg.Workers = workers
+			p, err := newPassiveParty(0, parts[0], cfg, &link{out: discardTransport{}}, &Stats{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = p.handleSetup(MsgSetup{Scheme: SchemePaillier, N: dec.N().Bytes(), Bits: 2048,
+				BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W})
+			if err != nil {
+				b.Fatal(err)
+			}
+			gh := make([]fixedpoint.EncNum, rows)
+			for i := range gh {
+				ct, err := p.scheme.Unmarshal(payloads[i])
+				if err != nil {
+					b.Fatal(err)
+				}
+				gh[i] = fixedpoint.EncNum{Exp: exps[i], Ct: ct}
+			}
+			insts := allInstances(rows)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Finalizing consumes the accumulators, so every iteration
+				// packs a fresh histogram; accumulation is not timed.
+				b.StopTimer()
+				eh := NewEncHistogram(p.codec, p.mapper, cfg.ReorderedAccumulation)
+				if err := eh.Accumulate(p.view, insts, gh); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := p.wireHist(nil, rootID, eh); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

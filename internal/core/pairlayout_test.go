@@ -261,8 +261,12 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 
 	// The well-formed shapes decrypt.
 	b := newB(true)
-	if g, h, err := b.decryptFeature(FeatHist{NumBins: 2, Bins: [][]byte{ct, nil}, BinExp: []int16{9, 8}}); err != nil || g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
-		t.Fatalf("well-formed bins: g=%v h=%v err=%v", g, h, err)
+	fs, err := b.decryptFeature(FeatHist{NumBins: 2, Bins: [][]byte{ct, nil}, BinExp: []int16{9, 8}})
+	if err != nil {
+		t.Fatalf("well-formed bins: %v", err)
+	}
+	if g, h := fs[0].floats(codec.Base()); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
+		t.Fatalf("well-formed bins: g=%v h=%v", g, h)
 	}
 
 	for _, tc := range []struct {
@@ -282,7 +286,7 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 		{"packed without negotiated packing", false, FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct}}, false},
 		{"retired packed layout", true, FeatHist{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}, true},
 	} {
-		_, _, err := newB(tc.packing).decryptFeature(tc.fh)
+		_, err := newB(tc.packing).decryptFeature(tc.fh)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if errors.Is(err, ErrLegacyLayout) != tc.legacy {
@@ -290,7 +294,7 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 		}
 	}
 	two := NodeHist{Node: 1, Feats: make([]FeatHist, 2)}
-	if _, _, err := b.decryptNodeHist(0, two); err == nil {
+	if _, err := b.decryptNodeHist(0, two); err == nil {
 		t.Error("histogram with more features than announced accepted")
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -76,28 +78,20 @@ type passiveParty struct {
 	// with it. ghAll holds the k per-class scalar gradient streams (gh
 	// aliases the stream of the tree currently building);
 	// rootPartsAll/rootCountAll are their per-class sharded root builds.
-	// pendingRootBins parks the finalized root bins of classes whose
-	// trees have not started yet; vecRootBins retains the class-agnostic
-	// vectorized root accumulators that every class tree of the round
-	// reuses for sibling subtraction.
-	outputs         int
-	roundTree       int
-	ghAll           [][]fixedpoint.EncNum
-	rootPartsAll    [][]*EncHistogram
-	rootCountAll    []int
-	pendingRootBins []*cachedBins
-	vecRootBins     *cachedBins
-	nodeInsts       map[int32][]int32
-	// binCache retains each node's finalized bins for sibling
-	// subtraction (HistogramSubtraction).
-	binCache   map[int32]*cachedBins
-	binCacheMu sync.Mutex
+	outputs      int
+	roundTree    int
+	ghAll        [][]fixedpoint.EncNum
+	rootPartsAll [][]*EncHistogram
+	rootCountAll []int
+	nodeInsts    map[int32][]int32
 
-	// Abortable histogram sub-tasks, keyed by node ID.
+	// Abortable histogram sub-tasks, keyed by node ID. sem is the party's
+	// worker budget: a task holds one slot while it runs, and fanOut lends
+	// the free ones to whichever node is being finalized and packed.
 	tasks   map[int32]*histTask
 	tasksMu sync.Mutex
 	taskWG  sync.WaitGroup
-	sem     chan struct{} // bounds task parallelism
+	sem     chan struct{}
 
 	model *PartyModel
 
@@ -146,14 +140,6 @@ func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, sta
 		p.offsets[j+1] = p.offsets[j] + mapper.NumBins(j)
 	}
 	return p, nil
-}
-
-// cachedBins are one node's finalized histogram bins, retained for
-// sibling subtraction — either the folded per-bin form or the vectorized
-// accumulators, never both.
-type cachedBins struct {
-	bins []fixedpoint.EncNum
-	vec  *vecHist
 }
 
 // run drives the passive engine until shutdown. It returns the party's
@@ -216,6 +202,8 @@ func (p *passiveParty) run() (*PartyModel, error) {
 		case MsgShutdown:
 			p.taskWG.Wait()
 			return p.model, nil
+		case MsgAbort:
+			return nil, fmt.Errorf("core: party %d: party B aborted the session: %s", p.index, m.Reason)
 		default:
 			return nil, fmt.Errorf("core: party %d: unexpected message %T", p.index, msg)
 		}
@@ -229,11 +217,11 @@ func (p *passiveParty) send(m any) error {
 }
 
 // fail records the first unrecoverable failure hit by a background
-// histogram task and notifies B so the whole session aborts. Hostile or
-// corrupt wire input — e.g. a range-valid but non-invertible ciphertext
-// in the gradient stream, which only a failed ModInverse can expose —
-// must surface as a session error on both sides, never as a panic of the
-// passive process. The recorded error is what run returns once its
+// histogram task and notifies B so the whole session aborts. A storage
+// fault under the binned view, hostile or corrupt wire input that only
+// fails mid-computation, or a histogram the link refused must surface as
+// a session error on both sides, never as a panic of the passive process
+// or a B left waiting. The recorded error is what run returns once its
 // receive loop unblocks (B tears the link down on MsgAbort).
 func (p *passiveParty) fail(err error) {
 	p.failMu.Lock()
@@ -447,10 +435,8 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 		}
 		p.gh = p.ghAll[0]
 		p.rootCountAll = make([]int, p.outputs)
-		p.pendingRootBins = make([]*cachedBins, p.outputs)
 		p.nodeInsts = make(map[int32][]int32)
 		p.tasks = make(map[int32]*histTask)
-		p.binCache = make(map[int32]*cachedBins)
 	}
 	gh := p.ghAll[m.Class]
 	// The session codec only produces exponents in [BaseExp,
@@ -501,19 +487,7 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 			if root == nil {
 				root = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
 			}
-			bins := &cachedBins{bins: root.FinalizeBins()}
-			var nh NodeHist
-			var err error
-			if m.Class == 0 {
-				nh, err = p.wireCached(rootID, bins)
-			} else {
-				// A later class's root must not clobber the building
-				// tree's cached root; park it for advanceClassTree.
-				if p.cfg.HistogramSubtraction {
-					p.pendingRootBins[m.Class] = bins
-				}
-				nh, err = p.wireUncached(rootID, bins)
-			}
+			nh, err := p.wireHist(nil, rootID, root)
 			if err != nil {
 				return err
 			}
@@ -555,7 +529,6 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 		p.rootCount = 0
 		p.nodeInsts = make(map[int32][]int32)
 		p.tasks = make(map[int32]*histTask)
-		p.binCache = make(map[int32]*cachedBins)
 	}
 	if m.Start%p.pairs != 0 {
 		return fmt.Errorf("core: vectorized batch start %d not aligned to %d-pair windows", m.Start, p.pairs)
@@ -608,14 +581,9 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 			if root == nil {
 				root = newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
 			}
-			bins := &cachedBins{vec: root}
-			if p.outputs > 1 {
-				// The accumulators carry every class's lanes, so the later
-				// class trees of this round reuse them as the sibling-
-				// subtraction parent of their own root.
-				p.vecRootBins = bins
-			}
-			nh, err := p.wireCached(rootID, bins)
+			// The accumulators carry every class's lanes, so this one root
+			// serves every class tree of the round.
+			nh, err := p.wireVecHist(nil, rootID, root)
 			if err != nil {
 				return err
 			}
@@ -665,43 +633,17 @@ func (p *passiveParty) sweepRoot(start, count, workers int, sweep func(w int, in
 	return nil
 }
 
-// wireCached caches a node's finalized bins for sibling subtraction and
-// serializes them, dispatching on the representation.
-func (p *passiveParty) wireCached(node int32, bins *cachedBins) (NodeHist, error) {
-	if p.cfg.HistogramSubtraction {
-		p.binCacheMu.Lock()
-		p.binCache[node] = bins
-		p.binCacheMu.Unlock()
-	}
-	return p.wireUncached(node, bins)
-}
-
-// wireUncached serializes a node's finalized bins without touching the
-// sibling-subtraction cache — used for the root histograms of class
-// trees that have not started yet, which must not clobber the building
-// tree's cached root.
-func (p *passiveParty) wireUncached(node int32, bins *cachedBins) (NodeHist, error) {
-	if bins.vec != nil {
-		return p.wireVecNodeHist(node, bins.vec), nil
-	}
-	return p.wireNodeHist(node, bins.bins)
-}
-
 // advanceClassTree moves this party to the next class tree of the
 // current multi-output round: the round's gradient shipment stays live,
-// but all per-tree bookkeeping (node instance lists, abortable tasks,
-// the sibling-subtraction cache) restarts at the root. The class's root
-// histogram was already built and shipped at round start, so B proceeds
-// straight to the root decision without another encryption pass.
+// but all per-tree bookkeeping (node instance lists, abortable tasks)
+// restarts at the root. The class's root histogram was already built and
+// shipped at round start, so B proceeds straight to the root decision
+// without another encryption pass.
 func (p *passiveParty) advanceClassTree(t int) error {
 	p.tree = t
 	p.nodeInsts = map[int32][]int32{rootID: allInstances(p.view.Rows())}
 	p.tasks = make(map[int32]*histTask)
-	p.binCache = make(map[int32]*cachedBins)
 	if p.vec {
-		if p.cfg.HistogramSubtraction && p.vecRootBins != nil {
-			p.binCache[rootID] = p.vecRootBins
-		}
 		return nil
 	}
 	class := t % p.outputs
@@ -709,39 +651,90 @@ func (p *passiveParty) advanceClassTree(t int) error {
 		return fmt.Errorf("core: party %d: class %d tree %d started before its gradient stream", p.index, class, t)
 	}
 	p.gh = p.ghAll[class]
-	if p.cfg.HistogramSubtraction && p.pendingRootBins[class] != nil {
-		p.binCache[rootID] = p.pendingRootBins[class]
-	}
 	return nil
 }
 
-// wireVecNodeHist serializes a node's vectorized accumulators. Every
-// feature ships with Vec set — even an empty one — so the decryptor never
-// falls back to the scalar layout mid-histogram.
-func (p *passiveParty) wireVecNodeHist(node int32, vh *vecHist) NodeHist {
-	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
-	for j := 0; j < p.cols; j++ {
-		nh.Feats[j] = vh.wireFeat(j)
+// errTaskAborted stops a fanOut whose histogram task was aborted.
+var errTaskAborted = errors.New("core: histogram task aborted")
+
+// fanOut runs fn over [0, n) on the calling goroutine plus one helper per
+// worker slot that is free right now, so finalizing and packing a node
+// uses the cores its sibling tasks leave idle — both of them at the root
+// and wherever a layer has a single node to build — without the party
+// ever exceeding its worker budget. Units are claimed from a shared
+// counter; their results are plaintext-identical whichever goroutine runs
+// them, so there is no ordering contract. An aborted task (nil for the
+// root) stops claiming units; the first error wins.
+func (p *passiveParty) fanOut(task *histTask, n int, fn func(i int) error) error {
+	var next atomic.Int64
+	var mu sync.Mutex
+	var first error
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			err := fn(i)
+			if err == nil && task != nil && task.aborted.Load() {
+				err = errTaskAborted
+			}
+			if err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+				next.Store(int64(n))
+				return
+			}
+		}
 	}
-	return nh
+	var wg sync.WaitGroup
+	for h := 1; h < min(n, cap(p.sem)); h++ {
+		select {
+		case p.sem <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-p.sem }()
+				work()
+			}()
+		default: // that slot is running a task
+		}
+	}
+	work()
+	wg.Wait()
+	return first
 }
 
-// wireNodeHist serializes finalized folded bins (callers go through
-// wireCached, which owns the sibling-subtraction cache). With adaptive
-// packing a feature ships packed only when that reduces Party B's
-// decryptions (occupied bins exceed the packed ciphertext count);
-// packFeature scales the chosen features to the unified exponent.
-func (p *passiveParty) wireNodeHist(node int32, bins []fixedpoint.EncNum) (NodeHist, error) {
+// wireVecHist serializes a node's vectorized accumulators. Every feature
+// ships with Vec set — even an empty one — so the decryptor never falls
+// back to the scalar layout mid-histogram.
+func (p *passiveParty) wireVecHist(task *histTask, node int32, vh *vecHist) (NodeHist, error) {
 	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
-	for j := 0; j < p.cols; j++ {
-		feat := bins[p.offsets[j]:p.offsets[j+1]]
+	return nh, p.fanOut(task, p.cols, func(j int) error {
+		nh.Feats[j] = vh.wireFeat(j)
+		return nil
+	})
+}
+
+// wireHist finalizes and serializes a node's folded histogram across the
+// free workers, in two rounds of independent units: per feature, the
+// per-bin exponent merge and either the unpacked payloads or the shifted
+// prefix sums; then per packed ciphertext, the Horner chain of
+// Codec.Pack, which is where the time goes. With adaptive packing a
+// feature ships packed only when that reduces Party B's decryptions
+// (occupied bins exceed the packed ciphertext count).
+func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (NodeHist, error) {
+	start := time.Now()
+	defer func() { addDur(&p.stats.packTime, time.Since(start)) }()
+	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
+	prefixes := make([][]he.Ciphertext, p.cols)
+	lane := p.lane("Pack")
+	err := p.fanOut(task, p.cols, func(j int) (err error) {
+		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", node, j))()
+		feat := eh.finalizeRange(p.offsets[j], p.offsets[j+1])
 		fh := FeatHist{NumBins: len(feat)}
 		if p.packing && p.shouldPack(feat) {
-			packed, err := packFeature(p.codec, feat, p.shiftCt, p.plan)
-			if err != nil {
-				return NodeHist{}, err
-			}
-			fh.Packed, fh.Bins = true, packed
+			fh.Packed, fh.Bins = true, make([][]byte, p.plan.packedCts(len(feat)))
+			prefixes[j], err = shiftedPrefixes(p.codec, feat, p.shiftCt, p.plan)
 		} else {
 			fh.Bins = make([][]byte, len(feat))
 			fh.BinExp = make([]int16, len(feat))
@@ -756,8 +749,27 @@ func (p *passiveParty) wireNodeHist(node int32, bins []fixedpoint.EncNum) (NodeH
 			}
 		}
 		nh.Feats[j] = fh
+		return err
+	})
+	if err != nil {
+		return NodeHist{}, err
 	}
-	return nh, nil
+	type unit struct{ feat, chunk int }
+	var units []unit
+	for j, pre := range prefixes {
+		for c := 0; c*p.plan.capacity < len(pre); c++ {
+			units = append(units, unit{j, c})
+		}
+	}
+	// Full chunks first: the short tail chunks then level the workers.
+	sort.SliceStable(units, func(a, b int) bool { return units[a].chunk < units[b].chunk })
+	err = p.fanOut(task, len(units), func(i int) (err error) {
+		u := units[i]
+		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d ct %d", node, u.feat, u.chunk))()
+		nh.Feats[u.feat].Bins[u.chunk], err = packChunk(p.codec, prefixes[u.feat], u.chunk, p.plan)
+		return err
+	})
+	return nh, err
 }
 
 // shouldPack decides per feature whether packing pays off. Without
@@ -911,7 +923,9 @@ func (p *passiveParty) partition(insts []int32, feature, bin int32) (left, right
 
 // childReady registers the children of a split node and schedules their
 // histogram builds (children at the depth limit are future leaves and
-// need no histograms).
+// need no histograms). Under HistogramSubtraction only the child with
+// fewer instances is built — Party B applies the same rule to the same
+// instance lists — and its frame announces the sibling B derives from it.
 func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []int32, rightID int32, right []int32) {
 	p.nodeInsts[leftID] = left
 	p.nodeInsts[rightID] = right
@@ -919,40 +933,26 @@ func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []
 	if childLayer >= p.cfg.MaxDepth {
 		return
 	}
-	if p.cfg.HistogramSubtraction {
-		p.binCacheMu.Lock()
-		parentBins, ok := p.binCache[parent]
-		p.binCacheMu.Unlock()
-		if ok {
-			// Build only the smaller child; its sibling is parent − child.
-			if len(right) < len(left) {
-				p.scheduleHist(childLayer, rightID, right, parentBins, leftID)
-			} else {
-				p.scheduleHist(childLayer, leftID, left, parentBins, rightID)
-			}
-			return
-		}
+	switch {
+	case !p.cfg.HistogramSubtraction:
+		p.scheduleHist(childLayer, NodeHist{Node: leftID}, left)
+		p.scheduleHist(childLayer, NodeHist{Node: rightID}, right)
+	case len(right) < len(left):
+		p.scheduleHist(childLayer, NodeHist{Node: rightID, Parent: parent, Sibling: leftID}, right)
+	default:
+		p.scheduleHist(childLayer, NodeHist{Node: leftID, Parent: parent, Sibling: rightID}, left)
 	}
-	p.scheduleHist(childLayer, leftID, left, nil, 0)
-	p.scheduleHist(childLayer, rightID, right, nil, 0)
 }
 
 // scheduleHist launches one abortable task (the "small sub-tasks which can
-// be processed in parallel" of Figure 6) that builds a node's histogram
-// and, given the cached parent bins, derives the sibling's by homomorphic
-// subtraction. Each histogram is sent to B as soon as it is ready — nodes
+// be processed in parallel" of Figure 6) that builds the histogram of the
+// node named by head and sends it to B as soon as it is ready — nodes
 // stream independently, which is what lets B validate early and abort
 // less work.
-func (p *passiveParty) scheduleHist(layer int, node int32, insts []int32, parent *cachedBins, sibling int32) {
-	task := &histTask{node: node, layer: layer}
-	ids := []int32{node}
-	if parent != nil {
-		ids = append(ids, sibling)
-	}
+func (p *passiveParty) scheduleHist(layer int, head NodeHist, insts []int32) {
+	task := &histTask{node: head.Node, layer: layer}
 	p.tasksMu.Lock()
-	for _, id := range ids {
-		p.tasks[id] = task
-	}
+	p.tasks[head.Node] = task
 	p.tasksMu.Unlock()
 	gh := p.gh
 	wins := p.vgh
@@ -962,154 +962,69 @@ func (p *passiveParty) scheduleHist(layer int, node int32, insts []int32, parent
 		defer p.taskWG.Done()
 		p.sem <- struct{}{}
 		defer func() { <-p.sem }()
-		// Every failure below comes from the binned view (a shard beyond
-		// its self-healing budget) or from ciphertexts accumulated off the
-		// wire — e.g. a range-valid gradient with gcd(c, n) ≠ 1, which only
-		// the key owner can craft and only a failed ModInverse in Sub
-		// exposes. Either way it is input, not a protocol bug: abort the
-		// session instead of panicking or training on a partial histogram.
-		fail := func(id int32, err error) {
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, id, err))
+		// A failure below comes from the binned view (a shard beyond its
+		// self-healing budget), from ciphertexts accumulated off the wire,
+		// or from the link refusing the histogram. None is a protocol bug,
+		// and B is blocked waiting for this node: abort the session instead
+		// of panicking, training on a partial histogram or carrying on
+		// without it.
+		nh, err := p.buildHist(task, insts, gh, wins)
+		if err == nil {
+			nh.Parent, nh.Sibling = head.Parent, head.Sibling
+			err = p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{nh}})
 		}
-		ship := func(id int32, bins *cachedBins) bool {
-			nh, err := p.wireCached(id, bins)
-			if err != nil {
-				fail(id, err)
-				return false
-			}
-			if task.aborted.Load() {
-				return false
-			}
-			p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{nh}})
-			return true
+		if errors.Is(err, errTaskAborted) {
+			return
 		}
-		bins, ok, err := p.buildBins(task, insts, gh, wins)
 		if err != nil {
-			fail(node, err)
+			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, head.Node, err))
 			return
-		}
-		if !ok || !ship(node, bins) {
-			return
-		}
-		if parent != nil {
-			start := time.Now()
-			sib, err := subtractCached(p.codec, parent, bins)
-			if err != nil {
-				fail(sibling, err)
-				return
-			}
-			addDur(&p.stats.buildHistTime, time.Since(start))
-			if task.aborted.Load() || !ship(sibling, sib) {
-				return
-			}
 		}
 		p.tasksMu.Lock()
-		for _, id := range ids {
-			delete(p.tasks, id)
-		}
+		delete(p.tasks, head.Node)
 		p.tasksMu.Unlock()
 	}()
 }
 
-// buildBins accumulates one node's histogram in abort-checked chunks and
-// finalizes it into the representation the session runs — scalar bins or
-// vectorized accumulators. ok is false when the task was aborted. A
-// non-nil error means the binned view failed to deliver a row even after
-// its own retries/rebuilds — a storage fault the caller must turn into a
-// session abort.
-func (p *passiveParty) buildBins(task *histTask, insts []int32, gh []fixedpoint.EncNum, wins []he.VecCiphertext) (bins *cachedBins, ok bool, err error) {
-	if task.aborted.Load() {
-		return nil, false, nil
-	}
+// buildHist accumulates one node's histogram in abort-checked chunks and
+// wires it in the representation the session runs — folded bins or
+// vectorized accumulators. It returns errTaskAborted when the task was
+// aborted; any other error means the binned view failed to deliver a row
+// even after its own retries/rebuilds, or packing failed.
+func (p *passiveParty) buildHist(task *histTask, insts []int32, gh []fixedpoint.EncNum, wins []he.VecCiphertext) (NodeHist, error) {
 	if dh, ok := p.view.(gbdt.DepthHinter); ok {
 		dh.HintDepth(task.layer)
 	}
-	start := time.Now()
-	endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))
-	defer endSpan()
-	const chunk = 256
+	var accumulate func(chunk []int32) error
+	var wire func() (NodeHist, error)
 	if p.vec {
 		vh := newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
-		for lo := 0; lo < len(insts); lo += chunk {
-			if task.aborted.Load() {
-				return nil, false, nil
-			}
-			hi := lo + chunk
-			if hi > len(insts) {
-				hi = len(insts)
-			}
-			if err := vh.accumulate(p.view, insts[lo:hi], wins); err != nil {
-				return nil, false, err
-			}
-		}
-		addDur(&p.stats.buildHistTime, time.Since(start))
-		if task.aborted.Load() {
-			return nil, false, nil
-		}
-		return &cachedBins{vec: vh}, true, nil
+		accumulate = func(chunk []int32) error { return vh.accumulate(p.view, chunk, wins) }
+		wire = func() (NodeHist, error) { return p.wireVecHist(task, task.node, vh) }
+	} else {
+		eh := NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
+		accumulate = func(chunk []int32) error { return eh.Accumulate(p.view, chunk, gh) }
+		wire = func() (NodeHist, error) { return p.wireHist(task, task.node, eh) }
 	}
-	eh := NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
-	for lo := 0; lo < len(insts); lo += chunk {
-		if task.aborted.Load() {
-			return nil, false, nil
-		}
-		hi := lo + chunk
-		if hi > len(insts) {
-			hi = len(insts)
-		}
-		if err := eh.Accumulate(p.view, insts[lo:hi], gh); err != nil {
-			return nil, false, err
+	start := time.Now()
+	endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))
+	const chunk = 256
+	for lo := 0; lo < len(insts) && !task.aborted.Load(); lo += chunk {
+		if err := accumulate(insts[lo:min(lo+chunk, len(insts))]); err != nil {
+			endSpan()
+			return NodeHist{}, err
 		}
 	}
+	endSpan()
 	addDur(&p.stats.buildHistTime, time.Since(start))
 	if task.aborted.Load() {
-		return nil, false, nil
+		return NodeHist{}, errTaskAborted
 	}
-	return &cachedBins{bins: eh.FinalizeBins()}, true, nil
-}
-
-// subtractCached derives the sibling bins as parent − child in whichever
-// representation the pair shares.
-func subtractCached(codec *fixedpoint.Codec, parent, child *cachedBins) (*cachedBins, error) {
-	if (parent.vec != nil) != (child.vec != nil) {
-		return nil, fmt.Errorf("core: sibling subtraction across scalar and vectorized histograms")
+	nh, err := wire()
+	if err == nil && task.aborted.Load() {
+		err = errTaskAborted
 	}
-	if parent.vec != nil {
-		vh, err := subtractVecHist(parent.vec, child.vec)
-		if err != nil {
-			return nil, err
-		}
-		return &cachedBins{vec: vh}, nil
-	}
-	sib, err := subtractBins(codec, parent.bins, child.bins)
-	if err != nil {
-		return nil, err
-	}
-	return &cachedBins{bins: sib}, nil
-}
-
-// subtractBins computes parent - child per bin. A child can only have
-// mass where its parent does (child instances are a subset), so a nil
-// parent bin forces a nil child bin.
-func subtractBins(codec *fixedpoint.Codec, parent, child []fixedpoint.EncNum) ([]fixedpoint.EncNum, error) {
-	out := make([]fixedpoint.EncNum, len(parent))
-	for i := range parent {
-		switch {
-		case parent[i].Ct == nil && child[i].Ct == nil:
-			// stays nil (zero)
-		case parent[i].Ct == nil:
-			return nil, fmt.Errorf("core: child histogram has mass in bin %d its parent lacks", i)
-		case child[i].Ct == nil:
-			out[i] = parent[i]
-		default:
-			var err error
-			out[i], err = codec.SubEnc(parent[i], child[i])
-			if err != nil {
-				return nil, fmt.Errorf("core: subtracting bin %d: %w", i, err)
-			}
-		}
-	}
-	return out, nil
+	return nh, err
 }
 
 // applyPlacement splits an instance list by a placement bitmap (bit set =

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -82,12 +83,8 @@ type activeParty struct {
 	hessAll    [][]float64
 	// ipw is the vec path's instances-per-window: a window ciphertext
 	// carries ipw instances × outputs classes of ⟨g,h⟩ lane pairs, so
-	// ipw = vplan.Pairs/outputs (== Pairs when k == 1). rootHists caches
-	// each passive party's all-class decoded root histogram per round:
-	// one DecryptVec yields every class's lanes, so classes 1..k-1 reuse
-	// class 0's decryptions instead of paying their own.
-	ipw       int
-	rootHists []vecRootHist
+	// ipw = vplan.Pairs/outputs (== Pairs when k == 1).
+	ipw int
 
 	model *PartyModel
 
@@ -130,6 +127,11 @@ type pump struct {
 	// tree round·k, so they must be held rather than discarded.
 	histStore  map[int64]NodeHist
 	placeStore map[int32]MsgPlacement
+	// sums are the decrypted (or derived) histograms of the round's nodes
+	// in the exact integer domain, keyed like histStore: what sibling
+	// derivation subtracts from, and what makes a second frame for a node
+	// a duplicate.
+	sums map[int64]nodeSums
 }
 
 // histKey composes the (tree, node) histogram-store key.
@@ -146,6 +148,7 @@ func startPump(l *link) *pump {
 		errs:       make(chan error, 1),
 		histStore:  make(map[int64]NodeHist),
 		placeStore: make(map[int32]MsgPlacement),
+		sums:       make(map[int64]nodeSums),
 	}
 	go func() {
 		for {
@@ -183,8 +186,9 @@ func startPump(l *link) *pump {
 // earlier tree lands under its own tree and can never masquerade as the
 // current tree's histogram, while a multi-output round's early-arriving
 // per-class root histograms (tagged with later trees of the round) are
-// held until their tree builds. Leftovers are cleared by reset at the
-// end of every round.
+// held until their tree builds. A node's histogram arrives at most once:
+// a second frame for a node still stored, or already decrypted, is
+// refused. Leftovers are cleared by reset at the end of every round.
 func (p *pump) histFor(tree int, node int32) (NodeHist, error) {
 	key := histKey(tree, node)
 	for {
@@ -195,7 +199,11 @@ func (p *pump) histFor(tree int, node int32) (NodeHist, error) {
 		select {
 		case m := <-p.hist:
 			for _, nh := range m.Nodes {
-				p.histStore[histKey(m.Tree, nh.Node)] = nh
+				k := histKey(m.Tree, nh.Node)
+				if _, dup := p.histStore[k]; dup || p.sums[k] != nil {
+					return NodeHist{}, fmt.Errorf("%w: node %d of tree %d announced twice", ErrSiblingDerivation, nh.Node, m.Tree)
+				}
+				p.histStore[k] = nh
 			}
 		case err := <-p.errs:
 			return NodeHist{}, err
@@ -223,10 +231,12 @@ func (p *pump) placementFor(tree int, node int32) (MsgPlacement, error) {
 	}
 }
 
-// reset discards per-round leftovers (stale histograms of aborted nodes).
+// reset discards per-round leftovers (stale histograms of aborted nodes)
+// and the round's decrypted sums.
 func (p *pump) reset() {
 	p.histStore = make(map[int64]NodeHist)
 	p.placeStore = make(map[int32]MsgPlacement)
+	p.sums = make(map[int64]nodeSums)
 	for {
 		select {
 		case <-p.hist:
@@ -317,7 +327,6 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 			return nil, fmt.Errorf("core: backend %q packs %d pairs per ciphertext, fewer than the %d outputs of objective %s",
 				cfg.HEBackend, plan.Pairs, b.outputs, cfg.Objective.Name())
 		}
-		b.rootHists = make([]vecRootHist, len(links))
 		// Lane encoding shares the scalar codec's stats so session totals
 		// stay in one place; spread 1 because every lane shares one scale.
 		b.vcodec = fixedpoint.NewCodec(vdec,
@@ -748,6 +757,12 @@ type bNode struct {
 	id    int32
 	insts []int32
 	g, h  float64
+	// parent and sibling place the node in the split that made it (zero on
+	// the root). derived marks the larger child of a split under
+	// HistogramSubtraction: the passive parties ship only its sibling, and
+	// B derives this node's histograms as parent − sibling.
+	parent, sibling int32
+	derived         bool
 }
 
 // leafResult is a finalized leaf: its instances receive the weight.
@@ -792,27 +807,48 @@ func (b *activeParty) ownBest(h *gbdt.Histogram, node *bNode) candidate {
 	return c
 }
 
-// passiveBest decrypts one passive party's histogram of a node and finds
-// that party's best split.
-func (b *activeParty) passiveBest(party int, nh NodeHist, node *bNode) (candidate, error) {
-	decStart := time.Now()
-	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
-	gSums, hSums, err := b.decryptNodeHist(party, nh)
-	endSpan()
-	addDur(&b.stats.decryptTime, time.Since(decStart))
+// featSums are one feature's histogram bin sums in the exact integer
+// domain: the signed ⟨g,h⟩ fields of bin k at exponent exp[k], nil fields
+// marking an empty bin. Every representation a passive party ships —
+// folded bins, packed shifted prefixes, vectorized accumulators — decrypts
+// to this form, and the floats split finding reads are decoded from it.
+type featSums struct {
+	g, h []*big.Int
+	exp  []int
+}
+
+// nodeSums are a passive party's histogram of one node, per feature.
+type nodeSums []featSums
+
+func newFeatSums(numBins int) featSums {
+	return featSums{g: make([]*big.Int, numBins), h: make([]*big.Int, numBins), exp: make([]int, numBins)}
+}
+
+// floats decodes the bin sums at encoding base `base`.
+func (f featSums) floats(base int) (g, h []float64) {
+	g = make([]float64, len(f.g))
+	h = make([]float64, len(f.g))
+	for k := range f.g {
+		if f.g[k] != nil {
+			g[k] = fixedpoint.DecodeSigned(f.g[k], base, f.exp[k])
+			h[k] = fixedpoint.DecodeSigned(f.h[k], base, f.exp[k])
+		}
+	}
+	return g, h
+}
+
+// passiveBest finds one passive party's best split of a node from its
+// histogram there.
+func (b *activeParty) passiveBest(party, tree int, node *bNode) (candidate, error) {
+	sums, err := b.passiveSums(party, tree, node)
 	if err != nil {
 		return candidate{}, err
 	}
-	return b.bestOf(party, gSums, hSums, node), nil
-}
-
-// bestOf finds a passive party's best split of a node from its decrypted
-// per-feature bin sums.
-func (b *activeParty) bestOf(party int, gSums, hSums [][]float64, node *bNode) candidate {
 	findStart := time.Now()
 	best := candidate{split: gbdt.NoSplit, party: party}
-	for j := range gSums {
-		s := gbdt.BestSplitForFeature(int32(j), gSums[j], hSums[j], node.g, node.h, b.cfg.Split)
+	for j, fs := range sums {
+		g, h := fs.floats(b.codec.Base()) // the lane plan shares the codec's base
+		s := gbdt.BestSplitForFeature(int32(j), g, h, node.g, node.h, b.cfg.Split)
 		if !s.Valid() {
 			continue
 		}
@@ -822,285 +858,295 @@ func (b *activeParty) bestOf(party int, gSums, hSums [][]float64, node *bNode) c
 		}
 	}
 	addDur(&b.stats.findSplitTime, time.Since(findStart))
-	return best
+	return best, nil
 }
 
-// vecRootHist caches one passive party's decoded root-histogram bin sums
-// for every class of the current round. In a vectorized multi-output
-// session the root accumulators cover all instances and all class lanes,
-// so they are identical for every class tree of a round: the passive
-// party ships them once (tagged with the round's first tree) and B
-// decrypts them once, serving classes 1..k-1 from this cache. round
-// stores round+1 so the zero value never matches a real round.
-type vecRootHist struct {
-	round int
-	g, h  [][][]float64 // [class][feature][bin]
-}
-
-// passiveCand fetches a passive party's histogram for a node and returns
-// that party's best split. Root nodes of vectorized multi-output
-// sessions are served from the per-round all-class cache; every other
-// node takes the ordinary fetch-and-decrypt path.
-func (b *activeParty) passiveCand(party, tree int, node *bNode) (candidate, error) {
-	if b.vec && b.outputs > 1 && node.id == rootID {
-		return b.vecRootBest(party, tree, node)
+// passiveSums returns a passive party's histogram of a node of the given
+// tree. A violation of the sibling-derivation contract — or a peer that
+// announces nothing at all — aborts the session on every link.
+func (b *activeParty) passiveSums(party, tree int, node *bNode) (nodeSums, error) {
+	s, err := b.sumsOf(party, tree, node)
+	if errors.Is(err, ErrSiblingDerivation) || errors.Is(err, ErrLegacySiblings) {
+		b.abort(err)
 	}
-	nh, err := b.pumps[party].histFor(tree, node.id)
+	return s, err
+}
+
+// sumsOf fetches and decrypts, once, the histogram a passive party shipped
+// for a node. The larger child of a split under HistogramSubtraction is
+// never shipped: B holds the exact integers of its parent and of its
+// sibling, so the node is their plaintext difference, which is what the
+// party's homomorphic parent − child would have decrypted to. B learns
+// nothing by it that it could not already compute, and the passive party
+// saves a packing, the link a histogram and B its decryptions.
+func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
+	p := b.pumps[party]
+	if s, ok := p.sums[histKey(tree, node.id)]; ok {
+		return s, nil
+	}
+	if !node.derived {
+		return b.fetchSums(party, tree, node)
+	}
+	parent, ok := p.sums[histKey(tree, node.parent)]
+	if !ok {
+		return nil, fmt.Errorf("%w: party %d node %d: parent %d has no histogram in tree %d",
+			ErrSiblingDerivation, party, node.id, node.parent, tree)
+	}
+	child, err := b.sumsOf(party, tree, &bNode{id: node.sibling, parent: node.parent, sibling: node.id})
 	if err != nil {
-		return candidate{}, err
+		return nil, err
 	}
-	return b.passiveBest(party, nh, node)
-}
-
-// vecRootBest finds a passive party's best root split for the class tree
-// `tree`, decrypting the round's shared root histogram only on first use
-// (class 0) and extracting the current class's lanes from the cache on
-// every later class of the round.
-func (b *activeParty) vecRootBest(party, tree int, node *bNode) (candidate, error) {
-	round := tree / b.outputs
-	rh := &b.rootHists[party]
-	if rh.round != round+1 {
-		// The root histogram arrives exactly once per round, tagged
-		// with the round's first class tree.
-		nh, err := b.pumps[party].histFor(round*b.outputs, rootID)
-		if err != nil {
-			return candidate{}, err
-		}
-		decStart := time.Now()
-		endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d (all classes)", node.id))
-		g, h, err := b.decryptVecNodeAllClasses(nh)
-		endSpan()
-		addDur(&b.stats.decryptTime, time.Since(decStart))
-		if err != nil {
-			return candidate{}, err
-		}
-		rh.round, rh.g, rh.h = round+1, g, h
-	}
-	return b.bestOf(party, rh.g[b.class], rh.h[b.class], node), nil
-}
-
-// decryptNodeHist recovers the per-feature (g, h) bin sums of a passive
-// party's histogram, parallelized across features.
-func (b *activeParty) decryptNodeHist(party int, nh NodeHist) (gSums, hSums [][]float64, err error) {
-	if len(nh.Feats) != b.featCounts[party] {
-		return nil, nil, fmt.Errorf("core: party %d histogram carries %d features, announced %d", party, len(nh.Feats), b.featCounts[party])
-	}
-	gSums = make([][]float64, len(nh.Feats))
-	hSums = make([][]float64, len(nh.Feats))
-	err = parallelForErr(len(nh.Feats), b.cfg.Workers, func(j int) (err error) {
-		gSums[j], hSums[j], err = b.decryptFeature(nh.Feats[j])
-		return err
-	})
+	s, err := b.deriveSibling(parent, child)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("party %d node %d = %d − %d: %w", party, node.id, node.parent, node.sibling, err)
 	}
-	return gSums, hSums, nil
+	p.sums[histKey(tree, node.id)] = s
+	return s, nil
 }
 
-// decryptFeature decrypts one feature's folded bins — one decryption per
-// occupied bin, or per packed ciphertext — and splits every sum into its
-// ⟨g,h⟩ fields. The frame's sizes are checked against each other and the
-// session's plan before they size anything.
-func (b *activeParty) decryptFeature(fh FeatHist) (g, h []float64, err error) {
-	if fh.Vec {
-		return b.decryptVecFeature(fh)
+// fetchSums waits for the histogram a passive party ships for a node and
+// decrypts it. Under HistogramSubtraction every shipped non-root node is
+// the smaller child of its split and must announce exactly the sibling B
+// is about to derive from it.
+func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) {
+	p := b.pumps[party]
+	idle := time.Now()
+	nh, err := p.histFor(tree, node.id)
+	addDur(&b.stats.bIdleTime, time.Since(idle))
+	if err != nil {
+		return nil, err
 	}
-	if len(fh.PackedG) > 0 || len(fh.PackedH) > 0 {
-		return nil, nil, fmt.Errorf("%w: two-ciphertext packed histogram", ErrLegacyLayout)
+	var parent, sibling int32
+	if b.cfg.HistogramSubtraction {
+		parent, sibling = node.parent, node.sibling
 	}
+	switch {
+	case nh.Parent == parent && nh.Sibling == sibling:
+	case nh.Parent == 0 && nh.Sibling == 0:
+		return nil, fmt.Errorf("%w: party %d node %d of tree %d", ErrLegacySiblings, party, node.id, tree)
+	default:
+		return nil, fmt.Errorf("%w: party %d node %d announces sibling %d of parent %d, expected %d of %d",
+			ErrSiblingDerivation, party, node.id, nh.Sibling, nh.Parent, sibling, parent)
+	}
+	decStart := time.Now()
+	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
+	classes, err := b.decryptNodeHist(party, nh)
+	endSpan()
+	addDur(&b.stats.decryptTime, time.Since(decStart))
+	if err != nil {
+		return nil, err
+	}
+	class := 0
 	if b.vec {
-		return nil, nil, fmt.Errorf("core: passive party sent a scalar histogram to a vectorized session")
+		class = b.class
 	}
-	if fh.NumBins < 0 || fh.NumBins > maxWireBins {
-		return nil, nil, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
-	}
-	if fh.Packed {
-		if !b.packing {
-			return nil, nil, fmt.Errorf("core: packed histogram in a session without histogram packing")
-		}
-		return unpackFeature(b.pairs, b.dec, b.codec.Stats(), fh.Bins, fh.NumBins, b.plan)
-	}
-	if len(fh.Bins) != fh.NumBins || len(fh.BinExp) != fh.NumBins {
-		return nil, nil, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))
-	}
-	g = make([]float64, fh.NumBins)
-	h = make([]float64, fh.NumBins)
-	for k, payload := range fh.Bins {
-		if g[k], h[k], err = b.decryptBin(payload, int(fh.BinExp[k])); err != nil {
-			return nil, nil, err
+	p.sums[histKey(tree, node.id)] = classes[class]
+	if len(classes) > 1 && node.id == rootID {
+		// A vectorized multi-output root covers all instances and all class
+		// lanes, so it is the same for every class tree of the round: the
+		// passive party ships it once, tagged with the round's first tree,
+		// and this one decryption serves classes 1..k-1 from the store.
+		for c, s := range classes {
+			p.sums[histKey(tree-class+c, rootID)] = s
 		}
 	}
-	return g, h, nil
+	return classes[class], nil
 }
 
-// decryptVecFeature recovers one feature's (g, h) bin sums from the
-// vectorized representation: each entry is a per-(bin, pair-slot)
-// accumulator whose lanes 2·slot and 2·slot+1 hold the ⟨g,h⟩ sums of
-// VecCount instances (the other lanes belong to window-mates routed to
-// other bins and are ignored). Per bin the slot sums combine exactly in
-// the integer domain; only the final total is decoded to float.
-func (b *activeParty) decryptVecFeature(fh FeatHist) (g, h []float64, err error) {
-	if !b.vec {
-		return nil, nil, fmt.Errorf("core: passive party sent a vectorized histogram to a scalar session")
+// abort tells every passive party why B is ending the session before it
+// unwinds, so none keeps building histograms for a peer that is gone. The
+// sends are best effort: the session is failing either way.
+func (b *activeParty) abort(err error) {
+	for _, l := range b.links {
+		_ = l.send(MsgAbort{Party: len(b.links), Reason: err.Error()})
 	}
-	if len(fh.VecSlot) != len(fh.VecBin) || len(fh.VecCount) != len(fh.VecBin) || len(fh.VecCts) != len(fh.VecBin) {
-		return nil, nil, fmt.Errorf("core: vectorized feature histogram has mismatched columns (%d/%d/%d/%d)",
-			len(fh.VecBin), len(fh.VecSlot), len(fh.VecCount), len(fh.VecCts))
-	}
-	gMan := make([]*big.Int, fh.NumBins)
-	hMan := make([]*big.Int, fh.NumBins)
-	for k := range fh.VecBin {
-		bin, slot, count := int(fh.VecBin[k]), int(fh.VecSlot[k]), int(fh.VecCount[k])
-		if bin < 0 || bin >= fh.NumBins {
-			return nil, nil, fmt.Errorf("core: vectorized histogram bin %d out of [0,%d)", bin, fh.NumBins)
-		}
-		if slot < 0 || slot >= b.ipw {
-			return nil, nil, fmt.Errorf("core: vectorized histogram pair slot %d out of [0,%d)", slot, b.ipw)
-		}
-		if count <= 0 || count > b.rows {
-			return nil, nil, fmt.Errorf("core: vectorized histogram accumulator claims %d instances of %d", count, b.rows)
-		}
-		v, err := b.vdec.UnmarshalVec(fh.VecCts[k])
-		if err != nil {
-			return nil, nil, err
-		}
-		lanes, err := b.vdec.DecryptVec(v)
-		if err != nil {
-			return nil, nil, err
-		}
-		b.codec.Stats().AddDecryptions(1)
-		// Slot-group s, class c sits at lane pair 2·(s·k+c); for a
-		// single-output session this is exactly 2·slot.
-		li := 2 * (slot*b.outputs + b.class)
-		gSum := b.vplan.LaneSumSigned(lanes[li], int64(count))
-		hSum := b.vplan.LaneSumSigned(lanes[li+1], int64(count))
-		if gMan[bin] == nil {
-			gMan[bin], hMan[bin] = gSum, hSum
-		} else {
-			gMan[bin].Add(gMan[bin], gSum)
-			hMan[bin].Add(hMan[bin], hSum)
-		}
-	}
-	g = make([]float64, fh.NumBins)
-	h = make([]float64, fh.NumBins)
-	for bin := 0; bin < fh.NumBins; bin++ {
-		if gMan[bin] == nil {
-			continue // empty bin
-		}
-		g[bin] = fixedpoint.DecodeSigned(gMan[bin], b.vplan.Base, b.vplan.Exp)
-		h[bin] = fixedpoint.DecodeSigned(hMan[bin], b.vplan.Base, b.vplan.Exp)
-	}
-	return g, h, nil
 }
 
-// decryptVecNodeAllClasses recovers every class's per-feature (g, h) bin
-// sums of a vectorized passive histogram in one pass: each accumulator
-// ciphertext is decrypted once and all k class lane pairs are extracted
-// from it, so the decryption count stays constant in the output count.
-func (b *activeParty) decryptVecNodeAllClasses(nh NodeHist) (gSums, hSums [][][]float64, err error) {
-	k := b.outputs
-	gSums = make([][][]float64, k)
-	hSums = make([][][]float64, k)
-	for c := 0; c < k; c++ {
-		gSums[c] = make([][]float64, len(nh.Feats))
-		hSums[c] = make([][]float64, len(nh.Feats))
+// deriveSibling computes a node's histogram as parent − child, bin by
+// bin, in the exact integer domain: both operands aligned to the larger
+// exponent, exactly as the homomorphic subtraction aligned ciphertexts. A
+// child can only have mass where its parent does, the hessian field of a
+// difference of honest sums is non-negative, and both fields stay inside
+// their share of the plaintext; anything else is a corrupt or hostile
+// histogram and is refused before it can steer a split.
+func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
+	fieldBits := b.pairs.W - 1
+	if b.vec {
+		fieldBits = b.vplan.LaneBits
 	}
-	err = parallelForErr(len(nh.Feats), b.cfg.Workers, func(j int) error {
-		g, h, err := b.decryptVecFeatureAllClasses(nh.Feats[j])
+	scale := func(v *big.Int, by int) *big.Int {
+		if by == 0 {
+			return v
+		}
+		pow := new(big.Int).Exp(big.NewInt(int64(b.codec.Base())), big.NewInt(int64(by)), nil)
+		return pow.Mul(pow, v)
+	}
+	out := make(nodeSums, len(parent))
+	for j, pf := range parent {
+		cf := child[j]
+		if len(cf.g) != len(pf.g) {
+			return nil, fmt.Errorf("%w: feature %d has %d bins, its parent %d", ErrSiblingDerivation, j, len(cf.g), len(pf.g))
+		}
+		sf := newFeatSums(len(pf.g))
+		for k := range pf.g {
+			switch {
+			case cf.g[k] == nil:
+				sf.g[k], sf.h[k], sf.exp[k] = pf.g[k], pf.h[k], pf.exp[k]
+			case pf.g[k] == nil:
+				return nil, fmt.Errorf("%w: feature %d bin %d has mass its parent lacks", ErrSiblingDerivation, j, k)
+			default:
+				e := max(pf.exp[k], cf.exp[k])
+				g := new(big.Int).Sub(scale(pf.g[k], e-pf.exp[k]), scale(cf.g[k], e-cf.exp[k]))
+				h := new(big.Int).Sub(scale(pf.h[k], e-pf.exp[k]), scale(cf.h[k], e-cf.exp[k]))
+				if h.Sign() < 0 || h.BitLen() > fieldBits || g.BitLen() > fieldBits {
+					return nil, fmt.Errorf("%w: feature %d bin %d derives fields of %d and %d bits (h sign %d) for %d-bit fields",
+						ErrSiblingDerivation, j, k, g.BitLen(), h.BitLen(), h.Sign(), fieldBits)
+				}
+				sf.g[k], sf.h[k], sf.exp[k] = g, h, e
+			}
+		}
+		out[j] = sf
+	}
+	return out, nil
+}
+
+// decryptNodeHist recovers a passive party's histogram of a node,
+// parallelized across features. A scalar histogram belongs to the class
+// of the tree it was built for and yields one nodeSums; a vectorized one
+// carries every class's lanes and yields one per output.
+func (b *activeParty) decryptNodeHist(party int, nh NodeHist) ([]nodeSums, error) {
+	if len(nh.Feats) != b.featCounts[party] {
+		return nil, fmt.Errorf("core: party %d histogram carries %d features, announced %d", party, len(nh.Feats), b.featCounts[party])
+	}
+	classes := make([]nodeSums, 1)
+	if b.vec {
+		classes = make([]nodeSums, b.outputs)
+	}
+	for c := range classes {
+		classes[c] = make(nodeSums, len(nh.Feats))
+	}
+	err := parallelForErr(len(nh.Feats), b.cfg.Workers, func(j int) error {
+		feat, err := b.decryptFeature(nh.Feats[j])
 		if err != nil {
 			return err
 		}
-		for c := 0; c < k; c++ {
-			gSums[c][j], hSums[c][j] = g[c], h[c]
+		for c := range classes {
+			classes[c][j] = feat[c]
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return gSums, hSums, nil
+	return classes, nil
 }
 
-// decryptVecFeatureAllClasses is decryptVecFeature generalized to return
-// every class's bin sums ([class][bin]) from a single decryption of each
-// accumulator ciphertext.
-func (b *activeParty) decryptVecFeatureAllClasses(fh FeatHist) (g, h [][]float64, err error) {
-	if !fh.Vec {
-		return nil, nil, fmt.Errorf("core: passive party sent a scalar histogram on the vectorized root path")
+// decryptFeature decrypts one feature's bins — one decryption per occupied
+// folded bin, packed ciphertext or vectorized accumulator — into exact
+// ⟨g,h⟩ field sums, one featSums per class the ciphertexts carry. The
+// frame's sizes are checked against each other and the session's plan
+// before they size anything.
+func (b *activeParty) decryptFeature(fh FeatHist) ([]featSums, error) {
+	if fh.NumBins < 0 || fh.NumBins > maxWireBins {
+		return nil, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
+	}
+	if fh.Vec {
+		return b.decryptVecFeature(fh)
+	}
+	if len(fh.PackedG) > 0 || len(fh.PackedH) > 0 {
+		return nil, fmt.Errorf("%w: two-ciphertext packed histogram", ErrLegacyLayout)
+	}
+	if b.vec {
+		return nil, fmt.Errorf("core: passive party sent a scalar histogram to a vectorized session")
+	}
+	if fh.Packed {
+		if !b.packing {
+			return nil, fmt.Errorf("core: packed histogram in a session without histogram packing")
+		}
+		fs, err := unpackFeature(b.pairs, b.dec, b.codec.Stats(), fh.Bins, fh.NumBins, b.plan)
+		return []featSums{fs}, err
+	}
+	if len(fh.Bins) != fh.NumBins || len(fh.BinExp) != fh.NumBins {
+		return nil, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))
+	}
+	fs := newFeatSums(fh.NumBins)
+	for k, payload := range fh.Bins {
+		if len(payload) == 0 {
+			continue // empty bin
+		}
+		// The exponent scales the decoded value, so a stray one would
+		// silently skew a split.
+		fs.exp[k] = int(fh.BinExp[k])
+		if fs.exp[k] < b.codec.BaseExp() || fs.exp[k] >= b.codec.BaseExp()+b.codec.ExpSpread() {
+			return nil, fmt.Errorf("core: histogram bin exponent %d outside codec range", fs.exp[k])
+		}
+		ct, err := b.dec.Unmarshal(payload)
+		if err != nil {
+			return nil, err
+		}
+		m, err := b.dec.Decrypt(ct)
+		if err != nil {
+			return nil, err
+		}
+		b.codec.Stats().AddDecryptions(1)
+		fs.g[k], fs.h[k] = b.pairs.Split(he.Signed(b.dec, m))
+	}
+	return []featSums{fs}, nil
+}
+
+// decryptVecFeature recovers one feature's bin sums from the vectorized
+// representation, for every class at once: each entry is a per-(bin,
+// pair-slot) accumulator whose lane pair 2·(slot·k+c) holds class c's
+// ⟨g,h⟩ sums of VecCount instances (for a single-output session exactly
+// lanes 2·slot and 2·slot+1; the other lanes belong to window-mates
+// routed to other bins and are ignored). One decryption per accumulator
+// serves all k classes, and per bin the slot sums combine exactly in the
+// integer domain.
+func (b *activeParty) decryptVecFeature(fh FeatHist) ([]featSums, error) {
+	if !b.vec {
+		return nil, fmt.Errorf("core: passive party sent a vectorized histogram to a scalar session")
 	}
 	if len(fh.VecSlot) != len(fh.VecBin) || len(fh.VecCount) != len(fh.VecBin) || len(fh.VecCts) != len(fh.VecBin) {
-		return nil, nil, fmt.Errorf("core: vectorized feature histogram has mismatched columns (%d/%d/%d/%d)",
+		return nil, fmt.Errorf("core: vectorized feature histogram has mismatched columns (%d/%d/%d/%d)",
 			len(fh.VecBin), len(fh.VecSlot), len(fh.VecCount), len(fh.VecCts))
 	}
-	nk := b.outputs
-	gMan := make([][]*big.Int, nk)
-	hMan := make([][]*big.Int, nk)
-	for c := 0; c < nk; c++ {
-		gMan[c] = make([]*big.Int, fh.NumBins)
-		hMan[c] = make([]*big.Int, fh.NumBins)
+	classes := make([]featSums, b.outputs)
+	for c := range classes {
+		classes[c] = newFeatSums(fh.NumBins)
 	}
 	for idx := range fh.VecBin {
 		bin, slot, count := int(fh.VecBin[idx]), int(fh.VecSlot[idx]), int(fh.VecCount[idx])
 		if bin < 0 || bin >= fh.NumBins {
-			return nil, nil, fmt.Errorf("core: vectorized histogram bin %d out of [0,%d)", bin, fh.NumBins)
+			return nil, fmt.Errorf("core: vectorized histogram bin %d out of [0,%d)", bin, fh.NumBins)
 		}
 		if slot < 0 || slot >= b.ipw {
-			return nil, nil, fmt.Errorf("core: vectorized histogram pair slot %d out of [0,%d)", slot, b.ipw)
+			return nil, fmt.Errorf("core: vectorized histogram pair slot %d out of [0,%d)", slot, b.ipw)
 		}
 		if count <= 0 || count > b.rows {
-			return nil, nil, fmt.Errorf("core: vectorized histogram accumulator claims %d instances of %d", count, b.rows)
+			return nil, fmt.Errorf("core: vectorized histogram accumulator claims %d instances of %d", count, b.rows)
 		}
 		v, err := b.vdec.UnmarshalVec(fh.VecCts[idx])
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		lanes, err := b.vdec.DecryptVec(v)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b.codec.Stats().AddDecryptions(1)
-		for c := 0; c < nk; c++ {
-			li := 2 * (slot*nk + c)
+		for c, fs := range classes {
+			li := 2 * (slot*b.outputs + c)
 			gSum := b.vplan.LaneSumSigned(lanes[li], int64(count))
 			hSum := b.vplan.LaneSumSigned(lanes[li+1], int64(count))
-			if gMan[c][bin] == nil {
-				gMan[c][bin], hMan[c][bin] = gSum, hSum
+			if fs.g[bin] == nil {
+				fs.g[bin], fs.h[bin], fs.exp[bin] = gSum, hSum, b.vplan.Exp
 			} else {
-				gMan[c][bin].Add(gMan[c][bin], gSum)
-				hMan[c][bin].Add(hMan[c][bin], hSum)
+				fs.g[bin].Add(fs.g[bin], gSum)
+				fs.h[bin].Add(fs.h[bin], hSum)
 			}
 		}
 	}
-	g = make([][]float64, nk)
-	h = make([][]float64, nk)
-	for c := 0; c < nk; c++ {
-		g[c] = make([]float64, fh.NumBins)
-		h[c] = make([]float64, fh.NumBins)
-		for bin := 0; bin < fh.NumBins; bin++ {
-			if gMan[c][bin] == nil {
-				continue // empty bin
-			}
-			g[c][bin] = fixedpoint.DecodeSigned(gMan[c][bin], b.vplan.Base, b.vplan.Exp)
-			h[c][bin] = fixedpoint.DecodeSigned(hMan[c][bin], b.vplan.Base, b.vplan.Exp)
-		}
-	}
-	return g, h, nil
-}
-
-// decryptBin decrypts one folded bin sum. The exponent is range-checked:
-// it scales the decoded value, so a stray one would silently skew a split.
-func (b *activeParty) decryptBin(payload []byte, exp int) (g, h float64, err error) {
-	if len(payload) == 0 {
-		return 0, 0, nil // empty bin
-	}
-	if exp < b.codec.BaseExp() || exp >= b.codec.BaseExp()+b.codec.ExpSpread() {
-		return 0, 0, fmt.Errorf("core: histogram bin exponent %d outside codec range", exp)
-	}
-	ct, err := b.dec.Unmarshal(payload)
-	if err != nil {
-		return 0, 0, err
-	}
-	return b.pairs.Decrypt(b.dec, fixedpoint.EncNum{Exp: exp, Ct: ct})
+	return classes, nil
 }
 
 // childStats computes exact child gradient totals from B's plaintext

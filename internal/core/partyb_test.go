@@ -91,11 +91,16 @@ func TestBetterCandidateOrder(t *testing.T) {
 	}
 }
 
-func TestDecryptBinEmptyPayload(t *testing.T) {
+// TestDecryptEmptyBinPayload: empty bins remain legal (zero contribution),
+// so hardening must not reject the protocol's own encoding of one.
+func TestDecryptEmptyBinPayload(t *testing.T) {
 	b := newBareActiveParty(t, 10, 2, 93)
-	g, h, err := b.decryptBin(nil, 8)
-	if err != nil || g != 0 || h != 0 {
-		t.Errorf("empty bin = %g, %g, %v; want 0, 0, nil", g, h, err)
+	fs, err := b.decryptFeature(FeatHist{NumBins: 1, Bins: [][]byte{nil}, BinExp: []int16{8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, h := fs[0].floats(b.codec.Base()); g[0] != 0 || h[0] != 0 || fs[0].g[0] != nil {
+		t.Errorf("empty bin = %g, %g (fields %v); want 0, 0, nil", g[0], h[0], fs[0].g[0])
 	}
 }
 

@@ -35,9 +35,7 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 		for k, nd := range active {
 			best := b.ownBest(ownHists[k], nd)
 			for pi := range b.links {
-				idle := time.Now()
-				c, err := b.passiveCand(pi, t, nd)
-				addDur(&b.stats.bIdleTime, time.Since(idle))
+				c, err := b.passiveBest(pi, t, nd)
 				if err != nil {
 					return nil, nil, err
 				}
@@ -67,7 +65,7 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 						Placement: bits, Count: len(nd.insts),
 					})
 				}
-				next = append(next, b.childNodes(leftID, left, rightID, right)...)
+				next = append(next, b.childNodes(nd.id, leftID, left, rightID, right)...)
 			default:
 				// A passive party owns the split: tell the owner now,
 				// relay the placement to the rest once it arrives.
@@ -111,7 +109,7 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 					return nil, nil, err
 				}
 			}
-			next = append(next, b.childNodes(pa.leftID, left, pa.rightID, right)...)
+			next = append(next, b.childNodes(pa.node.id, pa.leftID, left, pa.rightID, right)...)
 		}
 		active = next
 	}
@@ -165,13 +163,19 @@ func (b *activeParty) recordSplitA(tree *FedTree, nd *bNode, c candidate, leftID
 }
 
 // childNodes wraps fresh child bookkeeping with exact gradient totals.
-func (b *activeParty) childNodes(leftID int32, left []int32, rightID int32, right []int32) []*bNode {
+// Under HistogramSubtraction the passive parties build only the child
+// with fewer instances (passiveParty.childReady applies the same rule to
+// the same lists); the other is marked derived.
+func (b *activeParty) childNodes(parent, leftID int32, left []int32, rightID int32, right []int32) []*bNode {
 	lg, lh := b.childStats(left)
 	rg, rh := b.childStats(right)
-	return []*bNode{
-		{id: leftID, insts: left, g: lg, h: lh},
-		{id: rightID, insts: right, g: rg, h: rh},
+	l := &bNode{id: leftID, insts: left, g: lg, h: lh, parent: parent, sibling: rightID}
+	r := &bNode{id: rightID, insts: right, g: rg, h: rh, parent: parent, sibling: leftID}
+	if b.cfg.HistogramSubtraction {
+		l.derived = len(right) < len(left)
+		r.derived = !l.derived
 	}
+	return []*bNode{l, r}
 }
 
 // allInstances is the root node's instance list, [0, n).

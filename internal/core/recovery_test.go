@@ -64,7 +64,7 @@ func TestChaosTrainingMatchesBaseline(t *testing.T) {
 		Reorder:         0.05,
 		Delay:           0.1,
 		DelayFor:        time.Millisecond,
-		DisconnectAfter: 60,
+		DisconnectAfter: 30,
 	}
 	res := ResilientConfig{
 		RetryInterval: 10 * time.Millisecond,

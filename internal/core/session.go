@@ -46,8 +46,9 @@ type Session struct {
 	// shutdown.
 	wrapped []*ResilientTransport
 
-	// crypto is Party B's cipher-operation counter (encryptions,
-	// decryptions, homomorphic adds), populated by Train.
+	// crypto is the session's cipher-operation counter, populated by
+	// Train: Party B's codec counts, plus the passive parties' homomorphic
+	// operations once training ends.
 	crypto *fixedpoint.Stats
 
 	perTreeTime []time.Duration
@@ -186,9 +187,12 @@ func (s *Session) numParties() int {
 // Stats returns the session's phase and protocol counters.
 func (s *Session) Stats() *Stats { return s.stats }
 
-// Crypto returns Party B's cipher-operation counters (encryptions,
-// decryptions, homomorphic adds), available after Train. Vectorized
-// backends show their ciphertext-count reduction here: one encryption per
+// Crypto returns the session's cipher-operation counters, available after
+// Train: Party B's encryptions and decryptions (the passive parties do
+// neither), and the homomorphic additions, scalar multiplications and
+// exponent scalings of every party — the passive parties' histogram
+// accumulation, finalization and packing included. Vectorized backends
+// show their ciphertext-count reduction here: one encryption per
 // lane-packed window instead of one per instance.
 func (s *Session) Crypto() *fixedpoint.Stats { return s.crypto }
 
@@ -269,9 +273,10 @@ func (s *Session) Train() (*FederatedModel, error) {
 
 	bLinks := make([]*link, numPassive)
 	type result struct {
-		idx int
-		pm  *PartyModel
-		err error
+		idx   int
+		pm    *PartyModel
+		err   error
+		party *passiveParty
 	}
 	results := make(chan result, numPassive)
 
@@ -359,7 +364,7 @@ func (s *Session) Train() (*FederatedModel, error) {
 		}
 		go func(i int) {
 			pm, err := party.run()
-			results <- result{idx: i, pm: pm, err: err}
+			results <- result{idx: i, pm: pm, err: err, party: party}
 		}(i)
 	}
 
@@ -393,6 +398,11 @@ func (s *Session) Train() (*FederatedModel, error) {
 			return nil, r.err
 		}
 		models[r.idx] = r.pm
+		// The party has returned, so its codec is quiescent.
+		ops := r.party.codec.Stats()
+		s.crypto.AddHAdds(ops.HAdds())
+		s.crypto.AddSMuls(ops.SMuls())
+		s.crypto.AddScalings(ops.Scalings())
 	}
 	// Pad passive fragments so every party indexes the full class-tree
 	// count (Trees rounds × k outputs).
@@ -558,11 +568,4 @@ func newDecryptor(cfg Config) (he.Decryptor, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown scheme %q", cfg.Scheme)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

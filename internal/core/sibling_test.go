@@ -1,0 +1,556 @@
+package core
+
+import (
+	"bytes"
+	"crypto/rand"
+	"errors"
+	"fmt"
+	"math/big"
+	"strings"
+	"sync"
+	"testing"
+
+	"vf2boost/internal/dataset"
+	"vf2boost/internal/fixedpoint"
+	"vf2boost/internal/he"
+	"vf2boost/internal/paillier"
+)
+
+// sibKey caches the 512-bit key of the sibling-derivation matrix.
+var (
+	sibKeyOnce sync.Once
+	sibKey     *paillier.PrivateKey
+)
+
+func sibDecryptor(t testing.TB, cfg Config) he.Decryptor {
+	t.Helper()
+	if cfg.Scheme == SchemeMock {
+		dec, err := newDecryptor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	sibKeyOnce.Do(func() {
+		k, err := paillier.GenerateKey(rand.Reader, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sibKey = k
+	})
+	return he.NewPaillierFromKey(sibKey, 0)
+}
+
+// splitTreeSums drives one real passive engine and one real Party B
+// through a hand-made two-level tree and returns B's integer histogram of
+// every node. Root 1 splits into a two-instance node 2 and the rest (3);
+// node 3 splits into every third of its instances (4) and the rest (5).
+// Under HistogramSubtraction nodes 3 and 5 are derived on B — 5 from a
+// parent that was itself derived; without it the passive party builds and
+// ships every node, which is what a derived node must equal.
+func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32]nodeSums {
+	t.Helper()
+	cfg = mustNormalize(t, cfg)
+	ab := chanTransport{ch: make(chan []byte, 1<<12)}
+	ba := chanTransport{ch: make(chan []byte, 1<<12)}
+	a, err := newPassiveParty(0, parts[0], cfg, newLinkPair(ab, ba, nil, true), &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := a.run()
+		aDone <- err
+	}()
+	b, err := newActiveParty(parts[1], cfg, sibDecryptor(t, cfg), []*link{newLinkPair(ba, ab, nil, false)}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.setup(); err != nil {
+		t.Fatal(err)
+	}
+	n := b.rows
+	b.marginsAll = [][]float64{make([]float64, n)}
+	b.gradsAll = [][]float64{make([]float64, n)}
+	b.hessAll = [][]float64{make([]float64, n)}
+	if err := cfg.Objective.GradHess(b.labels, b.marginsAll, b.gradsAll, b.hessAll); err != nil {
+		t.Fatal(err)
+	}
+	b.grads, b.hess = b.gradsAll[0], b.hessAll[0]
+	if err := b.sendGradients(0); err != nil {
+		t.Fatal(err)
+	}
+
+	out := map[int32]nodeSums{}
+	sums := func(nd *bNode) {
+		s, err := b.passiveSums(0, 0, nd)
+		if err != nil {
+			t.Fatalf("node %d: %v", nd.id, err)
+		}
+		out[nd.id] = s
+	}
+	split := func(layer int, nd *bNode, leftID, rightID int32, goesLeft func(k int) bool) []*bNode {
+		bits := make([]bool, len(nd.insts))
+		for k := range bits {
+			bits[k] = goesLeft(k)
+		}
+		bm := packBitmap(bits)
+		err := b.links[0].send(MsgDecisions{Tree: 0, Layer: layer, Nodes: []NodeDecision{{
+			Node: nd.id, Action: ActionSplitB, LeftID: leftID, RightID: rightID, Placement: bm, Count: len(nd.insts)}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		left, right := applyPlacement(nd.insts, bm)
+		return b.childNodes(nd.id, leftID, left, rightID, right)
+	}
+	_, root := b.startTree()
+	sums(root)
+	kids := split(0, root, 2, 3, func(k int) bool { return k < 2 })
+	// The derived node first: B must fetch its sibling out of turn.
+	sums(kids[1])
+	sums(kids[0])
+	grand := split(1, kids[1], 4, 5, func(k int) bool { return k%3 == 0 })
+	sums(grand[0])
+	sums(grand[1])
+	if cfg.HistogramSubtraction != (kids[1].derived && grand[1].derived && !kids[0].derived && !grand[0].derived) {
+		t.Fatalf("derived flags: %v %v %v %v", kids[0].derived, kids[1].derived, grand[0].derived, grand[1].derived)
+	}
+	if err := b.links[0].send(MsgShutdown{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sameSums compares two histograms bin by bin as exact rationals — the
+// fields at a common exponent — and as the floats split finding reads.
+// An empty bin equals a zero one: packed features ship zeros.
+func sameSums(base int, x, y nodeSums) error {
+	if len(x) != len(y) {
+		return fmt.Errorf("%d features vs %d", len(x), len(y))
+	}
+	at := func(v *big.Int, exp, to int) *big.Int {
+		if v == nil {
+			return new(big.Int)
+		}
+		p := new(big.Int).Exp(big.NewInt(int64(base)), big.NewInt(int64(to-exp)), nil)
+		return p.Mul(p, v)
+	}
+	for j := range x {
+		if len(x[j].g) != len(y[j].g) {
+			return fmt.Errorf("feature %d: %d bins vs %d", j, len(x[j].g), len(y[j].g))
+		}
+		xg, xh := x[j].floats(base)
+		yg, yh := y[j].floats(base)
+		for k := range x[j].g {
+			e := max(x[j].exp[k], y[j].exp[k])
+			if at(x[j].g[k], x[j].exp[k], e).Cmp(at(y[j].g[k], y[j].exp[k], e)) != 0 ||
+				at(x[j].h[k], x[j].exp[k], e).Cmp(at(y[j].h[k], y[j].exp[k], e)) != 0 {
+				return fmt.Errorf("feature %d bin %d: ⟨%v,%v⟩@%d vs ⟨%v,%v⟩@%d", j, k,
+					x[j].g[k], x[j].h[k], x[j].exp[k], y[j].g[k], y[j].h[k], y[j].exp[k])
+			}
+			if xg[k] != yg[k] || xh[k] != yh[k] {
+				return fmt.Errorf("feature %d bin %d: floats (%v,%v) vs (%v,%v)", j, k, xg[k], xh[k], yg[k], yh[k])
+			}
+		}
+	}
+	return nil
+}
+
+// TestDerivedSiblingEqualsBuiltSibling: the integers B derives for the
+// larger child of a split are the integers it would have decrypted had the
+// passive party built (or homomorphically subtracted) and shipped that
+// child — over both schemes, every scalar histogram representation, one
+// and several exponents, both accumulation strategies and the vectorized
+// backends.
+func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
+	_, parts := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
+	type shape struct {
+		name   string
+		mutate func(*Config)
+	}
+	shapes := []shape{
+		{"always-packed", func(c *Config) { c.AdaptivePacking = false }},
+		{"adaptive", func(c *Config) {}},
+		{"unpacked", func(c *Config) { c.HistogramPacking, c.AdaptivePacking = false, false }},
+	}
+	var cases []struct {
+		name string
+		cfg  Config
+	}
+	for _, scheme := range []string{SchemeMock, SchemePaillier} {
+		for _, sh := range shapes {
+			for _, spread := range []int{1, 4} {
+				for _, reordered := range []bool{true, false} {
+					cfg := quickConfig(scheme)
+					cfg.KeyBits = 512
+					cfg.ExpSpread, cfg.ReorderedAccumulation = spread, reordered
+					sh.mutate(&cfg)
+					cases = append(cases, struct {
+						name string
+						cfg  Config
+					}{fmt.Sprintf("%s/%s/spread=%d/reordered=%v", scheme, sh.name, spread, reordered), cfg})
+				}
+			}
+		}
+	}
+	for _, backend := range []string{"mock-batched", "paillier-batched"} {
+		cfg := vecQuickConfig(backend)
+		cfg.KeyBits = 512
+		cases = append(cases, struct {
+			name string
+			cfg  Config
+		}{backend, cfg})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			on, off := tc.cfg, tc.cfg
+			on.HistogramSubtraction, off.HistogramSubtraction = true, false
+			derived := splitTreeSums(t, parts, on)
+			built := splitTreeSums(t, parts, off)
+			for id := int32(1); id <= 5; id++ {
+				if err := sameSums(fixedpoint.DefaultBase, derived[id], built[id]); err != nil {
+					t.Errorf("node %d: derived vs built: %v", id, err)
+				}
+			}
+			if strings.Contains(tc.name, "adaptive") {
+				// The premise of the adaptive shape: some feature is packed in
+				// the root (no empty bins on the wire) and unpacked in the
+				// two-instance node 2 derived from it.
+				mixed := false
+				for j, fs := range built[1] {
+					packedRoot, unpackedKid := true, false
+					for k := range fs.g {
+						packedRoot = packedRoot && fs.g[k] != nil
+						unpackedKid = unpackedKid || built[2][j].g[k] == nil
+					}
+					mixed = mixed || (packedRoot && unpackedKid)
+				}
+				if !mixed {
+					t.Error("test premise broken: no feature is packed in the parent and unpacked in the child")
+				}
+			}
+		})
+	}
+}
+
+// TestSiblingDerivationModelParity: whole sessions with and without
+// HistogramSubtraction serialize to the same bytes where the unit matrix
+// above cannot reach — the vectorized backends end to end, multi-class
+// rounds whose class roots arrive ahead of their trees, and the
+// optimistic schedule, where the re-made children of a dirty node derive
+// from the same cached parent its aborted children did.
+func TestSiblingDerivationModelParity(t *testing.T) {
+	_, binary := twoPartyData(t, 400, 10, 2, 0.8, false, 63)
+	_, multi := multiclassParts(t, 240, 6, 3, 41)
+	mc := func(cfg Config) Config {
+		cfg.Objective = mustObjective(t, "multiclass:3")
+		cfg.Trees = 2
+		return cfg
+	}
+	optimistic := quickConfig(SchemeMock)
+	optimistic.AdaptiveOptimism = false
+	vecMC := mc(vecQuickConfig("mock-batched"))
+	vecMC.KeyBits = 1024
+	for _, tc := range []struct {
+		name      string
+		parts     []*dataset.Dataset
+		cfg       Config
+		wantDirty bool
+	}{
+		{"optimistic-dirty", binary, optimistic, true},
+		{"paillier-optimistic", binary, quickConfig(SchemePaillier), false},
+		{"vec-mock", binary, vecQuickConfig("mock-batched"), false},
+		{"vec-paillier", binary, vecQuickConfig("paillier-batched"), false},
+		{"multiclass-scalar", multi, mc(quickConfig(SchemeMock)), false},
+		{"multiclass-vec", multi, vecMC, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var models [2][]byte
+			for i, sub := range []bool{true, false} {
+				cfg := tc.cfg
+				cfg.HistogramSubtraction = sub
+				m, s := trainFed(t, tc.parts, cfg)
+				if tc.wantDirty && s.Stats().DirtyNodes() == 0 {
+					t.Fatal("test premise broken: no dirty nodes")
+				}
+				var buf bytes.Buffer
+				if err := m.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				models[i] = buf.Bytes()
+			}
+			if !bytes.Equal(models[0], models[1]) {
+				t.Error("model with derived siblings differs from the model with built siblings")
+			}
+		})
+	}
+}
+
+// siblingRig is a Party B whose one passive peer is the test: frames go in
+// through the pump's channel, and whatever B tells the peer comes out of
+// sent.
+type siblingRig struct {
+	b    *activeParty
+	sent chanTransport
+}
+
+func newSiblingRig(t *testing.T, subtraction bool) *siblingRig {
+	b := newBareActiveParty(t, 100, 1, 97)
+	b.cfg.HistogramSubtraction = subtraction
+	r := &siblingRig{b: b, sent: chanTransport{ch: make(chan []byte, 16)}}
+	b.links = []*link{{out: r.sent}}
+	b.featCounts, b.offsets = []int{1}, []int32{0}
+	b.pumps = []*pump{{
+		hist: make(chan MsgHistograms, 16), errs: make(chan error, 1),
+		histStore: map[int64]NodeHist{}, sums: map[int64]nodeSums{},
+	}}
+	return r
+}
+
+// bin is one unpacked histogram cell: exact field integers at exponent 8.
+// A nil g is an empty bin.
+type bin struct{ g, h *big.Int }
+
+func ints(g, h int64) bin { return bin{big.NewInt(g), big.NewInt(h)} }
+
+// frame ships one single-feature node histogram of the given cells.
+func (r *siblingRig) frame(t *testing.T, tree int, node, parent, sibling int32, cells ...bin) {
+	t.Helper()
+	b := r.b
+	fh := FeatHist{NumBins: len(cells), Bins: make([][]byte, len(cells)), BinExp: make([]int16, len(cells))}
+	for k, c := range cells {
+		fh.BinExp[k] = 8
+		if c.g == nil {
+			continue
+		}
+		man := new(big.Int).Lsh(c.g, uint(b.pairs.W))
+		man.Add(man, c.h).Mod(man, b.dec.N())
+		ct, err := b.dec.Encrypt(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fh.Bins[k] = b.dec.Marshal(ct)
+	}
+	b.pumps[0].hist <- MsgHistograms{Tree: tree, Layer: 1, Nodes: []NodeHist{{Node: node, Parent: parent, Sibling: sibling, Feats: []FeatHist{fh}}}}
+}
+
+// TestActiveRejectsHostileSiblingFrames is the table of
+// TestActiveRejectsHostileHistograms for the announcing frame: every way a
+// passive party can break the derivation contract ends B's session with
+// the typed error, after B told the party why (MsgAbort) — a version-skewed
+// peer that still ships siblings itself gets ErrLegacySiblings.
+func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
+	root := &bNode{id: rootID}
+	built := &bNode{id: 2, parent: rootID, sibling: 3}
+	derived := &bNode{id: 3, parent: rootID, sibling: 2, derived: true}
+	empty := bin{}
+
+	// The well-formed exchange derives the sibling exactly.
+	r := newSiblingRig(t, true)
+	r.frame(t, 0, rootID, 0, 0, ints(-40, 90), ints(7, 5), empty)
+	r.frame(t, 0, 2, rootID, 3, ints(-30, 20), empty, empty)
+	if _, err := r.b.passiveSums(0, 0, root); err != nil {
+		t.Fatal(err)
+	}
+	s, err := r.b.passiveSums(0, 0, derived)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fs := s[0]; fs.g[0].Int64() != -10 || fs.h[0].Int64() != 70 || fs.g[1].Int64() != 7 || fs.h[1].Int64() != 5 || fs.g[2] != nil {
+		t.Fatalf("derived sibling = %v / %v", fs.g, fs.h)
+	}
+	if len(r.sent.ch) != 0 {
+		t.Fatal("a well-formed derivation sent the peer a frame")
+	}
+
+	w := r.b.pairs.W
+	wide := new(big.Int).Lsh(big.NewInt(3), uint(w-3)) // 0.375·2^W: two of them overflow a field
+	for _, tc := range []struct {
+		name        string
+		subtraction bool
+		frames      func(r *siblingRig)
+		ask         []*bNode // the last one must fail
+		tree        int
+		legacy      bool
+	}{
+		{"child ships unannounced", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, 0, 0, ints(1, 4))
+		}, []*bNode{root, derived}, 0, true},
+		{"unannounced child asked for directly", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, 0, 0, ints(1, 4))
+		}, []*bNode{root, built}, 0, true},
+		{"announcement names another parent", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, 7, 3, ints(1, 4))
+		}, []*bNode{root, derived}, 0, false},
+		{"announcement names another sibling", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, rootID, 9, ints(1, 4))
+		}, []*bNode{root, derived}, 0, false},
+		{"announcement in a session without subtraction", false, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
+		}, []*bNode{root, built}, 0, false},
+		{"root announces a split", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 4, 5, ints(1, 9))
+		}, []*bNode{root}, 0, false},
+		{"parent decrypted for another tree only", true, func(r *siblingRig) {
+			r.frame(t, 1, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
+			if _, err := r.b.passiveSums(0, 1, root); err != nil {
+				t.Fatal(err)
+			}
+		}, []*bNode{derived}, 0, false},
+		{"child announced twice", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
+			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
+			r.frame(t, 0, 2, rootID, 3, ints(0, 1))
+		}, []*bNode{root, derived, {id: 4}}, 0, false},
+		{"bin count differs from the parent's", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9), ints(1, 9))
+			r.frame(t, 0, 2, rootID, 3, ints(1, 4), ints(0, 1), ints(0, 1))
+		}, []*bNode{root, derived}, 0, false},
+		{"mass the parent lacks", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(1, 9), empty)
+			r.frame(t, 0, 2, rootID, 3, ints(1, 4), ints(0, 1))
+		}, []*bNode{root, derived}, 0, false},
+		{"negative derived hessian", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, ints(5, 9))
+			r.frame(t, 0, 2, rootID, 3, ints(1, 10))
+		}, []*bNode{root, derived}, 0, false},
+		{"derived gradient beyond its field", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, bin{wide, big.NewInt(9)})
+			r.frame(t, 0, 2, rootID, 3, bin{new(big.Int).Neg(wide), big.NewInt(4)})
+		}, []*bNode{root, derived}, 0, false},
+		{"derived hessian beyond its field", true, func(r *siblingRig) {
+			r.frame(t, 0, rootID, 0, 0, bin{big.NewInt(1), new(big.Int).Lsh(wide, 1)})
+			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
+		}, []*bNode{root, derived}, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newSiblingRig(t, tc.subtraction)
+			tc.frames(r)
+			var err error
+			for i, nd := range tc.ask {
+				if _, err = r.b.passiveSums(0, tc.tree, nd); err != nil && i < len(tc.ask)-1 {
+					t.Fatalf("node %d: %v", nd.id, err)
+				}
+			}
+			if err == nil {
+				t.Fatal("hostile frame accepted")
+			}
+			if errors.Is(err, ErrLegacySiblings) != tc.legacy || errors.Is(err, ErrSiblingDerivation) == tc.legacy {
+				t.Errorf("error %q: want ErrLegacySiblings=%v, ErrSiblingDerivation=%v", err, tc.legacy, !tc.legacy)
+			}
+			if len(r.sent.ch) != 1 {
+				t.Fatalf("B sent the peer %d frames, want one MsgAbort", len(r.sent.ch))
+			}
+			got, rerr := (&link{in: r.sent}).recv()
+			if ab, ok := got.(MsgAbort); rerr != nil || !ok || ab.Reason != err.Error() {
+				t.Errorf("B sent %#v (%v), want MsgAbort{%q}", got, rerr, err)
+			}
+		})
+	}
+}
+
+// TestPassiveStopsOnActiveAbort: B's abort ends the passive party's
+// session with B's reason instead of leaving it waiting for decisions.
+func TestPassiveStopsOnActiveAbort(t *testing.T) {
+	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 75)
+	in := chanTransport{ch: make(chan []byte, 4)}
+	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), &link{out: discardTransport{}, in: in}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&link{out: in}).send(MsgAbort{Party: 1, Reason: "sibling derivation rejected"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.run(); err == nil || !strings.Contains(err.Error(), "sibling derivation rejected") {
+		t.Fatalf("run returned %v, want B's abort reason", err)
+	}
+}
+
+// failingTransport errors on its n-th Send and works before and after.
+type failingTransport struct {
+	chanTransport
+	mu    sync.Mutex
+	sends int
+	fail  int
+}
+
+var errLinkDown = errors.New("link down")
+
+func (f *failingTransport) Send(b []byte) error {
+	f.mu.Lock()
+	f.sends++
+	n := f.sends
+	f.mu.Unlock()
+	if n == f.fail {
+		return errLinkDown
+	}
+	return f.chanTransport.Send(b)
+}
+
+// TestPassiveReportsLostHistogram: a node histogram the link refuses must
+// fail the session on both sides — the party aborts and run returns the
+// send error — instead of leaving B blocked on a histogram that is gone
+// while the party carries on.
+func TestPassiveReportsLostHistogram(t *testing.T) {
+	const rows = 40
+	_, parts := twoPartyData(t, rows, 2, 2, 1, true, 76)
+	cfg := mustNormalize(t, quickConfig(SchemeMock))
+	in := chanTransport{ch: make(chan []byte, 16)}
+	// Sends: MsgReady, MsgResume, the root histogram, then node 2's.
+	out := &failingTransport{chanTransport: chanTransport{ch: make(chan []byte, 16)}, fail: 4}
+	p, err := newPassiveParty(0, parts[0], cfg, &link{out: out, in: in}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := he.NewMock(512)
+	codec := fixedpoint.NewCodec(dec, fixedpoint.WithExponents(cfg.BaseExp, cfg.ExpSpread))
+	pairs, err := codec.PlanPairs(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grads := MsgPairBatch{Cts: make([][]byte, rows), Exp: make([]int16, rows), Last: true}
+	for i := range grads.Cts {
+		e, err := pairs.Encrypt(0.25, 0.25, cfg.BaseExp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grads.Cts[i], grads.Exp[i] = dec.Marshal(e.Ct), int16(e.Exp)
+	}
+	bits := make([]bool, rows)
+	for k := range bits {
+		bits[k] = k < 10
+	}
+	sender := &link{out: in}
+	for _, m := range []any{
+		MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W},
+		grads,
+		MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: packBitmap(bits), Count: rows}}},
+		MsgTreeDone{},
+		MsgShutdown{},
+	} {
+		if err := sender.send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.run(); !errors.Is(err, errLinkDown) {
+		t.Fatalf("run returned %v, want the histogram's send error", err)
+	}
+	var last any
+	for len(out.ch) > 0 {
+		if last, err = (&link{in: out.chanTransport}).recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ab, ok := last.(MsgAbort); !ok || !strings.Contains(ab.Reason, errLinkDown.Error()) {
+		t.Errorf("last frame sent = %#v, want the MsgAbort naming the lost histogram", last)
+	}
+}

@@ -16,7 +16,8 @@ type Stats struct {
 	encryptTime   atomic.Int64 // ns Party B spent encrypting gradients
 	decryptTime   atomic.Int64 // ns Party B spent decrypting histograms
 	findSplitTime atomic.Int64 // ns Party B spent on split finding
-	buildHistTime atomic.Int64 // ns passive parties spent building histograms
+	buildHistTime atomic.Int64 // ns passive parties spent accumulating histograms
+	packTime      atomic.Int64 // ns passive parties spent finalizing and packing them
 	bIdleTime     atomic.Int64 // ns Party B spent waiting for histograms
 	aIdleTime     atomic.Int64 // ns passive parties spent waiting
 
@@ -40,6 +41,11 @@ func (s *Stats) FindSplitTime() time.Duration { return time.Duration(s.findSplit
 
 // BuildHistTime is the passive parties' cumulative histogram-build time.
 func (s *Stats) BuildHistTime() time.Duration { return time.Duration(s.buildHistTime.Load()) }
+
+// PackTime is the passive parties' cumulative wall time finalizing and
+// packing accumulated histograms for the wire (per-bin exponent merge,
+// shifted prefix sums, Codec.Pack), summed over nodes.
+func (s *Stats) PackTime() time.Duration { return time.Duration(s.packTime.Load()) }
 
 // BIdleTime is Party B's cumulative time blocked on passive histograms.
 func (s *Stats) BIdleTime() time.Duration { return time.Duration(s.bIdleTime.Load()) }
@@ -81,7 +87,7 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "phase breakdown:\n")
 	fmt.Fprintf(&b, "  B: encrypt %-10s decrypt %-10s find-split %-10s idle %s\n",
 		r(s.EncryptTime()), r(s.DecryptTime()), r(s.FindSplitTime()), r(s.BIdleTime()))
-	fmt.Fprintf(&b, "  A: build-hist %-10s idle %s\n", r(s.BuildHistTime()), r(s.AIdleTime()))
+	fmt.Fprintf(&b, "  A: build-hist %-10s pack %-10s idle %s\n", r(s.BuildHistTime()), r(s.PackTime()), r(s.AIdleTime()))
 	fmt.Fprintf(&b, "  splits: A %d / B %d (B ratio %.1f%%); dirty %d; aborted tasks %d; trees %d",
 		s.SplitsByA(), s.SplitsByB(), 100*s.RatioSplitsB(),
 		s.DirtyNodes(), s.AbortedTasks(), s.TreesFinished())

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
 
-// TestHistogramSubtractionEquivalence: deriving the larger sibling's bins
-// as parent - child must produce exactly the same model as building both
-// children (modular arithmetic is exact).
+// TestHistogramSubtractionEquivalence: deriving the larger sibling's
+// histogram as parent − child on Party B must produce byte for byte the
+// model that building both children does (integer arithmetic is exact,
+// and a power of the encoding base never changes a decoded float).
 func TestHistogramSubtractionEquivalence(t *testing.T) {
 	_, parts := twoPartyData(t, 500, 8, 5, 0.6, false, 61)
 	off := quickConfig(SchemeMock)
@@ -17,20 +19,15 @@ func TestHistogramSubtractionEquivalence(t *testing.T) {
 	on := off
 	on.HistogramSubtraction = true
 
-	mOff, _ := trainFed(t, parts, off)
-	mOn, _ := trainFed(t, parts, on)
-	a, err := mOff.PredictAll(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mOn.PredictAll(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-9 {
-			t.Fatalf("histogram subtraction changed the model at row %d: %g vs %g", i, a[i], b[i])
+	var models [2]bytes.Buffer
+	for i, cfg := range []Config{off, on} {
+		m, _ := trainFed(t, parts, cfg)
+		if err := m.Save(&models[i]); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !bytes.Equal(models[0].Bytes(), models[1].Bytes()) {
+		t.Fatal("histogram subtraction changed the model bytes")
 	}
 }
 
@@ -67,8 +64,8 @@ func TestHistogramSubtractionWorksUnderPaillier(t *testing.T) {
 }
 
 // TestHistogramSubtractionWithOptimisticDirty: dirty-node redo must
-// compose with the pair tasks (both children covered by one task, both
-// aborted together).
+// compose with derivation (the aborted pair's one task stops, and the
+// re-made children derive from the parent B still holds).
 func TestHistogramSubtractionWithOptimisticDirty(t *testing.T) {
 	_, parts := twoPartyData(t, 500, 14, 2, 1, true, 63)
 	seq := quickConfig(SchemeMock)

@@ -53,7 +53,7 @@ func TestVecMockExactParity(t *testing.T) {
 }
 
 // TestVecBackendMatrix sweeps the protocol features that interact with
-// the vectorized layout: sibling subtraction (cell-wise SubVec) and the
+// the vectorized layout: sibling derivation (per-bin lane sums on B) and the
 // optimistic schedule (aborted vec tasks). Every combination must produce
 // the same model.
 func TestVecBackendMatrix(t *testing.T) {

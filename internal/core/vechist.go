@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"vf2boost/internal/fixedpoint"
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
@@ -86,44 +84,6 @@ func (vh *vecHist) merge(o *vecHist) {
 		}
 		vh.counts[idx] += o.counts[idx]
 	}
-}
-
-// subtractVecHist derives the sibling accumulators as parent − child cell
-// by cell. A child accumulated a subset of its parent's instances, so
-// every parent cell dominates the matching child cell lane-wise; a child
-// cell with mass its parent lacks is corrupt or hostile input. Untouched
-// parent cells are shared by reference — finalized histograms are
-// read-only from here on, matching the scalar subtractBins aliasing.
-func subtractVecHist(parent, child *vecHist) (*vecHist, error) {
-	out := &vecHist{
-		codec:   parent.codec,
-		backend: parent.backend,
-		offsets: parent.offsets,
-		pairs:   parent.pairs,
-		cts:     make([]he.VecCiphertext, len(parent.cts)),
-		counts:  make([]int32, len(parent.counts)),
-	}
-	for idx := range parent.cts {
-		pc, cc := parent.counts[idx], child.counts[idx]
-		switch {
-		case pc == 0 && cc == 0:
-			// stays empty
-		case pc == 0 || cc > pc:
-			return nil, fmt.Errorf("core: child histogram has mass in accumulator %d its parent lacks", idx)
-		case cc == 0:
-			out.cts[idx] = parent.cts[idx]
-			out.counts[idx] = pc
-		default:
-			diff, err := parent.backend.SubVec(parent.cts[idx], child.cts[idx])
-			if err != nil {
-				return nil, fmt.Errorf("core: subtracting accumulator %d: %w", idx, err)
-			}
-			out.cts[idx] = diff
-			out.counts[idx] = pc - cc
-			parent.codec.Stats().AddHAdds(1)
-		}
-	}
-	return out, nil
 }
 
 // wireFeat serializes one feature's occupied accumulators into the

@@ -75,6 +75,14 @@ const (
 	idPairBatch    uint16 = 29
 	idHistogramsV3 uint16 = 30
 	idSetupV5      uint16 = 31
+	// idHistogramsV4 is the announcing histogram frame: every node names
+	// the split it is the shipped child of (Parent, Sibling) so Party B
+	// derives the sibling in plaintext, and every feature carries the
+	// folded columns followed by the vectorized ones, whichever it uses.
+	// Frames that announce nothing keep idHistogramsV3/idHistogramsV2. A
+	// Party B from before plaintext derivation cannot decode this ID, so
+	// it fails fast instead of waiting for a sibling that never ships.
+	idHistogramsV4 uint16 = 32
 )
 
 // All ends of a deployment ship the same binary, so only the current
@@ -94,6 +102,7 @@ func init() {
 	wire.Register(idHistograms, "MsgHistogramsV1", decodeAs(idHistograms, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV2, "MsgHistogramsV2", decodeAs(idHistogramsV2, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV3, "MsgHistograms", decodeAs(idHistogramsV3, (*MsgHistograms).decodeFrom))
+	wire.Register(idHistogramsV4, "MsgHistogramsV4", decodeAs(idHistogramsV4, (*MsgHistograms).decodeFrom))
 	wire.Register(idDecisions, "MsgDecisions", decodeMsg[MsgDecisions])
 	wire.Register(idDirty, "MsgDirty", decodeMsg[MsgDirty])
 	wire.Register(idPlacement, "MsgPlacement", decodeMsg[MsgPlacement])
@@ -306,23 +315,33 @@ func (m *MsgGradBatch) decodeFrom(body []byte, id uint16) error {
 
 // --- MsgHistograms -----------------------------------------------------
 
-// WireID picks the frame by representation: folded histograms (the only
-// scalar form an engine produces) under idHistogramsV3, vectorized ones
-// under idHistogramsV2, and a message populating the retired
+// WireID picks the frame: a message announcing a sibling takes
+// idHistogramsV4 in either representation (as does one mixing the two,
+// which only that frame can carry); otherwise folded histograms (the only
+// scalar form an engine produces) go under idHistogramsV3, vectorized
+// ones under idHistogramsV2, and a message populating the retired
 // two-ciphertext fields under idHistograms.
 func (m MsgHistograms) WireID() uint16 {
-	id := idHistogramsV3
+	var vec, folded, retired bool
 	for _, n := range m.Nodes {
+		if n.Parent != 0 || n.Sibling != 0 {
+			return idHistogramsV4
+		}
 		for _, f := range n.Feats {
-			if f.Vec || len(f.VecBin) > 0 || len(f.VecSlot) > 0 || len(f.VecCount) > 0 || len(f.VecCts) > 0 {
-				return idHistogramsV2
-			}
-			if len(f.PackedG) > 0 || len(f.PackedH) > 0 || f.Exp != 0 {
-				id = idHistograms
-			}
+			vec = vec || f.Vec || len(f.VecBin) > 0 || len(f.VecSlot) > 0 || len(f.VecCount) > 0 || len(f.VecCts) > 0
+			folded = folded || len(f.Bins) > 0 || len(f.BinExp) > 0
+			retired = retired || len(f.PackedG) > 0 || len(f.PackedH) > 0 || f.Exp != 0
 		}
 	}
-	return id
+	switch {
+	case vec && folded:
+		return idHistogramsV4
+	case vec:
+		return idHistogramsV2
+	case retired:
+		return idHistograms
+	}
+	return idHistogramsV3
 }
 
 func (m MsgHistograms) AppendTo(b []byte) []byte {
@@ -332,13 +351,20 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Nodes)))
 	for _, n := range m.Nodes {
 		b = wire.AppendInt32(b, n.Node)
+		if id == idHistogramsV4 {
+			b = wire.AppendInt32(b, n.Parent)
+			b = wire.AppendInt32(b, n.Sibling)
+		}
 		b = wire.AppendUvarint(b, uint64(len(n.Feats)))
 		for _, f := range n.Feats {
 			b = wire.AppendInt(b, f.NumBins)
-			if id == idHistogramsV3 {
+			if id == idHistogramsV3 || id == idHistogramsV4 {
 				b = wire.AppendByteSlices(b, f.Bins)
 				b = wire.AppendInt16s(b, f.BinExp)
 				b = wire.AppendBool(b, f.Packed)
+				if id == idHistogramsV4 {
+					b = appendVecFeat(b, f)
+				}
 				continue
 			}
 			// The pre-fold layouts open with the per-bin G/H ciphertext and
@@ -352,15 +378,29 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 			b = wire.AppendByteSlices(b, f.PackedH)
 			b = wire.AppendInt16(b, f.Exp)
 			if id == idHistogramsV2 {
-				b = wire.AppendBool(b, f.Vec)
-				b = wire.AppendInt32s(b, f.VecBin)
-				b = wire.AppendInt32s(b, f.VecSlot)
-				b = wire.AppendInt32s(b, f.VecCount)
-				b = wire.AppendByteSlices(b, f.VecCts)
+				b = appendVecFeat(b, f)
 			}
 		}
 	}
 	return b
+}
+
+// appendVecFeat and decodeVecFeat are the vectorized columns of a
+// FeatHist, shared by idHistogramsV2 and idHistogramsV4.
+func appendVecFeat(b []byte, f FeatHist) []byte {
+	b = wire.AppendBool(b, f.Vec)
+	b = wire.AppendInt32s(b, f.VecBin)
+	b = wire.AppendInt32s(b, f.VecSlot)
+	b = wire.AppendInt32s(b, f.VecCount)
+	return wire.AppendByteSlices(b, f.VecCts)
+}
+
+func decodeVecFeat(d *wire.Dec, f *FeatHist) {
+	f.Vec = d.Bool()
+	f.VecBin = d.Int32s()
+	f.VecSlot = d.Int32s()
+	f.VecCount = d.Int32s()
+	f.VecCts = d.ByteSlices()
 }
 
 func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
@@ -369,12 +409,18 @@ func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 	m.Layer = d.Int()
 	m.Nodes = decodeSeq(d, func(d *wire.Dec) NodeHist {
 		n := NodeHist{Node: d.Int32()}
+		if id == idHistogramsV4 {
+			n.Parent, n.Sibling = d.Int32(), d.Int32()
+		}
 		n.Feats = decodeSeq(d, func(d *wire.Dec) FeatHist {
 			f := FeatHist{NumBins: d.Int()}
-			if id == idHistogramsV3 {
+			if id == idHistogramsV3 || id == idHistogramsV4 {
 				f.Bins = d.ByteSlices()
 				f.BinExp = d.Int16s()
 				f.Packed = d.Bool()
+				if id == idHistogramsV4 {
+					decodeVecFeat(d, &f)
+				}
 				return f
 			}
 			d.ByteSlices()
@@ -386,11 +432,7 @@ func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 			f.PackedH = d.ByteSlices()
 			f.Exp = d.Int16()
 			if id == idHistogramsV2 {
-				f.Vec = d.Bool()
-				f.VecBin = d.Int32s()
-				f.VecSlot = d.Int32s()
-				f.VecCount = d.Int32s()
-				f.VecCts = d.ByteSlices()
+				decodeVecFeat(d, &f)
 			}
 			return f
 		})

@@ -42,6 +42,15 @@ func sampleMessages() []any {
 				{NumBins: 2, Vec: true},
 			}},
 		}},
+		// The announcing frame (id 32): the shipped child names the sibling
+		// Party B derives, in the folded and the vectorized representation.
+		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Feats: []FeatHist{
+			{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}},
+			{NumBins: 6, Packed: true, Bins: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}},
+		}}}},
+		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Feats: []FeatHist{
+			{NumBins: 5, Vec: true, VecBin: []int32{0, 4}, VecSlot: []int32{3, 1}, VecCount: []int32{2, 19}, VecCts: [][]byte{{3, 4}, {5, 6}}},
+		}}}},
 		MsgDecisions{Tree: 2, Layer: 1, Tentative: true, Nodes: []NodeDecision{
 			{Node: 1, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: []byte{0b1010}, Count: 4},
 			{Node: 4, Action: ActionSplitA, LeftID: 5, RightID: 6, Owner: 1, Feature: 7, Bin: 3, AbortLeft: 8, AbortRight: 9},

@@ -3,7 +3,8 @@
 # primitive benchmarks (Enc, Dec, HAdd, SMul, obfuscator generation
 # baseline vs fixed-base vs the key owner's CRT path, owner-vs-public
 # Encrypt), the paper's Fig. 7 histogram-accumulation
-# benches, and the online-scoring BenchmarkScoreBatch, then pipes the lot
+# benches, the passive party's finalize+pack on 1/2/4 workers, and the
+# online-scoring BenchmarkScoreBatch, then pipes the lot
 # through cmd/benchfmt into a committed JSON baseline.
 #
 # Usage: scripts/bench.sh [-short] [-out FILE]
@@ -28,12 +29,14 @@ done
 
 if [ "$short" -eq 1 ]; then
   benchtime="20x"
+  pack_benchtime="2x"
   # Small moduli only: 2048-bit keygen alone takes longer than the whole
   # smoke budget.
   obf_filter='Benchmark(Obfuscator(Baseline|FixedBase)|OwnerObfuscator)/bits=(256|512)$|BenchmarkEncryptOwnerVsPublic/.*/bits=512$'
   prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$|BenchmarkHAdd$|BenchmarkSMul$'
 else
   benchtime="1s"
+  pack_benchtime="10x"
   obf_filter='BenchmarkObfuscator(Baseline|FixedBase)|BenchmarkOwner(Obfuscator|TableBuild)|BenchmarkEncryptOwnerVsPublic'
   prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$|BenchmarkHAdd$|BenchmarkSMul$'
   [ -n "$out" ] || out="BENCH_crypto.json"
@@ -50,6 +53,11 @@ go test -run '^$' -bench "$obf_filter" -benchtime "$benchtime" -timeout 30m ./in
 
 echo "== histogram accumulation (Fig. 7) ==" >&2
 go test -run '^$' -bench 'BenchmarkFig7' -benchtime "$benchtime" . | tee -a "$tmp" >&2
+
+echo "== node histogram finalize+pack: 2048-bit, 10 features x 20 bins, 1/2/4 workers ==" >&2
+# A fixed iteration count: one op is ~0.2 s, and the smoke leg only needs
+# the pack_parallel_speedup rows to derive.
+go test -run '^$' -bench 'BenchmarkWireNodeHist' -benchtime "$pack_benchtime" ./internal/core | tee -a "$tmp" >&2
 
 echo "== online scoring ==" >&2
 go test -run '^$' -bench 'BenchmarkScoreBatch' -benchtime "$benchtime" . | tee -a "$tmp" >&2
