@@ -167,8 +167,12 @@ func stripProcSuffix(name string) string {
 //     class tree, binary reference versus a k-class round: a k-class
 //     round ships one shared encrypted pass and root decode, so the
 //     ratio must exceed 1 (sub-linear cipher cost in k).
-//   - pack_parallel_speedup/workers=N — finalizing and packing one node
-//     histogram on one worker versus on N (bounded by the host's cpus).
+//   - pack_parallel_speedup/workers=N — finalizing and packing one full
+//     node histogram on one worker versus on N (bounded by the host's
+//     cpus); pack_two_node_speedup/workers=N is the same for a large and
+//     a small node wired at once.
+//   - pack_fill/occ=N — histogram slots per packed ciphertext with N % of
+//     the node's bins occupied.
 func deriveSpeedups(benches []Benchmark) map[string]float64 {
 	const (
 		basePrefix = "BenchmarkObfuscatorBaseline/"
@@ -232,15 +236,20 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 	}
 
 	const packPrefix = "BenchmarkWireNodeHist/bits=2048/"
-	packNs := map[string]float64{}
+	packNs := map[string]float64{} // "shape/workers=N" -> ns/op
 	for _, b := range benches {
 		if s, ok := strings.CutPrefix(b.Name, packPrefix); ok && b.NsPerOp > 0 {
 			packNs[s] = b.NsPerOp
+			if occ, ok := strings.CutSuffix(s, "/workers=1"); ok && strings.HasPrefix(occ, "occ=") {
+				derived["pack_fill/"+occ] = b.Metrics["slots/ct"]
+			}
 		}
 	}
-	for workers, ns := range packNs {
-		if one := packNs["workers=1"]; one > 0 && workers != "workers=1" {
-			derived["pack_parallel_speedup/"+workers] = one / ns
+	speedupOf := map[string]string{"occ=100": "pack_parallel_speedup/", "two-node": "pack_two_node_speedup/"}
+	for key, ns := range packNs {
+		shape, workers, _ := strings.Cut(key, "/")
+		if one := packNs[shape+"/workers=1"]; speedupOf[shape] != "" && one > 0 && workers != "workers=1" {
+			derived[speedupOf[shape]+workers] = one / ns
 		}
 	}
 

@@ -491,10 +491,10 @@ func cmdSim(args []string) {
 		ll, _ := metrics.LogLoss(margins, trainLabels)
 		fmt.Printf("  train AUC %.4f, logloss %.4f\n", auc, ll)
 	}
-	fmt.Printf("  encrypt %v, decrypt %v, build-hist %v, pack %v, idle(B) %v\n",
+	fmt.Printf("  encrypt %v, decrypt %v, build-hist %v, pack %v (%.1f slots/ct), idle(B) %v\n",
 		st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
 		st.BuildHistTime().Round(time.Millisecond), st.PackTime().Round(time.Millisecond),
-		st.BIdleTime().Round(time.Millisecond))
+		st.PackFill(), st.BIdleTime().Round(time.Millisecond))
 	fmt.Printf("  splits: passive %d, B %d; dirty %d; traffic %.1f MiB\n",
 		st.SplitsByA(), st.SplitsByB(), st.DirtyNodes(),
 		float64(sess.Broker().BytesSent())/(1<<20))

@@ -3,6 +3,9 @@ package core
 import (
 	"math"
 	"testing"
+
+	"vf2boost/internal/fixedpoint"
+	"vf2boost/internal/gbdt"
 )
 
 // TestAdaptiveOptimismBacksOff: with a feature-rich passive party the
@@ -71,22 +74,66 @@ func TestAdaptivePackingEquivalence(t *testing.T) {
 	}
 }
 
-// TestAdaptivePackingReducesDecryptionsOnSparse: on very sparse data the
-// adaptive rule must ship mostly-empty features unpacked, cutting Party
-// B's decryption count below the always-pack configuration.
+// TestAdaptivePackingReducesDecryptionsOnSparse: Party B decrypts exactly
+// the ciphertexts the chunk rule yields — for the bins with mass under the
+// occupancy mask, for every bin without it. A root's count follows from
+// the data alone; below it, where sparse data leaves most bins of a small
+// node empty, the mask must cut both the slots and the decryptions.
 func TestAdaptivePackingReducesDecryptionsOnSparse(t *testing.T) {
-	_, parts := twoPartyData(t, 300, 30, 4, 0.05, false, 43)
-	always := quickConfig(SchemePaillier)
-	always.Trees = 1
-	always.HistogramPacking = true
-	always.AdaptivePacking = false
-	adaptive := always
-	adaptive.AdaptivePacking = true
+	const rows = 300
+	_, parts := twoPartyData(t, rows, 30, 4, 0.05, false, 43)
+	cfg := quickConfig(SchemePaillier)
+	cfg.Trees, cfg.OptimisticSplit = 1, false // every shipped node is decrypted
 
-	_, sAlways := trainFed(t, parts, always)
-	_, sAdaptive := trainFed(t, parts, adaptive)
-	da, db := sAlways.Stats().DecryptTime(), sAdaptive.Stats().DecryptTime()
-	if db >= da {
-		t.Logf("decrypt time always=%v adaptive=%v (timing-based, informational)", da, db)
+	mapper, err := gbdt.NewBinMapper(parts[0], cfg.MaxBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := gbdt.NewBinnedMatrix(parts[0], mapper)
+	seen := map[[2]int32]bool{}
+	for i := 0; i < rows; i++ {
+		cols, bins, err := bm.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, j := range cols {
+			seen[[2]int32{j, int32(bins[k])}] = true
+		}
+	}
+	total := 0
+	for j := range mapper.Cuts {
+		total += mapper.NumBins(j)
+	}
+	codec := fixedpoint.NewCodec(testDecryptor(t), fixedpoint.WithExponents(cfg.BaseExp, cfg.ExpSpread))
+	pairs, err := codec.PlanPairs(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planPacking(codec, pairs.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slots, decryptions [2]int64
+	for i, adaptive := range []bool{true, false} {
+		cfg.AdaptivePacking = adaptive
+		rootSlots := total
+		if adaptive {
+			rootSlots = len(seen)
+		}
+		cfg.MaxDepth = 1 // the root is the one histogram of the session
+		_, s := trainFed(t, parts, cfg)
+		if got, want := s.Crypto().Decryptions(), int64(plan.chunks(rootSlots)); got != want {
+			t.Errorf("AdaptivePacking=%v: %d decryptions for a root of %d slots at %d per ciphertext, want %d", adaptive, got, rootSlots, plan.capacity, want)
+		}
+		cfg.MaxDepth = 3
+		_, s = trainFed(t, parts, cfg)
+		st := s.Stats()
+		slots[i], decryptions[i] = st.packedSlots.Load(), s.Crypto().Decryptions()
+		if decryptions[i] != st.packedCts.Load() || st.PackFill() > float64(plan.capacity) {
+			t.Errorf("AdaptivePacking=%v: %d decryptions of %d shipped ciphertexts, %.2f slots each", adaptive, decryptions[i], st.packedCts.Load(), st.PackFill())
+		}
+	}
+	if slots[0] >= slots[1]/2 || decryptions[0] >= decryptions[1] {
+		t.Errorf("occupancy mask: %d slots in %d ciphertexts; all bins: %d in %d", slots[0], decryptions[0], slots[1], decryptions[1])
 	}
 }

@@ -29,8 +29,8 @@
 //     own best splits and runs ahead; passive histograms validate the
 //     tentative layer, and "dirty" nodes (where a passive party had the
 //     better split) are rolled back and re-done;
-//   - HistogramPacking (Section 5.2): shifted prefix-sum bins are packed
-//     t-per-ciphertext so decryption and transfer shrink by t×.
+//   - HistogramPacking (Section 5.2): a node's shifted prefix-sum bins are
+//     packed t-per-ciphertext so decryption and transfer shrink by t×.
 //
 // Split semantics are shared with internal/gbdt (missing/absent values
 // route left; candidate k sends stored bins <= k left), and the best-split
@@ -108,12 +108,12 @@ type Config struct {
 	OptimisticSplit       bool
 	HistogramPacking      bool
 
-	// AdaptivePacking extends HistogramPacking: each feature is packed
-	// only when packing reduces Party B's decryptions — sparse features
-	// whose occupied bins already undercut the packed ciphertext count
-	// ship unpacked. This goes beyond the paper, whose dense regime
-	// always favors packing; it keeps packing a strict win at small
-	// scale. Ignored unless HistogramPacking is set.
+	// AdaptivePacking selects which bins of a packed node get a slot:
+	// true, only the bins holding an instance (named in a per-feature
+	// bitmap, which tells Party B nothing its decryption does not); false,
+	// every bin, the paper's layout. Either way the node's slots fill one
+	// ciphertext before the next starts, across feature boundaries, and the
+	// model bytes are the same. Ignored unless HistogramPacking is set.
 	AdaptivePacking bool
 	// AdaptiveOptimism extends OptimisticSplit along the lines of the
 	// paper's future-work note on dirty-node cost: when the previous

@@ -17,8 +17,8 @@ import (
 //   - naive: one accumulator per bin; a ciphertext whose exponent differs
 //     from the accumulator's triggers a scaling (SMul) on every addition;
 //   - re-ordered: one workspace row per exponent value, so every addition
-//     is a plain HAdd; finalizeRange merges the E rows with at most E-1
-//     scalings per occupied bin.
+//     is a plain HAdd; mergeBin folds the E rows with at most E-1 scalings
+//     per occupied bin.
 type EncHistogram struct {
 	codec   *fixedpoint.Codec
 	offsets []int
@@ -123,37 +123,31 @@ func (eh *EncHistogram) Merge(o *EncHistogram) {
 	}
 }
 
-// finalizeRange resolves the accumulation of bins [lo, hi) into one EncNum
-// per bin. Empty bins keep a nil ciphertext (serialized as an empty
-// payload on the wire). Bins share no state, so disjoint ranges — one
-// feature each when a node is wired — finalize concurrently.
-func (eh *EncHistogram) finalizeRange(lo, hi int) []fixedpoint.EncNum {
+// mergeBin resolves one bin's accumulation to a single ciphertext at
+// exponent toExp, or at the bin's highest occupied exponent when that is
+// higher (toExp 0: the unpacked wire form). An empty bin stays nil. The
+// workspace rows fold from the lowest up — scale the running sum to the
+// next occupied row, add the row — so every occupied row below the result
+// costs one scaling by a small scalar. Bins share no state and finalize
+// concurrently; merging consumes the bin's accumulators.
+func (eh *EncHistogram) mergeBin(idx, toExp int) fixedpoint.EncNum {
+	var acc fixedpoint.EncNum
 	if !eh.reordered {
-		return append([]fixedpoint.EncNum(nil), eh.acc[lo:hi]...)
+		acc = eh.acc[idx]
 	}
-	bins := make([]fixedpoint.EncNum, hi-lo)
-	for k := range bins {
-		bins[k] = eh.mergeBin(lo + k)
-	}
-	return bins
-}
-
-// mergeBin combines the per-exponent workspaces of one bin, scaling lower
-// rows up to the highest occupied exponent (at most E-1 scalings).
-func (eh *EncHistogram) mergeBin(idx int) fixedpoint.EncNum {
-	acc := fixedpoint.EncNum{}
-	for row := len(eh.slots) - 1; row >= 0; row-- {
-		if eh.slots[row] == nil || eh.slots[row][idx] == nil {
+	for row, ws := range eh.slots {
+		if ws == nil || ws[idx] == nil {
 			continue
 		}
-		cur := fixedpoint.EncNum{Exp: eh.codec.BaseExp() + row, Ct: eh.slots[row][idx]}
-		if acc.Ct == nil {
-			acc = cur
-			continue
+		cur := fixedpoint.EncNum{Exp: eh.codec.BaseExp() + row, Ct: ws[idx]}
+		if acc.Ct != nil {
+			cur.Ct = eh.codec.Scheme().AddInto(eh.codec.ScaleEnc(acc, cur.Exp).Ct, cur.Ct)
+			eh.codec.Stats().AddHAdds(1)
 		}
-		scaled := eh.codec.ScaleEnc(cur, acc.Exp)
-		acc.Ct = eh.codec.Scheme().AddInto(acc.Ct, scaled.Ct)
-		eh.codec.Stats().AddHAdds(1)
+		acc = cur
+	}
+	if acc.Ct != nil && acc.Exp < toExp {
+		acc = eh.codec.ScaleEnc(acc, toExp)
 	}
 	return acc
 }
@@ -192,80 +186,44 @@ func planPacking(codec *fixedpoint.Codec, w int) (packPlan, error) {
 	}, nil
 }
 
-// packedCts is how many ciphertexts a packed feature of numBins bins
-// ships.
-func (p packPlan) packedCts(numBins int) int {
-	return (numBins + p.capacity - 1) / p.capacity
+// chunks is how many ciphertexts a node of the given slot count ships.
+func (p packPlan) chunks(slots int) int {
+	return (slots + p.capacity - 1) / p.capacity
 }
 
-// shiftedPrefixes turns one feature's finalized bins into the shifted
-// prefix sums histogram packing ships: prefix_0 = bin_0 + shift,
-// prefix_k = prefix_{k-1} + bin_k, all at plan.exp. shiftCt must encrypt
-// plan.shift. Empty bins contribute nothing (they are zero).
-func shiftedPrefixes(codec *fixedpoint.Codec, bins []fixedpoint.EncNum, shiftCt he.Ciphertext, plan packPlan) ([]he.Ciphertext, error) {
-	s := codec.Scheme()
-	prefixes := make([]he.Ciphertext, len(bins))
+// chunk is the slot range [lo, hi) of a node's c-th ciphertext: the slots
+// are cut into chunks(slots) runs whose lengths differ by at most one,
+// longer runs first — a pure function of (slots, capacity) both parties
+// evaluate, and the unit of work of both.
+func (p packPlan) chunk(slots, c int) (lo, hi int) {
+	n := p.chunks(slots)
+	size, long := slots/n, slots%n
+	lo = c*size + min(c, long)
+	if c < long {
+		size++
+	}
+	return lo, lo + size
+}
+
+// packedFeature resolves bins [lo, hi) of one feature into the slots the
+// node layout ships for it — the shifted prefix sums of its slotted bins,
+// prefix_0 = bin_0 + shift and prefix_k = prefix_{k-1} + bin_k, all at
+// plan.exp — and the bitmap naming those bins. With occupiedOnly an empty
+// bin gets no slot (it would repeat the previous prefix); without it every
+// bin does, the paper's layout. shiftCt must encrypt plan.shift.
+func (eh *EncHistogram) packedFeature(lo, hi int, occupiedOnly bool, shiftCt he.Ciphertext, plan packPlan) (FeatHist, []he.Ciphertext) {
+	fh := FeatHist{NumBins: hi - lo, Occupied: make([]byte, (hi-lo+7)/8)}
+	var slots []he.Ciphertext
 	run := shiftCt // shared read-only seed; Add always returns fresh ciphertexts
-	for k, b := range bins {
-		if b.Ct != nil {
-			if b.Exp > plan.exp {
-				return nil, fmt.Errorf("core: packing bin at exponent %d above plan exponent %d", b.Exp, plan.exp)
-			}
-			if b.Exp < plan.exp {
-				b = codec.ScaleEnc(b, plan.exp)
-			}
-			run = s.Add(run, b.Ct)
-			codec.Stats().AddHAdds(1)
+	for k := 0; k < hi-lo; k++ {
+		if b := eh.mergeBin(lo+k, plan.exp); b.Ct != nil {
+			run = eh.codec.Scheme().Add(run, b.Ct)
+			eh.codec.Stats().AddHAdds(1)
+		} else if occupiedOnly {
+			continue
 		}
-		prefixes[k] = run
+		fh.Occupied[k/8] |= 1 << (k % 8)
+		slots = append(slots, run)
 	}
-	return prefixes, nil
-}
-
-// packChunk packs the c-th run of plan.capacity prefixes of a feature into
-// one marshalled ciphertext — the unit a node's packing is parallelized
-// over, since the capacity−1 scalar multiplications of one Horner chain
-// are where the time goes.
-func packChunk(codec *fixedpoint.Codec, prefixes []he.Ciphertext, c int, plan packPlan) ([]byte, error) {
-	lo := c * plan.capacity
-	packed, err := codec.Pack(prefixes[lo:min(lo+plan.capacity, len(prefixes))], plan.bits)
-	if err != nil {
-		return nil, err
-	}
-	return codec.Scheme().Marshal(packed), nil
-}
-
-// unpackFeature reverses the packing on Party B: it decrypts the packed
-// ciphertexts, slices out the shifted prefixes and differences them back
-// to per-bin folded sums at plan.exp, split into their ⟨g,h⟩ fields. All
-// arithmetic stays in the exact integer domain — shifted prefixes exceed
-// float64's 53-bit exact range, so converting before differencing would
-// corrupt low-order bits.
-func unpackFeature(pairs fixedpoint.PairPlan, dec he.Decryptor, stats *fixedpoint.Stats, packed [][]byte, numBins int, plan packPlan) (featSums, error) {
-	if len(packed) != plan.packedCts(numBins) {
-		return featSums{}, fmt.Errorf("core: packed feature of %d bins ships %d ciphertexts, want %d", numBins, len(packed), plan.packedCts(numBins))
-	}
-	fs := newFeatSums(numBins)
-	// The first prefix carries the shift; bin_0 = prefix_0 - shift and
-	// bin_k = prefix_k - prefix_{k-1}.
-	prev := plan.shift
-	k := 0
-	for _, ctBytes := range packed {
-		ct, err := dec.Unmarshal(ctBytes)
-		if err != nil {
-			return featSums{}, err
-		}
-		plain, err := dec.Decrypt(ct)
-		if err != nil {
-			return featSums{}, err
-		}
-		stats.AddDecryptions(1)
-		for _, m := range fixedpoint.Unpack(plain, plan.bits, min(plan.capacity, numBins-k)) {
-			fs.g[k], fs.h[k] = pairs.Split(new(big.Int).Sub(m, prev))
-			fs.exp[k] = plan.exp
-			prev = m
-			k++
-		}
-	}
-	return fs, nil
+	return fh, slots
 }

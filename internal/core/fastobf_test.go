@@ -51,7 +51,7 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := &activeParty{cfg: quickConfig(SchemePaillier), dec: dec, codec: codec, pairs: pairs,
-		packing: true, plan: plan, featCounts: []int{2}}
+		packing: true, plan: plan, featCounts: []int{2}, units: make(unitQueue, 2)}
 
 	n := dec.N()
 	n2 := new(big.Int).Mul(n, n)
@@ -67,13 +67,10 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 		if _, err := b.decryptFeature(unpacked); err == nil {
 			t.Errorf("case %d: decryptFeature accepted garbage bins", i)
 		}
-		packed := FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{raw}}
-		if _, err := b.decryptFeature(packed); err == nil {
-			t.Errorf("case %d: decryptFeature accepted garbage packed payload", i)
-		}
-		nh := NodeHist{Node: 1, Feats: []FeatHist{unpacked, packed}}
-		if _, err := b.decryptNodeHist(0, nh); err == nil {
-			t.Errorf("case %d: decryptNodeHist accepted garbage", i)
+		packed := NodeHist{Node: 1, Packed: true, Cts: [][]byte{raw},
+			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{3}}, {NumBins: 1, Occupied: []byte{0}}}}
+		if _, err := b.decryptNodeHist(0, packed); err == nil {
+			t.Errorf("case %d: decryptNodeHist accepted a garbage packed payload", i)
 		}
 	}
 }

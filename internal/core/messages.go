@@ -36,6 +36,17 @@ var ErrLegacySiblings = errors.New("core: peer ships sibling histograms instead 
 // the histogram-side counterpart of fixedpoint.ErrPairRange.
 var ErrSiblingDerivation = errors.New("core: sibling histogram derivation rejected")
 
+// ErrLegacyPacking is the session error for a passive party that still
+// packs histograms feature by feature (FeatHist.Packed under wire ids 30
+// and 32): a packing session ships every node in the node layout of wire
+// id 33, which a Party B from before it cannot decode at all.
+var ErrLegacyPacking = errors.New("core: peer packs histograms per feature instead of per node")
+
+// ErrPackedLayout marks a node-layout frame that contradicts itself, the
+// session's plan (bitmaps, ciphertext count, a plaintext wider than its
+// chunk) or the setup (packing nobody negotiated).
+var ErrPackedLayout = errors.New("core: packed node histogram rejected")
+
 // Upper bounds on the sizes a peer's frames may dictate, checked before
 // they size a codec table, a modulus, a per-class buffer or a bin vector
 // (maxWireBins is Config.MaxBins' own ceiling).
@@ -171,25 +182,34 @@ type MsgHistograms struct {
 // split and Sibling the other child, whose histogram Party B derives as
 // parent − this node in plaintext. Both are zero on a root, and on every
 // node when subtraction is off.
+//
+// Packed marks the node layout every histogram-packing session ships
+// (wire id 33): the slots of all features — one shifted prefix sum per bin
+// a feature's Occupied bitmap names — are cut into balanced chunks
+// (packPlan.chunk), one ciphertext of Cts each.
 type NodeHist struct {
 	Node            int32
 	Parent, Sibling int32
 	Feats           []FeatHist
+	Packed          bool
+	Cts             [][]byte
 }
 
 // FeatHist is one feature's bins in exactly one representation: folded
-// per-bin sums, packed shifted prefixes of them, or the batched backends'
-// vectorized accumulators.
+// per-bin sums, its share of a packed node's slots, or the batched
+// backends' vectorized accumulators.
 type FeatHist struct {
 	NumBins int
-	// Folded scalar representation (wire id 30). Unpacked, Bins holds one
-	// ciphertext per bin (empty payload = empty bin) at exponent
-	// BinExp[k]; Packed, it holds the ⌈NumBins/capacity⌉ ciphertexts of
-	// shifted prefix sums at the session's top exponent and BinExp is
-	// empty.
+	// Folded scalar representation (wire ids 30 and 32): Bins holds one
+	// ciphertext per bin (empty payload = empty bin) at exponent BinExp[k].
+	// Packed marked the retired per-feature packing of Bins
+	// (ErrLegacyPacking).
 	Bins   [][]byte
 	BinExp []int16
 	Packed bool
+	// Node layout (wire id 33): bit k of Occupied is set when bin k owns a
+	// slot of the node's packed ciphertexts.
+	Occupied []byte
 	// Retired two-ciphertext packed layout (wire id 4): written by no
 	// engine and refused by Party B (ErrLegacyLayout); kept, like
 	// MsgGradBatch, for benchmark/probes.go.
@@ -286,9 +306,9 @@ type MsgShutdown struct{}
 // party sends it when a frame from B is malformed or one of its background
 // histogram tasks hits an unrecoverable error (a storage fault, a
 // histogram that could not be sent); Party B sends it when a passive
-// party's histograms violate the sibling-derivation contract. The receiver
-// fails its session with the carried reason; hostile wire input must
-// never panic or hang either process.
+// party's histograms break the sibling-derivation or node-layout contract.
+// The receiver fails its session with the carried reason; hostile wire
+// input must never panic or hang either process.
 type MsgAbort struct {
 	Party  int
 	Reason string

@@ -256,12 +256,11 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 	ct := dec.Marshal(good.Ct)
 	newB := func(packing bool) *activeParty {
 		return &activeParty{cfg: quickConfig(SchemeMock), dec: dec, codec: codec, pairs: pairs,
-			packing: packing, plan: plan, featCounts: []int{1}}
+			packing: packing, plan: plan, featCounts: []int{1}, units: make(unitQueue, 2)}
 	}
 
 	// The well-formed shapes decrypt.
-	b := newB(true)
-	fs, err := b.decryptFeature(FeatHist{NumBins: 2, Bins: [][]byte{ct, nil}, BinExp: []int16{9, 8}})
+	fs, err := newB(false).decryptFeature(FeatHist{NumBins: 2, Bins: [][]byte{ct, nil}, BinExp: []int16{9, 8}})
 	if err != nil {
 		t.Fatalf("well-formed bins: %v", err)
 	}
@@ -269,32 +268,33 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 		t.Fatalf("well-formed bins: g=%v h=%v", g, h)
 	}
 
+	// The node layout's own table is TestActiveRejectsHostilePackedFrames.
 	for _, tc := range []struct {
-		name    string
-		packing bool
-		fh      FeatHist
-		legacy  bool
+		name   string
+		fh     FeatHist
+		legacy error
 	}{
-		{"negative bin count", true, FeatHist{NumBins: -1}, false},
-		{"bin count beyond MaxBins", true, FeatHist{NumBins: 1 << 40, Packed: true, Bins: [][]byte{ct}}, false},
-		{"fewer ciphertexts than bins", true, FeatHist{NumBins: 3, Bins: [][]byte{ct}, BinExp: []int16{9, 9, 9}}, false},
-		{"fewer exponents than bins", true, FeatHist{NumBins: 1, Bins: [][]byte{ct}}, false},
-		{"bin exponent below the range", true, FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{-3}}, false},
-		{"bin exponent above the range", true, FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{12}}, false},
-		{"too few packed ciphertexts", true, FeatHist{NumBins: plan.capacity + 1, Packed: true, Bins: [][]byte{ct}}, false},
-		{"too many packed ciphertexts", true, FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct, ct}}, false},
-		{"packed without negotiated packing", false, FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct}}, false},
-		{"retired packed layout", true, FeatHist{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}, true},
+		{"negative bin count", FeatHist{NumBins: -1}, nil},
+		{"bin count beyond MaxBins", FeatHist{NumBins: 1 << 40, Bins: [][]byte{ct}}, nil},
+		{"fewer ciphertexts than bins", FeatHist{NumBins: 3, Bins: [][]byte{ct}, BinExp: []int16{9, 9, 9}}, nil},
+		{"fewer exponents than bins", FeatHist{NumBins: 1, Bins: [][]byte{ct}}, nil},
+		{"bin exponent below the range", FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{-3}}, nil},
+		{"bin exponent above the range", FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{12}}, nil},
+		{"retired per-feature packing", FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct}}, ErrLegacyPacking},
+		{"retired two-ciphertext packing", FeatHist{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}, ErrLegacyLayout},
 	} {
-		_, err := newB(tc.packing).decryptFeature(tc.fh)
+		_, err := newB(false).decryptFeature(tc.fh)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
-		} else if errors.Is(err, ErrLegacyLayout) != tc.legacy {
-			t.Errorf("%s: error %q, ErrLegacyLayout want %v", tc.name, err, tc.legacy)
+		}
+		for _, legacy := range []error{ErrLegacyLayout, ErrLegacyPacking} {
+			if errors.Is(err, legacy) != (legacy == tc.legacy) {
+				t.Errorf("%s: error %q, errors.Is(%v) want %v", tc.name, err, legacy, legacy == tc.legacy)
+			}
 		}
 	}
 	two := NodeHist{Node: 1, Feats: make([]FeatHist, 2)}
-	if _, err := b.decryptNodeHist(0, two); err == nil {
+	if _, err := newB(false).decryptNodeHist(0, two); err == nil {
 		t.Error("histogram with more features than announced accepted")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -85,13 +84,13 @@ type passiveParty struct {
 	rootCountAll []int
 	nodeInsts    map[int32][]int32
 
-	// Abortable histogram sub-tasks, keyed by node ID. sem is the party's
-	// worker budget: a task holds one slot while it runs, and fanOut lends
-	// the free ones to whichever node is being finalized and packed.
+	// Abortable histogram sub-tasks, keyed by node ID. units is the party's
+	// worker budget: every sweep, finalize and packing unit of every task
+	// and of the root runs on it.
 	tasks   map[int32]*histTask
 	tasksMu sync.Mutex
 	taskWG  sync.WaitGroup
-	sem     chan struct{}
+	units   unitQueue
 
 	model *PartyModel
 
@@ -132,7 +131,7 @@ func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, sta
 		mapper: mapper,
 		link:   lk,
 		stats:  stats,
-		sem:    make(chan struct{}, cfg.Workers),
+		units:  make(unitQueue, max(cfg.Workers, 1)),
 		model:  &PartyModel{Party: index},
 	}
 	p.offsets = make([]int, p.cols+1)
@@ -432,6 +431,9 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 		for c := range p.ghAll {
 			p.ghAll[c] = make([]fixedpoint.EncNum, n)
 			p.rootPartsAll[c] = make([]*EncHistogram, p.cfg.Workers)
+			for w := range p.rootPartsAll[c] {
+				p.rootPartsAll[c][w] = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
+			}
 		}
 		p.gh = p.ghAll[0]
 		p.rootCountAll = make([]int, p.outputs)
@@ -457,9 +459,6 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 
 	rootParts := p.rootPartsAll[m.Class]
 	err := p.sweepRoot(m.Start, len(m.Cts), len(rootParts), func(w int, insts []int32) error {
-		if rootParts[w] == nil {
-			rootParts[w] = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
-		}
 		return rootParts[w].Accumulate(p.view, insts, gh)
 	})
 	if err != nil {
@@ -472,30 +471,17 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 			return fmt.Errorf("core: root saw %d of %d instances", p.rootCountAll[m.Class], n)
 		}
 		p.nodeInsts[rootID] = allInstances(n)
-		if p.cfg.MaxDepth > 0 {
-			var root *EncHistogram
-			for _, part := range rootParts {
-				if part == nil {
-					continue
-				}
-				if root == nil {
-					root = part
-				} else {
-					root.Merge(part)
-				}
-			}
-			if root == nil {
-				root = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
-			}
-			nh, err := p.wireHist(nil, rootID, root)
-			if err != nil {
-				return err
-			}
-			// Class c's tree is the round's tree roundTree+c: tag its root
-			// so B's pump files it under the tree that will consume it.
-			if err := p.send(MsgHistograms{Tree: m.Tree + m.Class, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
-				return err
-			}
+		for _, part := range rootParts[1:] {
+			rootParts[0].Merge(part)
+		}
+		nh, err := p.wireHist(nil, rootID, rootParts[0])
+		if err != nil {
+			return err
+		}
+		// Class c's tree is the round's tree roundTree+c: tag its root
+		// so B's pump files it under the tree that will consume it.
+		if err := p.send(MsgHistograms{Tree: m.Tree + m.Class, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
+			return err
 		}
 		p.rootPartsAll[m.Class] = nil
 	}
@@ -526,6 +512,9 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 		p.tree = m.Tree
 		p.vgh = make([]he.VecCiphertext, windows)
 		p.rootVecParts = make([]*vecHist, p.cfg.Workers)
+		for w := range p.rootVecParts {
+			p.rootVecParts[w] = newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
+		}
 		p.rootCount = 0
 		p.nodeInsts = make(map[int32][]int32)
 		p.tasks = make(map[int32]*histTask)
@@ -551,9 +540,6 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 	}
 
 	err := p.sweepRoot(m.Start, end-m.Start, len(p.rootVecParts), func(w int, insts []int32) error {
-		if p.rootVecParts[w] == nil {
-			p.rootVecParts[w] = newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
-		}
 		return p.rootVecParts[w].accumulate(p.view, insts, p.vgh)
 	})
 	if err != nil {
@@ -566,30 +552,17 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 			return fmt.Errorf("core: root saw %d of %d instances", p.rootCount, n)
 		}
 		p.nodeInsts[rootID] = allInstances(n)
-		if p.cfg.MaxDepth > 0 {
-			var root *vecHist
-			for _, part := range p.rootVecParts {
-				if part == nil {
-					continue
-				}
-				if root == nil {
-					root = part
-				} else {
-					root.merge(part)
-				}
-			}
-			if root == nil {
-				root = newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
-			}
-			// The accumulators carry every class's lanes, so this one root
-			// serves every class tree of the round.
-			nh, err := p.wireVecHist(nil, rootID, root)
-			if err != nil {
-				return err
-			}
-			if err := p.send(MsgHistograms{Tree: p.tree, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
-				return err
-			}
+		for _, part := range p.rootVecParts[1:] {
+			p.rootVecParts[0].merge(part)
+		}
+		// The accumulators carry every class's lanes, so this one root
+		// serves every class tree of the round.
+		nh, err := p.wireVecHist(nil, rootID, p.rootVecParts[0])
+		if err != nil {
+			return err
+		}
+		if err := p.send(MsgHistograms{Tree: p.tree, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
+			return err
 		}
 		p.rootVecParts = nil
 	}
@@ -613,21 +586,12 @@ func (p *passiveParty) sweepRoot(start, count, workers int, sweep func(w int, in
 	for k := range insts {
 		insts[k] = int32(start + k)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (count + workers - 1) / workers
-	for w := 0; w < workers && w*chunk < count; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = sweep(w, insts[w*chunk:min((w+1)*chunk, count)])
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: party %d root histogram sweep: %w", p.index, err)
-		}
+	chunk := max((count+workers-1)/workers, 1)
+	err := p.units.do(nil, (count+chunk-1)/chunk, func(w int) error {
+		return sweep(w, insts[w*chunk:min((w+1)*chunk, count)])
+	})
+	if err != nil {
+		return fmt.Errorf("core: party %d root histogram sweep: %w", p.index, err)
 	}
 	addDur(&p.stats.buildHistTime, time.Since(began))
 	return nil
@@ -654,137 +618,69 @@ func (p *passiveParty) advanceClassTree(t int) error {
 	return nil
 }
 
-// errTaskAborted stops a fanOut whose histogram task was aborted.
-var errTaskAborted = errors.New("core: histogram task aborted")
-
-// fanOut runs fn over [0, n) on the calling goroutine plus one helper per
-// worker slot that is free right now, so finalizing and packing a node
-// uses the cores its sibling tasks leave idle — both of them at the root
-// and wherever a layer has a single node to build — without the party
-// ever exceeding its worker budget. Units are claimed from a shared
-// counter; their results are plaintext-identical whichever goroutine runs
-// them, so there is no ordering contract. An aborted task (nil for the
-// root) stops claiming units; the first error wins.
-func (p *passiveParty) fanOut(task *histTask, n int, fn func(i int) error) error {
-	var next atomic.Int64
-	var mu sync.Mutex
-	var first error
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			err := fn(i)
-			if err == nil && task != nil && task.aborted.Load() {
-				err = errTaskAborted
-			}
-			if err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-				next.Store(int64(n))
-				return
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for h := 1; h < min(n, cap(p.sem)); h++ {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				work()
-			}()
-		default: // that slot is running a task
-		}
-	}
-	work()
-	wg.Wait()
-	return first
-}
-
 // wireVecHist serializes a node's vectorized accumulators. Every feature
 // ships with Vec set — even an empty one — so the decryptor never falls
 // back to the scalar layout mid-histogram.
 func (p *passiveParty) wireVecHist(task *histTask, node int32, vh *vecHist) (NodeHist, error) {
 	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
-	return nh, p.fanOut(task, p.cols, func(j int) error {
+	return nh, p.units.do(task, p.cols, func(j int) error {
 		nh.Feats[j] = vh.wireFeat(j)
 		return nil
 	})
 }
 
-// wireHist finalizes and serializes a node's folded histogram across the
-// free workers, in two rounds of independent units: per feature, the
-// per-bin exponent merge and either the unpacked payloads or the shifted
-// prefix sums; then per packed ciphertext, the Horner chain of
-// Codec.Pack, which is where the time goes. With adaptive packing a
-// feature ships packed only when that reduces Party B's decryptions
-// (occupied bins exceed the packed ciphertext count).
+// wireHist finalizes and serializes a node's folded histogram as units on
+// the party's queue. A packing session ships the node layout, in two
+// rounds: per feature, the slots of packedFeature (AdaptivePacking: of
+// the occupied bins, which tells Party B nothing its decryption does not);
+// then per chunk of the node's concatenated slots, the Horner chain of
+// Codec.Pack, which is where the time goes. Without packing every bin
+// ships as its own ciphertext.
 func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (NodeHist, error) {
 	start := time.Now()
 	defer func() { addDur(&p.stats.packTime, time.Since(start)) }()
-	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
+	nh := NodeHist{Node: node, Packed: p.packing, Feats: make([]FeatHist, p.cols)}
 	prefixes := make([][]he.Ciphertext, p.cols)
 	lane := p.lane("Pack")
-	err := p.fanOut(task, p.cols, func(j int) (err error) {
+	err := p.units.do(task, p.cols, func(j int) error {
 		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", node, j))()
-		feat := eh.finalizeRange(p.offsets[j], p.offsets[j+1])
-		fh := FeatHist{NumBins: len(feat)}
-		if p.packing && p.shouldPack(feat) {
-			fh.Packed, fh.Bins = true, make([][]byte, p.plan.packedCts(len(feat)))
-			prefixes[j], err = shiftedPrefixes(p.codec, feat, p.shiftCt, p.plan)
-		} else {
-			fh.Bins = make([][]byte, len(feat))
-			fh.BinExp = make([]int16, len(feat))
-			for k, b := range feat {
-				// Empty bins ship as empty payloads, which the decoder
-				// treats as exact zero. Emptiness carries no extra
-				// information: Party B decrypts every bin sum anyway.
-				fh.BinExp[k] = int16(p.codec.BaseExp())
-				if b.Ct != nil {
-					fh.Bins[k], fh.BinExp[k] = p.scheme.Marshal(b.Ct), int16(b.Exp)
-				}
+		if p.packing {
+			nh.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.cfg.AdaptivePacking, p.shiftCt, p.plan)
+			return nil
+		}
+		lo, n := p.offsets[j], p.offsets[j+1]-p.offsets[j]
+		fh := FeatHist{NumBins: n, Bins: make([][]byte, n), BinExp: make([]int16, n)}
+		for k := range fh.Bins {
+			// Empty bins ship as empty payloads, which the decoder
+			// treats as exact zero. Emptiness carries no extra
+			// information: Party B decrypts every bin sum anyway.
+			fh.BinExp[k] = int16(p.codec.BaseExp())
+			if b := eh.mergeBin(lo+k, 0); b.Ct != nil {
+				fh.Bins[k], fh.BinExp[k] = p.scheme.Marshal(b.Ct), int16(b.Exp)
 			}
 		}
 		nh.Feats[j] = fh
+		return nil
+	})
+	if err != nil || !p.packing {
+		return nh, err
+	}
+	var slots []he.Ciphertext
+	for _, pre := range prefixes {
+		slots = append(slots, pre...)
+	}
+	nh.Cts = make([][]byte, p.plan.chunks(len(slots)))
+	p.stats.packedSlots.Add(int64(len(slots)))
+	p.stats.packedCts.Add(int64(len(nh.Cts)))
+	return nh, p.units.do(task, len(nh.Cts), func(c int) error {
+		defer p.rec.Span(lane, fmt.Sprintf("node %d ct %d", node, c))()
+		lo, hi := p.plan.chunk(len(slots), c)
+		packed, err := p.codec.Pack(slots[lo:hi], p.plan.bits)
+		if err == nil {
+			nh.Cts[c] = p.scheme.Marshal(packed)
+		}
 		return err
 	})
-	if err != nil {
-		return NodeHist{}, err
-	}
-	type unit struct{ feat, chunk int }
-	var units []unit
-	for j, pre := range prefixes {
-		for c := 0; c*p.plan.capacity < len(pre); c++ {
-			units = append(units, unit{j, c})
-		}
-	}
-	// Full chunks first: the short tail chunks then level the workers.
-	sort.SliceStable(units, func(a, b int) bool { return units[a].chunk < units[b].chunk })
-	err = p.fanOut(task, len(units), func(i int) (err error) {
-		u := units[i]
-		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d ct %d", node, u.feat, u.chunk))()
-		nh.Feats[u.feat].Bins[u.chunk], err = packChunk(p.codec, prefixes[u.feat], u.chunk, p.plan)
-		return err
-	})
-	return nh, err
-}
-
-// shouldPack decides per feature whether packing pays off. Without
-// adaptive packing every feature is packed (the paper's behaviour).
-func (p *passiveParty) shouldPack(bins []fixedpoint.EncNum) bool {
-	if !p.cfg.AdaptivePacking {
-		return true
-	}
-	occupied := 0
-	for _, b := range bins {
-		if b.Ct != nil {
-			occupied++
-		}
-	}
-	return occupied > p.plan.packedCts(len(bins))
 }
 
 // handleDecisions applies a layer's (tentative or final) node decisions.
@@ -960,8 +856,6 @@ func (p *passiveParty) scheduleHist(layer int, head NodeHist, insts []int32) {
 	p.taskWG.Add(1)
 	go func() {
 		defer p.taskWG.Done()
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
 		// A failure below comes from the binned view (a shard beyond its
 		// self-healing budget), from ciphertexts accumulated off the wire,
 		// or from the link refusing the histogram. None is a protocol bug,
@@ -986,15 +880,12 @@ func (p *passiveParty) scheduleHist(layer int, head NodeHist, insts []int32) {
 	}()
 }
 
-// buildHist accumulates one node's histogram in abort-checked chunks and
-// wires it in the representation the session runs — folded bins or
-// vectorized accumulators. It returns errTaskAborted when the task was
-// aborted; any other error means the binned view failed to deliver a row
-// even after its own retries/rebuilds, or packing failed.
+// buildHist accumulates one node's histogram and wires it in the
+// representation the session runs — folded bins or vectorized
+// accumulators. It returns errTaskAborted when the task was aborted; any
+// other error means the binned view failed to deliver a row even after its
+// own retries/rebuilds, or packing failed.
 func (p *passiveParty) buildHist(task *histTask, insts []int32, gh []fixedpoint.EncNum, wins []he.VecCiphertext) (NodeHist, error) {
-	if dh, ok := p.view.(gbdt.DepthHinter); ok {
-		dh.HintDepth(task.layer)
-	}
 	var accumulate func(chunk []int32) error
 	var wire func() (NodeHist, error)
 	if p.vec {
@@ -1006,20 +897,26 @@ func (p *passiveParty) buildHist(task *histTask, insts []int32, gh []fixedpoint.
 		accumulate = func(chunk []int32) error { return eh.Accumulate(p.view, chunk, gh) }
 		wire = func() (NodeHist, error) { return p.wireHist(task, task.node, eh) }
 	}
-	start := time.Now()
-	endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))
-	const chunk = 256
-	for lo := 0; lo < len(insts) && !task.aborted.Load(); lo += chunk {
-		if err := accumulate(insts[lo:min(lo+chunk, len(insts))]); err != nil {
-			endSpan()
-			return NodeHist{}, err
+	// The sweep is one unit on the party's queue, in abort-checked chunks.
+	err := p.units.do(task, 1, func(int) error {
+		if dh, ok := p.view.(gbdt.DepthHinter); ok {
+			dh.HintDepth(task.layer)
 		}
+		start := time.Now()
+		defer p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))()
+		defer func() { addDur(&p.stats.buildHistTime, time.Since(start)) }()
+		const chunk = 256
+		for lo := 0; lo < len(insts) && !task.aborted.Load(); lo += chunk {
+			if err := accumulate(insts[lo:min(lo+chunk, len(insts))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return NodeHist{}, err
 	}
-	endSpan()
-	addDur(&p.stats.buildHistTime, time.Since(start))
-	if task.aborted.Load() {
-		return NodeHist{}, errTaskAborted
-	}
+	// An aborted sweep stops early; the queue then drops the wire units.
 	nh, err := wire()
 	if err == nil && task.aborted.Load() {
 		err = errTaskAborted

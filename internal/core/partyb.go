@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"time"
 
 	"vf2boost/internal/checkpoint"
@@ -56,6 +57,7 @@ type activeParty struct {
 	packing bool
 	plan    packPlan
 
+	units unitQueue // B's encryptions and decryptions, cfg.Workers at a time
 	stats *Stats
 
 	// offsets[i] is the global feature offset of passive party i; bOffset
@@ -295,6 +297,7 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 			fixedpoint.WithSeed(cfg.Seed)),
 		links:   links,
 		stats:   stats,
+		units:   make(unitQueue, max(cfg.Workers, 1)),
 		model:   &PartyModel{Party: len(links)},
 		outputs: cfg.outputs(),
 	}
@@ -395,10 +398,7 @@ func (b *activeParty) setup() error {
 		// must pay the paper's full r^n cost.
 		fo.DisableFastObfuscation()
 	}
-	setup.PairBits = b.pairs.W
-	if b.packing {
-		setup.PackBits = b.plan.bits
-	}
+	setup.PairBits, setup.PackBits = b.pairs.W, b.plan.bits // no plan, no packing
 	if b.vec {
 		setup.Backend = b.cfg.HEBackend
 		setup.Slots = b.vplan.Slots()
@@ -712,7 +712,7 @@ func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error
 func (b *activeParty) encryptVecRange(start, end int, m *MsgVecGradBatch) error {
 	pairs := b.ipw
 	k := b.outputs
-	return parallelForErr(len(m.Cts), b.cfg.Workers, func(w int) error {
+	return b.units.do(nil, len(m.Cts), func(w int) error {
 		wStart := start + w*pairs
 		wEnd := min(wStart+pairs, end)
 		lanes := make([]*big.Int, 0, 2*k*(wEnd-wStart))
@@ -741,13 +741,16 @@ func (b *activeParty) encryptVecRange(start, end int, m *MsgVecGradBatch) error 
 // cannot carry (fixedpoint.ErrPairRange) fails the batch and with it the
 // session.
 func (b *activeParty) encryptRange(start int, grads, hess []float64, m *MsgPairBatch) error {
-	return parallelForErr(len(m.Cts), b.cfg.Workers, func(k int) error {
-		i := start + k
-		e, err := b.pairs.Encrypt(grads[i], hess[i], b.codec.ExpAt(m.Tree, m.Class, i))
-		if err != nil {
-			return fmt.Errorf("core: instance %d: %w", i, err)
+	const span = 16 // instances per unit: a mock encryption is cheaper than claiming one
+	return b.units.do(nil, (len(m.Cts)+span-1)/span, func(u int) error {
+		for k := u * span; k < min((u+1)*span, len(m.Cts)); k++ {
+			i := start + k
+			e, err := b.pairs.Encrypt(grads[i], hess[i], b.codec.ExpAt(m.Tree, m.Class, i))
+			if err != nil {
+				return fmt.Errorf("core: instance %d: %w", i, err)
+			}
+			m.Cts[k], m.Exp[k] = b.dec.Marshal(e.Ct), int16(e.Exp)
 		}
-		m.Cts[k], m.Exp[k] = b.dec.Marshal(e.Ct), int16(e.Exp)
 		return nil
 	})
 }
@@ -862,12 +865,15 @@ func (b *activeParty) passiveBest(party, tree int, node *bNode) (candidate, erro
 }
 
 // passiveSums returns a passive party's histogram of a node of the given
-// tree. A violation of the sibling-derivation contract — or a peer that
-// announces nothing at all — aborts the session on every link.
+// tree. A frame B refuses by name — a broken sibling-derivation or node
+// layout contract, or a peer on a retired one — aborts the session on
+// every link.
 func (b *activeParty) passiveSums(party, tree int, node *bNode) (nodeSums, error) {
 	s, err := b.sumsOf(party, tree, node)
-	if errors.Is(err, ErrSiblingDerivation) || errors.Is(err, ErrLegacySiblings) {
-		b.abort(err)
+	for _, refusal := range []error{ErrSiblingDerivation, ErrLegacySiblings, ErrPackedLayout, ErrLegacyPacking} {
+		if errors.Is(err, refusal) {
+			b.abort(err) // the refusals exclude one another
+		}
 	}
 	return s, err
 }
@@ -1010,11 +1016,16 @@ func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 	return out, nil
 }
 
-// decryptNodeHist recovers a passive party's histogram of a node,
-// parallelized across features. A scalar histogram belongs to the class
-// of the tree it was built for and yields one nodeSums; a vectorized one
-// carries every class's lanes and yields one per output.
+// decryptNodeHist recovers a passive party's histogram of a node: the node
+// layout of a packing session one unit per ciphertext, any other one unit
+// per feature. A scalar histogram belongs to the class of the tree it was
+// built for; a vectorized one carries every class's lanes and yields one
+// nodeSums per output.
 func (b *activeParty) decryptNodeHist(party int, nh NodeHist) ([]nodeSums, error) {
+	if b.packing || nh.Packed {
+		s, err := b.unpackNode(party, nh)
+		return []nodeSums{s}, err
+	}
 	if len(nh.Feats) != b.featCounts[party] {
 		return nil, fmt.Errorf("core: party %d histogram carries %d features, announced %d", party, len(nh.Feats), b.featCounts[party])
 	}
@@ -1025,7 +1036,7 @@ func (b *activeParty) decryptNodeHist(party int, nh NodeHist) ([]nodeSums, error
 	for c := range classes {
 		classes[c] = make(nodeSums, len(nh.Feats))
 	}
-	err := parallelForErr(len(nh.Feats), b.cfg.Workers, func(j int) error {
+	err := b.units.do(nil, len(nh.Feats), func(j int) error {
 		feat, err := b.decryptFeature(nh.Feats[j])
 		if err != nil {
 			return err
@@ -1041,11 +1052,83 @@ func (b *activeParty) decryptNodeHist(party int, nh NodeHist) ([]nodeSums, error
 	return classes, nil
 }
 
+// unpackNode reverses the node layout. The frame is checked against the
+// session's plan before it sizes anything: feature count, every bitmap
+// against its bin count, the ciphertext count against the chunk rule. The
+// ciphertexts decrypt in parallel; each plaintext must fit its chunk's
+// slots (a slot that outgrew its 2W bits carries upward, so the top of the
+// chunk catches it). The bitmaps slice the slots back to bins: a feature's
+// first slot carries the shift, every later one the prefix before it, an
+// unslotted bin stays nil. Differencing stays in the integer domain —
+// shifted prefixes exceed float64's exact range.
+func (b *activeParty) unpackNode(party int, nh NodeHist) (nodeSums, error) {
+	bad := func(format string, args ...any) (nodeSums, error) {
+		return nil, fmt.Errorf("%w: party %d node %d: %s", ErrPackedLayout, party, nh.Node, fmt.Sprintf(format, args...))
+	}
+	switch {
+	case !b.packing:
+		return bad("session negotiated no histogram packing")
+	case !nh.Packed:
+		return nil, fmt.Errorf("%w: party %d node %d", ErrLegacyPacking, party, nh.Node)
+	case len(nh.Feats) != b.featCounts[party]:
+		return bad("%d features, announced %d", len(nh.Feats), b.featCounts[party])
+	}
+	slots := 0
+	for j, fh := range nh.Feats {
+		if fh.NumBins < 0 || fh.NumBins > maxWireBins || len(fh.Occupied) != (fh.NumBins+7)/8 {
+			return bad("feature %d claims %d bins under a %d-byte bitmap", j, fh.NumBins, len(fh.Occupied))
+		}
+		if tail := fh.NumBins % 8; tail != 0 && fh.Occupied[len(fh.Occupied)-1]>>tail != 0 {
+			return bad("feature %d marks bins beyond its %d", j, fh.NumBins)
+		}
+		for _, octet := range fh.Occupied {
+			slots += bits.OnesCount8(octet)
+		}
+	}
+	if len(nh.Cts) != b.plan.chunks(slots) {
+		return bad("%d ciphertexts for %d slots, want %d", len(nh.Cts), slots, b.plan.chunks(slots))
+	}
+	vals := make([]*big.Int, slots)
+	err := b.units.do(nil, len(nh.Cts), func(c int) error {
+		ct, err := b.dec.Unmarshal(nh.Cts[c])
+		if err != nil {
+			return err
+		}
+		plain, err := b.dec.Decrypt(ct)
+		if err != nil {
+			return err
+		}
+		b.codec.Stats().AddDecryptions(1)
+		lo, hi := b.plan.chunk(slots, c)
+		if plain.BitLen() > (hi-lo)*b.plan.bits {
+			return fmt.Errorf("ciphertext %d decrypts to %d bits for %d slots of %d", c, plain.BitLen(), hi-lo, b.plan.bits)
+		}
+		copy(vals[lo:hi], fixedpoint.Unpack(plain, b.plan.bits, hi-lo))
+		return nil
+	})
+	if err != nil {
+		return bad("%v", err)
+	}
+	sums := make(nodeSums, len(nh.Feats))
+	for j, fh := range nh.Feats {
+		fs := newFeatSums(fh.NumBins)
+		prev := b.plan.shift
+		for k := 0; k < fh.NumBins; k++ {
+			if bitmapGet(fh.Occupied, k) {
+				fs.g[k], fs.h[k] = b.pairs.Split(new(big.Int).Sub(vals[0], prev))
+				fs.exp[k] = b.plan.exp
+				prev, vals = vals[0], vals[1:]
+			}
+		}
+		sums[j] = fs
+	}
+	return sums, nil
+}
+
 // decryptFeature decrypts one feature's bins — one decryption per occupied
-// folded bin, packed ciphertext or vectorized accumulator — into exact
-// ⟨g,h⟩ field sums, one featSums per class the ciphertexts carry. The
-// frame's sizes are checked against each other and the session's plan
-// before they size anything.
+// folded bin or vectorized accumulator — into exact ⟨g,h⟩ field sums, one
+// featSums per class the ciphertexts carry. The frame's sizes are checked
+// against each other and the session's plan before they size anything.
 func (b *activeParty) decryptFeature(fh FeatHist) ([]featSums, error) {
 	if fh.NumBins < 0 || fh.NumBins > maxWireBins {
 		return nil, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
@@ -1060,11 +1143,7 @@ func (b *activeParty) decryptFeature(fh FeatHist) ([]featSums, error) {
 		return nil, fmt.Errorf("core: passive party sent a scalar histogram to a vectorized session")
 	}
 	if fh.Packed {
-		if !b.packing {
-			return nil, fmt.Errorf("core: packed histogram in a session without histogram packing")
-		}
-		fs, err := unpackFeature(b.pairs, b.dec, b.codec.Stats(), fh.Bins, fh.NumBins, b.plan)
-		return []featSums{fs}, err
+		return nil, fmt.Errorf("%w: feature of %d bins", ErrLegacyPacking, fh.NumBins)
 	}
 	if len(fh.Bins) != fh.NumBins || len(fh.BinExp) != fh.NumBins {
 		return nil, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))

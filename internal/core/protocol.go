@@ -1,7 +1,7 @@
 package core
 
 import (
-	"runtime"
+	"errors"
 	"sync"
 	"time"
 
@@ -187,50 +187,58 @@ func allInstances(n int) []int32 {
 	return all
 }
 
-// parallelForErr runs fn on every index of [0, n) across workers and
-// returns the first error; a worker stops at its first failure.
-func parallelForErr(n, workers int, fn func(i int) error) error {
-	var mu sync.Mutex
-	var first error
-	parallelFor(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-				return
-			}
-		}
-	})
-	return first
-}
+// errTaskAborted is what do returns once its task was aborted.
+var errTaskAborted = errors.New("core: histogram task aborted")
 
-// parallelFor runs fn over [0, n) in contiguous chunks across workers.
-func parallelFor(n, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
+// unitQueue is a party's worker budget, one slot per worker: whatever the
+// party computes in parallel — on a passive party the accumulation sweep,
+// the per-feature finalizes and the per-ciphertext packing chains of every
+// in-flight node and of the root; on Party B the encryptions and
+// decryptions — runs as units that each hold a slot only while they run.
+// So the party never exceeds cfg.Workers, and no slot idles while any job
+// has an unclaimed unit: the slot a short node frees joins the long one.
+type unitQueue chan struct{}
+
+// do runs fn over [0, n) on the party's slots and returns once every unit
+// has run or been dropped: the first error — or errTaskAborted, once the
+// task (nil where nothing aborts: roots, Party B) is aborted — drops the
+// job's unclaimed units. A unit's result must not depend on which
+// goroutine runs it or when.
+func (q unitQueue) do(task *histTask, n int, fn func(i int) error) (first error) {
+	var mu sync.Mutex
+	next := 0
+	// claim files the outcome of the caller's last unit and claims its next
+	// one; -1 when none is left to run.
+	claim := func(last error) int {
+		mu.Lock()
+		defer mu.Unlock()
+		if first == nil {
+			first = last
+		}
+		if first == nil && task != nil && task.aborted.Load() {
+			first = errTaskAborted
+		}
+		if first != nil || next == n {
+			return -1
+		}
+		next++
+		return next - 1
 	}
 	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for w := min(n, cap(q)); w > 0; w-- {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			var err error
+			for i := 0; i >= 0; {
+				q <- struct{}{}
+				if i = claim(err); i >= 0 {
+					err = fn(i)
+				}
+				<-q
+			}
+		}()
 	}
 	wg.Wait()
+	return first
 }

@@ -126,7 +126,7 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 
 // sameSums compares two histograms bin by bin as exact rationals — the
 // fields at a common exponent — and as the floats split finding reads.
-// An empty bin equals a zero one: packed features ship zeros.
+// An empty bin equals a zero one: the all-bins mask ships zeros.
 func sameSums(base int, x, y nodeSums) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("%d features vs %d", len(x), len(y))
@@ -162,9 +162,9 @@ func sameSums(base int, x, y nodeSums) error {
 // TestDerivedSiblingEqualsBuiltSibling: the integers B derives for the
 // larger child of a split are the integers it would have decrypted had the
 // passive party built (or homomorphically subtracted) and shipped that
-// child — over both schemes, every scalar histogram representation, one
-// and several exponents, both accumulation strategies and the vectorized
-// backends.
+// child — over both schemes, the node layout under both masks and the
+// unpacked bins, one and several exponents, both accumulation strategies
+// and the vectorized backends.
 func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 	_, parts := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
 	type shape struct {
@@ -172,8 +172,8 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 		mutate func(*Config)
 	}
 	shapes := []shape{
-		{"always-packed", func(c *Config) { c.AdaptivePacking = false }},
-		{"adaptive", func(c *Config) {}},
+		{"all-bins", func(c *Config) { c.AdaptivePacking = false }},
+		{"occupied-mask", func(c *Config) {}},
 		{"unpacked", func(c *Config) { c.HistogramPacking, c.AdaptivePacking = false, false }},
 	}
 	var cases []struct {
@@ -215,22 +215,24 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 					t.Errorf("node %d: derived vs built: %v", id, err)
 				}
 			}
-			if strings.Contains(tc.name, "adaptive") {
-				// The premise of the adaptive shape: some feature is packed in
-				// the root (no empty bins on the wire) and unpacked in the
-				// two-instance node 2 derived from it.
-				mixed := false
-				for j, fs := range built[1] {
-					packedRoot, unpackedKid := true, false
-					for k := range fs.g {
-						packedRoot = packedRoot && fs.g[k] != nil
-						unpackedKid = unpackedKid || built[2][j].g[k] == nil
-					}
-					mixed = mixed || (packedRoot && unpackedKid)
+			// The premise of the packed shapes: under the occupancy mask some
+			// feature has a slot for every bin in the root and unslotted bins
+			// in the two-instance node 2 derived from it; with every bin
+			// slotted no bin of any node is nil.
+			mixed, full := false, true
+			for j, fs := range built[1] {
+				fullRoot, sparseKid := true, false
+				for k := range fs.g {
+					fullRoot = fullRoot && fs.g[k] != nil
+					sparseKid = sparseKid || built[2][j].g[k] == nil
 				}
-				if !mixed {
-					t.Error("test premise broken: no feature is packed in the parent and unpacked in the child")
-				}
+				mixed, full = mixed || (fullRoot && sparseKid), full && fullRoot && !sparseKid
+			}
+			if strings.Contains(tc.name, "occupied-mask") && !mixed {
+				t.Error("test premise broken: no feature is fully slotted in the parent and sparse in the child")
+			}
+			if strings.Contains(tc.name, "all-bins") && !full {
+				t.Error("a bin without a slot under the all-bins mask")
 			}
 		})
 	}
@@ -300,6 +302,7 @@ type siblingRig struct {
 func newSiblingRig(t *testing.T, subtraction bool) *siblingRig {
 	b := newBareActiveParty(t, 100, 1, 97)
 	b.cfg.HistogramSubtraction = subtraction
+	b.packing = false // frame ships per-bin cells
 	r := &siblingRig{b: b, sent: chanTransport{ch: make(chan []byte, 16)}}
 	b.links = []*link{{out: r.sent}}
 	b.featCounts, b.offsets = []int{1}, []int32{0}

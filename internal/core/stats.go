@@ -18,6 +18,8 @@ type Stats struct {
 	findSplitTime atomic.Int64 // ns Party B spent on split finding
 	buildHistTime atomic.Int64 // ns passive parties spent accumulating histograms
 	packTime      atomic.Int64 // ns passive parties spent finalizing and packing them
+	packedSlots   atomic.Int64 // histogram slots the passive parties packed ...
+	packedCts     atomic.Int64 // ... into this many ciphertexts
 	bIdleTime     atomic.Int64 // ns Party B spent waiting for histograms
 	aIdleTime     atomic.Int64 // ns passive parties spent waiting
 
@@ -46,6 +48,16 @@ func (s *Stats) BuildHistTime() time.Duration { return time.Duration(s.buildHist
 // packing accumulated histograms for the wire (per-bin exponent merge,
 // shifted prefix sums, Codec.Pack), summed over nodes.
 func (s *Stats) PackTime() time.Duration { return time.Duration(s.packTime.Load()) }
+
+// PackFill is the mean number of histogram slots per packed ciphertext
+// the passive parties shipped (0 when nothing was packed); the plaintext
+// holds (S−1)/2W of them.
+func (s *Stats) PackFill() float64 {
+	if cts := s.packedCts.Load(); cts > 0 {
+		return float64(s.packedSlots.Load()) / float64(cts)
+	}
+	return 0
+}
 
 // BIdleTime is Party B's cumulative time blocked on passive histograms.
 func (s *Stats) BIdleTime() time.Duration { return time.Duration(s.bIdleTime.Load()) }
@@ -87,7 +99,8 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "phase breakdown:\n")
 	fmt.Fprintf(&b, "  B: encrypt %-10s decrypt %-10s find-split %-10s idle %s\n",
 		r(s.EncryptTime()), r(s.DecryptTime()), r(s.FindSplitTime()), r(s.BIdleTime()))
-	fmt.Fprintf(&b, "  A: build-hist %-10s pack %-10s idle %s\n", r(s.BuildHistTime()), r(s.PackTime()), r(s.AIdleTime()))
+	fmt.Fprintf(&b, "  A: build-hist %-10s pack %-10s (%.1f slots/ct) idle %s\n",
+		r(s.BuildHistTime()), r(s.PackTime()), s.PackFill(), r(s.AIdleTime()))
 	fmt.Fprintf(&b, "  splits: A %d / B %d (B ratio %.1f%%); dirty %d; aborted tasks %d; trees %d",
 		s.SplitsByA(), s.SplitsByB(), 100*s.RatioSplitsB(),
 		s.DirtyNodes(), s.AbortedTasks(), s.TreesFinished())

@@ -83,6 +83,11 @@ const (
 	// Party B from before plaintext derivation cannot decode this ID, so
 	// it fails fast instead of waiting for a sibling that never ships.
 	idHistogramsV4 uint16 = 32
+	// idHistogramsV5 is the node layout of histogram packing: per node the
+	// split announcement and the chunk ciphertexts, per feature the bin
+	// count and the occupancy bitmap. Every frame of a packing session uses
+	// it, roots included; idHistogramsV3/V4 serve the sessions without.
+	idHistogramsV5 uint16 = 33
 )
 
 // All ends of a deployment ship the same binary, so only the current
@@ -103,6 +108,7 @@ func init() {
 	wire.Register(idHistogramsV2, "MsgHistogramsV2", decodeAs(idHistogramsV2, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV3, "MsgHistograms", decodeAs(idHistogramsV3, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV4, "MsgHistogramsV4", decodeAs(idHistogramsV4, (*MsgHistograms).decodeFrom))
+	wire.Register(idHistogramsV5, "MsgHistogramsV5", decodeAs(idHistogramsV5, (*MsgHistograms).decodeFrom))
 	wire.Register(idDecisions, "MsgDecisions", decodeMsg[MsgDecisions])
 	wire.Register(idDirty, "MsgDirty", decodeMsg[MsgDirty])
 	wire.Register(idPlacement, "MsgPlacement", decodeMsg[MsgPlacement])
@@ -315,15 +321,20 @@ func (m *MsgGradBatch) decodeFrom(body []byte, id uint16) error {
 
 // --- MsgHistograms -----------------------------------------------------
 
-// WireID picks the frame: a message announcing a sibling takes
-// idHistogramsV4 in either representation (as does one mixing the two,
-// which only that frame can carry); otherwise folded histograms (the only
-// scalar form an engine produces) go under idHistogramsV3, vectorized
-// ones under idHistogramsV2, and a message populating the retired
-// two-ciphertext fields under idHistograms.
+// WireID picks the frame: a message of packed nodes takes idHistogramsV5
+// (an engine ships one node per message, so packed and unpacked nodes
+// never share one); one announcing a sibling takes idHistogramsV4 in
+// either representation (as does one mixing the two, which only that frame
+// can carry); otherwise folded histograms (the only unpacked scalar form an
+// engine produces) go under idHistogramsV3, vectorized ones under
+// idHistogramsV2, and a message populating the retired two-ciphertext
+// fields under idHistograms.
 func (m MsgHistograms) WireID() uint16 {
 	var vec, folded, retired bool
 	for _, n := range m.Nodes {
+		if n.Packed {
+			return idHistogramsV5
+		}
 		if n.Parent != 0 || n.Sibling != 0 {
 			return idHistogramsV4
 		}
@@ -351,13 +362,20 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Nodes)))
 	for _, n := range m.Nodes {
 		b = wire.AppendInt32(b, n.Node)
-		if id == idHistogramsV4 {
+		if id == idHistogramsV4 || id == idHistogramsV5 {
 			b = wire.AppendInt32(b, n.Parent)
 			b = wire.AppendInt32(b, n.Sibling)
+		}
+		if id == idHistogramsV5 {
+			b = wire.AppendByteSlices(b, n.Cts)
 		}
 		b = wire.AppendUvarint(b, uint64(len(n.Feats)))
 		for _, f := range n.Feats {
 			b = wire.AppendInt(b, f.NumBins)
+			if id == idHistogramsV5 {
+				b = wire.AppendBytes(b, f.Occupied)
+				continue
+			}
 			if id == idHistogramsV3 || id == idHistogramsV4 {
 				b = wire.AppendByteSlices(b, f.Bins)
 				b = wire.AppendInt16s(b, f.BinExp)
@@ -409,11 +427,18 @@ func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 	m.Layer = d.Int()
 	m.Nodes = decodeSeq(d, func(d *wire.Dec) NodeHist {
 		n := NodeHist{Node: d.Int32()}
-		if id == idHistogramsV4 {
+		if id == idHistogramsV4 || id == idHistogramsV5 {
 			n.Parent, n.Sibling = d.Int32(), d.Int32()
+		}
+		if id == idHistogramsV5 {
+			n.Packed, n.Cts = true, d.ByteSlices()
 		}
 		n.Feats = decodeSeq(d, func(d *wire.Dec) FeatHist {
 			f := FeatHist{NumBins: d.Int()}
+			if id == idHistogramsV5 {
+				f.Occupied = d.Bytes()
+				return f
+			}
 			if id == idHistogramsV3 || id == idHistogramsV4 {
 				f.Bins = d.ByteSlices()
 				f.BinExp = d.Int16s()

@@ -35,18 +35,16 @@ func benchHistUnpacked() MsgHistograms {
 	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 1, Feats: feats}}}
 }
 
-// benchHistPacked is the same layer under ciphertext packing: each
-// feature's bins ride in two 64-byte packed ciphertexts.
+// benchHistPacked is the same layer under histogram packing: the node's 24
+// slots ride in six 64-byte packed ciphertexts, each feature adding its
+// bin count and occupancy bitmap.
 func benchHistPacked() MsgHistograms {
-	feats := make([]FeatHist, 3)
-	for f := range feats {
-		feats[f] = FeatHist{
-			NumBins: 8,
-			Packed:  true,
-			Bins:    [][]byte{benchCiphertext(64, byte(f)), benchCiphertext(64, byte(f+1))},
-		}
+	nh := NodeHist{Node: 1, Packed: true, Feats: make([]FeatHist, 3)}
+	for f := range nh.Feats {
+		nh.Feats[f] = FeatHist{NumBins: 8, Occupied: []byte{0xFF}}
+		nh.Cts = append(nh.Cts, benchCiphertext(64, byte(f)), benchCiphertext(64, byte(f+1)))
 	}
-	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 1, Feats: feats}}}
+	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{nh}}
 }
 
 // benchPairBatch models one encrypted gradient batch: 100 rows of one

@@ -51,6 +51,13 @@ func sampleMessages() []any {
 		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Feats: []FeatHist{
 			{NumBins: 5, Vec: true, VecBin: []int32{0, 4}, VecSlot: []int32{3, 1}, VecCount: []int32{2, 19}, VecCts: [][]byte{{3, 4}, {5, 6}}},
 		}}}},
+		// The node layout (id 33): a root, and a child announcing its sibling.
+		MsgHistograms{Tree: 2, Layer: 0, Nodes: []NodeHist{{Node: 1, Packed: true, Cts: [][]byte{{1, 2, 3, 4}, {5, 6, 7}}, Feats: []FeatHist{
+			{NumBins: 9, Occupied: []byte{0xFF, 0x01}}, {NumBins: 3, Occupied: []byte{0x05}}, {NumBins: 2, Occupied: []byte{0}},
+		}}}},
+		MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Cts: [][]byte{{9, 8}}, Feats: []FeatHist{
+			{NumBins: 4, Occupied: []byte{0x0A}},
+		}}}},
 		MsgDecisions{Tree: 2, Layer: 1, Tentative: true, Nodes: []NodeDecision{
 			{Node: 1, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: []byte{0b1010}, Count: 4},
 			{Node: 4, Action: ActionSplitA, LeftID: 5, RightID: 6, Owner: 1, Feature: 7, Bin: 3, AbortLeft: 8, AbortRight: 9},

@@ -28,8 +28,9 @@ func DefaultAblation() AblationConfig { return AblationConfig{KeyBits: 512, Seed
 
 // Ablation measures the three extensions: encrypted histogram
 // subtraction (dense two-child regime), adaptive packing (sparse deep
-// regime where always-pack loses), and adaptive optimism (feature-rich
-// passive party where pure optimism thrashes).
+// regime where a slot for every bin ships mostly empty ciphertexts), and
+// adaptive optimism (feature-rich passive party where pure optimism
+// thrashes).
 func Ablation(ac AblationConfig) ([]AblationRow, error) {
 	var rows []AblationRow
 

@@ -54,9 +54,9 @@ go test -run '^$' -bench "$obf_filter" -benchtime "$benchtime" -timeout 30m ./in
 echo "== histogram accumulation (Fig. 7) ==" >&2
 go test -run '^$' -bench 'BenchmarkFig7' -benchtime "$benchtime" . | tee -a "$tmp" >&2
 
-echo "== node histogram finalize+pack: 2048-bit, 10 features x 20 bins, 1/2/4 workers ==" >&2
+echo "== node histogram finalize+pack: 2048-bit, 10 features x 20 bins, full / sparse / both at once, 1/2/4 workers ==" >&2
 # A fixed iteration count: one op is ~0.2 s, and the smoke leg only needs
-# the pack_parallel_speedup rows to derive.
+# the pack_parallel_speedup and pack_fill rows to derive.
 go test -run '^$' -bench 'BenchmarkWireNodeHist' -benchtime "$pack_benchtime" ./internal/core | tee -a "$tmp" >&2
 
 echo "== online scoring ==" >&2

@@ -30,13 +30,15 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # lean on must hold however the workers interleave: the obfuscation
 # exponent is a counter-based draw, not a shared stream. Run the parity
 # tests single-threaded, at two and at four procs, repeatedly, under the
-# race detector. The sibling-derivation suites run here too: a passive
-# party finalizes and packs every node on all of its workers (fanOut), and
-# Party B's derived histograms must equal the built ones whatever the
-# schedule.
+# race detector. The sibling-derivation, node-layout, hostile-frame and
+# scheduler suites run here too: a passive party sweeps, finalizes and
+# packs every node as units on one queue of its workers, Party B decrypts
+# per ciphertext on another, and what B files must equal the unpacked
+# path's integers — and a refused frame must end in its typed error —
+# whatever the schedule.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits' ./internal/core
   # Party B encrypts through the key owner's CRT tables; the backends
   # built on them must conform, and the golden hashes above must not
   # move, on any core count.

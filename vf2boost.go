@@ -133,10 +133,11 @@ type Config struct {
 	Reordered   bool
 	Optimistic  bool
 	HistPacking bool
-	// AdaptivePacking and AdaptiveOptimism extend the corresponding
-	// optimizations so they never lose in sparse or high-dirty-rate
-	// regimes; HistSubtraction derives each larger sibling's encrypted
-	// histogram as parent - child (see internal/core.Config).
+	// AdaptivePacking gives only the occupied bins of a node a slot of its
+	// packed ciphertexts (off: every bin, the paper's layout);
+	// AdaptiveOptimism falls back to the sequential schedule after a
+	// high-dirty-rate tree; HistSubtraction has Party B derive each larger
+	// sibling's histogram as parent - child (see internal/core.Config).
 	AdaptivePacking  bool
 	AdaptiveOptimism bool
 	HistSubtraction  bool
