@@ -158,6 +158,9 @@ func stripProcSuffix(name string) string {
 //     obfuscator generation, per key size.
 //   - owner_obfuscator_speedup/bits=N — the public fixed-base h^x versus
 //     the key owner's CRT evaluation of the same term.
+//   - smul_pow2_speedup — SMul at 2048-bit by a dense 114-bit scalar
+//     (big.Int.Exp) versus by the packing shift 2^114 (the half-width
+//     squaring chain): what a power-of-two scalar saves.
 //   - he_cts_reduction/bits=N — scalar versus lane-packed ciphertexts
 //     per boosting round (the BatchCrypt-style packing headline; the
 //     acceptance gate wants ≥8 at 2048-bit).
@@ -233,6 +236,16 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 		if r.scalarNs > 0 && r.packedNs > 0 {
 			derived["he_round_speedup/"+size] = r.scalarNs / r.packedNs
 		}
+	}
+
+	smul := map[string]float64{}
+	for _, b := range benches {
+		if s, ok := strings.CutPrefix(b.Name, "BenchmarkSMul/"); ok {
+			smul[s] = b.NsPerOp
+		}
+	}
+	if smul["odd"] > 0 && smul["shift114"] > 0 {
+		derived["smul_pow2_speedup"] = smul["odd"] / smul["shift114"]
 	}
 
 	const packPrefix = "BenchmarkWireNodeHist/bits=2048/"

@@ -84,6 +84,19 @@ func (c *Fake) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// Step jumps to the earliest pending timer and runs it — for a driver that
+// decides by its own means that nothing else can make progress. It
+// reports false, leaving the clock alone, when no timer is pending.
+func (c *Fake) Step() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.timers) == 0 {
+		return false
+	}
+	c.fireNextLocked()
+	return true
+}
+
 // fireNextLocked moves the clock to the earliest timer and runs it with
 // the lock released.
 func (c *Fake) fireNextLocked() {

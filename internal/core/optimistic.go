@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"fmt"
+	"time"
+)
 
 // buildTreeOptimistic grows one tree with the concurrent VF²Boost
 // protocol of Section 4.2. Per layer:
@@ -16,7 +19,9 @@ import "time"
 //     is dirty: its tentative children are aborted (MsgDirty carries the
 //     IDs so in-flight histogram sub-tasks stop), the owner answers with
 //     the correct placement, and fresh children are created — the
-//     roll-back-and-re-do mechanism of Figure 6.
+//     roll-back-and-re-do mechanism of Figure 6. Every correction of a
+//     layer is posted before any placement is awaited, so d dirty nodes
+//     cost one round trip, not d.
 //
 // The expected dirty rate is D_A/(D_A+D_B) (validated in the Table 2
 // benchmark), so when Party B is feature-rich almost all optimistic work
@@ -38,6 +43,10 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 			cand            candidate
 			leftID, rightID int32
 			left, right     []int32
+			// A dirty node's corrected children, and the closer of the
+			// span opened when its MsgDirty left.
+			newLeft, newRight int32
+			posted            func()
 		}
 		tents := make([]tentative, len(active))
 		decs := make([]NodeDecision, 0, len(active))
@@ -67,22 +76,42 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 		}
 
 		// Phase 2: validate against the passive parties' histograms while
-		// they already work on layer+1.
-		var next []*bNode
+		// they already work on layer+1. The first pass picks every node's
+		// winner and posts the correction of a dirty node at once, so the
+		// corrections of a layer share one round trip; the second pass
+		// records the outcomes in node order.
 		for k := range tents {
 			tn := &tents[k]
-			nd := tn.node
-			best := tn.cand
 			for pi := range b.links {
-				c, err := b.passiveBest(pi, t, nd)
+				c, err := b.passiveBest(pi, t, tn.node)
 				if err != nil {
 					return nil, nil, err
 				}
-				if c.valid() && (!best.valid() || betterCandidate(c, best)) {
-					best = c
+				if c.valid() && (!tn.cand.valid() || betterCandidate(c, tn.cand)) {
+					tn.cand = c
 				}
 			}
+			if !tn.cand.valid() || tn.cand.party == len(b.links) {
+				continue
+			}
+			// Dirty node: a passive party had the better split.
+			b.stats.dirtyNodes.Add(1)
+			tn.newLeft, tn.newRight = b.allocID(), b.allocID()
+			if err := b.links[tn.cand.party].send(MsgDirty{
+				Tree: t, Layer: layer, Node: tn.node.id,
+				OldLeft: tn.leftID, OldRight: tn.rightID,
+				LeftID: tn.newLeft, RightID: tn.newRight,
+				Feature: tn.cand.split.Feature, Bin: tn.cand.split.Bin,
+			}); err != nil {
+				return nil, nil, err
+			}
+			tn.posted = b.rec.Span("B:AwaitPlacement", fmt.Sprintf("tree %d layer %d node %d", t, layer, tn.node.id))
+		}
 
+		var next []*bNode
+		for k := range tents {
+			tn := &tents[k]
+			nd, best := tn.node, tn.cand
 			switch {
 			case !best.valid():
 				// Tentative leaf confirmed.
@@ -92,28 +121,18 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 				b.recordSplitB(tree, nd, best, tn.leftID, tn.rightID)
 				next = append(next, b.childNodes(nd.id, tn.leftID, tn.left, tn.rightID, tn.right)...)
 			default:
-				// Dirty node: a passive party had the better split.
-				b.stats.dirtyNodes.Add(1)
-				newL, newR := b.allocID(), b.allocID()
 				owner := best.party
-				if err := b.links[owner].send(MsgDirty{
-					Tree: t, Layer: layer, Node: nd.id,
-					OldLeft: tn.leftID, OldRight: tn.rightID,
-					LeftID: newL, RightID: newR,
-					Feature: best.split.Feature, Bin: best.split.Bin,
-				}); err != nil {
-					return nil, nil, err
-				}
 				idle := time.Now()
 				pl, err := b.pumps[owner].placementFor(t, nd.id)
 				addDur(&b.stats.bIdleTime, time.Since(idle))
+				tn.posted()
 				if err != nil {
 					return nil, nil, err
 				}
 				left, right := applyPlacement(nd.insts, pl.Bits)
 				relay := NodeDecision{
 					Node: nd.id, Action: ActionSplitA, Owner: owner,
-					LeftID: newL, RightID: newR,
+					LeftID: tn.newLeft, RightID: tn.newRight,
 					Placement: pl.Bits, Count: len(nd.insts),
 					AbortLeft: tn.leftID, AbortRight: tn.rightID,
 				}
@@ -125,8 +144,8 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 						return nil, nil, err
 					}
 				}
-				b.recordSplitA(tree, nd, best, newL, newR)
-				next = append(next, b.childNodes(nd.id, newL, left, newR, right)...)
+				b.recordSplitA(tree, nd, best, tn.newLeft, tn.newRight)
+				next = append(next, b.childNodes(nd.id, tn.newLeft, left, tn.newRight, right)...)
 			}
 		}
 		active = next

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -28,6 +29,7 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 			node            *bNode
 			cand            candidate
 			leftID, rightID int32
+			posted          func() // closes the node's B:AwaitPlacement span
 		}
 		var pending []pendingA
 		var next []*bNode
@@ -88,10 +90,15 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 			}
 		}
 
+		// The owners have their decisions: every placement is in flight.
+		for i := range pending {
+			pending[i].posted = b.rec.Span("B:AwaitPlacement", fmt.Sprintf("tree %d layer %d node %d", t, layer, pending[i].node.id))
+		}
 		for _, pa := range pending {
 			idle := time.Now()
 			pl, err := b.pumps[pa.cand.party].placementFor(t, pa.node.id)
 			addDur(&b.stats.bIdleTime, time.Since(idle))
+			pa.posted()
 			if err != nil {
 				return nil, nil, err
 			}

@@ -14,6 +14,12 @@
 //   - homomorphic addition (HAdd) is a single modular multiplication and
 //     scalar multiplication (SMul) a modular exponentiation, exactly the
 //     cost model of Section 5 of the VF²Boost paper;
+//   - SMul by a power of two — all the training protocol ever multiplies
+//     by: packing shifts 2^2W, exponent alignment 16^d — is a chain of
+//     log2(k) squarings on the n-adic digits of the ciphertext, each at
+//     half the modulus width (squarePow2), returning the same residue
+//     big.Int.Exp would; other scalars, and keys under 1024 bits where the
+//     chain's fixed overhead outweighs it, go through Exp;
 //   - optionally, EnableFastObfuscation replaces the full r^n ladder with
 //     DJN-style short-exponent obfuscators h^x served from precomputed
 //     fixed-base tables (see fixedbase.go), cutting obfuscator cost by
@@ -309,6 +315,12 @@ func (pk *PublicKey) Sub(a, b Ciphertext) (Ciphertext, error) {
 // SMul operation. Any k outside [0, n) — negative or oversized, as packing
 // shifts can be — is reduced modulo n first, so the exponentiation never
 // pays for more than n's width. Invalid ciphertexts error, never panic.
+//
+// A power-of-two k — every scalar on the training path: packing shifts by
+// 2^2W, exponent alignment by 16^d — takes the half-width squaring chain of
+// squarePow2 when the key is wide enough for it to win; any other scalar
+// (fedlr's residual weights) takes big.Int.Exp. Both produce the same
+// residue in [0, n²).
 func (pk *PublicKey) MulScalar(ct Ciphertext, k *big.Int) (Ciphertext, error) {
 	if err := pk.ValidateCiphertext(ct); err != nil {
 		return Ciphertext{}, err
@@ -317,7 +329,46 @@ func (pk *PublicKey) MulScalar(ct Ciphertext, k *big.Int) (Ciphertext, error) {
 	if k.Sign() < 0 || k.Cmp(pk.N) >= 0 {
 		e = new(big.Int).Mod(k, pk.N)
 	}
+	if s := e.BitLen() - 1; s >= 0 && e.TrailingZeroBits() == uint(s) && pk.N.BitLen() >= pow2ChainMinBits {
+		return Ciphertext{C: pk.squarePow2(ct.C, s)}, nil
+	}
 	return Ciphertext{C: new(big.Int).Exp(ct.C, e, pk.NSquared)}, nil
+}
+
+// pow2ChainMinBits is the modulus size from which squarePow2 beats
+// big.Int.Exp. The chain's per-step overhead (two QuoRem calls) is fixed
+// while its saving grows with the width: measured for 2^114 on the 2-CPU
+// host, 256-bit 54 vs 24 µs and 512-bit 92 vs 62 µs (Exp wins), 1024-bit
+// 207 vs 229 µs and 2048-bit 0.59 vs 0.92 ms (the chain wins, as it does
+// for 16 and 16³ from 1024 bits up).
+const pow2ChainMinBits = 1024
+
+// squarePow2 returns c^(2^s) mod n² for c in [0, n²) without touching c. It
+// squares in the n-adic form c = a + b·n (a, b < n): since (b·n)² ≡ 0,
+//
+//	c² ≡ a² + 2ab·n = (a² mod n) + (⌊a²/n⌋ + 2ab)·n  (mod n²),
+//
+// so one step is a half-width square, a half-width product and two
+// 2S→S-bit divisions where a full-width step is an S·2-bit square and a
+// 4S→2S-bit division — about half the word multiplications — and Montgomery
+// Exp additionally pays a window table, the R² mod n² setup and padding
+// squarings to spend on an exponent with one set bit. The digits are
+// recombined once at the end, so the result is the canonical residue Exp
+// returns, bit for bit.
+func (pk *PublicKey) squarePow2(c *big.Int, s int) *big.Int {
+	a, b := new(big.Int), new(big.Int)
+	b.QuoRem(c, pk.N, a)
+	var sq, q, t big.Int // scratch: their backing arrays are reused by every step
+	for ; s > 0; s-- {
+		t.Mul(a, b)
+		sq.Mul(a, a)
+		q.QuoRem(&sq, pk.N, a)
+		t.Lsh(&t, 1)
+		t.Add(&t, &q)
+		q.QuoRem(&t, pk.N, b)
+	}
+	b.Mul(b, pk.N)
+	return b.Add(b, a)
 }
 
 // EncryptZero returns a deterministic, non-obfuscated encryption of zero

@@ -331,14 +331,33 @@ func BenchmarkHAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkSMul measures the scalars the protocol multiplies by, at the
+// paper's key size: the packing shift 2^114 (a 2·57-bit slot), exponent
+// alignment by 16 and 16³, and a dense 114-bit scalar that stays on the
+// general big.Int.Exp path. bits=512 is the pre-PR-18 benchmark (2^20 under
+// a 512-bit key), kept so the committed baselines stay comparable.
 func BenchmarkSMul(b *testing.B) {
-	priv := testKey(b, 512)
-	ct, _ := priv.EncryptInt64(rand.Reader, 7)
-	k := big.NewInt(1 << 20)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := priv.MulScalar(ct, k); err != nil {
-			b.Fatal(err)
-		}
+	odd, _ := new(big.Int).SetString("2d6f0c3a915be847f1a3c59e0b7d3", 16) // 114 bits, not a power of two
+	for _, bc := range []struct {
+		name string
+		bits int
+		k    *big.Int
+	}{
+		{"shift114", 2048, new(big.Int).Lsh(one, 114)},
+		{"scale16", 2048, big.NewInt(16)},
+		{"scale4096", 2048, big.NewInt(4096)},
+		{"odd", 2048, odd},
+		{"bits=512", 512, big.NewInt(1 << 20)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			priv := testKey(b, bc.bits)
+			ct, _ := priv.EncryptInt64(rand.Reader, 7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := priv.MulScalar(ct, bc.k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -35,20 +35,24 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # packs every node as units on one queue of its workers, Party B decrypts
 # per ciphertext on another, and what B files must equal the unpacked
 # path's integers — and a refused frame must end in its typed error —
-# whatever the schedule.
+# whatever the schedule. The optimistic builder's corrections ride along:
+# on virtual-time links a layer's dirty nodes must cost one round trip on
+# any core count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip' ./internal/core
   # Party B encrypts through the key owner's CRT tables; the backends
   # built on them must conform, and the golden hashes above must not
   # move, on any core count.
   GOMAXPROCS=$procs go test -race -count=1 -run 'TestBackendConformance' ./internal/he
 done
 
-echo "== key-owner encryption (CRT obfuscator vs big.Exp, secrecy boundary, reconfiguration under a live pool; race-enabled) =="
+echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring chain vs big.Exp, secrecy boundary, reconfiguration under a live pool; race-enabled) =="
 # -short trims the random-exponent sweep at the larger key sizes; the
-# edge, single-window and out-of-table exponents always run.
-go test -race -short -count=1 -run 'Owner' ./internal/paillier ./internal/he
+# edge, single-window and out-of-table exponents always run. The pow2
+# kernel is compared byte for byte with big.Int.Exp, and shared read-only
+# operands are shifted from several goroutines at once.
+go test -race -short -count=1 -run 'Owner|MulScalarPow2' ./internal/paillier ./internal/he
 
 echo "== ooc smoke (bounded-memory training under GOMEMLIMIT, race-enabled) =="
 # GOMEMLIMIT makes the runtime itself enforce the bound: if the shard
@@ -122,6 +126,9 @@ go test -run='^$' -fuzz=FuzzVecUnmarshal -fuzztime=10s ./internal/he
 
 echo "== fuzz smoke (ciphertext ops: arbitrary bytes must never panic) =="
 go test -run='^$' -fuzz=FuzzCiphertextOps -fuzztime=10s ./internal/paillier
+
+echo "== fuzz smoke (power-of-two SMul: arbitrary ciphertext bytes and shifts must match big.Int.Exp) =="
+go test -run='^$' -fuzz=FuzzMulScalarPow2 -fuzztime=10s ./internal/paillier
 
 echo "== bench smoke (harness runs, output parses, baseline not rotted) =="
 bench_json=$(mktemp)
