@@ -54,7 +54,13 @@ func (eh *EncHistogram) totalBins() int { return eh.offsets[len(eh.offsets)-1] }
 // merge. A view failure (disk-backed views only) stops the sweep; the
 // partial histogram must be discarded and the error routed into the
 // session-abort path.
+//
+// Homomorphic additions made on the scheme directly are counted locally
+// and reported once per call (here, in Merge and in packedFeature): one
+// shared atomic per addition was millions of contended writes per tree.
 func (eh *EncHistogram) Accumulate(bm gbdt.BinView, insts []int32, gh []fixedpoint.EncNum) error {
+	var hadds int64
+	defer func() { eh.codec.Stats().AddHAdds(hadds) }()
 	for _, i := range insts {
 		cols, bins, err := bm.Row(int(i))
 		if err != nil {
@@ -62,6 +68,9 @@ func (eh *EncHistogram) Accumulate(bm gbdt.BinView, insts []int32, gh []fixedpoi
 		}
 		for k, j := range cols {
 			eh.add(eh.offsets[j]+int(bins[k]), gh[i])
+		}
+		if eh.reordered { // the naive path adds through the codec, which counts
+			hadds += int64(len(cols))
 		}
 	}
 	return nil
@@ -85,7 +94,6 @@ func (eh *EncHistogram) add(idx int, v fixedpoint.EncNum) {
 	if eh.slots[row][idx] == nil {
 		eh.slots[row][idx] = s.EncryptZero()
 	}
-	eh.codec.Stats().AddHAdds(1)
 	eh.slots[row][idx] = s.AddInto(eh.slots[row][idx], v.Ct)
 }
 
@@ -99,6 +107,8 @@ func (eh *EncHistogram) Merge(o *EncHistogram) {
 		}
 		return
 	}
+	var hadds int64
+	defer func() { eh.codec.Stats().AddHAdds(hadds) }()
 	s := eh.codec.Scheme()
 	for row, src := range o.slots {
 		if src == nil {
@@ -116,7 +126,7 @@ func (eh *EncHistogram) Merge(o *EncHistogram) {
 			if dst[idx] == nil {
 				dst[idx] = ct
 			} else {
-				eh.codec.Stats().AddHAdds(1)
+				hadds++
 				dst[idx] = s.AddInto(dst[idx], ct)
 			}
 		}
@@ -129,8 +139,9 @@ func (eh *EncHistogram) Merge(o *EncHistogram) {
 // workspace rows fold from the lowest up — scale the running sum to the
 // next occupied row, add the row — so every occupied row below the result
 // costs one scaling by a small scalar. Bins share no state and finalize
-// concurrently; merging consumes the bin's accumulators.
-func (eh *EncHistogram) mergeBin(idx, toExp int) fixedpoint.EncNum {
+// concurrently; merging consumes the bin's accumulators. The additions
+// made are added to *hadds for the caller to report.
+func (eh *EncHistogram) mergeBin(idx, toExp int, hadds *int64) fixedpoint.EncNum {
 	var acc fixedpoint.EncNum
 	if !eh.reordered {
 		acc = eh.acc[idx]
@@ -142,7 +153,7 @@ func (eh *EncHistogram) mergeBin(idx, toExp int) fixedpoint.EncNum {
 		cur := fixedpoint.EncNum{Exp: eh.codec.BaseExp() + row, Ct: ws[idx]}
 		if acc.Ct != nil {
 			cur.Ct = eh.codec.Scheme().AddInto(eh.codec.ScaleEnc(acc, cur.Exp).Ct, cur.Ct)
-			eh.codec.Stats().AddHAdds(1)
+			*hadds++
 		}
 		acc = cur
 	}
@@ -214,11 +225,13 @@ func (p packPlan) chunk(slots, c int) (lo, hi int) {
 func (eh *EncHistogram) packedFeature(lo, hi int, occupiedOnly bool, shiftCt he.Ciphertext, plan packPlan) (FeatHist, []he.Ciphertext) {
 	fh := FeatHist{NumBins: hi - lo, Occupied: make([]byte, (hi-lo+7)/8)}
 	var slots []he.Ciphertext
+	var hadds int64
+	defer func() { eh.codec.Stats().AddHAdds(hadds) }()
 	run := shiftCt // shared read-only seed; Add always returns fresh ciphertexts
 	for k := 0; k < hi-lo; k++ {
-		if b := eh.mergeBin(lo+k, plan.exp); b.Ct != nil {
+		if b := eh.mergeBin(lo+k, plan.exp, &hadds); b.Ct != nil {
 			run = eh.codec.Scheme().Add(run, b.Ct)
-			eh.codec.Stats().AddHAdds(1)
+			hadds++
 		} else if occupiedOnly {
 			continue
 		}

@@ -66,7 +66,7 @@ func newEncRig(t testing.TB, rows, cols int, density float64, seed int64) *encTe
 func (eh *EncHistogram) finalizeAll() []fixedpoint.EncNum {
 	bins := make([]fixedpoint.EncNum, eh.totalBins())
 	for idx := range bins {
-		bins[idx] = eh.mergeBin(idx, 0)
+		bins[idx] = eh.mergeBin(idx, 0, new(int64))
 	}
 	return bins
 }

@@ -49,25 +49,31 @@ func (b *activeParty) buildTreeOptimistic(t int) (*FedTree, []leafResult, error)
 			posted            func()
 		}
 		tents := make([]tentative, len(active))
+		placed := make([]*nodeSplit, len(active))
+		for k, nd := range active {
+			tents[k] = tentative{node: nd, cand: b.ownBest(ownHists[k], nd)}
+			if c := tents[k].cand; c.valid() {
+				placed[k] = newNodeSplit(nd.insts, c.split.Feature, c.split.Bin)
+			}
+		}
+		// One pass over B's shards places the whole layer.
+		if err := b.units.routeNodes(b.view, placed); err != nil {
+			return nil, nil, err
+		}
 		decs := make([]NodeDecision, 0, len(active))
 		for k, nd := range active {
-			tn := tentative{node: nd, cand: b.ownBest(ownHists[k], nd)}
+			tn := &tents[k]
 			if tn.cand.valid() {
 				tn.leftID, tn.rightID = b.allocID(), b.allocID()
-				bits, left, right, err := b.placementBitmap(nd.insts, tn.cand.split.Feature, tn.cand.split.Bin)
-				if err != nil {
-					return nil, nil, err
-				}
-				tn.left, tn.right = left, right
+				tn.left, tn.right = placed[k].left, placed[k].right
 				decs = append(decs, NodeDecision{
 					Node: nd.id, Action: ActionSplitB,
 					LeftID: tn.leftID, RightID: tn.rightID,
-					Placement: bits, Count: len(nd.insts),
+					Placement: placed[k].bits, Count: len(nd.insts),
 				})
 			} else {
 				decs = append(decs, NodeDecision{Node: nd.id, Action: ActionLeaf})
 			}
-			tents[k] = tn
 		}
 		for _, l := range b.links {
 			if err := l.send(MsgDecisions{Tree: t, Layer: layer, Tentative: true, Nodes: decs}); err != nil {

@@ -86,8 +86,12 @@ type passiveParty struct {
 
 	// Abortable histogram sub-tasks, keyed by node ID. units is the party's
 	// worker budget: every sweep, finalize and packing unit of every task
-	// and of the root runs on it.
+	// and of the root runs on it. pending are the tasks no accumulation
+	// pass has taken yet; walking is set while a pass walks a sharded view,
+	// which is when later tasks wait for the next pass (see startPasses).
 	tasks   map[int32]*histTask
+	pending []*histTask
+	walking bool
 	tasksMu sync.Mutex
 	taskWG  sync.WaitGroup
 	units   unitQueue
@@ -104,11 +108,23 @@ type passiveParty struct {
 }
 
 // histTask is one abortable per-node histogram build (the "small
-// sub-tasks which can be processed in parallel" of Figure 6).
+// sub-tasks which can be processed in parallel" of Figure 6): the node's
+// frame header and instance list, the tree and gradient stream it was
+// scheduled under, and — once a pass has taken it — its accumulator, in the
+// representation the session runs.
 type histTask struct {
 	node    int32
 	layer   int
 	aborted atomic.Bool
+
+	head  NodeHist
+	insts []int32
+	tree  int
+	gh    []fixedpoint.EncNum
+	wins  []he.VecCiphertext
+
+	accumulate func(rows gbdt.BinView, chunk []int32) error
+	wire       func() (NodeHist, error)
 }
 
 func newPassiveParty(index int, data *dataset.Dataset, cfg Config, lk *link, stats *Stats) (*passiveParty, error) {
@@ -458,8 +474,8 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 	}
 
 	rootParts := p.rootPartsAll[m.Class]
-	err := p.sweepRoot(m.Start, len(m.Cts), len(rootParts), func(w int, insts []int32) error {
-		return rootParts[w].Accumulate(p.view, insts, gh)
+	err := p.sweepRoot(m.Start, len(m.Cts), len(rootParts), func(w int, rows gbdt.BinView, insts []int32) error {
+		return rootParts[w].Accumulate(rows, insts, gh)
 	})
 	if err != nil {
 		return err
@@ -539,8 +555,8 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 		end = n
 	}
 
-	err := p.sweepRoot(m.Start, end-m.Start, len(p.rootVecParts), func(w int, insts []int32) error {
-		return p.rootVecParts[w].accumulate(p.view, insts, p.vgh)
+	err := p.sweepRoot(m.Start, end-m.Start, len(p.rootVecParts), func(w int, rows gbdt.BinView, insts []int32) error {
+		return p.rootVecParts[w].accumulate(rows, insts, p.vgh)
 	})
 	if err != nil {
 		return err
@@ -571,10 +587,11 @@ func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
 
 // sweepRoot accumulates the gradient batch [start, start+count) into the
 // root histogram as soon as it lands — the overlap blaster encryption
-// exists for — sharded across workers: sweep(w, insts) adds worker w's
-// contiguous share to its own partial accumulator, and the partials merge
-// once the last batch arrives.
-func (p *passiveParty) sweepRoot(start, count, workers int, sweep func(w int, insts []int32) error) error {
+// exists for — sharded across workers: sweep(w, rows, insts) adds worker
+// w's contiguous share (cut where the batch crosses a shard boundary) to
+// its own partial accumulator, and the partials merge once the last batch
+// arrives.
+func (p *passiveParty) sweepRoot(start, count, workers int, sweep func(w int, rows gbdt.BinView, insts []int32) error) error {
 	if workers == 0 {
 		// The partial accumulators are released once the root ships.
 		return fmt.Errorf("core: gradient batch @%d of a stream after its last batch", start)
@@ -587,8 +604,12 @@ func (p *passiveParty) sweepRoot(start, count, workers int, sweep func(w int, in
 		insts[k] = int32(start + k)
 	}
 	chunk := max((count+workers-1)/workers, 1)
-	err := p.units.do(nil, (count+chunk-1)/chunk, func(w int) error {
-		return sweep(w, insts[w*chunk:min((w+1)*chunk, count)])
+	shares := make([][]int32, (count+chunk-1)/chunk)
+	for w := range shares {
+		shares[w] = insts[w*chunk : min((w+1)*chunk, count)]
+	}
+	err := gbdt.SweepShards(p.view, shares, p.units.run, func(rows gbdt.BinView, w, lo, hi int) error {
+		return sweep(w, rows, shares[w][lo:hi])
 	})
 	if err != nil {
 		return fmt.Errorf("core: party %d root histogram sweep: %w", p.index, err)
@@ -650,12 +671,14 @@ func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (N
 		}
 		lo, n := p.offsets[j], p.offsets[j+1]-p.offsets[j]
 		fh := FeatHist{NumBins: n, Bins: make([][]byte, n), BinExp: make([]int16, n)}
+		var hadds int64
+		defer func() { p.codec.Stats().AddHAdds(hadds) }()
 		for k := range fh.Bins {
 			// Empty bins ship as empty payloads, which the decoder
 			// treats as exact zero. Emptiness carries no extra
 			// information: Party B decrypts every bin sum anyway.
 			fh.BinExp[k] = int16(p.codec.BaseExp())
-			if b := eh.mergeBin(lo+k, 0); b.Ct != nil {
+			if b := eh.mergeBin(lo+k, 0, &hadds); b.Ct != nil {
 				fh.Bins[k], fh.BinExp[k] = p.scheme.Marshal(b.Ct), int16(b.Exp)
 			}
 		}
@@ -683,17 +706,34 @@ func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (N
 	})
 }
 
-// handleDecisions applies a layer's (tentative or final) node decisions.
+// handleDecisions applies a layer's (tentative or final) node decisions:
+// one pass over the shards places every node this party is to split, the
+// decisions are applied in order, and the children they scheduled go to
+// the accumulation passes together.
 func (p *passiveParty) handleDecisions(m MsgDecisions) error {
-	for _, d := range m.Nodes {
-		if err := p.applyDecision(m.Layer, d); err != nil {
+	placed := make([]*nodeSplit, len(m.Nodes))
+	for k, d := range m.Nodes {
+		if d.Action == ActionSplitA && d.Owner == p.index {
+			placed[k] = newNodeSplit(p.nodeInsts[d.Node], d.Feature, d.Bin)
+		}
+	}
+	if err := p.units.routeNodes(p.view, placed); err != nil {
+		// Notify B before unwinding: it is waiting on the placements this
+		// pass was about to produce.
+		return p.reject(fmt.Errorf("core: party %d partitioning layer %d: %w", p.index, m.Layer, err))
+	}
+	for k, d := range m.Nodes {
+		if err := p.applyDecision(m.Layer, d, placed[k]); err != nil {
 			return err
 		}
 	}
+	p.startPasses()
 	return nil
 }
 
-func (p *passiveParty) applyDecision(layer int, d NodeDecision) error {
+// applyDecision applies one node's decision; sp is the node's placement
+// when the split is this party's own.
+func (p *passiveParty) applyDecision(layer int, d NodeDecision, sp *nodeSplit) error {
 	// Corrective decisions may abort previously-scheduled children.
 	if d.AbortLeft != 0 || d.AbortRight != 0 {
 		p.abortChildren(d.AbortLeft, d.AbortRight)
@@ -716,28 +756,14 @@ func (p *passiveParty) applyDecision(layer int, d NodeDecision) error {
 		p.childReady(d.Node, layer, d.LeftID, left, d.RightID, right)
 		return nil
 	case ActionSplitA:
-		if d.Owner == p.index {
-			// My split: record it, compute the placement and answer.
+		if sp != nil {
+			// My split: record it, answer with the placement.
 			threshold := p.mapper.Threshold(int(d.Feature), int(d.Bin))
 			p.recordSplit(d.Node, d.Feature, threshold, d.LeftID, d.RightID)
-			left, right, err := p.partition(insts, d.Feature, d.Bin)
-			if err != nil {
-				// Notify B before unwinding: it is waiting on the placement
-				// this partition was about to produce.
-				return p.reject(fmt.Errorf("core: party %d partitioning node %d: %w", p.index, d.Node, err))
-			}
-			bits := make([]bool, len(insts))
-			li := 0
-			for k, inst := range insts {
-				if li < len(left) && left[li] == inst {
-					bits[k] = true
-					li++
-				}
-			}
-			if err := p.send(MsgPlacement{Tree: p.tree, Layer: layer, Node: d.Node, Bits: packBitmap(bits), Count: len(insts)}); err != nil {
+			if err := p.send(MsgPlacement{Tree: p.tree, Layer: layer, Node: d.Node, Bits: sp.bits, Count: len(insts)}); err != nil {
 				return err
 			}
-			p.childReady(d.Node, layer, d.LeftID, left, d.RightID, right)
+			p.childReady(d.Node, layer, d.LeftID, sp.left, d.RightID, sp.right)
 			return nil
 		}
 		// Another party's split: the placement is relayed by B.
@@ -756,7 +782,7 @@ func (p *passiveParty) applyDecision(layer int, d NodeDecision) error {
 // tentative children are aborted and the corrected split applied.
 func (p *passiveParty) handleDirty(m MsgDirty) error {
 	p.abortChildren(m.OldLeft, m.OldRight)
-	return p.applyDecision(m.Layer, NodeDecision{
+	return p.handleDecisions(MsgDecisions{Layer: m.Layer, Nodes: []NodeDecision{{
 		Node:    m.Node,
 		Action:  ActionSplitA,
 		Owner:   p.index,
@@ -764,7 +790,7 @@ func (p *passiveParty) handleDirty(m MsgDirty) error {
 		RightID: m.RightID,
 		Feature: m.Feature,
 		Bin:     m.Bin,
-	})
+	}}})
 }
 
 // abortChildren cancels queued or running histogram tasks and discards the
@@ -801,22 +827,6 @@ func (p *passiveParty) recordSplit(node int32, feature int32, threshold float64,
 	}
 }
 
-// partition splits an instance list on one of this party's features.
-func (p *passiveParty) partition(insts []int32, feature, bin int32) (left, right []int32, err error) {
-	for _, i := range insts {
-		goesLeft, err := gbdt.GoesLeft(p.view, i, feature, bin)
-		if err != nil {
-			return nil, nil, err
-		}
-		if goesLeft {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	return left, right, nil
-}
-
 // childReady registers the children of a split node and schedules their
 // histogram builds (children at the depth limit are future leaves and
 // need no histograms). Under HistogramSubtraction only the child with
@@ -840,88 +850,135 @@ func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []
 	}
 }
 
-// scheduleHist launches one abortable task (the "small sub-tasks which can
+// scheduleHist queues one abortable task (the "small sub-tasks which can
 // be processed in parallel" of Figure 6) that builds the histogram of the
 // node named by head and sends it to B as soon as it is ready — nodes
 // stream independently, which is what lets B validate early and abort
-// less work.
+// less work. startPasses sets the queued tasks going.
 func (p *passiveParty) scheduleHist(layer int, head NodeHist, insts []int32) {
-	task := &histTask{node: head.Node, layer: layer}
+	task := &histTask{node: head.Node, layer: layer, head: head, insts: insts, tree: p.tree, gh: p.gh, wins: p.vgh}
 	p.tasksMu.Lock()
 	p.tasks[head.Node] = task
+	p.pending = append(p.pending, task)
 	p.tasksMu.Unlock()
-	gh := p.gh
-	wins := p.vgh
-	tree := p.tree
+}
+
+// startPasses hands the pending tasks to accumulation passes. Over a
+// sharded view one pass walks at a time: a task cannot join a walk under
+// way (the shards already passed would reach its histogram out of order)
+// and a second walk beside it would read every shard again, so tasks that
+// become ready meanwhile — a layer's corrections, posted back to back —
+// are taken together by the next pass. A one-shard view has no loads to
+// share, and every call starts its tasks at once.
+func (p *passiveParty) startPasses() {
+	p.tasksMu.Lock()
+	defer p.tasksMu.Unlock()
+	sv, ok := p.view.(gbdt.ShardedView)
+	sharded := ok && sv.NumShards() > 1
+	if len(p.pending) == 0 || (sharded && p.walking) {
+		return
+	}
+	p.walking = sharded
 	p.taskWG.Add(1)
 	go func() {
 		defer p.taskWG.Done()
-		// A failure below comes from the binned view (a shard beyond its
-		// self-healing budget), from ciphertexts accumulated off the wire,
-		// or from the link refusing the histogram. None is a protocol bug,
-		// and B is blocked waiting for this node: abort the session instead
-		// of panicking, training on a partial histogram or carrying on
-		// without it.
-		nh, err := p.buildHist(task, insts, gh, wins)
-		if err == nil {
-			nh.Parent, nh.Sibling = head.Parent, head.Sibling
-			err = p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{nh}})
+		for group := p.nextPass(); len(group) > 0; group = p.nextPass() {
+			p.accumulatePass(group)
 		}
-		if errors.Is(err, errTaskAborted) {
-			return
-		}
-		if err != nil {
-			p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, head.Node, err))
-			return
-		}
-		p.tasksMu.Lock()
-		delete(p.tasks, head.Node)
-		p.tasksMu.Unlock()
 	}()
 }
 
-// buildHist accumulates one node's histogram and wires it in the
-// representation the session runs — folded bins or vectorized
-// accumulators. It returns errTaskAborted when the task was aborted; any
-// other error means the binned view failed to deliver a row even after its
-// own retries/rebuilds, or packing failed.
-func (p *passiveParty) buildHist(task *histTask, insts []int32, gh []fixedpoint.EncNum, wins []he.VecCiphertext) (NodeHist, error) {
-	var accumulate func(chunk []int32) error
-	var wire func() (NodeHist, error)
-	if p.vec {
-		vh := newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
-		accumulate = func(chunk []int32) error { return vh.accumulate(p.view, chunk, wins) }
-		wire = func() (NodeHist, error) { return p.wireVecHist(task, task.node, vh) }
-	} else {
-		eh := NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
-		accumulate = func(chunk []int32) error { return eh.Accumulate(p.view, chunk, gh) }
-		wire = func() (NodeHist, error) { return p.wireHist(task, task.node, eh) }
-	}
-	// The sweep is one unit on the party's queue, in abort-checked chunks.
-	err := p.units.do(task, 1, func(int) error {
-		if dh, ok := p.view.(gbdt.DepthHinter); ok {
-			dh.HintDepth(task.layer)
+// nextPass takes the tasks of one pass off the pending list: at most two
+// per worker, so the encrypted histograms alive at once stay O(Workers)
+// however wide the layer is. An empty list ends the walk.
+func (p *passiveParty) nextPass() []*histTask {
+	p.tasksMu.Lock()
+	defer p.tasksMu.Unlock()
+	n := min(len(p.pending), 2*cap(p.units))
+	group := p.pending[:n:n]
+	p.pending = p.pending[n:]
+	p.walking = p.walking && n > 0
+	return group
+}
+
+// accumulatePass builds the histograms of a group of nodes in one pass
+// over the shards: while a shard is resident every node's rows in it are
+// accumulated, a unit per node on the party's queue, in abort-checked
+// chunks so a node that turns dirty drops out mid-pass. A node's runs reach
+// its histogram in ascending order, so its HAdd sequence is the one a walk
+// of its own would make. The unit that adds a node's last run hands the
+// node to finishHist; the pass does not wait for it.
+//
+// A failure comes from the binned view (a shard beyond its self-healing
+// budget) or from ciphertexts accumulated off the wire. Neither is a
+// protocol bug, and B is blocked waiting for these nodes: abort the
+// session instead of panicking or training on a partial histogram.
+func (p *passiveParty) accumulatePass(group []*histTask) {
+	lists := make([][]int32, len(group))
+	for k, task := range group {
+		lists[k] = task.insts
+		if p.vec {
+			vh := newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
+			task.accumulate = func(rows gbdt.BinView, chunk []int32) error { return vh.accumulate(rows, chunk, task.wins) }
+			task.wire = func() (NodeHist, error) { return p.wireVecHist(task, task.node, vh) }
+		} else {
+			eh := NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
+			task.accumulate = func(rows gbdt.BinView, chunk []int32) error { return eh.Accumulate(rows, chunk, task.gh) }
+			task.wire = func() (NodeHist, error) { return p.wireHist(task, task.node, eh) }
 		}
-		start := time.Now()
-		defer p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))()
-		defer func() { addDur(&p.stats.buildHistTime, time.Since(start)) }()
-		const chunk = 256
-		for lo := 0; lo < len(insts) && !task.aborted.Load(); lo += chunk {
-			if err := accumulate(insts[lo:min(lo+chunk, len(insts))]); err != nil {
-				return err
+		if len(task.insts) == 0 { // no run will finish it
+			p.taskWG.Add(1)
+			go p.finishHist(task)
+		}
+	}
+	err := gbdt.SweepShards(p.view, lists, p.units.run, func(rows gbdt.BinView, k, lo, hi int) error {
+		task := group[k]
+		if !task.aborted.Load() {
+			start := time.Now()
+			endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))
+			const chunk = 256
+			for at := lo; at < hi && !task.aborted.Load(); at += chunk {
+				if err := task.accumulate(rows, task.insts[at:min(at+chunk, hi)]); err != nil {
+					return fmt.Errorf("core: party %d histogram for node %d: %w", p.index, task.node, err)
+				}
 			}
+			endSpan()
+			addDur(&p.stats.buildHistTime, time.Since(start))
+		}
+		if hi == len(task.insts) {
+			p.taskWG.Add(1) // under the pass's own count
+			go p.finishHist(task)
 		}
 		return nil
 	})
 	if err != nil {
-		return NodeHist{}, err
+		p.fail(err)
 	}
-	// An aborted sweep stops early; the queue then drops the wire units.
-	nh, err := wire()
+}
+
+// finishHist wires an accumulated node — finalize and pack, units on the
+// party's queue — and ships it. An aborted node is dropped silently; a
+// packing failure or a link that refuses the histogram fails the session.
+func (p *passiveParty) finishHist(task *histTask) {
+	defer p.taskWG.Done()
+	nh, err := task.wire()
 	if err == nil && task.aborted.Load() {
 		err = errTaskAborted
 	}
-	return nh, err
+	if err == nil {
+		nh.Parent, nh.Sibling = task.head.Parent, task.head.Sibling
+		err = p.send(MsgHistograms{Tree: task.tree, Layer: task.layer, Nodes: []NodeHist{nh}})
+	}
+	if errors.Is(err, errTaskAborted) {
+		return
+	}
+	if err != nil {
+		p.fail(fmt.Errorf("core: party %d histogram for node %d: %w", p.index, task.node, err))
+		return
+	}
+	p.tasksMu.Lock()
+	delete(p.tasks, task.node)
+	p.tasksMu.Unlock()
 }
 
 // applyPlacement splits an instance list by a placement bitmap (bit set =

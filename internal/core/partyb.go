@@ -1238,26 +1238,6 @@ func (b *activeParty) childStats(insts []int32) (g, h float64) {
 	return g, h
 }
 
-// placementBitmap computes the left/right bitmap of a Party-B split over
-// a node's instances.
-func (b *activeParty) placementBitmap(insts []int32, feature, bin int32) ([]byte, []int32, []int32, error) {
-	bits := make([]bool, len(insts))
-	var left, right []int32
-	for k, i := range insts {
-		goesLeft, err := gbdt.GoesLeft(b.view, i, feature, bin)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if goesLeft {
-			bits[k] = true
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	return packBitmap(bits), left, right, nil
-}
-
 // allocID hands out the next tree-node ID.
 func (b *activeParty) allocID() int32 {
 	b.nextID++

@@ -50,10 +50,11 @@ func TestPlacementBitmapPartition(t *testing.T) {
 	for i := range insts {
 		insts[i] = int32(i)
 	}
-	bits, left, right, err := b.placementBitmap(insts, 0, 0)
-	if err != nil {
+	sp := newNodeSplit(insts, 0, 0)
+	if err := b.units.routeNodes(b.view, []*nodeSplit{sp}); err != nil {
 		t.Fatal(err)
 	}
+	bits, left, right := sp.bits, sp.left, sp.right
 	if len(left)+len(right) != 60 {
 		t.Fatalf("partition lost instances: %d + %d", len(left), len(right))
 	}

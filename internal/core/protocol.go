@@ -34,6 +34,10 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 		var pending []pendingA
 		var next []*bNode
 
+		// Every node's winner first; the nodes Party B splits are then placed
+		// in one pass over its shards.
+		bests := make([]candidate, len(active))
+		placed := make([]*nodeSplit, len(active))
 		for k, nd := range active {
 			best := b.ownBest(ownHists[k], nd)
 			for pi := range b.links {
@@ -45,7 +49,17 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 					best = c
 				}
 			}
+			bests[k] = best
+			if best.valid() && best.party == len(b.links) {
+				placed[k] = newNodeSplit(nd.insts, best.split.Feature, best.split.Bin)
+			}
+		}
+		if err := b.units.routeNodes(b.view, placed); err != nil {
+			return nil, nil, err
+		}
 
+		for k, nd := range active {
+			best := bests[k]
 			switch {
 			case !best.valid():
 				leaves = append(leaves, b.recordLeaf(tree, nd))
@@ -55,19 +69,15 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 			case best.party == len(b.links):
 				// Party B owns the split.
 				leftID, rightID := b.allocID(), b.allocID()
-				bits, left, right, err := b.placementBitmap(nd.insts, best.split.Feature, best.split.Bin)
-				if err != nil {
-					return nil, nil, err
-				}
 				b.recordSplitB(tree, nd, best, leftID, rightID)
 				for pi := range decisions {
 					decisions[pi] = append(decisions[pi], NodeDecision{
 						Node: nd.id, Action: ActionSplitB,
 						LeftID: leftID, RightID: rightID,
-						Placement: bits, Count: len(nd.insts),
+						Placement: placed[k].bits, Count: len(nd.insts),
 					})
 				}
-				next = append(next, b.childNodes(nd.id, leftID, left, rightID, right)...)
+				next = append(next, b.childNodes(nd.id, leftID, placed[k].left, rightID, placed[k].right)...)
 			default:
 				// A passive party owns the split: tell the owner now,
 				// relay the placement to the rest once it arrives.
@@ -194,6 +204,51 @@ func allInstances(n int) []int32 {
 	return all
 }
 
+// nodeSplit is one node a party splits on a feature of its own: the
+// request, and once routeNodes has run the placement — the bitmap over
+// insts (bit set = left) and the two child lists, in instance order.
+type nodeSplit struct {
+	insts        []int32
+	feature, bin int32
+	bits         []byte
+	left, right  []int32
+}
+
+func newNodeSplit(insts []int32, feature, bin int32) *nodeSplit {
+	return &nodeSplit{insts: insts, feature: feature, bin: bin, bits: make([]byte, (len(insts)+7)/8)}
+}
+
+// routeNodes places the instances of every split (nil entries: nodes with
+// nothing to place) in one pass over the view's shards, a unit per node
+// and shard on the party's queue. A node's runs arrive in ascending order,
+// so its bitmap and child lists come out as a walk of the whole list would
+// have left them.
+func (q unitQueue) routeNodes(view gbdt.BinView, splits []*nodeSplit) error {
+	lists := make([][]int32, len(splits))
+	for k, sp := range splits {
+		if sp != nil {
+			lists[k] = sp.insts
+		}
+	}
+	return gbdt.SweepShards(view, lists, q.run, func(rows gbdt.BinView, k, lo, hi int) error {
+		sp := splits[k]
+		for at := lo; at < hi; at++ {
+			i := sp.insts[at]
+			goesLeft, err := gbdt.GoesLeft(rows, i, sp.feature, sp.bin)
+			if err != nil {
+				return err
+			}
+			if goesLeft {
+				sp.bits[at/8] |= 1 << (at % 8)
+				sp.left = append(sp.left, i)
+			} else {
+				sp.right = append(sp.right, i)
+			}
+		}
+		return nil
+	})
+}
+
 // errTaskAborted is what do returns once its task was aborted.
 var errTaskAborted = errors.New("core: histogram task aborted")
 
@@ -249,3 +304,6 @@ func (q unitQueue) do(task *histTask, n int, fn func(i int) error) (first error)
 	wg.Wait()
 	return first
 }
+
+// run is do for units nothing aborts — the runner gbdt.SweepShards takes.
+func (q unitQueue) run(n int, unit func(i int) error) error { return q.do(nil, n, unit) }

@@ -264,22 +264,7 @@ func TestPassivePartyStaysInsideItsWorkerBudget(t *testing.T) {
 // are still queued runs none of them, sends nothing, and does not fail the
 // session.
 func TestAbortedTaskNeverRunsAndIsNoFailure(t *testing.T) {
-	r := newPassiveRig(t, 40, 2, 1)
-	r.feed(t)
-	for i := 0; i < 2; i++ { // setup, then the gradient stream
-		m, err := r.p.link.recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s, ok := m.(MsgSetup); ok {
-			err = r.p.handleSetup(s)
-		} else {
-			err = r.p.handlePairBatch(m.(MsgPairBatch))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	r := newPassiveRig(t, 40, 2, 1).primed(t)
 	before := len(r.sentFrames(t))
 	// Hold the party's only worker, queue node 2 behind it, abort it.
 	hold, held := make(chan struct{}), make(chan struct{})
@@ -290,6 +275,7 @@ func TestAbortedTaskNeverRunsAndIsNoFailure(t *testing.T) {
 	<-held
 	built := r.p.stats.BuildHistTime()
 	r.p.scheduleHist(1, NodeHist{Node: 2, Parent: rootID, Sibling: 3}, allInstances(10))
+	r.p.startPasses()
 	r.p.abortChildren(2)
 	close(hold)
 	if err := <-done; err != nil {

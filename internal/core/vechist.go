@@ -49,6 +49,8 @@ func newVecHist(codec *fixedpoint.Codec, backend he.Backend, offsets []int, pair
 // use on one vecHist. A view failure stops the sweep and invalidates the
 // partial accumulation.
 func (vh *vecHist) accumulate(bm gbdt.BinView, insts []int32, wins []he.VecCiphertext) error {
+	var hadds int64
+	defer func() { vh.codec.Stats().AddHAdds(hadds) }()
 	for _, i := range insts {
 		w := wins[int(i)/vh.pairs]
 		slot := int(i) % vh.pairs
@@ -63,7 +65,7 @@ func (vh *vecHist) accumulate(bm gbdt.BinView, insts []int32, wins []he.VecCiphe
 			} else {
 				vh.cts[idx] = vh.backend.AddVecInto(vh.cts[idx], w)
 			}
-			vh.codec.Stats().AddHAdds(1)
+			hadds++
 			vh.counts[idx]++
 		}
 	}
@@ -72,6 +74,8 @@ func (vh *vecHist) accumulate(bm gbdt.BinView, insts []int32, wins []he.VecCiphe
 
 // merge folds another shard's accumulators (same shape) into this one.
 func (vh *vecHist) merge(o *vecHist) {
+	var hadds int64
+	defer func() { vh.codec.Stats().AddHAdds(hadds) }()
 	for idx, ct := range o.cts {
 		if ct == nil {
 			continue
@@ -80,7 +84,7 @@ func (vh *vecHist) merge(o *vecHist) {
 			vh.cts[idx] = ct
 		} else {
 			vh.cts[idx] = vh.backend.AddVecInto(vh.cts[idx], ct)
-			vh.codec.Stats().AddHAdds(1)
+			hadds++
 		}
 		vh.counts[idx] += o.counts[idx]
 	}

@@ -37,17 +37,6 @@ type BinView interface {
 	Row(i int) ([]int32, []uint8, error)
 }
 
-// DepthHinter is an optional BinView capability: the trainer announces
-// the tree depth it is about to sweep. The hint is purely advisory —
-// a view may use it to tune readahead or cache policy, but correctness
-// must never depend on it: callers are free to skip hints, repeat
-// them, or send depths in any order, and implementations must accept
-// any int (clamping negative or oversized values) without changing the
-// bytes any Row call returns. Under the shard-major schedule the
-// sweep's own next-shard announcements (ShardPrefetcher) carry the
-// precise readahead plan; the depth hint merely brackets the layers.
-type DepthHinter interface{ HintDepth(depth int) }
-
 // BinMapper holds the per-feature candidate split values ("cuts"). Bin k
 // of feature j contains stored values v with cuts[k-1] < v <= cuts[k];
 // values above the last cut land in the final bin. Instances with no

@@ -58,6 +58,11 @@ type ShardedView interface {
 	// ShardRowRange returns the half-open row range [lo, hi) of shard k.
 	// Shards cover the row space contiguously and in index order.
 	ShardRowRange(k int) (lo, hi int)
+	// Shard makes shard k resident — one cache visit, however many of its
+	// rows are then read — and returns a view that serves k's rows from
+	// the copy it holds: an eviction behind the reader's back costs no
+	// reload. The failure is Row's.
+	Shard(k int) (BinView, error)
 }
 
 // ShardPrefetcher is an optional capability of a ShardedView: the
@@ -65,13 +70,6 @@ type ShardedView interface {
 // the view can read it ahead asynchronously. PrefetchShard must not
 // block; a view is free to ignore hints (e.g. under budget pressure).
 type ShardPrefetcher interface{ PrefetchShard(k int) }
-
-// hintDepth forwards the layer announcement to views that want it.
-func hintDepth(bm BinView, depth int) {
-	if dh, ok := bm.(DepthHinter); ok {
-		dh.HintDepth(depth)
-	}
-}
 
 // shardMajor reports whether bm should be swept shard-major.
 func shardMajor(bm BinView) (ShardedView, bool) {
@@ -114,28 +112,33 @@ func planChunks(m *BinMapper, active []*nodeWork, workers int) ([]*histChunk, []
 	return all, perNode
 }
 
-// shardTask is one chunk's contiguous instance subrange inside one shard.
-type shardTask struct {
-	c      *histChunk
-	lo, hi int
+// chunkLists are the chunks' instance lists, the form SweepShards takes.
+func chunkLists(chunks []*histChunk) [][]int32 {
+	lists := make([][]int32, len(chunks))
+	for i, c := range chunks {
+		lists[i] = c.insts
+	}
+	return lists
 }
 
-// planShardTasks splits every chunk at shard boundaries. Instance lists
-// are ascending, so a chunk's rows inside one shard are one contiguous
-// subrange, found by binary search.
-func planShardTasks(sv ShardedView, chunks []*histChunk) [][]shardTask {
-	tasks := make([][]shardTask, sv.NumShards())
-	for _, c := range chunks {
-		i := 0
-		for i < len(c.insts) {
-			s := shardOf(sv, int(c.insts[i]))
+// shardSeg is the run lists[list][lo:hi] of one list inside one shard.
+type shardSeg struct{ list, lo, hi int }
+
+// planShardSegs cuts every list at the shard boundaries. A list is
+// ascending, so its rows inside one shard are one contiguous run, found by
+// binary search.
+func planShardSegs(sv ShardedView, lists [][]int32) [][]shardSeg {
+	segs := make([][]shardSeg, sv.NumShards())
+	for k, l := range lists {
+		for i := 0; i < len(l); {
+			s := shardOf(sv, int(l[i]))
 			_, hiRow := sv.ShardRowRange(s)
-			j := i + sort.Search(len(c.insts)-i, func(x int) bool { return int(c.insts[i+x]) >= hiRow })
-			tasks[s] = append(tasks[s], shardTask{c: c, lo: i, hi: j})
+			j := i + sort.Search(len(l)-i, func(x int) bool { return int(l[i+x]) >= hiRow })
+			segs[s] = append(segs[s], shardSeg{list: k, lo: i, hi: j})
 			i = j
 		}
 	}
-	return tasks
+	return segs
 }
 
 // shardOf locates the shard holding a row.
@@ -146,60 +149,87 @@ func shardOf(sv ShardedView, row int) int {
 	})
 }
 
-// sweepShards walks the planned shards in row order, making each one
-// resident exactly once per layer and running its tasks with up to
-// `workers` goroutines before moving on. The per-shard barrier is what
-// keeps every chunk's subranges arriving in ascending order; the
-// prefetch hint is what keeps the next shard's read overlapped with
-// this shard's compute.
-func sweepShards(sv ShardedView, tasks [][]shardTask, workers int, run func(t shardTask) error) error {
-	pf, _ := sv.(ShardPrefetcher)
+// SweepShards is the one way to read the rows of a set of ascending
+// instance lists: it walks the shards the lists touch in row order, makes
+// each resident once (ShardedView.Shard) with the next one announced for
+// readahead, and hands visit every list's run inside the shard —
+// lists[list][lo:hi], to be read through rows. run executes the n units
+// of a shard — calling unit(0..n-1) on whatever goroutines it owns and
+// returning the first error once all have returned — and is the barrier
+// between shards: the runs of one list reach visit in ascending order,
+// one at a time, while different lists proceed in parallel; hi ==
+// len(lists[list]) marks a list's last run. An empty list is never
+// visited. A view without shards (the in-memory BinnedMatrix) is the
+// one-shard case of the same code: one unit per list, the whole list.
+func SweepShards(bv BinView, lists [][]int32, run func(n int, unit func(i int) error) error,
+	visit func(rows BinView, list, lo, hi int) error) error {
+	sv, sharded := shardMajor(bv)
+	segs := make([][]shardSeg, 1)
+	if sharded {
+		segs = planShardSegs(sv, lists)
+	} else {
+		for k, l := range lists {
+			if len(l) > 0 {
+				segs[0] = append(segs[0], shardSeg{list: k, hi: len(l)})
+			}
+		}
+	}
 	var touched []int
-	for s := range tasks {
-		if len(tasks[s]) > 0 {
+	for s := range segs {
+		if len(segs[s]) > 0 {
 			touched = append(touched, s)
 		}
 	}
+	pf, _ := bv.(ShardPrefetcher)
 	for ti, s := range touched {
-		// Make the shard resident with one demand row before fanning out,
-		// then hint the next planned shard so its read runs behind the
-		// compute. Prefetching before the demand load would race it for
-		// the cache's LRU slots; after it, the current shard is the
-		// most-recently-used and safe.
-		lo, _ := sv.ShardRowRange(s)
-		if _, _, err := sv.Row(lo); err != nil {
-			return err
-		}
-		if pf != nil && ti+1 < len(touched) {
-			pf.PrefetchShard(touched[ti+1])
-		}
-		ts := tasks[s]
-		if workers <= 1 || len(ts) == 1 {
-			for _, t := range ts {
-				if err := run(t); err != nil {
-					return err
-				}
+		rows := bv
+		if sharded {
+			// Announce the next shard only once this one is resident:
+			// prefetching before the demand load would race it for the
+			// cache's LRU slots; after it, the current shard is the most
+			// recently used and safe.
+			var err error
+			if rows, err = sv.Shard(s); err != nil {
+				return err
 			}
-			continue
+			if pf != nil && ti+1 < len(touched) {
+				pf.PrefetchShard(touched[ti+1])
+			}
 		}
-		var wg sync.WaitGroup
-		var ec errCollector
-		sem := make(chan struct{}, workers)
-		for _, t := range ts {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(t shardTask) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				ec.add(run(t))
-			}(t)
-		}
-		wg.Wait()
-		if err := ec.first(); err != nil {
+		ss := segs[s]
+		if err := run(len(ss), func(i int) error { return visit(rows, ss[i].list, ss[i].lo, ss[i].hi) }); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// unitsOn returns a SweepShards runner on up to `workers` goroutines.
+func unitsOn(workers int) func(n int, unit func(i int) error) error {
+	return func(n int, unit func(i int) error) error {
+		if workers <= 1 || n == 1 {
+			for i := 0; i < n; i++ {
+				if err := unit(i); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		var wg sync.WaitGroup
+		var ec errCollector
+		sem := make(chan struct{}, workers)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(i int) {
+				defer wg.Done()
+				defer func() { <-sem }()
+				ec.add(unit(i))
+			}(i)
+		}
+		wg.Wait()
+		return ec.first()
+	}
 }
 
 // buildLayerHistogramsSharded is the shard-major equivalent of
@@ -207,9 +237,8 @@ func sweepShards(sv ShardedView, tasks [][]shardTask, workers int, run func(t sh
 // per shard for the whole layer.
 func buildLayerHistogramsSharded(sv ShardedView, active []*nodeWork, grads, hess []float64, workers int) ([]*Histogram, error) {
 	chunks, perNode := planChunks(sv.Mapper(), active, workers)
-	tasks := planShardTasks(sv, chunks)
-	err := sweepShards(sv, tasks, workers, func(t shardTask) error {
-		return t.c.hist.Accumulate(sv, t.c.insts[t.lo:t.hi], grads, hess)
+	err := SweepShards(sv, chunkLists(chunks), unitsOn(workers), func(rows BinView, c, lo, hi int) error {
+		return chunks[c].hist.Accumulate(rows, chunks[c].insts[lo:hi], grads, hess)
 	})
 	if err != nil {
 		return nil, err
@@ -275,10 +304,10 @@ type routeScratch struct{ left, right []int32 }
 
 // routeSegment routes one contiguous slice of a parent's instances
 // through its split, appending to the scratch buffers.
-func routeSegment(sv ShardedView, f *fuseTask, seg []int32, sc *routeScratch) error {
+func routeSegment(rows BinView, f *fuseTask, seg []int32, sc *routeScratch) error {
 	sc.left, sc.right = sc.left[:0], sc.right[:0]
 	for _, i := range seg {
-		goesLeft, err := GoesLeft(sv, i, f.feature, f.bin)
+		goesLeft, err := GoesLeft(rows, i, f.feature, f.bin)
 		if err != nil {
 			return err
 		}
@@ -298,10 +327,6 @@ func routeSegment(sv ShardedView, f *fuseTask, seg []int32, sc *routeScratch) er
 // order a dedicated node-major sweep would add them.
 func fusedSweep(sv ShardedView, fusion []*fuseTask, grads, hess []float64, workers int) ([]*Histogram, error) {
 	m := sv.Mapper()
-	chunks := make([]*histChunk, len(fusion))
-	for i, f := range fusion {
-		chunks[i] = &histChunk{node: i, insts: f.parent.insts}
-	}
 	lh := make([]*Histogram, len(fusion))
 	rh := make([]*Histogram, len(fusion))
 	for i := range fusion {
@@ -309,18 +334,17 @@ func fusedSweep(sv ShardedView, fusion []*fuseTask, grads, hess []float64, worke
 		rh[i] = NewHistogram(m)
 	}
 	pool := sync.Pool{New: func() any { return new(routeScratch) }}
-	tasks := planShardTasks(sv, chunks)
-	err := sweepShards(sv, tasks, workers, func(t shardTask) error {
-		f := fusion[t.c.node]
+	err := SweepShards(sv, parentLists(fusion), unitsOn(workers), func(rows BinView, k, lo, hi int) error {
+		f := fusion[k]
 		sc := pool.Get().(*routeScratch)
 		defer pool.Put(sc)
-		if err := routeSegment(sv, f, f.parent.insts[t.lo:t.hi], sc); err != nil {
+		if err := routeSegment(rows, f, f.parent.insts[lo:hi], sc); err != nil {
 			return err
 		}
-		if err := lh[t.c.node].Accumulate(sv, sc.left, grads, hess); err != nil {
+		if err := lh[k].Accumulate(rows, sc.left, grads, hess); err != nil {
 			return err
 		}
-		if err := rh[t.c.node].Accumulate(sv, sc.right, grads, hess); err != nil {
+		if err := rh[k].Accumulate(rows, sc.right, grads, hess); err != nil {
 			return err
 		}
 		f.left.insts = append(f.left.insts, sc.left...)
@@ -341,16 +365,12 @@ func fusedSweep(sv ShardedView, fusion []*fuseTask, grads, hess []float64, worke
 // one shard pass without touching histograms — the first half of the
 // two-pass fallback when fusion can't predict child chunk boundaries.
 func partitionSweepSharded(sv ShardedView, fusion []*fuseTask, workers int) error {
-	chunks := make([]*histChunk, len(fusion))
-	for i, f := range fusion {
-		chunks[i] = &histChunk{node: i, insts: f.parent.insts}
-	}
 	pool := sync.Pool{New: func() any { return new(routeScratch) }}
-	return sweepShards(sv, tasksOf(sv, chunks), workers, func(t shardTask) error {
-		f := fusion[t.c.node]
+	return SweepShards(sv, parentLists(fusion), unitsOn(workers), func(rows BinView, k, lo, hi int) error {
+		f := fusion[k]
 		sc := pool.Get().(*routeScratch)
 		defer pool.Put(sc)
-		if err := routeSegment(sv, f, f.parent.insts[t.lo:t.hi], sc); err != nil {
+		if err := routeSegment(rows, f, f.parent.insts[lo:hi], sc); err != nil {
 			return err
 		}
 		f.left.insts = append(f.left.insts, sc.left...)
@@ -359,8 +379,13 @@ func partitionSweepSharded(sv ShardedView, fusion []*fuseTask, workers int) erro
 	})
 }
 
-func tasksOf(sv ShardedView, chunks []*histChunk) [][]shardTask {
-	return planShardTasks(sv, chunks)
+// parentLists are the instance lists a layer's splits still have to route.
+func parentLists(fusion []*fuseTask) [][]int32 {
+	lists := make([][]int32, len(fusion))
+	for i, f := range fusion {
+		lists[i] = f.parent.insts
+	}
+	return lists
 }
 
 // growTreeShardMajor grows one tree with the shard-major schedule. The
@@ -380,7 +405,6 @@ func growTreeShardMajor(sv ShardedView, grads, hess []float64, p Params) (*Tree,
 	}
 	active := []*nodeWork{{id: 0, insts: all, g: g0, h: h0}}
 
-	hintDepth(sv, 0)
 	hists, err := buildLayerHistogramsSharded(sv, active, grads, hess, p.Workers)
 	if err != nil {
 		return nil, err
@@ -410,7 +434,6 @@ func growTreeShardMajor(sv ShardedView, grads, hess []float64, p Params) (*Tree,
 		if last || len(next) == 0 {
 			return tree, nil
 		}
-		hintDepth(sv, depth+1)
 		if canFuse(fusion, len(next), p.Workers) {
 			hists, err = fusedSweep(sv, fusion, grads, hess, p.Workers)
 		} else {

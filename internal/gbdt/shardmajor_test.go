@@ -26,6 +26,8 @@ func (v *chunkedView) ShardRowRange(k int) (int, int) {
 	return lo, min(lo+v.chunk, v.Rows())
 }
 
+func (v *chunkedView) Shard(int) (BinView, error) { return v.BinnedMatrix, nil }
+
 func (v *chunkedView) PrefetchShard(k int) { v.prefetched = append(v.prefetched, k) }
 
 var (
@@ -151,19 +153,18 @@ func TestBuildHistogramsShardedParity(t *testing.T) {
 	}
 }
 
-// planShardTasks must cover every instance exactly once, split at shard
+// planShardSegs must cover every instance exactly once, split at shard
 // boundaries, in ascending order.
 func TestPlanShardTasks(t *testing.T) {
 	_, bm := synthBinned(t, 1000, 4, 3)
 	cv := &chunkedView{BinnedMatrix: bm, chunk: 300}
 	insts := []int32{0, 5, 299, 300, 301, 899, 900, 999}
-	c := &histChunk{insts: insts}
-	tasks := planShardTasks(cv, []*histChunk{c})
+	segs := planShardSegs(cv, [][]int32{insts})
 	var flat []int32
-	for s := range tasks {
-		for _, task := range tasks[s] {
+	for s := range segs {
+		for _, seg := range segs[s] {
 			lo, hi := cv.ShardRowRange(s)
-			for _, i := range task.c.insts[task.lo:task.hi] {
+			for _, i := range insts[seg.lo:seg.hi] {
 				if int(i) < lo || int(i) >= hi {
 					t.Fatalf("instance %d assigned to shard %d [%d,%d)", i, s, lo, hi)
 				}
@@ -172,6 +173,6 @@ func TestPlanShardTasks(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(flat, insts) {
-		t.Fatalf("tasks cover %v, want %v", flat, insts)
+		t.Fatalf("segments cover %v, want %v", flat, insts)
 	}
 }

@@ -190,9 +190,6 @@ func growTree(bm BinView, grads, hess []float64, p Params) (*Tree, error) {
 	active := []*nodeWork{{id: 0, insts: all, g: g0, h: h0}}
 
 	for depth := 0; depth < p.MaxDepth && len(active) > 0; depth++ {
-		if dh, ok := bm.(DepthHinter); ok {
-			dh.HintDepth(depth)
-		}
 		hists, err := buildLayerHistograms(bm, active, grads, hess, p.Workers)
 		if err != nil {
 			return nil, err
@@ -395,9 +392,9 @@ func shardedHistogram(bm BinView, insts []int32, grads, hess []float64, workers 
 func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64, workers int) error {
 	bins := splitBins(tree, bv.Mapper())
 	var ec errCollector
-	update := func(lo, hi int) {
+	update := func(rows BinView, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cols, rowBins, err := bv.Row(i)
+			cols, rowBins, err := rows.Row(i)
 			if err != nil {
 				ec.add(err)
 				return
@@ -407,7 +404,7 @@ func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64,
 	}
 	sv, ok := shardMajor(bv)
 	if !ok {
-		parallelRows(len(margins), workers, update)
+		parallelRows(len(margins), workers, func(lo, hi int) { update(bv, lo, hi) })
 		return ec.first()
 	}
 	// Like every other sweep of the tree, one shard at a time with the
@@ -415,8 +412,12 @@ func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64,
 	// different shard, evict one another's at a tight budget, and reload
 	// mid-sweep — loads beyond the one per shard this sweep is allowed.
 	for s := 0; s < sv.NumShards() && ec.first() == nil; s++ {
+		rows, err := sv.Shard(s)
+		if err != nil {
+			return err
+		}
 		lo, hi := sv.ShardRowRange(s)
-		parallelRows(hi-lo, workers, func(a, b int) { update(lo+a, lo+b) })
+		parallelRows(hi-lo, workers, func(a, b int) { update(rows, lo+a, lo+b) })
 	}
 	return ec.first()
 }

@@ -3,6 +3,7 @@ package he
 import (
 	"bytes"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -81,6 +82,7 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("vector-marshal", func(t *testing.T) { testVectorMarshal(t, b) })
 			t.Run("hostile-input", func(t *testing.T) { testHostileInput(t, b) })
 			t.Run("signed-edges", func(t *testing.T) { testSignedEdges(t, b.dec) })
+			t.Run("modular-edges", func(t *testing.T) { testModularEdges(t, b) })
 		})
 	}
 }
@@ -354,6 +356,66 @@ func testHostileInput(t *testing.T, b confBackend) {
 		if err == nil {
 			if _, err := b.dec.DecryptVec(vecCt{ct}); err == nil {
 				t.Error("DecryptVec must reject plaintexts overflowing the lane layout")
+			}
+		}
+	}
+}
+
+// testModularEdges pins Add, AddInto and Sub to arithmetic modulo N on the
+// operands where a one-step reduction can go wrong — 0, N−1, sums of
+// exactly N and of 2N−2, differences of −(N−1) — and on random residues,
+// and checks that neither the fresh nor the in-place form shares storage
+// with an operand.
+func testModularEdges(t *testing.T, b confBackend) {
+	n := b.dec.N()
+	top := new(big.Int).Sub(n, big.NewInt(1))
+	half := new(big.Int).Rsh(n, 1)
+	operands := []*big.Int{big.NewInt(0), big.NewInt(1), half, new(big.Int).Sub(n, half), top}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 8; i++ {
+		operands = append(operands, new(big.Int).Rand(rng, n))
+	}
+	enc := func(m *big.Int) Ciphertext {
+		ct, err := b.pub.Encrypt(m)
+		if err != nil {
+			t.Fatalf("Encrypt(%v): %v", m, err)
+		}
+		return ct
+	}
+	dec := func(ct Ciphertext) *big.Int {
+		m, err := b.dec.Decrypt(ct)
+		if err != nil {
+			t.Fatalf("Decrypt: %v", err)
+		}
+		return m
+	}
+	mod := func(v *big.Int) *big.Int { return v.Mod(v, n) }
+	for _, x := range operands {
+		for _, y := range operands {
+			cx, cy := enc(x), enc(y)
+			sum := mod(new(big.Int).Add(x, y))
+			if got := dec(b.pub.Add(cx, cy)); got.Cmp(sum) != 0 {
+				t.Errorf("Add(%v, %v) = %v, want %v", x, y, got, sum)
+			}
+			diff, err := b.pub.Sub(cx, cy)
+			if err != nil {
+				t.Fatalf("Sub(%v, %v): %v", x, y, err)
+			}
+			if want := mod(new(big.Int).Sub(x, y)); dec(diff).Cmp(want) != 0 {
+				t.Errorf("Sub(%v, %v) = %v, want %v", x, y, dec(diff), want)
+			}
+			// In place: the accumulator takes the sum, the addend keeps its
+			// value, and accumulating again moves the addend no further.
+			acc := b.pub.AddInto(b.pub.AddInto(b.pub.EncryptZero(), cx), cy)
+			if got := dec(acc); got.Cmp(sum) != 0 {
+				t.Errorf("AddInto(%v, %v) = %v, want %v", x, y, got, sum)
+			}
+			acc = b.pub.AddInto(acc, cy)
+			if got, want := dec(acc), mod(new(big.Int).Add(sum, y)); got.Cmp(want) != 0 {
+				t.Errorf("AddInto(%v + %v, %v) = %v, want %v", x, y, y, got, want)
+			}
+			if dec(cx).Cmp(x) != 0 || dec(cy).Cmp(y) != 0 {
+				t.Fatalf("operands (%v, %v) read back as (%v, %v) after Add/Sub/AddInto", x, y, dec(cx), dec(cy))
 			}
 		}
 	}

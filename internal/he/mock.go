@@ -56,22 +56,33 @@ func (s *MockScheme) Encrypt(m *big.Int) (Ciphertext, error) {
 func (s *MockScheme) EncryptZero() Ciphertext { return mockCt{new(big.Int)} }
 
 func (s *MockScheme) Add(a, b Ciphertext) Ciphertext {
-	v := new(big.Int).Add(a.(mockCt).v, b.(mockCt).v)
-	v.Mod(v, s.n)
-	return mockCt{v}
+	return mockCt{s.wrap(new(big.Int).Add(a.(mockCt).v, b.(mockCt).v))}
 }
 
 func (s *MockScheme) AddInto(dst, b Ciphertext) Ciphertext {
 	d := dst.(mockCt)
-	d.v.Add(d.v, b.(mockCt).v)
-	d.v.Mod(d.v, s.n)
+	s.wrap(d.v.Add(d.v, b.(mockCt).v))
 	return d
 }
 
 func (s *MockScheme) Sub(a, b Ciphertext) (Ciphertext, error) {
-	v := new(big.Int).Sub(a.(mockCt).v, b.(mockCt).v)
-	v.Mod(v, s.n)
-	return mockCt{v}, nil
+	return mockCt{s.wrap(new(big.Int).Sub(a.(mockCt).v, b.(mockCt).v))}, nil
+}
+
+// wrap reduces v from (−n, 2n) into [0, n) in place. Every ciphertext
+// carries a residue in [0, n) — Encrypt and Unmarshal range-check,
+// MulScalar reduces — so a sum is below 2n and a difference above −n, and
+// one compare-and-correct does what a big.Int division did: VF-MOCK prices
+// the protocol without the cryptosystem, and that division was a cost of
+// neither.
+func (s *MockScheme) wrap(v *big.Int) *big.Int {
+	if v.Sign() < 0 {
+		return v.Add(v, s.n)
+	}
+	if v.Cmp(s.n) >= 0 {
+		v.Sub(v, s.n)
+	}
+	return v
 }
 
 func (s *MockScheme) MulScalar(a Ciphertext, k *big.Int) Ciphertext {

@@ -3,7 +3,6 @@ package ooc
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -109,7 +108,7 @@ func TestConcurrentRowPrefetchCloseRace(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 200; i++ {
-				switch rng.Intn(4) {
+				switch rng.Intn(3) {
 				case 0:
 					if _, _, err := st.Row(rng.Intn(st.Rows())); err != nil && !errors.Is(err, ErrClosed) {
 						t.Errorf("Row: %v", err)
@@ -118,8 +117,6 @@ func TestConcurrentRowPrefetchCloseRace(t *testing.T) {
 				case 1:
 					st.PrefetchShard(rng.Intn(st.NumShards()+2) - 1)
 				case 2:
-					st.HintDepth(rng.Intn(20) - 10)
-				case 3:
 					st.Stats()
 				}
 			}
@@ -135,17 +132,110 @@ func TestConcurrentRowPrefetchCloseRace(t *testing.T) {
 	}
 }
 
-// HintDepth is advisory: any int, however hostile, must be accepted
-// without panicking or breaking subsequent reads.
-func TestHintDepthClamp(t *testing.T) {
-	d := synth(t, 200, 6)
-	st := buildStore(t, d, BuildOptions{ChunkRows: 64}, Options{})
-	defer st.Close()
-	for _, depth := range []int{math.MinInt, -1, 0, 1, 31, math.MaxInt32, math.MaxInt} {
-		st.HintDepth(depth)
-		if _, _, err := st.Row(0); err != nil {
-			t.Fatalf("Row after HintDepth(%d): %v", depth, err)
+// The LRU clock ticks once per shard visit instead of once per row; what
+// eviction does with the stamps must not have moved. Against a model of the
+// per-row policy (a shard's stamp is the time of its latest read), a random
+// interleaving of row reads, pinned-shard reads and revisits must leave the
+// same shards resident after every step — and rows read through a pinned
+// shard must cost no load even once the cache has dropped it.
+func TestEvictionOrderAfterInterleavedVisits(t *testing.T) {
+	d := synth(t, 640, 8)
+	dir := t.TempDir()
+	if err := Build(dir, NewDatasetSource(d), BuildOptions{ChunkRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	probe, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := make([]int64, probe.NumShards())
+	var budget int64
+	for k, rec := range probe.man.Shards {
+		size[k] = estShardBytes(rec.Rows, rec.NNZ)
+		if k < 3 {
+			budget += size[k]
 		}
+	}
+	probe.Close()
+	st, err := Open(dir, Options{MemBudget: budget + 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	var lru []int // resident shards, least recently read first
+	touch := func(k int) {
+		for i, r := range lru {
+			if r == k {
+				lru = append(append(lru[:i:i], lru[i+1:]...), k)
+				return
+			}
+		}
+		used := int64(0)
+		for _, r := range lru {
+			used += size[r]
+		}
+		for len(lru) > 0 && used+size[k] > budget+64 {
+			used -= size[lru[0]]
+			lru = lru[1:]
+		}
+		lru = append(lru, k)
+	}
+	rng := rand.New(rand.NewSource(5))
+	var pinned gbdt.BinView
+	pinnedShard := -1
+	for step := 0; step < 400; step++ {
+		k := rng.Intn(st.NumShards())
+		lo, hi := st.ShardRowRange(k)
+		switch rng.Intn(3) {
+		case 0: // a run of row reads, as a per-node sweep made them
+			for n := 1 + rng.Intn(40); n > 0; n-- {
+				if _, _, err := st.Row(lo + rng.Intn(hi-lo)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			touch(k)
+		case 1: // a pass pins the shard, then reads through the pin
+			if pinned, err = st.Shard(k); err != nil {
+				t.Fatal(err)
+			}
+			pinnedShard = k
+			touch(k)
+		case 2: // reads through an old pin: no visit, no load, same rows
+			if pinnedShard < 0 {
+				continue
+			}
+			before := st.Stats().Loads
+			plo, phi := st.ShardRowRange(pinnedShard)
+			i := plo + rng.Intn(phi-plo)
+			cols, bins, err := pinned.Row(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Stats().Loads != before {
+				t.Fatalf("step %d: a pinned read of shard %d loaded a shard", step, pinnedShard)
+			}
+			wantCols, wantBins, err := st.Row(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			touch(pinnedShard)
+			if !bytes.Equal(bins, wantBins) || len(cols) != len(wantCols) {
+				t.Fatalf("step %d: pinned row %d differs from the store's", step, i)
+			}
+		}
+		want := map[int]bool{}
+		for _, r := range lru {
+			want[r] = true
+		}
+		for r := range size {
+			if got := st.data[r].Load() != nil; got != want[r] {
+				t.Fatalf("step %d: shard %d resident=%v, the per-row LRU model says %v (model order %v)", step, r, got, want[r], lru)
+			}
+		}
+	}
+	if st.Stats().Evictions == 0 {
+		t.Fatal("the budget never forced an eviction")
 	}
 }
 

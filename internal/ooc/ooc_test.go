@@ -378,7 +378,6 @@ func TestFastSketchBuild(t *testing.T) {
 func TestPrefetch(t *testing.T) {
 	d := synth(t, 512, 6)
 	st := buildStore(t, d, BuildOptions{ChunkRows: 64}, Options{MemBudget: 1 << 20, Prefetch: true})
-	st.HintDepth(0)
 	for i := 0; i < st.Rows(); i++ {
 		st.Row(i)
 	}

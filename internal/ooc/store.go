@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -90,7 +89,6 @@ type Store struct {
 	flights []atomic.Pointer[flight]
 	lastUse []atomic.Int64
 	clock   atomic.Int64
-	depth   atomic.Int32
 
 	mu       sync.Mutex // guards resident + stats + closed + manifest mutations
 	resident int64
@@ -169,7 +167,6 @@ var ErrClosed = errors.New("ooc: store is closed")
 
 var (
 	_ gbdt.BinView         = (*Store)(nil)
-	_ gbdt.DepthHinter     = (*Store)(nil)
 	_ gbdt.ShardedView     = (*Store)(nil)
 	_ gbdt.ShardPrefetcher = (*Store)(nil)
 )
@@ -218,39 +215,71 @@ func (s *Store) Generation() int {
 	return s.gen
 }
 
-// HintDepth records the layer the trainer is about to sweep. The hint is
-// advisory (see gbdt.DepthHinter): it never changes what Row returns,
-// and any int is accepted — negative depths clamp to 0 and oversized
-// ones to MaxInt32. Readahead itself follows the sweep's explicit
-// PrefetchShard announcements and the Row-miss heuristic, not the depth.
-func (s *Store) HintDepth(depth int) {
-	if depth < 0 {
-		depth = 0
-	}
-	if depth > math.MaxInt32 {
-		depth = math.MaxInt32
-	}
-	s.depth.Store(int32(depth))
-}
-
 // Row returns row i's sorted (columns, bins) pair. The slices alias the
 // owning shard's arrays and stay valid after eviction (eviction only
 // drops the cache reference). A load failure that survives retry and
 // rebuild surfaces as a *ShardError.
 func (s *Store) Row(i int) ([]int32, []uint8, error) {
-	k := i / s.man.ChunkRows
+	sd, err := s.visit(i / s.man.ChunkRows)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sd.row(i)
+}
+
+// visit makes shard k resident and marks it used. The LRU clock ticks
+// once per visit, not once per row: a reader staying inside the shard it
+// touched last finds its stamp current and writes nothing, so workers
+// sweeping one shard share its cache lines read-only. Stamps still order
+// the shards by their latest visit, which is all eviction reads.
+func (s *Store) visit(k int) (*shardData, error) {
 	sd := s.data[k].Load()
 	if sd == nil {
 		var err error
-		sd, err = s.loadShard(k)
-		if err != nil {
-			return nil, nil, err
+		if sd, err = s.loadShard(k); err != nil {
+			return nil, err
 		}
 	}
-	s.lastUse[k].Store(s.clock.Add(1))
+	if s.lastUse[k].Load() != s.clock.Load() {
+		s.lastUse[k].Store(s.clock.Add(1))
+	}
+	return sd, nil
+}
+
+// row slices row i (global index, inside the shard) out of the CSR block.
+func (sd *shardData) row(i int) ([]int32, []uint8, error) {
 	local := i - sd.startRow
 	lo, hi := sd.rowPtr[local], sd.rowPtr[local+1]
 	return sd.cols[lo:hi], sd.bins[lo:hi], nil
+}
+
+// Shard visits shard k once and returns a view pinned to the loaded copy:
+// its rows are served without touching the cache again, whatever is
+// evicted meanwhile (rows outside k fall through to the store). This is
+// what gbdt.SweepShards reads through — one load and one LRU tick per
+// shard per pass.
+func (s *Store) Shard(k int) (gbdt.BinView, error) {
+	sd, err := s.visit(k)
+	if err != nil {
+		return nil, err
+	}
+	return pinnedShard{s, sd}, nil
+}
+
+// pinnedShard is the view Shard returns.
+type pinnedShard struct {
+	s  *Store
+	sd *shardData
+}
+
+func (p pinnedShard) Rows() int               { return p.s.Rows() }
+func (p pinnedShard) Mapper() *gbdt.BinMapper { return p.s.mapper }
+
+func (p pinnedShard) Row(i int) ([]int32, []uint8, error) {
+	if local := i - p.sd.startRow; local < 0 || local >= len(p.sd.rowPtr)-1 {
+		return p.s.Row(i)
+	}
+	return p.sd.row(i)
 }
 
 // Labels reads the store's label vector (active-party stores only).

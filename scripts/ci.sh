@@ -37,10 +37,13 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # path's integers — and a refused frame must end in its typed error —
 # whatever the schedule. The optimistic builder's corrections ride along:
 # on virtual-time links a layer's dirty nodes must cost one round trip on
-# any core count.
+# any core count. So do the shard passes: a layer placed or accumulated in
+# one pass must equal each node walked alone, an abort must drop a node out
+# mid-pass, and the loads of a federated session over one-shard caches
+# must stay under their bound in passes.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|FederatedLoadsBound|MatchesPerNode' ./internal/core
   # Party B encrypts through the key owner's CRT tables; the backends
   # built on them must conform, and the golden hashes above must not
   # move, on any core count.
@@ -65,10 +68,12 @@ echo "== parallel ooc smoke (shard-major schedule, lock-split store, parallel bu
 # real work off the store mutex, so this leg runs their parity and
 # concurrency regressions under the race detector: node-major vs
 # shard-major byte identity, serial vs parallel build byte identity,
-# the loads bound, and the slow-prefetch-never-blocks-demand contract.
+# the loads bounds (local trainer and federated engines), the per-visit
+# LRU clock against the per-row policy, one pass against per-node walks,
+# and the slow-prefetch-never-blocks-demand contract.
 go test -race -count=1 \
-  -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestHintDepthClamp' \
-  ./internal/gbdt ./internal/ooc
+  -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestEvictionOrderAfterInterleavedVisits|TestFederatedLoadsBound|TestRouteNodesMatchesPerNode|TestAccumulatePassMatchesPerNode' \
+  ./internal/gbdt ./internal/ooc ./internal/core
 
 echo "== chaos smoke (seeded faults must reproduce the fault-free model) =="
 go test -race -run 'TestChaosTrainingMatchesBaseline|TestSessionCheckpointResume' ./internal/core
