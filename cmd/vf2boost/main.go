@@ -853,7 +853,7 @@ func cmdServe(args []string) {
 	maxBatch := fs.Int("max-batch", 64, "flush a micro-batch at this many requests")
 	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "flush a partial micro-batch after this wait")
 	maxQueue := fs.Int("max-queue", 1024, "shed requests beyond this many queued (HTTP 429)")
-	maxInflight := fs.Int("max-inflight", 4, "shed federated rounds beyond this many in flight")
+	maxInflight := fs.Int("max-inflight", 4, "pipeline depth: federated rounds in flight on the session links at once (excess rounds wait under their deadline; shedding is -max-queue)")
 	deadline := fs.Duration("score-deadline", 2*time.Second, "default per-request scoring budget (X-Score-Deadline overrides)")
 	policy := fs.String("degraded-policy", "failclosed", "when a party is unreachable: failclosed or partial")
 	cooldown := fs.Duration("breaker-cooldown", 2*time.Second, "circuit-breaker open time before a half-open probe")

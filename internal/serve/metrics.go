@@ -105,7 +105,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 // latency and batch-size histograms, rendered by /metricsz. PR 4 adds the
 // overload/degradation counters (shed, timeouts, degraded, retries) and
 // per-phase latency (WAN round-trip vs local routing) so operators can
-// tell a slow party from a slow tree walk.
+// tell a slow party from a slow tree walk. The pipelined round window adds
+// its occupancy and the answers that arrived after their round gave up.
 type Metrics struct {
 	start     time.Time
 	requests  atomic.Int64
@@ -115,6 +116,8 @@ type Metrics struct {
 	timeouts  atomic.Int64 // rounds/requests that blew their deadline
 	degraded  atomic.Int64 // requests answered with partial margins
 	retries   atomic.Int64 // in-round session re-open attempts
+	inflight  atomic.Int64 // rounds holding a window slot right now
+	stale     atomic.Int64 // answers dropped: their round had given up
 	latency   *Histogram   // per-request latency, milliseconds
 	batchSize *Histogram   // federated rounds by batch size
 	wan       *Histogram   // sidecar round-trip latency, milliseconds
@@ -161,6 +164,13 @@ func (m *Metrics) ObserveDegraded() { m.degraded.Add(1) }
 // ObserveRetry records one in-round session re-open attempt.
 func (m *Metrics) ObserveRetry() { m.retries.Add(1) }
 
+// ObserveInflight moves the rounds-in-flight gauge as a round takes (+1)
+// or returns (-1) its window slot.
+func (m *Metrics) ObserveInflight(delta int64) { m.inflight.Add(delta) }
+
+// ObserveStale records one worker answer nobody was waiting for.
+func (m *Metrics) ObserveStale() { m.stale.Add(1) }
+
 // ObserveWAN records one sidecar round-trip's latency.
 func (m *Metrics) ObserveWAN(d time.Duration) {
 	m.wan.Observe(float64(d) / float64(time.Millisecond))
@@ -191,6 +201,14 @@ func (m *Metrics) Degraded() int64 { return m.degraded.Load() }
 
 // Retries returns the total in-round session re-open attempts.
 func (m *Metrics) Retries() int64 { return m.retries.Load() }
+
+// RoundsInflight returns the rounds currently holding a window slot
+// (at most ServerConfig.MaxInflight).
+func (m *Metrics) RoundsInflight() int64 { return m.inflight.Load() }
+
+// StaleResponses returns the total worker answers dropped because their
+// round had already given up on them.
+func (m *Metrics) StaleResponses() int64 { return m.stale.Load() }
 
 // QPS returns requests per second since the metrics were created.
 func (m *Metrics) QPS() float64 {

@@ -17,10 +17,11 @@
 //   - Batcher: Party B's micro-batcher. Incoming single-instance requests
 //     coalesce by max-batch-size or max-wait deadline, so one WAN
 //     round-trip (the dominant online cost) serves N requests.
-//   - Server: Party B's front end — federated round driver, HTTP API
-//     (POST /score, GET /healthz, GET /metricsz), latency/QPS/batch-size
-//     instrumentation, and trace.Recorder lanes so serving schedules
-//     render on the same Gantt tooling as training.
+//   - Server: Party B's front end — pipelined federated round driver (up
+//     to MaxInflight rounds share a WAN round trip, answers matched by
+//     round id), HTTP API (POST /score, GET /healthz, GET /metricsz),
+//     latency/QPS/batch-size instrumentation, and trace.Recorder lanes so
+//     serving schedules render on the same Gantt tooling as training.
 //
 // Rows are indices into the pre-aligned scoring universe (each party holds
 // its own feature shard of the same instances, aligned by PSI just like
@@ -41,8 +42,8 @@ var ErrClosed = errors.New("serve: closed")
 var ErrNoModel = errors.New("serve: no model version published")
 
 // ErrOverloaded is returned when admission control sheds a request: the
-// batcher queue or the in-flight round limiter is full. HTTP maps it to
-// 429 with a Retry-After derived from the current queue depth.
+// batcher queue is full. HTTP maps it to 429 with a Retry-After derived
+// from the current queue depth.
 var ErrOverloaded = errors.New("serve: overloaded, request shed")
 
 // ErrPartyUnavailable is returned under the FailClosed policy when a

@@ -44,10 +44,11 @@ type ServerConfig struct {
 	// Policy picks what happens when a passive party cannot join a round:
 	// FailClosed (default) refuses, ServePartial serves partial margins.
 	Policy DegradedPolicy
-	// MaxInflight bounds federated rounds contending for the round slot
-	// concurrently; excess rounds wait for a slot within their deadline
-	// (default 4). Load shedding happens at the bounded batcher queue
-	// (Batch.MaxQueue), not here.
+	// MaxInflight is the pipeline depth: how many federated rounds may be
+	// in flight on the session links at once (default 4). A round beyond
+	// it waits for one to finish, within its own deadline; nothing is
+	// shed here — load shedding happens at the bounded batcher queue
+	// (Batch.MaxQueue).
 	MaxInflight int
 	// Breaker tunes the per-worker-link circuit breakers.
 	Breaker BreakerConfig
@@ -85,74 +86,182 @@ func (c *ServerConfig) defaults() {
 	}
 }
 
-// recvMsg is one pumped link delivery.
-type recvMsg struct {
-	msg any
-	err error
+// workerAnswer is what a round waiting on a worker link is handed: the
+// worker's response to its request id, or the reason the session died
+// under it.
+type workerAnswer struct {
+	resp core.MsgScoreResponse
+	err  error
+}
+
+// workerSession is one incarnation of a worker link: the transport, its
+// typed link, and the rounds waiting on it. A lost session is never
+// revived — reopen installs a successor with the next epoch — so a frame
+// the old pump still holds can only reach the old, emptied waiter table.
+type workerSession struct {
+	epoch  uint64
+	tr     core.Transport
+	link   *core.Link
+	ack    chan core.MsgScoreOpenAck // the handshake answer
+	closed chan struct{}             // closed by the pump on the close ack
+	done   chan struct{}             // closed by sever, after err is set
+
+	// Guarded by workerState.mu.
+	waiters map[uint64]chan workerAnswer // request id → the round waiting for it
+	err     error                        // why the session died; nil while it lives
 }
 
 // workerState is the server's view of one passive party: the current
-// link (with its receive pump), liveness, and the circuit breaker. Link
-// plumbing is only replaced while holding the server's round slot;
-// alive and the breaker are read concurrently by /readyz.
+// session (with its demultiplexing pump), liveness, and the circuit
+// breaker. sess is only replaced under the server's send lock; alive and
+// the breaker are read concurrently by /readyz.
 type workerState struct {
 	party   int
 	breaker *Breaker
-	alive   atomic.Bool
+	alive   atomic.Bool // handshake done and link not lost
 
-	tr     core.Transport
-	link   *core.Link
-	recvCh chan recvMsg
-	done   chan struct{}
+	mu   sync.Mutex
+	sess *workerSession
+	// reopenFailed is the epoch that was current when a re-open last
+	// failed: rounds that lost that session (or an older one) share the
+	// verdict instead of each spending a dial on it.
+	reopenFailed uint64
 }
 
-// attach installs a fresh transport/link pair and starts its pump.
-func (ws *workerState) attach(tr core.Transport, l *core.Link) {
-	ws.tr = tr
-	ws.link = l
-	ws.recvCh = make(chan recvMsg, 16)
-	ws.done = make(chan struct{})
-	go pumpLink(l, ws.recvCh, ws.done)
+// current returns the installed session.
+func (ws *workerState) current() *workerSession {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.sess
 }
 
-// pumpLink moves link deliveries onto a channel so round code can select
-// against a deadline; a blocking Recv no longer pins the round. The done
-// channel releases the pump when the link is abandoned mid-delivery.
-func pumpLink(l *core.Link, ch chan<- recvMsg, done <-chan struct{}) {
-	for {
-		m, err := l.Recv()
-		select {
-		case ch <- recvMsg{msg: m, err: err}:
-		case <-done:
-			return
-		}
-		if err != nil {
-			return
-		}
+// attach installs a fresh transport/link pair as the next session epoch.
+// Caller holds the send lock (or is the constructor).
+func (ws *workerState) attach(tr core.Transport, l *core.Link) *workerSession {
+	ss := &workerSession{
+		tr:      tr,
+		link:    l,
+		ack:     make(chan core.MsgScoreOpenAck, 1),
+		closed:  make(chan struct{}),
+		done:    make(chan struct{}),
+		waiters: make(map[uint64]chan workerAnswer),
+	}
+	ws.mu.Lock()
+	if ws.sess != nil {
+		ss.epoch = ws.sess.epoch
+	}
+	ss.epoch++
+	ws.sess = ss
+	ws.mu.Unlock()
+	return ss
+}
+
+// sever kills a session: every round waiting on it is failed with cause,
+// and the transport is closed, which releases the pump and unblocks the
+// sidecar into its redial loop. The first caller wins and is told so;
+// the session stays dead.
+func (ws *workerState) sever(ss *workerSession, cause error) bool {
+	ws.mu.Lock()
+	if ss.err != nil {
+		ws.mu.Unlock()
+		return false
+	}
+	ss.err = cause
+	if ws.sess == ss {
+		ws.alive.Store(false)
+	}
+	for id, ch := range ss.waiters {
+		ch <- workerAnswer{err: cause} // buffered: one delivery per registration
+		delete(ss.waiters, id)
+	}
+	close(ss.done)
+	ws.mu.Unlock()
+	closeTransport(ss.tr)
+	return true
+}
+
+// lose is sever for a link that failed on its own (as opposed to one the
+// server is replacing or shutting down): the loss is one breaker failure,
+// however many rounds were in flight on it.
+func (ws *workerState) lose(ss *workerSession, cause error) {
+	if ws.sever(ss, cause) {
+		ws.breaker.Failure(false)
 	}
 }
 
-// recv waits for the next pumped delivery or the round deadline.
-func (ws *workerState) recv(ctx context.Context) (any, error) {
-	select {
-	case rm := <-ws.recvCh:
-		return rm.msg, rm.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
+// register makes w the waiter for its request id on its session; it
+// fails if the session died first.
+func (ws *workerState) register(w *roundWaiter) error {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if w.sess.err != nil {
+		return w.sess.err
 	}
+	w.sess.waiters[w.id] = w.ch
+	return nil
 }
 
-// markDead severs the worker's current link: pump released, transport
-// closed (which also unblocks the sidecar into its redial loop). Called
-// only under the round slot; idempotent.
-func (ws *workerState) markDead() {
-	ws.alive.Store(false)
+// forget withdraws w: an answer that still lands is stale, and one that
+// landed already is discarded so the channel is free for a re-send.
+func (ws *workerState) forget(w *roundWaiter) {
+	ws.mu.Lock()
+	delete(w.sess.waiters, w.id)
+	ws.mu.Unlock()
 	select {
-	case <-ws.done:
+	case <-w.ch:
 	default:
-		close(ws.done)
 	}
-	closeTransport(ws.tr)
+}
+
+// deliver hands a response to the round waiting for its id and reports
+// whether there was one.
+func (ws *workerState) deliver(ss *workerSession, resp core.MsgScoreResponse) bool {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	ch, ok := ss.waiters[resp.Round]
+	if ok {
+		delete(ss.waiters, resp.Round)
+		ch <- workerAnswer{resp: resp}
+	}
+	return ok
+}
+
+// pumpLink is a session's receive loop and the demultiplexer of its
+// pipelined rounds: a MsgScoreResponse goes to the waiter of its Round,
+// and one nobody waits for any more (the round ran out of budget, or the
+// frame is a leftover of an earlier session on the same topics) is dropped
+// and counted. The open ack goes to ss.ack; the close ack ends the pump.
+// A receive error or any other frame severs the session, failing every
+// round in flight on it.
+func (s *Server) pumpLink(ws *workerState, ss *workerSession) {
+	opened := false
+	for {
+		m, err := ss.link.Recv()
+		if err != nil {
+			ws.lose(ss, fmt.Errorf("serve: worker %d link lost: %w", ws.party, err))
+			return
+		}
+		switch m := m.(type) {
+		case core.MsgScoreResponse:
+			if !ws.deliver(ss, m) {
+				s.met.ObserveStale()
+			}
+			continue
+		case core.MsgScoreOpenAck:
+			if !opened {
+				opened = true
+				ss.ack <- m
+				continue
+			}
+		case core.MsgScoreCloseAck:
+			if s.closing.Load() {
+				close(ss.closed)
+				return // the worker has left the session
+			}
+		}
+		ws.lose(ss, fmt.Errorf("serve: expected MsgScoreResponse from worker %d, got %T", ws.party, m))
+		return
+	}
 }
 
 // closeTransport severs a transport if it knows how to be severed.
@@ -206,12 +315,13 @@ func (tb *tokenBucket) take() bool {
 
 // Server drives online federated scoring from Party B: it pins a model
 // version per micro-batch, issues one scoring round over every worker
-// link, routes instances locally, and serves the result over HTTP. One
-// round is in flight per session at a time (the links are FIFO); the
-// batcher overlaps accumulation of the next batch with the in-flight WAN
-// round-trip. Every round runs under a deadline, admission is bounded,
-// and each worker link sits behind a circuit breaker with optional
-// degraded (partial-margin) serving when a party is unreachable.
+// link, routes instances locally, and serves the result over HTTP. Rounds
+// are pipelined: a round holds the session only while its request frames
+// are written (the send lock), then waits for its answers — matched by
+// round id, so up to MaxInflight rounds share a WAN round trip — and
+// routes outside any lock. Every round runs under a deadline, admission
+// is bounded, and each worker link sits behind a circuit breaker with
+// optional degraded (partial-margin) serving when a party is unreachable.
 type Server struct {
 	cfg     ServerConfig
 	codec   wire.Codec
@@ -220,8 +330,8 @@ type Server struct {
 	met     *Metrics
 	retry   *tokenBucket
 
-	inflight chan struct{} // round admission semaphore
-	roundCh  chan struct{} // capacity-1 round slot; ctx-aware mutex
+	inflight chan struct{} // the pipeline window: one slot per round in flight
+	sendLock chan struct{} // capacity 1: held while a round's requests are written; ctx-aware mutex
 	round    atomic.Uint64
 	opened   atomic.Bool
 	closing  atomic.Bool
@@ -249,11 +359,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		met:      NewMetrics(),
 		retry:    newTokenBucket(cfg.RetryBudget),
 		inflight: make(chan struct{}, cfg.MaxInflight),
-		roundCh:  make(chan struct{}, 1),
+		sendLock: make(chan struct{}, 1),
 	}
 	for i, tr := range cfg.Workers {
 		ws := &workerState{party: i, breaker: NewBreaker(cfg.Breaker)}
-		ws.attach(tr, core.NewLinkCodec(tr, codec))
+		go s.pumpLink(ws, ws.attach(tr, core.NewLinkCodec(tr, codec)))
 		s.workers = append(s.workers, ws)
 	}
 	s.batcher = NewBatcher(cfg.Batch, s.ScoreBatch)
@@ -277,30 +387,43 @@ func (s *Server) Breaker(i int) *Breaker {
 // shard of the same universe).
 func (s *Server) Open() error {
 	for i, ws := range s.workers {
-		if err := ws.link.Send(core.MsgScoreOpen{Proto: core.ScoreProtoVersion, Session: s.cfg.Session}); err != nil {
+		if err := ws.current().link.Send(core.MsgScoreOpen{Proto: core.ScoreProtoVersion, Session: s.cfg.Session}); err != nil {
 			return fmt.Errorf("serve: opening session with worker %d: %w", i, err)
 		}
 	}
-	for i, ws := range s.workers {
-		rm := <-ws.recvCh
-		if rm.err != nil {
-			return fmt.Errorf("serve: worker %d open ack: %w", i, rm.err)
-		}
-		if err := s.checkOpenAck(i, rm.msg); err != nil {
+	for _, ws := range s.workers {
+		if err := s.awaitOpenAck(context.Background(), ws, ws.current()); err != nil {
 			return err
 		}
-		ws.alive.Store(true)
 	}
 	s.opened.Store(true)
 	return nil
 }
 
-// checkOpenAck validates one worker's session handshake answer.
-func (s *Server) checkOpenAck(i int, msg any) error {
-	ack, ok := msg.(core.MsgScoreOpenAck)
-	if !ok {
-		return fmt.Errorf("serve: expected MsgScoreOpenAck from worker %d, got %T", i, msg)
+// awaitOpenAck waits for a session's handshake answer, validates it and
+// marks the worker alive.
+func (s *Server) awaitOpenAck(ctx context.Context, ws *workerState, ss *workerSession) error {
+	select {
+	case ack := <-ss.ack:
+		if err := s.checkOpenAck(ws.party, ack); err != nil {
+			return err
+		}
+		ws.mu.Lock()
+		defer ws.mu.Unlock()
+		if ss.err != nil { // lost between the ack and here
+			return fmt.Errorf("serve: worker %d open ack: %w", ws.party, ss.err)
+		}
+		ws.alive.Store(true)
+		return nil
+	case <-ss.done:
+		return fmt.Errorf("serve: worker %d open ack: %w", ws.party, ss.err)
+	case <-ctx.Done():
+		return fmt.Errorf("serve: worker %d open ack: %w", ws.party, ctx.Err())
 	}
+}
+
+// checkOpenAck validates one worker's session handshake answer.
+func (s *Server) checkOpenAck(i int, ack core.MsgScoreOpenAck) error {
 	if ack.Error != "" {
 		return fmt.Errorf("serve: worker %d rejected session: %s", i, ack.Error)
 	}
@@ -313,15 +436,20 @@ func (s *Server) checkOpenAck(i int, msg any) error {
 	return nil
 }
 
-// reopen re-dials party i and redoes the session handshake, spending one
-// retry-budget token. Called under the round slot.
-func (s *Server) reopen(ctx context.Context, i int) error {
+// reopen re-dials a party and redoes the session handshake on a new
+// session epoch, spending one retry-budget token. Called under the send
+// lock.
+func (s *Server) reopen(ctx context.Context, ws *workerState) error {
+	i := ws.party
 	var dial func() (core.Transport, error)
 	if i < len(s.cfg.Dialers) {
 		dial = s.cfg.Dialers[i]
 	}
 	if dial == nil {
 		return fmt.Errorf("serve: no dialer configured for party %d", i)
+	}
+	if s.closing.Load() {
+		return ErrClosed // a closing server re-opens nothing
 	}
 	if !s.retry.take() {
 		return fmt.Errorf("serve: retry budget exhausted re-opening party %d", i)
@@ -331,24 +459,50 @@ func (s *Server) reopen(ctx context.Context, i int) error {
 	if err != nil {
 		return fmt.Errorf("serve: re-dialing party %d: %w", i, err)
 	}
-	ws := s.workers[i]
-	ws.markDead() // release the old pump before installing the new link
-	ws.attach(tr, core.NewLinkCodec(tr, s.codec))
-	if err := ws.link.SendContext(ctx, core.MsgScoreOpen{Proto: core.ScoreProtoVersion, Session: s.cfg.Session}); err != nil {
-		ws.markDead()
+	if s.closing.Load() {
+		closeTransport(tr)
+		return ErrClosed
+	}
+	ws.sever(ws.current(), fmt.Errorf("serve: worker %d session replaced", i)) // release the old pump
+	ss := ws.attach(tr, core.NewLinkCodec(tr, s.codec))
+	go s.pumpLink(ws, ss)
+	if err := ss.link.SendContext(ctx, core.MsgScoreOpen{Proto: core.ScoreProtoVersion, Session: s.cfg.Session}); err != nil {
+		ws.sever(ss, err)
 		return fmt.Errorf("serve: re-opening session with party %d: %w", i, err)
 	}
-	msg, err := ws.recv(ctx)
-	if err != nil {
-		ws.markDead()
-		return fmt.Errorf("serve: party %d re-open ack: %w", i, err)
-	}
-	if err := s.checkOpenAck(i, msg); err != nil {
-		ws.markDead()
+	if err := s.awaitOpenAck(ctx, ws, ss); err != nil {
+		ws.sever(ss, err)
 		return err
 	}
-	ws.alive.Store(true)
 	return nil
+}
+
+// liveSession returns worker ws's session for a round to send on,
+// re-opening a dead one first. lost is the epoch the round already lost
+// (0 for a round that has not sent yet): however many rounds lost the
+// same session, the first to get here re-opens it, the rest find the
+// successor — or, if that re-open failed, share its verdict. Called under
+// the send lock.
+func (s *Server) liveSession(ctx context.Context, ws *workerState, lost uint64) (*workerSession, error) {
+	ws.mu.Lock()
+	ss, failed := ws.sess, ws.reopenFailed
+	ws.mu.Unlock()
+	if ws.alive.Load() && ss.epoch > lost {
+		return ss, nil
+	}
+	if lost != 0 && failed >= lost {
+		return nil, fmt.Errorf("serve: worker %d link lost, re-open already failed", ws.party)
+	}
+	if err := s.reopen(ctx, ws); err != nil {
+		ws.mu.Lock()
+		ws.reopenFailed = ss.epoch
+		ws.mu.Unlock()
+		if lost == 0 {
+			ws.breaker.Failure(false) // a round that lost the link has been counted by lose
+		}
+		return nil, err
+	}
+	return ws.current(), nil
 }
 
 // Score enqueues one row into the micro-batcher and blocks for its margin
@@ -395,12 +549,35 @@ func (s *Server) ScoreRows(rows []int32) ([]float64, uint64, error) {
 	return res.Margins, res.Version, err
 }
 
+// roundWaiter is one round's claim on one worker link.
+type roundWaiter struct {
+	ch      chan workerAnswer // buffered: the pump never blocks on a waiter
+	sess    *workerSession    // the session the request was last written to
+	id      uint64            // the request id it was written under
+	retried bool              // the round's one re-send on this link is spent
+}
+
+// lockSend takes the send lock within the round's budget.
+func (s *Server) lockSend(ctx context.Context) error {
+	select {
+	case s.sendLock <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		s.met.ObserveTimeout()
+		return ctx.Err()
+	}
+}
+
+func (s *Server) unlockSend() { <-s.sendLock }
+
 // ScoreBatch issues one federated scoring round under the context's
 // deadline. All rows in the round are scored against one pinned model
 // version even if a hot-swap lands mid-round. A worker that cannot
 // answer in budget fails the round (FailClosed) or drops out of it
 // (ServePartial — the result lists it in Missing and margins omit every
-// tree that needed it).
+// tree that needed it). Up to MaxInflight rounds are in flight at once:
+// the round waits for a window slot, writes its requests under the send
+// lock, and collects its answers and routes with no lock held.
 func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, error) {
 	if s.closing.Load() {
 		return BatchResult{}, ErrClosed
@@ -412,85 +589,68 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 	if len(rows) == 0 {
 		return BatchResult{Version: mv.Version}, nil
 	}
-	// Concurrency limit: only MaxInflight rounds may contend for the round
-	// slot at once; the rest wait here under their own deadline. (Load
-	// shedding already happened at the batcher queue.)
+	// The pipeline window: a round beyond MaxInflight waits here under its
+	// own deadline. (Load shedding already happened at the batcher queue.)
 	select {
 	case s.inflight <- struct{}{}:
 	case <-ctx.Done():
 		s.met.ObserveTimeout()
 		return BatchResult{}, ctx.Err()
 	}
-	defer func() { <-s.inflight }()
-	// The round slot: a capacity-1 channel instead of a mutex so a round
-	// that never gets the links still respects its deadline.
-	select {
-	case s.roundCh <- struct{}{}:
-	case <-ctx.Done():
-		s.met.ObserveTimeout()
-		return BatchResult{}, ctx.Err()
+	s.met.ObserveInflight(1)
+	defer func() {
+		s.met.ObserveInflight(-1)
+		<-s.inflight
+	}()
+	if s.closing.Load() {
+		return BatchResult{}, ErrClosed // Close drained the window while this round waited for it
 	}
-	defer func() { <-s.roundCh }()
 	if !s.opened.Load() {
 		return BatchResult{}, fmt.Errorf("serve: session not opened")
 	}
 
+	// Send phase, under the send lock: ids are assigned and requests
+	// written in one order, so ids rise monotonically on every FIFO link.
+	if err := s.lockSend(ctx); err != nil {
+		return BatchResult{}, err
+	}
 	round := s.round.Add(1)
-	doneBatch := s.cfg.Trace.Span("B:ScoreBatch", fmt.Sprintf("round %d n=%d v=%d", round, len(rows), mv.Version))
+	var batchLabel, roundLabel string
+	if s.cfg.Trace != nil {
+		batchLabel = fmt.Sprintf("round %d n=%d v=%d", round, len(rows), mv.Version)
+		roundLabel = fmt.Sprintf("round %d", round)
+	}
+	doneBatch := s.cfg.Trace.Span("B:ScoreBatch", batchLabel)
 	defer doneBatch()
 
 	req := core.MsgScoreRequest{Round: round, Version: mv.Version, Rows: rows}
 	missing := make(map[int]bool)
-	active := make([]bool, len(s.workers))
-
-	// Which workers take part: breaker admission first, then session
-	// liveness (a dead session is re-opened on the spot when a dialer
-	// and retry budget allow — a breaker probe rides the same path).
-	for i, ws := range s.workers {
-		allow, _ := ws.breaker.Allow()
-		if !allow {
-			missing[i] = true
-			continue
-		}
-		if !ws.alive.Load() {
-			if err := s.reopen(ctx, i); err != nil {
-				ws.breaker.Failure(false)
-				missing[i] = true
-				continue
-			}
-		}
-		active[i] = true
-	}
-
+	waiters := make([]*roundWaiter, len(s.workers))
 	wanStart := time.Now()
-	doneWAN := s.cfg.Trace.Span("B:ScoreWAN", fmt.Sprintf("round %d", round))
+	doneWAN := s.cfg.Trace.Span("B:ScoreWAN", roundLabel)
 	for i, ws := range s.workers {
-		if !active[i] {
+		// Breaker admission first; a half-open probe rides the same path as
+		// any round (and re-dials a dead session like any round).
+		if allow, _ := ws.breaker.Allow(); !allow {
+			missing[i] = true
 			continue
 		}
-		if err := ws.link.SendContext(ctx, req); err != nil {
-			if ctx.Err() != nil {
-				ws.breaker.Failure(true)
-				s.met.ObserveTimeout()
-			} else {
-				ws.markDead()
-				ws.breaker.Failure(false)
-				if e := s.reopen(ctx, i); e == nil && ws.link.SendContext(ctx, req) == nil {
-					continue // re-opened and re-sent within budget
-				}
-			}
-			active[i] = false
+		w := &roundWaiter{ch: make(chan workerAnswer, 1)}
+		if err := s.post(ctx, ws, req, w); err != nil {
 			missing[i] = true
+			continue
 		}
+		waiters[i] = w
 	}
+	s.unlockSend()
 
 	routes := make(map[core.RouteKey][]byte)
 	var appErr error
-	for i := range s.workers {
-		if !active[i] {
+	for i, w := range waiters {
+		if w == nil {
 			continue
 		}
-		nodes, err := s.collectWorker(ctx, i, round, mv.Version, req)
+		nodes, err := s.await(ctx, s.workers[i], req, w)
 		if err != nil {
 			var we *workerError
 			if errors.As(err, &we) && appErr == nil {
@@ -517,7 +677,7 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 	}
 
 	routeStart := time.Now()
-	doneRoute := s.cfg.Trace.Span("B:ScoreRoute", fmt.Sprintf("round %d", round))
+	doneRoute := s.cfg.Trace.Span("B:ScoreRoute", roundLabel)
 	margins, _, err := core.RoutePartialMargins(mv.Fragment, mv.LearningRate, mv.BaseScore, s.cfg.Data, rows, routes, missing)
 	doneRoute()
 	s.met.ObserveRoute(time.Since(routeStart))
@@ -532,59 +692,88 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 	return res, nil
 }
 
-// collectWorker waits for worker i's answer to the round, feeding its
-// breaker. Stale answers to earlier (timed-out) rounds are discarded —
-// that is what lets a session survive a timeout and recover. One
-// transport loss is retried with a budgeted session re-open.
-func (s *Server) collectWorker(ctx context.Context, i int, round, version uint64, req core.MsgScoreRequest) ([]core.PredictNodeBits, error) {
-	ws := s.workers[i]
-	retried := false
+// post writes req to worker ws and registers w for the answer, feeding
+// the breaker on failure. A dead session is re-opened first (dialer and
+// retry budget permitting); a link that fails under the write is severed
+// and, once per round and link, re-opened and written to again. A re-sent
+// request takes a fresh id, so nothing the dead session (or a leftover of
+// it on the same topics) still answers can satisfy it. Called under the
+// send lock.
+func (s *Server) post(ctx context.Context, ws *workerState, req core.MsgScoreRequest, w *roundWaiter) error {
 	for {
-		msg, err := ws.recv(ctx)
+		var lost uint64
+		if w.retried {
+			lost = w.sess.epoch
+			req.Round = s.round.Add(1)
+		}
+		ss, err := s.liveSession(ctx, ws, lost)
 		if err != nil {
-			if ctx.Err() != nil {
-				// Out of budget; the session may be merely slow, so it
-				// stays open — the stale answer is discarded next round.
-				ws.breaker.Failure(true)
-				s.met.ObserveTimeout()
-				return nil, ctx.Err()
+			return err
+		}
+		w.sess, w.id = ss, req.Round
+		if err = ws.register(w); err == nil {
+			if err = ss.link.SendContext(ctx, req); err == nil {
+				return nil
 			}
-			ws.markDead()
-			ws.breaker.Failure(false)
-			if retried {
-				return nil, fmt.Errorf("serve: round %d: worker %d link lost: %w", round, i, err)
+			ws.forget(w)
+		}
+		if ctx.Err() != nil {
+			// Out of budget mid-write: the link may be merely congested.
+			ws.breaker.Failure(true)
+			s.met.ObserveTimeout()
+			return err
+		}
+		ws.lose(ss, err)
+		if w.retried {
+			return err
+		}
+		w.retried = true
+	}
+}
+
+// await waits for worker ws's answer to the round, feeding its breaker.
+// A round that runs out of budget withdraws its waiter and leaves the
+// session open — it may be merely slow, and the late answer is dropped
+// by the pump — which is what lets a session survive a timeout. A
+// session severed under the round is retried once: re-opened by whichever
+// of its rounds gets the send lock first, and re-sent on by each.
+func (s *Server) await(ctx context.Context, ws *workerState, req core.MsgScoreRequest, w *roundWaiter) ([]core.PredictNodeBits, error) {
+	for {
+		var ans workerAnswer
+		select {
+		case ans = <-w.ch:
+		case <-ctx.Done():
+			ws.forget(w)
+			ws.breaker.Failure(true)
+			s.met.ObserveTimeout()
+			return nil, ctx.Err()
+		}
+		if ans.err != nil {
+			if w.retried || s.closing.Load() {
+				return nil, fmt.Errorf("serve: round %d: %w", req.Round, ans.err)
 			}
-			retried = true
-			if e := s.reopen(ctx, i); e != nil {
-				return nil, fmt.Errorf("serve: round %d: worker %d link lost (%v), re-open failed: %w", round, i, err, e)
+			w.retried = true
+			if err := s.lockSend(ctx); err != nil {
+				return nil, err
 			}
-			if e := ws.link.SendContext(ctx, req); e != nil {
-				ws.markDead()
-				return nil, fmt.Errorf("serve: round %d: resending to worker %d: %w", round, i, e)
+			err := s.post(ctx, ws, req, w)
+			s.unlockSend()
+			if err != nil {
+				return nil, fmt.Errorf("serve: round %d: %v; re-send failed: %w", req.Round, ans.err, err)
 			}
 			continue
 		}
-		resp, ok := msg.(core.MsgScoreResponse)
-		if !ok {
-			ws.breaker.Failure(false)
-			ws.markDead()
-			return nil, fmt.Errorf("serve: expected MsgScoreResponse from worker %d, got %T", i, msg)
-		}
-		if resp.Round < round {
-			continue // answer to a round that already gave up on it
-		}
-		if resp.Round != round || resp.Version != version {
-			ws.breaker.Failure(false)
-			ws.markDead()
-			return nil, fmt.Errorf("serve: worker %d answered round %d v%d, expected round %d v%d",
-				i, resp.Round, resp.Version, round, version)
-		}
-		if resp.Error != "" {
-			// The link is healthy — the refusal is the application's.
-			ws.breaker.Success()
-			return nil, &workerError{party: i, round: round, msg: resp.Error}
+		resp := ans.resp
+		if resp.Version != req.Version {
+			err := fmt.Errorf("serve: worker %d answered round %d at v%d, expected v%d", ws.party, resp.Round, resp.Version, req.Version)
+			ws.lose(w.sess, err)
+			return nil, err
 		}
 		ws.breaker.Success()
+		if resp.Error != "" {
+			// The link is healthy — the refusal is the application's.
+			return nil, &workerError{party: ws.party, round: req.Round, msg: resp.Error}
+		}
 		return resp.Nodes, nil
 	}
 }
@@ -598,44 +787,61 @@ func sortedParties(m map[int]bool) []int {
 	return out
 }
 
-// Close drains the batcher, then closes the scoring session on every
-// live worker with an acknowledged MsgScoreClose. Safe to call once.
+// Close drains the batcher and the rounds in flight, then closes the
+// scoring session on every live worker with an acknowledged
+// MsgScoreClose. Rounds that have not drained within cfg.Deadline (a
+// ScoreRows round on a black-holed link has no budget of its own) are
+// failed by severing the links instead. Safe to call once.
 func (s *Server) Close() error {
 	if s.closing.Swap(true) {
 		return nil
 	}
 	s.batcher.Close()
-	s.roundCh <- struct{}{}
-	defer func() { <-s.roundCh }()
 	if !s.opened.Load() {
 		return nil
+	}
+	// Holding every window slot means no round is in flight; a round that
+	// gets one after us sees closing and leaves.
+	timer := time.NewTimer(s.cfg.Deadline)
+	defer timer.Stop()
+	held := 0
+	defer func() {
+		for ; held > 0; held-- {
+			<-s.inflight
+		}
+	}()
+	for held < cap(s.inflight) {
+		select {
+		case s.inflight <- struct{}{}:
+			held++
+		case <-timer.C:
+			for _, ws := range s.workers {
+				ws.sever(ws.current(), fmt.Errorf("serve: worker %d link lost: %w", ws.party, ErrClosed))
+			}
+			return fmt.Errorf("serve: close: %d rounds still in flight after %v, links severed", cap(s.inflight)-held, s.cfg.Deadline)
+		}
 	}
 	var firstErr error
 	for i, ws := range s.workers {
 		if !ws.alive.Load() {
 			continue
 		}
-		if err := ws.link.Send(core.MsgScoreClose{Reason: "server shutdown"}); err != nil {
+		ss := ws.current()
+		if err := ss.link.Send(core.MsgScoreClose{Reason: "server shutdown"}); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("serve: closing worker %d: %w", i, err)
 			}
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.Deadline)
-		for {
-			msg, err := ws.recv(ctx)
-			if err != nil {
-				break
-			}
-			if _, ok := msg.(core.MsgScoreResponse); ok {
-				continue // stale round answer ahead of the close ack
-			}
-			if _, ok := msg.(core.MsgScoreCloseAck); !ok && firstErr == nil {
-				firstErr = fmt.Errorf("serve: worker %d answered close with %T", i, msg)
-			}
-			break
+		// Answers to rounds that gave up may still be ahead of the ack; the
+		// pump drops them.
+		ack := time.NewTimer(s.cfg.Deadline)
+		select {
+		case <-ss.closed:
+		case <-ss.done:
+		case <-ack.C:
 		}
-		cancel()
+		ack.Stop()
 	}
 	return firstErr
 }
@@ -871,6 +1077,8 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "serve_timeouts_total %d\n", m.Timeouts())
 	fmt.Fprintf(w, "serve_degraded_total %d\n", m.Degraded())
 	fmt.Fprintf(w, "serve_retries_total %d\n", m.Retries())
+	fmt.Fprintf(w, "serve_rounds_inflight %d\n", m.RoundsInflight())
+	fmt.Fprintf(w, "serve_stale_responses_total %d\n", m.StaleResponses())
 	fmt.Fprintf(w, "serve_queue_depth %d\n", s.batcher.Queued())
 	fmt.Fprintf(w, "serve_queue_max %d\n", s.batcher.MaxQueue())
 	fmt.Fprintf(w, "serve_degraded_policy %q\n", s.cfg.Policy)

@@ -17,7 +17,10 @@ import (
 // and answers an unbounded stream of scoring rounds on one session. Errors
 // that concern a single round (unknown model version, out-of-range row)
 // are answered as structured MsgScoreResponse errors and keep the session
-// alive; only transport loss or an explicit close ends Run.
+// alive; only transport loss or an explicit close ends Run. Requests are
+// answered one at a time in arrival order, each echoing its Round: the
+// server may have several outstanding (it matches answers by id), and the
+// worker neither knows nor cares how many.
 type PassiveWorker struct {
 	// Party is this worker's passive party index (the same index used for
 	// training topics and fragment ownership).
@@ -188,9 +191,13 @@ func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error), wait, maxWa
 
 // answer computes one round's routing bitmaps against the pinned version.
 func (w *PassiveWorker) answer(m core.MsgScoreRequest) core.MsgScoreResponse {
-	done := w.Trace.Span(trace.Lane(fmt.Sprintf("A%d:Score", w.Party)),
-		fmt.Sprintf("round %d n=%d v=%d", m.Round, len(m.Rows), m.Version))
-	defer done()
+	var lane trace.Lane
+	var label string
+	if w.Trace != nil {
+		lane = trace.Lane(fmt.Sprintf("A%d:Score", w.Party))
+		label = fmt.Sprintf("round %d n=%d v=%d", m.Round, len(m.Rows), m.Version)
+	}
+	defer w.Trace.Span(lane, label)()
 	w.rounds.Add(1)
 	resp := core.MsgScoreResponse{Round: m.Round, Version: m.Version, Party: w.Party}
 	mv, ok := w.Registry.Get(m.Version)

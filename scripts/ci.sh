@@ -91,10 +91,18 @@ go test -race -short -count=1 \
 echo "== fuzz smoke (ooc manifest/shard decode: hostile bytes must never panic) =="
 go test -run='^$' -fuzz=FuzzOpenHostileStore -fuzztime=10s ./internal/ooc
 
-echo "== serve chaos smoke (overload, breaker trip/recover, no-hang contract) =="
-go test -race -timeout 120s \
-  -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound' \
-  ./internal/serve
+echo "== serve chaos smoke (overload, breaker trip/recover, no-hang contract, pipelined rounds) =="
+# Scoring rounds are pipelined: several share a worker link, a receive
+# pump hands each answer to the round of its id, and a timeout, a cut, a
+# hostile frame or Close may land with any number of rounds in flight.
+# Which goroutine notices first is the schedule's choice, so the leg runs
+# repeatedly at one, two and four procs under the race detector, like
+# the training parity suites.
+for procs in 1 2 4; do
+  GOMAXPROCS=$procs go test -race -count=3 -timeout 300s \
+    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink' \
+    ./internal/serve
+done
 
 echo "== HE backend matrix (conformance across registered backends, vec protocol, race-enabled) =="
 # Every registered backend through the shared conformance suite, then the
