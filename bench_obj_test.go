@@ -1,24 +1,44 @@
 // Multi-output objective benchmarks: one boosting round of a k-class
-// session versus the binary (k=1) reference over the lane-packed
-// backend. A k-class round ships ONE encrypted gradient pass and shares
-// its root decode across all k class trees, so the cipher ops charged to
-// each class tree must fall as k grows; scripts/bench.sh commits the
-// result inside BENCH_he.json and cmd/benchfmt derives the per-class
-// amortization ratio as objective_amortization/k=N.
+// session versus the binary (k=1) reference on the scalar Paillier
+// protocol. A k-class round ships its k class streams in one gradient
+// shipment — one ciphertext per instance and class — and every class tree
+// decrypts its own histograms, so the cipher ops charged to each class
+// tree stay near the binary round's.
 package vf2boost
 
 import (
+	"crypto/rand"
 	"fmt"
 	"testing"
 
 	"vf2boost/internal/core"
 	"vf2boost/internal/dataset"
+	"vf2boost/internal/he"
 	"vf2boost/internal/objective"
+	"vf2boost/internal/paillier"
 )
 
+// benchKeysByBits caches one Paillier key pair per modulus size, so the
+// generation cost is paid once per `go test -bench` process instead of
+// once per sub-benchmark iteration.
+var benchKeysByBits = map[int]*paillier.PrivateKey{}
+
+func benchDecryptorBits(b *testing.B, bits int) *he.PaillierDecryptor {
+	b.Helper()
+	k, ok := benchKeysByBits[bits]
+	if !ok {
+		var err error
+		k, err = paillier.GenerateKey(rand.Reader, bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchKeysByBits[bits] = k
+	}
+	return he.NewPaillierFromKey(k, 0)
+}
+
 // BenchmarkObjectiveRound trains one round (k class trees) end to end
-// and reports Party B's cipher operations per round per class — the
-// amortization headline of the objective subsystem.
+// and reports Party B's cipher operations per round per class.
 func BenchmarkObjectiveRound(b *testing.B) {
 	const bits = 1024
 	for _, k := range []int{1, 3} {
@@ -51,7 +71,6 @@ func BenchmarkObjectiveRound(b *testing.B) {
 			cfg.MaxDepth = 3
 			cfg.MaxBins = 8
 			cfg.KeyBits = bits
-			cfg.HEBackend = "paillier-batched"
 			if k > 1 {
 				if cfg.Objective, err = objective.New(fmt.Sprintf("multiclass:%d", k)); err != nil {
 					b.Fatal(err)

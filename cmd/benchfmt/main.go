@@ -161,15 +161,6 @@ func stripProcSuffix(name string) string {
 //   - smul_pow2_speedup — SMul at 2048-bit by a dense 114-bit scalar
 //     (big.Int.Exp) versus by the packing shift 2^114 (the half-width
 //     squaring chain): what a power-of-two scalar saves.
-//   - he_cts_reduction/bits=N — scalar versus lane-packed ciphertexts
-//     per boosting round (the BatchCrypt-style packing headline; the
-//     acceptance gate wants ≥8 at 2048-bit).
-//   - he_round_speedup/bits=N — scalar versus lane-packed wall time for
-//     the same round.
-//   - objective_amortization/k=N — cipher ops charged per round per
-//     class tree, binary reference versus a k-class round: a k-class
-//     round ships one shared encrypted pass and root decode, so the
-//     ratio must exceed 1 (sub-linear cipher cost in k).
 //   - pack_parallel_speedup/workers=N — finalizing and packing one full
 //     node histogram on one worker versus on N (bounded by the host's
 //     cpus); pack_two_node_speedup/workers=N is the same for a large and
@@ -208,36 +199,6 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 		}
 	}
 
-	const (
-		scalarRound = "BenchmarkHEBackendRound/backend=scalar/"
-		packedRound = "BenchmarkHEBackendRound/backend=packed/"
-	)
-	round := map[string]*struct{ scalarNs, packedNs, scalarCts, packedCts float64 }{}
-	at := func(size string) *struct{ scalarNs, packedNs, scalarCts, packedCts float64 } {
-		if round[size] == nil {
-			round[size] = &struct{ scalarNs, packedNs, scalarCts, packedCts float64 }{}
-		}
-		return round[size]
-	}
-	for _, b := range benches {
-		if s, ok := strings.CutPrefix(b.Name, scalarRound); ok {
-			at(s).scalarNs = b.NsPerOp
-			at(s).scalarCts = b.Metrics["cts/round"]
-		}
-		if s, ok := strings.CutPrefix(b.Name, packedRound); ok {
-			at(s).packedNs = b.NsPerOp
-			at(s).packedCts = b.Metrics["cts/round"]
-		}
-	}
-	for size, r := range round {
-		if r.scalarCts > 0 && r.packedCts > 0 {
-			derived["he_cts_reduction/"+size] = r.scalarCts / r.packedCts
-		}
-		if r.scalarNs > 0 && r.packedNs > 0 {
-			derived["he_round_speedup/"+size] = r.scalarNs / r.packedNs
-		}
-	}
-
 	smul := map[string]float64{}
 	for _, b := range benches {
 		if s, ok := strings.CutPrefix(b.Name, "BenchmarkSMul/"); ok {
@@ -263,23 +224,6 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 		shape, workers, _ := strings.Cut(key, "/")
 		if one := packNs[shape+"/workers=1"]; speedupOf[shape] != "" && one > 0 && workers != "workers=1" {
 			derived[speedupOf[shape]+workers] = one / ns
-		}
-	}
-
-	const objRound = "BenchmarkObjectiveRound/"
-	objOps := map[string]float64{} // "k=N/bits=M" -> cipherops/round/class
-	for _, b := range benches {
-		if s, ok := strings.CutPrefix(b.Name, objRound); ok {
-			objOps[s] = b.Metrics["cipherops/round/class"]
-		}
-	}
-	for key, ops := range objOps {
-		kPart, bitsPart, ok := strings.Cut(key, "/")
-		if !ok || kPart == "k=1" || ops <= 0 {
-			continue
-		}
-		if ref := objOps["k=1/"+bitsPart]; ref > 0 {
-			derived["objective_amortization/"+kPart] = ref / ops
 		}
 	}
 

@@ -35,7 +35,6 @@ func main() {
 		histWorkers  = flag.Int("hist-workers", 0, "override oocscale histogram workers (0 = default)")
 		jsonOut      = flag.String("json", "", "write oocscale/objscale results to this JSON file")
 		objRows      = flag.Int("obj-rows", 0, "override objscale row count (0 = default)")
-		backend      = flag.String("backend", "", "override objscale HE backend (default paillier-batched)")
 	)
 	flag.Parse()
 
@@ -222,7 +221,7 @@ func main() {
 	}
 
 	// objscale is opt-in (not part of "all"): the class-count sweep over
-	// real batched Paillier takes minutes at the default key size.
+	// real Paillier takes minutes at the default key size.
 	if want["objscale"] {
 		do("objscale", func() error {
 			tc := experiments.DefaultObjScale()
@@ -231,9 +230,6 @@ func main() {
 			}
 			if *trees > 0 {
 				tc.Trees = *trees
-			}
-			if *backend != "" {
-				tc.Backend = *backend
 			}
 			if *keyBits != 512 { // 512 is this command's generic default
 				tc.KeyBits = *keyBits

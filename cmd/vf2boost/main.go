@@ -38,7 +38,6 @@ import (
 	"vf2boost/internal/fault"
 	"vf2boost/internal/fault/fsfault"
 	"vf2boost/internal/gbdt"
-	"vf2boost/internal/he"
 	"vf2boost/internal/metrics"
 	"vf2boost/internal/mq"
 	"vf2boost/internal/objective"
@@ -89,7 +88,6 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 	gamma := fs.Float64("gamma", 0, "split complexity penalty")
 	workers := fs.Int("workers", 0, "per-party workers (0 = GOMAXPROCS)")
 	scheme := fs.String("scheme", "paillier", "crypto scheme: paillier or mock")
-	heBackend := fs.String("he", "", "HE backend: "+strings.Join(he.Names(), ", ")+" (empty = scalar backend of -scheme)")
 	keyBits := fs.Int("keybits", 1024, "Paillier modulus size S")
 	baseline := fs.Bool("baseline", false, "disable all VF2Boost optimizations (VF-GBDT)")
 	fastObf := fs.Bool("fastobf", true, "DJN fast obfuscation: h^x obfuscators from fixed-base tables (off under -baseline)")
@@ -110,31 +108,12 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 		cfg.Split.Gamma = *gamma
 		cfg.Workers = *workers
 		cfg.Scheme = *scheme
-		if *heBackend != "" {
-			// Fail fast on unknown backends — before any data loads or key
-			// generation — listing what this build has registered.
-			if !he.Registered(*heBackend) {
-				log.Fatalf("unknown HE backend %q (registered: %s)", *heBackend, strings.Join(he.Names(), ", "))
-			}
-			cfg.HEBackend = *heBackend
-			// -he implies its scheme family unless -scheme was given
-			// explicitly (a mismatch is then rejected by config validation).
-			explicitScheme := false
-			fs.Visit(func(f *flag.Flag) {
-				if f.Name == "scheme" {
-					explicitScheme = true
-				}
-			})
-			if !explicitScheme {
-				cfg.Scheme = he.Family(*heBackend)
-			}
-		}
 		cfg.KeyBits = *keyBits
 		cfg.Seed = *seed
 		cfg.WireCodec = *codec
 		if *objSpec != "" && *objSpec != "binary" {
-			// Same fail-fast contract as -he: an unknown objective dies
-			// before any data loads, listing what this build registers.
+			// Fail fast: an unknown objective dies before any data loads,
+			// listing what this build registers.
 			o, err := objective.New(*objSpec)
 			if err != nil {
 				log.Fatal(err)

@@ -45,9 +45,7 @@ import (
 	"runtime"
 	"strings"
 
-	"vf2boost/internal/fixedpoint"
 	"vf2boost/internal/gbdt"
-	"vf2boost/internal/he"
 	"vf2boost/internal/objective"
 	"vf2boost/internal/wire"
 )
@@ -86,14 +84,6 @@ type Config struct {
 
 	// Scheme selects "paillier" (VF-GBDT / VF²Boost) or "mock" (VF-MOCK).
 	Scheme string
-	// HEBackend names the homomorphic backend from the he registry. Empty
-	// selects the scalar backend of the configured Scheme ("paillier" or
-	// "mock"): the folded one-ciphertext-per-instance protocol. The
-	// batched backends ("paillier-batched", "mock-batched") pack k ⟨g,h⟩
-	// pairs per ciphertext BatchCrypt-style, switching the gradient stream
-	// and histogram accumulation to the vectorized wire path. The backend's
-	// family must match Scheme.
-	HEBackend string
 	// KeyBits is the Paillier modulus size S (2048 in the paper; scaled
 	// down in the experiments).
 	KeyBits int
@@ -232,17 +222,6 @@ func (c *Config) normalize() error {
 	if c.Scheme == SchemePaillier && (c.KeyBits < 64 || c.KeyBits%2 != 0) {
 		return fmt.Errorf("core: KeyBits %d invalid", c.KeyBits)
 	}
-	if c.HEBackend == "" {
-		c.HEBackend = c.Scheme // the lifted scalar backends share their scheme's name
-	}
-	if !he.Registered(c.HEBackend) {
-		return fmt.Errorf("core: unknown HE backend %q (registered: %s)",
-			c.HEBackend, strings.Join(he.Names(), ", "))
-	}
-	if fam := he.Family(c.HEBackend); fam != c.Scheme {
-		return fmt.Errorf("core: HE backend %q belongs to scheme family %q, config scheme is %q",
-			c.HEBackend, fam, c.Scheme)
-	}
 	if c.Loss == nil {
 		c.Loss = gbdt.LogisticLoss{}
 	}
@@ -275,17 +254,6 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// laneHeadroom is the per-lane accumulation reserve of the batched
-// backends: histogram accumulators sum at most one lane value per
-// instance, so 32 bits of headroom cover any session below 2^32 rows
-// without a carry ever crossing lanes.
-const laneHeadroom = 32
-
-// vecMode reports whether the configured backend packs multiple slots per
-// ciphertext, which switches the protocol to the vectorized gradient
-// stream and histogram accumulation.
-func (c *Config) vecMode() bool { return he.Batched(c.HEBackend) }
-
 // outputs is k, the number of trees per boosting round; 1 for every
 // single-output objective.
 func (c *Config) outputs() int {
@@ -295,8 +263,8 @@ func (c *Config) outputs() int {
 	return c.Objective.NumOutputs()
 }
 
-// gradBound is the objective's gradient bound, which drives both the
-// histogram-packing shift and the lane-plan offset.
+// gradBound is the objective's gradient bound, which sizes the folded
+// pair fields and with them the histogram-packing slots.
 func (c *Config) gradBound() float64 {
 	if c.Objective != nil {
 		return c.Objective.GradBound()
@@ -310,16 +278,6 @@ func baseName(spec string) string {
 		return spec[:i]
 	}
 	return spec
-}
-
-// lanePlanFor derives the lane geometry the session negotiates in
-// MsgSetup for a batched backend over a modulus of the given width.
-func (c *Config) lanePlanFor(schemeBits int) (fixedpoint.LanePlan, error) {
-	plan, err := fixedpoint.PlanLanes(schemeBits, fixedpoint.DefaultBase, c.BaseExp, c.gradBound(), laneHeadroom)
-	if err != nil {
-		return fixedpoint.LanePlan{}, fmt.Errorf("core: backend %q: %w", c.HEBackend, err)
-	}
-	return plan, nil
 }
 
 // wireCodec resolves the configured codec; normalize already validated it.

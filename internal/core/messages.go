@@ -80,17 +80,6 @@ type MsgSetup struct {
 	// the paper-exact baseline obfuscation.
 	ObfBase []byte
 	ObfBits int
-	// Backend, when non-empty, names the negotiated he registry backend
-	// and switches the session to the vectorized gradient/histogram path
-	// with the lane geometry below (Slots lanes of LaneBits bits, Headroom
-	// accumulation reserve). Empty means the scalar protocol: B leaves it
-	// empty for 1-slot backends, so a scalar session's setup frame is
-	// byte-identical to the pre-backend wire format and older peers
-	// interoperate (mixed-fleet fallback).
-	Backend  string
-	Slots    int
-	LaneBits int
-	Headroom int
 	// Objective, when non-empty, names the negotiated multi-output
 	// training objective ("multiclass:3", "ranking:10", "squared") and
 	// Outputs its per-round tree count k; the passive party must resolve
@@ -156,18 +145,6 @@ type MsgGradBatch struct {
 	Class int
 }
 
-// MsgVecGradBatch is the vectorized counterpart of MsgGradBatch: each
-// ciphertext packs one window of Slots/2 consecutive ⟨g,h⟩ pairs
-// (instance Start+w·k..Start+w·k+k−1 in window w), lane-encoded at the
-// fixed exponent BaseExp with the negotiated offset shift. Start is in
-// instances and must be window-aligned.
-type MsgVecGradBatch struct {
-	Tree  int
-	Start int
-	Cts   [][]byte
-	Last  bool
-}
-
 // MsgHistograms carries a passive party's encrypted histograms for one or
 // more nodes of one layer.
 type MsgHistograms struct {
@@ -196,8 +173,7 @@ type NodeHist struct {
 }
 
 // FeatHist is one feature's bins in exactly one representation: folded
-// per-bin sums, its share of a packed node's slots, or the batched
-// backends' vectorized accumulators.
+// per-bin sums or its share of a packed node's slots.
 type FeatHist struct {
 	NumBins int
 	// Folded scalar representation (wire ids 30 and 32): Bins holds one
@@ -216,17 +192,6 @@ type FeatHist struct {
 	PackedG [][]byte
 	PackedH [][]byte
 	Exp     int16
-	// Vectorized representation (batched backends): one ciphertext per
-	// occupied (bin, pair-slot) accumulator. Entry i is the accumulator
-	// for bin VecBin[i] and pair slot VecSlot[i]: lanes 2·slot and
-	// 2·slot+1 of VecCts[i] hold the offset-shifted ⟨g,h⟩ sums of the
-	// VecCount[i] instances congruent to that slot which landed in the
-	// bin; the other lanes are other bins' partial sums and are ignored.
-	Vec      bool
-	VecBin   []int32
-	VecSlot  []int32
-	VecCount []int32
-	VecCts   [][]byte
 }
 
 // Node actions in a split decision.
@@ -321,7 +286,6 @@ func init() {
 	gob.Register(MsgReady{})
 	gob.Register(MsgPairBatch{})
 	gob.Register(MsgGradBatch{})
-	gob.Register(MsgVecGradBatch{})
 	gob.Register(MsgHistograms{})
 	gob.Register(MsgDecisions{})
 	gob.Register(MsgDirty{})
@@ -431,6 +395,10 @@ func (l *link) send(m any) error {
 	return l.out.Send(payload)
 }
 
+// errUndecodable marks a receive that got a frame but could not decode it,
+// as opposed to a transport that failed or closed.
+var errUndecodable = errors.New("core: decoding message")
+
 func (l *link) recv() (any, error) {
 	payload, err := l.in.Receive()
 	if err != nil {
@@ -438,14 +406,14 @@ func (l *link) recv() (any, error) {
 	}
 	c, err := wire.Detect(payload)
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding message: %w", err)
+		return nil, fmt.Errorf("%w: %w", errUndecodable, err)
 	}
 	if l.adapt && c != l.Codec() {
 		l.codec.Store(&c)
 	}
 	m, err := c.Decode(payload)
 	if err != nil {
-		return nil, fmt.Errorf("core: decoding message: %w", err)
+		return nil, fmt.Errorf("%w: %w", errUndecodable, err)
 	}
 	wire.PutBuf(payload)
 	return m, nil

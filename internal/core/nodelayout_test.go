@@ -186,7 +186,7 @@ func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameSums(r.codec.Base(), unpacked[0], want); err != nil {
+		if err := sameSums(r.codec.Base(), unpacked, want); err != nil {
 			t.Fatalf("reordered=%v: unpacked path vs the integers put in: %v", reordered, err)
 		}
 		for _, occupiedOnly := range []bool{true, false} {
@@ -197,11 +197,11 @@ func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 			if err != nil {
 				t.Fatalf("reordered=%v occupiedOnly=%v: %v", reordered, occupiedOnly, err)
 			}
-			if err := sameSums(r.codec.Base(), got[0], unpacked[0]); err != nil {
+			if err := sameSums(r.codec.Base(), got, unpacked); err != nil {
 				t.Errorf("reordered=%v occupiedOnly=%v: node layout vs unpacked path: %v", reordered, occupiedOnly, err)
 			}
 			slots := 0
-			for j, fs := range got[0] {
+			for j, fs := range got {
 				for k := range fs.g {
 					// The occupied mask names exactly the bins with mass; the
 					// all-bins mask gives every bin a (possibly zero) slot.
@@ -224,7 +224,7 @@ func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 			}
 			ends := map[int]bool{} // slot indices at which a feature ends
 			end := 0
-			for _, fs := range got[0] {
+			for _, fs := range got {
 				for k := range fs.g {
 					if fs.g[k] != nil {
 						end++

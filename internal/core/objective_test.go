@@ -7,6 +7,7 @@ import (
 
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/gbdt"
+	"vf2boost/internal/he"
 	"vf2boost/internal/metrics"
 	"vf2boost/internal/objective"
 )
@@ -98,51 +99,17 @@ func TestMulticlassLosslessVsLocal(t *testing.T) {
 	}
 }
 
-// TestMulticlassVecParity: the class-interleaved lane layout (one
-// encrypted shipment per round carrying all k gradient vectors) must
-// reproduce the scalar per-class-stream model exactly — both paths run
-// the same fixed-point arithmetic.
-func TestMulticlassVecParity(t *testing.T) {
-	_, parts := multiclassParts(t, 400, 6, 3, 42)
-	scalar := quickConfig(SchemeMock)
-	scalar.ExpSpread = 1
-	scalar.Objective = mustObjective(t, "multiclass:3")
-	vec := vecQuickConfig("mock-batched")
-	vec.ExpSpread = 1
-	vec.KeyBits = 1024 // wide enough lanes for 3 classes per window
-	vec.Objective = mustObjective(t, "multiclass:3")
-
-	mS, _ := trainFed(t, parts, scalar)
-	mV, sV := trainFed(t, parts, vec)
-	a, err := mS.PredictAllOutputs(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := mV.PredictAllOutputs(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range a {
-		for i := range a[c] {
-			if a[c][i] != b[c][i] {
-				t.Fatalf("vec multiclass diverges from scalar at class %d row %d: %g vs %g",
-					c, i, b[c][i], a[c][i])
-			}
-		}
-	}
-	if sV.Crypto().Decryptions() == 0 {
-		t.Error("vec multiclass session recorded no decryptions")
-	}
-}
-
-// TestMulticlassSharedEncryptionPass is the acceptance gate on the
-// cipher-op counters: with depth-1 trees (root decisions only) a k-class
-// vectorized round must decrypt roughly what a binary round does —
-// classes 1..k-1 read their root sums from the shared all-class decode
-// instead of paying k independent passes, so the total stays far below
-// the naive k x binary baseline.
+// TestMulticlassSharedEncryptionPass is the acceptance gate on the round
+// structure of a k-output objective: one gradient shipment per boosting
+// round — k class streams, every frame under the round's first tree ID —
+// from which the round's k trees build without another encryption pass.
+// With depth-1 trees (root decisions only) and unpacked histograms a
+// k-class session therefore encrypts and decrypts exactly k times what a
+// binary session on the same features does: one ciphertext per instance
+// and class, and one root histogram per class tree.
 func TestMulticlassSharedEncryptionPass(t *testing.T) {
-	joined, parts3 := multiclassParts(t, 300, 6, 3, 43)
+	const rows, k = 300, 3
+	joined, parts3 := multiclassParts(t, rows, 6, k, 43)
 
 	// Same features under a binarized label vector for the k=1 baseline.
 	bl := make([]float64, len(joined.Labels))
@@ -157,34 +124,57 @@ func TestMulticlassSharedEncryptionPass(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	base := vecQuickConfig("mock-batched")
-	base.KeyBits = 1024
+	base := quickConfig(SchemeMock)
 	base.MaxDepth = 1
 	base.Trees = 3
-
-	cfg1 := base
+	base.HistogramPacking, base.AdaptivePacking = false, false
 	cfg3 := base
 	cfg3.Objective = mustObjective(t, "multiclass:3")
 
-	_, s1 := trainFed(t, parts1, cfg1)
+	_, s1 := trainFed(t, parts1, base)
 	_, s3 := trainFed(t, parts3, cfg3)
+	e1, e3 := s1.Crypto().Encryptions(), s3.Crypto().Encryptions()
+	if e1 != int64(rows*base.Trees) || e3 != k*e1 {
+		t.Errorf("encryptions: binary %d, k=%d %d; want %d and %d×", e1, k, e3, rows*base.Trees, k)
+	}
+	d1, d3 := s1.Crypto().Decryptions(), s3.Crypto().Decryptions()
+	if d1 == 0 || d3 != k*d1 {
+		t.Errorf("decryptions: binary %d, k=%d %d; want one root histogram per class tree", d1, k, d3)
+	}
 
-	d1 := s1.Crypto().Decryptions()
-	d3 := s3.Crypto().Decryptions()
-	if d1 == 0 || d3 == 0 {
-		t.Fatalf("no decryptions recorded (binary %d, multiclass %d)", d1, d3)
+	// The shipment itself: round 1's k class streams all carry tree k.
+	cfg := mustNormalize(t, cfg3)
+	out := chanTransport{ch: make(chan []byte, 64)}
+	b, err := newActiveParty(parts3[1], cfg, he.NewMock(512), []*link{{out: out}}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d3 >= 2*d1 {
-		t.Errorf("k=3 rounds decrypted %d vs binary %d; sharing should keep this sub-linear in k", d3, d1)
+	b.marginsAll, b.gradsAll, b.hessAll = make([][]float64, k), make([][]float64, k), make([][]float64, k)
+	for c := range b.gradsAll {
+		b.marginsAll[c], b.gradsAll[c], b.hessAll[c] = make([]float64, rows), make([]float64, rows), make([]float64, rows)
 	}
-	// Encryption passes: one shipment per round regardless of k. Splitting
-	// each window into k class lanes shrinks instances-per-ciphertext by a
-	// bit more than k (integer flooring of the lane budget), so allow that
-	// rounding slack — but nothing beyond it.
-	e1 := s1.Crypto().Encryptions()
-	e3 := s3.Crypto().Encryptions()
-	if e3 > 4*e1 {
-		t.Errorf("k=3 rounds encrypted %d vs binary %d; one shared pass should stay near the 3x lane split", e3, e1)
+	if err := cfg.Objective.GradHess(b.labels, b.marginsAll, b.gradsAll, b.hessAll); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.sendGradients(k); err != nil {
+		t.Fatal(err)
+	}
+	shipped := make([]int, k)
+	for len(out.ch) > 0 {
+		msg, err := (&link{in: out}).recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, ok := msg.(MsgPairBatch)
+		if !ok || m.Tree != k || m.Class < 0 || m.Class >= k {
+			t.Fatalf("shipment frame %T tree %d class %d, want MsgPairBatch of tree %d", msg, m.Tree, m.Class, k)
+		}
+		shipped[m.Class] += len(m.Cts)
+	}
+	for c, n := range shipped {
+		if n != rows {
+			t.Errorf("class %d stream carried %d of %d instances", c, n, rows)
+		}
 	}
 }
 

@@ -54,6 +54,23 @@ func TestGoldenModelAtFixedExponent(t *testing.T) {
 	}
 }
 
+// TestScalarBackendByteIdentity pins the model of a session at the default
+// exponent spread to the hash it had while the scalar scheme still sat
+// behind a backend registry, named ("mock") or not: removing the registry
+// and the lane-packed backends must not move a scalar model's bytes.
+func TestScalarBackendByteIdentity(t *testing.T) {
+	_, parts := twoPartyData(t, 200, 3, 3, 1, true, 25)
+	m, _ := trainFed(t, parts, quickConfig(SchemeMock))
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = "14de2198275fff16c93c9a5d12b96f17116b269d21ada04fc94dde64da63b63f"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("model hash %s, want %s", got, want)
+	}
+}
+
 // TestOneEncryptionPerInstance pins Party B's side of the cost claim: a
 // tree costs exactly one encryption per row.
 func TestOneEncryptionPerInstance(t *testing.T) {
@@ -193,45 +210,99 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 		{"exponent above the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[0] = 12 })}, false, "outside codec range"},
 		{"class beyond the outputs", []any{okSetup, batch(func(m *MsgPairBatch) { m.Class = 1 })}, false, "class 1 of 1"},
 		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, false, "after its last batch"},
+		// Frames no registered decoder reads: the retired batched-backend
+		// IDs and one never assigned.
+		{"retired batched setup", []any{rawFrame(idSetupV3, nil)}, false, "message ID 24"},
+		{"retired vectorized gradient batch", []any{okSetup, rawFrame(idVecGradBatch, nil)}, false, "message ID 25"},
+		{"retired vectorized histograms", []any{okSetup, rawFrame(idHistogramsV2, nil)}, false, "message ID 26"},
+		{"unknown message ID", []any{rawFrame(0xFFFE, nil)}, false, "message ID 65534"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, parts := twoPartyData(t, rows, 2, 2, 1, true, 75)
-			in := chanTransport{ch: make(chan []byte, 16)}
-			out := chanTransport{ch: make(chan []byte, 16)}
-			p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), &link{out: out, in: in}, &Stats{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sender := &link{out: in, in: in}
-			for _, f := range tc.frames {
-				if raw, ok := f.([]byte); ok {
-					in.ch <- raw
-				} else if err := sender.send(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			_, runErr := p.run()
-			if runErr == nil {
-				t.Fatal("hostile frame accepted")
-			}
+			runErr := runPassiveOn(t, rows, tc.frames...)
 			if errors.Is(runErr, ErrLegacyLayout) != tc.legacy {
 				t.Errorf("error %q: ErrLegacyLayout = %v, want %v", runErr, !tc.legacy, tc.legacy)
 			}
 			if !strings.Contains(runErr.Error(), tc.reason) {
 				t.Errorf("error %q does not mention %q", runErr, tc.reason)
 			}
-			// The last frame this party sent must be the abort naming the
-			// same cause (a valid setup is answered first).
-			var last any
-			for len(out.ch) > 0 {
-				if last, err = (&link{in: out}).recv(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ab, ok := last.(MsgAbort); !ok || ab.Reason != runErr.Error() {
-				t.Errorf("last frame sent = %#v, want MsgAbort{%q}", last, runErr)
-			}
 		})
+	}
+}
+
+// runPassiveOn feeds frames (MsgX values, or raw []byte frames) from B into
+// a fresh passive party over rows instances and returns the error its run
+// ends with. Every such run must end in an error, and the last frame the
+// party sent must be the abort naming it (a valid setup is answered
+// first), so B never waits on an answer that will not come.
+func runPassiveOn(t *testing.T, rows int, frames ...any) error {
+	t.Helper()
+	_, parts := twoPartyData(t, rows, 2, 2, 1, true, 75)
+	in := chanTransport{ch: make(chan []byte, 16)}
+	out := chanTransport{ch: make(chan []byte, 16)}
+	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), &link{out: out, in: in}, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := &link{out: in, in: in}
+	for _, f := range frames {
+		if raw, ok := f.([]byte); ok {
+			in.ch <- raw
+		} else if err := sender.send(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, runErr := p.run()
+	if runErr == nil {
+		t.Fatal("hostile frame accepted")
+	}
+	var last any
+	for len(out.ch) > 0 {
+		if last, err = (&link{in: out}).recv(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ab, ok := last.(MsgAbort); !ok || ab.Reason != runErr.Error() {
+		t.Errorf("last frame sent = %#v, want MsgAbort{%q}", last, runErr)
+	}
+	return runErr
+}
+
+// TestPeerBackendRejection: a Party B from before the lane-packed backends
+// were removed negotiates one in its very first frame — the idSetupV3
+// setup, or idSetupV4 when it also names an objective. The passive party
+// refuses that frame by its ID and tells B why before any ciphertext flows.
+func TestPeerBackendRejection(t *testing.T) {
+	for _, id := range []uint16{idSetupV3, idSetupV4} {
+		b := wire.AppendString(nil, SchemePaillier)
+		b = wire.AppendBytes(b, []byte{0xDE, 0xAD})
+		for _, v := range []int{512, 8, 1, 0} { // Bits, BaseExp, ExpSpread, PackBits
+			b = wire.AppendInt(b, v)
+		}
+		b = wire.AppendFloat64(b, 0) // Shift
+		b = wire.AppendBytes(b, nil) // ObfBase
+		b = wire.AppendInt(b, 0)     // ObfBits
+		b = wire.AppendString(b, "paillier-batched")
+		for _, v := range []int{6, 66, 32} { // Slots, LaneBits, Headroom
+			b = wire.AppendInt(b, v)
+		}
+		if id == idSetupV4 {
+			b = wire.AppendString(b, "multiclass:3")
+			b = wire.AppendInt(b, 3)
+		}
+		if err := runPassiveOn(t, 30, rawFrame(id, b)); !strings.Contains(err.Error(), fmt.Sprintf("message ID %d", id)) {
+			t.Errorf("batched setup under id %d refused with %q, which does not name the frame", id, err)
+		}
+	}
+}
+
+// TestUnknownBackendRejected: the names of the retired lane-packed
+// backends are not schemes; configuring one fails before any key exists.
+func TestUnknownBackendRejected(t *testing.T) {
+	_, parts := twoPartyData(t, 50, 2, 2, 1, true, 26)
+	for _, name := range []string{"paillier-batched", "mock-batched"} {
+		if _, err := NewSession(parts, quickConfig(name)); err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+			t.Errorf("scheme %q: NewSession returned %v, want the unknown-scheme error", name, err)
+		}
 	}
 }
 
@@ -264,7 +335,7 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed bins: %v", err)
 	}
-	if g, h := fs[0].floats(codec.Base()); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
+	if g, h := fs.floats(codec.Base()); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
 		t.Fatalf("well-formed bins: g=%v h=%v", g, h)
 	}
 

@@ -42,13 +42,6 @@ type passiveParty struct {
 	packing bool
 	shiftCt he.Ciphertext
 
-	// vec is set when setup negotiated a slot-batched backend; vbackend
-	// is the opened backend (scheme aliases it) and pairs is its ⟨g,h⟩
-	// pair count per ciphertext (Slots/2).
-	vec      bool
-	vbackend he.Backend
-	pairs    int
-
 	link   *link
 	sendMu sync.Mutex // serializes link sends from tasks and the main loop
 	stats  *Stats
@@ -64,13 +57,6 @@ type passiveParty struct {
 	// Per-tree state: gh holds one folded ⟨g,h⟩ ciphertext per instance.
 	tree int
 	gh   []fixedpoint.EncNum
-	// vgh are the tree's gradient window ciphertexts in vec mode:
-	// instance i is pair slot i%pairs of window i/pairs.
-	vgh []he.VecCiphertext
-	// rootVecParts are per-worker partial root accumulators so blaster
-	// batches accumulate in parallel; merged when the last batch lands.
-	rootVecParts []*vecHist
-	rootCount    int
 	// Multi-output state: outputs is the negotiated objective output
 	// count k (1 = binary default) and roundTree the first class tree of
 	// the current round — every gradient shipment of the round is tagged
@@ -110,8 +96,7 @@ type passiveParty struct {
 // histTask is one abortable per-node histogram build (the "small
 // sub-tasks which can be processed in parallel" of Figure 6): the node's
 // frame header and instance list, the tree and gradient stream it was
-// scheduled under, and — once a pass has taken it — its accumulator, in the
-// representation the session runs.
+// scheduled under, and — once a pass has taken it — its accumulator.
 type histTask struct {
 	node    int32
 	layer   int
@@ -121,10 +106,7 @@ type histTask struct {
 	insts []int32
 	tree  int
 	gh    []fixedpoint.EncNum
-	wins  []he.VecCiphertext
-
-	accumulate func(rows gbdt.BinView, chunk []int32) error
-	wire       func() (NodeHist, error)
+	eh    *EncHistogram
 }
 
 func newPassiveParty(index int, data *dataset.Dataset, cfg Config, lk *link, stats *Stats) (*passiveParty, error) {
@@ -171,7 +153,14 @@ func (p *passiveParty) run() (*PartyModel, error) {
 			if ferr := p.failed(); ferr != nil {
 				return nil, ferr
 			}
-			return nil, fmt.Errorf("core: party %d receive: %w", p.index, err)
+			err = fmt.Errorf("core: party %d receive: %w", p.index, err)
+			if errors.Is(err, errUndecodable) {
+				// A frame that arrived but cannot be read — an unknown or
+				// retired ID, a malformed body — is B's to hear about: it may
+				// be waiting in setup for an answer that will not come.
+				return nil, p.reject(err)
+			}
+			return nil, err
 		}
 		if ferr := p.failed(); ferr != nil {
 			return nil, ferr
@@ -187,10 +176,6 @@ func (p *passiveParty) run() (*PartyModel, error) {
 			}
 		case MsgGradBatch:
 			return nil, p.reject(fmt.Errorf("%w: two-ciphertext gradient batch", ErrLegacyLayout))
-		case MsgVecGradBatch:
-			if err := p.handleVecGradBatch(m); err != nil {
-				return nil, p.reject(err)
-			}
 		case MsgDecisions:
 			if err := p.handleDecisions(m); err != nil {
 				return nil, err
@@ -265,41 +250,34 @@ func (p *passiveParty) failed() error {
 	return p.failErr
 }
 
-// handleSetup installs the shared cryptographic context. A setup carrying
-// a backend name negotiates the vectorized protocol; every other setup
-// must announce the folded pair width, and one that does not comes from a
-// peer still on the two-ciphertext layout.
+// handleSetup installs the shared cryptographic context. Every setup must
+// announce the folded pair width; one that does not comes from a peer
+// still on the two-ciphertext layout.
 func (p *passiveParty) handleSetup(m MsgSetup) error {
-	if m.Backend != "" {
-		if err := p.setupBackend(m); err != nil {
-			return err
-		}
-	} else {
-		if m.PairBits == 0 {
-			return fmt.Errorf("%w: setup announces no pair width", ErrLegacyLayout)
-		}
-		switch m.Scheme {
-		case SchemePaillier:
-			n := new(big.Int).SetBytes(m.N)
-			pk := paillier.NewPublicKey(n)
-			if len(m.ObfBase) > 0 {
-				// B derived a DJN fast-obfuscation base at key setup; install
-				// it so this party's encryptions use short-exponent h^x
-				// obfuscators too. The base is validated — a malformed one
-				// fails the session here rather than corrupting obfuscation.
-				if err := pk.SetObfuscationBase(new(big.Int).SetBytes(m.ObfBase), m.ObfBits); err != nil {
-					return fmt.Errorf("core: party %d installing obfuscation base: %w", p.index, err)
-				}
+	if m.PairBits == 0 {
+		return fmt.Errorf("%w: setup announces no pair width", ErrLegacyLayout)
+	}
+	switch m.Scheme {
+	case SchemePaillier:
+		n := new(big.Int).SetBytes(m.N)
+		pk := paillier.NewPublicKey(n)
+		if len(m.ObfBase) > 0 {
+			// B derived a DJN fast-obfuscation base at key setup; install
+			// it so this party's encryptions use short-exponent h^x
+			// obfuscators too. The base is validated — a malformed one
+			// fails the session here rather than corrupting obfuscation.
+			if err := pk.SetObfuscationBase(new(big.Int).SetBytes(m.ObfBase), m.ObfBits); err != nil {
+				return fmt.Errorf("core: party %d installing obfuscation base: %w", p.index, err)
 			}
-			p.scheme = he.NewPaillierPublic(pk)
-		case SchemeMock:
-			if m.Bits > maxWireKeyBits {
-				return fmt.Errorf("core: party %d: setup asks for a %d-bit mock modulus", p.index, m.Bits)
-			}
-			p.scheme = he.NewMock(m.Bits)
-		default:
-			return fmt.Errorf("core: setup with unknown scheme %q", m.Scheme)
 		}
+		p.scheme = he.NewPaillierPublic(pk)
+	case SchemeMock:
+		if m.Bits > maxWireKeyBits {
+			return fmt.Errorf("core: party %d: setup asks for a %d-bit mock modulus", p.index, m.Bits)
+		}
+		p.scheme = he.NewMock(m.Bits)
+	default:
+		return fmt.Errorf("core: setup with unknown scheme %q", m.Scheme)
 	}
 	// Objective negotiation: a non-binary session names its objective in
 	// the setup so this party can fail fast when its local registry
@@ -315,27 +293,13 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 		return fmt.Errorf("core: party %d: peer negotiated unregistered objective %q (registered: %s)",
 			p.index, m.Objective, strings.Join(objective.Names(), ", "))
 	}
-	if p.vec && p.outputs > 1 {
-		ipw := p.pairs / p.outputs
-		if ipw < 1 {
-			return fmt.Errorf("core: party %d: backend %q packs %d pairs per ciphertext, fewer than the %d outputs",
-				p.index, m.Backend, p.pairs, p.outputs)
-		}
-		// Each window ciphertext now carries ipw instances × outputs
-		// classes of ⟨g,h⟩ lane pairs; all window arithmetic below runs
-		// in ipw units, mirroring B's layout.
-		p.pairs = ipw
-	}
 	if m.BaseExp < 1 || m.ExpSpread < 1 || m.BaseExp+m.ExpSpread > maxWireExp {
 		return fmt.Errorf("core: party %d: setup exponents [%d,%d+%d) invalid", p.index, m.BaseExp, m.BaseExp, m.ExpSpread)
 	}
 	// This party encrypts nothing but public constants and draws no
 	// exponents, so its codec needs no seed.
 	p.codec = fixedpoint.NewCodec(p.scheme, fixedpoint.WithExponents(m.BaseExp, m.ExpSpread))
-	if p.vec && m.PackBits > 0 {
-		return fmt.Errorf("core: party %d: setup combines histogram packing with the vectorized backend %q", p.index, m.Backend)
-	}
-	if !p.vec && (m.PairBits < 1 || 2*m.PairBits > p.scheme.Bits()-2) {
+	if m.PairBits < 1 || 2*m.PairBits > p.scheme.Bits()-2 {
 		return fmt.Errorf("core: party %d: %d-bit pair fields do not fit the %d-bit modulus", p.index, m.PairBits, p.scheme.Bits())
 	}
 	p.packing = m.PackBits > 0
@@ -362,54 +326,6 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 	return p.send(MsgResume{Party: p.index, Trees: len(p.model.Trees)})
 }
 
-// setupBackend opens a negotiated slot-batched backend. The name must be
-// registered locally — an unregistered or mismatched negotiation fails
-// the session (with the local registry listed) before any ciphertext is
-// accepted, and the geometry is validated so a hostile setup cannot
-// construct a degenerate lane layout.
-func (p *passiveParty) setupBackend(m MsgSetup) error {
-	if !he.Registered(m.Backend) {
-		return fmt.Errorf("core: party %d: peer negotiated unregistered HE backend %q (registered: %s)",
-			p.index, m.Backend, strings.Join(he.Names(), ", "))
-	}
-	if fam := he.Family(m.Backend); fam != m.Scheme {
-		return fmt.Errorf("core: party %d: negotiated backend %q belongs to scheme family %q, setup says %q",
-			p.index, m.Backend, fam, m.Scheme)
-	}
-	if !he.Batched(m.Backend) {
-		return fmt.Errorf("core: party %d: scalar backend %q negotiated over the vectorized setup", p.index, m.Backend)
-	}
-	if m.Slots < 2 || m.Slots%2 != 0 {
-		return fmt.Errorf("core: party %d: negotiated %d slots, need an even count >= 2", p.index, m.Slots)
-	}
-	if m.Headroom < 0 || m.LaneBits <= m.Headroom {
-		return fmt.Errorf("core: party %d: negotiated lane geometry laneBits=%d headroom=%d invalid",
-			p.index, m.LaneBits, m.Headroom)
-	}
-	params := he.Params{
-		Bits:     m.Bits,
-		ObfBits:  m.ObfBits,
-		Slots:    m.Slots,
-		LaneBits: m.LaneBits,
-		Headroom: m.Headroom,
-	}
-	if len(m.N) > 0 {
-		params.N = new(big.Int).SetBytes(m.N)
-	}
-	if len(m.ObfBase) > 0 {
-		params.ObfBase = new(big.Int).SetBytes(m.ObfBase)
-	}
-	backend, err := he.Open(m.Backend, params)
-	if err != nil {
-		return fmt.Errorf("core: party %d opening backend %q: %w", p.index, m.Backend, err)
-	}
-	p.scheme = backend
-	p.vbackend = backend
-	p.vec = true
-	p.pairs = m.Slots / 2
-	return nil
-}
-
 // handlePairBatch stores a batch of folded gradient ciphertexts and
 // accumulates it straight into the root histogram — with blaster-style
 // encryption the batches stream in while Party B is still encrypting, so
@@ -419,9 +335,6 @@ func (p *passiveParty) setupBackend(m MsgSetup) error {
 func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 	if p.scheme == nil {
 		return fmt.Errorf("core: gradients before setup")
-	}
-	if p.vec {
-		return fmt.Errorf("core: scalar gradient batch in a vectorized session")
 	}
 	if m.Class < 0 || m.Class >= p.outputs {
 		return fmt.Errorf("core: gradient batch for class %d of %d", m.Class, p.outputs)
@@ -504,87 +417,6 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 	return nil
 }
 
-// handleVecGradBatch is the vectorized counterpart of handleGradBatch:
-// each ciphertext is a window of pairs ⟨g,h⟩ pairs, so the batch covers
-// instances [Start, Start+len(Cts)·pairs). Windows are accumulated whole
-// into per-(bin, slot) accumulators; the lanes belonging to window-mates
-// in other bins are garbage the decryptor never reads.
-func (p *passiveParty) handleVecGradBatch(m MsgVecGradBatch) error {
-	if p.scheme == nil {
-		return fmt.Errorf("core: gradients before setup")
-	}
-	if !p.vec {
-		return fmt.Errorf("core: vectorized gradient batch in a scalar session")
-	}
-	n := p.view.Rows()
-	windows := (n + p.pairs - 1) / p.pairs
-	if p.vgh == nil || p.tree != m.Tree {
-		// A replayed round (B resumed behind this party's checkpoint)
-		// invalidates the trees recorded at or after it: discard them and
-		// rebuild from the replay, which is deterministic.
-		if m.Tree < len(p.model.Trees) {
-			p.model.Trees = p.model.Trees[:m.Tree]
-		}
-		p.tree = m.Tree
-		p.vgh = make([]he.VecCiphertext, windows)
-		p.rootVecParts = make([]*vecHist, p.cfg.Workers)
-		for w := range p.rootVecParts {
-			p.rootVecParts[w] = newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
-		}
-		p.rootCount = 0
-		p.nodeInsts = make(map[int32][]int32)
-		p.tasks = make(map[int32]*histTask)
-	}
-	if m.Start%p.pairs != 0 {
-		return fmt.Errorf("core: vectorized batch start %d not aligned to %d-pair windows", m.Start, p.pairs)
-	}
-	w0 := m.Start / p.pairs
-	if w0+len(m.Cts) > windows {
-		return fmt.Errorf("core: vectorized batch windows [%d,%d) out of range (have %d)",
-			w0, w0+len(m.Cts), windows)
-	}
-	for k, payload := range m.Cts {
-		v, err := p.vbackend.UnmarshalVec(payload)
-		if err != nil {
-			return err
-		}
-		p.vgh[w0+k] = v
-	}
-	end := m.Start + len(m.Cts)*p.pairs
-	if end > n {
-		end = n
-	}
-
-	err := p.sweepRoot(m.Start, end-m.Start, len(p.rootVecParts), func(w int, rows gbdt.BinView, insts []int32) error {
-		return p.rootVecParts[w].accumulate(rows, insts, p.vgh)
-	})
-	if err != nil {
-		return err
-	}
-	p.rootCount += end - m.Start
-
-	if m.Last {
-		if p.rootCount != n {
-			return fmt.Errorf("core: root saw %d of %d instances", p.rootCount, n)
-		}
-		p.nodeInsts[rootID] = allInstances(n)
-		for _, part := range p.rootVecParts[1:] {
-			p.rootVecParts[0].merge(part)
-		}
-		// The accumulators carry every class's lanes, so this one root
-		// serves every class tree of the round.
-		nh, err := p.wireVecHist(nil, rootID, p.rootVecParts[0])
-		if err != nil {
-			return err
-		}
-		if err := p.send(MsgHistograms{Tree: p.tree, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
-			return err
-		}
-		p.rootVecParts = nil
-	}
-	return nil
-}
-
 // sweepRoot accumulates the gradient batch [start, start+count) into the
 // root histogram as soon as it lands — the overlap blaster encryption
 // exists for — sharded across workers: sweep(w, rows, insts) adds worker
@@ -628,26 +460,12 @@ func (p *passiveParty) advanceClassTree(t int) error {
 	p.tree = t
 	p.nodeInsts = map[int32][]int32{rootID: allInstances(p.view.Rows())}
 	p.tasks = make(map[int32]*histTask)
-	if p.vec {
-		return nil
-	}
 	class := t % p.outputs
 	if class >= len(p.ghAll) || p.ghAll[class] == nil {
 		return fmt.Errorf("core: party %d: class %d tree %d started before its gradient stream", p.index, class, t)
 	}
 	p.gh = p.ghAll[class]
 	return nil
-}
-
-// wireVecHist serializes a node's vectorized accumulators. Every feature
-// ships with Vec set — even an empty one — so the decryptor never falls
-// back to the scalar layout mid-histogram.
-func (p *passiveParty) wireVecHist(task *histTask, node int32, vh *vecHist) (NodeHist, error) {
-	nh := NodeHist{Node: node, Feats: make([]FeatHist, p.cols)}
-	return nh, p.units.do(task, p.cols, func(j int) error {
-		nh.Feats[j] = vh.wireFeat(j)
-		return nil
-	})
 }
 
 // wireHist finalizes and serializes a node's folded histogram as units on
@@ -856,7 +674,7 @@ func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []
 // stream independently, which is what lets B validate early and abort
 // less work. startPasses sets the queued tasks going.
 func (p *passiveParty) scheduleHist(layer int, head NodeHist, insts []int32) {
-	task := &histTask{node: head.Node, layer: layer, head: head, insts: insts, tree: p.tree, gh: p.gh, wins: p.vgh}
+	task := &histTask{node: head.Node, layer: layer, head: head, insts: insts, tree: p.tree, gh: p.gh}
 	p.tasksMu.Lock()
 	p.tasks[head.Node] = task
 	p.pending = append(p.pending, task)
@@ -917,15 +735,7 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 	lists := make([][]int32, len(group))
 	for k, task := range group {
 		lists[k] = task.insts
-		if p.vec {
-			vh := newVecHist(p.codec, p.vbackend, p.offsets, p.pairs)
-			task.accumulate = func(rows gbdt.BinView, chunk []int32) error { return vh.accumulate(rows, chunk, task.wins) }
-			task.wire = func() (NodeHist, error) { return p.wireVecHist(task, task.node, vh) }
-		} else {
-			eh := NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
-			task.accumulate = func(rows gbdt.BinView, chunk []int32) error { return eh.Accumulate(rows, chunk, task.gh) }
-			task.wire = func() (NodeHist, error) { return p.wireHist(task, task.node, eh) }
-		}
+		task.eh = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
 		if len(task.insts) == 0 { // no run will finish it
 			p.taskWG.Add(1)
 			go p.finishHist(task)
@@ -938,7 +748,7 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 			endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))
 			const chunk = 256
 			for at := lo; at < hi && !task.aborted.Load(); at += chunk {
-				if err := task.accumulate(rows, task.insts[at:min(at+chunk, hi)]); err != nil {
+				if err := task.eh.Accumulate(rows, task.insts[at:min(at+chunk, hi)], task.gh); err != nil {
 					return fmt.Errorf("core: party %d histogram for node %d: %w", p.index, task.node, err)
 				}
 			}
@@ -961,7 +771,7 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 // packing failure or a link that refuses the histogram fails the session.
 func (p *passiveParty) finishHist(task *histTask) {
 	defer p.taskWG.Done()
-	nh, err := task.wire()
+	nh, err := p.wireHist(task, task.node, task.eh)
 	if err == nil && task.aborted.Load() {
 		err = errTaskAborted
 	}

@@ -32,21 +32,11 @@ type activeParty struct {
 
 	dec   he.Decryptor
 	codec *fixedpoint.Codec
-	// pairs is the folded ⟨g,h⟩ plaintext layout of the scalar gradient
-	// stream and every passive histogram cell (unset in vec sessions).
+	// pairs is the folded ⟨g,h⟩ plaintext layout of the gradient stream
+	// and every passive histogram cell.
 	pairs fixedpoint.PairPlan
 	// batch is the blaster batch size in instances.
 	batch int
-
-	// vec is set when the configured HE backend is slot-batched: vdec
-	// wraps dec with the lane layout, vplan is the negotiated geometry and
-	// vcodec is a deterministic (spread-1) codec for lane encoding. The
-	// scalar dec/codec stay live for everything outside the gradient
-	// stream so the non-vector protocol is untouched.
-	vec    bool
-	vdec   he.VecDecryptor
-	vplan  fixedpoint.LanePlan
-	vcodec *fixedpoint.Codec
 
 	links []*link
 	pumps []*pump
@@ -74,19 +64,13 @@ type activeParty struct {
 	nextID  int32
 
 	// Multi-output state: outputs is the objective's k (1 for binary);
-	// class is the output index of the tree currently building (global
-	// tree t trains output t mod k). The *All matrices are k×n; the
+	// global tree t trains output t mod k. The *All matrices are k×n; the
 	// objective fills all k rows once per boosting round and the round's
-	// k trees consume them through a single encryption pass.
+	// k trees consume them through one shipment of k class streams.
 	outputs    int
-	class      int
 	marginsAll [][]float64
 	gradsAll   [][]float64
 	hessAll    [][]float64
-	// ipw is the vec path's instances-per-window: a window ciphertext
-	// carries ipw instances × outputs classes of ⟨g,h⟩ lane pairs, so
-	// ipw = vplan.Pairs/outputs (== Pairs when k == 1).
-	ipw int
 
 	model *PartyModel
 
@@ -280,8 +264,8 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 		return nil, fmt.Errorf("core: party B labels: %w", err)
 	}
 	// A bound-fitting objective (squared loss) derives its gradient bound
-	// from the observed labels before the lane and packing plans are
-	// built, so the historic constant can't silently overflow a shift.
+	// from the observed labels before the pair and packing plans are
+	// built, so the historic constant can't silently overflow a field.
 	if bf, ok := cfg.Objective.(objective.BoundFitter); ok {
 		bf.FitBound(labels)
 	}
@@ -301,41 +285,6 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 		model:   &PartyModel{Party: len(links)},
 		outputs: cfg.outputs(),
 	}
-	if cfg.vecMode() {
-		plan, err := cfg.lanePlanFor(dec.Bits())
-		if err != nil {
-			return nil, err
-		}
-		vdec, ok := dec.(he.VecDecryptor)
-		if ok {
-			if vdec.Slots() != plan.Slots() || vdec.LaneBits() != plan.LaneBits || vdec.Headroom() != plan.Headroom {
-				return nil, fmt.Errorf("core: injected backend geometry (%d slots, %d-bit lanes, %d headroom) does not match the lane plan (%d, %d, %d)",
-					vdec.Slots(), vdec.LaneBits(), vdec.Headroom(), plan.Slots(), plan.LaneBits, plan.Headroom)
-			}
-		} else {
-			vdec, err = he.NewBatchedDecryptor(dec, cfg.HEBackend, plan.Slots(), plan.LaneBits, plan.Headroom)
-			if err != nil {
-				return nil, err
-			}
-		}
-		b.vec = true
-		b.vdec = vdec
-		b.vplan = plan
-		// A multi-output round interleaves the k classes of each instance
-		// within one window: slot-group s carries instance s's k ⟨g,h⟩
-		// pairs at lanes 2·(s·k+c), 2·(s·k+c)+1, so one ciphertext ships
-		// every class's gradients and one decryption serves them all.
-		b.ipw = plan.Pairs / b.outputs
-		if b.ipw < 1 {
-			return nil, fmt.Errorf("core: backend %q packs %d pairs per ciphertext, fewer than the %d outputs of objective %s",
-				cfg.HEBackend, plan.Pairs, b.outputs, cfg.Objective.Name())
-		}
-		// Lane encoding shares the scalar codec's stats so session totals
-		// stay in one place; spread 1 because every lane shares one scale.
-		b.vcodec = fixedpoint.NewCodec(vdec,
-			fixedpoint.WithExponents(plan.Exp, 1),
-			fixedpoint.WithStats(b.codec.Stats()))
-	}
 	// An unset batch size follows the row count: about sixteen batches
 	// per stream keep encryption, transfer and root accumulation
 	// overlapped at any size, and the un-overlapped tail is one batch.
@@ -343,16 +292,11 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 	if b.batch <= 0 {
 		b.batch = min(max(b.rows/16, 64), 1024)
 	}
-	if cfg.vecMode() {
-		return b, nil
-	}
 	var err error
 	if b.pairs, err = b.codec.PlanPairs(b.rows, cfg.gradBound()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Histogram packing packs shifted prefixes of folded bins; the
-	// vectorized path already packs at the lane level, so the two are
-	// mutually exclusive.
+	// Histogram packing packs shifted prefixes of folded bins.
 	if cfg.HistogramPacking {
 		if b.plan, err = planPacking(b.codec, b.pairs.W); err != nil {
 			return nil, err
@@ -399,12 +343,6 @@ func (b *activeParty) setup() error {
 		fo.DisableFastObfuscation()
 	}
 	setup.PairBits, setup.PackBits = b.pairs.W, b.plan.bits // no plan, no packing
-	if b.vec {
-		setup.Backend = b.cfg.HEBackend
-		setup.Slots = b.vplan.Slots()
-		setup.LaneBits = b.vplan.LaneBits
-		setup.Headroom = b.vplan.Headroom
-	}
 	// Objective negotiation: named for any non-default objective so the
 	// passive party can resolve it in its own registry (and reject the
 	// session before accepting a single ciphertext if it cannot). Binary
@@ -507,7 +445,6 @@ func (b *activeParty) train() (*PartyModel, error) {
 	var start time.Time
 	for t := startTree; t < totalTrees; t++ {
 		class := t % k
-		b.class = class
 		b.margins = b.marginsAll[class]
 		b.grads = b.gradsAll[class]
 		b.hess = b.hessAll[class]
@@ -580,72 +517,27 @@ func (b *activeParty) train() (*PartyModel, error) {
 // every passive party. With blaster encryption the instances stream in
 // batches so encryption, WAN transfer, and root-histogram construction in
 // the passive parties overlap (Section 4.1); without it one bulk batch is
-// sent after all encryption finishes. A k-output round on the scalar path
-// ships k class streams back-to-back (each tagged with its Class, all
-// under the shipment tree t = round·k); the vec path interleaves all
-// classes into the lanes of a single stream.
+// sent after all encryption finishes. A k-output round ships k class
+// streams back-to-back, each tagged with its Class, all under the shipment
+// tree t = round·k.
 func (b *activeParty) sendGradients(t int) error {
-	if b.vec {
-		return b.sendVecGradients(t)
-	}
 	for c := 0; c < b.outputs; c++ {
-		if err := b.sendGradStream(t, c, b.gradsAll[c], b.hessAll[c]); err != nil {
+		if err := b.sendGradStream(t, c); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendGradStream encrypts and ships one output's gradient vector as
-// folded pairs.
-func (b *activeParty) sendGradStream(t, class int, grads, hess []float64) error {
-	return b.blast(t, b.batch, func(start, end int) (any, error) {
-		m := MsgPairBatch{
-			Tree:  t,
-			Start: start,
-			Cts:   make([][]byte, end-start),
-			Exp:   make([]int16, end-start),
-			Last:  end == b.rows,
-			Class: class,
-		}
-		return m, b.encryptRange(start, grads, hess, &m)
-	})
-}
-
-// sendVecGradients is the slot-batched gradient stream: ipw instances
-// travel per ciphertext (ipw = vplan.Pairs for a single-output round,
-// Pairs/k for a k-output round, where each instance occupies k
-// consecutive lane pairs — one per class), so the round ships ⌈n/ipw⌉
-// windows carrying every class's gradients in a single encryption pass.
-// Batches are rounded up to whole windows so every MsgVecGradBatch
-// starts window-aligned and instance i always occupies slot-group i%ipw
-// of window i/ipw.
-func (b *activeParty) sendVecGradients(t int) error {
-	pairs := b.ipw
-	batch := b.batch
-	if rem := batch % pairs; rem != 0 {
-		batch += pairs - rem
-	}
-	return b.blast(t, batch, func(start, end int) (any, error) {
-		m := MsgVecGradBatch{
-			Tree:  t,
-			Start: start,
-			Cts:   make([][]byte, (end-start+pairs-1)/pairs),
-			Last:  end == b.rows,
-		}
-		return m, b.encryptVecRange(start, end, &m)
-	})
-}
-
-// blast runs one gradient stream: build encrypts instances [start, end)
-// into a frame, batch instances at a time, and every frame goes to every
-// passive party. Blaster mode ships finished frames from a background
-// goroutine (the paper's "blasts the ciphers to Party A in a background
-// thread"), so encryption of batch k+1 overlaps the WAN transmission of
-// batch k; without it one bulk frame is sent inline.
-func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error)) (err error) {
-	n := b.rows
-	ship := func(m any) error {
+// sendGradStream encrypts one output's gradient vector as folded pairs,
+// b.batch instances per frame, and every frame goes to every passive
+// party. Blaster mode ships finished frames from a background goroutine
+// (the paper's "blasts the ciphers to Party A in a background thread"), so
+// encryption of batch k+1 overlaps the WAN transmission of batch k; without
+// it one bulk frame is sent inline.
+func (b *activeParty) sendGradStream(t, class int) (err error) {
+	n, batch := b.rows, b.batch
+	ship := func(m MsgPairBatch) error {
 		for _, l := range b.links {
 			if err := l.send(m); err != nil {
 				return err
@@ -657,7 +549,7 @@ func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error
 		batch = n
 	} else {
 		toLinks := ship
-		sendCh := make(chan any, 2) // one frame in flight, one ready behind it
+		sendCh := make(chan MsgPairBatch, 2) // one frame in flight, one ready behind it
 		var sendErr error
 		done := make(chan struct{})
 		go func() {
@@ -668,7 +560,7 @@ func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error
 				}
 			}
 		}()
-		// Whatever ends the loop, the shipper exits before blast returns.
+		// Whatever ends the loop, the shipper exits before the stream returns.
 		defer func() {
 			close(sendCh)
 			<-done
@@ -676,7 +568,7 @@ func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error
 				err = sendErr
 			}
 		}()
-		ship = func(m any) error {
+		ship = func(m MsgPairBatch) error {
 			select {
 			case sendCh <- m:
 				return nil
@@ -689,8 +581,15 @@ func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error
 		end := min(start+batch, n)
 		encStart := time.Now()
 		endSpan := b.rec.Span("B:Encrypt", fmt.Sprintf("tree %d [%d,%d)", t, start, end))
-		m, err := build(start, end)
-		if err != nil {
+		m := MsgPairBatch{
+			Tree:  t,
+			Start: start,
+			Cts:   make([][]byte, end-start),
+			Exp:   make([]int16, end-start),
+			Last:  end == n,
+			Class: class,
+		}
+		if err := b.encryptRange(start, b.gradsAll[class], b.hessAll[class], &m); err != nil {
 			return err
 		}
 		endSpan()
@@ -700,38 +599,6 @@ func (b *activeParty) blast(t, batch int, build func(start, end int) (any, error
 		}
 	}
 	return nil
-}
-
-// encryptVecRange packs instances [start, end) into window ciphertexts,
-// parallelized across the configured workers. Lane order within a
-// window is slot-group-major, class-minor: instance wStart+s, class c
-// lands at lanes 2·(s·k+c), 2·(s·k+c)+1 — for k == 1 exactly the
-// original pair-per-instance layout. The final window of the last batch
-// may be partial; EncryptVec accepts short lane vectors and the unused
-// high lanes simply stay zero.
-func (b *activeParty) encryptVecRange(start, end int, m *MsgVecGradBatch) error {
-	pairs := b.ipw
-	k := b.outputs
-	return b.units.do(nil, len(m.Cts), func(w int) error {
-		wStart := start + w*pairs
-		wEnd := min(wStart+pairs, end)
-		lanes := make([]*big.Int, 0, 2*k*(wEnd-wStart))
-		for i := wStart; i < wEnd; i++ {
-			for c := 0; c < k; c++ {
-				gl, hl, err := b.vcodec.EncodeLanePair(b.gradsAll[c][i], b.hessAll[c][i], b.vplan)
-				if err != nil {
-					return err
-				}
-				lanes = append(lanes, gl, hl)
-			}
-		}
-		v, err := b.vcodec.EncryptLanes(lanes)
-		if err != nil {
-			return err
-		}
-		m.Cts[w] = b.vdec.MarshalVec(v)
-		return nil
-	})
 }
 
 // encryptRange fills a gradient batch with one folded ciphertext per
@@ -812,9 +679,9 @@ func (b *activeParty) ownBest(h *gbdt.Histogram, node *bNode) candidate {
 
 // featSums are one feature's histogram bin sums in the exact integer
 // domain: the signed ⟨g,h⟩ fields of bin k at exponent exp[k], nil fields
-// marking an empty bin. Every representation a passive party ships —
-// folded bins, packed shifted prefixes, vectorized accumulators — decrypts
-// to this form, and the floats split finding reads are decoded from it.
+// marking an empty bin. Both representations a passive party ships —
+// folded bins and packed shifted prefixes — decrypt to this form, and the
+// floats split finding reads are decoded from it.
 type featSums struct {
 	g, h []*big.Int
 	exp  []int
@@ -850,7 +717,7 @@ func (b *activeParty) passiveBest(party, tree int, node *bNode) (candidate, erro
 	findStart := time.Now()
 	best := candidate{split: gbdt.NoSplit, party: party}
 	for j, fs := range sums {
-		g, h := fs.floats(b.codec.Base()) // the lane plan shares the codec's base
+		g, h := fs.floats(b.codec.Base())
 		s := gbdt.BestSplitForFeature(int32(j), g, h, node.g, node.h, b.cfg.Split)
 		if !s.Valid() {
 			continue
@@ -936,27 +803,14 @@ func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) 
 	}
 	decStart := time.Now()
 	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
-	classes, err := b.decryptNodeHist(party, nh)
+	s, err := b.decryptNodeHist(party, nh)
 	endSpan()
 	addDur(&b.stats.decryptTime, time.Since(decStart))
 	if err != nil {
 		return nil, err
 	}
-	class := 0
-	if b.vec {
-		class = b.class
-	}
-	p.sums[histKey(tree, node.id)] = classes[class]
-	if len(classes) > 1 && node.id == rootID {
-		// A vectorized multi-output root covers all instances and all class
-		// lanes, so it is the same for every class tree of the round: the
-		// passive party ships it once, tagged with the round's first tree,
-		// and this one decryption serves classes 1..k-1 from the store.
-		for c, s := range classes {
-			p.sums[histKey(tree-class+c, rootID)] = s
-		}
-	}
-	return classes[class], nil
+	p.sums[histKey(tree, node.id)] = s
+	return s, nil
 }
 
 // abort tells every passive party why B is ending the session before it
@@ -977,9 +831,6 @@ func (b *activeParty) abort(err error) {
 // histogram and is refused before it can steer a split.
 func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 	fieldBits := b.pairs.W - 1
-	if b.vec {
-		fieldBits = b.vplan.LaneBits
-	}
 	scale := func(v *big.Int, by int) *big.Int {
 		if by == 0 {
 			return v
@@ -1017,39 +868,24 @@ func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 }
 
 // decryptNodeHist recovers a passive party's histogram of a node: the node
-// layout of a packing session one unit per ciphertext, any other one unit
-// per feature. A scalar histogram belongs to the class of the tree it was
-// built for; a vectorized one carries every class's lanes and yields one
-// nodeSums per output.
-func (b *activeParty) decryptNodeHist(party int, nh NodeHist) ([]nodeSums, error) {
+// layout of a packing session one unit per ciphertext, folded bins one
+// unit per feature.
+func (b *activeParty) decryptNodeHist(party int, nh NodeHist) (nodeSums, error) {
 	if b.packing || nh.Packed {
-		s, err := b.unpackNode(party, nh)
-		return []nodeSums{s}, err
+		return b.unpackNode(party, nh)
 	}
 	if len(nh.Feats) != b.featCounts[party] {
 		return nil, fmt.Errorf("core: party %d histogram carries %d features, announced %d", party, len(nh.Feats), b.featCounts[party])
 	}
-	classes := make([]nodeSums, 1)
-	if b.vec {
-		classes = make([]nodeSums, b.outputs)
-	}
-	for c := range classes {
-		classes[c] = make(nodeSums, len(nh.Feats))
-	}
-	err := b.units.do(nil, len(nh.Feats), func(j int) error {
-		feat, err := b.decryptFeature(nh.Feats[j])
-		if err != nil {
-			return err
-		}
-		for c := range classes {
-			classes[c][j] = feat[c]
-		}
-		return nil
+	sums := make(nodeSums, len(nh.Feats))
+	err := b.units.do(nil, len(nh.Feats), func(j int) (err error) {
+		sums[j], err = b.decryptFeature(nh.Feats[j])
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return classes, nil
+	return sums, nil
 }
 
 // unpackNode reverses the node layout. The frame is checked against the
@@ -1125,28 +961,22 @@ func (b *activeParty) unpackNode(party int, nh NodeHist) (nodeSums, error) {
 	return sums, nil
 }
 
-// decryptFeature decrypts one feature's bins — one decryption per occupied
-// folded bin or vectorized accumulator — into exact ⟨g,h⟩ field sums, one
-// featSums per class the ciphertexts carry. The frame's sizes are checked
-// against each other and the session's plan before they size anything.
-func (b *activeParty) decryptFeature(fh FeatHist) ([]featSums, error) {
+// decryptFeature decrypts one feature's folded bins — one decryption per
+// occupied bin — into exact ⟨g,h⟩ field sums. The frame's sizes are
+// checked against each other and the session's plan before they size
+// anything.
+func (b *activeParty) decryptFeature(fh FeatHist) (featSums, error) {
 	if fh.NumBins < 0 || fh.NumBins > maxWireBins {
-		return nil, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
-	}
-	if fh.Vec {
-		return b.decryptVecFeature(fh)
+		return featSums{}, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
 	}
 	if len(fh.PackedG) > 0 || len(fh.PackedH) > 0 {
-		return nil, fmt.Errorf("%w: two-ciphertext packed histogram", ErrLegacyLayout)
-	}
-	if b.vec {
-		return nil, fmt.Errorf("core: passive party sent a scalar histogram to a vectorized session")
+		return featSums{}, fmt.Errorf("%w: two-ciphertext packed histogram", ErrLegacyLayout)
 	}
 	if fh.Packed {
-		return nil, fmt.Errorf("%w: feature of %d bins", ErrLegacyPacking, fh.NumBins)
+		return featSums{}, fmt.Errorf("%w: feature of %d bins", ErrLegacyPacking, fh.NumBins)
 	}
 	if len(fh.Bins) != fh.NumBins || len(fh.BinExp) != fh.NumBins {
-		return nil, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))
+		return featSums{}, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))
 	}
 	fs := newFeatSums(fh.NumBins)
 	for k, payload := range fh.Bins {
@@ -1157,75 +987,20 @@ func (b *activeParty) decryptFeature(fh FeatHist) ([]featSums, error) {
 		// silently skew a split.
 		fs.exp[k] = int(fh.BinExp[k])
 		if fs.exp[k] < b.codec.BaseExp() || fs.exp[k] >= b.codec.BaseExp()+b.codec.ExpSpread() {
-			return nil, fmt.Errorf("core: histogram bin exponent %d outside codec range", fs.exp[k])
+			return featSums{}, fmt.Errorf("core: histogram bin exponent %d outside codec range", fs.exp[k])
 		}
 		ct, err := b.dec.Unmarshal(payload)
 		if err != nil {
-			return nil, err
+			return featSums{}, err
 		}
 		m, err := b.dec.Decrypt(ct)
 		if err != nil {
-			return nil, err
+			return featSums{}, err
 		}
 		b.codec.Stats().AddDecryptions(1)
 		fs.g[k], fs.h[k] = b.pairs.Split(he.Signed(b.dec, m))
 	}
-	return []featSums{fs}, nil
-}
-
-// decryptVecFeature recovers one feature's bin sums from the vectorized
-// representation, for every class at once: each entry is a per-(bin,
-// pair-slot) accumulator whose lane pair 2·(slot·k+c) holds class c's
-// ⟨g,h⟩ sums of VecCount instances (for a single-output session exactly
-// lanes 2·slot and 2·slot+1; the other lanes belong to window-mates
-// routed to other bins and are ignored). One decryption per accumulator
-// serves all k classes, and per bin the slot sums combine exactly in the
-// integer domain.
-func (b *activeParty) decryptVecFeature(fh FeatHist) ([]featSums, error) {
-	if !b.vec {
-		return nil, fmt.Errorf("core: passive party sent a vectorized histogram to a scalar session")
-	}
-	if len(fh.VecSlot) != len(fh.VecBin) || len(fh.VecCount) != len(fh.VecBin) || len(fh.VecCts) != len(fh.VecBin) {
-		return nil, fmt.Errorf("core: vectorized feature histogram has mismatched columns (%d/%d/%d/%d)",
-			len(fh.VecBin), len(fh.VecSlot), len(fh.VecCount), len(fh.VecCts))
-	}
-	classes := make([]featSums, b.outputs)
-	for c := range classes {
-		classes[c] = newFeatSums(fh.NumBins)
-	}
-	for idx := range fh.VecBin {
-		bin, slot, count := int(fh.VecBin[idx]), int(fh.VecSlot[idx]), int(fh.VecCount[idx])
-		if bin < 0 || bin >= fh.NumBins {
-			return nil, fmt.Errorf("core: vectorized histogram bin %d out of [0,%d)", bin, fh.NumBins)
-		}
-		if slot < 0 || slot >= b.ipw {
-			return nil, fmt.Errorf("core: vectorized histogram pair slot %d out of [0,%d)", slot, b.ipw)
-		}
-		if count <= 0 || count > b.rows {
-			return nil, fmt.Errorf("core: vectorized histogram accumulator claims %d instances of %d", count, b.rows)
-		}
-		v, err := b.vdec.UnmarshalVec(fh.VecCts[idx])
-		if err != nil {
-			return nil, err
-		}
-		lanes, err := b.vdec.DecryptVec(v)
-		if err != nil {
-			return nil, err
-		}
-		b.codec.Stats().AddDecryptions(1)
-		for c, fs := range classes {
-			li := 2 * (slot*b.outputs + c)
-			gSum := b.vplan.LaneSumSigned(lanes[li], int64(count))
-			hSum := b.vplan.LaneSumSigned(lanes[li+1], int64(count))
-			if fs.g[bin] == nil {
-				fs.g[bin], fs.h[bin], fs.exp[bin] = gSum, hSum, b.vplan.Exp
-			} else {
-				fs.g[bin].Add(fs.g[bin], gSum)
-				fs.h[bin].Add(fs.h[bin], hSum)
-			}
-		}
-	}
-	return classes, nil
+	return fs, nil
 }
 
 // childStats computes exact child gradient totals from B's plaintext

@@ -100,8 +100,8 @@ func TestDecryptEmptyBinPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g, h := fs[0].floats(b.codec.Base()); g[0] != 0 || h[0] != 0 || fs[0].g[0] != nil {
-		t.Errorf("empty bin = %g, %g (fields %v); want 0, 0, nil", g[0], h[0], fs[0].g[0])
+	if g, h := fs.floats(b.codec.Base()); g[0] != 0 || h[0] != 0 || fs.g[0] != nil {
+		t.Errorf("empty bin = %g, %g (fields %v); want 0, 0, nil", g[0], h[0], fs.g[0])
 	}
 }
 

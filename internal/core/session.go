@@ -191,9 +191,7 @@ func (s *Session) Stats() *Stats { return s.stats }
 // Train: Party B's encryptions and decryptions (the passive parties do
 // neither), and the homomorphic additions, scalar multiplications and
 // exponent scalings of every party — the passive parties' histogram
-// accumulation, finalization and packing included. Vectorized backends
-// show their ciphertext-count reduction here: one encryption per
-// lane-packed window instead of one per instance.
+// accumulation, finalization and packing included.
 func (s *Session) Crypto() *fixedpoint.Stats { return s.crypto }
 
 // Shaper returns the WAN shaper, if any, for byte accounting.

@@ -223,16 +223,12 @@ func TestFederatedLoadsBound(t *testing.T) {
 	}
 	sequential := func(cfg Config) Config { cfg.OptimisticSplit = false; return cfg }
 	optimistic := func(cfg Config) Config { cfg.AdaptiveOptimism = false; return cfg }
-	batched := vecQuickConfig("paillier-batched")
-	batched.KeyBits = 512
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"mock/sequential", sequential(quickConfig(SchemeMock))},
 		{"mock/optimistic", optimistic(quickConfig(SchemeMock))},
-		{"paillier-batched/sequential", sequential(batched)},
-		{"paillier-batched/optimistic", optimistic(batched)},
 	} {
 		for _, passive := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/passive=%d", tc.name, passive), func(t *testing.T) {

@@ -163,8 +163,8 @@ func sameSums(base int, x, y nodeSums) error {
 // larger child of a split are the integers it would have decrypted had the
 // passive party built (or homomorphically subtracted) and shipped that
 // child — over both schemes, the node layout under both masks and the
-// unpacked bins, one and several exponents, both accumulation strategies
-// and the vectorized backends.
+// unpacked bins, one and several exponents, and both accumulation
+// strategies.
 func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 	_, parts := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
 	type shape struct {
@@ -195,14 +195,6 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 				}
 			}
 		}
-	}
-	for _, backend := range []string{"mock-batched", "paillier-batched"} {
-		cfg := vecQuickConfig(backend)
-		cfg.KeyBits = 512
-		cases = append(cases, struct {
-			name string
-			cfg  Config
-		}{backend, cfg})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -240,8 +232,8 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 
 // TestSiblingDerivationModelParity: whole sessions with and without
 // HistogramSubtraction serialize to the same bytes where the unit matrix
-// above cannot reach — the vectorized backends end to end, multi-class
-// rounds whose class roots arrive ahead of their trees, and the
+// above cannot reach — multi-class rounds whose class roots arrive ahead
+// of their trees, and the
 // optimistic schedule, where the re-made children of a dirty node derive
 // from the same cached parent its aborted children did.
 func TestSiblingDerivationModelParity(t *testing.T) {
@@ -254,8 +246,6 @@ func TestSiblingDerivationModelParity(t *testing.T) {
 	}
 	optimistic := quickConfig(SchemeMock)
 	optimistic.AdaptiveOptimism = false
-	vecMC := mc(vecQuickConfig("mock-batched"))
-	vecMC.KeyBits = 1024
 	for _, tc := range []struct {
 		name      string
 		parts     []*dataset.Dataset
@@ -264,10 +254,7 @@ func TestSiblingDerivationModelParity(t *testing.T) {
 	}{
 		{"optimistic-dirty", binary, optimistic, true},
 		{"paillier-optimistic", binary, quickConfig(SchemePaillier), false},
-		{"vec-mock", binary, vecQuickConfig("mock-batched"), false},
-		{"vec-paillier", binary, vecQuickConfig("paillier-batched"), false},
 		{"multiclass-scalar", multi, mc(quickConfig(SchemeMock)), false},
-		{"multiclass-vec", multi, vecMC, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var models [2][]byte

@@ -41,24 +41,16 @@ const (
 	// (ObfBase, ObfBits) appended after Shift.
 	idSetupV2 uint16 = 22
 	idAbort   uint16 = 23
-	// idSetupV3 extends the setup body with the negotiated HE backend and
-	// its lane geometry (Backend, Slots, LaneBits, Headroom) appended after
-	// ObfBits. A scalar session encodes MsgSetup under idSetupV2 — the two
-	// layouts coexist so older peers keep decoding scalar sessions
-	// (mixed-fleet fallback).
-	idSetupV3 uint16 = 24
-	// idVecGradBatch carries the slot-packed gradient stream of the
-	// batched backends.
+	// Ids 24–27 carried the lane-packed ("batched") HE backends: the setup
+	// with lane geometry (idSetupV3, and idSetupV4 with the objective), the
+	// slot-packed gradient stream (idVecGradBatch) and the histogram with
+	// vectorized columns (idHistogramsV2). The backends are gone and so are
+	// the registrations, so a peer that still negotiates one fails decoding
+	// at its first frame; the ids stay reserved and must not be reused.
+	idSetupV3      uint16 = 24
 	idVecGradBatch uint16 = 25
-	// idHistogramsV2 extends every FeatHist body with the vectorized
-	// representation (Vec, VecBin, VecSlot, VecCount, VecCts) appended
-	// after Exp; scalar histograms keep encoding under idHistograms.
 	idHistogramsV2 uint16 = 26
-	// idSetupV4 extends the setup body with the negotiated multi-output
-	// objective (Objective, Outputs) appended after Headroom; the vec
-	// fields are always present in this layout. Binary sessions keep
-	// encoding under idSetupV2/idSetupV3, so their frames are unchanged.
-	idSetupV4 uint16 = 27
+	idSetupV4      uint16 = 27
 	// idGradBatchV2 extends the gradient-batch body with the output index
 	// (Class) appended after Last. Class-0 batches — every batch of a
 	// binary session — keep the idGradBatch frame.
@@ -68,20 +60,19 @@ const (
 	// so its three frames take fresh IDs: idPairBatch supersedes
 	// idGradBatch/idGradBatchV2 (Class always present), idHistogramsV3
 	// supersedes idHistograms, and idSetupV5 — the scalar setup, carrying
-	// PairBits and the objective but no Shift and no lane geometry —
-	// supersedes idSetupV2 and the scalar uses of idSetupV4. The retired
-	// scalar frames stay decodable only to be refused; the vectorized
-	// frames (24–27 for batched backends) are unchanged.
+	// PairBits and the objective but no Shift — supersedes idSetupV2. The
+	// retired scalar frames stay decodable only to be refused.
 	idPairBatch    uint16 = 29
 	idHistogramsV3 uint16 = 30
 	idSetupV5      uint16 = 31
 	// idHistogramsV4 is the announcing histogram frame: every node names
 	// the split it is the shipped child of (Parent, Sibling) so Party B
-	// derives the sibling in plaintext, and every feature carries the
-	// folded columns followed by the vectorized ones, whichever it uses.
-	// Frames that announce nothing keep idHistogramsV3/idHistogramsV2. A
-	// Party B from before plaintext derivation cannot decode this ID, so
-	// it fails fast instead of waiting for a sibling that never ships.
+	// derives the sibling in plaintext. Every feature carries the folded
+	// columns followed by the retired vectorized ones, which are always
+	// written empty and refused when a frame fills them. Frames that
+	// announce nothing keep idHistogramsV3. A Party B from before plaintext
+	// derivation cannot decode this ID, so it fails fast instead of waiting
+	// for a sibling that never ships.
 	idHistogramsV4 uint16 = 32
 	// idHistogramsV5 is the node layout of histogram packing: per node the
 	// split announcement and the chunk ciphertexts, per feature the bin
@@ -90,22 +81,19 @@ const (
 	idHistogramsV5 uint16 = 33
 )
 
-// All ends of a deployment ship the same binary, so only the current
-// setup layout is registered; a frame carrying the retired idSetupV1
-// fails decoding loudly instead of being misread.
-var _ = idSetupV1
+// All ends of a deployment ship the same binary, so a frame carrying a
+// retired, unregistered ID (the idSetupV1 layout, the batched backends'
+// 24–27) fails decoding loudly instead of being misread.
+var _ = []uint16{idSetupV1, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4}
 
 func init() {
 	wire.Register(idSetupV2, "MsgSetupV2", decodeAs(idSetupV2, (*MsgSetup).decodeFrom))
-	wire.Register(idSetupV3, "MsgSetupV3", decodeAs(idSetupV3, (*MsgSetup).decodeFrom))
-	wire.Register(idSetupV4, "MsgSetupV4", decodeAs(idSetupV4, (*MsgSetup).decodeFrom))
 	wire.Register(idSetupV5, "MsgSetup", decodeAs(idSetupV5, (*MsgSetup).decodeFrom))
 	wire.Register(idReady, "MsgReady", decodeMsg[MsgReady])
 	wire.Register(idGradBatch, "MsgGradBatch", decodeAs(idGradBatch, (*MsgGradBatch).decodeFrom))
 	wire.Register(idGradBatchV2, "MsgGradBatchV2", decodeAs(idGradBatchV2, (*MsgGradBatch).decodeFrom))
 	wire.Register(idPairBatch, "MsgPairBatch", decodeMsg[MsgPairBatch])
 	wire.Register(idHistograms, "MsgHistogramsV1", decodeAs(idHistograms, (*MsgHistograms).decodeFrom))
-	wire.Register(idHistogramsV2, "MsgHistogramsV2", decodeAs(idHistogramsV2, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV3, "MsgHistograms", decodeAs(idHistogramsV3, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV4, "MsgHistogramsV4", decodeAs(idHistogramsV4, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV5, "MsgHistogramsV5", decodeAs(idHistogramsV5, (*MsgHistograms).decodeFrom))
@@ -127,7 +115,6 @@ func init() {
 	wire.Register(idHeartbeat, "MsgHeartbeat", decodeMsg[MsgHeartbeat])
 	wire.Register(idResume, "MsgResume", decodeMsg[MsgResume])
 	wire.Register(idAbort, "MsgAbort", decodeMsg[MsgAbort])
-	wire.Register(idVecGradBatch, "MsgVecGradBatch", decodeMsg[MsgVecGradBatch])
 }
 
 // decodeAs adapts a message whose body layout depends on the frame ID it
@@ -163,55 +150,25 @@ func decodeMsg[M any, PM interface {
 
 // --- MsgSetup ----------------------------------------------------------
 
-// vecWire reports whether the setup negotiates a batched backend, which
-// keeps the idSetupV3/idSetupV4 layouts; every scalar setup encodes under
-// idSetupV5.
-func (m MsgSetup) vecWire() bool {
-	return m.Backend != "" || m.Slots != 0 || m.LaneBits != 0 || m.Headroom != 0
-}
-
-// WireID: every scalar setup is the folded idSetupV5; a vectorized one
-// that also names an objective needs the idSetupV4 layout.
-func (m MsgSetup) WireID() uint16 {
-	switch {
-	case !m.vecWire():
-		return idSetupV5
-	case m.Objective != "" || m.Outputs != 0:
-		return idSetupV4
-	}
-	return idSetupV3
-}
+// WireID: every setup an engine sends is the folded idSetupV5.
+func (MsgSetup) WireID() uint16 { return idSetupV5 }
 
 func (m MsgSetup) AppendTo(b []byte) []byte {
-	id := m.WireID()
 	b = wire.AppendString(b, m.Scheme)
 	b = wire.AppendBytes(b, m.N)
 	b = wire.AppendInt(b, m.Bits)
 	b = wire.AppendInt(b, m.BaseExp)
 	b = wire.AppendInt(b, m.ExpSpread)
-	if id == idSetupV5 {
-		b = wire.AppendInt(b, m.PairBits)
-	}
+	b = wire.AppendInt(b, m.PairBits)
 	b = wire.AppendInt(b, m.PackBits)
-	if id != idSetupV5 {
-		// The pre-fold layouts carried the packing shift N·Bound here.
-		b = wire.AppendFloat64(b, 0)
-	}
 	b = wire.AppendBytes(b, m.ObfBase)
 	b = wire.AppendInt(b, m.ObfBits)
-	if id != idSetupV5 {
-		b = wire.AppendString(b, m.Backend)
-		b = wire.AppendInt(b, m.Slots)
-		b = wire.AppendInt(b, m.LaneBits)
-		b = wire.AppendInt(b, m.Headroom)
-	}
-	if id != idSetupV3 {
-		b = wire.AppendString(b, m.Objective)
-		b = wire.AppendInt(b, m.Outputs)
-	}
-	return b
+	b = wire.AppendString(b, m.Objective)
+	return wire.AppendInt(b, m.Outputs)
 }
 
+// decodeFrom reads idSetupV5 and, so its sender can be refused by name
+// (no PairBits: ErrLegacyLayout), the retired idSetupV2 layout.
 func (m *MsgSetup) decodeFrom(body []byte, id uint16) error {
 	d := wire.NewDec(body)
 	m.Scheme = d.String()
@@ -228,13 +185,7 @@ func (m *MsgSetup) decodeFrom(body []byte, id uint16) error {
 	}
 	m.ObfBase = d.Bytes()
 	m.ObfBits = d.Int()
-	if id == idSetupV3 || id == idSetupV4 {
-		m.Backend = d.String()
-		m.Slots = d.Int()
-		m.LaneBits = d.Int()
-		m.Headroom = d.Int()
-	}
-	if id == idSetupV4 || id == idSetupV5 {
+	if id == idSetupV5 {
 		m.Objective = d.String()
 		m.Outputs = d.Int()
 	}
@@ -323,14 +274,12 @@ func (m *MsgGradBatch) decodeFrom(body []byte, id uint16) error {
 
 // WireID picks the frame: a message of packed nodes takes idHistogramsV5
 // (an engine ships one node per message, so packed and unpacked nodes
-// never share one); one announcing a sibling takes idHistogramsV4 in
-// either representation (as does one mixing the two, which only that frame
-// can carry); otherwise folded histograms (the only unpacked scalar form an
-// engine produces) go under idHistogramsV3, vectorized ones under
-// idHistogramsV2, and a message populating the retired two-ciphertext
-// fields under idHistograms.
+// never share one); one announcing a sibling takes idHistogramsV4;
+// otherwise folded histograms (the only unpacked form an engine produces)
+// go under idHistogramsV3, and a message populating the retired
+// two-ciphertext fields under idHistograms.
 func (m MsgHistograms) WireID() uint16 {
-	var vec, folded, retired bool
+	var retired bool
 	for _, n := range m.Nodes {
 		if n.Packed {
 			return idHistogramsV5
@@ -339,17 +288,10 @@ func (m MsgHistograms) WireID() uint16 {
 			return idHistogramsV4
 		}
 		for _, f := range n.Feats {
-			vec = vec || f.Vec || len(f.VecBin) > 0 || len(f.VecSlot) > 0 || len(f.VecCount) > 0 || len(f.VecCts) > 0
-			folded = folded || len(f.Bins) > 0 || len(f.BinExp) > 0
 			retired = retired || len(f.PackedG) > 0 || len(f.PackedH) > 0 || f.Exp != 0
 		}
 	}
-	switch {
-	case vec && folded:
-		return idHistogramsV4
-	case vec:
-		return idHistogramsV2
-	case retired:
+	if retired {
 		return idHistograms
 	}
 	return idHistogramsV3
@@ -381,7 +323,7 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 				b = wire.AppendInt16s(b, f.BinExp)
 				b = wire.AppendBool(b, f.Packed)
 				if id == idHistogramsV4 {
-					b = appendVecFeat(b, f)
+					b = appendRetiredVecColumns(b)
 				}
 				continue
 			}
@@ -395,30 +337,29 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 			b = wire.AppendByteSlices(b, f.PackedG)
 			b = wire.AppendByteSlices(b, f.PackedH)
 			b = wire.AppendInt16(b, f.Exp)
-			if id == idHistogramsV2 {
-				b = appendVecFeat(b, f)
-			}
 		}
 	}
 	return b
 }
 
-// appendVecFeat and decodeVecFeat are the vectorized columns of a
-// FeatHist, shared by idHistogramsV2 and idHistogramsV4.
-func appendVecFeat(b []byte, f FeatHist) []byte {
-	b = wire.AppendBool(b, f.Vec)
-	b = wire.AppendInt32s(b, f.VecBin)
-	b = wire.AppendInt32s(b, f.VecSlot)
-	b = wire.AppendInt32s(b, f.VecCount)
-	return wire.AppendByteSlices(b, f.VecCts)
+// appendRetiredVecColumns writes the empty encoding of the vectorized
+// columns (flag, bins, slots, counts, ciphertexts) that idHistogramsV4's
+// layout still carries after the folded ones; checkRetiredVecColumns reads
+// them back and refuses a frame that fills any of them.
+func appendRetiredVecColumns(b []byte) []byte {
+	b = wire.AppendBool(b, false)
+	for range 3 {
+		b = wire.AppendInt32s(b, nil)
+	}
+	return wire.AppendByteSlices(b, nil)
 }
 
-func decodeVecFeat(d *wire.Dec, f *FeatHist) {
-	f.Vec = d.Bool()
-	f.VecBin = d.Int32s()
-	f.VecSlot = d.Int32s()
-	f.VecCount = d.Int32s()
-	f.VecCts = d.ByteSlices()
+func checkRetiredVecColumns(d *wire.Dec) {
+	vec := d.Bool()
+	n := len(d.Int32s()) + len(d.Int32s()) + len(d.Int32s()) + len(d.ByteSlices())
+	if vec || n > 0 {
+		d.Fail("retired vectorized histogram columns are not empty")
+	}
 }
 
 func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
@@ -444,7 +385,7 @@ func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 				f.BinExp = d.Int16s()
 				f.Packed = d.Bool()
 				if id == idHistogramsV4 {
-					decodeVecFeat(d, &f)
+					checkRetiredVecColumns(d)
 				}
 				return f
 			}
@@ -456,33 +397,10 @@ func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 			f.PackedG = d.ByteSlices()
 			f.PackedH = d.ByteSlices()
 			f.Exp = d.Int16()
-			if id == idHistogramsV2 {
-				decodeVecFeat(d, &f)
-			}
 			return f
 		})
 		return n
 	})
-	return d.Finish()
-}
-
-// --- MsgVecGradBatch ---------------------------------------------------
-
-func (MsgVecGradBatch) WireID() uint16 { return idVecGradBatch }
-
-func (m MsgVecGradBatch) AppendTo(b []byte) []byte {
-	b = wire.AppendInt(b, m.Tree)
-	b = wire.AppendInt(b, m.Start)
-	b = wire.AppendByteSlices(b, m.Cts)
-	return wire.AppendBool(b, m.Last)
-}
-
-func (m *MsgVecGradBatch) DecodeFrom(body []byte) error {
-	d := wire.NewDec(body)
-	m.Tree = d.Int()
-	m.Start = d.Int()
-	m.Cts = d.ByteSlices()
-	m.Last = d.Bool()
 	return d.Finish()
 }
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vf2boost/internal/wire"
@@ -16,9 +18,9 @@ func sampleMessages() []any {
 	return []any{
 		MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ObfBase: []byte{0xCA, 0xFE, 0x01}, ObfBits: 224},
 		MsgSetup{Scheme: "mock", Bits: 256, PairBits: 60, Objective: "multiclass:3", Outputs: 3},
-		MsgSetup{Scheme: "paillier", N: []byte{0x01, 0x02}, Bits: 2048, BaseExp: 8, ExpSpread: 1, Backend: "paillier-batched", Slots: 30, LaneBits: 66, Headroom: 32},
-		MsgSetup{Scheme: "mock", Bits: 1024, BaseExp: 8, ExpSpread: 1, Backend: "mock-batched", Slots: 6, LaneBits: 66, Headroom: 32, Objective: "multiclass:3", Outputs: 3},
-		MsgVecGradBatch{Tree: 2, Start: 450, Cts: [][]byte{{1, 2, 3}, {4, 5}, nil}, Last: true},
+		MsgSetup{Scheme: "paillier", N: []byte{0x01, 0x02}, Bits: 2048, BaseExp: 8, ExpSpread: 1, PairBits: 120},
+		MsgSetup{Scheme: "mock", Bits: 1024, BaseExp: 8, ExpSpread: 1, PairBits: 60, PackBits: 120, Objective: "ranking:10", Outputs: 1},
+		MsgPairBatch{Tree: 0, Start: 450, Cts: [][]byte{{1, 2, 3}, {4, 5}, nil}, Exp: []int16{8, 9, 10}},
 		MsgReady{Party: 2, Features: 17, Rows: 100000},
 		MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true},
 		MsgPairBatch{Tree: 6, Start: 0, Cts: [][]byte{{9, 9}, nil, {8, 8}}, Exp: []int16{0, 0, 0}, Class: 2},
@@ -38,18 +40,18 @@ func sampleMessages() []any {
 		MsgHistograms{Tree: 9, Layer: 0},
 		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{
 			{Node: 3, Feats: []FeatHist{
-				{NumBins: 5, Vec: true, VecBin: []int32{0, 0, 4}, VecSlot: []int32{0, 3, 1}, VecCount: []int32{7, 2, 19}, VecCts: [][]byte{{1, 2}, {3, 4}, {5, 6}}},
-				{NumBins: 2, Vec: true},
+				{NumBins: 5, Bins: [][]byte{{1, 2}, {3, 4}, nil, nil, {5, 6}}, BinExp: []int16{8, 9, 8, 8, 10}},
+				{NumBins: 2, Bins: [][]byte{nil, nil}, BinExp: []int16{8, 8}},
 			}},
 		}},
 		// The announcing frame (id 32): the shipped child names the sibling
-		// Party B derives, in the folded and the vectorized representation.
+		// Party B derives.
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Feats: []FeatHist{
 			{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}},
 			{NumBins: 6, Packed: true, Bins: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}},
 		}}}},
 		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Feats: []FeatHist{
-			{NumBins: 5, Vec: true, VecBin: []int32{0, 4}, VecSlot: []int32{3, 1}, VecCount: []int32{2, 19}, VecCts: [][]byte{{3, 4}, {5, 6}}},
+			{NumBins: 5, Bins: [][]byte{{3, 4}, nil, nil, nil, {5, 6}}, BinExp: []int16{8, 8, 8, 8, 9}},
 		}}}},
 		// The node layout (id 33): a root, and a child announcing its sibling.
 		MsgHistograms{Tree: 2, Layer: 0, Nodes: []NodeHist{{Node: 1, Packed: true, Cts: [][]byte{{1, 2, 3, 4}, {5, 6, 7}}, Feats: []FeatHist{
@@ -137,6 +139,82 @@ func TestEveryMessageTypeHasWireID(t *testing.T) {
 	// Every registered ID except the decode-only retired setup (22).
 	if want := len(ids) - 1; len(seen) != want {
 		t.Errorf("samples cover %d message IDs, protocol encodes %d", len(seen), want)
+	}
+}
+
+// TestScalarFramesByteIdentical pins the bytes of the frames a scalar
+// session sends — setup (id 31), pair batch (29), folded histograms (30),
+// the announcing frame with its retired vectorized columns written empty
+// (32) and the node layout (33) — to what the encoder produced while the
+// lane-packed backends still shared these layouts.
+func TestScalarFramesByteIdentical(t *testing.T) {
+	for _, tc := range []struct {
+		m    any
+		want string
+	}{
+		{MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ObfBase: []byte{0xCA, 0xFE}, ObfBits: 224, Objective: "multiclass:3", Outputs: 3},
+			"01001f00000026087061696c6c69657202dead8008100872e40102cafec0030c6d756c7469636c6173733a3306"},
+		{MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true, Class: 1},
+			"01001d0000000f068020020102010203040210160102"},
+		{MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Feats: []FeatHist{{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}}}}}},
+			"01001e000000130204010a010603020205010103030310101600"},
+		{MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Feats: []FeatHist{{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}}, {NumBins: 1, Bins: [][]byte{nil}, BinExp: []int16{8}}}}}},
+			"010020000000260204010a04080206030202050101030303101016000000000000020101000110000000000000"},
+		{MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Cts: [][]byte{{9, 8}}, Feats: []FeatHist{{NumBins: 4, Occupied: []byte{0x0A}}}}}},
+			"0100210000000f0404010c060e01010209080108010a"},
+	} {
+		b, err := wire.Binary.Encode(tc.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != tc.want {
+			t.Errorf("%T frame changed:\n got %s\nwant %s", tc.m, got, tc.want)
+		}
+	}
+}
+
+// TestRetiredVecColumnsRejected: the announcing frame (id 32) keeps the
+// retired vectorized columns in its layout, and a frame that fills any of
+// them fails decoding instead of being read as a folded histogram.
+func TestRetiredVecColumnsRejected(t *testing.T) {
+	frame := func(vec func(b []byte) []byte) []byte {
+		b := wire.AppendInt(nil, 1)
+		b = wire.AppendInt(b, 2)
+		b = wire.AppendUvarint(b, 1)
+		b = wire.AppendInt32(b, 5)
+		b = wire.AppendInt32(b, 2)
+		b = wire.AppendInt32(b, 4)
+		b = wire.AppendUvarint(b, 1)
+		b = wire.AppendInt(b, 2)
+		b = wire.AppendByteSlices(b, [][]byte{{1, 1}, nil})
+		b = wire.AppendInt16s(b, []int16{8, 8})
+		b = wire.AppendBool(b, false)
+		return rawFrame(idHistogramsV4, vec(b))
+	}
+	columns := func(flag bool, bins, slots, counts []int32, cts [][]byte) func([]byte) []byte {
+		return func(b []byte) []byte {
+			b = wire.AppendBool(b, flag)
+			b = wire.AppendInt32s(b, bins)
+			b = wire.AppendInt32s(b, slots)
+			b = wire.AppendInt32s(b, counts)
+			return wire.AppendByteSlices(b, cts)
+		}
+	}
+	if _, err := wire.Binary.Decode(frame(columns(false, nil, nil, nil, nil))); err != nil {
+		t.Fatalf("frame with empty vectorized columns: %v", err)
+	}
+	for name, vec := range map[string]func([]byte) []byte{
+		"flag":        columns(true, nil, nil, nil, nil),
+		"bins":        columns(false, []int32{0}, nil, nil, nil),
+		"slots":       columns(false, nil, []int32{1}, nil, nil),
+		"counts":      columns(false, nil, nil, []int32{7}, nil),
+		"ciphertexts": columns(false, nil, nil, nil, [][]byte{{1, 2}}),
+		"all":         columns(true, []int32{0}, []int32{1}, []int32{7}, [][]byte{{1, 2}}),
+	} {
+		_, err := wire.Binary.Decode(frame(vec))
+		if err == nil || !strings.Contains(err.Error(), "vectorized") {
+			t.Errorf("%s: id-32 frame with a non-empty vectorized column decoded, err %v", name, err)
+		}
 	}
 }
 

@@ -51,9 +51,6 @@ func sharedKey(bits int) (*paillier.PrivateKey, error) {
 func decryptorFor(scheme string, bits int) (he.Decryptor, error) {
 	switch scheme {
 	case core.SchemeMock:
-		// Honor the configured width: the batched-backend lane plans
-		// derive pair capacity from it, so a fixed 512 would cap how many
-		// class lanes a mock window can carry.
 		return he.NewMock(bits), nil
 	case core.SchemePaillier:
 		k, err := sharedKey(bits)

@@ -11,19 +11,18 @@ import (
 	"vf2boost/internal/core"
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/gbdt"
-	"vf2boost/internal/he"
 	"vf2boost/internal/metrics"
 	"vf2boost/internal/objective"
 )
 
 // ObjScaleConfig parameterizes the multi-output objective experiment: a
 // sweep over class counts k on one synthetic feature matrix, all trained
-// through the vectorized backend, plus a LambdaMART ranking leg. The
+// on the scalar protocol of Scheme, plus a LambdaMART ranking leg. The
 // quantities of interest are the cipher-op counters — a k-class round
-// ships ONE encrypted gradient pass and shares its root decryptions
-// across all k class trees, so decryptions must stay far below the naive
-// k-independent-sessions baseline — and the parity gates against the
-// co-located multi-output trainer.
+// ships its k class streams in one gradient shipment, one ciphertext per
+// instance and class, and every class tree decrypts its own histograms,
+// so both counters track the naive k-independent-sessions baseline — and
+// the parity gates against the co-located multi-output trainer.
 type ObjScaleConfig struct {
 	Rows    int
 	Cols    int
@@ -31,7 +30,7 @@ type ObjScaleConfig struct {
 	Trees   int   // boosting rounds (each round trains k class trees)
 	Depth   int
 	MaxBins int
-	Backend string // vectorized he backend for the multiclass sweep
+	Scheme  string // core.SchemePaillier or core.SchemeMock
 	KeyBits int
 	Seed    int64
 	// RankGroups/RankGroupSize shape the ranking leg; Cutoff is the
@@ -50,7 +49,7 @@ func DefaultObjScale() ObjScaleConfig {
 		Trees:   2,
 		Depth:   3,
 		MaxBins: 16,
-		Backend: "paillier-batched",
+		Scheme:  core.SchemePaillier,
 		KeyBits: 1024,
 		Seed:    23,
 
@@ -68,12 +67,11 @@ type ObjRow struct {
 	Decryptions int64         `json:"decryptions"`
 	HAdds       int64         `json:"hadds"`
 	// CipherOpsPerRoundPerClass is (encryptions+decryptions) divided by
-	// rounds x k — the headline amortization figure: it must FALL as k
-	// grows, because the shared shipment and root decode are split across
-	// more class trees.
+	// rounds x k: what one class tree costs in cipher operations.
 	CipherOpsPerRoundPerClass float64 `json:"cipher_ops_per_round_per_class"`
 	// NaiveEncRatio/NaiveDecRatio compare against k independent binary
-	// sessions (k x the k=1 row); sub-linear sharing keeps them below 1.
+	// sessions (k x the k=1 row): 1 for encryptions, near 1 for
+	// decryptions (the class trees' shapes and pair widths differ).
 	NaiveEncRatio float64 `json:"naive_enc_ratio,omitempty"`
 	NaiveDecRatio float64 `json:"naive_dec_ratio,omitempty"`
 	// ParityMaxDiff is the largest |federated - local| margin over the
@@ -144,8 +142,7 @@ func ObjScale(tc ObjScaleConfig) ([]ObjRow, ObjRank, error) {
 	base.Trees = tc.Trees
 	base.MaxDepth = tc.Depth
 	base.MaxBins = tc.MaxBins
-	base.Scheme = he.Family(tc.Backend)
-	base.HEBackend = tc.Backend
+	base.Scheme = tc.Scheme
 	base.KeyBits = tc.KeyBits
 	base.Workers = 1
 	base.Seed = tc.Seed
@@ -298,8 +295,8 @@ func objRank(tc ObjScaleConfig, base core.Config) (ObjRank, error) {
 
 // PrintObjScale renders the sweep.
 func PrintObjScale(w io.Writer, tc ObjScaleConfig, rows []ObjRow, rank ObjRank) {
-	fmt.Fprintf(w, "Objective scale: %d x %d, T=%d rounds, depth %d, backend %s (S=%d)\n",
-		tc.Rows, tc.Cols, tc.Trees, tc.Depth, tc.Backend, tc.KeyBits)
+	fmt.Fprintf(w, "Objective scale: %d x %d, T=%d rounds, depth %d, scheme %s (S=%d)\n",
+		tc.Rows, tc.Cols, tc.Trees, tc.Depth, tc.Scheme, tc.KeyBits)
 	fmt.Fprintf(w, "  %2s | %10s | %8s | %8s | %14s | %9s | %9s | %10s | %s\n",
 		"k", "wall", "enc", "dec", "ops/round/cls", "enc/naive", "dec/naive", "parity", "metric")
 	for _, r := range rows {

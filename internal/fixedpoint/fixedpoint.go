@@ -85,9 +85,6 @@ func WithSeed(seed int64) Option {
 	return func(c *Codec) { c.seed = uint64(seed) }
 }
 
-// WithStats attaches an operation counter.
-func WithStats(s *Stats) Option { return func(c *Codec) { c.stats = s } }
-
 // NewCodec builds a codec over scheme with the paper's defaults.
 func NewCodec(scheme he.Scheme, opts ...Option) *Codec {
 	c := &Codec{
@@ -177,8 +174,8 @@ func (c *Codec) RandExp() int {
 }
 
 // roundedMagnitude is round(v·base^exp), half away from zero, as a signed
-// integer. It needs no scheme, so both sides of the wire derive constants
-// (lane offsets, field limits) with the rounding EncodeAt applies. Scaled
+// integer. It needs no scheme, so constants such as the folded pair's
+// field limits are derived with the rounding EncodeAt applies. Scaled
 // values beyond the int64 fast path multiply the 53-bit mantissa by the
 // exact integer power.
 func roundedMagnitude(v float64, base, exp int) *big.Int {
@@ -327,23 +324,6 @@ func (c *Codec) AddEncInto(dst *EncNum, b EncNum) {
 	}
 	c.stats.addHAdd(1)
 	dst.Ct = c.scheme.AddInto(dst.Ct, b.Ct)
-}
-
-// SubEnc returns a - b with exponent alignment. It propagates the
-// scheme's subtraction error (a Paillier subtrahend with no modular
-// inverse) instead of panicking on hostile ciphertexts.
-func (c *Codec) SubEnc(a, b EncNum) (EncNum, error) {
-	if a.Exp < b.Exp {
-		a = c.ScaleEnc(a, b.Exp)
-	} else if b.Exp < a.Exp {
-		b = c.ScaleEnc(b, a.Exp)
-	}
-	c.stats.addHAdd(1)
-	ct, err := c.scheme.Sub(a.Ct, b.Ct)
-	if err != nil {
-		return EncNum{}, err
-	}
-	return EncNum{Exp: a.Exp, Ct: ct}, nil
 }
 
 // AddPlain adds two encoded plaintext numbers with exponent alignment.

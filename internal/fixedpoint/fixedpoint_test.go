@@ -192,23 +192,6 @@ func TestAddEncIntoAccumulation(t *testing.T) {
 	}
 }
 
-func TestSubEnc(t *testing.T) {
-	c, dec := paillierCodec(t)
-	ea, _ := c.EncryptValue(5.5)
-	eb, _ := c.EncryptValue(2.25)
-	ed, err := c.SubEnc(ea, eb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Decrypt(dec, ed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-3.25) > 1e-6 {
-		t.Errorf("SubEnc = %g, want 3.25", got)
-	}
-}
-
 func TestReorderedSumMatchesNaive(t *testing.T) {
 	cNaive, _ := mockCodec(WithSeed(7))
 	cReord, decR := mockCodec(WithSeed(7))
@@ -447,8 +430,8 @@ func TestFastObfuscationEquivalence(t *testing.T) {
 		}
 	}
 
-	// Homomorphic ops over fast-obfuscated ciphertexts, including SubEnc
-	// across exponent alignment.
+	// Homomorphic ops over fast-obfuscated ciphertexts, across exponent
+	// alignment.
 	a, err := c.EncryptValue(10.25)
 	if err != nil {
 		t.Fatal(err)
@@ -456,13 +439,6 @@ func TestFastObfuscationEquivalence(t *testing.T) {
 	b, err := c.EncryptValue(3.5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	diff, err := c.SubEnc(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c.Decrypt(dec, diff); err != nil || math.Abs(got-6.75) > 1e-6 {
-		t.Errorf("SubEnc = %g, %v; want 6.75", got, err)
 	}
 	sum, err := c.Decrypt(dec, c.AddEnc(a, b))
 	if err != nil {

@@ -39,11 +39,6 @@ type Scheme interface {
 	// supports it, returning the accumulated ciphertext. Callers must
 	// use the return value and may not rely on dst remaining valid.
 	AddInto(dst, b Ciphertext) Ciphertext
-	// Sub returns a ciphertext of a - b. Unlike the other homomorphic
-	// operations it can fail even on range-validated inputs: a Paillier
-	// subtrahend that is not invertible modulo n² has no difference, so
-	// a hostile histogram must surface as an error, not a panic.
-	Sub(a, b Ciphertext) (Ciphertext, error)
 	// MulScalar returns a ciphertext of k·m given a ciphertext of m
 	// (SMul). k may be negative.
 	MulScalar(a Ciphertext, k *big.Int) Ciphertext

@@ -52,18 +52,6 @@ func TestSchemeContract(t *testing.T) {
 				t.Errorf("Add: %v, want 42", sum)
 			}
 
-			subCt, err := s.Sub(b, a)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diff, err := s.Decrypt(subCt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if diff.Int64() != 8 {
-				t.Errorf("Sub: %v, want 8", diff)
-			}
-
 			prod, err := s.Decrypt(s.MulScalar(a, big.NewInt(3)))
 			if err != nil {
 				t.Fatal(err)

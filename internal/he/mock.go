@@ -65,20 +65,12 @@ func (s *MockScheme) AddInto(dst, b Ciphertext) Ciphertext {
 	return d
 }
 
-func (s *MockScheme) Sub(a, b Ciphertext) (Ciphertext, error) {
-	return mockCt{s.wrap(new(big.Int).Sub(a.(mockCt).v, b.(mockCt).v))}, nil
-}
-
-// wrap reduces v from (−n, 2n) into [0, n) in place. Every ciphertext
+// wrap reduces a sum v from [0, 2n) into [0, n) in place. Every ciphertext
 // carries a residue in [0, n) — Encrypt and Unmarshal range-check,
-// MulScalar reduces — so a sum is below 2n and a difference above −n, and
-// one compare-and-correct does what a big.Int division did: VF-MOCK prices
-// the protocol without the cryptosystem, and that division was a cost of
-// neither.
+// MulScalar reduces — so a sum is below 2n, and one compare-and-correct
+// does what a big.Int division did: VF-MOCK prices the protocol without
+// the cryptosystem, and that division was a cost of neither.
 func (s *MockScheme) wrap(v *big.Int) *big.Int {
-	if v.Sign() < 0 {
-		return v.Add(v, s.n)
-	}
 	if v.Cmp(s.n) >= 0 {
 		v.Sub(v, s.n)
 	}

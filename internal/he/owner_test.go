@@ -125,8 +125,8 @@ func TestPublicSchemeHoldsNoOwnerSecrets(t *testing.T) {
 }
 
 // TestOwnerCiphertextsMixWithPublicOnes: what the owner path encrypts is
-// an ordinary ciphertext — it decrypts, and adds to, subtracts from and
-// scales like the ones the public paths produce.
+// an ordinary ciphertext — it decrypts, and adds to and scales like the
+// ones the public paths produce.
 func TestOwnerCiphertextsMixWithPublicOnes(t *testing.T) {
 	for _, workers := range []int{0, 2} {
 		d := ownerDecryptor(t, 256, workers)
@@ -152,11 +152,6 @@ func TestOwnerCiphertextsMixWithPublicOnes(t *testing.T) {
 		want(own, 500)
 		want(passive.Add(own, pub), 620)
 		want(d.AddInto(d.Add(d.EncryptZero(), pub), own), 620)
-		diff, err := passive.Sub(pub, own)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want(diff, -380)
 		want(passive.MulScalar(own, big.NewInt(3)), 1500)
 		round, err := passive.Unmarshal(d.Marshal(own))
 		if err != nil {

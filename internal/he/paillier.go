@@ -191,14 +191,6 @@ func (s *PaillierScheme) AddInto(dst, b Ciphertext) Ciphertext {
 	return d
 }
 
-func (s *PaillierScheme) Sub(a, b Ciphertext) (Ciphertext, error) {
-	ct, err := s.pk.Sub(a.(paillierCt).ct, b.(paillierCt).ct)
-	if err != nil {
-		return nil, err
-	}
-	return paillierCt{ct}, nil
-}
-
 func (s *PaillierScheme) MulScalar(a Ciphertext, k *big.Int) Ciphertext {
 	ct, err := s.pk.MulScalar(a.(paillierCt).ct, k)
 	if err != nil {

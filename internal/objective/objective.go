@@ -6,13 +6,12 @@
 // coupled across a query group) need and a per-instance Loss cannot
 // express.
 //
-// The package mirrors the internal/he backend registry: objectives are
-// registered by name at init time, resolved from a "name" or "name:arg"
-// spec, and the sorted name list feeds error messages and CLI help so an
-// unknown spec fails fast with the available choices. The federated
-// engine negotiates the objective name and output count at session setup
-// exactly like it negotiates the HE backend, and a passive party rejects
-// a spec its registry cannot resolve before accepting any ciphertext.
+// Objectives are registered by name at init time, resolved from a "name"
+// or "name:arg" spec, and the sorted name list feeds error messages and
+// CLI help so an unknown spec fails fast with the available choices. The
+// federated engine negotiates the objective name and output count at
+// session setup, and a passive party rejects a spec its registry cannot
+// resolve before accepting any ciphertext.
 package objective
 
 import (
@@ -33,7 +32,7 @@ type Objective interface {
 	// NumOutputs is k, the number of trees per boosting round.
 	NumOutputs() int
 	// GradBound is an upper bound on |g| and |h| across all outputs; it
-	// drives the histogram-packing shift and the lane-plan offset, so an
+	// sizes the folded pair fields and the histogram-packing slots, so an
 	// underestimate corrupts packed accumulators.
 	GradBound() float64
 	// InitMargin is the initial raw margin of output o (before any tree).
@@ -66,9 +65,9 @@ type GroupAware interface {
 
 // BoundFitter is implemented by objectives whose gradient bound depends
 // on the observed labels (squared loss on unnormalized targets). The
-// active party fits the bound from its label vector before the packing
-// and lane plans are derived, so the fixed 64 fallback never silently
-// overflows a shift.
+// active party fits the bound from its label vector before the pair and
+// packing plans are derived, so the fixed 64 fallback never silently
+// overflows a field.
 type BoundFitter interface {
 	FitBound(labels []float64)
 }
@@ -115,8 +114,7 @@ func Names() []string {
 }
 
 // New resolves a spec of the form "name" or "name:arg" ("multiclass:3",
-// "ranking:10"). Unknown names fail with the registered list — the same
-// fail-fast contract as the he backend registry.
+// "ranking:10"). Unknown names fail with the registered list.
 func New(spec string) (Objective, error) {
 	name, arg := spec, ""
 	if i := strings.IndexByte(spec, ':'); i >= 0 {

@@ -67,7 +67,7 @@ func TestOwnerExpMatchesBigExp(t *testing.T) {
 }
 
 // TestOwnerCiphertextsInteroperate: ciphertexts from the owner path
-// decrypt, and mix freely with public-path ciphertexts under Add, Sub and
+// decrypt, and mix freely with public-path ciphertexts under Add and
 // MulScalar.
 func TestOwnerCiphertextsInteroperate(t *testing.T) {
 	priv := ownerKey(t, 512)
@@ -96,20 +96,6 @@ func TestOwnerCiphertextsInteroperate(t *testing.T) {
 	}
 	if got := dec(pub.Add(own, other)); got != 1234 {
 		t.Errorf("owner + public = %d, want 1234", got)
-	}
-	diff, err := pub.Sub(own, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dec(diff); got != 766 {
-		t.Errorf("owner − public = %d, want 766", got)
-	}
-	diff, err = pub.Sub(other, own)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := dec(diff); got != -766 {
-		t.Errorf("public − owner = %d, want −766", got)
 	}
 	scaled, err := pub.MulScalar(own, big.NewInt(-3))
 	if err != nil {

@@ -290,27 +290,6 @@ func (pk *PublicKey) ValidateCiphertext(ct Ciphertext) error {
 	return nil
 }
 
-// Sub returns the homomorphic difference a - b, computed by multiplying a
-// with the modular inverse of b. It errors — never panics — on
-// out-of-range inputs and on a subtrahend that is not invertible modulo n²
-// (gcd(b, n) ≠ 1 would reveal a factor of n; such a value can only come
-// from a corrupted or hostile peer).
-func (pk *PublicKey) Sub(a, b Ciphertext) (Ciphertext, error) {
-	if err := pk.ValidateCiphertext(a); err != nil {
-		return Ciphertext{}, err
-	}
-	if err := pk.ValidateCiphertext(b); err != nil {
-		return Ciphertext{}, err
-	}
-	inv := new(big.Int).ModInverse(b.C, pk.NSquared)
-	if inv == nil {
-		return Ciphertext{}, errors.New("paillier: subtrahend not invertible modulo n²")
-	}
-	inv.Mul(inv, a.C)
-	inv.Mod(inv, pk.NSquared)
-	return Ciphertext{C: inv}, nil
-}
-
 // MulScalar returns the ciphertext of k·m given the ciphertext of m: the
 // SMul operation. Any k outside [0, n) — negative or oversized, as packing
 // shifts can be — is reduced modulo n first, so the exponentiation never

@@ -72,23 +72,6 @@ func TestHomomorphicAdditionProperty(t *testing.T) {
 	}
 }
 
-func TestHomomorphicSubtraction(t *testing.T) {
-	priv := testKey(t, 256)
-	ca, _ := priv.EncryptInt64(rand.Reader, 100)
-	cb, _ := priv.EncryptInt64(rand.Reader, 342)
-	diff, err := priv.Sub(ca, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := priv.DecryptInt64(diff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != -242 {
-		t.Errorf("Sub = %d, want -242", got)
-	}
-}
-
 func TestScalarMultiplicationProperty(t *testing.T) {
 	priv := testKey(t, 256)
 	f := func(v, k int16) bool {

@@ -71,26 +71,6 @@ else
   go run ./cmd/benchfmt -in "$tmp" -date "$(date -u +%Y-%m-%d)"
 fi
 
-echo "== HE backends: scalar vs lane-packed (cts/round, hadds/bin, wall time) ==" >&2
-he_tmp=$(mktemp)
-trap 'rm -f "$tmp" "$he_tmp"' EXIT
-if [ "$short" -eq 1 ]; then
-  # Smoke only: the 256-bit geometry packs one ⟨g,h⟩ pair per ciphertext;
-  # the paper-scale 2048-bit comparison (15 pairs, the ≥8× reduction) is
-  # the full run's job. Result goes to stdout, never the baseline.
-  go test -run '^$' -bench 'BenchmarkHE(BackendRound|Accumulate)/.*/bits=256$' \
-    -benchtime 3x . | tee -a "$he_tmp" >&2
-  # One iteration of the k-class round keeps the objective_amortization
-  # derivation covered without paying 1024-bit benchtime in the smoke.
-  go test -run '^$' -bench 'BenchmarkObjectiveRound' -benchtime 1x . | tee -a "$he_tmp" >&2
-  go run ./cmd/benchfmt -in "$he_tmp" -date "$(date -u +%Y-%m-%d)"
-else
-  go test -run '^$' -bench 'BenchmarkHE(BackendRound|Accumulate)|BenchmarkObjectiveRound' \
-    -benchtime 1s -timeout 60m . | tee -a "$he_tmp" >&2
-  go run ./cmd/benchfmt -in "$he_tmp" -date "$(date -u +%Y-%m-%d)" -out BENCH_he.json
-  echo "wrote BENCH_he.json" >&2
-fi
-
 echo "== out-of-core scale (rows/sec and peak heap vs shard-cache budget) ==" >&2
 if [ "$short" -eq 1 ]; then
   # Smoke only: tiny row count, result discarded (never clobbers the
@@ -103,8 +83,8 @@ fi
 
 echo "== objective scale (cipher ops per round per class vs k; parity and NDCG gates) ==" >&2
 if [ "$short" -eq 1 ]; then
-  # Smoke only: mock lanes, small rows, result discarded.
-  go run ./cmd/experiments -run objscale -obj-rows 400 -backend mock-batched -keybits 2048 >&2
+  # Smoke only: small rows and keys, result discarded.
+  go run ./cmd/experiments -run objscale -obj-rows 400 -keybits 256 >&2
 else
   go run ./cmd/experiments -run objscale -json BENCH_objectives.json >&2
   echo "wrote BENCH_objectives.json" >&2

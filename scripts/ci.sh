@@ -26,7 +26,7 @@ go test -race ./internal/mq/... ./internal/serve/... ./internal/core/... \
   ./internal/fault/... ./internal/checkpoint/... ./internal/ooc/...
 
 echo "== parity suites across core counts (same seed => byte-identical model on any schedule) =="
-# Every byte-identity contract the chaos, resume, ooc and backend suites
+# Every byte-identity contract the chaos, resume and ooc suites
 # lean on must hold however the workers interleave: the obfuscation
 # exponent is a counter-based draw, not a shared stream. Run the parity
 # tests single-threaded, at two and at four procs, repeatedly, under the
@@ -34,19 +34,20 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # scheduler suites run here too: a passive party sweeps, finalizes and
 # packs every node as units on one queue of its workers, Party B decrypts
 # per ciphertext on another, and what B files must equal the unpacked
-# path's integers — and a refused frame must end in its typed error —
-# whatever the schedule. The optimistic builder's corrections ride along:
-# on virtual-time links a layer's dirty nodes must cost one round trip on
-# any core count. So do the shard passes: a layer placed or accumulated in
+# path's integers — and a refused frame must end in its typed error, and
+# a frame no decoder reads (the retired batched-backend ids 24–27, an
+# unknown id) in MsgAbort to B — whatever the schedule. The optimistic
+# builder's corrections ride along: on virtual-time links a layer's dirty
+# nodes must cost one round trip on any core count. So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
 # must stay under their bound in passes.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|FederatedLoadsBound|MatchesPerNode' ./internal/core
-  # Party B encrypts through the key owner's CRT tables; the backends
-  # built on them must conform, and the golden hashes above must not
-  # move, on any core count.
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|FederatedLoadsBound|MatchesPerNode' ./internal/core
+  # Party B encrypts through the key owner's CRT tables; both schemes
+  # must conform, and the golden hashes above must not move, on any core
+  # count.
   GOMAXPROCS=$procs go test -race -count=1 -run 'TestBackendConformance' ./internal/he
 done
 
@@ -104,29 +105,20 @@ for procs in 1 2 4; do
     ./internal/serve
 done
 
-echo "== HE backend matrix (conformance across registered backends, vec protocol, race-enabled) =="
-# Every registered backend through the shared conformance suite, then the
-# vectorized protocol parity/rejection tests — the lane-packed path
-# shards histogram accumulation across goroutines, so this leg runs
-# under the race detector on purpose.
-go test -race -count=1 -run 'TestBackendConformance|TestVec|TestScalarBackendByteIdentity|TestUnknownBackendRejected|TestPeerBackendRejection' \
-  ./internal/he ./internal/core
-
 echo "== objective smoke (multiclass + ranking: parity, shared-pass counters, rejection paths, race-enabled) =="
-# The multi-output protocol interleaves class lanes inside shared
-# ciphertext windows and advances passive-party class trees mid-round;
-# both are concurrency-sensitive, so this leg runs under the race
-# detector across the scalar and mock-batched paths.
+# The multi-output protocol ships a round's k class streams under one
+# shipment tree and advances passive-party class trees mid-round; both are
+# concurrency-sensitive, so this leg runs under the race detector.
 go test -race -count=1 \
   -run 'TestMulticlass|TestRanking|TestPeerObjectiveRejection|TestUnregisteredMultiOutputObjectiveRejected|TestSoftmax|TestLambdaRank|TestNewArgParsing|TestNewUnknownName' \
   ./internal/core ./internal/objective
 
-echo "== objective CLI smoke (sim: multiclass over -he paillier-batched, ranking over scalar) =="
+echo "== objective CLI smoke (sim: multiclass over Paillier, ranking over mock) =="
 obj_tmp=$(mktemp -d)
 go run ./cmd/datagen -classes 3 -rows 300 -cols 6 -seed 5 -out "$obj_tmp/mc.libsvm" >/dev/null
 go run ./cmd/datagen -rank-groups 30 -group-size 6 -cols 6 -seed 5 -out "$obj_tmp/rank.libsvm" >/dev/null
 go run ./cmd/vf2boost sim -data "$obj_tmp/mc.libsvm" -split 3,3 -objective multiclass:3 \
-  -he paillier-batched -keybits 512 -trees 2 -depth 2 -out "$obj_tmp/mc.json" >/dev/null
+  -scheme paillier -keybits 512 -trees 2 -depth 2 -out "$obj_tmp/mc.json" >/dev/null
 go run ./cmd/vf2boost sim -data "$obj_tmp/rank.libsvm" -split 3,3 -objective ranking:5 \
   -scheme mock -trees 2 -depth 2 -out "$obj_tmp/rank.json" >/dev/null
 rm -rf "$obj_tmp"
@@ -134,8 +126,8 @@ rm -rf "$obj_tmp"
 echo "== fuzz smoke (wire decode) =="
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/core
 
-echo "== fuzz smoke (vector ciphertext unmarshal: arbitrary bytes must never panic) =="
-go test -run='^$' -fuzz=FuzzVecUnmarshal -fuzztime=10s ./internal/he
+echo "== fuzz smoke (ciphertext unmarshal, the wire validation gate: arbitrary bytes must never panic) =="
+go test -run='^$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/he
 
 echo "== fuzz smoke (ciphertext ops: arbitrary bytes must never panic) =="
 go test -run='^$' -fuzz=FuzzCiphertextOps -fuzztime=10s ./internal/paillier
@@ -150,9 +142,6 @@ scripts/bench.sh -short -out "$bench_json" >/dev/null 2>&1
 go run ./cmd/benchfmt -check "$bench_json"
 if [ -f BENCH_crypto.json ]; then
   go run ./cmd/benchfmt -check BENCH_crypto.json
-fi
-if [ -f BENCH_he.json ]; then
-  go run ./cmd/benchfmt -check BENCH_he.json
 fi
 if [ -f BENCH_ooc.json ]; then
   go run ./cmd/benchfmt -check BENCH_ooc.json
