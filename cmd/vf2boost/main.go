@@ -92,7 +92,6 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 	baseline := fs.Bool("baseline", false, "disable all VF2Boost optimizations (VF-GBDT)")
 	fastObf := fs.Bool("fastobf", true, "DJN fast obfuscation: h^x obfuscators from fixed-base tables (off under -baseline)")
 	seed := fs.Int64("seed", 1, "seed for exponent obfuscation")
-	codec := fs.String("codec", "", "wire codec: binary (default) or gob")
 	objSpec := fs.String("objective", "binary", "training objective: "+strings.Join(objective.Names(), ", ")+" (e.g. multiclass:3, ranking:10)")
 	return func() core.Config {
 		cfg := core.DefaultConfig()
@@ -110,7 +109,6 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 		cfg.Scheme = *scheme
 		cfg.KeyBits = *keyBits
 		cfg.Seed = *seed
-		cfg.WireCodec = *codec
 		if *objSpec != "" && *objSpec != "binary" {
 			// Fail fast: an unknown objective dies before any data loads,
 			// listing what this build registers.
@@ -837,7 +835,6 @@ func cmdServe(args []string) {
 	policy := fs.String("degraded-policy", "failclosed", "when a party is unreachable: failclosed or partial")
 	cooldown := fs.Duration("breaker-cooldown", 2*time.Second, "circuit-breaker open time before a half-open probe")
 	session := fs.String("session", "vf2boost-serve", "session label sent to sidecars")
-	codec := fs.String("codec", "", "wire codec: binary (default) or gob")
 	fs.Parse(args)
 	if *data == "" || *models == "" {
 		log.Fatal("serve: -data and -models are required")
@@ -868,7 +865,6 @@ func cmdServe(args []string) {
 		MaxInflight: *maxInflight,
 		Breaker:     serve.BreakerConfig{Cooldown: *cooldown},
 		Session:     *session,
-		Codec:       *codec,
 	})
 	if err != nil {
 		log.Fatal(err)

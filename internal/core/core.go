@@ -47,7 +47,6 @@ import (
 
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/objective"
-	"vf2boost/internal/wire"
 )
 
 // Scheme names accepted by Config.Scheme.
@@ -139,13 +138,6 @@ type Config struct {
 	// <= 0 lets Party B derive it from its row count (rows/16, clamped to
 	// [64, 1024]).
 	BatchSize int
-
-	// WireCodec selects the cross-party message encoding: "binary" (the
-	// typed length-prefixed codec, default) or "gob" (the reflective
-	// fallback). The active party pins this codec; passive parties adopt
-	// whatever the first received frame speaks, so only the initiator's
-	// setting matters in a mixed deployment.
-	WireCodec string
 
 	// Seed drives exponent obfuscation and any tie-free randomness;
 	// training is deterministic given the seed and scheme.
@@ -248,9 +240,6 @@ func (c *Config) normalize() error {
 	if c.ExpSpread < 1 {
 		c.ExpSpread = 4
 	}
-	if _, err := wire.ByName(c.WireCodec); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
 	return nil
 }
 
@@ -278,13 +267,4 @@ func baseName(spec string) string {
 		return spec[:i]
 	}
 	return spec
-}
-
-// wireCodec resolves the configured codec; normalize already validated it.
-func (c *Config) wireCodec() wire.Codec {
-	codec, err := wire.ByName(c.WireCodec)
-	if err != nil {
-		return wire.Default
-	}
-	return codec
 }

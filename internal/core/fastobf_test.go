@@ -104,11 +104,8 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 73)
 	in := chanTransport{ch: make(chan []byte, 16)}
 	out := chanTransport{ch: make(chan []byte, 16)}
-	l := &link{out: out, in: in}
-	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := NewLink(pairTransport{send: out.Send, recv: in.Receive})
+	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l)
 
 	done := make(chan error, 1)
 	go func() {
@@ -121,7 +118,7 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 	p.fail(fmt.Errorf("secondary failure")) // only the first is kept
 
 	// B is told to abort the session.
-	got, err := (&link{in: out}).recv()
+	got, err := NewLink(out).recv()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +131,7 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 	}
 
 	// The run loop surfaces the recorded root cause once it unblocks.
-	if err := (&link{out: in, in: in}).send(MsgTreeDone{}); err != nil {
+	if err := NewLink(in).send(MsgTreeDone{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err == nil || err.Error() != cause.Error() {
@@ -147,7 +144,7 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 func TestPumpFailsSessionOnAbort(t *testing.T) {
 	l, feed := drivenLink()
 	pump := startPump(l)
-	sender := &link{out: feed, in: feed}
+	sender := NewLink(feed)
 	if err := sender.send(MsgAbort{Party: 1, Reason: "hostile histogram"}); err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +159,8 @@ func TestPumpFailsSessionOnAbort(t *testing.T) {
 func TestPassivePartyRejectsHostileGradientExponent(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 74)
 	l, feed := drivenLink()
-	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := &link{out: feed, in: feed}
+	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l)
+	sender := NewLink(feed)
 	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
 		t.Fatal(err)
 	}

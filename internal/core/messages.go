@@ -2,19 +2,17 @@ package core
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"vf2boost/internal/wire"
 )
 
 // Wire messages between Party B and each passive party. All cross-party
-// traffic is encoded by a wire.Codec (the typed binary codec by default,
-// gob as the negotiated fallback — see internal/wire and wirecodec.go) and
-// carried over an mq topic pair, so the exact same engine runs in-process,
-// through the WAN shaper, or across the TCP gateway.
+// traffic is encoded by the typed binary codec (see internal/wire and
+// wirecodec.go) and carried over an mq topic pair, so the exact same
+// engine runs in-process, through the WAN shaper, or across the TCP
+// gateway.
 
 // ErrLegacyLayout is the session error for a peer that still speaks the
 // retired scalar layout — two ciphertexts per instance and per histogram
@@ -279,26 +277,6 @@ type MsgAbort struct {
 	Reason string
 }
 
-// The gob registrations back the fallback codec (wire.Gob); the binary
-// codec's registrations live in wirecodec.go.
-func init() {
-	gob.Register(MsgSetup{})
-	gob.Register(MsgReady{})
-	gob.Register(MsgPairBatch{})
-	gob.Register(MsgGradBatch{})
-	gob.Register(MsgHistograms{})
-	gob.Register(MsgDecisions{})
-	gob.Register(MsgDirty{})
-	gob.Register(MsgPlacement{})
-	gob.Register(MsgTreeDone{})
-	gob.Register(MsgShutdown{})
-	gob.Register(MsgEnvelope{})
-	gob.Register(MsgAck{})
-	gob.Register(MsgHeartbeat{})
-	gob.Register(MsgResume{})
-	gob.Register(MsgAbort{})
-}
-
 // Transport is the minimal producer/consumer pair the engine needs; both
 // mq in-process endpoints and TCP remote endpoints satisfy it.
 type Transport interface {
@@ -307,53 +285,15 @@ type Transport interface {
 }
 
 // Link is the typed bidirectional channel between two parties: a
-// Transport wrapped with a pluggable wire.Codec. It is exported so
+// Transport whose payloads are wire.Binary frames. It is exported so
 // subsystems outside core (internal/serve's online scoring sessions) can
 // exchange protocol messages without re-implementing the framing.
-//
-// Codec selection is negotiated implicitly at session setup: the side
-// that speaks first (Party B in training, the scoring server, the predict
-// client) pins its configured codec, and an adaptive responder adopts
-// whatever codec the first received frame was encoded with — every frame
-// names its codec in its leading tag byte. A zero-valued or NewLink link
-// speaks the default (binary) codec and adapts to its peer.
 type Link struct {
-	out Transport
-	in  Transport
-	// codec is the encoder for outgoing messages. Stored atomically:
-	// passive parties send from histogram task goroutines concurrently
-	// with the receive loop that may adopt the peer's codec.
-	codec atomic.Pointer[wire.Codec]
-	// adapt, when set, makes recv adopt the codec of every incoming
-	// frame; a pinned link keeps sending what it was configured with.
-	adapt bool
+	tr Transport
 }
 
-// NewLink wraps a bidirectional transport with the default codec,
-// adapting to whatever the peer speaks.
-func NewLink(tr Transport) *Link { return newLinkPair(tr, tr, wire.Default, true) }
-
-// NewLinkCodec wraps a bidirectional transport with a pinned codec — the
-// shape used by the session initiator, whose first frame announces the
-// codec the responder adopts.
-func NewLinkCodec(tr Transport, c wire.Codec) *Link { return newLinkPair(tr, tr, c, false) }
-
-// newLinkPair builds a link over distinct send/receive transports.
-func newLinkPair(out, in Transport, c wire.Codec, adapt bool) *Link {
-	l := &Link{out: out, in: in, adapt: adapt}
-	if c != nil {
-		l.codec.Store(&c)
-	}
-	return l
-}
-
-// Codec returns the codec outgoing messages are currently encoded with.
-func (l *Link) Codec() wire.Codec {
-	if p := l.codec.Load(); p != nil {
-		return *p
-	}
-	return wire.Default
-}
+// NewLink wraps a bidirectional transport.
+func NewLink(tr Transport) *Link { return &Link{tr: tr} }
 
 // Send encodes and transmits one protocol message.
 func (l *Link) Send(m any) error { return l.send(m) }
@@ -367,16 +307,16 @@ func (l *Link) SendContext(ctx context.Context, m any) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	payload, err := l.Codec().Encode(m)
+	payload, err := wire.Binary.Encode(m)
 	if err != nil {
 		return fmt.Errorf("core: encoding %T: %w", m, err)
 	}
-	if cs, ok := l.out.(interface {
+	if cs, ok := l.tr.(interface {
 		SendContext(context.Context, []byte) error
 	}); ok {
 		return cs.SendContext(ctx, payload)
 	}
-	return l.out.Send(payload)
+	return l.tr.Send(payload)
 }
 
 // Recv blocks for the next protocol message.
@@ -386,34 +326,30 @@ func (l *Link) Recv() (any, error) { return l.recv() }
 type link = Link
 
 func (l *link) send(m any) error {
-	payload, err := l.Codec().Encode(m)
+	payload, err := wire.Binary.Encode(m)
 	if err != nil {
 		return fmt.Errorf("core: encoding %T: %w", m, err)
 	}
 	// The payload buffer now belongs to the delivery path; the receiving
 	// link recycles it after decoding.
-	return l.out.Send(payload)
+	return l.tr.Send(payload)
 }
 
-// errUndecodable marks a receive that got a frame but could not decode it,
-// as opposed to a transport that failed or closed.
-var errUndecodable = errors.New("core: decoding message")
+// ErrUndecodable marks a receive that got a frame but could not decode it
+// — an unknown or retired message ID, the retired gob tag, a malformed
+// body — as opposed to a transport that failed or closed. A peer that
+// sends one is broken or from an incompatible build, so a serving loop
+// ends with this error instead of treating it as a disconnect.
+var ErrUndecodable = errors.New("core: decoding message")
 
 func (l *link) recv() (any, error) {
-	payload, err := l.in.Receive()
+	payload, err := l.tr.Receive()
 	if err != nil {
 		return nil, err
 	}
-	c, err := wire.Detect(payload)
+	m, err := wire.Binary.Decode(payload)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errUndecodable, err)
-	}
-	if l.adapt && c != l.Codec() {
-		l.codec.Store(&c)
-	}
-	m, err := c.Decode(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", errUndecodable, err)
+		return nil, fmt.Errorf("%w: %w", ErrUndecodable, err)
 	}
 	wire.PutBuf(payload)
 	return m, nil

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"vf2boost/internal/dataset"
+	"vf2boost/internal/he"
 )
 
 // chanTransport is an in-memory Transport for message-layer tests.
@@ -18,9 +21,34 @@ func (c chanTransport) Send(b []byte) error {
 
 func (c chanTransport) Receive() ([]byte, error) { return <-c.ch, nil }
 
+// testPassive bins data the way NewSession does and builds passive party
+// 0 over it.
+func testPassive(t testing.TB, data *dataset.Dataset, cfg Config, lk *link) *passiveParty {
+	t.Helper()
+	view, err := binDataset(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return newPassivePartyView(0, view, cfg, lk, &Stats{})
+}
+
+// testActive bins data the way NewSession does and builds Party B over it.
+func testActive(t testing.TB, data *dataset.Dataset, cfg Config, dec he.Decryptor, links []*link) *activeParty {
+	t.Helper()
+	view, err := binDataset(data, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := newActivePartyView(view, data.Labels, cfg, dec, links, &Stats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func loopbackLink() *link {
 	t := chanTransport{ch: make(chan []byte, 16)}
-	return &link{out: t, in: t}
+	return NewLink(t)
 }
 
 // discardTransport swallows sends; Receive never returns.
@@ -35,7 +63,7 @@ func (discardTransport) Receive() ([]byte, error) {
 // discarded (the test plays Party B's sending side only).
 func drivenLink() (*link, chanTransport) {
 	in := chanTransport{ch: make(chan []byte, 16)}
-	return &link{out: discardTransport{}, in: in}, in
+	return NewLink(pairTransport{send: discardTransport{}.Send, recv: in.Receive}), in
 }
 
 func TestLinkRoundTripAllMessageTypes(t *testing.T) {
@@ -155,12 +183,9 @@ func TestLinkRoundTripMultiOutputFrames(t *testing.T) {
 func TestPassivePartyRejectsUnknownMessageOrder(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 71)
 	l, feed := drivenLink()
-	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l)
 	// Gradients before setup must fail.
-	if err := (&link{out: feed, in: feed}).send(MsgPairBatch{Tree: 0}); err != nil {
+	if err := NewLink(feed).send(MsgPairBatch{Tree: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.run(); err == nil {
@@ -172,11 +197,8 @@ func TestPassivePartyRejectsUnknownNodeDecision(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 72)
 	l, feed := drivenLink()
 	cfg := mustNormalize(t, quickConfig(SchemeMock))
-	p, err := newPassiveParty(0, parts[0], cfg, l, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := &link{out: feed, in: feed}
+	p := testPassive(t, parts[0], cfg, l)
+	sender := NewLink(feed)
 	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
 		t.Fatal(err)
 	}

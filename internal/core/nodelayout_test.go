@@ -410,7 +410,7 @@ func TestActiveRejectsHostilePackedFrames(t *testing.T) {
 			if len(r.sent.ch) != 1 {
 				t.Fatalf("B sent the peer %d frames, want one MsgAbort", len(r.sent.ch))
 			}
-			got, rerr := (&link{in: r.sent}).recv()
+			got, rerr := NewLink(r.sent).recv()
 			if ab, ok := got.(MsgAbort); rerr != nil || !ok || ab.Reason != err.Error() {
 				t.Errorf("B sent %#v (%v), want MsgAbort{%q}", got, rerr, err)
 			}

@@ -145,10 +145,7 @@ func TestMulticlassSharedEncryptionPass(t *testing.T) {
 	// The shipment itself: round 1's k class streams all carry tree k.
 	cfg := mustNormalize(t, cfg3)
 	out := chanTransport{ch: make(chan []byte, 64)}
-	b, err := newActiveParty(parts3[1], cfg, he.NewMock(512), []*link{{out: out}}, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testActive(t, parts3[1], cfg, he.NewMock(512), []*link{NewLink(out)})
 	b.marginsAll, b.gradsAll, b.hessAll = make([][]float64, k), make([][]float64, k), make([][]float64, k)
 	for c := range b.gradsAll {
 		b.marginsAll[c], b.gradsAll[c], b.hessAll[c] = make([]float64, rows), make([]float64, rows), make([]float64, rows)
@@ -161,7 +158,7 @@ func TestMulticlassSharedEncryptionPass(t *testing.T) {
 	}
 	shipped := make([]int, k)
 	for len(out.ch) > 0 {
-		msg, err := (&link{in: out}).recv()
+		msg, err := NewLink(out).recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,10 +246,7 @@ func TestPeerObjectiveRejection(t *testing.T) {
 	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	p, err := newPassiveParty(0, parts[0], cfg, nil, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testPassive(t, parts[0], cfg, nil)
 	setupErr := p.handleSetup(MsgSetup{
 		Scheme: SchemeMock, Bits: 256, BaseExp: 8, ExpSpread: 4, PairBits: 60,
 		Objective: "nope:3", Outputs: 3,

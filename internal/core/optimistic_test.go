@@ -88,11 +88,7 @@ func (e *lagEnd) Receive() ([]byte, error) {
 }
 
 func (n *lagNet) record(sent bool, payload []byte) {
-	c, err := wire.Detect(payload)
-	if err != nil {
-		return
-	}
-	m, err := c.Decode(payload)
+	m, err := wire.Binary.Decode(payload)
 	if err != nil {
 		return
 	}

@@ -50,10 +50,7 @@ func BenchmarkWireNodeHist(b *testing.B) {
 		for _, workers := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("bits=2048/%s/workers=%d", shape.name, workers), func(b *testing.B) {
 				cfg.Workers = workers
-				p, err := newPassiveParty(0, parts[0], cfg, &link{out: discardTransport{}}, &Stats{})
-				if err != nil {
-					b.Fatal(err)
-				}
+				p := testPassive(b, parts[0], cfg, NewLink(discardTransport{}))
 				err = p.handleSetup(MsgSetup{Scheme: SchemePaillier, N: dec.N().Bytes(), Bits: 2048,
 					BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W})
 				if err != nil {

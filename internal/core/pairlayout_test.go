@@ -92,10 +92,7 @@ func TestDerivedBlasterBatch(t *testing.T) {
 		}
 		cfg := quickConfig(SchemeMock)
 		cfg.BatchSize = tc.configured
-		b, err := newActiveParty(d, mustNormalize(t, cfg), he.NewMock(512), nil, &Stats{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := testActive(t, d, mustNormalize(t, cfg), he.NewMock(512), nil)
 		if b.batch != tc.want {
 			t.Errorf("rows=%d BatchSize=%d: batch %d, want %d", tc.rows, tc.configured, b.batch, tc.want)
 		}
@@ -148,6 +145,15 @@ func rawFrame(id uint16, body []byte) []byte {
 	binary.BigEndian.PutUint16(f[1:3], id)
 	binary.BigEndian.PutUint32(f[3:7], uint32(len(body)))
 	return append(f, body...)
+}
+
+// retagged is m's binary frame under another leading tag byte.
+func retagged(tag byte, m any) []byte {
+	f, err := wire.Binary.Encode(m)
+	if err != nil {
+		panic(err)
+	}
+	return append([]byte{tag}, f[1:]...)
 }
 
 // legacySetupFrame is the scalar setup an old-layout Party B sends: the
@@ -216,6 +222,9 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 		{"retired vectorized gradient batch", []any{okSetup, rawFrame(idVecGradBatch, nil)}, false, "message ID 25"},
 		{"retired vectorized histograms", []any{okSetup, rawFrame(idHistogramsV2, nil)}, false, "message ID 26"},
 		{"unknown message ID", []any{rawFrame(0xFFFE, nil)}, false, "message ID 65534"},
+		// The setup of a B still pinned to the retired gob codec: refused by
+		// its tag, whatever the body.
+		{"retired gob codec setup", []any{retagged(wire.TagGob, okSetup)}, false, "tag 0x00 belongs to the retired gob codec"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runErr := runPassiveOn(t, rows, tc.frames...)
@@ -239,11 +248,8 @@ func runPassiveOn(t *testing.T, rows int, frames ...any) error {
 	_, parts := twoPartyData(t, rows, 2, 2, 1, true, 75)
 	in := chanTransport{ch: make(chan []byte, 16)}
 	out := chanTransport{ch: make(chan []byte, 16)}
-	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), &link{out: out, in: in}, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sender := &link{out: in, in: in}
+	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), NewLink(pairTransport{send: out.Send, recv: in.Receive}))
+	sender := NewLink(in)
 	for _, f := range frames {
 		if raw, ok := f.([]byte); ok {
 			in.ch <- raw
@@ -257,9 +263,11 @@ func runPassiveOn(t *testing.T, rows int, frames ...any) error {
 	}
 	var last any
 	for len(out.ch) > 0 {
-		if last, err = (&link{in: out}).recv(); err != nil {
+		m, err := NewLink(out).recv()
+		if err != nil {
 			t.Fatal(err)
 		}
+		last = m
 	}
 	if ab, ok := last.(MsgAbort); !ok || ab.Reason != runErr.Error() {
 		t.Errorf("last frame sent = %#v, want MsgAbort{%q}", last, runErr)

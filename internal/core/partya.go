@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"vf2boost/internal/checkpoint"
-	"vf2boost/internal/dataset"
 	"vf2boost/internal/fixedpoint"
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
@@ -109,17 +108,9 @@ type histTask struct {
 	eh    *EncHistogram
 }
 
-func newPassiveParty(index int, data *dataset.Dataset, cfg Config, lk *link, stats *Stats) (*passiveParty, error) {
-	mapper, err := gbdt.NewBinMapper(data, cfg.MaxBins)
-	if err != nil {
-		return nil, err
-	}
-	return newPassivePartyView(index, gbdt.NewBinnedMatrix(data, mapper), cfg, lk, stats)
-}
-
-// newPassivePartyView builds a passive engine over an already-binned
-// view — the out-of-core entry point, where no Dataset ever exists.
-func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, stats *Stats) (*passiveParty, error) {
+// newPassivePartyView builds a passive engine over a binned view: the
+// in-memory BinnedMatrix of a dataset, or an out-of-core shard store.
+func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, stats *Stats) *passiveParty {
 	mapper := view.Mapper()
 	p := &passiveParty{
 		index:  index,
@@ -136,7 +127,7 @@ func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, sta
 	for j := 0; j < p.cols; j++ {
 		p.offsets[j+1] = p.offsets[j] + mapper.NumBins(j)
 	}
-	return p, nil
+	return p
 }
 
 // run drives the passive engine until shutdown. It returns the party's
@@ -154,7 +145,7 @@ func (p *passiveParty) run() (*PartyModel, error) {
 				return nil, ferr
 			}
 			err = fmt.Errorf("core: party %d receive: %w", p.index, err)
-			if errors.Is(err, errUndecodable) {
+			if errors.Is(err, ErrUndecodable) {
 				// A frame that arrived but cannot be read — an unknown or
 				// retired ID, a malformed body — is B's to hear about: it may
 				// be waiting in setup for an answer that will not come.

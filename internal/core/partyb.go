@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"vf2boost/internal/checkpoint"
-	"vf2boost/internal/dataset"
 	"vf2boost/internal/fixedpoint"
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
@@ -233,20 +232,9 @@ func (p *pump) reset() {
 	}
 }
 
-func newActiveParty(data *dataset.Dataset, cfg Config, dec he.Decryptor, links []*link, stats *Stats) (*activeParty, error) {
-	if data.Labels == nil {
-		return nil, fmt.Errorf("core: party B dataset has no labels")
-	}
-	mapper, err := gbdt.NewBinMapper(data, cfg.MaxBins)
-	if err != nil {
-		return nil, err
-	}
-	return newActivePartyView(gbdt.NewBinnedMatrix(data, mapper), data.Labels, cfg, dec, links, stats)
-}
-
-// newActivePartyView builds Party B over an already-binned view and its
-// label vector — the out-of-core entry point, where no Dataset ever
-// exists.
+// newActivePartyView builds Party B over a binned view and its label
+// vector: the in-memory BinnedMatrix of a dataset, or an out-of-core shard
+// store.
 func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.Decryptor, links []*link, stats *Stats) (*activeParty, error) {
 	if labels == nil {
 		return nil, fmt.Errorf("core: party B has no labels")

@@ -18,10 +18,7 @@ func newBareActiveParty(t *testing.T, rows, cols int, seed int64) *activeParty {
 		t.Fatal(err)
 	}
 	cfg := mustNormalize(t, quickConfig(SchemeMock))
-	b, err := newActiveParty(d, cfg, he.NewMock(512), nil, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testActive(t, d, cfg, he.NewMock(512), nil)
 	n := d.Rows()
 	b.grads = make([]float64, n)
 	b.hess = make([]float64, n)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 
 	"vf2boost/internal/dataset"
@@ -38,17 +38,12 @@ type PredictNodeBits struct {
 	Bits []byte
 }
 
-func init() {
-	gob.Register(MsgPredictStart{})
-	gob.Register(MsgPredictPlacements{})
-}
-
 // ServePredict answers prediction queries for a passive party: it blocks
 // for one MsgPredictStart, streams the routing bitmaps for every split
 // node the fragment owns, and returns. data must hold the party's feature
 // shard of the instances to score, aligned with the other parties.
 func ServePredict(fragment *PartyModel, data *dataset.Dataset, tr Transport) error {
-	l := NewLink(tr) // adapts to the querying party's codec
+	l := NewLink(tr)
 	msg, err := l.recv()
 	if err != nil {
 		return err
@@ -81,12 +76,16 @@ func servePredictRound(l *link, fragment *PartyModel, data *dataset.Dataset, sta
 // ServePredictLoop serves repeated MsgPredictStart rounds on one session:
 // it answers every round (including per-round errors, which keep the
 // session alive) until the transport closes or a MsgShutdown arrives, both
-// of which end the loop cleanly. ServePredict remains the single-round
-// special case for existing callers.
+// of which end the loop cleanly. A frame that arrived but cannot be
+// decoded ends it with ErrUndecodable. ServePredict remains the
+// single-round special case for existing callers.
 func ServePredictLoop(fragment *PartyModel, data *dataset.Dataset, tr Transport) error {
-	l := NewLink(tr) // adapts to the querying party's codec
+	l := NewLink(tr)
 	for {
 		msg, err := l.recv()
+		if errors.Is(err, ErrUndecodable) {
+			return err
+		}
 		if err != nil {
 			// Transport gone: the peer disconnected, which is the normal
 			// way a prediction session ends.

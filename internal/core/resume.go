@@ -56,8 +56,8 @@ type TrainState struct {
 // Fingerprint hashes every configuration field that shapes the per-round
 // computation, so a resume under a changed configuration fails loudly
 // instead of silently mixing models. Trees is excluded on purpose
-// (training may legitimately be extended on resume), as are Workers and
-// WireCodec, which affect scheduling and framing but not results.
+// (training may legitimately be extended on resume), as is Workers, which
+// affects scheduling but not results.
 func (c Config) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "lr=%g depth=%d bins=%d split=%+v loss=%T scheme=%s keybits=%d exp=%d/%d",

@@ -154,10 +154,7 @@ func newPassiveRig(t *testing.T, rows, cols, workers int) *passiveRig {
 	cfg := quickConfig(SchemeMock)
 	cfg.Workers = workers
 	r := &passiveRig{in: chanTransport{ch: make(chan []byte, 64)}, out: chanTransport{ch: make(chan []byte, 64)}, rows: rows}
-	var err error
-	if r.p, err = newPassiveParty(0, parts[0], mustNormalize(t, cfg), &link{out: r.out, in: r.in}, &Stats{}); err != nil {
-		t.Fatal(err)
-	}
+	r.p = testPassive(t, parts[0], mustNormalize(t, cfg), NewLink(pairTransport{send: r.out.Send, recv: r.in.Receive}))
 	return r
 }
 
@@ -181,7 +178,7 @@ func (r *passiveRig) feed(t *testing.T, frames ...any) {
 	}
 	setup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W}
 	for _, m := range append([]any{setup, grads}, frames...) {
-		if err := (&link{out: r.in}).send(m); err != nil {
+		if err := NewLink(r.in).send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +198,7 @@ func (r *passiveRig) sentFrames(t *testing.T) []any {
 	t.Helper()
 	var frames []any
 	for len(r.out.ch) > 0 {
-		m, err := (&link{in: r.out}).recv()
+		m, err := NewLink(r.out).recv()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -68,15 +67,6 @@ type MsgScoreClose struct {
 
 // MsgScoreCloseAck confirms session teardown.
 type MsgScoreCloseAck struct{}
-
-func init() {
-	gob.Register(MsgScoreOpen{})
-	gob.Register(MsgScoreOpenAck{})
-	gob.Register(MsgScoreRequest{})
-	gob.Register(MsgScoreResponse{})
-	gob.Register(MsgScoreClose{})
-	gob.Register(MsgScoreCloseAck{})
-}
 
 // RouteKey addresses one passive-owned split node in a routing table.
 type RouteKey struct {

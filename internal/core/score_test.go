@@ -1,9 +1,13 @@
 package core
 
 import (
+	"errors"
+	"io"
 	"math"
 	"sync"
 	"testing"
+
+	"vf2boost/internal/wire"
 )
 
 // TestScorePlacementsRouteMargins: the micro-batch helpers must reproduce
@@ -87,7 +91,7 @@ func TestServePredictLoop(t *testing.T) {
 	}
 
 	// A misaligned round errors at B but must not kill the session.
-	l := &link{out: bTr, in: bTr}
+	l := NewLink(bTr)
 	if err := l.send(MsgPredictStart{Rows: 9999}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,5 +115,48 @@ func TestServePredictLoop(t *testing.T) {
 	wg.Wait()
 	if loopErr != nil {
 		t.Fatalf("loop exited with %v", loopErr)
+	}
+}
+
+// replayTransport yields its frames in order, then io.EOF — a peer that
+// sent them and hung up. Sends are discarded.
+type replayTransport struct{ frames chan []byte }
+
+func replayOf(frames ...[]byte) replayTransport {
+	r := replayTransport{frames: make(chan []byte, len(frames))}
+	for _, f := range frames {
+		r.frames <- f
+	}
+	return r
+}
+
+func (replayTransport) Send([]byte) error { return nil }
+
+func (r replayTransport) Receive() ([]byte, error) {
+	select {
+	case f := <-r.frames:
+		return f, nil
+	default:
+		return nil, io.EOF
+	}
+}
+
+// TestServePredictLoopEndsOnUndecodableFrame: a frame that arrived but
+// cannot be decoded — one under the retired gob tag, one with an unknown
+// message ID — ends the loop with ErrUndecodable instead of passing for a
+// disconnect; a transport that closes still ends it cleanly.
+func TestServePredictLoopEndsOnUndecodableFrame(t *testing.T) {
+	_, parts := twoPartyData(t, 20, 2, 2, 1, true, 86)
+	frag := &PartyModel{Party: 0}
+	for name, frame := range map[string][]byte{
+		"retired gob tag":    retagged(wire.TagGob, MsgPredictStart{Rows: 20}),
+		"unknown message ID": rawFrame(0xFFFE, nil),
+	} {
+		if err := ServePredictLoop(frag, parts[0], replayOf(frame)); !errors.Is(err, ErrUndecodable) {
+			t.Errorf("%s: loop ended with %v, want ErrUndecodable", name, err)
+		}
+	}
+	if err := ServePredictLoop(frag, parts[0], replayOf()); err != nil {
+		t.Errorf("closed transport: loop ended with %v, want nil", err)
 	}
 }

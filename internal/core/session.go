@@ -23,11 +23,9 @@ import (
 // WAN-shaped, or fronted by the TCP gateway — the protocol engines cannot
 // tell the difference.
 type Session struct {
-	cfg   Config
-	parts []*dataset.Dataset
-	// views/labels replace parts when the session trains over pre-binned
-	// views (the out-of-core path): passive views first, B's view last,
-	// labels belonging to the last view.
+	cfg Config
+	// views are the parties' binned features, passive parties first and
+	// B's last; labels belong to the last view.
 	views  []gbdt.BinView
 	labels []float64
 	stats  *Stats
@@ -120,7 +118,8 @@ func WithResume() SessionOption {
 }
 
 // NewSession validates the per-party datasets (passive parties first, the
-// labeled Party B last) and prepares a session.
+// labeled Party B last), bins each one at cfg.MaxBins and prepares the
+// session NewViewSession would over those views.
 func NewSession(parts []*dataset.Dataset, cfg Config, opts ...SessionOption) (*Session, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -137,19 +136,34 @@ func NewSession(parts []*dataset.Dataset, cfg Config, opts ...SessionOption) (*S
 			return nil, fmt.Errorf("core: passive party %d must not hold labels", i)
 		}
 	}
-	if parts[len(parts)-1].Labels == nil {
+	labels := parts[len(parts)-1].Labels
+	if labels == nil {
 		return nil, fmt.Errorf("core: the last party (Party B) must hold the labels")
 	}
-	s := &Session{cfg: cfg, parts: parts, stats: &Stats{}}
-	for _, o := range opts {
-		o(s)
+	views := make([]gbdt.BinView, len(parts))
+	for i, p := range parts {
+		v, err := binDataset(p, cfg)
+		if err != nil {
+			return nil, err
+		}
+		views[i] = v
 	}
-	return s, nil
+	return NewViewSession(views, labels, cfg, opts...)
 }
 
-// NewViewSession prepares a session over pre-binned views instead of
-// datasets — the out-of-core entry point, where each party's features
-// live in a disk-backed shard store and no Dataset is ever materialized.
+// binDataset bins a party's dataset into the in-memory view its engine
+// sweeps.
+func binDataset(data *dataset.Dataset, cfg Config) (gbdt.BinView, error) {
+	mapper, err := gbdt.NewBinMapper(data, cfg.MaxBins)
+	if err != nil {
+		return nil, err
+	}
+	return gbdt.NewBinnedMatrix(data, mapper), nil
+}
+
+// NewViewSession prepares a session over binned views: the in-memory
+// matrices NewSession builds, or the out-of-core shard stores, where each
+// party's features live on disk and no Dataset is ever materialized.
 // Views are ordered passive parties first; labels belong to the last
 // view (Party B).
 func NewViewSession(views []gbdt.BinView, labels []float64, cfg Config, opts ...SessionOption) (*Session, error) {
@@ -173,15 +187,6 @@ func NewViewSession(views []gbdt.BinView, labels []float64, cfg Config, opts ...
 		o(s)
 	}
 	return s, nil
-}
-
-// numParties returns the party count regardless of which backing
-// (datasets or views) the session was built over.
-func (s *Session) numParties() int {
-	if s.views != nil {
-		return len(s.views)
-	}
-	return len(s.parts)
 }
 
 // Stats returns the session's phase and protocol counters.
@@ -250,7 +255,7 @@ func (s *Session) Train() (*FederatedModel, error) {
 		rcfg.normalize()
 	}
 
-	numPassive := s.numParties() - 1
+	numPassive := len(s.views) - 1
 	var stores struct {
 		active  *checkpoint.Store
 		passive []*checkpoint.Store
@@ -341,19 +346,8 @@ func (s *Session) Train() (*FederatedModel, error) {
 			s.wrapped = append(s.wrapped, bRes, aRes)
 			bEnd, aEnd = bRes, aRes
 		}
-		// B pins the configured codec (it sends the first frame of the
-		// session); the passive side adapts to whatever B speaks.
-		bLinks[i] = NewLinkCodec(bEnd, s.cfg.wireCodec())
-		aLink := newLinkPair(aEnd, aEnd, s.cfg.wireCodec(), true)
-		var party *passiveParty
-		if s.views != nil {
-			party, err = newPassivePartyView(i, s.views[i], s.cfg, aLink, s.stats)
-		} else {
-			party, err = newPassiveParty(i, s.parts[i], s.cfg, aLink, s.stats)
-		}
-		if err != nil {
-			return nil, err
-		}
+		bLinks[i] = NewLink(bEnd)
+		party := newPassivePartyView(i, s.views[i], s.cfg, NewLink(aEnd), s.stats)
 		party.rec = s.rec
 		if stores.passive != nil {
 			if err := party.enableCheckpoints(stores.passive[i], s.resume); err != nil {
@@ -366,13 +360,7 @@ func (s *Session) Train() (*FederatedModel, error) {
 		}(i)
 	}
 
-	var active *activeParty
-	var err error
-	if s.views != nil {
-		active, err = newActivePartyView(s.views[len(s.views)-1], s.labels, s.cfg, s.dec, bLinks, s.stats)
-	} else {
-		active, err = newActiveParty(s.parts[len(s.parts)-1], s.cfg, s.dec, bLinks, s.stats)
-	}
+	active, err := newActivePartyView(s.views[numPassive], s.labels, s.cfg, s.dec, bLinks, s.stats)
 	if err != nil {
 		return nil, err
 	}
@@ -387,7 +375,7 @@ func (s *Session) Train() (*FederatedModel, error) {
 	}
 	s.perTreeTime = active.perTreeTime
 
-	numParties := s.numParties()
+	numParties := len(s.views)
 	models := make([]*PartyModel, numParties)
 	models[numParties-1] = bModel
 	for i := 0; i < numPassive; i++ {
@@ -449,24 +437,15 @@ func RunPassiveParty(index int, data *dataset.Dataset, cfg Config, tr Transport,
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	p, err := newPassiveParty(index, data, cfg, newLinkPair(tr, tr, cfg.wireCodec(), true), &Stats{})
+	view, err := binDataset(data, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if o.ckpt != nil {
-		if err := p.enableCheckpoints(o.ckpt, o.resume); err != nil {
-			return nil, err
-		}
-	}
-	return p.run()
+	return RunPassivePartyView(index, view, cfg, tr, opts...)
 }
 
-// RunPassivePartyView runs a passive party over an already-binned view —
-// the out-of-core variant of RunPassiveParty.
+// RunPassivePartyView runs a passive party over a binned view — the
+// out-of-core variant of RunPassiveParty.
 func RunPassivePartyView(index int, view gbdt.BinView, cfg Config, tr Transport, opts ...RunOption) (*PartyModel, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -475,10 +454,7 @@ func RunPassivePartyView(index int, view gbdt.BinView, cfg Config, tr Transport,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	p, err := newPassivePartyView(index, view, cfg, newLinkPair(tr, tr, cfg.wireCodec(), true), &Stats{})
-	if err != nil {
-		return nil, err
-	}
+	p := newPassivePartyView(index, view, cfg, NewLink(tr), &Stats{})
 	if o.ckpt != nil {
 		if err := p.enableCheckpoints(o.ckpt, o.resume); err != nil {
 			return nil, err
@@ -495,36 +471,15 @@ func RunActiveParty(data *dataset.Dataset, cfg Config, trs []Transport, opts ...
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
 	}
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	dec, err := newDecryptor(cfg)
+	view, err := binDataset(data, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	links := make([]*link, len(trs))
-	for i, tr := range trs {
-		// B initiates, so it pins the configured codec.
-		links[i] = NewLinkCodec(tr, cfg.wireCodec())
-	}
-	stats := &Stats{}
-	b, err := newActiveParty(data, cfg, dec, links, stats)
-	if err != nil {
-		return nil, nil, err
-	}
-	if o.ckpt != nil {
-		b.enableCheckpoints(o.ckpt, o.resume)
-	}
-	pm, err := b.train()
-	if err != nil {
-		return nil, nil, err
-	}
-	return pm, stats, nil
+	return RunActivePartyView(view, data.Labels, cfg, trs, opts...)
 }
 
-// RunActivePartyView runs Party B over an already-binned view and its
-// labels — the out-of-core variant of RunActiveParty.
+// RunActivePartyView runs Party B over a binned view and its labels — the
+// out-of-core variant of RunActiveParty.
 func RunActivePartyView(view gbdt.BinView, labels []float64, cfg Config, trs []Transport, opts ...RunOption) (*PartyModel, *Stats, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
@@ -539,7 +494,7 @@ func RunActivePartyView(view gbdt.BinView, labels []float64, cfg Config, trs []T
 	}
 	links := make([]*link, len(trs))
 	for i, tr := range trs {
-		links[i] = NewLinkCodec(tr, cfg.wireCodec())
+		links[i] = NewLink(tr)
 	}
 	stats := &Stats{}
 	b, err := newActivePartyView(view, labels, cfg, dec, links, stats)

@@ -53,19 +53,13 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 	cfg = mustNormalize(t, cfg)
 	ab := chanTransport{ch: make(chan []byte, 1<<12)}
 	ba := chanTransport{ch: make(chan []byte, 1<<12)}
-	a, err := newPassiveParty(0, parts[0], cfg, newLinkPair(ab, ba, nil, true), &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := testPassive(t, parts[0], cfg, NewLink(pairTransport{send: ab.Send, recv: ba.Receive}))
 	aDone := make(chan error, 1)
 	go func() {
 		_, err := a.run()
 		aDone <- err
 	}()
-	b, err := newActiveParty(parts[1], cfg, sibDecryptor(t, cfg), []*link{newLinkPair(ba, ab, nil, false)}, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := testActive(t, parts[1], cfg, sibDecryptor(t, cfg), []*link{NewLink(pairTransport{send: ba.Send, recv: ab.Receive})})
 	if err := b.setup(); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +285,7 @@ func newSiblingRig(t *testing.T, subtraction bool) *siblingRig {
 	b.cfg.HistogramSubtraction = subtraction
 	b.packing = false // frame ships per-bin cells
 	r := &siblingRig{b: b, sent: chanTransport{ch: make(chan []byte, 16)}}
-	b.links = []*link{{out: r.sent}}
+	b.links = []*link{NewLink(r.sent)}
 	b.featCounts, b.offsets = []int{1}, []int32{0}
 	b.pumps = []*pump{{
 		hist: make(chan MsgHistograms, 16), errs: make(chan error, 1),
@@ -440,7 +434,7 @@ func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 			if len(r.sent.ch) != 1 {
 				t.Fatalf("B sent the peer %d frames, want one MsgAbort", len(r.sent.ch))
 			}
-			got, rerr := (&link{in: r.sent}).recv()
+			got, rerr := NewLink(r.sent).recv()
 			if ab, ok := got.(MsgAbort); rerr != nil || !ok || ab.Reason != err.Error() {
 				t.Errorf("B sent %#v (%v), want MsgAbort{%q}", got, rerr, err)
 			}
@@ -453,11 +447,8 @@ func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 func TestPassiveStopsOnActiveAbort(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 75)
 	in := chanTransport{ch: make(chan []byte, 4)}
-	p, err := newPassiveParty(0, parts[0], mustNormalize(t, quickConfig(SchemeMock)), &link{out: discardTransport{}, in: in}, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := (&link{out: in}).send(MsgAbort{Party: 1, Reason: "sibling derivation rejected"}); err != nil {
+	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), NewLink(pairTransport{send: discardTransport{}.Send, recv: in.Receive}))
+	if err := NewLink(in).send(MsgAbort{Party: 1, Reason: "sibling derivation rejected"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.run(); err == nil || !strings.Contains(err.Error(), "sibling derivation rejected") {
@@ -497,10 +488,7 @@ func TestPassiveReportsLostHistogram(t *testing.T) {
 	in := chanTransport{ch: make(chan []byte, 16)}
 	// Sends: MsgReady, MsgResume, the root histogram, then node 2's.
 	out := &failingTransport{chanTransport: chanTransport{ch: make(chan []byte, 16)}, fail: 4}
-	p, err := newPassiveParty(0, parts[0], cfg, &link{out: out, in: in}, &Stats{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := testPassive(t, parts[0], cfg, NewLink(pairTransport{send: out.Send, recv: in.Receive}))
 	dec := he.NewMock(512)
 	codec := fixedpoint.NewCodec(dec, fixedpoint.WithExponents(cfg.BaseExp, cfg.ExpSpread))
 	pairs, err := codec.PlanPairs(rows, 1)
@@ -519,7 +507,7 @@ func TestPassiveReportsLostHistogram(t *testing.T) {
 	for k := range bits {
 		bits[k] = k < 10
 	}
-	sender := &link{out: in}
+	sender := NewLink(in)
 	for _, m := range []any{
 		MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W},
 		grads,
@@ -536,7 +524,7 @@ func TestPassiveReportsLostHistogram(t *testing.T) {
 	}
 	var last any
 	for len(out.ch) > 0 {
-		if last, err = (&link{in: out.chanTransport}).recv(); err != nil {
+		if last, err = NewLink(out.chanTransport).recv(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,8 +9,8 @@ import "vf2boost/internal/wire"
 // body encoding is fixed; adding a field means a new message ID or a new
 // frame version tag, never an in-place layout change.
 //
-// Binary and gob round trips must produce deep-equal values for every
-// message an engine can build, which the equivalence tests check.
+// A round trip must produce a deep-equal value for every message an engine
+// can build, which TestBinaryRoundTrip checks.
 const (
 	// idSetupV1 (= 1) carried the pre-obfuscation-base MsgSetup layout.
 	// Per the append-only rule above, extending the message meant

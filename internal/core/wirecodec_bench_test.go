@@ -18,9 +18,7 @@ func benchCiphertext(n int, seed byte) []byte {
 
 // benchHistUnpacked models one layer's histogram upload at the repo's
 // working scale (a 3-feature passive party, MaxBins=8, the root layer):
-// one 32-byte mock ciphertext and one exponent per bin. At this message
-// size gob's per-send type descriptor is a material fraction of the
-// frame, which is exactly the overhead the binary codec retires.
+// one 32-byte mock ciphertext and one exponent per bin.
 func benchHistUnpacked() MsgHistograms {
 	feats := make([]FeatHist, 3)
 	for f := range feats {
@@ -60,8 +58,8 @@ func benchPairBatch() MsgPairBatch {
 }
 
 // BenchmarkLinkCodec measures encode+decode round trips for the traffic
-// classes that dominate a training run, under both codecs. The
-// "bytes/msg" metric is the serialized frame size on the wire.
+// classes that dominate a training run. The "bytes/msg" metric is the
+// serialized frame size on the wire.
 func BenchmarkLinkCodec(b *testing.B) {
 	msgs := []struct {
 		name string
@@ -71,35 +69,28 @@ func BenchmarkLinkCodec(b *testing.B) {
 		{"MsgHistograms-packed", benchHistPacked()},
 		{"MsgPairBatch", benchPairBatch()},
 	}
-	codecs := []wire.Codec{wire.Binary, wire.Gob}
 	for _, tc := range msgs {
-		for _, c := range codecs {
-			b.Run(tc.name+"/"+c.Name(), func(b *testing.B) {
-				payload, err := c.Encode(tc.m)
+		b.Run(tc.name, func(b *testing.B) {
+			payload, err := wire.Binary.Encode(tc.m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			size := len(payload)
+			wire.PutBuf(payload)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p, err := wire.Binary.Encode(tc.m)
 				if err != nil {
 					b.Fatal(err)
 				}
-				size := len(payload)
-				if c == wire.Binary {
-					wire.PutBuf(payload)
+				if _, err := wire.Binary.Decode(p); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p, err := c.Encode(tc.m)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := c.Decode(p); err != nil {
-						b.Fatal(err)
-					}
-					if c == wire.Binary {
-						wire.PutBuf(p)
-					}
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(size), "bytes/msg")
-			})
-		}
+				wire.PutBuf(p)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(size), "bytes/msg")
+		})
 	}
 }

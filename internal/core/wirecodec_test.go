@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // sampleMessages covers every protocol message type with populated fields
 // (including the awkward shapes: empty bins as nil payloads, packed and
 // unpacked histograms, error strings). Slices that would be empty are nil,
-// matching what both codecs produce on decode.
+// matching what the codec produces on decode.
 func sampleMessages() []any {
 	return []any{
 		MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ObfBase: []byte{0xCA, 0xFE, 0x01}, ObfBits: 224},
@@ -88,32 +89,36 @@ func sampleMessages() []any {
 	}
 }
 
-// TestBinaryGobEquivalence is the satellite's round-trip equivalence
-// check: every protocol message encodes under both codecs and decodes to
-// deep-equal values.
-func TestBinaryGobEquivalence(t *testing.T) {
+// TestBinaryRoundTrip: every protocol message encodes and decodes to a
+// deep-equal value, and every registered ID is exercised — by a sample, or
+// for the decode-only retired setup (22) by a hand-built frame.
+func TestBinaryRoundTrip(t *testing.T) {
+	covered := map[uint16]bool{}
 	for _, m := range sampleMessages() {
-		bin, err := wire.Binary.Encode(m)
+		frame, err := wire.Binary.Encode(m)
 		if err != nil {
-			t.Fatalf("%T: binary encode: %v", m, err)
+			t.Fatalf("%T: encode: %v", m, err)
 		}
-		gb, err := wire.Gob.Encode(m)
+		got, err := wire.Binary.Decode(frame)
 		if err != nil {
-			t.Fatalf("%T: gob encode: %v", m, err)
+			t.Fatalf("%T: decode: %v", m, err)
 		}
-		fromBin, err := wire.Binary.Decode(bin)
-		if err != nil {
-			t.Fatalf("%T: binary decode: %v", m, err)
+		if !reflect.DeepEqual(got, m) {
+			t.Errorf("%T: round trip\n got %#v\nwant %#v", m, got, m)
 		}
-		fromGob, err := wire.Gob.Decode(gb)
-		if err != nil {
-			t.Fatalf("%T: gob decode: %v", m, err)
-		}
-		if !reflect.DeepEqual(fromBin, m) {
-			t.Errorf("%T: binary round trip\n got %#v\nwant %#v", m, fromBin, m)
-		}
-		if !reflect.DeepEqual(fromBin, fromGob) {
-			t.Errorf("%T: binary and gob decode disagree\n bin %#v\n gob %#v", m, fromBin, fromGob)
+		covered[m.(wire.Message).WireID()] = true
+	}
+	got, err := wire.Binary.Decode(legacySetupFrame())
+	if err != nil {
+		t.Fatalf("retired setup: %v", err)
+	}
+	if want := (MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PackBits: 64}); !reflect.DeepEqual(got, want) {
+		t.Errorf("retired setup decoded to %#v, want %#v", got, want)
+	}
+	covered[idSetupV2] = true
+	for id, name := range wire.MessageIDs() {
+		if !covered[id] {
+			t.Errorf("wire ID %d (%s) has no round-trip sample", id, name)
 		}
 	}
 }
@@ -218,144 +223,54 @@ func TestRetiredVecColumnsRejected(t *testing.T) {
 	}
 }
 
-func TestLinkGobFallbackNegotiation(t *testing.T) {
-	// The initiator pins gob; the responder (NewLink, adaptive) must adopt
-	// it from the first frame and answer in gob.
-	aToB := chanTransport{ch: make(chan []byte, 4)}
-	bToA := chanTransport{ch: make(chan []byte, 4)}
-	initiator := newLinkPair(bToA, aToB, wire.Gob, false)
-	responder := NewLink(pairSwap{out: aToB, in: bToA})
-
-	if err := initiator.send(MsgScoreOpen{Proto: 1, Session: "nego"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := responder.Codec().Name(); got != "binary" {
-		t.Fatalf("responder should start on the default codec, got %s", got)
-	}
-	msg, err := responder.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := msg.(MsgScoreOpen); !ok {
-		t.Fatalf("got %T", msg)
-	}
-	if got := responder.Codec().Name(); got != "gob" {
-		t.Fatalf("responder should have adopted gob, got %s", got)
-	}
-	if err := responder.Send(MsgScoreOpenAck{Proto: 1, Party: 0}); err != nil {
-		t.Fatal(err)
-	}
-	// The reply frame must actually be gob on the wire.
-	raw := <-aToB.ch
-	if raw[0] != wire.TagGob {
-		t.Fatalf("responder answered with tag 0x%02x, want gob", raw[0])
-	}
-	aToB.ch <- raw // put it back for the initiator
-	ack, err := initiator.recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ack.(MsgScoreOpenAck); !ok {
-		t.Fatalf("got %T", ack)
-	}
-	// A pinned initiator never adopts.
-	if got := initiator.Codec().Name(); got != "gob" {
-		t.Fatalf("pinned initiator switched to %s", got)
-	}
-}
-
-// pairSwap crosses two chanTransports into one bidirectional Transport.
-type pairSwap struct {
-	out chanTransport
-	in  chanTransport
-}
-
-func (p pairSwap) Send(b []byte) error      { return p.out.Send(b) }
-func (p pairSwap) Receive() ([]byte, error) { return p.in.Receive() }
-
 func TestLinkRejectsMalformedFrames(t *testing.T) {
 	tr := chanTransport{ch: make(chan []byte, 4)}
 	l := NewLink(tr)
-	for _, frame := range [][]byte{
-		{},                        // empty
-		{0x55},                    // unknown tag
-		{wire.TagBinaryV1, 0, 1},  // short header
-		{wire.TagGob, 0xFF, 0xFF}, // corrupt gob
-		{wire.TagBinaryV1, 0xFF, 0xFE, 0, 0, 0, 0}, // unknown message ID
+	for _, tc := range []struct {
+		frame  []byte
+		reason string
+	}{
+		{[]byte{}, "shorter than"},
+		{[]byte{0x55, 0, 2, 0, 0, 0, 0}, "unsupported binary frame version"},
+		{[]byte{wire.TagBinaryV1, 0, 1}, "shorter than"},
+		{[]byte{wire.TagGob, 0xFF, 0xFF}, "retired gob codec"},
+		{retagged(wire.TagGob, MsgScoreOpen{Proto: 1, Session: "gob-pinned"}), "retired gob codec"},
+		{[]byte{wire.TagBinaryV1, 0xFF, 0xFE, 0, 0, 0, 0}, "unknown message ID"},
 	} {
-		tr.ch <- frame
-		if _, err := l.Recv(); err == nil {
-			t.Errorf("frame %v: expected error", frame)
+		tr.ch <- tc.frame
+		_, err := l.Recv()
+		if !errors.Is(err, ErrUndecodable) || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("frame % x: err %v, want ErrUndecodable naming %q", tc.frame, err, tc.reason)
 		}
-	}
-}
-
-// TestTrainingWithGobCodec covers the fallback end to end: a full
-// federated session configured onto the gob codec must train to the same
-// model as the binary default.
-func TestTrainingWithGobCodec(t *testing.T) {
-	_, parts := twoPartyData(t, 120, 3, 2, 1, true, 1)
-	cfg := quickConfig(SchemeMock)
-
-	cfg.WireCodec = "gob"
-	mGob, _ := trainFed(t, parts, cfg)
-	cfg.WireCodec = "binary"
-	mBin, _ := trainFed(t, parts, cfg)
-
-	for i := 0; i < parts[0].Rows(); i++ {
-		pg, err := mGob.PredictMargin(parts, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := mBin.PredictMargin(parts, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pg != pb {
-			t.Fatalf("row %d: gob-trained margin %v != binary-trained %v", i, pg, pb)
-		}
-	}
-}
-
-func TestConfigRejectsUnknownCodec(t *testing.T) {
-	cfg := quickConfig(SchemeMock)
-	cfg.WireCodec = "msgpack"
-	if err := cfg.normalize(); err == nil {
-		t.Fatal("unknown codec must fail validation")
 	}
 }
 
 // FuzzWireDecode proves malformed frames return errors instead of
-// panicking, and that whatever decodes successfully re-encodes stably
-// under the binary codec.
+// panicking, and that whatever decodes successfully re-encodes stably.
+// Every sample is seeded twice: as its binary frame, and retagged 0x00 —
+// the retired gob codec's tag, which must be refused whatever follows it.
 func FuzzWireDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
-		if p, err := wire.Binary.Encode(m); err == nil {
-			f.Add(append([]byte(nil), p...))
+		p, err := wire.Binary.Encode(m)
+		if err != nil {
+			f.Fatal(err)
 		}
-		if p, err := wire.Gob.Encode(m); err == nil {
-			f.Add(p)
-		}
+		f.Add(append([]byte(nil), p...))
+		f.Add(retagged(wire.TagGob, m))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{wire.TagBinaryV1, 0, 4, 0, 0, 0, 0})
 	f.Add([]byte{wire.TagGob, 1, 2, 3})
 	f.Add(bytes.Repeat([]byte{0x80}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := wire.Detect(data)
+		m, err := wire.Binary.Decode(data) // must not panic, whatever the input
+		if len(data) > 0 && data[0] == wire.TagGob && err == nil {
+			t.Fatalf("a frame under the retired gob tag decoded to %T", m)
+		}
 		if err != nil {
 			return
 		}
-		if c == wire.Gob && len(data) > 1<<16 {
-			// Bounding gob's input keeps the fuzzer focused on our codec
-			// rather than on gob's own allocation behavior.
-			return
-		}
-		m, err := c.Decode(data) // must not panic, whatever the input
-		if err != nil || c != wire.Binary {
-			return
-		}
-		// Successful binary decodes must round-trip deterministically.
+		// Successful decodes must round-trip deterministically.
 		p2, err := wire.Binary.Encode(m)
 		if err != nil {
 			t.Fatalf("re-encoding decoded %T: %v", m, err)

@@ -73,12 +73,7 @@ func newScriptLink(t testing.TB) *scriptLink {
 }
 
 func (l *scriptLink) decode(b []byte) any {
-	c, err := wire.Detect(b)
-	if err != nil {
-		l.t.Errorf("script link: %v", err)
-		return nil
-	}
-	m, err := c.Decode(b)
+	m, err := wire.Binary.Decode(b)
 	if err != nil {
 		l.t.Errorf("script link: %v", err)
 	}
@@ -196,7 +191,7 @@ func (l *scriptLink) release(a heldAnswer) {
 // inject delivers an arbitrary frame to the server.
 func (l *scriptLink) inject(m any) {
 	l.t.Helper()
-	b, err := wire.Default.Encode(m)
+	b, err := wire.Binary.Encode(m)
 	if err != nil {
 		l.t.Fatal(err)
 	}

@@ -17,7 +17,6 @@ import (
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/mq"
 	"vf2boost/internal/trace"
-	"vf2boost/internal/wire"
 )
 
 // ServerConfig wires a Party B scoring server.
@@ -58,10 +57,6 @@ type ServerConfig struct {
 	RetryBudget int
 	// Session is an opaque session label sent in the open handshake.
 	Session string
-	// Codec selects the wire encoding for the scoring session: "binary"
-	// (default) or "gob". The server initiates, so workers adopt whatever
-	// it speaks — no worker-side setting exists.
-	Codec string
 	// Broker, when the broker is co-resident (in-process deployments),
 	// lets /metricsz surface per-topic queue depths. Optional.
 	Broker *mq.Broker
@@ -135,12 +130,12 @@ func (ws *workerState) current() *workerSession {
 	return ws.sess
 }
 
-// attach installs a fresh transport/link pair as the next session epoch.
-// Caller holds the send lock (or is the constructor).
-func (ws *workerState) attach(tr core.Transport, l *core.Link) *workerSession {
+// attach installs a fresh transport as the next session epoch. Caller
+// holds the send lock (or is the constructor).
+func (ws *workerState) attach(tr core.Transport) *workerSession {
 	ss := &workerSession{
 		tr:      tr,
-		link:    l,
+		link:    core.NewLink(tr),
 		ack:     make(chan core.MsgScoreOpenAck, 1),
 		closed:  make(chan struct{}),
 		done:    make(chan struct{}),
@@ -324,7 +319,6 @@ func (tb *tokenBucket) take() bool {
 // optional degraded (partial-margin) serving when a party is unreachable.
 type Server struct {
 	cfg     ServerConfig
-	codec   wire.Codec
 	workers []*workerState
 	batcher *Batcher
 	met     *Metrics
@@ -348,14 +342,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("serve: server needs at least one passive worker transport")
 	}
-	codec, err := wire.ByName(cfg.Codec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	cfg.defaults()
 	s := &Server{
 		cfg:      cfg,
-		codec:    codec,
 		met:      NewMetrics(),
 		retry:    newTokenBucket(cfg.RetryBudget),
 		inflight: make(chan struct{}, cfg.MaxInflight),
@@ -363,7 +352,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	for i, tr := range cfg.Workers {
 		ws := &workerState{party: i, breaker: NewBreaker(cfg.Breaker)}
-		go s.pumpLink(ws, ws.attach(tr, core.NewLinkCodec(tr, codec)))
+		go s.pumpLink(ws, ws.attach(tr))
 		s.workers = append(s.workers, ws)
 	}
 	s.batcher = NewBatcher(cfg.Batch, s.ScoreBatch)
@@ -464,7 +453,7 @@ func (s *Server) reopen(ctx context.Context, ws *workerState) error {
 		return ErrClosed
 	}
 	ws.sever(ws.current(), fmt.Errorf("serve: worker %d session replaced", i)) // release the old pump
-	ss := ws.attach(tr, core.NewLinkCodec(tr, s.codec))
+	ss := ws.attach(tr)
 	go s.pumpLink(ws, ss)
 	if err := ss.link.SendContext(ctx, core.MsgScoreOpen{Proto: core.ScoreProtoVersion, Session: s.cfg.Session}); err != nil {
 		ws.sever(ss, err)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,11 +70,16 @@ func (w *PassiveWorker) RoundErrors() int64 { return w.errors.Load() }
 // Run serves one scoring session over the transport: open handshake, then
 // scoring rounds until the peer closes the session (clean, returns nil)
 // or the transport drops (also clean — sidecars outlive flaky peers and
-// are simply re-dialed). A protocol violation returns an error.
+// are simply re-dialed). A protocol violation returns an error, and so
+// does a frame that arrived but cannot be decoded (core.ErrUndecodable):
+// that peer is broken or from an incompatible build, not flaky.
 func (w *PassiveWorker) Run(tr core.Transport) error {
 	l := core.NewLink(tr)
 	for {
 		msg, err := l.Recv()
+		if errors.Is(err, core.ErrUndecodable) {
+			return fmt.Errorf("serve: worker %d: %w", w.Party, err)
+		}
 		if err != nil {
 			// Transport closed underneath us: the normal end of a session
 			// whose peer went away.
@@ -118,8 +124,10 @@ func (w *PassiveWorker) Run(tr core.Transport) error {
 // RedialSeed); the backoff resets only after a session that answered at
 // least one round, so a peer that accepts dials but never gets a round
 // through cannot hold the sidecar at the floor. maxRedials consecutive
-// failures (or a protocol error from a session) end the loop with an
-// error. Zero values pick defaults (250ms, 5s, 20).
+// failures, or a session that ends in an error (a protocol violation, an
+// undecodable frame), end the loop with that error: re-dialing a peer that
+// speaks a frame this build cannot read would only repeat the session.
+// Zero values pick defaults (250ms, 5s, 20).
 func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error), wait, maxWait time.Duration, maxRedials int) error {
 	if wait <= 0 {
 		wait = 250 * time.Millisecond

@@ -313,8 +313,7 @@ func (d *Dec) String() string {
 }
 
 // Bytes reads a length-prefixed byte slice. Zero length decodes as nil
-// (matching gob's round-trip of empty slices, and the protocol's "empty
-// payload means exact zero" bins).
+// (the protocol's "empty payload means exact zero" bins).
 func (d *Dec) Bytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil || n == 0 {

@@ -1,34 +1,34 @@
 // Package wire implements the cross-party message codec: a versioned,
 // length-prefixed binary frame format with stable numeric message IDs and
-// hand-written per-message encoders, plus the reflective gob envelope kept
-// as a negotiated fallback. The binary codec exists because histogram and
-// gradient traffic dominates a federated training run (the paper makes
-// ciphertext transfer a first-order cost): gob re-transmits its type
-// metadata on every message and double-buffers through reflection, while
-// the binary codec appends straight into a pooled buffer.
+// hand-written per-message encoders. Histogram and gradient traffic
+// dominates a federated training run (the paper makes ciphertext transfer
+// a first-order cost), so every message appends straight into a pooled
+// buffer: no reflection, no per-message type metadata.
 //
-// Frame layouts (the first payload byte names the codec, so both formats
-// coexist on one link and a receiver can adopt whatever its peer speaks):
+// Frame layout:
 //
-//	binary: 0x01 | uint16 message ID (BE) | uint32 body length (BE) | body
-//	gob:    0x00 | gob(envelope{M})
+//	0x01 | uint16 message ID (BE) | uint32 body length (BE) | body
+//
+// The leading tag byte is the format version. Tag 0x00 belonged to the
+// retired reflective gob codec and is reserved: a frame carrying it is
+// refused, never decoded. Tags, like message IDs, are never reused.
 //
 // Message bodies are encoded by the messages themselves (AppendTo /
-// DecodeFrom); this package owns the frame, the codec registry, the
+// DecodeFrom); this package owns the frame, the message registry, the
 // primitive encoders (primitives.go), and the buffer pool (pool.go).
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 )
 
 // Frame tag bytes. TagBinaryV1 doubles as the binary format version:
 // an incompatible revision gets a new tag, and a receiver that sees an
-// unknown tag fails loudly instead of guessing.
+// unknown tag fails loudly instead of guessing. TagGob is the retired gob
+// codec's tag, reserved so that a peer still speaking it is refused by
+// name.
 const (
 	TagGob      byte = 0x00
 	TagBinaryV1 byte = 0x01
@@ -40,15 +40,6 @@ const headerSize = 1 + 2 + 4
 // MaxBody bounds a binary frame body, mirroring the TCP gateway's frame
 // limit so a corrupt length field fails fast instead of allocating.
 const MaxBody = 64 << 20
-
-// Codec turns protocol messages into transport payloads and back. Encode
-// may return a buffer from this package's pool; the receiving side gives
-// it back via PutBuf after Decode (Decode never aliases the payload).
-type Codec interface {
-	Name() string
-	Encode(m any) ([]byte, error)
-	Decode(payload []byte) (any, error)
-}
 
 // Message is implemented by every protocol message that the binary codec
 // can carry. WireID returns the message's stable numeric ID (never
@@ -104,51 +95,13 @@ func MessageNames() []string {
 	return out
 }
 
-// Binary is the default codec: explicit per-message encoders into pooled
-// buffers, no reflection, no per-message type metadata.
-var Binary Codec = binaryCodec{}
-
-// Gob is the fallback codec: the reflective envelope the protocol
-// originally spoke. Kept for compatibility and as the negotiation escape
-// hatch; every message registered with gob.Register still round-trips.
-var Gob Codec = gobCodec{}
-
-// Default is the codec a link speaks when nothing was negotiated.
-var Default = Binary
-
-// ByName resolves a codec by its configuration name; the empty string
-// selects the default.
-func ByName(name string) (Codec, error) {
-	switch name {
-	case "":
-		return Default, nil
-	case "binary":
-		return Binary, nil
-	case "gob":
-		return Gob, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want binary or gob)", name)
-	}
-}
-
-// Detect returns the codec that produced a payload by its frame tag.
-func Detect(payload []byte) (Codec, error) {
-	if len(payload) == 0 {
-		return nil, fmt.Errorf("wire: empty frame")
-	}
-	switch payload[0] {
-	case TagGob:
-		return Gob, nil
-	case TagBinaryV1:
-		return Binary, nil
-	default:
-		return nil, fmt.Errorf("wire: unknown frame tag 0x%02x", payload[0])
-	}
-}
+// Binary is the codec every link speaks: explicit per-message encoders
+// into pooled buffers. Encode may return a buffer from this package's
+// pool; the receiving side gives it back via PutBuf after Decode (Decode
+// never aliases the payload).
+var Binary binaryCodec
 
 type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
 
 func (binaryCodec) Encode(m any) ([]byte, error) {
 	msg, ok := m.(Message)
@@ -170,6 +123,9 @@ func (binaryCodec) Encode(m any) ([]byte, error) {
 }
 
 func (binaryCodec) Decode(payload []byte) (any, error) {
+	if len(payload) > 0 && payload[0] == TagGob {
+		return nil, fmt.Errorf("wire: frame tag 0x%02x belongs to the retired gob codec; only binary frames are decoded", TagGob)
+	}
 	if len(payload) < headerSize {
 		return nil, fmt.Errorf("wire: binary frame of %d bytes shorter than %d-byte header", len(payload), headerSize)
 	}
@@ -191,34 +147,4 @@ func (binaryCodec) Decode(payload []byte) (any, error) {
 		return nil, fmt.Errorf("wire: decoding %s: %w", e.name, err)
 	}
 	return m, nil
-}
-
-// gobEnvelope wraps a message for the gob fallback, matching the envelope
-// shape the protocol spoke before the binary codec existed.
-type gobEnvelope struct {
-	M any
-}
-
-type gobCodec struct{}
-
-func (gobCodec) Name() string { return "gob" }
-
-func (gobCodec) Encode(m any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(TagGob)
-	if err := gob.NewEncoder(&buf).Encode(gobEnvelope{M: m}); err != nil {
-		return nil, fmt.Errorf("wire: gob-encoding %T: %w", m, err)
-	}
-	return buf.Bytes(), nil
-}
-
-func (gobCodec) Decode(payload []byte) (any, error) {
-	if len(payload) == 0 || payload[0] != TagGob {
-		return nil, fmt.Errorf("wire: not a gob frame")
-	}
-	var env gobEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(payload[1:])).Decode(&env); err != nil {
-		return nil, fmt.Errorf("wire: gob-decoding message: %w", err)
-	}
-	return env.M, nil
 }

@@ -2,8 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -194,32 +194,6 @@ func TestDecodedSlicesDoNotAliasFrame(t *testing.T) {
 	}
 }
 
-func TestDetect(t *testing.T) {
-	if _, err := Detect(nil); err == nil {
-		t.Error("Detect(nil) should fail")
-	}
-	if _, err := Detect([]byte{0x7F}); err == nil {
-		t.Error("unknown tag should fail")
-	}
-	if c, err := Detect([]byte{TagBinaryV1}); err != nil || c != Binary {
-		t.Errorf("binary tag: %v %v", c, err)
-	}
-	if c, err := Detect([]byte{TagGob}); err != nil || c != Gob {
-		t.Errorf("gob tag: %v %v", c, err)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for name, want := range map[string]Codec{"": Default, "binary": Binary, "gob": Gob} {
-		if c, err := ByName(name); err != nil || c != want {
-			t.Errorf("ByName(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := ByName("protobuf"); err == nil {
-		t.Error("unknown codec name should fail")
-	}
-}
-
 // testMsg exercises the frame layer without core's message set. The high
 // ID keeps it clear of the protocol's range.
 type testMsg struct {
@@ -282,6 +256,8 @@ func TestBinaryFrameErrors(t *testing.T) {
 		"unknown id":       append([]byte{TagBinaryV1, 0xFF, 0xFE}, good[3:]...),
 		"corrupt body":     append(append([]byte{}, good[:7]...), 0x80), // truncated varint, patched length
 		"not a wire frame": {0x42, 0x00},
+		"empty":            {},
+		"unknown tag":      {0x7F},
 	}
 	// Fix up the corrupt-body case's declared length.
 	cb := cases["corrupt body"]
@@ -296,30 +272,23 @@ func TestBinaryFrameErrors(t *testing.T) {
 	}
 }
 
-// gobMsg is registered with gob in TestGobCodecRoundTrip's init path; the
-// fallback codec relies on the same global gob registrations the envelope
-// always used (core registers its protocol messages).
-type gobMsg struct{ X int }
-
-func init() { gob.Register(gobMsg{}) }
-
-func TestGobCodecRoundTrip(t *testing.T) {
-	payload, err := Gob.Encode(gobMsg{X: 7})
+// TestBinaryRefusesRetiredGobTag: tag 0x00 belonged to the retired gob
+// codec. A frame carrying it is refused by name, however short, and even
+// when the rest of it is a well-formed binary frame.
+func TestBinaryRefusesRetiredGobTag(t *testing.T) {
+	good, err := Binary.Encode(testMsg{A: 3, B: []byte{4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload[0] != TagGob {
-		t.Fatalf("frame tag = %x", payload[0])
-	}
-	out, err := Gob.Decode(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != (gobMsg{X: 7}) {
-		t.Fatalf("round trip = %v", out)
-	}
-	if _, err := Gob.Decode([]byte{TagGob, 0xFF, 0x01}); err == nil {
-		t.Error("corrupt gob frame should fail")
+	for _, payload := range [][]byte{
+		{TagGob},
+		{TagGob, 0xFF, 0x01},
+		append([]byte{TagGob}, good[1:]...),
+	} {
+		_, err := Binary.Decode(payload)
+		if err == nil || !strings.Contains(err.Error(), "retired gob codec") {
+			t.Errorf("frame % x: err %v, want a refusal naming the retired gob codec", payload, err)
+		}
 	}
 }
 

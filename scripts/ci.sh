@@ -18,6 +18,17 @@ fi
 echo "== go vet =="
 go vet ./...
 
+echo "== one wire codec (no encoding/gob in non-test code) =="
+# Every link speaks the binary frame format; the reflective gob codec was
+# retired and its tag is refused. A non-test import of encoding/gob under
+# internal/ or cmd/ would be a second wire format creeping back.
+gob_users=$(grep -rlE '"encoding/gob"' --include='*.go' internal cmd | grep -v '_test\.go$' || true)
+if [ -n "$gob_users" ]; then
+  echo "encoding/gob imported by:" >&2
+  echo "$gob_users" >&2
+  exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -98,10 +109,11 @@ echo "== serve chaos smoke (overload, breaker trip/recover, no-hang contract, pi
 # hostile frame or Close may land with any number of rounds in flight.
 # Which goroutine notices first is the schedule's choice, so the leg runs
 # repeatedly at one, two and four procs under the race detector, like
-# the training parity suites.
+# the training parity suites. A sidecar that receives a frame it cannot
+# decode must end with core.ErrUndecodable after one dial, not re-dial.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 -timeout 300s \
-    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink' \
+    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink|TestWorkerEndsOnUndecodableFrame' \
     ./internal/serve
 done
 
@@ -123,7 +135,7 @@ go run ./cmd/vf2boost sim -data "$obj_tmp/rank.libsvm" -split 3,3 -objective ran
   -scheme mock -trees 2 -depth 2 -out "$obj_tmp/rank.json" >/dev/null
 rm -rf "$obj_tmp"
 
-echo "== fuzz smoke (wire decode) =="
+echo "== fuzz smoke (wire decode: binary frames and the refused gob tag) =="
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/core
 
 echo "== fuzz smoke (ciphertext unmarshal, the wire validation gate: arbitrary bytes must never panic) =="
