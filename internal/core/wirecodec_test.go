@@ -234,7 +234,6 @@ func TestLinkRejectsMalformedFrames(t *testing.T) {
 		{[]byte{0x55, 0, 2, 0, 0, 0, 0}, "unsupported binary frame version"},
 		{[]byte{wire.TagBinaryV1, 0, 1}, "shorter than"},
 		{[]byte{wire.TagGob, 0xFF, 0xFF}, "retired gob codec"},
-		{retagged(wire.TagGob, MsgScoreOpen{Proto: 1, Session: "gob-pinned"}), "retired gob codec"},
 		{[]byte{wire.TagBinaryV1, 0xFF, 0xFE, 0, 0, 0, 0}, "unknown message ID"},
 	} {
 		tr.ch <- tc.frame
@@ -244,6 +243,49 @@ func TestLinkRejectsMalformedFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkGobFallbackNegotiation: there is no fallback left to negotiate.
+// A peer still pinned to the retired gob codec opens a session; the
+// responder refuses the frame by name with ErrUndecodable, does not adopt
+// the peer's tag, answers in binary, and decodes the peer's next frame
+// once it speaks binary.
+func TestLinkGobFallbackNegotiation(t *testing.T) {
+	aToB := chanTransport{ch: make(chan []byte, 4)}
+	bToA := chanTransport{ch: make(chan []byte, 4)}
+	responder := NewLink(pairSwap{out: bToA, in: aToB})
+
+	aToB.ch <- retagged(wire.TagGob, MsgScoreOpen{Proto: 1, Session: "gob-pinned"})
+	if _, err := responder.Recv(); !errors.Is(err, ErrUndecodable) || !strings.Contains(err.Error(), "retired gob codec") {
+		t.Fatalf("gob-pinned open: err %v, want ErrUndecodable naming the retired gob codec", err)
+	}
+	if err := responder.Send(MsgScoreOpenAck{Proto: 1, Party: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if raw := <-bToA.ch; raw[0] != wire.TagBinaryV1 {
+		t.Fatalf("responder answered with tag 0x%02x, want binary", raw[0])
+	}
+
+	initiator := NewLink(pairSwap{out: aToB, in: bToA})
+	if err := initiator.Send(MsgScoreOpen{Proto: 1, Session: "binary"}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := responder.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if open, ok := msg.(MsgScoreOpen); !ok || open.Session != "binary" {
+		t.Fatalf("got %#v after the refusal, want the binary open", msg)
+	}
+}
+
+// pairSwap crosses two chanTransports into one bidirectional Transport.
+type pairSwap struct {
+	out chanTransport
+	in  chanTransport
+}
+
+func (p pairSwap) Send(b []byte) error      { return p.out.Send(b) }
+func (p pairSwap) Receive() ([]byte, error) { return p.in.Receive() }
 
 // FuzzWireDecode proves malformed frames return errors instead of
 // panicking, and that whatever decodes successfully re-encodes stably.

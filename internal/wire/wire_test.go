@@ -256,8 +256,6 @@ func TestBinaryFrameErrors(t *testing.T) {
 		"unknown id":       append([]byte{TagBinaryV1, 0xFF, 0xFE}, good[3:]...),
 		"corrupt body":     append(append([]byte{}, good[:7]...), 0x80), // truncated varint, patched length
 		"not a wire frame": {0x42, 0x00},
-		"empty":            {},
-		"unknown tag":      {0x7F},
 	}
 	// Fix up the corrupt-body case's declared length.
 	cb := cases["corrupt body"]
@@ -269,6 +267,34 @@ func TestBinaryFrameErrors(t *testing.T) {
 	}
 	if _, err := Binary.Encode(struct{}{}); err == nil {
 		t.Error("encoding a non-Message should fail")
+	}
+}
+
+// TestDetect: the leading tag byte alone decides how a frame is read. An
+// empty frame has no tag; an unknown tag is refused as an unsupported
+// version even when the rest is a well-formed frame; the binary tag is
+// decoded; the retired gob tag is refused by name.
+func TestDetect(t *testing.T) {
+	good, err := Binary.Encode(testMsg{A: 5, B: []byte{6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Binary.Decode(nil); err == nil {
+		t.Error("empty frame should fail")
+	}
+	if _, err := Binary.Decode([]byte{0x7F}); err == nil {
+		t.Error("lone unknown tag should fail")
+	}
+	unknown := append([]byte{0x7F}, good[1:]...)
+	if _, err := Binary.Decode(unknown); err == nil || !strings.Contains(err.Error(), "unsupported binary frame version 0x7f") {
+		t.Errorf("unknown tag: err %v, want an unsupported-version refusal", err)
+	}
+	if m, err := Binary.Decode(good); err != nil || !reflect.DeepEqual(m, testMsg{A: 5, B: []byte{6}}) {
+		t.Errorf("binary tag: %v %v", m, err)
+	}
+	gob := append([]byte{TagGob}, good[1:]...)
+	if _, err := Binary.Decode(gob); err == nil || !strings.Contains(err.Error(), "retired gob codec") {
+		t.Errorf("gob tag: err %v, want a refusal naming the retired gob codec", err)
 	}
 }
 
