@@ -86,7 +86,7 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 	bins := fs.Int("bins", 20, "histogram bins per feature s")
 	lambda := fs.Float64("lambda", 1, "L2 leaf regularizer")
 	gamma := fs.Float64("gamma", 0, "split complexity penalty")
-	workers := fs.Int("workers", 0, "per-party workers (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "per-party workers (0 = GOMAXPROCS); parallelism only, the model is the same at every value")
 	scheme := fs.String("scheme", "paillier", "crypto scheme: paillier or mock")
 	keyBits := fs.Int("keybits", 1024, "Paillier modulus size S")
 	baseline := fs.Bool("baseline", false, "disable all VF2Boost optimizations (VF-GBDT)")

@@ -78,7 +78,8 @@ type Config struct {
 	// total), all sharing one gradient encryption pass per round.
 	Objective objective.Objective
 	// Workers is the per-party parallelism (the paper's per-party worker
-	// count, Table 5); <= 0 uses GOMAXPROCS.
+	// count, Table 5); <= 0 uses GOMAXPROCS. It sets speed only, never the
+	// model: equal seeds give byte-identical models at every value.
 	Workers int
 
 	// Scheme selects "paillier" (VF-GBDT / VF²Boost) or "mock" (VF-MOCK).

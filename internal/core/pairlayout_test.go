@@ -71,6 +71,34 @@ func TestScalarBackendByteIdentity(t *testing.T) {
 	}
 }
 
+// TestGoldenModelAtEveryWorkerCount pins a B-heavy session large enough
+// for Party B's own histograms to span many rows per node: B builds them
+// with the local trainer's one reduction order, so the model must not
+// move with Workers.
+func TestGoldenModelAtEveryWorkerCount(t *testing.T) {
+	for _, g := range []struct {
+		rows int
+		want string
+	}{
+		{2500, "189fe85200071cd0cd32c2bb64fce3df77e7ad9f8189c603a3598521b479b3ba"},
+		{10000, "d3d85fd0e2dbdb5ea2b28eb4dffe8a2685a519883f7e10ee8d8f28605981a6bd"},
+	} {
+		_, parts := twoPartyData(t, g.rows, 2, 8, 0.6, false, 77)
+		for _, workers := range []int{1, 2, 4} {
+			cfg := quickConfig(SchemeMock)
+			cfg.ExpSpread, cfg.Seed, cfg.Workers = 1, 7, workers
+			m, _ := trainFed(t, parts, cfg)
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != g.want {
+				t.Errorf("rows=%d workers=%d: model hash %s, want %s", g.rows, workers, got, g.want)
+			}
+		}
+	}
+}
+
 // TestOneEncryptionPerInstance pins Party B's side of the cost claim: a
 // tree costs exactly one encryption per row.
 func TestOneEncryptionPerInstance(t *testing.T) {

@@ -121,6 +121,29 @@ func TestSessionCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointResumeAcrossWorkerCounts: Workers is left out of the
+// checkpoint fingerprint, so a run checkpointed at one worker count may
+// resume at another, and must still end with the uninterrupted model. The
+// session is B-heavy and large enough that B's own histograms cover
+// thousands of rows per node.
+func TestCheckpointResumeAcrossWorkerCounts(t *testing.T) {
+	_, parts := twoPartyData(t, 2500, 2, 8, 0.6, false, 77)
+	cfg := recoveryConfig(3)
+	cfg.Workers = 1
+	baseline, _ := trainFed(t, parts, cfg)
+
+	dir := t.TempDir()
+	short := cfg
+	short.Trees = 1
+	trainFed(t, parts, short, WithCheckpoints(dir))
+	resumed := cfg
+	resumed.Workers = 2
+	m, _ := trainFed(t, parts, resumed, WithCheckpoints(dir), WithResume())
+	if !bytes.Equal(modelJSON(t, baseline), modelJSON(t, m)) {
+		t.Fatal("a resume at Workers 2 diverged from the uninterrupted Workers 1 run")
+	}
+}
+
 // TestResumeWithExponentObfuscation: with ExpSpread > 1 Party B draws
 // random exponents while encrypting, and a resumed run must draw the
 // same per-tree stream an uninterrupted run would (the codec reseeds

@@ -57,7 +57,10 @@ type TrainState struct {
 // computation, so a resume under a changed configuration fails loudly
 // instead of silently mixing models. Trees is excluded on purpose
 // (training may legitimately be extended on resume), as is Workers, which
-// affects scheduling but not results.
+// affects scheduling but not results: the obfuscation exponent is a pure
+// function of (seed, tree, class, instance), ciphertext sums are exact
+// integers, and Party B's plaintext histograms add each node's rows in
+// ascending order at every worker count (gbdt's one reduction order).
 func (c Config) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "lr=%g depth=%d bins=%d split=%+v loss=%T scheme=%s keybits=%d exp=%d/%d",

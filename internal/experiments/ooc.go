@@ -82,10 +82,9 @@ type OOCRow struct {
 	Evictions  int64         `json:"evictions"`
 	PeakCache  int64         `json:"peak_cache_bytes"`
 	// LoadsPerShardTree is Loads / (shards × trees): 1.0 means every
-	// shard was read exactly once per tree — the shard-major floor is
+	// shard was read exactly once per tree — the trainer's floor is
 	// depth+1 per tree (one fused sweep per level plus the margin
-	// update), and the node-major schedule this experiment used to
-	// measure sat around 127.
+	// update).
 	LoadsPerShardTree float64 `json:"loads_per_shard_tree"`
 	// ModelMatchesRef reports whether this budget's model is
 	// byte-identical to the first run's (the unlimited-budget,

@@ -55,8 +55,9 @@ func (h *Histogram) Accumulate(bm BinView, instances []int32, grads, hess []floa
 	return nil
 }
 
-// Merge adds another histogram (same shape) into this one; used to reduce
-// per-worker partial histograms.
+// Merge adds another histogram (same shape) into this one. The trainer
+// never merges partial histograms (its reduction order is one sweep per
+// node); this is for callers that combine histograms of disjoint rows.
 func (h *Histogram) Merge(o *Histogram) {
 	for i := range h.G {
 		h.G[i] += o.G[i]

@@ -5,52 +5,42 @@ import (
 	"sync"
 )
 
-// Shard-major tree growth.
+// Tree growth: one schedule, one reduction order.
 //
-// The node-major schedule in train.go sweeps one instance list per node
-// per layer. Over an in-memory BinnedMatrix that is optimal — every row
-// costs the same — but over a disk-backed view whose rows live in
-// row-range shards it re-reads every shard once per *node list* that
-// crosses it, and the store's LRU cache turns a layer into shards ×
-// nodes worth of load/evict churn (the measured 11.8k shard loads for a
-// 31-shard, 3-tree, depth-6 run — ~127× read amplification over
-// shards × trees).
+// Every row loop of the trainer goes through SweepShards below: a layer
+// walks the view's shards in row order exactly once and, while a shard is
+// resident, handles *every* node's rows that live in it. A view without
+// shards (the in-memory BinnedMatrix) is the one-shard case of the same
+// code, so there is no second schedule to keep in step with this one.
 //
-// The shard-major schedule inverts the loops: each layer walks the
-// shards in row order exactly once, and while a shard is resident it
-// accumulates *every* node's rows that live in it. Two invariants make
-// the result byte-identical to the node-major path (float addition is
-// not associative, so this is a scheduling property, not a given):
+// The reduction order is defined once, here: a node's histogram is one
+// sequential Accumulate over its ascending instance list. Instance lists
+// are ascending (the root list is 0..n-1 and routing preserves order), so
+// a list's rows inside one shard form one contiguous run, and SweepShards
+// hands a list's runs over in ascending shard order, one at a time. A
+// histogram therefore sees exactly the float additions of a single walk
+// of its list — whatever the shard size and whatever Workers is. Float
+// addition is not associative, so this is what makes a model's bytes
+// independent of the core count and of the storage layout.
 //
-//  1. The accumulation units are the node-major path's own units — the
-//     whole list on wide layers, shardedHistogram's fixed-size chunks on
-//     narrow ones — merged in the same order. Nothing is regrouped.
-//  2. Instance lists are ascending (the root list is 0..n-1 and
-//     partition preserves order), so a unit's rows inside one shard form
-//     a contiguous subrange, and the per-shard barrier of the sweep
-//     delivers those subranges to each unit's histogram in ascending
-//     order — the exact sequence a sequential Accumulate performs.
-//
-// Parallelism therefore lives across units within a shard (distinct
-// histograms, no races) and in the I/O: the sweep hints the next
-// planned shard to a ShardPrefetcher so its read overlaps this shard's
+// Parallelism lives only across the nodes of a shard (distinct
+// histograms, no races) and in the I/O: the sweep hints the next shard it
+// will touch to a ShardPrefetcher so its read overlaps this shard's
 // compute, and the store's singleflight load path (internal/ooc) lets
 // concurrent loads of distinct shards proceed without serializing on a
 // store-wide mutex.
 //
-// Tree growth additionally fuses partitioning into the next layer's
-// sweep (growTreeShardMajor): one shard pass both routes the previous
-// layer's split rows to their children and accumulates the children's
-// histograms, so a tree of depth d costs d sweeps plus the margin
-// update — (d+1) × shards loads per tree in total, the bound the
-// regression tests assert.
+// Routing is fused into the next layer's sweep (growTree): one pass both
+// routes the previous layer's split rows to their children and
+// accumulates the children's histograms, so a tree of depth d costs d
+// sweeps plus the margin update — (d+1) × shards loads per tree in total,
+// the bound the regression tests assert.
 
 // ShardedView is an optional BinView capability implemented by views
-// whose rows live in contiguous row-range shards with non-uniform
-// access cost (the disk-backed store in internal/ooc). When a view
-// reports more than one shard, tree growth and histogram construction
-// switch to the shard-major schedule above; models stay byte-identical
-// across schedules.
+// whose rows live in contiguous row-range shards with non-uniform access
+// cost (the disk-backed store in internal/ooc). When a view reports more
+// than one shard, each sweep makes every shard it touches resident once;
+// the model is the one the same rows give in memory.
 type ShardedView interface {
 	BinView
 	// NumShards returns the shard count.
@@ -65,60 +55,16 @@ type ShardedView interface {
 	Shard(k int) (BinView, error)
 }
 
-// ShardPrefetcher is an optional capability of a ShardedView: the
-// shard-major sweep announces the next shard it is going to touch so
-// the view can read it ahead asynchronously. PrefetchShard must not
-// block; a view is free to ignore hints (e.g. under budget pressure).
+// ShardPrefetcher is an optional capability of a ShardedView: the sweep
+// announces the next shard it is going to touch so the view can read it
+// ahead asynchronously. PrefetchShard must not block; a view is free to
+// ignore hints (e.g. under budget pressure).
 type ShardPrefetcher interface{ PrefetchShard(k int) }
 
-// shardMajor reports whether bm should be swept shard-major.
+// shardMajor reports whether bm has more than one shard to sweep.
 func shardMajor(bm BinView) (ShardedView, bool) {
 	sv, ok := bm.(ShardedView)
 	return sv, ok && sv.NumShards() > 1
-}
-
-// histChunk is one accumulation unit of a layer: a node's whole
-// instance list, or one of shardedHistogram's fixed-size chunks of it.
-type histChunk struct {
-	node  int
-	insts []int32
-	hist  *Histogram
-}
-
-// planChunks reproduces the node-major path's accumulation units for
-// one layer: one unit per node on wide layers (len(active) >= workers),
-// shardedHistogram's chunking on narrow ones. Unit boundaries and the
-// later merge order must match the node-major path exactly — they
-// decide the float addition order.
-func planChunks(m *BinMapper, active []*nodeWork, workers int) ([]*histChunk, [][]*histChunk) {
-	perNode := make([][]*histChunk, len(active))
-	var all []*histChunk
-	wide := len(active) >= workers
-	for k, nw := range active {
-		if wide || workers <= 1 || len(nw.insts) < 1024 {
-			c := &histChunk{node: k, insts: nw.insts, hist: NewHistogram(m)}
-			perNode[k] = []*histChunk{c}
-			all = append(all, c)
-			continue
-		}
-		chunk := (len(nw.insts) + workers - 1) / workers
-		for lo := 0; lo < len(nw.insts); lo += chunk {
-			hi := min(lo+chunk, len(nw.insts))
-			c := &histChunk{node: k, insts: nw.insts[lo:hi], hist: NewHistogram(m)}
-			perNode[k] = append(perNode[k], c)
-			all = append(all, c)
-		}
-	}
-	return all, perNode
-}
-
-// chunkLists are the chunks' instance lists, the form SweepShards takes.
-func chunkLists(chunks []*histChunk) [][]int32 {
-	lists := make([][]int32, len(chunks))
-	for i, c := range chunks {
-		lists[i] = c.insts
-	}
-	return lists
 }
 
 // shardSeg is the run lists[list][lo:hi] of one list inside one shard.
@@ -232,171 +178,80 @@ func unitsOn(workers int) func(n int, unit func(i int) error) error {
 	}
 }
 
-// buildLayerHistogramsSharded is the shard-major equivalent of
-// buildLayerHistograms: same histograms, bit for bit, at most one load
-// per shard for the whole layer.
-func buildLayerHistogramsSharded(sv ShardedView, active []*nodeWork, grads, hess []float64, workers int) ([]*Histogram, error) {
-	chunks, perNode := planChunks(sv.Mapper(), active, workers)
-	err := SweepShards(sv, chunkLists(chunks), unitsOn(workers), func(rows BinView, c, lo, hi int) error {
-		return chunks[c].hist.Accumulate(rows, chunks[c].insts[lo:hi], grads, hess)
+// buildLayerHistograms builds one histogram per ascending instance list in
+// one sweep, each in the canonical order. The first view failure any
+// worker hits wins; the partial layer is discarded.
+func buildLayerHistograms(bv BinView, lists [][]int32, grads, hess []float64, workers int) ([]*Histogram, error) {
+	hists := make([]*Histogram, len(lists))
+	for k := range hists {
+		hists[k] = NewHistogram(bv.Mapper())
+	}
+	err := SweepShards(bv, lists, unitsOn(workers), func(rows BinView, k, lo, hi int) error {
+		return hists[k].Accumulate(rows, lists[k][lo:hi], grads, hess)
 	})
 	if err != nil {
 		return nil, err
 	}
-	hists := make([]*Histogram, len(active))
-	for k, cs := range perNode {
-		acc := cs[0].hist
-		for _, c := range cs[1:] {
-			acc.Merge(c.hist)
-		}
-		hists[k] = acc
-	}
 	return hists, nil
 }
 
-// listsAscending reports whether every instance list is sorted — the
-// precondition for splitting lists at shard boundaries. Lists produced
-// by this package and by the federated engines always are; the check
-// guards external callers of BuildHistograms.
-func listsAscending(lists [][]int32) bool {
-	for _, l := range lists {
-		for i := 1; i < len(l); i++ {
-			if l[i-1] > l[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // fuseTask is one split carried into the next layer's sweep: the parent
-// list still to be routed, and the two children whose instance lists
-// and (when fused) histograms the sweep fills in.
+// list still to be routed, and the two children whose instance lists and
+// histograms the sweep fills in.
 type fuseTask struct {
 	parent       *nodeWork
 	feature, bin int32
 	left, right  *nodeWork
 }
 
-// canFuse reports whether the next layer's histograms can be built in
-// the same sweep that routes the parents' rows: true when every child
-// is a single accumulation unit — the next layer is wide enough to get
-// one unit per node, or small enough that shardedHistogram would not
-// chunk it (children can't outgrow their parents). Otherwise the chunk
-// boundaries depend on final child list lengths unknowable mid-sweep,
-// and the layer falls back to a routing sweep followed by a histogram
-// sweep — two shard passes instead of one, only on narrow layers with
-// large parents.
-func canFuse(fusion []*fuseTask, nextCount, workers int) bool {
-	if workers <= 1 || nextCount >= workers {
-		return true
+// fusedSweep performs one shard pass that both routes every parent's rows
+// to its children and accumulates the children's histograms (left, right
+// per task). A parent's runs arrive one at a time in ascending order, so
+// its children's lists are appended to in place, come out ascending, and
+// each child histogram receives its rows in the canonical order.
+func fusedSweep(bv BinView, fusion []*fuseTask, grads, hess []float64, workers int) ([]*Histogram, error) {
+	hists := make([]*Histogram, 2*len(fusion))
+	for i := range hists {
+		hists[i] = NewHistogram(bv.Mapper())
 	}
-	for _, f := range fusion {
-		if len(f.parent.insts) >= 1024 {
-			return false
-		}
+	parents := make([][]int32, len(fusion))
+	for i, f := range fusion {
+		parents[i] = f.parent.insts
 	}
-	return true
-}
-
-// routeScratch is the per-task routing buffer pair.
-type routeScratch struct{ left, right []int32 }
-
-// routeSegment routes one contiguous slice of a parent's instances
-// through its split, appending to the scratch buffers.
-func routeSegment(rows BinView, f *fuseTask, seg []int32, sc *routeScratch) error {
-	sc.left, sc.right = sc.left[:0], sc.right[:0]
-	for _, i := range seg {
-		goesLeft, err := GoesLeft(rows, i, f.feature, f.bin)
-		if err != nil {
-			return err
-		}
-		if goesLeft {
-			sc.left = append(sc.left, i)
-		} else {
-			sc.right = append(sc.right, i)
-		}
-	}
-	return nil
-}
-
-// fusedSweep performs one shard pass that both routes every parent's
-// rows to its children and accumulates the children's histograms. Rows
-// are routed shard by shard in ascending order, so child lists come out
-// ascending and each child histogram receives its rows in exactly the
-// order a dedicated node-major sweep would add them.
-func fusedSweep(sv ShardedView, fusion []*fuseTask, grads, hess []float64, workers int) ([]*Histogram, error) {
-	m := sv.Mapper()
-	lh := make([]*Histogram, len(fusion))
-	rh := make([]*Histogram, len(fusion))
-	for i := range fusion {
-		lh[i] = NewHistogram(m)
-		rh[i] = NewHistogram(m)
-	}
-	pool := sync.Pool{New: func() any { return new(routeScratch) }}
-	err := SweepShards(sv, parentLists(fusion), unitsOn(workers), func(rows BinView, k, lo, hi int) error {
+	err := SweepShards(bv, parents, unitsOn(workers), func(rows BinView, k, lo, hi int) error {
 		f := fusion[k]
-		sc := pool.Get().(*routeScratch)
-		defer pool.Put(sc)
-		if err := routeSegment(rows, f, f.parent.insts[lo:hi], sc); err != nil {
+		nl, nr := len(f.left.insts), len(f.right.insts)
+		for _, i := range f.parent.insts[lo:hi] {
+			goesLeft, err := GoesLeft(rows, i, f.feature, f.bin)
+			if err != nil {
+				return err
+			}
+			if goesLeft {
+				f.left.insts = append(f.left.insts, i)
+			} else {
+				f.right.insts = append(f.right.insts, i)
+			}
+		}
+		if err := hists[2*k].Accumulate(rows, f.left.insts[nl:], grads, hess); err != nil {
 			return err
 		}
-		if err := lh[k].Accumulate(rows, sc.left, grads, hess); err != nil {
-			return err
-		}
-		if err := rh[k].Accumulate(rows, sc.right, grads, hess); err != nil {
-			return err
-		}
-		f.left.insts = append(f.left.insts, sc.left...)
-		f.right.insts = append(f.right.insts, sc.right...)
-		return nil
+		return hists[2*k+1].Accumulate(rows, f.right.insts[nr:], grads, hess)
 	})
 	if err != nil {
 		return nil, err
 	}
-	hists := make([]*Histogram, 0, 2*len(fusion))
-	for i := range fusion {
-		hists = append(hists, lh[i], rh[i])
-	}
 	return hists, nil
 }
 
-// partitionSweepSharded routes every parent's rows to its children in
-// one shard pass without touching histograms — the first half of the
-// two-pass fallback when fusion can't predict child chunk boundaries.
-func partitionSweepSharded(sv ShardedView, fusion []*fuseTask, workers int) error {
-	pool := sync.Pool{New: func() any { return new(routeScratch) }}
-	return SweepShards(sv, parentLists(fusion), unitsOn(workers), func(rows BinView, k, lo, hi int) error {
-		f := fusion[k]
-		sc := pool.Get().(*routeScratch)
-		defer pool.Put(sc)
-		if err := routeSegment(rows, f, f.parent.insts[lo:hi], sc); err != nil {
-			return err
-		}
-		f.left.insts = append(f.left.insts, sc.left...)
-		f.right.insts = append(f.right.insts, sc.right...)
-		return nil
-	})
-}
-
-// parentLists are the instance lists a layer's splits still have to route.
-func parentLists(fusion []*fuseTask) [][]int32 {
-	lists := make([][]int32, len(fusion))
-	for i, f := range fusion {
-		lists[i] = f.parent.insts
-	}
-	return lists
-}
-
-// growTreeShardMajor grows one tree with the shard-major schedule. The
-// split decisions, node numbering and leaf weights replicate growTree
-// exactly; only the order shards are touched in changes. Each layer
-// costs one shard sweep (fused routing + child histograms); the last
-// layer's routing is skipped entirely because leaf weights come from
-// the split statistics, never from the child lists.
-func growTreeShardMajor(sv ShardedView, grads, hess []float64, p Params) (*Tree, error) {
+// growTree grows one tree layer by layer. Each layer costs one sweep
+// (fused routing + child histograms); the last layer's routing is skipped
+// entirely because leaf weights come from the split statistics, never
+// from the child lists. A view failure (a disk-backed view that could not
+// deliver a row even after its self-healing path ran) aborts the tree and
+// surfaces as the view's typed error.
+func growTree(bv BinView, grads, hess []float64, p Params) (*Tree, error) {
 	tree := NewTree()
-	all := make([]int32, sv.Rows())
+	all := make([]int32, bv.Rows())
 	var g0, h0 float64
 	for i := range all {
 		all[i] = int32(i)
@@ -405,7 +260,7 @@ func growTreeShardMajor(sv ShardedView, grads, hess []float64, p Params) (*Tree,
 	}
 	active := []*nodeWork{{id: 0, insts: all, g: g0, h: h0}}
 
-	hists, err := buildLayerHistogramsSharded(sv, active, grads, hess, p.Workers)
+	hists, err := buildLayerHistograms(bv, [][]int32{all}, grads, hess, p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -419,7 +274,7 @@ func growTreeShardMajor(sv ShardedView, grads, hess []float64, p Params) (*Tree,
 				tree.SetLeaf(nw.id, LeafWeight(nw.g, nw.h, p.Split.Lambda))
 				continue
 			}
-			threshold := sv.Mapper().Threshold(int(split.Feature), int(split.Bin))
+			threshold := bv.Mapper().Threshold(int(split.Feature), int(split.Bin))
 			leftID, rightID := tree.AddSplit(nw.id, split.Feature, threshold, split.Gain)
 			left := &nodeWork{id: leftID, g: split.GL, h: split.HL}
 			right := &nodeWork{id: rightID, g: nw.g - split.GL, h: nw.h - split.HL}
@@ -434,15 +289,7 @@ func growTreeShardMajor(sv ShardedView, grads, hess []float64, p Params) (*Tree,
 		if last || len(next) == 0 {
 			return tree, nil
 		}
-		if canFuse(fusion, len(next), p.Workers) {
-			hists, err = fusedSweep(sv, fusion, grads, hess, p.Workers)
-		} else {
-			if err = partitionSweepSharded(sv, fusion, p.Workers); err != nil {
-				return nil, err
-			}
-			hists, err = buildLayerHistogramsSharded(sv, next, grads, hess, p.Workers)
-		}
-		if err != nil {
+		if hists, err = fusedSweep(bv, fusion, grads, hess, p.Workers); err != nil {
 			return nil, err
 		}
 		active = next

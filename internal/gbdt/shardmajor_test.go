@@ -1,8 +1,11 @@
 package gbdt
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vf2boost/internal/dataset"
@@ -10,7 +13,7 @@ import (
 
 // chunkedView exposes an in-memory BinnedMatrix as a ShardedView with
 // fixed-height row shards — the pure scheduling harness: no disk, no
-// cache, so any model difference is the shard-major schedule's fault.
+// cache, so any model difference is the per-shard cutting's fault.
 type chunkedView struct {
 	*BinnedMatrix
 	chunk      int
@@ -57,11 +60,9 @@ func modelBytes(t *testing.T, m *Model) []byte {
 	return b
 }
 
-// The shard-major schedule must grow byte-identical trees to the
-// node-major one — float addition is not associative, so this only
-// holds if the schedule replays the node-major accumulation units and
-// merge order exactly. Rows > 1024 exercises the narrow-layer chunked
-// path (and its two-pass fallback) under workers > 1.
+// A sharded view must grow byte-identical trees to the unsharded matrix
+// — float addition is not associative, so this only holds if cutting a
+// list into per-shard runs leaves every histogram's addition order alone.
 func TestShardMajorModelParity(t *testing.T) {
 	for _, rows := range []int{300, 2500} {
 		d, bm := synthBinned(t, rows, 8, 42)
@@ -83,7 +84,7 @@ func TestShardMajorModelParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(modelBytes(t, ref)) != string(modelBytes(t, got)) {
-					t.Fatalf("rows=%d workers=%d chunk=%d: shard-major model differs from node-major", rows, workers, chunk)
+					t.Fatalf("rows=%d workers=%d chunk=%d: sharded model differs from unsharded", rows, workers, chunk)
 				}
 				if len(cv.prefetched) == 0 && cv.NumShards() > 1 {
 					t.Fatalf("rows=%d chunk=%d: sweep never announced a next shard", rows, chunk)
@@ -94,8 +95,8 @@ func TestShardMajorModelParity(t *testing.T) {
 }
 
 // BuildHistograms (the federated engines' entry point) must produce
-// bit-equal histograms under the shard-major schedule for ascending
-// lists, and fall back to node-major for non-ascending ones.
+// bit-equal histograms over a sharded view for ascending lists, and
+// refuse a non-ascending one by name.
 func TestBuildHistogramsShardedParity(t *testing.T) {
 	d, bm := synthBinned(t, 2000, 6, 7)
 	n := d.Rows()
@@ -133,23 +134,49 @@ func TestBuildHistogramsShardedParity(t *testing.T) {
 		}
 	}
 
-	// A non-ascending list cannot be split at shard boundaries; the
-	// dispatch must fall back to node-major, not misroute rows.
+	// A non-ascending list cannot be cut at shard boundaries: it is
+	// refused, naming the list, before any shard is swept.
 	desc := []int32{900, 500, 100, 3}
-	ref, err := BuildHistograms(bm, [][]int32{desc}, grads, hess, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cv := &chunkedView{BinnedMatrix: bm, chunk: 256}
-	got, err := BuildHistograms(cv, [][]int32{desc}, grads, hess, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref[0].G, got[0].G) {
-		t.Fatal("non-ascending list mishandled by sharded dispatch")
+	for _, view := range []BinView{bm, cv} {
+		_, err := BuildHistograms(view, [][]int32{small, desc}, grads, hess, 2)
+		if err == nil || !strings.Contains(err.Error(), "list 1 is not ascending") {
+			t.Fatalf("%T: non-ascending list 1 gave error %v", view, err)
+		}
 	}
 	if len(cv.prefetched) != 0 {
-		t.Fatal("fallback path should not have swept shards")
+		t.Fatal("a refused call swept shards")
+	}
+}
+
+// goldenModels pins the model of one local session per row count; the
+// hashes are those of a single sequential Accumulate per node, so they
+// must hold at every worker count and over a sharded view alike.
+var goldenModels = []struct {
+	rows int
+	want string
+}{
+	{300, "cc4294da6caeafec1f1aa6dc0ac9eb6e90d1cfea4498a3422ca5a15178119160"},
+	{2500, "438e8edd600ecad889c51999ff49f9310b39af55b1ebbe7af448fd5feaa241a3"},
+	{10000, "02a503132918fe49097895f608bf755c9f97cb571f536fc759d30769516b1fbe"},
+}
+
+func TestGoldenModelAtEveryWorkerCount(t *testing.T) {
+	for _, g := range goldenModels {
+		d, bm := synthBinned(t, g.rows, 8, 42)
+		for _, workers := range []int{1, 2, 4} {
+			for _, view := range []BinView{bm, &chunkedView{BinnedMatrix: bm, chunk: 256}} {
+				p := DefaultParams()
+				p.NumTrees, p.MaxDepth, p.MaxBins, p.Workers = 3, 5, 16, workers
+				m, err := TrainBinned(view, d.Labels, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(modelBytes(t, m))); got != g.want {
+					t.Errorf("rows=%d workers=%d %T: model hash %s, want %s", g.rows, workers, view, got, g.want)
+				}
+			}
+		}
 	}
 }
 

@@ -24,7 +24,10 @@ type Params struct {
 	Split SplitParams
 	// Loss is the training objective (defaults to logistic).
 	Loss Loss
-	// Workers bounds histogram-build parallelism; <= 0 uses GOMAXPROCS.
+	// Workers bounds parallelism across the nodes of a layer and the rows
+	// of a margin update; <= 0 uses GOMAXPROCS. It never changes the model:
+	// a node's histogram is one sequential sweep of its instance list at
+	// every worker count (see shardmajor.go).
 	Workers int
 	// BaseScore is the initial raw margin of every instance.
 	BaseScore float64
@@ -168,75 +171,6 @@ func TrainBinned(bv BinView, labels []float64, p Params) (*Model, error) {
 	return model, nil
 }
 
-// growTree grows one tree layer-by-layer. A view failure (a disk-backed
-// view that could not deliver a row even after its self-healing path ran)
-// aborts the tree and surfaces as the view's typed error.
-//
-// Views that expose row-range shards (ShardedView, see shardmajor.go)
-// are grown shard-major instead: identical trees, one shard load per
-// layer instead of one per node.
-func growTree(bm BinView, grads, hess []float64, p Params) (*Tree, error) {
-	if sv, ok := shardMajor(bm); ok {
-		return growTreeShardMajor(sv, grads, hess, p)
-	}
-	tree := NewTree()
-	all := make([]int32, bm.Rows())
-	var g0, h0 float64
-	for i := range all {
-		all[i] = int32(i)
-		g0 += grads[i]
-		h0 += hess[i]
-	}
-	active := []*nodeWork{{id: 0, insts: all, g: g0, h: h0}}
-
-	for depth := 0; depth < p.MaxDepth && len(active) > 0; depth++ {
-		hists, err := buildLayerHistograms(bm, active, grads, hess, p.Workers)
-		if err != nil {
-			return nil, err
-		}
-		var next []*nodeWork
-		for k, nw := range active {
-			split := BestSplit(hists[k], nw.g, nw.h, p.Split)
-			if !split.Valid() {
-				tree.SetLeaf(nw.id, LeafWeight(nw.g, nw.h, p.Split.Lambda))
-				continue
-			}
-			threshold := bm.Mapper().Threshold(int(split.Feature), int(split.Bin))
-			leftID, rightID := tree.AddSplit(nw.id, split.Feature, threshold, split.Gain)
-			left, right, err := partition(bm, nw.insts, split.Feature, split.Bin)
-			if err != nil {
-				return nil, err
-			}
-			next = append(next,
-				&nodeWork{id: leftID, insts: left, g: split.GL, h: split.HL},
-				&nodeWork{id: rightID, insts: right, g: nw.g - split.GL, h: nw.h - split.HL},
-			)
-		}
-		active = next
-	}
-	// Remaining active nodes at the depth limit become leaves.
-	for _, nw := range active {
-		tree.SetLeaf(nw.id, LeafWeight(nw.g, nw.h, p.Split.Lambda))
-	}
-	return tree, nil
-}
-
-// partition splits a node's instances: stored bin <= k or missing → left.
-func partition(bm BinView, insts []int32, feature int32, bin int32) (left, right []int32, err error) {
-	for _, i := range insts {
-		goesLeft, err := GoesLeft(bm, i, feature, bin)
-		if err != nil {
-			return nil, nil, err
-		}
-		if goesLeft {
-			left = append(left, i)
-		} else {
-			right = append(right, i)
-		}
-	}
-	return left, right, nil
-}
-
 // GoesLeft reports whether instance i routes to the left child of a split
 // on (feature, bin): stored values in bins <= bin go left, missing goes
 // left.
@@ -260,19 +194,20 @@ func GoesLeft(bm BinView, i, feature, bin int32) (bool, error) {
 	return true, nil // missing
 }
 
-// BuildHistograms builds one histogram per instance list, parallelizing
-// across nodes when there are many and across instance shards when there
-// are few. It is shared with the federated engine, where Party B builds
-// its plaintext histograms with exactly the local trainer's code.
+// BuildHistograms builds one histogram per ascending instance list, in
+// one sweep and in the trainer's reduction order. It is shared with the
+// federated engine, where Party B builds its plaintext histograms with
+// exactly the local trainer's code. A list that is not ascending cannot
+// be cut at shard boundaries and is refused.
 func BuildHistograms(bm BinView, lists [][]int32, grads, hess []float64, workers int) ([]*Histogram, error) {
-	nodes := make([]*nodeWork, len(lists))
 	for k, l := range lists {
-		nodes[k] = &nodeWork{insts: l}
+		for i := 1; i < len(l); i++ {
+			if l[i-1] > l[i] {
+				return nil, fmt.Errorf("gbdt: instance list %d is not ascending (row %d follows row %d)", k, l[i], l[i-1])
+			}
+		}
 	}
-	if sv, ok := shardMajor(bm); ok && listsAscending(lists) {
-		return buildLayerHistogramsSharded(sv, nodes, grads, hess, workers)
-	}
-	return buildLayerHistograms(bm, nodes, grads, hess, workers)
+	return buildLayerHistograms(bm, lists, grads, hess, workers)
 }
 
 // errCollector retains the first error reported by a set of workers.
@@ -298,97 +233,16 @@ func (c *errCollector) first() error {
 	return c.err
 }
 
-// buildLayerHistograms builds one histogram per active node, parallelizing
-// across nodes when the layer is wide and across instance shards when it
-// is narrow (the root). The first view failure any worker hits wins; the
-// partial layer is discarded.
-func buildLayerHistograms(bm BinView, active []*nodeWork, grads, hess []float64, workers int) ([]*Histogram, error) {
-	hists := make([]*Histogram, len(active))
-	if len(active) >= workers {
-		var wg sync.WaitGroup
-		var ec errCollector
-		sem := make(chan struct{}, workers)
-		for k, nw := range active {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(k int, nw *nodeWork) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				h := NewHistogram(bm.Mapper())
-				ec.add(h.Accumulate(bm, nw.insts, grads, hess))
-				hists[k] = h
-			}(k, nw)
-		}
-		wg.Wait()
-		if err := ec.first(); err != nil {
-			return nil, err
-		}
-		return hists, nil
-	}
-	for k, nw := range active {
-		h, err := shardedHistogram(bm, nw.insts, grads, hess, workers)
-		if err != nil {
-			return nil, err
-		}
-		hists[k] = h
-	}
-	return hists, nil
-}
-
-// shardedHistogram accumulates one node's histogram with instance-level
-// parallelism.
-func shardedHistogram(bm BinView, insts []int32, grads, hess []float64, workers int) (*Histogram, error) {
-	if workers <= 1 || len(insts) < 1024 {
-		h := NewHistogram(bm.Mapper())
-		if err := h.Accumulate(bm, insts, grads, hess); err != nil {
-			return nil, err
-		}
-		return h, nil
-	}
-	parts := make([]*Histogram, workers)
-	var wg sync.WaitGroup
-	var ec errCollector
-	chunk := (len(insts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(insts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(insts) {
-			hi = len(insts)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			h := NewHistogram(bm.Mapper())
-			ec.add(h.Accumulate(bm, insts[lo:hi], grads, hess))
-			parts[w] = h
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	if err := ec.first(); err != nil {
-		return nil, err
-	}
-	var acc *Histogram
-	for _, ph := range parts {
-		if ph == nil {
-			continue
-		}
-		if acc == nil {
-			acc = ph
-		} else {
-			acc.Merge(ph)
-		}
-	}
-	return acc, nil
-}
-
 // updateMarginsBinned adds each instance's leaf weight to its margin,
 // routing through the binned view instead of raw values. Every internal
 // node's threshold is a mapper cut, so precomputing its bin index lets a
 // row walk the tree on stored bins alone; missing features route left,
 // matching Tree.Predict.
+//
+// Like every other sweep of the tree, it visits one shard at a time with
+// the workers inside it (spread over the row space they would each hold a
+// different shard, evict one another's at a tight budget, and reload
+// mid-sweep); a view without shards is the one range [0, n).
 func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64, workers int) error {
 	bins := splitBins(tree, bv.Mapper())
 	var ec errCollector
@@ -402,21 +256,20 @@ func updateMarginsBinned(margins []float64, tree *Tree, bv BinView, eta float64,
 			margins[i] += eta * predictBinnedRow(tree, bins, cols, rowBins)
 		}
 	}
-	sv, ok := shardMajor(bv)
-	if !ok {
-		parallelRows(len(margins), workers, func(lo, hi int) { update(bv, lo, hi) })
-		return ec.first()
+	sv, sharded := shardMajor(bv)
+	shards := 1
+	if sharded {
+		shards = sv.NumShards()
 	}
-	// Like every other sweep of the tree, one shard at a time with the
-	// workers inside it: spread over the row space they would each hold a
-	// different shard, evict one another's at a tight budget, and reload
-	// mid-sweep — loads beyond the one per shard this sweep is allowed.
-	for s := 0; s < sv.NumShards() && ec.first() == nil; s++ {
-		rows, err := sv.Shard(s)
-		if err != nil {
-			return err
+	for s := 0; s < shards && ec.first() == nil; s++ {
+		rows, lo, hi := bv, 0, len(margins)
+		if sharded {
+			var err error
+			if rows, err = sv.Shard(s); err != nil {
+				return err
+			}
+			lo, hi = sv.ShardRowRange(s)
 		}
-		lo, hi := sv.ShardRowRange(s)
 		parallelRows(hi-lo, workers, func(a, b int) { update(rows, lo+a, lo+b) })
 	}
 	return ec.first()

@@ -188,7 +188,7 @@ func TestEvictionOrderAfterInterleavedVisits(t *testing.T) {
 		k := rng.Intn(st.NumShards())
 		lo, hi := st.ShardRowRange(k)
 		switch rng.Intn(3) {
-		case 0: // a run of row reads, as a per-node sweep made them
+		case 0: // a run of plain row reads
 			for n := 1 + rng.Intn(40); n > 0; n-- {
 				if _, _, err := st.Row(lo + rng.Intn(hi-lo)); err != nil {
 					t.Fatal(err)
@@ -239,52 +239,65 @@ func TestEvictionOrderAfterInterleavedVisits(t *testing.T) {
 	}
 }
 
-// The read-amplification bound the shard-major schedule guarantees:
+// The read-amplification bound of the trainer's one sweep per layer:
 // training at ANY budget demand-loads each shard at most depth+1 times
-// per tree (one sweep per level plus the margin update). The node-major
-// schedule this replaced re-loaded shards per node and measured two
-// orders of magnitude above this.
+// per tree (one sweep per level plus the margin update), at any worker
+// count — the wide case has layers with fewer nodes than workers and
+// parents of over a thousand rows each.
 func TestTrainingLoadsBound(t *testing.T) {
-	d := synth(t, 640, 10)
-	p := gbdt.DefaultParams()
-	p.NumTrees = 3
-	p.MaxDepth = 4
+	for _, tc := range []struct {
+		name          string
+		rows, workers int
+	}{
+		{"rows=640", 640, 0},
+		{"rows=2500/workers=4", 2500, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := synth(t, tc.rows, 10)
+			p := gbdt.DefaultParams()
+			p.NumTrees = 3
+			p.MaxDepth = 4
+			p.Workers = tc.workers
 
-	inMem, err := gbdt.Train(d, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+			inMem, err := gbdt.Train(d, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// MemBudget 1: nothing fits, the cache falls back to its one-shard
-	// floor, so every cross-shard reuse is a fresh demand load — the
-	// worst case the bound must still hold at. Prefetch off keeps Loads
-	// unpolluted by readahead.
-	st := buildStore(t, d, BuildOptions{ChunkRows: 64}, Options{MemBudget: 1})
-	defer st.Close()
-	labels, err := st.Labels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := gbdt.TrainBinned(st, labels, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// MemBudget 1: nothing fits, the cache falls back to its
+			// one-shard floor, so every cross-shard reuse is a fresh demand
+			// load — the worst case the bound must still hold at. Prefetch
+			// off keeps Loads unpolluted by readahead.
+			st := buildStore(t, d, BuildOptions{ChunkRows: 64}, Options{MemBudget: 1})
+			defer st.Close()
+			labels, err := st.Labels()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := gbdt.TrainBinned(st, labels, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	bound := int64(st.NumShards() * (p.MaxDepth + 1) * p.NumTrees)
-	if cs := st.Stats(); cs.Loads > bound {
-		t.Fatalf("training demand-loaded %d shards, bound is %d (shards=%d depth=%d trees=%d)",
-			cs.Loads, bound, st.NumShards(), p.MaxDepth, p.NumTrees)
-	}
+			bound := int64(st.NumShards() * (p.MaxDepth + 1) * p.NumTrees)
+			cs := st.Stats()
+			if cs.Loads > bound {
+				t.Fatalf("training demand-loaded %d shards, bound is %d (shards=%d depth=%d trees=%d)",
+					cs.Loads, bound, st.NumShards(), p.MaxDepth, p.NumTrees)
+			}
+			t.Logf("%d demand loads, bound %d", cs.Loads, bound)
 
-	var a, b bytes.Buffer
-	if err := inMem.Save(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Save(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("thrashing-budget model is not byte-identical to in-memory model")
+			var a, b bytes.Buffer
+			if err := inMem.Save(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Save(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatal("thrashing-budget model is not byte-identical to in-memory model")
+			}
+		})
 	}
 }
 

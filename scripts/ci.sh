@@ -52,10 +52,13 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # nodes must cost one round trip on any core count. So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
-# must stay under their bound in passes.
+# must stay under their bound in passes. The local trainer's golden and
+# parity models run here too: a node's histogram is one sequential sweep
+# of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
     -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|FederatedLoadsBound|MatchesPerNode' ./internal/core
+  GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
   # count.
@@ -75,14 +78,15 @@ echo "== ooc smoke (bounded-memory training under GOMEMLIMIT, race-enabled) =="
 # silently grow the heap.
 GOMEMLIMIT=256MiB go test -race -short -count=1 -run 'TestBoundedMemoryTraining|TestModelByteParity' ./internal/ooc
 
-echo "== parallel ooc smoke (shard-major schedule, lock-split store, parallel build; race-enabled) =="
-# The shard-major scheduling layer and the lock-split shard cache move
-# real work off the store mutex, so this leg runs their parity and
-# concurrency regressions under the race detector: node-major vs
-# shard-major byte identity, serial vs parallel build byte identity,
-# the loads bounds (local trainer and federated engines), the per-visit
-# LRU clock against the per-row policy, one pass against per-node walks,
-# and the slow-prefetch-never-blocks-demand contract.
+echo "== parallel ooc smoke (shard sweeps, lock-split store, parallel build; race-enabled) =="
+# The shard sweeps and the lock-split shard cache move real work off the
+# store mutex, so this leg runs their parity and concurrency regressions
+# under the race detector: sharded vs unsharded byte identity (models and
+# histograms, and the refusal of a non-ascending list), serial vs
+# parallel build byte identity, the loads bounds (local trainer — also
+# at 4 workers on layers narrower than that — and federated engines), the
+# per-visit LRU clock against the per-row policy, one pass against
+# per-node walks, and the slow-prefetch-never-blocks-demand contract.
 go test -race -count=1 \
   -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestEvictionOrderAfterInterleavedVisits|TestFederatedLoadsBound|TestRouteNodesMatchesPerNode|TestAccumulatePassMatchesPerNode' \
   ./internal/gbdt ./internal/ooc ./internal/core
