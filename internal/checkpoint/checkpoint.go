@@ -163,7 +163,7 @@ func (s *Store) Seqs() []int {
 
 // Load reads snapshot seq into v, verifying magic, length, and CRC.
 func (s *Store) Load(seq int, v any) error {
-	raw, err := s.fs.ReadFile(s.path(seq))
+	raw, err := s.fs.ReadFile(s.path(seq), nil)
 	if err != nil {
 		return fmt.Errorf("checkpoint: reading snapshot %d: %w", seq, err)
 	}

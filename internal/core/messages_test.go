@@ -193,23 +193,6 @@ func TestPassivePartyRejectsUnknownMessageOrder(t *testing.T) {
 	}
 }
 
-func TestPassivePartyRejectsUnknownNodeDecision(t *testing.T) {
-	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 72)
-	l, feed := drivenLink()
-	cfg := mustNormalize(t, quickConfig(SchemeMock))
-	p := testPassive(t, parts[0], cfg, l)
-	sender := NewLink(feed)
-	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.send(MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.run(); err == nil {
-		t.Error("decision for unknown node accepted")
-	}
-}
-
 // mustNormalize returns a normalized copy of the config for direct engine
 // construction in tests.
 func mustNormalize(t *testing.T, cfg Config) Config {

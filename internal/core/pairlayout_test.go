@@ -199,8 +199,8 @@ func legacySetupFrame() []byte {
 	return rawFrame(idSetupV2, b)
 }
 
-// TestPassiveRejectsHostileFrames drives malformed and hostile setup and
-// gradient frames into a passive party. Every case must end the session
+// TestPassiveRejectsHostileFrames drives malformed and hostile setup,
+// gradient and decision frames into a passive party. Every case must end the session
 // with an error — the typed ErrLegacyLayout for an old-layout peer —
 // after telling B why (MsgAbort), and never panic or size an allocation
 // from the frame.
@@ -244,6 +244,8 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 		{"exponent above the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[0] = 12 })}, false, "outside codec range"},
 		{"class beyond the outputs", []any{okSetup, batch(func(m *MsgPairBatch) { m.Class = 1 })}, false, "class 1 of 1"},
 		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, false, "after its last batch"},
+		{"decision for unknown node", []any{okSetup, MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}}, false, "unknown node 999"},
+		{"dirty for unknown node", []any{okSetup, MsgDirty{Node: 999, LeftID: 4, RightID: 5}}, false, "unknown node 999"},
 		// Frames no registered decoder reads: the retired batched-backend
 		// IDs and one never assigned.
 		{"retired batched setup", []any{rawFrame(idSetupV3, nil)}, false, "message ID 24"},

@@ -45,6 +45,12 @@ type passiveParty struct {
 	sendMu sync.Mutex // serializes link sends from tasks and the main loop
 	stats  *Stats
 
+	// frames is what the receive pump has read and run has not taken yet,
+	// in arrival order; held is a frame run took while gathering a layer's
+	// corrections that was not one of them (see queuedDirty).
+	frames chan inbound
+	held   *inbound
+
 	// failMu guards failErr, the first unrecoverable failure hit by a
 	// background histogram task; see fail.
 	failMu  sync.Mutex
@@ -120,6 +126,7 @@ func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, sta
 		mapper: mapper,
 		link:   lk,
 		stats:  stats,
+		frames: make(chan inbound, pumpDepth),
 		units:  make(unitQueue, max(cfg.Workers, 1)),
 		model:  &PartyModel{Party: index},
 	}
@@ -130,21 +137,37 @@ func newPassivePartyView(index int, view gbdt.BinView, cfg Config, lk *link, sta
 	return p
 }
 
+// inbound is one frame the receive pump read, or the receive error that
+// ended it.
+type inbound struct {
+	msg any
+	err error
+}
+
+// pumpDepth bounds the frames the receive pump decodes ahead of run. A
+// layer's corrections arrive one frame per dirty node, so this holds every
+// correction of a 64-node layer; the rest of a wider layer waits for the
+// next placement pass, which is only slower.
+const pumpDepth = 64
+
 // run drives the passive engine until shutdown. It returns the party's
-// model fragment.
+// model fragment. Every failure after the link is up reaches B as
+// MsgAbort before run returns, except B's own abort and a link that
+// failed: B is then gone or already told.
 func (p *passiveParty) run() (*PartyModel, error) {
+	stop := make(chan struct{})
+	defer close(stop)
+	go p.pump(stop)
 	for {
-		idleStart := time.Now()
-		msg, err := p.link.recv()
-		addDur(&p.stats.aIdleTime, time.Since(idleStart))
-		if err != nil {
+		f := p.next()
+		if f.err != nil {
 			// A task failure usually surfaces here: B aborts the session on
 			// MsgAbort and the link dies. Report the root cause, not the
 			// secondary transport error.
 			if ferr := p.failed(); ferr != nil {
 				return nil, ferr
 			}
-			err = fmt.Errorf("core: party %d receive: %w", p.index, err)
+			err := fmt.Errorf("core: party %d receive: %w", p.index, f.err)
 			if errors.Is(err, ErrUndecodable) {
 				// A frame that arrived but cannot be read — an unknown or
 				// retired ID, a malformed body — is B's to hear about: it may
@@ -156,49 +179,107 @@ func (p *passiveParty) run() (*PartyModel, error) {
 		if ferr := p.failed(); ferr != nil {
 			return nil, ferr
 		}
-		switch m := msg.(type) {
-		case MsgSetup:
-			if err := p.handleSetup(m); err != nil {
-				return nil, p.reject(err)
-			}
-		case MsgPairBatch:
-			if err := p.handlePairBatch(m); err != nil {
-				return nil, p.reject(err)
-			}
-		case MsgGradBatch:
-			return nil, p.reject(fmt.Errorf("%w: two-ciphertext gradient batch", ErrLegacyLayout))
-		case MsgDecisions:
-			if err := p.handleDecisions(m); err != nil {
-				return nil, err
-			}
-		case MsgDirty:
-			if err := p.handleDirty(m); err != nil {
-				return nil, err
-			}
-		case MsgTreeDone:
-			p.taskWG.Wait()
-			if p.outputs > 1 && (m.Tree+1)%p.outputs != 0 {
-				// Mid-round advance: the next class tree consumes the same
-				// gradient shipment, so only per-tree bookkeeping resets.
-				// Checkpoints wait for the round boundary — a fragment is
-				// resumable only at a completed round.
-				if err := p.advanceClassTree(m.Tree + 1); err != nil {
-					return nil, err
-				}
-			} else if p.ckpt != nil {
-				if err := p.saveCheckpoint(m.Tree + 1); err != nil {
-					return nil, fmt.Errorf("core: party %d checkpoint: %w", p.index, err)
-				}
-			}
+		switch m := f.msg.(type) {
 		case MsgShutdown:
 			p.taskWG.Wait()
 			return p.model, nil
 		case MsgAbort:
 			return nil, fmt.Errorf("core: party %d: party B aborted the session: %s", p.index, m.Reason)
-		default:
-			return nil, fmt.Errorf("core: party %d: unexpected message %T", p.index, msg)
+		}
+		if err := p.handle(f.msg); err != nil {
+			return nil, p.reject(err)
 		}
 	}
+}
+
+// handle applies one frame from B.
+func (p *passiveParty) handle(msg any) error {
+	switch m := msg.(type) {
+	case MsgSetup:
+		return p.handleSetup(m)
+	case MsgPairBatch:
+		return p.handlePairBatch(m)
+	case MsgGradBatch:
+		return fmt.Errorf("%w: two-ciphertext gradient batch", ErrLegacyLayout)
+	case MsgDecisions:
+		return p.handleDecisions(m)
+	case MsgDirty:
+		return p.handleDirty(append([]MsgDirty{m}, p.queuedDirty(m.Tree, m.Layer)...))
+	case MsgTreeDone:
+		p.taskWG.Wait()
+		if p.outputs > 1 && (m.Tree+1)%p.outputs != 0 {
+			// Mid-round advance: the next class tree consumes the same
+			// gradient shipment, so only per-tree bookkeeping resets.
+			// Checkpoints wait for the round boundary — a fragment is
+			// resumable only at a completed round.
+			return p.advanceClassTree(m.Tree + 1)
+		}
+		if p.ckpt != nil {
+			if err := p.saveCheckpoint(m.Tree + 1); err != nil {
+				return fmt.Errorf("core: party %d checkpoint: %w", p.index, err)
+			}
+		}
+		return nil
+	default:
+		return fmt.Errorf("core: party %d: unexpected message %T", p.index, msg)
+	}
+}
+
+// pump reads the link and forwards every frame to run in arrival order,
+// so frames queue while run is busy with an earlier one. It ends after
+// forwarding MsgShutdown, MsgAbort or a receive error, or once run has
+// returned (stop) — in which case a receive still blocked ends it when
+// the transport closes.
+func (p *passiveParty) pump(stop <-chan struct{}) {
+	for {
+		msg, err := p.link.recv()
+		select {
+		case p.frames <- inbound{msg, err}:
+		case <-stop:
+			return
+		}
+		switch msg.(type) {
+		case MsgShutdown, MsgAbort:
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// next takes the next frame: one held back by queuedDirty, or the pump's
+// next, waiting for it if none has arrived.
+func (p *passiveParty) next() inbound {
+	if f := p.held; f != nil {
+		p.held = nil
+		return *f
+	}
+	idleStart := time.Now()
+	f := <-p.frames
+	addDur(&p.stats.aIdleTime, time.Since(idleStart))
+	return f
+}
+
+// queuedDirty takes the corrections of (tree, layer) already queued behind
+// the one run just took, so they share its placement pass. It stops at the
+// first other frame, which it holds for next, and never waits for a frame
+// that has not arrived: nothing is reordered or delayed.
+func (p *passiveParty) queuedDirty(tree, layer int) []MsgDirty {
+	var more []MsgDirty
+	for p.held == nil {
+		select {
+		case f := <-p.frames:
+			if d, ok := f.msg.(MsgDirty); ok && d.Tree == tree && d.Layer == layer {
+				more = append(more, d)
+			} else {
+				p.held = &f
+			}
+		default:
+			return more
+		}
+	}
+	return more
 }
 
 func (p *passiveParty) send(m any) error {
@@ -226,9 +307,10 @@ func (p *passiveParty) fail(err error) {
 	}
 }
 
-// reject fails the session on malformed or hostile peer input: B is told
-// (MsgAbort) before this party unwinds, so it never waits on an answer
-// that will not come.
+// reject fails the session on an error run hit handling a frame —
+// malformed or hostile peer input, or a failure of this party's own such
+// as a checkpoint it cannot save: B is told (MsgAbort) before this party
+// unwinds, so it never waits on an answer that will not come.
 func (p *passiveParty) reject(err error) error {
 	p.fail(err)
 	return err
@@ -527,9 +609,7 @@ func (p *passiveParty) handleDecisions(m MsgDecisions) error {
 		}
 	}
 	if err := p.units.routeNodes(p.view, placed); err != nil {
-		// Notify B before unwinding: it is waiting on the placements this
-		// pass was about to produce.
-		return p.reject(fmt.Errorf("core: party %d partitioning layer %d: %w", p.index, m.Layer, err))
+		return fmt.Errorf("core: party %d partitioning layer %d: %w", p.index, m.Layer, err)
 	}
 	for k, d := range m.Nodes {
 		if err := p.applyDecision(m.Layer, d, placed[k]); err != nil {
@@ -587,19 +667,25 @@ func (p *passiveParty) applyDecision(layer int, d NodeDecision, sp *nodeSplit) e
 	}
 }
 
-// handleDirty rolls back a dirty node: this party's split won, so the
-// tentative children are aborted and the corrected split applied.
-func (p *passiveParty) handleDirty(m MsgDirty) error {
-	p.abortChildren(m.OldLeft, m.OldRight)
-	return p.handleDecisions(MsgDecisions{Layer: m.Layer, Nodes: []NodeDecision{{
-		Node:    m.Node,
-		Action:  ActionSplitA,
-		Owner:   p.index,
-		LeftID:  m.LeftID,
-		RightID: m.RightID,
-		Feature: m.Feature,
-		Bin:     m.Bin,
-	}}})
+// handleDirty rolls back dirty nodes of one layer whose winning splits are
+// this party's: every node's tentative children are aborted, then the
+// corrected splits are placed in one pass and applied in frame order, so
+// the placements leave in the order the corrections came.
+func (p *passiveParty) handleDirty(ms []MsgDirty) error {
+	decs := make([]NodeDecision, len(ms))
+	for k, m := range ms {
+		p.abortChildren(m.OldLeft, m.OldRight)
+		decs[k] = NodeDecision{
+			Node:    m.Node,
+			Action:  ActionSplitA,
+			Owner:   p.index,
+			LeftID:  m.LeftID,
+			RightID: m.RightID,
+			Feature: m.Feature,
+			Bin:     m.Bin,
+		}
+	}
+	return p.handleDecisions(MsgDecisions{Layer: ms[0].Layer, Nodes: decs})
 }
 
 // abortChildren cancels queued or running histogram tasks and discards the

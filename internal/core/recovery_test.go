@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"vf2boost/internal/checkpoint"
 	"vf2boost/internal/fault"
+	"vf2boost/internal/fault/fsfault"
 	"vf2boost/internal/mq"
 )
 
@@ -118,6 +120,45 @@ func TestSessionCheckpointResume(t *testing.T) {
 	resumed, _ := trainFed(t, parts, recoveryConfig(5), WithCheckpoints(dir), WithResume())
 	if !bytes.Equal(modelJSON(t, baseline), modelJSON(t, resumed)) {
 		t.Fatal("resumed model differs from the uninterrupted baseline")
+	}
+}
+
+// failTempFS fails every CreateTemp in the directory named dir, so one
+// party's checkpoint store cannot save while the others' can.
+type failTempFS struct {
+	fsfault.FS
+	dir string
+}
+
+func (f failTempFS) CreateTemp(dir, pattern string) (fsfault.File, error) {
+	if filepath.Base(dir) == f.dir {
+		return nil, fsfault.ErrInjectedIO
+	}
+	return f.FS.CreateTemp(dir, pattern)
+}
+
+// TestPassiveCheckpointFailureAborts: a passive party whose checkpoint
+// save fails tells B, so the session ends with that failure instead of B
+// waiting for the next tree's root histogram forever.
+func TestPassiveCheckpointFailureAborts(t *testing.T) {
+	_, parts := twoPartyData(t, 200, 4, 3, 1, true, 34)
+	s, err := NewSession(parts, recoveryConfig(3), WithCheckpoints(t.TempDir()),
+		WithCheckpointFS(failTempFS{FS: fsfault.OS, dir: "passive0"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Train()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "party 0 checkpoint") {
+			t.Fatalf("Train returned %v, want party 0's checkpoint failure", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("session still training 10 s after party 0's checkpoint failed")
 	}
 }
 

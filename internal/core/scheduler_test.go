@@ -257,6 +257,55 @@ func TestPassivePartyStaysInsideItsWorkerBudget(t *testing.T) {
 	}
 }
 
+// closableTransport is a chanTransport whose Receive fails once closed.
+type closableTransport struct {
+	chanTransport
+	closed chan struct{}
+}
+
+func (c closableTransport) Receive() ([]byte, error) {
+	select {
+	case b := <-c.ch:
+		return b, nil
+	case <-c.closed:
+		return nil, errors.New("transport closed")
+	}
+}
+
+// TestPassivePumpLeavesNoGoroutine: the party's receive pump is gone once
+// run has returned on B's abort, and once the transport closes after run
+// rejected a frame — the pump was then waiting for a frame that never
+// comes.
+func TestPassivePumpLeavesNoGoroutine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		frame any
+		close bool
+	}{
+		{"B aborts", MsgAbort{Party: 1, Reason: "B gave up"}, false},
+		{"party rejects", MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}, true},
+	} {
+		baseline := runtime.NumGoroutine()
+		r := newPassiveRig(t, 40, 2, 2)
+		in := closableTransport{chanTransport: r.in, closed: make(chan struct{})}
+		r.p.link = NewLink(pairTransport{send: r.out.Send, recv: in.Receive})
+		r.feed(t, tc.frame)
+		if _, err := r.p.run(); err == nil {
+			t.Fatalf("%s: run returned no error", tc.name)
+		}
+		if tc.close {
+			close(in.closed)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Errorf("%s: %d goroutines after run returned, %d before the party existed", tc.name, n, baseline)
+		}
+	}
+}
+
 // TestAbortedTaskNeverRunsAndIsNoFailure: a task aborted while its units
 // are still queued runs none of them, sends nothing, and does not fail the
 // session.

@@ -5,15 +5,19 @@ import (
 	"crypto/rand"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
 	"vf2boost/internal/ooc"
 	"vf2boost/internal/paillier"
+	"vf2boost/internal/wire"
 )
 
 // shardedMatrix cuts an in-memory matrix into fixed-height shards — the
@@ -200,6 +204,194 @@ func TestAccumulatePassMatchesPerNode(t *testing.T) {
 	}
 }
 
+// placing reports whether the calling goroutine is inside a placement pass
+// (unitQueue.routeNodes): it tells a placement pass's shard visits from an
+// accumulation pass's, which run beside it.
+func placing() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(1, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".routeNodes") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// interleaved splits a node of n instances by position parity, so every
+// node of the tree below spans every shard.
+func interleaved(node, leftID, rightID int32, n int) NodeDecision {
+	bits := make([]bool, n)
+	for k := range bits {
+		bits[k] = k%2 == 0
+	}
+	return NodeDecision{Node: node, Action: ActionSplitB, LeftID: leftID, RightID: rightID, Placement: packBitmap(bits), Count: n}
+}
+
+// await returns the next n frames the party sends.
+func (r *passiveRig) await(t *testing.T, n int) []any {
+	t.Helper()
+	frames := make([]any, n)
+	for k := range frames {
+		select {
+		case b := <-r.out.ch:
+			m, err := wire.Binary.Decode(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[k] = m
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d frames arrived", k, n)
+		}
+	}
+	return frames
+}
+
+// correctionsRig runs a passive party over a sharded view through three
+// tentative layers — every layer-2 node spanning every shard — and returns
+// once the party has shipped their histograms, with the layer's four
+// corrections ready to post. onPass runs as each placement pass starts.
+func correctionsRig(t *testing.T, onPass func()) (r *passiveRig, dirty []any, done chan error) {
+	t.Helper()
+	const rows, chunk = 256, 32
+	r = newPassiveRig(t, rows, 4, 2)
+	r.p.cfg.MaxDepth = 4 // the corrected children are built
+	r.p.view = &shardedMatrix{BinView: r.p.view, chunk: chunk, onShard: func(k int) {
+		if k == 0 && placing() {
+			onPass()
+		}
+	}}
+	r.feed(t,
+		MsgDecisions{Tentative: true, Nodes: []NodeDecision{interleaved(rootID, 2, 3, rows)}},
+		MsgDecisions{Layer: 1, Tentative: true, Nodes: []NodeDecision{interleaved(2, 4, 5, rows/2), interleaved(3, 6, 7, rows/2)}},
+		MsgDecisions{Layer: 2, Tentative: true, Nodes: []NodeDecision{
+			interleaved(4, 8, 9, rows/4), interleaved(5, 10, 11, rows/4), interleaved(6, 12, 13, rows/4), interleaved(7, 14, 15, rows/4)}})
+	done = make(chan error, 1)
+	go func() {
+		_, err := r.p.run()
+		done <- err
+	}()
+	r.await(t, 2+1+1+2+4) // ready, resume, the root and one child per split
+	for k := int32(0); k < 4; k++ {
+		dirty = append(dirty, MsgDirty{Layer: 2, Node: 4 + k, OldLeft: 8 + 2*k, OldRight: 9 + 2*k,
+			LeftID: 16 + 2*k, RightID: 17 + 2*k, Feature: k % 4, Bin: 3})
+	}
+	return r, dirty, done
+}
+
+// corrected splits the frames a layer's corrections produced into the
+// placements, in arrival order, and the children's histograms by node.
+func corrected(t *testing.T, frames []any) (placements []MsgPlacement, hists map[int32]MsgHistograms) {
+	t.Helper()
+	hists = map[int32]MsgHistograms{}
+	for _, f := range frames {
+		switch m := f.(type) {
+		case MsgPlacement:
+			placements = append(placements, m)
+		case MsgHistograms:
+			hists[m.Nodes[0].Node] = m
+		default:
+			t.Fatalf("unexpected %T", f)
+		}
+	}
+	return placements, hists
+}
+
+// TestPassiveCorrectionsSharePass: corrections of one layer that queue up
+// while the party places an earlier one are placed together in its next
+// pass, and the party answers exactly as it does one correction at a time.
+// The first placement pass is held until the other three corrections are
+// queued behind it, so two passes place all four; posted one at a time,
+// each waiting for the previous placement, they take four.
+func TestPassiveCorrectionsSharePass(t *testing.T) {
+	finish := func(r *passiveRig, done chan error) {
+		t.Helper()
+		if err := NewLink(r.in).send(MsgTreeDone{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewLink(r.in).send(MsgShutdown{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// One at a time.
+	var passes atomic.Int64
+	r, dirty, done := correctionsRig(t, func() { passes.Add(1) })
+	var frames []any
+	for _, d := range dirty {
+		if err := NewLink(r.in).send(d); err != nil {
+			t.Fatal(err)
+		}
+		for placed := false; !placed; {
+			f := r.await(t, 1)[0]
+			_, placed = f.(MsgPlacement)
+			frames = append(frames, f)
+		}
+	}
+	frames = append(frames, r.await(t, 2*len(dirty)-len(frames))...)
+	finish(r, done)
+	wantPlacements, wantHists := corrected(t, frames)
+	if passes.Load() != int64(len(dirty)) {
+		t.Fatalf("one correction at a time took %d placement passes, want %d", passes.Load(), len(dirty))
+	}
+
+	// Back to back, the first pass held until the rest are queued.
+	entered, release := make(chan struct{}), make(chan struct{})
+	passes.Store(0)
+	r, dirty, done = correctionsRig(t, func() {
+		if passes.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+	})
+	if err := NewLink(r.in).send(dirty[0]); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first correction was never placed")
+	}
+	for _, d := range dirty[1:] {
+		if err := NewLink(r.in).send(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(r.p.frames) < len(dirty)-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d corrections queued behind the held pass", len(r.p.frames), len(dirty)-1)
+		}
+	}
+	close(release)
+	placements, hists := corrected(t, r.await(t, 2*len(dirty)))
+	finish(r, done)
+
+	if n := passes.Load(); n > 2 {
+		t.Errorf("%d placement passes for one layer's corrections, want at most 2", n)
+	}
+	if !reflect.DeepEqual(placements, wantPlacements) {
+		t.Errorf("placements %v, one at a time %v", nodesOf(placements), nodesOf(wantPlacements))
+	}
+	if len(wantHists) != len(dirty) || !reflect.DeepEqual(hists, wantHists) {
+		t.Errorf("the corrected children's histograms differ from one correction at a time (%d vs %d nodes)", len(hists), len(wantHists))
+	}
+}
+
+// nodesOf lists the nodes of a run of placements.
+func nodesOf(pls []MsgPlacement) []int32 {
+	var nodes []int32
+	for _, pl := range pls {
+		nodes = append(nodes, pl.Node)
+	}
+	return nodes
+}
+
 // TestFederatedLoadsBound is the federated sibling of
 // ooc.TestTrainingLoadsBound: every party trains over a store whose cache
 // holds one shard (MemBudget 1, readahead off), so whatever a pass does not
@@ -211,11 +403,14 @@ func TestAccumulatePassMatchesPerNode(t *testing.T) {
 // (one frame per layer from the sequential builder, one per correction
 // from the optimistic one) and once per accumulation pass; with one passive
 // party and optimism off that is one of each per layer, 2·depth in all, and
-// the bound is the issue's shards × (2·depth + 2) × trees. What loosens it
-// is stated in passes: a relayed placement (one per split of another
-// passive party) or a correction reaches a party in a frame of its own and
-// can cost it a pass of its own, two where the correction is its own to
-// place. The model is the in-memory session's, byte for byte.
+// the bound is shards × (2·depth + 2) × trees. What loosens it is stated
+// in passes: a relayed placement (one per split of another passive party)
+// or a correction reaches a party in a frame of its own and can cost it a
+// pass of its own, two where the correction is its own to place. The
+// party places the corrections of a layer that are already queued in one
+// pass, but how many are queued depends on when each arrives, so the
+// correction term stays the worst case of one correction per pass. The
+// model is the in-memory session's, byte for byte.
 func TestFederatedLoadsBound(t *testing.T) {
 	key, err := paillier.GenerateKey(rand.Reader, 512)
 	if err != nil {

@@ -21,6 +21,7 @@ package fsfault
 import (
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -35,8 +36,13 @@ import (
 // through. The method set mirrors the os package; OS is the passthrough
 // implementation, Injector the fault-injecting wrapper. Durable writes
 // follow the temp-file idiom: CreateTemp, Write, Sync, Close, Rename.
+//
+// ReadFile reads the whole file into buf's backing array when it has the
+// capacity, and into a fresh array otherwise; nil buf always allocates.
+// The returned slice may alias buf, so a caller that reuses buf must copy
+// out whatever it keeps before the next read into it.
 type FS interface {
-	ReadFile(name string) ([]byte, error)
+	ReadFile(name string, buf []byte) ([]byte, error)
 	CreateTemp(dir, pattern string) (File, error)
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -59,7 +65,39 @@ var OS FS = osFS{}
 
 type osFS struct{}
 
-func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+// ReadFile is os.ReadFile with the caller's buffer: the same read loop,
+// sized by Stat, into buf's backing array when it is large enough.
+func (osFS) ReadFile(name string, buf []byte) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	// One byte past the size, as os.ReadFile does, so EOF is seen without
+	// growing the buffer.
+	if size := int(fi.Size()) + 1; cap(buf) < size {
+		buf = make([]byte, 0, size)
+	}
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)] // the file grew since Stat
+		}
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
 func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
@@ -304,11 +342,11 @@ func (j *Injector) mutate() bool {
 	return j.crashed
 }
 
-// ReadFile reads a file, possibly failing, truncating, or corrupting the
-// returned buffer. Corruption happens on the returned copy only — the
-// on-disk bytes stay intact, which is what makes bounded read-retry a
-// sound healing strategy for this fault class.
-func (j *Injector) ReadFile(name string) ([]byte, error) {
+// ReadFile reads a file into buf, possibly failing, truncating, or
+// corrupting the returned buffer. Corruption happens in the caller's
+// buffer only — the on-disk bytes stay intact, which is what makes
+// bounded read-retry a sound healing strategy for this fault class.
+func (j *Injector) ReadFile(name string, buf []byte) ([]byte, error) {
 	j.mu.Lock()
 	if j.crashed {
 		j.mu.Unlock()
@@ -335,7 +373,7 @@ func (j *Injector) ReadFile(name string) ([]byte, error) {
 	if fail {
 		return nil, fmt.Errorf("%w: %s", ErrInjectedIO, name)
 	}
-	buf, err := j.inner.ReadFile(name)
+	buf, err := j.inner.ReadFile(name, buf)
 	if err != nil {
 		return nil, err
 	}

@@ -41,7 +41,7 @@ func TestOSPassthrough(t *testing.T) {
 	if err := writeThrough(OS, path, want); err != nil {
 		t.Fatal(err)
 	}
-	got, err := OS.ReadFile(path)
+	got, err := OS.ReadFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDeterministicSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 200; i++ {
-			j.ReadFile(path)
+			j.ReadFile(path, nil)
 		}
 		return j.Stats()
 	}
@@ -112,7 +112,7 @@ func TestFlipBitLeavesDiskIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := Wrap(OS, Config{Seed: 3, FlipBit: 1})
-	got, err := j.ReadFile(path)
+	got, err := j.ReadFile(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCrashLeavesDebris(t *testing.T) {
 		t.Fatalf("Sync after crash = %v, want ErrCrashed", err)
 	}
 	tmp.Close()
-	if _, err := j.ReadFile(tmp.Name()); !errors.Is(err, ErrCrashed) {
+	if _, err := j.ReadFile(tmp.Name(), nil); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("ReadFile after crash = %v, want ErrCrashed", err)
 	}
 	if !j.Crashed() {
@@ -235,5 +235,56 @@ func TestNoSync(t *testing.T) {
 	j := Wrap(OS, Config{Seed: 4, NoSync: true})
 	if err := writeThrough(j, filepath.Join(dir, "f.bin"), []byte("x")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ReadFile reads into the caller's buffer when it has room, and the faults
+// of the read path land there too: a short read or a bit flip corrupts the
+// caller's bytes, never the file. A buffer too small for the file is
+// replaced, not overrun.
+func TestReadFileFillsCallerBuffer(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "f.bin")
+	want := bytes.Repeat([]byte{0x5C}, 4096)
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		fs   FS
+		ok   func(got []byte) bool
+	}{
+		{"passthrough", OS, func(got []byte) bool { return bytes.Equal(got, want) }},
+		{"short read", Wrap(OS, Config{Seed: 3, ShortRead: 1}), func(got []byte) bool { return len(got) < len(want) }},
+		{"bit flip", Wrap(OS, Config{Seed: 3, FlipBit: 1}), func(got []byte) bool {
+			return len(got) == len(want) && !bytes.Equal(got, want)
+		}},
+	} {
+		buf := make([]byte, 0, 2*len(want))
+		got, err := tc.fs.ReadFile(path, buf)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !tc.ok(got) {
+			t.Errorf("%s: read %d bytes, not the fault's outcome", tc.name, len(got))
+		}
+		if &got[:1][0] != &buf[:1][0] {
+			t.Errorf("%s: the bytes did not land in the caller's buffer", tc.name)
+		}
+		disk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(disk, want) {
+			t.Fatalf("%s: the fault reached the disk", tc.name)
+		}
+	}
+
+	small := make([]byte, 0, 16)
+	got, err := OS.ReadFile(path, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || &got[0] == &small[:1][0] {
+		t.Errorf("a 16-byte buffer for a %d-byte file: read %d bytes, aliased=%v", len(want), len(got), &got[0] == &small[:1][0])
 	}
 }

@@ -566,14 +566,14 @@ func readManifest(fsys fsfault.FS, dir string) (*manifest, int, error) {
 	}
 	if len(gens) == 0 {
 		// Preserve the classic "no manifest" error shape (fs.ErrNotExist).
-		_, err := fsys.ReadFile(filepath.Join(dir, manifestName))
+		_, err := fsys.ReadFile(filepath.Join(dir, manifestName), nil)
 		return nil, 0, err
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(gens)))
 	var firstErr error
 	var rejected []int
 	for _, gen := range gens {
-		buf, err := fsys.ReadFile(filepath.Join(dir, manifestFileName(gen)))
+		buf, err := fsys.ReadFile(filepath.Join(dir, manifestFileName(gen)), nil)
 		if err == nil {
 			var man *manifest
 			man, err = decodeManifest(buf)

@@ -27,12 +27,12 @@ type gateFS struct {
 	once    sync.Once
 }
 
-func (g *gateFS) ReadFile(name string) ([]byte, error) {
+func (g *gateFS) ReadFile(name string, buf []byte) ([]byte, error) {
 	if strings.Contains(name, g.gate) {
 		g.once.Do(func() { close(g.blocked) })
 		<-g.release
 	}
-	return g.FS.ReadFile(name)
+	return g.FS.ReadFile(name, buf)
 }
 
 // The regression this package shipped with: loadShard held the store

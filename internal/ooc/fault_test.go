@@ -27,11 +27,11 @@ type slowFS struct {
 	active atomic.Int32
 }
 
-func (s *slowFS) ReadFile(name string) ([]byte, error) {
+func (s *slowFS) ReadFile(name string, buf []byte) ([]byte, error) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 	time.Sleep(s.delay)
-	return s.FS.ReadFile(name)
+	return s.FS.ReadFile(name, buf)
 }
 
 // Close must join the prefetch goroutine — no reads in flight once it
@@ -159,7 +159,7 @@ func TestManifestHostileBytes(t *testing.T) {
 // buffer so the hostility table can re-encode mutated manifests.
 type writeCapture struct{ buf *bytes.Buffer }
 
-func (w writeCapture) ReadFile(string) ([]byte, error) { return nil, os.ErrNotExist }
+func (w writeCapture) ReadFile(string, []byte) ([]byte, error) { return nil, os.ErrNotExist }
 func (w writeCapture) CreateTemp(string, string) (fsfault.File, error) {
 	return captureFile{w.buf}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"path/filepath"
+	"sync"
 
 	"vf2boost/internal/fault/fsfault"
 )
@@ -183,9 +184,19 @@ func writeShard(fsys fsfault.FS, path string, sd *shardData) error {
 	return writeAtomic(fsys, path, encodeShard(sd))
 }
 
+// shardBufs recycles shard file images between loads. A load reads the
+// whole file into one, and decodeShard copies every field out, so no
+// shard aliases the buffer once it is back in the pool.
+var shardBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // readShard loads and validates one shard.
 func readShard(fsys fsfault.FS, path string, wantCols int) (*shardData, error) {
-	buf, err := fsys.ReadFile(path)
+	pb := shardBufs.Get().(*[]byte)
+	defer shardBufs.Put(pb)
+	buf, err := fsys.ReadFile(path, (*pb)[:0])
+	if cap(buf) > cap(*pb) {
+		*pb = buf // keep the larger array for the next load
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +222,7 @@ func writeLabels(fsys fsfault.FS, path string, labels []float64) error {
 
 // readLabels loads the label vector.
 func readLabels(fsys fsfault.FS, path string, wantRows int) ([]float64, error) {
-	buf, err := fsys.ReadFile(path)
+	buf, err := fsys.ReadFile(path, nil)
 	if err != nil {
 		return nil, err
 	}

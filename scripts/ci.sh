@@ -49,7 +49,10 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # a frame no decoder reads (the retired batched-backend ids 24–27, an
 # unknown id) in MsgAbort to B — whatever the schedule. The optimistic
 # builder's corrections ride along: on virtual-time links a layer's dirty
-# nodes must cost one round trip on any core count. So do the shard passes: a layer placed or accumulated in
+# nodes must cost one round trip on any core count, and the corrections
+# queued at a passive party must share one placement pass and answer as
+# one at a time would, with its receive pump gone when the session ends.
+# So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
 # must stay under their bound in passes. The local trainer's golden and
@@ -57,7 +60,7 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|FederatedLoadsBound|MatchesPerNode' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
@@ -86,9 +89,11 @@ echo "== parallel ooc smoke (shard sweeps, lock-split store, parallel build; rac
 # parallel build byte identity, the loads bounds (local trainer — also
 # at 4 workers on layers narrower than that — and federated engines), the
 # per-visit LRU clock against the per-row policy, one pass against
-# per-node walks, and the slow-prefetch-never-blocks-demand contract.
+# per-node walks, the slow-prefetch-never-blocks-demand contract, and the
+# pooled shard read: a load allocates only the shard it keeps, and a
+# pinned shard never sees the buffer reused under it.
 go test -race -count=1 \
-  -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestEvictionOrderAfterInterleavedVisits|TestFederatedLoadsBound|TestRouteNodesMatchesPerNode|TestAccumulatePassMatchesPerNode' \
+  -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestEvictionOrderAfterInterleavedVisits|TestFederatedLoadsBound|TestRouteNodesMatchesPerNode|TestAccumulatePassMatchesPerNode|TestShardLoadAllocatesOnlyWhatItKeeps|TestPinnedShardSurvivesBufferReuse' \
   ./internal/gbdt ./internal/ooc ./internal/core
 
 echo "== chaos smoke (seeded faults must reproduce the fault-free model) =="
@@ -99,9 +104,11 @@ echo "== storage chaos smoke (disk faults: self-heal or typed abort, byte-identi
 # layers. -short caps the soak at ~30 kill-and-corrupt scenarios (the
 # full few-hundred-scenario sweep runs with the tier-1 suite); every
 # scenario must self-heal or abort with a typed error — zero panics —
-# and every recovered run must resume to the byte-identical model.
+# and every recovered run must resume to the byte-identical model. A
+# passive party whose checkpoint save fails must abort the session, not
+# leave B waiting.
 go test -race -short -count=1 \
-  -run 'TestStorageChaosSoak|TestShardCorruption|TestManifest|TestStoreClose|TestTornWriteAtRenameRecovery|TestOpenSweepsOrphanedTempFiles|TestViewSessionFaultyStoreAborts' \
+  -run 'TestStorageChaosSoak|TestShardCorruption|TestManifest|TestStoreClose|TestTornWriteAtRenameRecovery|TestOpenSweepsOrphanedTempFiles|TestViewSessionFaultyStoreAborts|TestPassiveCheckpointFailureAborts|TestReadFileFillsCallerBuffer' \
   ./internal/fault/fsfault ./internal/ooc ./internal/checkpoint ./internal/core
 
 echo "== fuzz smoke (ooc manifest/shard decode: hostile bytes must never panic) =="
