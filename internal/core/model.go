@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/metrics"
@@ -94,54 +93,11 @@ func (m *FederatedModel) PredictMargin(parts []*dataset.Dataset, i int) (float64
 	if len(parts) != len(m.Parties) {
 		return 0, fmt.Errorf("core: model has %d parties, got %d datasets", len(m.Parties), len(parts))
 	}
-	s := m.BaseScore
-	bTrees := m.Parties[len(m.Parties)-1].Trees
-	for t := range bTrees {
-		w, err := m.predictTree(t, parts, i)
-		if err != nil {
-			return 0, err
-		}
-		s += m.LearningRate * w
+	out := []float64{m.BaseScore}
+	if err := m.predict(parts, []int32{int32(i)}, -1, [][]float64{out}); err != nil {
+		return 0, err
 	}
-	return s, nil
-}
-
-func (m *FederatedModel) predictTree(t int, parts []*dataset.Dataset, i int) (float64, error) {
-	bTree := m.Parties[len(m.Parties)-1].Trees[t]
-	id := bTree.Root
-	for depth := 0; ; depth++ {
-		if depth > 64 {
-			return 0, fmt.Errorf("core: tree %d traversal did not terminate", t)
-		}
-		bn, ok := bTree.Nodes[id]
-		if !ok {
-			return 0, fmt.Errorf("core: tree %d missing node %d", t, id)
-		}
-		if bn.Owner == OwnerLeaf {
-			return bn.Weight, nil
-		}
-		// The owner party's fragment holds the routing payload.
-		on, ok := m.Parties[bn.Owner].Trees[t].Nodes[id]
-		if !ok {
-			return 0, fmt.Errorf("core: tree %d node %d missing from owner party %d", t, id, bn.Owner)
-		}
-		if goesLeftRaw(parts[bn.Owner], i, on.Feature, on.Threshold) {
-			id = bn.Left
-		} else {
-			id = bn.Right
-		}
-	}
-}
-
-// goesLeftRaw applies the shared split semantics on raw values: stored
-// value <= threshold goes left, missing goes left.
-func goesLeftRaw(d *dataset.Dataset, i int, feature int32, threshold float64) bool {
-	cols, vals := d.Row(i)
-	k := sort.Search(len(cols), func(x int) bool { return cols[x] >= feature })
-	if k < len(cols) && cols[k] == feature {
-		return vals[k] <= threshold
-	}
-	return true
+	return out[0], nil
 }
 
 // PredictAll returns raw margins for aligned rows of the per-party
@@ -157,34 +113,11 @@ func (m *FederatedModel) PredictAllPrefix(parts []*dataset.Dataset, k int) ([]fl
 	if o := m.Outputs(); o > 1 {
 		return nil, fmt.Errorf("core: model has %d outputs; use PredictAllOutputs", o)
 	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("core: no datasets")
+	out, err := m.predictAligned(parts, max(k, 0), 1)
+	if err != nil {
+		return nil, err
 	}
-	if len(parts) != len(m.Parties) {
-		return nil, fmt.Errorf("core: model has %d parties, got %d datasets", len(m.Parties), len(parts))
-	}
-	n := parts[0].Rows()
-	for _, p := range parts {
-		if p.Rows() != n {
-			return nil, fmt.Errorf("core: row mismatch across parties")
-		}
-	}
-	if total := len(m.Parties[len(m.Parties)-1].Trees); k > total {
-		k = total
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := m.BaseScore
-		for t := 0; t < k; t++ {
-			w, err := m.predictTree(t, parts, i)
-			if err != nil {
-				return nil, err
-			}
-			s += m.LearningRate * w
-		}
-		out[i] = s
-	}
-	return out, nil
+	return out[0], nil
 }
 
 // PredictAllOutputs returns the per-class margin matrix ([class][row])
@@ -192,6 +125,13 @@ func (m *FederatedModel) PredictAllPrefix(parts []*dataset.Dataset, k int) ([]fl
 // BaseScore added to every class. It also serves single-output models
 // (the matrix has one row).
 func (m *FederatedModel) PredictAllOutputs(parts []*dataset.Dataset) ([][]float64, error) {
+	return m.predictAligned(parts, -1, m.Outputs())
+}
+
+// predictAligned scores every row of the aligned per-party datasets with
+// the first ntrees trees (all when negative or past the end), tree t
+// adding to output t mod outputs.
+func (m *FederatedModel) predictAligned(parts []*dataset.Dataset, ntrees, outputs int) ([][]float64, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: no datasets")
 	}
@@ -204,25 +144,110 @@ func (m *FederatedModel) PredictAllOutputs(parts []*dataset.Dataset) ([][]float6
 			return nil, fmt.Errorf("core: row mismatch across parties")
 		}
 	}
-	k := m.Outputs()
-	out := make([][]float64, k)
+	out := make([][]float64, outputs)
 	for c := range out {
 		out[c] = make([]float64, n)
 		for i := range out[c] {
 			out[c][i] = m.BaseScore
 		}
 	}
-	total := len(m.Parties[len(m.Parties)-1].Trees)
-	for i := 0; i < n; i++ {
-		for t := 0; t < total; t++ {
-			w, err := m.predictTree(t, parts, i)
-			if err != nil {
-				return nil, err
-			}
-			out[t%k][i] += m.LearningRate * w
-		}
+	if err := m.predict(parts, nil, ntrees, out); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// modelRoutes is a glued model compiled for in-process prediction: Party
+// B's routing table plus, per passive party, the scoring side of its
+// fragment and the bitmap slot of B's table each of its owned splits
+// fills (-1: B never routes through it).
+type modelRoutes struct {
+	b       *RouteTable
+	passive []*RouteTable
+	fill    [][]int32
+}
+
+// compileRoutes compiles the model: Party B (the last fragment) holds the
+// structure, and every split it routes through must be in its owner's
+// fragment.
+func (m *FederatedModel) compileRoutes() (*modelRoutes, error) {
+	last := len(m.Parties) - 1
+	for p, frag := range m.Parties {
+		if frag == nil {
+			return nil, fmt.Errorf("%w: party %d has no fragment", ErrModelStructure, p)
+		}
+	}
+	b, err := compileFragment(m.Parties[last], last)
+	if err != nil {
+		return nil, err
+	}
+	mr := &modelRoutes{b: b}
+	covered := make([]bool, len(b.slotKeys))
+	for p := 0; p < last; p++ {
+		pt := &RouteTable{party: p}
+		pt.compileOwned(m.Parties[p])
+		fill := make([]int32, len(pt.owned))
+		for i, o := range pt.owned {
+			s, ok := b.answerSlot(p, int(o.tree), o.node)
+			if !ok {
+				s = -1
+			} else {
+				covered[s] = true
+			}
+			fill[i] = s
+		}
+		mr.passive = append(mr.passive, pt)
+		mr.fill = append(mr.fill, fill)
+	}
+	for s, k := range b.slotKeys {
+		switch {
+		case covered[s]:
+		case k.Party > last:
+			return nil, fmt.Errorf("%w: tree %d node %d is owned by party %d of a %d-party model", ErrModelStructure, k.Tree, k.Node, k.Party, len(m.Parties))
+		default:
+			return nil, fmt.Errorf("%w: tree %d node %d missing from owner party %d", ErrModelStructure, k.Tree, k.Node, k.Party)
+		}
+	}
+	return mr, nil
+}
+
+// predict is the in-process form of the scoring protocol, block by block:
+// every passive party computes the routing bits of the block's rows (rows,
+// or every row when nil) for the splits B routes through, and B routes
+// the block through the first ntrees trees (all when negative or past the
+// end), adding to out[t mod len(out)].
+func (m *FederatedModel) predict(parts []*dataset.Dataset, rows []int32, ntrees int, out [][]float64) error {
+	mr, err := m.compileRoutes()
+	if err != nil {
+		return err
+	}
+	if ntrees < 0 || ntrees > len(mr.b.roots) {
+		ntrees = len(mr.b.roots)
+	}
+	last := len(parts) - 1
+	n := len(out[0])
+	for _, p := range parts {
+		if _, err := checkRows(p, rows); err != nil {
+			return err
+		}
+	}
+	bits := make([]byte, mr.b.bitSlots()*blockBytes)
+	var cb colBlock
+	for lo := 0; lo < n; lo += routeBlock {
+		hi := min(lo+routeBlock, n)
+		for p, pt := range mr.passive {
+			cb.gather(pt.features, parts[p], rows, lo, hi)
+			for i, o := range pt.owned {
+				if s := int(mr.fill[p][i]); s >= 0 {
+					cb.leftBits(o.feature, o.threshold, bits[s*blockBytes:(s+1)*blockBytes])
+				}
+			}
+		}
+		cb.gather(mr.b.features, parts[last], rows, lo, hi)
+		mr.b.scoreOwn(&cb, bits)
+		mr.b.route(out, ntrees, m.LearningRate, bits, lo, hi, nil)
+	}
+	return nil
 }
 
 // Evaluate computes AUC and logloss on aligned validation shards.

@@ -52,25 +52,26 @@ func ServePredict(fragment *PartyModel, data *dataset.Dataset, tr Transport) err
 	if !ok {
 		return fmt.Errorf("core: expected MsgPredictStart, got %T", msg)
 	}
-	return servePredictRound(l, fragment, data, start)
+	return servePredictRound(l, CompileOwnedSplits(fragment), data, start)
 }
 
 // servePredictRound answers one MsgPredictStart. A row mismatch is
 // reported to the querying party (so it never hangs) and returned as an
 // error for the caller to decide whether the session survives.
-func servePredictRound(l *link, fragment *PartyModel, data *dataset.Dataset, start MsgPredictStart) error {
+func servePredictRound(l *link, table *RouteTable, data *dataset.Dataset, start MsgPredictStart) error {
+	party := table.Party()
 	if start.Rows != data.Rows() {
 		err := fmt.Errorf("core: predict rows %d, shard has %d", start.Rows, data.Rows())
 		// Tell the querying party before failing, so it does not hang.
-		_ = l.send(MsgPredictPlacements{Party: fragment.Party, Last: true, Error: err.Error()})
+		_ = l.send(MsgPredictPlacements{Party: party, Last: true, Error: err.Error()})
 		return err
 	}
-	nodes, err := ScorePlacements(fragment, data, nil)
+	nodes, err := table.Score(data, nil)
 	if err != nil {
-		_ = l.send(MsgPredictPlacements{Party: fragment.Party, Last: true, Error: err.Error()})
+		_ = l.send(MsgPredictPlacements{Party: party, Last: true, Error: err.Error()})
 		return err
 	}
-	return l.send(MsgPredictPlacements{Party: fragment.Party, Nodes: nodes, Last: true})
+	return l.send(MsgPredictPlacements{Party: party, Nodes: nodes, Last: true})
 }
 
 // ServePredictLoop serves repeated MsgPredictStart rounds on one session:
@@ -81,6 +82,7 @@ func servePredictRound(l *link, fragment *PartyModel, data *dataset.Dataset, sta
 // single-round special case for existing callers.
 func ServePredictLoop(fragment *PartyModel, data *dataset.Dataset, tr Transport) error {
 	l := NewLink(tr)
+	table := CompileOwnedSplits(fragment)
 	for {
 		msg, err := l.recv()
 		if errors.Is(err, ErrUndecodable) {
@@ -95,7 +97,7 @@ func ServePredictLoop(fragment *PartyModel, data *dataset.Dataset, tr Transport)
 		case MsgPredictStart:
 			// Per-round errors were already reported to the peer; the
 			// session stays up for the next round.
-			_ = servePredictRound(l, fragment, data, m)
+			_ = servePredictRound(l, table, data, m)
 		case MsgShutdown:
 			return nil
 		default:
@@ -107,11 +109,13 @@ func ServePredictLoop(fragment *PartyModel, data *dataset.Dataset, tr Transport)
 // PredictRemote scores aligned instances from Party B's side: bData is
 // B's feature shard, bFragment its model fragment (which holds the full
 // structure), and trs one transport per passive party currently serving
-// ServePredict. It returns raw margins.
+// ServePredict. It returns raw margins. A passive answer whose bitmaps are
+// not ⌈rows/8⌉ bytes each is refused with an ErrRoutingBits naming the
+// party, tree and node.
 func PredictRemote(bFragment *PartyModel, learningRate float64, bData *dataset.Dataset, trs []Transport) ([]float64, error) {
 	n := bData.Rows()
 	// Collect passive routing bitmaps.
-	routes := make(map[RouteKey][]byte)
+	answers := make([][]PredictNodeBits, len(trs))
 	for pi, tr := range trs {
 		l := NewLink(tr)
 		if err := l.send(MsgPredictStart{Rows: n}); err != nil {
@@ -128,9 +132,18 @@ func PredictRemote(bFragment *PartyModel, learningRate float64, bData *dataset.D
 		if pl.Error != "" {
 			return nil, fmt.Errorf("core: party %d cannot serve prediction: %s", pi, pl.Error)
 		}
-		for _, nb := range pl.Nodes {
-			routes[RouteKey{Party: pi, Tree: nb.Tree, Node: nb.Node}] = nb.Bits
+		answers[pi] = pl.Nodes
+	}
+	table, err := CompileFragment(bFragment)
+	if err != nil {
+		return nil, err
+	}
+	rb := table.NewRoundBits(n)
+	for pi, nodes := range answers {
+		if err := rb.Place(pi, nodes); err != nil {
+			return nil, err
 		}
 	}
-	return RouteMargins(bFragment, learningRate, 0, bData, nil, routes)
+	margins, _, err := table.RouteMargins(learningRate, 0, bData, nil, rb, nil)
+	return margins, err
 }

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
-
 	"vf2boost/internal/dataset"
 )
 
@@ -13,8 +10,9 @@ import (
 // round ID per micro-batch, every passive party answers with routing
 // bitmaps over just the requested rows, and the session ends with an
 // explicit close handshake. The orchestration (registries, batching, HTTP)
-// lives in internal/serve; this file owns the wire messages and the pure
-// placement/routing computations both sides share.
+// lives in internal/serve; this file owns the wire messages and the
+// map-keyed entry points to the compiled routing tables (routes.go) both
+// sides share.
 
 // ScoreProtoVersion versions the online scoring wire protocol. A party
 // that receives an unknown version answers with a structured error instead
@@ -68,7 +66,8 @@ type MsgScoreClose struct {
 // MsgScoreCloseAck confirms session teardown.
 type MsgScoreCloseAck struct{}
 
-// RouteKey addresses one passive-owned split node in a routing table.
+// RouteKey addresses one passive-owned split node: the bitmap slot of a
+// RouteTable that reads it.
 type RouteKey struct {
 	Party int
 	Tree  int
@@ -79,41 +78,10 @@ type RouteKey struct {
 // contributes for the given shard rows: one PredictNodeBits per split node
 // the fragment owns, with bit k describing the k-th requested row. A nil
 // rows slice means "every shard row in order" (the one-shot prediction
-// protocol's shape).
+// protocol's shape). It compiles the fragment on every call; a party that
+// answers many rounds compiles once (CompileOwnedSplits) and calls Score.
 func ScorePlacements(fragment *PartyModel, data *dataset.Dataset, rows []int32) ([]PredictNodeBits, error) {
-	n := len(rows)
-	if rows == nil {
-		n = data.Rows()
-	}
-	for _, r := range rows {
-		if r < 0 || int(r) >= data.Rows() {
-			return nil, fmt.Errorf("core: score row %d outside shard of %d rows", r, data.Rows())
-		}
-	}
-	var out []PredictNodeBits
-	bits := make([]bool, n)
-	for ti, tree := range fragment.Trees {
-		ids := make([]int32, 0, len(tree.Nodes))
-		for id := range tree.Nodes {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		for _, id := range ids {
-			nd := tree.Nodes[id]
-			if nd.Owner != fragment.Party {
-				continue
-			}
-			for k := 0; k < n; k++ {
-				r := k
-				if rows != nil {
-					r = int(rows[k])
-				}
-				bits[k] = goesLeftRaw(data, r, nd.Feature, nd.Threshold)
-			}
-			out = append(out, PredictNodeBits{Tree: ti, Node: id, Bits: packBitmap(bits)})
-		}
-	}
-	return out, nil
+	return CompileOwnedSplits(fragment).Score(data, rows)
 }
 
 // RouteMargins routes every requested row through every tree of Party B's
@@ -121,7 +89,7 @@ func ScorePlacements(fragment *PartyModel, data *dataset.Dataset, rows []int32) 
 // by passive parties, and returns baseScore + learningRate·Σ leaf weights
 // per row. A nil rows slice scores every shard row in order.
 func RouteMargins(bFragment *PartyModel, learningRate, baseScore float64, bData *dataset.Dataset, rows []int32, routes map[RouteKey][]byte) ([]float64, error) {
-	out, _, err := routeMargins(bFragment, learningRate, baseScore, bData, rows, routes, nil)
+	out, _, err := RoutePartialMargins(bFragment, learningRate, baseScore, bData, rows, routes, nil)
 	return out, err
 }
 
@@ -129,80 +97,23 @@ func RouteMargins(bFragment *PartyModel, learningRate, baseScore float64, bData 
 // contain a split node owned by any party in missing are skipped whole
 // (a tree is either fully routed or not counted at all — no mid-tree
 // guessing), and the returned count says how many were. With an empty
-// missing set it is exactly RouteMargins.
+// missing set it is exactly RouteMargins. Both compile the fragment on
+// every call; a scoring service compiles once (CompileFragment) and calls
+// RouteTable.RouteMargins.
 func RoutePartialMargins(bFragment *PartyModel, learningRate, baseScore float64, bData *dataset.Dataset, rows []int32, routes map[RouteKey][]byte, missing map[int]bool) ([]float64, int, error) {
-	return routeMargins(bFragment, learningRate, baseScore, bData, rows, routes, missing)
-}
-
-// routeMargins is the shared traversal behind RouteMargins and
-// RoutePartialMargins. missing marks parties whose routing bits are
-// unavailable this round; trees touching them are skipped and counted.
-func routeMargins(bFragment *PartyModel, learningRate, baseScore float64, bData *dataset.Dataset, rows []int32, routes map[RouteKey][]byte, missing map[int]bool) ([]float64, int, error) {
-	n := len(rows)
-	if rows == nil {
-		n = bData.Rows()
+	t, err := CompileFragment(bFragment)
+	if err != nil {
+		return nil, 0, err
 	}
-	// A tree is routable only if every split it contains belongs to B or
-	// to a present party; decide per tree, not per node, so partial
-	// margins stay a sum of whole-tree contributions.
-	skip := make([]bool, len(bFragment.Trees))
-	skipped := 0
-	if len(missing) > 0 {
-		for ti, tree := range bFragment.Trees {
-			for _, nd := range tree.Nodes {
-				if nd.Owner != OwnerLeaf && nd.Owner != bFragment.Party && missing[nd.Owner] {
-					skip[ti] = true
-					skipped++
-					break
-				}
-			}
+	n, err := checkRows(bData, rows)
+	if err != nil {
+		return nil, 0, err
+	}
+	rb := t.NewRoundBits(n)
+	for k, bits := range routes {
+		if err := rb.Place(k.Party, []PredictNodeBits{{Tree: k.Tree, Node: k.Node, Bits: bits}}); err != nil {
+			return nil, 0, err
 		}
 	}
-	out := make([]float64, n)
-	for k := 0; k < n; k++ {
-		r := k
-		if rows != nil {
-			r = int(rows[k])
-		}
-		if r < 0 || r >= bData.Rows() {
-			return nil, 0, fmt.Errorf("core: score row %d outside shard of %d rows", r, bData.Rows())
-		}
-		margin := baseScore
-		for ti, tree := range bFragment.Trees {
-			if skip[ti] {
-				continue
-			}
-			id := tree.Root
-			for hop := 0; ; hop++ {
-				if hop > 64 {
-					return nil, 0, fmt.Errorf("core: scoring traversal of tree %d did not terminate", ti)
-				}
-				nd, ok := tree.Nodes[id]
-				if !ok {
-					return nil, 0, fmt.Errorf("core: tree %d missing node %d", ti, id)
-				}
-				if nd.Owner == OwnerLeaf {
-					margin += learningRate * nd.Weight
-					break
-				}
-				var left bool
-				if nd.Owner == bFragment.Party {
-					left = goesLeftRaw(bData, r, nd.Feature, nd.Threshold)
-				} else {
-					bits, ok := routes[RouteKey{Party: nd.Owner, Tree: ti, Node: id}]
-					if !ok {
-						return nil, 0, fmt.Errorf("core: no routing bits from party %d for tree %d node %d", nd.Owner, ti, id)
-					}
-					left = bitmapGet(bits, k)
-				}
-				if left {
-					id = nd.Left
-				} else {
-					id = nd.Right
-				}
-			}
-		}
-		out[k] = margin
-	}
-	return out, skipped, nil
+	return t.RouteMargins(learningRate, baseScore, bData, rows, rb, missing)
 }

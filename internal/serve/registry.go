@@ -10,12 +10,15 @@ import (
 
 // Model is one published model version as held by one party: the party's
 // own fragment plus the scalar scoring parameters (which only Party B
-// uses; passive entries leave them zero).
+// uses; passive entries leave them zero). Publish compiles the fragment
+// once into the routing table every round pinned to the version uses.
 type Model struct {
 	Version      uint64
 	Fragment     *core.PartyModel
 	LearningRate float64
 	BaseScore    float64
+
+	routes *core.RouteTable
 }
 
 // Registry is a versioned model store with atomic hot-swap. Publish
@@ -37,7 +40,12 @@ func NewRegistry() *Registry {
 
 // Publish installs a model version and atomically makes it current.
 // Version numbers are chosen by the operator (they must agree across
-// parties) and must be fresh and non-zero.
+// parties) and must be fresh and non-zero. The fragment is compiled here,
+// once: Party B's entry (one with scoring parameters) must hold a sound
+// tree structure, and one that does not — a missing root, a dangling
+// child, a cycle — is refused with an error naming the tree and node. A
+// passive party's fragment holds only its own splits, which is all its
+// table needs.
 func (r *Registry) Publish(m Model) error {
 	if m.Version == 0 {
 		return fmt.Errorf("serve: model version must be non-zero")
@@ -45,6 +53,15 @@ func (r *Registry) Publish(m Model) error {
 	if m.Fragment == nil {
 		return fmt.Errorf("serve: model version %d has no fragment", m.Version)
 	}
+	routes, err := core.CompileFragment(m.Fragment)
+	switch {
+	case err == nil:
+	case m.LearningRate != 0 || m.BaseScore != 0: // Party B's entry
+		return fmt.Errorf("serve: model version %d refused: %w", m.Version, err)
+	default:
+		routes = core.CompileOwnedSplits(m.Fragment)
+	}
+	m.routes = routes
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, ok := r.models[m.Version]; ok {

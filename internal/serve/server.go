@@ -633,23 +633,18 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 	}
 	s.unlockSend()
 
-	routes := make(map[core.RouteKey][]byte)
+	bits := mv.routes.NewRoundBits(len(rows))
 	var appErr error
 	for i, w := range waiters {
 		if w == nil {
 			continue
 		}
-		nodes, err := s.await(ctx, s.workers[i], req, w)
-		if err != nil {
+		if err := s.await(ctx, s.workers[i], req, w, bits); err != nil {
 			var we *workerError
 			if errors.As(err, &we) && appErr == nil {
 				appErr = err
 			}
 			missing[i] = true
-			continue
-		}
-		for _, nb := range nodes {
-			routes[core.RouteKey{Party: i, Tree: nb.Tree, Node: nb.Node}] = nb.Bits
 		}
 	}
 	doneWAN()
@@ -667,7 +662,7 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 
 	routeStart := time.Now()
 	doneRoute := s.cfg.Trace.Span("B:ScoreRoute", roundLabel)
-	margins, _, err := core.RoutePartialMargins(mv.Fragment, mv.LearningRate, mv.BaseScore, s.cfg.Data, rows, routes, missing)
+	margins, _, err := mv.routes.RouteMargins(mv.LearningRate, mv.BaseScore, s.cfg.Data, rows, bits, missing)
 	doneRoute()
 	s.met.ObserveRoute(time.Since(routeStart))
 	if err != nil {
@@ -720,13 +715,16 @@ func (s *Server) post(ctx context.Context, ws *workerState, req core.MsgScoreReq
 	}
 }
 
-// await waits for worker ws's answer to the round, feeding its breaker.
-// A round that runs out of budget withdraws its waiter and leaves the
-// session open — it may be merely slow, and the late answer is dropped
-// by the pump — which is what lets a session survive a timeout. A
-// session severed under the round is retried once: re-opened by whichever
-// of its rounds gets the send lock first, and re-sent on by each.
-func (s *Server) await(ctx context.Context, ws *workerState, req core.MsgScoreRequest, w *roundWaiter) ([]core.PredictNodeBits, error) {
+// await waits for worker ws's answer to the round and files its routing
+// bitmaps in bits, feeding its breaker. A round that runs out of budget
+// withdraws its waiter and leaves the session open — it may be merely
+// slow, and the late answer is dropped by the pump — which is what lets a
+// session survive a timeout. A session severed under the round is retried
+// once: re-opened by whichever of its rounds gets the send lock first, and
+// re-sent on by each. An answer at the wrong version, or with a bitmap
+// that is not ⌈rows/8⌉ bytes, is a protocol violation: the session is
+// severed and the party drops out of the round.
+func (s *Server) await(ctx context.Context, ws *workerState, req core.MsgScoreRequest, w *roundWaiter, bits *core.RoundBits) error {
 	for {
 		var ans workerAnswer
 		select {
@@ -735,20 +733,20 @@ func (s *Server) await(ctx context.Context, ws *workerState, req core.MsgScoreRe
 			ws.forget(w)
 			ws.breaker.Failure(true)
 			s.met.ObserveTimeout()
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		if ans.err != nil {
 			if w.retried || s.closing.Load() {
-				return nil, fmt.Errorf("serve: round %d: %w", req.Round, ans.err)
+				return fmt.Errorf("serve: round %d: %w", req.Round, ans.err)
 			}
 			w.retried = true
 			if err := s.lockSend(ctx); err != nil {
-				return nil, err
+				return err
 			}
 			err := s.post(ctx, ws, req, w)
 			s.unlockSend()
 			if err != nil {
-				return nil, fmt.Errorf("serve: round %d: %v; re-send failed: %w", req.Round, ans.err, err)
+				return fmt.Errorf("serve: round %d: %v; re-send failed: %w", req.Round, ans.err, err)
 			}
 			continue
 		}
@@ -756,14 +754,21 @@ func (s *Server) await(ctx context.Context, ws *workerState, req core.MsgScoreRe
 		if resp.Version != req.Version {
 			err := fmt.Errorf("serve: worker %d answered round %d at v%d, expected v%d", ws.party, resp.Round, resp.Version, req.Version)
 			ws.lose(w.sess, err)
-			return nil, err
+			return err
+		}
+		if resp.Error == "" {
+			if err := bits.Place(ws.party, resp.Nodes); err != nil {
+				err = fmt.Errorf("serve: worker %d answered round %d: %w", ws.party, resp.Round, err)
+				ws.lose(w.sess, err)
+				return err
+			}
 		}
 		ws.breaker.Success()
 		if resp.Error != "" {
 			// The link is healthy — the refusal is the application's.
-			return nil, &workerError{party: ws.party, round: req.Round, msg: resp.Error}
+			return &workerError{party: ws.party, round: req.Round, msg: resp.Error}
 		}
-		return resp.Nodes, nil
+		return nil
 	}
 }
 

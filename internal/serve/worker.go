@@ -214,7 +214,7 @@ func (w *PassiveWorker) answer(m core.MsgScoreRequest) core.MsgScoreResponse {
 		resp.Error = fmt.Sprintf("serve: model version %d not published at party %d", m.Version, w.Party)
 		return resp
 	}
-	nodes, err := core.ScorePlacements(mv.Fragment, w.Data, m.Rows)
+	nodes, err := mv.routes.Score(w.Data, m.Rows)
 	if err != nil {
 		w.errors.Add(1)
 		resp.Error = err.Error()

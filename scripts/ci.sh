@@ -55,12 +55,14 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
-# must stay under their bound in passes. The local trainer's golden and
+# must stay under their bound in passes. The compiled routing tables must
+# equal the map walkers they replaced bit for bit — margins ==, bitmaps
+# byte for byte — on any count. The local trainer's golden and
 # parity models run here too: a node's histogram is one sequential sweep
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
@@ -121,10 +123,12 @@ echo "== serve chaos smoke (overload, breaker trip/recover, no-hang contract, pi
 # Which goroutine notices first is the schedule's choice, so the leg runs
 # repeatedly at one, two and four procs under the race detector, like
 # the training parity suites. A sidecar that receives a frame it cannot
-# decode must end with core.ErrUndecodable after one dial, not re-dial.
+# decode must end with core.ErrUndecodable after one dial, not re-dial. A
+# worker answering with a bitmap that is not ceil(rows/8) bytes must cost
+# its session, not B's process, and Publish must refuse a broken fragment.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 -timeout 300s \
-    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink|TestWorkerEndsOnUndecodableFrame' \
+    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink|TestWorkerEndsOnUndecodableFrame|TestShortBitmapSeversSession|TestPublishRefusesBrokenFragment' \
     ./internal/serve
 done
 
@@ -148,6 +152,9 @@ rm -rf "$obj_tmp"
 
 echo "== fuzz smoke (wire decode: binary frames and the refused gob tag) =="
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/core
+
+echo "== fuzz smoke (routing tables: arbitrary fragments and bitmaps route like the map walkers or refuse, never panic) =="
+go test -run='^$' -fuzz=FuzzRouteTables -fuzztime=10s ./internal/core
 
 echo "== fuzz smoke (ciphertext unmarshal, the wire validation gate: arbitrary bytes must never panic) =="
 go test -run='^$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/he
