@@ -95,22 +95,18 @@ type Config struct {
 	// The four VF²Boost optimizations. All false = the VF-GBDT baseline.
 	BlasterEncryption     bool
 	ReorderedAccumulation bool
-	OptimisticSplit       bool
-	HistogramPacking      bool
+	// OptimisticSplit lets a tree speculate (Section 4.2): Party B posts
+	// its own best splits before the passive histograms validate them. A
+	// tree speculates when the objective has one output and no earlier
+	// tree of the session, resumed ones included, lost more than half its
+	// splits to the passive parties; once one has, every later tree of the
+	// session runs the sequential schedule.
+	OptimisticSplit bool
+	// HistogramPacking packs a node's occupied bins, as shifted prefix
+	// sums, t to a ciphertext (Section 5.2); an empty bin takes no slot,
+	// which the per-feature occupancy bitmap of the frame says.
+	HistogramPacking bool
 
-	// AdaptivePacking selects which bins of a packed node get a slot:
-	// true, only the bins holding an instance (named in a per-feature
-	// bitmap, which tells Party B nothing its decryption does not); false,
-	// every bin, the paper's layout. Either way the node's slots fill one
-	// ciphertext before the next starts, across feature boundaries, and the
-	// model bytes are the same. Ignored unless HistogramPacking is set.
-	AdaptivePacking bool
-	// AdaptiveOptimism extends OptimisticSplit along the lines of the
-	// paper's future-work note on dirty-node cost: when the previous
-	// tree's dirty ratio exceeded 1/2 (the optimistic bet lost more
-	// often than it won), the next tree falls back to the sequential
-	// schedule. Ignored unless OptimisticSplit is set.
-	AdaptiveOptimism bool
 	// FastObfuscation replaces the per-encryption Paillier obfuscator
 	// r^n mod n² with a DJN-style short-exponent h^x served from
 	// precomputed fixed-base tables (internal/paillier/fixedbase.go):
@@ -163,8 +159,6 @@ func DefaultConfig() Config {
 		ReorderedAccumulation: true,
 		OptimisticSplit:       true,
 		HistogramPacking:      true,
-		AdaptivePacking:       true,
-		AdaptiveOptimism:      true,
 		FastObfuscation:       true,
 		HistogramSubtraction:  true,
 		Seed:                  1,
@@ -179,8 +173,6 @@ func BaselineConfig() Config {
 	c.ReorderedAccumulation = false
 	c.OptimisticSplit = false
 	c.HistogramPacking = false
-	c.AdaptivePacking = false
-	c.AdaptiveOptimism = false
 	c.FastObfuscation = false
 	c.HistogramSubtraction = false
 	return c

@@ -217,24 +217,23 @@ func (p packPlan) chunk(slots, c int) (lo, hi int) {
 }
 
 // packedFeature resolves bins [lo, hi) of one feature into the slots the
-// node layout ships for it — the shifted prefix sums of its slotted bins,
+// node layout ships for it — the shifted prefix sums of its occupied bins,
 // prefix_0 = bin_0 + shift and prefix_k = prefix_{k-1} + bin_k, all at
-// plan.exp — and the bitmap naming those bins. With occupiedOnly an empty
-// bin gets no slot (it would repeat the previous prefix); without it every
-// bin does, the paper's layout. shiftCt must encrypt plan.shift.
-func (eh *EncHistogram) packedFeature(lo, hi int, occupiedOnly bool, shiftCt he.Ciphertext, plan packPlan) (FeatHist, []he.Ciphertext) {
+// plan.exp — and the bitmap naming those bins. An empty bin gets no slot:
+// it would repeat the previous prefix. shiftCt must encrypt plan.shift.
+func (eh *EncHistogram) packedFeature(lo, hi int, shiftCt he.Ciphertext, plan packPlan) (FeatHist, []he.Ciphertext) {
 	fh := FeatHist{NumBins: hi - lo, Occupied: make([]byte, (hi-lo+7)/8)}
 	var slots []he.Ciphertext
 	var hadds int64
 	defer func() { eh.codec.Stats().AddHAdds(hadds) }()
 	run := shiftCt // shared read-only seed; Add always returns fresh ciphertexts
 	for k := 0; k < hi-lo; k++ {
-		if b := eh.mergeBin(lo+k, plan.exp, &hadds); b.Ct != nil {
-			run = eh.codec.Scheme().Add(run, b.Ct)
-			hadds++
-		} else if occupiedOnly {
+		b := eh.mergeBin(lo+k, plan.exp, &hadds)
+		if b.Ct == nil {
 			continue
 		}
+		run = eh.codec.Scheme().Add(run, b.Ct)
+		hadds++
 		fh.Occupied[k/8] |= 1 << (k % 8)
 		slots = append(slots, run)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -225,15 +226,23 @@ func TestBitmapRoundTrip(t *testing.T) {
 func TestApplyPlacement(t *testing.T) {
 	insts := []int32{10, 20, 30, 40, 50}
 	bits := packBitmap([]bool{true, false, true, true, false})
-	left, right := applyPlacement(insts, bits)
+	left, right, err := applyPlacement(insts, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(left) != 3 || left[0] != 10 || left[1] != 30 || left[2] != 40 {
 		t.Errorf("left = %v", left)
 	}
 	if len(right) != 2 || right[0] != 20 || right[1] != 50 {
 		t.Errorf("right = %v", right)
 	}
-	l, r := applyPlacement(nil, nil)
-	if l != nil || r != nil {
+	l, r, err := applyPlacement(nil, nil)
+	if err != nil || l != nil || r != nil {
 		t.Error("empty placement mishandled")
+	}
+	for _, bm := range [][]byte{nil, {bits[0], 0}} {
+		if _, _, err := applyPlacement(insts, bm); !errors.Is(err, ErrRoutingBits) {
+			t.Errorf("%d-byte placement for %d instances: %v, want ErrRoutingBits", len(bm), len(insts), err)
+		}
 	}
 }

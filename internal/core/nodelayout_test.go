@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vf2boost/internal/fixedpoint"
+	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
 )
 
@@ -71,9 +72,9 @@ func newLayoutRig(t *testing.T, dec he.Decryptor, spread int) *layoutRig {
 }
 
 // wire builds the histogram from r.bins and ships it through a passive
-// party's wireHist: the node layout under the given mask when packing,
-// per-bin ciphertexts otherwise.
-func (r *layoutRig) wire(t *testing.T, packing, occupiedOnly, reordered bool) NodeHist {
+// party's wireHist: the node layout when packing, per-bin ciphertexts
+// otherwise.
+func (r *layoutRig) wire(t *testing.T, packing, reordered bool) NodeHist {
 	t.Helper()
 	offsets := []int{0}
 	for _, feat := range r.bins {
@@ -98,9 +99,7 @@ func (r *layoutRig) wire(t *testing.T, packing, occupiedOnly, reordered bool) No
 			}
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.AdaptivePacking = occupiedOnly
-	p := &passiveParty{cfg: cfg, cols: len(r.bins), offsets: offsets, scheme: r.dec, codec: r.codec,
+	p := &passiveParty{cfg: DefaultConfig(), cols: len(r.bins), offsets: offsets, scheme: r.dec, codec: r.codec,
 		packing: packing, plan: r.plan, stats: &Stats{}, units: make(unitQueue, 2)}
 	var err error
 	if p.shiftCt, err = r.dec.Encrypt(r.plan.shift); err != nil {
@@ -173,70 +172,66 @@ func (r *layoutRig) randomBins(rng *rand.Rand, shape []int, fill float64) {
 	}
 }
 
-// checkLayout ships r.bins in the node layout under both masks and both
-// accumulation strategies and unpacked, and compares what B decrypts with
-// the integers the test put in. It reports where the chunk boundaries of
-// the occupied-mask frame fell.
+// checkLayout ships r.bins in the node layout and unpacked, under both
+// accumulation strategies, and compares what B decrypts with the integers
+// the test put in. It reports where the chunk boundaries of the node
+// layout fell.
 func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 	t.Helper()
 	want := r.want()
 	for _, reordered := range []bool{true, false} {
-		unpackedNH := r.wire(t, false, false, reordered)
-		unpacked, err := r.active(false).decryptNodeHist(0, unpackedNH)
+		unpacked, err := r.active(false).decryptNodeHist(0, r.wire(t, false, reordered))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := sameSums(r.codec.Base(), unpacked, want); err != nil {
 			t.Fatalf("reordered=%v: unpacked path vs the integers put in: %v", reordered, err)
 		}
-		for _, occupiedOnly := range []bool{true, false} {
-			nh := r.wire(t, true, occupiedOnly, reordered)
-			decryptions := r.codec.Stats().Decryptions()
-			got, err := r.active(true).decryptNodeHist(0, nh)
-			decryptions = r.codec.Stats().Decryptions() - decryptions
-			if err != nil {
-				t.Fatalf("reordered=%v occupiedOnly=%v: %v", reordered, occupiedOnly, err)
-			}
-			if err := sameSums(r.codec.Base(), got, unpacked); err != nil {
-				t.Errorf("reordered=%v occupiedOnly=%v: node layout vs unpacked path: %v", reordered, occupiedOnly, err)
-			}
-			slots := 0
-			for j, fs := range got {
-				for k := range fs.g {
-					// The occupied mask names exactly the bins with mass; the
-					// all-bins mask gives every bin a (possibly zero) slot.
-					if occupied := want[j].g[k] != nil; (fs.g[k] != nil) != (occupied || !occupiedOnly) {
-						t.Errorf("reordered=%v occupiedOnly=%v: feature %d bin %d slotted=%v, occupied=%v", reordered, occupiedOnly, j, k, fs.g[k] != nil, occupied)
-					}
-					if fs.g[k] != nil {
-						slots++
-						if fs.exp[k] != r.plan.exp {
-							t.Errorf("feature %d bin %d at exponent %d, want the plan's %d", j, k, fs.exp[k], r.plan.exp)
-						}
+		nh := r.wire(t, true, reordered)
+		decryptions := r.codec.Stats().Decryptions()
+		got, err := r.active(true).decryptNodeHist(0, nh)
+		decryptions = r.codec.Stats().Decryptions() - decryptions
+		if err != nil {
+			t.Fatalf("reordered=%v: %v", reordered, err)
+		}
+		if err := sameSums(r.codec.Base(), got, unpacked); err != nil {
+			t.Errorf("reordered=%v: node layout vs unpacked path: %v", reordered, err)
+		}
+		slots := 0
+		for j, fs := range got {
+			for k := range fs.g {
+				// The bitmap names exactly the bins with mass.
+				if occupied := want[j].g[k] != nil; (fs.g[k] != nil) != occupied {
+					t.Errorf("reordered=%v: feature %d bin %d slotted=%v, occupied=%v", reordered, j, k, fs.g[k] != nil, occupied)
+				}
+				if fs.g[k] != nil {
+					slots++
+					if fs.exp[k] != r.plan.exp {
+						t.Errorf("feature %d bin %d at exponent %d, want the plan's %d", j, k, fs.exp[k], r.plan.exp)
 					}
 				}
 			}
-			if want := r.plan.chunks(slots); len(nh.Cts) != want || decryptions != int64(want) {
-				t.Errorf("reordered=%v occupiedOnly=%v: %d ciphertexts and %d decryptions for %d slots, want %d", reordered, occupiedOnly, len(nh.Cts), decryptions, slots, want)
-			}
-			if !occupiedOnly || !reordered {
-				continue
-			}
-			ends := map[int]bool{} // slot indices at which a feature ends
-			end := 0
-			for _, fs := range got {
-				for k := range fs.g {
-					if fs.g[k] != nil {
-						end++
-					}
+		}
+		if want := r.plan.chunks(slots); len(nh.Cts) != want || decryptions != int64(want) {
+			t.Errorf("reordered=%v: %d ciphertexts and %d decryptions for %d slots, want %d", reordered, len(nh.Cts), decryptions, slots, want)
+		}
+		if !reordered {
+			continue
+		}
+		ends := map[int]bool{} // slot indices at which a feature ends
+		end := 0
+		for _, fs := range got {
+			for k := range fs.g {
+				if fs.g[k] != nil {
+					end++
 				}
-				ends[end] = true
 			}
-			for c := 0; c+1 < len(nh.Cts); c++ {
-				_, hi := r.plan.chunk(slots, c)
-				insideFeature = insideFeature || !ends[hi]
-				onFeature = onFeature || ends[hi]
-			}
+			ends[end] = true
+		}
+		for c := 0; c+1 < len(nh.Cts); c++ {
+			_, hi := r.plan.chunk(slots, c)
+			insideFeature = insideFeature || !ends[hi]
+			onFeature = onFeature || ends[hi]
 		}
 	}
 	return insideFeature, onFeature
@@ -245,9 +240,9 @@ func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 // TestNodeLayoutRoundTrip is the layout property: pack → decrypt → slice
 // equals the per-bin folded integers of the unpacked path and the integers
 // put in, over mock and 512-bit Paillier, one and four exponents, both
-// accumulation strategies, both masks, one to four features, occupancy
-// from empty to full, and chunk boundaries inside features and exactly
-// between them.
+// accumulation strategies, one to four features, occupancy from empty to
+// full (fill 1: every bitmap full), and chunk boundaries inside features
+// and exactly between them.
 func TestNodeLayoutRoundTrip(t *testing.T) {
 	pcfg := quickConfig(SchemePaillier)
 	for _, tc := range []struct {
@@ -296,6 +291,54 @@ func TestNodeLayoutRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPackedDecryptionsFollowOccupiedBins: Party B decrypts exactly the
+// ciphertexts the chunk rule yields for the bins that hold an instance. A
+// root's count follows from the data alone; below it, on sparse data that
+// leaves most bins of a small node empty, every shipped ciphertext is
+// decrypted once and carries at most t slots.
+func TestPackedDecryptionsFollowOccupiedBins(t *testing.T) {
+	const rows = 300
+	_, parts := twoPartyData(t, rows, 30, 4, 0.05, false, 43)
+	cfg := quickConfig(SchemePaillier)
+	cfg.Trees, cfg.OptimisticSplit = 1, false // every shipped node is decrypted
+
+	mapper, err := gbdt.NewBinMapper(parts[0], cfg.MaxBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := gbdt.NewBinnedMatrix(parts[0], mapper)
+	seen := map[[2]int32]bool{}
+	for i := 0; i < rows; i++ {
+		cols, bins, err := bm.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, j := range cols {
+			seen[[2]int32{j, int32(bins[k])}] = true
+		}
+	}
+	codec := fixedpoint.NewCodec(testDecryptor(t), fixedpoint.WithExponents(cfg.BaseExp, cfg.ExpSpread))
+	pairs, err := codec.PlanPairs(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planPacking(codec, pairs.W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.MaxDepth = 1 // the root is the one histogram of the session
+	_, s := trainFed(t, parts, cfg)
+	if got, want := s.Crypto().Decryptions(), int64(plan.chunks(len(seen))); got != want {
+		t.Errorf("%d decryptions for a root of %d occupied bins at %d per ciphertext, want %d", got, len(seen), plan.capacity, want)
+	}
+	cfg.MaxDepth = 3
+	_, s = trainFed(t, parts, cfg)
+	st := s.Stats()
+	if d := s.Crypto().Decryptions(); d != st.packedCts.Load() || st.PackFill() > float64(plan.capacity) {
+		t.Errorf("%d decryptions of %d shipped ciphertexts, %.2f slots each", d, st.packedCts.Load(), st.PackFill())
+	}
+}
+
 // TestMergeScalesEachRowOnce pins the pack path's exponent merge: a bin
 // costs one scaling per occupied workspace row below the plan's exponent,
 // not a merge to its own top row and a second scaling of the result.
@@ -305,7 +348,7 @@ func TestMergeScalesEachRowOnce(t *testing.T) {
 	// Rows {8, 9}, {11}, {8, 10, 11}, {10}: 2 + 0 + 2 + 1 rows below 11.
 	r.bins = [][][]cell{{{one(8), one(9)}, {one(11)}, nil, {one(8), one(10), one(11)}, {one(10)}}}
 	before := r.codec.Stats().Scalings()
-	r.wire(t, true, true, true)
+	r.wire(t, true, true)
 	if got := r.codec.Stats().Scalings() - before; got != 5 {
 		t.Errorf("packing used %d scalings, want 5", got)
 	}
@@ -317,7 +360,7 @@ func TestMergeScalesEachRowOnce(t *testing.T) {
 func hostileNode(t *testing.T, r *layoutRig) NodeHist {
 	one := []cell{{r.plan.exp, big.NewInt(-2), big.NewInt(1)}}
 	r.bins = [][][]cell{{one, nil, one, one, nil}, {nil, one, nil, nil, nil, nil, nil, one, one}}
-	return r.wire(t, true, true, true)
+	return r.wire(t, true, true)
 }
 
 // TestActiveRejectsHostilePackedFrames is the hostile-frame table of the
@@ -441,9 +484,9 @@ func TestPackedChildMustMatchParentBins(t *testing.T) {
 	b.dec, b.codec, b.pairs, b.plan, b.packing = lr.dec, lr.codec, lr.pairs, lr.plan, true
 	one := []cell{{lr.plan.exp, big.NewInt(-2), big.NewInt(5)}}
 	lr.bins = [][][]cell{{one, one, nil}}
-	root := lr.wire(t, true, true, true)
+	root := lr.wire(t, true, true)
 	lr.bins = [][][]cell{{one, nil, nil, nil}}
-	child := lr.wire(t, true, true, true)
+	child := lr.wire(t, true, true)
 	child.Node, child.Parent, child.Sibling = 2, rootID, 3
 	b.pumps[0].hist <- MsgHistograms{Nodes: []NodeHist{root}}
 	b.pumps[0].hist <- MsgHistograms{Layer: 1, Nodes: []NodeHist{child}}

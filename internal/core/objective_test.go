@@ -127,7 +127,7 @@ func TestMulticlassSharedEncryptionPass(t *testing.T) {
 	base := quickConfig(SchemeMock)
 	base.MaxDepth = 1
 	base.Trees = 3
-	base.HistogramPacking, base.AdaptivePacking = false, false
+	base.HistogramPacking = false
 	cfg3 := base
 	cfg3.Objective = mustObjective(t, "multiclass:3")
 

@@ -231,7 +231,6 @@ func TestOptimisticCorrectionsShareOneRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := quickConfig(SchemeMock)
-			cfg.OptimisticSplit, cfg.AdaptiveOptimism = true, false
 			net := &lagNet{clk: clock.NewFake(), lag: lag}
 			opt := &FederatedModel{Parties: net.train(t, parts, cfg), LearningRate: cfg.LearningRate}
 

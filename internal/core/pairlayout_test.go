@@ -28,15 +28,12 @@ func TestGoldenModelAtFixedExponent(t *testing.T) {
 	const optimized = "56df290a8b7afc892b40e39dd99706ef5f9e2732ccd5cb0b8dd61c944c66b34e"
 	base := MockConfig()
 	base.Trees, base.MaxDepth, base.MaxBins, base.KeyBits, base.BatchSize = 3, 3, 8, 256, 100
-	alwaysPacked := quickConfig(SchemeMock)
-	alwaysPacked.AdaptivePacking = false
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
 	}{
 		{"mock-optimized", quickConfig(SchemeMock), optimized},
-		{"mock-always-packed", alwaysPacked, optimized},
 		{"paillier-optimized", quickConfig(SchemePaillier), optimized},
 		{"mock-baseline", base, "a8c75d61d60dae2a142c01e632b7249bc4f9ebec97b31ab1974d0fe94240a195"},
 	} {
@@ -246,6 +243,13 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, false, "after its last batch"},
 		{"decision for unknown node", []any{okSetup, MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}}, false, "unknown node 999"},
 		{"dirty for unknown node", []any{okSetup, MsgDirty{Node: 999, LeftID: 4, RightID: 5}}, false, "unknown node 999"},
+		// Placements that do not cover the node, and own splits on a feature
+		// or bin the party does not have.
+		{"short SplitB placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, false, "1-byte placement for 30 instances"},
+		{"short relayed placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, Owner: 1, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, false, "1-byte placement for 30 instances"},
+		{"own split on a feature it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Feature: 99}}}}, false, "feature 99 bin 0"},
+		{"own split on a bin it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Bin: 200}}}}, false, "feature 0 bin 200"},
+		{"correction on a negative feature", []any{okSetup, whole, MsgDirty{Node: rootID, LeftID: 4, RightID: 5, Feature: -1}}, false, "feature -1 bin 0"},
 		// Frames no registered decoder reads: the retired batched-backend
 		// IDs and one never assigned.
 		{"retired batched setup", []any{rawFrame(idSetupV3, nil)}, false, "message ID 24"},

@@ -543,8 +543,8 @@ func (p *passiveParty) advanceClassTree(t int) error {
 
 // wireHist finalizes and serializes a node's folded histogram as units on
 // the party's queue. A packing session ships the node layout, in two
-// rounds: per feature, the slots of packedFeature (AdaptivePacking: of
-// the occupied bins, which tells Party B nothing its decryption does not);
+// rounds: per feature, the slots of packedFeature (its occupied bins,
+// which tells Party B nothing its decryption does not);
 // then per chunk of the node's concatenated slots, the Horner chain of
 // Codec.Pack, which is where the time goes. Without packing every bin
 // ships as its own ciphertext.
@@ -557,7 +557,7 @@ func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (N
 	err := p.units.do(task, p.cols, func(j int) error {
 		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", node, j))()
 		if p.packing {
-			nh.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.cfg.AdaptivePacking, p.shiftCt, p.plan)
+			nh.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.shiftCt, p.plan)
 			return nil
 		}
 		lo, n := p.offsets[j], p.offsets[j+1]-p.offsets[j]
@@ -600,13 +600,20 @@ func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (N
 // handleDecisions applies a layer's (tentative or final) node decisions:
 // one pass over the shards places every node this party is to split, the
 // decisions are applied in order, and the children they scheduled go to
-// the accumulation passes together.
+// the accumulation passes together. A split of this party's own must
+// name one of its features and a bin below that feature's cut count —
+// the range B's split finding picks from — or the frame is refused
+// before anything is placed.
 func (p *passiveParty) handleDecisions(m MsgDecisions) error {
 	placed := make([]*nodeSplit, len(m.Nodes))
 	for k, d := range m.Nodes {
-		if d.Action == ActionSplitA && d.Owner == p.index {
-			placed[k] = newNodeSplit(p.nodeInsts[d.Node], d.Feature, d.Bin)
+		if d.Action != ActionSplitA || d.Owner != p.index {
+			continue
 		}
+		if d.Feature < 0 || int(d.Feature) >= p.cols || d.Bin < 0 || int(d.Bin) >= len(p.mapper.Cuts[d.Feature]) {
+			return fmt.Errorf("core: party %d: node %d splits on feature %d bin %d, which this party does not have", p.index, d.Node, d.Feature, d.Bin)
+		}
+		placed[k] = newNodeSplit(p.nodeInsts[d.Node], d.Feature, d.Bin)
 	}
 	if err := p.units.routeNodes(p.view, placed); err != nil {
 		return fmt.Errorf("core: party %d partitioning layer %d: %w", p.index, m.Layer, err)
@@ -637,14 +644,7 @@ func (p *passiveParty) applyDecision(layer int, d NodeDecision, sp *nodeSplit) e
 		// tentative leaf can still be revived by a dirty correction, and
 		// per-tree state is discarded wholesale at MsgTreeDone anyway.
 		return nil
-	case ActionSplitB:
-		if len(d.Placement) == 0 && d.Count > 0 {
-			return fmt.Errorf("core: splitB decision without placement for node %d", d.Node)
-		}
-		left, right := applyPlacement(insts, d.Placement)
-		p.childReady(d.Node, layer, d.LeftID, left, d.RightID, right)
-		return nil
-	case ActionSplitA:
+	case ActionSplitA, ActionSplitB:
 		if sp != nil {
 			// My split: record it, answer with the placement.
 			threshold := p.mapper.Threshold(int(d.Feature), int(d.Bin))
@@ -655,11 +655,12 @@ func (p *passiveParty) applyDecision(layer int, d NodeDecision, sp *nodeSplit) e
 			p.childReady(d.Node, layer, d.LeftID, sp.left, d.RightID, sp.right)
 			return nil
 		}
-		// Another party's split: the placement is relayed by B.
-		if len(d.Placement) == 0 && d.Count > 0 {
-			return fmt.Errorf("core: relayed splitA without placement for node %d", d.Node)
+		// B's split, or another party's relayed by B: the placement comes
+		// with the decision.
+		left, right, err := applyPlacement(insts, d.Placement)
+		if err != nil {
+			return fmt.Errorf("core: party %d: node %d: %w", p.index, d.Node, err)
 		}
-		left, right := applyPlacement(insts, d.Placement)
 		p.childReady(d.Node, layer, d.LeftID, left, d.RightID, right)
 		return nil
 	default:
@@ -869,8 +870,12 @@ func (p *passiveParty) finishHist(task *histTask) {
 }
 
 // applyPlacement splits an instance list by a placement bitmap (bit set =
-// left), preserving order.
-func applyPlacement(insts []int32, bm []byte) (left, right []int32) {
+// left), preserving order. A bitmap that is not ⌈len(insts)/8⌉ bytes is an
+// ErrRoutingBits, refused before any bit is read.
+func applyPlacement(insts []int32, bm []byte) (left, right []int32, err error) {
+	if want := (len(insts) + 7) / 8; len(bm) != want {
+		return nil, nil, fmt.Errorf("%w: %d-byte placement for %d instances, want %d", ErrRoutingBits, len(bm), len(insts), want)
+	}
 	for k, inst := range insts {
 		if bitmapGet(bm, k) {
 			left = append(left, inst)
@@ -878,7 +883,7 @@ func applyPlacement(insts []int32, bm []byte) (left, right []int32) {
 			right = append(right, inst)
 		}
 	}
-	return left, right
+	return left, right, nil
 }
 
 // lane names this party's Gantt lane for a phase.

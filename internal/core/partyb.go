@@ -80,9 +80,9 @@ type activeParty struct {
 	ckpt        *checkpoint.Store
 	resume      bool
 	resumeTrees []int
-	// backOff is the adaptive-optimism state carried between rounds: set
-	// when the previous tree's dirty ratio exceeded 1/2. It is part of the
-	// checkpoint so a resumed run follows the same protocol schedule (and
+	// backOff latches, for the rest of the session, that a speculating
+	// tree's dirty ratio exceeded 1/2: no later tree speculates. It is part
+	// of the checkpoint so a resumed run follows the same schedule (and
 	// allocates the same node IDs) as an uninterrupted one.
 	backOff bool
 
@@ -426,10 +426,6 @@ func (b *activeParty) train() (*PartyModel, error) {
 		}
 	}
 
-	// With adaptive optimism the optimistic schedule is abandoned for the
-	// next tree whenever the previous tree's dirty ratio exceeded 1/2:
-	// the optimistic bet lost more often than it won, so the re-done work
-	// outweighs the hidden idle time.
 	var start time.Time
 	for t := startTree; t < totalTrees; t++ {
 		class := t % k
@@ -446,24 +442,23 @@ func (b *activeParty) train() (*PartyModel, error) {
 				return nil, err
 			}
 		}
+		// A tree speculates unless its round has several trees (they share
+		// one gradient shipment, and the tentative/abort machinery assumes
+		// node IDs restart with every shipment) or an earlier tree of the
+		// session lost its bet: once a speculating tree's dirty ratio
+		// exceeds 1/2 the re-done work outweighs the hidden idle time, and
+		// backOff latches for the rest of the session.
+		speculate := k == 1 && b.cfg.OptimisticSplit && !b.backOff
 		dirtyBefore := b.stats.DirtyNodes()
 		splitsBefore := b.stats.SplitsByA() + b.stats.SplitsByB()
-		var tree *FedTree
-		var leaves []leafResult
-		var err error
-		// Multi-output rounds always run the sequential schedule: the
-		// optimistic protocol's tentative/abort machinery assumes node IDs
-		// restart with every shipment, which one-shipment-per-round breaks.
-		if k == 1 && b.cfg.OptimisticSplit && !(b.cfg.AdaptiveOptimism && b.backOff) {
-			tree, leaves, err = b.buildTreeOptimistic(t)
+		tree, leaves, err := b.buildTree(t, speculate)
+		if err != nil {
+			return nil, err
+		}
+		if speculate {
 			dirty := b.stats.DirtyNodes() - dirtyBefore
 			splits := b.stats.SplitsByA() + b.stats.SplitsByB() - splitsBefore
 			b.backOff = splits > 0 && float64(dirty)/float64(splits) > 0.5
-		} else {
-			tree, leaves, err = b.buildTreeSequential(t)
-		}
-		if err != nil {
-			return nil, err
 		}
 		b.model.Trees = append(b.model.Trees, tree)
 		for _, lf := range leaves {

@@ -9,11 +9,21 @@ import (
 	"vf2boost/internal/gbdt"
 )
 
-// buildTreeSequential grows one tree with the baseline VF-GBDT protocol:
-// every layer is a strict sequence of (build own histograms; wait for all
-// passive histograms; decrypt; decide; synchronize placements) — the
-// mutual-waiting pattern of Figure 5 (top).
-func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error) {
+// buildTree grows one tree on Party B, a layer at a time: B's own
+// plaintext histograms, every node's winner against the passive parties'
+// histograms, then the winners settled — a split B owns placed by B, one a
+// passive party owns placed by its owner and relayed by B to the others.
+//
+// With speculate, the concurrent protocol of Section 4.2, B first splits
+// every node on its own best split and posts those tentative decisions, so
+// the passive parties build the next layer's histograms while B decrypts
+// this one. A node a passive party then wins is dirty: its correction
+// leaves the moment the node is validated and aborts the tentative
+// children, so the corrections of a layer share one round trip (the
+// roll-back-and-re-do of Figure 6). Without speculation nothing is posted
+// before validation, and the final decisions go out once every node is
+// validated: the sequential VF-GBDT schedule of Figure 5 (top).
+func (b *activeParty) buildTree(t int, speculate bool) (*FedTree, []leafResult, error) {
 	tree, root := b.startTree()
 	active := []*bNode{root}
 	var leaves []leafResult
@@ -23,118 +33,200 @@ func (b *activeParty) buildTreeSequential(t int) (*FedTree, []leafResult, error)
 		if err != nil {
 			return nil, nil, err
 		}
-
-		decisions := make([][]NodeDecision, len(b.links))
-		type pendingA struct {
-			node            *bNode
-			cand            candidate
-			leftID, rightID int32
-			posted          func() // closes the node's B:AwaitPlacement span
-		}
-		var pending []pendingA
-		var next []*bNode
-
-		// Every node's winner first; the nodes Party B splits are then placed
-		// in one pass over its shards.
-		bests := make([]candidate, len(active))
-		placed := make([]*nodeSplit, len(active))
+		nodes := make([]layerNode, len(active))
 		for k, nd := range active {
-			best := b.ownBest(ownHists[k], nd)
+			nodes[k] = layerNode{node: nd, own: b.ownBest(ownHists[k], nd)}
+		}
+		if speculate {
+			if err := b.post(t, layer, nodes, true); err != nil {
+				return nil, nil, err
+			}
+		}
+		awaiting := func(n *layerNode) {
+			n.posted = b.rec.Span("B:AwaitPlacement", fmt.Sprintf("tree %d layer %d node %d", t, layer, n.node.id))
+		}
+
+		// Validation, in node order. A dirty node's correction is posted at
+		// once, so the corrections of the layer are in flight together.
+		for k := range nodes {
+			n := &nodes[k]
+			n.best = n.own
 			for pi := range b.links {
-				c, err := b.passiveBest(pi, t, nd)
+				c, err := b.passiveBest(pi, t, n.node)
 				if err != nil {
 					return nil, nil, err
 				}
-				if c.valid() && (!best.valid() || betterCandidate(c, best)) {
-					best = c
+				if c.valid() && (!n.best.valid() || betterCandidate(c, n.best)) {
+					n.best = c
 				}
 			}
-			bests[k] = best
-			if best.valid() && best.party == len(b.links) {
-				placed[k] = newNodeSplit(nd.insts, best.split.Feature, best.split.Bin)
+			if !speculate || !b.passiveWon(n.best) {
+				continue
 			}
-		}
-		if err := b.units.routeNodes(b.view, placed); err != nil {
-			return nil, nil, err
-		}
-
-		for k, nd := range active {
-			best := bests[k]
-			switch {
-			case !best.valid():
-				leaves = append(leaves, b.recordLeaf(tree, nd))
-				for pi := range decisions {
-					decisions[pi] = append(decisions[pi], NodeDecision{Node: nd.id, Action: ActionLeaf})
-				}
-			case best.party == len(b.links):
-				// Party B owns the split.
-				leftID, rightID := b.allocID(), b.allocID()
-				b.recordSplitB(tree, nd, best, leftID, rightID)
-				for pi := range decisions {
-					decisions[pi] = append(decisions[pi], NodeDecision{
-						Node: nd.id, Action: ActionSplitB,
-						LeftID: leftID, RightID: rightID,
-						Placement: placed[k].bits, Count: len(nd.insts),
-					})
-				}
-				next = append(next, b.childNodes(nd.id, leftID, placed[k].left, rightID, placed[k].right)...)
-			default:
-				// A passive party owns the split: tell the owner now,
-				// relay the placement to the rest once it arrives.
-				leftID, rightID := b.allocID(), b.allocID()
-				b.recordSplitA(tree, nd, best, leftID, rightID)
-				decisions[best.party] = append(decisions[best.party], NodeDecision{
-					Node: nd.id, Action: ActionSplitA, Owner: best.party,
-					LeftID: leftID, RightID: rightID,
-					Feature: best.split.Feature, Bin: best.split.Bin,
-				})
-				pending = append(pending, pendingA{node: nd, cand: best, leftID: leftID, rightID: rightID})
-			}
-		}
-
-		for pi, l := range b.links {
-			if len(decisions[pi]) > 0 {
-				if err := l.send(MsgDecisions{Tree: t, Layer: layer, Nodes: decisions[pi]}); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-
-		// The owners have their decisions: every placement is in flight.
-		for i := range pending {
-			pending[i].posted = b.rec.Span("B:AwaitPlacement", fmt.Sprintf("tree %d layer %d node %d", t, layer, pending[i].node.id))
-		}
-		for _, pa := range pending {
-			idle := time.Now()
-			pl, err := b.pumps[pa.cand.party].placementFor(t, pa.node.id)
-			addDur(&b.stats.bIdleTime, time.Since(idle))
-			pa.posted()
-			if err != nil {
+			b.stats.dirtyNodes.Add(1)
+			n.abortLeft, n.abortRight = n.leftID, n.rightID
+			n.leftID, n.rightID = b.allocID(), b.allocID()
+			if err := b.links[n.best.party].send(MsgDirty{
+				Tree: t, Layer: layer, Node: n.node.id,
+				OldLeft: n.abortLeft, OldRight: n.abortRight,
+				LeftID: n.leftID, RightID: n.rightID,
+				Feature: n.best.split.Feature, Bin: n.best.split.Bin,
+			}); err != nil {
 				return nil, nil, err
 			}
-			left, right := applyPlacement(pa.node.insts, pl.Bits)
-			relay := NodeDecision{
-				Node: pa.node.id, Action: ActionSplitA, Owner: pa.cand.party,
-				LeftID: pa.leftID, RightID: pa.rightID,
-				Placement: pl.Bits, Count: len(pa.node.insts),
+			awaiting(n)
+		}
+		if !speculate {
+			if err := b.post(t, layer, nodes, false); err != nil {
+				return nil, nil, err
 			}
-			for pi, l := range b.links {
-				if pi == pa.cand.party {
-					continue
+			for k := range nodes {
+				if b.passiveWon(nodes[k].best) {
+					awaiting(&nodes[k])
 				}
-				if err := l.send(MsgDecisions{Tree: t, Layer: layer, Nodes: []NodeDecision{relay}}); err != nil {
+			}
+		}
+
+		// Settle in node order. Without speculation the children of B's
+		// splits lead the next layer and those of passive splits follow;
+		// with it the next layer keeps node order.
+		var next, later []*bNode
+		for k := range nodes {
+			n := &nodes[k]
+			switch {
+			case !n.best.valid():
+				leaves = append(leaves, b.recordLeaf(tree, n.node))
+			case n.best.party == len(b.links):
+				b.recordSplitB(tree, n.node, n.best, n.leftID, n.rightID)
+				next = append(next, b.childNodes(n.node.id, n.leftID, n.split.left, n.rightID, n.split.right)...)
+			default:
+				children, err := b.awaitPlacement(tree, t, layer, n)
+				if err != nil {
 					return nil, nil, err
 				}
+				if speculate {
+					next = append(next, children...)
+				} else {
+					later = append(later, children...)
+				}
 			}
-			next = append(next, b.childNodes(pa.node.id, pa.leftID, left, pa.rightID, right)...)
 		}
-		active = next
+		active = append(next, later...)
 	}
 
 	for _, nd := range active {
 		leaves = append(leaves, b.recordLeaf(tree, nd))
 	}
 	return tree, leaves, nil
+}
+
+// layerNode is one node of the layer Party B is deciding.
+type layerNode struct {
+	node      *bNode
+	own, best candidate // B's own best split; the validated winner
+	// leftID and rightID are the children of the split posted for the
+	// node, and split is B's placement of it when the split is B's own;
+	// abortLeft and abortRight are the tentative children a correction
+	// replaced.
+	split                 *nodeSplit
+	leftID, rightID       int32
+	abortLeft, abortRight int32
+	posted                func() // closes the node's B:AwaitPlacement span
+}
+
+// passiveWon reports whether a passive party owns a split.
+func (b *activeParty) passiveWon(c candidate) bool {
+	return c.valid() && c.party != len(b.links)
+}
+
+// post sends a layer's decisions and allocates, in node order, the
+// children of every split it posts. Tentative, they are B's own best
+// splits, sent to every party; final, the validated winners, where a
+// passive party's split goes only to its owner, with the feature and bin
+// no other party may see. B places the splits it owns in one pass over its
+// shards.
+func (b *activeParty) post(t, layer int, nodes []layerNode, tentative bool) error {
+	choice := func(n *layerNode) candidate {
+		if tentative {
+			return n.own
+		}
+		return n.best
+	}
+	placed := make([]*nodeSplit, len(nodes))
+	for k := range nodes {
+		if c := choice(&nodes[k]); c.valid() && c.party == len(b.links) {
+			placed[k] = newNodeSplit(nodes[k].node.insts, c.split.Feature, c.split.Bin)
+		}
+	}
+	if err := b.units.routeNodes(b.view, placed); err != nil {
+		return err
+	}
+	decisions := make([][]NodeDecision, len(b.links))
+	for k := range nodes {
+		n, c := &nodes[k], choice(&nodes[k])
+		d := NodeDecision{Node: n.node.id, Action: ActionLeaf}
+		if c.valid() {
+			n.leftID, n.rightID = b.allocID(), b.allocID()
+			d.LeftID, d.RightID = n.leftID, n.rightID
+		}
+		if b.passiveWon(c) {
+			d.Action, d.Owner, d.Feature, d.Bin = ActionSplitA, c.party, c.split.Feature, c.split.Bin
+			decisions[c.party] = append(decisions[c.party], d)
+			continue
+		}
+		if n.split = placed[k]; n.split != nil {
+			d.Action, d.Placement, d.Count = ActionSplitB, n.split.bits, len(n.node.insts)
+		}
+		for pi := range decisions {
+			decisions[pi] = append(decisions[pi], d)
+		}
+	}
+	for pi, l := range b.links {
+		if len(decisions[pi]) == 0 {
+			continue
+		}
+		if err := l.send(MsgDecisions{Tree: t, Layer: layer, Tentative: tentative, Nodes: decisions[pi]}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// awaitPlacement waits for the placement of a split a passive party won,
+// checks that it covers the node, relays it to every other party and
+// records the split; it returns the split's children. A placement that
+// does not fit its node ends the session on every link.
+func (b *activeParty) awaitPlacement(tree *FedTree, t, layer int, n *layerNode) ([]*bNode, error) {
+	owner := n.best.party
+	idle := time.Now()
+	pl, err := b.pumps[owner].placementFor(t, n.node.id)
+	addDur(&b.stats.bIdleTime, time.Since(idle))
+	n.posted()
+	if err != nil {
+		return nil, err
+	}
+	left, right, err := applyPlacement(n.node.insts, pl.Bits)
+	if err != nil {
+		err = fmt.Errorf("core: party %d placement for tree %d node %d: %w", owner, t, n.node.id, err)
+		b.abort(err)
+		return nil, err
+	}
+	relay := NodeDecision{
+		Node: n.node.id, Action: ActionSplitA, Owner: owner,
+		LeftID: n.leftID, RightID: n.rightID,
+		Placement: pl.Bits, Count: len(n.node.insts),
+		AbortLeft: n.abortLeft, AbortRight: n.abortRight,
+	}
+	for pi, l := range b.links {
+		if pi == owner {
+			continue
+		}
+		if err := l.send(MsgDecisions{Tree: t, Layer: layer, Nodes: []NodeDecision{relay}}); err != nil {
+			return nil, err
+		}
+	}
+	b.recordSplitA(tree, n.node, n.best, n.leftID, n.rightID)
+	return b.childNodes(n.node.id, n.leftID, left, n.rightID, right), nil
 }
 
 // startTree resets per-tree state and returns the root bookkeeping.

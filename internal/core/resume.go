@@ -47,9 +47,9 @@ type TrainState struct {
 	// the only numeric training state not reconstructible from the
 	// fragment.
 	Margins []float64 `json:"margins,omitempty"`
-	// BackOff is Party B's adaptive-optimism carry-over (see
-	// activeParty.backOff); snapshotting it keeps a resumed run on the
-	// exact protocol schedule of an uninterrupted one.
+	// BackOff is Party B's speculation latch (see activeParty.backOff);
+	// snapshotting it keeps a resumed run on the exact protocol schedule of
+	// an uninterrupted one.
 	BackOff bool `json:"back_off,omitempty"`
 }
 
@@ -65,9 +65,14 @@ func (c Config) Fingerprint() string {
 	h := sha256.New()
 	fmt.Fprintf(h, "lr=%g depth=%d bins=%d split=%+v loss=%T scheme=%s keybits=%d exp=%d/%d",
 		c.LearningRate, c.MaxDepth, c.MaxBins, c.Split, c.Loss, c.Scheme, c.KeyBits, c.BaseExp, c.ExpSpread)
+	// The fifth and sixth opt positions held two retired switches, each
+	// acting only under HistogramPacking or OptimisticSplit. Printing those
+	// two there keeps the string, and with it the checkpoints, of every
+	// config whose switches matched them: DefaultConfig, BaselineConfig,
+	// MockConfig and every CLI config.
 	fmt.Fprintf(h, " opt=%t/%t/%t/%t/%t/%t/%t batch=%d seed=%d",
 		c.BlasterEncryption, c.ReorderedAccumulation, c.OptimisticSplit, c.HistogramPacking,
-		c.AdaptivePacking, c.AdaptiveOptimism, c.HistogramSubtraction, c.BatchSize, c.Seed)
+		c.HistogramPacking, c.OptimisticSplit, c.HistogramSubtraction, c.BatchSize, c.Seed)
 	if c.Objective != nil && c.Objective.Name() != "binary" {
 		// A non-default objective reshapes every round (k class trees,
 		// k×n margins); binary sessions keep the historical fingerprint.

@@ -32,8 +32,10 @@ import (
 // maxRouteDepth, an invalid owner, or a split missing from its owner.
 var ErrModelStructure = errors.New("core: malformed model")
 
-// ErrRoutingBits marks routing bitmaps a round cannot use: a bitmap whose
-// length is not ⌈rows/8⌉ bytes, or a split a present party sent none for.
+// ErrRoutingBits marks routing or placement bitmaps a party cannot use: a
+// bitmap whose length is not ⌈rows/8⌉ bytes — in training, ⌈n/8⌉ for the
+// n instances of the node a placement splits — or a split a present party
+// sent none for.
 var ErrRoutingBits = errors.New("core: malformed routing bits")
 
 // maxRouteDepth bounds a root-to-leaf path. A deeper tree is refused at

@@ -400,8 +400,8 @@ func nodesOf(pls []MsgPlacement) []int32 {
 // Party B walks its store twice per layer — the layer's own histograms,
 // then one placement pass for every node it splits. A passive party walks
 // once for the root, once per decisions frame that names splits of its own
-// (one frame per layer from the sequential builder, one per correction
-// from the optimistic one) and once per accumulation pass; with one passive
+// (one frame per layer without speculation, one per correction with
+// it) and once per accumulation pass; with one passive
 // party and optimism off that is one of each per layer, 2·depth in all, and
 // the bound is shards × (2·depth + 2) × trees. What loosens it is stated
 // in passes: a relayed placement (one per split of another passive party)
@@ -417,13 +417,12 @@ func TestFederatedLoadsBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	sequential := func(cfg Config) Config { cfg.OptimisticSplit = false; return cfg }
-	optimistic := func(cfg Config) Config { cfg.AdaptiveOptimism = false; return cfg }
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"mock/sequential", sequential(quickConfig(SchemeMock))},
-		{"mock/optimistic", optimistic(quickConfig(SchemeMock))},
+		{"mock/optimistic", quickConfig(SchemeMock)},
 	} {
 		for _, passive := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/passive=%d", tc.name, passive), func(t *testing.T) {

@@ -94,7 +94,10 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 		if err != nil {
 			t.Fatal(err)
 		}
-		left, right := applyPlacement(nd.insts, bm)
+		left, right, err := applyPlacement(nd.insts, bm)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return b.childNodes(nd.id, leftID, left, rightID, right)
 	}
 	_, root := b.startTree()
@@ -120,7 +123,8 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 
 // sameSums compares two histograms bin by bin as exact rationals — the
 // fields at a common exponent — and as the floats split finding reads.
-// An empty bin equals a zero one: the all-bins mask ships zeros.
+// An empty bin equals a zero one: a derived bin whose mass all sits in its
+// sibling is zero, not empty.
 func sameSums(base int, x, y nodeSums) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("%d features vs %d", len(x), len(y))
@@ -156,24 +160,28 @@ func sameSums(base int, x, y nodeSums) error {
 // TestDerivedSiblingEqualsBuiltSibling: the integers B derives for the
 // larger child of a split are the integers it would have decrypted had the
 // passive party built (or homomorphically subtracted) and shipped that
-// child — over both schemes, the node layout under both masks and the
-// unpacked bins, one and several exponents, and both accumulation
-// strategies.
+// child — over both schemes; the node layout on data that fills every
+// bin of the root and on sparse data that does not, and the unpacked bins;
+// one and several exponents; and both accumulation strategies.
 func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
-	_, parts := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
+	_, sparse := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
+	_, dense := twoPartyData(t, 120, 3, 2, 1, true, 81)
 	type shape struct {
 		name   string
+		parts  []*dataset.Dataset
 		mutate func(*Config)
 	}
 	shapes := []shape{
-		{"all-bins", func(c *Config) { c.AdaptivePacking = false }},
-		{"occupied-mask", func(c *Config) {}},
-		{"unpacked", func(c *Config) { c.HistogramPacking, c.AdaptivePacking = false, false }},
+		{"all-bins", dense, func(c *Config) {}},
+		{"occupied-mask", sparse, func(c *Config) {}},
+		{"unpacked", sparse, func(c *Config) { c.HistogramPacking = false }},
 	}
-	var cases []struct {
-		name string
-		cfg  Config
+	type sibCase struct {
+		name  string
+		parts []*dataset.Dataset
+		cfg   Config
 	}
+	var cases []sibCase
 	for _, scheme := range []string{SchemeMock, SchemePaillier} {
 		for _, sh := range shapes {
 			for _, spread := range []int{1, 4} {
@@ -182,10 +190,7 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 					cfg.KeyBits = 512
 					cfg.ExpSpread, cfg.ReorderedAccumulation = spread, reordered
 					sh.mutate(&cfg)
-					cases = append(cases, struct {
-						name string
-						cfg  Config
-					}{fmt.Sprintf("%s/%s/spread=%d/reordered=%v", scheme, sh.name, spread, reordered), cfg})
+					cases = append(cases, sibCase{fmt.Sprintf("%s/%s/spread=%d/reordered=%v", scheme, sh.name, spread, reordered), sh.parts, cfg})
 				}
 			}
 		}
@@ -194,31 +199,31 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			on, off := tc.cfg, tc.cfg
 			on.HistogramSubtraction, off.HistogramSubtraction = true, false
-			derived := splitTreeSums(t, parts, on)
-			built := splitTreeSums(t, parts, off)
+			derived := splitTreeSums(t, tc.parts, on)
+			built := splitTreeSums(t, tc.parts, off)
 			for id := int32(1); id <= 5; id++ {
 				if err := sameSums(fixedpoint.DefaultBase, derived[id], built[id]); err != nil {
 					t.Errorf("node %d: derived vs built: %v", id, err)
 				}
 			}
-			// The premise of the packed shapes: under the occupancy mask some
-			// feature has a slot for every bin in the root and unslotted bins
-			// in the two-instance node 2 derived from it; with every bin
-			// slotted no bin of any node is nil.
-			mixed, full := false, true
+			// The premise of the packed shapes: on the sparse data some feature
+			// has a slot for every bin in the root and unslotted bins in the
+			// two-instance node 2 derived from it; on the dense data every bin
+			// of the root holds an instance, so every root bitmap is full.
+			mixed, fullRoot := false, true
 			for j, fs := range built[1] {
-				fullRoot, sparseKid := true, false
+				full, sparseKid := true, false
 				for k := range fs.g {
-					fullRoot = fullRoot && fs.g[k] != nil
+					full = full && fs.g[k] != nil
 					sparseKid = sparseKid || built[2][j].g[k] == nil
 				}
-				mixed, full = mixed || (fullRoot && sparseKid), full && fullRoot && !sparseKid
+				mixed, fullRoot = mixed || (full && sparseKid), fullRoot && full
 			}
 			if strings.Contains(tc.name, "occupied-mask") && !mixed {
 				t.Error("test premise broken: no feature is fully slotted in the parent and sparse in the child")
 			}
-			if strings.Contains(tc.name, "all-bins") && !full {
-				t.Error("a bin without a slot under the all-bins mask")
+			if strings.Contains(tc.name, "all-bins") && !fullRoot {
+				t.Error("test premise broken: a root bin without an instance on the dense data")
 			}
 		})
 	}
@@ -238,15 +243,13 @@ func TestSiblingDerivationModelParity(t *testing.T) {
 		cfg.Trees = 2
 		return cfg
 	}
-	optimistic := quickConfig(SchemeMock)
-	optimistic.AdaptiveOptimism = false
 	for _, tc := range []struct {
 		name      string
 		parts     []*dataset.Dataset
 		cfg       Config
 		wantDirty bool
 	}{
-		{"optimistic-dirty", binary, optimistic, true},
+		{"optimistic-dirty", binary, quickConfig(SchemeMock), true},
 		{"paillier-optimistic", binary, quickConfig(SchemePaillier), false},
 		{"multiclass-scalar", multi, mc(quickConfig(SchemeMock)), false},
 	} {

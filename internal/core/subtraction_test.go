@@ -74,7 +74,6 @@ func TestHistogramSubtractionWithOptimisticDirty(t *testing.T) {
 	seq.HistogramSubtraction = true
 	opt := seq
 	opt.OptimisticSplit = true
-	opt.AdaptiveOptimism = false
 
 	mSeq, _ := trainFed(t, parts, seq)
 	mOpt, sOpt := trainFed(t, parts, opt)

@@ -72,9 +72,6 @@ func Table2(tc Table2Config) ([]Table2Row, error) {
 		base.KeyBits = tc.KeyBits
 		base.Split.MinChildHess = tc.MinChildHess
 		base.Workers = 1
-		// AdaptivePacking stays on so the empty bins of the (few) sparse
-		// features take no slot of a packed node.
-		base.AdaptivePacking = true
 		// Blaster stays off in all four configurations, as in the paper's
 		// Table 2 (it isolates OptimSplit and HistPack).
 

@@ -47,11 +47,15 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # per ciphertext on another, and what B files must equal the unpacked
 # path's integers — and a refused frame must end in its typed error, and
 # a frame no decoder reads (the retired batched-backend ids 24–27, an
-# unknown id) in MsgAbort to B — whatever the schedule. The optimistic
-# builder's corrections ride along: on virtual-time links a layer's dirty
-# nodes must cost one round trip on any core count, and the corrections
-# queued at a passive party must share one placement pass and answer as
-# one at a time would, with its receive pump gone when the session ends.
+# unknown id) in MsgAbort to B — whatever the schedule. Party B grows
+# every tree in one layer loop, speculating or not: the frames it sends
+# each party must log to the same hashes on any core count, a session
+# must stop speculating after a lost tree, the checkpoint fingerprints
+# must hold, and a short placement must end B's session with its typed
+# error. On virtual-time links a layer's dirty nodes must cost one round
+# trip, and the corrections queued at a passive party must share one
+# placement pass and answer as one at a time would, with its receive
+# pump gone when the session ends.
 # So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
@@ -62,7 +66,7 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|AdaptivePacking|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core

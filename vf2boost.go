@@ -133,14 +133,9 @@ type Config struct {
 	Reordered   bool
 	Optimistic  bool
 	HistPacking bool
-	// AdaptivePacking gives only the occupied bins of a node a slot of its
-	// packed ciphertexts (off: every bin, the paper's layout);
-	// AdaptiveOptimism falls back to the sequential schedule after a
-	// high-dirty-rate tree; HistSubtraction has Party B derive each larger
-	// sibling's histogram as parent - child (see internal/core.Config).
-	AdaptivePacking  bool
-	AdaptiveOptimism bool
-	HistSubtraction  bool
+	// HistSubtraction has Party B derive each larger sibling's histogram
+	// as parent - child (see internal/core.Config).
+	HistSubtraction bool
 
 	// WANMbps simulates the public-network bandwidth between parties
 	// (0 = unshaped); WANLatency adds fixed per-message delay.
@@ -157,12 +152,16 @@ func DefaultConfig() Config {
 		Trees: 20, LearningRate: 0.1, MaxDepth: 6, MaxBins: 20, Lambda: 1,
 		Scheme: "paillier", KeyBits: 2048,
 		Blaster: true, Reordered: true, Optimistic: true, HistPacking: true,
-		AdaptivePacking: true, AdaptiveOptimism: true, HistSubtraction: true,
-		Seed: 1,
+		HistSubtraction: true,
+		Seed:            1,
 	}
 }
 
 // BaselineConfig returns VF-GBDT: same cryptography, no optimizations.
+// Its checkpoint fingerprint is not the one it had while this Config
+// carried adaptive-packing and adaptive-optimism switches: they were on
+// here with their parent switches off, and the fingerprint now prints
+// the parents' values in their place.
 func BaselineConfig() Config {
 	c := DefaultConfig()
 	c.Blaster, c.Reordered, c.Optimistic, c.HistPacking = false, false, false, false
@@ -194,8 +193,6 @@ func (c Config) toCore() core.Config {
 	cc.ReorderedAccumulation = c.Reordered
 	cc.OptimisticSplit = c.Optimistic
 	cc.HistogramPacking = c.HistPacking
-	cc.AdaptivePacking = c.AdaptivePacking
-	cc.AdaptiveOptimism = c.AdaptiveOptimism
 	cc.HistogramSubtraction = c.HistSubtraction
 	cc.Seed = c.Seed
 	return cc
