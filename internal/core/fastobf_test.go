@@ -139,20 +139,6 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 	}
 }
 
-// TestPumpFailsSessionOnAbort: Party B's demultiplexer must turn a passive
-// party's MsgAbort into the session error every pending wait observes.
-func TestPumpFailsSessionOnAbort(t *testing.T) {
-	l, feed := drivenLink()
-	pump := startPump(l)
-	sender := NewLink(feed)
-	if err := sender.send(MsgAbort{Party: 1, Reason: "hostile histogram"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pump.histFor(0, 1); err == nil {
-		t.Error("histFor returned no error after MsgAbort")
-	}
-}
-
 // TestPassivePartyRejectsHostileGradientExponent: exponents in the
 // gradient stream index histogram slot rows; out-of-range values must be
 // rejected at ingress as a session error, not panic deep in accumulation.

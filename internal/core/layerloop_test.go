@@ -68,7 +68,7 @@ func loggedSession(t *testing.T, parts []*dataset.Dataset, cfg Config) []*frameL
 	for i := range logs {
 		a, b := newPipe()
 		defer a.Close()
-		defer b.Close() // Party B's pumps are still reading
+		defer b.Close() // Party B's inboxes are still reading
 		logs[i] = &frameLog{chanEnd: b, h: sha256.New()}
 		bEnds[i] = logs[i]
 		go func() {

@@ -442,7 +442,7 @@ func TestActiveRejectsHostilePackedFrames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b.pumps[0].hist <- frame
+			b.inboxes[0].file(frame, nil)
 			_, err = b.passiveSums(0, 0, &bNode{id: rootID})
 			if err == nil {
 				t.Fatal("hostile frame accepted")
@@ -488,8 +488,8 @@ func TestPackedChildMustMatchParentBins(t *testing.T) {
 	lr.bins = [][][]cell{{one, nil, nil, nil}}
 	child := lr.wire(t, true, true)
 	child.Node, child.Parent, child.Sibling = 2, rootID, 3
-	b.pumps[0].hist <- MsgHistograms{Nodes: []NodeHist{root}}
-	b.pumps[0].hist <- MsgHistograms{Layer: 1, Nodes: []NodeHist{child}}
+	b.inboxes[0].file(MsgHistograms{Nodes: []NodeHist{root}}, nil)
+	b.inboxes[0].file(MsgHistograms{Layer: 1, Nodes: []NodeHist{child}}, nil)
 	if _, err := b.passiveSums(0, 0, &bNode{id: rootID}); err != nil {
 		t.Fatal(err)
 	}

@@ -189,7 +189,7 @@ func (n *lagNet) train(t *testing.T, parts []*dataset.Dataset, cfg Config) []*Pa
 		}
 	}
 	for _, e := range ends {
-		close(e.out) // Party B's pumps are still reading
+		close(e.out) // Party B's inboxes are still reading
 	}
 	for i, err := range errs {
 		if err != nil {

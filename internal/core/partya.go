@@ -481,7 +481,7 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 			return err
 		}
 		// Class c's tree is the round's tree roundTree+c: tag its root
-		// so B's pump files it under the tree that will consume it.
+		// so B's inbox files it under the tree that will consume it.
 		if err := p.send(MsgHistograms{Tree: m.Tree + m.Class, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
 			return err
 		}

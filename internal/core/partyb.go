@@ -38,7 +38,14 @@ type activeParty struct {
 	batch int
 
 	links []*link
-	pumps []*pump
+	// inboxes[i] files the frames passive party i sends; sums[i] are its
+	// histograms of the round's nodes B decrypted or derived, in the exact
+	// integer domain: what sibling derivation subtracts from.
+	inboxes []*inbox
+	sums    []map[inboxKey]nodeSums
+	// aborted latches that B has told every passive party why it ends the
+	// session.
+	aborted bool
 	// featCounts[i] is the feature count passive party i announced at
 	// setup; its histograms must carry exactly that many features.
 	featCounts []int
@@ -92,144 +99,6 @@ type activeParty struct {
 
 	// perTreeTime records wall time per boosting round for Figure 10.
 	perTreeTime []time.Duration
-}
-
-// pump demultiplexes one passive party's incoming messages by type so the
-// scheduler can await histograms and placements independently. A pump's
-// receive loop also keeps draining while B computes, which is what lets
-// blaster batches and streamed histograms overlap with decryption.
-type pump struct {
-	hist      chan MsgHistograms
-	placement chan MsgPlacement
-	ready     chan MsgReady
-	resume    chan MsgResume
-	errs      chan error
-
-	// stores hold messages pulled off the channels but not yet consumed.
-	// Histograms are keyed by (tree, node): during a multi-output round
-	// the passive party's per-class root histograms arrive tagged with
-	// later trees of the same round (round·k+c) while B is still building
-	// tree round·k, so they must be held rather than discarded.
-	histStore  map[int64]NodeHist
-	placeStore map[int32]MsgPlacement
-	// sums are the decrypted (or derived) histograms of the round's nodes
-	// in the exact integer domain, keyed like histStore: what sibling
-	// derivation subtracts from, and what makes a second frame for a node
-	// a duplicate.
-	sums map[int64]nodeSums
-}
-
-// histKey composes the (tree, node) histogram-store key.
-func histKey(tree int, node int32) int64 {
-	return int64(tree)<<32 | int64(uint32(node))
-}
-
-func startPump(l *link) *pump {
-	p := &pump{
-		hist:       make(chan MsgHistograms, 1024),
-		placement:  make(chan MsgPlacement, 256),
-		ready:      make(chan MsgReady, 1),
-		resume:     make(chan MsgResume, 1),
-		errs:       make(chan error, 1),
-		histStore:  make(map[int64]NodeHist),
-		placeStore: make(map[int32]MsgPlacement),
-		sums:       make(map[int64]nodeSums),
-	}
-	go func() {
-		for {
-			msg, err := l.recv()
-			if err != nil {
-				p.errs <- err
-				return
-			}
-			switch m := msg.(type) {
-			case MsgHistograms:
-				p.hist <- m
-			case MsgPlacement:
-				p.placement <- m
-			case MsgReady:
-				p.ready <- m
-			case MsgResume:
-				p.resume <- m
-			case MsgAbort:
-				// The passive party hit an unrecoverable input error (see
-				// passiveParty.fail); surface it as the session failure.
-				p.errs <- fmt.Errorf("core: party %d aborted session: %s", m.Party, m.Reason)
-				return
-			default:
-				p.errs <- fmt.Errorf("core: party B: unexpected message %T", msg)
-				return
-			}
-		}
-	}()
-	return p
-}
-
-// histFor blocks until the passive party's histogram for a node of the
-// given tree arrives. Node IDs restart every tree, so the store keys by
-// (tree, node): a straggler from an aborted optimistic sub-task of an
-// earlier tree lands under its own tree and can never masquerade as the
-// current tree's histogram, while a multi-output round's early-arriving
-// per-class root histograms (tagged with later trees of the round) are
-// held until their tree builds. A node's histogram arrives at most once:
-// a second frame for a node still stored, or already decrypted, is
-// refused. Leftovers are cleared by reset at the end of every round.
-func (p *pump) histFor(tree int, node int32) (NodeHist, error) {
-	key := histKey(tree, node)
-	for {
-		if nh, ok := p.histStore[key]; ok {
-			delete(p.histStore, key)
-			return nh, nil
-		}
-		select {
-		case m := <-p.hist:
-			for _, nh := range m.Nodes {
-				k := histKey(m.Tree, nh.Node)
-				if _, dup := p.histStore[k]; dup || p.sums[k] != nil {
-					return NodeHist{}, fmt.Errorf("%w: node %d of tree %d announced twice", ErrSiblingDerivation, nh.Node, m.Tree)
-				}
-				p.histStore[k] = nh
-			}
-		case err := <-p.errs:
-			return NodeHist{}, err
-		}
-	}
-}
-
-// placementFor blocks until the passive party's placement for a node of
-// the given tree arrives; stale-tree placements are discarded.
-func (p *pump) placementFor(tree int, node int32) (MsgPlacement, error) {
-	for {
-		if pl, ok := p.placeStore[node]; ok {
-			delete(p.placeStore, node)
-			return pl, nil
-		}
-		select {
-		case m := <-p.placement:
-			if m.Tree != tree {
-				continue
-			}
-			p.placeStore[m.Node] = m
-		case err := <-p.errs:
-			return MsgPlacement{}, err
-		}
-	}
-}
-
-// reset discards per-round leftovers (stale histograms of aborted nodes)
-// and the round's decrypted sums.
-func (p *pump) reset() {
-	p.histStore = make(map[int64]NodeHist)
-	p.placeStore = make(map[int32]MsgPlacement)
-	p.sums = make(map[int64]nodeSums)
-	for {
-		select {
-		case <-p.hist:
-		case <-p.placement:
-		default:
-			return
-		}
-	}
 }
 
 // newActivePartyView builds Party B over a binned view and its label
@@ -344,41 +213,39 @@ func (b *activeParty) setup() error {
 			return err
 		}
 	}
-	b.pumps = make([]*pump, len(b.links))
+	b.inboxes = make([]*inbox, len(b.links))
+	b.sums = make([]map[inboxKey]nodeSums, len(b.links))
 	for i, l := range b.links {
-		b.pumps[i] = startPump(l)
+		b.inboxes[i] = startInbox(l)
+		b.sums[i] = make(map[inboxKey]nodeSums)
 	}
 	b.offsets = make([]int32, len(b.links))
 	b.featCounts = make([]int, len(b.links))
+	b.resumeTrees = make([]int, len(b.links))
 	off := int32(0)
-	for i, p := range b.pumps {
-		select {
-		case r := <-p.ready:
-			if r.Rows != b.rows {
-				return fmt.Errorf("core: party %d has %d rows, party B has %d (instances not aligned)",
-					i, r.Rows, b.rows)
-			}
-			if r.Features < 0 || r.Features > math.MaxInt32-int(off) {
-				return fmt.Errorf("core: party %d announces %d features", i, r.Features)
-			}
-			b.offsets[i], b.featCounts[i] = off, r.Features
-			off += int32(r.Features)
-		case err := <-p.errs:
+	for i := range b.links {
+		f, err := b.await(i, inboxKey{kind: kindReady})
+		if err != nil {
 			return err
 		}
+		r := f.(MsgReady)
+		if r.Rows != b.rows {
+			return fmt.Errorf("core: party %d has %d rows, party B has %d (instances not aligned)",
+				i, r.Rows, b.rows)
+		}
+		if r.Features < 0 || r.Features > math.MaxInt32-int(off) {
+			return fmt.Errorf("core: party %d announces %d features", i, r.Features)
+		}
+		b.offsets[i], b.featCounts[i] = off, r.Features
+		off += int32(r.Features)
+		// Each party follows its MsgReady with a MsgResume announcing the
+		// round its restored checkpoint covers (0 when fresh).
+		if f, err = b.await(i, inboxKey{kind: kindResume}); err != nil {
+			return err
+		}
+		b.resumeTrees[i] = f.(MsgResume).Trees
 	}
 	b.bOffset = off
-	// Each party follows its MsgReady with a MsgResume announcing the
-	// round its restored checkpoint covers (0 when fresh).
-	b.resumeTrees = make([]int, len(b.pumps))
-	for i, p := range b.pumps {
-		select {
-		case m := <-p.resume:
-			b.resumeTrees[i] = m.Trees
-		case err := <-p.errs:
-			return err
-		}
-	}
 	return nil
 }
 
@@ -475,11 +342,12 @@ func (b *activeParty) train() (*PartyModel, error) {
 		if class != k-1 {
 			continue
 		}
-		// Round boundary: clear pump leftovers and checkpoint. Mid-round
-		// trees never reset — the round's later per-class root histograms
-		// may already be sitting in the store.
-		for _, p := range b.pumps {
-			p.reset()
+		// Round boundary: drop the round's frames and sums, and checkpoint.
+		// Mid-round trees never reset — the round's later per-class root
+		// histograms may already be filed.
+		for i, in := range b.inboxes {
+			in.reset()
+			clear(b.sums[i])
 		}
 		if b.ckpt != nil {
 			if err := b.saveCheckpoint(t + 1); err != nil {
@@ -715,17 +583,10 @@ func (b *activeParty) passiveBest(party, tree int, node *bNode) (candidate, erro
 }
 
 // passiveSums returns a passive party's histogram of a node of the given
-// tree. A frame B refuses by name — a broken sibling-derivation or node
-// layout contract, or a peer on a retired one — aborts the session on
-// every link.
+// tree.
 func (b *activeParty) passiveSums(party, tree int, node *bNode) (nodeSums, error) {
 	s, err := b.sumsOf(party, tree, node)
-	for _, refusal := range []error{ErrSiblingDerivation, ErrLegacySiblings, ErrPackedLayout, ErrLegacyPacking} {
-		if errors.Is(err, refusal) {
-			b.abort(err) // the refusals exclude one another
-		}
-	}
-	return s, err
+	return s, b.refuse(err)
 }
 
 // sumsOf fetches and decrypts, once, the histogram a passive party shipped
@@ -736,14 +597,14 @@ func (b *activeParty) passiveSums(party, tree int, node *bNode) (nodeSums, error
 // nothing by it that it could not already compute, and the passive party
 // saves a packing, the link a histogram and B its decryptions.
 func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
-	p := b.pumps[party]
-	if s, ok := p.sums[histKey(tree, node.id)]; ok {
+	sums := b.sums[party]
+	if s, ok := sums[histKey(tree, node.id)]; ok {
 		return s, nil
 	}
 	if !node.derived {
 		return b.fetchSums(party, tree, node)
 	}
-	parent, ok := p.sums[histKey(tree, node.parent)]
+	parent, ok := sums[histKey(tree, node.parent)]
 	if !ok {
 		return nil, fmt.Errorf("%w: party %d node %d: parent %d has no histogram in tree %d",
 			ErrSiblingDerivation, party, node.id, node.parent, tree)
@@ -756,7 +617,7 @@ func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
 	if err != nil {
 		return nil, fmt.Errorf("party %d node %d = %d − %d: %w", party, node.id, node.parent, node.sibling, err)
 	}
-	p.sums[histKey(tree, node.id)] = s
+	sums[histKey(tree, node.id)] = s
 	return s, nil
 }
 
@@ -765,13 +626,11 @@ func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
 // the smaller child of its split and must announce exactly the sibling B
 // is about to derive from it.
 func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) {
-	p := b.pumps[party]
-	idle := time.Now()
-	nh, err := p.histFor(tree, node.id)
-	addDur(&b.stats.bIdleTime, time.Since(idle))
+	f, err := b.await(party, histKey(tree, node.id))
 	if err != nil {
 		return nil, err
 	}
+	nh := f.(NodeHist)
 	var parent, sibling int32
 	if b.cfg.HistogramSubtraction {
 		parent, sibling = node.parent, node.sibling
@@ -792,14 +651,39 @@ func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) 
 	if err != nil {
 		return nil, err
 	}
-	p.sums[histKey(tree, node.id)] = s
+	b.sums[party][histKey(tree, node.id)] = s
 	return s, nil
 }
 
-// abort tells every passive party why B is ending the session before it
-// unwinds, so none keeps building histograms for a peer that is gone. The
-// sends are best effort: the session is failing either way.
+// await waits for the frame a passive party files under k; the wait is
+// Party B's idle time. A refused frame aborts the session on every link.
+func (b *activeParty) await(party int, k inboxKey) (any, error) {
+	idle := time.Now()
+	f, err := b.inboxes[party].await(k)
+	addDur(&b.stats.bIdleTime, time.Since(idle))
+	return f, b.refuse(err)
+}
+
+// refuse aborts the session on every link when err refuses a peer's frame
+// by name — a broken sibling-derivation or node layout contract, or a peer
+// on a retired one — and returns err.
+func (b *activeParty) refuse(err error) error {
+	for _, refusal := range []error{ErrSiblingDerivation, ErrLegacySiblings, ErrPackedLayout, ErrLegacyPacking} {
+		if errors.Is(err, refusal) {
+			b.abort(err) // the refusals exclude one another
+		}
+	}
+	return err
+}
+
+// abort tells every passive party, once, why B is ending the session before
+// it unwinds, so none keeps building histograms for a peer that is gone.
+// The sends are best effort: the session is failing either way.
 func (b *activeParty) abort(err error) {
+	if b.aborted {
+		return
+	}
+	b.aborted = true
 	for _, l := range b.links {
 		_ = l.send(MsgAbort{Party: len(b.links), Reason: err.Error()})
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"vf2boost/internal/dataset"
@@ -72,38 +71,6 @@ func servePredictRound(l *link, table *RouteTable, data *dataset.Dataset, start 
 		return err
 	}
 	return l.send(MsgPredictPlacements{Party: party, Nodes: nodes, Last: true})
-}
-
-// ServePredictLoop serves repeated MsgPredictStart rounds on one session:
-// it answers every round (including per-round errors, which keep the
-// session alive) until the transport closes or a MsgShutdown arrives, both
-// of which end the loop cleanly. A frame that arrived but cannot be
-// decoded ends it with ErrUndecodable. ServePredict remains the
-// single-round special case for existing callers.
-func ServePredictLoop(fragment *PartyModel, data *dataset.Dataset, tr Transport) error {
-	l := NewLink(tr)
-	table := CompileOwnedSplits(fragment)
-	for {
-		msg, err := l.recv()
-		if errors.Is(err, ErrUndecodable) {
-			return err
-		}
-		if err != nil {
-			// Transport gone: the peer disconnected, which is the normal
-			// way a prediction session ends.
-			return nil
-		}
-		switch m := msg.(type) {
-		case MsgPredictStart:
-			// Per-round errors were already reported to the peer; the
-			// session stays up for the next round.
-			_ = servePredictRound(l, table, data, m)
-		case MsgShutdown:
-			return nil
-		default:
-			return fmt.Errorf("core: expected MsgPredictStart, got %T", msg)
-		}
-	}
 }
 
 // PredictRemote scores aligned instances from Party B's side: bData is

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"vf2boost/internal/gbdt"
 )
@@ -198,13 +197,12 @@ func (b *activeParty) post(t, layer int, nodes []layerNode, tentative bool) erro
 // does not fit its node ends the session on every link.
 func (b *activeParty) awaitPlacement(tree *FedTree, t, layer int, n *layerNode) ([]*bNode, error) {
 	owner := n.best.party
-	idle := time.Now()
-	pl, err := b.pumps[owner].placementFor(t, n.node.id)
-	addDur(&b.stats.bIdleTime, time.Since(idle))
+	f, err := b.await(owner, placementKey(t, n.node.id))
 	n.posted()
 	if err != nil {
 		return nil, err
 	}
+	pl := f.(MsgPlacement)
 	left, right, err := applyPlacement(n.node.insts, pl.Bits)
 	if err != nil {
 		err = fmt.Errorf("core: party %d placement for tree %d node %d: %w", owner, t, n.node.id, err)

@@ -20,7 +20,7 @@ type Stats struct {
 	packTime      atomic.Int64 // ns passive parties spent finalizing and packing them
 	packedSlots   atomic.Int64 // histogram slots the passive parties packed ...
 	packedCts     atomic.Int64 // ... into this many ciphertexts
-	bIdleTime     atomic.Int64 // ns Party B spent waiting for histograms
+	bIdleTime     atomic.Int64 // ns Party B spent waiting for passive frames
 	aIdleTime     atomic.Int64 // ns passive parties spent waiting
 
 	splitsByB     atomic.Int64
@@ -59,7 +59,8 @@ func (s *Stats) PackFill() float64 {
 	return 0
 }
 
-// BIdleTime is Party B's cumulative time blocked on passive histograms.
+// BIdleTime is Party B's cumulative time blocked on the passive parties'
+// frames: their setup answers, histograms and placements.
 func (s *Stats) BIdleTime() time.Duration { return time.Duration(s.bIdleTime.Load()) }
 
 // AIdleTime is the passive parties' cumulative time blocked on messages.

@@ -19,7 +19,7 @@ type Loss interface {
 	// GradHess returns the first and second derivative of the loss at
 	// the raw prediction (margin) for one instance.
 	GradHess(label, margin float64) (g, h float64)
-	// HessianBound returns an upper bound on |g| (Bound in Section 5.2);
+	// GradBound returns an upper bound on |g| (Bound in Section 5.2);
 	// gradients of the logistic loss lie in [-1, 1], hessians in [0,
 	// 1/4]. The bound drives the histogram-packing shift.
 	GradBound() float64

@@ -55,7 +55,10 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # error. On virtual-time links a layer's dirty nodes must cost one round
 # trip, and the corrections queued at a passive party must share one
 # placement pass and answer as one at a time would, with its receive
-# pump gone when the session ends.
+# pump gone when the session ends. Party B files a peer's frames by key,
+# so no frame kind can starve another: a wait returns past any number of
+# queued frames of other kinds, and a layer with hundreds of corrections
+# ends.
 # So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
@@ -66,7 +69,7 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
