@@ -5,7 +5,7 @@
 //	vf2boost sim     -data d.libsvm -split 30,20 ...       # all parties in-process
 //	vf2boost gateway -addr :7001 -secret s                 # message-queue gateway
 //	vf2boost party   -role b -gateway host:7001 ...        # one training party per process
-//	vf2boost predict -role a|b ...                         # fragment-only federated scoring
+//	vf2boost predict -role a|b ...                         # batch scoring: one federated scoring session
 //	vf2boost serve   -addr :8080 -peers 1 ...              # Party B online scoring server
 //	vf2boost sidecar -index 0 ...                          # passive-party scoring sidecar
 //	vf2boost inspect -model fedmodel.json -trees           # human-readable model dump
@@ -702,9 +702,16 @@ func cmdParty(args []string) {
 	}
 }
 
-// cmdPredict scores aligned instances through the fragment-only
-// federated prediction protocol: passive parties serve routing bitmaps
-// for the splits they own, Party B routes and writes margins.
+// predictRoundRows bounds one scoring round of `predict`. A passive
+// party answers a round with one bitmap of ceil(rows/8) bytes per split it
+// owns, so a whole large shard in one round would outgrow the gateway's
+// frame limit. Routing is per row, so the round size moves no margin.
+const predictRoundRows = 1 << 14
+
+// cmdPredict scores aligned instances in one federated scoring session:
+// each passive party serves its fragment through the sidecar's worker,
+// and Party B scores its whole shard in rounds of predictRoundRows rows
+// and writes margins.
 func cmdPredict(args []string) {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	role := fs.String("role", "", "a (serves placements) or b (routes and writes margins)")
@@ -721,15 +728,22 @@ func cmdPredict(args []string) {
 		log.Fatal("predict: -data and -model are required")
 	}
 	d := loadData(*data)
-	fm := loadFragmentFile(*model)
 
 	switch *role {
 	case "a":
 		d.Labels = nil
+		w := serve.NewPassiveWorker(*index, d, buildServeRegistry([]string{*model}, 0, 0))
 		tr := dialParty(*gateway, *secret,
 			fmt.Sprintf("pa%d2b", *index), fmt.Sprintf("pb2a%d", *index))
-		if err := core.ServePredict(fm, d, tr); err != nil {
+		if err := w.Run(tr); err != nil {
 			log.Fatal(err)
+		}
+		// Party B closes the session early when it refuses it (a misaligned
+		// shard) or a round fails; either way this shard was not scored.
+		want := (d.Rows() + predictRoundRows - 1) / predictRoundRows
+		if w.Rounds() < int64(want) || w.RoundErrors() > 0 {
+			log.Fatalf("predict: session ended after %d of %d scoring rounds (%d refused)",
+				w.Rounds(), want, w.RoundErrors())
 		}
 		fmt.Println("placements served")
 	case "b":
@@ -738,7 +752,7 @@ func cmdPredict(args []string) {
 			trs[i] = dialParty(*gateway, *secret,
 				fmt.Sprintf("pb2a%d", i), fmt.Sprintf("pa%d2b", i))
 		}
-		margins, err := core.PredictRemote(fm, *eta, d, trs)
+		margins, err := predictSession(d, buildServeRegistry([]string{*model}, *eta, 0), trs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -756,13 +770,44 @@ func cmdPredict(args []string) {
 	}
 }
 
-// buildServeRegistry publishes the comma-separated fragment files as
-// versions 1..N (the last one current). All versions share the scalar
-// scoring parameters, which only Party B's registry uses.
-func buildServeRegistry(models string, eta, base float64) *serve.Registry {
+// predictSession is Party B's side of `predict`: it opens one scoring
+// session over trs (one transport per passive party, in party order),
+// scores every row of B's shard d in rounds of predictRoundRows rows
+// against reg's current version, closes the session and returns the
+// margins in row order.
+func predictSession(d *dataset.Dataset, reg *serve.Registry, trs []core.Transport) ([]float64, error) {
+	srv, err := serve.NewServer(serve.ServerConfig{Data: d, Registry: reg, Workers: trs, Session: "vf2boost-predict"})
+	if err != nil {
+		return nil, err
+	}
+	if err := srv.Open(); err != nil {
+		return nil, err
+	}
+	n := d.Rows()
+	margins := make([]float64, 0, n)
+	rows := make([]int32, 0, min(n, predictRoundRows))
+	for lo := 0; lo < n; lo += predictRoundRows {
+		rows = rows[:0]
+		for r := lo; r < min(lo+predictRoundRows, n); r++ {
+			rows = append(rows, int32(r))
+		}
+		m, _, err := srv.ScoreRows(rows)
+		if err != nil {
+			srv.Close() // release the workers; the round's error is the one to report
+			return nil, err
+		}
+		margins = append(margins, m...)
+	}
+	return margins, srv.Close()
+}
+
+// buildServeRegistry publishes the fragment files as versions 1..N (the
+// last one current). All versions share the scalar scoring parameters,
+// which only Party B's registry uses.
+func buildServeRegistry(paths []string, eta, base float64) *serve.Registry {
 	reg := serve.NewRegistry()
 	version := uint64(0)
-	for _, path := range strings.Split(models, ",") {
+	for _, path := range paths {
 		path = strings.TrimSpace(path)
 		if path == "" {
 			continue
@@ -796,7 +841,7 @@ func cmdSidecar(args []string) {
 	}
 	d := loadData(*data)
 	d.Labels = nil
-	reg := buildServeRegistry(*models, 0, 0)
+	reg := buildServeRegistry(strings.Split(*models, ","), 0, 0)
 	w := serve.NewPassiveWorker(*index, d, reg)
 	send, recv := fmt.Sprintf("sa%d2b", *index), fmt.Sprintf("sb2a%d", *index)
 	fmt.Printf("sidecar %d up: %d rows, model versions %v\n", *index, d.Rows(), reg.Versions())
@@ -844,7 +889,7 @@ func cmdServe(args []string) {
 		log.Fatal(err)
 	}
 	d := loadData(*data)
-	reg := buildServeRegistry(*models, *eta, *base)
+	reg := buildServeRegistry(strings.Split(*models, ","), *eta, *base)
 	trs := make([]core.Transport, *peers)
 	dialers := make([]func() (core.Transport, error), *peers)
 	for i := 0; i < *peers; i++ {

@@ -9,9 +9,9 @@ import (
 	"vf2boost/internal/dataset"
 )
 
-// Compiled routing tables. Every way of scoring a model — in-process
-// prediction over the glued fragments, the one-shot prediction protocol,
-// and online scoring rounds — routes through the same compiled form of a
+// Compiled routing tables. Both ways of scoring a model — in-process
+// prediction over the glued fragments, and the scoring rounds of a
+// federated scoring session — route through the same compiled form of a
 // fragment, built once per fragment:
 //
 //   - the scoring side lists the splits the fragment's party owns, in

@@ -352,42 +352,6 @@ func TestRouteMarginsRefusesWrongLengthBitmap(t *testing.T) {
 	}
 }
 
-// TestPredictRemoteRefusesShortBitmap: a passive party answering the
-// one-shot prediction protocol with a truncated bitmap fails PredictRemote
-// with an error naming it, the tree and the node.
-func TestPredictRemoteRefusesShortBitmap(t *testing.T) {
-	_, parts := twoPartyData(t, 100, 4, 3, 1, true, 88)
-	cfg := quickConfig(SchemeMock)
-	cfg.Trees = 2
-	m, _ := trainFed(t, parts, cfg)
-	nodes, err := ScorePlacements(m.Parties[0], parts[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nodes) == 0 {
-		t.Skip("trained model has no party-0 splits")
-	}
-	short := nodes[len(nodes)-1]
-	nodes[len(nodes)-1].Bits = short.Bits[:len(short.Bits)-1]
-
-	aSide := chanTransport{ch: make(chan []byte, 8)}
-	bSide := chanTransport{ch: make(chan []byte, 8)}
-	aTr := pairTransport{send: bSide.Send, recv: aSide.Receive}
-	bTr := pairTransport{send: aSide.Send, recv: bSide.Receive}
-	go func() {
-		l := NewLink(aTr)
-		if _, err := l.recv(); err != nil {
-			return
-		}
-		_ = l.send(MsgPredictPlacements{Party: 0, Nodes: nodes, Last: true})
-	}()
-	_, err = PredictRemote(m.Parties[1], m.LearningRate, parts[1], []Transport{bTr})
-	want := fmt.Sprintf("party 0 sent %d bytes for tree %d node %d", len(short.Bits)-1, short.Tree, short.Node)
-	if !errors.Is(err, ErrRoutingBits) || !strings.Contains(err.Error(), want) {
-		t.Fatalf("PredictRemote returned %v, want ErrRoutingBits with %q", err, want)
-	}
-}
-
 // fuzzBytes hands out fuzz input a byte at a time, zeros once it runs out.
 type fuzzBytes []byte
 

@@ -4,13 +4,19 @@ import (
 	"vf2boost/internal/dataset"
 )
 
-// Online scoring session protocol. Unlike the one-shot prediction exchange
-// (predict.go), an online session is opened once and then serves an
-// unbounded stream of scoring rounds: Party B pins a model version and a
-// round ID per micro-batch, every passive party answers with routing
-// bitmaps over just the requested rows, and the session ends with an
-// explicit close handshake. The orchestration (registries, batching, HTTP)
-// lives in internal/serve; this file owns the wire messages and the
+// Federated scoring session protocol. After training, each party keeps
+// only its own model fragment, so scoring aligned instances is itself a
+// protocol, and this is the only one: a session is opened once and then
+// serves a stream of scoring rounds. Party B pins a model version and a
+// round ID per batch of rows, every passive party answers with one routing
+// bitmap per split node it owns over just the requested rows (bit k set =
+// k-th requested row goes left), and B — which knows the full tree
+// structure — routes every row locally. The session ends with an explicit
+// close handshake. Passive parties reveal exactly what they reveal during
+// training (placements), never features or thresholds. Online serving and
+// batch prediction (`vf2boost predict`, one session in rounds of a fixed
+// row count) both run it; the orchestration (registries, batching, HTTP)
+// lives in internal/serve. This file owns the wire messages and the
 // map-keyed entry points to the compiled routing tables (routes.go) both
 // sides share.
 
@@ -57,6 +63,13 @@ type MsgScoreResponse struct {
 	Error   string
 }
 
+// PredictNodeBits is the routing bitmap of one owned node of one tree.
+type PredictNodeBits struct {
+	Tree int
+	Node int32
+	Bits []byte
+}
+
 // MsgScoreClose ends a scoring session cleanly; the worker acknowledges
 // with MsgScoreCloseAck and returns.
 type MsgScoreClose struct {
@@ -77,8 +90,7 @@ type RouteKey struct {
 // ScorePlacements computes the routing bitmaps a passive fragment
 // contributes for the given shard rows: one PredictNodeBits per split node
 // the fragment owns, with bit k describing the k-th requested row. A nil
-// rows slice means "every shard row in order" (the one-shot prediction
-// protocol's shape). It compiles the fragment on every call; a party that
+// rows slice means "every shard row in order". It compiles the fragment on every call; a party that
 // answers many rounds compiles once (CompileOwnedSplits) and calls Score.
 func ScorePlacements(fragment *PartyModel, data *dataset.Dataset, rows []int32) ([]PredictNodeBits, error) {
 	return CompileOwnedSplits(fragment).Score(data, rows)

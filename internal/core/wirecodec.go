@@ -16,15 +16,19 @@ const (
 	// Per the append-only rule above, extending the message meant
 	// retiring the ID rather than changing the layout in place; 1 stays
 	// reserved and must not be reused.
-	idSetupV1           uint16 = 1
-	idReady             uint16 = 2
-	idGradBatch         uint16 = 3
-	idHistograms        uint16 = 4
-	idDecisions         uint16 = 5
-	idDirty             uint16 = 6
-	idPlacement         uint16 = 7
-	idTreeDone          uint16 = 8
-	idShutdown          uint16 = 9
+	idSetupV1    uint16 = 1
+	idReady      uint16 = 2
+	idGradBatch  uint16 = 3
+	idHistograms uint16 = 4
+	idDecisions  uint16 = 5
+	idDirty      uint16 = 6
+	idPlacement  uint16 = 7
+	idTreeDone   uint16 = 8
+	idShutdown   uint16 = 9
+	// Ids 10 and 11 carried the one-shot prediction exchange
+	// (MsgPredictStart, MsgPredictPlacements: every shard row in one
+	// frame). Batch prediction is a scoring session now, so the ids stay
+	// reserved, unregistered, and must not be reused.
 	idPredictStart      uint16 = 10
 	idPredictPlacements uint16 = 11
 	idScoreOpen         uint16 = 12
@@ -82,9 +86,10 @@ const (
 )
 
 // All ends of a deployment ship the same binary, so a frame carrying a
-// retired, unregistered ID (the idSetupV1 layout, the batched backends'
-// 24–27) fails decoding loudly instead of being misread.
-var _ = []uint16{idSetupV1, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4}
+// retired, unregistered ID (the idSetupV1 layout, the one-shot prediction
+// exchange's 10–11, the batched backends' 24–27) fails decoding loudly
+// instead of being misread.
+var _ = []uint16{idSetupV1, idPredictStart, idPredictPlacements, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4}
 
 func init() {
 	wire.Register(idSetupV2, "MsgSetupV2", decodeAs(idSetupV2, (*MsgSetup).decodeFrom))
@@ -102,8 +107,6 @@ func init() {
 	wire.Register(idPlacement, "MsgPlacement", decodeMsg[MsgPlacement])
 	wire.Register(idTreeDone, "MsgTreeDone", decodeMsg[MsgTreeDone])
 	wire.Register(idShutdown, "MsgShutdown", decodeMsg[MsgShutdown])
-	wire.Register(idPredictStart, "MsgPredictStart", decodeMsg[MsgPredictStart])
-	wire.Register(idPredictPlacements, "MsgPredictPlacements", decodeMsg[MsgPredictPlacements])
 	wire.Register(idScoreOpen, "MsgScoreOpen", decodeMsg[MsgScoreOpen])
 	wire.Register(idScoreOpenAck, "MsgScoreOpenAck", decodeMsg[MsgScoreOpenAck])
 	wire.Register(idScoreRequest, "MsgScoreRequest", decodeMsg[MsgScoreRequest])
@@ -562,52 +565,6 @@ func (m *MsgAbort) DecodeFrom(body []byte) error {
 	return d.Finish()
 }
 
-// --- MsgPredictStart / MsgPredictPlacements ---------------------------
-
-func (MsgPredictStart) WireID() uint16 { return idPredictStart }
-
-func (m MsgPredictStart) AppendTo(b []byte) []byte { return wire.AppendInt(b, m.Rows) }
-
-func (m *MsgPredictStart) DecodeFrom(body []byte) error {
-	d := wire.NewDec(body)
-	m.Rows = d.Int()
-	return d.Finish()
-}
-
-func (MsgPredictPlacements) WireID() uint16 { return idPredictPlacements }
-
-func appendNodeBits(b []byte, nodes []PredictNodeBits) []byte {
-	b = wire.AppendUvarint(b, uint64(len(nodes)))
-	for _, n := range nodes {
-		b = wire.AppendInt(b, n.Tree)
-		b = wire.AppendInt32(b, n.Node)
-		b = wire.AppendBytes(b, n.Bits)
-	}
-	return b
-}
-
-func decodeNodeBits(d *wire.Dec) []PredictNodeBits {
-	return decodeSeq(d, func(d *wire.Dec) PredictNodeBits {
-		return PredictNodeBits{Tree: d.Int(), Node: d.Int32(), Bits: d.Bytes()}
-	})
-}
-
-func (m MsgPredictPlacements) AppendTo(b []byte) []byte {
-	b = wire.AppendInt(b, m.Party)
-	b = appendNodeBits(b, m.Nodes)
-	b = wire.AppendBool(b, m.Last)
-	return wire.AppendString(b, m.Error)
-}
-
-func (m *MsgPredictPlacements) DecodeFrom(body []byte) error {
-	d := wire.NewDec(body)
-	m.Party = d.Int()
-	m.Nodes = decodeNodeBits(d)
-	m.Last = d.Bool()
-	m.Error = d.String()
-	return d.Finish()
-}
-
 // --- Score session family ---------------------------------------------
 
 func (MsgScoreOpen) WireID() uint16 { return idScoreOpen }
@@ -658,6 +615,22 @@ func (m *MsgScoreRequest) DecodeFrom(body []byte) error {
 	m.Version = d.Uvarint()
 	m.Rows = d.Int32s()
 	return d.Finish()
+}
+
+func appendNodeBits(b []byte, nodes []PredictNodeBits) []byte {
+	b = wire.AppendUvarint(b, uint64(len(nodes)))
+	for _, n := range nodes {
+		b = wire.AppendInt(b, n.Tree)
+		b = wire.AppendInt32(b, n.Node)
+		b = wire.AppendBytes(b, n.Bits)
+	}
+	return b
+}
+
+func decodeNodeBits(d *wire.Dec) []PredictNodeBits {
+	return decodeSeq(d, func(d *wire.Dec) PredictNodeBits {
+		return PredictNodeBits{Tree: d.Int(), Node: d.Int32(), Bits: d.Bytes()}
+	})
 }
 
 func (MsgScoreResponse) WireID() uint16 { return idScoreResponse }

@@ -70,9 +70,6 @@ func sampleMessages() []any {
 		MsgPlacement{Tree: 1, Layer: 2, Node: 3, Bits: []byte{0xFF, 0x01}, Count: 9},
 		MsgTreeDone{Tree: 19},
 		MsgShutdown{},
-		MsgPredictStart{Rows: 512},
-		MsgPredictPlacements{Party: 1, Nodes: []PredictNodeBits{{Tree: 0, Node: 3, Bits: []byte{0x0F}}, {Tree: 1, Node: 7, Bits: []byte{0xF0, 0x01}}}, Last: true},
-		MsgPredictPlacements{Party: 0, Last: true, Error: "shard misaligned"},
 		MsgScoreOpen{Proto: ScoreProtoVersion, Session: "sess-42"},
 		MsgScoreOpenAck{Proto: ScoreProtoVersion, Party: 1, Rows: 1000, Versions: []uint64{1, 2, 7}},
 		MsgScoreOpenAck{Proto: 9, Error: "protocol version 9 not supported"},
@@ -223,6 +220,23 @@ func TestRetiredVecColumnsRejected(t *testing.T) {
 	}
 }
 
+// retiredPredictFrames are the retired one-shot prediction exchange's
+// frames as an older peer wrote them: MsgPredictStart{Rows: 512} (id 10),
+// and MsgPredictPlacements (id 11) carrying bitmaps and carrying an error.
+func retiredPredictFrames() [][]byte {
+	placements := func(party int, nodes []PredictNodeBits, errMsg string) []byte {
+		b := wire.AppendInt(nil, party)
+		b = appendNodeBits(b, nodes)
+		b = wire.AppendBool(b, true)
+		return wire.AppendString(b, errMsg)
+	}
+	return [][]byte{
+		rawFrame(idPredictStart, wire.AppendInt(nil, 512)),
+		rawFrame(idPredictPlacements, placements(1, []PredictNodeBits{{Tree: 0, Node: 3, Bits: []byte{0x0F}}, {Tree: 1, Node: 7, Bits: []byte{0xF0, 0x01}}}, "")),
+		rawFrame(idPredictPlacements, placements(0, nil, "shard misaligned")),
+	}
+}
+
 func TestLinkRejectsMalformedFrames(t *testing.T) {
 	tr := chanTransport{ch: make(chan []byte, 4)}
 	l := NewLink(tr)
@@ -235,6 +249,8 @@ func TestLinkRejectsMalformedFrames(t *testing.T) {
 		{[]byte{wire.TagBinaryV1, 0, 1}, "shorter than"},
 		{[]byte{wire.TagGob, 0xFF, 0xFF}, "retired gob codec"},
 		{[]byte{wire.TagBinaryV1, 0xFF, 0xFE, 0, 0, 0, 0}, "unknown message ID"},
+		{retiredPredictFrames()[0], "unknown message ID 10"},
+		{retiredPredictFrames()[1], "unknown message ID 11"},
 	} {
 		tr.ch <- tc.frame
 		_, err := l.Recv()
@@ -291,6 +307,8 @@ func (p pairSwap) Receive() ([]byte, error) { return p.in.Receive() }
 // panicking, and that whatever decodes successfully re-encodes stably.
 // Every sample is seeded twice: as its binary frame, and retagged 0x00 —
 // the retired gob codec's tag, which must be refused whatever follows it.
+// The retired one-shot prediction frames (ids 10 and 11) are seeded the
+// same way, and a frame under either id must never decode.
 func FuzzWireDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		p, err := wire.Binary.Encode(m)
@@ -300,6 +318,10 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(append([]byte(nil), p...))
 		f.Add(retagged(wire.TagGob, m))
 	}
+	for _, p := range retiredPredictFrames() {
+		f.Add(p)
+		f.Add(append([]byte{wire.TagGob}, p[1:]...))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{wire.TagBinaryV1, 0, 4, 0, 0, 0, 0})
 	f.Add([]byte{wire.TagGob, 1, 2, 3})
@@ -308,6 +330,9 @@ func FuzzWireDecode(f *testing.F) {
 		m, err := wire.Binary.Decode(data) // must not panic, whatever the input
 		if len(data) > 0 && data[0] == wire.TagGob && err == nil {
 			t.Fatalf("a frame under the retired gob tag decoded to %T", m)
+		}
+		if len(data) >= 3 && (data[2] == byte(idPredictStart) || data[2] == byte(idPredictPlacements)) && data[1] == 0 && err == nil {
+			t.Fatalf("a frame under retired id %d decoded to %T", data[2], m)
 		}
 		if err != nil {
 			return

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"vf2boost/internal/core"
@@ -39,6 +40,11 @@ func TestShortBitmapSeversSession(t *testing.T) {
 			case FailClosed:
 				if !errors.Is(o.err, ErrPartyUnavailable) {
 					t.Fatalf("round with a short bitmap returned %v, want ErrPartyUnavailable", o.err)
+				}
+				// The round's error keeps its cause, naming party, tree and node.
+				want := fmt.Sprintf("party 0 sent 1 bytes for tree %d node %d", short.Nodes[0].Tree, short.Nodes[0].Node)
+				if !errors.Is(o.err, core.ErrRoutingBits) || !strings.Contains(o.err.Error(), want) {
+					t.Fatalf("round with a short bitmap returned %v, want it to wrap ErrRoutingBits with %q", o.err, want)
 				}
 			case ServePartial:
 				b := len(f.parts) - 1

@@ -373,8 +373,23 @@ func (s *Server) Breaker(i int) *Breaker {
 
 // Open performs the session handshake with every worker: protocol version
 // agreement and the instance-alignment check (every party must hold a
-// shard of the same universe).
+// shard of the same universe). A handshake that fails closes the server:
+// every worker whose link is still up is sent MsgScoreClose with the
+// refusal as its reason, so no worker is left blocked in Run.
 func (s *Server) Open() error {
+	if err := s.handshake(); err != nil {
+		if !s.closing.Swap(true) {
+			s.batcher.Close()
+			s.closeSessions(err.Error())
+		}
+		return err
+	}
+	s.opened.Store(true)
+	return nil
+}
+
+// handshake sends the open to every worker and validates every answer.
+func (s *Server) handshake() error {
 	for i, ws := range s.workers {
 		if err := ws.current().link.Send(core.MsgScoreOpen{Proto: core.ScoreProtoVersion, Session: s.cfg.Session}); err != nil {
 			return fmt.Errorf("serve: opening session with worker %d: %w", i, err)
@@ -385,7 +400,6 @@ func (s *Server) Open() error {
 			return err
 		}
 	}
-	s.opened.Store(true)
 	return nil
 }
 
@@ -530,9 +544,10 @@ func (s *Server) observeOutcome(missing []int, err error) {
 }
 
 // ScoreRows issues one federated scoring round for the given rows, pinned
-// to the registry's current model version. Kept for direct Go callers
-// with the pre-deadline semantics: no budget (the round blocks as long
-// as the links do). Deadline-aware callers use ScoreBatch.
+// to the registry's current model version, with no budget: the round
+// blocks as long as the links do. Batch prediction (`vf2boost predict`)
+// scores a whole shard through it, one bounded round at a time;
+// deadline-aware callers use ScoreBatch.
 func (s *Server) ScoreRows(rows []int32) ([]float64, uint64, error) {
 	res, err := s.ScoreBatch(context.Background(), rows)
 	return res.Margins, res.Version, err
@@ -564,9 +579,12 @@ func (s *Server) unlockSend() { <-s.sendLock }
 // version even if a hot-swap lands mid-round. A worker that cannot
 // answer in budget fails the round (FailClosed) or drops out of it
 // (ServePartial — the result lists it in Missing and margins omit every
-// tree that needed it). Up to MaxInflight rounds are in flight at once:
-// the round waits for a window slot, writes its requests under the send
-// lock, and collects its answers and routes with no lock held.
+// tree that needed it). A failed round's ErrPartyUnavailable wraps the
+// first missing party's own failure (a lost link, a malformed answer),
+// if it had one besides an open breaker. Up to MaxInflight rounds are in
+// flight at once: the round waits for a window slot, writes its requests
+// under the send lock, and collects its answers and routes with no lock
+// held.
 func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, error) {
 	if s.closing.Load() {
 		return BatchResult{}, ErrClosed
@@ -614,6 +632,7 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 
 	req := core.MsgScoreRequest{Round: round, Version: mv.Version, Rows: rows}
 	missing := make(map[int]bool)
+	causes := make([]error, len(s.workers)) // why each missing party is missing, if it said
 	waiters := make([]*roundWaiter, len(s.workers))
 	wanStart := time.Now()
 	doneWAN := s.cfg.Trace.Span("B:ScoreWAN", roundLabel)
@@ -626,7 +645,7 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 		}
 		w := &roundWaiter{ch: make(chan workerAnswer, 1)}
 		if err := s.post(ctx, ws, req, w); err != nil {
-			missing[i] = true
+			missing[i], causes[i] = true, err
 			continue
 		}
 		waiters[i] = w
@@ -644,7 +663,7 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 			if errors.As(err, &we) && appErr == nil {
 				appErr = err
 			}
-			missing[i] = true
+			missing[i], causes[i] = true, err
 		}
 	}
 	doneWAN()
@@ -657,7 +676,13 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 		if err := ctx.Err(); err != nil {
 			return BatchResult{}, err
 		}
-		return BatchResult{}, fmt.Errorf("%w: parties %v", ErrPartyUnavailable, sortedParties(missing))
+		err := fmt.Errorf("%w: parties %v", ErrPartyUnavailable, sortedParties(missing))
+		for _, cause := range causes {
+			if cause != nil { // the first missing party that failed, not merely refused by its breaker
+				return BatchResult{}, fmt.Errorf("%w: %w", err, cause)
+			}
+		}
+		return BatchResult{}, err
 	}
 
 	routeStart := time.Now()
@@ -815,13 +840,22 @@ func (s *Server) Close() error {
 			return fmt.Errorf("serve: close: %d rounds still in flight after %v, links severed", cap(s.inflight)-held, s.cfg.Deadline)
 		}
 	}
+	return s.closeSessions("server shutdown")
+}
+
+// closeSessions sends MsgScoreClose to every worker whose link is up and
+// waits, up to cfg.Deadline each, for its acknowledgement. The caller has
+// set closing, so the pumps accept the acks.
+func (s *Server) closeSessions(reason string) error {
 	var firstErr error
 	for i, ws := range s.workers {
-		if !ws.alive.Load() {
-			continue
-		}
 		ss := ws.current()
-		if err := ss.link.Send(core.MsgScoreClose{Reason: "server shutdown"}); err != nil {
+		select {
+		case <-ss.done:
+			continue // severed: the worker has left already
+		default:
+		}
+		if err := ss.link.Send(core.MsgScoreClose{Reason: reason}); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("serve: closing worker %d: %w", i, err)
 			}

@@ -132,10 +132,13 @@ echo "== serve chaos smoke (overload, breaker trip/recover, no-hang contract, pi
 # the training parity suites. A sidecar that receives a frame it cannot
 # decode must end with core.ErrUndecodable after one dial, not re-dial. A
 # worker answering with a bitmap that is not ceil(rows/8) bytes must cost
-# its session, not B's process, and Publish must refuse a broken fragment.
+# its session, not B's process, and the failed round's error must keep
+# that cause. Publish must refuse a broken fragment. Batch prediction is
+# one scoring session: it must score like PredictAll, and a session B
+# refuses at open (a misaligned shard) must still release every worker.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 -timeout 300s \
-    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink|TestWorkerEndsOnUndecodableFrame|TestShortBitmapSeversSession|TestPublishRefusesBrokenFragment' \
+    -run 'TestServeChaosHTTPNeverHangs|TestServeHardCutRedialRecovery|TestServeBreakerTimeoutTripAndRecover|TestBreaker|TestBatcherQueueBound|TestPipeline|TestCloseBoundedOnBlackHoledLink|TestWorkerEndsOnUndecodableFrame|TestShortBitmapSeversSession|TestPublishRefusesBrokenFragment|TestScoringSessionMatchesPredictAll|TestFailedOpenReleasesWorkers' \
     ./internal/serve
 done
 
@@ -156,6 +159,12 @@ go run ./cmd/vf2boost sim -data "$obj_tmp/mc.libsvm" -split 3,3 -objective multi
 go run ./cmd/vf2boost sim -data "$obj_tmp/rank.libsvm" -split 3,3 -objective ranking:5 \
   -scheme mock -trees 2 -depth 2 -out "$obj_tmp/rank.json" >/dev/null
 rm -rf "$obj_tmp"
+
+echo "== distributed demo (gateway, training, predict and serve as separate processes over TCP) =="
+# Trains over the gateway, scores the shards with predict (one scoring
+# session in bounded rounds), serves them over HTTP, and checks that the
+# served margin of row 0 equals predict's.
+bash scripts/distributed-demo.sh >/dev/null
 
 echo "== fuzz smoke (wire decode: binary frames and the refused gob tag) =="
 go test -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/core

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Distributed demo: three processes — a message-queue gateway, a passive
 # Party A and an active Party B — train a federated model over TCP, then
-# score the training shards through the fragment-only prediction protocol.
+# score the training shards in one federated scoring session (predict),
+# and serve the same model online (sidecar + serve).
 # This is the deployment shape of the paper (Section 3.1), one process per
 # enterprise plus the gateway machines.
 set -euo pipefail
@@ -35,7 +36,7 @@ A_PID=$!
   -trees 3 -depth 3 -scheme mock
 wait "$A_PID"
 
-echo "== federated prediction (two processes) =="
+echo "== batch prediction: one scoring session (two processes) =="
 "$WORK/vf2boost" predict -role a -index 0 -gateway "127.0.0.1:$PORT" -secret "$SECRET" \
   -data "$WORK/demo.partyA0.libsvm" -model "$WORK/fragA.json" &
 P_PID=$!
@@ -74,7 +75,7 @@ for r in 0 1 2 3; do
   echo
 done
 
-echo "-- online margin must match the batch prediction protocol --"
+echo "-- online margin must match batch prediction --"
 M0=$(curl -fsS -X POST -d '{"row": 0}' "http://127.0.0.1:$HTTP_PORT/score" \
   | sed -E 's/.*"margin":([-+0-9.eE]+).*/\1/')
 P0=$(head -1 "$WORK/preds.txt")
