@@ -873,7 +873,7 @@ func cmdServe(args []string) {
 	eta := fs.Float64("eta", 0.1, "learning rate the models were trained with")
 	base := fs.Float64("base", 0, "base score added to every margin")
 	maxBatch := fs.Int("max-batch", 64, "flush a micro-batch at this many requests")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "flush a partial micro-batch after this wait")
+	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "longest a request waits for company: a partial micro-batch flushes at this wait, or once no request has joined it for an eighth of it (and only when a pipeline slot is free)")
 	maxQueue := fs.Int("max-queue", 1024, "shed requests beyond this many queued (HTTP 429)")
 	maxInflight := fs.Int("max-inflight", 4, "pipeline depth: federated rounds in flight on the session links at once (excess rounds wait under their deadline; shedding is -max-queue)")
 	deadline := fs.Duration("score-deadline", 2*time.Second, "default per-request scoring budget (X-Score-Deadline overrides)")

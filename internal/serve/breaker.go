@@ -3,6 +3,8 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 // BreakerState is a circuit breaker's position. The zero value is Closed.
@@ -50,6 +52,10 @@ type BreakerConfig struct {
 	// Cooldown is how long the breaker stays open before admitting a
 	// half-open probe (default 2s).
 	Cooldown time.Duration
+
+	// clock is the time source of the cooldown; tests put it on virtual
+	// time, everything else leaves it nil for the wall clock.
+	clock clock.Clock
 }
 
 func (c *BreakerConfig) defaults() {
@@ -67,6 +73,9 @@ func (c *BreakerConfig) defaults() {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * time.Second
+	}
+	if c.clock == nil {
+		c.clock = clock.Wall{}
 	}
 }
 
@@ -105,7 +114,7 @@ func (b *Breaker) Allow() (ok, probe bool) {
 	case BreakerClosed:
 		return true, false
 	case BreakerOpen:
-		if time.Since(b.openedAt) >= b.cfg.Cooldown {
+		if b.cfg.clock.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
 			b.state = BreakerHalfOpen
 			return true, true
 		}
@@ -178,7 +187,7 @@ func (b *Breaker) record(failure bool) {
 // open trips the circuit. Callers hold b.mu.
 func (b *Breaker) open() {
 	b.state = BreakerOpen
-	b.openedAt = time.Now()
+	b.openedAt = b.cfg.clock.Now()
 	b.opens++
 	b.reset_window()
 	b.consecTimeouts = 0
@@ -222,7 +231,7 @@ func (b *Breaker) CooldownRemaining() time.Duration {
 	if b.state != BreakerOpen {
 		return 0
 	}
-	rem := b.cfg.Cooldown - time.Since(b.openedAt)
+	rem := b.cfg.Cooldown - b.cfg.clock.Now().Sub(b.openedAt)
 	if rem < 0 {
 		return 0
 	}

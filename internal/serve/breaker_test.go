@@ -3,6 +3,8 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 // TestBreakerConsecutiveTimeoutsTrip: a run of timed-out rounds opens the
@@ -67,15 +69,20 @@ func TestBreakerFailureRateTrip(t *testing.T) {
 // TestBreakerProbeRecovery: after the cooldown exactly one probe is
 // admitted; its success closes the circuit with a clean window.
 func TestBreakerProbeRecovery(t *testing.T) {
-	b := NewBreaker(BreakerConfig{ConsecTimeouts: 1, Cooldown: 20 * time.Millisecond})
+	fk := clock.NewFake()
+	b := NewBreaker(BreakerConfig{ConsecTimeouts: 1, Cooldown: 20 * time.Millisecond, clock: fk})
 	b.Failure(true)
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker did not open")
 	}
+	fk.Advance(20*time.Millisecond - time.Nanosecond)
 	if ok, _ := b.Allow(); ok {
 		t.Fatal("round admitted during cooldown")
 	}
-	time.Sleep(30 * time.Millisecond)
+	if rem := b.CooldownRemaining(); rem != time.Nanosecond {
+		t.Fatalf("cooldown remaining = %v a nanosecond before its end", rem)
+	}
+	fk.Advance(time.Nanosecond)
 	ok, probe := b.Allow()
 	if !ok || !probe {
 		t.Fatalf("Allow after cooldown = (%v, %v), want probe admission", ok, probe)
@@ -101,9 +108,10 @@ func TestBreakerProbeRecovery(t *testing.T) {
 // TestBreakerProbeFailureReopens: a failed probe re-opens the circuit for
 // another cooldown.
 func TestBreakerProbeFailureReopens(t *testing.T) {
-	b := NewBreaker(BreakerConfig{ConsecTimeouts: 1, Cooldown: 20 * time.Millisecond})
+	fk := clock.NewFake()
+	b := NewBreaker(BreakerConfig{ConsecTimeouts: 1, Cooldown: 20 * time.Millisecond, clock: fk})
 	b.Failure(true)
-	time.Sleep(30 * time.Millisecond)
+	fk.Advance(20 * time.Millisecond)
 	if ok, probe := b.Allow(); !ok || !probe {
 		t.Fatal("no probe admitted after cooldown")
 	}
@@ -116,6 +124,9 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 	if ok, _ := b.Allow(); ok {
 		t.Error("round admitted right after failed probe")
+	}
+	if rem := b.CooldownRemaining(); rem != 20*time.Millisecond {
+		t.Errorf("cooldown remaining = %v right after the failed probe, want a full 20ms", rem)
 	}
 }
 

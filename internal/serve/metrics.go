@@ -101,12 +101,30 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.bounds[len(h.bounds)-1]
 }
 
+// FlushCause is why the micro-batcher let a batch go.
+type FlushCause int
+
+const (
+	FlushFull      FlushCause = iota // MaxBatch requests joined it
+	FlushQuiet                       // no request joined it for MaxWait/8
+	FlushMaxWait                     // its first request waited MaxWait
+	FlushSlotFreed                   // it was due with every window slot busy, and left when one freed
+	FlushClose                       // Close drained it
+	numFlushCauses
+)
+
+var flushCauseNames = [numFlushCauses]string{"full", "quiet", "max-wait", "slot-freed", "close"}
+
+// String renders the cause as its /metricsz label.
+func (c FlushCause) String() string { return flushCauseNames[c] }
+
 // Metrics instruments the serving path: request and batch counters plus
 // latency and batch-size histograms, rendered by /metricsz. PR 4 adds the
 // overload/degradation counters (shed, timeouts, degraded, retries) and
 // per-phase latency (WAN round-trip vs local routing) so operators can
 // tell a slow party from a slow tree walk. The pipelined round window adds
-// its occupancy and the answers that arrived after their round gave up.
+// its occupancy and the answers that arrived after their round gave up;
+// the micro-batcher adds why each of its batches left, and their sizes.
 type Metrics struct {
 	start     time.Time
 	requests  atomic.Int64
@@ -122,6 +140,8 @@ type Metrics struct {
 	batchSize *Histogram   // federated rounds by batch size
 	wan       *Histogram   // sidecar round-trip latency, milliseconds
 	route     *Histogram   // local margin-routing latency, milliseconds
+	flushes   [numFlushCauses]atomic.Int64
+	flushSize *Histogram // micro-batcher flushes by size (bulk rounds are not flushes)
 }
 
 // NewMetrics creates zeroed metrics with the default bucket layouts.
@@ -132,6 +152,7 @@ func NewMetrics() *Metrics {
 		batchSize: NewHistogram(SizeBounds()),
 		wan:       NewHistogram(LatencyBounds()),
 		route:     NewHistogram(LatencyBounds()),
+		flushSize: NewHistogram(SizeBounds()),
 	}
 }
 
@@ -149,6 +170,12 @@ func (m *Metrics) ObserveRequest(d time.Duration, err error) {
 func (m *Metrics) ObserveBatch(size int) {
 	m.batches.Add(1)
 	m.batchSize.Observe(float64(size))
+}
+
+// ObserveFlush records one micro-batch leaving the batcher.
+func (m *Metrics) ObserveFlush(cause FlushCause, size int) {
+	m.flushes[cause].Add(1)
+	m.flushSize.Observe(float64(size))
 }
 
 // ObserveShed records one request rejected by admission control.
@@ -187,6 +214,9 @@ func (m *Metrics) Requests() int64 { return m.requests.Load() }
 // Batches returns the total federated rounds issued.
 func (m *Metrics) Batches() int64 { return m.batches.Load() }
 
+// Flushes returns how many micro-batches left the batcher for cause.
+func (m *Metrics) Flushes(cause FlushCause) int64 { return m.flushes[cause].Load() }
+
 // Errors returns the total failed requests.
 func (m *Metrics) Errors() int64 { return m.errors.Load() }
 
@@ -224,6 +254,10 @@ func (m *Metrics) Latency() *Histogram { return m.latency }
 
 // BatchSize returns the batch-size histogram.
 func (m *Metrics) BatchSize() *Histogram { return m.batchSize }
+
+// FlushSize returns the micro-batcher's flush-size histogram. BatchSize
+// also counts bulk rounds; this one only the batcher's.
+func (m *Metrics) FlushSize() *Histogram { return m.flushSize }
 
 // WAN returns the sidecar round-trip latency histogram (milliseconds).
 func (m *Metrics) WAN() *Histogram { return m.wan }

@@ -15,8 +15,11 @@
 //     rounds over one mq topic pair — session setup is paid once, not per
 //     request.
 //   - Batcher: Party B's micro-batcher. Incoming single-instance requests
-//     coalesce by max-batch-size or max-wait deadline, so one WAN
-//     round-trip (the dominant online cost) serves N requests.
+//     coalesce until the batch is full, arrivals pause for MaxWait/8, or
+//     MaxWait has passed, and the batch leaves only once a pipeline slot
+//     is free — so one WAN round-trip (the dominant online cost) serves N
+//     requests, and no request waits on a timer the pipeline does not
+//     need.
 //   - Server: Party B's front end — pipelined federated round driver (up
 //     to MaxInflight rounds share a WAN round trip, answers matched by
 //     round id), HTTP API (POST /score, GET /healthz, GET /metricsz),

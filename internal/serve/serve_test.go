@@ -256,6 +256,22 @@ func TestOnlineScoringEndToEnd(t *testing.T) {
 	if met.Errors() != 0 {
 		t.Errorf("%d request errors", met.Errors())
 	}
+	// Every single-row request left the batcher in a flush with a cause.
+	var flushes int64
+	for c := FlushCause(0); c < numFlushCauses; c++ {
+		flushes += met.Flushes(c)
+	}
+	if sz := met.FlushSize(); flushes != sz.Count() || math.Round(sz.Mean()*float64(sz.Count())) != 2*half {
+		t.Errorf("%d flushes by cause, %d sized, carrying %.0f rows; want one count and %d rows",
+			flushes, sz.Count(), sz.Mean()*float64(sz.Count()), 2*half)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+	for _, line := range []string{`serve_batcher_flushes_total{cause="quiet"} `, `serve_batcher_flushes_total{cause="slot-freed"} `, "serve_batcher_flush_size_avg "} {
+		if !strings.Contains(rec.Body.String(), line) {
+			t.Errorf("/metricsz lacks %q", line)
+		}
+	}
 
 	// The multi-row direct path answers in one round.
 	body, _ := json.Marshal(scoreRequest{Rows: []int32{0, 1, 2}})
@@ -509,6 +525,36 @@ func TestWorkerStructuredErrorsKeepSession(t *testing.T) {
 }
 
 // TestServerValidation covers wiring validation and the no-model path.
+// TestRetryAfterQueueFromMeasuredRounds: a 429's Retry-After is the
+// queue's drain time — ⌈queued/MaxBatch⌉ rounds, MaxInflight at a time,
+// each the median measured round trip (the default Deadline before any
+// round has run) — clamped to [1s, 30s].
+func TestRetryAfterQueueFromMeasuredRounds(t *testing.T) {
+	cfg := ServerConfig{Batch: BatcherConfig{MaxBatch: 64}}
+	cfg.defaults() // Deadline 2s, MaxInflight 4
+	met := NewMetrics()
+	check := func(what string, queued int64, cfg ServerConfig, want int) {
+		t.Helper()
+		if got := retryAfterQueue(queued, cfg, met.WAN()); got != want {
+			t.Errorf("%s: Retry-After %ds for %d queued, want %ds", what, got, queued, want)
+		}
+	}
+	check("no rounds yet", 1024, cfg, 8) // 16 rounds × 2s / 4
+	check("no rounds yet, one request", 1, cfg, 1)
+	long := cfg
+	long.Deadline = 30 * time.Second
+	check("no rounds yet, long deadline", 1024, long, 30) // 120s, clamped
+
+	for i := 0; i < 9; i++ {
+		met.ObserveWAN(1200 * time.Millisecond) // the histogram's median reads 1228.8ms
+	}
+	check("measured rounds", 1024, cfg, 5) // 16 × 1.2288s / 4 = 4.9s
+	check("measured rounds, 65 queued", 65, cfg, 1)
+	serial := cfg
+	serial.MaxInflight = 1
+	check("measured rounds, one at a time", 1024, serial, 20) // 16 × 1.2288s = 19.7s
+}
+
 func TestServerValidation(t *testing.T) {
 	parts := twoParts(t, 40, 94)
 	reg := NewRegistry()

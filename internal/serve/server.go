@@ -355,7 +355,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		go s.pumpLink(ws, ws.attach(tr))
 		s.workers = append(s.workers, ws)
 	}
-	s.batcher = NewBatcher(cfg.Batch, s.ScoreBatch)
+	// The batcher takes a batch only with a window slot held, so a batch
+	// that finds the window full keeps growing instead of queueing.
+	s.cfg.Batch.window, s.cfg.Batch.met = s.inflight, s.met
+	s.batcher = NewBatcher(s.cfg.Batch, s.scoreHeld)
 	return s, nil
 }
 
@@ -589,6 +592,28 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 	if s.closing.Load() {
 		return BatchResult{}, ErrClosed
 	}
+	if len(rows) > 0 {
+		// The pipeline window: a round beyond MaxInflight waits here under
+		// its own deadline. (Load shedding already happened at the batcher
+		// queue.)
+		select {
+		case s.inflight <- struct{}{}:
+		case <-ctx.Done():
+			s.met.ObserveTimeout()
+			return BatchResult{}, ctx.Err()
+		}
+		defer func() { <-s.inflight }()
+	}
+	return s.scoreHeld(ctx, rows)
+}
+
+// scoreHeld is the body of ScoreBatch, for a round that holds its window
+// slot already: a bulk round took it in ScoreBatch, a micro-batch took it
+// in the batcher.
+func (s *Server) scoreHeld(ctx context.Context, rows []int32) (BatchResult, error) {
+	if s.closing.Load() {
+		return BatchResult{}, ErrClosed // Close began while this round waited for its slot
+	}
 	mv, ok := s.cfg.Registry.Current()
 	if !ok {
 		return BatchResult{}, ErrNoModel
@@ -596,25 +621,11 @@ func (s *Server) ScoreBatch(ctx context.Context, rows []int32) (BatchResult, err
 	if len(rows) == 0 {
 		return BatchResult{Version: mv.Version}, nil
 	}
-	// The pipeline window: a round beyond MaxInflight waits here under its
-	// own deadline. (Load shedding already happened at the batcher queue.)
-	select {
-	case s.inflight <- struct{}{}:
-	case <-ctx.Done():
-		s.met.ObserveTimeout()
-		return BatchResult{}, ctx.Err()
-	}
-	s.met.ObserveInflight(1)
-	defer func() {
-		s.met.ObserveInflight(-1)
-		<-s.inflight
-	}()
-	if s.closing.Load() {
-		return BatchResult{}, ErrClosed // Close drained the window while this round waited for it
-	}
 	if !s.opened.Load() {
 		return BatchResult{}, fmt.Errorf("serve: session not opened")
 	}
+	s.met.ObserveInflight(1)
+	defer s.met.ObserveInflight(-1)
 
 	// Send phase, under the send lock: ids are assigned and requests
 	// written in one order, so ids rise monotonically on every FIFO link.
@@ -945,15 +956,21 @@ func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 // retryAfterQueue estimates seconds until the queue drains enough to
 // admit again — the Retry-After on a 429.
 func (s *Server) retryAfterQueue() int {
-	rounds := float64(s.batcher.Queued()) / float64(s.cfg.Batch.MaxBatch)
-	secs := int(math.Ceil(rounds * s.cfg.Batch.MaxWait.Seconds()))
-	if secs < 1 {
-		secs = 1
+	return retryAfterQueue(s.batcher.Queued(), s.cfg, s.met.WAN())
+}
+
+// retryAfterQueue is the drain time of queued requests: ⌈queued/MaxBatch⌉
+// rounds, MaxInflight of them at a time, each taking the median measured
+// round trip (wan) — or the default Deadline before any round has run —
+// clamped to [1s, 30s].
+func retryAfterQueue(queued int64, cfg ServerConfig, wan *Histogram) int {
+	round := cfg.Deadline
+	if wan.Count() > 0 {
+		round = time.Duration(wan.Quantile(0.5) * float64(time.Millisecond))
 	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
+	rounds := math.Ceil(float64(queued) / float64(cfg.Batch.MaxBatch))
+	secs := int(math.Ceil(rounds * round.Seconds() / float64(cfg.MaxInflight)))
+	return min(max(secs, 1), 30)
 }
 
 // retryAfterBreaker is the longest remaining breaker cooldown — after
@@ -1123,6 +1140,13 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "serve_batch_size_avg %.2f\n", m.BatchSize().Mean())
 	for _, q := range []float64{0.50, 0.95, 0.99} {
 		fmt.Fprintf(w, "serve_batch_size{q=%q} %.2f\n", fmt.Sprintf("%.2f", q), m.BatchSize().Quantile(q))
+	}
+	for c := FlushCause(0); c < numFlushCauses; c++ {
+		fmt.Fprintf(w, "serve_batcher_flushes_total{cause=%q} %d\n", c, m.Flushes(c))
+	}
+	fmt.Fprintf(w, "serve_batcher_flush_size_avg %.2f\n", m.FlushSize().Mean())
+	for _, q := range []float64{0.50, 0.95, 0.99} {
+		fmt.Fprintf(w, "serve_batcher_flush_size{q=%q} %.2f\n", fmt.Sprintf("%.2f", q), m.FlushSize().Quantile(q))
 	}
 	for _, ws := range s.workers {
 		party := strconv.Itoa(ws.party)
