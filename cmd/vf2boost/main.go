@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -221,7 +222,8 @@ func (s oocSettings) openStore(src ooc.Source, maxBins int) *ooc.Store {
 }
 
 // parseBytes parses a byte count with an optional K/M/G, KB/MB/GB or
-// KiB/MiB/GiB suffix (all binary multiples).
+// KiB/MiB/GiB suffix (all binary multiples). A count whose multiple
+// overflows int64 is refused: it would wrap to 0 (no budget) or below.
 func parseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(s)
 	shift := 0
@@ -237,6 +239,9 @@ func parseBytes(s string) (int64, error) {
 	n, err := strconv.ParseInt(t, 10, 64)
 	if err != nil || n < 0 {
 		return 0, fmt.Errorf("%q is not a byte count", s)
+	}
+	if n > math.MaxInt64>>shift {
+		return 0, fmt.Errorf("%q overflows a 64-bit byte count", s)
 	}
 	return n << shift, nil
 }

@@ -81,3 +81,37 @@ func TestLocalOOCModelByteIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestParseBytes: every suffix is a binary multiple, and a count that is
+// negative, malformed or whose multiple overflows int64 is refused instead
+// of wrapping to 0 (an unlimited budget) or a negative one.
+func TestParseBytes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"4096", 4096, true},
+		{"64K", 64 << 10, true},
+		{"64KB", 64 << 10, true},
+		{"64KiB", 64 << 10, true},
+		{" 3 MiB ", 3 << 20, true},
+		{"2mb", 2 << 20, true},
+		{"1G", 1 << 30, true},
+		{"2GiB", 2 << 30, true},
+		{"8589934591G", 8589934591 << 30, true},
+		{"9223372036854775807", 9223372036854775807, true},
+		{"17179869184GiB", 0, false},
+		{"8589934592G", 0, false},
+		{"9007199254740992MB", 0, false},
+		{"-1", 0, false},
+		{"-64KiB", 0, false},
+		{"KiB", 0, false},
+		{"lots", 0, false},
+	} {
+		got, err := parseBytes(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("parseBytes(%q) = %d, %v; want %d, ok %v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

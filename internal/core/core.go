@@ -104,7 +104,8 @@ type Config struct {
 	OptimisticSplit bool
 	// HistogramPacking packs a node's occupied bins, as shifted prefix
 	// sums, t to a ciphertext (Section 5.2); an empty bin takes no slot,
-	// which the per-feature occupancy bitmap of the frame says.
+	// which the per-feature occupancy bitmap of the frame says. Off, the
+	// node ships the same slots one to a ciphertext.
 	HistogramPacking bool
 
 	// FastObfuscation replaces the per-encryption Paillier obfuscator

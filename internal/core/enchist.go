@@ -134,13 +134,12 @@ func (eh *EncHistogram) Merge(o *EncHistogram) {
 }
 
 // mergeBin resolves one bin's accumulation to a single ciphertext at
-// exponent toExp, or at the bin's highest occupied exponent when that is
-// higher (toExp 0: the unpacked wire form). An empty bin stays nil. The
-// workspace rows fold from the lowest up — scale the running sum to the
-// next occupied row, add the row — so every occupied row below the result
-// costs one scaling by a small scalar. Bins share no state and finalize
-// concurrently; merging consumes the bin's accumulators. The additions
-// made are added to *hadds for the caller to report.
+// exponent toExp, the top of the codec's range. An empty bin stays nil.
+// The workspace rows fold from the lowest up — scale the running sum to
+// the next occupied row, add the row — so every occupied row below the
+// result costs one scaling by a small scalar. Bins share no state and
+// finalize concurrently; merging consumes the bin's accumulators. The
+// additions made are added to *hadds for the caller to report.
 func (eh *EncHistogram) mergeBin(idx, toExp int, hadds *int64) fixedpoint.EncNum {
 	var acc fixedpoint.EncNum
 	if !eh.reordered {
@@ -163,15 +162,17 @@ func (eh *EncHistogram) mergeBin(idx, toExp int, hadds *int64) fixedpoint.EncNum
 	return acc
 }
 
-// packPlan is the histogram-packing geometry both sides derive from the
-// pair width W negotiated at setup. A packed slot holds one shifted prefix
-// of folded sums: the W-bit h field under the g field, which the shift
-// 2^(W−1) moves from (−2^(W−1), 2^(W−1)) into W non-negative bits — so a
-// slot is exactly 2W bits and only the g field needs a shift.
+// packPlan is the node-layout geometry both sides derive from the pair
+// width W negotiated at setup. A slot holds one shifted prefix of folded
+// sums: the W-bit h field under the g field, which the shift 2^(W−1)
+// moves from (−2^(W−1), 2^(W−1)) into W non-negative bits — so a slot is
+// exactly 2W bits and only the g field needs a shift.
 type packPlan struct {
 	// bits is the slot width 2W.
 	bits int
-	// capacity is t = (S-1)/bits.
+	// capacity is t = (S-1)/bits slots per ciphertext under histogram
+	// packing, and 1 without it: every slot then ships as its own
+	// ciphertext.
 	capacity int
 	// exp is the unified exponent all packed values use.
 	exp int
@@ -181,17 +182,23 @@ type packPlan struct {
 	shift *big.Int
 }
 
-// planPacking derives the packing geometry for pair width w. It fails if
-// a single shifted prefix cannot fit in the plaintext space.
-func planPacking(codec *fixedpoint.Codec, w int) (packPlan, error) {
+// planPacking derives the node-layout geometry for pair width w, packing
+// as many slots per ciphertext as fit when packing is set and one
+// otherwise. It fails if a single shifted prefix cannot fit in the
+// plaintext space.
+func planPacking(codec *fixedpoint.Codec, w int, packing bool) (packPlan, error) {
 	bits := 2 * w
 	s := codec.Scheme().Bits()
 	if w < 1 || bits >= s {
 		return packPlan{}, fmt.Errorf("core: histogram packing infeasible: need %d-bit slots but modulus has %d bits", bits, s)
 	}
+	capacity := 1
+	if packing {
+		capacity = (s - 1) / bits
+	}
 	return packPlan{
 		bits:     bits,
-		capacity: (s - 1) / bits,
+		capacity: capacity,
 		exp:      codec.BaseExp() + codec.ExpSpread() - 1,
 		shift:    new(big.Int).Lsh(big.NewInt(1), uint(bits-1)),
 	}, nil

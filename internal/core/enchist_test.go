@@ -63,11 +63,12 @@ func newEncRig(t testing.TB, rows, cols int, density float64, seed int64) *encTe
 	return rig
 }
 
-// finalizeAll resolves every bin at its highest occupied exponent.
+// finalizeAll resolves every bin at the codec's top exponent.
 func (eh *EncHistogram) finalizeAll() []fixedpoint.EncNum {
 	bins := make([]fixedpoint.EncNum, eh.totalBins())
+	top := eh.codec.BaseExp() + eh.codec.ExpSpread() - 1
 	for idx := range bins {
-		bins[idx] = eh.mergeBin(idx, 0, new(int64))
+		bins[idx] = eh.mergeBin(idx, top, new(int64))
 	}
 	return bins
 }
@@ -184,7 +185,7 @@ func TestOneHAddPerRowFeature(t *testing.T) {
 func TestPlanPackingInfeasible(t *testing.T) {
 	dec := he.NewMock(64) // tiny modulus: one 2W-bit slot cannot fit
 	codec := fixedpoint.NewCodec(dec)
-	if _, err := planPacking(codec, 32); err == nil {
+	if _, err := planPacking(codec, 32, true); err == nil {
 		t.Error("infeasible packing plan accepted")
 	}
 }
@@ -199,7 +200,7 @@ func TestPlanPackingSlotWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planPacking(codec, pairs.W)
+	plan, err := planPacking(codec, pairs.W, true)
 	if err != nil {
 		t.Fatal(err)
 	}

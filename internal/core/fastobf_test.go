@@ -46,12 +46,14 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planPacking(codec, pairs.W)
-	if err != nil {
-		t.Fatal(err)
+	newB := func(packing bool) *activeParty {
+		plan, err := planPacking(codec, pairs.W, packing)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &activeParty{cfg: quickConfig(SchemePaillier), dec: dec, codec: codec, pairs: pairs,
+			plan: plan, featCounts: []int{2}, units: make(unitQueue, 2)}
 	}
-	b := &activeParty{cfg: quickConfig(SchemePaillier), dec: dec, codec: codec, pairs: pairs,
-		packing: true, plan: plan, featCounts: []int{2}, units: make(unitQueue, 2)}
 
 	n := dec.N()
 	n2 := new(big.Int).Mul(n, n)
@@ -63,14 +65,16 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 	}
 
 	for i, raw := range garbage {
-		unpacked := FeatHist{NumBins: 2, Bins: [][]byte{raw, nil}, BinExp: []int16{8, 8}}
-		if _, err := b.decryptFeature(unpacked); err == nil {
-			t.Errorf("case %d: decryptFeature accepted garbage bins", i)
+		// One slot per ciphertext, and two slots packed into one.
+		single := NodeHist{Node: 1, Packed: true, Cts: [][]byte{raw},
+			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{1}}, {NumBins: 1, Occupied: []byte{0}}}}
+		if _, err := newB(false).unpackNode(0, single); err == nil {
+			t.Errorf("case %d: unpackNode accepted a garbage slot at one per ciphertext", i)
 		}
 		packed := NodeHist{Node: 1, Packed: true, Cts: [][]byte{raw},
 			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{3}}, {NumBins: 1, Occupied: []byte{0}}}}
-		if _, err := b.decryptNodeHist(0, packed); err == nil {
-			t.Errorf("case %d: decryptNodeHist accepted a garbage packed payload", i)
+		if _, err := newB(true).unpackNode(0, packed); err == nil {
+			t.Errorf("case %d: unpackNode accepted a garbage packed payload", i)
 		}
 	}
 }

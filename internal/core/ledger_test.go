@@ -26,10 +26,10 @@ func TestCounterLedger(t *testing.T) {
 		enc, dec, hadds, smuls, bytes int64
 		model                         string
 	}{
-		0b0000: {1200, 1896, 10980, 6892, 135128, sequential},
-		0b0001: {1200, 1896, 10980, 6892, 135608, sequential},
-		0b0010: {1200, 1896, 14075, 3095, 135128, sequential},
-		0b0011: {1200, 1896, 14075, 3095, 135608, sequential},
+		0b0000: {1200, 1896, 12876, 7525, 83053, sequential},
+		0b0001: {1200, 1896, 12876, 7525, 83533, sequential},
+		0b0010: {1200, 1896, 15971, 3728, 83053, sequential},
+		0b0011: {1200, 1896, 15971, 3728, 83533, sequential},
 		0b0100: {1200, 1896, 0, 0, 0, optimistic},
 		0b0101: {1200, 1896, 0, 0, 0, optimistic},
 		0b0110: {1200, 1896, 0, 0, 0, optimistic},

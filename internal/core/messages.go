@@ -23,9 +23,9 @@ var ErrLegacyLayout = errors.New("core: peer speaks the retired two-ciphertext s
 // ErrLegacySiblings is the session error for a passive party that still
 // subtracts sibling histograms itself: under HistogramSubtraction a split's
 // smaller child announces the sibling Party B derives from it (wire id
-// 32), and one that arrives unannounced comes from a peer that will ship
+// 33), and one that arrives unannounced comes from a peer that will ship
 // the sibling too. (The opposite skew, a Party B still waiting for a
-// shipped sibling, cannot decode wire id 32 at all.)
+// shipped sibling, cannot decode wire id 33 at all.)
 var ErrLegacySiblings = errors.New("core: peer ships sibling histograms instead of announcing them")
 
 // ErrSiblingDerivation marks a sibling announcement Party B cannot honour:
@@ -34,15 +34,9 @@ var ErrLegacySiblings = errors.New("core: peer ships sibling histograms instead 
 // the histogram-side counterpart of fixedpoint.ErrPairRange.
 var ErrSiblingDerivation = errors.New("core: sibling histogram derivation rejected")
 
-// ErrLegacyPacking is the session error for a passive party that still
-// packs histograms feature by feature (FeatHist.Packed under wire ids 30
-// and 32): a packing session ships every node in the node layout of wire
-// id 33, which a Party B from before it cannot decode at all.
-var ErrLegacyPacking = errors.New("core: peer packs histograms per feature instead of per node")
-
-// ErrPackedLayout marks a node-layout frame that contradicts itself, the
-// session's plan (bitmaps, ciphertext count, a plaintext wider than its
-// chunk) or the setup (packing nobody negotiated).
+// ErrPackedLayout marks a node-layout frame that contradicts itself or
+// the session's plan (bitmaps, ciphertext count, a plaintext wider than
+// its chunk).
 var ErrPackedLayout = errors.New("core: packed node histogram rejected")
 
 // Upper bounds on the sizes a peer's frames may dictate, checked before
@@ -68,7 +62,8 @@ type MsgSetup struct {
 	// without it comes from a peer that still streams two ciphertexts per
 	// instance and is refused (ErrLegacyLayout). PackBits, when non-zero,
 	// enables histogram packing with slots of that width; the only width
-	// the folded layout uses is 2·PairBits.
+	// the folded layout uses is 2·PairBits. Zero ships the same node
+	// layout with one slot per ciphertext.
 	PairBits int
 	PackBits int
 	// ObfBase, when non-empty, is the DJN fast-obfuscation base
@@ -158,10 +153,12 @@ type MsgHistograms struct {
 // parent − this node in plaintext. Both are zero on a root, and on every
 // node when subtraction is off.
 //
-// Packed marks the node layout every histogram-packing session ships
-// (wire id 33): the slots of all features — one shifted prefix sum per bin
-// a feature's Occupied bitmap names — are cut into balanced chunks
-// (packPlan.chunk), one ciphertext of Cts each.
+// Packed marks the node layout every session ships (wire id 33): the
+// slots of all features — one shifted prefix sum per bin a feature's
+// Occupied bitmap names — are cut into balanced chunks (packPlan.chunk),
+// one ciphertext of Cts each, of up to t slots under histogram packing
+// and of one slot without it. A node without it is the retired
+// two-ciphertext frame (wire id 4).
 type NodeHist struct {
 	Node            int32
 	Parent, Sibling int32
@@ -170,23 +167,16 @@ type NodeHist struct {
 	Cts             [][]byte
 }
 
-// FeatHist is one feature's bins in exactly one representation: folded
-// per-bin sums or its share of a packed node's slots.
+// FeatHist is one feature's share of a node's slots: bit k of Occupied is
+// set when bin k owns a slot of the node's ciphertexts.
 type FeatHist struct {
-	NumBins int
-	// Folded scalar representation (wire ids 30 and 32): Bins holds one
-	// ciphertext per bin (empty payload = empty bin) at exponent BinExp[k].
-	// Packed marked the retired per-feature packing of Bins
-	// (ErrLegacyPacking).
-	Bins   [][]byte
-	BinExp []int16
-	Packed bool
-	// Node layout (wire id 33): bit k of Occupied is set when bin k owns a
-	// slot of the node's packed ciphertexts.
+	NumBins  int
 	Occupied []byte
-	// Retired two-ciphertext packed layout (wire id 4): written by no
-	// engine and refused by Party B (ErrLegacyLayout); kept, like
-	// MsgGradBatch, for benchmark/probes.go.
+	// Retired layouts (wire id 4): the per-feature packing flag and the
+	// two-ciphertext packed columns, written by no engine and refused by
+	// Party B (ErrLegacyLayout); kept, like MsgGradBatch, for
+	// benchmark/probes.go.
+	Packed  bool
 	PackedG [][]byte
 	PackedH [][]byte
 	Exp     int16

@@ -52,7 +52,8 @@ type layoutRig struct {
 	dec   he.Decryptor
 	codec *fixedpoint.Codec
 	pairs fixedpoint.PairPlan
-	plan  packPlan
+	// plan packs; single is the same layout at one slot per ciphertext.
+	plan, single packPlan
 	// bins[j][k] are the cells of feature j's bin k.
 	bins [][][]cell
 }
@@ -64,16 +65,26 @@ func newLayoutRig(t *testing.T, dec he.Decryptor, spread int) *layoutRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planPacking(codec, pairs.W)
-	if err != nil {
+	r := &layoutRig{dec: dec, codec: codec, pairs: pairs}
+	if r.plan, err = planPacking(codec, pairs.W, true); err != nil {
 		t.Fatal(err)
 	}
-	return &layoutRig{dec: dec, codec: codec, pairs: pairs, plan: plan}
+	if r.single, err = planPacking(codec, pairs.W, false); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// planFor is the rig's plan with or without packing.
+func (r *layoutRig) planFor(packing bool) packPlan {
+	if packing {
+		return r.plan
+	}
+	return r.single
 }
 
 // wire builds the histogram from r.bins and ships it through a passive
-// party's wireHist: the node layout when packing, per-bin ciphertexts
-// otherwise.
+// party's wireHist, packed or at one slot per ciphertext.
 func (r *layoutRig) wire(t *testing.T, packing, reordered bool) NodeHist {
 	t.Helper()
 	offsets := []int{0}
@@ -100,7 +111,7 @@ func (r *layoutRig) wire(t *testing.T, packing, reordered bool) NodeHist {
 		}
 	}
 	p := &passiveParty{cfg: DefaultConfig(), cols: len(r.bins), offsets: offsets, scheme: r.dec, codec: r.codec,
-		packing: packing, plan: r.plan, stats: &Stats{}, units: make(unitQueue, 2)}
+		plan: r.planFor(packing), stats: &Stats{}, units: make(unitQueue, 2)}
 	var err error
 	if p.shiftCt, err = r.dec.Encrypt(r.plan.shift); err != nil {
 		t.Fatal(err)
@@ -120,11 +131,11 @@ func (r *layoutRig) active(packing bool) *activeParty {
 	cfg := quickConfig(SchemeMock)
 	cfg.Workers = 2
 	return &activeParty{cfg: cfg, dec: r.dec, codec: r.codec, pairs: r.pairs,
-		packing: packing, plan: r.plan, featCounts: []int{len(r.bins)}, units: make(unitQueue, 2)}
+		plan: r.planFor(packing), featCounts: []int{len(r.bins)}, units: make(unitQueue, 2)}
 }
 
-// want are the integers every representation must decrypt to: each bin's
-// cells summed at the plan's exponent.
+// want are the integers both plans must decrypt to: each bin's cells
+// summed at the plan's exponent.
 func (r *layoutRig) want() nodeSums {
 	out := make(nodeSums, len(r.bins))
 	for j, feat := range r.bins {
@@ -172,74 +183,70 @@ func (r *layoutRig) randomBins(rng *rand.Rand, shape []int, fill float64) {
 	}
 }
 
-// checkLayout ships r.bins in the node layout and unpacked, under both
-// accumulation strategies, and compares what B decrypts with the integers
-// the test put in. It reports where the chunk boundaries of the node
-// layout fell.
+// checkLayout ships r.bins packed and at one slot per ciphertext, under
+// both accumulation strategies, and compares what B decrypts with the
+// integers the test put in. It reports where the chunk boundaries of the
+// packed frames fell.
 func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 	t.Helper()
 	want := r.want()
 	for _, reordered := range []bool{true, false} {
-		unpacked, err := r.active(false).decryptNodeHist(0, r.wire(t, false, reordered))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sameSums(r.codec.Base(), unpacked, want); err != nil {
-			t.Fatalf("reordered=%v: unpacked path vs the integers put in: %v", reordered, err)
-		}
-		nh := r.wire(t, true, reordered)
-		decryptions := r.codec.Stats().Decryptions()
-		got, err := r.active(true).decryptNodeHist(0, nh)
-		decryptions = r.codec.Stats().Decryptions() - decryptions
-		if err != nil {
-			t.Fatalf("reordered=%v: %v", reordered, err)
-		}
-		if err := sameSums(r.codec.Base(), got, unpacked); err != nil {
-			t.Errorf("reordered=%v: node layout vs unpacked path: %v", reordered, err)
-		}
-		slots := 0
-		for j, fs := range got {
-			for k := range fs.g {
-				// The bitmap names exactly the bins with mass.
-				if occupied := want[j].g[k] != nil; (fs.g[k] != nil) != occupied {
-					t.Errorf("reordered=%v: feature %d bin %d slotted=%v, occupied=%v", reordered, j, k, fs.g[k] != nil, occupied)
-				}
-				if fs.g[k] != nil {
-					slots++
-					if fs.exp[k] != r.plan.exp {
-						t.Errorf("feature %d bin %d at exponent %d, want the plan's %d", j, k, fs.exp[k], r.plan.exp)
+		for _, packing := range []bool{false, true} {
+			plan := r.planFor(packing)
+			nh := r.wire(t, packing, reordered)
+			decryptions := r.codec.Stats().Decryptions()
+			got, err := r.active(packing).unpackNode(0, nh)
+			decryptions = r.codec.Stats().Decryptions() - decryptions
+			if err != nil {
+				t.Fatalf("reordered=%v packing=%v: %v", reordered, packing, err)
+			}
+			if err := sameSums(r.codec.Base(), got, want); err != nil {
+				t.Errorf("reordered=%v packing=%v: node layout vs the integers put in: %v", reordered, packing, err)
+			}
+			slots := 0
+			for j, fs := range got {
+				for k := range fs.g {
+					// The bitmap names exactly the bins with mass.
+					if occupied := want[j].g[k] != nil; (fs.g[k] != nil) != occupied {
+						t.Errorf("reordered=%v packing=%v: feature %d bin %d slotted=%v, occupied=%v", reordered, packing, j, k, fs.g[k] != nil, occupied)
+					}
+					if fs.g[k] != nil {
+						slots++
+						if fs.exp[k] != plan.exp {
+							t.Errorf("feature %d bin %d at exponent %d, want the plan's %d", j, k, fs.exp[k], plan.exp)
+						}
 					}
 				}
 			}
-		}
-		if want := r.plan.chunks(slots); len(nh.Cts) != want || decryptions != int64(want) {
-			t.Errorf("reordered=%v: %d ciphertexts and %d decryptions for %d slots, want %d", reordered, len(nh.Cts), decryptions, slots, want)
-		}
-		if !reordered {
-			continue
-		}
-		ends := map[int]bool{} // slot indices at which a feature ends
-		end := 0
-		for _, fs := range got {
-			for k := range fs.g {
-				if fs.g[k] != nil {
-					end++
-				}
+			if want := plan.chunks(slots); len(nh.Cts) != want || decryptions != int64(want) {
+				t.Errorf("reordered=%v packing=%v: %d ciphertexts and %d decryptions for %d slots, want %d", reordered, packing, len(nh.Cts), decryptions, slots, want)
 			}
-			ends[end] = true
-		}
-		for c := 0; c+1 < len(nh.Cts); c++ {
-			_, hi := r.plan.chunk(slots, c)
-			insideFeature = insideFeature || !ends[hi]
-			onFeature = onFeature || ends[hi]
+			if !reordered || !packing {
+				continue
+			}
+			ends := map[int]bool{} // slot indices at which a feature ends
+			end := 0
+			for _, fs := range got {
+				for k := range fs.g {
+					if fs.g[k] != nil {
+						end++
+					}
+				}
+				ends[end] = true
+			}
+			for c := 0; c+1 < len(nh.Cts); c++ {
+				_, hi := plan.chunk(slots, c)
+				insideFeature = insideFeature || !ends[hi]
+				onFeature = onFeature || ends[hi]
+			}
 		}
 	}
 	return insideFeature, onFeature
 }
 
 // TestNodeLayoutRoundTrip is the layout property: pack → decrypt → slice
-// equals the per-bin folded integers of the unpacked path and the integers
-// put in, over mock and 512-bit Paillier, one and four exponents, both
+// equals the integers put in, packed and at one slot per ciphertext, over
+// mock and 512-bit Paillier, one and four exponents, both
 // accumulation strategies, one to four features, occupancy from empty to
 // full (fill 1: every bitmap full), and chunk boundaries inside features
 // and exactly between them.
@@ -322,7 +329,7 @@ func TestPackedDecryptionsFollowOccupiedBins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planPacking(codec, pairs.W)
+	plan, err := planPacking(codec, pairs.W, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,9 +371,10 @@ func hostileNode(t *testing.T, r *layoutRig) NodeHist {
 }
 
 // TestActiveRejectsHostilePackedFrames is the hostile-frame table of the
-// node layout: every way a frame can contradict itself, the session's plan
-// or the setup ends B's session with the typed error after B told every
-// party why, and never sizes or indexes anything from the frame.
+// node layout: every way a frame can contradict itself or the session's
+// plan, and the retired two-ciphertext frame, ends B's session with the
+// typed error after B told every party why, and never sizes or indexes
+// anything from the frame.
 func TestActiveRejectsHostilePackedFrames(t *testing.T) {
 	lr := newLayoutRig(t, he.NewMock(512), 4)
 	if lr.plan.capacity != 4 {
@@ -412,26 +420,29 @@ func TestActiveRejectsHostilePackedFrames(t *testing.T) {
 		}, false},
 		{"negative bin count", true, func(nh *NodeHist) { nh.Feats[0].NumBins = -3 }, false},
 		{"feature count other than announced", true, func(nh *NodeHist) { nh.Feats = nh.Feats[:1] }, false},
+		// Six slots packed 3 + 3 where the session ships one per ciphertext.
 		{"node layout without negotiated packing", false, func(nh *NodeHist) {}, false},
+		// The retired two-ciphertext frame (wire id 4), per-feature packed
+		// or not, in either session.
 		{"per-feature packed frame in a packing session", true, func(nh *NodeHist) {
-			*nh = NodeHist{Node: nh.Node, Feats: []FeatHist{{NumBins: 5, Packed: true, Bins: nh.Cts[:1]}, {NumBins: 9, Packed: true, Bins: nh.Cts[1:]}}}
+			*nh = NodeHist{Node: nh.Node, Feats: []FeatHist{{NumBins: 5, Packed: true, PackedG: nh.Cts[:1], PackedH: nh.Cts[:1]}, {NumBins: 9, Packed: true, PackedG: nh.Cts[1:], PackedH: nh.Cts[1:]}}}
 		}, true},
 		{"unpacked frame in a packing session", true, func(nh *NodeHist) {
-			*nh = NodeHist{Node: nh.Node, Feats: []FeatHist{{NumBins: 1, Bins: [][]byte{nil}, BinExp: []int16{8}}, {NumBins: 1, Bins: [][]byte{nil}, BinExp: []int16{8}}}}
+			*nh = NodeHist{Node: nh.Node, Feats: []FeatHist{{NumBins: 1}, {NumBins: 1}}}
 		}, true},
 		{"per-feature packed frame without packing", false, func(nh *NodeHist) {
-			*nh = NodeHist{Node: nh.Node, Feats: []FeatHist{{NumBins: 5, Packed: true, Bins: nh.Cts[:1]}, {NumBins: 9, Packed: true, Bins: nh.Cts[1:]}}}
+			*nh = NodeHist{Node: nh.Node, Feats: []FeatHist{{NumBins: 5, Packed: true, PackedG: nh.Cts[:1], PackedH: nh.Cts[:1]}, {NumBins: 9, Packed: true, PackedG: nh.Cts[1:], PackedH: nh.Cts[1:]}}}
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newSiblingRig(t, true)
 			b := r.b
-			b.dec, b.codec, b.pairs, b.plan, b.packing = lr.dec, lr.codec, lr.pairs, lr.plan, tc.packing
+			b.dec, b.codec, b.pairs, b.plan = lr.dec, lr.codec, lr.pairs, lr.planFor(tc.packing)
 			b.featCounts = []int{2}
 			nh := hostileNode(t, lr)
 			if tc.packing {
 				// The frame is good before the case breaks it.
-				if _, err := b.decryptNodeHist(0, nh); err != nil {
+				if _, err := b.unpackNode(0, nh); err != nil {
 					t.Fatalf("well-formed frame: %v", err)
 				}
 			}
@@ -447,8 +458,8 @@ func TestActiveRejectsHostilePackedFrames(t *testing.T) {
 			if err == nil {
 				t.Fatal("hostile frame accepted")
 			}
-			if errors.Is(err, ErrLegacyPacking) != tc.legacy || errors.Is(err, ErrPackedLayout) == tc.legacy {
-				t.Errorf("error %q: want ErrLegacyPacking=%v, ErrPackedLayout=%v", err, tc.legacy, !tc.legacy)
+			if errors.Is(err, ErrLegacyLayout) != tc.legacy || errors.Is(err, ErrPackedLayout) == tc.legacy {
+				t.Errorf("error %q: want ErrLegacyLayout=%v, ErrPackedLayout=%v", err, tc.legacy, !tc.legacy)
 			}
 			if len(r.sent.ch) != 1 {
 				t.Fatalf("B sent the peer %d frames, want one MsgAbort", len(r.sent.ch))
@@ -481,7 +492,7 @@ func TestPackedChildMustMatchParentBins(t *testing.T) {
 	lr := newLayoutRig(t, he.NewMock(512), 4)
 	r := newSiblingRig(t, true)
 	b := r.b
-	b.dec, b.codec, b.pairs, b.plan, b.packing = lr.dec, lr.codec, lr.pairs, lr.plan, true
+	b.dec, b.codec, b.pairs, b.plan = lr.dec, lr.codec, lr.pairs, lr.plan
 	one := []cell{{lr.plan.exp, big.NewInt(-2), big.NewInt(5)}}
 	lr.bins = [][][]cell{{one, one, nil}}
 	root := lr.wire(t, true, true)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -251,10 +252,12 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 		{"own split on a bin it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Bin: 200}}}}, false, "feature 0 bin 200"},
 		{"correction on a negative feature", []any{okSetup, whole, MsgDirty{Node: rootID, LeftID: 4, RightID: 5, Feature: -1}}, false, "feature -1 bin 0"},
 		// Frames no registered decoder reads: the retired batched-backend
-		// IDs and one never assigned.
+		// and per-bin histogram IDs, and one never assigned.
 		{"retired batched setup", []any{rawFrame(idSetupV3, nil)}, false, "message ID 24"},
 		{"retired vectorized gradient batch", []any{okSetup, rawFrame(idVecGradBatch, nil)}, false, "message ID 25"},
 		{"retired vectorized histograms", []any{okSetup, rawFrame(idHistogramsV2, nil)}, false, "message ID 26"},
+		{"retired folded histograms", []any{okSetup, retiredHistogramFrames()[0]}, false, "message ID 30"},
+		{"retired announcing histograms", []any{okSetup, retiredHistogramFrames()[1]}, false, "message ID 32"},
 		{"unknown message ID", []any{rawFrame(0xFFFE, nil)}, false, "message ID 65534"},
 		// The setup of a B still pinned to the retired gob codec: refused by
 		// its tag, whatever the body.
@@ -349,8 +352,10 @@ func TestUnknownBackendRejected(t *testing.T) {
 }
 
 // TestActiveRejectsHostileHistograms is the same table for the frames a
-// passive party controls: every size in a folded histogram is checked
-// against the session's own plan before it sizes or indexes anything.
+// passive party controls, at one slot per ciphertext: every size in a
+// histogram is checked against the session's own plan before it sizes or
+// indexes anything, and the retired two-ciphertext frame is refused by
+// name. The packed plan's table is TestActiveRejectsHostilePackedFrames.
 func TestActiveRejectsHostileHistograms(t *testing.T) {
 	dec := he.NewMock(512)
 	codec := fixedpoint.NewCodec(dec, fixedpoint.WithExponents(8, 4))
@@ -358,56 +363,61 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := planPacking(codec, pairs.W)
+	plan, err := planPacking(codec, pairs.W, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := pairs.Encrypt(-0.5, 0.25, 9)
+	encrypt := func(m *big.Int) []byte {
+		ct, err := dec.Encrypt(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec.Marshal(ct)
+	}
+	// One slot: ⟨−0.5, 0.25⟩ at the plan's exponent, shifted.
+	man, err := pairs.Encode(-0.5, 0.25, plan.exp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct := dec.Marshal(good.Ct)
-	newB := func(packing bool) *activeParty {
+	slot := new(big.Int).Add(plan.shift, man.Man)
+	ct := encrypt(slot.Mod(slot, dec.N()))
+	newB := func() *activeParty {
 		return &activeParty{cfg: quickConfig(SchemeMock), dec: dec, codec: codec, pairs: pairs,
-			packing: packing, plan: plan, featCounts: []int{1}, units: make(unitQueue, 2)}
+			plan: plan, featCounts: []int{1}, units: make(unitQueue, 2)}
+	}
+	node := func(fh FeatHist, cts ...[]byte) NodeHist {
+		return NodeHist{Node: rootID, Packed: true, Cts: cts, Feats: []FeatHist{fh}}
 	}
 
-	// The well-formed shapes decrypt.
-	fs, err := newB(false).decryptFeature(FeatHist{NumBins: 2, Bins: [][]byte{ct, nil}, BinExp: []int16{9, 8}})
+	// The well-formed shape decrypts.
+	s, err := newB().unpackNode(0, node(FeatHist{NumBins: 2, Occupied: []byte{0b01}}, ct))
 	if err != nil {
-		t.Fatalf("well-formed bins: %v", err)
+		t.Fatalf("well-formed node: %v", err)
 	}
-	if g, h := fs.floats(codec.Base()); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
-		t.Fatalf("well-formed bins: g=%v h=%v", g, h)
+	if g, h := s[0].floats(codec.Base()); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
+		t.Fatalf("well-formed node: g=%v h=%v", g, h)
 	}
 
-	// The node layout's own table is TestActiveRejectsHostilePackedFrames.
 	for _, tc := range []struct {
 		name   string
-		fh     FeatHist
-		legacy error
+		nh     NodeHist
+		legacy bool
 	}{
-		{"negative bin count", FeatHist{NumBins: -1}, nil},
-		{"bin count beyond MaxBins", FeatHist{NumBins: 1 << 40, Bins: [][]byte{ct}}, nil},
-		{"fewer ciphertexts than bins", FeatHist{NumBins: 3, Bins: [][]byte{ct}, BinExp: []int16{9, 9, 9}}, nil},
-		{"fewer exponents than bins", FeatHist{NumBins: 1, Bins: [][]byte{ct}}, nil},
-		{"bin exponent below the range", FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{-3}}, nil},
-		{"bin exponent above the range", FeatHist{NumBins: 1, Bins: [][]byte{ct}, BinExp: []int16{12}}, nil},
-		{"retired per-feature packing", FeatHist{NumBins: 2, Packed: true, Bins: [][]byte{ct}}, ErrLegacyPacking},
-		{"retired two-ciphertext packing", FeatHist{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}, ErrLegacyLayout},
+		{"negative bin count", node(FeatHist{NumBins: -1}), false},
+		{"bin count beyond MaxBins", node(FeatHist{NumBins: 1 << 40, Occupied: []byte{1}}, ct), false},
+		{"fewer ciphertexts than slots", node(FeatHist{NumBins: 3, Occupied: []byte{0b111}}, ct), false},
+		{"more ciphertexts than slots", node(FeatHist{NumBins: 3, Occupied: []byte{0b001}}, ct, ct), false},
+		{"a slot beyond its 2W bits", node(FeatHist{NumBins: 1, Occupied: []byte{1}}, encrypt(new(big.Int).Lsh(big.NewInt(1), uint(plan.bits)))), false},
+		{"more features than announced", NodeHist{Node: rootID, Packed: true, Feats: make([]FeatHist, 2)}, false},
+		{"retired per-feature packing", NodeHist{Node: rootID, Feats: []FeatHist{{NumBins: 2, Packed: true}}}, true},
+		{"retired two-ciphertext packing", NodeHist{Node: rootID, Feats: []FeatHist{{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}}}, true},
 	} {
-		_, err := newB(false).decryptFeature(tc.fh)
+		_, err := newB().unpackNode(0, tc.nh)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		for _, legacy := range []error{ErrLegacyLayout, ErrLegacyPacking} {
-			if errors.Is(err, legacy) != (legacy == tc.legacy) {
-				t.Errorf("%s: error %q, errors.Is(%v) want %v", tc.name, err, legacy, legacy == tc.legacy)
-			}
+		if errors.Is(err, ErrLegacyLayout) != tc.legacy || errors.Is(err, ErrPackedLayout) == tc.legacy {
+			t.Errorf("%s: error %q, want ErrLegacyLayout=%v, ErrPackedLayout=%v", tc.name, err, tc.legacy, !tc.legacy)
 		}
-	}
-	two := NodeHist{Node: 1, Feats: make([]FeatHist, 2)}
-	if _, err := newB(false).decryptNodeHist(0, two); err == nil {
-		t.Error("histogram with more features than announced accepted")
 	}
 }

@@ -38,7 +38,6 @@ type passiveParty struct {
 	scheme  he.Scheme
 	codec   *fixedpoint.Codec
 	plan    packPlan
-	packing bool
 	shiftCt he.Ciphertext
 
 	link   *link
@@ -375,21 +374,19 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 	if m.PairBits < 1 || 2*m.PairBits > p.scheme.Bits()-2 {
 		return fmt.Errorf("core: party %d: %d-bit pair fields do not fit the %d-bit modulus", p.index, m.PairBits, p.scheme.Bits())
 	}
-	p.packing = m.PackBits > 0
-	if p.packing {
-		// The folded layout packs in slots of exactly two pair fields;
-		// planPacking bounds that width by the modulus.
-		if m.PackBits != 2*m.PairBits {
-			return fmt.Errorf("core: party %d: setup packs %d-bit slots, folded pairs need %d", p.index, m.PackBits, 2*m.PairBits)
-		}
-		plan, err := planPacking(p.codec, m.PairBits)
-		if err != nil {
-			return fmt.Errorf("core: party %d: %w", p.index, err)
-		}
-		p.plan = plan
-		if p.shiftCt, err = p.scheme.Encrypt(plan.shift); err != nil {
-			return fmt.Errorf("core: party %d encrypting shift: %w", p.index, err)
-		}
+	// The folded layout packs in slots of exactly two pair fields, and a
+	// setup without a slot width ships one slot per ciphertext; planPacking
+	// bounds that width by the modulus.
+	if m.PackBits != 0 && m.PackBits != 2*m.PairBits {
+		return fmt.Errorf("core: party %d: setup packs %d-bit slots, folded pairs need %d", p.index, m.PackBits, 2*m.PairBits)
+	}
+	plan, err := planPacking(p.codec, m.PairBits, m.PackBits != 0)
+	if err != nil {
+		return fmt.Errorf("core: party %d: %w", p.index, err)
+	}
+	p.plan = plan
+	if p.shiftCt, err = p.scheme.Encrypt(plan.shift); err != nil {
+		return fmt.Errorf("core: party %d encrypting shift: %w", p.index, err)
 	}
 	if err := p.send(MsgReady{Party: p.index, Features: p.cols, Rows: p.view.Rows()}); err != nil {
 		return err
@@ -542,41 +539,24 @@ func (p *passiveParty) advanceClassTree(t int) error {
 }
 
 // wireHist finalizes and serializes a node's folded histogram as units on
-// the party's queue. A packing session ships the node layout, in two
-// rounds: per feature, the slots of packedFeature (its occupied bins,
-// which tells Party B nothing its decryption does not);
-// then per chunk of the node's concatenated slots, the Horner chain of
-// Codec.Pack, which is where the time goes. Without packing every bin
-// ships as its own ciphertext.
+// the party's queue, in the node layout and in two rounds: per feature,
+// the slots of packedFeature (its occupied bins, which tells Party B
+// nothing its decryption does not); then per chunk of the node's
+// concatenated slots, the Horner chain of Codec.Pack, which is where the
+// time goes under packing. Without packing every chunk is one slot, which
+// ships as it is.
 func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (NodeHist, error) {
 	start := time.Now()
 	defer func() { addDur(&p.stats.packTime, time.Since(start)) }()
-	nh := NodeHist{Node: node, Packed: p.packing, Feats: make([]FeatHist, p.cols)}
+	nh := NodeHist{Node: node, Packed: true, Feats: make([]FeatHist, p.cols)}
 	prefixes := make([][]he.Ciphertext, p.cols)
 	lane := p.lane("Pack")
 	err := p.units.do(task, p.cols, func(j int) error {
 		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", node, j))()
-		if p.packing {
-			nh.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.shiftCt, p.plan)
-			return nil
-		}
-		lo, n := p.offsets[j], p.offsets[j+1]-p.offsets[j]
-		fh := FeatHist{NumBins: n, Bins: make([][]byte, n), BinExp: make([]int16, n)}
-		var hadds int64
-		defer func() { p.codec.Stats().AddHAdds(hadds) }()
-		for k := range fh.Bins {
-			// Empty bins ship as empty payloads, which the decoder
-			// treats as exact zero. Emptiness carries no extra
-			// information: Party B decrypts every bin sum anyway.
-			fh.BinExp[k] = int16(p.codec.BaseExp())
-			if b := eh.mergeBin(lo+k, 0, &hadds); b.Ct != nil {
-				fh.Bins[k], fh.BinExp[k] = p.scheme.Marshal(b.Ct), int16(b.Exp)
-			}
-		}
-		nh.Feats[j] = fh
+		nh.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.shiftCt, p.plan)
 		return nil
 	})
-	if err != nil || !p.packing {
+	if err != nil {
 		return nh, err
 	}
 	var slots []he.Ciphertext

@@ -50,8 +50,7 @@ type activeParty struct {
 	// setup; its histograms must carry exactly that many features.
 	featCounts []int
 
-	packing bool
-	plan    packPlan
+	plan packPlan
 
 	units unitQueue // B's encryptions and decryptions, cfg.Workers at a time
 	stats *Stats
@@ -153,12 +152,10 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 	if b.pairs, err = b.codec.PlanPairs(b.rows, cfg.gradBound()); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	// Histogram packing packs shifted prefixes of folded bins.
-	if cfg.HistogramPacking {
-		if b.plan, err = planPacking(b.codec, b.pairs.W); err != nil {
-			return nil, err
-		}
-		b.packing = true
+	// Every node ships the shifted prefixes of its folded bins, packed
+	// under HistogramPacking and one per ciphertext without it.
+	if b.plan, err = planPacking(b.codec, b.pairs.W, cfg.HistogramPacking); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -199,7 +196,10 @@ func (b *activeParty) setup() error {
 		// must pay the paper's full r^n cost.
 		fo.DisableFastObfuscation()
 	}
-	setup.PairBits, setup.PackBits = b.pairs.W, b.plan.bits // no plan, no packing
+	setup.PairBits = b.pairs.W
+	if b.cfg.HistogramPacking {
+		setup.PackBits = b.plan.bits // zero ships one slot per ciphertext
+	}
 	// Objective negotiation: named for any non-default objective so the
 	// passive party can resolve it in its own registry (and reject the
 	// session before accepting a single ciphertext if it cannot). Binary
@@ -645,7 +645,7 @@ func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) 
 	}
 	decStart := time.Now()
 	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
-	s, err := b.decryptNodeHist(party, nh)
+	s, err := b.unpackNode(party, nh)
 	endSpan()
 	addDur(&b.stats.decryptTime, time.Since(decStart))
 	if err != nil {
@@ -668,7 +668,7 @@ func (b *activeParty) await(party int, k inboxKey) (any, error) {
 // by name — a broken sibling-derivation or node layout contract, or a peer
 // on a retired one — and returns err.
 func (b *activeParty) refuse(err error) error {
-	for _, refusal := range []error{ErrSiblingDerivation, ErrLegacySiblings, ErrPackedLayout, ErrLegacyPacking} {
+	for _, refusal := range []error{ErrSiblingDerivation, ErrLegacySiblings, ErrPackedLayout, ErrLegacyLayout} {
 		if errors.Is(err, refusal) {
 			b.abort(err) // the refusals exclude one another
 		}
@@ -734,30 +734,11 @@ func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 	return out, nil
 }
 
-// decryptNodeHist recovers a passive party's histogram of a node: the node
-// layout of a packing session one unit per ciphertext, folded bins one
-// unit per feature.
-func (b *activeParty) decryptNodeHist(party int, nh NodeHist) (nodeSums, error) {
-	if b.packing || nh.Packed {
-		return b.unpackNode(party, nh)
-	}
-	if len(nh.Feats) != b.featCounts[party] {
-		return nil, fmt.Errorf("core: party %d histogram carries %d features, announced %d", party, len(nh.Feats), b.featCounts[party])
-	}
-	sums := make(nodeSums, len(nh.Feats))
-	err := b.units.do(nil, len(nh.Feats), func(j int) (err error) {
-		sums[j], err = b.decryptFeature(nh.Feats[j])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return sums, nil
-}
-
-// unpackNode reverses the node layout. The frame is checked against the
-// session's plan before it sizes anything: feature count, every bitmap
-// against its bin count, the ciphertext count against the chunk rule. The
+// unpackNode reverses the node layout every session ships, packed or one
+// slot per ciphertext; a node outside it is the retired two-ciphertext
+// frame (ErrLegacyLayout). The frame is checked against the session's plan
+// before it sizes anything: feature count, every bitmap against its bin
+// count, the ciphertext count against the chunk rule. The
 // ciphertexts decrypt in parallel; each plaintext must fit its chunk's
 // slots (a slot that outgrew its 2W bits carries upward, so the top of the
 // chunk catches it). The bitmaps slice the slots back to bins: a feature's
@@ -769,10 +750,8 @@ func (b *activeParty) unpackNode(party int, nh NodeHist) (nodeSums, error) {
 		return nil, fmt.Errorf("%w: party %d node %d: %s", ErrPackedLayout, party, nh.Node, fmt.Sprintf(format, args...))
 	}
 	switch {
-	case !b.packing:
-		return bad("session negotiated no histogram packing")
 	case !nh.Packed:
-		return nil, fmt.Errorf("%w: party %d node %d", ErrLegacyPacking, party, nh.Node)
+		return nil, fmt.Errorf("%w: party %d node %d", ErrLegacyLayout, party, nh.Node)
 	case len(nh.Feats) != b.featCounts[party]:
 		return bad("%d features, announced %d", len(nh.Feats), b.featCounts[party])
 	}
@@ -826,48 +805,6 @@ func (b *activeParty) unpackNode(party int, nh NodeHist) (nodeSums, error) {
 		sums[j] = fs
 	}
 	return sums, nil
-}
-
-// decryptFeature decrypts one feature's folded bins — one decryption per
-// occupied bin — into exact ⟨g,h⟩ field sums. The frame's sizes are
-// checked against each other and the session's plan before they size
-// anything.
-func (b *activeParty) decryptFeature(fh FeatHist) (featSums, error) {
-	if fh.NumBins < 0 || fh.NumBins > maxWireBins {
-		return featSums{}, fmt.Errorf("core: feature histogram claims %d bins", fh.NumBins)
-	}
-	if len(fh.PackedG) > 0 || len(fh.PackedH) > 0 {
-		return featSums{}, fmt.Errorf("%w: two-ciphertext packed histogram", ErrLegacyLayout)
-	}
-	if fh.Packed {
-		return featSums{}, fmt.Errorf("%w: feature of %d bins", ErrLegacyPacking, fh.NumBins)
-	}
-	if len(fh.Bins) != fh.NumBins || len(fh.BinExp) != fh.NumBins {
-		return featSums{}, fmt.Errorf("core: feature histogram of %d bins carries %d ciphertexts and %d exponents", fh.NumBins, len(fh.Bins), len(fh.BinExp))
-	}
-	fs := newFeatSums(fh.NumBins)
-	for k, payload := range fh.Bins {
-		if len(payload) == 0 {
-			continue // empty bin
-		}
-		// The exponent scales the decoded value, so a stray one would
-		// silently skew a split.
-		fs.exp[k] = int(fh.BinExp[k])
-		if fs.exp[k] < b.codec.BaseExp() || fs.exp[k] >= b.codec.BaseExp()+b.codec.ExpSpread() {
-			return featSums{}, fmt.Errorf("core: histogram bin exponent %d outside codec range", fs.exp[k])
-		}
-		ct, err := b.dec.Unmarshal(payload)
-		if err != nil {
-			return featSums{}, err
-		}
-		m, err := b.dec.Decrypt(ct)
-		if err != nil {
-			return featSums{}, err
-		}
-		b.codec.Stats().AddDecryptions(1)
-		fs.g[k], fs.h[k] = b.pairs.Split(he.Signed(b.dec, m))
-	}
-	return fs, nil
 }
 
 // childStats computes exact child gradient totals from B's plaintext

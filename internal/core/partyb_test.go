@@ -90,13 +90,16 @@ func TestBetterCandidateOrder(t *testing.T) {
 }
 
 // TestDecryptEmptyBinPayload: empty bins remain legal (zero contribution),
-// so hardening must not reject the protocol's own encoding of one.
+// so hardening must not reject the protocol's own encoding of one: no slot
+// and, for a node without any, no ciphertext.
 func TestDecryptEmptyBinPayload(t *testing.T) {
 	b := newBareActiveParty(t, 10, 2, 93)
-	fs, err := b.decryptFeature(FeatHist{NumBins: 1, Bins: [][]byte{nil}, BinExp: []int16{8}})
+	b.featCounts = []int{1}
+	s, err := b.unpackNode(0, NodeHist{Node: rootID, Packed: true, Feats: []FeatHist{{NumBins: 1, Occupied: []byte{0}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fs := s[0]
 	if g, h := fs.floats(b.codec.Base()); g[0] != 0 || h[0] != 0 || fs.g[0] != nil {
 		t.Errorf("empty bin = %g, %g (fields %v); want 0, 0, nil", g[0], h[0], fs.g[0])
 	}

@@ -160,8 +160,9 @@ func sameSums(base int, x, y nodeSums) error {
 // TestDerivedSiblingEqualsBuiltSibling: the integers B derives for the
 // larger child of a split are the integers it would have decrypted had the
 // passive party built (or homomorphically subtracted) and shipped that
-// child — over both schemes; the node layout on data that fills every
-// bin of the root and on sparse data that does not, and the unpacked bins;
+// child — over both schemes; the packed node layout on data that fills
+// every bin of the root and on sparse data that does not, and one slot per
+// ciphertext;
 // one and several exponents; and both accumulation strategies.
 func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 	_, sparse := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
@@ -286,7 +287,11 @@ type siblingRig struct {
 func newSiblingRig(t *testing.T, subtraction bool) *siblingRig {
 	b := newBareActiveParty(t, 100, 1, 97)
 	b.cfg.HistogramSubtraction = subtraction
-	b.packing = false // frame ships per-bin cells
+	plan, err := planPacking(b.codec, b.pairs.W, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.plan = plan // frame ships one slot per ciphertext
 	r := &siblingRig{b: b, sent: chanTransport{ch: make(chan []byte, 16)}}
 	b.links = []*link{NewLink(r.sent)}
 	b.featCounts, b.offsets = []int{1}, []int32{0}
@@ -295,31 +300,34 @@ func newSiblingRig(t *testing.T, subtraction bool) *siblingRig {
 	return r
 }
 
-// bin is one unpacked histogram cell: exact field integers at exponent 8.
+// bin is one histogram cell: exact field integers at the plan's exponent.
 // A nil g is an empty bin.
 type bin struct{ g, h *big.Int }
 
 func ints(g, h int64) bin { return bin{big.NewInt(g), big.NewInt(h)} }
 
-// frame ships one single-feature node histogram of the given cells.
+// frame ships one single-feature node histogram of the given cells: one
+// shifted prefix per occupied bin, each its own ciphertext.
 func (r *siblingRig) frame(t *testing.T, tree int, node, parent, sibling int32, cells ...bin) {
 	t.Helper()
 	b := r.b
-	fh := FeatHist{NumBins: len(cells), Bins: make([][]byte, len(cells)), BinExp: make([]int16, len(cells))}
+	occupied := make([]bool, len(cells))
+	var cts [][]byte
+	prefix := new(big.Int).Set(b.plan.shift)
 	for k, c := range cells {
-		fh.BinExp[k] = 8
 		if c.g == nil {
 			continue
 		}
-		man := new(big.Int).Lsh(c.g, uint(b.pairs.W))
-		man.Add(man, c.h).Mod(man, b.dec.N())
-		ct, err := b.dec.Encrypt(man)
+		occupied[k] = true
+		prefix.Add(prefix, new(big.Int).Lsh(c.g, uint(b.pairs.W))).Add(prefix, c.h)
+		ct, err := b.dec.Encrypt(new(big.Int).Mod(prefix, b.dec.N()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fh.Bins[k] = b.dec.Marshal(ct)
+		cts = append(cts, b.dec.Marshal(ct))
 	}
-	b.inboxes[0].file(MsgHistograms{Tree: tree, Layer: 1, Nodes: []NodeHist{{Node: node, Parent: parent, Sibling: sibling, Feats: []FeatHist{fh}}}}, nil)
+	fh := FeatHist{NumBins: len(cells), Occupied: packBitmap(occupied)}
+	b.inboxes[0].file(MsgHistograms{Tree: tree, Layer: 1, Nodes: []NodeHist{{Node: node, Parent: parent, Sibling: sibling, Packed: true, Cts: cts, Feats: []FeatHist{fh}}}}, nil)
 }
 
 // TestActiveRejectsHostileSiblingFrames is the table of

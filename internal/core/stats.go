@@ -49,9 +49,9 @@ func (s *Stats) BuildHistTime() time.Duration { return time.Duration(s.buildHist
 // shifted prefix sums, Codec.Pack), summed over nodes.
 func (s *Stats) PackTime() time.Duration { return time.Duration(s.packTime.Load()) }
 
-// PackFill is the mean number of histogram slots per packed ciphertext
-// the passive parties shipped (0 when nothing was packed); the plaintext
-// holds (S−1)/2W of them.
+// PackFill is the mean number of histogram slots per ciphertext the
+// passive parties shipped (0 when nothing was shipped); the plaintext
+// holds (S−1)/2W of them under packing and 1 without it.
 func (s *Stats) PackFill() float64 {
 	if cts := s.packedCts.Load(); cts > 0 {
 		return float64(s.packedSlots.Load()) / float64(cts)

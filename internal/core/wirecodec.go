@@ -69,27 +69,25 @@ const (
 	idPairBatch    uint16 = 29
 	idHistogramsV3 uint16 = 30
 	idSetupV5      uint16 = 31
-	// idHistogramsV4 is the announcing histogram frame: every node names
-	// the split it is the shipped child of (Parent, Sibling) so Party B
-	// derives the sibling in plaintext. Every feature carries the folded
-	// columns followed by the retired vectorized ones, which are always
-	// written empty and refused when a frame fills them. Frames that
-	// announce nothing keep idHistogramsV3. A Party B from before plaintext
-	// derivation cannot decode this ID, so it fails fast instead of waiting
-	// for a sibling that never ships.
+	// idHistogramsV4 was the announcing histogram frame (per-bin
+	// ciphertexts plus a split announcement and the empty columns of the
+	// retired vectorized layout). Ids 30 and 32 carried the histograms of
+	// sessions without packing, which now ship the node layout with one
+	// slot per ciphertext, so both stay reserved, unregistered, and must
+	// not be reused.
 	idHistogramsV4 uint16 = 32
-	// idHistogramsV5 is the node layout of histogram packing: per node the
-	// split announcement and the chunk ciphertexts, per feature the bin
-	// count and the occupancy bitmap. Every frame of a packing session uses
-	// it, roots included; idHistogramsV3/V4 serve the sessions without.
+	// idHistogramsV5 is the node layout: per node the split announcement
+	// and the chunk ciphertexts, per feature the bin count and the
+	// occupancy bitmap. Every histogram of every session uses it, roots
+	// included.
 	idHistogramsV5 uint16 = 33
 )
 
 // All ends of a deployment ship the same binary, so a frame carrying a
 // retired, unregistered ID (the idSetupV1 layout, the one-shot prediction
-// exchange's 10–11, the batched backends' 24–27) fails decoding loudly
-// instead of being misread.
-var _ = []uint16{idSetupV1, idPredictStart, idPredictPlacements, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4}
+// exchange's 10–11, the batched backends' 24–27, the per-bin histograms'
+// 30 and 32) fails decoding loudly instead of being misread.
+var _ = []uint16{idSetupV1, idPredictStart, idPredictPlacements, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4, idHistogramsV3, idHistogramsV4}
 
 func init() {
 	wire.Register(idSetupV2, "MsgSetupV2", decodeAs(idSetupV2, (*MsgSetup).decodeFrom))
@@ -99,8 +97,6 @@ func init() {
 	wire.Register(idGradBatchV2, "MsgGradBatchV2", decodeAs(idGradBatchV2, (*MsgGradBatch).decodeFrom))
 	wire.Register(idPairBatch, "MsgPairBatch", decodeMsg[MsgPairBatch])
 	wire.Register(idHistograms, "MsgHistogramsV1", decodeAs(idHistograms, (*MsgHistograms).decodeFrom))
-	wire.Register(idHistogramsV3, "MsgHistograms", decodeAs(idHistogramsV3, (*MsgHistograms).decodeFrom))
-	wire.Register(idHistogramsV4, "MsgHistogramsV4", decodeAs(idHistogramsV4, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV5, "MsgHistogramsV5", decodeAs(idHistogramsV5, (*MsgHistograms).decodeFrom))
 	wire.Register(idDecisions, "MsgDecisions", decodeMsg[MsgDecisions])
 	wire.Register(idDirty, "MsgDirty", decodeMsg[MsgDirty])
@@ -275,62 +271,39 @@ func (m *MsgGradBatch) decodeFrom(body []byte, id uint16) error {
 
 // --- MsgHistograms -----------------------------------------------------
 
-// WireID picks the frame: a message of packed nodes takes idHistogramsV5
-// (an engine ships one node per message, so packed and unpacked nodes
-// never share one); one announcing a sibling takes idHistogramsV4;
-// otherwise folded histograms (the only unpacked form an engine produces)
-// go under idHistogramsV3, and a message populating the retired
-// two-ciphertext fields under idHistograms.
+// WireID picks the frame: every engine ships the node layout under
+// idHistogramsV5, and a message of other nodes is the retired
+// two-ciphertext frame (idHistograms), which only benchmark/probes.go
+// builds.
 func (m MsgHistograms) WireID() uint16 {
-	var retired bool
 	for _, n := range m.Nodes {
 		if n.Packed {
 			return idHistogramsV5
 		}
-		if n.Parent != 0 || n.Sibling != 0 {
-			return idHistogramsV4
-		}
-		for _, f := range n.Feats {
-			retired = retired || len(f.PackedG) > 0 || len(f.PackedH) > 0 || f.Exp != 0
-		}
 	}
-	if retired {
-		return idHistograms
-	}
-	return idHistogramsV3
+	return idHistograms
 }
 
 func (m MsgHistograms) AppendTo(b []byte) []byte {
-	id := m.WireID()
+	packed := m.WireID() == idHistogramsV5
 	b = wire.AppendInt(b, m.Tree)
 	b = wire.AppendInt(b, m.Layer)
 	b = wire.AppendUvarint(b, uint64(len(m.Nodes)))
 	for _, n := range m.Nodes {
 		b = wire.AppendInt32(b, n.Node)
-		if id == idHistogramsV4 || id == idHistogramsV5 {
+		if packed {
 			b = wire.AppendInt32(b, n.Parent)
 			b = wire.AppendInt32(b, n.Sibling)
-		}
-		if id == idHistogramsV5 {
 			b = wire.AppendByteSlices(b, n.Cts)
 		}
 		b = wire.AppendUvarint(b, uint64(len(n.Feats)))
 		for _, f := range n.Feats {
 			b = wire.AppendInt(b, f.NumBins)
-			if id == idHistogramsV5 {
+			if packed {
 				b = wire.AppendBytes(b, f.Occupied)
 				continue
 			}
-			if id == idHistogramsV3 || id == idHistogramsV4 {
-				b = wire.AppendByteSlices(b, f.Bins)
-				b = wire.AppendInt16s(b, f.BinExp)
-				b = wire.AppendBool(b, f.Packed)
-				if id == idHistogramsV4 {
-					b = appendRetiredVecColumns(b)
-				}
-				continue
-			}
-			// The pre-fold layouts open with the per-bin G/H ciphertext and
+			// The pre-fold layout opens with the per-bin G/H ciphertext and
 			// exponent columns, which no message carries any more.
 			b = wire.AppendByteSlices(b, nil)
 			b = wire.AppendByteSlices(b, nil)
@@ -345,51 +318,21 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 	return b
 }
 
-// appendRetiredVecColumns writes the empty encoding of the vectorized
-// columns (flag, bins, slots, counts, ciphertexts) that idHistogramsV4's
-// layout still carries after the folded ones; checkRetiredVecColumns reads
-// them back and refuses a frame that fills any of them.
-func appendRetiredVecColumns(b []byte) []byte {
-	b = wire.AppendBool(b, false)
-	for range 3 {
-		b = wire.AppendInt32s(b, nil)
-	}
-	return wire.AppendByteSlices(b, nil)
-}
-
-func checkRetiredVecColumns(d *wire.Dec) {
-	vec := d.Bool()
-	n := len(d.Int32s()) + len(d.Int32s()) + len(d.Int32s()) + len(d.ByteSlices())
-	if vec || n > 0 {
-		d.Fail("retired vectorized histogram columns are not empty")
-	}
-}
-
 func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
+	packed := id == idHistogramsV5
 	d := wire.NewDec(body)
 	m.Tree = d.Int()
 	m.Layer = d.Int()
 	m.Nodes = decodeSeq(d, func(d *wire.Dec) NodeHist {
 		n := NodeHist{Node: d.Int32()}
-		if id == idHistogramsV4 || id == idHistogramsV5 {
+		if packed {
 			n.Parent, n.Sibling = d.Int32(), d.Int32()
-		}
-		if id == idHistogramsV5 {
 			n.Packed, n.Cts = true, d.ByteSlices()
 		}
 		n.Feats = decodeSeq(d, func(d *wire.Dec) FeatHist {
 			f := FeatHist{NumBins: d.Int()}
-			if id == idHistogramsV5 {
+			if packed {
 				f.Occupied = d.Bytes()
-				return f
-			}
-			if id == idHistogramsV3 || id == idHistogramsV4 {
-				f.Bins = d.ByteSlices()
-				f.BinExp = d.Int16s()
-				f.Packed = d.Bool()
-				if id == idHistogramsV4 {
-					checkRetiredVecColumns(d)
-				}
 				return f
 			}
 			d.ByteSlices()

@@ -17,20 +17,18 @@ func benchCiphertext(n int, seed byte) []byte {
 }
 
 // benchHistUnpacked models one layer's histogram upload at the repo's
-// working scale (a 3-feature passive party, MaxBins=8, the root layer):
-// one 32-byte mock ciphertext and one exponent per bin.
+// working scale (a 3-feature passive party, MaxBins=8, the root layer)
+// without packing: every bin occupied, each of the 24 slots its own
+// 32-byte mock ciphertext.
 func benchHistUnpacked() MsgHistograms {
-	feats := make([]FeatHist, 3)
-	for f := range feats {
-		bins := make([][]byte, 8)
-		exps := make([]int16, 8)
-		for b := range bins {
-			bins[b] = benchCiphertext(32, byte(f*8+b))
-			exps[b] = 8
+	nh := NodeHist{Node: 1, Packed: true, Feats: make([]FeatHist, 3)}
+	for f := range nh.Feats {
+		nh.Feats[f] = FeatHist{NumBins: 8, Occupied: []byte{0xFF}}
+		for b := 0; b < 8; b++ {
+			nh.Cts = append(nh.Cts, benchCiphertext(32, byte(f*8+b)))
 		}
-		feats[f] = FeatHist{NumBins: 8, Bins: bins, BinExp: exps}
 	}
-	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 1, Feats: feats}}}
+	return MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{nh}}
 }
 
 // benchHistPacked is the same layer under histogram packing: the node's 24

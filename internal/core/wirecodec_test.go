@@ -12,8 +12,8 @@ import (
 )
 
 // sampleMessages covers every protocol message type with populated fields
-// (including the awkward shapes: empty bins as nil payloads, packed and
-// unpacked histograms, error strings). Slices that would be empty are nil,
+// (including the awkward shapes: empty bins, nodes without a slot, one
+// slot per ciphertext, error strings). Slices that would be empty are nil,
 // matching what the codec produces on decode.
 func sampleMessages() []any {
 	return []any{
@@ -25,12 +25,14 @@ func sampleMessages() []any {
 		MsgReady{Party: 2, Features: 17, Rows: 100000},
 		MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true},
 		MsgPairBatch{Tree: 6, Start: 0, Cts: [][]byte{{9, 9}, nil, {8, 8}}, Exp: []int16{0, 0, 0}, Class: 2},
+		// A session without packing ships the node layout (id 33) at one
+		// slot per ciphertext: two nodes, the second without a slot.
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{
-			{Node: 5, Feats: []FeatHist{
-				{NumBins: 4, Bins: [][]byte{{1, 1}, nil, {2, 2}, {3, 3}}, BinExp: []int16{8, 8, 9, 11}},
-				{NumBins: 6, Packed: true, Bins: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}},
+			{Node: 5, Packed: true, Cts: [][]byte{{1, 1}, {2, 2}, {3, 3}}, Feats: []FeatHist{
+				{NumBins: 4, Occupied: []byte{0x0D}},
+				{NumBins: 6, Occupied: []byte{0}},
 			}},
-			{Node: 6, Feats: []FeatHist{{NumBins: 2, Bins: [][]byte{nil, nil}, BinExp: []int16{8, 8}}}},
+			{Node: 6, Packed: true, Feats: []FeatHist{{NumBins: 2, Occupied: []byte{0}}}},
 		}},
 		// The retired two-ciphertext frames (ids 3, 28, 4) still round-trip.
 		MsgGradBatch{Tree: 3, Start: 2048, G: [][]byte{{1, 2}, {3, 4}}, H: [][]byte{{5, 6}, {7, 8}}, GExp: []int16{-8, -7}, HExp: []int16{-8, -8}, Last: true},
@@ -39,22 +41,19 @@ func sampleMessages() []any {
 			{NumBins: 6, Packed: true, PackedG: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}, PackedH: [][]byte{{9, 9, 9, 9}, {8, 8, 8, 8}}, Exp: -12},
 		}}}},
 		MsgHistograms{Tree: 9, Layer: 0},
-		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{
-			{Node: 3, Feats: []FeatHist{
-				{NumBins: 5, Bins: [][]byte{{1, 2}, {3, 4}, nil, nil, {5, 6}}, BinExp: []int16{8, 9, 8, 8, 10}},
-				{NumBins: 2, Bins: [][]byte{nil, nil}, BinExp: []int16{8, 8}},
-			}},
-		}},
-		// The announcing frame (id 32): the shipped child names the sibling
-		// Party B derives.
-		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Feats: []FeatHist{
-			{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}},
-			{NumBins: 6, Packed: true, Bins: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}},
+		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Packed: true, Cts: [][]byte{{1, 2}, {3, 4}, {5, 6}}, Feats: []FeatHist{
+			{NumBins: 5, Occupied: []byte{0x13}},
+			{NumBins: 2, Occupied: []byte{0}},
 		}}}},
-		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Feats: []FeatHist{
-			{NumBins: 5, Bins: [][]byte{{3, 4}, nil, nil, nil, {5, 6}}, BinExp: []int16{8, 8, 8, 8, 9}},
+		// The shipped child names the sibling Party B derives.
+		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Packed: true, Cts: [][]byte{{1, 1}, {3, 3}}, Feats: []FeatHist{
+			{NumBins: 3, Occupied: []byte{0x05}},
+			{NumBins: 6, Occupied: []byte{0}},
 		}}}},
-		// The node layout (id 33): a root, and a child announcing its sibling.
+		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Packed: true, Cts: [][]byte{{3, 4}, {5, 6}}, Feats: []FeatHist{
+			{NumBins: 5, Occupied: []byte{0x11}},
+		}}}},
+		// Packed: a root, and a child announcing its sibling.
 		MsgHistograms{Tree: 2, Layer: 0, Nodes: []NodeHist{{Node: 1, Packed: true, Cts: [][]byte{{1, 2, 3, 4}, {5, 6, 7}}, Feats: []FeatHist{
 			{NumBins: 9, Occupied: []byte{0xFF, 0x01}}, {NumBins: 3, Occupied: []byte{0x05}}, {NumBins: 2, Occupied: []byte{0}},
 		}}}},
@@ -145,10 +144,9 @@ func TestEveryMessageTypeHasWireID(t *testing.T) {
 }
 
 // TestScalarFramesByteIdentical pins the bytes of the frames a scalar
-// session sends — setup (id 31), pair batch (29), folded histograms (30),
-// the announcing frame with its retired vectorized columns written empty
-// (32) and the node layout (33) — to what the encoder produced while the
-// lane-packed backends still shared these layouts.
+// session sends — setup (id 31), pair batch (29) and the node layout (33)
+// — to what the encoder produced while the lane-packed backends still
+// shared these layouts.
 func TestScalarFramesByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		m    any
@@ -158,10 +156,6 @@ func TestScalarFramesByteIdentical(t *testing.T) {
 			"01001f00000026087061696c6c69657202dead8008100872e40102cafec0030c6d756c7469636c6173733a3306"},
 		{MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true, Class: 1},
 			"01001d0000000f068020020102010203040210160102"},
-		{MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Feats: []FeatHist{{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}}}}}},
-			"01001e000000130204010a010603020205010103030310101600"},
-		{MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Feats: []FeatHist{{NumBins: 3, Bins: [][]byte{{1, 1}, nil, {3, 3}}, BinExp: []int16{8, 8, 11}}, {NumBins: 1, Bins: [][]byte{nil}, BinExp: []int16{8}}}}}},
-			"010020000000260204010a04080206030202050101030303101016000000000000020101000110000000000000"},
 		{MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Cts: [][]byte{{9, 8}}, Feats: []FeatHist{{NumBins: 4, Occupied: []byte{0x0A}}}}}},
 			"0100210000000f0404010c060e01010209080108010a"},
 	} {
@@ -175,49 +169,24 @@ func TestScalarFramesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRetiredVecColumnsRejected: the announcing frame (id 32) keeps the
-// retired vectorized columns in its layout, and a frame that fills any of
-// them fails decoding instead of being read as a folded histogram.
-func TestRetiredVecColumnsRejected(t *testing.T) {
-	frame := func(vec func(b []byte) []byte) []byte {
-		b := wire.AppendInt(nil, 1)
-		b = wire.AppendInt(b, 2)
-		b = wire.AppendUvarint(b, 1)
-		b = wire.AppendInt32(b, 5)
-		b = wire.AppendInt32(b, 2)
-		b = wire.AppendInt32(b, 4)
-		b = wire.AppendUvarint(b, 1)
-		b = wire.AppendInt(b, 2)
-		b = wire.AppendByteSlices(b, [][]byte{{1, 1}, nil})
-		b = wire.AppendInt16s(b, []int16{8, 8})
-		b = wire.AppendBool(b, false)
-		return rawFrame(idHistogramsV4, vec(b))
-	}
-	columns := func(flag bool, bins, slots, counts []int32, cts [][]byte) func([]byte) []byte {
-		return func(b []byte) []byte {
-			b = wire.AppendBool(b, flag)
-			b = wire.AppendInt32s(b, bins)
-			b = wire.AppendInt32s(b, slots)
-			b = wire.AppendInt32s(b, counts)
-			return wire.AppendByteSlices(b, cts)
-		}
-	}
-	if _, err := wire.Binary.Decode(frame(columns(false, nil, nil, nil, nil))); err != nil {
-		t.Fatalf("frame with empty vectorized columns: %v", err)
-	}
-	for name, vec := range map[string]func([]byte) []byte{
-		"flag":        columns(true, nil, nil, nil, nil),
-		"bins":        columns(false, []int32{0}, nil, nil, nil),
-		"slots":       columns(false, nil, []int32{1}, nil, nil),
-		"counts":      columns(false, nil, nil, []int32{7}, nil),
-		"ciphertexts": columns(false, nil, nil, nil, [][]byte{{1, 2}}),
-		"all":         columns(true, []int32{0}, []int32{1}, []int32{7}, [][]byte{{1, 2}}),
+// retiredHistogramFrames are the per-bin histogram frames sessions without
+// packing sent before they shipped the node layout at one slot per
+// ciphertext, as the encoder wrote them: folded bins (id 30), and the
+// announcing frame with its retired vectorized columns written empty
+// (id 32).
+func retiredHistogramFrames() [][]byte {
+	var frames [][]byte
+	for _, h := range []string{
+		"01001e000000130204010a010603020205010103030310101600",
+		"010020000000260204010a04080206030202050101030303101016000000000000020101000110000000000000",
 	} {
-		_, err := wire.Binary.Decode(frame(vec))
-		if err == nil || !strings.Contains(err.Error(), "vectorized") {
-			t.Errorf("%s: id-32 frame with a non-empty vectorized column decoded, err %v", name, err)
+		f, err := hex.DecodeString(h)
+		if err != nil {
+			panic(err)
 		}
+		frames = append(frames, f)
 	}
+	return frames
 }
 
 // retiredPredictFrames are the retired one-shot prediction exchange's
@@ -251,6 +220,8 @@ func TestLinkRejectsMalformedFrames(t *testing.T) {
 		{[]byte{wire.TagBinaryV1, 0xFF, 0xFE, 0, 0, 0, 0}, "unknown message ID"},
 		{retiredPredictFrames()[0], "unknown message ID 10"},
 		{retiredPredictFrames()[1], "unknown message ID 11"},
+		{retiredHistogramFrames()[0], "unknown message ID 30"},
+		{retiredHistogramFrames()[1], "unknown message ID 32"},
 	} {
 		tr.ch <- tc.frame
 		_, err := l.Recv()
@@ -307,8 +278,9 @@ func (p pairSwap) Receive() ([]byte, error) { return p.in.Receive() }
 // panicking, and that whatever decodes successfully re-encodes stably.
 // Every sample is seeded twice: as its binary frame, and retagged 0x00 —
 // the retired gob codec's tag, which must be refused whatever follows it.
-// The retired one-shot prediction frames (ids 10 and 11) are seeded the
-// same way, and a frame under either id must never decode.
+// The retired one-shot prediction frames (ids 10 and 11) and per-bin
+// histogram frames (ids 30 and 32) are seeded the same way, and a frame
+// under any of those ids must never decode.
 func FuzzWireDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		p, err := wire.Binary.Encode(m)
@@ -318,7 +290,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(append([]byte(nil), p...))
 		f.Add(retagged(wire.TagGob, m))
 	}
-	for _, p := range retiredPredictFrames() {
+	for _, p := range append(retiredPredictFrames(), retiredHistogramFrames()...) {
 		f.Add(p)
 		f.Add(append([]byte{wire.TagGob}, p[1:]...))
 	}
@@ -331,8 +303,11 @@ func FuzzWireDecode(f *testing.F) {
 		if len(data) > 0 && data[0] == wire.TagGob && err == nil {
 			t.Fatalf("a frame under the retired gob tag decoded to %T", m)
 		}
-		if len(data) >= 3 && (data[2] == byte(idPredictStart) || data[2] == byte(idPredictPlacements)) && data[1] == 0 && err == nil {
-			t.Fatalf("a frame under retired id %d decoded to %T", data[2], m)
+		if len(data) >= 3 && data[1] == 0 && err == nil {
+			switch uint16(data[2]) {
+			case idPredictStart, idPredictPlacements, idHistogramsV3, idHistogramsV4:
+				t.Fatalf("a frame under retired id %d decoded to %T", data[2], m)
+			}
 		}
 		if err != nil {
 			return

@@ -44,10 +44,14 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # race detector. The sibling-derivation, node-layout, hostile-frame and
 # scheduler suites run here too: a passive party sweeps, finalizes and
 # packs every node as units on one queue of its workers, Party B decrypts
-# per ciphertext on another, and what B files must equal the unpacked
-# path's integers — and a refused frame must end in its typed error, and
-# a frame no decoder reads (the retired batched-backend ids 24–27, an
-# unknown id) in MsgAbort to B — whatever the schedule. Party B grows
+# per ciphertext on another, and what B files must equal the integers
+# the passive party summed, packed or one slot per ciphertext — and a
+# refused frame must end in its typed error, and a frame no decoder reads
+# (the retired batched-backend ids 24–27, the retired per-bin histogram
+# ids 30 and 32, an unknown id) in MsgAbort to B — whatever the schedule.
+# The counter ledger's cells (cipher operations, shaper bytes and model
+# bytes of every combination of the paper's switches) must hold at
+# Workers 1 on any core count. Party B grows
 # every tree in one layer loop, speculating or not: the frames it sends
 # each party must log to the same hashes on any core count, a session
 # must stop speculating after a lost tree, the checkpoint fingerprints
@@ -69,7 +73,7 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|RetiredVecColumns|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
