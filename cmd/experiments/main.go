@@ -16,16 +16,49 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"vf2boost/internal/experiments"
 )
 
+// suite is what -run all selects, in run order.
+var suite = []string{"fig7", "table1", "table2", "fig10", "table4", "table5", "table6", "gantt"}
+
+// optIn are the experiments only -run by name selects: oocscale streams
+// millions of rows to disk, and objscale's class-count sweep over real
+// Paillier takes minutes at the default key size.
+var optIn = []string{"oocscale", "objscale"}
+
+// runUsage says what -run takes.
+var runUsage = "comma-separated experiments: " + strings.Join(slices.Concat(suite, optIn), ",") +
+	", or all (every one but " + strings.Join(optIn, " and ") + ")"
+
+// selection parses a -run list into the experiments it selects, refusing
+// the whole list if one name is not an experiment.
+func selection(run string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "all":
+			for _, n := range suite {
+				want[n] = true
+			}
+		case slices.Contains(suite, name) || slices.Contains(optIn, name):
+			want[name] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q; -run takes %s", name, runUsage)
+		}
+	}
+	return want, nil
+}
+
 func main() {
 	log.SetFlags(0)
 	var (
-		run          = flag.String("run", "all", "comma-separated experiments: fig7,table1,table2,fig10,table4,table5,table6 or all")
+		run          = flag.String("run", "all", runUsage)
 		preset       = flag.String("preset", "census", "preset for fig10 (census or a9a)")
 		scale        = flag.Float64("scale", 0, "override dataset scale divisor (0 = per-experiment default)")
 		keyBits      = flag.Int("keybits", 512, "Paillier modulus size S")
@@ -38,18 +71,15 @@ func main() {
 	)
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
+	want, err := selection(*run)
+	if err != nil {
+		log.Fatal(err)
 	}
-	all := want["all"]
-	ran := 0
 
 	do := func(name string, fn func() error) {
-		if !all && !want[name] {
+		if !want[name] {
 			return
 		}
-		ran++
 		start := time.Now()
 		if err := fn(); err != nil {
 			log.Fatalf("%s: %v", name, err)
@@ -171,91 +201,68 @@ func main() {
 		return nil
 	})
 
-	do("ablation", func() error {
-		ac := experiments.DefaultAblation()
-		ac.KeyBits = *keyBits
-		rows, err := experiments.Ablation(ac)
+	do("oocscale", func() error {
+		tc := experiments.DefaultOOC()
+		if *oocRows > 0 {
+			tc.Rows = *oocRows
+		}
+		if *trees > 0 {
+			tc.Trees = *trees
+		}
+		if *buildWorkers > 0 {
+			tc.BuildWorkers = *buildWorkers
+		}
+		if *histWorkers > 0 {
+			tc.HistWorkers = *histWorkers
+		}
+		build, rows, err := experiments.OOCScale(tc)
 		if err != nil {
 			return err
 		}
-		experiments.PrintAblation(os.Stdout, ac, rows)
+		experiments.PrintOOC(os.Stdout, tc, build, rows)
+		if *jsonOut != "" {
+			f, err := os.Create(*jsonOut)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			date := time.Now().UTC().Format("2006-01-02")
+			if err := experiments.WriteOOCJSON(f, date, tc, build, rows); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", *jsonOut)
+		}
 		return nil
 	})
 
-	// oocscale is opt-in (not part of "all"): it streams millions of rows
-	// to disk, which dominates the default suite's runtime.
-	if want["oocscale"] {
-		do("oocscale", func() error {
-			tc := experiments.DefaultOOC()
-			if *oocRows > 0 {
-				tc.Rows = *oocRows
-			}
-			if *trees > 0 {
-				tc.Trees = *trees
-			}
-			if *buildWorkers > 0 {
-				tc.BuildWorkers = *buildWorkers
-			}
-			if *histWorkers > 0 {
-				tc.HistWorkers = *histWorkers
-			}
-			build, rows, err := experiments.OOCScale(tc)
+	do("objscale", func() error {
+		tc := experiments.DefaultObjScale()
+		if *objRows > 0 {
+			tc.Rows = *objRows
+		}
+		if *trees > 0 {
+			tc.Trees = *trees
+		}
+		if *keyBits != 512 { // 512 is this command's generic default
+			tc.KeyBits = *keyBits
+		}
+		rows, rank, err := experiments.ObjScale(tc)
+		if err != nil {
+			return err
+		}
+		experiments.PrintObjScale(os.Stdout, tc, rows, rank)
+		if *jsonOut != "" {
+			f, err := os.Create(*jsonOut)
 			if err != nil {
 				return err
 			}
-			experiments.PrintOOC(os.Stdout, tc, build, rows)
-			if *jsonOut != "" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				date := time.Now().UTC().Format("2006-01-02")
-				if err := experiments.WriteOOCJSON(f, date, tc, build, rows); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *jsonOut)
-			}
-			return nil
-		})
-	}
-
-	// objscale is opt-in (not part of "all"): the class-count sweep over
-	// real Paillier takes minutes at the default key size.
-	if want["objscale"] {
-		do("objscale", func() error {
-			tc := experiments.DefaultObjScale()
-			if *objRows > 0 {
-				tc.Rows = *objRows
-			}
-			if *trees > 0 {
-				tc.Trees = *trees
-			}
-			if *keyBits != 512 { // 512 is this command's generic default
-				tc.KeyBits = *keyBits
-			}
-			rows, rank, err := experiments.ObjScale(tc)
-			if err != nil {
+			defer f.Close()
+			date := time.Now().UTC().Format("2006-01-02")
+			if err := experiments.WriteObjScaleJSON(f, date, tc, rows, rank); err != nil {
 				return err
 			}
-			experiments.PrintObjScale(os.Stdout, tc, rows, rank)
-			if *jsonOut != "" {
-				f, err := os.Create(*jsonOut)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				date := time.Now().UTC().Format("2006-01-02")
-				if err := experiments.WriteObjScaleJSON(f, date, tc, rows, rank); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", *jsonOut)
-			}
-			return nil
-		})
-	}
-
-	if ran == 0 {
-		log.Fatalf("unknown experiment selection %q; valid: fig7,table1,table2,fig10,table4,table5,table6,gantt,ablation,oocscale,objscale,all", *run)
-	}
+			fmt.Printf("wrote %s\n", *jsonOut)
+		}
+		return nil
+	})
 }

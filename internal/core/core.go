@@ -118,19 +118,6 @@ type Config struct {
 	// off (BaselineConfig does) for the exact-paper baseline. Ignored by
 	// the mock scheme.
 	FastObfuscation bool
-	// HistogramSubtraction applies the classic sibling-subtraction trick
-	// (the paper cites it as a reason for layer-wise processing, Section
-	// 7) across the parties: a passive party builds, packs and ships only
-	// the child of a split with fewer instances, announcing its sibling in
-	// the frame, and Party B — which holds the exact decrypted integers of
-	// the parent and of that child — derives the sibling as parent − child
-	// in plaintext. Below the root that halves the passive parties' HAdd
-	// and packing work, the histogram bytes on the link and B's
-	// decryptions, and the model bytes do not change. Off, the passive
-	// parties build and ship both children. Every party of a session must
-	// agree on it; a mismatch fails at the first split with
-	// ErrLegacySiblings or ErrSiblingDerivation.
-	HistogramSubtraction bool
 
 	// BatchSize is the blaster batch size in instances (Section 4.1);
 	// <= 0 lets Party B derive it from its row count (rows/16, clamped to
@@ -161,13 +148,14 @@ func DefaultConfig() Config {
 		OptimisticSplit:       true,
 		HistogramPacking:      true,
 		FastObfuscation:       true,
-		HistogramSubtraction:  true,
 		Seed:                  1,
 	}
 }
 
 // BaselineConfig returns the VF-GBDT configuration: same cryptography,
-// none of the Section 4/5 optimizations.
+// none of the Section 4/5 optimizations. Sibling derivation is no such
+// optimization but the standard GBDT trick, and every session applies it
+// (DESIGN.md §3.1b).
 func BaselineConfig() Config {
 	c := DefaultConfig()
 	c.BlasterEncryption = false
@@ -175,7 +163,6 @@ func BaselineConfig() Config {
 	c.OptimisticSplit = false
 	c.HistogramPacking = false
 	c.FastObfuscation = false
-	c.HistogramSubtraction = false
 	return c
 }
 

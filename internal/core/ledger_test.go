@@ -26,22 +26,22 @@ func TestCounterLedger(t *testing.T) {
 		enc, dec, hadds, smuls, bytes int64
 		model                         string
 	}{
-		0b0000: {1200, 1896, 12876, 7525, 83053, sequential},
-		0b0001: {1200, 1896, 12876, 7525, 83533, sequential},
-		0b0010: {1200, 1896, 15971, 3728, 83053, sequential},
-		0b0011: {1200, 1896, 15971, 3728, 83533, sequential},
-		0b0100: {1200, 1896, 0, 0, 0, optimistic},
-		0b0101: {1200, 1896, 0, 0, 0, optimistic},
-		0b0110: {1200, 1896, 0, 0, 0, optimistic},
-		0b0111: {1200, 1896, 0, 0, 0, optimistic},
-		0b1000: {1200, 486, 14286, 8935, 82868, sequential},
-		0b1001: {1200, 486, 14286, 8935, 83348, sequential},
-		0b1010: {1200, 486, 17381, 5138, 82868, sequential},
-		0b1011: {1200, 486, 17381, 5138, 83348, sequential},
-		0b1100: {1200, 486, 0, 0, 0, optimistic},
-		0b1101: {1200, 486, 0, 0, 0, optimistic},
-		0b1110: {1200, 486, 0, 0, 0, optimistic},
-		0b1111: {1200, 486, 0, 0, 0, optimistic},
+		0b0000: {1200, 894, 6288, 3769, 68080, sequential},
+		0b0001: {1200, 894, 6288, 3769, 68560, sequential},
+		0b0010: {1200, 894, 7666, 1698, 68080, sequential},
+		0b0011: {1200, 894, 7666, 1698, 68560, sequential},
+		0b0100: {1200, 894, 0, 0, 0, optimistic},
+		0b0101: {1200, 894, 0, 0, 0, optimistic},
+		0b0110: {1200, 894, 0, 0, 0, optimistic},
+		0b0111: {1200, 894, 0, 0, 0, optimistic},
+		0b1000: {1200, 228, 6954, 4435, 67988, sequential},
+		0b1001: {1200, 228, 6954, 4435, 68468, sequential},
+		0b1010: {1200, 228, 8332, 2364, 67988, sequential},
+		0b1011: {1200, 228, 8332, 2364, 68468, sequential},
+		0b1100: {1200, 228, 0, 0, 0, optimistic},
+		0b1101: {1200, 228, 0, 0, 0, optimistic},
+		0b1110: {1200, 228, 0, 0, 0, optimistic},
+		0b1111: {1200, 228, 0, 0, 0, optimistic},
 	}
 	_, parts := twoPartyData(t, 400, 4, 3, 0.6, false, 77)
 	for mask, want := range ledger {

@@ -20,18 +20,11 @@ import (
 // compatibility mode, so such a peer is refused at setup.
 var ErrLegacyLayout = errors.New("core: peer speaks the retired two-ciphertext scalar layout")
 
-// ErrLegacySiblings is the session error for a passive party that still
-// subtracts sibling histograms itself: under HistogramSubtraction a split's
-// smaller child announces the sibling Party B derives from it (wire id
-// 33), and one that arrives unannounced comes from a peer that will ship
-// the sibling too. (The opposite skew, a Party B still waiting for a
-// shipped sibling, cannot decode wire id 33 at all.)
-var ErrLegacySiblings = errors.New("core: peer ships sibling histograms instead of announcing them")
-
 // ErrSiblingDerivation marks a sibling announcement Party B cannot honour:
-// an unknown or foreign parent, a node announced twice, mismatched bin
-// counts, or a derived ⟨g,h⟩ field outside its share of the plaintext —
-// the histogram-side counterpart of fixedpoint.ErrPairRange.
+// a non-root child that arrives unannounced, a root that announces a
+// split, an unknown or foreign parent, a node announced twice, mismatched
+// bin counts, or a derived ⟨g,h⟩ field outside its share of the
+// plaintext — the histogram-side counterpart of fixedpoint.ErrPairRange.
 var ErrSiblingDerivation = errors.New("core: sibling histogram derivation rejected")
 
 // ErrPackedLayout marks a node-layout frame that contradicts itself or
@@ -147,11 +140,10 @@ type MsgHistograms struct {
 }
 
 // NodeHist is the encrypted histogram of one node over the sender's
-// features. Under HistogramSubtraction only the smaller child of a split
-// is shipped, and its frame names the split: Parent is the node that was
-// split and Sibling the other child, whose histogram Party B derives as
-// parent − this node in plaintext. Both are zero on a root, and on every
-// node when subtraction is off.
+// features. Only the smaller child of a split is shipped, and its frame
+// names the split: Parent is the node that was split and Sibling the
+// other child, whose histogram Party B derives as parent − this node in
+// plaintext. Both are zero on a root.
 //
 // Packed marks the node layout every session ships (wire id 33): the
 // slots of all features — one shifted prefix sum per bin a feature's

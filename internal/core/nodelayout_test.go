@@ -435,7 +435,7 @@ func TestActiveRejectsHostilePackedFrames(t *testing.T) {
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newSiblingRig(t, true)
+			r := newSiblingRig(t)
 			b := r.b
 			b.dec, b.codec, b.pairs, b.plan = lr.dec, lr.codec, lr.pairs, lr.planFor(tc.packing)
 			b.featCounts = []int{2}
@@ -490,7 +490,7 @@ func (m MsgHistograms) roundTrip() (MsgHistograms, error) {
 // child's bitmap-declared bin counts are checked against the parent's.
 func TestPackedChildMustMatchParentBins(t *testing.T) {
 	lr := newLayoutRig(t, he.NewMock(512), 4)
-	r := newSiblingRig(t, true)
+	r := newSiblingRig(t)
 	b := r.b
 	b.dec, b.codec, b.pairs, b.plan = lr.dec, lr.codec, lr.pairs, lr.plan
 	one := []cell{{lr.plan.exp, big.NewInt(-2), big.NewInt(5)}}

@@ -705,9 +705,9 @@ func (p *passiveParty) recordSplit(node int32, feature int32, threshold float64,
 
 // childReady registers the children of a split node and schedules their
 // histogram builds (children at the depth limit are future leaves and
-// need no histograms). Under HistogramSubtraction only the child with
-// fewer instances is built — Party B applies the same rule to the same
-// instance lists — and its frame announces the sibling B derives from it.
+// need no histograms). Only the child with fewer instances is built —
+// Party B applies the same rule to the same instance lists — and its
+// frame announces the sibling B derives from it.
 func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []int32, rightID int32, right []int32) {
 	p.nodeInsts[leftID] = left
 	p.nodeInsts[rightID] = right
@@ -715,13 +715,9 @@ func (p *passiveParty) childReady(parent int32, layer int, leftID int32, left []
 	if childLayer >= p.cfg.MaxDepth {
 		return
 	}
-	switch {
-	case !p.cfg.HistogramSubtraction:
-		p.scheduleHist(childLayer, NodeHist{Node: leftID}, left)
-		p.scheduleHist(childLayer, NodeHist{Node: rightID}, right)
-	case len(right) < len(left):
+	if len(right) < len(left) {
 		p.scheduleHist(childLayer, NodeHist{Node: rightID, Parent: parent, Sibling: leftID}, right)
-	default:
+	} else {
 		p.scheduleHist(childLayer, NodeHist{Node: leftID, Parent: parent, Sibling: rightID}, left)
 	}
 }

@@ -479,9 +479,9 @@ type bNode struct {
 	insts []int32
 	g, h  float64
 	// parent and sibling place the node in the split that made it (zero on
-	// the root). derived marks the larger child of a split under
-	// HistogramSubtraction: the passive parties ship only its sibling, and
-	// B derives this node's histograms as parent − sibling.
+	// the root). derived marks the larger child of a split: the passive
+	// parties ship only its sibling, and B derives this node's histograms
+	// as parent − sibling.
 	parent, sibling int32
 	derived         bool
 }
@@ -590,12 +590,12 @@ func (b *activeParty) passiveSums(party, tree int, node *bNode) (nodeSums, error
 }
 
 // sumsOf fetches and decrypts, once, the histogram a passive party shipped
-// for a node. The larger child of a split under HistogramSubtraction is
-// never shipped: B holds the exact integers of its parent and of its
-// sibling, so the node is their plaintext difference, which is what the
-// party's homomorphic parent − child would have decrypted to. B learns
-// nothing by it that it could not already compute, and the passive party
-// saves a packing, the link a histogram and B its decryptions.
+// for a node. The larger child of a split is never shipped: B holds the
+// exact integers of its parent and of its sibling, so the node is their
+// plaintext difference, which is what the party's homomorphic parent −
+// child would have decrypted to. B learns nothing by it that it could not
+// already compute, and the passive party saves a packing, the link a
+// histogram and B its decryptions.
 func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
 	sums := b.sums[party]
 	if s, ok := sums[histKey(tree, node.id)]; ok {
@@ -622,26 +622,18 @@ func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
 }
 
 // fetchSums waits for the histogram a passive party ships for a node and
-// decrypts it. Under HistogramSubtraction every shipped non-root node is
-// the smaller child of its split and must announce exactly the sibling B
-// is about to derive from it.
+// decrypts it. Every shipped non-root node is the smaller child of its
+// split and must announce exactly the sibling B is about to derive from
+// it; a root announces nothing.
 func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) {
 	f, err := b.await(party, histKey(tree, node.id))
 	if err != nil {
 		return nil, err
 	}
 	nh := f.(NodeHist)
-	var parent, sibling int32
-	if b.cfg.HistogramSubtraction {
-		parent, sibling = node.parent, node.sibling
-	}
-	switch {
-	case nh.Parent == parent && nh.Sibling == sibling:
-	case nh.Parent == 0 && nh.Sibling == 0:
-		return nil, fmt.Errorf("%w: party %d node %d of tree %d", ErrLegacySiblings, party, node.id, tree)
-	default:
-		return nil, fmt.Errorf("%w: party %d node %d announces sibling %d of parent %d, expected %d of %d",
-			ErrSiblingDerivation, party, node.id, nh.Sibling, nh.Parent, sibling, parent)
+	if nh.Parent != node.parent || nh.Sibling != node.sibling {
+		return nil, fmt.Errorf("%w: party %d node %d of tree %d announces sibling %d of parent %d, expected %d of %d",
+			ErrSiblingDerivation, party, node.id, tree, nh.Sibling, nh.Parent, node.sibling, node.parent)
 	}
 	decStart := time.Now()
 	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
@@ -668,7 +660,7 @@ func (b *activeParty) await(party int, k inboxKey) (any, error) {
 // by name — a broken sibling-derivation or node layout contract, or a peer
 // on a retired one — and returns err.
 func (b *activeParty) refuse(err error) error {
-	for _, refusal := range []error{ErrSiblingDerivation, ErrLegacySiblings, ErrPackedLayout, ErrLegacyLayout} {
+	for _, refusal := range []error{ErrSiblingDerivation, ErrPackedLayout, ErrLegacyLayout} {
 		if errors.Is(err, refusal) {
 			b.abort(err) // the refusals exclude one another
 		}

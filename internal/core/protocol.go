@@ -270,19 +270,17 @@ func (b *activeParty) recordSplitA(tree *FedTree, nd *bNode, c candidate, leftID
 }
 
 // childNodes wraps fresh child bookkeeping with exact gradient totals.
-// Under HistogramSubtraction the passive parties build only the child
-// with fewer instances (passiveParty.childReady applies the same rule to
-// the same lists); the other is marked derived.
+// The passive parties build only the child with fewer instances
+// (passiveParty.childReady applies the same rule to the same lists); the
+// other is marked derived.
 func (b *activeParty) childNodes(parent, leftID int32, left []int32, rightID int32, right []int32) []*bNode {
 	lg, lh := b.childStats(left)
 	rg, rh := b.childStats(right)
-	l := &bNode{id: leftID, insts: left, g: lg, h: lh, parent: parent, sibling: rightID}
-	r := &bNode{id: rightID, insts: right, g: rg, h: rh, parent: parent, sibling: leftID}
-	if b.cfg.HistogramSubtraction {
-		l.derived = len(right) < len(left)
-		r.derived = !l.derived
+	leftDerived := len(right) < len(left)
+	return []*bNode{
+		{id: leftID, insts: left, g: lg, h: lh, parent: parent, sibling: rightID, derived: leftDerived},
+		{id: rightID, insts: right, g: rg, h: rh, parent: parent, sibling: leftID, derived: !leftDerived},
 	}
-	return []*bNode{l, r}
 }
 
 // allInstances is the root node's instance list, [0, n).

@@ -66,13 +66,15 @@ func (c Config) Fingerprint() string {
 	fmt.Fprintf(h, "lr=%g depth=%d bins=%d split=%+v loss=%T scheme=%s keybits=%d exp=%d/%d",
 		c.LearningRate, c.MaxDepth, c.MaxBins, c.Split, c.Loss, c.Scheme, c.KeyBits, c.BaseExp, c.ExpSpread)
 	// The fifth and sixth opt positions held two retired switches, each
-	// acting only under HistogramPacking or OptimisticSplit. Printing those
-	// two there keeps the string, and with it the checkpoints, of every
-	// config whose switches matched them: DefaultConfig, BaselineConfig,
-	// MockConfig and every CLI config.
+	// acting only under HistogramPacking or OptimisticSplit, and the
+	// seventh held HistogramSubtraction, retired when every session came
+	// to derive siblings. Printing HistogramPacking, OptimisticSplit and
+	// BlasterEncryption there keeps the string, and with it the
+	// checkpoints, of every config whose switches matched them:
+	// DefaultConfig, BaselineConfig, MockConfig and every CLI config.
 	fmt.Fprintf(h, " opt=%t/%t/%t/%t/%t/%t/%t batch=%d seed=%d",
 		c.BlasterEncryption, c.ReorderedAccumulation, c.OptimisticSplit, c.HistogramPacking,
-		c.HistogramPacking, c.OptimisticSplit, c.HistogramSubtraction, c.BatchSize, c.Seed)
+		c.HistogramPacking, c.OptimisticSplit, c.BlasterEncryption, c.BatchSize, c.Seed)
 	if c.Objective != nil && c.Objective.Name() != "binary" {
 		// A non-default objective reshapes every round (k class trees,
 		// k×n margins); binary sessions keep the historical fingerprint.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -177,7 +178,13 @@ func (r *passiveRig) feed(t *testing.T, frames ...any) {
 		grads.Cts[i], grads.Exp[i] = dec.Marshal(e.Ct), int16(e.Exp)
 	}
 	setup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W}
-	for _, m := range append([]any{setup, grads}, frames...) {
+	r.post(t, append([]any{setup, grads}, frames...)...)
+}
+
+// post queues frames for the party.
+func (r *passiveRig) post(t *testing.T, frames ...any) {
+	t.Helper()
+	for _, m := range frames {
 		if err := NewLink(r.in).send(m); err != nil {
 			t.Fatal(err)
 		}
@@ -208,18 +215,21 @@ func (r *passiveRig) sentFrames(t *testing.T) []any {
 }
 
 // TestPassivePartyStaysInsideItsWorkerBudget: through the root path and
-// two levels of node tasks, the party never has more than cfg.Workers
-// units in flight, and when run returns its goroutines are gone.
+// three levels of node tasks, the last four wide, the party never has more
+// than cfg.Workers units in flight, and when run returns its goroutines
+// are gone.
 func TestPassivePartyStaysInsideItsWorkerBudget(t *testing.T) {
 	for _, workers := range []int{1, 2, 3} {
 		baseline := runtime.NumGoroutine()
 		const rows = 90
 		r := newPassiveRig(t, rows, 4, workers)
-		r.p.cfg.HistogramSubtraction = false // both children of every split: four tasks in flight
+		r.p.cfg.MaxDepth = 4 // layer 2's four splits each build a child
 		counter := &countingScheme{}
 		r.feed(t,
 			MsgDecisions{Nodes: []NodeDecision{splitDecision(rootID, 2, 3, rows, 40)}},
 			MsgDecisions{Layer: 1, Nodes: []NodeDecision{splitDecision(2, 4, 5, 40, 3), splitDecision(3, 6, 7, 50, 25)}},
+			MsgDecisions{Layer: 2, Nodes: []NodeDecision{splitDecision(4, 8, 9, 3, 1), splitDecision(5, 10, 11, 37, 18),
+				splitDecision(6, 12, 13, 25, 12), splitDecision(7, 14, 15, 25, 10)}},
 			MsgTreeDone{}, MsgShutdown{})
 		// Install the counter once setup has built the scheme.
 		setup, err := r.p.link.recv()
@@ -235,14 +245,17 @@ func TestPassivePartyStaysInsideItsWorkerBudget(t *testing.T) {
 		if _, err := r.p.run(); err != nil {
 			t.Fatal(err)
 		}
-		hists := 0
+		perLayer := map[int]int{}
 		for _, m := range r.sentFrames(t) {
-			if _, ok := m.(MsgHistograms); ok {
-				hists++
+			if h, ok := m.(MsgHistograms); ok {
+				perLayer[h.Layer] += len(h.Nodes)
 			}
 		}
-		if hists != 7 {
-			t.Errorf("workers=%d: %d histograms sent, want the root and six nodes", workers, hists)
+		if want := map[int]int{0: 1, 1: 1, 2: 2, 3: 4}; !maps.Equal(perLayer, want) {
+			t.Errorf("workers=%d: histograms per layer %v, want %v", workers, perLayer, want)
+		}
+		if perLayer[3] <= workers {
+			t.Fatalf("test premise broken: layer 3 queued %d tasks on %d workers", perLayer[3], workers)
 		}
 		if peak := counter.peak.Load(); peak > int64(workers) || peak == 0 {
 			t.Errorf("workers=%d: %d homomorphic operations in flight at once", workers, peak)
@@ -339,16 +352,40 @@ func TestAbortedTaskNeverRunsAndIsNoFailure(t *testing.T) {
 	}
 }
 
-// TestFailingUnitsFailTheSessionOnce: two node tasks whose sweeps both
-// lose their shard fail the session with the first error and one MsgAbort.
+// TestFailingUnitsFailTheSessionOnce: the three node tasks of a layer,
+// queued on two workers, whose sweeps all lose their shard fail the session
+// with the first error and one MsgAbort.
 func TestFailingUnitsFailTheSessionOnce(t *testing.T) {
 	const rows = 60
 	r := newPassiveRig(t, rows, 2, 2)
-	r.p.cfg.HistogramSubtraction = false
-	r.p.view = &failingView{BinView: r.p.view, good: rows} // the root sweep succeeds
-	r.feed(t, MsgDecisions{Nodes: []NodeDecision{splitDecision(rootID, 2, 3, rows, 30)}}, MsgTreeDone{}, MsgShutdown{})
-	_, err := r.p.run()
-	if !errors.Is(err, errShardGone) {
+	r.p.cfg.MaxDepth = 4
+	view := &failingView{BinView: r.p.view, good: 1 << 30}
+	r.p.view = view
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.p.run()
+		done <- err
+	}()
+	// Layers 0 and 1 build their nodes; then every read fails.
+	r.feed(t,
+		MsgDecisions{Nodes: []NodeDecision{splitDecision(rootID, 2, 3, rows, 30)}},
+		MsgDecisions{Layer: 1, Nodes: []NodeDecision{splitDecision(2, 4, 5, 30, 10), splitDecision(3, 6, 7, 30, 20)}})
+	for hists := 0; hists < 4; {
+		m, err := NewLink(r.out).recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := m.(MsgHistograms); ok {
+			hists++
+		}
+	}
+	view.good = int(view.reads.Load())
+	layer2 := []NodeDecision{splitDecision(4, 8, 9, 10, 5), splitDecision(5, 10, 11, 20, 10), splitDecision(7, 12, 13, 10, 5)}
+	if len(layer2) <= cap(r.p.units) {
+		t.Fatalf("test premise broken: %d tasks on %d workers", len(layer2), cap(r.p.units))
+	}
+	r.post(t, MsgDecisions{Layer: 2, Nodes: layer2}, MsgTreeDone{}, MsgShutdown{})
+	if err := <-done; !errors.Is(err, errShardGone) {
 		t.Fatalf("run returned %v, want the shard error", err)
 	}
 	aborts := 0
@@ -361,6 +398,6 @@ func TestFailingUnitsFailTheSessionOnce(t *testing.T) {
 		}
 	}
 	if aborts != 1 {
-		t.Errorf("%d MsgAbort frames for two failing tasks, want 1", aborts)
+		t.Errorf("%d MsgAbort frames for failing tasks, want 1", aborts)
 	}
 }

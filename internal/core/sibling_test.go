@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 	"sync"
@@ -45,10 +47,11 @@ func sibDecryptor(t testing.TB, cfg Config) he.Decryptor {
 // through a hand-made two-level tree and returns B's integer histogram of
 // every node. Root 1 splits into a two-instance node 2 and the rest (3);
 // node 3 splits into every third of its instances (4) and the rest (5).
-// Under HistogramSubtraction nodes 3 and 5 are derived on B — 5 from a
-// parent that was itself derived; without it the passive party builds and
-// ships every node, which is what a derived node must equal.
-func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32]nodeSums {
+// Nodes 3 and 5 are derived on B — 5 from a parent that was itself
+// derived. built holds what a derived node must equal: the histograms of
+// 3 and 5 as the passive engine's own build path makes them from their
+// instances, shipped and decrypted like any other node.
+func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) (out, built map[int32]nodeSums) {
 	t.Helper()
 	cfg = mustNormalize(t, cfg)
 	ab := chanTransport{ch: make(chan []byte, 1<<12)}
@@ -75,7 +78,7 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 		t.Fatal(err)
 	}
 
-	out := map[int32]nodeSums{}
+	out = map[int32]nodeSums{}
 	sums := func(nd *bNode) {
 		s, err := b.passiveSums(0, 0, nd)
 		if err != nil {
@@ -109,8 +112,22 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 	grand := split(1, kids[1], 4, 5, func(k int) bool { return k%3 == 0 })
 	sums(grand[0])
 	sums(grand[1])
-	if cfg.HistogramSubtraction != (kids[1].derived && grand[1].derived && !kids[0].derived && !grand[0].derived) {
+	if !kids[1].derived || !grand[1].derived || kids[0].derived || grand[0].derived {
 		t.Fatalf("derived flags: %v %v %v %v", kids[0].derived, kids[1].derived, grand[0].derived, grand[1].derived)
+	}
+	// The passive engine builds and ships the derived nodes after all;
+	// B decrypts what arrives without looking at what it derived.
+	for layer, nd := range []*bNode{kids[1], grand[1]} {
+		a.scheduleHist(layer+1, NodeHist{Node: nd.id, Parent: nd.parent, Sibling: nd.sibling}, nd.insts)
+	}
+	a.startPasses()
+	built = map[int32]nodeSums{}
+	for _, nd := range []*bNode{kids[1], grand[1]} {
+		s, err := b.fetchSums(0, 0, nd)
+		if err != nil {
+			t.Fatalf("built node %d: %v", nd.id, err)
+		}
+		built[nd.id] = s
 	}
 	if err := b.links[0].send(MsgShutdown{}); err != nil {
 		t.Fatal(err)
@@ -118,7 +135,7 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) map[int32
 	if err := <-aDone; err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, built
 }
 
 // sameSums compares two histograms bin by bin as exact rationals — the
@@ -158,12 +175,11 @@ func sameSums(base int, x, y nodeSums) error {
 }
 
 // TestDerivedSiblingEqualsBuiltSibling: the integers B derives for the
-// larger child of a split are the integers it would have decrypted had the
-// passive party built (or homomorphically subtracted) and shipped that
-// child — over both schemes; the packed node layout on data that fills
-// every bin of the root and on sparse data that does not, and one slot per
-// ciphertext;
-// one and several exponents; and both accumulation strategies.
+// larger child of a split are the integers it decrypts when the passive
+// party builds and ships that child — over both schemes; the packed node
+// layout on data that fills every bin of the root and on sparse data that
+// does not, and one slot per ciphertext; one and several exponents; and
+// both accumulation strategies.
 func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 	_, sparse := twoPartyData(t, 120, 3, 2, 0.8, false, 81)
 	_, dense := twoPartyData(t, 120, 3, 2, 1, true, 81)
@@ -198,12 +214,9 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			on, off := tc.cfg, tc.cfg
-			on.HistogramSubtraction, off.HistogramSubtraction = true, false
-			derived := splitTreeSums(t, tc.parts, on)
-			built := splitTreeSums(t, tc.parts, off)
-			for id := int32(1); id <= 5; id++ {
-				if err := sameSums(fixedpoint.DefaultBase, derived[id], built[id]); err != nil {
+			sums, built := splitTreeSums(t, tc.parts, tc.cfg)
+			for _, id := range []int32{3, 5} {
+				if err := sameSums(fixedpoint.DefaultBase, sums[id], built[id]); err != nil {
 					t.Errorf("node %d: derived vs built: %v", id, err)
 				}
 			}
@@ -212,11 +225,11 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 			// two-instance node 2 derived from it; on the dense data every bin
 			// of the root holds an instance, so every root bitmap is full.
 			mixed, fullRoot := false, true
-			for j, fs := range built[1] {
+			for j, fs := range sums[1] {
 				full, sparseKid := true, false
 				for k := range fs.g {
 					full = full && fs.g[k] != nil
-					sparseKid = sparseKid || built[2][j].g[k] == nil
+					sparseKid = sparseKid || sums[2][j].g[k] == nil
 				}
 				mixed, fullRoot = mixed || (full && sparseKid), fullRoot && full
 			}
@@ -230,15 +243,22 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 	}
 }
 
-// TestSiblingDerivationModelParity: whole sessions with and without
-// HistogramSubtraction serialize to the same bytes where the unit matrix
-// above cannot reach — multi-class rounds whose class roots arrive ahead
-// of their trees, and the
-// optimistic schedule, where the re-made children of a dirty node derive
-// from the same cached parent its aborted children did.
+// TestSiblingDerivationModelParity: whole sessions, deriving siblings,
+// serialize to the model bytes pinned while a passive party could still
+// build both children of every split — the reference the unit matrix
+// above cannot reach: deeper mock trees, real Paillier, multi-class rounds
+// whose class roots arrive ahead of their trees, and the optimistic
+// schedule, where the re-made children of a dirty node derive from the
+// same cached parent its aborted children did.
 func TestSiblingDerivationModelParity(t *testing.T) {
+	_, deep := twoPartyData(t, 500, 8, 5, 0.6, false, 61)
+	_, shallow := twoPartyData(t, 250, 4, 3, 1, true, 62)
 	_, binary := twoPartyData(t, 400, 10, 2, 0.8, false, 63)
 	_, multi := multiclassParts(t, 240, 6, 3, 41)
+	shape := func(cfg Config, trees, depth int) Config {
+		cfg.Trees, cfg.MaxDepth = trees, depth
+		return cfg
+	}
 	mc := func(cfg Config) Config {
 		cfg.Objective = mustObjective(t, "multiclass:3")
 		cfg.Trees = 2
@@ -249,30 +269,58 @@ func TestSiblingDerivationModelParity(t *testing.T) {
 		parts     []*dataset.Dataset
 		cfg       Config
 		wantDirty bool
+		model     string // sha256 of the model both children built
 	}{
-		{"optimistic-dirty", binary, quickConfig(SchemeMock), true},
-		{"paillier-optimistic", binary, quickConfig(SchemePaillier), false},
-		{"multiclass-scalar", multi, mc(quickConfig(SchemeMock)), false},
+		{"mock-deep", deep, shape(quickConfig(SchemeMock), 3, 4), false, "fde1a2f2efeda2ccb7cb9704f713c9c61e2a1bcd5e0323982bd6996e71ead953"},
+		{"paillier-shallow", shallow, shape(quickConfig(SchemePaillier), 1, 3), false, "99cd40a30e9b669e54ec285e756d1ac856cc32509763946b6d724b4a93e79253"},
+		{"optimistic-dirty", binary, quickConfig(SchemeMock), true, "e0c2372bd9e7daf124cf0743e06fe795b4e1b03f63bb50700ffd7bdcd7abf0ab"},
+		{"paillier-optimistic", binary, quickConfig(SchemePaillier), false, "e0c2372bd9e7daf124cf0743e06fe795b4e1b03f63bb50700ffd7bdcd7abf0ab"},
+		{"multiclass-scalar", multi, mc(quickConfig(SchemeMock)), false, "fb74545b8746e3ac1519034b21d192d5cf9ce298fa79d65e7b78c50af8858298"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var models [2][]byte
-			for i, sub := range []bool{true, false} {
-				cfg := tc.cfg
-				cfg.HistogramSubtraction = sub
-				m, s := trainFed(t, tc.parts, cfg)
-				if tc.wantDirty && s.Stats().DirtyNodes() == 0 {
-					t.Fatal("test premise broken: no dirty nodes")
-				}
-				var buf bytes.Buffer
-				if err := m.Save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				models[i] = buf.Bytes()
+			m, s := trainFed(t, tc.parts, tc.cfg)
+			if tc.wantDirty && s.Stats().DirtyNodes() == 0 {
+				t.Fatal("test premise broken: no dirty nodes")
 			}
-			if !bytes.Equal(models[0], models[1]) {
-				t.Error("model with derived siblings differs from the model with built siblings")
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.model {
+				t.Errorf("model with derived siblings hashes to %s, the model with built siblings to %s", got, tc.model)
 			}
 		})
+	}
+}
+
+// TestSiblingDerivationWithOptimisticDirty: dirty-node redo must
+// compose with derivation (the aborted pair's one task stops, and the
+// re-made children derive from the parent B still holds).
+func TestSiblingDerivationWithOptimisticDirty(t *testing.T) {
+	_, parts := twoPartyData(t, 500, 14, 2, 1, true, 63)
+	seq := quickConfig(SchemeMock)
+	seq.Trees = 3
+	seq.OptimisticSplit = false
+	opt := seq
+	opt.OptimisticSplit = true
+
+	mSeq, _ := trainFed(t, parts, seq)
+	mOpt, sOpt := trainFed(t, parts, opt)
+	if sOpt.Stats().DirtyNodes() == 0 {
+		t.Fatal("test premise broken: no dirty nodes")
+	}
+	a, err := mSeq.PredictAll(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mOpt.PredictAll(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		if math.Abs(a[i]-b[i]) > 1e-9 {
+			t.Fatal("sibling derivation + optimistic dirty handling diverged")
+		}
 	}
 }
 
@@ -284,9 +332,8 @@ type siblingRig struct {
 	sent chanTransport
 }
 
-func newSiblingRig(t *testing.T, subtraction bool) *siblingRig {
+func newSiblingRig(t *testing.T) *siblingRig {
 	b := newBareActiveParty(t, 100, 1, 97)
-	b.cfg.HistogramSubtraction = subtraction
 	plan, err := planPacking(b.codec, b.pairs.W, false)
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +380,9 @@ func (r *siblingRig) frame(t *testing.T, tree int, node, parent, sibling int32, 
 // TestActiveRejectsHostileSiblingFrames is the table of
 // TestActiveRejectsHostileHistograms for the announcing frame: every way a
 // passive party can break the derivation contract ends B's session with
-// the typed error, after B told the party why (MsgAbort) — a version-skewed
-// peer that still ships siblings itself gets ErrLegacySiblings.
+// the typed error, after B told the party why (MsgAbort) — a peer that
+// ships a child unannounced, as one still building both children would,
+// included.
 func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 	root := &bNode{id: rootID}
 	built := &bNode{id: 2, parent: rootID, sibling: 3}
@@ -342,7 +390,7 @@ func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 	empty := bin{}
 
 	// The well-formed exchange derives the sibling exactly.
-	r := newSiblingRig(t, true)
+	r := newSiblingRig(t)
 	r.frame(t, 0, rootID, 0, 0, ints(-40, 90), ints(7, 5), empty)
 	r.frame(t, 0, 2, rootID, 3, ints(-30, 20), empty, empty)
 	if _, err := r.b.passiveSums(0, 0, root); err != nil {
@@ -362,71 +410,65 @@ func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 	w := r.b.pairs.W
 	wide := new(big.Int).Lsh(big.NewInt(3), uint(w-3)) // 0.375·2^W: two of them overflow a field
 	for _, tc := range []struct {
-		name        string
-		subtraction bool
-		frames      func(r *siblingRig)
-		ask         []*bNode // the last one must fail
-		tree        int
-		legacy      bool
+		name   string
+		frames func(r *siblingRig)
+		ask    []*bNode // the last one must fail
+		tree   int
 	}{
-		{"child ships unannounced", true, func(r *siblingRig) {
+		{"child ships unannounced", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
 			r.frame(t, 0, 2, 0, 0, ints(1, 4))
-		}, []*bNode{root, derived}, 0, true},
-		{"unannounced child asked for directly", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"unannounced child asked for directly", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
 			r.frame(t, 0, 2, 0, 0, ints(1, 4))
-		}, []*bNode{root, built}, 0, true},
-		{"announcement names another parent", true, func(r *siblingRig) {
+		}, []*bNode{root, built}, 0},
+		{"announcement names another parent", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
 			r.frame(t, 0, 2, 7, 3, ints(1, 4))
-		}, []*bNode{root, derived}, 0, false},
-		{"announcement names another sibling", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"announcement names another sibling", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
 			r.frame(t, 0, 2, rootID, 9, ints(1, 4))
-		}, []*bNode{root, derived}, 0, false},
-		{"announcement in a session without subtraction", false, func(r *siblingRig) {
-			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
-			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
-		}, []*bNode{root, built}, 0, false},
-		{"root announces a split", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"root announces a split", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 4, 5, ints(1, 9))
-		}, []*bNode{root}, 0, false},
-		{"parent decrypted for another tree only", true, func(r *siblingRig) {
+		}, []*bNode{root}, 0},
+		{"parent decrypted for another tree only", func(r *siblingRig) {
 			r.frame(t, 1, rootID, 0, 0, ints(1, 9))
 			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
 			if _, err := r.b.passiveSums(0, 1, root); err != nil {
 				t.Fatal(err)
 			}
-		}, []*bNode{derived}, 0, false},
-		{"child announced twice", true, func(r *siblingRig) {
+		}, []*bNode{derived}, 0},
+		{"child announced twice", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9))
 			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
 			r.frame(t, 0, 2, rootID, 3, ints(0, 1))
-		}, []*bNode{root, derived, {id: 4}}, 0, false},
-		{"bin count differs from the parent's", true, func(r *siblingRig) {
+		}, []*bNode{root, derived, {id: 4}}, 0},
+		{"bin count differs from the parent's", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9), ints(1, 9))
 			r.frame(t, 0, 2, rootID, 3, ints(1, 4), ints(0, 1), ints(0, 1))
-		}, []*bNode{root, derived}, 0, false},
-		{"mass the parent lacks", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"mass the parent lacks", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(1, 9), empty)
 			r.frame(t, 0, 2, rootID, 3, ints(1, 4), ints(0, 1))
-		}, []*bNode{root, derived}, 0, false},
-		{"negative derived hessian", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"negative derived hessian", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, ints(5, 9))
 			r.frame(t, 0, 2, rootID, 3, ints(1, 10))
-		}, []*bNode{root, derived}, 0, false},
-		{"derived gradient beyond its field", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"derived gradient beyond its field", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, bin{wide, big.NewInt(9)})
 			r.frame(t, 0, 2, rootID, 3, bin{new(big.Int).Neg(wide), big.NewInt(4)})
-		}, []*bNode{root, derived}, 0, false},
-		{"derived hessian beyond its field", true, func(r *siblingRig) {
+		}, []*bNode{root, derived}, 0},
+		{"derived hessian beyond its field", func(r *siblingRig) {
 			r.frame(t, 0, rootID, 0, 0, bin{big.NewInt(1), new(big.Int).Lsh(wide, 1)})
 			r.frame(t, 0, 2, rootID, 3, ints(1, 4))
-		}, []*bNode{root, derived}, 0, false},
+		}, []*bNode{root, derived}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newSiblingRig(t, tc.subtraction)
+			r := newSiblingRig(t)
 			tc.frames(r)
 			var err error
 			for i, nd := range tc.ask {
@@ -437,8 +479,8 @@ func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 			if err == nil {
 				t.Fatal("hostile frame accepted")
 			}
-			if errors.Is(err, ErrLegacySiblings) != tc.legacy || errors.Is(err, ErrSiblingDerivation) == tc.legacy {
-				t.Errorf("error %q: want ErrLegacySiblings=%v, ErrSiblingDerivation=%v", err, tc.legacy, !tc.legacy)
+			if !errors.Is(err, ErrSiblingDerivation) {
+				t.Errorf("error %q: want ErrSiblingDerivation", err)
 			}
 			if len(r.sent.ch) != 1 {
 				t.Fatalf("B sent the peer %d frames, want one MsgAbort", len(r.sent.ch))

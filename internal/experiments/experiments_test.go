@@ -207,18 +207,6 @@ func TestGanttSmoke(t *testing.T) {
 	}
 }
 
-func TestAblationSmoke(t *testing.T) {
-	// The default ablation runs at S=512 for minutes; a smoke config
-	// would need most of that time, so just validate the printer on
-	// synthetic rows.
-	rows := []AblationRow{{Name: "X", BaselineSec: 2, ExtSec: 1, Note: "n"}}
-	var buf bytes.Buffer
-	PrintAblation(&buf, DefaultAblation(), rows)
-	if !bytes.Contains(buf.Bytes(), []byte("2.00x")) {
-		t.Errorf("ablation print: %s", buf.String())
-	}
-}
-
 func TestTable6Smoke(t *testing.T) {
 	tc := Table6Config{
 		Presets: []string{"epsilon"}, Parties: []int{2, 3}, Scale: 20000,

@@ -41,10 +41,12 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # lean on must hold however the workers interleave: the obfuscation
 # exponent is a counter-based draw, not a shared stream. Run the parity
 # tests single-threaded, at two and at four procs, repeatedly, under the
-# race detector. The sibling-derivation, node-layout, hostile-frame and
-# scheduler suites run here too: a passive party sweeps, finalizes and
-# packs every node as units on one queue of its workers, Party B decrypts
-# per ciphertext on another, and what B files must equal the integers
+# race detector. The sibling-derivation suites run here too — every
+# session derives the larger child of a split, and its models must hash
+# to the ones pinned while passive parties still built both children —
+# as do the node-layout, hostile-frame and scheduler suites: a passive
+# party sweeps, finalizes and packs every node as units on one queue of
+# its workers, Party B decrypts per ciphertext on another, and what B files must equal the integers
 # the passive party summed, packed or one slot per ciphertext — and a
 # refused frame must end in its typed error, and a frame no decoder reads
 # (the retired batched-backend ids 24–27, the retired per-bin histogram
@@ -73,7 +75,7 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|HistogramSubtraction|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core

@@ -133,9 +133,10 @@ type Config struct {
 	Reordered   bool
 	Optimistic  bool
 	HistPacking bool
-	// HistSubtraction has Party B derive each larger sibling's histogram
-	// as parent - child (see internal/core.Config).
-	HistSubtraction bool
+	// fullObfuscation turns off the DJN-style fast obfuscator (see
+	// internal/core.Config.FastObfuscation) for the exact-paper baseline.
+	// Only BaselineConfig sets it, so a Config literal keeps the fast one.
+	fullObfuscation bool
 
 	// WANMbps simulates the public-network bandwidth between parties
 	// (0 = unshaped); WANLatency adds fixed per-message delay.
@@ -152,19 +153,16 @@ func DefaultConfig() Config {
 		Trees: 20, LearningRate: 0.1, MaxDepth: 6, MaxBins: 20, Lambda: 1,
 		Scheme: "paillier", KeyBits: 2048,
 		Blaster: true, Reordered: true, Optimistic: true, HistPacking: true,
-		HistSubtraction: true,
-		Seed:            1,
+		Seed: 1,
 	}
 }
 
-// BaselineConfig returns VF-GBDT: same cryptography, no optimizations.
-// Its checkpoint fingerprint is not the one it had while this Config
-// carried adaptive-packing and adaptive-optimism switches: they were on
-// here with their parent switches off, and the fingerprint now prints
-// the parents' values in their place.
+// BaselineConfig returns VF-GBDT: same cryptography, no optimizations —
+// internal/core.BaselineConfig, full r^n obfuscation included.
 func BaselineConfig() Config {
 	c := DefaultConfig()
 	c.Blaster, c.Reordered, c.Optimistic, c.HistPacking = false, false, false, false
+	c.fullObfuscation = true
 	return c
 }
 
@@ -193,7 +191,7 @@ func (c Config) toCore() core.Config {
 	cc.ReorderedAccumulation = c.Reordered
 	cc.OptimisticSplit = c.Optimistic
 	cc.HistogramPacking = c.HistPacking
-	cc.HistogramSubtraction = c.HistSubtraction
+	cc.FastObfuscation = !c.fullObfuscation
 	cc.Seed = c.Seed
 	return cc
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"vf2boost/internal/core"
 )
 
 func quick() Config {
@@ -131,6 +133,33 @@ func TestPublicPresets(t *testing.T) {
 	}
 	if _, _, err := GeneratePreset("nope", 1, 1); err == nil {
 		t.Error("unknown preset accepted")
+	}
+}
+
+// TestPublicPresetsMatchCore: each root preset trains the configuration of
+// its internal/core namesake — every switch, and the checkpoint
+// fingerprint.
+func TestPublicPresetsMatchCore(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		root Config
+		core core.Config
+	}{
+		{"DefaultConfig", DefaultConfig(), core.DefaultConfig()},
+		{"BaselineConfig", BaselineConfig(), core.BaselineConfig()},
+		{"MockConfig", MockConfig(), core.MockConfig()},
+	} {
+		got := tc.root.toCore()
+		switches := func(c core.Config) string {
+			return fmt.Sprintf("%s blaster=%t reordered=%t optimistic=%t packing=%t fastobf=%t", c.Scheme,
+				c.BlasterEncryption, c.ReorderedAccumulation, c.OptimisticSplit, c.HistogramPacking, c.FastObfuscation)
+		}
+		if g, w := switches(got), switches(tc.core); g != w {
+			t.Errorf("%s: switches %s, want %s", tc.name, g, w)
+		}
+		if g, w := got.Fingerprint(), tc.core.Fingerprint(); g != w {
+			t.Errorf("%s: fingerprint %s, want %s", tc.name, g, w)
+		}
 	}
 }
 
