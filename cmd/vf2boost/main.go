@@ -147,6 +147,15 @@ func loadLabeledData(path string, cfg core.Config) *dataset.Dataset {
 	return d
 }
 
+// refuseGroupAwareOOC stops an -ooc run whose objective couples
+// gradients across query groups: a LibSVM store source carries no
+// qid:N groups to install on it.
+func refuseGroupAwareOOC(cmd string, cfg core.Config) {
+	if _, ok := cfg.Objective.(objective.GroupAware); ok {
+		log.Fatalf("%s: -objective %s is not supported with -ooc (the LibSVM store source carries no query groups)", cmd, cfg.Objective.Name())
+	}
+}
+
 // reportObjectiveMetric prints the objective's headline metric (mlogloss,
 // ndcg@k, ...) plus accuracy for multiclass, over a k×n margin matrix.
 func reportObjectiveMetric(cfg core.Config, labels []float64, margins [][]float64) {
@@ -169,7 +178,6 @@ func oocFlags(fs *flag.FlagSet) func() oocSettings {
 	dir := fs.String("ooc", "", "train out-of-core: build (if absent) and use a binned shard store under this directory")
 	budget := fs.String("mem-budget", "256MiB", "resident shard-cache cap for -ooc (bytes, or with K/M/G[iB] suffix; 0 = unlimited)")
 	chunkRows := fs.Int("chunk-rows", 1<<16, "shard height in rows for -ooc store builds")
-	buildWorkers := fs.Int("build-workers", 1, "parallel discretization workers for -ooc store builds (range-scannable sources; output is byte-identical to a serial build)")
 	prefetch := fs.Bool("prefetch", true, "readahead of the next shard in the sweep plan (-ooc)")
 	chaos := fs.String("fschaos", "", "seeded storage fault injection for stores and checkpoints, e.g. seed=7,flip=0.02,readerr=0.05,shortwrite=0.1,tornrename=0.2,enospc=1MiB,crash=40")
 	return func() oocSettings {
@@ -177,7 +185,7 @@ func oocFlags(fs *flag.FlagSet) func() oocSettings {
 		if err != nil {
 			log.Fatalf("bad -mem-budget: %v", err)
 		}
-		s := oocSettings{dir: *dir, budget: b, chunkRows: *chunkRows, buildWorkers: *buildWorkers, prefetch: *prefetch}
+		s := oocSettings{dir: *dir, budget: b, chunkRows: *chunkRows, prefetch: *prefetch}
 		if *chaos != "" {
 			cfg, err := fsfault.ParseSpec(*chaos)
 			if err != nil {
@@ -190,12 +198,11 @@ func oocFlags(fs *flag.FlagSet) func() oocSettings {
 }
 
 type oocSettings struct {
-	dir          string
-	budget       int64
-	chunkRows    int
-	buildWorkers int
-	prefetch     bool
-	fsys         fsfault.FS // nil = real filesystem; set by -fschaos
+	dir       string
+	budget    int64
+	chunkRows int
+	prefetch  bool
+	fsys      fsfault.FS // nil = real filesystem; set by -fschaos
 }
 
 // openStore builds the store from src if dir has no manifest yet, then
@@ -209,7 +216,7 @@ func (s oocSettings) openStore(src ooc.Source, maxBins int) *ooc.Store {
 		return st
 	}
 	start := time.Now()
-	if err := ooc.Build(s.dir, src, ooc.BuildOptions{MaxBins: maxBins, ChunkRows: s.chunkRows, Workers: s.buildWorkers, FS: s.fsys}); err != nil {
+	if err := ooc.Build(s.dir, src, ooc.BuildOptions{MaxBins: maxBins, ChunkRows: s.chunkRows, FS: s.fsys}); err != nil {
 		log.Fatalf("ooc: building %s: %v", s.dir, err)
 	}
 	st, err = ooc.Open(s.dir, opt)
@@ -286,10 +293,8 @@ func cmdLocal(args []string) {
 	p.Workers = cfg.Workers
 
 	if oc := oocFn(); oc.dir != "" {
-		if cfg.Objective != nil {
-			log.Fatalf("local: -objective %s is not supported with -ooc (the streaming trainer is single-output)", cfg.Objective.Name())
-		}
-		// Out-of-core: the raw rows never materialize, so the train-AUC
+		refuseGroupAwareOOC("local", cfg)
+		// Out-of-core: the raw rows never materialize, so the train-metric
 		// report (which needs raw feature values) is skipped.
 		src, err := ooc.NewLibSVMSource(*data, 0)
 		if err != nil {
@@ -301,13 +306,18 @@ func cmdLocal(args []string) {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		m, err := gbdt.TrainBinned(st, labels, p)
+		var m *gbdt.Model
+		if cfg.Objective != nil {
+			m, err = gbdt.TrainMultiBinned(st, labels, cfg.Objective, p)
+		} else {
+			m, err = gbdt.TrainBinned(st, labels, p)
+		}
 		if err != nil {
 			log.Fatal(err)
 		}
 		cs := st.Stats()
 		fmt.Printf("trained %d trees out-of-core in %v; cache: %d loads, %d prefetches, %d evictions, peak %d bytes\n",
-			cfg.Trees, time.Since(start).Round(time.Millisecond), cs.Loads, cs.Prefetches, cs.Evictions, cs.PeakBytes)
+			len(m.Trees), time.Since(start).Round(time.Millisecond), cs.Loads, cs.Prefetches, cs.Evictions, cs.PeakBytes)
 		if cs.RetriedLoads > 0 || cs.Quarantined > 0 || cs.Rebuilds > 0 {
 			fmt.Printf("self-heal: %d retried loads, %d quarantined shards, %d rebuilds (generation %d)\n",
 				cs.RetriedLoads, cs.Quarantined, cs.Rebuilds, st.Generation())
@@ -392,9 +402,7 @@ func cmdSim(args []string) {
 	var trainLabels []float64
 	var parts []*dataset.Dataset
 	if oc := oocFn(); oc.dir != "" {
-		if cfg.Objective != nil {
-			log.Fatalf("sim: -objective %s is not supported with -ooc (view sessions are single-output)", cfg.Objective.Name())
-		}
+		refuseGroupAwareOOC("sim", cfg)
 		// Out-of-core sim: every party trains against its own disk-backed
 		// store, built from a column slice of the joined row stream — the
 		// joined dataset is never materialized.
@@ -600,9 +608,7 @@ func cmdParty(args []string) {
 	var viewLabels []float64
 	var d *dataset.Dataset
 	if oc.dir != "" {
-		if cfg.Objective != nil {
-			log.Fatalf("party: -objective %s is not supported with -ooc (view sessions are single-output)", cfg.Objective.Name())
-		}
+		refuseGroupAwareOOC("party", cfg)
 		src, err := ooc.NewLibSVMSource(*data, 0)
 		if err != nil {
 			log.Fatal(err)

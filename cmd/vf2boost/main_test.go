@@ -29,8 +29,8 @@ func runCLI(t *testing.T, bin string, args ...string) {
 	}
 }
 
-// End-to-end byte parity: `local` with and without -ooc (serial and
-// parallel store builds) must write identical model files.
+// End-to-end byte parity: `local` with and without -ooc must write
+// identical model files.
 func TestLocalOOCModelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the CLI")
@@ -62,23 +62,69 @@ func TestLocalOOCModelByteIdentity(t *testing.T) {
 	runCLI(t, bin, append(common, "-out", oocOut,
 		"-ooc", filepath.Join(dir, "store"), "-chunk-rows", "64", "-mem-budget", "16KiB")...)
 
-	parOut := filepath.Join(dir, "par.json")
-	runCLI(t, bin, append(common, "-out", parOut,
-		"-ooc", filepath.Join(dir, "store-par"), "-chunk-rows", "64", "-mem-budget", "16KiB",
-		"-build-workers", "4")...)
+	sameFile(t, memOut, oocOut)
+}
 
-	want, err := os.ReadFile(memOut)
+// sameFile fails the test unless the two files hold the same bytes.
+func sameFile(t *testing.T, want, got string) {
+	t.Helper()
+	a, err := os.ReadFile(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{oocOut, parOut} {
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%s differs from in-memory model %s", path, memOut)
-		}
+	b, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("%s differs from %s", got, want)
+	}
+}
+
+// -ooc trains a multi-output objective to the in-memory model's bytes,
+// locally and federated, and still refuses a ranking objective: a LibSVM
+// store source carries no query groups.
+func TestOOCObjectiveByteIdentity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the CLI")
+	}
+	bin := buildCLI(t)
+
+	d, err := dataset.GenerateMulticlass(dataset.MultiGenOptions{Rows: 300, Cols: 8, Classes: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data := filepath.Join(dir, "mc.libsvm")
+	if err := dataset.SaveLibSVMFile(data, d); err != nil {
+		t.Fatal(err)
+	}
+	oocArgs := func(store string) []string {
+		return []string{"-ooc", filepath.Join(dir, store), "-chunk-rows", "64", "-mem-budget", "16KiB"}
+	}
+
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"local", []string{"local", "-data", data}},
+		{"sim", []string{"sim", "-data", data, "-split", "4,4", "-scheme", "mock"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			common := append(tc.args, "-objective", "multiclass:3", "-trees", "2", "-depth", "3")
+			memOut := filepath.Join(dir, tc.name+"-mem.json")
+			runCLI(t, bin, append(common, "-out", memOut)...)
+			oocOut := filepath.Join(dir, tc.name+"-ooc.json")
+			runCLI(t, bin, append(append(common, "-out", oocOut), oocArgs(tc.name+"-store")...)...)
+			sameFile(t, memOut, oocOut)
+		})
+	}
+
+	cmd := exec.Command(bin, append([]string{"local", "-data", data, "-objective", "ranking:5",
+		"-out", filepath.Join(dir, "rank.json")}, oocArgs("rank-store")...)...)
+	out, err := cmd.CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("query groups")) {
+		t.Fatalf("local -ooc -objective ranking:5 was not refused: %v\n%s", err, out)
 	}
 }
 

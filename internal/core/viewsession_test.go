@@ -52,41 +52,61 @@ func TestViewSessionMatchesDatasetSession(t *testing.T) {
 
 // Federated out-of-core parity: every party trains against a disk-backed
 // shard store under a tight budget, and the federated model must still be
-// byte-identical to the all-in-memory run.
+// byte-identical to the all-in-memory run — for the binary default and
+// for a multi-output objective alike.
 func TestViewSessionOOCParity(t *testing.T) {
-	_, parts := twoPartyData(t, 500, 6, 4, 0.6, false, 13)
-	cfg := quickConfig(SchemeMock)
+	for _, tc := range []struct {
+		name  string
+		parts func(t *testing.T) []*dataset.Dataset
+	}{
+		{"binary", func(t *testing.T) []*dataset.Dataset {
+			_, parts := twoPartyData(t, 500, 6, 4, 0.6, false, 13)
+			return parts
+		}},
+		{"multiclass:3", func(t *testing.T) []*dataset.Dataset {
+			_, parts := multiclassParts(t, 500, 10, 3, 13)
+			return parts
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			parts := tc.parts(t)
+			cfg := quickConfig(SchemeMock)
+			if tc.name != "binary" {
+				cfg.Objective = mustObjective(t, tc.name)
+			}
 
-	ref, _ := trainFed(t, parts, cfg)
+			ref, _ := trainFed(t, parts, cfg)
 
-	views := make([]gbdt.BinView, len(parts))
-	var labels []float64
-	for i, p := range parts {
-		dir := t.TempDir()
-		if err := ooc.Build(dir, ooc.NewDatasetSource(p), ooc.BuildOptions{MaxBins: cfg.MaxBins, ChunkRows: 64}); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ooc.Open(dir, ooc.Options{MemBudget: 8 << 10, Prefetch: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		views[i] = st
-		if i == len(parts)-1 {
-			if labels, err = st.Labels(); err != nil {
+			views := make([]gbdt.BinView, len(parts))
+			var labels []float64
+			for i, p := range parts {
+				dir := t.TempDir()
+				if err := ooc.Build(dir, ooc.NewDatasetSource(p), ooc.BuildOptions{MaxBins: cfg.MaxBins, ChunkRows: 64}); err != nil {
+					t.Fatal(err)
+				}
+				st, err := ooc.Open(dir, ooc.Options{MemBudget: 8 << 10, Prefetch: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				views[i] = st
+				if i == len(parts)-1 {
+					if labels, err = st.Labels(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			s, err := NewViewSession(views, labels, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-	}
-	s, err := NewViewSession(views, labels, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := s.Train()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveModel(t, ref), saveModel(t, m)) {
-		t.Fatal("out-of-core federated model differs from in-memory model")
+			m, err := s.Train()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saveModel(t, ref), saveModel(t, m)) {
+				t.Fatal("out-of-core federated model differs from in-memory model")
+			}
+		})
 	}
 }
 

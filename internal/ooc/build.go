@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"syscall"
 
 	"vf2boost/internal/fault/fsfault"
@@ -25,18 +23,11 @@ type BuildOptions struct {
 	// except the last covers exactly ChunkRows rows, so the shard holding
 	// row i is shard i/ChunkRows.
 	ChunkRows int
-	// FastSketch switches pass 1 to per-chunk sketches merged on a
-	// background worker — faster on wide sparse data, but the merged rank
-	// bound is εa+εb, so cuts are no longer byte-identical to the
-	// in-memory path.
-	FastSketch bool
-	// Workers > 1 parallelizes the build over row chunks when the source
-	// is range-scannable (RangeSource): pass 1 generates chunks
-	// concurrently and feeds the cut accumulators in strict row order,
-	// pass 2 discretizes chunks concurrently and commits shards through
-	// a single ordered writer — manifests, shard files and labels come
-	// out byte-identical to a serial build. Non-rangeable sources
-	// (LibSVM) fall back to the serial scan. <= 1 builds serially.
+	// Workers > 1 reads a range-scannable source (RangeSource) on that
+	// many goroutines, in ChunkRows-row chunks consumed in row order, so
+	// manifests, shard files and labels come out byte-identical to a
+	// sequential build. Other sources (LibSVM) are read by one Scan.
+	// <= 1 reads sequentially.
 	Workers int
 	// FS is the filesystem the build writes through; nil means the real
 	// one. Tests and the -fschaos CLI knob install a fault injector here.
@@ -133,7 +124,10 @@ func parseManifestGen(name string) (int, bool) {
 // CRC-guarded shard. Labels (when src.Labeled()) accumulate in memory —
 // 8 bytes/row, the one per-row cost that never spills — and land in a
 // framed labels file. The manifest is written last as the commit point.
-// Peak memory is the pass-1 accumulators plus one chunk's CSR buffers.
+// Both passes read src through one chunkReader. Peak memory is the
+// pass-1 accumulators plus the reader's chunks: one raw chunk (12 bytes
+// per stored entry) and its bins when reading sequentially, Workers+2 of
+// them when reading in parallel.
 //
 // A disk-full failure on any spill triggers backpressure instead of a
 // fail-stop: the build sweeps aborted-write temp files and quarantined
@@ -167,13 +161,25 @@ func Build(dir string, src Source, opt BuildOptions) error {
 	}
 
 	var labels []float64
-	if rs, ok := AsRangeSource(src); ok && opt.Workers > 1 {
-		labels, err = buildShardsParallel(fsys, dir, rs, mapper, man, rows, opt)
-	} else {
-		labels, err = buildShardsSerial(fsys, dir, src, mapper, man, opt)
+	if man.Labeled {
+		labels = make([]float64, 0, rows)
 	}
+	r := chunkReader{src: src, height: opt.ChunkRows, workers: opt.Workers, mapper: mapper}
+	err = r.read(0, allRows, func(c *chunk) error {
+		name := fmt.Sprintf("shard-%06d.bin", len(man.Shards))
+		if err := writeRetryNoSpace(fsys, dir, func() error {
+			return writeShard(fsys, filepath.Join(dir, name), &c.shardData)
+		}); err != nil {
+			return err
+		}
+		man.Shards = append(man.Shards, shardRecord{File: name, StartRow: c.startRow, Rows: c.rows(), NNZ: len(c.cols)})
+		if man.Labeled {
+			labels = append(labels, c.labels...)
+		}
+		return nil
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("ooc: discretize pass: %w", err)
 	}
 	got := 0
 	for _, s := range man.Shards {
@@ -194,279 +200,6 @@ func Build(dir string, src Source, opt BuildOptions) error {
 	return writeRetryNoSpace(fsys, dir, func() error {
 		return writeManifest(fsys, dir, man, 0)
 	})
-}
-
-// buildShardsSerial is the single-threaded pass 2: one scan, spilling a
-// shard every ChunkRows rows. Returns the accumulated labels (nil for
-// unlabeled sources).
-func buildShardsSerial(fsys fsfault.FS, dir string, src Source, mapper *gbdt.BinMapper, man *manifest, opt BuildOptions) ([]float64, error) {
-	var labels []float64
-	if src.Labeled() {
-		labels = make([]float64, 0, man.Rows)
-	}
-
-	cur := &shardData{rowPtr: []int32{0}}
-	flush := func() error {
-		if len(cur.rowPtr) == 1 {
-			return nil
-		}
-		name := fmt.Sprintf("shard-%06d.bin", len(man.Shards))
-		if err := writeRetryNoSpace(fsys, dir, func() error {
-			return writeShard(fsys, filepath.Join(dir, name), cur)
-		}); err != nil {
-			return err
-		}
-		man.Shards = append(man.Shards, shardRecord{
-			File:     name,
-			StartRow: cur.startRow,
-			Rows:     len(cur.rowPtr) - 1,
-			NNZ:      len(cur.cols),
-		})
-		next := cur.startRow + len(cur.rowPtr) - 1
-		cur = &shardData{startRow: next, rowPtr: cur.rowPtr[:1], cols: cur.cols[:0], bins: cur.bins[:0]}
-		cur.rowPtr[0] = 0
-		return nil
-	}
-
-	err := src.Scan(func(row int, indices []int32, values []float64, label float64) error {
-		for k, j := range indices {
-			cur.cols = append(cur.cols, j)
-			cur.bins = append(cur.bins, uint8(mapper.Bin(int(j), values[k])))
-		}
-		cur.rowPtr = append(cur.rowPtr, int32(len(cur.cols)))
-		if labels != nil {
-			labels = append(labels, label)
-		}
-		if len(cur.rowPtr)-1 >= opt.ChunkRows {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ooc: discretize pass: %w", err)
-	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// builtChunk is one discretized shard-to-be crossing from a build worker
-// to the ordered committer.
-type builtChunk struct {
-	sd     *shardData
-	labels []float64
-	err    error
-}
-
-// buildShardsParallel is the multi-worker pass 2: chunk [k·ChunkRows,
-// (k+1)·ChunkRows) is range-scanned and discretized by whichever worker
-// picks it up, and a single committer (the calling goroutine) receives
-// chunks in strict index order, writing each shard file and appending
-// its records and labels. Chunk boundaries equal the serial flush
-// boundaries and shard encoding is deterministic, so the directory is
-// byte-identical to a serial build; the single committer also preserves
-// the ENOSPC backpressure path's invariant that only one goroutine
-// writes (sweepDebris must never race a concurrent temp-file writer).
-//
-// A bounded ticket window keeps at most Workers+2 chunks materialized
-// ahead of the committer. Tickets are acquired before a worker claims
-// its chunk index, so in-flight chunks are always the next few the
-// committer needs — no deadlock, bounded memory.
-func buildShardsParallel(fsys fsfault.FS, dir string, rs RangeSource, mapper *gbdt.BinMapper, man *manifest, rows int, opt BuildOptions) ([]float64, error) {
-	if got := rs.Rows(); got != rows {
-		return nil, fmt.Errorf("ooc: pass 2 source declares %d rows, pass 1 saw %d (source not replayable?)", got, rows)
-	}
-	n := (rows + opt.ChunkRows - 1) / opt.ChunkRows
-	var labels []float64
-	if man.Labeled {
-		labels = make([]float64, 0, rows)
-	}
-
-	chans := make([]chan *builtChunk, n)
-	for i := range chans {
-		chans[i] = make(chan *builtChunk, 1)
-	}
-	window := make(chan struct{}, opt.Workers+2)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				window <- struct{}{}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					<-window
-					return
-				}
-				if failed.Load() {
-					// The committer has already aborted; send an empty
-					// marker so it can drain without blocking.
-					chans[i] <- &builtChunk{}
-					continue
-				}
-				lo := i * opt.ChunkRows
-				chans[i] <- discretizeChunk(rs, mapper, man.Labeled, lo, min(lo+opt.ChunkRows, rows))
-			}
-		}()
-	}
-
-	var err error
-	for i := 0; i < n; i++ {
-		c := <-chans[i]
-		<-window
-		if err != nil {
-			continue // draining after abort
-		}
-		if c.err != nil {
-			err = c.err
-			failed.Store(true)
-			continue
-		}
-		name := fmt.Sprintf("shard-%06d.bin", len(man.Shards))
-		if werr := writeRetryNoSpace(fsys, dir, func() error {
-			return writeShard(fsys, filepath.Join(dir, name), c.sd)
-		}); werr != nil {
-			err = werr
-			failed.Store(true)
-			continue
-		}
-		man.Shards = append(man.Shards, shardRecord{
-			File:     name,
-			StartRow: c.sd.startRow,
-			Rows:     len(c.sd.rowPtr) - 1,
-			NNZ:      len(c.sd.cols),
-		})
-		labels = append(labels, c.labels...)
-	}
-	wg.Wait()
-	if err != nil {
-		return nil, err
-	}
-	return labels, nil
-}
-
-// discretizeChunk range-scans rows [lo, hi) and bins them into one
-// shard's CSR arrays.
-func discretizeChunk(rs RangeSource, mapper *gbdt.BinMapper, labeled bool, lo, hi int) *builtChunk {
-	sd := &shardData{startRow: lo, rowPtr: []int32{0}}
-	var labels []float64
-	if labeled {
-		labels = make([]float64, 0, hi-lo)
-	}
-	err := rs.ScanRange(lo, hi, func(row int, indices []int32, values []float64, label float64) error {
-		for k, j := range indices {
-			sd.cols = append(sd.cols, j)
-			sd.bins = append(sd.bins, uint8(mapper.Bin(int(j), values[k])))
-		}
-		sd.rowPtr = append(sd.rowPtr, int32(len(sd.cols)))
-		if labels != nil {
-			labels = append(labels, label)
-		}
-		return nil
-	})
-	if err != nil {
-		return &builtChunk{err: fmt.Errorf("ooc: discretize pass: %w", err)}
-	}
-	if got := len(sd.rowPtr) - 1; got != hi-lo {
-		return &builtChunk{err: fmt.Errorf("ooc: range scan [%d,%d) delivered %d rows", lo, hi, got)}
-	}
-	return &builtChunk{sd: sd, labels: labels}
-}
-
-// scanOrdered replays a range source through fn in strict row order
-// while producing row chunks concurrently — the sequential-consumer
-// side of the build's pass 1, where the cut accumulators' insertion
-// order decides the proposed cuts bit for bit. The same ticket-window
-// discipline as buildShardsParallel bounds look-ahead memory.
-func scanOrdered(rs RangeSource, chunkRows, workers int, fn func(row int, indices []int32, values []float64, label float64) error) error {
-	rows := rs.Rows()
-	n := (rows + chunkRows - 1) / chunkRows
-	chans := make([]chan *rowChunk, n)
-	for i := range chans {
-		chans[i] = make(chan *rowChunk, 1)
-	}
-	window := make(chan struct{}, workers+2)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				window <- struct{}{}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					<-window
-					return
-				}
-				if failed.Load() {
-					chans[i] <- &rowChunk{}
-					continue
-				}
-				lo := i * chunkRows
-				chans[i] <- materializeChunk(rs, lo, min(lo+chunkRows, rows))
-			}
-		}()
-	}
-
-	var err error
-	for i := 0; i < n; i++ {
-		c := <-chans[i]
-		<-window
-		if err != nil {
-			continue
-		}
-		if c.err != nil {
-			err = c.err
-			failed.Store(true)
-			continue
-		}
-		for r := 0; r+1 < len(c.rowPtr); r++ {
-			a, b := c.rowPtr[r], c.rowPtr[r+1]
-			if ferr := fn(c.lo+r, c.cols[a:b], c.vals[a:b], c.labels[r]); ferr != nil {
-				err = ferr
-				failed.Store(true)
-				break
-			}
-		}
-	}
-	wg.Wait()
-	return err
-}
-
-// rowChunk is one materialized run of raw rows crossing from a scan
-// worker to the ordered consumer.
-type rowChunk struct {
-	lo     int
-	rowPtr []int32
-	cols   []int32
-	vals   []float64
-	labels []float64
-	err    error
-}
-
-// materializeChunk buffers rows [lo, hi) of the source into CSR form.
-func materializeChunk(rs RangeSource, lo, hi int) *rowChunk {
-	c := &rowChunk{lo: lo, rowPtr: []int32{0}, labels: make([]float64, 0, hi-lo)}
-	err := rs.ScanRange(lo, hi, func(row int, indices []int32, values []float64, label float64) error {
-		c.cols = append(c.cols, indices...)
-		c.vals = append(c.vals, values...)
-		c.rowPtr = append(c.rowPtr, int32(len(c.cols)))
-		c.labels = append(c.labels, label)
-		return nil
-	})
-	if err != nil {
-		return &rowChunk{err: fmt.Errorf("ooc: range scan [%d,%d): %w", lo, hi, err)}
-	}
-	if got := len(c.rowPtr) - 1; got != hi-lo {
-		return &rowChunk{err: fmt.Errorf("ooc: range scan [%d,%d) delivered %d rows", lo, hi, got)}
-	}
-	return c
 }
 
 // writeManifest commits one manifest generation: plain JSON, no binary

@@ -3,11 +3,13 @@ package ooc
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -320,48 +322,109 @@ func dirBytes(t *testing.T, dir string) map[string][]byte {
 }
 
 // A parallel build must produce the same directory, file for file and
-// byte for byte, as a serial one — including the manifest, labels, and
-// shard payloads — for both a plain source and a column slice of one.
+// byte for byte, as a sequential one — including the manifest, labels,
+// and shard payloads — for a plain source and a column slice of one.
+// A LibSVM file cannot be range-scanned, so Workers 4 reads it through
+// the sequential branch and must give the same bytes as Workers 0.
 func TestParallelBuildByteIdentity(t *testing.T) {
 	gen := dataset.GenOptions{Rows: 3000, Cols: 12, Density: 0.3, Seed: 23}
-	newSrc := func(t *testing.T, slice bool) Source {
+	synthSrc := func(t *testing.T) Source {
 		src, err := NewSynthSource(gen)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !slice {
-			return src
-		}
-		cs, err := NewColumnSlice(src, 2, 9, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs
+		return src
 	}
 	for _, tc := range []struct {
-		name  string
-		slice bool
-	}{{"synth", false}, {"column-slice", true}} {
+		name   string
+		newSrc func(t *testing.T) Source
+	}{
+		{"synth", synthSrc},
+		{"column-slice", func(t *testing.T) Source {
+			cs, err := NewColumnSlice(synthSrc(t), 2, 9, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cs
+		}},
+		{"libsvm", func(t *testing.T) Source {
+			d, err := dataset.Generate(gen)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "data.libsvm")
+			if err := dataset.SaveLibSVMFile(path, d); err != nil {
+				t.Fatal(err)
+			}
+			src, err := NewLibSVMSource(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serialDir, parDir := t.TempDir(), t.TempDir()
-			if err := Build(serialDir, newSrc(t, tc.slice), BuildOptions{ChunkRows: 256}); err != nil {
+			src := tc.newSrc(t)
+			seqDir, parDir := t.TempDir(), t.TempDir()
+			if err := Build(seqDir, src, BuildOptions{ChunkRows: 256}); err != nil {
 				t.Fatal(err)
 			}
-			if err := Build(parDir, newSrc(t, tc.slice), BuildOptions{ChunkRows: 256, Workers: 4}); err != nil {
+			if err := Build(parDir, src, BuildOptions{ChunkRows: 256, Workers: 4}); err != nil {
 				t.Fatal(err)
 			}
-			serial, par := dirBytes(t, serialDir), dirBytes(t, parDir)
-			if len(serial) != len(par) {
-				t.Fatalf("file count differs: serial %d, parallel %d", len(serial), len(par))
+			seq, par := dirBytes(t, seqDir), dirBytes(t, parDir)
+			if len(seq) != len(par) {
+				t.Fatalf("file count differs: sequential %d, parallel %d", len(seq), len(par))
 			}
-			for name, want := range serial {
+			for name, want := range seq {
 				got, ok := par[name]
 				if !ok {
 					t.Fatalf("parallel build missing %s", name)
 				}
 				if !bytes.Equal(want, got) {
-					t.Fatalf("%s differs between serial and parallel build", name)
+					t.Fatalf("%s differs between sequential and parallel build", name)
 				}
+			}
+		})
+	}
+}
+
+// failingRange is a range source whose failOn-th scan of the chunk
+// holding row failAt fails.
+type failingRange struct {
+	*SynthSource
+	failAt int
+	failOn int32
+	scans  *atomic.Int32
+}
+
+var errSourceBroke = errors.New("source broke")
+
+func (s failingRange) ScanRange(lo, hi int, fn func(row int, indices []int32, values []float64, label float64) error) error {
+	if lo <= s.failAt && s.failAt < hi && s.scans.Add(1) == s.failOn {
+		return errSourceBroke
+	}
+	return s.SynthSource.ScanRange(lo, hi, fn)
+}
+
+// A chunk that fails to read in a parallel build, in the cut pass or in
+// the discretize pass, ends the build with that error: the workers drain
+// the chunks behind it and exit, and no manifest is committed.
+func TestParallelBuildStopsOnSourceError(t *testing.T) {
+	src, err := NewSynthSource(dataset.GenOptions{Rows: 3000, Cols: 6, Density: 0.5, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pass := range []int32{1, 2} {
+		t.Run(fmt.Sprintf("pass-%d", pass), func(t *testing.T) {
+			dir := t.TempDir()
+			bad := failingRange{SynthSource: src, failAt: 1000, failOn: pass, scans: new(atomic.Int32)}
+			err := Build(dir, bad, BuildOptions{ChunkRows: 128, Workers: 4})
+			if !errors.Is(err, errSourceBroke) {
+				t.Fatalf("Build error %v, want %v", err, errSourceBroke)
+			}
+			if _, err := Open(dir, Options{}); err == nil {
+				t.Fatal("a failed build left an openable store")
 			}
 		})
 	}

@@ -208,8 +208,6 @@ type ColumnSlice struct {
 	src        Source
 	lo, hi     int
 	keepLabels bool
-	idxBuf     []int32
-	valBuf     []float64
 }
 
 // NewColumnSlice validates the range against the source width.
@@ -229,25 +227,34 @@ func (s *ColumnSlice) Labeled() bool { return s.keepLabels && s.src.Labeled() }
 // Scan replays the projected stream. Rows with no entry in the range are
 // still delivered (instance alignment across parties).
 func (s *ColumnSlice) Scan(fn func(row int, indices []int32, values []float64, label float64) error) error {
-	return s.src.Scan(func(row int, indices []int32, values []float64, label float64) error {
-		s.idxBuf, s.valBuf = s.idxBuf[:0], s.valBuf[:0]
+	return s.src.Scan(s.project(fn))
+}
+
+// rowFunc is the per-row callback of Scan and ScanRange.
+type rowFunc = func(row int, indices []int32, values []float64, label float64) error
+
+// project wraps fn in the slice's projection. Each call owns its row
+// buffers, so concurrent scans of one slice never share state.
+func (s *ColumnSlice) project(fn rowFunc) rowFunc {
+	var idx []int32
+	var val []float64
+	return func(row int, indices []int32, values []float64, label float64) error {
+		idx, val = idx[:0], val[:0]
 		for k, j := range indices {
 			if int(j) >= s.lo && int(j) < s.hi {
-				s.idxBuf = append(s.idxBuf, j-int32(s.lo))
-				s.valBuf = append(s.valBuf, values[k])
+				idx = append(idx, j-int32(s.lo))
+				val = append(val, values[k])
 			}
 		}
 		if !s.keepLabels {
 			label = 0
 		}
-		return fn(row, s.idxBuf, s.valBuf, label)
-	})
+		return fn(row, idx, val, label)
+	}
 }
 
 // rangeColumnSlice is a ColumnSlice whose underlying source is
-// range-scannable. Unlike the ColumnSlice Scan path — which reuses one
-// buffer pair across rows — each ScanRange call owns local buffers, so
-// concurrent range scans of different chunks never share state.
+// range-scannable.
 type rangeColumnSlice struct {
 	*ColumnSlice
 	inner RangeSource
@@ -259,19 +266,5 @@ func (s *rangeColumnSlice) Rows() int { return s.inner.Rows() }
 
 // ScanRange replays the projected rows [lo, hi).
 func (s *rangeColumnSlice) ScanRange(lo, hi int, fn func(row int, indices []int32, values []float64, label float64) error) error {
-	var idxBuf []int32
-	var valBuf []float64
-	return s.inner.ScanRange(lo, hi, func(row int, indices []int32, values []float64, label float64) error {
-		idxBuf, valBuf = idxBuf[:0], valBuf[:0]
-		for k, j := range indices {
-			if int(j) >= s.ColumnSlice.lo && int(j) < s.ColumnSlice.hi {
-				idxBuf = append(idxBuf, j-int32(s.ColumnSlice.lo))
-				valBuf = append(valBuf, values[k])
-			}
-		}
-		if !s.keepLabels {
-			label = 0
-		}
-		return fn(row, idxBuf, valBuf, label)
-	})
+	return s.inner.ScanRange(lo, hi, s.project(fn))
 }

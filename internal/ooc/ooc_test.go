@@ -183,11 +183,48 @@ func TestShardCorruptionTypedError(t *testing.T) {
 
 // The same corruption heals transparently when the store has its build
 // source attached: the bad shard is quarantined, rebuilt, committed under
-// a new manifest generation, and every row reads back exactly.
+// a new manifest generation, and every row reads back exactly — whether
+// or not the source can be range-scanned.
 func TestShardCorruptionRebuildsFromSource(t *testing.T) {
 	d := synth(t, 200, 6)
+	path := filepath.Join(t.TempDir(), "data.libsvm")
+	if err := dataset.SaveLibSVMFile(path, d); err != nil {
+		t.Fatal(err)
+	}
+	// LibSVM text round-trips through %g, so the file's rows are the
+	// reference for the store built from it.
+	fromFile, err := dataset.LoadLibSVMFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    *dataset.Dataset
+		src  func(t *testing.T) Source
+	}{
+		// A range-scannable source rebuilds the shard by a range scan.
+		{"dataset", d, func(*testing.T) Source { return NewDatasetSource(d) }},
+		// A LibSVM file cannot be range-scanned: the rebuild scans it
+		// from the start and stops at the shard's last row.
+		{"libsvm", fromFile, func(t *testing.T) Source {
+			src, err := NewLibSVMSource(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return src
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testShardRebuild(t, tc.d, tc.src(t))
+		})
+	}
+}
+
+// testShardRebuild corrupts the middle shard of a store built from src
+// and checks that the store heals it from src to d's binned rows.
+func testShardRebuild(t *testing.T, d *dataset.Dataset, src Source) {
 	dir := t.TempDir()
-	if err := Build(dir, NewDatasetSource(d), BuildOptions{ChunkRows: 64}); err != nil {
+	if err := Build(dir, src, BuildOptions{ChunkRows: 64}); err != nil {
 		t.Fatal(err)
 	}
 	name := filepath.Join(dir, "shard-000001.bin")
@@ -199,7 +236,7 @@ func TestShardCorruptionRebuildsFromSource(t *testing.T) {
 	if err := os.WriteFile(name, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{Source: NewDatasetSource(d)})
+	st, err := Open(dir, Options{Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,29 +385,6 @@ func TestLibSVMSourceRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(labels, d2.Labels) {
 		t.Fatal("labels differ")
-	}
-}
-
-// FastSketch cuts are not parity-exact but must be structurally valid
-// and the built store trainable.
-func TestFastSketchBuild(t *testing.T) {
-	d := synth(t, 600, 8)
-	st := buildStore(t, d, BuildOptions{ChunkRows: 100, FastSketch: true}, Options{})
-	for j, cuts := range st.Mapper().Cuts {
-		for k := 1; k < len(cuts); k++ {
-			if cuts[k] <= cuts[k-1] {
-				t.Fatalf("feature %d cuts not strictly increasing", j)
-			}
-		}
-	}
-	labels, err := st.Labels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := gbdt.DefaultParams()
-	p.NumTrees = 2
-	if _, err := gbdt.TrainBinned(st, labels, p); err != nil {
-		t.Fatal(err)
 	}
 }
 

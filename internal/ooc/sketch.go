@@ -7,25 +7,17 @@ import (
 	"vf2boost/internal/quantile"
 )
 
-// Pass 1: propose per-feature cuts from one streaming scan.
+// Pass 1: propose per-feature cuts from one streaming read.
 //
-// The default accumulator reproduces gbdt.NewBinMapper bin-for-bin: a
-// feature's values buffer exactly until the column outgrows
-// gbdt.SketchThreshold, then spill into a GK sketch in insertion order —
-// the same exact-vs-sketch switch, the same eps, the same value order
-// (the in-memory path feeds its sketch from the CSC column view, which
-// is row-ordered, and a Source scans rows in order). Peak pass-1 memory
-// is therefore min(nnz, cols·SketchThreshold) float64s: bounded by the
-// column count however many rows stream past.
-//
-// The FastSketch mode instead sketches every column per chunk and merges
-// chunk sketches into the global summary on a background worker, so
-// sketch maintenance overlaps the scan. Chunk sketches cross the worker
-// boundary in their serialized form (quantile.AppendBinary), the same
-// bytes a distributed builder would ship between machines. Merging
-// loosens the rank bound to εa+εb (see quantile.Merge), so FastSketch
-// cuts are valid split candidates but not byte-identical to the
-// in-memory path — use the default mode when parity matters.
+// The accumulator reproduces gbdt.NewBinMapper bin-for-bin: a feature's
+// values buffer exactly until the column outgrows gbdt.SketchThreshold,
+// then spill into a GK sketch in insertion order — the same
+// exact-vs-sketch switch, the same eps, the same value order (the
+// in-memory path feeds its sketch from the CSC column view, which is
+// row-ordered, and the chunk reader delivers rows in order). Peak pass-1
+// memory is therefore min(nnz, cols·SketchThreshold) float64s plus the
+// reader's chunks: bounded by the column count and chunk height however
+// many rows stream past.
 
 // featAcc is one feature's cut-proposal state.
 type featAcc struct {
@@ -60,26 +52,18 @@ func (a *featAcc) cuts(maxBins int) []float64 {
 }
 
 // proposeCuts runs pass 1 and returns the mapper plus the row count.
+// The reader hands over chunks in row order, and a chunk's entries are
+// row-ordered, so each accumulator sees its feature's values in the
+// order a sequential scan would.
 func proposeCuts(src Source, opt BuildOptions) (*gbdt.BinMapper, int, error) {
-	if opt.FastSketch {
-		return proposeCutsFast(src, opt)
-	}
 	eps := 0.5 / float64(opt.MaxBins)
 	accs := make([]featAcc, src.Cols())
 	rows := 0
-	scan := src.Scan
-	if rs, ok := AsRangeSource(src); ok && opt.Workers > 1 {
-		// Same callback, same row order — chunk generation runs on the
-		// workers while the accumulators consume sequentially, so the
-		// proposed cuts stay byte-identical to a serial scan.
-		scan = func(fn func(row int, indices []int32, values []float64, label float64) error) error {
-			return scanOrdered(rs, opt.ChunkRows, opt.Workers, fn)
-		}
-	}
-	err := scan(func(row int, indices []int32, values []float64, label float64) error {
-		rows++
-		for k, j := range indices {
-			accs[j].add(values[k], eps)
+	r := chunkReader{src: src, height: opt.ChunkRows, workers: opt.Workers}
+	err := r.read(0, allRows, func(c *chunk) error {
+		rows += c.rows()
+		for k, j := range c.cols {
+			accs[j].add(c.vals[k], eps)
 		}
 		return nil
 	})
@@ -89,93 +73,6 @@ func proposeCuts(src Source, opt BuildOptions) (*gbdt.BinMapper, int, error) {
 	cuts := make([][]float64, len(accs))
 	for j := range accs {
 		cuts[j] = accs[j].cuts(opt.MaxBins)
-	}
-	return &gbdt.BinMapper{Cuts: cuts, MaxBins: opt.MaxBins}, rows, nil
-}
-
-// chunkSketches is one chunk's serialized per-feature sketches; nil
-// entries mark features the chunk never saw.
-type chunkSketches [][]byte
-
-// proposeCutsFast sketches per chunk and merges on a background worker.
-func proposeCutsFast(src Source, opt BuildOptions) (*gbdt.BinMapper, int, error) {
-	eps := 0.5 / float64(opt.MaxBins)
-	cols := src.Cols()
-
-	global := make([]*quantile.Sketch, cols)
-	work := make(chan chunkSketches, 2)
-	mergeErr := make(chan error, 1)
-	go func() {
-		for cs := range work {
-			for j, payload := range cs {
-				if payload == nil {
-					continue
-				}
-				var sk quantile.Sketch
-				if err := sk.UnmarshalBinary(payload); err != nil {
-					mergeErr <- fmt.Errorf("ooc: chunk sketch for feature %d: %w", j, err)
-					// Drain so the producer never blocks after a failure.
-					for range work {
-					}
-					return
-				}
-				if global[j] == nil {
-					g := quantile.MustNew(eps)
-					global[j] = g
-				}
-				global[j].Merge(&sk)
-			}
-		}
-		mergeErr <- nil
-	}()
-
-	chunk := make([]*quantile.Sketch, cols)
-	inChunk := 0
-	flush := func() {
-		if inChunk == 0 {
-			return
-		}
-		cs := make(chunkSketches, cols)
-		for j, sk := range chunk {
-			if sk == nil {
-				continue
-			}
-			cs[j] = sk.AppendBinary(nil)
-			chunk[j] = nil
-		}
-		work <- cs
-		inChunk = 0
-	}
-	rows := 0
-	err := src.Scan(func(row int, indices []int32, values []float64, label float64) error {
-		rows++
-		for k, j := range indices {
-			if chunk[j] == nil {
-				chunk[j] = quantile.MustNew(eps)
-			}
-			chunk[j].Add(values[k])
-		}
-		inChunk++
-		if inChunk >= opt.ChunkRows {
-			flush()
-		}
-		return nil
-	})
-	if err == nil {
-		flush()
-	}
-	close(work)
-	if merr := <-mergeErr; err == nil && merr != nil {
-		err = merr
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("ooc: sketch pass: %w", err)
-	}
-	cuts := make([][]float64, cols)
-	for j, sk := range global {
-		if sk != nil {
-			cuts[j] = sk.Quantiles(opt.MaxBins)
-		}
 	}
 	return &gbdt.BinMapper{Cuts: cuts, MaxBins: opt.MaxBins}, rows, nil
 }

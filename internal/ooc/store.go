@@ -551,17 +551,14 @@ func (s *Store) readShardHealing(k int, rec shardRecord) (*shardData, error) {
 	return sd, nil
 }
 
-// errStopScan aborts a source scan early once the rebuilt range is
-// complete.
-var errStopScan = errors.New("ooc: stop scan")
-
 // rebuildShard re-derives shard k from the store's source: the bad file
 // is quarantined (renamed aside, preserving the evidence), the shard's
-// row range is re-discretized through the store's own mapper, verified
-// against the manifest record, published under a generation-stamped name
-// and committed by a new manifest generation. Every step is re-runnable:
-// a crash at any point leaves the previous generation consistent and a
-// reopened store heals the same shard again.
+// row range is re-read through the build's chunk reader and binned by
+// the store's own mapper, verified against the manifest record,
+// published under a generation-stamped name and committed by a new
+// manifest generation. Every step is re-runnable: a crash at any point
+// leaves the previous generation consistent and a reopened store heals
+// the same shard again.
 //
 // Rebuilds serialize on repairMu — a Source need not support concurrent
 // scans — and take s.mu only around manifest/stat mutations, so healthy
@@ -583,34 +580,21 @@ func (s *Store) rebuildShard(k int, rec shardRecord) (*shardData, error) {
 		s.mu.Unlock()
 	}
 
-	sd := &shardData{startRow: rec.StartRow, rowPtr: []int32{0}}
-	end := rec.StartRow + rec.Rows
-	emit := func(row int, indices []int32, values []float64, label float64) error {
-		if row < rec.StartRow {
-			return nil
-		}
-		if row >= end {
-			return errStopScan
-		}
-		for i, j := range indices {
-			sd.cols = append(sd.cols, j)
-			sd.bins = append(sd.bins, uint8(s.mapper.Bin(int(j), values[i])))
-		}
-		sd.rowPtr = append(sd.rowPtr, int32(len(sd.cols)))
+	// One chunk as tall as the shard: the reader range-scans the source
+	// when it can and otherwise scans it up to the range end. It never
+	// refills a range's last chunk, so the binned rows are ours to keep.
+	sd := &shardData{rowPtr: []int32{0}}
+	r := chunkReader{src: s.opt.Source, height: rec.Rows, mapper: s.mapper}
+	if err := r.read(rec.StartRow, rec.StartRow+rec.Rows, func(c *chunk) error {
+		rebuilt := c.shardData
+		sd = &rebuilt
 		return nil
-	}
-	var err error
-	if rs, ok := AsRangeSource(s.opt.Source); ok {
-		err = rs.ScanRange(rec.StartRow, end, emit)
-	} else {
-		err = s.opt.Source.Scan(emit)
-	}
-	if err != nil && !errors.Is(err, errStopScan) {
+	}); err != nil {
 		return nil, fmt.Errorf("rescanning source: %w", err)
 	}
 	if got := len(sd.rowPtr) - 1; got != rec.Rows || len(sd.cols) != rec.NNZ {
 		return nil, fmt.Errorf("source drifted: rebuilt %d rows / %d nnz, manifest says %d / %d",
-			len(sd.rowPtr)-1, len(sd.cols), rec.Rows, rec.NNZ)
+			got, len(sd.cols), rec.Rows, rec.NNZ)
 	}
 
 	gen := s.Generation()

@@ -218,9 +218,9 @@ func (pk *PublicKey) resolveObfuscationBits(expBits int) (int, error) {
 
 // EnableFastObfuscation derives a random obfuscation base h = r₀^n mod n²
 // and switches Obfuscator (and everything built on it: Encrypt,
-// EncryptBatch, ObfuscatorPool) to the fast h^x path. expBits <= 0 selects
-// the modulus-derived default (DefaultObfuscationBitsFor); random nil
-// selects crypto/rand.Reader.
+// ObfuscatorPool) to the fast h^x path. expBits <= 0 selects the
+// modulus-derived default (DefaultObfuscationBitsFor); random nil selects
+// crypto/rand.Reader.
 //
 // Enable the fast path before the key is used concurrently (it is a plain
 // configuration write, deliberately not synchronized against in-flight

@@ -174,45 +174,6 @@ func TestCiphertextBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchEncryptDecrypt(t *testing.T) {
-	priv := testKey(t, 256)
-	ms := make([]*big.Int, 50)
-	for i := range ms {
-		ms[i] = big.NewInt(int64(i * 13))
-	}
-	cts, err := priv.EncryptBatch(rand.Reader, ms, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := priv.DecryptBatch(cts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ms {
-		if got[i].Cmp(ms[i]) != 0 {
-			t.Fatalf("batch[%d] = %v, want %v", i, got[i], ms[i])
-		}
-	}
-}
-
-func TestSum(t *testing.T) {
-	priv := testKey(t, 256)
-	if v, err := priv.DecryptInt64(priv.Sum(nil)); err != nil || v != 0 {
-		t.Errorf("Sum(nil) = %d, %v; want 0, nil", v, err)
-	}
-	cts := make([]Ciphertext, 5)
-	for i := range cts {
-		cts[i], _ = priv.EncryptInt64(rand.Reader, int64(i+1))
-	}
-	v, err := priv.DecryptInt64(priv.Sum(cts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 15 {
-		t.Errorf("Sum(1..5) = %d, want 15", v)
-	}
-}
-
 func TestObfuscatorPool(t *testing.T) {
 	priv := testKey(t, 256)
 	pool := NewObfuscatorPool(&priv.PublicKey, 2, 8, nil)

@@ -59,27 +59,3 @@ func TestObfuscatorIsUnitPower(t *testing.T) {
 		t.Errorf("obfuscated zero decrypts to %v", m)
 	}
 }
-
-func TestParallelForEdges(t *testing.T) {
-	sum := 0
-	parallelFor(0, 4, func(lo, hi int) { sum += hi - lo })
-	if sum != 0 {
-		t.Error("empty range executed work")
-	}
-	var total int
-	parallelFor(10, 1, func(lo, hi int) { total += hi - lo })
-	if total != 10 {
-		t.Errorf("single worker covered %d of 10", total)
-	}
-	covered := make([]bool, 100)
-	parallelFor(100, 7, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			covered[i] = true
-		}
-	})
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("index %d not covered", i)
-		}
-	}
-}

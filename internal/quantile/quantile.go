@@ -176,20 +176,6 @@ func (s *Sketch) Size() int {
 	return len(s.entries)
 }
 
-// Merge folds another sketch into this one. The merged summary keeps the
-// looser of the two epsilons' guarantees; it is implemented by replaying
-// the other sketch's tuples weighted by their gaps, which preserves an
-// (εa+εb) rank bound — sufficient for split-candidate proposals, where
-// worker-local sketches are merged at the scheduler.
-func (s *Sketch) Merge(o *Sketch) {
-	o.flush()
-	for _, e := range o.entries {
-		for i := 0; i < e.g; i++ {
-			s.Add(e.v)
-		}
-	}
-}
-
 // Exact returns the exact k-1 interior quantile cut points of values,
 // used when the column is small enough to sort outright. values is not
 // modified. Duplicate cuts are removed.

@@ -135,29 +135,6 @@ func TestQuantilesMonotoneAndDeduped(t *testing.T) {
 	}
 }
 
-func TestMergePreservesApproximation(t *testing.T) {
-	const n = 5000
-	a, b := MustNew(0.01), MustNew(0.01)
-	all := make([]float64, 0, 2*n)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < n; i++ {
-		v1, v2 := rng.NormFloat64(), rng.NormFloat64()+2
-		a.Add(v1)
-		b.Add(v2)
-		all = append(all, v1, v2)
-	}
-	a.Merge(b)
-	sort.Float64s(all)
-	for _, q := range []float64{0.25, 0.5, 0.75} {
-		got := a.Query(q)
-		r := rankOf(all, got)
-		want := int(math.Ceil(q * float64(len(all))))
-		if d := math.Abs(float64(r - want)); d > 4*0.01*float64(len(all)) {
-			t.Errorf("merged q=%g rank error %g too large", q, d)
-		}
-	}
-}
-
 func TestExact(t *testing.T) {
 	vals := []float64{5, 1, 3, 2, 4}
 	cuts := Exact(vals, 5)

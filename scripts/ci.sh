@@ -100,15 +100,17 @@ echo "== parallel ooc smoke (shard sweeps, lock-split store, parallel build; rac
 # The shard sweeps and the lock-split shard cache move real work off the
 # store mutex, so this leg runs their parity and concurrency regressions
 # under the race detector: sharded vs unsharded byte identity (models and
-# histograms, and the refusal of a non-ascending list), serial vs
-# parallel build byte identity, the loads bounds (local trainer — also
-# at 4 workers on layers narrower than that — and federated engines), the
-# per-visit LRU clock against the per-row policy, one pass against
+# histograms, and the refusal of a non-ascending list), build byte
+# identity at Workers 0 vs 4, range-scannable and plain sources, shard
+# repair through both read branches of the chunk reader (range scan and
+# scan-and-stop), the loads bounds (local trainer — also at 4 workers on
+# layers narrower than that — and federated engines), the per-visit LRU
+# clock against the per-row policy, one pass against
 # per-node walks, the slow-prefetch-never-blocks-demand contract, and the
 # pooled shard read: a load allocates only the shard it keeps, and a
 # pinned shard never sees the buffer reused under it.
 go test -race -count=1 \
-  -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestEvictionOrderAfterInterleavedVisits|TestFederatedLoadsBound|TestRouteNodesMatchesPerNode|TestAccumulatePassMatchesPerNode|TestShardLoadAllocatesOnlyWhatItKeeps|TestPinnedShardSurvivesBufferReuse' \
+  -run 'TestShardMajorModelParity|TestBuildHistogramsShardedParity|TestPlanShardTasks|TestParallelBuildByteIdentity|TestShardCorruptionRebuildsFromSource|TestTrainingLoadsBound|TestSlowPrefetchDoesNotBlockDemandLoad|TestConcurrentRowPrefetchCloseRace|TestEvictionOrderAfterInterleavedVisits|TestFederatedLoadsBound|TestRouteNodesMatchesPerNode|TestAccumulatePassMatchesPerNode|TestShardLoadAllocatesOnlyWhatItKeeps|TestPinnedShardSurvivesBufferReuse' \
   ./internal/gbdt ./internal/ooc ./internal/core
 
 echo "== chaos smoke (seeded faults must reproduce the fault-free model) =="
