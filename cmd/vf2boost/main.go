@@ -366,6 +366,7 @@ func cmdSim(args []string) {
 	split := fs.String("split", "", "per-party feature counts, e.g. 30,20 (last party keeps labels)")
 	out := fs.String("out", "fedmodel.json", "model output path")
 	wan := fs.Float64("wan", 0, "simulated WAN bandwidth in Mbps (0 = unshaped)")
+	latency := fs.Duration("latency", 0, "simulated WAN one-way latency, e.g. 20ms (0 = none)")
 	chaos := fs.String("chaos", "", "seeded fault injection spec, e.g. seed=7,drop=0.05,dup=0.02,reorder=0.02,delay=0.1,delayfor=2ms,cut=500")
 	ckptDir := fs.String("checkpoint-dir", "", "snapshot every party's training state here after each tree")
 	resume := fs.Bool("resume", false, "resume from the newest checkpoint under -checkpoint-dir")
@@ -378,10 +379,13 @@ func cmdSim(args []string) {
 	if *resume && *ckptDir == "" {
 		log.Fatal("sim: -resume requires -checkpoint-dir")
 	}
+	if *latency < 0 {
+		log.Fatal("sim: -latency must not be negative")
+	}
 	cfg := cfgFn()
 	var opts []core.SessionOption
-	if *wan > 0 {
-		opts = append(opts, core.WithWAN(*wan, 0))
+	if *wan > 0 || *latency > 0 {
+		opts = append(opts, core.WithWAN(*wan, *latency))
 	}
 	if *chaos != "" {
 		fc, err := fault.ParseSpec(*chaos)
@@ -510,25 +514,31 @@ func cmdGateway(args []string) {
 	addr := fs.String("addr", ":7001", "listen address")
 	secret := fs.String("secret", "", "shared token secret (empty disables auth)")
 	wan := fs.Float64("wan", 0, "simulated WAN bandwidth in Mbps (0 = unshaped)")
+	latency := fs.Duration("latency", 0, "simulated WAN one-way latency, e.g. 20ms (0 = none)")
 	fs.Parse(args)
+	if *latency < 0 {
+		log.Fatal("gateway: -latency must not be negative")
+	}
 	var opts []mq.Option
 	if *secret != "" {
 		opts = append(opts, mq.WithAuth([]byte(*secret)))
 	}
-	if *wan > 0 {
-		sh := mq.NewShaper(*wan, 0)
+	if *wan > 0 || *latency > 0 {
+		sh := mq.NewShaper(*wan, *latency)
 		sh.SetPerMessageOverhead(mq.FrameOverhead)
 		opts = append(opts, mq.WithShaper(sh))
 	}
 	broker := mq.NewBroker(opts...)
 	g := mq.NewGateway(broker)
+	// Catch the interrupt before announcing the address, so a caller that
+	// stops the gateway as soon as it reads the line gets a clean shutdown.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
 	bound, err := g.Listen(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("gateway listening on %s (auth: %v)\n", bound, *secret != "")
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
 	<-sig
 	g.Close()
 	broker.Close()

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"vf2boost/internal/dataset"
 )
@@ -159,5 +162,66 @@ func TestParseBytes(t *testing.T) {
 		if (err == nil) != tc.ok || got != tc.want {
 			t.Errorf("parseBytes(%q) = %d, %v; want %d, ok %v", tc.in, got, err, tc.want, tc.ok)
 		}
+	}
+}
+
+// TestLatencyFlag: sim and gateway take the shaped link's one-way latency
+// (the harness's 25 Mbps / 20 ms WAN is -wan 25 -latency 20ms). A negative
+// value is refused; a positive one delays every hop — a depth-2 tree
+// cannot finish in under four one-way trips — and moves no model byte.
+func TestLatencyFlag(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the CLI")
+	}
+	bin := buildCLI(t)
+	d, err := dataset.Generate(dataset.GenOptions{Rows: 300, Cols: 8, Density: 0.6, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	data := filepath.Join(dir, "d.libsvm")
+	if err := dataset.SaveLibSVMFile(data, d); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, args := range [][]string{
+		{"sim", "-data", data, "-split", "4,4", "-scheme", "mock", "-latency", "-1ms"},
+		{"gateway", "-addr", "127.0.0.1:0", "-latency", "-1ms"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err == nil || !bytes.Contains(out, []byte("-latency must not be negative")) {
+			t.Errorf("%s -latency -1ms was not refused: %v\n%s", args[0], err, out)
+		}
+	}
+
+	const latency = 50 * time.Millisecond
+	sim := func(out string, extra ...string) time.Duration {
+		start := time.Now()
+		runCLI(t, bin, append([]string{"sim", "-data", data, "-split", "4,4", "-scheme", "mock",
+			"-trees", "1", "-depth", "2", "-out", filepath.Join(dir, out)}, extra...)...)
+		return time.Since(start)
+	}
+	sim("plain.json")
+	if took := sim("wan.json", "-wan", "25", "-latency", latency.String()); took < 4*latency {
+		t.Errorf("sim -latency %v finished in %v, under four one-way trips", latency, took)
+	}
+	sameFile(t, filepath.Join(dir, "plain.json"), filepath.Join(dir, "wan.json"))
+
+	gw := exec.Command(bin, "gateway", "-addr", "127.0.0.1:0", "-wan", "25", "-latency", "20ms")
+	stdout, err := gw.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gw.Start(); err != nil {
+		t.Fatal(err)
+	}
+	line, err := bufio.NewReader(stdout).ReadString('\n')
+	if !strings.Contains(line, "gateway listening") {
+		gw.Process.Kill()
+		t.Fatalf("gateway -latency 20ms did not start: %q, %v", line, err)
+	}
+	gw.Process.Signal(os.Interrupt)
+	if err := gw.Wait(); err != nil {
+		t.Errorf("gateway exit: %v", err)
 	}
 }

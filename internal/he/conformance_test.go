@@ -45,9 +45,38 @@ func TestBackendConformance(t *testing.T) {
 			t.Run("hostile-input", func(t *testing.T) { testHostileInput(t, s) })
 			t.Run("signed-edges", func(t *testing.T) { testSignedEdges(t, s.dec) })
 			t.Run("modular-edges", func(t *testing.T) { testModularEdges(t, s) })
+			t.Run("plaintext-range", func(t *testing.T) { testPlaintextRange(t, s) })
 		})
 	}
+	// Once more at the paper's key size, where n, p² and q² are 2048-bit
+	// moduli: the key owner's tables and the power-of-two SMul chain run
+	// on the Montgomery kernel where the CPU has one. This decryptor is
+	// pooled with fast obfuscation on and the public side holds the
+	// public tables, so with the unpooled 256-bit run every Paillier
+	// encryption path is covered.
+	t.Run("paillier-2048", func(t *testing.T) {
+		pd, err := NewPaillier(conf2048Bits, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(pd.Close)
+		if err := pd.EnableFastObfuscation(); err != nil {
+			t.Fatal(err)
+		}
+		pub := NewPaillierPublic(paillier.NewPublicKey(pd.N()))
+		if err := pub.SetObfuscationBase(pd.ObfuscationBase(), pd.ObfuscationBits()); err != nil {
+			t.Fatal(err)
+		}
+		s := confScheme{dec: pd, pub: pub}
+		t.Run("modular-edges", func(t *testing.T) { testModularEdges(t, s) })
+		t.Run("plaintext-range", func(t *testing.T) { testPlaintextRange(t, s) })
+	})
 }
+
+// conf2048Bits is the paper's key size, run by the modular-edges and
+// plaintext-range cases only: its arithmetic takes milliseconds per
+// operation.
+const conf2048Bits = 2048
 
 // testMetadata: both sides name the same scheme and modulus, and a
 // marshaled ciphertext fits the size the WAN shaper accounts for.
@@ -132,7 +161,11 @@ func testHostileInput(t *testing.T, s confScheme) {
 // testModularEdges pins Add and AddInto to arithmetic modulo N on the
 // operands where a one-step reduction can go wrong — 0, N−1, sums of
 // exactly N and of 2N−2 — and on random residues, and checks that neither
-// the fresh nor the in-place form shares storage with an operand.
+// the fresh nor the in-place form shares storage with an operand. Each
+// operand is encrypted once, alternately by the private and the public
+// side, and must keep its ciphertext bytes through every pair. The
+// protocol's power-of-two scalars — exponent alignment by 16 and the
+// packing shift 2^114 — must multiply modulo N on every operand.
 func testModularEdges(t *testing.T, s confScheme) {
 	n := s.dec.N()
 	top := new(big.Int).Sub(n, big.NewInt(1))
@@ -142,13 +175,6 @@ func testModularEdges(t *testing.T, s confScheme) {
 	for i := 0; i < 8; i++ {
 		operands = append(operands, new(big.Int).Rand(rng, n))
 	}
-	enc := func(m *big.Int) Ciphertext {
-		ct, err := s.pub.Encrypt(m)
-		if err != nil {
-			t.Fatalf("Encrypt(%v): %v", m, err)
-		}
-		return ct
-	}
 	dec := func(ct Ciphertext) *big.Int {
 		m, err := s.dec.Decrypt(ct)
 		if err != nil {
@@ -156,10 +182,26 @@ func testModularEdges(t *testing.T, s confScheme) {
 		}
 		return m
 	}
+	cts := make([]Ciphertext, len(operands))
+	raws := make([][]byte, len(operands))
+	for i, x := range operands {
+		var enc Scheme = s.pub
+		if i%2 == 0 {
+			enc = s.dec
+		}
+		ct, err := enc.Encrypt(x)
+		if err != nil {
+			t.Fatalf("Encrypt(%v): %v", x, err)
+		}
+		if got := dec(ct); got.Cmp(x) != 0 {
+			t.Fatalf("Encrypt(%v) decrypts to %v", x, got)
+		}
+		cts[i], raws[i] = ct, s.pub.Marshal(ct)
+	}
 	mod := func(v *big.Int) *big.Int { return v.Mod(v, n) }
-	for _, x := range operands {
-		for _, y := range operands {
-			cx, cy := enc(x), enc(y)
+	for i, x := range operands {
+		for j, y := range operands {
+			cx, cy := cts[i], cts[j]
 			sum := mod(new(big.Int).Add(x, y))
 			if got := dec(s.pub.Add(cx, cy)); got.Cmp(sum) != 0 {
 				t.Errorf("Add(%v, %v) = %v, want %v", x, y, got, sum)
@@ -174,8 +216,38 @@ func testModularEdges(t *testing.T, s confScheme) {
 			if got, want := dec(acc), mod(new(big.Int).Add(sum, y)); got.Cmp(want) != 0 {
 				t.Errorf("AddInto(%v + %v, %v) = %v, want %v", x, y, y, got, want)
 			}
-			if dec(cx).Cmp(x) != 0 || dec(cy).Cmp(y) != 0 {
-				t.Fatalf("operands (%v, %v) read back as (%v, %v) after Add/AddInto", x, y, dec(cx), dec(cy))
+			if !bytes.Equal(s.pub.Marshal(cx), raws[i]) || !bytes.Equal(s.pub.Marshal(cy), raws[j]) {
+				t.Fatalf("operands (%v, %v) changed under Add/AddInto", x, y)
+			}
+		}
+	}
+	for i, x := range operands {
+		for _, k := range []*big.Int{big.NewInt(16), new(big.Int).Lsh(big.NewInt(1), 114)} {
+			want := mod(new(big.Int).Mul(x, k))
+			if got := dec(s.pub.MulScalar(cts[i], k)); got.Cmp(want) != 0 {
+				t.Errorf("MulScalar(%v, %v) = %v, want %v", x, k, got, want)
+			}
+		}
+		if !bytes.Equal(s.pub.Marshal(cts[i]), raws[i]) {
+			t.Fatalf("operand %v changed under MulScalar", x)
+		}
+	}
+}
+
+// testPlaintextRange: Encrypt refuses a plaintext outside [0, N) on both
+// sides instead of reducing it — Encrypt(−1) must not decrypt to N−1,
+// nor Encrypt(N) to 0 or Encrypt(N+5) to 5.
+func testPlaintextRange(t *testing.T, s confScheme) {
+	n := s.dec.N()
+	for _, sc := range []Scheme{s.dec, s.pub} {
+		for name, m := range map[string]*big.Int{
+			"-1":  big.NewInt(-1),
+			"N":   new(big.Int).Set(n),
+			"N+5": new(big.Int).Add(n, big.NewInt(5)),
+		} {
+			if ct, err := sc.Encrypt(m); err == nil {
+				got, _ := s.dec.Decrypt(ct)
+				t.Errorf("%T: Encrypt(%s) succeeded (decrypts to %v), want an error", sc, name, Signed(s.dec, got))
 			}
 		}
 	}

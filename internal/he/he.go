@@ -28,7 +28,8 @@ type Scheme interface {
 	N() *big.Int
 	// Bits is the modulus size S in bits.
 	Bits() int
-	// Encrypt encrypts m, which must lie in [0, N).
+	// Encrypt encrypts m, which must lie in [0, N); every scheme refuses
+	// anything else with an error rather than reducing it.
 	Encrypt(m *big.Int) (Ciphertext, error)
 	// EncryptZero returns the additive identity ciphertext. It need not
 	// be obfuscated; it is only used to seed accumulators.

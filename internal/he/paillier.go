@@ -161,9 +161,13 @@ func (s *PaillierScheme) Encrypt(m *big.Int) (Ciphertext, error) {
 }
 
 // Encrypt is the key owner's encryption: the obfuscator comes from the
-// pool when one is configured, else from the private key inline.
+// pool when one is configured, else from the private key inline. Either
+// way a plaintext outside [0, N) is refused before an obfuscator is spent.
 func (d *PaillierDecryptor) Encrypt(m *big.Int) (Ciphertext, error) {
 	if d.pool != nil {
+		if err := d.pk.ValidatePlaintext(m); err != nil {
+			return nil, err
+		}
 		rn, err := d.pool.Next()
 		if err != nil {
 			return nil, err

@@ -76,6 +76,11 @@ type FixedBase struct {
 	mod    *big.Int
 	window uint
 	tables [][]*big.Int // tables[i][j-1] = base^(j·2^(w·i)) mod m
+	// mont is set on the key owner's 2048-bit tables when montKernel is:
+	// the entries are then kept in montTables in Montgomery form,
+	// base^(j·2^(w·i))·R mod m, and tables is nil (see newOwnerTable).
+	mont       *montModulus
+	montTables [][]nat
 }
 
 // NewFixedBase precomputes tables covering exponents up to maxBits bits.
@@ -117,7 +122,9 @@ func newFixedBase(base, mod *big.Int, maxBits int, w uint) *FixedBase {
 }
 
 // MaxBits is the largest exponent width the tables cover.
-func (fb *FixedBase) MaxBits() int { return len(fb.tables) * int(fb.window) }
+func (fb *FixedBase) MaxBits() int {
+	return max(len(fb.tables), len(fb.montTables)) * int(fb.window)
+}
 
 // Exp computes base^x mod m for non-negative x. Exponents wider than
 // MaxBits fall back to math/big's general ladder, so the result is always
@@ -147,6 +154,10 @@ type expScratch struct {
 // only the storage of acc and s: one table multiplication per non-zero
 // window, no squarings.
 func (fb *FixedBase) expInto(acc, x *big.Int, s *expScratch) {
+	if fb.mont != nil {
+		fb.montExpInto(acc, x)
+		return
+	}
 	acc.SetUint64(1)
 	words, n := x.Bits(), uint(x.BitLen())
 	for i := uint(0); i*fb.window < n; i++ {

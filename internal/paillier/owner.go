@@ -15,6 +15,12 @@ package paillier
 //
 // The tables embed p² and q², so they hang off PrivateKey and are never
 // reachable from the PublicKey a PrivateKey hands out.
+//
+// For a 2048-bit key p² and q² are 2048-bit moduli, and where montKernel
+// is set (mont.go) each prime's table is built and kept in Montgomery form
+// only: entries h^(j·2^(8i))·R mod p², the accumulator starting at R mod p²
+// and leaving Montgomery form by one REDC before the CRT recombination, so
+// no product pays big.Int's division.
 
 import (
 	"crypto/rand"
@@ -53,11 +59,21 @@ func newOwnerObfuscator(priv *PrivateKey, f *fastObfuscator) *ownerObfuscator {
 	return &ownerObfuscator{
 		h:       f.h,
 		expMax:  f.expMax,
-		fp:      newFixedBase(f.h, priv.pSquared, f.expBits, ownerWindow),
-		fq:      newFixedBase(f.h, priv.qSquared, f.expBits, ownerWindow),
+		fp:      newOwnerTable(f.h, priv.pSquared, f.expBits),
+		fq:      newOwnerTable(f.h, priv.qSquared, f.expBits),
 		p2InvQ2: new(big.Int).ModInverse(priv.pSquared, priv.qSquared),
 		scratch: sync.Pool{New: func() any { return new(ownerScratch) }},
 	}
+}
+
+// newOwnerTable builds one prime's window-8 table for h modulo m = p² or
+// q²: in Montgomery form on the kernel when m is a 2048-bit modulus (any
+// prime of a 2048-bit key) and montKernel is set, else on big.Int.
+func newOwnerTable(h, m *big.Int, expBits int) *FixedBase {
+	if mm := newMontModulus(m); mm != nil && montKernel {
+		return newMontFixedBase(h, mm, expBits, ownerWindow)
+	}
+	return newFixedBase(h, m, expBits, ownerWindow)
 }
 
 // exp returns h^x mod n² for x ≥ 0. Exponents wider than the tables take
@@ -143,8 +159,12 @@ func (priv *PrivateKey) Obfuscator(random io.Reader) (*big.Int, error) {
 }
 
 // Encrypt encrypts m ∈ [0, n) like PublicKey.Encrypt, drawing the
-// obfuscator from the owner path.
+// obfuscator from the owner path; m outside [0, n) is
+// ErrPlaintextOutOfRange.
 func (priv *PrivateKey) Encrypt(random io.Reader, m *big.Int) (Ciphertext, error) {
+	if err := priv.ValidatePlaintext(m); err != nil {
+		return Ciphertext{}, err
+	}
 	rn, err := priv.Obfuscator(random)
 	if err != nil {
 		return Ciphertext{}, err

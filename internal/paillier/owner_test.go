@@ -29,41 +29,47 @@ func ownerKey(t testing.TB, bits int) *PrivateKey {
 // TestOwnerExpMatchesBigExp pins the owner's CRT evaluation of h^x to
 // math/big's h^x mod n²: edge exponents, every single-window value of the
 // lowest, a middle and the highest window, random exponents, and
-// exponents wider than the tables (which take the ladder fallback).
+// exponents wider than the tables (which take the ladder fallback). At
+// 2048 bits the tables are built twice: in Montgomery form on the kernel
+// and on big.Int.
 func TestOwnerExpMatchesBigExp(t *testing.T) {
 	for _, bits := range []int{512, 1024, 2048} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
-			priv := ownerKey(t, bits)
-			o, h, n2 := priv.owner, priv.fast.h, priv.NSquared
-			expBits := priv.ObfuscationBits()
-			check := func(x *big.Int) {
-				t.Helper()
-				if got, want := o.exp(x), new(big.Int).Exp(h, x, n2); got.Cmp(want) != 0 {
-					t.Fatalf("owner h^x != big.Exp for %d-bit x = %x", x.BitLen(), x)
-				}
-			}
-			check(new(big.Int))
-			check(big.NewInt(1))
-			check(new(big.Int).Sub(new(big.Int).Lsh(one, uint(expBits)), one))
-			windows := expBits / ownerWindow
-			for _, w := range []int{0, windows / 2, windows - 1} {
-				for v := int64(1); v < 1<<ownerWindow; v++ {
-					check(new(big.Int).Lsh(big.NewInt(v), uint(w*ownerWindow)))
-				}
-			}
-			randoms := 1000
-			if testing.Short() && bits > 512 {
-				randoms = 100
-			}
-			rng := mrand.New(mrand.NewSource(int64(bits)))
-			for i := 0; i < randoms; i++ {
-				check(new(big.Int).Rand(rng, o.expMax))
-			}
-			// Wider than the tables: one bit past, and as wide as n².
-			check(new(big.Int).Lsh(one, uint(o.fp.MaxBits())))
-			check(new(big.Int).Rand(rng, n2))
+			forEachPath(t, bits == montBits, func(t *testing.T) { testOwnerExp(t, ownerKey(t, bits)) })
 		})
 	}
+}
+
+func testOwnerExp(t *testing.T, priv *PrivateKey) {
+	bits := priv.Bits()
+	o, h, n2 := priv.owner, priv.fast.h, priv.NSquared
+	expBits := priv.ObfuscationBits()
+	check := func(x *big.Int) {
+		t.Helper()
+		if got, want := o.exp(x), new(big.Int).Exp(h, x, n2); got.Cmp(want) != 0 {
+			t.Fatalf("owner h^x != big.Exp for %d-bit x = %x", x.BitLen(), x)
+		}
+	}
+	check(new(big.Int))
+	check(big.NewInt(1))
+	check(new(big.Int).Sub(new(big.Int).Lsh(one, uint(expBits)), one))
+	windows := expBits / ownerWindow
+	for _, w := range []int{0, windows / 2, windows - 1} {
+		for v := int64(1); v < 1<<ownerWindow; v++ {
+			check(new(big.Int).Lsh(big.NewInt(v), uint(w*ownerWindow)))
+		}
+	}
+	randoms := 1000
+	if testing.Short() && bits > 512 {
+		randoms = 100
+	}
+	rng := mrand.New(mrand.NewSource(int64(bits)))
+	for i := 0; i < randoms; i++ {
+		check(new(big.Int).Rand(rng, o.expMax))
+	}
+	// Wider than the tables: one bit past, and as wide as n².
+	check(new(big.Int).Lsh(one, uint(o.fp.MaxBits())))
+	check(new(big.Int).Rand(rng, n2))
 }
 
 // TestOwnerCiphertextsInteroperate: ciphertexts from the owner path

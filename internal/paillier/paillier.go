@@ -20,6 +20,13 @@
 //     half the modulus width (squarePow2), returning the same residue
 //     big.Int.Exp would; other scalars, and keys under 1024 bits where the
 //     chain's fixed overhead outweighs it, go through Exp;
+//   - at the paper's 2048-bit key size the two hottest modular products —
+//     that chain (modulo n) and the key owner's fixed-base obfuscator
+//     (modulo p² and q², below) — skip big.Int's division: on amd64 with
+//     ADX and BMI2 they run in Montgomery form over a 32-word assembly
+//     kernel (mont.go), to the same residues. Every other width and
+//     platform, and HAdd, decryption and the public tables at any width,
+//     stay on big.Int;
 //   - optionally, EnableFastObfuscation replaces the full r^n ladder with
 //     DJN-style short-exponent obfuscators h^x served from precomputed
 //     fixed-base tables (see fixedbase.go), cutting obfuscator cost by
@@ -55,6 +62,11 @@ var one = big.NewInt(1)
 // the well-formedness every operation requires of wire inputs.
 var ErrInvalidCiphertext = errors.New("paillier: ciphertext out of range")
 
+// ErrPlaintextOutOfRange is returned when a plaintext to encrypt lies
+// outside [0, n): reducing it modulo n would silently encrypt another
+// value.
+var ErrPlaintextOutOfRange = errors.New("paillier: plaintext out of range")
+
 // PublicKey holds the public parameters of a Paillier key pair. The
 // generator is fixed to g = n+1, which is the common choice and admits the
 // fast encryption path.
@@ -68,6 +80,9 @@ type PublicKey struct {
 	// fast, when non-nil, serves obfuscators as h^x from fixed-base
 	// tables instead of the full r^n ladder (see fixedbase.go).
 	fast *fastObfuscator
+	// mont is squarePow2's Montgomery state for a 2048-bit n, nil for any
+	// other width (see mont.go).
+	mont *montChain
 }
 
 // PrivateKey holds the factorization of n and the CRT precomputation used
@@ -152,6 +167,7 @@ func newPrivateKey(p, q *big.Int) *PrivateKey {
 			N:        n,
 			NSquared: n2,
 			halfN:    new(big.Int).Rsh(n, 1),
+			mont:     newMontChain(n, n2),
 		},
 		p:        p,
 		q:        q,
@@ -184,10 +200,12 @@ func (priv *PrivateKey) Public() *PublicKey { return &priv.PublicKey }
 // NewPublicKey reconstructs a public key from its modulus, as shared with
 // passive parties at session setup.
 func NewPublicKey(n *big.Int) *PublicKey {
+	n2 := new(big.Int).Mul(n, n)
 	return &PublicKey{
 		N:        n,
-		NSquared: new(big.Int).Mul(n, n),
+		NSquared: n2,
 		halfN:    new(big.Int).Rsh(n, 1),
+		mont:     newMontChain(n, n2),
 	}
 }
 
@@ -230,14 +248,28 @@ func (pk *PublicKey) BaselineObfuscator(random io.Reader) (*big.Int, error) {
 	return r.Exp(r, pk.N, pk.NSquared), nil
 }
 
-// Encrypt encrypts the plaintext m, which must lie in [0, n). It draws a
-// fresh obfuscator from random.
+// Encrypt encrypts the plaintext m, which must lie in [0, n) (anything
+// else is ErrPlaintextOutOfRange). It draws a fresh obfuscator from random.
 func (pk *PublicKey) Encrypt(random io.Reader, m *big.Int) (Ciphertext, error) {
+	if err := pk.ValidatePlaintext(m); err != nil {
+		return Ciphertext{}, err
+	}
 	rn, err := pk.Obfuscator(random)
 	if err != nil {
 		return Ciphertext{}, err
 	}
 	return pk.EncryptWithObfuscator(m, rn), nil
+}
+
+// ValidatePlaintext rejects plaintexts outside [0, n) with
+// ErrPlaintextOutOfRange. Every Encrypt checks it before drawing an
+// obfuscator; a caller that supplies its own (EncryptWithObfuscator)
+// checks it first.
+func (pk *PublicKey) ValidatePlaintext(m *big.Int) error {
+	if m == nil || m.Sign() < 0 || m.Cmp(pk.N) >= 0 {
+		return ErrPlaintextOutOfRange
+	}
+	return nil
 }
 
 // EncryptWithObfuscator encrypts m using a precomputed obfuscation term
@@ -319,7 +351,10 @@ func (pk *PublicKey) MulScalar(ct Ciphertext, k *big.Int) (Ciphertext, error) {
 // while its saving grows with the width: measured for 2^114 on the 2-CPU
 // host, 256-bit 54 vs 24 µs and 512-bit 92 vs 62 µs (Exp wins), 1024-bit
 // 207 vs 229 µs and 2048-bit 0.59 vs 0.92 ms (the chain wins, as it does
-// for 16 and 16³ from 1024 bits up).
+// for 16 and 16³ from 1024 bits up). At 2048 bits the Montgomery kernel
+// takes the QuoRem calls out of the chain (montChain.squarePow2) and
+// widens the margin; the threshold is the big.Int chain's, which every
+// key from 1024 bits up runs wherever the kernel does not apply.
 const pow2ChainMinBits = 1024
 
 // squarePow2 returns c^(2^s) mod n² for c in [0, n²) without touching c. It
@@ -333,8 +368,12 @@ const pow2ChainMinBits = 1024
 // Exp additionally pays a window table, the R² mod n² setup and padding
 // squarings to spend on an exponent with one set bit. The digits are
 // recombined once at the end, so the result is the canonical residue Exp
-// returns, bit for bit.
+// returns, bit for bit. A 2048-bit n runs the same chain in Montgomery
+// form on the kernel when montKernel is set (montChain.squarePow2).
 func (pk *PublicKey) squarePow2(c *big.Int, s int) *big.Int {
+	if montKernel && pk.mont != nil {
+		return pk.mont.squarePow2(c, s)
+	}
 	a, b := new(big.Int), new(big.Int)
 	b.QuoRem(c, pk.N, a)
 	var sq, q, t big.Int // scratch: their backing arrays are reused by every step

@@ -47,49 +47,55 @@ func pow2Ciphertexts(t testing.TB, priv *PrivateKey) []Ciphertext {
 // path for everything else, and reduction modulo n before either. The
 // chain is also called directly, so it is checked at 512 bits too, where
 // MulScalar leaves it alone. The input ciphertext must come back untouched
-// — packed slots and the codec's shift constants are shared.
+// — packed slots and the codec's shift constants are shared. At 2048 bits
+// the chain runs twice: in Montgomery form on the kernel and on big.Int.
 func TestMulScalarPow2MatchesExp(t *testing.T) {
 	for _, bits := range []int{512, 1024, 2048} {
 		t.Run(fmt.Sprintf("bits=%d", bits), func(t *testing.T) {
 			priv := testKey(t, bits)
-			n := priv.N
-			pow := func(s uint) *big.Int { return new(big.Int).Lsh(one, s) }
-			scalars := []*big.Int{
-				pow(0), pow(1), pow(3), big.NewInt(16), big.NewInt(16 * 16), big.NewInt(16 * 16 * 16),
-				pow(57), pow(113), pow(114), pow(115), pow(228), pow(2047),
-				pow(uint(bits - 2)), // the longest chain: 2^(bits-1) may exceed n
-				// ≡ 0, negative and oversized scalars reduce modulo n first,
-				// onto the chain (2^5, 2^114) or onto Exp.
-				new(big.Int), new(big.Int).Set(n), new(big.Int).Lsh(n, 1),
-				big.NewInt(-1), new(big.Int).Neg(pow(114)),
-				new(big.Int).Sub(pow(5), n), new(big.Int).Add(n, pow(114)),
-				new(big.Int).Add(n, big.NewInt(5)), big.NewInt(3), new(big.Int).Sub(pow(114), one),
-			}
-			for ci, ct := range pow2Ciphertexts(t, priv) {
-				before := new(big.Int).Set(ct.C)
-				for _, k := range scalars {
-					want := new(big.Int).Exp(ct.C, new(big.Int).Mod(k, n), priv.NSquared)
-					got, err := priv.MulScalar(ct, k)
-					if err != nil {
-						t.Fatalf("ciphertext %d, k = %x: %v", ci, k, err)
-					}
-					if got.C.Cmp(want) != 0 {
-						t.Fatalf("ciphertext %d, k = %x: MulScalar != Exp\n got %x\nwant %x", ci, k, got.C, want)
-					}
-					if got.C == ct.C {
-						t.Fatalf("ciphertext %d, k = %x: result aliases the input", ci, k)
-					}
-					if e := new(big.Int).Mod(k, n); e.Sign() > 0 && e.TrailingZeroBits() == uint(e.BitLen()-1) {
-						if got := priv.squarePow2(ct.C, e.BitLen()-1); got.Cmp(want) != 0 {
-							t.Fatalf("ciphertext %d, k = %x: squarePow2 != Exp", ci, k)
-						}
-					}
-				}
-				if ct.C.Cmp(before) != 0 {
-					t.Fatalf("ciphertext %d was mutated by MulScalar", ci)
-				}
-			}
+			forEachPath(t, priv.mont != nil, func(t *testing.T) { testMulScalarPow2(t, priv) })
 		})
+	}
+}
+
+func testMulScalarPow2(t *testing.T, priv *PrivateKey) {
+	bits := priv.Bits()
+	n := priv.N
+	pow := func(s uint) *big.Int { return new(big.Int).Lsh(one, s) }
+	scalars := []*big.Int{
+		pow(0), pow(1), pow(3), big.NewInt(16), big.NewInt(16 * 16), big.NewInt(16 * 16 * 16),
+		pow(57), pow(113), pow(114), pow(115), pow(228), pow(2047),
+		pow(uint(bits - 2)), // the longest chain: 2^(bits-1) may exceed n
+		// ≡ 0, negative and oversized scalars reduce modulo n first,
+		// onto the chain (2^5, 2^114) or onto Exp.
+		new(big.Int), new(big.Int).Set(n), new(big.Int).Lsh(n, 1),
+		big.NewInt(-1), new(big.Int).Neg(pow(114)),
+		new(big.Int).Sub(pow(5), n), new(big.Int).Add(n, pow(114)),
+		new(big.Int).Add(n, big.NewInt(5)), big.NewInt(3), new(big.Int).Sub(pow(114), one),
+	}
+	for ci, ct := range pow2Ciphertexts(t, priv) {
+		before := new(big.Int).Set(ct.C)
+		for _, k := range scalars {
+			want := new(big.Int).Exp(ct.C, new(big.Int).Mod(k, n), priv.NSquared)
+			got, err := priv.MulScalar(ct, k)
+			if err != nil {
+				t.Fatalf("ciphertext %d, k = %x: %v", ci, k, err)
+			}
+			if got.C.Cmp(want) != 0 {
+				t.Fatalf("ciphertext %d, k = %x: MulScalar != Exp\n got %x\nwant %x", ci, k, got.C, want)
+			}
+			if got.C == ct.C {
+				t.Fatalf("ciphertext %d, k = %x: result aliases the input", ci, k)
+			}
+			if e := new(big.Int).Mod(k, n); e.Sign() > 0 && e.TrailingZeroBits() == uint(e.BitLen()-1) {
+				if got := priv.squarePow2(ct.C, e.BitLen()-1); got.Cmp(want) != 0 {
+					t.Fatalf("ciphertext %d, k = %x: squarePow2 != Exp", ci, k)
+				}
+			}
+		}
+		if ct.C.Cmp(before) != 0 {
+			t.Fatalf("ciphertext %d was mutated by MulScalar", ci)
+		}
 	}
 }
 
@@ -124,9 +130,10 @@ func TestMulScalarPow2SharedCiphertext(t *testing.T) {
 // FuzzMulScalarPow2 reads arbitrary bytes as a ciphertext and shifts it by
 // an arbitrary power of two: it must never panic, must reject exactly what
 // ValidateCiphertext rejects, and must equal Exp otherwise (shifts past n's
-// width reduce modulo n and leave the chain).
+// width reduce modulo n and leave the chain). The key is 2048 bits, so on
+// a host with the kernel the chain runs in Montgomery form.
 func FuzzMulScalarPow2(f *testing.F) {
-	priv := testKey(f, pow2ChainMinBits)
+	priv := testKey(f, montBits)
 	for _, ct := range pow2Ciphertexts(f, priv) {
 		for _, s := range []uint16{0, 1, 4, 114, 1022, 1023, 4096} {
 			f.Add(ct.Bytes(), s)

@@ -83,12 +83,21 @@ for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=1 -run 'TestBackendConformance' ./internal/he
 done
 
-echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring chain vs big.Exp, secrecy boundary, reconfiguration under a live pool; race-enabled) =="
+echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring chain vs big.Exp, secrecy boundary, reconfiguration under a live pool, Montgomery kernel; race-enabled) =="
 # -short trims the random-exponent sweep at the larger key sizes; the
 # edge, single-window and out-of-table exponents always run. The pow2
 # kernel is compared byte for byte with big.Int.Exp, and shared read-only
-# operands are shifted from several goroutines at once.
-go test -race -short -count=1 -run 'Owner|MulScalarPow2' ./internal/paillier ./internal/he
+# operands are shifted from several goroutines at once. At 2048 bits both
+# run twice, on the Montgomery kernel and on big.Int, and the kernel's
+# product and REDC are checked against big.Int on the moduli it serves.
+go test -race -short -count=1 -run 'Owner|MulScalarPow2|Mont' ./internal/paillier ./internal/he
+
+echo "== big.Int path at 2048 bits (purego: the Montgomery kernel compiled out) =="
+go test -tags purego -short -count=1 -run 'Owner|MulScalarPow2|Conformance|Mont' ./internal/paillier ./internal/he
+
+echo "== non-amd64 builds (the kernel is amd64 assembly; other GOARCHes must compile without it) =="
+GOARCH=arm64 go vet ./internal/paillier
+GOARCH=386 go vet ./internal/paillier
 
 echo "== ooc smoke (bounded-memory training under GOMEMLIMIT, race-enabled) =="
 # GOMEMLIMIT makes the runtime itself enforce the bound: if the shard
@@ -189,7 +198,7 @@ go test -run='^$' -fuzz=FuzzUnmarshal -fuzztime=10s ./internal/he
 echo "== fuzz smoke (ciphertext ops: arbitrary bytes must never panic) =="
 go test -run='^$' -fuzz=FuzzCiphertextOps -fuzztime=10s ./internal/paillier
 
-echo "== fuzz smoke (power-of-two SMul: arbitrary ciphertext bytes and shifts must match big.Int.Exp) =="
+echo "== fuzz smoke (power-of-two SMul at 2048 bits, on the Montgomery kernel where the CPU has one: arbitrary ciphertext bytes and shifts must match big.Int.Exp) =="
 go test -run='^$' -fuzz=FuzzMulScalarPow2 -fuzztime=10s ./internal/paillier
 
 echo "== bench smoke (harness runs, output parses, baseline not rotted) =="
