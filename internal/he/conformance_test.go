@@ -53,9 +53,10 @@ func TestBackendConformance(t *testing.T) {
 	// on the Montgomery kernel where the CPU has one. This decryptor is
 	// pooled with fast obfuscation on and the public side holds the
 	// public tables, so with the unpooled 256-bit run every Paillier
-	// encryption path is covered.
+	// encryption path is covered. Only these two cases run here: at this
+	// size an operation takes milliseconds.
 	t.Run("paillier-2048", func(t *testing.T) {
-		pd, err := NewPaillier(conf2048Bits, 1)
+		pd, err := NewPaillier(2048, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +73,6 @@ func TestBackendConformance(t *testing.T) {
 		t.Run("plaintext-range", func(t *testing.T) { testPlaintextRange(t, s) })
 	})
 }
-
-// conf2048Bits is the paper's key size, run by the modular-edges and
-// plaintext-range cases only: its arithmetic takes milliseconds per
-// operation.
-const conf2048Bits = 2048
 
 // testMetadata: both sides name the same scheme and modulus, and a
 // marshaled ciphertext fits the size the WAN shaper accounts for.
