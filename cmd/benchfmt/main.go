@@ -33,13 +33,15 @@ type Benchmark struct {
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Document is the committed baseline format. CPUs is the core count of
-// the host that ran the benchmarks: parallel speedups flatten there.
+// Document is the committed baseline format. CPU names the processor the
+// benchmarks ran on, as `go test` reports it, and CPUs is the host's core
+// count: parallel speedups flatten there.
 type Document struct {
 	Date       string             `json:"date,omitempty"`
 	GoVersion  string             `json:"go_version"`
 	GOOS       string             `json:"goos"`
 	GOARCH     string             `json:"goarch"`
+	CPU        string             `json:"cpu,omitempty"`
 	CPUs       int                `json:"cpus"`
 	Benchmarks []Benchmark        `json:"benchmarks"`
 	Derived    map[string]float64 `json:"derived,omitempty"`
@@ -70,7 +72,7 @@ func main() {
 		defer f.Close()
 		r = f
 	}
-	benches, err := parse(r)
+	benches, cpu, err := parse(r)
 	if err != nil {
 		fatal(err)
 	}
@@ -83,6 +85,7 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
+		CPU:        cpu,
 		CPUs:       runtime.NumCPU(),
 		Benchmarks: benches,
 		Derived:    deriveSpeedups(benches),
@@ -101,13 +104,17 @@ func main() {
 	}
 }
 
-// parse extracts benchmark result lines, ignoring everything else that
-// `go test -bench` prints (goos/pkg headers, PASS, ok lines).
-func parse(r io.Reader) ([]Benchmark, error) {
-	var benches []Benchmark
+// parse extracts benchmark result lines and the processor name of the
+// `cpu:` header, ignoring everything else that `go test -bench` prints
+// (goos/pkg headers, PASS, ok lines).
+func parse(r io.Reader) (benches []Benchmark, cpu string, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
+		if name, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = strings.TrimSpace(name)
+			continue
+		}
 		fields := strings.Fields(sc.Text())
 		// Shape: Benchmark<Name>-P  iterations  value unit [value unit ...]
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
@@ -121,7 +128,7 @@ func parse(r io.Reader) ([]Benchmark, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("line %q: bad metric value %q", sc.Text(), fields[i])
+				return nil, "", fmt.Errorf("line %q: bad metric value %q", sc.Text(), fields[i])
 			}
 			unit := fields[i+1]
 			if unit == "ns/op" {
@@ -135,7 +142,7 @@ func parse(r io.Reader) ([]Benchmark, error) {
 		}
 		benches = append(benches, b)
 	}
-	return benches, sc.Err()
+	return benches, cpu, sc.Err()
 }
 
 // stripProcSuffix drops the trailing -GOMAXPROCS from a benchmark name so

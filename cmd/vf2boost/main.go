@@ -485,10 +485,10 @@ func cmdSim(args []string) {
 		ll, _ := metrics.LogLoss(margins, trainLabels)
 		fmt.Printf("  train AUC %.4f, logloss %.4f\n", auc, ll)
 	}
-	fmt.Printf("  encrypt %v, decrypt %v, build-hist %v, pack %v (%.1f slots/ct), idle(B) %v\n",
+	fmt.Printf("  task-seconds: encrypt %v, decrypt %v, build-hist %v, pack %v (%.1f slots/ct); wall: %v/tree, idle(B) %v\n",
 		st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
 		st.BuildHistTime().Round(time.Millisecond), st.PackTime().Round(time.Millisecond),
-		st.PackFill(), st.BIdleTime().Round(time.Millisecond))
+		st.PackFill(), (elapsed / time.Duration(cfg.Trees)).Round(time.Millisecond), st.BIdleTime().Round(time.Millisecond))
 	fmt.Printf("  splits: passive %d, B %d; dirty %d; traffic %.1f MiB\n",
 		st.SplitsByA(), st.SplitsByB(), st.DirtyNodes(),
 		float64(sess.Broker().BytesSent())/(1<<20))
@@ -713,8 +713,10 @@ func cmdParty(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("party B finished %d trees in %v\n", cfg.Trees, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("  encrypt %v, decrypt %v, idle %v; splits passive %d / B %d; dirty %d\n",
+		elapsed := time.Since(start)
+		fmt.Printf("party B finished %d trees in %v (%v/tree)\n", cfg.Trees, elapsed.Round(time.Millisecond),
+			(elapsed / time.Duration(cfg.Trees)).Round(time.Millisecond))
+		fmt.Printf("  task-seconds: encrypt %v, decrypt %v; wall: idle(B) %v; splits passive %d / B %d; dirty %d\n",
 			st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
 			st.BIdleTime().Round(time.Millisecond), st.SplitsByA(), st.SplitsByB(), st.DirtyNodes())
 		saveFragment(*out, pm)

@@ -52,7 +52,7 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 			t.Fatal(err)
 		}
 		return &activeParty{cfg: quickConfig(SchemePaillier), dec: dec, codec: codec, pairs: pairs,
-			plan: plan, featCounts: []int{2}, units: make(unitQueue, 2)}
+			plan: plan, featCounts: []int{2}, units: make(unitQueue, 2), stats: &Stats{}}
 	}
 
 	n := dec.N()
@@ -66,14 +66,14 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 
 	for i, raw := range garbage {
 		// One slot per ciphertext, and two slots packed into one.
-		single := NodeHist{Node: 1, Packed: true, Cts: [][]byte{raw},
-			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{1}}, {NumBins: 1, Occupied: []byte{0}}}}
-		if _, err := newB(false).unpackNode(0, single); err == nil {
+		single := shipped{NodeHist{Node: 1, Packed: true,
+			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{1}}, {NumBins: 1, Occupied: []byte{0}}}}, [][]byte{raw}}
+		if _, err := newB(false).unpackShipped(t, single); err == nil {
 			t.Errorf("case %d: unpackNode accepted a garbage slot at one per ciphertext", i)
 		}
-		packed := NodeHist{Node: 1, Packed: true, Cts: [][]byte{raw},
-			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{3}}, {NumBins: 1, Occupied: []byte{0}}}}
-		if _, err := newB(true).unpackNode(0, packed); err == nil {
+		packed := shipped{NodeHist{Node: 1, Packed: true,
+			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{3}}, {NumBins: 1, Occupied: []byte{0}}}}, [][]byte{raw}}
+		if _, err := newB(true).unpackShipped(t, packed); err == nil {
 			t.Errorf("case %d: unpackNode accepted a garbage packed payload", i)
 		}
 	}

@@ -46,7 +46,7 @@ func TestInboxAwait(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			in := startInbox(NewLink(pairTransport{send: discardTransport{}.Send, recv: feed.Receive}))
+			in := startInbox(NewLink(pairTransport{send: discardTransport{}.Send, recv: feed.Receive}), packPlan{capacity: 1})
 			type result struct {
 				f   any
 				err error

@@ -14,11 +14,12 @@ import (
 // engine runs in-process, through the WAN shaper, or across the TCP
 // gateway.
 
-// ErrLegacyLayout is the session error for a peer that still speaks the
-// retired scalar layout — two ciphertexts per instance and per histogram
-// bin (wire ids 3, 4, 22, 28). The folded layout replaced it without a
-// compatibility mode, so such a peer is refused at setup.
-var ErrLegacyLayout = errors.New("core: peer speaks the retired two-ciphertext scalar layout")
+// ErrLegacyLayout is the session error for a peer that still speaks a
+// retired layout: the two-ciphertext scalar layout (wire ids 3, 4, 22,
+// 28), refused at setup, or the one-frame node layout, whose id-33 frame
+// carried the node's ciphertexts itself. Neither has a compatibility
+// mode.
+var ErrLegacyLayout = errors.New("core: peer speaks a retired layout")
 
 // ErrSiblingDerivation marks a sibling announcement Party B cannot honour:
 // a non-root child that arrives unannounced, a root that announces a
@@ -28,8 +29,9 @@ var ErrLegacyLayout = errors.New("core: peer speaks the retired two-ciphertext s
 var ErrSiblingDerivation = errors.New("core: sibling histogram derivation rejected")
 
 // ErrPackedLayout marks a node-layout frame that contradicts itself or
-// the session's plan (bitmaps, ciphertext count, a plaintext wider than
-// its chunk).
+// the session's plan: a header's bitmaps, a ciphertext frame before its
+// header, twice, or beyond the header's chunk count, a plaintext wider
+// than its chunk.
 var ErrPackedLayout = errors.New("core: packed node histogram rejected")
 
 // Upper bounds on the sizes a peer's frames may dictate, checked before
@@ -139,24 +141,33 @@ type MsgHistograms struct {
 	Nodes []NodeHist
 }
 
-// NodeHist is the encrypted histogram of one node over the sender's
-// features. Only the smaller child of a split is shipped, and its frame
-// names the split: Parent is the node that was split and Sibling the
-// other child, whose histogram Party B derives as parent − this node in
-// plaintext. Both are zero on a root.
+// NodeHist is the header of one node's encrypted histogram over the
+// sender's features. Only the smaller child of a split is shipped, and its
+// header names the split: Parent is the node that was split and Sibling
+// the other child, whose histogram Party B derives as parent − this node
+// in plaintext. Both are zero on a root.
 //
 // Packed marks the node layout every session ships (wire id 33): the
 // slots of all features — one shifted prefix sum per bin a feature's
-// Occupied bitmap names — are cut into balanced chunks (packPlan.chunk),
-// one ciphertext of Cts each, of up to t slots under histogram packing
-// and of one slot without it. A node without it is the retired
-// two-ciphertext frame (wire id 4).
+// Occupied bitmap names — are cut into balanced chunks (packPlan.chunk)
+// of up to t slots under histogram packing and of one slot without it,
+// and chunk c travels as its own MsgHistCt after the header. A node
+// without it is the retired two-ciphertext frame (wire id 4).
 type NodeHist struct {
 	Node            int32
 	Parent, Sibling int32
 	Feats           []FeatHist
 	Packed          bool
-	Cts             [][]byte
+}
+
+// MsgHistCt carries chunk Index of a node's histogram, one ciphertext, as
+// soon as the sender has packed it; it follows the node's header on the
+// link. Tree is the header's tree tag.
+type MsgHistCt struct {
+	Tree  int
+	Node  int32
+	Index int
+	Ct    []byte
 }
 
 // FeatHist is one feature's share of a node's slots: bit k of Occupied is

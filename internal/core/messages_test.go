@@ -73,7 +73,7 @@ func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 		MsgReady{Party: 2, Features: 10, Rows: 100},
 		MsgPairBatch{Tree: 1, Start: 5, Cts: [][]byte{{9}}, Exp: []int16{8}, Last: true},
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{
-			Node: 3, Parent: 1, Sibling: 2, Packed: true, Cts: [][]byte{{1}, {4}},
+			Node: 3, Parent: 1, Sibling: 2, Packed: true,
 			Feats: []FeatHist{
 				{NumBins: 2, Occupied: []byte{0b01}},
 				{NumBins: 3, Occupied: []byte{0b100}},
@@ -113,7 +113,7 @@ func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 			if len(g.Nodes) != 1 || len(g.Nodes[0].Feats) != 2 {
 				t.Fatalf("MsgHistograms round trip: %+v", g)
 			}
-			if n := g.Nodes[0]; !n.Packed || n.Parent != 1 || n.Sibling != 2 || len(n.Cts) != 2 || n.Cts[1][0] != 4 {
+			if n := g.Nodes[0]; !n.Packed || n.Parent != 1 || n.Sibling != 2 {
 				t.Errorf("node round trip: %+v", n)
 			}
 			if f0, f1 := g.Nodes[0].Feats[0], g.Nodes[0].Feats[1]; f0.NumBins != 2 || f0.Occupied[0] != 0b01 || f1.NumBins != 3 || f1.Occupied[0] != 0b100 {

@@ -82,7 +82,7 @@ func BenchmarkWireNodeHist(b *testing.B) {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							if _, err := p.wireHist(&histTask{}, int32(k+1), eh); err != nil {
+							if err := p.wireHist(&histTask{}, 0, 0, NodeHist{Node: int32(k + 1)}, eh); err != nil {
 								b.Error(err)
 							}
 						}()

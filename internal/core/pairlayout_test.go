@@ -244,6 +244,7 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, false, "after its last batch"},
 		{"decision for unknown node", []any{okSetup, MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}}, false, "unknown node 999"},
 		{"dirty for unknown node", []any{okSetup, MsgDirty{Node: 999, LeftID: 4, RightID: 5}}, false, "unknown node 999"},
+		{"node ciphertext from B", []any{okSetup, MsgHistCt{Node: rootID, Ct: ct}}, false, "unexpected message core.MsgHistCt"},
 		// Placements that do not cover the node, and own splits on a feature
 		// or bin the party does not have.
 		{"short SplitB placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, false, "1-byte placement for 30 instances"},
@@ -385,12 +386,12 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 		return &activeParty{cfg: quickConfig(SchemeMock), dec: dec, codec: codec, pairs: pairs,
 			plan: plan, featCounts: []int{1}, units: make(unitQueue, 2)}
 	}
-	node := func(fh FeatHist, cts ...[]byte) NodeHist {
-		return NodeHist{Node: rootID, Packed: true, Cts: cts, Feats: []FeatHist{fh}}
+	node := func(fh FeatHist, cts ...[]byte) shipped {
+		return shipped{NodeHist{Node: rootID, Packed: true, Feats: []FeatHist{fh}}, cts}
 	}
 
 	// The well-formed shape decrypts.
-	s, err := newB().unpackNode(0, node(FeatHist{NumBins: 2, Occupied: []byte{0b01}}, ct))
+	s, err := newB().unpackShipped(t, node(FeatHist{NumBins: 2, Occupied: []byte{0b01}}, ct))
 	if err != nil {
 		t.Fatalf("well-formed node: %v", err)
 	}
@@ -400,19 +401,18 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 
 	for _, tc := range []struct {
 		name   string
-		nh     NodeHist
+		nh     shipped
 		legacy bool
 	}{
 		{"negative bin count", node(FeatHist{NumBins: -1}), false},
 		{"bin count beyond MaxBins", node(FeatHist{NumBins: 1 << 40, Occupied: []byte{1}}, ct), false},
-		{"fewer ciphertexts than slots", node(FeatHist{NumBins: 3, Occupied: []byte{0b111}}, ct), false},
 		{"more ciphertexts than slots", node(FeatHist{NumBins: 3, Occupied: []byte{0b001}}, ct, ct), false},
 		{"a slot beyond its 2W bits", node(FeatHist{NumBins: 1, Occupied: []byte{1}}, encrypt(new(big.Int).Lsh(big.NewInt(1), uint(plan.bits)))), false},
-		{"more features than announced", NodeHist{Node: rootID, Packed: true, Feats: make([]FeatHist, 2)}, false},
-		{"retired per-feature packing", NodeHist{Node: rootID, Feats: []FeatHist{{NumBins: 2, Packed: true}}}, true},
-		{"retired two-ciphertext packing", NodeHist{Node: rootID, Feats: []FeatHist{{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}}}, true},
+		{"more features than announced", shipped{head: NodeHist{Node: rootID, Packed: true, Feats: make([]FeatHist, 2)}}, false},
+		{"retired per-feature packing", shipped{head: NodeHist{Node: rootID, Feats: []FeatHist{{NumBins: 2, Packed: true}}}}, true},
+		{"retired two-ciphertext packing", shipped{head: NodeHist{Node: rootID, Feats: []FeatHist{{NumBins: 2, Packed: true, PackedG: [][]byte{ct}, PackedH: [][]byte{ct}}}}}, true},
 	} {
-		_, err := newB().unpackNode(0, tc.nh)
+		_, err := newB().unpackShipped(t, tc.nh)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}

@@ -473,13 +473,9 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 		for _, part := range rootParts[1:] {
 			rootParts[0].Merge(part)
 		}
-		nh, err := p.wireHist(nil, rootID, rootParts[0])
-		if err != nil {
-			return err
-		}
 		// Class c's tree is the round's tree roundTree+c: tag its root
 		// so B's inbox files it under the tree that will consume it.
-		if err := p.send(MsgHistograms{Tree: m.Tree + m.Class, Layer: 0, Nodes: []NodeHist{nh}}); err != nil {
+		if err := p.wireHist(nil, m.Tree+m.Class, 0, NodeHist{Node: rootID}, rootParts[0]); err != nil {
 			return err
 		}
 		p.rootPartsAll[m.Class] = nil
@@ -538,42 +534,55 @@ func (p *passiveParty) advanceClassTree(t int) error {
 	return nil
 }
 
-// wireHist finalizes and serializes a node's folded histogram as units on
-// the party's queue, in the node layout and in two rounds: per feature,
+// wireHist finalizes, packs and ships a node's folded histogram as units
+// on the party's queue, in the node layout and in two rounds: per feature,
 // the slots of packedFeature (its occupied bins, which tells Party B
-// nothing its decryption does not); then per chunk of the node's
-// concatenated slots, the Horner chain of Codec.Pack, which is where the
-// time goes under packing. Without packing every chunk is one slot, which
-// ships as it is.
-func (p *passiveParty) wireHist(task *histTask, node int32, eh *EncHistogram) (NodeHist, error) {
+// nothing its decryption does not), after which the node's header leaves
+// under tree; then per chunk of the node's concatenated slots, the Horner
+// chain of Codec.Pack, which is where the time goes under packing, each
+// chunk leaving as its own frame the moment its chain ends — so B decrypts
+// it while the other chains still run. Without packing every chunk is one
+// slot, which ships as it is. Once task is aborted nothing more is sent:
+// B never waits for an aborted node, whose ID no later node reuses.
+func (p *passiveParty) wireHist(task *histTask, tree, layer int, head NodeHist, eh *EncHistogram) error {
 	start := time.Now()
 	defer func() { addDur(&p.stats.packTime, time.Since(start)) }()
-	nh := NodeHist{Node: node, Packed: true, Feats: make([]FeatHist, p.cols)}
+	head.Packed, head.Feats = true, make([]FeatHist, p.cols)
 	prefixes := make([][]he.Ciphertext, p.cols)
 	lane := p.lane("Pack")
 	err := p.units.do(task, p.cols, func(j int) error {
-		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", node, j))()
-		nh.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.shiftCt, p.plan)
+		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", head.Node, j))()
+		head.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.shiftCt, p.plan)
 		return nil
 	})
+	if err == nil && task != nil && task.aborted.Load() {
+		err = errTaskAborted
+	}
 	if err != nil {
-		return nh, err
+		return err
 	}
 	var slots []he.Ciphertext
 	for _, pre := range prefixes {
 		slots = append(slots, pre...)
 	}
-	nh.Cts = make([][]byte, p.plan.chunks(len(slots)))
+	if err := p.send(MsgHistograms{Tree: tree, Layer: layer, Nodes: []NodeHist{head}}); err != nil {
+		return err
+	}
+	chunks := p.plan.chunks(len(slots))
 	p.stats.packedSlots.Add(int64(len(slots)))
-	p.stats.packedCts.Add(int64(len(nh.Cts)))
-	return nh, p.units.do(task, len(nh.Cts), func(c int) error {
-		defer p.rec.Span(lane, fmt.Sprintf("node %d ct %d", node, c))()
+	p.stats.packedCts.Add(int64(chunks))
+	return p.units.do(task, chunks, func(c int) error {
+		endSpan := p.rec.Span(lane, fmt.Sprintf("node %d ct %d", head.Node, c))
 		lo, hi := p.plan.chunk(len(slots), c)
 		packed, err := p.codec.Pack(slots[lo:hi], p.plan.bits)
-		if err == nil {
-			nh.Cts[c] = p.scheme.Marshal(packed)
+		endSpan()
+		switch {
+		case err != nil:
+			return err
+		case task != nil && task.aborted.Load():
+			return errTaskAborted
 		}
-		return err
+		return p.send(MsgHistCt{Tree: tree, Node: head.Node, Index: c, Ct: p.scheme.Marshal(packed)})
 	})
 }
 
@@ -821,18 +830,12 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 }
 
 // finishHist wires an accumulated node — finalize and pack, units on the
-// party's queue — and ships it. An aborted node is dropped silently; a
-// packing failure or a link that refuses the histogram fails the session.
+// party's queue, each frame shipped as it is ready. An aborted node is
+// dropped silently; a packing failure or a link that refuses a frame fails
+// the session.
 func (p *passiveParty) finishHist(task *histTask) {
 	defer p.taskWG.Done()
-	nh, err := p.wireHist(task, task.node, task.eh)
-	if err == nil && task.aborted.Load() {
-		err = errTaskAborted
-	}
-	if err == nil {
-		nh.Parent, nh.Sibling = task.head.Parent, task.head.Sibling
-		err = p.send(MsgHistograms{Tree: task.tree, Layer: task.layer, Nodes: []NodeHist{nh}})
-	}
+	err := p.wireHist(task, task.tree, task.layer, task.head, task.eh)
 	if errors.Is(err, errTaskAborted) {
 		return
 	}

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"math/bits"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"vf2boost/internal/checkpoint"
@@ -43,9 +44,12 @@ type activeParty struct {
 	// integer domain: what sibling derivation subtracts from.
 	inboxes []*inbox
 	sums    []map[inboxKey]nodeSums
+	// fetches are the shipped nodes of the layer being validated that
+	// prefetch is decrypting in the background, by party and histKey.
+	fetches map[partyKey]*nodeFetch
 	// aborted latches that B has told every passive party why it ends the
-	// session.
-	aborted bool
+	// session; decryption units may race to set it.
+	aborted atomic.Bool
 	// featCounts[i] is the feature count passive party i announced at
 	// setup; its histograms must carry exactly that many features.
 	featCounts []int
@@ -216,7 +220,7 @@ func (b *activeParty) setup() error {
 	b.inboxes = make([]*inbox, len(b.links))
 	b.sums = make([]map[inboxKey]nodeSums, len(b.links))
 	for i, l := range b.links {
-		b.inboxes[i] = startInbox(l)
+		b.inboxes[i] = startInbox(l, b.plan)
 		b.sums[i] = make(map[inboxKey]nodeSums)
 	}
 	b.offsets = make([]int32, len(b.links))
@@ -602,7 +606,11 @@ func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
 		return s, nil
 	}
 	if !node.derived {
-		return b.fetchSums(party, tree, node)
+		s, err := b.fetched(party, tree, node)
+		if err == nil {
+			sums[histKey(tree, node.id)] = s
+		}
+		return s, err
 	}
 	parent, ok := sums[histKey(tree, node.parent)]
 	if !ok {
@@ -621,10 +629,10 @@ func (b *activeParty) sumsOf(party, tree int, node *bNode) (nodeSums, error) {
 	return s, nil
 }
 
-// fetchSums waits for the histogram a passive party ships for a node and
-// decrypts it. Every shipped non-root node is the smaller child of its
-// split and must announce exactly the sibling B is about to derive from
-// it; a root announces nothing.
+// fetchSums waits for the header a passive party ships for a node and
+// decrypts the node's ciphertexts as they land. Every shipped non-root
+// node is the smaller child of its split and must announce exactly the
+// sibling B is about to derive from it; a root announces nothing.
 func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) {
 	f, err := b.await(party, histKey(tree, node.id))
 	if err != nil {
@@ -635,24 +643,84 @@ func (b *activeParty) fetchSums(party, tree int, node *bNode) (nodeSums, error) 
 		return nil, fmt.Errorf("%w: party %d node %d of tree %d announces sibling %d of parent %d, expected %d of %d",
 			ErrSiblingDerivation, party, node.id, tree, nh.Sibling, nh.Parent, node.sibling, node.parent)
 	}
-	decStart := time.Now()
-	endSpan := b.rec.Span("B:Decrypt+FindSplitA", fmt.Sprintf("node %d", node.id))
-	s, err := b.unpackNode(party, nh)
-	endSpan()
-	addDur(&b.stats.decryptTime, time.Since(decStart))
-	if err != nil {
-		return nil, err
+	return b.unpackNode(party, tree, nh)
+}
+
+// partyKey names a passive party's frame or node.
+type partyKey struct {
+	party int
+	key   inboxKey
+}
+
+// nodeFetch is one shipped node prefetch fetches and decrypts: its sums or
+// error once done is closed.
+type nodeFetch struct {
+	done chan struct{}
+	sums nodeSums
+	err  error
+}
+
+// prefetchAhead is how many shipped nodes of a layer B fetches at once
+// per passive party.
+const prefetchAhead = 2
+
+// prefetch starts fetching and decrypting, in the background, the
+// histograms every passive party ships for a layer's nodes — the nodes
+// not derived from a sibling — in node order and prefetchAhead nodes at a
+// time per party. The validation loop takes them in the same order
+// (fetched), so B decrypts the ciphertexts of the next nodes as they land
+// while it still waits for this one's, and its decisions depend only on
+// what it decrypts. Every prefetched node is taken before the layer ends;
+// on a failed session the prefetches end with the links.
+func (b *activeParty) prefetch(t int, nodes []*bNode) {
+	if b.fetches == nil {
+		b.fetches = make(map[partyKey]*nodeFetch)
 	}
-	b.sums[party][histKey(tree, node.id)] = s
-	return s, nil
+	for party := range b.links {
+		var shipped []*bNode
+		var fetches []*nodeFetch
+		for _, nd := range nodes {
+			if !nd.derived {
+				f := &nodeFetch{done: make(chan struct{})}
+				b.fetches[partyKey{party, histKey(t, nd.id)}] = f
+				shipped, fetches = append(shipped, nd), append(fetches, f)
+			}
+		}
+		go func() {
+			ahead := make(chan struct{}, prefetchAhead)
+			for i, nd := range shipped {
+				ahead <- struct{}{}
+				go func() {
+					f := fetches[i]
+					f.sums, f.err = b.fetchSums(party, t, nd)
+					close(f.done)
+					<-ahead
+				}()
+			}
+		}()
+	}
+}
+
+// fetched returns a shipped node's sums: from its prefetch, or fetched and
+// decrypted now when no prefetch holds it.
+func (b *activeParty) fetched(party, tree int, node *bNode) (nodeSums, error) {
+	k := partyKey{party, histKey(tree, node.id)}
+	f, ok := b.fetches[k]
+	if !ok {
+		return b.fetchSums(party, tree, node)
+	}
+	delete(b.fetches, k)
+	<-f.done
+	return f.sums, f.err
 }
 
 // await waits for the frame a passive party files under k; the wait is
-// Party B's idle time. A refused frame aborts the session on every link.
+// Party B's idle time unless another of B's waits or a decryption covers
+// it (idleClock). A refused frame aborts the session on every link.
 func (b *activeParty) await(party int, k inboxKey) (any, error) {
-	idle := time.Now()
+	b.stats.bIdle.change(1, 0)
 	f, err := b.inboxes[party].await(k)
-	addDur(&b.stats.bIdleTime, time.Since(idle))
+	b.stats.bIdle.change(-1, 0)
 	return f, b.refuse(err)
 }
 
@@ -669,15 +737,19 @@ func (b *activeParty) refuse(err error) error {
 }
 
 // abort tells every passive party, once, why B is ending the session before
-// it unwinds, so none keeps building histograms for a peer that is gone.
-// The sends are best effort: the session is failing either way.
+// it unwinds, so none keeps building histograms for a peer that is gone,
+// and ends B's own waits on every link with err, prefetches included.
+// Concurrent decryption units may call it; one sends. The sends are best
+// effort: the session is failing either way.
 func (b *activeParty) abort(err error) {
-	if b.aborted {
+	if !b.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	b.aborted = true
 	for _, l := range b.links {
 		_ = l.send(MsgAbort{Party: len(b.links), Reason: err.Error()})
+	}
+	for _, in := range b.inboxes {
+		in.file(nil, err)
 	}
 }
 
@@ -728,60 +800,66 @@ func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 
 // unpackNode reverses the node layout every session ships, packed or one
 // slot per ciphertext; a node outside it is the retired two-ciphertext
-// frame (ErrLegacyLayout). The frame is checked against the session's plan
-// before it sizes anything: feature count, every bitmap against its bin
-// count, the ciphertext count against the chunk rule. The
-// ciphertexts decrypt in parallel; each plaintext must fit its chunk's
-// slots (a slot that outgrew its 2W bits carries upward, so the top of the
-// chunk catches it). The bitmaps slice the slots back to bins: a feature's
-// first slot carries the shift, every later one the prefix before it, an
-// unslotted bin stays nil. Differencing stays in the integer domain —
-// shifted prefixes exceed float64's exact range.
-func (b *activeParty) unpackNode(party int, nh NodeHist) (nodeSums, error) {
-	bad := func(format string, args ...any) (nodeSums, error) {
-		return nil, fmt.Errorf("%w: party %d node %d: %s", ErrPackedLayout, party, nh.Node, fmt.Sprintf(format, args...))
+// frame (ErrLegacyLayout). The header is checked against the session's
+// plan before it sizes anything: feature count, every bitmap against its
+// bin count. Its slots fix the chunk count, and the chunks decrypt as
+// units (awaitUnits), each awaiting its own ciphertext frame and
+// decrypting it on one of B's worker slots the moment it lands, in
+// whatever order the frames come.
+// Each plaintext must fit its chunk's slots (a slot that outgrew its 2W
+// bits carries upward, so the top of the chunk catches it). The bitmaps
+// slice the slots back to bins: a feature's first slot carries the shift,
+// every later one the prefix before it, an unslotted bin stays nil.
+// Differencing stays in the integer domain — shifted prefixes exceed
+// float64's exact range.
+//
+// A ciphertext B refuses fails the node's other waits through the inbox; a
+// failed link or the peer's MsgAbort surfaces as itself.
+func (b *activeParty) unpackNode(party, tree int, nh NodeHist) (nodeSums, error) {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: party %d node %d: %s", ErrPackedLayout, party, nh.Node, fmt.Sprintf(format, args...))
 	}
 	switch {
 	case !nh.Packed:
 		return nil, fmt.Errorf("%w: party %d node %d", ErrLegacyLayout, party, nh.Node)
 	case len(nh.Feats) != b.featCounts[party]:
-		return bad("%d features, announced %d", len(nh.Feats), b.featCounts[party])
+		return nil, bad("%d features, announced %d", len(nh.Feats), b.featCounts[party])
 	}
-	slots := 0
 	for j, fh := range nh.Feats {
 		if fh.NumBins < 0 || fh.NumBins > maxWireBins || len(fh.Occupied) != (fh.NumBins+7)/8 {
-			return bad("feature %d claims %d bins under a %d-byte bitmap", j, fh.NumBins, len(fh.Occupied))
+			return nil, bad("feature %d claims %d bins under a %d-byte bitmap", j, fh.NumBins, len(fh.Occupied))
 		}
 		if tail := fh.NumBins % 8; tail != 0 && fh.Occupied[len(fh.Occupied)-1]>>tail != 0 {
-			return bad("feature %d marks bins beyond its %d", j, fh.NumBins)
-		}
-		for _, octet := range fh.Occupied {
-			slots += bits.OnesCount8(octet)
+			return nil, bad("feature %d marks bins beyond its %d", j, fh.NumBins)
 		}
 	}
-	if len(nh.Cts) != b.plan.chunks(slots) {
-		return bad("%d ciphertexts for %d slots, want %d", len(nh.Cts), slots, b.plan.chunks(slots))
-	}
+	slots := nodeSlots(nh.Feats)
 	vals := make([]*big.Int, slots)
-	err := b.units.do(nil, len(nh.Cts), func(c int) error {
-		ct, err := b.dec.Unmarshal(nh.Cts[c])
-		if err != nil {
-			return err
-		}
-		plain, err := b.dec.Decrypt(ct)
-		if err != nil {
-			return err
-		}
-		b.codec.Stats().AddDecryptions(1)
+	lane := trace.Lane("B:Decrypt+FindSplitA")
+	err := b.awaitUnits(b.plan.chunks(slots), func(c int) (any, error) {
+		return b.await(party, ctKey(tree, nh.Node, c))
+	}, func(c int, f any) error {
+		b.stats.bIdle.change(0, 1)
+		defer b.stats.bIdle.change(0, -1)
+		start := time.Now()
+		endSpan := b.rec.Span(lane, fmt.Sprintf("node %d ct %d", nh.Node, c))
+		plain, err := b.decryptChunk(f.(MsgHistCt).Ct)
+		endSpan()
+		addDur(&b.stats.decryptTime, time.Since(start))
 		lo, hi := b.plan.chunk(slots, c)
-		if plain.BitLen() > (hi-lo)*b.plan.bits {
-			return fmt.Errorf("ciphertext %d decrypts to %d bits for %d slots of %d", c, plain.BitLen(), hi-lo, b.plan.bits)
+		if err == nil && plain.BitLen() > (hi-lo)*b.plan.bits {
+			err = fmt.Errorf("decrypts to %d bits for %d slots of %d", plain.BitLen(), hi-lo, b.plan.bits)
+		}
+		if err != nil {
+			err = bad("ciphertext %d: %v", c, err)
+			b.inboxes[party].file(nil, err) // the node's other waits end
+			return err
 		}
 		copy(vals[lo:hi], fixedpoint.Unpack(plain, b.plan.bits, hi-lo))
 		return nil
 	})
 	if err != nil {
-		return bad("%v", err)
+		return nil, err
 	}
 	sums := make(nodeSums, len(nh.Feats))
 	for j, fh := range nh.Feats {
@@ -797,6 +875,55 @@ func (b *activeParty) unpackNode(party int, nh NodeHist) (nodeSums, error) {
 		sums[j] = fs
 	}
 	return sums, nil
+}
+
+// awaitUnits runs n units that each wait for their input (wait, holding no
+// worker) and then process it on one of B's worker slots (run), claiming
+// indices in order from cap(b.units) waiters. Since no slot is held while
+// waiting, units of nodes fetched at once decrypt whichever ciphertexts
+// have landed. It returns the error of the lowest failed index, once
+// every waiter is done; after a failure the remaining indices are dropped.
+func (b *activeParty) awaitUnits(n int, wait func(i int) (any, error), run func(i int, f any) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(n, cap(b.units)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n && !failed.Load(); i = int(next.Add(1) - 1) {
+				f, err := wait(i)
+				if err == nil {
+					err = b.units.run(1, func(int) error { return run(i, f) })
+				}
+				if err != nil {
+					errs[i] = err
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decryptChunk decrypts one chunk ciphertext off the wire.
+func (b *activeParty) decryptChunk(raw []byte) (*big.Int, error) {
+	ct, err := b.dec.Unmarshal(raw)
+	if err != nil {
+		return nil, err
+	}
+	plain, err := b.dec.Decrypt(ct)
+	if err == nil {
+		b.codec.Stats().AddDecryptions(1)
+	}
+	return plain, err
 }
 
 // childStats computes exact child gradient totals from B's plaintext

@@ -95,7 +95,7 @@ func TestBetterCandidateOrder(t *testing.T) {
 func TestDecryptEmptyBinPayload(t *testing.T) {
 	b := newBareActiveParty(t, 10, 2, 93)
 	b.featCounts = []int{1}
-	s, err := b.unpackNode(0, NodeHist{Node: rootID, Packed: true, Feats: []FeatHist{{NumBins: 1, Occupied: []byte{0}}}})
+	s, err := b.unpackNode(0, 0, NodeHist{Node: rootID, Packed: true, Feats: []FeatHist{{NumBins: 1, Occupied: []byte{0}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

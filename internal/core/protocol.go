@@ -28,6 +28,7 @@ func (b *activeParty) buildTree(t int, speculate bool) (*FedTree, []leafResult, 
 	var leaves []leafResult
 
 	for layer := 0; layer < b.cfg.MaxDepth && len(active) > 0; layer++ {
+		b.prefetch(t, active)
 		ownHists, err := b.buildOwnHistograms(active)
 		if err != nil {
 			return nil, nil, err

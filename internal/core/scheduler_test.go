@@ -13,6 +13,7 @@ import (
 	"vf2boost/internal/fixedpoint"
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
+	"vf2boost/internal/wire"
 )
 
 // tickUnits is a stub unit cost: every unit reports its start and then
@@ -147,6 +148,10 @@ type passiveRig struct {
 	in   chanTransport // B → party
 	out  chanTransport // party → B
 	rows int
+	// cts are the chunk ciphertexts the party sent, by tree and node: the
+	// rig's readers fold every MsgHistCt in here, so a node reads as one
+	// frame, its header.
+	cts map[[2]int][][]byte
 }
 
 func newPassiveRig(t *testing.T, rows, cols, workers int) *passiveRig {
@@ -154,7 +159,8 @@ func newPassiveRig(t *testing.T, rows, cols, workers int) *passiveRig {
 	_, parts := twoPartyData(t, rows, cols, 2, 1, true, 76)
 	cfg := quickConfig(SchemeMock)
 	cfg.Workers = workers
-	r := &passiveRig{in: chanTransport{ch: make(chan []byte, 64)}, out: chanTransport{ch: make(chan []byte, 64)}, rows: rows}
+	r := &passiveRig{in: chanTransport{ch: make(chan []byte, 64)}, out: chanTransport{ch: make(chan []byte, 4096)}, rows: rows,
+		cts: map[[2]int][][]byte{}}
 	r.p = testPassive(t, parts[0], mustNormalize(t, cfg), NewLink(pairTransport{send: r.out.Send, recv: r.in.Receive}))
 	return r
 }
@@ -205,13 +211,30 @@ func (r *passiveRig) sentFrames(t *testing.T) []any {
 	t.Helper()
 	var frames []any
 	for len(r.out.ch) > 0 {
-		m, err := NewLink(r.out).recv()
-		if err != nil {
-			t.Fatal(err)
+		if m := r.decode(t, <-r.out.ch); m != nil {
+			frames = append(frames, m)
 		}
-		frames = append(frames, m)
 	}
 	return frames
+}
+
+// decode reads one frame the party sent, or folds it into r.cts and
+// returns nil when it is a node's ciphertext.
+func (r *passiveRig) decode(t *testing.T, b []byte) any {
+	t.Helper()
+	m, err := wire.Binary.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct, ok := m.(MsgHistCt); ok {
+		k := [2]int{ct.Tree, int(ct.Node)}
+		for len(r.cts[k]) <= ct.Index {
+			r.cts[k] = append(r.cts[k], nil)
+		}
+		r.cts[k][ct.Index] = ct.Ct
+		return nil
+	}
+	return m
 }
 
 // TestPassivePartyStaysInsideItsWorkerBudget: through the root path and
@@ -344,7 +367,7 @@ func TestAbortedTaskNeverRunsAndIsNoFailure(t *testing.T) {
 	if err := r.p.failed(); err != nil {
 		t.Errorf("aborted task failed the session: %v", err)
 	}
-	if sent := r.sentFrames(t); len(sent) != 0 || before != 3 {
+	if sent := r.sentFrames(t); len(sent) != 0 || len(r.cts) != 1 || before != 3 {
 		t.Errorf("aborted task sent %d frames (%d before it)", len(sent), before)
 	}
 	if r.p.stats.BuildHistTime() != built || r.p.stats.AbortedTasks() != 1 {
@@ -371,11 +394,7 @@ func TestFailingUnitsFailTheSessionOnce(t *testing.T) {
 		MsgDecisions{Nodes: []NodeDecision{splitDecision(rootID, 2, 3, rows, 30)}},
 		MsgDecisions{Layer: 1, Nodes: []NodeDecision{splitDecision(2, 4, 5, 30, 10), splitDecision(3, 6, 7, 30, 20)}})
 	for hists := 0; hists < 4; {
-		m, err := NewLink(r.out).recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := m.(MsgHistograms); ok {
+		if _, ok := r.decode(t, <-r.out.ch).(MsgHistograms); ok {
 			hists++
 		}
 	}

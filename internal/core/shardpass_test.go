@@ -17,7 +17,6 @@ import (
 	"vf2boost/internal/he"
 	"vf2boost/internal/ooc"
 	"vf2boost/internal/paillier"
-	"vf2boost/internal/wire"
 )
 
 // shardedMatrix cuts an in-memory matrix into fixed-height shards — the
@@ -137,7 +136,7 @@ func (r *passiveRig) primed(t *testing.T) *passiveRig {
 
 // shippedNodes schedules the given nodes (in the given order), runs the
 // passes and returns the histograms the party sent, by node.
-func (r *passiveRig) shippedNodes(t *testing.T, order []int32, lists map[int32][]int32) map[int32]NodeHist {
+func (r *passiveRig) shippedNodes(t *testing.T, order []int32, lists map[int32][]int32) map[int32]shipped {
 	t.Helper()
 	r.sentFrames(t) // setup answers and the root
 	for _, id := range order {
@@ -148,13 +147,13 @@ func (r *passiveRig) shippedNodes(t *testing.T, order []int32, lists map[int32][
 	if err := r.p.failed(); err != nil {
 		t.Fatal(err)
 	}
-	shipped := map[int32]NodeHist{}
+	nodes := map[int32]shipped{}
 	for _, m := range r.sentFrames(t) {
 		for _, nh := range m.(MsgHistograms).Nodes {
-			shipped[nh.Node] = nh
+			nodes[nh.Node] = shipped{nh, r.cts[[2]int{0, int(nh.Node)}]}
 		}
 	}
-	return shipped
+	return nodes
 }
 
 // TestAccumulatePassMatchesPerNode: nodes built together in passes over a
@@ -234,17 +233,15 @@ func interleaved(node, leftID, rightID int32, n int) NodeDecision {
 // await returns the next n frames the party sends.
 func (r *passiveRig) await(t *testing.T, n int) []any {
 	t.Helper()
-	frames := make([]any, n)
-	for k := range frames {
+	frames := make([]any, 0, n)
+	for len(frames) < n {
 		select {
 		case b := <-r.out.ch:
-			m, err := wire.Binary.Decode(b)
-			if err != nil {
-				t.Fatal(err)
+			if m := r.decode(t, b); m != nil {
+				frames = append(frames, m)
 			}
-			frames[k] = m
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%d of %d frames arrived", k, n)
+			t.Fatalf("%d of %d frames arrived", len(frames), n)
 		}
 	}
 	return frames
@@ -284,15 +281,16 @@ func correctionsRig(t *testing.T, onPass func()) (r *passiveRig, dirty []any, do
 
 // corrected splits the frames a layer's corrections produced into the
 // placements, in arrival order, and the children's histograms by node.
-func corrected(t *testing.T, frames []any) (placements []MsgPlacement, hists map[int32]MsgHistograms) {
+func corrected(t *testing.T, r *passiveRig, frames []any) (placements []MsgPlacement, hists map[int32]shipped) {
 	t.Helper()
-	hists = map[int32]MsgHistograms{}
+	hists = map[int32]shipped{}
 	for _, f := range frames {
 		switch m := f.(type) {
 		case MsgPlacement:
 			placements = append(placements, m)
 		case MsgHistograms:
-			hists[m.Nodes[0].Node] = m
+			nh := m.Nodes[0]
+			hists[nh.Node] = shipped{nh, r.cts[[2]int{m.Tree, int(nh.Node)}]}
 		default:
 			t.Fatalf("unexpected %T", f)
 		}
@@ -318,6 +316,11 @@ func TestPassiveCorrectionsSharePass(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+		// The last children's ciphertexts may still be queued behind their
+		// headers.
+		if rest := r.sentFrames(t); len(rest) != 0 {
+			t.Fatalf("the party sent %d more frames", len(rest))
+		}
 	}
 
 	// One at a time.
@@ -336,7 +339,7 @@ func TestPassiveCorrectionsSharePass(t *testing.T) {
 	}
 	frames = append(frames, r.await(t, 2*len(dirty)-len(frames))...)
 	finish(r, done)
-	wantPlacements, wantHists := corrected(t, frames)
+	wantPlacements, wantHists := corrected(t, r, frames)
 	if passes.Load() != int64(len(dirty)) {
 		t.Fatalf("one correction at a time took %d placement passes, want %d", passes.Load(), len(dirty))
 	}
@@ -369,8 +372,9 @@ func TestPassiveCorrectionsSharePass(t *testing.T) {
 		}
 	}
 	close(release)
-	placements, hists := corrected(t, r.await(t, 2*len(dirty)))
+	frames = r.await(t, 2*len(dirty))
 	finish(r, done)
+	placements, hists := corrected(t, r, frames)
 
 	if n := passes.Load(); n > 2 {
 		t.Errorf("%d placement passes for one layer's corrections, want at most 2", n)

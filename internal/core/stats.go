@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -20,7 +21,7 @@ type Stats struct {
 	packTime      atomic.Int64 // ns passive parties spent finalizing and packing them
 	packedSlots   atomic.Int64 // histogram slots the passive parties packed ...
 	packedCts     atomic.Int64 // ... into this many ciphertexts
-	bIdleTime     atomic.Int64 // ns Party B spent waiting for passive frames
+	bIdle         idleClock    // Party B's waits for passive frames
 	aIdleTime     atomic.Int64 // ns passive parties spent waiting
 
 	splitsByB     atomic.Int64
@@ -32,10 +33,48 @@ type Stats struct {
 
 func addDur(a *atomic.Int64, d time.Duration) { a.Add(int64(d)) }
 
+// idleClock measures Party B's idle time while its decryption units wait
+// for ciphertext frames concurrently: B is idle while at least one wait is
+// open and no decryption runs, so waits that overlap one another or a
+// decryption count once or not at all, and the total stays within wall
+// time.
+type idleClock struct {
+	mu          sync.Mutex
+	waits, busy int
+	since       time.Time // start of the current idle stretch
+	accumulated time.Duration
+}
+
+// change moves the open waits and running decryptions by dWaits and dBusy,
+// opening or closing an idle stretch.
+func (c *idleClock) change(dWaits, dBusy int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	was := c.idle()
+	c.waits += dWaits
+	c.busy += dBusy
+	switch now := c.idle(); {
+	case !was && now:
+		c.since = time.Now()
+	case was && !now:
+		c.accumulated += time.Since(c.since)
+	}
+}
+
+func (c *idleClock) idle() bool { return c.waits > 0 && c.busy == 0 }
+
+// total is the idle time of the stretches closed so far.
+func (c *idleClock) total() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.accumulated
+}
+
 // EncryptTime is Party B's cumulative gradient-encryption time.
 func (s *Stats) EncryptTime() time.Duration { return time.Duration(s.encryptTime.Load()) }
 
-// DecryptTime is Party B's cumulative histogram-decryption time.
+// DecryptTime is Party B's histogram-decryption time, summed over its
+// decryption units (task-seconds: units run in parallel).
 func (s *Stats) DecryptTime() time.Duration { return time.Duration(s.decryptTime.Load()) }
 
 // FindSplitTime is Party B's cumulative split-finding time.
@@ -59,9 +98,11 @@ func (s *Stats) PackFill() float64 {
 	return 0
 }
 
-// BIdleTime is Party B's cumulative time blocked on the passive parties'
-// frames: their setup answers, histograms and placements.
-func (s *Stats) BIdleTime() time.Duration { return time.Duration(s.bIdleTime.Load()) }
+// BIdleTime is Party B's wall time blocked on the passive parties' frames
+// — their setup answers, histogram headers and ciphertexts, placements —
+// while no decryption of B's ran. It never exceeds the session's wall
+// time.
+func (s *Stats) BIdleTime() time.Duration { return s.bIdle.total() }
 
 // AIdleTime is the passive parties' cumulative time blocked on messages.
 func (s *Stats) AIdleTime() time.Duration { return time.Duration(s.aIdleTime.Load()) }
@@ -93,12 +134,15 @@ func (s *Stats) RatioSplitsB() float64 {
 
 // String renders the phase breakdown in the spirit of the paper's Gantt
 // lanes (Figures 4 and 5): cryptography phases, idle time, and the
-// optimistic-protocol outcomes.
+// optimistic-protocol outcomes. The phase totals are task-seconds: summed
+// over the units and nodes that run at once, and over passive parties, so
+// together they can exceed the session's wall time; B's idle time is wall
+// time.
 func (s *Stats) String() string {
 	var b strings.Builder
 	r := func(d time.Duration) string { return d.Round(time.Millisecond).String() }
-	fmt.Fprintf(&b, "phase breakdown:\n")
-	fmt.Fprintf(&b, "  B: encrypt %-10s decrypt %-10s find-split %-10s idle %s\n",
+	fmt.Fprintf(&b, "phase breakdown (task-seconds, summed over concurrent work; idle(B) is wall time):\n")
+	fmt.Fprintf(&b, "  B: encrypt %-10s decrypt %-10s find-split %-10s idle(B) %s\n",
 		r(s.EncryptTime()), r(s.DecryptTime()), r(s.FindSplitTime()), r(s.BIdleTime()))
 	fmt.Fprintf(&b, "  A: build-hist %-10s pack %-10s (%.1f slots/ct) idle %s\n",
 		r(s.BuildHistTime()), r(s.PackTime()), s.PackFill(), r(s.AIdleTime()))

@@ -31,3 +31,19 @@ func TestStatsZeroValues(t *testing.T) {
 		t.Error("empty String output")
 	}
 }
+
+// TestBIdleWithinWallTime: Party B's decryption units wait for their
+// ciphertext frames concurrently over a slow link; B's idle time counts a
+// stretch in which several wait once, so it stays within the session's
+// wall time.
+func TestBIdleWithinWallTime(t *testing.T) {
+	_, parts := twoPartyData(t, 200, 6, 3, 1, true, 5)
+	cfg := quickConfig(SchemeMock)
+	cfg.Workers, cfg.HistogramPacking, cfg.Trees, cfg.MaxDepth = 4, false, 1, 3
+	start := time.Now()
+	_, s := trainFed(t, parts, cfg, WithWAN(0.5, time.Millisecond))
+	wall := time.Since(start)
+	if idle := s.Stats().BIdleTime(); idle <= 0 || idle > wall {
+		t.Errorf("B idle %v in a %v session", idle, wall)
+	}
+}

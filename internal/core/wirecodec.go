@@ -1,6 +1,10 @@
 package core
 
-import "vf2boost/internal/wire"
+import (
+	"fmt"
+
+	"vf2boost/internal/wire"
+)
 
 // Binary wire encodings for every protocol message. Each message gets a
 // stable numeric ID (never renumber — append new IDs for new messages; the
@@ -76,11 +80,15 @@ const (
 	// slot per ciphertext, so both stay reserved, unregistered, and must
 	// not be reused.
 	idHistogramsV4 uint16 = 32
-	// idHistogramsV5 is the node layout: per node the split announcement
-	// and the chunk ciphertexts, per feature the bin count and the
-	// occupancy bitmap. Every histogram of every session uses it, roots
-	// included.
+	// idHistogramsV5 is the node layout's header: per node the split
+	// announcement, per feature the bin count and the occupancy bitmap.
+	// Every histogram of every session uses it, roots included. Its body
+	// keeps the ciphertext list of the retired one-frame layout, which must
+	// be empty: the chunks follow as idHistCt frames.
 	idHistogramsV5 uint16 = 33
+	// idHistCt is one chunk ciphertext of a node, sent after the node's
+	// header as soon as it is packed.
+	idHistCt uint16 = 34
 )
 
 // All ends of a deployment ship the same binary, so a frame carrying a
@@ -98,6 +106,7 @@ func init() {
 	wire.Register(idPairBatch, "MsgPairBatch", decodeMsg[MsgPairBatch])
 	wire.Register(idHistograms, "MsgHistogramsV1", decodeAs(idHistograms, (*MsgHistograms).decodeFrom))
 	wire.Register(idHistogramsV5, "MsgHistogramsV5", decodeAs(idHistogramsV5, (*MsgHistograms).decodeFrom))
+	wire.Register(idHistCt, "MsgHistCt", decodeMsg[MsgHistCt])
 	wire.Register(idDecisions, "MsgDecisions", decodeMsg[MsgDecisions])
 	wire.Register(idDirty, "MsgDirty", decodeMsg[MsgDirty])
 	wire.Register(idPlacement, "MsgPlacement", decodeMsg[MsgPlacement])
@@ -271,7 +280,7 @@ func (m *MsgGradBatch) decodeFrom(body []byte, id uint16) error {
 
 // --- MsgHistograms -----------------------------------------------------
 
-// WireID picks the frame: every engine ships the node layout under
+// WireID picks the frame: every engine ships node headers under
 // idHistogramsV5, and a message of other nodes is the retired
 // two-ciphertext frame (idHistograms), which only benchmark/probes.go
 // builds.
@@ -294,7 +303,7 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 		if packed {
 			b = wire.AppendInt32(b, n.Parent)
 			b = wire.AppendInt32(b, n.Sibling)
-			b = wire.AppendByteSlices(b, n.Cts)
+			b = wire.AppendByteSlices(b, nil) // the retired one-frame ciphertexts
 		}
 		b = wire.AppendUvarint(b, uint64(len(n.Feats)))
 		for _, f := range n.Feats {
@@ -318,16 +327,22 @@ func (m MsgHistograms) AppendTo(b []byte) []byte {
 	return b
 }
 
+// decodeFrom reads a header (idHistogramsV5) or the retired
+// two-ciphertext frame (idHistograms). A header that carries ciphertexts
+// is the retired one-frame node layout, refused by name (ErrLegacyLayout).
 func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 	packed := id == idHistogramsV5
 	d := wire.NewDec(body)
 	m.Tree = d.Int()
 	m.Layer = d.Int()
+	oneFrame := -1
 	m.Nodes = decodeSeq(d, func(d *wire.Dec) NodeHist {
 		n := NodeHist{Node: d.Int32()}
 		if packed {
-			n.Parent, n.Sibling = d.Int32(), d.Int32()
-			n.Packed, n.Cts = true, d.ByteSlices()
+			n.Parent, n.Sibling, n.Packed = d.Int32(), d.Int32(), true
+			if len(d.ByteSlices()) > 0 && oneFrame < 0 {
+				oneFrame = int(n.Node)
+			}
 		}
 		n.Feats = decodeSeq(d, func(d *wire.Dec) FeatHist {
 			f := FeatHist{NumBins: d.Int()}
@@ -347,6 +362,32 @@ func (m *MsgHistograms) decodeFrom(body []byte, id uint16) error {
 		})
 		return n
 	})
+	if err := d.Finish(); err != nil {
+		return err
+	}
+	if oneFrame >= 0 {
+		return fmt.Errorf("%w: node %d ships its ciphertexts in its header (one-frame node layout)", ErrLegacyLayout, oneFrame)
+	}
+	return nil
+}
+
+// --- MsgHistCt ---------------------------------------------------------
+
+func (MsgHistCt) WireID() uint16 { return idHistCt }
+
+func (m MsgHistCt) AppendTo(b []byte) []byte {
+	b = wire.AppendInt(b, m.Tree)
+	b = wire.AppendInt32(b, m.Node)
+	b = wire.AppendInt(b, m.Index)
+	return wire.AppendBytes(b, m.Ct)
+}
+
+func (m *MsgHistCt) DecodeFrom(body []byte) error {
+	d := wire.NewDec(body)
+	m.Tree = d.Int()
+	m.Node = d.Int32()
+	m.Index = d.Int()
+	m.Ct = d.Bytes()
 	return d.Finish()
 }
 

@@ -25,15 +25,18 @@ func sampleMessages() []any {
 		MsgReady{Party: 2, Features: 17, Rows: 100000},
 		MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true},
 		MsgPairBatch{Tree: 6, Start: 0, Cts: [][]byte{{9, 9}, nil, {8, 8}}, Exp: []int16{0, 0, 0}, Class: 2},
-		// A session without packing ships the node layout (id 33) at one
-		// slot per ciphertext: two nodes, the second without a slot.
+		// Headers of the node layout (id 33): two nodes, the second without
+		// a slot.
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{
-			{Node: 5, Packed: true, Cts: [][]byte{{1, 1}, {2, 2}, {3, 3}}, Feats: []FeatHist{
+			{Node: 5, Packed: true, Feats: []FeatHist{
 				{NumBins: 4, Occupied: []byte{0x0D}},
 				{NumBins: 6, Occupied: []byte{0}},
 			}},
 			{Node: 6, Packed: true, Feats: []FeatHist{{NumBins: 2, Occupied: []byte{0}}}},
 		}},
+		// A node's chunk ciphertexts follow its header, one frame each.
+		MsgHistCt{Tree: 1, Node: 5, Index: 2, Ct: []byte{3, 3}},
+		MsgHistCt{Tree: 4, Node: 3},
 		// The retired two-ciphertext frames (ids 3, 28, 4) still round-trip.
 		MsgGradBatch{Tree: 3, Start: 2048, G: [][]byte{{1, 2}, {3, 4}}, H: [][]byte{{5, 6}, {7, 8}}, GExp: []int16{-8, -7}, HExp: []int16{-8, -8}, Last: true},
 		MsgGradBatch{Tree: 6, Start: 0, G: [][]byte{{9, 9}}, H: [][]byte{nil}, GExp: []int16{0}, HExp: []int16{0}, Class: 2},
@@ -41,23 +44,23 @@ func sampleMessages() []any {
 			{NumBins: 6, Packed: true, PackedG: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}}, PackedH: [][]byte{{9, 9, 9, 9}, {8, 8, 8, 8}}, Exp: -12},
 		}}}},
 		MsgHistograms{Tree: 9, Layer: 0},
-		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Packed: true, Cts: [][]byte{{1, 2}, {3, 4}, {5, 6}}, Feats: []FeatHist{
+		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Packed: true, Feats: []FeatHist{
 			{NumBins: 5, Occupied: []byte{0x13}},
 			{NumBins: 2, Occupied: []byte{0}},
 		}}}},
 		// The shipped child names the sibling Party B derives.
-		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Packed: true, Cts: [][]byte{{1, 1}, {3, 3}}, Feats: []FeatHist{
+		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{Node: 5, Parent: 2, Sibling: 4, Packed: true, Feats: []FeatHist{
 			{NumBins: 3, Occupied: []byte{0x05}},
 			{NumBins: 6, Occupied: []byte{0}},
 		}}}},
-		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Packed: true, Cts: [][]byte{{3, 4}, {5, 6}}, Feats: []FeatHist{
+		MsgHistograms{Tree: 4, Layer: 1, Nodes: []NodeHist{{Node: 3, Parent: 1, Sibling: 2, Packed: true, Feats: []FeatHist{
 			{NumBins: 5, Occupied: []byte{0x11}},
 		}}}},
 		// Packed: a root, and a child announcing its sibling.
-		MsgHistograms{Tree: 2, Layer: 0, Nodes: []NodeHist{{Node: 1, Packed: true, Cts: [][]byte{{1, 2, 3, 4}, {5, 6, 7}}, Feats: []FeatHist{
+		MsgHistograms{Tree: 2, Layer: 0, Nodes: []NodeHist{{Node: 1, Packed: true, Feats: []FeatHist{
 			{NumBins: 9, Occupied: []byte{0xFF, 0x01}}, {NumBins: 3, Occupied: []byte{0x05}}, {NumBins: 2, Occupied: []byte{0}},
 		}}}},
-		MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Cts: [][]byte{{9, 8}}, Feats: []FeatHist{
+		MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Feats: []FeatHist{
 			{NumBins: 4, Occupied: []byte{0x0A}},
 		}}}},
 		MsgDecisions{Tree: 2, Layer: 1, Tentative: true, Nodes: []NodeDecision{
@@ -144,9 +147,10 @@ func TestEveryMessageTypeHasWireID(t *testing.T) {
 }
 
 // TestScalarFramesByteIdentical pins the bytes of the frames a scalar
-// session sends — setup (id 31), pair batch (29) and the node layout (33)
-// — to what the encoder produced while the lane-packed backends still
-// shared these layouts.
+// session sends — setup (id 31) and pair batch (29) to what the encoder
+// produced while the lane-packed backends still shared these layouts; the
+// node header (33), whose ciphertext list is now always empty, and its
+// ciphertext frame (34) to the streamed node layout.
 func TestScalarFramesByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		m    any
@@ -156,8 +160,10 @@ func TestScalarFramesByteIdentical(t *testing.T) {
 			"01001f00000026087061696c6c69657202dead8008100872e40102cafec0030c6d756c7469636c6173733a3306"},
 		{MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true, Class: 1},
 			"01001d0000000f068020020102010203040210160102"},
-		{MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Cts: [][]byte{{9, 8}}, Feats: []FeatHist{{NumBins: 4, Occupied: []byte{0x0A}}}}}},
-			"0100210000000f0404010c060e01010209080108010a"},
+		{MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Feats: []FeatHist{{NumBins: 4, Occupied: []byte{0x0A}}}}}},
+			"0100210000000b0404010c060e000108010a"},
+		{MsgHistCt{Tree: 2, Node: 6, Index: 1, Ct: []byte{9, 8}},
+			"01002200000006040c02020908"},
 	} {
 		b, err := wire.Binary.Encode(tc.m)
 		if err != nil {

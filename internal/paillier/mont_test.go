@@ -128,6 +128,49 @@ func TestMontMulMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestMontExpMatchesBigInt checks the kernel's variable-base
+// exponentiation against big.Int.Exp on the moduli of
+// TestMontMulMatchesBigInt: bases 0, 1, m−1, a random residue, a
+// ciphertext-sized value above m and non-units (multiples of p and q,
+// which share a factor with n, p² and q²), to exponents 0, 1, p−1, q−1
+// and a random 1024-bit value — the exponents Decrypt raises to.
+func TestMontExpMatchesBigInt(t *testing.T) {
+	if !montRunnable() {
+		t.Skip("CPU lacks ADX/BMI2: the kernel cannot run here")
+	}
+	priv := testKey(t, 2048)
+	rng := mrand.New(mrand.NewSource(5))
+	exps := map[string]*big.Int{
+		"0":      new(big.Int),
+		"1":      big.NewInt(1),
+		"p−1":    priv.pOrder,
+		"q−1":    priv.qOrder,
+		"random": new(big.Int).Rand(rng, new(big.Int).Lsh(one, 1024)),
+	}
+	for name, m := range montTestModuli(t) {
+		t.Run(name, func(t *testing.T) {
+			mm := newMontModulus(m)
+			bases := map[string]*big.Int{
+				"0":        new(big.Int),
+				"1":        big.NewInt(1),
+				"m−1":      new(big.Int).Sub(m, one),
+				"random":   new(big.Int).Rand(rng, m),
+				"above m":  new(big.Int).Rand(rng, priv.NSquared),
+				"3p mod m": new(big.Int).Mod(new(big.Int).Mul(priv.p, big.NewInt(3)), m),
+				"q":        priv.q,
+			}
+			for bn, base := range bases {
+				for en, e := range exps {
+					want := new(big.Int).Exp(base, e, m)
+					if got := mm.exp(base, e); got.Cmp(want) != 0 {
+						t.Errorf("exp(base %s, e %s) = %x, want %x", bn, en, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestMontSelection pins where the kernel applies: odd 2048-bit moduli
 // only, so a 2048-bit key's n (squarePow2) and its owner tables modulo p²
 // and q² take it when montKernel is set, while the public tables modulo n²,

@@ -24,9 +24,10 @@
 //     that chain (modulo n) and the key owner's fixed-base obfuscator
 //     (modulo p² and q², below) — skip big.Int's division: on amd64 with
 //     ADX and BMI2 they run in Montgomery form over a 32-word assembly
-//     kernel (mont.go), to the same residues. Every other width and
-//     platform, and HAdd, decryption and the public tables at any width,
-//     stay on big.Int;
+//     kernel (mont.go), to the same residues, and so do decryption's two
+//     CRT exponentiations (modulo p² and q²). Every other width and
+//     platform, and HAdd and the public tables at any width, stay on
+//     big.Int;
 //   - optionally, EnableFastObfuscation replaces the full r^n ladder with
 //     DJN-style short-exponent obfuscators h^x served from precomputed
 //     fixed-base tables (see fixedbase.go), cutting obfuscator cost by
@@ -97,6 +98,10 @@ type PrivateKey struct {
 	hp       *big.Int // (L_p(g^{p-1} mod p²))^{-1} mod p
 	hq       *big.Int // (L_q(g^{q-1} mod q²))^{-1} mod q
 	pInvQ    *big.Int // p^{-1} mod q
+	// montP, montQ are the Montgomery contexts of p² and q² when they are
+	// 2048-bit moduli (a 2048-bit key's primes), else nil: Decrypt runs its
+	// two exponentiations on the kernel with them (see mont.go).
+	montP, montQ *montModulus
 	// owner, when non-nil, serves the key owner's obfuscators from
 	// half-size CRT tables (see owner.go). It embeds p² and q² and so
 	// lives here, never behind PublicKey.fast.
@@ -177,6 +182,8 @@ func newPrivateKey(p, q *big.Int) *PrivateKey {
 		qOrder:   new(big.Int).Sub(q, one),
 		pInvQ:    new(big.Int).ModInverse(p, q),
 	}
+	priv.montP = newMontModulus(priv.pSquared)
+	priv.montQ = newMontModulus(priv.qSquared)
 	// hp = L_p(g^{p-1} mod p²)^{-1} mod p with g = n+1.
 	// g^{p-1} mod p² = (1+n)^{p-1} = 1 + (p-1)·n mod p², so
 	// L_p(...) = ((p-1)·n mod p²) / p ... computed directly below.
@@ -403,13 +410,11 @@ func (priv *PrivateKey) Decrypt(ct Ciphertext) (*big.Int, error) {
 		return nil, err
 	}
 	// mp = L_p(c^{p-1} mod p²)·hp mod p
-	cp := new(big.Int).Exp(ct.C, priv.pOrder, priv.pSquared)
-	mp := lFunc(cp, priv.p)
+	mp := lFunc(crtExp(ct.C, priv.pOrder, priv.pSquared, priv.montP), priv.p)
 	mp.Mul(mp, priv.hp)
 	mp.Mod(mp, priv.p)
 	// mq = L_q(c^{q-1} mod q²)·hq mod q
-	cq := new(big.Int).Exp(ct.C, priv.qOrder, priv.qSquared)
-	mq := lFunc(cq, priv.q)
+	mq := lFunc(crtExp(ct.C, priv.qOrder, priv.qSquared, priv.montQ), priv.q)
 	mq.Mul(mq, priv.hq)
 	mq.Mod(mq, priv.q)
 	// CRT combine: m = mp + p·((mq - mp)·p^{-1} mod q)
@@ -419,6 +424,16 @@ func (priv *PrivateKey) Decrypt(ct Ciphertext) (*big.Int, error) {
 	u.Mul(u, priv.p)
 	u.Add(u, mp)
 	return u, nil
+}
+
+// crtExp returns c^e mod m for one of Decrypt's prime-square moduli: on
+// the Montgomery kernel when it is selected and m has a context mm, else
+// by big.Int.Exp, to the same residue.
+func crtExp(c, e, m *big.Int, mm *montModulus) *big.Int {
+	if montKernel && mm != nil {
+		return mm.exp(c, e)
+	}
+	return new(big.Int).Exp(c, e, m)
 }
 
 // DecryptInt64 decrypts and interprets plaintexts in the upper half of

@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -48,6 +49,48 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 			t.Errorf("round trip of %d = %d", v, got)
 		}
 	}
+}
+
+// TestDecrypt2048 decrypts at the paper's key size on both paths
+// (path=mont, the kernel's exponentiations modulo p² and q², where the
+// CPU has it; path=big, big.Int.Exp): plaintexts 0, 1, n−1, random
+// values, and a homomorphic sum, each to the value encrypted.
+func TestDecrypt2048(t *testing.T) {
+	priv := testKey(t, 2048)
+	if priv.montP == nil || priv.montQ == nil {
+		t.Fatalf("a 2048-bit key has no Montgomery context for p² (%d bits) or q² (%d bits)", priv.pSquared.BitLen(), priv.qSquared.BitLen())
+	}
+	rng := mrand.New(mrand.NewSource(2048))
+	plains := []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(priv.N, one)}
+	for i := 0; i < 4; i++ {
+		plains = append(plains, new(big.Int).Rand(rng, priv.N))
+	}
+	forEachPath(t, true, func(t *testing.T) {
+		for _, m := range plains {
+			ct, err := priv.Encrypt(rand.Reader, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := priv.Decrypt(ct); err != nil || got.Cmp(m) != 0 {
+				t.Fatalf("Decrypt(Enc(%x)) = %x, %v", m, got, err)
+			}
+		}
+		sum := priv.Add(priv.Add(mustEncrypt(t, priv, plains[3]), mustEncrypt(t, priv, plains[4])), mustEncrypt(t, priv, plains[2]))
+		want := new(big.Int).Add(plains[3], plains[4])
+		want.Add(want, plains[2]).Mod(want, priv.N)
+		if got, err := priv.Decrypt(sum); err != nil || got.Cmp(want) != 0 {
+			t.Fatalf("Decrypt of a sum = %x, %v; want %x", got, err, want)
+		}
+	})
+}
+
+func mustEncrypt(t *testing.T, priv *PrivateKey, m *big.Int) Ciphertext {
+	t.Helper()
+	ct, err := priv.Encrypt(rand.Reader, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ct
 }
 
 func TestHomomorphicAdditionProperty(t *testing.T) {
@@ -254,14 +297,21 @@ func BenchmarkEncryptWithPool(b *testing.B) {
 	}
 }
 
+// BenchmarkDecryptCRT measures one CRT decryption at 512 bits and at the
+// paper's 2048, where the two exponentiations run on the Montgomery kernel
+// when the CPU has one.
 func BenchmarkDecryptCRT(b *testing.B) {
-	priv := testKey(b, 512)
-	ct, _ := priv.EncryptInt64(rand.Reader, 987654321)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := priv.Decrypt(ct); err != nil {
-			b.Fatal(err)
-		}
+	for _, bits := range []int{512, 2048} {
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			priv := testKey(b, bits)
+			ct, _ := priv.EncryptInt64(rand.Reader, 987654321)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := priv.Decrypt(ct); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

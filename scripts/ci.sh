@@ -51,6 +51,10 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # refused frame must end in its typed error, and a frame no decoder reads
 # (the retired batched-backend ids 24–27, the retired per-bin histogram
 # ids 30 and 32, an unknown id) in MsgAbort to B — whatever the schedule.
+# A node ships as a header and one frame per ciphertext, which B's units
+# decrypt as they land: a frame before its header, twice, beyond the
+# header's count or inside a one-frame header, a link dropped mid-node,
+# and B's idle time under concurrent waits run here too.
 # The counter ledger's cells (cipher operations, shaper bytes and model
 # bytes of every combination of the paper's switches) must hold at
 # Workers 1 on any core count. Party B grows
@@ -75,7 +79,7 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|StreamedNode|BIdleWithinWallTime|DecryptFeatureRejectsGarbage|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
@@ -89,11 +93,12 @@ echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring
 # kernel is compared byte for byte with big.Int.Exp, and shared read-only
 # operands are shifted from several goroutines at once. At 2048 bits both
 # run twice, on the Montgomery kernel and on big.Int, and the kernel's
-# product and REDC are checked against big.Int on the moduli it serves.
-go test -race -short -count=1 -run 'Owner|MulScalarPow2|Mont' ./internal/paillier ./internal/he
+# product, REDC and exponentiation are checked against big.Int on the
+# moduli it serves; 2048-bit decryption runs on both paths too.
+go test -race -short -count=1 -run 'Owner|MulScalarPow2|Mont|Decrypt' ./internal/paillier ./internal/he
 
 echo "== big.Int path at 2048 bits (purego: the Montgomery kernel compiled out) =="
-go test -tags purego -short -count=1 -run 'Owner|MulScalarPow2|Conformance|Mont' ./internal/paillier ./internal/he
+go test -tags purego -short -count=1 -run 'Owner|MulScalarPow2|Conformance|Mont|Decrypt' ./internal/paillier ./internal/he
 
 echo "== non-amd64 builds (the kernel is amd64 assembly; other GOARCHes must compile without it) =="
 GOARCH=arm64 go vet ./internal/paillier
