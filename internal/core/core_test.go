@@ -57,10 +57,12 @@ func quickConfig(scheme string) Config {
 	return cfg
 }
 
+// trainFed trains one in-process session. A Paillier session decrypts
+// with the shared 256-bit key unless opts bring a decryptor of their own.
 func trainFed(t testing.TB, parts []*dataset.Dataset, cfg Config, opts ...SessionOption) (*FederatedModel, *Session) {
 	t.Helper()
 	if cfg.Scheme == SchemePaillier {
-		opts = append(opts, WithDecryptor(testDecryptor(t)))
+		opts = append([]SessionOption{WithDecryptor(testDecryptor(t))}, opts...)
 	}
 	s, err := NewSession(parts, cfg, opts...)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -16,6 +17,7 @@ import (
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
 	"vf2boost/internal/objective"
+	"vf2boost/internal/paillier"
 	"vf2boost/internal/wire"
 )
 
@@ -25,23 +27,44 @@ import (
 // into one plaintext changes how the bin sums travel, not which integers
 // they are, so with the exponent draw out of the picture the model bytes
 // must not move — on any scheme, packed or not.
+//
+// The paillier-2048 rows run at the paper's key size, where Party A's
+// accumulators take the n-adic digit form and the packing chain and
+// decryption run on the Montgomery kernel (on a CPU that has one), with
+// re-ordered accumulation and without it. One key serves both.
 func TestGoldenModelAtFixedExponent(t *testing.T) {
 	const optimized = "56df290a8b7afc892b40e39dd99706ef5f9e2732ccd5cb0b8dd61c944c66b34e"
 	base := MockConfig()
 	base.Trees, base.MaxDepth, base.MaxBins, base.KeyBits, base.BatchSize = 3, 3, 8, 256, 100
+	key, err := paillier.GenerateKey(rand.Reader, 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec2048 := he.NewPaillierFromKey(key, 0)
+	wide := quickConfig(SchemePaillier)
+	wide.KeyBits = 2048
+	wideNaive := wide
+	wideNaive.ReorderedAccumulation = false
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 		want string
+		dec  he.Decryptor
 	}{
-		{"mock-optimized", quickConfig(SchemeMock), optimized},
-		{"paillier-optimized", quickConfig(SchemePaillier), optimized},
-		{"mock-baseline", base, "a8c75d61d60dae2a142c01e632b7249bc4f9ebec97b31ab1974d0fe94240a195"},
+		{"mock-optimized", quickConfig(SchemeMock), optimized, nil},
+		{"paillier-optimized", quickConfig(SchemePaillier), optimized, nil},
+		{"mock-baseline", base, "a8c75d61d60dae2a142c01e632b7249bc4f9ebec97b31ab1974d0fe94240a195", nil},
+		{"paillier-2048", wide, optimized, dec2048},
+		{"paillier-2048-naive", wideNaive, optimized, dec2048},
 	} {
 		tc.cfg.ExpSpread = 1
 		tc.cfg.Seed = 7
 		_, parts := twoPartyData(t, 300, 4, 3, 0.6, false, 77)
-		m, _ := trainFed(t, parts, tc.cfg)
+		var opts []SessionOption
+		if tc.dec != nil {
+			opts = append(opts, WithDecryptor(tc.dec))
+		}
+		m, _ := trainFed(t, parts, tc.cfg, opts...)
 		var buf bytes.Buffer
 		if err := m.Save(&buf); err != nil {
 			t.Fatal(err)

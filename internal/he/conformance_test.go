@@ -159,7 +159,10 @@ func testHostileInput(t *testing.T, s confScheme) {
 // exactly N and of 2N−2 — and on random residues, and checks that neither
 // the fresh nor the in-place form shares storage with an operand. Each
 // operand is encrypted once, alternately by the private and the public
-// side, and must keep its ciphertext bytes through every pair. The
+// side, and must keep its ciphertext bytes through every pair. Its
+// Unmarshaled copy must marshal back to those bytes, and accumulating the
+// copies and accumulators into each other must give Add's bytes, as
+// Party A accumulates the wire ciphertexts of its gradients. The
 // protocol's power-of-two scalars — exponent alignment by 16 and the
 // packing shift 2^114 — must multiply modulo N on every operand.
 func testModularEdges(t *testing.T, s confScheme) {
@@ -195,9 +198,43 @@ func testModularEdges(t *testing.T, s confScheme) {
 		cts[i], raws[i] = ct, s.pub.Marshal(ct)
 	}
 	mod := func(v *big.Int) *big.Int { return v.Mod(v, n) }
+	// Each operand as a passive party receives it: back through
+	// Unmarshal, which must give the same bytes back.
+	wire := make([]Ciphertext, len(raws))
+	for i, raw := range raws {
+		w, err := s.pub.Unmarshal(raw)
+		if err != nil {
+			t.Fatalf("Unmarshal(operand %v): %v", operands[i], err)
+		}
+		if !bytes.Equal(s.pub.Marshal(w), raw) {
+			t.Fatalf("operand %v: Unmarshal → Marshal changed its bytes", operands[i])
+		}
+		wire[i] = w
+	}
 	for i, x := range operands {
 		for j, y := range operands {
 			cx, cy := cts[i], cts[j]
+			// Accumulations of wire operands, and of accumulators into
+			// each other and into a canonical ciphertext, must marshal
+			// to Add's bytes: Add multiplies the canonical residues.
+			want := s.pub.Marshal(s.pub.Add(cx, cy))
+			accX := s.pub.AddInto(s.pub.EncryptZero(), wire[i])
+			accY := s.pub.AddInto(s.pub.EncryptZero(), wire[j])
+			if !bytes.Equal(s.pub.Marshal(accX), raws[i]) {
+				t.Fatalf("0 + wire %v marshals to other bytes than the operand", x)
+			}
+			for name, got := range map[string]Ciphertext{
+				"wire into accumulator":        s.pub.AddInto(s.pub.AddInto(s.pub.EncryptZero(), wire[i]), wire[j]),
+				"accumulator into accumulator": s.pub.AddInto(accX, accY),
+				"accumulator into canonical":   s.pub.AddInto(s.pub.Add(cx, s.pub.EncryptZero()), s.pub.AddInto(s.pub.EncryptZero(), wire[j])),
+			} {
+				if !bytes.Equal(s.pub.Marshal(got), want) {
+					t.Errorf("%s (%v, %v): bytes differ from Add's", name, x, y)
+				}
+			}
+			if !bytes.Equal(s.pub.Marshal(accY), raws[j]) || !bytes.Equal(s.pub.Marshal(wire[i]), raws[i]) {
+				t.Fatalf("(%v, %v): an addend or a merged accumulator changed", x, y)
+			}
 			sum := mod(new(big.Int).Add(x, y))
 			if got := dec(s.pub.Add(cx, cy)); got.Cmp(sum) != 0 {
 				t.Errorf("Add(%v, %v) = %v, want %v", x, y, got, sum)

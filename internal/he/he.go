@@ -38,14 +38,21 @@ type Scheme interface {
 	Add(a, b Ciphertext) Ciphertext
 	// AddInto accumulates b into dst in place where the implementation
 	// supports it, returning the accumulated ciphertext. Callers must
-	// use the return value and may not rely on dst remaining valid.
+	// use the return value and may not rely on dst remaining valid; b
+	// is only read. At 2048 bits with the Montgomery kernel, Paillier
+	// keeps the result as an accumulator in n-adic digit form, which
+	// every later AddInto multiplies into without a 4096-bit division.
 	AddInto(dst, b Ciphertext) Ciphertext
 	// MulScalar returns a ciphertext of k·m given a ciphertext of m
 	// (SMul). k may be negative.
 	MulScalar(a Ciphertext, k *big.Int) Ciphertext
 	// Marshal serializes a ciphertext for cross-party transfer.
 	Marshal(ct Ciphertext) []byte
-	// Unmarshal reverses Marshal.
+	// Unmarshal reverses Marshal, refusing bytes that are not a valid
+	// ciphertext. Where Paillier accumulates in digit form it returns
+	// the ciphertext already converted into the form AddInto adds, so
+	// a gradient ciphertext pays the conversion once however many bins
+	// it lands in; Marshal still returns the bytes it was given.
 	Unmarshal(b []byte) (Ciphertext, error)
 	// CiphertextBytes is the serialized size of one ciphertext, used by
 	// the WAN shaper to account transfer cost (2S/8 for Paillier).

@@ -1,7 +1,9 @@
 package he
 
 import (
+	"bytes"
 	"math/big"
+	"sync"
 	"testing"
 
 	"vf2boost/internal/paillier"
@@ -233,5 +235,68 @@ func TestPaillierFastObfuscationRoundTrip(t *testing.T) {
 		if v, err := p.Decrypt(ct2); err != nil || v.Int64() != 8 {
 			t.Fatalf("baseline round trip after disable = %v, %v; want 8", v, err)
 		}
+	}
+}
+
+// TestSharedAddendConcurrentAdds has several goroutines add one shared
+// wire ciphertext — an addend under the 2048-bit digit form — and one
+// shared canonical ciphertext, as the pack workers share a node's shift
+// ciphertext: as b of AddInto and as operands of Add. Under -race any
+// write to a shared operand fails the run, and every result must marshal
+// to big.Int's bytes.
+func TestSharedAddendConcurrentAdds(t *testing.T) {
+	pd, err := NewPaillier(2048, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := paillier.NewPublicKey(pd.N())
+	s := NewPaillierPublic(pk)
+	ct, err := s.Encrypt(big.NewInt(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shift, err := s.Encrypt(big.NewInt(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := s.Marshal(ct)
+	shared, err := s.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, k := new(big.Int).SetBytes(raw), new(big.Int).SetBytes(s.Marshal(shift))
+	const adds = 12
+	sumBytes := new(big.Int).Exp(c, big.NewInt(adds), pk.NSquared).Bytes()
+	ck := new(big.Int).Mul(c, k)
+	withShift := ck.Mod(ck, pk.NSquared).Bytes()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			acc := s.EncryptZero()
+			for i := 0; i < adds; i++ {
+				acc = s.AddInto(acc, shared)
+				for name, got := range map[string]Ciphertext{
+					"Add":     s.Add(shared, shift),
+					"AddInto": s.AddInto(s.Add(shift, s.EncryptZero()), shared),
+				} {
+					if !bytes.Equal(s.Marshal(got), withShift) {
+						t.Errorf("%s: bytes differ from big.Int's product", name)
+						return
+					}
+				}
+			}
+			if !bytes.Equal(s.Marshal(acc), sumBytes) {
+				t.Errorf("%d adds of the shared addend: bytes differ from big.Int's power", adds)
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(s.Marshal(shared), raw) {
+		t.Fatal("the shared addend changed")
+	}
+	if m, err := pd.Decrypt(s.Add(shared, shared)); err != nil || m.Int64() != 10 {
+		t.Fatalf("Dec(shared + shared) = %v, %v; want 10", m, err)
 	}
 }

@@ -8,12 +8,30 @@ import (
 	"vf2boost/internal/paillier"
 )
 
-// paillierCt wraps a Paillier ciphertext to satisfy he.Ciphertext.
-type paillierCt struct {
-	ct paillier.Ciphertext
-}
+// A Paillier ciphertext takes one of three forms, each one pointer wide
+// (so boxing it in a Ciphertext allocates nothing) and holding one copy
+// of the value:
+//
+//   - paillierCt, the canonical residue in [0, n²): what Encrypt,
+//     Add and MulScalar return, and the only form at widths and on
+//     platforms without the digit form (paillier.PublicKey.DigitForm);
+//   - paillierAcc, an accumulator's n-adic digits, which AddInto
+//     multiplies into in place;
+//   - paillierAddend, the digits of R·c mod n² that an HAdd's right
+//     operand takes. Unmarshal converts each wire ciphertext into one;
+//     it is never written again, so one addend may be shared.
+//
+// Marshal, Add, MulScalar and Decrypt read the canonical residue of any
+// form; the digit forms exist only where DigitForm holds.
+type (
+	paillierCt     struct{ ct paillier.Ciphertext }
+	paillierAcc    struct{ d *paillier.Accumulator }
+	paillierAddend struct{ d *paillier.Addend }
+)
 
-func (paillierCt) isCiphertext() {}
+func (paillierCt) isCiphertext()     {}
+func (paillierAcc) isCiphertext()    {}
+func (paillierAddend) isCiphertext() {}
 
 // PaillierScheme adapts internal/paillier to the Scheme interface: the
 // encrypt-only side every party holds. It obfuscates through the public
@@ -23,6 +41,9 @@ type PaillierScheme struct {
 	// half is n/2, precomputed so Signed never allocates the threshold
 	// in the decrypt hot loop.
 	half *big.Int
+	// digits is pk.DigitForm(): accumulators and unmarshaled
+	// ciphertexts take the digit forms.
+	digits bool
 }
 
 // PaillierDecryptor is the Scheme plus the private key; only Party B holds
@@ -51,7 +72,7 @@ func NewPaillier(bits, poolWorkers int) (*PaillierDecryptor, error) {
 // NewPaillierPublic wraps a public key for a passive party, which can
 // encrypt and operate homomorphically but never decrypt.
 func NewPaillierPublic(pk *paillier.PublicKey) *PaillierScheme {
-	return &PaillierScheme{pk: pk, half: new(big.Int).Rsh(pk.N, 1)}
+	return &PaillierScheme{pk: pk, half: new(big.Int).Rsh(pk.N, 1), digits: pk.DigitForm()}
 }
 
 // NewPaillierFromKey wraps an existing private key.
@@ -181,22 +202,58 @@ func (d *PaillierDecryptor) Encrypt(m *big.Int) (Ciphertext, error) {
 	return paillierCt{ct}, nil
 }
 
+// EncryptZero returns an accumulator of 1 under the digit form, else the
+// canonical 1.
 func (s *PaillierScheme) EncryptZero() Ciphertext {
+	if s.digits {
+		return paillierAcc{s.pk.ZeroAccumulator()}
+	}
 	return paillierCt{s.pk.EncryptZero()}
 }
 
-func (s *PaillierScheme) Add(a, b Ciphertext) Ciphertext {
-	return paillierCt{s.pk.Add(a.(paillierCt).ct, b.(paillierCt).ct)}
+// canonical returns the residue in [0, n²) that ct holds in any form.
+func (s *PaillierScheme) canonical(ct Ciphertext) paillier.Ciphertext {
+	switch c := ct.(type) {
+	case paillierAcc:
+		return s.pk.AccumulatorCiphertext(c.d)
+	case paillierAddend:
+		return s.pk.AddendCiphertext(c.d)
+	}
+	return ct.(paillierCt).ct
 }
 
+func (s *PaillierScheme) Add(a, b Ciphertext) Ciphertext {
+	return paillierCt{s.pk.Add(s.canonical(a), s.canonical(b))}
+}
+
+// AddInto multiplies b into dst in place when dst is an accumulator.
+// Under the digit form any other dst — a canonical residue or a shared
+// addend — is first copied into a fresh accumulator, and a b that is not
+// an addend is converted into one on the way; without it both are
+// canonical and big.Int multiplies them.
 func (s *PaillierScheme) AddInto(dst, b Ciphertext) Ciphertext {
-	d := dst.(paillierCt)
-	s.pk.AddInto(&d.ct, b.(paillierCt).ct)
-	return d
+	if !s.digits {
+		d := dst.(paillierCt)
+		s.pk.AddInto(&d.ct, b.(paillierCt).ct)
+		return d
+	}
+	acc, ok := dst.(paillierAcc)
+	if !ok {
+		acc = paillierAcc{s.pk.NewAccumulator(s.canonical(dst))}
+	}
+	switch b := b.(type) {
+	case paillierAddend:
+		s.pk.AddAddend(acc.d, b.d)
+	case paillierAcc:
+		s.pk.AddAccumulator(acc.d, b.d)
+	default:
+		s.pk.AddAddend(acc.d, s.pk.NewAddend(b.(paillierCt).ct))
+	}
+	return acc
 }
 
 func (s *PaillierScheme) MulScalar(a Ciphertext, k *big.Int) Ciphertext {
-	ct, err := s.pk.MulScalar(a.(paillierCt).ct, k)
+	ct, err := s.pk.MulScalar(s.canonical(a), k)
 	if err != nil {
 		// Unreachable for scheme-produced ciphertexts: Encrypt outputs
 		// and Unmarshal inputs are both range-validated. Failing here is
@@ -208,13 +265,15 @@ func (s *PaillierScheme) MulScalar(a Ciphertext, k *big.Int) Ciphertext {
 }
 
 func (s *PaillierScheme) Marshal(ct Ciphertext) []byte {
-	return ct.(paillierCt).ct.Bytes()
+	return s.canonical(ct).Bytes()
 }
 
 // Unmarshal rejects byte strings that do not decode to an element of
 // (0, n²). This is the validation gate for every ciphertext arriving from
 // the wire: downstream homomorphic operations and decryption may assume
-// range-valid inputs because nothing out of range gets past here.
+// range-valid inputs because nothing out of range gets past here. Under
+// the digit form it returns the ciphertext as an addend, converted here
+// once however many accumulators it is added into.
 func (s *PaillierScheme) Unmarshal(b []byte) (Ciphertext, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("he: empty paillier ciphertext")
@@ -223,13 +282,16 @@ func (s *PaillierScheme) Unmarshal(b []byte) (Ciphertext, error) {
 	if err := s.pk.ValidateCiphertext(ct); err != nil {
 		return nil, fmt.Errorf("he: %w", err)
 	}
+	if s.digits {
+		return paillierAddend{s.pk.NewAddend(ct)}, nil
+	}
 	return paillierCt{ct}, nil
 }
 
 func (s *PaillierScheme) CiphertextBytes() int { return 2 * s.pk.Bits() / 8 }
 
 func (d *PaillierDecryptor) Decrypt(ct Ciphertext) (*big.Int, error) {
-	return d.priv.Decrypt(ct.(paillierCt).ct)
+	return d.priv.Decrypt(d.canonical(ct))
 }
 
 var (

@@ -17,9 +17,10 @@ package paillier
 //
 // Selection is by platform and width only. montKernel is true on amd64
 // (without the purego tag) when CPUID reports ADX and BMI2, and then only
-// 2048-bit moduli take this code: squarePow2, the owner's tables and
-// decryption's two exponentiations (exp). Everything else — other widths,
-// other platforms, HAdd and the public tables modulo n² — stays on
+// 2048-bit moduli take this code: squarePow2, the owner's tables,
+// decryption's two exponentiations (exp) and the digit-form HAdd
+// (digits.go). Everything else — other widths, other platforms, AddInto
+// on canonical ciphertexts and the public tables modulo n² — stays on
 // big.Int, which is also the reference the tests compare against. A word
 // loop written in Go is slower than big.Int, so mont_generic.go's
 // addMulVVW2048 only lets the tests run the Montgomery arithmetic where
@@ -78,6 +79,15 @@ func (z *nat) less(y *nat) bool {
 		}
 	}
 	return false
+}
+
+// add sets z = z + y + c mod 2^2048 for a carry-in c ≤ 1 and returns the
+// carry out.
+func (z *nat) add(y *nat, c uint) uint {
+	for i := range z {
+		z[i], c = bits.Add(z[i], y[i], c)
+	}
+	return c
 }
 
 // sub sets z = z − y mod 2^2048.
@@ -154,6 +164,18 @@ func (mm *montModulus) montgomery(z *nat, t *[2 * montLimbs]uint, x, y, red *nat
 	return 1
 }
 
+// negAddend loads montgomery's t with the addend m − (M mod m) ≡ −M for
+// reduction words M of a previous product; it clobbers M.
+func (mm *montModulus) negAddend(t *[2 * montLimbs]uint, red *nat) {
+	// M < R ≤ 2m, so M mod m takes at most one subtraction.
+	if !red.less(&mm.m) {
+		red.sub(&mm.m)
+	}
+	*t = [2 * montLimbs]uint{}
+	copy(t[:], mm.m[:])
+	(*nat)(t[:montLimbs]).sub(red)
+}
+
 // mul sets z = x·y·R⁻¹ mod m for x, y < m; see montgomery for red and the
 // result.
 func (mm *montModulus) mul(z, x, y, red *nat) uint {
@@ -209,6 +231,9 @@ type montChain struct {
 	montModulus
 	n2 *big.Int
 	k  sync.Map // int → *big.Int
+	// rr is the addend of R mod n², whose digits are those of R² mod n²:
+	// an HAdd by it turns a ciphertext's digits into its addend (digits.go).
+	rr Addend
 }
 
 // newMontChain returns the chain state for n, or nil when n is not an odd
@@ -218,7 +243,13 @@ func newMontChain(n, n2 *big.Int) *montChain {
 	if mm == nil {
 		return nil
 	}
-	return &montChain{montModulus: *mm, n2: n2}
+	ch := &montChain{montModulus: *mm, n2: n2}
+	rr := new(big.Int).Lsh(one, 2*montBits)
+	var q big.Int
+	q.QuoRem(rr.Mod(rr, n2), n, rr)
+	ch.rr.a.setBig(rr)
+	ch.rr.g.setBig(&q)
+	return ch
 }
 
 // kFor returns K_s = R^(2^s−1) mod n².
@@ -262,14 +293,7 @@ func (ch *montChain) squarePow2(c *big.Int, s int) *big.Int {
 		if carry != 0 || !g2.less(&ch.m) {
 			g2.sub(&ch.m)
 		}
-		// M < R ≤ 2n, so M mod n takes at most one subtraction.
-		if !m.less(&ch.m) {
-			m.sub(&ch.m)
-		}
-		t = [2 * montLimbs]uint{}
-		copy(t[:], ch.m[:])
-		low := (*nat)(t[:montLimbs])
-		low.sub(&m)
+		ch.negAddend(&t, &m)
 		ch.montgomery(&g, &t, &a, &g2, nil)
 		// γ + j ≤ n, so one subtraction again suffices.
 		if j != 0 {

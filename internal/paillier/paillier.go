@@ -20,13 +20,16 @@
 //     half the modulus width (squarePow2), returning the same residue
 //     big.Int.Exp would; other scalars, and keys under 1024 bits where the
 //     chain's fixed overhead outweighs it, go through Exp;
-//   - at the paper's 2048-bit key size the two hottest modular products —
-//     that chain (modulo n) and the key owner's fixed-base obfuscator
-//     (modulo p² and q², below) — skip big.Int's division: on amd64 with
-//     ADX and BMI2 they run in Montgomery form over a 32-word assembly
-//     kernel (mont.go), to the same residues, and so do decryption's two
-//     CRT exponentiations (modulo p² and q²). Every other width and
-//     platform, and HAdd and the public tables at any width, stay on
+//   - at the paper's 2048-bit key size the hottest modular products —
+//     that chain (modulo n), the key owner's fixed-base obfuscator
+//     (modulo p² and q², below) and decryption's two CRT
+//     exponentiations (modulo p² and q²) — skip big.Int's division: on
+//     amd64 with ADX and BMI2 they run in Montgomery form over a 32-word
+//     assembly kernel (mont.go), to the same residues. HAdd does too, for
+//     callers that keep their accumulators as n-adic digit pairs
+//     (Accumulator, Addend; digits.go): three products modulo n in place
+//     of one modulo n². Every other width and platform, AddInto on
+//     canonical ciphertexts, and the public tables at any width stay on
 //     big.Int;
 //   - optionally, EnableFastObfuscation replaces the full r^n ladder with
 //     DJN-style short-exponent obfuscators h^x served from precomputed

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Reproducible crypto/serving benchmark harness. Runs the Paillier
-# primitive benchmarks (Enc, Dec at 512 and 2048 bits, HAdd, SMul by the protocol's scalars at
+# primitive benchmarks (Enc, Dec and HAdd at 512 and 2048 bits, SMul by the protocol's scalars at
 # 2048-bit — packing shift, exponent alignment, a general scalar —
 # obfuscator generation baseline vs fixed-base vs the key owner's CRT
 # path, owner-vs-public Encrypt), the paper's Fig. 7 histogram-accumulation
@@ -34,7 +34,7 @@ if [ "$short" -eq 1 ]; then
   # Small moduli only: 2048-bit keygen alone takes longer than the whole
   # smoke budget.
   obf_filter='Benchmark(Obfuscator(Baseline|FixedBase)|OwnerObfuscator)/bits=(256|512)$|BenchmarkEncryptOwnerVsPublic/.*/bits=512$'
-  prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$/bits=512$|BenchmarkHAdd$|BenchmarkSMul$/bits=512$'
+  prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$/bits=512$|BenchmarkHAdd$/bits=512$|BenchmarkSMul$/bits=512$'
 else
   benchtime="1s"
   pack_benchtime="10x"

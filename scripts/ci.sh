@@ -94,11 +94,14 @@ echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring
 # operands are shifted from several goroutines at once. At 2048 bits both
 # run twice, on the Montgomery kernel and on big.Int, and the kernel's
 # product, REDC and exponentiation are checked against big.Int on the
-# moduli it serves; 2048-bit decryption runs on both paths too.
-go test -race -short -count=1 -run 'Owner|MulScalarPow2|Mont|Decrypt' ./internal/paillier ./internal/he
+# moduli it serves; 2048-bit decryption runs on both paths too. The
+# digit-form HAdd is compared with big.Int's Mul+Mod on edge operands and
+# non-units, and one shared wire ciphertext is added from several
+# goroutines at once, as Party A's pack workers share a node's shift.
+go test -race -short -count=1 -run 'Owner|MulScalarPow2|Mont|Decrypt|Digit|SharedAddend' ./internal/paillier ./internal/he
 
 echo "== big.Int path at 2048 bits (purego: the Montgomery kernel compiled out) =="
-go test -tags purego -short -count=1 -run 'Owner|MulScalarPow2|Conformance|Mont|Decrypt' ./internal/paillier ./internal/he
+go test -tags purego -short -count=1 -run 'Owner|MulScalarPow2|Conformance|Mont|Decrypt|Digit|SharedAddend' ./internal/paillier ./internal/he
 
 echo "== non-amd64 builds (the kernel is amd64 assembly; other GOARCHes must compile without it) =="
 GOARCH=arm64 go vet ./internal/paillier
@@ -205,6 +208,9 @@ go test -run='^$' -fuzz=FuzzCiphertextOps -fuzztime=10s ./internal/paillier
 
 echo "== fuzz smoke (power-of-two SMul at 2048 bits, on the Montgomery kernel where the CPU has one: arbitrary ciphertext bytes and shifts must match big.Int.Exp) =="
 go test -run='^$' -fuzz=FuzzMulScalarPow2 -fuzztime=10s ./internal/paillier
+
+echo "== fuzz smoke (digit-form HAdd at 2048 bits: arbitrary valid ciphertext bytes must add like big.Int's Mul+Mod) =="
+go test -run='^$' -fuzz=FuzzDigitHAdd -fuzztime=10s ./internal/paillier
 
 echo "== bench smoke (harness runs, output parses, baseline not rotted) =="
 bench_json=$(mktemp)
