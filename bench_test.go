@@ -105,13 +105,13 @@ func BenchmarkFig7HAddReordered(b *testing.B) {
 	dec := benchDecryptor(b)
 	codec := fixedpoint.NewCodec(dec, fixedpoint.WithSeed(2))
 	cts := fig7Ciphers(b, codec, 512)
-	rs := fixedpoint.NewReorderedSum(codec)
+	rs := fixedpoint.NewSums(codec, 1, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs.Add(cts[i%len(cts)])
+		rs.Add(0, cts[i%len(cts)])
 	}
 	b.StopTimer()
-	rs.Merge()
+	rs.Resolve(0, 0, new(int64))
 }
 
 func BenchmarkFig7SMul(b *testing.B) {

@@ -63,12 +63,22 @@ func newEncRig(t testing.TB, rows, cols int, density float64, seed int64) *encTe
 	return rig
 }
 
-// finalizeAll resolves every bin at the codec's top exponent.
-func (eh *EncHistogram) finalizeAll() []fixedpoint.EncNum {
-	bins := make([]fixedpoint.EncNum, eh.totalBins())
-	top := eh.codec.BaseExp() + eh.codec.ExpSpread() - 1
+// party is a passive party over the rig's mapper and codec that builds
+// its histograms under the given accumulation strategy.
+func (r *encTestRig) party(reordered bool) *passiveParty {
+	cfg := DefaultConfig()
+	cfg.ReorderedAccumulation = reordered
+	p := newPassivePartyView(0, r.bm, cfg, nil, &Stats{})
+	p.codec = r.codec
+	return p
+}
+
+// finalizeAll resolves every bin of hist at the codec's top exponent.
+func (r *encTestRig) finalizeAll(p *passiveParty, hist *fixedpoint.Sums) []fixedpoint.EncNum {
+	bins := make([]fixedpoint.EncNum, p.offsets[p.cols])
+	top := r.codec.BaseExp() + r.codec.ExpSpread() - 1
 	for idx := range bins {
-		bins[idx] = eh.mergeBin(idx, top, new(int64))
+		bins[idx] = hist.Resolve(idx, top, new(int64))
 	}
 	return bins
 }
@@ -98,12 +108,18 @@ func (r *encTestRig) decryptAll(t *testing.T, bins []fixedpoint.EncNum) (gs, hs 
 	return gs, hs
 }
 
+// TestEncHistogramMatchesPlaintext: a node's encrypted histogram, as a
+// passive party accumulates it under either strategy, decrypts bin by bin
+// to the plaintext engine's sums.
 func TestEncHistogramMatchesPlaintext(t *testing.T) {
 	for _, reordered := range []bool{false, true} {
 		rig := newEncRig(t, 120, 6, 0.6, 31)
-		eh := NewEncHistogram(rig.codec, rig.mapper, reordered)
-		eh.Accumulate(rig.bm, rig.insts, rig.gh)
-		gs, hs := rig.decryptAll(t, eh.finalizeAll())
+		p := rig.party(reordered)
+		hist := p.newHist()
+		if err := p.accumulate(hist, rig.bm, rig.insts, rig.gh); err != nil {
+			t.Fatal(err)
+		}
+		gs, hs := rig.decryptAll(t, rig.finalizeAll(p, hist))
 		ref := rig.plaintextBins()
 		for i := range gs {
 			if math.Abs(gs[i]-ref.G[i]) > 1e-6 || math.Abs(hs[i]-ref.H[i]) > 1e-6 {
@@ -114,20 +130,25 @@ func TestEncHistogramMatchesPlaintext(t *testing.T) {
 	}
 }
 
+// TestEncHistogramMergeMatchesSingle: the root's per-worker partial
+// histograms, merged, decrypt to the one-pass histogram.
 func TestEncHistogramMergeMatchesSingle(t *testing.T) {
 	for _, reordered := range []bool{false, true} {
 		rig := newEncRig(t, 100, 5, 0.5, 32)
-		full := NewEncHistogram(rig.codec, rig.mapper, reordered)
-		full.Accumulate(rig.bm, rig.insts, rig.gh)
-
-		h1 := NewEncHistogram(rig.codec, rig.mapper, reordered)
-		h2 := NewEncHistogram(rig.codec, rig.mapper, reordered)
-		h1.Accumulate(rig.bm, rig.insts[:50], rig.gh)
-		h2.Accumulate(rig.bm, rig.insts[50:], rig.gh)
+		p := rig.party(reordered)
+		full, h1, h2 := p.newHist(), p.newHist(), p.newHist()
+		for _, part := range []struct {
+			hist  *fixedpoint.Sums
+			insts []int32
+		}{{full, rig.insts}, {h1, rig.insts[:50]}, {h2, rig.insts[50:]}} {
+			if err := p.accumulate(part.hist, rig.bm, part.insts, rig.gh); err != nil {
+				t.Fatal(err)
+			}
+		}
 		h1.Merge(h2)
 
-		gsF, hsF := rig.decryptAll(t, full.finalizeAll())
-		gsM, hsM := rig.decryptAll(t, h1.finalizeAll())
+		gsF, hsF := rig.decryptAll(t, rig.finalizeAll(p, full))
+		gsM, hsM := rig.decryptAll(t, rig.finalizeAll(p, h1))
 		for i := range gsF {
 			if gsF[i] != gsM[i] || hsF[i] != hsM[i] {
 				t.Fatalf("reordered=%v merged shard mismatch at bin %d", reordered, i)
@@ -139,23 +160,28 @@ func TestEncHistogramMergeMatchesSingle(t *testing.T) {
 func TestReorderedUsesNoAccumulationScalings(t *testing.T) {
 	rig := newEncRig(t, 200, 5, 0.5, 33)
 	before := rig.codec.Stats().Scalings()
-	eh := NewEncHistogram(rig.codec, rig.mapper, true)
-	eh.Accumulate(rig.bm, rig.insts, rig.gh)
+	p := rig.party(true)
+	hist := p.newHist()
+	if err := p.accumulate(hist, rig.bm, rig.insts, rig.gh); err != nil {
+		t.Fatal(err)
+	}
 	during := rig.codec.Stats().Scalings()
 	if during != before {
 		t.Errorf("re-ordered accumulation performed %d scalings; must be zero", during-before)
 	}
-	eh.finalizeAll()
+	bins := rig.finalizeAll(p, hist)
 	// Finalize may scale at most (E-1) per occupied bin.
-	budget := int64((rig.codec.ExpSpread() - 1)) * int64(eh.totalBins())
+	budget := int64((rig.codec.ExpSpread() - 1)) * int64(len(bins))
 	if scaled := rig.codec.Stats().Scalings() - during; scaled > budget {
 		t.Errorf("finalize used %d scalings, budget %d", scaled, budget)
 	}
 
 	// The naive path must scale a lot on the same input.
 	naiveRig := newEncRig(t, 200, 5, 0.5, 33)
-	nh := NewEncHistogram(naiveRig.codec, naiveRig.mapper, false)
-	nh.Accumulate(naiveRig.bm, naiveRig.insts, naiveRig.gh)
+	np := naiveRig.party(false)
+	if err := np.accumulate(np.newHist(), naiveRig.bm, naiveRig.insts, naiveRig.gh); err != nil {
+		t.Fatal(err)
+	}
 	if naiveRig.codec.Stats().Scalings() == 0 {
 		t.Error("naive accumulation performed no scalings; exponents not mixed")
 	}
@@ -163,22 +189,26 @@ func TestReorderedUsesNoAccumulationScalings(t *testing.T) {
 
 // TestOneHAddPerRowFeature pins the tentpole's cost claim on the passive
 // side: accumulating a node costs exactly one homomorphic addition per
-// (instance, stored feature).
+// (instance, stored feature), under either strategy.
 func TestOneHAddPerRowFeature(t *testing.T) {
-	rig := newEncRig(t, 150, 6, 0.5, 34)
-	nnz := int64(0)
-	for _, i := range rig.insts {
-		cols, _, err := rig.bm.Row(int(i))
-		if err != nil {
+	for _, reordered := range []bool{false, true} {
+		rig := newEncRig(t, 150, 6, 0.5, 34)
+		nnz := int64(0)
+		for _, i := range rig.insts {
+			cols, _, err := rig.bm.Row(int(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			nnz += int64(len(cols))
+		}
+		before := rig.codec.Stats().HAdds()
+		p := rig.party(reordered)
+		if err := p.accumulate(p.newHist(), rig.bm, rig.insts, rig.gh); err != nil {
 			t.Fatal(err)
 		}
-		nnz += int64(len(cols))
-	}
-	before := rig.codec.Stats().HAdds()
-	eh := NewEncHistogram(rig.codec, rig.mapper, true)
-	eh.Accumulate(rig.bm, rig.insts, rig.gh)
-	if got := rig.codec.Stats().HAdds() - before; got != nnz {
-		t.Errorf("accumulation used %d HAdds for %d stored cells", got, nnz)
+		if got := rig.codec.Stats().HAdds() - before; got != nnz {
+			t.Errorf("reordered=%v: accumulation used %d HAdds for %d stored cells", reordered, got, nnz)
+		}
 	}
 }
 

@@ -169,12 +169,12 @@ func (r *layoutRig) wire(t *testing.T, packing, reordered bool) shipped {
 	for _, feat := range r.bins {
 		offsets = append(offsets, offsets[len(offsets)-1]+len(feat))
 	}
-	eh := &EncHistogram{codec: r.codec, offsets: offsets, reordered: reordered}
-	if reordered {
-		eh.slots = make([][]he.Ciphertext, r.codec.ExpSpread())
-	} else {
-		eh.acc = make([]fixedpoint.EncNum, eh.totalBins())
-	}
+	sent := chanTransport{ch: make(chan []byte, 4096)}
+	cfg := DefaultConfig()
+	cfg.ReorderedAccumulation = reordered
+	p := &passiveParty{cfg: cfg, cols: len(r.bins), offsets: offsets, scheme: r.dec, codec: r.codec,
+		plan: r.planFor(packing), stats: &Stats{}, units: make(unitQueue, 2), link: NewLink(sent)}
+	hist := p.newHist()
 	for j, feat := range r.bins {
 		for k, cells := range feat {
 			for _, c := range cells {
@@ -184,18 +184,15 @@ func (r *layoutRig) wire(t *testing.T, packing, reordered bool) shipped {
 				if err != nil {
 					t.Fatal(err)
 				}
-				eh.add(offsets[j]+k, fixedpoint.EncNum{Exp: c.exp, Ct: ct})
+				hist.Add(offsets[j]+k, fixedpoint.EncNum{Exp: c.exp, Ct: ct})
 			}
 		}
 	}
-	sent := chanTransport{ch: make(chan []byte, 4096)}
-	p := &passiveParty{cfg: DefaultConfig(), cols: len(r.bins), offsets: offsets, scheme: r.dec, codec: r.codec,
-		plan: r.planFor(packing), stats: &Stats{}, units: make(unitQueue, 2), link: NewLink(sent)}
 	var err error
 	if p.shiftCt, err = r.dec.Encrypt(r.plan.shift); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.wireHist(nil, 0, 0, NodeHist{Node: rootID}, eh); err != nil {
+	if err := p.wireHist(nil, 0, 0, NodeHist{Node: rootID}, hist); err != nil {
 		t.Fatal(err)
 	}
 	s := captured(t, sent)
@@ -222,7 +219,7 @@ func (r *layoutRig) want() nodeSums {
 		for k, cells := range feat {
 			for _, c := range cells {
 				if fs.g[k] == nil {
-					fs.g[k], fs.h[k], fs.exp[k] = new(big.Int), new(big.Int), r.plan.exp
+					fs.g[k], fs.h[k] = new(big.Int), new(big.Int)
 				}
 				scale := new(big.Int).Exp(big.NewInt(int64(r.codec.Base())), big.NewInt(int64(r.plan.exp-c.exp)), nil)
 				fs.g[k].Add(fs.g[k], new(big.Int).Mul(c.g, scale))
@@ -279,7 +276,7 @@ func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 			if err != nil {
 				t.Fatalf("reordered=%v packing=%v: %v", reordered, packing, err)
 			}
-			if err := sameSums(r.codec.Base(), got, want); err != nil {
+			if err := sameSums(got, want); err != nil {
 				t.Errorf("reordered=%v packing=%v: node layout vs the integers put in: %v", reordered, packing, err)
 			}
 			slots := 0
@@ -291,9 +288,6 @@ func (r *layoutRig) checkLayout(t *testing.T) (insideFeature, onFeature bool) {
 					}
 					if fs.g[k] != nil {
 						slots++
-						if fs.exp[k] != plan.exp {
-							t.Errorf("feature %d bin %d at exponent %d, want the plan's %d", j, k, fs.exp[k], plan.exp)
-						}
 					}
 				}
 			}
@@ -660,7 +654,7 @@ func TestActiveStreamedNodeFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameSums(lr.codec.Base(), got, want); err != nil {
+	if err := sameSums(got, want); err != nil {
 		t.Errorf("ciphertexts in reverse order: %v", err)
 	}
 

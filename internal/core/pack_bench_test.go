@@ -69,20 +69,20 @@ func BenchmarkWireNodeHist(b *testing.B) {
 					// Finalizing consumes the accumulators, so every iteration
 					// packs fresh histograms; accumulation is not timed.
 					b.StopTimer()
-					hists := make([]*EncHistogram, len(shape.nodes))
+					hists := make([]*fixedpoint.Sums, len(shape.nodes))
 					for k, n := range shape.nodes {
-						hists[k] = NewEncHistogram(p.codec, p.mapper, cfg.ReorderedAccumulation)
-						if err := hists[k].Accumulate(p.view, allInstances(n), gh); err != nil {
+						hists[k] = p.newHist()
+						if err := p.accumulate(hists[k], p.view, allInstances(n), gh); err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StartTimer()
 					var wg sync.WaitGroup
-					for k, eh := range hists {
+					for k, hist := range hists {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
-							if err := p.wireHist(&histTask{}, 0, 0, NodeHist{Node: int32(k + 1)}, eh); err != nil {
+							if err := p.wireHist(&histTask{}, 0, 0, NodeHist{Node: int32(k + 1)}, hist); err != nil {
 								b.Error(err)
 							}
 						}()

@@ -418,7 +418,7 @@ func TestActiveRejectsHostileHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatalf("well-formed node: %v", err)
 	}
-	if g, h := s[0].floats(codec.Base()); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
+	if g, h := s[0].floats(codec.Base(), plan.exp); g[0] != -0.5 || h[0] != 0.25 || g[1] != 0 || h[1] != 0 {
 		t.Fatalf("well-formed node: g=%v h=%v", g, h)
 	}
 

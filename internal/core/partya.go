@@ -70,7 +70,7 @@ type passiveParty struct {
 	outputs      int
 	roundTree    int
 	ghAll        [][]fixedpoint.EncNum
-	rootPartsAll [][]*EncHistogram
+	rootPartsAll [][]*fixedpoint.Sums
 	rootCountAll []int
 	nodeInsts    map[int32][]int32
 
@@ -110,7 +110,7 @@ type histTask struct {
 	insts []int32
 	tree  int
 	gh    []fixedpoint.EncNum
-	eh    *EncHistogram
+	hist  *fixedpoint.Sums
 }
 
 // newPassivePartyView builds a passive engine over a binned view: the
@@ -426,12 +426,12 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 		p.roundTree = m.Tree
 		p.tree = m.Tree
 		p.ghAll = make([][]fixedpoint.EncNum, p.outputs)
-		p.rootPartsAll = make([][]*EncHistogram, p.outputs)
+		p.rootPartsAll = make([][]*fixedpoint.Sums, p.outputs)
 		for c := range p.ghAll {
 			p.ghAll[c] = make([]fixedpoint.EncNum, n)
-			p.rootPartsAll[c] = make([]*EncHistogram, p.cfg.Workers)
+			p.rootPartsAll[c] = make([]*fixedpoint.Sums, p.cfg.Workers)
 			for w := range p.rootPartsAll[c] {
-				p.rootPartsAll[c][w] = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
+				p.rootPartsAll[c][w] = p.newHist()
 			}
 		}
 		p.gh = p.ghAll[0]
@@ -458,7 +458,7 @@ func (p *passiveParty) handlePairBatch(m MsgPairBatch) error {
 
 	rootParts := p.rootPartsAll[m.Class]
 	err := p.sweepRoot(m.Start, len(m.Cts), len(rootParts), func(w int, rows gbdt.BinView, insts []int32) error {
-		return rootParts[w].Accumulate(rows, insts, gh)
+		return p.accumulate(rootParts[w], rows, insts, gh)
 	})
 	if err != nil {
 		return err
@@ -544,7 +544,7 @@ func (p *passiveParty) advanceClassTree(t int) error {
 // it while the other chains still run. Without packing every chunk is one
 // slot, which ships as it is. Once task is aborted nothing more is sent:
 // B never waits for an aborted node, whose ID no later node reuses.
-func (p *passiveParty) wireHist(task *histTask, tree, layer int, head NodeHist, eh *EncHistogram) error {
+func (p *passiveParty) wireHist(task *histTask, tree, layer int, head NodeHist, hist *fixedpoint.Sums) error {
 	start := time.Now()
 	defer func() { addDur(&p.stats.packTime, time.Since(start)) }()
 	head.Packed, head.Feats = true, make([]FeatHist, p.cols)
@@ -552,7 +552,7 @@ func (p *passiveParty) wireHist(task *histTask, tree, layer int, head NodeHist, 
 	lane := p.lane("Pack")
 	err := p.units.do(task, p.cols, func(j int) error {
 		defer p.rec.Span(lane, fmt.Sprintf("node %d feature %d", head.Node, j))()
-		head.Feats[j], prefixes[j] = eh.packedFeature(p.offsets[j], p.offsets[j+1], p.shiftCt, p.plan)
+		head.Feats[j], prefixes[j] = p.packedFeature(hist, j)
 		return nil
 	})
 	if err == nil && task != nil && task.aborted.Load() {
@@ -798,7 +798,7 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 	lists := make([][]int32, len(group))
 	for k, task := range group {
 		lists[k] = task.insts
-		task.eh = NewEncHistogram(p.codec, p.mapper, p.cfg.ReorderedAccumulation)
+		task.hist = p.newHist()
 		if len(task.insts) == 0 { // no run will finish it
 			p.taskWG.Add(1)
 			go p.finishHist(task)
@@ -811,7 +811,7 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 			endSpan := p.rec.Span(p.lane("BuildHist"), fmt.Sprintf("node %d", task.node))
 			const chunk = 256
 			for at := lo; at < hi && !task.aborted.Load(); at += chunk {
-				if err := task.eh.Accumulate(rows, task.insts[at:min(at+chunk, hi)], task.gh); err != nil {
+				if err := p.accumulate(task.hist, rows, task.insts[at:min(at+chunk, hi)], task.gh); err != nil {
 					return fmt.Errorf("core: party %d histogram for node %d: %w", p.index, task.node, err)
 				}
 			}
@@ -835,7 +835,7 @@ func (p *passiveParty) accumulatePass(group []*histTask) {
 // the session.
 func (p *passiveParty) finishHist(task *histTask) {
 	defer p.taskWG.Done()
-	err := p.wireHist(task, task.tree, task.layer, task.head, task.eh)
+	err := p.wireHist(task, task.tree, task.layer, task.head, task.hist)
 	if errors.Is(err, errTaskAborted) {
 		return
 	}

@@ -533,30 +533,28 @@ func (b *activeParty) ownBest(h *gbdt.Histogram, node *bNode) candidate {
 }
 
 // featSums are one feature's histogram bin sums in the exact integer
-// domain: the signed ⟨g,h⟩ fields of bin k at exponent exp[k], nil fields
-// marking an empty bin. Both representations a passive party ships —
-// folded bins and packed shifted prefixes — decrypt to this form, and the
-// floats split finding reads are decoded from it.
+// domain: the signed ⟨g,h⟩ fields of bin k at the plan's exponent, nil
+// fields marking an empty bin. The node layout's shifted prefixes decrypt
+// to this form, and the floats split finding reads are decoded from it.
 type featSums struct {
 	g, h []*big.Int
-	exp  []int
 }
 
 // nodeSums are a passive party's histogram of one node, per feature.
 type nodeSums []featSums
 
 func newFeatSums(numBins int) featSums {
-	return featSums{g: make([]*big.Int, numBins), h: make([]*big.Int, numBins), exp: make([]int, numBins)}
+	return featSums{g: make([]*big.Int, numBins), h: make([]*big.Int, numBins)}
 }
 
-// floats decodes the bin sums at encoding base `base`.
-func (f featSums) floats(base int) (g, h []float64) {
+// floats decodes the bin sums at encoding base `base` and exponent exp.
+func (f featSums) floats(base, exp int) (g, h []float64) {
 	g = make([]float64, len(f.g))
 	h = make([]float64, len(f.g))
 	for k := range f.g {
 		if f.g[k] != nil {
-			g[k] = fixedpoint.DecodeSigned(f.g[k], base, f.exp[k])
-			h[k] = fixedpoint.DecodeSigned(f.h[k], base, f.exp[k])
+			g[k] = fixedpoint.DecodeSigned(f.g[k], base, exp)
+			h[k] = fixedpoint.DecodeSigned(f.h[k], base, exp)
 		}
 	}
 	return g, h
@@ -572,7 +570,7 @@ func (b *activeParty) passiveBest(party, tree int, node *bNode) (candidate, erro
 	findStart := time.Now()
 	best := candidate{split: gbdt.NoSplit, party: party}
 	for j, fs := range sums {
-		g, h := fs.floats(b.codec.Base())
+		g, h := fs.floats(b.codec.Base(), b.plan.exp)
 		s := gbdt.BestSplitForFeature(int32(j), g, h, node.g, node.h, b.cfg.Split)
 		if !s.Valid() {
 			continue
@@ -754,21 +752,13 @@ func (b *activeParty) abort(err error) {
 }
 
 // deriveSibling computes a node's histogram as parent − child, bin by
-// bin, in the exact integer domain: both operands aligned to the larger
-// exponent, exactly as the homomorphic subtraction aligned ciphertexts. A
-// child can only have mass where its parent does, the hessian field of a
+// bin, in the exact integer domain, where both operands sit at the plan's
+// exponent as the homomorphic subtraction's would. A child can only have mass where its parent does, the hessian field of a
 // difference of honest sums is non-negative, and both fields stay inside
 // their share of the plaintext; anything else is a corrupt or hostile
 // histogram and is refused before it can steer a split.
 func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 	fieldBits := b.pairs.W - 1
-	scale := func(v *big.Int, by int) *big.Int {
-		if by == 0 {
-			return v
-		}
-		pow := new(big.Int).Exp(big.NewInt(int64(b.codec.Base())), big.NewInt(int64(by)), nil)
-		return pow.Mul(pow, v)
-	}
 	out := make(nodeSums, len(parent))
 	for j, pf := range parent {
 		cf := child[j]
@@ -779,18 +769,17 @@ func (b *activeParty) deriveSibling(parent, child nodeSums) (nodeSums, error) {
 		for k := range pf.g {
 			switch {
 			case cf.g[k] == nil:
-				sf.g[k], sf.h[k], sf.exp[k] = pf.g[k], pf.h[k], pf.exp[k]
+				sf.g[k], sf.h[k] = pf.g[k], pf.h[k]
 			case pf.g[k] == nil:
 				return nil, fmt.Errorf("%w: feature %d bin %d has mass its parent lacks", ErrSiblingDerivation, j, k)
 			default:
-				e := max(pf.exp[k], cf.exp[k])
-				g := new(big.Int).Sub(scale(pf.g[k], e-pf.exp[k]), scale(cf.g[k], e-cf.exp[k]))
-				h := new(big.Int).Sub(scale(pf.h[k], e-pf.exp[k]), scale(cf.h[k], e-cf.exp[k]))
+				g := new(big.Int).Sub(pf.g[k], cf.g[k])
+				h := new(big.Int).Sub(pf.h[k], cf.h[k])
 				if h.Sign() < 0 || h.BitLen() > fieldBits || g.BitLen() > fieldBits {
 					return nil, fmt.Errorf("%w: feature %d bin %d derives fields of %d and %d bits (h sign %d) for %d-bit fields",
 						ErrSiblingDerivation, j, k, g.BitLen(), h.BitLen(), h.Sign(), fieldBits)
 				}
-				sf.g[k], sf.h[k], sf.exp[k] = g, h, e
+				sf.g[k], sf.h[k] = g, h
 			}
 		}
 		out[j] = sf
@@ -868,7 +857,6 @@ func (b *activeParty) unpackNode(party, tree int, nh NodeHist) (nodeSums, error)
 		for k := 0; k < fh.NumBins; k++ {
 			if bitmapGet(fh.Occupied, k) {
 				fs.g[k], fs.h[k] = b.pairs.Split(new(big.Int).Sub(vals[0], prev))
-				fs.exp[k] = b.plan.exp
 				prev, vals = vals[0], vals[1:]
 			}
 		}

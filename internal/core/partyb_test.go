@@ -100,7 +100,7 @@ func TestDecryptEmptyBinPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := s[0]
-	if g, h := fs.floats(b.codec.Base()); g[0] != 0 || h[0] != 0 || fs.g[0] != nil {
+	if g, h := fs.floats(b.codec.Base(), b.plan.exp); g[0] != 0 || h[0] != 0 || fs.g[0] != nil {
 		t.Errorf("empty bin = %g, %g (fields %v); want 0, 0, nil", g[0], h[0], fs.g[0])
 	}
 }

@@ -138,36 +138,27 @@ func splitTreeSums(t *testing.T, parts []*dataset.Dataset, cfg Config) (out, bui
 	return out, built
 }
 
-// sameSums compares two histograms bin by bin as exact rationals — the
-// fields at a common exponent — and as the floats split finding reads.
-// An empty bin equals a zero one: a derived bin whose mass all sits in its
-// sibling is zero, not empty.
-func sameSums(base int, x, y nodeSums) error {
+// sameSums compares two histograms bin by bin as exact integers, which
+// sit at the plan's exponent on both sides. An empty bin equals a zero
+// one: a derived bin whose mass all sits in its sibling is zero, not
+// empty.
+func sameSums(x, y nodeSums) error {
 	if len(x) != len(y) {
 		return fmt.Errorf("%d features vs %d", len(x), len(y))
 	}
-	at := func(v *big.Int, exp, to int) *big.Int {
+	orZero := func(v *big.Int) *big.Int {
 		if v == nil {
 			return new(big.Int)
 		}
-		p := new(big.Int).Exp(big.NewInt(int64(base)), big.NewInt(int64(to-exp)), nil)
-		return p.Mul(p, v)
+		return v
 	}
 	for j := range x {
 		if len(x[j].g) != len(y[j].g) {
 			return fmt.Errorf("feature %d: %d bins vs %d", j, len(x[j].g), len(y[j].g))
 		}
-		xg, xh := x[j].floats(base)
-		yg, yh := y[j].floats(base)
 		for k := range x[j].g {
-			e := max(x[j].exp[k], y[j].exp[k])
-			if at(x[j].g[k], x[j].exp[k], e).Cmp(at(y[j].g[k], y[j].exp[k], e)) != 0 ||
-				at(x[j].h[k], x[j].exp[k], e).Cmp(at(y[j].h[k], y[j].exp[k], e)) != 0 {
-				return fmt.Errorf("feature %d bin %d: ⟨%v,%v⟩@%d vs ⟨%v,%v⟩@%d", j, k,
-					x[j].g[k], x[j].h[k], x[j].exp[k], y[j].g[k], y[j].h[k], y[j].exp[k])
-			}
-			if xg[k] != yg[k] || xh[k] != yh[k] {
-				return fmt.Errorf("feature %d bin %d: floats (%v,%v) vs (%v,%v)", j, k, xg[k], xh[k], yg[k], yh[k])
+			if orZero(x[j].g[k]).Cmp(orZero(y[j].g[k])) != 0 || orZero(x[j].h[k]).Cmp(orZero(y[j].h[k])) != 0 {
+				return fmt.Errorf("feature %d bin %d: ⟨%v,%v⟩ vs ⟨%v,%v⟩", j, k, x[j].g[k], x[j].h[k], y[j].g[k], y[j].h[k])
 			}
 		}
 	}
@@ -216,7 +207,7 @@ func TestDerivedSiblingEqualsBuiltSibling(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sums, built := splitTreeSums(t, tc.parts, tc.cfg)
 			for _, id := range []int32{3, 5} {
-				if err := sameSums(fixedpoint.DefaultBase, sums[id], built[id]); err != nil {
+				if err := sameSums(sums[id], built[id]); err != nil {
 					t.Errorf("node %d: derived vs built: %v", id, err)
 				}
 			}

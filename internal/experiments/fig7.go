@@ -85,11 +85,11 @@ func Fig7(keyBits, samples int) ([]Fig7Row, error) {
 
 	// Re-ordered HAdd: per-exponent workspaces, E-1 scalings at the end.
 	if err := timed("HAdd (re-ordered)", samples, func() error {
-		rs := fixedpoint.NewReorderedSum(codec)
+		rs := fixedpoint.NewSums(codec, 1, true)
 		for _, e := range cts {
-			rs.Add(e)
+			rs.Add(0, e)
 		}
-		rs.Merge()
+		rs.Resolve(0, 0, new(int64))
 		return nil
 	}); err != nil {
 		return nil, err

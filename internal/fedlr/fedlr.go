@@ -272,10 +272,7 @@ func trainBatch(pa, pb *party, m *Model, batch []int, cfg Config, rng *rand.Rand
 		}
 		dFull[k] = pa.peer.AddEnc(dB[k], e)
 	}
-	gradA, err := reduceGradient(pa.red, pa.data, batch, dFull, cfg.Reordered)
-	if err != nil {
-		return err
-	}
+	gradA := reduceGradient(pa.red, pa.data, batch, dFull, cfg.Reordered)
 	// Mask, have B decrypt, unmask, step.
 	if err := maskedStep(pa, pb.dec, gradA, len(batch), cfg, rng); err != nil {
 		return err
@@ -299,10 +296,7 @@ func trainBatch(pa, pb *party, m *Model, batch []int, cfg Config, rng *rand.Rand
 		}
 		dFullB[k] = pb.peer.AddEnc(dA[k], e)
 	}
-	gradB, err := reduceGradient(pb.red, pb.data, batch, dFullB, cfg.Reordered)
-	if err != nil {
-		return err
-	}
+	gradB := reduceGradient(pb.red, pb.data, batch, dFullB, cfg.Reordered)
 	if err := maskedStep(pb, pa.dec, gradB, len(batch), cfg, rng); err != nil {
 		return err
 	}
@@ -329,48 +323,35 @@ func partial(d *dataset.Dataset, w []float64, i int) float64 {
 }
 
 // reduceGradient computes the encrypted per-feature gradient sums
-// Σ_i x_ij ⊗ [[d_i]]. With Reordered the per-feature reduction lands in
-// per-exponent workspaces (plain HAdds) and merges once; otherwise every
-// addition may scale (the naive path the paper's discussion contrasts).
-func reduceGradient(codec *fixedpoint.Codec, d *dataset.Dataset, batch []int, enc []fixedpoint.EncNum, reordered bool) ([]fixedpoint.EncNum, error) {
-	cols := d.Cols()
-	out := make([]fixedpoint.EncNum, cols)
-	var sums []*fixedpoint.ReorderedSum
-	if reordered {
-		sums = make([]*fixedpoint.ReorderedSum, cols)
-	}
+// Σ_i x_ij ⊗ [[d_i]], one fixedpoint.Sums cell per feature: with
+// reordered the reduction lands in per-exponent workspaces (plain HAdds)
+// and folds once per feature; otherwise every addition may scale (the
+// naive path the paper's discussion contrasts). A feature no instance of
+// the batch stores stays nil.
+func reduceGradient(codec *fixedpoint.Codec, d *dataset.Dataset, batch []int, enc []fixedpoint.EncNum, reordered bool) []fixedpoint.EncNum {
+	sums := fixedpoint.NewSums(codec, d.Cols(), reordered)
+	var hadds int64
 	for k, i := range batch {
 		ci, vals := d.Row(i)
 		for t, j := range ci {
 			// Feature values are encoded as small signed integers at
 			// exponent xExp; the SMul shifts the term's exponent by
-			// xExp, matching the reduction codec's window.
+			// xExp, into the reduction codec's window.
 			scalar := big.NewInt(int64(math.Round(vals[t] * xScale)))
-			term := fixedpoint.EncNum{
+			sums.Add(int(j), fixedpoint.EncNum{
 				Exp: enc[k].Exp + xExp,
 				Ct:  codec.Scheme().MulScalar(enc[k].Ct, scalar),
-			}
-			if reordered {
-				if sums[j] == nil {
-					sums[j] = fixedpoint.NewReorderedSum(codec)
-				}
-				sums[j].Add(term)
-			} else {
-				if out[j].Ct == nil {
-					out[j] = fixedpoint.EncNum{Exp: term.Exp, Ct: codec.Scheme().EncryptZero()}
-				}
-				codec.AddEncInto(&out[j], term)
-			}
+			})
 		}
+		hadds += int64(len(ci))
 	}
-	if reordered {
-		for j := range out {
-			if sums[j] != nil {
-				out[j] = sums[j].Merge()
-			}
-		}
+	out := make([]fixedpoint.EncNum, d.Cols())
+	for j := range out {
+		// No cell sits below BaseExp, so none is scaled past its top.
+		out[j] = sums.Resolve(j, codec.BaseExp(), &hadds)
 	}
-	return out, nil
+	codec.Stats().AddHAdds(hadds)
+	return out
 }
 
 // maskedStep recovers the gradient through one-time masking and applies

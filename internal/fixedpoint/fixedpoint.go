@@ -236,19 +236,6 @@ func DecodeSigned(man *big.Int, base, exp int) float64 {
 	return f / math.Pow(float64(base), float64(exp))
 }
 
-// Rescale re-encodes n at a higher exponent (lossless).
-func (c *Codec) Rescale(n Num, toExp int) Num {
-	if toExp < n.Exp {
-		panic("fixedpoint: cannot rescale to a lower exponent")
-	}
-	if toExp == n.Exp {
-		return n
-	}
-	man := new(big.Int).Mul(n.Man, c.pow(toExp-n.Exp))
-	man.Mod(man, c.scheme.N())
-	return Num{Exp: toExp, Man: man}
-}
-
 // Encrypt encrypts an encoded number.
 func (c *Codec) Encrypt(n Num) (EncNum, error) {
 	ct, err := c.scheme.Encrypt(n.Man)
@@ -315,6 +302,12 @@ func (c *Codec) AddEnc(a, b EncNum) EncNum {
 // smaller exponent. The accumulator must be exclusively owned by the
 // caller (e.g. seeded from EncryptZero).
 func (c *Codec) AddEncInto(dst *EncNum, b EncNum) {
+	c.stats.addHAdd(1)
+	c.addInto(dst, b)
+}
+
+// addInto is AddEncInto without counting the HAdd.
+func (c *Codec) addInto(dst *EncNum, b EncNum) {
 	switch {
 	case dst.Exp == b.Exp:
 	case dst.Exp < b.Exp:
@@ -322,18 +315,5 @@ func (c *Codec) AddEncInto(dst *EncNum, b EncNum) {
 	default:
 		b = c.ScaleEnc(b, dst.Exp)
 	}
-	c.stats.addHAdd(1)
 	dst.Ct = c.scheme.AddInto(dst.Ct, b.Ct)
-}
-
-// AddPlain adds two encoded plaintext numbers with exponent alignment.
-func (c *Codec) AddPlain(a, b Num) Num {
-	if a.Exp < b.Exp {
-		a = c.Rescale(a, b.Exp)
-	} else if b.Exp < a.Exp {
-		b = c.Rescale(b, a.Exp)
-	}
-	man := new(big.Int).Add(a.Man, b.Man)
-	man.Mod(man, c.scheme.N())
-	return Num{Exp: a.Exp, Man: man}
 }

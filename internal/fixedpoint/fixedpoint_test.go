@@ -8,21 +8,11 @@ import (
 	"testing/quick"
 
 	"vf2boost/internal/he"
-	"vf2boost/internal/paillier"
 )
-
-var cachedKey *paillier.PrivateKey
 
 func paillierCodec(t testing.TB, opts ...Option) (*Codec, *he.PaillierDecryptor) {
 	t.Helper()
-	if cachedKey == nil {
-		k, err := paillier.GenerateKey(cryptoRand{}, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cachedKey = k
-	}
-	dec := he.NewPaillierFromKey(cachedKey, 0)
+	dec := he.NewPaillierFromKey(testKey(t, 256), 0)
 	return NewCodec(dec, append([]Option{WithSeed(1)}, opts...)...), dec
 }
 
@@ -130,25 +120,6 @@ func TestDeterministicWithSpreadOne(t *testing.T) {
 	}
 }
 
-func TestRescaleLossless(t *testing.T) {
-	c, _ := mockCodec()
-	n, _ := c.EncodeAt(-1.25, 8)
-	r := c.Rescale(n, 11)
-	if got := c.Decode(r); math.Abs(got+1.25) > 1e-9 {
-		t.Errorf("Decode(Rescale) = %g, want -1.25", got)
-	}
-}
-
-func TestAddPlainMixedExponents(t *testing.T) {
-	c, _ := mockCodec()
-	a, _ := c.EncodeAt(1.5, 8)
-	b, _ := c.EncodeAt(-0.25, 10)
-	sum := c.AddPlain(a, b)
-	if got := c.Decode(sum); math.Abs(got-1.25) > 1e-6 {
-		t.Errorf("AddPlain = %g, want 1.25", got)
-	}
-}
-
 func TestEncryptedAddMixedExponentsPaillier(t *testing.T) {
 	c, dec := paillierCodec(t)
 	ea, err := c.EncryptValue(2.5)
@@ -189,86 +160,6 @@ func TestAddEncIntoAccumulation(t *testing.T) {
 	}
 	if math.Abs(got-want) > 1e-5 {
 		t.Errorf("accumulated = %g, want %g", got, want)
-	}
-}
-
-func TestReorderedSumMatchesNaive(t *testing.T) {
-	cNaive, _ := mockCodec(WithSeed(7))
-	cReord, decR := mockCodec(WithSeed(7))
-
-	rng := rand.New(rand.NewSource(9))
-	values := make([]float64, 200)
-	want := 0.0
-	for i := range values {
-		values[i] = rng.Float64()*2 - 1
-		want += values[i]
-	}
-
-	// Naive accumulation.
-	accN := cNaive.EncryptZero()
-	for _, v := range values {
-		e, err := cNaive.EncryptValue(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cNaive.AddEncInto(&accN, e)
-	}
-
-	// Re-ordered accumulation.
-	rs := NewReorderedSum(cReord)
-	for _, v := range values {
-		e, err := cReord.EncryptValue(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs.Add(e)
-	}
-	merged := rs.Merge()
-
-	gotN := cNaive.Decode(Num{Exp: accN.Exp, Man: mustDecrypt(t, cNaive, accN)})
-	gotR := cReord.Decode(Num{Exp: merged.Exp, Man: mustDecrypt(t, cReord, merged)})
-	_ = decR
-	if math.Abs(gotN-want) > 1e-5 || math.Abs(gotR-want) > 1e-5 {
-		t.Fatalf("naive=%g reordered=%g want=%g", gotN, gotR, want)
-	}
-
-	// The whole point: re-ordered accumulation uses at most E-1 scalings,
-	// naive uses many.
-	if s := cReord.Stats().Scalings(); s > int64(cReord.ExpSpread()-1) {
-		t.Errorf("reordered accumulation used %d scalings, want <= %d", s, cReord.ExpSpread()-1)
-	}
-	if s := cNaive.Stats().Scalings(); s <= int64(cNaive.ExpSpread()) {
-		t.Errorf("naive accumulation used only %d scalings; test not exercising mixed exponents", s)
-	}
-}
-
-func mustDecrypt(t *testing.T, c *Codec, e EncNum) *big.Int {
-	t.Helper()
-	dec, ok := c.Scheme().(he.Decryptor)
-	if !ok {
-		t.Fatal("scheme is not a decryptor")
-	}
-	m, err := dec.Decrypt(e.Ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func TestReorderedSumEmptyAndReset(t *testing.T) {
-	c, _ := mockCodec()
-	rs := NewReorderedSum(c)
-	if got := c.Decode(Num{Exp: rs.Merge().Exp, Man: mustDecrypt(t, c, rs.Merge())}); got != 0 {
-		t.Errorf("empty merge decodes to %g, want 0", got)
-	}
-	e, _ := c.EncryptValue(1.0)
-	rs.Add(e)
-	if rs.Len() != 1 {
-		t.Errorf("Len = %d, want 1", rs.Len())
-	}
-	rs.Reset()
-	if rs.Len() != 0 {
-		t.Errorf("Len after Reset = %d, want 0", rs.Len())
 	}
 }
 

@@ -21,18 +21,24 @@ type pairBackend struct {
 	rows  int
 }
 
-var pairKey512 *paillier.PrivateKey
+// testKeys caches the Paillier keys of the package's tests by size.
+var testKeys = map[int]*paillier.PrivateKey{}
 
-func pairBackends(t *testing.T) []pairBackend {
+func testKey(t testing.TB, bits int) *paillier.PrivateKey {
 	t.Helper()
-	if pairKey512 == nil {
-		k, err := paillier.GenerateKey(cryptoRand{}, 512)
+	if testKeys[bits] == nil {
+		k, err := paillier.GenerateKey(cryptoRand{}, bits)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairKey512 = k
+		testKeys[bits] = k
 	}
-	pd := he.NewPaillierFromKey(pairKey512, 0)
+	return testKeys[bits]
+}
+
+func pairBackends(t *testing.T) []pairBackend {
+	t.Helper()
+	pd := he.NewPaillierFromKey(testKey(t, 512), 0)
 	md := he.NewMock(512)
 	rows := 1500
 	if testing.Short() {
@@ -85,8 +91,7 @@ func TestPairSumsMatchTwoCiphertextReference(t *testing.T) {
 			}
 			rng := rand.New(rand.NewSource(int64(be.rows)))
 			refG, refH := new(big.Int), new(big.Int)
-			naive := EncNum{}
-			reord := NewReorderedSum(c)
+			naive, reord := NewSums(c, 1, false), NewSums(c, 1, true)
 			exps := map[int]bool{}
 			for i := 0; i < be.rows; i++ {
 				g := math.Max(-1, math.Min(1, rng.Float64()*2-1+bias))
@@ -99,11 +104,8 @@ func TestPairSumsMatchTwoCiphertextReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reord.Add(e)
-				if naive.Ct == nil {
-					naive = EncNum{Exp: e.Exp, Ct: c.Scheme().EncryptZero()}
-				}
-				c.AddEncInto(&naive, e)
+				naive.Add(0, e)
+				reord.Add(0, e)
 			}
 			if len(exps) != c.ExpSpread() {
 				t.Fatalf("%s: %d distinct exponents drawn, want %d", be.name, len(exps), c.ExpSpread())
@@ -111,7 +113,7 @@ func TestPairSumsMatchTwoCiphertextReference(t *testing.T) {
 			if (refG.Sign() < 0) != (bias < 0) {
 				t.Fatalf("%s bias %g: reference ΣG = %v has the wrong sign for this case", be.name, bias, refG)
 			}
-			for name, sum := range map[string]EncNum{"naive": naive, "re-ordered": reord.Merge()} {
+			for name, sum := range map[string]EncNum{"naive": naive.Resolve(0, top, new(int64)), "re-ordered": reord.Resolve(0, top, new(int64))} {
 				g, h := fieldsAtTop(t, plan, be.dec, sum, top)
 				if g.Cmp(refG) != 0 || h.Cmp(refH) != 0 {
 					t.Errorf("%s %s bias %g: folded (ΣG, ΣH) = (%v, %v), reference (%v, %v)", be.name, name, bias, g, h, refG, refH)

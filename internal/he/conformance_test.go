@@ -71,7 +71,42 @@ func TestBackendConformance(t *testing.T) {
 		s := confScheme{dec: pd, pub: pub}
 		t.Run("modular-edges", func(t *testing.T) { testModularEdges(t, s) })
 		t.Run("plaintext-range", func(t *testing.T) { testPlaintextRange(t, s) })
+		t.Run("unmarshal-forms", func(t *testing.T) { testUnmarshalForms(t, pd, pub) })
 	})
+}
+
+// testUnmarshalForms: a passive party's Unmarshal hands a wire ciphertext
+// over as the addend its HAdds take wherever the key has the digit form,
+// while the key owner's keeps the canonical residue it decrypts; both
+// marshal back to the wire bytes and decrypt alike.
+func testUnmarshalForms(t *testing.T, d *PaillierDecryptor, pub *PaillierScheme) {
+	ct, err := pub.Encrypt(big.NewInt(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := pub.Marshal(ct)
+	own, err := d.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := pub.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := own.(paillierCt); !ok {
+		t.Errorf("key owner's Unmarshal returned %T, want the canonical form", own)
+	}
+	if _, ok := wire.(paillierAddend); ok != pub.pk.DigitForm() {
+		t.Errorf("passive Unmarshal returned %T under DigitForm() = %v", wire, pub.pk.DigitForm())
+	}
+	for name, c := range map[string]Ciphertext{"owner": own, "passive": wire} {
+		if !bytes.Equal(pub.Marshal(c), raw) {
+			t.Errorf("%s: Unmarshal → Marshal changed the bytes", name)
+		}
+		if m, err := d.Decrypt(c); err != nil || m.Int64() != 41 {
+			t.Errorf("%s: decrypts to %v, %v; want 41", name, m, err)
+		}
+	}
 }
 
 // testMetadata: both sides name the same scheme and modulus, and a

@@ -49,10 +49,12 @@ type Scheme interface {
 	// Marshal serializes a ciphertext for cross-party transfer.
 	Marshal(ct Ciphertext) []byte
 	// Unmarshal reverses Marshal, refusing bytes that are not a valid
-	// ciphertext. Where Paillier accumulates in digit form it returns
-	// the ciphertext already converted into the form AddInto adds, so
-	// a gradient ciphertext pays the conversion once however many bins
-	// it lands in; Marshal still returns the bytes it was given.
+	// ciphertext. Where Paillier accumulates in digit form the public
+	// scheme returns the ciphertext already converted into the form
+	// AddInto adds, so a gradient ciphertext pays the conversion once
+	// however many bins it lands in; the key owner's Decryptor returns
+	// the canonical form Decrypt reads. Marshal still returns the bytes
+	// it was given.
 	Unmarshal(b []byte) (Ciphertext, error)
 	// CiphertextBytes is the serialized size of one ciphertext, used by
 	// the WAN shaper to account transfer cost (2S/8 for Paillier).

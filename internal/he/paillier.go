@@ -18,8 +18,10 @@ import (
 //   - paillierAcc, an accumulator's n-adic digits, which AddInto
 //     multiplies into in place;
 //   - paillierAddend, the digits of R·c mod n² that an HAdd's right
-//     operand takes. Unmarshal converts each wire ciphertext into one;
-//     it is never written again, so one addend may be shared.
+//     operand takes. A passive party's Unmarshal converts each wire
+//     ciphertext into one (the key owner's, which only decrypts what it
+//     receives, keeps the canonical residue); it is never written again,
+//     so one addend may be shared.
 //
 // Marshal, Add, MulScalar and Decrypt read the canonical residue of any
 // form; the digit forms exist only where DigitForm holds.
@@ -275,6 +277,17 @@ func (s *PaillierScheme) Marshal(ct Ciphertext) []byte {
 // the digit form it returns the ciphertext as an addend, converted here
 // once however many accumulators it is added into.
 func (s *PaillierScheme) Unmarshal(b []byte) (Ciphertext, error) {
+	return s.unmarshal(b, s.digits)
+}
+
+// Unmarshal is the key owner's: it validates as the scheme's does but
+// returns the canonical residue, since what the owner receives it
+// decrypts, and Decrypt would only convert an addend back.
+func (d *PaillierDecryptor) Unmarshal(b []byte) (Ciphertext, error) {
+	return d.unmarshal(b, false)
+}
+
+func (s *PaillierScheme) unmarshal(b []byte, addend bool) (Ciphertext, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("he: empty paillier ciphertext")
 	}
@@ -282,7 +295,7 @@ func (s *PaillierScheme) Unmarshal(b []byte) (Ciphertext, error) {
 	if err := s.pk.ValidateCiphertext(ct); err != nil {
 		return nil, fmt.Errorf("he: %w", err)
 	}
-	if s.digits {
+	if addend {
 		return paillierAddend{s.pk.NewAddend(ct)}, nil
 	}
 	return paillierCt{ct}, nil

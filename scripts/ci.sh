@@ -32,9 +32,10 @@ fi
 echo "== go build =="
 go build ./...
 
-echo "== go test -race (mq, serve, core, fault, checkpoint, ooc) =="
+echo "== go test -race (mq, serve, core, fault, checkpoint, ooc, fixedpoint, fedlr) =="
 go test -race ./internal/mq/... ./internal/serve/... ./internal/core/... \
-  ./internal/fault/... ./internal/checkpoint/... ./internal/ooc/...
+  ./internal/fault/... ./internal/checkpoint/... ./internal/ooc/... \
+  ./internal/fixedpoint/... ./internal/fedlr/...
 
 echo "== parity suites across core counts (same seed => byte-identical model on any schedule) =="
 # Every byte-identity contract the chaos, resume and ooc suites
@@ -81,6 +82,10 @@ for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
     -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|StreamedNode|BIdleWithinWallTime|DecryptFeatureRejectsGarbage|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
+  # The Section 5.1 accumulator resolves distinct cells concurrently, and
+  # federated LR's weights must hash to the pinned ones with either
+  # reduction, on any core count.
+  GOMAXPROCS=$procs go test -race -count=1 -run 'TestSums|TestTrainGolden' ./internal/fixedpoint ./internal/fedlr
   # Party B encrypts through the key owner's CRT tables; both schemes
   # must conform, and the golden hashes above must not move, on any core
   # count.
