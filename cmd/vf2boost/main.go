@@ -123,42 +123,34 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 	}
 }
 
-// isRanking reports whether the configured objective couples gradients
-// across query groups, which changes how the labeled shard is read
-// (qid:N tokens) and which metric headlines the run.
-func isRanking(cfg core.Config) bool {
-	return cfg.Objective != nil && strings.HasPrefix(cfg.Objective.Name(), "ranking")
-}
-
-// loadLabeledData reads the labeled training shard under the configured
-// objective: ranking reads qid:N query groups and installs them on the
-// objective; everything else is a plain LibSVM load.
+// loadLabeledData reads the labeled training shard: under an objective
+// that couples gradients across query groups (ranking) it reads qid:N
+// tokens and installs the groups; else it is a plain LibSVM load.
 func loadLabeledData(path string, cfg core.Config) *dataset.Dataset {
-	if !isRanking(cfg) {
+	ga, ok := cfg.Objective.(objective.GroupAware)
+	if !ok {
 		return loadData(path)
 	}
 	d, groups, err := dataset.LoadLibSVMRankingFile(path, 0)
 	if err != nil {
 		log.Fatalf("loading %s: %v", path, err)
 	}
-	if err := cfg.Objective.(objective.GroupAware).SetGroups(groups); err != nil {
+	if err := ga.SetGroups(groups); err != nil {
 		log.Fatalf("loading %s: %v", path, err)
 	}
 	return d
 }
 
-// refuseGroupAwareOOC stops an -ooc run whose objective couples
-// gradients across query groups: a LibSVM store source carries no
-// qid:N groups to install on it.
-func refuseGroupAwareOOC(cmd string, cfg core.Config) {
-	if _, ok := cfg.Objective.(objective.GroupAware); ok {
-		log.Fatalf("%s: -objective %s is not supported with -ooc (the LibSVM store source carries no query groups)", cmd, cfg.Objective.Name())
+// reportTrainMetric prints the train metric over a k×n margin matrix:
+// AUC and logloss under the binary default, else the objective's headline
+// metric (mlogloss, ndcg@k, ...) plus accuracy for multiclass.
+func reportTrainMetric(cfg core.Config, labels []float64, margins [][]float64) {
+	if cfg.Objective == nil {
+		auc, _ := metrics.AUC(margins[0], labels)
+		ll, _ := metrics.LogLoss(margins[0], labels)
+		fmt.Printf("  train AUC %.4f, logloss %.4f\n", auc, ll)
+		return
 	}
-}
-
-// reportObjectiveMetric prints the objective's headline metric (mlogloss,
-// ndcg@k, ...) plus accuracy for multiclass, over a k×n margin matrix.
-func reportObjectiveMetric(cfg core.Config, labels []float64, margins [][]float64) {
 	score, err := cfg.Objective.Eval(labels, margins)
 	if err != nil {
 		log.Fatal(err)
@@ -173,14 +165,18 @@ func reportObjectiveMetric(cfg core.Config, labels []float64, margins [][]float6
 }
 
 // oocFlags registers the out-of-core flags shared by the training
-// subcommands and returns a loader for the resolved settings.
-func oocFlags(fs *flag.FlagSet) func() oocSettings {
+// subcommands. Its loader refuses -ooc under a group-aware objective: a
+// LibSVM store source carries no query groups to install.
+func oocFlags(fs *flag.FlagSet) func(core.Config) oocSettings {
 	dir := fs.String("ooc", "", "train out-of-core: build (if absent) and use a binned shard store under this directory")
 	budget := fs.String("mem-budget", "256MiB", "resident shard-cache cap for -ooc (bytes, or with K/M/G[iB] suffix; 0 = unlimited)")
 	chunkRows := fs.Int("chunk-rows", 1<<16, "shard height in rows for -ooc store builds")
 	prefetch := fs.Bool("prefetch", true, "readahead of the next shard in the sweep plan (-ooc)")
 	chaos := fs.String("fschaos", "", "seeded storage fault injection for stores and checkpoints, e.g. seed=7,flip=0.02,readerr=0.05,shortwrite=0.1,tornrename=0.2,enospc=1MiB,crash=40")
-	return func() oocSettings {
+	return func(cfg core.Config) oocSettings {
+		if _, ok := cfg.Objective.(objective.GroupAware); ok && *dir != "" {
+			log.Fatalf("%s: -objective %s is not supported with -ooc (the LibSVM store source carries no query groups)", fs.Name(), cfg.Objective.Name())
+		}
 		b, err := parseBytes(*budget)
 		if err != nil {
 			log.Fatalf("bad -mem-budget: %v", err)
@@ -205,27 +201,56 @@ type oocSettings struct {
 	fsys      fsfault.FS // nil = real filesystem; set by -fschaos
 }
 
-// openStore builds the store from src if dir has no manifest yet, then
-// opens it under the configured budget. An existing store is reused
-// as-is (delete the directory to force a rebuild).
-func (s oocSettings) openStore(src ooc.Source, maxBins int) *ooc.Store {
+// openStore builds the store from src if dir has no manifest yet, opens
+// it under the budget and reads its labels when labeled. An existing store
+// is reused as-is (delete the directory to force a rebuild).
+func (s oocSettings) openStore(src ooc.Source, maxBins int, labeled bool) (st *ooc.Store, labels []float64) {
 	opt := ooc.Options{MemBudget: s.budget, Prefetch: s.prefetch, Source: src, FS: s.fsys}
 	st, err := ooc.Open(s.dir, opt)
 	if err == nil {
 		fmt.Printf("ooc: reusing store %s (%d rows, %d shards)\n", s.dir, st.Rows(), st.NumShards())
-		return st
+	} else {
+		start := time.Now()
+		if err := ooc.Build(s.dir, src, ooc.BuildOptions{MaxBins: maxBins, ChunkRows: s.chunkRows, FS: s.fsys}); err != nil {
+			log.Fatalf("ooc: building %s: %v", s.dir, err)
+		}
+		if st, err = ooc.Open(s.dir, opt); err != nil {
+			log.Fatalf("ooc: opening %s: %v", s.dir, err)
+		}
+		fmt.Printf("ooc: built store %s in %v (%d rows, %d shards, budget %d bytes)\n",
+			s.dir, time.Since(start).Round(time.Millisecond), st.Rows(), st.NumShards(), s.budget)
 	}
-	start := time.Now()
-	if err := ooc.Build(s.dir, src, ooc.BuildOptions{MaxBins: maxBins, ChunkRows: s.chunkRows, FS: s.fsys}); err != nil {
-		log.Fatalf("ooc: building %s: %v", s.dir, err)
+	if labeled {
+		if labels, err = st.Labels(); err != nil {
+			log.Fatal(err)
+		}
 	}
-	st, err = ooc.Open(s.dir, opt)
+	return st, labels
+}
+
+// loadView loads a party's shard as the binned view it trains on: the
+// in-memory binned matrix, or the -ooc shard store. d is the raw dataset,
+// nil under -ooc, where raw feature values never load.
+func (s oocSettings) loadView(path string, labeled bool, cfg core.Config) (view gbdt.BinView, labels []float64, d *dataset.Dataset) {
+	if s.dir != "" {
+		src, err := ooc.NewLibSVMSource(path, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
+		view, labels = s.openStore(src, cfg.MaxBins, labeled)
+		return view, labels, nil
+	}
+	if labeled {
+		d = loadLabeledData(path, cfg)
+	} else {
+		d = loadData(path)
+		d.Labels = nil
+	}
+	mapper, err := gbdt.NewBinMapper(d, cfg.MaxBins)
 	if err != nil {
-		log.Fatalf("ooc: opening %s: %v", s.dir, err)
+		log.Fatal(err)
 	}
-	fmt.Printf("ooc: built store %s in %v (%d rows, %d shards, budget %d bytes)\n",
-		s.dir, time.Since(start).Round(time.Millisecond), st.Rows(), st.NumShards(), s.budget)
-	return st
+	return gbdt.NewBinnedMatrix(d, mapper), d.Labels, d
 }
 
 // parseBytes parses a byte count with an optional K/M/G, KB/MB/GB or
@@ -284,6 +309,7 @@ func cmdLocal(args []string) {
 		log.Fatal("local: -data is required")
 	}
 	cfg := cfgFn()
+	view, labels, d := oocFn(cfg).loadView(*data, true, cfg)
 	p := gbdt.DefaultParams()
 	p.NumTrees = cfg.Trees
 	p.LearningRate = cfg.LearningRate
@@ -292,68 +318,31 @@ func cmdLocal(args []string) {
 	p.Split = cfg.Split
 	p.Workers = cfg.Workers
 
-	if oc := oocFn(); oc.dir != "" {
-		refuseGroupAwareOOC("local", cfg)
-		// Out-of-core: the raw rows never materialize, so the train-metric
-		// report (which needs raw feature values) is skipped.
-		src, err := ooc.NewLibSVMSource(*data, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st := oc.openStore(src, p.MaxBins)
-		labels, err := st.Labels()
-		if err != nil {
-			log.Fatal(err)
-		}
-		start := time.Now()
-		var m *gbdt.Model
-		if cfg.Objective != nil {
-			m, err = gbdt.TrainMultiBinned(st, labels, cfg.Objective, p)
-		} else {
-			m, err = gbdt.TrainBinned(st, labels, p)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
+	start := time.Now()
+	var m *gbdt.Model
+	var err error
+	if cfg.Objective != nil {
+		m, err = gbdt.TrainMultiBinned(view, labels, cfg.Objective, p)
+	} else {
+		m, err = gbdt.TrainBinned(view, labels, p)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trained %d trees in %v\n", len(m.Trees), time.Since(start).Round(time.Millisecond))
+	if st, ok := view.(*ooc.Store); ok {
+		// Out-of-core: the raw rows never materialize, so the train metric
+		// (which needs raw feature values) gives way to the cache stats.
 		cs := st.Stats()
-		fmt.Printf("trained %d trees out-of-core in %v; cache: %d loads, %d prefetches, %d evictions, peak %d bytes\n",
-			len(m.Trees), time.Since(start).Round(time.Millisecond), cs.Loads, cs.Prefetches, cs.Evictions, cs.PeakBytes)
+		fmt.Printf("  cache: %d loads, %d prefetches, %d evictions, peak %d bytes\n",
+			cs.Loads, cs.Prefetches, cs.Evictions, cs.PeakBytes)
 		if cs.RetriedLoads > 0 || cs.Quarantined > 0 || cs.Rebuilds > 0 {
 			fmt.Printf("self-heal: %d retried loads, %d quarantined shards, %d rebuilds (generation %d)\n",
 				cs.RetriedLoads, cs.Quarantined, cs.Rebuilds, st.Generation())
 		}
-		if err := m.SaveFile(*out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("model written to %s\n", *out)
-		return
+	} else {
+		reportTrainMetric(cfg, labels, m.PredictAllOutputs(d))
 	}
-
-	d := loadLabeledData(*data, cfg)
-	start := time.Now()
-	if cfg.Objective != nil {
-		m, err := gbdt.TrainMulti(d, cfg.Objective, p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("trained %d rounds (%d trees) in %v\n",
-			cfg.Trees, len(m.Trees), time.Since(start).Round(time.Millisecond))
-		reportObjectiveMetric(cfg, d.Labels, m.PredictAllOutputs(d))
-		if err := m.SaveFile(*out); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("model written to %s\n", *out)
-		return
-	}
-	m, err := gbdt.Train(d, p)
-	if err != nil {
-		log.Fatal(err)
-	}
-	margins := m.PredictAll(d)
-	auc, _ := metrics.AUC(margins, d.Labels)
-	ll, _ := metrics.LogLoss(margins, d.Labels)
-	fmt.Printf("trained %d trees in %v; train AUC %.4f, logloss %.4f\n",
-		cfg.Trees, time.Since(start).Round(time.Millisecond), auc, ll)
 	if err := m.SaveFile(*out); err != nil {
 		log.Fatal(err)
 	}
@@ -365,8 +354,7 @@ func cmdSim(args []string) {
 	data := fs.String("data", "", "labeled joined LibSVM file (will be split vertically)")
 	split := fs.String("split", "", "per-party feature counts, e.g. 30,20 (last party keeps labels)")
 	out := fs.String("out", "fedmodel.json", "model output path")
-	wan := fs.Float64("wan", 0, "simulated WAN bandwidth in Mbps (0 = unshaped)")
-	latency := fs.Duration("latency", 0, "simulated WAN one-way latency, e.g. 20ms (0 = none)")
+	wanFn := wanFlags(fs)
 	chaos := fs.String("chaos", "", "seeded fault injection spec, e.g. seed=7,drop=0.05,dup=0.02,reorder=0.02,delay=0.1,delayfor=2ms,cut=500")
 	ckptDir := fs.String("checkpoint-dir", "", "snapshot every party's training state here after each tree")
 	resume := fs.Bool("resume", false, "resume from the newest checkpoint under -checkpoint-dir")
@@ -379,14 +367,11 @@ func cmdSim(args []string) {
 	if *resume && *ckptDir == "" {
 		log.Fatal("sim: -resume requires -checkpoint-dir")
 	}
-	if *latency < 0 {
-		log.Fatal("sim: -latency must not be negative")
+	var opts []core.SessionOption
+	if mbps, latency, shaped := wanFn(); shaped {
+		opts = append(opts, core.WithWAN(mbps, latency))
 	}
 	cfg := cfgFn()
-	var opts []core.SessionOption
-	if *wan > 0 || *latency > 0 {
-		opts = append(opts, core.WithWAN(*wan, *latency))
-	}
 	if *chaos != "" {
 		fc, err := fault.ParseSpec(*chaos)
 		if err != nil {
@@ -401,16 +386,15 @@ func cmdSim(args []string) {
 		opts = append(opts, core.WithResume())
 	}
 
+	counts := parseSplit(*split)
 	var sess *core.Session
 	var err error
 	var trainLabels []float64
 	var parts []*dataset.Dataset
-	if oc := oocFn(); oc.dir != "" {
-		refuseGroupAwareOOC("sim", cfg)
+	if oc := oocFn(cfg); oc.dir != "" {
 		// Out-of-core sim: every party trains against its own disk-backed
 		// store, built from a column slice of the joined row stream — the
 		// joined dataset is never materialized.
-		counts := parseSplit(*split)
 		base, serr := ooc.NewLibSVMSource(*data, 0)
 		if serr != nil {
 			log.Fatal(serr)
@@ -437,19 +421,14 @@ func cmdSim(args []string) {
 			}
 			ps := oc
 			ps.dir = filepath.Join(oc.dir, fmt.Sprintf("party%d", i))
-			st := ps.openStore(slice, cfg.MaxBins)
-			views[i] = st
-			if labeled {
-				if trainLabels, serr = st.Labels(); serr != nil {
-					log.Fatal(serr)
-				}
-			}
+			// Only the last (labeled) party's store yields labels.
+			views[i], trainLabels = ps.openStore(slice, cfg.MaxBins, labeled)
 			lo += c
 		}
 		sess, err = core.NewViewSession(views, trainLabels, cfg, opts...)
 	} else {
 		d := loadLabeledData(*data, cfg)
-		parts, err = d.VerticalSplit(parseSplit(*split), len(parseSplit(*split))-1)
+		parts, err = d.VerticalSplit(counts, len(counts)-1)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -466,29 +445,20 @@ func cmdSim(args []string) {
 	}
 	elapsed := time.Since(start)
 	st := sess.Stats()
-	fmt.Printf("federated training: %v (%v/tree)\n", elapsed.Round(time.Millisecond),
-		(elapsed / time.Duration(cfg.Trees)).Round(time.Millisecond))
-	if parts != nil && cfg.Objective != nil {
+	fmt.Printf("federated training: %v (%v/tree)\n", elapsed.Round(time.Millisecond), perTree(elapsed, st))
+	if parts != nil {
+		// The train metric needs raw feature values, which the out-of-core
+		// path never materializes.
 		margins, perr := m.PredictAllOutputs(parts)
 		if perr != nil {
 			log.Fatal(perr)
 		}
-		reportObjectiveMetric(cfg, trainLabels, margins)
-	} else if parts != nil {
-		// Train-AUC needs raw feature values, which the out-of-core path
-		// never materializes — only reported for the in-memory path.
-		margins, perr := m.PredictAll(parts)
-		if perr != nil {
-			log.Fatal(perr)
-		}
-		auc, _ := metrics.AUC(margins, trainLabels)
-		ll, _ := metrics.LogLoss(margins, trainLabels)
-		fmt.Printf("  train AUC %.4f, logloss %.4f\n", auc, ll)
+		reportTrainMetric(cfg, trainLabels, margins)
 	}
 	fmt.Printf("  task-seconds: encrypt %v, decrypt %v, build-hist %v, pack %v (%.1f slots/ct); wall: %v/tree, idle(B) %v\n",
 		st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
 		st.BuildHistTime().Round(time.Millisecond), st.PackTime().Round(time.Millisecond),
-		st.PackFill(), (elapsed / time.Duration(cfg.Trees)).Round(time.Millisecond), st.BIdleTime().Round(time.Millisecond))
+		st.PackFill(), perTree(elapsed, st), st.BIdleTime().Round(time.Millisecond))
 	fmt.Printf("  splits: passive %d, B %d; dirty %d; traffic %.1f MiB\n",
 		st.SplitsByA(), st.SplitsByB(), st.DirtyNodes(),
 		float64(sess.Broker().BytesSent())/(1<<20))
@@ -498,33 +468,48 @@ func cmdSim(args []string) {
 			fmt.Printf("  %s %d: %s\n", map[int]string{0: "B-side link", 1: "A-side link"}[i%2], i/2, ls)
 		}
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
+	saveModel(*out, "model", m)
+}
+
+// perTree is the wall time per tree this run built: a k-class round
+// builds k trees, and a resumed run builds only the remaining ones.
+func perTree(elapsed time.Duration, st *core.Stats) time.Duration {
+	n := st.TreesFinished()
+	if n == 0 {
+		return 0
 	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		log.Fatal(err)
+	return (elapsed / time.Duration(n)).Round(time.Millisecond)
+}
+
+// wanFlags registers the shaped-link flags of sim and gateway. Its loader
+// refuses negative values and reports whether the link is shaped.
+func wanFlags(fs *flag.FlagSet) func() (mbps float64, latency time.Duration, shaped bool) {
+	wan := fs.Float64("wan", 0, "simulated WAN bandwidth in Mbps (0 = unshaped)")
+	lat := fs.Duration("latency", 0, "simulated WAN one-way latency, e.g. 20ms (0 = none)")
+	return func() (float64, time.Duration, bool) {
+		if !(*wan >= 0) {
+			log.Fatalf("%s: -wan must not be negative", fs.Name())
+		}
+		if *lat < 0 {
+			log.Fatalf("%s: -latency must not be negative", fs.Name())
+		}
+		return *wan, *lat, *wan > 0 || *lat > 0
 	}
-	fmt.Printf("model written to %s\n", *out)
 }
 
 func cmdGateway(args []string) {
 	fs := flag.NewFlagSet("gateway", flag.ExitOnError)
 	addr := fs.String("addr", ":7001", "listen address")
 	secret := fs.String("secret", "", "shared token secret (empty disables auth)")
-	wan := fs.Float64("wan", 0, "simulated WAN bandwidth in Mbps (0 = unshaped)")
-	latency := fs.Duration("latency", 0, "simulated WAN one-way latency, e.g. 20ms (0 = none)")
+	wanFn := wanFlags(fs)
 	fs.Parse(args)
-	if *latency < 0 {
-		log.Fatal("gateway: -latency must not be negative")
-	}
+	mbps, latency, shaped := wanFn()
 	var opts []mq.Option
 	if *secret != "" {
 		opts = append(opts, mq.WithAuth([]byte(*secret)))
 	}
-	if *wan > 0 || *latency > 0 {
-		sh := mq.NewShaper(*wan, *latency)
+	if shaped {
+		sh := mq.NewShaper(mbps, latency)
 		sh.SetPerMessageOverhead(mq.FrameOverhead)
 		opts = append(opts, mq.WithShaper(sh))
 	}
@@ -544,6 +529,97 @@ func cmdGateway(args []string) {
 	broker.Close()
 }
 
+// gatewayLink is the link-flag group: the gateway, its token secret, and
+// -index (a passive party's) or -peers (Party B's passive party count).
+type gatewayLink struct {
+	addr, secret string
+	index, peers int
+}
+
+// linkFlags registers the link flags, -index and -peers only where asked.
+// Its loader refuses -index < 0 and -peers < 1 before any load or dial.
+func linkFlags(fs *flag.FlagSet, index, peers bool) func() gatewayLink {
+	l := gatewayLink{peers: 1}
+	fs.StringVar(&l.addr, "gateway", "127.0.0.1:7001", "gateway address")
+	fs.StringVar(&l.secret, "secret", "", "shared token secret")
+	if index {
+		fs.IntVar(&l.index, "index", 0, "passive party index (role a)")
+	}
+	if peers {
+		fs.IntVar(&l.peers, "peers", 1, "number of passive parties (role b)")
+	}
+	return func() gatewayLink {
+		if l.index < 0 {
+			log.Fatalf("%s: -index must not be negative", fs.Name())
+		}
+		if l.peers < 1 {
+			log.Fatalf("%s: -peers must be at least 1", fs.Name())
+		}
+		return l
+	}
+}
+
+// Topic prefixes of the session kinds, so they can share one gateway.
+const (
+	trainTopics   = ""
+	predictTopics = "p"
+	serveTopics   = "s"
+)
+
+// dialer dials one end of passive party i's link in a session of the
+// given kind: Party B's end when active, else the passive party's.
+func (l gatewayLink) dialer(kind string, i int, active bool) func() (core.Transport, error) {
+	send, recv := fmt.Sprintf("%sa%d2b", kind, i), fmt.Sprintf("%sb2a%d", kind, i)
+	if active {
+		send, recv = recv, send
+	}
+	tok := func(topic string) string {
+		if l.secret == "" {
+			return ""
+		}
+		return mq.Token([]byte(l.secret), topic)
+	}
+	return func() (core.Transport, error) {
+		prod, err := mq.DialProducer(l.addr, send, tok(send))
+		if err != nil {
+			return nil, fmt.Errorf("dialing gateway producer: %w", err)
+		}
+		cons, err := mq.DialConsumer(l.addr, recv, tok(recv))
+		if err != nil {
+			return nil, fmt.Errorf("dialing gateway consumer: %w", err)
+		}
+		return gatewayTransport{prod: prod, cons: cons}, nil
+	}
+}
+
+// dialPeers connects Party B to every passive party in party order and
+// returns the transports and their dialers.
+func (l gatewayLink) dialPeers(kind string, rc *core.ResilientConfig) ([]core.Transport, []func() (core.Transport, error)) {
+	trs := make([]core.Transport, l.peers)
+	dialers := make([]func() (core.Transport, error), l.peers)
+	for i := range trs {
+		dialers[i] = l.dialer(kind, i, true)
+		trs[i] = connect(dialers[i], rc)
+	}
+	return trs, dialers
+}
+
+// connect dials once, exiting on failure; with rc set it wraps the link
+// in the retry/heartbeat layer, which redials on its own.
+func connect(dial func() (core.Transport, error), rc *core.ResilientConfig) core.Transport {
+	var tr core.Transport
+	var err error
+	if rc == nil {
+		tr, err = dial()
+	} else {
+		tr, err = core.NewResilientTransport(nil, dial, *rc)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	return tr
+}
+
 // gatewayTransport adapts a producer/consumer TCP pair to core.Transport.
 type gatewayTransport struct {
 	prod *mq.RemoteProducer
@@ -560,39 +636,10 @@ func (t gatewayTransport) Close() {
 	t.cons.Close()
 }
 
-func dialPartyErr(gateway, secret, sendTopic, recvTopic string) (core.Transport, error) {
-	tok := func(topic string) string {
-		if secret == "" {
-			return ""
-		}
-		return mq.Token([]byte(secret), topic)
-	}
-	prod, err := mq.DialProducer(gateway, sendTopic, tok(sendTopic))
-	if err != nil {
-		return nil, fmt.Errorf("dialing gateway producer: %w", err)
-	}
-	cons, err := mq.DialConsumer(gateway, recvTopic, tok(recvTopic))
-	if err != nil {
-		return nil, fmt.Errorf("dialing gateway consumer: %w", err)
-	}
-	return gatewayTransport{prod: prod, cons: cons}, nil
-}
-
-func dialParty(gateway, secret, sendTopic, recvTopic string) core.Transport {
-	tr, err := dialPartyErr(gateway, secret, sendTopic, recvTopic)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return tr
-}
-
 func cmdParty(args []string) {
 	fs := flag.NewFlagSet("party", flag.ExitOnError)
 	role := fs.String("role", "", "a (passive) or b (active, holds labels)")
-	index := fs.Int("index", 0, "passive party index (role a)")
-	peers := fs.Int("peers", 1, "number of passive parties (role b)")
-	gateway := fs.String("gateway", "127.0.0.1:7001", "gateway address")
-	secret := fs.String("secret", "", "shared token secret")
+	linkFn := linkFlags(fs, true, true)
 	data := fs.String("data", "", "this party's LibSVM shard")
 	out := fs.String("out", "", "model fragment output path (optional)")
 	resilient := fs.Bool("resilient", false, "wrap the gateway link in the retry/heartbeat layer (survives drops and reconnects)")
@@ -603,63 +650,30 @@ func cmdParty(args []string) {
 	oocFn := oocFlags(fs)
 	cfgFn := trainFlags(fs)
 	fs.Parse(args)
+	if *role != "a" && *role != "b" {
+		log.Fatal("party: -role must be a or b")
+	}
 	if *data == "" {
 		log.Fatal("party: -data is required")
 	}
 	if *resume && *ckptDir == "" {
 		log.Fatal("party: -resume requires -checkpoint-dir")
 	}
+	l := linkFn()
 	cfg := cfgFn()
-	oc := oocFn()
+	oc := oocFn(cfg)
+	// Party B holds the labels; under a ranking objective its shard
+	// carries qid:N group markers that must reach the objective.
+	view, labels, _ := oc.loadView(*data, *role == "b", cfg)
 
-	// With -ooc this party trains against a disk-backed store built from
-	// its shard file; the raw rows never materialize.
-	var view gbdt.BinView
-	var viewLabels []float64
-	var d *dataset.Dataset
-	if oc.dir != "" {
-		refuseGroupAwareOOC("party", cfg)
-		src, err := ooc.NewLibSVMSource(*data, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st := oc.openStore(src, cfg.MaxBins)
-		view = st
-		if *role == "b" {
-			var err error
-			if viewLabels, err = st.Labels(); err != nil {
-				log.Fatal(err)
-			}
-		}
-	} else if *role == "b" {
-		// Party B holds the labels; under a ranking objective its shard
-		// carries qid:N group markers that must reach the objective.
-		d = loadLabeledData(*data, cfg)
-	} else {
-		d = loadData(*data)
-	}
-
-	rcfg := core.DefaultResilientConfig()
-	rcfg.Heartbeat = *heartbeat
-	rcfg.PeerTimeout = *peerTimeout
 	// Both ends of a link must speak the same framing: enable -resilient
 	// on every party or on none.
-	wrap := func(send, recv string) core.Transport {
-		dial := func() (core.Transport, error) {
-			return dialPartyErr(*gateway, *secret, send, recv)
-		}
-		if !*resilient {
-			tr, err := dial()
-			if err != nil {
-				log.Fatal(err)
-			}
-			return tr
-		}
-		tr, err := core.NewResilientTransport(nil, dial, rcfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return tr
+	var rc *core.ResilientConfig
+	if *resilient {
+		c := core.DefaultResilientConfig()
+		c.Heartbeat = *heartbeat
+		c.PeerTimeout = *peerTimeout
+		rc = &c
 	}
 	runOpts := func(sub string) []core.RunOption {
 		if *ckptDir == "" {
@@ -676,53 +690,29 @@ func cmdParty(args []string) {
 		return opts
 	}
 
-	switch *role {
-	case "a":
-		tr := wrap(fmt.Sprintf("a%d2b", *index), fmt.Sprintf("b2a%d", *index))
-		var pm *core.PartyModel
-		var err error
-		if view != nil {
-			pm, err = core.RunPassivePartyView(*index, view, cfg, tr,
-				runOpts(fmt.Sprintf("passive%d", *index))...)
-		} else {
-			// Passive shards must not carry labels.
-			d.Labels = nil
-			pm, err = core.RunPassiveParty(*index, d, cfg, tr,
-				runOpts(fmt.Sprintf("passive%d", *index))...)
-		}
+	if *role == "a" {
+		tr := connect(l.dialer(trainTopics, l.index, false), rc)
+		pm, err := core.RunPassiveParty(l.index, view, cfg, tr, runOpts(fmt.Sprintf("passive%d", l.index))...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("passive party %d finished; %d trees contain local splits\n",
-			*index, len(pm.Trees))
-		saveFragment(*out, pm)
-	case "b":
-		trs := make([]core.Transport, *peers)
-		for i := 0; i < *peers; i++ {
-			trs[i] = wrap(fmt.Sprintf("b2a%d", i), fmt.Sprintf("a%d2b", i))
-		}
-		start := time.Now()
-		var pm *core.PartyModel
-		var st *core.Stats
-		var err error
-		if view != nil {
-			pm, st, err = core.RunActivePartyView(view, viewLabels, cfg, trs, runOpts("active")...)
-		} else {
-			pm, st, err = core.RunActiveParty(d, cfg, trs, runOpts("active")...)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		elapsed := time.Since(start)
-		fmt.Printf("party B finished %d trees in %v (%v/tree)\n", cfg.Trees, elapsed.Round(time.Millisecond),
-			(elapsed / time.Duration(cfg.Trees)).Round(time.Millisecond))
-		fmt.Printf("  task-seconds: encrypt %v, decrypt %v; wall: idle(B) %v; splits passive %d / B %d; dirty %d\n",
-			st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
-			st.BIdleTime().Round(time.Millisecond), st.SplitsByA(), st.SplitsByB(), st.DirtyNodes())
-		saveFragment(*out, pm)
-	default:
-		log.Fatal("party: -role must be a or b")
+		fmt.Printf("passive party %d finished; %d trees contain local splits\n", l.index, len(pm.Trees))
+		saveFragment(*out, pm, 0)
+		return
 	}
+	trs, _ := l.dialPeers(trainTopics, rc)
+	start := time.Now()
+	pm, st, err := core.RunActiveParty(view, labels, cfg, trs, runOpts("active")...)
+	if err != nil {
+		log.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	fmt.Printf("party B finished %d trees in %v (%v/tree)\n", st.TreesFinished(), elapsed.Round(time.Millisecond),
+		perTree(elapsed, st))
+	fmt.Printf("  task-seconds: encrypt %v, decrypt %v; wall: idle(B) %v; splits passive %d / B %d; dirty %d\n",
+		st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
+		st.BIdleTime().Round(time.Millisecond), st.SplitsByA(), st.SplitsByB(), st.DirtyNodes())
+	saveFragment(*out, pm, cfg.LearningRate)
 }
 
 // predictRoundRows bounds one scoring round of `predict`. A passive
@@ -738,44 +728,32 @@ const predictRoundRows = 1 << 14
 func cmdPredict(args []string) {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
 	role := fs.String("role", "", "a (serves placements) or b (routes and writes margins)")
-	index := fs.Int("index", 0, "passive party index (role a)")
-	peers := fs.Int("peers", 1, "number of passive parties (role b)")
-	gateway := fs.String("gateway", "127.0.0.1:7001", "gateway address")
-	secret := fs.String("secret", "", "shared token secret")
+	linkFn := linkFlags(fs, true, true)
 	data := fs.String("data", "", "this party's LibSVM shard of the instances to score")
 	model := fs.String("model", "", "this party's model fragment (from party -out)")
-	eta := fs.Float64("eta", 0.1, "learning rate the model was trained with")
 	out := fs.String("out", "predictions.txt", "margin output path (role b)")
 	fs.Parse(args)
 	if *data == "" || *model == "" {
 		log.Fatal("predict: -data and -model are required")
 	}
-	d := loadData(*data)
+	l := linkFn()
 
 	switch *role {
 	case "a":
-		d.Labels = nil
-		w := serve.NewPassiveWorker(*index, d, buildServeRegistry([]string{*model}, 0, 0))
-		tr := dialParty(*gateway, *secret,
-			fmt.Sprintf("pa%d2b", *index), fmt.Sprintf("pb2a%d", *index))
-		if err := w.Run(tr); err != nil {
-			log.Fatal(err)
-		}
+		w, rows := runPassiveWorker(l, predictTopics, *data, []string{*model}, false)
 		// Party B closes the session early when it refuses it (a misaligned
 		// shard) or a round fails; either way this shard was not scored.
-		want := (d.Rows() + predictRoundRows - 1) / predictRoundRows
+		want := (rows + predictRoundRows - 1) / predictRoundRows
 		if w.Rounds() < int64(want) || w.RoundErrors() > 0 {
 			log.Fatalf("predict: session ended after %d of %d scoring rounds (%d refused)",
 				w.Rounds(), want, w.RoundErrors())
 		}
 		fmt.Println("placements served")
 	case "b":
-		trs := make([]core.Transport, *peers)
-		for i := 0; i < *peers; i++ {
-			trs[i] = dialParty(*gateway, *secret,
-				fmt.Sprintf("pb2a%d", i), fmt.Sprintf("pa%d2b", i))
-		}
-		margins, err := predictSession(d, buildServeRegistry([]string{*model}, *eta, 0), trs)
+		d := loadData(*data)
+		reg := buildServeRegistry([]string{*model}, true)
+		trs, _ := l.dialPeers(predictTopics, nil)
+		margins, err := predictSession(d, reg, trs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -825,9 +803,9 @@ func predictSession(d *dataset.Dataset, reg *serve.Registry, trs []core.Transpor
 }
 
 // buildServeRegistry publishes the fragment files as versions 1..N (the
-// last one current). All versions share the scalar scoring parameters,
-// which only Party B's registry uses.
-func buildServeRegistry(paths []string, eta, base float64) *serve.Registry {
+// last one current). Party B's (active) scores each version with the
+// learning rate and base score its fragment records; a passive one routes.
+func buildServeRegistry(paths []string, active bool) *serve.Registry {
 	reg := serve.NewRegistry()
 	version := uint64(0)
 	for _, path := range paths {
@@ -836,8 +814,15 @@ func buildServeRegistry(paths []string, eta, base float64) *serve.Registry {
 			continue
 		}
 		version++
-		pm := loadFragmentFile(path)
-		if err := reg.Publish(serve.Model{Version: version, Fragment: pm, LearningRate: eta, BaseScore: base}); err != nil {
+		m := loadModelFile(path)
+		sm := serve.Model{Version: version, Fragment: m.Parties[0]}
+		if active {
+			if !(m.LearningRate > 0) {
+				log.Fatalf("%s records no learning rate: re-run `party -role b -out` to write a Party B fragment that does", path)
+			}
+			sm.LearningRate, sm.BaseScore = m.LearningRate, m.BaseScore
+		}
+		if err := reg.Publish(sm); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -847,14 +832,34 @@ func buildServeRegistry(paths []string, eta, base float64) *serve.Registry {
 	return reg
 }
 
+// runPassiveWorker answers Party B's scoring rounds for `predict -role a`
+// and `sidecar` until B closes the session (with redial, session after
+// session). It returns the worker and the shard's row count.
+func runPassiveWorker(l gatewayLink, kind, data string, models []string, redial bool) (*serve.PassiveWorker, int) {
+	d := loadData(data)
+	d.Labels = nil
+	reg := buildServeRegistry(models, false)
+	w := serve.NewPassiveWorker(l.index, d, reg)
+	fmt.Printf("passive worker %d up: %d rows, model versions %v\n", l.index, d.Rows(), reg.Versions())
+	dial := l.dialer(kind, l.index, false)
+	var err error
+	if redial {
+		err = w.RunLoop(dial, 0, 0, 0)
+	} else {
+		err = w.Run(connect(dial, nil))
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	return w, d.Rows()
+}
+
 // cmdSidecar runs a passive party's online scoring sidecar: it holds the
 // party's feature shard and fragment registry and answers scoring rounds
 // on one persistent session until Party B closes it.
 func cmdSidecar(args []string) {
 	fs := flag.NewFlagSet("sidecar", flag.ExitOnError)
-	index := fs.Int("index", 0, "passive party index")
-	gateway := fs.String("gateway", "127.0.0.1:7001", "gateway address")
-	secret := fs.String("secret", "", "shared token secret")
+	linkFn := linkFlags(fs, true, false)
 	data := fs.String("data", "", "this party's LibSVM shard of the scoring universe")
 	models := fs.String("models", "", "comma-separated fragment files, published as versions 1..N")
 	redial := fs.Bool("redial", false, "re-dial and serve the next session when a session ends (survives Party B restarts)")
@@ -862,24 +867,10 @@ func cmdSidecar(args []string) {
 	if *data == "" || *models == "" {
 		log.Fatal("sidecar: -data and -models are required")
 	}
-	d := loadData(*data)
-	d.Labels = nil
-	reg := buildServeRegistry(strings.Split(*models, ","), 0, 0)
-	w := serve.NewPassiveWorker(*index, d, reg)
-	send, recv := fmt.Sprintf("sa%d2b", *index), fmt.Sprintf("sb2a%d", *index)
-	fmt.Printf("sidecar %d up: %d rows, model versions %v\n", *index, d.Rows(), reg.Versions())
-	if *redial {
-		err := w.RunLoop(func() (core.Transport, error) {
-			return dialPartyErr(*gateway, *secret, send, recv)
-		}, 0, 0, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-	} else if err := w.Run(dialParty(*gateway, *secret, send, recv)); err != nil {
-		log.Fatal(err)
-	}
+	l := linkFn()
+	w, _ := runPassiveWorker(l, serveTopics, *data, strings.Split(*models, ","), *redial)
 	fmt.Printf("sidecar %d: session closed after %d rounds (%d round errors)\n",
-		*index, w.Rounds(), w.RoundErrors())
+		l.index, w.Rounds(), w.RoundErrors())
 }
 
 // cmdServe runs Party B's online scoring server: persistent sessions to
@@ -888,13 +879,9 @@ func cmdSidecar(args []string) {
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")
-	peers := fs.Int("peers", 1, "number of passive sidecars")
-	gateway := fs.String("gateway", "127.0.0.1:7001", "gateway address")
-	secret := fs.String("secret", "", "shared token secret")
+	linkFn := linkFlags(fs, false, true)
 	data := fs.String("data", "", "Party B's LibSVM shard of the scoring universe")
 	models := fs.String("models", "", "comma-separated fragment files, published as versions 1..N")
-	eta := fs.Float64("eta", 0.1, "learning rate the models were trained with")
-	base := fs.Float64("base", 0, "base score added to every margin")
 	maxBatch := fs.Int("max-batch", 64, "flush a micro-batch at this many requests")
 	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "longest a request waits for company: a partial micro-batch flushes at this wait, or once no request has joined it for an eighth of it (and only when a pipeline slot is free)")
 	maxQueue := fs.Int("max-queue", 1024, "shed requests beyond this many queued (HTTP 429)")
@@ -907,21 +894,14 @@ func cmdServe(args []string) {
 	if *data == "" || *models == "" {
 		log.Fatal("serve: -data and -models are required")
 	}
+	l := linkFn()
 	pol, err := serve.ParsePolicy(*policy)
 	if err != nil {
 		log.Fatal(err)
 	}
 	d := loadData(*data)
-	reg := buildServeRegistry(strings.Split(*models, ","), *eta, *base)
-	trs := make([]core.Transport, *peers)
-	dialers := make([]func() (core.Transport, error), *peers)
-	for i := 0; i < *peers; i++ {
-		send, recv := fmt.Sprintf("sb2a%d", i), fmt.Sprintf("sa%d2b", i)
-		trs[i] = dialParty(*gateway, *secret, send, recv)
-		dialers[i] = func() (core.Transport, error) {
-			return dialPartyErr(*gateway, *secret, send, recv)
-		}
-	}
+	reg := buildServeRegistry(strings.Split(*models, ","), true)
+	trs, dialers := l.dialPeers(serveTopics, nil)
 	srv, err := serve.NewServer(serve.ServerConfig{
 		Data:        d,
 		Registry:    reg,
@@ -946,7 +926,7 @@ func cmdServe(args []string) {
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	fmt.Printf("serving on http://%s (model v%d, %d sidecars, batch<=%d, wait<=%v, deadline %v, policy %s)\n",
-		lis.Addr(), reg.CurrentVersion(), *peers, *maxBatch, *maxWait, *deadline, pol)
+		lis.Addr(), reg.CurrentVersion(), l.peers, *maxBatch, *maxWait, *deadline, pol)
 	go func() {
 		if err := hs.Serve(lis); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)
@@ -981,15 +961,7 @@ func cmdInspect(args []string) {
 	if *model == "" {
 		log.Fatal("inspect: -model is required")
 	}
-	f, err := os.Open(*model)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	m, err := core.Load(f)
-	if err != nil {
-		log.Fatal(err)
-	}
+	m := loadModelFile(*model)
 	fmt.Printf("parties: %d\n", m.NumParties())
 	if len(m.SplitsByParty) > 0 {
 		fmt.Printf("splits by party: %v\n", m.SplitsByParty)
@@ -1003,12 +975,14 @@ func cmdInspect(args []string) {
 	}
 	for ti, tr := range bTrees {
 		fmt.Printf("tree %d (%d nodes):\n", ti, len(tr.Nodes))
-		printFedTree(tr, m, tr.Root, 1)
+		printFedTree(m, ti, tr.Root, 1)
 	}
 }
 
-func printFedTree(tr *core.FedTree, m *core.FederatedModel, id int32, depth int) {
-	n, ok := tr.Nodes[id]
+// printFedTree prints node id of tree ti, as Party B's fragment holds it,
+// and the subtree below it.
+func printFedTree(m *core.FederatedModel, ti int, id int32, depth int) {
+	n, ok := m.Parties[m.NumParties()-1].Trees[ti].Nodes[id]
 	if !ok {
 		fmt.Printf("%*s<missing node %d>\n", 2*depth, "", id)
 		return
@@ -1019,25 +993,16 @@ func printFedTree(tr *core.FedTree, m *core.FederatedModel, id int32, depth int)
 		return
 	}
 	// Feature/threshold are only present in the owner's fragment.
-	if own, ok := m.Parties[n.Owner].Trees[treeIndexOf(m, tr)].Nodes[id]; ok && (own.Feature != 0 || own.Threshold != 0) {
+	if own, ok := m.Parties[n.Owner].Trees[ti].Nodes[id]; ok && (own.Feature != 0 || own.Threshold != 0) {
 		fmt.Printf("%sparty%d f%d <= %.5f (gain %.4f)\n", indent, n.Owner, own.Feature, own.Threshold, n.Gain)
 	} else {
 		fmt.Printf("%sparty%d <private split> (gain %.4f)\n", indent, n.Owner, n.Gain)
 	}
-	printFedTree(tr, m, n.Left, depth+1)
-	printFedTree(tr, m, n.Right, depth+1)
+	printFedTree(m, ti, n.Left, depth+1)
+	printFedTree(m, ti, n.Right, depth+1)
 }
 
-func treeIndexOf(m *core.FederatedModel, tr *core.FedTree) int {
-	for i, t := range m.Parties[m.NumParties()-1].Trees {
-		if t == tr {
-			return i
-		}
-	}
-	return 0
-}
-
-func loadFragmentFile(path string) *core.PartyModel {
+func loadModelFile(path string) *core.FederatedModel {
 	f, err := os.Open(path)
 	if err != nil {
 		log.Fatal(err)
@@ -1047,21 +1012,27 @@ func loadFragmentFile(path string) *core.PartyModel {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return m.Parties[0]
+	return m
 }
 
-func saveFragment(path string, pm *core.PartyModel) {
-	if path == "" {
-		return
-	}
+func saveModel(path, what string, m *core.FederatedModel) {
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	m := core.FederatedModel{Parties: []*core.PartyModel{pm}}
 	if err := m.Save(f); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fragment written to %s\n", path)
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%s written to %s\n", what, path)
+}
+
+// saveFragment writes a party's fragment if path is set. Party B records
+// the learning rate predict and serve score with; a passive party, 0.
+func saveFragment(path string, pm *core.PartyModel, learningRate float64) {
+	if path != "" {
+		saveModel(path, "fragment", &core.FederatedModel{Parties: []*core.PartyModel{pm}, LearningRate: learningRate})
+	}
 }

@@ -3,6 +3,9 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -24,6 +27,14 @@ func buildCLI(t *testing.T) string {
 	return bin
 }
 
+// runRefused runs a command the CLI should refuse, and gives up after 30 s
+// on one that runs instead (a gateway or a dial that waits for a peer).
+func runRefused(bin string, args ...string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	return exec.CommandContext(ctx, bin, args...).CombinedOutput()
+}
+
 func runCLI(t *testing.T, bin string, args ...string) {
 	t.Helper()
 	cmd := exec.Command(bin, args...)
@@ -33,7 +44,7 @@ func runCLI(t *testing.T, bin string, args ...string) {
 }
 
 // End-to-end byte parity: `local` with and without -ooc must write
-// identical model files.
+// identical model files, and the in-memory file is pinned.
 func TestLocalOOCModelByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the CLI")
@@ -60,12 +71,25 @@ func TestLocalOOCModelByteIdentity(t *testing.T) {
 	common := []string{"local", "-data", data, "-trees", "5", "-depth", "4", "-workers", "2"}
 	memOut := filepath.Join(dir, "mem.json")
 	runCLI(t, bin, append(common, "-out", memOut)...)
+	pinnedFile(t, memOut, "5b96a1ea0e49f7b352139a93a1941e3e5a504acc0d053350199415095002657c")
 
 	oocOut := filepath.Join(dir, "ooc.json")
 	runCLI(t, bin, append(common, "-out", oocOut,
 		"-ooc", filepath.Join(dir, "store"), "-chunk-rows", "64", "-mem-budget", "16KiB")...)
 
 	sameFile(t, memOut, oocOut)
+}
+
+// pinnedFile fails the test unless the file's SHA-256 is want (hex).
+func pinnedFile(t *testing.T, path, want string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+		t.Errorf("%s hashes to %s, want %s", path, got, want)
+	}
 }
 
 // sameFile fails the test unless the two files hold the same bytes.
@@ -84,9 +108,9 @@ func sameFile(t *testing.T, want, got string) {
 	}
 }
 
-// -ooc trains a multi-output objective to the in-memory model's bytes,
-// locally and federated, and still refuses a ranking objective: a LibSVM
-// store source carries no query groups.
+// -ooc trains a multi-output objective to the in-memory model's bytes
+// (pinned), locally and federated, and still refuses a ranking objective:
+// a LibSVM store source carries no query groups.
 func TestOOCObjectiveByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the CLI")
@@ -109,14 +133,16 @@ func TestOOCObjectiveByteIdentity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		args []string
+		pin  string
 	}{
-		{"local", []string{"local", "-data", data}},
-		{"sim", []string{"sim", "-data", data, "-split", "4,4", "-scheme", "mock"}},
+		{"local", []string{"local", "-data", data}, "9448585b1e3b7bc6bd518f02277dc62269266f30a4d02e1d78a23ed4547852b9"},
+		{"sim", []string{"sim", "-data", data, "-split", "4,4", "-scheme", "mock"}, "7a202f32e28317aaf3ca1f6328182274ce9a13a31525a01c7a9d85c560dd9868"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			common := append(tc.args, "-objective", "multiclass:3", "-trees", "2", "-depth", "3")
 			memOut := filepath.Join(dir, tc.name+"-mem.json")
 			runCLI(t, bin, append(common, "-out", memOut)...)
+			pinnedFile(t, memOut, tc.pin)
 			oocOut := filepath.Join(dir, tc.name+"-ooc.json")
 			runCLI(t, bin, append(append(common, "-out", oocOut), oocArgs(tc.name+"-store")...)...)
 			sameFile(t, memOut, oocOut)
@@ -184,13 +210,18 @@ func TestLatencyFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, args := range [][]string{
-		{"sim", "-data", data, "-split", "4,4", "-scheme", "mock", "-latency", "-1ms"},
-		{"gateway", "-addr", "127.0.0.1:0", "-latency", "-1ms"},
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-latency", []string{"sim", "-data", data, "-split", "4,4", "-scheme", "mock", "-latency", "-1ms"}},
+		{"-latency", []string{"gateway", "-addr", "127.0.0.1:0", "-latency", "-1ms"}},
+		{"-wan", []string{"sim", "-data", data, "-split", "4,4", "-scheme", "mock", "-wan", "-5"}},
+		{"-wan", []string{"gateway", "-addr", "127.0.0.1:0", "-wan", "-5"}},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		if err == nil || !bytes.Contains(out, []byte("-latency must not be negative")) {
-			t.Errorf("%s -latency -1ms was not refused: %v\n%s", args[0], err, out)
+		out, err := runRefused(bin, tc.args...)
+		if err == nil || !bytes.Contains(out, []byte(tc.flag+" must not be negative")) {
+			t.Errorf("%v was not refused: %v\n%s", tc.args, err, out)
 		}
 	}
 
@@ -223,5 +254,33 @@ func TestLatencyFlag(t *testing.T) {
 	gw.Process.Signal(os.Interrupt)
 	if err := gw.Wait(); err != nil {
 		t.Errorf("gateway exit: %v", err)
+	}
+}
+
+// TestLinkFlagRefusals: an -index below 0 or fewer than one -peers is
+// refused by every subcommand that takes the flag, before any data loads
+// (the shard paths below do not exist) or any dial (no gateway runs).
+func TestLinkFlagRefusals(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and runs the CLI")
+	}
+	bin := buildCLI(t)
+	missing := filepath.Join(t.TempDir(), "missing")
+	for _, tc := range []struct {
+		want string
+		args []string
+	}{
+		{"-peers must be at least 1", []string{"party", "-role", "b", "-peers", "-1", "-data", missing}},
+		{"-peers must be at least 1", []string{"party", "-role", "b", "-peers", "0", "-data", missing}},
+		{"-peers must be at least 1", []string{"predict", "-role", "b", "-peers", "0", "-data", missing, "-model", missing}},
+		{"-peers must be at least 1", []string{"serve", "-peers", "-1", "-data", missing, "-models", missing}},
+		{"-index must not be negative", []string{"party", "-role", "a", "-index", "-1", "-data", missing}},
+		{"-index must not be negative", []string{"predict", "-role", "a", "-index", "-1", "-data", missing, "-model", missing}},
+		{"-index must not be negative", []string{"sidecar", "-index", "-1", "-data", missing, "-models", missing}},
+	} {
+		out, err := runRefused(bin, tc.args...)
+		if err == nil || !bytes.Contains(out, []byte(tc.args[0]+": "+tc.want)) {
+			t.Errorf("%v was not refused with %q: %v\n%s", tc.args, tc.want, err, out)
+		}
 	}
 }

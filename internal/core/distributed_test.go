@@ -50,6 +50,7 @@ func TestDistributedTrainingOverTCP(t *testing.T) {
 
 	cfg := quickConfig(SchemeMock)
 	cfg.Trees = 3
+	views := testViews(t, cfg, parts...)
 
 	var wg sync.WaitGroup
 	var aModel *PartyModel
@@ -58,11 +59,11 @@ func TestDistributedTrainingOverTCP(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		tr := dialPair(t, addr, secret, "a02b", "b2a0")
-		aModel, aErr = RunPassiveParty(0, parts[0], cfg, tr)
+		aModel, aErr = RunPassiveParty(0, views[0], cfg, tr)
 	}()
 
 	bTr := dialPair(t, addr, secret, "b2a0", "a02b")
-	bModel, stats, err := RunActiveParty(parts[1], cfg, []Transport{bTr})
+	bModel, stats, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bTr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +116,7 @@ func TestDistributedPaillierOverTCP(t *testing.T) {
 
 	cfg := quickConfig(SchemePaillier)
 	cfg.Trees = 1
+	views := testViews(t, cfg, parts...)
 
 	var wg sync.WaitGroup
 	var aErr error
@@ -122,10 +124,10 @@ func TestDistributedPaillierOverTCP(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		tr := dialPair(t, addr, "", "a02b", "b2a0")
-		_, aErr = RunPassiveParty(0, parts[0], cfg, tr)
+		_, aErr = RunPassiveParty(0, views[0], cfg, tr)
 	}()
 	bTr := dialPair(t, addr, "", "b2a0", "a02b")
-	_, stats, err := RunActiveParty(parts[1], cfg, []Transport{bTr})
+	_, stats, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bTr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,14 +145,15 @@ func TestRunPartyValidation(t *testing.T) {
 	_, parts := twoPartyData(t, 50, 2, 2, 1, true, 23)
 	bad := quickConfig(SchemeMock)
 	bad.Trees = 0
-	if _, err := RunPassiveParty(0, parts[0], bad, nil); err == nil {
+	views := testViews(t, quickConfig(SchemeMock), parts...)
+	if _, err := RunPassiveParty(0, views[0], bad, nil); err == nil {
 		t.Error("invalid config accepted by RunPassiveParty")
 	}
-	if _, _, err := RunActiveParty(parts[1], bad, nil); err == nil {
+	if _, _, err := RunActiveParty(views[1], parts[1].Labels, bad, nil); err == nil {
 		t.Error("invalid config accepted by RunActiveParty")
 	}
 	// Party B without labels.
-	if _, _, err := RunActiveParty(parts[0], quickConfig(SchemeMock), nil); err == nil {
+	if _, _, err := RunActiveParty(views[0], parts[0].Labels, quickConfig(SchemeMock), nil); err == nil {
 		t.Error("unlabeled dataset accepted by RunActiveParty")
 	}
 }

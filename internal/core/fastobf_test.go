@@ -109,7 +109,7 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 	in := chanTransport{ch: make(chan []byte, 16)}
 	out := chanTransport{ch: make(chan []byte, 16)}
 	l := NewLink(pairTransport{send: out.Send, recv: in.Receive})
-	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l)
+	p := testPassive(t, parts[0], quickConfig(SchemeMock), l)
 
 	done := make(chan error, 1)
 	go func() {
@@ -149,7 +149,7 @@ func TestPassivePartyAbortsOnTaskFailure(t *testing.T) {
 func TestPassivePartyRejectsHostileGradientExponent(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 74)
 	l, feed := drivenLink()
-	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l)
+	p := testPassive(t, parts[0], quickConfig(SchemeMock), l)
 	sender := NewLink(feed)
 	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
 		t.Fatal(err)

@@ -65,6 +65,7 @@ func loggedSession(t *testing.T, parts []*dataset.Dataset, cfg Config) []*frameL
 	logs := make([]*frameLog, passive)
 	bEnds := make([]Transport, passive)
 	errs := make(chan error, passive)
+	views := testViews(t, cfg, parts...)
 	for i := range logs {
 		a, b := newPipe()
 		defer a.Close()
@@ -72,11 +73,11 @@ func loggedSession(t *testing.T, parts []*dataset.Dataset, cfg Config) []*frameL
 		logs[i] = &frameLog{chanEnd: b, h: sha256.New()}
 		bEnds[i] = logs[i]
 		go func() {
-			_, err := RunPassiveParty(i, parts[i], cfg, a)
+			_, err := RunPassiveParty(i, views[i], cfg, a)
 			errs <- err
 		}()
 	}
-	if _, _, err := RunActiveParty(parts[passive], cfg, bEnds); err != nil {
+	if _, _, err := RunActiveParty(views[passive], parts[passive].Labels, cfg, bEnds); err != nil {
 		t.Fatal(err)
 	}
 	for range logs {
@@ -228,16 +229,17 @@ func TestShortPlacementAbortsSession(t *testing.T) {
 		t.Run(fmt.Sprintf("speculate=%t", speculate), func(t *testing.T) {
 			cfg := quickConfig(SchemeMock)
 			cfg.OptimisticSplit = speculate
+			views := testViews(t, cfg, parts...)
 			a, b := newPipe()
 			defer a.Close()
 			defer b.Close()
 			aErr, bErr := make(chan error, 1), make(chan error, 1)
 			go func() {
-				_, err := RunPassiveParty(0, parts[0], cfg, placementCutter{a})
+				_, err := RunPassiveParty(0, views[0], cfg, placementCutter{a})
 				aErr <- err
 			}()
 			go func() {
-				_, _, err := RunActiveParty(parts[1], cfg, []Transport{b})
+				_, _, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{b})
 				bErr <- err
 			}()
 			var err error

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"vf2boost/internal/dataset"
+	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
 )
 
@@ -21,25 +22,40 @@ func (c chanTransport) Send(b []byte) error {
 
 func (c chanTransport) Receive() ([]byte, error) { return <-c.ch, nil }
 
-// testPassive bins data the way NewSession does and builds passive party
-// 0 over it.
-func testPassive(t testing.TB, data *dataset.Dataset, cfg Config, lk *link) *passiveParty {
+// testViews bins each party's dataset the way NewSession does, into the
+// views RunPassiveParty and RunActiveParty take. Call it on the test
+// goroutine, before starting the parties.
+func testViews(t testing.TB, cfg Config, parts ...*dataset.Dataset) []gbdt.BinView {
 	t.Helper()
-	view, err := binDataset(data, cfg)
-	if err != nil {
-		t.Fatal(err)
+	views := make([]gbdt.BinView, len(parts))
+	for i, d := range parts {
+		v, err := binDataset(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[i] = v
 	}
-	return newPassivePartyView(0, view, cfg, lk, &Stats{})
+	return views
 }
 
-// testActive bins data the way NewSession does and builds Party B over it.
-func testActive(t testing.TB, data *dataset.Dataset, cfg Config, dec he.Decryptor, links []*link) *activeParty {
+// testPassive normalizes cfg, bins data the way NewSession does and builds
+// passive party 0 over it.
+func testPassive(t testing.TB, data *dataset.Dataset, cfg Config, lk *link) *passiveParty {
 	t.Helper()
-	view, err := binDataset(data, cfg)
-	if err != nil {
+	if err := cfg.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := newActivePartyView(view, data.Labels, cfg, dec, links, &Stats{})
+	return newPassivePartyView(0, testViews(t, cfg, data)[0], cfg, lk, &Stats{})
+}
+
+// testActive normalizes cfg, bins data the way NewSession does and builds
+// Party B over it.
+func testActive(t testing.TB, data *dataset.Dataset, cfg Config, dec he.Decryptor, links []*link) *activeParty {
+	t.Helper()
+	if err := cfg.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := newActivePartyView(testViews(t, cfg, data)[0], data.Labels, cfg, dec, links, &Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +197,7 @@ func TestLinkRoundTripMultiOutputFrames(t *testing.T) {
 func TestPassivePartyRejectsUnknownMessageOrder(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 71)
 	l, feed := drivenLink()
-	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), l)
+	p := testPassive(t, parts[0], quickConfig(SchemeMock), l)
 	// Gradients before setup must fail.
 	if err := NewLink(feed).send(MsgPairBatch{Tree: 0}); err != nil {
 		t.Fatal(err)

@@ -793,14 +793,15 @@ func TestStreamedNodeFaultsEndSession(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cfg := quickConfig(SchemeMock)
+			views := testViews(t, cfg, parts...)
 			a, b := newPipe()
 			aErr, bErr := make(chan error, 1), make(chan error, 1)
 			go func() {
-				_, err := RunPassiveParty(0, parts[0], cfg, histTamper{a, tc.tamper(b)})
+				_, err := RunPassiveParty(0, views[0], cfg, histTamper{a, tc.tamper(b)})
 				aErr <- err
 			}()
 			go func() {
-				_, _, err := RunActiveParty(parts[1], cfg, []Transport{b})
+				_, _, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{b})
 				bErr <- err
 			}()
 			var err error
@@ -883,7 +884,7 @@ func TestAbortedStreamedTaskKeepsModel(t *testing.T) {
 			}
 			aDone <- m
 		}()
-		bm, _, err := RunActiveParty(parts[1], cfg, []Transport{b})
+		bm, _, err := RunActiveParty(testViews(t, cfg, parts[1])[0], parts[1].Labels, cfg, []Transport{b})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -156,6 +156,7 @@ func (n *lagNet) train(t *testing.T, parts []*dataset.Dataset, cfg Config) []*Pa
 	models := make([]*PartyModel, len(parts))
 	errs := make([]error, len(parts))
 	bEnds := make([]Transport, passive)
+	views := testViews(t, cfg, parts...)
 	var ends []*lagEnd
 	var wg sync.WaitGroup
 	for i := 0; i < passive; i++ {
@@ -165,13 +166,13 @@ func (n *lagNet) train(t *testing.T, parts []*dataset.Dataset, cfg Config) []*Pa
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			models[i], errs[i] = RunPassiveParty(i, parts[i], cfg, a)
+			models[i], errs[i] = RunPassiveParty(i, views[i], cfg, a)
 		}()
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		models[passive], _, errs[passive] = RunActiveParty(parts[passive], cfg, bEnds)
+		models[passive], _, errs[passive] = RunActiveParty(views[passive], parts[passive].Labels, cfg, bEnds)
 	}()
 	done := make(chan struct{})
 	go func() {

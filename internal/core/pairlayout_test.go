@@ -141,7 +141,7 @@ func TestDerivedBlasterBatch(t *testing.T) {
 		}
 		cfg := quickConfig(SchemeMock)
 		cfg.BatchSize = tc.configured
-		b := testActive(t, d, mustNormalize(t, cfg), he.NewMock(512), nil)
+		b := testActive(t, d, cfg, he.NewMock(512), nil)
 		if b.batch != tc.want {
 			t.Errorf("rows=%d BatchSize=%d: batch %d, want %d", tc.rows, tc.configured, b.batch, tc.want)
 		}
@@ -309,7 +309,7 @@ func runPassiveOn(t *testing.T, rows int, frames ...any) error {
 	_, parts := twoPartyData(t, rows, 2, 2, 1, true, 75)
 	in := chanTransport{ch: make(chan []byte, 16)}
 	out := chanTransport{ch: make(chan []byte, 16)}
-	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), NewLink(pairTransport{send: out.Send, recv: in.Receive}))
+	p := testPassive(t, parts[0], quickConfig(SchemeMock), NewLink(pairTransport{send: out.Send, recv: in.Receive}))
 	sender := NewLink(in)
 	for _, f := range frames {
 		if raw, ok := f.([]byte); ok {

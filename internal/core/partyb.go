@@ -106,19 +106,13 @@ type activeParty struct {
 
 // newActivePartyView builds Party B over a binned view and its label
 // vector: the in-memory BinnedMatrix of a dataset, or an out-of-core shard
-// store.
+// store. cfg has been normalized, so its Objective is set.
 func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.Decryptor, links []*link, stats *Stats) (*activeParty, error) {
 	if labels == nil {
 		return nil, fmt.Errorf("core: party B has no labels")
 	}
 	if len(labels) != view.Rows() {
 		return nil, fmt.Errorf("core: party B has %d labels for %d rows", len(labels), view.Rows())
-	}
-	if cfg.Objective == nil {
-		if cfg.Loss == nil {
-			cfg.Loss = gbdt.LogisticLoss{}
-		}
-		cfg.Objective = objective.FromLoss(cfg.Loss)
 	}
 	if err := cfg.Objective.Validate(labels); err != nil {
 		return nil, fmt.Errorf("core: party B labels: %w", err)

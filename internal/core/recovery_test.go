@@ -261,6 +261,7 @@ func (s *severable) Receive() ([]byte, error) {
 func TestDistributedKillRestartResume(t *testing.T) {
 	_, parts := twoPartyData(t, 200, 4, 3, 1, true, 35)
 	cfg := recoveryConfig(6)
+	views := testViews(t, cfg, parts...)
 
 	baseline, _ := trainFed(t, parts, cfg)
 
@@ -302,7 +303,7 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, aErr = RunPassiveParty(0, parts[0], cfg, aRes, RunWithCheckpoints(aStore))
+		_, aErr = RunPassiveParty(0, views[0], cfg, aRes, RunWithCheckpoints(aStore))
 	}()
 
 	// Trip the cut as soon as the passive party has one snapshot on disk.
@@ -322,7 +323,7 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bErr := RunActiveParty(parts[1], cfg, []Transport{bRes}, RunWithCheckpoints(bStore))
+	_, _, bErr := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bRes}, RunWithCheckpoints(bStore))
 	wg.Wait()
 	aRes.Close()
 	bRes.Close()
@@ -357,11 +358,11 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		tr := dialPair(t, addr2, secret, "a02b", "b2a0")
-		aModel, aErr = RunPassiveParty(0, parts[0], cfg, tr,
+		aModel, aErr = RunPassiveParty(0, views[0], cfg, tr,
 			RunWithCheckpoints(aStore), RunWithResume())
 	}()
 	bTr := dialPair(t, addr2, secret, "b2a0", "a02b")
-	bModel, _, err := RunActiveParty(parts[1], cfg, []Transport{bTr},
+	bModel, _, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bTr},
 		RunWithCheckpoints(bStore), RunWithResume())
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func newPassiveRig(t *testing.T, rows, cols, workers int) *passiveRig {
 	cfg.Workers = workers
 	r := &passiveRig{in: chanTransport{ch: make(chan []byte, 64)}, out: chanTransport{ch: make(chan []byte, 4096)}, rows: rows,
 		cts: map[[2]int][][]byte{}}
-	r.p = testPassive(t, parts[0], mustNormalize(t, cfg), NewLink(pairTransport{send: r.out.Send, recv: r.in.Receive}))
+	r.p = testPassive(t, parts[0], cfg, NewLink(pairTransport{send: r.out.Send, recv: r.in.Receive}))
 	return r
 }
 

@@ -127,11 +127,7 @@ func NewSession(parts []*dataset.Dataset, cfg Config, opts ...SessionOption) (*S
 	if len(parts) < 2 {
 		return nil, fmt.Errorf("core: need at least two parties, got %d", len(parts))
 	}
-	rows := parts[0].Rows()
 	for i, p := range parts {
-		if p.Rows() != rows {
-			return nil, fmt.Errorf("core: party %d has %d rows, want %d (align instances with PSI first)", i, p.Rows(), rows)
-		}
 		if i < len(parts)-1 && p.Labels != nil {
 			return nil, fmt.Errorf("core: passive party %d must not hold labels", i)
 		}
@@ -430,23 +426,10 @@ func (s *Session) Train() (*FederatedModel, error) {
 	return fm, nil
 }
 
-// RunPassiveParty runs a single passive party over an arbitrary transport
-// (for example the mq TCP gateway), blocking until Party B shuts the
-// session down. It returns the party's private model fragment.
-func RunPassiveParty(index int, data *dataset.Dataset, cfg Config, tr Transport, opts ...RunOption) (*PartyModel, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	view, err := binDataset(data, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return RunPassivePartyView(index, view, cfg, tr, opts...)
-}
-
-// RunPassivePartyView runs a passive party over a binned view — the
-// out-of-core variant of RunPassiveParty.
-func RunPassivePartyView(index int, view gbdt.BinView, cfg Config, tr Transport, opts ...RunOption) (*PartyModel, error) {
+// RunPassiveParty runs a single passive party over a binned view and an
+// arbitrary transport (for example the mq TCP gateway), blocking until
+// Party B shuts the session down. It returns the party's model fragment.
+func RunPassiveParty(index int, view gbdt.BinView, cfg Config, tr Transport, opts ...RunOption) (*PartyModel, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -463,24 +446,10 @@ func RunPassivePartyView(index int, view gbdt.BinView, cfg Config, tr Transport,
 	return p.run()
 }
 
-// RunActiveParty runs Party B over arbitrary transports, one per passive
-// party, and returns B's model fragment plus the run statistics. In this
-// deployment each party keeps its own fragment; assemble a FederatedModel
-// only if the fragments are intentionally co-located.
-func RunActiveParty(data *dataset.Dataset, cfg Config, trs []Transport, opts ...RunOption) (*PartyModel, *Stats, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, nil, err
-	}
-	view, err := binDataset(data, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return RunActivePartyView(view, data.Labels, cfg, trs, opts...)
-}
-
-// RunActivePartyView runs Party B over a binned view and its labels — the
-// out-of-core variant of RunActiveParty.
-func RunActivePartyView(view gbdt.BinView, labels []float64, cfg Config, trs []Transport, opts ...RunOption) (*PartyModel, *Stats, error) {
+// RunActiveParty runs Party B over a binned view and its labels, one
+// transport per passive party, and returns B's model fragment plus the run
+// statistics. Each party keeps its own fragment.
+func RunActiveParty(view gbdt.BinView, labels []float64, cfg Config, trs []Transport, opts ...RunOption) (*PartyModel, *Stats, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, nil, err
 	}

@@ -495,7 +495,7 @@ func TestActiveRejectsHostileSiblingFrames(t *testing.T) {
 func TestPassiveStopsOnActiveAbort(t *testing.T) {
 	_, parts := twoPartyData(t, 30, 2, 2, 1, true, 75)
 	in := chanTransport{ch: make(chan []byte, 4)}
-	p := testPassive(t, parts[0], mustNormalize(t, quickConfig(SchemeMock)), NewLink(pairTransport{send: discardTransport{}.Send, recv: in.Receive}))
+	p := testPassive(t, parts[0], quickConfig(SchemeMock), NewLink(pairTransport{send: discardTransport{}.Send, recv: in.Receive}))
 	if err := NewLink(in).send(MsgAbort{Party: 1, Reason: "sibling derivation rejected"}); err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ echo "== batch prediction: one scoring session (two processes) =="
   -data "$WORK/demo.partyA0.libsvm" -model "$WORK/fragA.json" &
 P_PID=$!
 "$WORK/vf2boost" predict -role b -peers 1 -gateway "127.0.0.1:$PORT" -secret "$SECRET" \
-  -data "$WORK/demo.partyB.libsvm" -model "$WORK/fragB.json" -eta 0.1 \
+  -data "$WORK/demo.partyB.libsvm" -model "$WORK/fragB.json" \
   -out "$WORK/preds.txt"
 wait "$P_PID"
 
@@ -57,7 +57,7 @@ SIDECAR_PID=$!
 "$WORK/vf2boost" serve -addr "127.0.0.1:$HTTP_PORT" -peers 1 \
   -gateway "127.0.0.1:$PORT" -secret "$SECRET" \
   -data "$WORK/demo.partyB.libsvm" -models "$WORK/fragB.json" \
-  -eta 0.1 -max-batch 16 -max-wait 5ms &
+  -max-batch 16 -max-wait 5ms &
 SERVE_PID=$!
 
 # Wait on /readyz, not /healthz: liveness comes up before the worker
