@@ -340,27 +340,13 @@ func BenchmarkTable5Workers(b *testing.B) {
 
 // --- Online scoring throughput -----------------------------------------
 
-// serveBenchTransport adapts a gateway producer/consumer pair to
-// core.Transport for the serving benchmarks.
-type serveBenchTransport struct {
-	prod *mq.RemoteProducer
-	cons *mq.RemoteConsumer
-}
-
-func (t serveBenchTransport) Send(b []byte) error      { return t.prod.Send(b) }
-func (t serveBenchTransport) Receive() ([]byte, error) { return t.cons.Receive() }
-
 func serveBenchDial(b *testing.B, addr, sendTopic, recvTopic string) core.Transport {
 	b.Helper()
-	prod, err := mq.DialProducer(addr, sendTopic, "")
+	end, err := mq.DialEndpoint(addr, sendTopic, recvTopic, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cons, err := mq.DialConsumer(addr, recvTopic, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	return serveBenchTransport{prod: prod, cons: cons}
+	return end
 }
 
 // BenchmarkScoreBatch measures online federated scoring throughput

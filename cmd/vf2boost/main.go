@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"vf2boost/internal/checkpoint"
 	"vf2boost/internal/core"
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/fault"
@@ -193,6 +192,28 @@ func oocFlags(fs *flag.FlagSet) func(core.Config) oocSettings {
 	}
 }
 
+// checkpointFlags registers the checkpoint flags of sim and party. Its
+// loader refuses -resume without -checkpoint-dir and returns the options:
+// every role keeps its store under the directory (active, passive<i>),
+// written through the -fschaos injector when one is set.
+func checkpointFlags(fs *flag.FlagSet) func(fsfault.FS) []core.SessionOption {
+	dir := fs.String("checkpoint-dir", "", "snapshot each party's training state after each tree, under active/ and passive<i>/ here")
+	resume := fs.Bool("resume", false, "resume from the newest checkpoint under -checkpoint-dir")
+	return func(fsys fsfault.FS) []core.SessionOption {
+		if *dir == "" {
+			if *resume {
+				log.Fatalf("%s: -resume requires -checkpoint-dir", fs.Name())
+			}
+			return nil
+		}
+		opts := []core.SessionOption{core.WithCheckpoints(*dir), core.WithCheckpointFS(fsys)}
+		if *resume {
+			opts = append(opts, core.WithResume())
+		}
+		return opts
+	}
+}
+
 type oocSettings struct {
 	dir       string
 	budget    int64
@@ -329,7 +350,11 @@ func cmdLocal(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("trained %d trees in %v\n", len(m.Trees), time.Since(start).Round(time.Millisecond))
+	elapsed := time.Since(start)
+	if err := m.SaveFile(*out); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("trained %d trees in %v\n", len(m.Trees), elapsed.Round(time.Millisecond))
 	if st, ok := view.(*ooc.Store); ok {
 		// Out-of-core: the raw rows never materialize, so the train metric
 		// (which needs raw feature values) gives way to the cache stats.
@@ -343,9 +368,6 @@ func cmdLocal(args []string) {
 	} else {
 		reportTrainMetric(cfg, labels, m.PredictAllOutputs(d))
 	}
-	if err := m.SaveFile(*out); err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("model written to %s\n", *out)
 }
 
@@ -356,22 +378,19 @@ func cmdSim(args []string) {
 	out := fs.String("out", "fedmodel.json", "model output path")
 	wanFn := wanFlags(fs)
 	chaos := fs.String("chaos", "", "seeded fault injection spec, e.g. seed=7,drop=0.05,dup=0.02,reorder=0.02,delay=0.1,delayfor=2ms,cut=500")
-	ckptDir := fs.String("checkpoint-dir", "", "snapshot every party's training state here after each tree")
-	resume := fs.Bool("resume", false, "resume from the newest checkpoint under -checkpoint-dir")
+	ckptFn := checkpointFlags(fs)
 	oocFn := oocFlags(fs)
 	cfgFn := trainFlags(fs)
 	fs.Parse(args)
 	if *data == "" || *split == "" {
 		log.Fatal("sim: -data and -split are required")
 	}
-	if *resume && *ckptDir == "" {
-		log.Fatal("sim: -resume requires -checkpoint-dir")
-	}
-	var opts []core.SessionOption
+	cfg := cfgFn()
+	oc := oocFn(cfg)
+	opts := ckptFn(oc.fsys)
 	if mbps, latency, shaped := wanFn(); shaped {
 		opts = append(opts, core.WithWAN(mbps, latency))
 	}
-	cfg := cfgFn()
 	if *chaos != "" {
 		fc, err := fault.ParseSpec(*chaos)
 		if err != nil {
@@ -379,19 +398,13 @@ func cmdSim(args []string) {
 		}
 		opts = append(opts, core.WithChaos(fc))
 	}
-	if *ckptDir != "" {
-		opts = append(opts, core.WithCheckpoints(*ckptDir))
-	}
-	if *resume {
-		opts = append(opts, core.WithResume())
-	}
 
 	counts := parseSplit(*split)
 	var sess *core.Session
 	var err error
 	var trainLabels []float64
 	var parts []*dataset.Dataset
-	if oc := oocFn(cfg); oc.dir != "" {
+	if oc.dir != "" {
 		// Out-of-core sim: every party trains against its own disk-backed
 		// store, built from a column slice of the joined row stream — the
 		// joined dataset is never materialized.
@@ -405,11 +418,6 @@ func cmdSim(args []string) {
 		}
 		if total != base.Cols() {
 			log.Fatalf("sim: -split %v covers %d features, %s has %d", counts, total, *data, base.Cols())
-		}
-		if oc.fsys != nil {
-			// The same injector that hits the shard stores also hits any
-			// checkpoint stores the session opens.
-			opts = append(opts, core.WithCheckpointFS(oc.fsys))
 		}
 		views := make([]gbdt.BinView, len(counts))
 		lo := 0
@@ -444,6 +452,7 @@ func cmdSim(args []string) {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
+	saveModel(*out, m)
 	st := sess.Stats()
 	fmt.Printf("federated training: %v (%v/tree)\n", elapsed.Round(time.Millisecond), perTree(elapsed, st))
 	if parts != nil {
@@ -468,7 +477,7 @@ func cmdSim(args []string) {
 			fmt.Printf("  %s %d: %s\n", map[int]string{0: "B-side link", 1: "A-side link"}[i%2], i/2, ls)
 		}
 	}
-	saveModel(*out, "model", m)
+	fmt.Printf("model written to %s\n", *out)
 }
 
 // perTree is the wall time per tree this run built: a k-class round
@@ -573,22 +582,12 @@ func (l gatewayLink) dialer(kind string, i int, active bool) func() (core.Transp
 	if active {
 		send, recv = recv, send
 	}
-	tok := func(topic string) string {
-		if l.secret == "" {
-			return ""
-		}
-		return mq.Token([]byte(l.secret), topic)
-	}
 	return func() (core.Transport, error) {
-		prod, err := mq.DialProducer(l.addr, send, tok(send))
+		end, err := mq.DialEndpoint(l.addr, send, recv, []byte(l.secret))
 		if err != nil {
-			return nil, fmt.Errorf("dialing gateway producer: %w", err)
+			return nil, err
 		}
-		cons, err := mq.DialConsumer(l.addr, recv, tok(recv))
-		if err != nil {
-			return nil, fmt.Errorf("dialing gateway consumer: %w", err)
-		}
-		return gatewayTransport{prod: prod, cons: cons}, nil
+		return end, nil
 	}
 }
 
@@ -620,22 +619,6 @@ func connect(dial func() (core.Transport, error), rc *core.ResilientConfig) core
 	return tr
 }
 
-// gatewayTransport adapts a producer/consumer TCP pair to core.Transport.
-type gatewayTransport struct {
-	prod *mq.RemoteProducer
-	cons *mq.RemoteConsumer
-}
-
-func (t gatewayTransport) Send(b []byte) error      { return t.prod.Send(b) }
-func (t gatewayTransport) Receive() ([]byte, error) { return t.cons.Receive() }
-
-// Close severs both gateway connections so the broker-side consumer
-// detaches — a lingering consumer would keep stealing queued frames.
-func (t gatewayTransport) Close() {
-	t.prod.Close()
-	t.cons.Close()
-}
-
 func cmdParty(args []string) {
 	fs := flag.NewFlagSet("party", flag.ExitOnError)
 	role := fs.String("role", "", "a (passive) or b (active, holds labels)")
@@ -645,8 +628,7 @@ func cmdParty(args []string) {
 	resilient := fs.Bool("resilient", false, "wrap the gateway link in the retry/heartbeat layer (survives drops and reconnects)")
 	heartbeat := fs.Duration("heartbeat", time.Second, "idle-link keepalive interval (with -resilient)")
 	peerTimeout := fs.Duration("peer-timeout", 30*time.Second, "declare the peer dead after this silence (with -resilient)")
-	ckptDir := fs.String("checkpoint-dir", "", "snapshot this party's training state here after each tree")
-	resume := fs.Bool("resume", false, "resume from the newest checkpoint under -checkpoint-dir")
+	ckptFn := checkpointFlags(fs)
 	oocFn := oocFlags(fs)
 	cfgFn := trainFlags(fs)
 	fs.Parse(args)
@@ -656,12 +638,10 @@ func cmdParty(args []string) {
 	if *data == "" {
 		log.Fatal("party: -data is required")
 	}
-	if *resume && *ckptDir == "" {
-		log.Fatal("party: -resume requires -checkpoint-dir")
-	}
 	l := linkFn()
 	cfg := cfgFn()
 	oc := oocFn(cfg)
+	opts := ckptFn(oc.fsys)
 	// Party B holds the labels; under a ranking objective its shard
 	// carries qid:N group markers that must reach the objective.
 	view, labels, _ := oc.loadView(*data, *role == "b", cfg)
@@ -675,44 +655,46 @@ func cmdParty(args []string) {
 		c.PeerTimeout = *peerTimeout
 		rc = &c
 	}
-	runOpts := func(sub string) []core.RunOption {
-		if *ckptDir == "" {
-			return nil
-		}
-		st, err := checkpoint.OpenFS(filepath.Join(*ckptDir, sub), oc.fsys)
-		if err != nil {
-			log.Fatal(err)
-		}
-		opts := []core.RunOption{core.RunWithCheckpoints(st)}
-		if *resume {
-			opts = append(opts, core.RunWithResume())
-		}
-		return opts
+	if *out != "" {
+		// Reported last: either role writes its fragment before its report.
+		defer fmt.Printf("fragment written to %s\n", *out)
 	}
 
 	if *role == "a" {
 		tr := connect(l.dialer(trainTopics, l.index, false), rc)
-		pm, err := core.RunPassiveParty(l.index, view, cfg, tr, runOpts(fmt.Sprintf("passive%d", l.index))...)
+		pm, st, err := core.RunPassiveParty(l.index, view, cfg, tr, opts...)
 		if err != nil {
 			log.Fatal(err)
 		}
+		saveFragment(*out, &core.FederatedModel{Parties: []*core.PartyModel{pm}})
 		fmt.Printf("passive party %d finished; %d trees contain local splits\n", l.index, len(pm.Trees))
-		saveFragment(*out, pm, 0)
+		fmt.Printf("  task-seconds: build-hist %v, pack %v (%.1f slots/ct); wall: idle(A) %v\n",
+			st.BuildHistTime().Round(time.Millisecond), st.PackTime().Round(time.Millisecond),
+			st.PackFill(), st.AIdleTime().Round(time.Millisecond))
 		return
 	}
 	trs, _ := l.dialPeers(trainTopics, rc)
 	start := time.Now()
-	pm, st, err := core.RunActiveParty(view, labels, cfg, trs, runOpts("active")...)
+	pm, st, err := core.RunActiveParty(view, labels, cfg, trs, opts...)
 	if err != nil {
 		log.Fatal(err)
 	}
 	elapsed := time.Since(start)
+	// Party B's fragment records what predict and serve score with: the
+	// learning rate, and the objective and output count, which they check.
+	frag := &core.FederatedModel{Parties: []*core.PartyModel{pm}, LearningRate: cfg.LearningRate}
+	if o := cfg.Objective; o != nil {
+		frag.Objective = o.Name()
+		if k := o.NumOutputs(); k > 1 {
+			frag.NumOutputs = k
+		}
+	}
+	saveFragment(*out, frag)
 	fmt.Printf("party B finished %d trees in %v (%v/tree)\n", st.TreesFinished(), elapsed.Round(time.Millisecond),
 		perTree(elapsed, st))
 	fmt.Printf("  task-seconds: encrypt %v, decrypt %v; wall: idle(B) %v; splits passive %d / B %d; dirty %d\n",
 		st.EncryptTime().Round(time.Millisecond), st.DecryptTime().Round(time.Millisecond),
 		st.BIdleTime().Round(time.Millisecond), st.SplitsByA(), st.SplitsByB(), st.DirtyNodes())
-	saveFragment(*out, pm, cfg.LearningRate)
 }
 
 // predictRoundRows bounds one scoring round of `predict`. A passive
@@ -815,6 +797,9 @@ func buildServeRegistry(paths []string, active bool) *serve.Registry {
 		}
 		version++
 		m := loadModelFile(path)
+		if k := m.Outputs(); k > 1 {
+			log.Fatalf("%s is a %d-output fragment (%s): predict and serve score one margin per row", path, k, m.Objective)
+		}
 		sm := serve.Model{Version: version, Fragment: m.Parties[0]}
 		if active {
 			if !(m.LearningRate > 0) {
@@ -1015,7 +1000,10 @@ func loadModelFile(path string) *core.FederatedModel {
 	return m
 }
 
-func saveModel(path, what string, m *core.FederatedModel) {
+// saveModel writes m to path. Every subcommand writes its model before it
+// prints its report, so a reader that stops early (`| head`) cannot cost
+// the model.
+func saveModel(path string, m *core.FederatedModel) {
 	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
@@ -1026,13 +1014,11 @@ func saveModel(path, what string, m *core.FederatedModel) {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s written to %s\n", what, path)
 }
 
-// saveFragment writes a party's fragment if path is set. Party B records
-// the learning rate predict and serve score with; a passive party, 0.
-func saveFragment(path string, pm *core.PartyModel, learningRate float64) {
+// saveFragment writes a party's fragment if path is set.
+func saveFragment(path string, frag *core.FederatedModel) {
 	if path != "" {
-		saveModel(path, "fragment", &core.FederatedModel{Parties: []*core.PartyModel{pm}, LearningRate: learningRate})
+		saveModel(path, frag)
 	}
 }

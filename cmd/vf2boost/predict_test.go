@@ -135,22 +135,24 @@ func startGateway(t *testing.T, bin string) string {
 }
 
 // runPair runs a passive-side and a Party B-side command against one
-// gateway at once and fails the test unless both succeed.
-func runPair(t *testing.T, bin string, a, b []string) {
+// gateway at once, fails the test unless both succeed, and returns their
+// outputs.
+func runPair(t *testing.T, bin string, a, b []string) (aOut, bOut []byte) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	var aOut bytes.Buffer
+	var aBuf bytes.Buffer
 	ac := exec.CommandContext(ctx, bin, a...)
-	ac.Stdout, ac.Stderr = &aOut, &aOut
+	ac.Stdout, ac.Stderr = &aBuf, &aBuf
 	if err := ac.Start(); err != nil {
 		t.Fatal(err)
 	}
 	bOut, bErr := exec.CommandContext(ctx, bin, b...).CombinedOutput()
 	aErr := ac.Wait()
 	if aErr != nil || bErr != nil {
-		t.Fatalf("%v: %v\n%s\n%v: %v\n%s", a, aErr, aOut.Bytes(), b, bErr, bOut)
+		t.Fatalf("%v: %v\n%s\n%v: %v\n%s", a, aErr, aBuf.Bytes(), b, bErr, bOut)
 	}
+	return aBuf.Bytes(), bOut
 }
 
 // TestFragmentCarriesLearningRate: `party -role b -out` records the
@@ -230,7 +232,7 @@ func TestFragmentCarriesLearningRate(t *testing.T) {
 	}
 
 	fragB.LearningRate = 0
-	saveModel(file("noeta.json"), "fragment", fragB)
+	saveModel(file("noeta.json"), fragB)
 	out, err := runRefused(bin, "predict", "-role", "b", "-data", file("b.libsvm"),
 		"-model", file("noeta.json"), "-gateway", addr)
 	if err == nil || !bytes.Contains(out, []byte("re-run `party -role b -out`")) {
@@ -268,7 +270,7 @@ func TestRegistryScoresEachVersionWithItsOwnEta(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, fmt.Sprintf("v%d.json", i+1))
-		saveModel(path, "fragment", &core.FederatedModel{Parties: m.Parties[1:], LearningRate: eta, BaseScore: eta / 10})
+		saveModel(path, &core.FederatedModel{Parties: m.Parties[1:], LearningRate: eta, BaseScore: eta / 10})
 		paths = append(paths, path)
 	}
 	reg := buildServeRegistry(paths, true)

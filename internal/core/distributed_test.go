@@ -8,27 +8,15 @@ import (
 	"vf2boost/internal/mq"
 )
 
-// tcpTransport adapts a TCP producer/consumer pair to Transport, the same
+// dialPair dials one party's end of a link through the TCP gateway, the
 // way cmd/vf2boost's party subcommand does.
-type tcpTransport struct {
-	prod *mq.RemoteProducer
-	cons *mq.RemoteConsumer
-}
-
-func (t tcpTransport) Send(b []byte) error      { return t.prod.Send(b) }
-func (t tcpTransport) Receive() ([]byte, error) { return t.cons.Receive() }
-
-func dialPair(t *testing.T, addr, secret, sendTopic, recvTopic string) tcpTransport {
+func dialPair(t *testing.T, addr, secret, sendTopic, recvTopic string) *mq.Endpoint {
 	t.Helper()
-	prod, err := mq.DialProducer(addr, sendTopic, mq.Token([]byte(secret), sendTopic))
+	end, err := mq.DialEndpoint(addr, sendTopic, recvTopic, []byte(secret))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := mq.DialConsumer(addr, recvTopic, mq.Token([]byte(secret), recvTopic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tcpTransport{prod: prod, cons: cons}
+	return end
 }
 
 // TestDistributedTrainingOverTCP runs the full protocol with each party
@@ -59,7 +47,7 @@ func TestDistributedTrainingOverTCP(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		tr := dialPair(t, addr, secret, "a02b", "b2a0")
-		aModel, aErr = RunPassiveParty(0, views[0], cfg, tr)
+		aModel, _, aErr = RunPassiveParty(0, views[0], cfg, tr)
 	}()
 
 	bTr := dialPair(t, addr, secret, "b2a0", "a02b")
@@ -124,7 +112,7 @@ func TestDistributedPaillierOverTCP(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		tr := dialPair(t, addr, "", "a02b", "b2a0")
-		_, aErr = RunPassiveParty(0, views[0], cfg, tr)
+		_, _, aErr = RunPassiveParty(0, views[0], cfg, tr)
 	}()
 	bTr := dialPair(t, addr, "", "b2a0", "a02b")
 	_, stats, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bTr})
@@ -146,7 +134,7 @@ func TestRunPartyValidation(t *testing.T) {
 	bad := quickConfig(SchemeMock)
 	bad.Trees = 0
 	views := testViews(t, quickConfig(SchemeMock), parts...)
-	if _, err := RunPassiveParty(0, views[0], bad, nil); err == nil {
+	if _, _, err := RunPassiveParty(0, views[0], bad, nil); err == nil {
 		t.Error("invalid config accepted by RunPassiveParty")
 	}
 	if _, _, err := RunActiveParty(views[1], parts[1].Labels, bad, nil); err == nil {

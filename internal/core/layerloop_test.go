@@ -73,7 +73,7 @@ func loggedSession(t *testing.T, parts []*dataset.Dataset, cfg Config) []*frameL
 		logs[i] = &frameLog{chanEnd: b, h: sha256.New()}
 		bEnds[i] = logs[i]
 		go func() {
-			_, err := RunPassiveParty(i, views[i], cfg, a)
+			_, _, err := RunPassiveParty(i, views[i], cfg, a)
 			errs <- err
 		}()
 	}
@@ -235,7 +235,7 @@ func TestShortPlacementAbortsSession(t *testing.T) {
 			defer b.Close()
 			aErr, bErr := make(chan error, 1), make(chan error, 1)
 			go func() {
-				_, err := RunPassiveParty(0, views[0], cfg, placementCutter{a})
+				_, _, err := RunPassiveParty(0, views[0], cfg, placementCutter{a})
 				aErr <- err
 			}()
 			go func() {

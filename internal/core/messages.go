@@ -348,47 +348,6 @@ func (l *link) recv() (any, error) {
 	return m, nil
 }
 
-// pairTransport adapts an mq producer/consumer pair to Transport.
-type pairTransport struct {
-	send func([]byte) error
-	recv func() ([]byte, error)
-}
-
-func (p pairTransport) Send(b []byte) error      { return p.send(b) }
-func (p pairTransport) Receive() ([]byte, error) { return p.recv() }
-
-// consumerEndpoint adapts a producer/consumer pair to Transport with a
-// Close that detaches the consumer — the resilient layer needs it to
-// unblock its receive loop on shutdown and redial. When sendCtx is set
-// (mq producers expose SendContext) the endpoint forwards deadlines into
-// the WAN shaper.
-type consumerEndpoint struct {
-	send    func([]byte) error
-	sendCtx func(context.Context, []byte) error
-	recv    func() ([]byte, error)
-	detach  func()
-}
-
-func (e consumerEndpoint) Send(b []byte) error      { return e.send(b) }
-func (e consumerEndpoint) Receive() ([]byte, error) { return e.recv() }
-
-// SendContext satisfies the optional deadline-aware send interface used
-// by Link.SendContext.
-func (e consumerEndpoint) SendContext(ctx context.Context, b []byte) error {
-	if e.sendCtx != nil {
-		return e.sendCtx(ctx, b)
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return e.send(b)
-}
-func (e consumerEndpoint) Close() {
-	if e.detach != nil {
-		e.detach()
-	}
-}
-
 // packBitmap encodes booleans little-endian into bytes.
 func packBitmap(bits []bool) []byte {
 	out := make([]byte, (len(bits)+7)/8)

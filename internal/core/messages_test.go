@@ -75,6 +75,15 @@ func (discardTransport) Receive() ([]byte, error) {
 	select {}
 }
 
+// pairTransport joins a send and a receive function into a Transport.
+type pairTransport struct {
+	send func([]byte) error
+	recv func() ([]byte, error)
+}
+
+func (p pairTransport) Send(b []byte) error      { return p.send(b) }
+func (p pairTransport) Receive() ([]byte, error) { return p.recv() }
+
 // drivenLink feeds a party from a test channel while its own replies are
 // discarded (the test plays Party B's sending side only).
 func drivenLink() (*link, chanTransport) {

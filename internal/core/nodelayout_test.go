@@ -797,7 +797,7 @@ func TestStreamedNodeFaultsEndSession(t *testing.T) {
 			a, b := newPipe()
 			aErr, bErr := make(chan error, 1), make(chan error, 1)
 			go func() {
-				_, err := RunPassiveParty(0, views[0], cfg, histTamper{a, tc.tamper(b)})
+				_, _, err := RunPassiveParty(0, views[0], cfg, histTamper{a, tc.tamper(b)})
 				aErr <- err
 			}()
 			go func() {

@@ -166,7 +166,7 @@ func (n *lagNet) train(t *testing.T, parts []*dataset.Dataset, cfg Config) []*Pa
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			models[i], errs[i] = RunPassiveParty(i, views[i], cfg, a)
+			models[i], _, errs[i] = RunPassiveParty(i, views[i], cfg, a)
 		}()
 	}
 	wg.Add(1)

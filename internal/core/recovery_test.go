@@ -265,6 +265,8 @@ func TestDistributedKillRestartResume(t *testing.T) {
 
 	baseline, _ := trainFed(t, parts, cfg)
 
+	// Both roles keep their stores under dir (WithCheckpoints); these
+	// handles only watch the snapshots land.
 	dir := t.TempDir()
 	aStore, err := checkpoint.Open(filepath.Join(dir, "passive0"))
 	if err != nil {
@@ -303,7 +305,7 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, aErr = RunPassiveParty(0, views[0], cfg, aRes, RunWithCheckpoints(aStore))
+		_, _, aErr = RunPassiveParty(0, views[0], cfg, aRes, WithCheckpoints(dir))
 	}()
 
 	// Trip the cut as soon as the passive party has one snapshot on disk.
@@ -323,7 +325,7 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, bErr := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bRes}, RunWithCheckpoints(bStore))
+	_, _, bErr := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bRes}, WithCheckpoints(dir))
 	wg.Wait()
 	aRes.Close()
 	bRes.Close()
@@ -358,12 +360,12 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		tr := dialPair(t, addr2, secret, "a02b", "b2a0")
-		aModel, aErr = RunPassiveParty(0, views[0], cfg, tr,
-			RunWithCheckpoints(aStore), RunWithResume())
+		aModel, _, aErr = RunPassiveParty(0, views[0], cfg, tr,
+			WithCheckpoints(dir), WithResume())
 	}()
 	bTr := dialPair(t, addr2, secret, "b2a0", "a02b")
 	bModel, _, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bTr},
-		RunWithCheckpoints(bStore), RunWithResume())
+		WithCheckpoints(dir), WithResume())
 	if err != nil {
 		t.Fatal(err)
 	}

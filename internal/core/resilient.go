@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -255,20 +256,11 @@ func (r *ResilientTransport) Close() error {
 		r.mu.Lock()
 		inner := r.inner
 		r.mu.Unlock()
-		closeTransport(inner)
+		if c, ok := inner.(io.Closer); ok {
+			c.Close()
+		}
 	})
 	return nil
-}
-
-// closeTransport closes a transport if it exposes a Close method (both
-// the error-returning and plain signatures occur among mq endpoints).
-func closeTransport(tr Transport) {
-	switch c := tr.(type) {
-	case interface{ Close() error }:
-		c.Close()
-	case interface{ Close() }:
-		c.Close()
-	}
 }
 
 // fail latches the first fatal error and wakes every waiter.
@@ -435,7 +427,9 @@ func (r *ResilientTransport) reconnect(gen int, cause error) bool {
 			continue
 		}
 		r.mu.Lock()
-		closeTransport(r.inner)
+		if c, ok := r.inner.(io.Closer); ok {
+			c.Close()
+		}
 		r.inner = tr
 		r.gen = gen + 1
 		pend := make([]*pendingFrame, len(r.pending))

@@ -40,7 +40,10 @@ func (e *chanEnd) Receive() ([]byte, error) {
 	}
 }
 
-func (e *chanEnd) Close() { e.once.Do(func() { close(e.closed) }) }
+func (e *chanEnd) Close() error {
+	e.once.Do(func() { close(e.closed) })
+	return nil
+}
 
 // newPipe returns the two endpoints of a duplex in-memory link.
 func newPipe() (*chanEnd, *chanEnd) {

@@ -83,27 +83,6 @@ func (c Config) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// RunOption customizes RunActiveParty / RunPassiveParty.
-type RunOption func(*runOpts)
-
-type runOpts struct {
-	ckpt   *checkpoint.Store
-	resume bool
-}
-
-// RunWithCheckpoints snapshots the party's training state into the store
-// after every completed boosting round.
-func RunWithCheckpoints(st *checkpoint.Store) RunOption {
-	return func(o *runOpts) { o.ckpt = st }
-}
-
-// RunWithResume makes the party restore the newest valid snapshot from
-// its checkpoint store (a no-op when the store is empty) and take part in
-// the resume-round arbitration at session setup.
-func RunWithResume() RunOption {
-	return func(o *runOpts) { o.resume = true }
-}
-
 // enableCheckpoints attaches a store to a passive party and, on resume,
 // restores its newest valid fragment.
 func (p *passiveParty) enableCheckpoints(st *checkpoint.Store, resume bool) error {
@@ -145,14 +124,6 @@ func (p *passiveParty) saveCheckpoint(trees int) error {
 		Trees:       trees,
 		Fragment:    p.model,
 	})
-}
-
-// enableCheckpoints attaches a store to Party B. The actual resume point
-// is chosen in train() after setup, when every passive party's announced
-// round is known.
-func (b *activeParty) enableCheckpoints(st *checkpoint.Store, resume bool) {
-	b.ckpt = st
-	b.resume = resume
 }
 
 // resumePoint picks the round to resume from: the newest of B's own

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"vf2boost/internal/checkpoint"
@@ -17,43 +18,53 @@ import (
 	"vf2boost/internal/trace"
 )
 
-// Session wires one active and one or more passive parties through a
-// message broker and runs federated training in-process. The parties
-// exchange exactly the same wire messages whether the broker is local,
-// WAN-shaped, or fronted by the TCP gateway — the protocol engines cannot
-// tell the difference.
+// Session runs federated training in-process: it wires one active and
+// one or more passive parties through a message broker and runs each
+// party's role entry (RunActiveParty, RunPassiveParty) over its broker
+// endpoints. The parties exchange exactly the same wire messages whether
+// the broker is local, WAN-shaped, or fronted by the TCP gateway — the
+// protocol engines cannot tell the difference.
 type Session struct {
+	settings
 	cfg Config
 	// views are the parties' binned features, passive parties first and
 	// B's last; labels belong to the last view.
 	views  []gbdt.BinView
 	labels []float64
 	stats  *Stats
-	shaper *mq.Shaper
 	broker *mq.Broker
-	dec    he.Decryptor
-	rec    *trace.Recorder
-
-	chaos   *fault.Config
-	res     *ResilientConfig
-	ckptDir string
-	ckptFS  fsfault.FS
-	resume  bool
 
 	// wrapped collects the session's resilient transports for stats and
 	// shutdown.
 	wrapped []*ResilientTransport
 
-	// crypto is the session's cipher-operation counter, populated by
-	// Train: Party B's codec counts, plus the passive parties' homomorphic
-	// operations once training ends.
-	crypto *fixedpoint.Stats
-
+	// crypto and perTreeTime are recorded by the role entries Train runs:
+	// every party's cipher operations, and Party B's wall time per round.
+	crypto      *fixedpoint.Stats
 	perTreeTime []time.Duration
 }
 
-// SessionOption customizes a session.
-type SessionOption func(*Session)
+// settings are what the options set. A Session applies the transport
+// settings to the links it builds and hands the rest to the role entries
+// it runs; a role entry refuses the transport settings, since its caller
+// owns the transport.
+type settings struct {
+	shaper *mq.Shaper
+	chaos  *fault.Config
+	res    *ResilientConfig
+
+	dec     he.Decryptor
+	rec     *trace.Recorder
+	ckptDir string
+	ckptFS  fsfault.FS
+	resume  bool
+
+	// in is the session a role entry runs within (see within).
+	in *Session
+}
+
+// SessionOption customizes a session or a role entry.
+type SessionOption func(*settings)
 
 // WithWAN routes all cross-party traffic through a shaped link
 // (bandwidth in Mbps, plus a fixed per-message latency), reproducing the
@@ -61,7 +72,7 @@ type SessionOption func(*Session)
 // framing overhead on top of its payload, so the simulated byte counts
 // match what the TCP deployment puts on the wire.
 func WithWAN(bandwidthMbps float64, latency time.Duration) SessionOption {
-	return func(s *Session) {
+	return func(s *settings) {
 		s.shaper = mq.NewShaper(bandwidthMbps, latency)
 		s.shaper.SetPerMessageOverhead(mq.FrameOverhead)
 	}
@@ -70,13 +81,13 @@ func WithWAN(bandwidthMbps float64, latency time.Duration) SessionOption {
 // WithDecryptor injects a pre-generated key pair, so benchmarks do not
 // pay key generation per run.
 func WithDecryptor(dec he.Decryptor) SessionOption {
-	return func(s *Session) { s.dec = dec }
+	return func(s *settings) { s.dec = dec }
 }
 
 // WithTrace records per-phase Gantt spans into the recorder — the
 // analysis instrument behind the paper's Figures 4 and 5.
 func WithTrace(r *trace.Recorder) SessionOption {
-	return func(s *Session) { s.rec = r }
+	return func(s *settings) { s.rec = r }
 }
 
 // WithChaos injects seeded faults (drops, delays, duplicates, reorders,
@@ -87,34 +98,35 @@ func WithTrace(r *trace.Recorder) SessionOption {
 // the disconnect removed. Per-link fault schedules derive distinct seeds
 // from cfg.Seed, so a session's chaos is reproducible end to end.
 func WithChaos(cfg fault.Config) SessionOption {
-	return func(s *Session) { c := cfg; s.chaos = &c }
+	return func(s *settings) { c := cfg; s.chaos = &c }
 }
 
 // WithResilience wraps every cross-party link in the retry/heartbeat
 // layer with the given tuning, independent of fault injection.
 func WithResilience(cfg ResilientConfig) SessionOption {
-	return func(s *Session) { c := cfg; s.res = &c }
+	return func(s *settings) { c := cfg; s.res = &c }
 }
 
 // WithCheckpoints snapshots every party's training state under dir after
-// each completed tree (dir/active for Party B, dir/passive<i> per passive
-// party).
+// each completed tree: each role keeps its own store, dir/active for Party
+// B and dir/passive<i> for passive party i, in a Session and deployed
+// alike.
 func WithCheckpoints(dir string) SessionOption {
-	return func(s *Session) { s.ckptDir = dir }
+	return func(s *settings) { s.ckptDir = dir }
 }
 
 // WithCheckpointFS routes every checkpoint store's I/O through the given
 // filesystem — the storage counterpart of WithChaos, used to inject disk
 // faults into the snapshot path and assert that recovery still converges.
 func WithCheckpointFS(fsys fsfault.FS) SessionOption {
-	return func(s *Session) { s.ckptFS = fsys }
+	return func(s *settings) { s.ckptFS = fsys }
 }
 
 // WithResume resumes training from the newest mutually-consistent
 // checkpoint under the WithCheckpoints directory; a no-op when no valid
 // checkpoint exists.
 func WithResume() SessionOption {
-	return func(s *Session) { s.resume = true }
+	return func(s *settings) { s.resume = true }
 }
 
 // NewSession validates the per-party datasets (passive parties first, the
@@ -180,7 +192,7 @@ func NewViewSession(views []gbdt.BinView, labels []float64, cfg Config, opts ...
 	}
 	s := &Session{cfg: cfg, views: views, labels: labels, stats: &Stats{}}
 	for _, o := range opts {
-		o(s)
+		o(&s.settings)
 	}
 	return s, nil
 }
@@ -215,22 +227,15 @@ func (s *Session) LinkStats() []ResilientStats {
 	return out
 }
 
-// Train runs the full federated training and returns the glued model.
+// Train runs the full federated training and returns the glued model: it
+// builds every party's broker endpoints, starts RunPassiveParty per
+// passive party and runs RunActiveParty over them.
 func (s *Session) Train() (*FederatedModel, error) {
-	if s.dec == nil {
-		dec, err := newDecryptor(s.cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.dec = dec
-	}
-
-	var brokerOpts []mq.Option
 	secret := make([]byte, 32)
 	if _, err := rand.Read(secret); err != nil {
 		return nil, fmt.Errorf("core: drawing broker secret: %w", err)
 	}
-	brokerOpts = append(brokerOpts, mq.WithAuth(secret))
+	brokerOpts := []mq.Option{mq.WithAuth(secret)}
 	if s.shaper != nil {
 		brokerOpts = append(brokerOpts, mq.WithShaper(s.shaper))
 	}
@@ -241,150 +246,33 @@ func (s *Session) Train() (*FederatedModel, error) {
 			r.Close()
 		}
 	}()
+	s.crypto = &fixedpoint.Stats{}
 
-	// Chaos implies the resilient layer (injected faults must be healed);
-	// an explicit WithResilience enables it on a clean link too.
-	useResilient := s.chaos != nil || s.res != nil
-	rcfg := DefaultResilientConfig()
-	if s.res != nil {
-		rcfg = *s.res
-		rcfg.normalize()
-	}
-
-	numPassive := len(s.views) - 1
-	var stores struct {
-		active  *checkpoint.Store
-		passive []*checkpoint.Store
-	}
-	if s.ckptDir != "" {
-		st, err := checkpoint.OpenFS(filepath.Join(s.ckptDir, "active"), s.ckptFS)
-		if err != nil {
-			return nil, err
-		}
-		stores.active = st
-		stores.passive = make([]*checkpoint.Store, numPassive)
-		for i := 0; i < numPassive; i++ {
-			if stores.passive[i], err = checkpoint.OpenFS(filepath.Join(s.ckptDir, fmt.Sprintf("passive%d", i)), s.ckptFS); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	bLinks := make([]*link, numPassive)
-	type result struct {
-		idx   int
-		pm    *PartyModel
-		err   error
-		party *passiveParty
-	}
-	results := make(chan result, numPassive)
-
-	for i := 0; i < numPassive; i++ {
-		idx := i
-		b2a := fmt.Sprintf("b2a%d", idx)
-		a2b := fmt.Sprintf("a%d2b", idx)
-		newEndpoint := func(sendTopic, recvTopic string) (Transport, error) {
-			prod, err := s.broker.Producer(sendTopic, mq.Token(secret, sendTopic))
-			if err != nil {
-				return nil, err
-			}
-			cons, err := s.broker.Consumer(recvTopic, mq.Token(secret, recvTopic))
-			if err != nil {
-				return nil, err
-			}
-			return consumerEndpoint{send: prod.Send, sendCtx: prod.SendContext, recv: cons.Receive, detach: cons.Close}, nil
-		}
-		bEnd, err := newEndpoint(b2a, a2b)
-		if err != nil {
-			return nil, err
-		}
-		aEnd, err := newEndpoint(a2b, b2a)
-		if err != nil {
-			return nil, err
-		}
-		if useResilient {
-			// Fault schedules and retry jitter get distinct per-link
-			// seeds; the hard disconnect (if any) hits the passive side,
-			// whose redial re-attaches to the same topics without it.
-			aDial := func() (Transport, error) {
-				end, err := newEndpoint(a2b, b2a)
-				if err != nil {
-					return nil, err
-				}
-				if s.chaos != nil {
-					cfg := s.chaos.WithoutCut()
-					cfg.Seed = s.chaos.Seed + int64(4*idx+3)
-					return fault.Wrap(end, cfg), nil
-				}
-				return end, nil
-			}
-			if s.chaos != nil {
-				bCfg := s.chaos.WithoutCut()
-				bCfg.Seed = s.chaos.Seed + int64(4*idx+1)
-				bEnd = fault.Wrap(bEnd, bCfg)
-				aCfg := *s.chaos
-				aCfg.Seed = s.chaos.Seed + int64(4*idx+2)
-				aEnd = fault.Wrap(aEnd, aCfg)
-			}
-			rb := rcfg
-			rb.Seed = rcfg.Seed + int64(4*idx+1)
-			bRes, err := NewResilientTransport(bEnd, nil, rb)
-			if err != nil {
-				return nil, err
-			}
-			ra := rcfg
-			ra.Seed = rcfg.Seed + int64(4*idx+2)
-			aRes, err := NewResilientTransport(aEnd, aDial, ra)
-			if err != nil {
-				bRes.Close()
-				return nil, err
-			}
-			s.wrapped = append(s.wrapped, bRes, aRes)
-			bEnd, aEnd = bRes, aRes
-		}
-		bLinks[i] = NewLink(bEnd)
-		party := newPassivePartyView(i, s.views[i], s.cfg, NewLink(aEnd), s.stats)
-		party.rec = s.rec
-		if stores.passive != nil {
-			if err := party.enableCheckpoints(stores.passive[i], s.resume); err != nil {
-				return nil, err
-			}
-		}
-		go func(i int) {
-			pm, err := party.run()
-			results <- result{idx: i, pm: pm, err: err, party: party}
-		}(i)
-	}
-
-	active, err := newActivePartyView(s.views[numPassive], s.labels, s.cfg, s.dec, bLinks, s.stats)
-	if err != nil {
-		return nil, err
-	}
-	active.rec = s.rec
-	s.crypto = active.codec.Stats()
-	if stores.active != nil {
-		active.enableCheckpoints(stores.active, s.resume)
-	}
-	bModel, err := active.train()
-	if err != nil {
-		return nil, err
-	}
-	s.perTreeTime = active.perTreeTime
-
-	numParties := len(s.views)
+	numPassive, numParties := len(s.views)-1, len(s.views)
 	models := make([]*PartyModel, numParties)
-	models[numParties-1] = bModel
+	bEnds := make([]Transport, numPassive)
+	errs := make(chan error, numPassive)
 	for i := 0; i < numPassive; i++ {
-		r := <-results
-		if r.err != nil {
-			return nil, r.err
+		bEnd, aEnd, err := s.link(i, secret)
+		if err != nil {
+			return nil, err
 		}
-		models[r.idx] = r.pm
-		// The party has returned, so its codec is quiescent.
-		ops := r.party.codec.Stats()
-		s.crypto.AddHAdds(ops.HAdds())
-		s.crypto.AddSMuls(ops.SMuls())
-		s.crypto.AddScalings(ops.Scalings())
+		bEnds[i] = bEnd
+		go func() {
+			var err error
+			models[i], _, err = RunPassiveParty(i, s.views[i], s.cfg, aEnd, within(s))
+			errs <- err
+		}()
+	}
+	var err error
+	models[numPassive], _, err = RunActiveParty(s.views[numPassive], s.labels, s.cfg, bEnds, within(s), WithDecryptor(s.dec))
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < numPassive; i++ {
+		if err := <-errs; err != nil {
+			return nil, err
+		}
 	}
 	// Pad passive fragments so every party indexes the full class-tree
 	// count (Trees rounds × k outputs).
@@ -426,56 +314,191 @@ func (s *Session) Train() (*FederatedModel, error) {
 	return fm, nil
 }
 
-// RunPassiveParty runs a single passive party over a binned view and an
-// arbitrary transport (for example the mq TCP gateway), blocking until
-// Party B shuts the session down. It returns the party's model fragment.
-func RunPassiveParty(index int, view gbdt.BinView, cfg Config, tr Transport, opts ...RunOption) (*PartyModel, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, err
+// link builds passive party i's link on the session broker and returns
+// Party B's end and the passive party's. Under WithChaos or
+// WithResilience both ends are wrapped in the resilient layer, chaos
+// injected underneath.
+func (s *Session) link(i int, secret []byte) (bEnd, aEnd Transport, err error) {
+	b2a, a2b := fmt.Sprintf("b2a%d", i), fmt.Sprintf("a%d2b", i)
+	if bEnd, err = s.broker.Endpoint(b2a, a2b, secret); err != nil {
+		return nil, nil, err
 	}
-	var o runOpts
+	if aEnd, err = s.broker.Endpoint(a2b, b2a, secret); err != nil {
+		return nil, nil, err
+	}
+	// Chaos implies the resilient layer (injected faults must be healed);
+	// an explicit WithResilience enables it on a clean link too.
+	if s.chaos == nil && s.res == nil {
+		return bEnd, aEnd, nil
+	}
+	rcfg := DefaultResilientConfig()
+	if s.res != nil {
+		rcfg = *s.res
+	}
+	// Fault schedules and retry jitter get distinct per-link seeds; the
+	// hard disconnect (if any) hits the passive side, whose redial
+	// re-attaches to the same topics without it.
+	chaos := func(cfg fault.Config, n int) fault.Config { cfg.Seed += int64(4*i + n); return cfg }
+	retry := func(n int) ResilientConfig { cfg := rcfg; cfg.Seed += int64(4*i + n); return cfg }
+	aDial := func() (Transport, error) {
+		end, err := s.broker.Endpoint(a2b, b2a, secret)
+		if err != nil {
+			return nil, err
+		}
+		if s.chaos == nil {
+			return end, nil
+		}
+		return fault.Wrap(end, chaos(s.chaos.WithoutCut(), 3)), nil
+	}
+	if s.chaos != nil {
+		bEnd = fault.Wrap(bEnd, chaos(s.chaos.WithoutCut(), 1))
+		aEnd = fault.Wrap(aEnd, chaos(*s.chaos, 2))
+	}
+	bRes, err := NewResilientTransport(bEnd, nil, retry(1))
+	if err != nil {
+		return nil, nil, err
+	}
+	aRes, err := NewResilientTransport(aEnd, aDial, retry(2))
+	if err != nil {
+		bRes.Close()
+		return nil, nil, err
+	}
+	s.wrapped = append(s.wrapped, bRes, aRes)
+	return bRes, aRes, nil
+}
+
+// within makes a role entry part of session s: the entry takes s's trace,
+// checkpoint and resume settings, counts into s's Stats and cipher
+// counters and, as Party B, records its per-round times in s.
+func within(s *Session) SessionOption {
+	return func(o *settings) {
+		o.rec, o.ckptDir, o.ckptFS, o.resume = s.rec, s.ckptDir, s.ckptFS, s.resume
+		o.in = s
+	}
+}
+
+// roleSetup applies a role entry's options and normalizes its config. It
+// refuses, by name, each option the role cannot apply: WithWAN, WithChaos
+// and WithResilience act on the transport, which the entry's caller owns,
+// and a passive party holds no key for WithDecryptor.
+func roleSetup(entry string, passive bool, cfg *Config, opts []SessionOption) (settings, *Stats, error) {
+	var o settings
 	for _, opt := range opts {
 		opt(&o)
 	}
-	p := newPassivePartyView(index, view, cfg, NewLink(tr), &Stats{})
-	if o.ckpt != nil {
-		if err := p.enableCheckpoints(o.ckpt, o.resume); err != nil {
-			return nil, err
+	var refused []string
+	for _, c := range []struct {
+		name string
+		set  bool
+	}{
+		{"WithWAN", o.shaper != nil},
+		{"WithChaos", o.chaos != nil},
+		{"WithResilience", o.res != nil},
+		{"WithDecryptor", passive && o.dec != nil},
+	} {
+		if c.set {
+			refused = append(refused, c.name)
 		}
 	}
-	return p.run()
+	if len(refused) > 0 {
+		return o, nil, fmt.Errorf("core: %s cannot apply %s", entry, strings.Join(refused, ", "))
+	}
+	if o.in != nil {
+		// The session normalized cfg before any party ran. Normalizing it
+		// again would read the objective while Party B fits it to its
+		// labels (FitBound), in another goroutine.
+		return o, o.in.stats, nil
+	}
+	return o, &Stats{}, cfg.normalize()
+}
+
+// checkpoints opens the role's checkpoint store, sub under the
+// WithCheckpoints directory, through WithCheckpointFS when given; it is
+// nil without WithCheckpoints.
+func (o settings) checkpoints(sub string) (*checkpoint.Store, error) {
+	if o.ckptDir == "" {
+		return nil, nil
+	}
+	return checkpoint.OpenFS(filepath.Join(o.ckptDir, sub), o.ckptFS)
+}
+
+// RunPassiveParty runs a single passive party over a binned view and a
+// transport (a broker endpoint, possibly wrapped in the fault or resilient
+// layer), blocking until Party B shuts the session down. It returns the
+// party's model fragment and its run statistics. It takes WithTrace,
+// WithCheckpoints (its store is passive<index> there), WithCheckpointFS
+// and WithResume; a checkpoint store it cannot open or restore reaches B
+// as MsgAbort before it returns.
+func RunPassiveParty(index int, view gbdt.BinView, cfg Config, tr Transport, opts ...SessionOption) (*PartyModel, *Stats, error) {
+	o, stats, err := roleSetup("RunPassiveParty", true, &cfg, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := newPassivePartyView(index, view, cfg, NewLink(tr), stats)
+	p.rec = o.rec
+	st, err := o.checkpoints(fmt.Sprintf("passive%d", index))
+	if err != nil {
+		err = fmt.Errorf("core: party %d checkpoints: %w", index, err)
+	} else {
+		err = p.enableCheckpoints(st, o.resume)
+	}
+	if err != nil {
+		return nil, nil, p.reject(err)
+	}
+	pm, err := p.run()
+	if err != nil {
+		return nil, nil, err
+	}
+	if o.in != nil {
+		o.in.crypto.Add(p.codec.Stats()) // the party has returned: its codec is quiescent
+	}
+	return pm, stats, nil
 }
 
 // RunActiveParty runs Party B over a binned view and its labels, one
 // transport per passive party, and returns B's model fragment plus the run
-// statistics. Each party keeps its own fragment.
-func RunActiveParty(view gbdt.BinView, labels []float64, cfg Config, trs []Transport, opts ...RunOption) (*PartyModel, *Stats, error) {
-	if err := cfg.normalize(); err != nil {
-		return nil, nil, err
-	}
-	var o runOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
-	dec, err := newDecryptor(cfg)
+// statistics. Each party keeps its own fragment. It takes WithDecryptor
+// (else it generates the configured key pair), WithTrace,
+// WithCheckpoints (its store is active there), WithCheckpointFS and
+// WithResume. Whatever ends B's session — labels the objective refuses,
+// a checkpoint store that cannot open, one passive party's abort —
+// reaches every passive party as MsgAbort before it returns.
+func RunActiveParty(view gbdt.BinView, labels []float64, cfg Config, trs []Transport, opts ...SessionOption) (*PartyModel, *Stats, error) {
+	o, stats, err := roleSetup("RunActiveParty", false, &cfg, opts)
 	if err != nil {
 		return nil, nil, err
+	}
+	dec := o.dec
+	if dec == nil {
+		if dec, err = newDecryptor(cfg); err != nil {
+			return nil, nil, err
+		}
 	}
 	links := make([]*link, len(trs))
 	for i, tr := range trs {
 		links[i] = NewLink(tr)
 	}
-	stats := &Stats{}
 	b, err := newActivePartyView(view, labels, cfg, dec, links, stats)
-	if err != nil {
-		return nil, nil, err
+	if err == nil {
+		b.rec, b.resume = o.rec, o.resume
+		if b.ckpt, err = o.checkpoints("active"); err != nil {
+			err = fmt.Errorf("core: party B checkpoints: %w", err)
+		}
 	}
-	if o.ckpt != nil {
-		b.enableCheckpoints(o.ckpt, o.resume)
+	if err != nil {
+		for _, l := range links {
+			_ = l.send(MsgAbort{Party: len(links), Reason: err.Error()})
+		}
+		return nil, nil, err
 	}
 	pm, err := b.train()
 	if err != nil {
+		b.abort(err) // no passive party waits on a session B has left
 		return nil, nil, err
+	}
+	if o.in != nil {
+		o.in.crypto.Add(b.codec.Stats())
+		o.in.perTreeTime = b.perTreeTime
 	}
 	return pm, stats, nil
 }

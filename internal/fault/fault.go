@@ -17,6 +17,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -274,16 +275,13 @@ func (l *Link) deliver(payload []byte, dup bool) error {
 	return nil
 }
 
-// Close forwards to the wrapped transport's Close method (either
-// signature), so a shutdown above the fault layer reaches the endpoint
-// underneath it.
-func (l *Link) Close() {
-	switch c := l.inner.(type) {
-	case interface{ Close() error }:
-		c.Close()
-	case interface{ Close() }:
-		c.Close()
+// Close closes the wrapped transport when it is an io.Closer, so a
+// shutdown above the fault layer reaches the endpoint underneath it.
+func (l *Link) Close() error {
+	if c, ok := l.inner.(io.Closer); ok {
+		return c.Close()
 	}
+	return nil
 }
 
 // Receive passes frames through, failing once the link is severed. A

@@ -49,6 +49,15 @@ func (s *Stats) AddScalings(n int64) { s.addScale(n) }
 // AddDecryptions counts externally-performed decryptions.
 func (s *Stats) AddDecryptions(n int64) { s.addDec(n) }
 
+// Add counts every operation o has counted.
+func (s *Stats) Add(o *Stats) {
+	s.addEnc(o.Encryptions())
+	s.addDec(o.Decryptions())
+	s.addHAdd(o.HAdds())
+	s.addSMul(o.SMuls())
+	s.addScale(o.Scalings())
+}
+
 // Reset zeroes all counters.
 func (s *Stats) Reset() {
 	atomic.StoreInt64(&s.encryptions, 0)

@@ -69,28 +69,15 @@ func bModel(version uint64, m *core.FederatedModel) Model {
 	}
 }
 
-// tcpTransport adapts a gateway producer/consumer pair to core.Transport,
-// the same way cmd/vf2boost does.
-type tcpTransport struct {
-	prod *mq.RemoteProducer
-	cons *mq.RemoteConsumer
-}
-
-func (t tcpTransport) Send(b []byte) error      { return t.prod.Send(b) }
-func (t tcpTransport) Receive() ([]byte, error) { return t.cons.Receive() }
-
+// dialTCP dials one end of a scoring link through the gateway, the same
+// way cmd/vf2boost does.
 func dialTCP(t testing.TB, addr, secret, sendTopic, recvTopic string) core.Transport {
 	t.Helper()
-	tok := func(topic string) string { return mq.Token([]byte(secret), topic) }
-	prod, err := mq.DialProducer(addr, sendTopic, tok(sendTopic))
+	end, err := mq.DialEndpoint(addr, sendTopic, recvTopic, []byte(secret))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cons, err := mq.DialConsumer(addr, recvTopic, tok(recvTopic))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tcpTransport{prod: prod, cons: cons}
+	return end
 }
 
 // pipeEnd is an in-memory Transport over buffered channels.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sort"
@@ -36,10 +37,8 @@ type ServerConfig struct {
 	Batch BatcherConfig
 	// Deadline is the scoring budget applied to requests that carry none
 	// (default 2s). HTTP clients override it per request with the
-	// X-Score-Deadline header, clamped to MaxDeadline.
+	// X-Score-Deadline header, clamped to 30 s (maxDeadline).
 	Deadline time.Duration
-	// MaxDeadline caps client-requested budgets (default 30s).
-	MaxDeadline time.Duration
 	// Policy picks what happens when a passive party cannot join a round:
 	// FailClosed (default) refuses, ServePartial serves partial margins.
 	Policy DegradedPolicy
@@ -51,10 +50,6 @@ type ServerConfig struct {
 	MaxInflight int
 	// Breaker tunes the per-worker-link circuit breakers.
 	Breaker BreakerConfig
-	// RetryBudget caps in-round session re-open attempts: a token bucket
-	// of this many tokens refilling one per second (default 8), so a
-	// flapping link cannot turn every round into a redial storm.
-	RetryBudget int
 	// Session is an opaque session label sent in the open handshake.
 	Session string
 	// Broker, when the broker is co-resident (in-process deployments),
@@ -70,16 +65,19 @@ func (c *ServerConfig) defaults() {
 	if c.Deadline <= 0 {
 		c.Deadline = 2 * time.Second
 	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 30 * time.Second
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 4
 	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 8
-	}
 }
+
+const (
+	// maxDeadline caps client-requested scoring budgets.
+	maxDeadline = 30 * time.Second
+	// retryBudget caps in-round session re-open attempts: a token bucket
+	// of this many tokens refilling one per second, so a flapping link
+	// cannot turn every round into a redial storm.
+	retryBudget = 8
+)
 
 // workerAnswer is what a round waiting on a worker link is handed: the
 // worker's response to its request id, or the reason the session died
@@ -171,7 +169,9 @@ func (ws *workerState) sever(ss *workerSession, cause error) bool {
 	}
 	close(ss.done)
 	ws.mu.Unlock()
-	closeTransport(ss.tr)
+	if c, ok := ss.tr.(io.Closer); ok {
+		c.Close()
+	}
 	return true
 }
 
@@ -259,16 +259,6 @@ func (s *Server) pumpLink(ws *workerState, ss *workerSession) {
 	}
 }
 
-// closeTransport severs a transport if it knows how to be severed.
-func closeTransport(tr core.Transport) {
-	switch c := tr.(type) {
-	case interface{ Close() error }:
-		c.Close()
-	case interface{ Close() }:
-		c.Close()
-	}
-}
-
 // workerError is a structured per-round refusal from a healthy worker
 // (unknown model version, out-of-range row) — the link is fine, the
 // round is not.
@@ -346,7 +336,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		met:      NewMetrics(),
-		retry:    newTokenBucket(cfg.RetryBudget),
+		retry:    newTokenBucket(retryBudget),
 		inflight: make(chan struct{}, cfg.MaxInflight),
 		sendLock: make(chan struct{}, 1),
 	}
@@ -466,7 +456,9 @@ func (s *Server) reopen(ctx context.Context, ws *workerState) error {
 		return fmt.Errorf("serve: re-dialing party %d: %w", i, err)
 	}
 	if s.closing.Load() {
-		closeTransport(tr)
+		if c, ok := tr.(io.Closer); ok {
+			c.Close()
+		}
 		return ErrClosed
 	}
 	ws.sever(ws.current(), fmt.Errorf("serve: worker %d session replaced", i)) // release the old pump
@@ -930,7 +922,7 @@ func httpError(w http.ResponseWriter, code int, msg string) {
 }
 
 // requestDeadline resolves one request's scoring budget: header value if
-// present (clamped to MaxDeadline), the server default otherwise.
+// present (clamped to maxDeadline), the server default otherwise.
 func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 	h := r.Header.Get(DeadlineHeader)
 	if h == "" {
@@ -947,8 +939,8 @@ func (s *Server) requestDeadline(r *http.Request) (time.Duration, error) {
 	if d <= 0 {
 		return 0, fmt.Errorf("bad %s header %q: budget must be positive", DeadlineHeader, h)
 	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
+	if d > maxDeadline {
+		d = maxDeadline
 	}
 	return d, nil
 }

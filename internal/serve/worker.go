@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"sync/atomic"
@@ -174,10 +175,7 @@ func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error), wait, maxWa
 		// Sever the finished session's transport before re-dialing: a
 		// lingering gateway consumer would compete with the next session's
 		// and steal its frames.
-		switch c := tr.(type) {
-		case interface{ Close() error }:
-			c.Close()
-		case interface{ Close() }:
+		if c, ok := tr.(io.Closer); ok {
 			c.Close()
 		}
 		if err != nil {

@@ -29,6 +29,23 @@ if [ -n "$gob_users" ]; then
   exit 1
 fi
 
+echo "== one way to run a party (each engine built by its role entry; transports are io.Closers) =="
+# Session runs RunPassiveParty/RunActiveParty over broker endpoints, as
+# the party subcommand runs them over the gateway: a second call site of
+# an engine constructor would be a second construction path, and a
+# Close without an error result a second closing convention.
+for ctor in newPassivePartyView newActivePartyView; do
+  n=$(grep -rn "$ctor(" --include='*.go' internal cmd | grep -v '_test\.go:' | grep -vc "func $ctor(" || true)
+  if [ "$n" -ne 1 ]; then
+    echo "$ctor( is called $n times outside tests, want 1 (its role entry)" >&2
+    exit 1
+  fi
+done
+if grep -rn 'interface{ Close() }' --include='*.go' internal cmd | grep -v '_test\.go:'; then
+  echo "a transport closed through Close() without an error result; implement io.Closer" >&2
+  exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -69,7 +86,10 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # pump gone when the session ends. Party B files a peer's frames by key,
 # so no frame kind can starve another: a wait returns past any number of
 # queued frames of other kinds, and a layer with hundreds of corrections
-# ends.
+# ends. A checkpoint store that cannot open, labels Party B refuses and
+# one passive party's abort must end every party, in a Session and over
+# the gateway, with the cause and without a hang, and the role entries
+# must refuse the options they cannot apply.
 # So do the shard passes: a layer placed or accumulated in
 # one pass must equal each node walked alone, an abort must drop a node out
 # mid-pass, and the loads of a federated session over one-shard caches
@@ -80,8 +100,14 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # of its rows at every Workers value, so their hashes hold on any count.
 for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 \
-    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|StreamedNode|BIdleWithinWallTime|DecryptFeatureRejectsGarbage|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds' ./internal/core
+    -run 'Parity|ByteIdentity|MatchesBaseline|MatchesDataset|Golden|Sibling|LostHistogram|ActiveAbort|CheckpointResume|NodeLayout|ChunkRule|Hostile|StreamedNode|BIdleWithinWallTime|DecryptFeatureRejectsGarbage|PeerBackendRejection|LinkRejectsMalformedFrames|CounterLedger|PackedChild|MergeScales|PackedDecryptions|FrameLog|SpeculationStops|FingerprintStable|ShortPlacement|UnitQueue|WorkerBudget|AbortedTask|FailingUnits|CorrectionsShareOneRoundTrip|CorrectionsSharePass|PumpLeavesNoGoroutine|FederatedLoadsBound|MatchesPerNode|RouteTablesMatchOracle|InboxAwait|WideLayerSessionEnds|CheckpointStoreCannotOpen|RoleEntriesRefuseOptions|ActiveRefusalReachesPassive|PeerAbortReachesEveryPassive' ./internal/core
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
+  # Session and the party subcommand run the same role entries over one
+  # endpoint type: a party pair over the gateway must give the sim model,
+  # with and without checkpoints, on any core count; and a Session's roles
+  # run concurrently while Party B fits a squared-loss bound, which no
+  # other role may read as it changes.
+  GOMAXPROCS=$procs go test -race -count=1 -run 'TestPartyPairEqualsSim|TestEndpointPairs|TestRegressionSquaredLoss' ./cmd/vf2boost ./internal/mq .
   # The Section 5.1 accumulator resolves distinct cells concurrently, and
   # federated LR's weights must hash to the pinned ones with either
   # reduction, on any core count.
