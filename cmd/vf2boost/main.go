@@ -638,6 +638,12 @@ func cmdParty(args []string) {
 	if *data == "" {
 		log.Fatal("party: -data is required")
 	}
+	if *heartbeat <= 0 || *peerTimeout <= 0 {
+		log.Fatal("party: -heartbeat and -peer-timeout must be positive")
+	}
+	if *heartbeat >= *peerTimeout {
+		log.Fatal("party: -heartbeat must be shorter than -peer-timeout")
+	}
 	l := linkFn()
 	cfg := cfgFn()
 	oc := oocFn(cfg)
@@ -650,10 +656,7 @@ func cmdParty(args []string) {
 	// on every party or on none.
 	var rc *core.ResilientConfig
 	if *resilient {
-		c := core.DefaultResilientConfig()
-		c.Heartbeat = *heartbeat
-		c.PeerTimeout = *peerTimeout
-		rc = &c
+		rc = &core.ResilientConfig{Heartbeat: *heartbeat, PeerTimeout: *peerTimeout}
 	}
 	if *out != "" {
 		// Reported last: either role writes its fragment before its report.
@@ -829,7 +832,7 @@ func runPassiveWorker(l gatewayLink, kind, data string, models []string, redial 
 	dial := l.dialer(kind, l.index, false)
 	var err error
 	if redial {
-		err = w.RunLoop(dial, 0, 0, 0)
+		err = w.RunLoop(dial)
 	} else {
 		err = w.Run(connect(dial, nil))
 	}

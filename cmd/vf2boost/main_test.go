@@ -258,8 +258,10 @@ func TestLatencyFlag(t *testing.T) {
 }
 
 // TestLinkFlagRefusals: an -index below 0 or fewer than one -peers is
-// refused by every subcommand that takes the flag, before any data loads
-// (the shard paths below do not exist) or any dial (no gateway runs).
+// refused by every subcommand that takes the flag, and so is a -heartbeat
+// or -peer-timeout that is not positive or a -heartbeat not shorter than
+// -peer-timeout, before any data loads (the shard paths below do not
+// exist) or any dial (no gateway runs).
 func TestLinkFlagRefusals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the CLI")
@@ -277,6 +279,11 @@ func TestLinkFlagRefusals(t *testing.T) {
 		{"-index must not be negative", []string{"party", "-role", "a", "-index", "-1", "-data", missing}},
 		{"-index must not be negative", []string{"predict", "-role", "a", "-index", "-1", "-data", missing, "-model", missing}},
 		{"-index must not be negative", []string{"sidecar", "-index", "-1", "-data", missing, "-models", missing}},
+		{"-heartbeat and -peer-timeout must be positive", []string{"party", "-role", "b", "-resilient", "-peer-timeout", "-1s", "-data", missing}},
+		{"-heartbeat and -peer-timeout must be positive", []string{"party", "-role", "a", "-resilient", "-heartbeat", "0", "-data", missing}},
+		{"-heartbeat and -peer-timeout must be positive", []string{"party", "-role", "a", "-resilient", "-heartbeat", "-5ms", "-data", missing}},
+		{"-heartbeat must be shorter than -peer-timeout", []string{"party", "-role", "b", "-resilient", "-heartbeat", "2s", "-peer-timeout", "2s", "-data", missing}},
+		{"-heartbeat must be shorter than -peer-timeout", []string{"party", "-role", "a", "-resilient", "-heartbeat", "3s", "-peer-timeout", "1s", "-data", missing}},
 	} {
 		out, err := runRefused(bin, tc.args...)
 		if err == nil || !bytes.Contains(out, []byte(tc.args[0]+": "+tc.want)) {

@@ -32,8 +32,9 @@ func splitFiles(t *testing.T, dir string, d *dataset.Dataset, counts []int) (joi
 // TestPartyPairEqualsSim: a `party` pair over a gateway and `sim` run the
 // same role entries, so at the same flags the glued fragments score every
 // row exactly as the sim model does — with and without -checkpoint-dir,
-// which lays out one store per role (active/, passive0/) in both. Each
-// party reports its own task-seconds line.
+// which lays out one store per role (active/, passive0/) in both, and with
+// both parties' links in the -resilient layer. Each party reports its own
+// task-seconds line.
 func TestPartyPairEqualsSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles and runs the CLI over a gateway")
@@ -49,13 +50,16 @@ func TestPartyPairEqualsSim(t *testing.T) {
 	loaded := []*dataset.Dataset{loadData(aData), loadData(bData)}
 	common := []string{"-trees", "3", "-depth", "3", "-scheme", "mock", "-eta", "0.3", "-seed", "7"}
 
-	for _, ckpt := range []bool{false, true} {
-		name := map[bool]string{false: "plain", true: "checkpoints"}[ckpt]
+	for _, name := range []string{"plain", "checkpoints", "resilient"} {
+		ckpt := name == "checkpoints"
 		t.Run(name, func(t *testing.T) {
 			var simArgs, partyArgs []string
-			if ckpt {
+			switch name {
+			case "checkpoints":
 				simArgs = []string{"-checkpoint-dir", file(name + "-sim")}
 				partyArgs = []string{"-checkpoint-dir", file(name + "-party")}
+			case "resilient":
+				partyArgs = []string{"-resilient"}
 			}
 			simOut := file(name + "-sim.json")
 			runCLI(t, bin, append(append([]string{"sim", "-data", joined, "-split", "6,4", "-out", simOut}, common...), simArgs...)...)

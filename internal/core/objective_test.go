@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"vf2boost/internal/gbdt"
 	"vf2boost/internal/he"
 	"vf2boost/internal/metrics"
+	"vf2boost/internal/mq"
 	"vf2boost/internal/objective"
 )
 
@@ -314,5 +316,71 @@ func TestMulticlassCheckpointResume(t *testing.T) {
 					c, i, b[c][i], a[c][i])
 			}
 		}
+	}
+}
+
+// squaredParts returns parts with Party B's labels replaced by scale·y+3.
+func squaredParts(parts []*dataset.Dataset, scale float64) []*dataset.Dataset {
+	b := *parts[1]
+	b.Labels = make([]float64, len(parts[1].Labels))
+	for i, y := range parts[1].Labels {
+		b.Labels[i] = scale*y + 3
+	}
+	return []*dataset.Dataset{parts[0], &b}
+}
+
+// TestSquaredObjectiveReusedAcrossSessions: Party B fits the squared-loss
+// bound to its own labels without writing into the objective it was
+// given, so one objective trains a second session on a wider label range
+// exactly as a fresh objective does, instead of overflowing the bound the
+// first session fitted.
+func TestSquaredObjectiveReusedAcrossSessions(t *testing.T) {
+	_, parts := twoPartyData(t, 120, 3, 3, 1, true, 46)
+	cfg := quickConfig(SchemeMock)
+	cfg.Trees = 2
+	cfg.Objective = mustObjective(t, "squared")
+	trainFed(t, squaredParts(parts, 1), cfg)
+	reused, _ := trainFed(t, squaredParts(parts, 1000), cfg)
+	cfg.Objective = mustObjective(t, "squared")
+	fresh, _ := trainFed(t, squaredParts(parts, 1000), cfg)
+	if !bytes.Equal(modelJSON(t, reused), modelJSON(t, fresh)) {
+		t.Fatal("a reused squared objective trained a different model than a fresh one")
+	}
+}
+
+// TestRoleEntriesShareSquaredConfig: the two role entries run on
+// goroutines with one squared-loss config. Party B fits its bound while
+// the passive party normalizes the same config, and neither may see the
+// other's write (the race detector checks).
+func TestRoleEntriesShareSquaredConfig(t *testing.T) {
+	_, parts := twoPartyData(t, 120, 3, 3, 1, true, 47)
+	parts = squaredParts(parts, 1000)
+	cfg := quickConfig(SchemeMock)
+	cfg.Trees = 2
+	cfg.Objective = mustObjective(t, "squared")
+	views := testViews(t, cfg, parts...)
+	broker := mq.NewBroker()
+	defer broker.Close()
+	bEnd, err := broker.Endpoint("b2a0", "a02b", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aEnd, err := broker.Endpoint("a02b", "b2a0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aErr := make(chan error, 1)
+	go func() {
+		_, _, err := RunPassiveParty(0, views[0], cfg, aEnd)
+		aErr <- err
+	}()
+	if _, _, err := RunActiveParty(views[1], parts[1].Labels, cfg, []Transport{bEnd}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-aErr; err != nil {
+		t.Fatal(err)
+	}
+	if b := cfg.Objective.GradBound(); b != 64 {
+		t.Errorf("Party B fitted the caller's objective: its bound is %g, want the unfitted 64", b)
 	}
 }

@@ -120,8 +120,9 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 	// A bound-fitting objective (squared loss) derives its gradient bound
 	// from the observed labels before the pair and packing plans are
 	// built, so the historic constant can't silently overflow a field.
+	// The fitted copy is B's own: the caller's objective stays unfitted.
 	if bf, ok := cfg.Objective.(objective.BoundFitter); ok {
-		bf.FitBound(labels)
+		cfg.Objective = bf.FitBound(labels)
 	}
 	b := &activeParty{
 		cfg:    cfg,

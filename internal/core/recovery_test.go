@@ -68,16 +68,7 @@ func TestChaosTrainingMatchesBaseline(t *testing.T) {
 		DelayFor:        time.Millisecond,
 		DisconnectAfter: 30,
 	}
-	res := ResilientConfig{
-		RetryInterval: 10 * time.Millisecond,
-		RetryBackoff:  1.5,
-		RetryMax:      100 * time.Millisecond,
-		Heartbeat:     20 * time.Millisecond,
-		PeerTimeout:   10 * time.Second,
-		RedialWait:    time.Millisecond,
-		Seed:          7,
-	}
-	chaotic, s := trainFed(t, parts, cfg, WithChaos(chaos), WithResilience(res))
+	chaotic, s := trainFed(t, parts, cfg, WithChaos(chaos))
 
 	if !bytes.Equal(modelJSON(t, baseline), modelJSON(t, chaotic)) {
 		t.Fatal("model trained under chaos differs from the fault-free baseline")
@@ -289,10 +280,9 @@ func TestDistributedKillRestartResume(t *testing.T) {
 	}
 
 	res := ResilientConfig{
-		RetryInterval: 10 * time.Millisecond,
-		Heartbeat:     20 * time.Millisecond,
-		PeerTimeout:   1500 * time.Millisecond,
-		Seed:          9,
+		Heartbeat:   20 * time.Millisecond,
+		PeerTimeout: 1500 * time.Millisecond,
+		Seed:        9,
 	}
 
 	cut := &severable{inner: dialPair(t, addr, secret, "a02b", "b2a0")}

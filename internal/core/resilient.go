@@ -21,13 +21,17 @@ import (
 // with a link-scoped sequence number; the receiver delivers strictly in
 // sequence (holding early frames, dropping duplicates) and answers with
 // cumulative MsgAck frames. Unacknowledged envelopes are retransmitted
-// with exponential backoff and seeded jitter. When a link goes idle the
-// sender emits MsgHeartbeat keepalives, so each side detects a dead peer
-// (ErrPeerDead) instead of blocking forever; a heartbeat also piggybacks
-// the receiver's cumulative ack, which re-synchronizes the sender after
-// lost acks. An optional dial function re-establishes a severed
-// connection and replays every unacked envelope — the receiver's
-// duplicate suppression makes the replay idempotent.
+// on the retry schedule of clock.Backoff, with seeded jitter. When a link
+// goes idle the sender emits MsgHeartbeat keepalives, so each side
+// detects a dead peer (ErrPeerDead) instead of blocking forever; a
+// heartbeat also piggybacks the receiver's cumulative ack, which
+// re-synchronizes the sender after lost acks. A frame has no send
+// deadline of its own: if a link swallows one direction, the receiving
+// side hears nothing, fails on its PeerTimeout and stops heartbeating, so
+// the sending side's PeerTimeout fires too. An optional dial function
+// re-establishes a severed connection (on the same schedule) and replays
+// every unacked envelope — the receiver's duplicate suppression makes the
+// replay idempotent.
 //
 // Control frames are always encoded with the binary codec regardless of
 // the session codec: the wrapper peeks the frame tag and message ID to
@@ -58,90 +62,32 @@ var ErrPeerDead = errors.New("core: peer unresponsive past the heartbeat timeout
 // errLinkClosed is returned by operations on a Close()d resilient link.
 var errLinkClosed = errors.New("core: resilient link closed")
 
-// ResilientConfig tunes the reliability wrapper. The zero value is
-// usable: every field <= 0 falls back to its default.
+// ResilientConfig tunes the reliability wrapper. Retransmits and redials
+// follow the one retry schedule of clock.Backoff; a zero or negative
+// duration here takes its default.
 type ResilientConfig struct {
-	// RetryInterval is the initial retransmit wait for an unacked frame.
-	RetryInterval time.Duration // default 200ms
-	// RetryBackoff multiplies the wait after each retransmission.
-	RetryBackoff float64 // default 2
-	// RetryMax caps the per-frame retransmit wait.
-	RetryMax time.Duration // default 5s
-	// RetryJitter spreads each wait by ±this fraction (seeded by Seed),
-	// decorrelating retry storms on a congested link.
-	RetryJitter float64 // default 0.2
-	// MaxRetries fails the link after this many retransmissions of one
-	// frame; <= 0 retries until SendTimeout or PeerTimeout trips.
-	MaxRetries int
-	// SendTimeout fails the link when a frame stays unacked this long
-	// (the send deadline); <= 0 disables.
-	SendTimeout time.Duration
 	// Heartbeat is the idle interval after which a keepalive is sent.
 	Heartbeat time.Duration // default 1s
 	// PeerTimeout declares the peer dead after this long without any
-	// inbound frame (the receive deadline); <= 0 disables.
+	// inbound frame (the receive deadline).
 	PeerTimeout time.Duration // default 30s
-	// RedialWait and RedialMax bound the backoff between reconnect
-	// attempts; MaxRedials caps consecutive failed attempts (<= 0: 20).
-	RedialWait time.Duration // default 250ms
-	RedialMax  time.Duration // default 5s
-	MaxRedials int
 	// Seed drives the retry jitter; jitter is the only randomness here.
 	Seed int64
 
-	// clock is the time source of every deadline above; tests put it on
+	// clock is the time source of every wait above; tests put it on
 	// virtual time, everything else leaves it nil for the wall clock.
 	clock clock.Clock
 }
 
-// DefaultResilientConfig returns the WAN-shaped defaults.
-func DefaultResilientConfig() ResilientConfig {
-	return ResilientConfig{
-		RetryInterval: 200 * time.Millisecond,
-		RetryBackoff:  2,
-		RetryMax:      5 * time.Second,
-		RetryJitter:   0.2,
-		Heartbeat:     time.Second,
-		PeerTimeout:   30 * time.Second,
-		RedialWait:    250 * time.Millisecond,
-		RedialMax:     5 * time.Second,
-		MaxRedials:    20,
-	}
-}
-
 func (c *ResilientConfig) normalize() {
-	d := DefaultResilientConfig()
 	if c.clock == nil {
 		c.clock = clock.Wall{}
 	}
-	if c.RetryInterval <= 0 {
-		c.RetryInterval = d.RetryInterval
-	}
-	if c.RetryBackoff < 1 {
-		c.RetryBackoff = d.RetryBackoff
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = d.RetryMax
-	}
-	if c.RetryJitter < 0 || c.RetryJitter >= 1 {
-		c.RetryJitter = d.RetryJitter
-	}
 	if c.Heartbeat <= 0 {
-		c.Heartbeat = d.Heartbeat
+		c.Heartbeat = time.Second
 	}
-	if c.PeerTimeout < 0 {
-		c.PeerTimeout = 0
-	} else if c.PeerTimeout == 0 {
-		c.PeerTimeout = d.PeerTimeout
-	}
-	if c.RedialWait <= 0 {
-		c.RedialWait = d.RedialWait
-	}
-	if c.RedialMax <= 0 {
-		c.RedialMax = d.RedialMax
-	}
-	if c.MaxRedials <= 0 {
-		c.MaxRedials = d.MaxRedials
+	if c.PeerTimeout <= 0 {
+		c.PeerTimeout = 30 * time.Second
 	}
 }
 
@@ -162,12 +108,10 @@ func (s ResilientStats) String() string {
 
 // pendingFrame is one sent-but-unacked envelope.
 type pendingFrame struct {
-	seq      uint64
-	frame    []byte
-	born     time.Time
-	nextAt   time.Time
-	interval time.Duration
-	attempts int
+	seq    uint64
+	frame  []byte
+	nextAt time.Time     // when it is retransmitted unless acked first
+	retry  clock.Backoff // its retransmit schedule
 }
 
 // ResilientTransport implements Transport over an unreliable inner
@@ -179,20 +123,18 @@ type ResilientTransport struct {
 
 	mu       sync.Mutex
 	inner    Transport
-	gen      int // connection generation, bumped per redial
 	sendSeq  uint64
 	pending  []*pendingFrame // ascending seq
 	lastSend time.Time
 	nextRecv uint64            // next in-order sequence expected
 	held     map[uint64][]byte // early frames awaiting their gap
-	rng      *rand.Rand
-	fatalErr error
+	rng      *rand.Rand        // the pending frames' retransmit jitter
+	fatalErr error             // set, before quit closes, by stop
 
-	deliver chan []byte
-	dead    chan struct{} // closed on fatal error
-	done    chan struct{} // closed by Close
-	closing sync.Once
-	failing sync.Once
+	deliver  chan []byte
+	quit     chan struct{} // closed by stop: on Close or the first fatal error
+	stopping sync.Once
+	closing  sync.Once
 
 	heardAt atomic.Int64 // UnixNano of the last inbound frame
 
@@ -227,8 +169,7 @@ func NewResilientTransport(inner Transport, dial func() (Transport, error), cfg 
 		held:     make(map[uint64][]byte),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		deliver:  make(chan []byte, 1024),
-		dead:     make(chan struct{}),
-		done:     make(chan struct{}),
+		quit:     make(chan struct{}),
 		lastSend: cfg.clock.Now(),
 	}
 	r.heardAt.Store(r.lastSend.UnixNano())
@@ -251,8 +192,8 @@ func (r *ResilientTransport) Stats() ResilientStats {
 // Close stops the background loops and closes the inner transport. Safe
 // to call more than once.
 func (r *ResilientTransport) Close() error {
+	r.stop(errLinkClosed)
 	r.closing.Do(func() {
-		close(r.done)
 		r.mu.Lock()
 		inner := r.inner
 		r.mu.Unlock()
@@ -263,30 +204,26 @@ func (r *ResilientTransport) Close() error {
 	return nil
 }
 
-// fail latches the first fatal error and wakes every waiter.
-func (r *ResilientTransport) fail(err error) {
-	r.failing.Do(func() {
+// stop latches the link's first terminal error — errLinkClosed from
+// Close, or the fault that failed it — and wakes every waiter.
+func (r *ResilientTransport) stop(err error) {
+	r.stopping.Do(func() {
 		r.mu.Lock()
 		r.fatalErr = err
 		r.mu.Unlock()
-		close(r.dead)
+		close(r.quit)
 	})
 }
 
 func (r *ResilientTransport) fatal() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.fatalErr != nil {
-		return r.fatalErr
-	}
-	return errLinkClosed
+	return r.fatalErr
 }
 
 func (r *ResilientTransport) isShutdown() bool {
 	select {
-	case <-r.done:
-		return true
-	case <-r.dead:
+	case <-r.quit:
 		return true
 	default:
 		return false
@@ -295,29 +232,21 @@ func (r *ResilientTransport) isShutdown() bool {
 
 // Send enqueues one frame for reliable in-order delivery. It never blocks
 // on the network: the frame is retained until the peer acknowledges it,
-// and retransmitted on the backoff schedule meanwhile.
+// and retransmitted on the retry schedule meanwhile.
 func (r *ResilientTransport) Send(payload []byte) error {
 	r.mu.Lock()
-	if r.fatalErr != nil {
-		err := r.fatalErr
+	if err := r.fatalErr; err != nil {
 		r.mu.Unlock()
 		return err
-	}
-	select {
-	case <-r.done:
-		r.mu.Unlock()
-		return errLinkClosed
-	default:
 	}
 	r.sendSeq++
 	now := r.cfg.clock.Now()
 	pf := &pendingFrame{
-		seq:      r.sendSeq,
-		frame:    payload,
-		born:     now,
-		interval: r.cfg.RetryInterval,
+		seq:   r.sendSeq,
+		frame: payload,
+		retry: clock.NewBackoff(r.cfg.clock, r.rng),
 	}
-	pf.nextAt = now.Add(r.jittered(pf.interval))
+	pf.nextAt = now.Add(pf.retry.Next())
 	r.pending = append(r.pending, pf)
 	r.lastSend = now
 	inner := r.inner
@@ -326,21 +255,12 @@ func (r *ResilientTransport) Send(payload []byte) error {
 	return nil
 }
 
-// jittered spreads an interval by ±RetryJitter. Callers hold r.mu.
-func (r *ResilientTransport) jittered(d time.Duration) time.Duration {
-	if r.cfg.RetryJitter <= 0 {
-		return d
-	}
-	f := 1 + r.cfg.RetryJitter*(2*r.rng.Float64()-1)
-	return time.Duration(float64(d) * f)
-}
-
 // transmit ships one envelope; errors are swallowed (the retransmit loop
 // or the receive loop's redial recovers).
 func (r *ResilientTransport) transmit(inner Transport, seq uint64, frame []byte) {
 	buf, err := wire.Binary.Encode(MsgEnvelope{Seq: seq, Frame: frame})
 	if err != nil {
-		r.fail(fmt.Errorf("core: encoding envelope: %w", err))
+		r.stop(fmt.Errorf("core: encoding envelope: %w", err))
 		return
 	}
 	if err := inner.Send(buf); err != nil {
@@ -360,41 +280,35 @@ func (r *ResilientTransport) sendControl(inner Transport, m any) {
 }
 
 // Receive blocks for the next in-order frame. Frames already delivered
-// in order are drained before a fatal error is reported.
+// in order are drained before the link's terminal error is reported.
 func (r *ResilientTransport) Receive() ([]byte, error) {
 	select {
 	case f := <-r.deliver:
 		return f, nil
-	default:
-	}
-	select {
-	case f := <-r.deliver:
-		return f, nil
-	case <-r.dead:
+	case <-r.quit:
 		select {
 		case f := <-r.deliver:
 			return f, nil
 		default:
 			return nil, r.fatal()
 		}
-	case <-r.done:
-		return nil, errLinkClosed
 	}
 }
 
 // recvLoop pulls frames off the inner transport, demultiplexes control
 // frames, and redials on connection loss.
 func (r *ResilientTransport) recvLoop() {
+	redial := clock.NewBackoff(r.cfg.clock, rand.New(rand.NewSource(r.cfg.Seed)))
 	for {
 		r.mu.Lock()
-		inner, gen := r.inner, r.gen
+		inner := r.inner
 		r.mu.Unlock()
 		payload, err := inner.Receive()
 		if r.isShutdown() {
 			return
 		}
 		if err != nil {
-			if !r.reconnect(gen, err) {
+			if !r.reconnect(&redial, err) {
 				return
 			}
 			continue
@@ -403,51 +317,40 @@ func (r *ResilientTransport) recvLoop() {
 	}
 }
 
-// reconnect re-establishes the connection after a receive error and
-// replays every unacked envelope. It reports whether the loop should
-// continue.
-func (r *ResilientTransport) reconnect(gen int, cause error) bool {
+// reconnect re-establishes the connection after a receive error, dialing
+// on the retry schedule, and replays every unacked envelope. It reports
+// whether the loop should continue.
+func (r *ResilientTransport) reconnect(retry *clock.Backoff, cause error) bool {
 	if r.dial == nil {
-		r.fail(fmt.Errorf("core: resilient link receive: %w", cause))
+		r.stop(fmt.Errorf("core: resilient link receive: %w", cause))
 		return false
 	}
-	wait := r.cfg.RedialWait
-	for attempt := 0; attempt < r.cfg.MaxRedials; attempt++ {
-		if attempt > 0 {
-			if !r.sleep(wait) {
-				return false
-			}
-			wait *= 2
-			if wait > r.cfg.RedialMax {
-				wait = r.cfg.RedialMax
-			}
+	tr, err := r.dial()
+	for ; err != nil; tr, err = r.dial() {
+		if !retry.Fail(r.quit) {
+			r.stop(fmt.Errorf("core: resilient link: redial failed %d times: %w", clock.MaxFails, cause))
+			return false
 		}
-		tr, err := r.dial()
-		if err != nil {
-			continue
-		}
-		r.mu.Lock()
-		if c, ok := r.inner.(io.Closer); ok {
-			c.Close()
-		}
-		r.inner = tr
-		r.gen = gen + 1
-		pend := make([]*pendingFrame, len(r.pending))
-		copy(pend, r.pending)
-		r.mu.Unlock()
-		r.redials.Add(1)
-		// A fresh connection means the peer may have missed anything not
-		// yet acked: replay the whole unacked window in order. Frames the
-		// peer did receive are suppressed as duplicates on its side.
-		for _, pf := range pend {
-			r.transmit(tr, pf.seq, pf.frame)
-		}
-		// Give the peer a fresh chance to detect us before its timeout.
-		r.heardAt.Store(r.cfg.clock.Now().UnixNano())
-		return true
 	}
-	r.fail(fmt.Errorf("core: resilient link: redial failed %d times: %w", r.cfg.MaxRedials, cause))
-	return false
+	retry.Reset()
+	r.mu.Lock()
+	if c, ok := r.inner.(io.Closer); ok {
+		c.Close()
+	}
+	r.inner = tr
+	pend := make([]*pendingFrame, len(r.pending))
+	copy(pend, r.pending)
+	r.mu.Unlock()
+	r.redials.Add(1)
+	// A fresh connection means the peer may have missed anything not
+	// yet acked: replay the whole unacked window in order. Frames the
+	// peer did receive are suppressed as duplicates on its side.
+	for _, pf := range pend {
+		r.transmit(tr, pf.seq, pf.frame)
+	}
+	// Give the peer a fresh chance to detect us before its timeout.
+	r.heardAt.Store(r.cfg.clock.Now().UnixNano())
+	return true
 }
 
 // handleFrame routes one inbound frame: envelope, ack, heartbeat, or (for
@@ -459,7 +362,7 @@ func (r *ResilientTransport) handleFrame(payload []byte) {
 		case idEnvelope:
 			m, err := wire.Binary.Decode(payload)
 			if err != nil {
-				r.fail(fmt.Errorf("core: resilient link: %w", err))
+				r.stop(fmt.Errorf("core: resilient link: %w", err))
 				return
 			}
 			wire.PutBuf(payload)
@@ -469,7 +372,7 @@ func (r *ResilientTransport) handleFrame(payload []byte) {
 		case idAck:
 			m, err := wire.Binary.Decode(payload)
 			if err != nil {
-				r.fail(fmt.Errorf("core: resilient link: %w", err))
+				r.stop(fmt.Errorf("core: resilient link: %w", err))
 				return
 			}
 			wire.PutBuf(payload)
@@ -478,7 +381,7 @@ func (r *ResilientTransport) handleFrame(payload []byte) {
 		case idHeartbeat:
 			m, err := wire.Binary.Decode(payload)
 			if err != nil {
-				r.fail(fmt.Errorf("core: resilient link: %w", err))
+				r.stop(fmt.Errorf("core: resilient link: %w", err))
 				return
 			}
 			wire.PutBuf(payload)
@@ -489,8 +392,7 @@ func (r *ResilientTransport) handleFrame(payload []byte) {
 	// Not a control frame: the peer is not (yet) wrapped. Deliver as-is.
 	select {
 	case r.deliver <- payload:
-	case <-r.done:
-	case <-r.dead:
+	case <-r.quit:
 	}
 }
 
@@ -532,9 +434,7 @@ func (r *ResilientTransport) onData(seq uint64, frame []byte) {
 	for _, f := range ready {
 		select {
 		case r.deliver <- f:
-		case <-r.done:
-			return
-		case <-r.dead:
+		case <-r.quit:
 			return
 		}
 	}
@@ -558,84 +458,36 @@ func (r *ResilientTransport) onAck(cum uint64) {
 	r.mu.Unlock()
 }
 
-// sleep waits d on the link's clock; it reports false if the link was
-// closed or failed first.
-func (r *ResilientTransport) sleep(d time.Duration) bool {
-	elapsed, stop := clock.After(r.cfg.clock, d)
-	defer stop()
-	select {
-	case <-elapsed:
-		return true
-	case <-r.done:
-	case <-r.dead:
-	}
-	return false
-}
-
-// timerLoop drives retransmissions, heartbeats, and the peer-death and
-// send-deadline checks.
+// timerLoop drives retransmissions, heartbeats, and the peer-death check.
 func (r *ResilientTransport) timerLoop() {
-	tick := r.cfg.RetryInterval
-	if r.cfg.Heartbeat < tick {
-		tick = r.cfg.Heartbeat
-	}
-	tick /= 4
-	if tick < time.Millisecond {
-		tick = time.Millisecond
-	}
+	tick := max(min(clock.FirstWait, r.cfg.Heartbeat)/4, time.Millisecond)
 	// The next tick is armed when the work of this one is done, so a
 	// test stepping a fake clock knows a re-armed loop has finished.
-	for {
-		if !r.sleep(tick) {
-			return
-		}
+	for clock.Sleep(r.cfg.clock, tick, r.quit) {
 		now := r.cfg.clock.Now()
-		if r.cfg.PeerTimeout > 0 && now.Sub(time.Unix(0, r.heardAt.Load())) > r.cfg.PeerTimeout {
-			r.fail(fmt.Errorf("%w (silent for over %v)", ErrPeerDead, r.cfg.PeerTimeout))
+		if now.Sub(time.Unix(0, r.heardAt.Load())) > r.cfg.PeerTimeout {
+			r.stop(fmt.Errorf("%w (silent for over %v)", ErrPeerDead, r.cfg.PeerTimeout))
 			return
 		}
-
-		type rtx struct {
-			seq   uint64
-			frame []byte
-		}
-		var resend []rtx
-		var fatal error
+		var resend []*pendingFrame
 		r.mu.Lock()
 		inner := r.inner
 		for _, pf := range r.pending {
-			if r.cfg.SendTimeout > 0 && now.Sub(pf.born) > r.cfg.SendTimeout {
-				fatal = fmt.Errorf("core: frame %d unacknowledged past the %v send deadline", pf.seq, r.cfg.SendTimeout)
-				break
+			if !now.Before(pf.nextAt) {
+				pf.nextAt = now.Add(pf.retry.Next())
+				resend = append(resend, pf)
 			}
-			if now.Before(pf.nextAt) {
-				continue
-			}
-			if r.cfg.MaxRetries > 0 && pf.attempts >= r.cfg.MaxRetries {
-				fatal = fmt.Errorf("core: frame %d lost after %d retransmissions", pf.seq, pf.attempts)
-				break
-			}
-			pf.attempts++
-			pf.interval = time.Duration(float64(pf.interval) * r.cfg.RetryBackoff)
-			if pf.interval > r.cfg.RetryMax {
-				pf.interval = r.cfg.RetryMax
-			}
-			pf.nextAt = now.Add(r.jittered(pf.interval))
-			resend = append(resend, rtx{pf.seq, pf.frame})
 		}
-		sendHB := fatal == nil && len(resend) == 0 && now.Sub(r.lastSend) >= r.cfg.Heartbeat
+		sendHB := len(resend) == 0 && now.Sub(r.lastSend) >= r.cfg.Heartbeat
 		if len(resend) > 0 || sendHB {
 			r.lastSend = now
 		}
 		cum := r.nextRecv - 1
 		r.mu.Unlock()
-		if fatal != nil {
-			r.fail(fatal)
-			return
-		}
-		for _, t := range resend {
+		// seq and frame never change once a frame is pending.
+		for _, pf := range resend {
 			r.retransmits.Add(1)
-			r.transmit(inner, t.seq, t.frame)
+			r.transmit(inner, pf.seq, pf.frame)
 		}
 		if sendHB {
 			r.heartbeats.Add(1)

@@ -54,16 +54,10 @@ func newPipe() (*chanEnd, *chanEnd) {
 	return a, b
 }
 
-// fastResilient returns a config tuned for test speed.
-func fastResilient(seed int64) ResilientConfig {
-	return ResilientConfig{
-		RetryInterval: 5 * time.Millisecond,
-		RetryBackoff:  1.5,
-		RetryMax:      50 * time.Millisecond,
-		Heartbeat:     10 * time.Millisecond,
-		PeerTimeout:   5 * time.Second,
-		Seed:          seed,
-	}
+// testResilient returns a config with a quick heartbeat; retransmits and
+// redials run the production retry schedule.
+func testResilient(seed int64) ResilientConfig {
+	return ResilientConfig{Heartbeat: 10 * time.Millisecond, PeerTimeout: 5 * time.Second, Seed: seed}
 }
 
 // TestResilientLossyLinkExactlyOnce: a link dropping, duplicating, and
@@ -75,12 +69,12 @@ func TestResilientLossyLinkExactlyOnce(t *testing.T) {
 	aChaos := chaos
 	bChaos := chaos
 	bChaos.Seed = 12
-	ra, err := NewResilientTransport(fault.Wrap(a, aChaos), nil, fastResilient(1))
+	ra, err := NewResilientTransport(fault.Wrap(a, aChaos), nil, testResilient(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ra.Close()
-	rb, err := NewResilientTransport(fault.Wrap(b, bChaos), nil, fastResilient(2))
+	rb, err := NewResilientTransport(fault.Wrap(b, bChaos), nil, testResilient(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +108,9 @@ func TestResilientLossyLinkExactlyOnce(t *testing.T) {
 // through the same wrapped pair.
 func TestResilientBidirectional(t *testing.T) {
 	a, b := newPipe()
-	ra, _ := NewResilientTransport(a, nil, fastResilient(3))
+	ra, _ := NewResilientTransport(a, nil, testResilient(3))
 	defer ra.Close()
-	rb, _ := NewResilientTransport(b, nil, fastResilient(4))
+	rb, _ := NewResilientTransport(b, nil, testResilient(4))
 	defer rb.Close()
 	for i := 0; i < 20; i++ {
 		if err := ra.Send([]byte{byte(i)}); err != nil {
@@ -140,7 +134,7 @@ func TestResilientBidirectional(t *testing.T) {
 // deadline with ErrPeerDead rather than blocking forever.
 func TestResilientPeerDeath(t *testing.T) {
 	a, b := newPipe()
-	cfg := fastResilient(5)
+	cfg := testResilient(5)
 	cfg.PeerTimeout = 50 * time.Millisecond
 	ra, _ := NewResilientTransport(a, nil, cfg)
 	defer ra.Close()
@@ -168,7 +162,7 @@ func TestResilientPeerDeath(t *testing.T) {
 func TestResilientHeartbeatsKeepIdleLinkAlive(t *testing.T) {
 	a, b := newPipe()
 	clk := clock.NewFake()
-	cfg := fastResilient(6)
+	cfg := testResilient(6)
 	cfg.Heartbeat = 5 * time.Millisecond
 	cfg.PeerTimeout = 40 * time.Millisecond
 	cfg.clock = clk
@@ -217,14 +211,12 @@ func TestResilientRedialReplaysUnacked(t *testing.T) {
 		dials++
 		return newA(), nil
 	}
-	cfg := fastResilient(7)
-	cfg.RedialWait = time.Millisecond
-	ra, err := NewResilientTransport(first, dial, cfg)
+	ra, err := NewResilientTransport(first, dial, testResilient(7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ra.Close()
-	rb, _ := NewResilientTransport(b, nil, fastResilient(8))
+	rb, _ := NewResilientTransport(b, nil, testResilient(8))
 	defer rb.Close()
 
 	const n = 30
@@ -254,8 +246,8 @@ func TestResilientRedialReplaysUnacked(t *testing.T) {
 // closed-link error instead of ErrPeerDead.
 func TestResilientCloseUnblocksReceive(t *testing.T) {
 	a, b := newPipe()
-	ra, _ := NewResilientTransport(a, nil, fastResilient(9))
-	rb, _ := NewResilientTransport(b, nil, fastResilient(10))
+	ra, _ := NewResilientTransport(a, nil, testResilient(9))
+	rb, _ := NewResilientTransport(b, nil, testResilient(10))
 	defer rb.Close()
 	done := make(chan error, 1)
 	go func() {
@@ -274,27 +266,41 @@ func TestResilientCloseUnblocksReceive(t *testing.T) {
 	}
 }
 
-// TestResilientSendDeadline: a frame no peer ever acknowledges trips the
-// send deadline.
-func TestResilientSendDeadline(t *testing.T) {
-	a, _ := newPipe() // peer endpoint discarded: frames go nowhere
-	cfg := fastResilient(11)
-	cfg.SendTimeout = 30 * time.Millisecond
-	cfg.PeerTimeout = -1 // isolate the send deadline from the receive one
-	ra, _ := NewResilientTransport(a, nil, cfg)
+// blackHole swallows every frame sent through it.
+type blackHole struct{ Transport }
+
+func (blackHole) Send([]byte) error { return nil }
+
+// TestResilientOneWayBlackHole: a link that swallows one direction ends
+// both wrapped ends with ErrPeerDead instead of hanging. The receiving end
+// hears nothing and fails on its PeerTimeout; then it stops heartbeating,
+// and the sending end, whose frames nobody acknowledges, fails on its own.
+func TestResilientOneWayBlackHole(t *testing.T) {
+	a, b := newPipe()
+	cfg := testResilient(11)
+	cfg.PeerTimeout = 50 * time.Millisecond
+	ra, _ := NewResilientTransport(blackHole{a}, nil, cfg)
 	defer ra.Close()
+	rb, _ := NewResilientTransport(b, nil, cfg)
+	defer rb.Close()
 	if err := ra.Send([]byte("doomed")); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := rb.Receive(); !errors.Is(err, ErrPeerDead) {
+		t.Fatalf("receiving end: Receive = %v, want ErrPeerDead", err)
 	}
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
 		case <-deadline:
-			t.Fatal("send deadline never tripped")
+			t.Fatal("the sending end never gave up on its unacknowledged frame")
 		default:
 		}
 		if err := ra.Send([]byte("probe")); err != nil {
-			return // the latched deadline error surfaced
+			if !errors.Is(err, ErrPeerDead) {
+				t.Fatalf("sending end: Send = %v, want ErrPeerDead", err)
+			}
+			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -304,7 +310,7 @@ func TestResilientSendDeadline(t *testing.T) {
 // are delivered untouched, so mixed deployments degrade gracefully.
 func TestResilientPassThrough(t *testing.T) {
 	a, b := newPipe()
-	ra, _ := NewResilientTransport(a, nil, fastResilient(12))
+	ra, _ := NewResilientTransport(a, nil, testResilient(12))
 	defer ra.Close()
 	if err := b.Send([]byte("bare")); err != nil {
 		t.Fatal(err)

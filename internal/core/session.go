@@ -51,7 +51,6 @@ type Session struct {
 type settings struct {
 	shaper *mq.Shaper
 	chaos  *fault.Config
-	res    *ResilientConfig
 
 	dec     he.Decryptor
 	rec     *trace.Recorder
@@ -99,12 +98,6 @@ func WithTrace(r *trace.Recorder) SessionOption {
 // from cfg.Seed, so a session's chaos is reproducible end to end.
 func WithChaos(cfg fault.Config) SessionOption {
 	return func(s *settings) { c := cfg; s.chaos = &c }
-}
-
-// WithResilience wraps every cross-party link in the retry/heartbeat
-// layer with the given tuning, independent of fault injection.
-func WithResilience(cfg ResilientConfig) SessionOption {
-	return func(s *settings) { c := cfg; s.res = &c }
 }
 
 // WithCheckpoints snapshots every party's training state under dir after
@@ -315,9 +308,8 @@ func (s *Session) Train() (*FederatedModel, error) {
 }
 
 // link builds passive party i's link on the session broker and returns
-// Party B's end and the passive party's. Under WithChaos or
-// WithResilience both ends are wrapped in the resilient layer, chaos
-// injected underneath.
+// Party B's end and the passive party's. Under WithChaos both ends are
+// wrapped in the resilient layer, chaos injected underneath.
 func (s *Session) link(i int, secret []byte) (bEnd, aEnd Transport, err error) {
 	b2a, a2b := fmt.Sprintf("b2a%d", i), fmt.Sprintf("a%d2b", i)
 	if bEnd, err = s.broker.Endpoint(b2a, a2b, secret); err != nil {
@@ -326,34 +318,23 @@ func (s *Session) link(i int, secret []byte) (bEnd, aEnd Transport, err error) {
 	if aEnd, err = s.broker.Endpoint(a2b, b2a, secret); err != nil {
 		return nil, nil, err
 	}
-	// Chaos implies the resilient layer (injected faults must be healed);
-	// an explicit WithResilience enables it on a clean link too.
-	if s.chaos == nil && s.res == nil {
+	if s.chaos == nil {
 		return bEnd, aEnd, nil
-	}
-	rcfg := DefaultResilientConfig()
-	if s.res != nil {
-		rcfg = *s.res
 	}
 	// Fault schedules and retry jitter get distinct per-link seeds; the
 	// hard disconnect (if any) hits the passive side, whose redial
 	// re-attaches to the same topics without it.
 	chaos := func(cfg fault.Config, n int) fault.Config { cfg.Seed += int64(4*i + n); return cfg }
-	retry := func(n int) ResilientConfig { cfg := rcfg; cfg.Seed += int64(4*i + n); return cfg }
+	retry := func(n int) ResilientConfig { return ResilientConfig{Seed: int64(4*i + n)} }
 	aDial := func() (Transport, error) {
 		end, err := s.broker.Endpoint(a2b, b2a, secret)
 		if err != nil {
 			return nil, err
 		}
-		if s.chaos == nil {
-			return end, nil
-		}
 		return fault.Wrap(end, chaos(s.chaos.WithoutCut(), 3)), nil
 	}
-	if s.chaos != nil {
-		bEnd = fault.Wrap(bEnd, chaos(s.chaos.WithoutCut(), 1))
-		aEnd = fault.Wrap(aEnd, chaos(*s.chaos, 2))
-	}
+	bEnd = fault.Wrap(bEnd, chaos(s.chaos.WithoutCut(), 1))
+	aEnd = fault.Wrap(aEnd, chaos(*s.chaos, 2))
 	bRes, err := NewResilientTransport(bEnd, nil, retry(1))
 	if err != nil {
 		return nil, nil, err
@@ -378,9 +359,9 @@ func within(s *Session) SessionOption {
 }
 
 // roleSetup applies a role entry's options and normalizes its config. It
-// refuses, by name, each option the role cannot apply: WithWAN, WithChaos
-// and WithResilience act on the transport, which the entry's caller owns,
-// and a passive party holds no key for WithDecryptor.
+// refuses, by name, each option the role cannot apply: WithWAN and
+// WithChaos act on the transport, which the entry's caller owns, and a
+// passive party holds no key for WithDecryptor.
 func roleSetup(entry string, passive bool, cfg *Config, opts []SessionOption) (settings, *Stats, error) {
 	var o settings
 	for _, opt := range opts {
@@ -393,7 +374,6 @@ func roleSetup(entry string, passive bool, cfg *Config, opts []SessionOption) (s
 	}{
 		{"WithWAN", o.shaper != nil},
 		{"WithChaos", o.chaos != nil},
-		{"WithResilience", o.res != nil},
 		{"WithDecryptor", passive && o.dec != nil},
 	} {
 		if c.set {
@@ -403,13 +383,11 @@ func roleSetup(entry string, passive bool, cfg *Config, opts []SessionOption) (s
 	if len(refused) > 0 {
 		return o, nil, fmt.Errorf("core: %s cannot apply %s", entry, strings.Join(refused, ", "))
 	}
+	stats := &Stats{}
 	if o.in != nil {
-		// The session normalized cfg before any party ran. Normalizing it
-		// again would read the objective while Party B fits it to its
-		// labels (FitBound), in another goroutine.
-		return o, o.in.stats, nil
+		stats = o.in.stats
 	}
-	return o, &Stats{}, cfg.normalize()
+	return o, stats, cfg.normalize()
 }
 
 // checkpoints opens the role's checkpoint store, sub under the

@@ -113,10 +113,11 @@ func (o *lossObjective) Validate(labels []float64) error {
 // FitBound implements BoundFitter for the squared loss: the active party
 // replaces the historical constant-64 bound with one derived from the
 // observed label range before the packing shift is planned.
-func (o *lossObjective) FitBound(labels []float64) {
+func (o *lossObjective) FitBound(labels []float64) Objective {
 	if sq, ok := o.loss.(gbdt.SquaredLoss); ok && sq.Bound == 0 {
-		o.loss = gbdt.SquaredLoss{Bound: gbdt.FitSquaredBound(labels)}
+		return &lossObjective{name: o.name, loss: gbdt.SquaredLoss{Bound: gbdt.FitSquaredBound(labels)}}
 	}
+	return o
 }
 
 // NewMulticlass builds a k-class softmax objective: k trees per boosting

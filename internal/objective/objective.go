@@ -67,9 +67,11 @@ type GroupAware interface {
 // on the observed labels (squared loss on unnormalized targets). The
 // active party fits the bound from its label vector before the pair and
 // packing plans are derived, so the fixed 64 fallback never silently
-// overflows a field.
+// overflows a field. FitBound returns the fitted objective and leaves its
+// receiver as it was, so one objective can serve many sessions, and
+// concurrent ones.
 type BoundFitter interface {
-	FitBound(labels []float64)
+	FitBound(labels []float64) Objective
 }
 
 // Factory builds an objective from the argument part of a "name:arg"

@@ -195,11 +195,15 @@ func TestFromLossRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("squared shim does not implement BoundFitter")
 	}
-	bf.FitBound([]float64{-300, 5, 10})
-	if got := o.GradBound(); got < 300 || got > 4*300 {
+	fit := bf.FitBound([]float64{-300, 5, 10})
+	if got := fit.GradBound(); got < 300 || got > 4*300 {
 		t.Errorf("fitted squared bound = %g, want within [300, 1200]", got)
 	}
-	if l2 := l.Loss().(gbdt.SquaredLoss); l2.Bound == 0 {
+	if l2 := fit.(interface{ Loss() gbdt.Loss }).Loss().(gbdt.SquaredLoss); l2.Bound == 0 {
 		t.Error("fitting did not propagate to the wrapped loss")
+	}
+	// The receiver stays unfitted, so the next session fits its own labels.
+	if l2 := l.Loss().(gbdt.SquaredLoss); l2.Bound != 0 || o.GradBound() != 64 {
+		t.Errorf("FitBound changed its receiver: bound %g", o.GradBound())
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"vf2boost/internal/clock"
 	"vf2boost/internal/core"
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/mq"
@@ -566,7 +567,8 @@ func TestServerValidation(t *testing.T) {
 
 // TestWorkerRunLoopSurvivesPeerRestarts: RunLoop must serve a fresh
 // session after each peer departure, and give up only when the dial
-// itself keeps failing.
+// itself keeps failing — after clock.MaxFails dials, the production retry
+// schedule waited out on a fake clock.
 func TestWorkerRunLoopSurvivesPeerRestarts(t *testing.T) {
 	parts := twoParts(t, 40, 91)
 	m := trainModel(t, parts, 2)
@@ -575,6 +577,9 @@ func TestWorkerRunLoopSurvivesPeerRestarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	worker := NewPassiveWorker(0, parts[0], reg)
+	fk := clock.NewFake()
+	worker.clock = fk
+	start := fk.Now()
 
 	const sessions = 2
 	serverEnds := make(chan core.Transport, sessions)
@@ -590,9 +595,7 @@ func TestWorkerRunLoopSurvivesPeerRestarts(t *testing.T) {
 	}
 
 	loopDone := make(chan error, 1)
-	go func() {
-		loopDone <- worker.RunLoop(dial, time.Millisecond, 5*time.Millisecond, 3)
-	}()
+	go fk.Drive(func() { loopDone <- worker.RunLoop(dial) })
 
 	// Two successive "Party B" lifetimes, each opening and closing its own
 	// session with one scoring round in between.
@@ -628,10 +631,18 @@ func TestWorkerRunLoopSurvivesPeerRestarts(t *testing.T) {
 		if err == nil {
 			t.Fatal("RunLoop returned nil although every dial failed")
 		}
-	case <-time.After(5 * time.Second):
+	case <-time.After(failsafe):
 		t.Fatal("RunLoop did not give up after exhausting redials")
 	}
 	if got := worker.Rounds(); got != sessions {
 		t.Errorf("worker served %d rounds across restarts, want %d", got, sessions)
+	}
+	if dials != sessions+clock.MaxFails {
+		t.Errorf("RunLoop dialed %d times, want %d sessions and %d failures", dials, sessions, clock.MaxFails)
+	}
+	// 19 waits: 0.2, 0.4, 0.8, 1.6 and 3.2 s, then 5 s fourteen times,
+	// each within ±20 %.
+	if waited := fk.Now().Sub(start); waited < 60*time.Second || waited > 90*time.Second {
+		t.Errorf("RunLoop waited %v of virtual time between failed dials, want about 76 s", waited)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vf2boost/internal/clock"
 	"vf2boost/internal/core"
 	"vf2boost/internal/wire"
 )
@@ -50,8 +51,10 @@ func TestWorkerEndsOnUndecodableFrame(t *testing.T) {
 			serverTr, workerTr := pipePair()
 			return workerTr, serverTr.Send(frame)
 		}
+		fk := clock.NewFake()
+		worker.clock = fk
 		done := make(chan error, 1)
-		go func() { done <- worker.RunLoop(dial, time.Millisecond, time.Millisecond, 3) }()
+		go fk.Drive(func() { done <- worker.RunLoop(dial) })
 		select {
 		case err := <-done:
 			if !errors.Is(err, core.ErrUndecodable) {

@@ -7,8 +7,8 @@ import (
 	"log"
 	"math/rand"
 	"sync/atomic"
-	"time"
 
+	"vf2boost/internal/clock"
 	"vf2boost/internal/core"
 	"vf2boost/internal/dataset"
 	"vf2boost/internal/trace"
@@ -37,11 +37,10 @@ type PassiveWorker struct {
 	// Logger, when set, receives session diagnostics (e.g. a close ack
 	// the peer never saw); nil falls back to the standard logger.
 	Logger *log.Logger
-	// RedialSeed seeds RunLoop's backoff jitter. Restarted sidecar fleets
-	// share the same backoff schedule; distinct seeds spread their
-	// re-dials so they don't thunder-herd Party B. Zero derives a seed
-	// from the party index.
-	RedialSeed int64
+
+	// clock is the time source of RunLoop's waits; tests put it on
+	// virtual time, everything else leaves it nil for the wall clock.
+	clock clock.Clock
 
 	rounds atomic.Int64
 	errors atomic.Int64
@@ -120,55 +119,29 @@ func (w *PassiveWorker) Run(tr core.Transport) error {
 
 // RunLoop serves scoring sessions until stopped: every time a session
 // ends cleanly (peer closed, transport dropped) it re-dials and serves
-// the next one, so a sidecar survives Party B restarts. Failed dials back
-// off exponentially between wait and maxWait with seeded jitter (see
-// RedialSeed); the backoff resets only after a session that answered at
-// least one round, so a peer that accepts dials but never gets a round
-// through cannot hold the sidecar at the floor. maxRedials consecutive
-// failures, or a session that ends in an error (a protocol violation, an
+// the next one, so a sidecar survives Party B restarts. Dials follow the
+// retry schedule of clock.Backoff, its jitter seeded by the party index so
+// that a restarted fleet's sidecars do not re-dial Party B in step. The
+// schedule starts over only after a session that answered at least one
+// round, so a peer that accepts dials but never gets a round through
+// cannot hold the sidecar at the first wait. clock.MaxFails failed dials
+// in a row, or a session that ends in an error (a protocol violation, an
 // undecodable frame), end the loop with that error: re-dialing a peer that
 // speaks a frame this build cannot read would only repeat the session.
-// Zero values pick defaults (250ms, 5s, 20).
-func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error), wait, maxWait time.Duration, maxRedials int) error {
-	if wait <= 0 {
-		wait = 250 * time.Millisecond
+func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error)) error {
+	clk := w.clock
+	if clk == nil {
+		clk = clock.Wall{}
 	}
-	if maxWait <= 0 {
-		maxWait = 5 * time.Second
-	}
-	if maxRedials <= 0 {
-		maxRedials = 20
-	}
-	seed := w.RedialSeed
-	if seed == 0 {
-		seed = int64(w.Party) + 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	// jitter spreads a sleep to 75–125% of its nominal value.
-	jitter := func(d time.Duration) time.Duration {
-		return time.Duration(float64(d) * (0.75 + 0.5*rng.Float64()))
-	}
-	escalate := func(backoff time.Duration) time.Duration {
-		backoff *= 2
-		if backoff > maxWait {
-			backoff = maxWait
-		}
-		return backoff
-	}
-	backoff := wait
-	fails := 0
+	retry := clock.NewBackoff(clk, rand.New(rand.NewSource(int64(w.Party)+1)))
 	for {
 		tr, err := dial()
 		if err != nil {
-			fails++
-			if fails >= maxRedials {
-				return fmt.Errorf("serve: worker %d: redial failed %d times: %w", w.Party, fails, err)
+			if !retry.Fail(nil) {
+				return fmt.Errorf("serve: worker %d: redial failed %d times: %w", w.Party, clock.MaxFails, err)
 			}
-			time.Sleep(jitter(backoff))
-			backoff = escalate(backoff)
 			continue
 		}
-		fails = 0
 		w.logf("serve: worker %d: session open", w.Party)
 		before := w.rounds.Load()
 		err = w.Run(tr)
@@ -182,14 +155,12 @@ func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error), wait, maxWa
 			return err
 		}
 		if w.rounds.Load() > before {
-			// A healthy session: start the next dial cycle at the floor.
-			backoff = wait
+			retry.Reset()
 		} else {
 			// The session never carried a round — the peer is flapping.
-			// Keep (and escalate) the backoff so a restarted fleet does
-			// not hammer a struggling Party B, and sleep before re-dialing.
-			time.Sleep(jitter(backoff))
-			backoff = escalate(backoff)
+			// Keep (and escalate) the wait so a restarted fleet does not
+			// hammer a struggling Party B.
+			retry.Wait(nil)
 		}
 		w.logf("serve: worker %d: session ended, re-dialing", w.Party)
 	}

@@ -46,6 +46,18 @@ if grep -rn 'interface{ Close() }' --include='*.go' internal cmd | grep -v '_tes
   exit 1
 fi
 
+echo "== one retry schedule (no wall-clock sleep in core or serve) =="
+# Retransmits and redials in internal/core and internal/serve wait on
+# one schedule, clock.Backoff on a clock.Clock, so tests run them on
+# virtual time. A time.Sleep in their non-test code would be a second
+# schedule, on the wall clock.
+sleepers=$(grep -n 'time\.Sleep' internal/core/*.go internal/serve/*.go | grep -v '_test\.go:' || true)
+if [ -n "$sleepers" ]; then
+  echo "time.Sleep outside tests:" >&2
+  echo "$sleepers" >&2
+  exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -104,10 +116,17 @@ for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=3 -run 'Golden|Parity' ./internal/gbdt
   # Session and the party subcommand run the same role entries over one
   # endpoint type: a party pair over the gateway must give the sim model,
-  # with and without checkpoints, on any core count; and a Session's roles
-  # run concurrently while Party B fits a squared-loss bound, which no
-  # other role may read as it changes.
+  # with and without checkpoints and the resilient layer, on any core
+  # count; and the roles run concurrently on one squared-loss config while
+  # Party B fits its bound into a copy of its own, which no other role or
+  # later session may see.
   GOMAXPROCS=$procs go test -race -count=1 -run 'TestPartyPairEqualsSim|TestEndpointPairs|TestRegressionSquaredLoss' ./cmd/vf2boost ./internal/mq .
+  GOMAXPROCS=$procs go test -race -count=1 -run 'TestRoleEntriesShareSquaredConfig|TestSquaredObjectiveReused' ./internal/core
+  # The resilient link and the sidecar's redial loop share one retry
+  # schedule: its retransmits, redials, heartbeats and peer-death checks
+  # race against the frames they guard, and RunLoop walks the schedule to
+  # its last failed dial on virtual time.
+  GOMAXPROCS=$procs go test -race -count=1 -run 'TestResilient|TestWorkerRunLoop|TestWorkerEndsOnUndecodableFrame' ./internal/core ./internal/serve
   # The Section 5.1 accumulator resolves distinct cells concurrently, and
   # federated LR's weights must hash to the pinned ones with either
   # reduction, on any core count.
