@@ -1,8 +1,8 @@
 // Command benchfmt turns `go test -bench` output into a stable JSON
 // document, so benchmark baselines can be committed, diffed, and checked in
 // CI. It reads the bench text from stdin (or -in), writes JSON to stdout
-// (or -out), and derives the obfuscator speedup — baseline r^n versus
-// fixed-base h^x — per key size when both benchmarks are present.
+// (or -out), and derives the obfuscator speedup — baseline r^n versus the
+// key owner's h^x — per key size when both benchmarks are present.
 //
 // With -check FILE it instead validates that FILE parses as a benchfmt
 // document with at least one benchmark, exiting non-zero otherwise; CI uses
@@ -161,10 +161,8 @@ func stripProcSuffix(name string) string {
 // deriveSpeedups computes the headline ratios of the committed baselines
 // explicitly, rather than leaving readers to divide by hand:
 //
-//   - obfuscator_speedup/bits=N — baseline r^n versus fixed-base h^x
-//     obfuscator generation, per key size.
-//   - owner_obfuscator_speedup/bits=N — the public fixed-base h^x versus
-//     the key owner's CRT evaluation of the same term.
+//   - obfuscator_speedup/bits=N — baseline r^n versus the key owner's
+//     CRT evaluation of h^x, per key size.
 //   - smul_pow2_speedup — SMul at 2048-bit by a dense 114-bit scalar
 //     (big.Int.Exp) versus by the packing shift 2^114 (the half-width
 //     squaring chain): what a power-of-two scalar saves.
@@ -177,11 +175,9 @@ func stripProcSuffix(name string) string {
 func deriveSpeedups(benches []Benchmark) map[string]float64 {
 	const (
 		basePrefix = "BenchmarkObfuscatorBaseline/"
-		fastPrefix = "BenchmarkObfuscatorFixedBase/"
 		ownPrefix  = "BenchmarkOwnerObfuscator/"
 	)
 	baseline := map[string]float64{}
-	fast := map[string]float64{}
 	owner := map[string]float64{}
 	for _, b := range benches {
 		if s, ok := strings.CutPrefix(b.Name, ownPrefix); ok && b.NsPerOp > 0 {
@@ -190,19 +186,11 @@ func deriveSpeedups(benches []Benchmark) map[string]float64 {
 		if s, ok := strings.CutPrefix(b.Name, basePrefix); ok && b.NsPerOp > 0 {
 			baseline[s] = b.NsPerOp
 		}
-		if s, ok := strings.CutPrefix(b.Name, fastPrefix); ok && b.NsPerOp > 0 {
-			fast[s] = b.NsPerOp
-		}
 	}
 	derived := map[string]float64{}
 	for size, bn := range baseline {
-		if fn, ok := fast[size]; ok {
-			derived["obfuscator_speedup/"+size] = bn / fn
-		}
-	}
-	for size, fn := range fast {
 		if on, ok := owner[size]; ok {
-			derived["owner_obfuscator_speedup/"+size] = fn / on
+			derived["obfuscator_speedup/"+size] = bn / on
 		}
 	}
 

@@ -1,9 +1,9 @@
 // Package clock is the time source of the shaped link (internal/mq), the
-// resilient transport (internal/core) and the scoring tier
-// (internal/serve), and holds the one retry schedule their links follow
-// (Backoff): everything there that reads the time or waits goes through a
-// Clock, so tests can drive those layers on virtual time (Fake) instead
-// of sleeping on the wall clock.
+// resilient transport (internal/core), the scoring tier (internal/serve)
+// and the chaos layer's stalls (internal/fault), and holds the one retry
+// schedule their links follow (Backoff): everything there that reads the
+// time or waits goes through a Clock, so tests can drive those layers on
+// virtual time (Fake) instead of sleeping on the wall clock.
 package clock
 
 import "time"

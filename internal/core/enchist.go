@@ -54,9 +54,10 @@ type packPlan struct {
 	capacity int
 	// exp is the unified exponent all packed values use.
 	exp int
-	// shift is the g-field shift as a plaintext, 2^(2W−1); its encryption
-	// seeds the first prefix of every packed feature (it is public — a
-	// function of W — so that ciphertext carries no secret).
+	// shift is the g-field shift as a plaintext, 2^(2W−1). B encrypts it
+	// once per session and ships it in the setup (MsgSetup.ShiftCt); that
+	// ciphertext seeds the first prefix of every packed feature. The
+	// plaintext is public — a function of W — so it carries no secret.
 	shift *big.Int
 }
 

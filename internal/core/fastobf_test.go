@@ -31,7 +31,7 @@ func TestFastObfuscationMatchesBaselineModel(t *testing.T) {
 	}
 	// The shared test key must be back on the baseline path after the
 	// fast session (partyb.setup disables it for baseline configs).
-	if sharedKey.FastObfuscation() {
+	if sharedKey.OwnerObfuscation() {
 		t.Error("baseline session left fast obfuscation enabled on the shared key")
 	}
 }
@@ -75,28 +75,6 @@ func TestDecryptFeatureRejectsGarbage(t *testing.T) {
 			Feats: []FeatHist{{NumBins: 2, Occupied: []byte{3}}, {NumBins: 1, Occupied: []byte{0}}}}, [][]byte{raw}}
 		if _, err := newB(true).unpackShipped(t, packed); err == nil {
 			t.Errorf("case %d: unpackNode accepted a garbage packed payload", i)
-		}
-	}
-}
-
-// TestSetupRejectsHostileObfuscationBase: a passive party receiving a
-// malformed base in MsgSetup must fail setup loudly instead of encrypting
-// with a degenerate obfuscator.
-func TestSetupRejectsHostileObfuscationBase(t *testing.T) {
-	dec := testDecryptor(t)
-	scheme := dec.(interface{ PublicScheme() *he.PaillierScheme }).PublicScheme()
-	n2 := new(big.Int).Mul(dec.N(), dec.N())
-	for i, h := range []*big.Int{big.NewInt(1), big.NewInt(0), n2} {
-		if err := scheme.SetObfuscationBase(h, 224); err == nil {
-			t.Errorf("case %d: hostile obfuscation base accepted", i)
-		}
-	}
-	// A hostile ObfBits rides the same unvalidated setup frame: a huge
-	// value must be rejected before it sizes the fixed-base tables, not
-	// OOM or hang the party.
-	for i, bits := range []int{1 << 20, 1 << 30} {
-		if err := scheme.SetObfuscationBase(big.NewInt(4), bits); err == nil {
-			t.Errorf("case %d: hostile ObfBits=%d accepted", i, bits)
 		}
 	}
 }
@@ -151,7 +129,7 @@ func TestPassivePartyRejectsHostileGradientExponent(t *testing.T) {
 	l, feed := drivenLink()
 	p := testPassive(t, parts[0], quickConfig(SchemeMock), l)
 	sender := NewLink(feed)
-	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60}); err != nil {
+	if err := sender.send(MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60, ShiftCt: setupShift(t, he.NewMock(512), 60)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.send(MsgPairBatch{Tree: 0, Start: 0, Cts: [][]byte{{1}}, Exp: []int16{99}}); err != nil {

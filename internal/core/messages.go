@@ -34,6 +34,10 @@ var ErrSiblingDerivation = errors.New("core: sibling histogram derivation reject
 // than its chunk.
 var ErrPackedLayout = errors.New("core: packed node histogram rejected")
 
+// ErrShiftCiphertext marks a setup whose packing-shift ciphertext is
+// missing or is not a ciphertext under the announced key.
+var ErrShiftCiphertext = errors.New("core: setup shift ciphertext rejected")
+
 // Upper bounds on the sizes a peer's frames may dictate, checked before
 // they size a codec table, a modulus, a per-class buffer or a bin vector
 // (maxWireBins is Config.MaxBins' own ceiling).
@@ -61,13 +65,10 @@ type MsgSetup struct {
 	// layout with one slot per ciphertext.
 	PairBits int
 	PackBits int
-	// ObfBase, when non-empty, is the DJN fast-obfuscation base
-	// h = r₀^n mod n² derived by B at key setup; passive parties install
-	// it and obfuscate with short-exponent h^x instead of full r^n.
-	// ObfBits is the short-exponent length in bits. Empty/zero selects
-	// the paper-exact baseline obfuscation.
-	ObfBase []byte
-	ObfBits int
+	// ShiftCt is B's encryption of the packing shift 2^(2·PairBits−1),
+	// which seeds every prefix chain a passive party packs. Only B
+	// encrypts: a passive party adds, shifts and packs what B sends.
+	ShiftCt []byte
 	// Objective, when non-empty, names the negotiated multi-output
 	// training objective ("multiclass:3", "ranking:10", "squared") and
 	// Outputs its per-round tree count k; the passive party must resolve

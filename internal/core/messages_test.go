@@ -94,7 +94,7 @@ func drivenLink() (*link, chanTransport) {
 func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 	l := loopbackLink()
 	msgs := []any{
-		MsgSetup{Scheme: "paillier", N: []byte{1, 2, 3}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 50, PackBits: 100, ObfBase: []byte{7, 7}, ObfBits: 224},
+		MsgSetup{Scheme: "paillier", N: []byte{1, 2, 3}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 50, PackBits: 100, ShiftCt: []byte{7, 7}},
 		MsgReady{Party: 2, Features: 10, Rows: 100},
 		MsgPairBatch{Tree: 1, Start: 5, Cts: [][]byte{{9}}, Exp: []int16{8}, Last: true},
 		MsgHistograms{Tree: 1, Layer: 2, Nodes: []NodeHist{{
@@ -125,7 +125,7 @@ func TestLinkRoundTripAllMessageTypes(t *testing.T) {
 		switch want := m.(type) {
 		case MsgSetup:
 			g := got.(MsgSetup)
-			if g.Scheme != want.Scheme || g.Bits != want.Bits || g.PairBits != want.PairBits || g.PackBits != want.PackBits || !bytes.Equal(g.ObfBase, want.ObfBase) || g.ObfBits != want.ObfBits {
+			if g.Scheme != want.Scheme || g.Bits != want.Bits || g.PairBits != want.PairBits || g.PackBits != want.PackBits || !bytes.Equal(g.ShiftCt, want.ShiftCt) {
 				t.Errorf("MsgSetup round trip: %+v", g)
 			}
 		case MsgPairBatch:

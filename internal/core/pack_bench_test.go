@@ -52,7 +52,7 @@ func BenchmarkWireNodeHist(b *testing.B) {
 				cfg.Workers = workers
 				p := testPassive(b, parts[0], cfg, NewLink(discardTransport{}))
 				err = p.handleSetup(MsgSetup{Scheme: SchemePaillier, N: dec.N().Bytes(), Bits: 2048,
-					BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W})
+					BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W, ShiftCt: setupShift(b, dec, pairs.W)})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -220,15 +220,48 @@ func legacySetupFrame() []byte {
 	return rawFrame(idSetupV2, b)
 }
 
+// retiredObfSetupFrame is the setup a Party B that still shipped its
+// fast-obfuscation base sends: the retired idSetupV5 body, with ObfBase
+// and ObfBits where ShiftCt now is.
+func retiredObfSetupFrame() []byte {
+	b := wire.AppendString(nil, SchemeMock)
+	b = wire.AppendBytes(b, nil)
+	for _, v := range []int{512, 8, 4, 60, 120} { // Bits, BaseExp, ExpSpread, PairBits, PackBits
+		b = wire.AppendInt(b, v)
+	}
+	b = wire.AppendBytes(b, []byte{0xCA, 0xFE}) // ObfBase
+	b = wire.AppendInt(b, 224)                  // ObfBits
+	b = wire.AppendString(b, "")
+	b = wire.AppendInt(b, 0)
+	return rawFrame(idSetupV5, b)
+}
+
+// setupShift is the ShiftCt Party B sends for pair width w under s: its
+// encryption of the packing shift 2^(2w−1).
+func setupShift(t testing.TB, s he.Scheme, w int) []byte {
+	t.Helper()
+	ct, err := s.Encrypt(new(big.Int).Lsh(big.NewInt(1), uint(2*w-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Marshal(ct)
+}
+
 // TestPassiveRejectsHostileFrames drives malformed and hostile setup,
-// gradient and decision frames into a passive party. Every case must end the session
-// with an error — the typed ErrLegacyLayout for an old-layout peer —
-// after telling B why (MsgAbort), and never panic or size an allocation
-// from the frame.
+// gradient and decision frames into a passive party. Every case must end
+// the session with an error — the typed one where the row names it, and
+// ErrLegacyLayout only for an old-layout peer — after telling B why
+// (MsgAbort), and never panic or size an allocation from the frame.
 func TestPassiveRejectsHostileFrames(t *testing.T) {
 	const rows = 30
-	okSetup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60, PackBits: 120}
+	okSetup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 60, PackBits: 120,
+		ShiftCt: setupShift(t, he.NewMock(512), 60)}
 	with := func(f func(*MsgSetup)) MsgSetup { m := okSetup; f(&m); return m }
+	dec := testDecryptor(t)
+	n2 := new(big.Int).Mul(dec.N(), dec.N())
+	paillierSetup := MsgSetup{Scheme: SchemePaillier, N: dec.N().Bytes(), Bits: dec.Bits(), BaseExp: 8, ExpSpread: 4,
+		PairBits: 60, PackBits: 120, ShiftCt: setupShift(t, dec, 60)}
+	withShift := func(ct []byte) MsgSetup { m := paillierSetup; m.ShiftCt = ct; return m }
 	ct := []byte{1}
 	batch := func(f func(*MsgPairBatch)) MsgPairBatch {
 		m := MsgPairBatch{Start: 0, Cts: [][]byte{ct, ct}, Exp: []int16{8, 11}}
@@ -242,55 +275,70 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		frames []any // MsgX values, or raw []byte frames
-		legacy bool
+		is     error // the typed error the run must end in, if any
 		reason string
 	}{
-		{"setup without pair width", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = 0, 0 })}, true, ""},
-		{"retired setup frame", []any{legacySetupFrame()}, true, ""},
-		{"retired gradient frame", []any{okSetup, MsgGradBatch{G: [][]byte{ct}, H: [][]byte{ct}, GExp: []int16{8}, HExp: []int16{8}}}, true, ""},
-		{"pair fields wider than the modulus", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = 256, 0 })}, false, "do not fit"},
-		{"negative pair width", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = -4, 0 })}, false, "do not fit"},
-		{"slot width not two fields", []any{with(func(m *MsgSetup) { m.PackBits = 64 })}, false, "folded pairs need"},
-		{"slot width beyond the modulus", []any{with(func(m *MsgSetup) { m.PackBits = 1 << 20 })}, false, "folded pairs need"},
-		{"zero exponent spread", []any{with(func(m *MsgSetup) { m.ExpSpread = 0 })}, false, "exponents"},
-		{"huge exponent spread", []any{with(func(m *MsgSetup) { m.ExpSpread = 1 << 40 })}, false, "exponents"},
-		{"huge mock modulus", []any{with(func(m *MsgSetup) { m.Bits = 1 << 40 })}, false, "mock modulus"},
-		{"huge output count", []any{with(func(m *MsgSetup) { m.Objective, m.Outputs = "multiclass:3", 1<<40 })}, false, "outputs"},
-		{"batch past the last row", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = rows - 1 })}, false, "out of range"},
-		{"start beyond the rows", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = rows + 5 })}, false, "out of range"},
-		{"negative start", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = -1 })}, false, "out of range"},
-		{"negative tree", []any{okSetup, batch(func(m *MsgPairBatch) { m.Tree = -3 })}, false, "out of range"},
-		{"fewer exponents than ciphertexts", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp = m.Exp[:1] })}, false, "exponents"},
-		{"exponent below the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[1] = 7 })}, false, "outside codec range"},
-		{"exponent above the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[0] = 12 })}, false, "outside codec range"},
-		{"class beyond the outputs", []any{okSetup, batch(func(m *MsgPairBatch) { m.Class = 1 })}, false, "class 1 of 1"},
-		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, false, "after its last batch"},
-		{"decision for unknown node", []any{okSetup, MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}}, false, "unknown node 999"},
-		{"dirty for unknown node", []any{okSetup, MsgDirty{Node: 999, LeftID: 4, RightID: 5}}, false, "unknown node 999"},
-		{"node ciphertext from B", []any{okSetup, MsgHistCt{Node: rootID, Ct: ct}}, false, "unexpected message core.MsgHistCt"},
+		{"setup without pair width", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = 0, 0 })}, ErrLegacyLayout, ""},
+		{"retired setup frame", []any{legacySetupFrame()}, ErrLegacyLayout, ""},
+		{"retired gradient frame", []any{okSetup, MsgGradBatch{G: [][]byte{ct}, H: [][]byte{ct}, GExp: []int16{8}, HExp: []int16{8}}}, ErrLegacyLayout, ""},
+		{"pair fields wider than the modulus", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = 256, 0 })}, nil, "do not fit"},
+		{"negative pair width", []any{with(func(m *MsgSetup) { m.PairBits, m.PackBits = -4, 0 })}, nil, "do not fit"},
+		{"slot width not two fields", []any{with(func(m *MsgSetup) { m.PackBits = 64 })}, nil, "folded pairs need"},
+		{"slot width beyond the modulus", []any{with(func(m *MsgSetup) { m.PackBits = 1 << 20 })}, nil, "folded pairs need"},
+		{"zero exponent spread", []any{with(func(m *MsgSetup) { m.ExpSpread = 0 })}, nil, "exponents"},
+		{"huge exponent spread", []any{with(func(m *MsgSetup) { m.ExpSpread = 1 << 40 })}, nil, "exponents"},
+		{"huge mock modulus", []any{with(func(m *MsgSetup) { m.Bits = 1 << 40 })}, nil, "mock modulus"},
+		{"huge output count", []any{with(func(m *MsgSetup) { m.Objective, m.Outputs = "multiclass:3", 1<<40 })}, nil, "outputs"},
+		// The packing shift is B's ciphertext and passes the same gate as
+		// every other: a setup without one, or with bytes that are not a
+		// ciphertext under the announced key, is refused. A well-formed
+		// Paillier setup gets past it to the next frame.
+		{"setup without shift ciphertext", []any{with(func(m *MsgSetup) { m.ShiftCt = nil })}, ErrShiftCiphertext, "no shift ciphertext"},
+		{"mock shift beyond the modulus", []any{with(func(m *MsgSetup) { m.ShiftCt = new(big.Int).Lsh(big.NewInt(1), 512).Bytes() })}, ErrShiftCiphertext, "out of range"},
+		{"paillier shift of zero", []any{withShift([]byte{0})}, ErrShiftCiphertext, "out of range"},
+		{"paillier shift of n²", []any{withShift(n2.Bytes())}, ErrShiftCiphertext, "out of range"},
+		{"paillier shift beyond n²", []any{withShift(new(big.Int).Add(n2, big.NewInt(5)).Bytes())}, ErrShiftCiphertext, "out of range"},
+		{"paillier setup, then a batch past the last row", []any{paillierSetup, batch(func(m *MsgPairBatch) { m.Start = rows - 1 })}, nil, "out of range"},
+		{"batch past the last row", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = rows - 1 })}, nil, "out of range"},
+		{"start beyond the rows", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = rows + 5 })}, nil, "out of range"},
+		{"negative start", []any{okSetup, batch(func(m *MsgPairBatch) { m.Start = -1 })}, nil, "out of range"},
+		{"negative tree", []any{okSetup, batch(func(m *MsgPairBatch) { m.Tree = -3 })}, nil, "out of range"},
+		{"fewer exponents than ciphertexts", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp = m.Exp[:1] })}, nil, "exponents"},
+		{"exponent below the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[1] = 7 })}, nil, "outside codec range"},
+		{"exponent above the range", []any{okSetup, batch(func(m *MsgPairBatch) { m.Exp[0] = 12 })}, nil, "outside codec range"},
+		{"class beyond the outputs", []any{okSetup, batch(func(m *MsgPairBatch) { m.Class = 1 })}, nil, "class 1 of 1"},
+		{"batch after the last batch", []any{okSetup, whole, batch(func(*MsgPairBatch) {})}, nil, "after its last batch"},
+		{"decision for unknown node", []any{okSetup, MsgDecisions{Nodes: []NodeDecision{{Node: 999, Action: ActionLeaf}}}}, nil, "unknown node 999"},
+		{"dirty for unknown node", []any{okSetup, MsgDirty{Node: 999, LeftID: 4, RightID: 5}}, nil, "unknown node 999"},
+		{"node ciphertext from B", []any{okSetup, MsgHistCt{Node: rootID, Ct: ct}}, nil, "unexpected message core.MsgHistCt"},
 		// Placements that do not cover the node, and own splits on a feature
 		// or bin the party does not have.
-		{"short SplitB placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, false, "1-byte placement for 30 instances"},
-		{"short relayed placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, Owner: 1, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, false, "1-byte placement for 30 instances"},
-		{"own split on a feature it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Feature: 99}}}}, false, "feature 99 bin 0"},
-		{"own split on a bin it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Bin: 200}}}}, false, "feature 0 bin 200"},
-		{"correction on a negative feature", []any{okSetup, whole, MsgDirty{Node: rootID, LeftID: 4, RightID: 5, Feature: -1}}, false, "feature -1 bin 0"},
-		// Frames no registered decoder reads: the retired batched-backend
-		// and per-bin histogram IDs, and one never assigned.
-		{"retired batched setup", []any{rawFrame(idSetupV3, nil)}, false, "message ID 24"},
-		{"retired vectorized gradient batch", []any{okSetup, rawFrame(idVecGradBatch, nil)}, false, "message ID 25"},
-		{"retired vectorized histograms", []any{okSetup, rawFrame(idHistogramsV2, nil)}, false, "message ID 26"},
-		{"retired folded histograms", []any{okSetup, retiredHistogramFrames()[0]}, false, "message ID 30"},
-		{"retired announcing histograms", []any{okSetup, retiredHistogramFrames()[1]}, false, "message ID 32"},
-		{"unknown message ID", []any{rawFrame(0xFFFE, nil)}, false, "message ID 65534"},
+		{"short SplitB placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, nil, "1-byte placement for 30 instances"},
+		{"short relayed placement", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, Owner: 1, LeftID: 2, RightID: 3, Placement: []byte{0xFF}, Count: rows}}}}, nil, "1-byte placement for 30 instances"},
+		{"own split on a feature it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Feature: 99}}}}, nil, "feature 99 bin 0"},
+		{"own split on a bin it lacks", []any{okSetup, whole, MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitA, LeftID: 2, RightID: 3, Bin: 200}}}}, nil, "feature 0 bin 200"},
+		{"correction on a negative feature", []any{okSetup, whole, MsgDirty{Node: rootID, LeftID: 4, RightID: 5, Feature: -1}}, nil, "feature -1 bin 0"},
+		// Frames no registered decoder reads: the retired batched-backend,
+		// per-bin histogram and obfuscation-base setup IDs, and one never
+		// assigned.
+		{"retired batched setup", []any{rawFrame(idSetupV3, nil)}, ErrUndecodable, "message ID 24"},
+		{"retired vectorized gradient batch", []any{okSetup, rawFrame(idVecGradBatch, nil)}, ErrUndecodable, "message ID 25"},
+		{"retired vectorized histograms", []any{okSetup, rawFrame(idHistogramsV2, nil)}, ErrUndecodable, "message ID 26"},
+		{"retired folded histograms", []any{okSetup, retiredHistogramFrames()[0]}, ErrUndecodable, "message ID 30"},
+		{"retired obfuscation-base setup", []any{retiredObfSetupFrame()}, ErrUndecodable, "message ID 31"},
+		{"retired announcing histograms", []any{okSetup, retiredHistogramFrames()[1]}, ErrUndecodable, "message ID 32"},
+		{"unknown message ID", []any{rawFrame(0xFFFE, nil)}, ErrUndecodable, "message ID 65534"},
 		// The setup of a B still pinned to the retired gob codec: refused by
 		// its tag, whatever the body.
-		{"retired gob codec setup", []any{retagged(wire.TagGob, okSetup)}, false, "tag 0x00 belongs to the retired gob codec"},
+		{"retired gob codec setup", []any{retagged(wire.TagGob, okSetup)}, ErrUndecodable, "tag 0x00 belongs to the retired gob codec"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			runErr := runPassiveOn(t, rows, tc.frames...)
-			if errors.Is(runErr, ErrLegacyLayout) != tc.legacy {
-				t.Errorf("error %q: ErrLegacyLayout = %v, want %v", runErr, !tc.legacy, tc.legacy)
+			if tc.is != nil && !errors.Is(runErr, tc.is) {
+				t.Errorf("error %q is not %q", runErr, tc.is)
+			}
+			if tc.is != ErrLegacyLayout && errors.Is(runErr, ErrLegacyLayout) {
+				t.Errorf("error %q is ErrLegacyLayout", runErr)
 			}
 			if !strings.Contains(runErr.Error(), tc.reason) {
 				t.Errorf("error %q does not mention %q", runErr, tc.reason)

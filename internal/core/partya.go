@@ -331,18 +331,7 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 	}
 	switch m.Scheme {
 	case SchemePaillier:
-		n := new(big.Int).SetBytes(m.N)
-		pk := paillier.NewPublicKey(n)
-		if len(m.ObfBase) > 0 {
-			// B derived a DJN fast-obfuscation base at key setup; install
-			// it so this party's encryptions use short-exponent h^x
-			// obfuscators too. The base is validated — a malformed one
-			// fails the session here rather than corrupting obfuscation.
-			if err := pk.SetObfuscationBase(new(big.Int).SetBytes(m.ObfBase), m.ObfBits); err != nil {
-				return fmt.Errorf("core: party %d installing obfuscation base: %w", p.index, err)
-			}
-		}
-		p.scheme = he.NewPaillierPublic(pk)
+		p.scheme = he.NewPaillierPublic(paillier.NewPublicKey(new(big.Int).SetBytes(m.N)))
 	case SchemeMock:
 		if m.Bits > maxWireKeyBits {
 			return fmt.Errorf("core: party %d: setup asks for a %d-bit mock modulus", p.index, m.Bits)
@@ -368,8 +357,8 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 	if m.BaseExp < 1 || m.ExpSpread < 1 || m.BaseExp+m.ExpSpread > maxWireExp {
 		return fmt.Errorf("core: party %d: setup exponents [%d,%d+%d) invalid", p.index, m.BaseExp, m.BaseExp, m.ExpSpread)
 	}
-	// This party encrypts nothing but public constants and draws no
-	// exponents, so its codec needs no seed.
+	// This party encrypts nothing and draws no exponents, so its codec
+	// needs no seed.
 	p.codec = fixedpoint.NewCodec(p.scheme, fixedpoint.WithExponents(m.BaseExp, m.ExpSpread))
 	if m.PairBits < 1 || 2*m.PairBits > p.scheme.Bits()-2 {
 		return fmt.Errorf("core: party %d: %d-bit pair fields do not fit the %d-bit modulus", p.index, m.PairBits, p.scheme.Bits())
@@ -385,9 +374,18 @@ func (p *passiveParty) handleSetup(m MsgSetup) error {
 		return fmt.Errorf("core: party %d: %w", p.index, err)
 	}
 	p.plan = plan
-	if p.shiftCt, err = p.scheme.Encrypt(plan.shift); err != nil {
-		return fmt.Errorf("core: party %d encrypting shift: %w", p.index, err)
+	// The shift ciphertext passes the gate every ciphertext from B does.
+	if len(m.ShiftCt) == 0 {
+		return fmt.Errorf("%w: party %d: setup carries no shift ciphertext", ErrShiftCiphertext, p.index)
 	}
+	shift, err := p.scheme.Unmarshal(m.ShiftCt)
+	if err != nil {
+		return fmt.Errorf("%w: party %d: %w", ErrShiftCiphertext, p.index, err)
+	}
+	// Unmarshal may return the digit form AddInto takes, which every Add
+	// of the prefix chains would convert back; adding the identity once
+	// keeps the canonical form Add reads.
+	p.shiftCt = p.scheme.Add(shift, p.scheme.EncryptZero())
 	if err := p.send(MsgReady{Party: p.index, Features: p.cols, Rows: p.view.Rows()}); err != nil {
 		return err
 	}

@@ -164,8 +164,6 @@ func newActivePartyView(view gbdt.BinView, labels []float64, cfg Config, dec he.
 // does; the mock scheme has nothing to speed up).
 type fastObfuscationScheme interface {
 	EnableFastObfuscation() error
-	ObfuscationBase() *big.Int
-	ObfuscationBits() int
 }
 
 // setup shares the cryptographic context and learns each passive party's
@@ -180,14 +178,11 @@ func (b *activeParty) setup() error {
 	}
 	if b.cfg.FastObfuscation {
 		if fo, ok := b.dec.(fastObfuscationScheme); ok {
-			// Derive the obfuscation base before any encryption happens
-			// and ship it with the public key so the passive parties'
-			// pool-less encrypt path gets the same speedup.
+			// Derive the base before any encryption, the shift's below
+			// included, so every obfuscator B draws is a short h^x.
 			if err := fo.EnableFastObfuscation(); err != nil {
 				return fmt.Errorf("core: enabling fast obfuscation: %w", err)
 			}
-			setup.ObfBase = fo.ObfuscationBase().Bytes()
-			setup.ObfBits = fo.ObfuscationBits()
 		}
 	} else if fo, ok := b.dec.(interface{ DisableFastObfuscation() }); ok {
 		// A decryptor shared across sessions (benchmarks do this) may
@@ -195,6 +190,15 @@ func (b *activeParty) setup() error {
 		// must pay the paper's full r^n cost.
 		fo.DisableFastObfuscation()
 	}
+	// The packing shift seeds every prefix chain the passive parties pack.
+	// B encrypts it once for all of them, directly rather than through the
+	// codec, whose counters count the gradient stream: a passive party
+	// encrypts nothing.
+	shift, err := b.dec.Encrypt(b.plan.shift)
+	if err != nil {
+		return fmt.Errorf("core: encrypting the packing shift: %w", err)
+	}
+	setup.ShiftCt = b.dec.Marshal(shift)
 	setup.PairBits = b.pairs.W
 	if b.cfg.HistogramPacking {
 		setup.PackBits = b.plan.bits // zero ships one slot per ciphertext

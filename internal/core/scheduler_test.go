@@ -183,7 +183,7 @@ func (r *passiveRig) feed(t *testing.T, frames ...any) {
 		}
 		grads.Cts[i], grads.Exp[i] = dec.Marshal(e.Ct), int16(e.Exp)
 	}
-	setup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W}
+	setup := MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, PackBits: 2 * pairs.W, ShiftCt: setupShift(t, dec, pairs.W)}
 	r.post(t, append([]any{setup, grads}, frames...)...)
 }
 

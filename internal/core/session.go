@@ -485,7 +485,7 @@ func RunActiveParty(view gbdt.BinView, labels []float64, cfg Config, trs []Trans
 func newDecryptor(cfg Config) (he.Decryptor, error) {
 	switch cfg.Scheme {
 	case SchemePaillier:
-		return he.NewPaillier(cfg.KeyBits, 0)
+		return he.NewPaillier(cfg.KeyBits)
 	case SchemeMock:
 		return he.NewMock(max(cfg.KeyBits, 256)), nil
 	default:

@@ -557,7 +557,7 @@ func TestPassiveReportsLostHistogram(t *testing.T) {
 	}
 	sender := NewLink(in)
 	for _, m := range []any{
-		MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W},
+		MsgSetup{Scheme: SchemeMock, Bits: 512, BaseExp: cfg.BaseExp, ExpSpread: cfg.ExpSpread, PairBits: pairs.W, ShiftCt: setupShift(t, dec, pairs.W)},
 		grads,
 		MsgDecisions{Nodes: []NodeDecision{{Node: rootID, Action: ActionSplitB, LeftID: 2, RightID: 3, Placement: packBitmap(bits), Count: rows}}},
 		MsgTreeDone{},

@@ -65,11 +65,15 @@ const (
 	idGradBatchV2 uint16 = 28
 	// The folded ⟨g,h⟩ layout (one ciphertext per instance, one cell per
 	// histogram bin) replaced the two-ciphertext scalar frames wholesale,
-	// so its three frames take fresh IDs: idPairBatch supersedes
+	// so its three frames took fresh IDs: idPairBatch supersedes
 	// idGradBatch/idGradBatchV2 (Class always present), idHistogramsV3
 	// supersedes idHistograms, and idSetupV5 — the scalar setup, carrying
-	// PairBits and the objective but no Shift — supersedes idSetupV2. The
-	// retired scalar frames stay decodable only to be refused.
+	// PairBits and the objective but no Shift — superseded idSetupV2. The
+	// retired scalar frames stay decodable only to be refused. idSetupV5
+	// still carried the fast-obfuscation base (ObfBase, ObfBits) for
+	// passive parties that encrypted their own packing shift; B ships that
+	// ciphertext now (idSetupV6), so 31 stays reserved, unregistered, and
+	// must not be reused.
 	idPairBatch    uint16 = 29
 	idHistogramsV3 uint16 = 30
 	idSetupV5      uint16 = 31
@@ -89,17 +93,22 @@ const (
 	// idHistCt is one chunk ciphertext of a node, sent after the node's
 	// header as soon as it is packed.
 	idHistCt uint16 = 34
+	// idSetupV6 is the setup every session sends: idSetupV5 with the
+	// obfuscation base replaced by B's encryption of the packing shift
+	// (ShiftCt).
+	idSetupV6 uint16 = 35
 )
 
 // All ends of a deployment ship the same binary, so a frame carrying a
 // retired, unregistered ID (the idSetupV1 layout, the one-shot prediction
 // exchange's 10–11, the batched backends' 24–27, the per-bin histograms'
-// 30 and 32) fails decoding loudly instead of being misread.
-var _ = []uint16{idSetupV1, idPredictStart, idPredictPlacements, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4, idHistogramsV3, idHistogramsV4}
+// 30 and 32, the obfuscation-base setup's 31) fails decoding loudly
+// instead of being misread.
+var _ = []uint16{idSetupV1, idPredictStart, idPredictPlacements, idSetupV3, idVecGradBatch, idHistogramsV2, idSetupV4, idHistogramsV3, idSetupV5, idHistogramsV4}
 
 func init() {
-	wire.Register(idSetupV2, "MsgSetupV2", decodeAs(idSetupV2, (*MsgSetup).decodeFrom))
-	wire.Register(idSetupV5, "MsgSetup", decodeAs(idSetupV5, (*MsgSetup).decodeFrom))
+	wire.Register(idSetupV2, "MsgSetupV2", decodeSetupV2)
+	wire.Register(idSetupV6, "MsgSetup", decodeMsg[MsgSetup])
 	wire.Register(idReady, "MsgReady", decodeMsg[MsgReady])
 	wire.Register(idGradBatch, "MsgGradBatch", decodeAs(idGradBatch, (*MsgGradBatch).decodeFrom))
 	wire.Register(idGradBatchV2, "MsgGradBatchV2", decodeAs(idGradBatchV2, (*MsgGradBatch).decodeFrom))
@@ -158,8 +167,8 @@ func decodeMsg[M any, PM interface {
 
 // --- MsgSetup ----------------------------------------------------------
 
-// WireID: every setup an engine sends is the folded idSetupV5.
-func (MsgSetup) WireID() uint16 { return idSetupV5 }
+// WireID: every setup an engine sends is idSetupV6.
+func (MsgSetup) WireID() uint16 { return idSetupV6 }
 
 func (m MsgSetup) AppendTo(b []byte) []byte {
 	b = wire.AppendString(b, m.Scheme)
@@ -169,35 +178,45 @@ func (m MsgSetup) AppendTo(b []byte) []byte {
 	b = wire.AppendInt(b, m.ExpSpread)
 	b = wire.AppendInt(b, m.PairBits)
 	b = wire.AppendInt(b, m.PackBits)
-	b = wire.AppendBytes(b, m.ObfBase)
-	b = wire.AppendInt(b, m.ObfBits)
+	b = wire.AppendBytes(b, m.ShiftCt)
 	b = wire.AppendString(b, m.Objective)
 	return wire.AppendInt(b, m.Outputs)
 }
 
-// decodeFrom reads idSetupV5 and, so its sender can be refused by name
-// (no PairBits: ErrLegacyLayout), the retired idSetupV2 layout.
-func (m *MsgSetup) decodeFrom(body []byte, id uint16) error {
+func (m *MsgSetup) DecodeFrom(body []byte) error {
 	d := wire.NewDec(body)
 	m.Scheme = d.String()
 	m.N = d.Bytes()
 	m.Bits = d.Int()
 	m.BaseExp = d.Int()
 	m.ExpSpread = d.Int()
-	if id == idSetupV5 {
-		m.PairBits = d.Int()
-	}
+	m.PairBits = d.Int()
 	m.PackBits = d.Int()
-	if id != idSetupV5 {
-		d.Float64() // retired Shift
-	}
-	m.ObfBase = d.Bytes()
-	m.ObfBits = d.Int()
-	if id == idSetupV5 {
-		m.Objective = d.String()
-		m.Outputs = d.Int()
-	}
+	m.ShiftCt = d.Bytes()
+	m.Objective = d.String()
+	m.Outputs = d.Int()
 	return d.Finish()
+}
+
+// decodeSetupV2 reads the retired idSetupV2 layout so its sender can be
+// refused by name: the setup it returns has no PairBits
+// (ErrLegacyLayout).
+func decodeSetupV2(body []byte) (any, error) {
+	var m MsgSetup
+	d := wire.NewDec(body)
+	m.Scheme = d.String()
+	m.N = d.Bytes()
+	m.Bits = d.Int()
+	m.BaseExp = d.Int()
+	m.ExpSpread = d.Int()
+	m.PackBits = d.Int()
+	d.Float64() // Shift
+	d.Bytes()   // ObfBase
+	d.Int()     // ObfBits
+	if err := d.Finish(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // --- MsgReady ----------------------------------------------------------

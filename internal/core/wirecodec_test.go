@@ -17,8 +17,8 @@ import (
 // matching what the codec produces on decode.
 func sampleMessages() []any {
 	return []any{
-		MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ObfBase: []byte{0xCA, 0xFE, 0x01}, ObfBits: 224},
-		MsgSetup{Scheme: "mock", Bits: 256, PairBits: 60, Objective: "multiclass:3", Outputs: 3},
+		MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD, 0xBE, 0xEF}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ShiftCt: []byte{0xCA, 0xFE, 0x01}},
+		MsgSetup{Scheme: "mock", Bits: 256, PairBits: 60, ShiftCt: []byte{0x80}, Objective: "multiclass:3", Outputs: 3},
 		MsgSetup{Scheme: "paillier", N: []byte{0x01, 0x02}, Bits: 2048, BaseExp: 8, ExpSpread: 1, PairBits: 120},
 		MsgSetup{Scheme: "mock", Bits: 1024, BaseExp: 8, ExpSpread: 1, PairBits: 60, PackBits: 120, Objective: "ranking:10", Outputs: 1},
 		MsgPairBatch{Tree: 0, Start: 450, Cts: [][]byte{{1, 2, 3}, {4, 5}, nil}, Exp: []int16{8, 9, 10}},
@@ -147,17 +147,18 @@ func TestEveryMessageTypeHasWireID(t *testing.T) {
 }
 
 // TestScalarFramesByteIdentical pins the bytes of the frames a scalar
-// session sends — setup (id 31) and pair batch (29) to what the encoder
-// produced while the lane-packed backends still shared these layouts; the
-// node header (33), whose ciphertext list is now always empty, and its
-// ciphertext frame (34) to the streamed node layout.
+// session sends — the pair batch (29) to what the encoder produced while
+// the lane-packed backends still shared its layout; the node header (33),
+// whose ciphertext list is now always empty, and its ciphertext frame
+// (34) to the streamed node layout; and the setup (35) to the layout that
+// carries B's shift ciphertext.
 func TestScalarFramesByteIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		m    any
 		want string
 	}{
-		{MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ObfBase: []byte{0xCA, 0xFE}, ObfBits: 224, Objective: "multiclass:3", Outputs: 3},
-			"01001f00000026087061696c6c69657202dead8008100872e40102cafec0030c6d756c7469636c6173733a3306"},
+		{MsgSetup{Scheme: "paillier", N: []byte{0xDE, 0xAD}, Bits: 512, BaseExp: 8, ExpSpread: 4, PairBits: 57, PackBits: 114, ShiftCt: []byte{0xCA, 0xFE}, Objective: "multiclass:3", Outputs: 3},
+			"01002300000024087061696c6c69657202dead8008100872e40102cafe0c6d756c7469636c6173733a3306"},
 		{MsgPairBatch{Tree: 3, Start: 2048, Cts: [][]byte{{1, 2}, {3, 4}}, Exp: []int16{8, 11}, Last: true, Class: 1},
 			"01001d0000000f068020020102010203040210160102"},
 		{MsgHistograms{Tree: 2, Layer: 2, Nodes: []NodeHist{{Node: 6, Parent: 3, Sibling: 7, Packed: true, Feats: []FeatHist{{NumBins: 4, Occupied: []byte{0x0A}}}}}},

@@ -19,10 +19,10 @@ type Fig7Row struct {
 
 // Fig7 measures the throughput of the cryptography operations the cost
 // model of Section 5 is built on, over values drawn from a normal
-// distribution as in the paper: encryption (with and without a
-// precomputed-obfuscator pool), decryption, naive homomorphic addition
-// over mixed exponents, re-ordered homomorphic addition, scalar
-// multiplication, and packed decryption (effective per-value rate).
+// distribution as in the paper: encryption (with the baseline r^n
+// obfuscator), decryption, naive homomorphic addition over mixed
+// exponents, re-ordered homomorphic addition, scalar multiplication, and
+// packed decryption (effective per-value rate).
 func Fig7(keyBits, samples int) ([]Fig7Row, error) {
 	dec, err := decryptorFor("paillier", keyBits)
 	if err != nil {

@@ -24,6 +24,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 // Transport is the minimal endpoint the injector wraps. It is structurally
@@ -181,6 +183,7 @@ func (s Stats) String() string {
 type Link struct {
 	inner Transport
 	cfg   Config
+	clock clock.Clock // what a delayed frame stalls on; tests substitute a fake
 
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -195,7 +198,7 @@ func Wrap(inner Transport, cfg Config) *Link {
 	if cfg.Delay > 0 && cfg.DelayFor <= 0 {
 		cfg.DelayFor = time.Millisecond
 	}
-	return &Link{inner: inner, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Link{inner: inner, cfg: cfg, clock: clock.Wall{}, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
 // Stats snapshots the injected-fault counters.
@@ -235,7 +238,7 @@ func (l *Link) Send(payload []byte) error {
 		l.stats.Delays++
 		// Sleeping under the lock serializes the link like a stalled
 		// socket would: later frames queue behind the stalled one.
-		time.Sleep(l.cfg.DelayFor)
+		clock.Sleep(l.clock, l.cfg.DelayFor, nil)
 	}
 	if reorder && l.held == nil {
 		// Hold this frame; it is released right after the next one. If no

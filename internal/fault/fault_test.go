@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"vf2boost/internal/clock"
 )
 
 // recTransport records sent frames and serves queued receives.
@@ -140,5 +142,45 @@ func TestReceivePassThrough(t *testing.T) {
 	got, err := l.Receive()
 	if err != nil || len(got) != 1 || got[0] != 7 {
 		t.Fatalf("Receive = %v, %v", got, err)
+	}
+}
+
+// chanTransport delivers sent frames on a channel, so a test can see a
+// delivery made from another goroutine.
+type chanTransport chan []byte
+
+func (c chanTransport) Send(p []byte) error      { c <- p; return nil }
+func (c chanTransport) Receive() ([]byte, error) { return <-c, nil }
+
+// TestDelayWaitsOnTheLinkClock: a delayed frame stalls on the link's
+// clock, so on a fake clock it is not delivered before DelayFor has
+// passed there, and is delivered once it has.
+func TestDelayWaitsOnTheLinkClock(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	fake := clock.NewFake()
+	inner := make(chanTransport, 1)
+	l := Wrap(inner, Config{Seed: 1, Delay: 1, DelayFor: delay})
+	l.clock = fake
+	sent := make(chan error, 1)
+	go func() { sent <- l.Send([]byte{7}) }()
+
+	fake.BlockUntil(1)
+	fake.Advance(delay - time.Nanosecond)
+	select {
+	case p := <-inner:
+		t.Fatalf("frame %v delivered before DelayFor passed", p)
+	case <-sent:
+		t.Fatal("Send returned before DelayFor passed")
+	default:
+	}
+	fake.Advance(time.Nanosecond)
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if p := <-inner; len(p) != 1 || p[0] != 7 {
+		t.Fatalf("delivered %v, want [7]", p)
+	}
+	if s := l.Stats(); s.Delays != 1 {
+		t.Errorf("Stats().Delays = %d, want 1", s.Delays)
 	}
 }

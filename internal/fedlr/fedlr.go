@@ -458,7 +458,7 @@ func newDecryptor(cfg Config) (he.Decryptor, error) {
 	case "mock":
 		return he.NewMock(512), nil
 	case "paillier":
-		return he.NewPaillier(cfg.KeyBits, 0)
+		return he.NewPaillier(cfg.KeyBits)
 	default:
 		return nil, fmt.Errorf("fedlr: unknown scheme %q", cfg.Scheme)
 	}

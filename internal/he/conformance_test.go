@@ -18,22 +18,24 @@ const confBits = 256
 
 // confScheme is one scheme under test: the private side plus a public side
 // built from the private side's key material, the way a passive party
-// builds it from MsgSetup.
+// builds it from MsgSetup. pubEncrypts lets the public side encrypt half
+// the modular-edge operands; without it the key owner, the only party
+// that encrypts in a session, encrypts them all.
 type confScheme struct {
-	dec Decryptor
-	pub Scheme
+	dec         Decryptor
+	pub         Scheme
+	pubEncrypts bool
 }
 
 func confSchemes(t testing.TB) map[string]confScheme {
 	t.Helper()
-	pd, err := NewPaillier(confBits, 0)
+	pd, err := NewPaillier(confBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(pd.Close)
 	return map[string]confScheme{
-		"paillier": {dec: pd, pub: NewPaillierPublic(paillier.NewPublicKey(pd.N()))},
-		"mock":     {dec: NewMock(confBits), pub: NewMock(confBits)},
+		"paillier": {dec: pd, pub: NewPaillierPublic(paillier.NewPublicKey(pd.N())), pubEncrypts: true},
+		"mock":     {dec: NewMock(confBits), pub: NewMock(confBits), pubEncrypts: true},
 	}
 }
 
@@ -50,24 +52,20 @@ func TestBackendConformance(t *testing.T) {
 	}
 	// Once more at the paper's key size, where n, p² and q² are 2048-bit
 	// moduli: the key owner's tables and the power-of-two SMul chain run
-	// on the Montgomery kernel where the CPU has one. This decryptor is
-	// pooled with fast obfuscation on and the public side holds the
-	// public tables, so with the unpooled 256-bit run every Paillier
-	// encryption path is covered. Only these two cases run here: at this
-	// size an operation takes milliseconds.
+	// on the Montgomery kernel where the CPU has one. This decryptor has
+	// fast obfuscation on and encrypts every operand, as Party B does, so
+	// with the 256-bit run's r^n encryptions every Paillier encryption
+	// path is covered. Only these cases run here: at this size an
+	// operation takes milliseconds.
 	t.Run("paillier-2048", func(t *testing.T) {
-		pd, err := NewPaillier(2048, 1)
+		pd, err := NewPaillier(2048)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(pd.Close)
 		if err := pd.EnableFastObfuscation(); err != nil {
 			t.Fatal(err)
 		}
 		pub := NewPaillierPublic(paillier.NewPublicKey(pd.N()))
-		if err := pub.SetObfuscationBase(pd.ObfuscationBase(), pd.ObfuscationBits()); err != nil {
-			t.Fatal(err)
-		}
 		s := confScheme{dec: pd, pub: pub}
 		t.Run("modular-edges", func(t *testing.T) { testModularEdges(t, s) })
 		t.Run("plaintext-range", func(t *testing.T) { testPlaintextRange(t, s) })
@@ -80,7 +78,7 @@ func TestBackendConformance(t *testing.T) {
 // while the key owner's keeps the canonical residue it decrypts; both
 // marshal back to the wire bytes and decrypt alike.
 func testUnmarshalForms(t *testing.T, d *PaillierDecryptor, pub *PaillierScheme) {
-	ct, err := pub.Encrypt(big.NewInt(41))
+	ct, err := d.Encrypt(big.NewInt(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +192,8 @@ func testHostileInput(t *testing.T, s confScheme) {
 // exactly N and of 2N−2 — and on random residues, and checks that neither
 // the fresh nor the in-place form shares storage with an operand. Each
 // operand is encrypted once, alternately by the private and the public
-// side, and must keep its ciphertext bytes through every pair. Its
+// side (by the private side alone unless pubEncrypts), and must keep its
+// ciphertext bytes through every pair. Its
 // Unmarshaled copy must marshal back to those bytes, and accumulating the
 // copies and accumulators into each other must give Add's bytes, as
 // Party A accumulates the wire ciphertexts of its gradients. The
@@ -219,9 +218,9 @@ func testModularEdges(t *testing.T, s confScheme) {
 	cts := make([]Ciphertext, len(operands))
 	raws := make([][]byte, len(operands))
 	for i, x := range operands {
-		var enc Scheme = s.pub
-		if i%2 == 0 {
-			enc = s.dec
+		var enc Scheme = s.dec
+		if i%2 == 1 && s.pubEncrypts {
+			enc = s.pub
 		}
 		ct, err := enc.Encrypt(x)
 		if err != nil {

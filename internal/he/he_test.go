@@ -13,11 +13,10 @@ import (
 // protocol code can swap them freely.
 func testSchemes(t *testing.T) map[string]Decryptor {
 	t.Helper()
-	p, err := NewPaillier(256, 0)
+	p, err := NewPaillier(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
 	return map[string]Decryptor{
 		"paillier": p,
 		"mock":     NewMock(256),
@@ -124,34 +123,12 @@ func TestMockRejectsOutOfRange(t *testing.T) {
 }
 
 func TestPaillierUnmarshalEmpty(t *testing.T) {
-	p, err := NewPaillier(256, 0)
+	p, err := NewPaillier(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	if _, err := p.Unmarshal(nil); err == nil {
 		t.Error("Unmarshal(nil) succeeded, want error")
-	}
-}
-
-func TestPaillierPooledEncryption(t *testing.T) {
-	p, err := NewPaillier(256, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 5; i++ {
-		ct, err := p.Encrypt(big.NewInt(int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		v, err := p.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Int64() != int64(i) {
-			t.Errorf("pooled encrypt %d decrypts to %v", i, v)
-		}
 	}
 }
 
@@ -159,11 +136,10 @@ func TestPaillierPooledEncryption(t *testing.T) {
 // for ciphertexts arriving from the wire, so anything outside (0, n²) must
 // be rejected here rather than panic downstream.
 func TestPaillierUnmarshalRejectsOutOfRange(t *testing.T) {
-	p, err := NewPaillier(256, 0)
+	p, err := NewPaillier(256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	n2 := new(big.Int).Mul(p.N(), p.N())
 	bad := [][]byte{
 		{0},        // zero
@@ -185,56 +161,44 @@ func TestPaillierUnmarshalRejectsOutOfRange(t *testing.T) {
 }
 
 // TestPaillierFastObfuscationRoundTrip exercises the decryptor-side enable
-// path — with and without a pool — plus the passive-party install via
-// SetObfuscationBase, and the disable path back to baseline.
+// path, a passive party's r^n ciphertexts under the same key, and the
+// disable path back to baseline.
 func TestPaillierFastObfuscationRoundTrip(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		p, err := NewPaillier(256, workers)
+	p, err := NewPaillier(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.EnableFastObfuscation(); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 5; i++ {
+		ct, err := p.Encrypt(big.NewInt(i))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("Encrypt(%d): %v", i, err)
 		}
-		defer p.Close()
-		if err := p.EnableFastObfuscation(); err != nil {
-			t.Fatal(err)
+		if v, err := p.Decrypt(ct); err != nil || v.Int64() != i {
+			t.Fatalf("round trip %d = %v, %v", i, v, err)
 		}
-		if p.ObfuscationBase() == nil || p.ObfuscationBits() <= 0 {
-			t.Fatal("fast obfuscation not reported after enable")
-		}
-		for i := int64(0); i < 5; i++ {
-			ct, err := p.Encrypt(big.NewInt(i))
-			if err != nil {
-				t.Fatalf("workers=%d Encrypt(%d): %v", workers, i, err)
-			}
-			if v, err := p.Decrypt(ct); err != nil || v.Int64() != i {
-				t.Fatalf("workers=%d round trip %d = %v, %v", workers, i, v, err)
-			}
-		}
+	}
 
-		// Passive party installs the shipped base and its ciphertexts stay
-		// decryptable by the key owner.
-		passive := NewPaillierPublic(paillier.NewPublicKey(p.N()))
-		if err := passive.SetObfuscationBase(p.ObfuscationBase(), p.ObfuscationBits()); err != nil {
-			t.Fatal(err)
-		}
-		ct, err := passive.Encrypt(big.NewInt(31))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, err := p.Decrypt(ct); err != nil || v.Int64() != 31 {
-			t.Fatalf("passive fast ciphertext = %v, %v; want 31", v, err)
-		}
+	// A public scheme rebuilt from the modulus encrypts with r^n, and the
+	// key owner decrypts its ciphertexts.
+	passive := NewPaillierPublic(paillier.NewPublicKey(p.N()))
+	ct, err := passive.Encrypt(big.NewInt(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := p.Decrypt(ct); err != nil || v.Int64() != 31 {
+		t.Fatalf("passive ciphertext = %v, %v; want 31", v, err)
+	}
 
-		p.DisableFastObfuscation()
-		if p.ObfuscationBase() != nil {
-			t.Fatal("base still reported after disable")
-		}
-		ct2, err := p.Encrypt(big.NewInt(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, err := p.Decrypt(ct2); err != nil || v.Int64() != 8 {
-			t.Fatalf("baseline round trip after disable = %v, %v; want 8", v, err)
-		}
+	p.DisableFastObfuscation()
+	ct2, err := p.Encrypt(big.NewInt(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := p.Decrypt(ct2); err != nil || v.Int64() != 8 {
+		t.Fatalf("baseline round trip after disable = %v, %v; want 8", v, err)
 	}
 }
 
@@ -245,7 +209,7 @@ func TestPaillierFastObfuscationRoundTrip(t *testing.T) {
 // write to a shared operand fails the run, and every result must marshal
 // to big.Int's bytes.
 func TestSharedAddendConcurrentAdds(t *testing.T) {
-	pd, err := NewPaillier(2048, 0)
+	pd, err := NewPaillier(2048)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,12 @@ import (
 
 // ownerDecryptor returns a decryptor with fast obfuscation on, so its
 // Encrypt runs through the key owner's CRT tables.
-func ownerDecryptor(t *testing.T, bits, poolWorkers int) *PaillierDecryptor {
+func ownerDecryptor(t *testing.T, bits int) *PaillierDecryptor {
 	t.Helper()
-	d, err := NewPaillier(bits, poolWorkers)
+	d, err := NewPaillier(bits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.Close)
 	if err := d.EnableFastObfuscation(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,15 +27,9 @@ func ownerDecryptor(t *testing.T, bits, poolWorkers int) *PaillierDecryptor {
 }
 
 // passiveScheme rebuilds the scheme the way Party A does: from the bytes
-// of the modulus and the obfuscation base that MsgSetup carries.
-func passiveScheme(t *testing.T, d *PaillierDecryptor) *PaillierScheme {
-	t.Helper()
-	n := new(big.Int).SetBytes(d.N().Bytes())
-	s := NewPaillierPublic(paillier.NewPublicKey(n))
-	if err := s.SetObfuscationBase(new(big.Int).SetBytes(d.ObfuscationBase().Bytes()), d.ObfuscationBits()); err != nil {
-		t.Fatal(err)
-	}
-	return s
+// of the modulus that MsgSetup carries.
+func passiveScheme(d *PaillierDecryptor) *PaillierScheme {
+	return NewPaillierPublic(paillier.NewPublicKey(new(big.Int).SetBytes(d.N().Bytes())))
 }
 
 // factorLeaks walks every value reachable from root and returns the paths
@@ -102,112 +95,102 @@ func factorLeaks(root any, n *big.Int) []string {
 // TestPublicSchemeHoldsNoOwnerSecrets is the secrecy boundary of the
 // owner tables: they are built modulo p² and q², so they must be
 // reachable from the decryptor only — not from the scheme PublicScheme()
-// hands to passive parties, nor from one rebuilt from the setup bytes.
+// hands out, nor from one rebuilt from the setup bytes.
 func TestPublicSchemeHoldsNoOwnerSecrets(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		d := ownerDecryptor(t, 256, workers)
-		if len(factorLeaks(d, d.N())) == 0 {
-			t.Fatal("the walk finds no factor of n even in the decryptor: it cannot see the owner tables")
+	d := ownerDecryptor(t, 256)
+	if len(factorLeaks(d, d.N())) == 0 {
+		t.Fatal("the walk finds no factor of n even in the decryptor: it cannot see the owner tables")
+	}
+	for name, s := range map[string]*PaillierScheme{"PublicScheme()": d.PublicScheme(), "rebuilt from setup bytes": passiveScheme(d)} {
+		if leaks := factorLeaks(s, d.N()); len(leaks) > 0 {
+			t.Errorf("%s reaches factors of n at %v", name, leaks)
 		}
-		for name, s := range map[string]*PaillierScheme{"PublicScheme()": d.PublicScheme(), "rebuilt from setup bytes": passiveScheme(t, d)} {
-			if leaks := factorLeaks(s, d.N()); len(leaks) > 0 {
-				t.Errorf("workers=%d: %s reaches factors of n at %v", workers, name, leaks)
-			}
-			ct, err := s.Encrypt(big.NewInt(77))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v, err := d.Decrypt(ct); err != nil || v.Int64() != 77 {
-				t.Errorf("workers=%d: %s ciphertext decrypts to %v, %v; want 77", workers, name, v, err)
-			}
+		ct, err := s.Encrypt(big.NewInt(77))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := d.Decrypt(ct); err != nil || v.Int64() != 77 {
+			t.Errorf("%s ciphertext decrypts to %v, %v; want 77", name, v, err)
 		}
 	}
 }
 
 // TestOwnerCiphertextsMixWithPublicOnes: what the owner path encrypts is
 // an ordinary ciphertext — it decrypts, and adds to and scales like the
-// ones the public paths produce.
+// r^n ones a public scheme produces.
 func TestOwnerCiphertextsMixWithPublicOnes(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		d := ownerDecryptor(t, 256, workers)
-		passive := passiveScheme(t, d)
-		want := func(ct Ciphertext, v int64) {
-			t.Helper()
-			m, err := d.Decrypt(ct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := Signed(d, m).Int64(); got != v {
-				t.Errorf("workers=%d: decrypted %d, want %d", workers, got, v)
-			}
-		}
-		own, err := d.Encrypt(big.NewInt(500))
+	d := ownerDecryptor(t, 256)
+	passive := passiveScheme(d)
+	want := func(ct Ciphertext, v int64) {
+		t.Helper()
+		m, err := d.Decrypt(ct)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub, err := passive.Encrypt(big.NewInt(120))
-		if err != nil {
-			t.Fatal(err)
+		if got := Signed(d, m).Int64(); got != v {
+			t.Errorf("decrypted %d, want %d", got, v)
 		}
-		want(own, 500)
-		want(passive.Add(own, pub), 620)
-		want(d.AddInto(d.Add(d.EncryptZero(), pub), own), 620)
-		want(passive.MulScalar(own, big.NewInt(3)), 1500)
-		round, err := passive.Unmarshal(d.Marshal(own))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want(round, 500)
 	}
+	own, err := d.Encrypt(big.NewInt(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := passive.Encrypt(big.NewInt(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want(own, 500)
+	want(passive.Add(own, pub), 620)
+	want(d.AddInto(d.Add(d.EncryptZero(), pub), own), 620)
+	want(passive.MulScalar(own, big.NewInt(3)), 1500)
+	round, err := passive.Unmarshal(d.Marshal(own))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want(round, 500)
 }
 
 // TestOwnerPathSurvivesDisableEnable is what the benchmark's probes do to
 // a live decryptor: fast → baseline → fast again. The second enable must
-// bring the owner path back, and with a pool its workers must be parked
-// while the key is reconfigured (run under -race).
+// bring the owner path back, and encryption from several goroutines must
+// round-trip in each mode (run under -race).
 func TestOwnerPathSurvivesDisableEnable(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		d := ownerDecryptor(t, 256, workers)
-		encryptConcurrently := func() {
-			t.Helper()
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := int64(0); i < 8; i++ {
-						ct, err := d.Encrypt(big.NewInt(i))
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						if v, err := d.Decrypt(ct); err != nil || v.Int64() != i {
-							t.Errorf("workers=%d: round trip %d = %v, %v", workers, i, v, err)
-							return
-						}
+	d := ownerDecryptor(t, 256)
+	encryptConcurrently := func() {
+		t.Helper()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int64(0); i < 8; i++ {
+					ct, err := d.Encrypt(big.NewInt(i))
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				}()
-			}
-			wg.Wait()
+					if v, err := d.Decrypt(ct); err != nil || v.Int64() != i {
+						t.Errorf("round trip %d = %v, %v", i, v, err)
+						return
+					}
+				}
+			}()
 		}
-		encryptConcurrently()
-		first := d.ObfuscationBase()
-
-		d.DisableFastObfuscation()
-		if d.priv.OwnerObfuscation() || d.ObfuscationBase() != nil {
-			t.Fatalf("workers=%d: a fast path is left after disable", workers)
-		}
-		encryptConcurrently()
-
-		if err := d.EnableFastObfuscation(); err != nil {
-			t.Fatal(err)
-		}
-		if !d.priv.OwnerObfuscation() {
-			t.Fatalf("workers=%d: re-enabling did not restore the owner path", workers)
-		}
-		if d.ObfuscationBase().Cmp(first) == 0 {
-			t.Errorf("workers=%d: re-enabling reused the retired base", workers)
-		}
-		encryptConcurrently()
+		wg.Wait()
 	}
+	encryptConcurrently()
+
+	d.DisableFastObfuscation()
+	if d.priv.OwnerObfuscation() {
+		t.Fatal("the owner path is left after disable")
+	}
+	encryptConcurrently()
+
+	if err := d.EnableFastObfuscation(); err != nil {
+		t.Fatal(err)
+	}
+	if !d.priv.OwnerObfuscation() {
+		t.Fatal("re-enabling did not restore the owner path")
+	}
+	encryptConcurrently()
 }

@@ -36,8 +36,8 @@ func (paillierAcc) isCiphertext()    {}
 func (paillierAddend) isCiphertext() {}
 
 // PaillierScheme adapts internal/paillier to the Scheme interface: the
-// encrypt-only side every party holds. It obfuscates through the public
-// key alone.
+// public side every party holds. Its Encrypt draws a full r^n obfuscator;
+// in a session only the key owner encrypts.
 type PaillierScheme struct {
 	pk *paillier.PublicKey
 	// half is n/2, precomputed so Signed never allocates the threshold
@@ -50,118 +50,53 @@ type PaillierScheme struct {
 
 // PaillierDecryptor is the Scheme plus the private key; only Party B holds
 // one. Its Encrypt obfuscates through the key owner's CRT path
-// (paillier.PrivateKey.Obfuscator), directly or via the pool.
+// (paillier.PrivateKey.Obfuscator).
 type PaillierDecryptor struct {
 	PaillierScheme
-	priv        *paillier.PrivateKey
-	pool        *paillier.ObfuscatorPool
-	poolWorkers int
+	priv *paillier.PrivateKey
 }
 
 // NewPaillier generates a fresh S-bit key pair and returns the decryptor
-// side. poolWorkers > 0 starts an obfuscator pool with that many
-// background workers; 0 disables pooling, so each Encrypt computes its
-// own obfuscator inline — the full r^n exponentiation of the VF-GBDT
-// baseline until EnableFastObfuscation switches it to the owner's h^x.
-func NewPaillier(bits, poolWorkers int) (*PaillierDecryptor, error) {
+// side. Each Encrypt computes its own obfuscator inline: the full r^n
+// exponentiation of the VF-GBDT baseline until EnableFastObfuscation
+// switches it to the owner's h^x.
+func NewPaillier(bits int) (*PaillierDecryptor, error) {
 	priv, err := paillier.GenerateKey(rand.Reader, bits)
 	if err != nil {
 		return nil, err
 	}
-	return NewPaillierFromKey(priv, poolWorkers), nil
+	return NewPaillierFromKey(priv, 0), nil
 }
 
 // NewPaillierPublic wraps a public key for a passive party, which can
-// encrypt and operate homomorphically but never decrypt.
+// operate homomorphically but never decrypt.
 func NewPaillierPublic(pk *paillier.PublicKey) *PaillierScheme {
 	return &PaillierScheme{pk: pk, half: new(big.Int).Rsh(pk.N, 1), digits: pk.DigitForm()}
 }
 
-// NewPaillierFromKey wraps an existing private key.
-func NewPaillierFromKey(priv *paillier.PrivateKey, poolWorkers int) *PaillierDecryptor {
-	d := &PaillierDecryptor{
-		PaillierScheme: *NewPaillierPublic(priv.Public()),
-		priv:           priv,
-		poolWorkers:    poolWorkers,
-	}
-	d.startPool()
-	return d
-}
-
-// startPool (re)starts the obfuscator pool over the private key, if the
-// decryptor is pooled.
-func (d *PaillierDecryptor) startPool() {
-	if d.poolWorkers > 0 {
-		d.pool = paillier.NewObfuscatorPool(d.priv, d.poolWorkers, 8*d.poolWorkers, nil)
-	}
-}
-
-// reconfigure runs a key setup step with the pool workers stopped and
-// joined: they read the key's obfuscator pointers on every draw, so
-// flipping those under a live pool is a data race. The pool is restarted
-// afterwards whatever the step returns — on error the key stays in its
-// previous mode and encryption must keep working.
-func (d *PaillierDecryptor) reconfigure(step func() error) error {
-	if d.pool != nil {
-		d.pool.Close()
-	}
-	err := step()
-	d.startPool()
-	return err
+// NewPaillierFromKey wraps an existing private key. The int argument is
+// ignored: it is kept only because benchmark/train.go passes one (ROADMAP
+// item 1, Step 0a, drops it).
+func NewPaillierFromKey(priv *paillier.PrivateKey, _ int) *PaillierDecryptor {
+	return &PaillierDecryptor{PaillierScheme: *NewPaillierPublic(priv.Public()), priv: priv}
 }
 
 // EnableFastObfuscation derives the DJN obfuscation base h = r₀^n mod n²
-// and switches every encryption path — pooled or not — to short-exponent
-// h^x obfuscators: this decryptor through the key owner's CRT tables
-// (built here, once per base), PublicScheme and the passive parties
-// through the public tables. Call it during session setup, before
-// concurrent use; the obfuscator pool, if any, is restarted so its
-// workers produce the cheap terms. ObfuscationBase then returns the base
-// to ship to passive parties. Idempotent.
+// and switches this decryptor's encryptions to short-exponent h^x
+// obfuscators served from the key owner's CRT tables (built here, once
+// per base). The base never leaves the private key: PublicScheme keeps
+// r^n. Call it during session setup, before concurrent use. Idempotent.
 func (d *PaillierDecryptor) EnableFastObfuscation() error {
-	if d.priv.OwnerObfuscation() {
-		return nil
-	}
-	return d.reconfigure(func() error { return d.priv.EnableFastObfuscation(rand.Reader, 0) })
+	return d.priv.EnableFastObfuscation(rand.Reader)
 }
 
-// DisableFastObfuscation reverts to baseline r^n obfuscation (and flushes
-// the pool's precomputed fast terms), so one key can serve both a fast and
-// an exact-paper baseline session.
-func (d *PaillierDecryptor) DisableFastObfuscation() {
-	if !d.pk.FastObfuscation() {
-		return
-	}
-	_ = d.reconfigure(func() error { d.priv.DisableFastObfuscation(); return nil })
-}
+// DisableFastObfuscation reverts to baseline r^n obfuscation, so one key
+// can serve both a fast and an exact-paper baseline session.
+func (d *PaillierDecryptor) DisableFastObfuscation() { d.priv.DisableFastObfuscation() }
 
-// SetObfuscationBase installs a base received at session setup, enabling
-// fast obfuscation on a passive party's encrypt-only scheme. expBits <= 0
-// selects the default short-exponent length.
-func (s *PaillierScheme) SetObfuscationBase(h *big.Int, expBits int) error {
-	return s.pk.SetObfuscationBase(h, expBits)
-}
-
-// ObfuscationBase returns the fast-obfuscation base, or nil when the
-// baseline r^n path is active.
-func (s *PaillierScheme) ObfuscationBase() *big.Int { return s.pk.ObfuscationBase() }
-
-// ObfuscationBits returns the short-exponent length in bits, or 0 when
-// fast obfuscation is disabled.
-func (s *PaillierScheme) ObfuscationBits() int { return s.pk.ObfuscationBits() }
-
-// PublicScheme returns the encrypt-only view that is shared with passive
-// parties. It holds the public key only: neither the owner's tables nor
-// the pool fed by them are reachable from it.
+// PublicScheme returns the public view of the key. It holds the public
+// key only: the owner's tables are not reachable from it.
 func (d *PaillierDecryptor) PublicScheme() *PaillierScheme { return &d.PaillierScheme }
-
-// Close releases the obfuscator pool, if any.
-func (d *PaillierDecryptor) Close() {
-	if d.pool != nil {
-		d.pool.Close()
-		d.pool = nil
-	}
-}
 
 func (s *PaillierScheme) Name() string { return "paillier" }
 func (s *PaillierScheme) N() *big.Int  { return s.pk.N }
@@ -183,20 +118,10 @@ func (s *PaillierScheme) Encrypt(m *big.Int) (Ciphertext, error) {
 	return paillierCt{ct}, nil
 }
 
-// Encrypt is the key owner's encryption: the obfuscator comes from the
-// pool when one is configured, else from the private key inline. Either
-// way a plaintext outside [0, N) is refused before an obfuscator is spent.
+// Encrypt is the key owner's encryption, its obfuscator drawn from the
+// private key; a plaintext outside [0, N) is refused before an obfuscator
+// is spent.
 func (d *PaillierDecryptor) Encrypt(m *big.Int) (Ciphertext, error) {
-	if d.pool != nil {
-		if err := d.pk.ValidatePlaintext(m); err != nil {
-			return nil, err
-		}
-		rn, err := d.pool.Next()
-		if err != nil {
-			return nil, err
-		}
-		return paillierCt{d.pk.EncryptWithObfuscator(m, rn)}, nil
-	}
 	ct, err := d.priv.Encrypt(rand.Reader, m)
 	if err != nil {
 		return nil, err

@@ -8,61 +8,63 @@ import (
 	"testing"
 )
 
-// TestFixedBaseExpMatchesBigExp checks the windowed tables against
-// math/big's general ladder across exponent widths, including the
-// boundaries of the precomputed range and the fallback beyond it.
+// exp is a table's reference use: expInto over the covered range and
+// math/big's ladder beyond it.
+func (fb *fixedBase) exp(base, x *big.Int) *big.Int {
+	if !fb.covers(x) {
+		return new(big.Int).Exp(base, x, fb.mod)
+	}
+	acc := new(big.Int)
+	fb.expInto(acc, x, new(expScratch))
+	return acc
+}
+
+// TestFixedBaseExpMatchesBigExp checks the big.Int windowed tables
+// against math/big's general ladder across exponent widths, including
+// the boundaries of the precomputed range and the fallback beyond it.
+// (The Montgomery tables are TestOwnerExpMatchesBigExp's.)
 func TestFixedBaseExpMatchesBigExp(t *testing.T) {
 	mod, _ := new(big.Int).SetString("fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffc5", 16)
 	base := big.NewInt(0xABCDEF)
-	fb := NewFixedBase(base, mod, 96)
+	fb := newFixedBase(base, mod, 96, ownerWindow)
 	rng := mrand.New(mrand.NewSource(11))
 	exps := []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
-		big.NewInt(15),
-		big.NewInt(16),
+		big.NewInt(255),
+		big.NewInt(256),
 		new(big.Int).Lsh(one, 95), // top of the table range
 		new(big.Int).Sub(new(big.Int).Lsh(one, 96), one), // all windows saturated
-		new(big.Int).Lsh(one, 200),                       // beyond MaxBits: fallback
+		new(big.Int).Lsh(one, 200),                       // beyond maxBits: fallback
 	}
 	for i := 0; i < 50; i++ {
 		exps = append(exps, new(big.Int).Rand(rng, new(big.Int).Lsh(one, 96)))
 	}
 	for _, x := range exps {
 		want := new(big.Int).Exp(base, x, mod)
-		if got := fb.Exp(x); got.Cmp(want) != 0 {
-			t.Fatalf("Exp(%v) = %v, want %v", x, got, want)
+		if got := fb.exp(base, x); got.Cmp(want) != 0 {
+			t.Fatalf("exp(%v) = %v, want %v", x, got, want)
 		}
 	}
-	if got := fb.MaxBits(); got < 96 {
-		t.Errorf("MaxBits = %d, want >= 96", got)
+	if got := fb.maxBits(); got < 96 {
+		t.Errorf("maxBits = %d, want >= 96", got)
 	}
 }
 
-// TestFastObfuscationDecryptsIdentically proves the DJN h^x obfuscators
-// are drop-in: every plaintext round-trips exactly as under baseline
-// obfuscation, across signs and magnitudes.
+// TestFastObfuscationDecryptsIdentically proves the key owner's DJN h^x
+// obfuscators are drop-in: every plaintext round-trips exactly as under
+// baseline obfuscation, across signs and magnitudes.
 func TestFastObfuscationDecryptsIdentically(t *testing.T) {
-	priv := testKey(t, 256)
-	pk := NewPublicKey(priv.N) // fresh copy: don't mutate the cached key
-	if pk.FastObfuscation() {
-		t.Fatal("fast obfuscation enabled before EnableFastObfuscation")
-	}
-	if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !pk.FastObfuscation() || pk.ObfuscationBase() == nil {
-		t.Fatal("fast obfuscation not enabled")
-	}
-	if got := pk.ObfuscationBits(); got != DefaultObfuscationBits {
-		t.Fatalf("ObfuscationBits = %d, want %d", got, DefaultObfuscationBits)
+	priv := ownerKey(t, 256)
+	if got := priv.owner.expMax.BitLen() - 1; got != DefaultObfuscationBits {
+		t.Fatalf("short exponents of %d bits, want %d", got, DefaultObfuscationBits)
 	}
 	for _, v := range []int64{0, 1, -1, 42, -42, 1 << 40, -(1 << 40), 1<<62 - 1} {
 		m := big.NewInt(v)
 		if v < 0 {
-			m.Add(m, pk.N)
+			m.Add(m, priv.N)
 		}
-		ct, err := pk.Encrypt(rand.Reader, m)
+		ct, err := priv.Encrypt(rand.Reader, m)
 		if err != nil {
 			t.Fatalf("Encrypt(%d) under fast obfuscation: %v", v, err)
 		}
@@ -75,8 +77,8 @@ func TestFastObfuscationDecryptsIdentically(t *testing.T) {
 		}
 	}
 	// Fast obfuscation must stay probabilistic.
-	c1, _ := pk.Encrypt(rand.Reader, big.NewInt(5))
-	c2, _ := pk.Encrypt(rand.Reader, big.NewInt(5))
+	c1, _ := priv.Encrypt(rand.Reader, big.NewInt(5))
+	c2, _ := priv.Encrypt(rand.Reader, big.NewInt(5))
 	if c1.C.Cmp(c2.C) == 0 {
 		t.Error("two fast-obfuscated encryptions of the same plaintext are identical")
 	}
@@ -86,108 +88,24 @@ func TestFastObfuscationDecryptsIdentically(t *testing.T) {
 // fast-obfuscated ciphertexts: the obfuscation variant must not disturb
 // the algebra.
 func TestFastObfuscationHomomorphismsPreserved(t *testing.T) {
-	priv := testKey(t, 256)
-	pk := NewPublicKey(priv.N)
-	if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	ca, err := pk.Encrypt(rand.Reader, big.NewInt(1000))
+	priv := ownerKey(t, 256)
+	ca, err := priv.Encrypt(rand.Reader, big.NewInt(1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := pk.Encrypt(rand.Reader, big.NewInt(58))
+	cb, err := priv.Encrypt(rand.Reader, big.NewInt(58))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := priv.DecryptInt64(pk.Add(ca, cb)); err != nil || v != 1058 {
+	if v, err := priv.DecryptInt64(priv.Add(ca, cb)); err != nil || v != 1058 {
 		t.Errorf("Add = %d, %v; want 1058", v, err)
 	}
-	prod, err := pk.MulScalar(cb, big.NewInt(-3))
+	prod, err := priv.MulScalar(cb, big.NewInt(-3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, err := priv.DecryptInt64(prod); err != nil || v != -174 {
 		t.Errorf("MulScalar = %d, %v; want -174", v, err)
-	}
-}
-
-// TestSetObfuscationBaseValidation covers the passive party's ingress: a
-// base from the wire is installed only when it is a unit in (1, n²).
-func TestSetObfuscationBaseValidation(t *testing.T) {
-	priv := testKey(t, 256)
-	pk := NewPublicKey(priv.N)
-	bad := []*big.Int{
-		nil,
-		big.NewInt(0),
-		big.NewInt(-4),
-		big.NewInt(1),
-		new(big.Int).Set(pk.NSquared),
-		new(big.Int).Add(pk.NSquared, one),
-		new(big.Int).Mul(priv.p, big.NewInt(7)), // shares a factor with n
-	}
-	for i, h := range bad {
-		if err := pk.SetObfuscationBase(h, 0); err == nil {
-			t.Errorf("case %d: SetObfuscationBase(%v) accepted", i, h)
-		}
-		if pk.FastObfuscation() {
-			t.Fatalf("case %d: invalid base left fast obfuscation enabled", i)
-		}
-	}
-	// A genuine base derived by the key owner round-trips through the
-	// passive install and produces decryptable ciphertexts.
-	owner := NewPublicKey(priv.N)
-	if err := owner.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	h := new(big.Int).SetBytes(owner.ObfuscationBase().Bytes()) // as shipped
-	if err := pk.SetObfuscationBase(h, owner.ObfuscationBits()); err != nil {
-		t.Fatalf("installing shipped base: %v", err)
-	}
-	ct, err := pk.Encrypt(rand.Reader, big.NewInt(777))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := priv.DecryptInt64(ct); err != nil || v != 777 {
-		t.Errorf("passive fast-obfuscated ciphertext = %d, %v; want 777", v, err)
-	}
-}
-
-// TestObfuscationBitsBounded covers the hostile-ObfBits ingress: the
-// exponent length arrives from the network in MsgSetup, and an unbounded
-// value sizes the fixed-base tables (and a 2^expBits Lsh), so anything
-// past the 2·|n| bound must be rejected before any allocation.
-func TestObfuscationBitsBounded(t *testing.T) {
-	priv := testKey(t, 256)
-	owner := NewPublicKey(priv.N)
-	if err := owner.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	h := owner.ObfuscationBase()
-
-	pk := NewPublicKey(priv.N)
-	hostile := []int{2*pk.Bits() + 1, 1 << 20, 1 << 30, int(^uint(0) >> 1)}
-	for _, bits := range hostile {
-		if err := pk.SetObfuscationBase(h, bits); err == nil {
-			t.Errorf("SetObfuscationBase accepted expBits=%d", bits)
-		}
-		if pk.FastObfuscation() {
-			t.Fatalf("expBits=%d left fast obfuscation enabled", bits)
-		}
-	}
-	if err := NewPublicKey(priv.N).EnableFastObfuscation(rand.Reader, 1<<30); err == nil {
-		t.Error("EnableFastObfuscation accepted expBits=1<<30")
-	}
-	// The bound itself is still accepted, and the installed key encrypts
-	// decryptable ciphertexts.
-	if err := pk.SetObfuscationBase(h, 2*pk.Bits()); err != nil {
-		t.Fatalf("SetObfuscationBase at the bound rejected: %v", err)
-	}
-	ct, err := pk.Encrypt(rand.Reader, big.NewInt(55))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := priv.DecryptInt64(ct); err != nil || v != 55 {
-		t.Errorf("round trip at the bound = %d, %v; want 55", v, err)
 	}
 }
 
@@ -206,29 +124,20 @@ func TestDefaultObfuscationBitsFor(t *testing.T) {
 			t.Errorf("DefaultObfuscationBitsFor(%d) = %d, want %d", c.mod, got, c.want)
 		}
 	}
-	// The zero-value path through the enable call resolves to the same
-	// mapping.
-	priv := testKey(t, 256)
-	pk := NewPublicKey(priv.N)
-	if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := pk.ObfuscationBits(), DefaultObfuscationBitsFor(pk.Bits()); got != want {
-		t.Errorf("ObfuscationBits = %d, want %d", got, want)
+	// The enable call sizes its tables by the same mapping.
+	priv := ownerKey(t, 512)
+	if got, want := priv.owner.expMax.BitLen()-1, DefaultObfuscationBitsFor(priv.Bits()); got != want {
+		t.Errorf("short exponents of %d bits, want %d", got, want)
 	}
 }
 
 func TestDisableFastObfuscation(t *testing.T) {
-	priv := testKey(t, 256)
-	pk := NewPublicKey(priv.N)
-	if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	pk.DisableFastObfuscation()
-	if pk.FastObfuscation() || pk.ObfuscationBase() != nil || pk.ObfuscationBits() != 0 {
+	priv := ownerKey(t, 256)
+	priv.DisableFastObfuscation()
+	if priv.OwnerObfuscation() {
 		t.Fatal("DisableFastObfuscation did not revert to baseline")
 	}
-	ct, err := pk.Encrypt(rand.Reader, big.NewInt(9))
+	ct, err := priv.Encrypt(rand.Reader, big.NewInt(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,47 +156,10 @@ func BenchmarkObfuscatorBaseline(b *testing.B) {
 			pk := NewPublicKey(priv.N)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := pk.BaselineObfuscator(rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkObfuscatorFixedBase measures the DJN h^x path; the table
-// precomputation is excluded (it is one-time, at session setup).
-func BenchmarkObfuscatorFixedBase(b *testing.B) {
-	for _, bits := range []int{256, 512, 1024, 2048} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			priv := testKey(b, bits)
-			pk := NewPublicKey(priv.N)
-			if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
 				if _, err := pk.Obfuscator(rand.Reader); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkEncryptFastObfuscation is the end-to-end Enc cost with the
-// fast path on (compare BenchmarkEncrypt, which is the baseline).
-func BenchmarkEncryptFastObfuscation(b *testing.B) {
-	priv := testKey(b, 512)
-	pk := NewPublicKey(priv.N)
-	if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		b.Fatal(err)
-	}
-	m := big.NewInt(123456789)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pk.Encrypt(rand.Reader, m); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

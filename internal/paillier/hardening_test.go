@@ -3,10 +3,8 @@ package paillier
 import (
 	"crypto/rand"
 	"errors"
-	"io"
 	"math/big"
 	"testing"
-	"time"
 )
 
 // badCiphertexts enumerates the range violations every ciphertext-consuming
@@ -121,104 +119,4 @@ func FuzzCiphertextOps(f *testing.F) {
 			_, _ = priv.Decrypt(priv.Add(good, ct))
 		}
 	})
-}
-
-// --- obfuscator pool -----------------------------------------------------
-
-// TestPoolNextAfterClose: Next must drain buffered terms and then return
-// ErrPoolClosed — not block forever, which is the deadlock this PR fixes.
-func TestPoolNextAfterClose(t *testing.T) {
-	priv := testKey(t, 128)
-	p := NewObfuscatorPool(priv.Public(), 2, 8, nil)
-	// Let the workers fill some of the buffer.
-	if _, err := p.Next(); err != nil {
-		t.Fatalf("Next before close: %v", err)
-	}
-	p.Close()
-	p.Close() // idempotent
-
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		for {
-			if _, err = p.Next(); err != nil {
-				break
-			}
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrPoolClosed) {
-			t.Fatalf("Next after close+drain = %v, want ErrPoolClosed", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Next blocked after Close: pool deadlock")
-	}
-}
-
-// flakyReader fails its first `failures` reads, then delegates to
-// crypto/rand. It models a transient RNG hiccup.
-type flakyReader struct {
-	failures int
-}
-
-func (r *flakyReader) Read(p []byte) (int, error) {
-	if r.failures > 0 {
-		r.failures--
-		return 0, errors.New("transient rng failure")
-	}
-	return rand.Read(p)
-}
-
-var _ io.Reader = (*flakyReader)(nil)
-
-// TestPoolSurvivesTransientRNGError: a worker that hits an RNG error must
-// surface it to one caller and keep producing — a single-worker pool used
-// to lose its only worker and deadlock every later Next.
-func TestPoolSurvivesTransientRNGError(t *testing.T) {
-	priv := testKey(t, 128)
-	p := NewObfuscatorPool(priv.Public(), 1, 1, &flakyReader{failures: 1})
-	defer p.Close()
-
-	sawError, sawTerm := false, false
-	deadline := time.After(10 * time.Second)
-	for !sawError || !sawTerm {
-		select {
-		case <-deadline:
-			t.Fatalf("pool stalled: sawError=%v sawTerm=%v", sawError, sawTerm)
-		default:
-		}
-		rn, err := p.Next()
-		if err != nil {
-			sawError = true
-			continue
-		}
-		if rn == nil || rn.Sign() <= 0 {
-			t.Fatalf("pool produced invalid term %v", rn)
-		}
-		sawTerm = true
-	}
-}
-
-// TestPoolProducesFastTerms: with fast obfuscation enabled on the key, the
-// pooled terms must still yield decryptable ciphertexts.
-func TestPoolProducesFastTerms(t *testing.T) {
-	priv := testKey(t, 256)
-	pk := NewPublicKey(priv.N)
-	if err := pk.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	p := NewObfuscatorPool(pk, 2, 4, nil)
-	defer p.Close()
-	for i := 0; i < 8; i++ {
-		rn, err := p.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := pk.EncryptWithObfuscator(big.NewInt(int64(i)), rn)
-		if v, err := priv.DecryptInt64(ct); err != nil || v != int64(i) {
-			t.Fatalf("pooled fast term %d: decrypt = %d, %v", i, v, err)
-		}
-	}
 }

@@ -19,12 +19,11 @@ package paillier
 // (without the purego tag) when CPUID reports ADX and BMI2, and then only
 // 2048-bit moduli take this code: squarePow2, the owner's tables,
 // decryption's two exponentiations (exp) and the digit-form HAdd
-// (digits.go). Everything else — other widths, other platforms, AddInto
-// on canonical ciphertexts and the public tables modulo n² — stays on
-// big.Int, which is also the reference the tests compare against. A word
-// loop written in Go is slower than big.Int, so mont_generic.go's
-// addMulVVW2048 only lets the tests run the Montgomery arithmetic where
-// the kernel is compiled out.
+// (digits.go). Everything else — other widths, other platforms and AddInto
+// on canonical ciphertexts — stays on big.Int, which is also the
+// reference the tests compare against. A word loop written in Go is
+// slower than big.Int, so mont_generic.go's addMulVVW2048 only lets the
+// tests run the Montgomery arithmetic where the kernel is compiled out.
 //
 // Like the big.Int code it replaces, none of this is constant time: the
 // operands are ciphertexts, and the window lookups of the fixed-base
@@ -319,12 +318,11 @@ func (ch *montChain) squarePow2(c *big.Int, s int) *big.Int {
 // newMontFixedBase is newFixedBase modulo a 2048-bit mm, with every entry
 // built and kept in Montgomery form: the base is converted once and each
 // further entry is one montMul of two converted values.
-func newMontFixedBase(base *big.Int, mm *montModulus, maxBits int, w uint) *FixedBase {
+func newMontFixedBase(base *big.Int, mm *montModulus, maxBits int, w uint) *fixedBase {
 	if maxBits < 1 {
 		maxBits = 1
 	}
-	fb := &FixedBase{
-		base:       new(big.Int).Set(base),
+	fb := &fixedBase{
 		mod:        mm.mod,
 		window:     w,
 		mont:       mm,
@@ -346,10 +344,10 @@ func newMontFixedBase(base *big.Int, mm *montModulus, maxBits int, w uint) *Fixe
 	return fb
 }
 
-// montExpInto is FixedBase.expInto on Montgomery tables: the accumulator
+// montExpInto is fixedBase.expInto on Montgomery tables: the accumulator
 // starts at R mod m, takes one montMul per non-zero window, and one REDC
 // leaves Montgomery form.
-func (fb *FixedBase) montExpInto(acc, x *big.Int) {
+func (fb *fixedBase) montExpInto(acc, x *big.Int) {
 	mm := fb.mont
 	a := mm.one
 	words, n := x.Bits(), uint(x.BitLen())

@@ -173,8 +173,8 @@ func TestMontExpMatchesBigInt(t *testing.T) {
 
 // TestMontSelection pins where the kernel applies: odd 2048-bit moduli
 // only, so a 2048-bit key's n (squarePow2) and its owner tables modulo p²
-// and q² take it when montKernel is set, while the public tables modulo n²,
-// every other key size and the big.Int switch keep the big.Int code.
+// and q² take it when montKernel is set, while every other key size and
+// the big.Int switch keep the big.Int code.
 func TestMontSelection(t *testing.T) {
 	r := new(big.Int).Lsh(one, montBits)
 	for _, m := range []*big.Int{
@@ -196,9 +196,6 @@ func TestMontSelection(t *testing.T) {
 				wantMont := bits == montBits && montKernel
 				if got := priv.owner.fp.mont != nil && priv.owner.fq.mont != nil; got != wantMont {
 					t.Errorf("owner tables in Montgomery form = %v, want %v", got, wantMont)
-				}
-				if priv.fast.fb.mont != nil {
-					t.Error("public tables modulo n² took the Montgomery form")
 				}
 				if got := NewPublicKey(priv.N).mont != nil; got != (bits == montBits) {
 					t.Errorf("NewPublicKey chain state present = %v at %d bits", got, bits)

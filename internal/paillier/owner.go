@@ -2,19 +2,18 @@ package paillier
 
 // Key-owner obfuscation.
 //
-// The public fast path (fixedbase.go) evaluates the DJN obfuscator h^x in
-// Z*_{n²}, the only ring a passive party can work in. The key owner knows
-// p and q, so it evaluates the same group element in the two half-size
-// rings Z*_{p²} and Z*_{q²} and recombines by the Chinese Remainder
-// Theorem — the idiom Decrypt already uses. A multiplication modulo p² is
-// about a quarter of one modulo n², and because half-size table entries
-// are half as large the owner can afford a wider window (fewer
-// multiplications) in the same order of memory. For the same x the result
-// is the same element of Z*_{n²}, so nothing on the wire, in the model or
-// in the security parameters changes.
+// The key owner knows p and q, so it evaluates the DJN obfuscator h^x
+// (fixedbase.go) in the two half-size rings Z*_{p²} and Z*_{q²} and
+// recombines by the Chinese Remainder Theorem — the idiom Decrypt already
+// uses. A multiplication modulo p² is about a quarter of one modulo n²,
+// and because half-size table entries are half as large the owner can
+// afford a wide window (fewer multiplications). The result is the element
+// h^x of Z*_{n²}, so nothing on the wire, in the model or in the security
+// parameters depends on the route.
 //
 // The tables embed p² and q², so they hang off PrivateKey and are never
-// reachable from the PublicKey a PrivateKey hands out.
+// reachable from the PublicKey a PrivateKey hands out, and neither is the
+// base h: a PublicKey always obfuscates with a fresh r^n.
 //
 // For a 2048-bit key p² and q² are 2048-bit moduli, and where montKernel
 // is set (mont.go) each prime's table is built and kept in Montgomery form
@@ -32,18 +31,15 @@ import (
 
 // ownerWindow is the window width of the owner's tables: 255 half-size
 // entries per 8-bit window, ~3.6 MB for both primes at S = 2048 with the
-// default 224-bit exponent, and 28 multiplications per prime where the
-// public window-4 tables need 56 modulo n².
+// default 224-bit exponent, and 28 multiplications per prime.
 const ownerWindow = 8
 
 // ownerObfuscator serves h^x mod n² from fixed-base tables modulo p² and
 // q². It is safe for concurrent use.
 type ownerObfuscator struct {
-	// h is the public base the tables were built for — the same *big.Int
-	// as PublicKey.fast.h, which is how staleness is detected.
-	h       *big.Int
+	h       *big.Int   // the base r₀^n mod n² the tables were built for
 	expMax  *big.Int   // 2^expBits, exclusive bound for the short exponent
-	fp, fq  *FixedBase // tables modulo p² and modulo q²
+	fp, fq  *fixedBase // tables modulo p² and modulo q²
 	p2InvQ2 *big.Int   // (p²)^{-1} mod q²
 	scratch sync.Pool
 }
@@ -55,12 +51,15 @@ type ownerScratch struct {
 	d, t   big.Int
 }
 
-func newOwnerObfuscator(priv *PrivateKey, f *fastObfuscator) *ownerObfuscator {
+// newOwnerObfuscator builds the tables for base h, covering exponents of
+// DefaultObfuscationBitsFor the key's size.
+func newOwnerObfuscator(priv *PrivateKey, h *big.Int) *ownerObfuscator {
+	expBits := DefaultObfuscationBitsFor(priv.Bits())
 	return &ownerObfuscator{
-		h:       f.h,
-		expMax:  f.expMax,
-		fp:      newOwnerTable(f.h, priv.pSquared, f.expBits),
-		fq:      newOwnerTable(f.h, priv.qSquared, f.expBits),
+		h:       h,
+		expMax:  new(big.Int).Lsh(one, uint(expBits)),
+		fp:      newOwnerTable(h, priv.pSquared, expBits),
+		fq:      newOwnerTable(h, priv.qSquared, expBits),
 		p2InvQ2: new(big.Int).ModInverse(priv.pSquared, priv.qSquared),
 		scratch: sync.Pool{New: func() any { return new(ownerScratch) }},
 	}
@@ -69,7 +68,7 @@ func newOwnerObfuscator(priv *PrivateKey, f *fastObfuscator) *ownerObfuscator {
 // newOwnerTable builds one prime's window-8 table for h modulo m = p² or
 // q²: in Montgomery form on the kernel when m is a 2048-bit modulus (any
 // prime of a 2048-bit key) and montKernel is set, else on big.Int.
-func newOwnerTable(h, m *big.Int, expBits int) *FixedBase {
+func newOwnerTable(h, m *big.Int, expBits int) *fixedBase {
 	if mm := newMontModulus(m); mm != nil && montKernel {
 		return newMontFixedBase(h, mm, expBits, ownerWindow)
 	}
@@ -104,7 +103,7 @@ func (o *ownerObfuscator) exp(x *big.Int) *big.Int {
 }
 
 // obfuscator draws a short random exponent x ∈ [1, 2^expBits) and returns
-// h^x mod n² — the same distribution as fastObfuscator.obfuscator.
+// h^x mod n².
 func (o *ownerObfuscator) obfuscator(random io.Reader) (*big.Int, error) {
 	for {
 		x, err := rand.Int(random, o.expMax)
@@ -117,42 +116,41 @@ func (o *ownerObfuscator) obfuscator(random io.Reader) (*big.Int, error) {
 	}
 }
 
-// EnableFastObfuscation enables the fast h^x path on the key (see
-// PublicKey.EnableFastObfuscation) and builds the owner's half-size
-// tables for the derived base, so that Obfuscator and Encrypt called on
-// the private key take the CRT route. Passive parties and anyone holding
-// Public() keep the public window-4 path. Like every enable/disable call
-// it is a setup step, not synchronized against in-flight encryptions;
-// calling it again is a no-op.
-func (priv *PrivateKey) EnableFastObfuscation(random io.Reader, expBits int) error {
-	if err := priv.PublicKey.EnableFastObfuscation(random, expBits); err != nil {
-		return err
+// EnableFastObfuscation derives a random obfuscation base h = r₀^n mod n²
+// and builds the owner's half-size tables for it, so that Obfuscator and
+// Encrypt on the private key serve short-exponent h^x terms through the
+// CRT route. Like DisableFastObfuscation it is a setup step, not
+// synchronized against in-flight encryptions; calling it again is a
+// no-op.
+func (priv *PrivateKey) EnableFastObfuscation(random io.Reader) error {
+	if priv.owner != nil {
+		return nil
 	}
-	if !priv.OwnerObfuscation() {
-		priv.owner = newOwnerObfuscator(priv, priv.fast)
+	for {
+		h, err := priv.PublicKey.Obfuscator(random)
+		if err != nil {
+			return err
+		}
+		// r₀ = 1 would fix every obfuscator to 1; redraw (probability 1/n).
+		if h.Cmp(one) != 0 {
+			priv.owner = newOwnerObfuscator(priv, h)
+			return nil
+		}
 	}
-	return nil
 }
 
-// DisableFastObfuscation reverts both the public and the owner path to
-// the baseline r^n obfuscator and releases the owner tables.
-func (priv *PrivateKey) DisableFastObfuscation() {
-	priv.PublicKey.DisableFastObfuscation()
-	priv.owner = nil
-}
+// DisableFastObfuscation reverts the private key to the baseline r^n
+// obfuscator and releases the owner tables.
+func (priv *PrivateKey) DisableFastObfuscation() { priv.owner = nil }
 
 // OwnerObfuscation reports whether Obfuscator on the private key is
-// served by the owner's CRT tables. Tables built for a base the public
-// key no longer carries (fast obfuscation was disabled or re-derived
-// through Public()) do not count and are not used.
-func (priv *PrivateKey) OwnerObfuscation() bool {
-	return priv.owner != nil && priv.fast != nil && priv.owner.h == priv.fast.h
-}
+// served by the owner's CRT tables.
+func (priv *PrivateKey) OwnerObfuscation() bool { return priv.owner != nil }
 
 // Obfuscator computes a fresh obfuscation term like PublicKey.Obfuscator,
 // through the owner's CRT tables when they are enabled.
 func (priv *PrivateKey) Obfuscator(random io.Reader) (*big.Int, error) {
-	if priv.OwnerObfuscation() {
+	if priv.owner != nil {
 		return priv.owner.obfuscator(random)
 	}
 	return priv.PublicKey.Obfuscator(random)

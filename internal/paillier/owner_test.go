@@ -3,7 +3,6 @@ package paillier
 import (
 	"crypto/rand"
 	"fmt"
-	"io"
 	"math/big"
 	mrand "math/rand"
 	"sync"
@@ -17,7 +16,10 @@ func ownerKey(t testing.TB, bits int) *PrivateKey {
 	t.Helper()
 	cached := testKey(t, bits)
 	priv := newPrivateKey(cached.p, cached.q)
-	if err := priv.EnableFastObfuscation(rand.Reader, 0); err != nil {
+	if priv.OwnerObfuscation() {
+		t.Fatal("owner obfuscation enabled before EnableFastObfuscation")
+	}
+	if err := priv.EnableFastObfuscation(rand.Reader); err != nil {
 		t.Fatal(err)
 	}
 	if !priv.OwnerObfuscation() {
@@ -42,8 +44,8 @@ func TestOwnerExpMatchesBigExp(t *testing.T) {
 
 func testOwnerExp(t *testing.T, priv *PrivateKey) {
 	bits := priv.Bits()
-	o, h, n2 := priv.owner, priv.fast.h, priv.NSquared
-	expBits := priv.ObfuscationBits()
+	o, h, n2 := priv.owner, priv.owner.h, priv.NSquared
+	expBits := DefaultObfuscationBitsFor(bits)
 	check := func(x *big.Int) {
 		t.Helper()
 		if got, want := o.exp(x), new(big.Int).Exp(h, x, n2); got.Cmp(want) != 0 {
@@ -68,19 +70,16 @@ func testOwnerExp(t *testing.T, priv *PrivateKey) {
 		check(new(big.Int).Rand(rng, o.expMax))
 	}
 	// Wider than the tables: one bit past, and as wide as n².
-	check(new(big.Int).Lsh(one, uint(o.fp.MaxBits())))
+	check(new(big.Int).Lsh(one, uint(o.fp.maxBits())))
 	check(new(big.Int).Rand(rng, n2))
 }
 
 // TestOwnerCiphertextsInteroperate: ciphertexts from the owner path
-// decrypt, and mix freely with public-path ciphertexts under Add and
-// MulScalar.
+// decrypt, and mix freely with r^n ciphertexts of a public key rebuilt
+// from the modulus under Add and MulScalar.
 func TestOwnerCiphertextsInteroperate(t *testing.T) {
 	priv := ownerKey(t, 512)
-	pub := NewPublicKey(priv.N)
-	if err := pub.SetObfuscationBase(priv.ObfuscationBase(), priv.ObfuscationBits()); err != nil {
-		t.Fatal(err)
-	}
+	pub := NewPublicKey(new(big.Int).SetBytes(priv.N.Bytes()))
 	dec := func(ct Ciphertext) int64 {
 		t.Helper()
 		v, err := priv.DecryptInt64(ct)
@@ -112,45 +111,36 @@ func TestOwnerCiphertextsInteroperate(t *testing.T) {
 	}
 }
 
-// TestOwnerTablesStayPrivate is the secrecy boundary: enabling the owner
-// path leaves the PublicKey handed out by Public() — and a key a passive
-// party rebuilds from the setup bytes — on the public window-4 tables
-// modulo n², and a base re-derived behind the private key's back retires
-// the stale owner tables instead of serving them.
+// TestOwnerTablesStayPrivate is the secrecy boundary: the owner's tables
+// are built modulo p² and q² and hang off the private key alone — the
+// PublicKey it hands out keeps drawing r^n — and disabling releases them,
+// after which enabling derives a fresh base.
 func TestOwnerTablesStayPrivate(t *testing.T) {
 	priv := ownerKey(t, 512)
-	rebuilt := NewPublicKey(new(big.Int).SetBytes(priv.N.Bytes()))
-	if err := rebuilt.SetObfuscationBase(new(big.Int).SetBytes(priv.ObfuscationBase().Bytes()), priv.ObfuscationBits()); err != nil {
+	o := priv.owner
+	if o.fp.window != ownerWindow || o.fp.mod.Cmp(priv.pSquared) != 0 || o.fq.mod.Cmp(priv.qSquared) != 0 {
+		t.Errorf("owner tables use window %d modulo %d- and %d-bit values, want window %d modulo p² and q²",
+			o.fp.window, o.fp.mod.BitLen(), o.fq.mod.BitLen(), ownerWindow)
+	}
+	// A public-key obfuscator is r^n, not a power of the owner's base: it
+	// is an encryption of zero whatever the base.
+	rn, err := priv.Public().Obfuscator(rand.Reader)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, pk := range map[string]*PublicKey{"Public()": priv.Public(), "rebuilt": rebuilt} {
-		fb := pk.fast.fb
-		if fb.window != fixedBaseWindow || fb.mod.Cmp(pk.NSquared) != 0 {
-			t.Errorf("%s: tables use window %d modulo a %d-bit value, want window %d modulo n²",
-				name, fb.window, fb.mod.BitLen(), fixedBaseWindow)
-		}
-	}
-	if w := priv.owner.fp.window; w != ownerWindow {
-		t.Errorf("owner tables use window %d, want %d", w, ownerWindow)
+	if m, err := priv.Decrypt(Ciphertext{C: rn}); err != nil || m.Sign() != 0 {
+		t.Fatalf("public obfuscator decrypts to %v, %v; want 0", m, err)
 	}
 
-	pub := priv.Public()
-	pub.DisableFastObfuscation()
-	if err := pub.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	if priv.OwnerObfuscation() {
-		t.Fatal("owner tables for a retired base still count as enabled")
-	}
-	if err := priv.EnableFastObfuscation(rand.Reader, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !priv.OwnerObfuscation() || priv.owner.h != priv.fast.h {
-		t.Fatal("re-enabling did not rebuild the owner tables for the new base")
-	}
 	priv.DisableFastObfuscation()
-	if priv.OwnerObfuscation() || priv.FastObfuscation() || priv.owner != nil {
-		t.Fatal("DisableFastObfuscation left a fast path behind")
+	if priv.OwnerObfuscation() || priv.owner != nil {
+		t.Fatal("DisableFastObfuscation left the owner tables behind")
+	}
+	if err := priv.EnableFastObfuscation(rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if priv.owner.h.Cmp(o.h) == 0 {
+		t.Fatal("re-enabling reused the retired base")
 	}
 }
 
@@ -183,7 +173,7 @@ func TestOwnerObfuscatorConcurrent(t *testing.T) {
 }
 
 // BenchmarkOwnerObfuscator measures the key owner's CRT h^x path; compare
-// BenchmarkObfuscatorFixedBase at the same size. Table precomputation is
+// BenchmarkObfuscatorBaseline at the same size. Table precomputation is
 // excluded (one-time per base, at session setup).
 func BenchmarkOwnerObfuscator(b *testing.B) {
 	for _, bits := range []int{256, 512, 1024, 2048} {
@@ -200,30 +190,21 @@ func BenchmarkOwnerObfuscator(b *testing.B) {
 	}
 }
 
-// BenchmarkEncryptOwnerVsPublic is the end-to-end Enc cost with fast
-// obfuscation on, through the private key and through the public key of
-// the same pair; bits=2048 is the paper's key size.
-func BenchmarkEncryptOwnerVsPublic(b *testing.B) {
-	type encrypter interface {
-		Encrypt(random io.Reader, m *big.Int) (Ciphertext, error)
-	}
+// BenchmarkEncryptOwner is the key owner's end-to-end Enc cost with fast
+// obfuscation on; bits=2048 is the paper's key size. BenchmarkEncrypt is
+// the r^n baseline.
+func BenchmarkEncryptOwner(b *testing.B) {
 	for _, bits := range []int{512, 2048} {
-		for _, path := range []string{"owner", "public"} {
-			b.Run(fmt.Sprintf("%s/bits=%d", path, bits), func(b *testing.B) {
-				priv := ownerKey(b, bits)
-				var enc encrypter = priv
-				if path == "public" {
-					enc = priv.Public()
+		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
+			priv := ownerKey(b, bits)
+			m := big.NewInt(123456789)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := priv.Encrypt(rand.Reader, m); err != nil {
+					b.Fatal(err)
 				}
-				m := big.NewInt(123456789)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := enc.Encrypt(rand.Reader, m); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -233,6 +214,6 @@ func BenchmarkOwnerTableBuild(b *testing.B) {
 	priv := ownerKey(b, 2048)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newOwnerObfuscator(priv, priv.fast)
+		newOwnerObfuscator(priv, priv.owner.h)
 	}
 }

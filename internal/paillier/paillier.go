@@ -6,8 +6,7 @@
 //
 //   - encryption uses the g = n+1 shortcut, so g^m mod n² is computed as
 //     (1 + m·n) mod n² with one multiplication instead of a modular
-//     exponentiation; the remaining cost is the obfuscation term r^n mod n²,
-//     which can be precomputed with an ObfuscatorPool;
+//     exponentiation; the remaining cost is the obfuscation term r^n mod n²;
 //   - decryption uses the Chinese Remainder Theorem, replacing one
 //     exponentiation modulo n² with two half-size exponentiations modulo
 //     p² and q²;
@@ -28,14 +27,13 @@
 //     assembly kernel (mont.go), to the same residues. HAdd does too, for
 //     callers that keep their accumulators as n-adic digit pairs
 //     (Accumulator, Addend; digits.go): three products modulo n in place
-//     of one modulo n². Every other width and platform, AddInto on
-//     canonical ciphertexts, and the public tables at any width stay on
-//     big.Int;
-//   - optionally, EnableFastObfuscation replaces the full r^n ladder with
-//     DJN-style short-exponent obfuscators h^x served from precomputed
-//     fixed-base tables (see fixedbase.go), cutting obfuscator cost by
-//     roughly an order of magnitude. The exact-paper baseline stays
-//     available as BaselineObfuscator.
+//     of one modulo n². Every other width and platform, and AddInto on
+//     canonical ciphertexts, stay on big.Int;
+//   - optionally, PrivateKey.EnableFastObfuscation replaces the key
+//     owner's full r^n ladder with DJN-style short-exponent obfuscators
+//     h^x (fixedbase.go), evaluated modulo p² and q² with CRT
+//     recombination (owner.go): about two orders of magnitude cheaper
+//     at 2048 bits. A PublicKey always draws a fresh r^n.
 //
 // GenerateKey draws two distinct random primes of equal size and requires
 // n = p·q to have exactly the requested bit length with gcd(n, φ(n)) = 1.
@@ -43,13 +41,9 @@
 // scheme needs p and q to be safe, and safe-prime generation would slow
 // setup by orders of magnitude.
 //
-//   - the key owner evaluates those h^x terms modulo p² and q² with CRT
-//     recombination (owner.go), roughly a third of the public fast path's
-//     cost, without changing the group element produced.
-//
 // All operations on PublicKey and PrivateKey are safe for concurrent use
-// once configured; EnableFastObfuscation / SetObfuscationBase are setup
-// steps that must complete before concurrent use begins.
+// once configured; EnableFastObfuscation and DisableFastObfuscation are
+// setup steps that must complete before concurrent use begins.
 package paillier
 
 import (
@@ -81,9 +75,6 @@ type PublicKey struct {
 	NSquared *big.Int
 	// halfN is n/2, used to decide the sign of decoded values.
 	halfN *big.Int
-	// fast, when non-nil, serves obfuscators as h^x from fixed-base
-	// tables instead of the full r^n ladder (see fixedbase.go).
-	fast *fastObfuscator
 	// mont is squarePow2's Montgomery state for a 2048-bit n, nil for any
 	// other width (see mont.go).
 	mont *montChain
@@ -107,7 +98,7 @@ type PrivateKey struct {
 	montP, montQ *montModulus
 	// owner, when non-nil, serves the key owner's obfuscators from
 	// half-size CRT tables (see owner.go). It embeds p² and q² and so
-	// lives here, never behind PublicKey.fast.
+	// lives here, never in PublicKey.
 	owner *ownerObfuscator
 }
 
@@ -235,22 +226,9 @@ func (pk *PublicKey) randomUnit(random io.Reader) (*big.Int, error) {
 	}
 }
 
-// Obfuscator computes a fresh obfuscation term. By default that is
-// r^n mod n² — the expensive part of encryption, which ObfuscatorPool
-// amortizes; after EnableFastObfuscation it is the much cheaper h^x from
-// the fixed-base tables.
+// Obfuscator computes a fresh obfuscation term r^n mod n² for a random
+// unit r: the expensive part of encryption, a full S-bit exponentiation.
 func (pk *PublicKey) Obfuscator(random io.Reader) (*big.Int, error) {
-	if f := pk.fast; f != nil {
-		return f.obfuscator(random)
-	}
-	return pk.BaselineObfuscator(random)
-}
-
-// BaselineObfuscator always computes the full r^n mod n² of the paper's
-// cost model, regardless of whether fast obfuscation is enabled. It is the
-// reference the fast path is benchmarked against, and the source of the
-// derived base h.
-func (pk *PublicKey) BaselineObfuscator(random io.Reader) (*big.Int, error) {
 	r, err := pk.randomUnit(random)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: drawing obfuscation randomness: %w", err)

@@ -217,26 +217,6 @@ func TestCiphertextBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestObfuscatorPool(t *testing.T) {
-	priv := testKey(t, 256)
-	pool := NewObfuscatorPool(&priv.PublicKey, 2, 8, nil)
-	defer pool.Close()
-	for i := 0; i < 10; i++ {
-		rn, err := pool.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct := priv.EncryptWithObfuscator(big.NewInt(int64(i)), rn)
-		got, err := priv.DecryptInt64(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != int64(i) {
-			t.Errorf("pool-encrypted %d decrypts to %d", i, got)
-		}
-	}
-}
-
 func TestSignedMapping(t *testing.T) {
 	priv := testKey(t, 256)
 	neg := new(big.Int).Sub(priv.N, big.NewInt(9)) // encodes -9
@@ -279,21 +259,6 @@ func BenchmarkEncrypt(b *testing.B) {
 		if _, err := priv.Encrypt(rand.Reader, m); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkEncryptWithPool(b *testing.B) {
-	priv := testKey(b, 512)
-	pool := NewObfuscatorPool(&priv.PublicKey, 0, 64, nil)
-	defer pool.Close()
-	m := big.NewInt(123456789)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rn, err := pool.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		priv.EncryptWithObfuscator(m, rn)
 	}
 }
 

@@ -2,8 +2,8 @@
 # Reproducible crypto/serving benchmark harness. Runs the Paillier
 # primitive benchmarks (Enc, Dec and HAdd at 512 and 2048 bits, SMul by the protocol's scalars at
 # 2048-bit — packing shift, exponent alignment, a general scalar —
-# obfuscator generation baseline vs fixed-base vs the key owner's CRT
-# path, owner-vs-public Encrypt), the paper's Fig. 7 histogram-accumulation
+# obfuscator generation baseline r^n vs the key owner's CRT h^x, the key
+# owner's Encrypt), the paper's Fig. 7 histogram-accumulation
 # benches, the passive party's finalize+pack on 1/2/4 workers, and the
 # online-scoring BenchmarkScoreBatch, then pipes the lot
 # through cmd/benchfmt into a committed JSON baseline.
@@ -33,13 +33,13 @@ if [ "$short" -eq 1 ]; then
   pack_benchtime="2x"
   # Small moduli only: 2048-bit keygen alone takes longer than the whole
   # smoke budget.
-  obf_filter='Benchmark(Obfuscator(Baseline|FixedBase)|OwnerObfuscator)/bits=(256|512)$|BenchmarkEncryptOwnerVsPublic/.*/bits=512$'
-  prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$/bits=512$|BenchmarkHAdd$/bits=512$|BenchmarkSMul$/bits=512$'
+  obf_filter='Benchmark(ObfuscatorBaseline|OwnerObfuscator|EncryptOwner)/bits=(256|512)$'
+  prim_filter='BenchmarkEncrypt$|BenchmarkDecryptCRT$/bits=512$|BenchmarkHAdd$/bits=512$|BenchmarkSMul$/bits=512$'
 else
   benchtime="1s"
   pack_benchtime="10x"
-  obf_filter='BenchmarkObfuscator(Baseline|FixedBase)|BenchmarkOwner(Obfuscator|TableBuild)|BenchmarkEncryptOwnerVsPublic'
-  prim_filter='BenchmarkEncrypt$|BenchmarkEncryptWithPool$|BenchmarkEncryptFastObfuscation$|BenchmarkDecryptCRT$|BenchmarkHAdd$|BenchmarkSMul$'
+  obf_filter='BenchmarkObfuscatorBaseline|BenchmarkOwner(Obfuscator|TableBuild)|BenchmarkEncryptOwner'
+  prim_filter='BenchmarkEncrypt$|BenchmarkDecryptCRT$|BenchmarkHAdd$|BenchmarkSMul$'
   [ -n "$out" ] || out="BENCH_crypto.json"
 fi
 
@@ -49,7 +49,7 @@ trap 'rm -f "$tmp"' EXIT
 echo "== paillier primitives ==" >&2
 go test -run '^$' -bench "$prim_filter" -benchtime "$benchtime" ./internal/paillier | tee -a "$tmp" >&2
 
-echo "== obfuscator generation: baseline r^n vs fixed-base h^x vs key-owner CRT h^x ==" >&2
+echo "== obfuscator generation: baseline r^n vs key-owner CRT h^x ==" >&2
 go test -run '^$' -bench "$obf_filter" -benchtime "$benchtime" -timeout 30m ./internal/paillier | tee -a "$tmp" >&2
 
 echo "== histogram accumulation (Fig. 7) ==" >&2

@@ -46,15 +46,34 @@ if grep -rn 'interface{ Close() }' --include='*.go' internal cmd | grep -v '_tes
   exit 1
 fi
 
-echo "== one retry schedule (no wall-clock sleep in core or serve) =="
+echo "== one retry schedule (no wall-clock sleep in core, serve or fault) =="
 # Retransmits and redials in internal/core and internal/serve wait on
-# one schedule, clock.Backoff on a clock.Clock, so tests run them on
-# virtual time. A time.Sleep in their non-test code would be a second
+# one schedule, clock.Backoff on a clock.Clock, and the chaos layer's
+# stalls in internal/fault wait on a clock.Clock too, so tests run them
+# on virtual time. A time.Sleep in their non-test code would be a second
 # schedule, on the wall clock.
-sleepers=$(grep -n 'time\.Sleep' internal/core/*.go internal/serve/*.go | grep -v '_test\.go:' || true)
+sleepers=$(grep -rn 'time\.Sleep' --include='*.go' internal/core internal/serve internal/fault | grep -v '_test\.go:' || true)
 if [ -n "$sleepers" ]; then
   echo "time.Sleep outside tests:" >&2
   echo "$sleepers" >&2
+  exit 1
+fi
+
+echo "== only the key owner encrypts (no passive-party encryption, no pool, no shipped base) =="
+# Party B encrypts the gradients and the one packing-shift ciphertext a
+# session needs; a passive party adds, shifts and packs what B sends. An
+# Encrypt call in its engine would bring back encryption on the passive
+# side, and with it the obfuscation state B would have to ship.
+passive_enc=$(grep -n '\.Encrypt(' internal/core/partya.go internal/core/enchist.go || true)
+if [ -n "$passive_enc" ]; then
+  echo "a passive party encrypts:" >&2
+  echo "$passive_enc" >&2
+  exit 1
+fi
+retired=$(grep -rnE 'ObfuscatorPool|SetObfuscationBase' --include='*.go' . | grep -v '_test\.go:' || true)
+if [ -n "$retired" ]; then
+  echo "the retired obfuscator pool or shipped obfuscation base is back:" >&2
+  echo "$retired" >&2
   exit 1
 fi
 
@@ -78,9 +97,11 @@ echo "== parity suites across core counts (same seed => byte-identical model on 
 # party sweeps, finalizes and packs every node as units on one queue of
 # its workers, Party B decrypts per ciphertext on another, and what B files must equal the integers
 # the passive party summed, packed or one slot per ciphertext — and a
-# refused frame must end in its typed error, and a frame no decoder reads
-# (the retired batched-backend ids 24–27, the retired per-bin histogram
-# ids 30 and 32, an unknown id) in MsgAbort to B — whatever the schedule.
+# refused frame must end in its typed error — a setup whose shift
+# ciphertext is missing or not a ciphertext under its key included — and
+# a frame no decoder reads (the retired batched-backend ids 24–27, the
+# retired per-bin histogram ids 30 and 32, the retired obfuscation-base
+# setup's 31, an unknown id) in MsgAbort to B — whatever the schedule.
 # A node ships as a header and one frame per ciphertext, which B's units
 # decrypt as they land: a frame before its header, twice, beyond the
 # header's count or inside a one-frame header, a link dropped mid-node,
@@ -127,6 +148,9 @@ for procs in 1 2 4; do
   # race against the frames they guard, and RunLoop walks the schedule to
   # its last failed dial on virtual time.
   GOMAXPROCS=$procs go test -race -count=1 -run 'TestResilient|TestWorkerRunLoop|TestWorkerEndsOnUndecodableFrame' ./internal/core ./internal/serve
+  # The chaos layer stalls a delayed frame on its link's clock: on a fake
+  # clock the frame must not arrive before the stall has passed there.
+  GOMAXPROCS=$procs go test -race -count=3 -run 'TestDelayWaitsOnTheLinkClock' ./internal/fault
   # The Section 5.1 accumulator resolves distinct cells concurrently, and
   # federated LR's weights must hash to the pinned ones with either
   # reduction, on any core count.
@@ -137,7 +161,7 @@ for procs in 1 2 4; do
   GOMAXPROCS=$procs go test -race -count=1 -run 'TestBackendConformance' ./internal/he
 done
 
-echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring chain vs big.Exp, secrecy boundary, reconfiguration under a live pool, Montgomery kernel; race-enabled) =="
+echo "== key-owner encryption and power-of-two SMul (CRT obfuscator and squaring chain vs big.Exp, secrecy boundary, disable/enable under concurrent encryption, Montgomery kernel; race-enabled) =="
 # -short trims the random-exponent sweep at the larger key sizes; the
 # edge, single-window and out-of-table exponents always run. The pow2
 # kernel is compared byte for byte with big.Int.Exp, and shared read-only
