@@ -102,7 +102,7 @@ func main() {
 	}
 
 	if !doSplit {
-		if err := dataset.SaveLibSVMFile(*out, d); err != nil {
+		if err := dataset.SaveLibSVMFile(*out, d, nil); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s: %d x %d, density %.4f\n", *out, d.Rows(), d.Cols(), d.Density())
@@ -115,7 +115,7 @@ func main() {
 	}
 	for i, p := range parts {
 		path := partyPath(*out, i, len(parts))
-		if err := dataset.SaveLibSVMFile(path, p); err != nil {
+		if err := dataset.SaveLibSVMFile(path, p, nil); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("wrote %s: %d x %d (labels: %v)\n", path, p.Rows(), p.Cols(), p.Labels != nil)
@@ -143,11 +143,11 @@ func genObjective(classes, rankQ, groupSize, rows, cols int, noise float64, seed
 		return err
 	}
 	save := func(path string, p *dataset.Dataset) error {
-		if groups != nil && p.Labels != nil {
-			if err := dataset.SaveLibSVMRankingFile(path, p, groups); err != nil {
-				return err
-			}
-		} else if err := dataset.SaveLibSVMFile(path, p); err != nil {
+		pg := groups
+		if p.Labels == nil {
+			pg = nil
+		}
+		if err := dataset.SaveLibSVMFile(path, p, pg); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s: %d x %d (labels: %v)\n", path, p.Rows(), p.Cols(), p.Labels != nil)
@@ -194,7 +194,7 @@ func streamSingle(o dataset.GenOptions, out string) error {
 	}
 	w := dataset.NewLibSVMWriter(f)
 	err = dataset.StreamGen(o, func(row int, indices []int32, values []float64, label float64) error {
-		return w.WriteRow(indices, values, label)
+		return w.WriteRow(indices, values, label, -1)
 	})
 	if err == nil {
 		err = w.Flush()
@@ -259,7 +259,7 @@ func streamSplit(o dataset.GenOptions, counts []int, out string) error {
 			if p == len(counts)-1 {
 				l = label
 			}
-			if err := writers[p].WriteRow(idxBuf[p], valBuf[p], l); err != nil {
+			if err := writers[p].WriteRow(idxBuf[p], valBuf[p], l, -1); err != nil {
 				return err
 			}
 		}

@@ -122,20 +122,18 @@ func trainFlags(fs *flag.FlagSet) func() core.Config {
 	}
 }
 
-// loadLabeledData reads the labeled training shard: under an objective
-// that couples gradients across query groups (ranking) it reads qid:N
-// tokens and installs the groups; else it is a plain LibSVM load.
+// loadLabeledData reads the labeled training shard. An objective that
+// couples gradients across query groups (ranking) gets the file's qid:N
+// groups; a file without them has none, which it refuses.
 func loadLabeledData(path string, cfg core.Config) *dataset.Dataset {
-	ga, ok := cfg.Objective.(objective.GroupAware)
-	if !ok {
-		return loadData(path)
-	}
-	d, groups, err := dataset.LoadLibSVMRankingFile(path, 0)
+	d, groups, err := dataset.LoadLibSVMFile(path, 0)
 	if err != nil {
 		log.Fatalf("loading %s: %v", path, err)
 	}
-	if err := ga.SetGroups(groups); err != nil {
-		log.Fatalf("loading %s: %v", path, err)
+	if ga, ok := cfg.Objective.(objective.GroupAware); ok {
+		if err := ga.SetGroups(groups); err != nil {
+			log.Fatalf("loading %s: %v", path, err)
+		}
 	}
 	return d
 }
@@ -300,7 +298,7 @@ func parseBytes(s string) (int64, error) {
 }
 
 func loadData(path string) *dataset.Dataset {
-	d, err := dataset.LoadLibSVMFile(path, 0)
+	d, _, err := dataset.LoadLibSVMFile(path, 0)
 	if err != nil {
 		log.Fatalf("loading %s: %v", path, err)
 	}
@@ -340,13 +338,7 @@ func cmdLocal(args []string) {
 	p.Workers = cfg.Workers
 
 	start := time.Now()
-	var m *gbdt.Model
-	var err error
-	if cfg.Objective != nil {
-		m, err = gbdt.TrainMultiBinned(view, labels, cfg.Objective, p)
-	} else {
-		m, err = gbdt.TrainBinned(view, labels, p)
-	}
+	m, err := gbdt.TrainBinned(view, labels, cfg.Objective, p)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestLocalOOCModelByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteLibSVM(f, d); err != nil {
+	if err := dataset.WriteLibSVM(f, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -123,7 +123,7 @@ func TestOOCObjectiveByteIdentity(t *testing.T) {
 	}
 	dir := t.TempDir()
 	data := filepath.Join(dir, "mc.libsvm")
-	if err := dataset.SaveLibSVMFile(data, d); err != nil {
+	if err := dataset.SaveLibSVMFile(data, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	oocArgs := func(store string) []string {
@@ -206,7 +206,7 @@ func TestLatencyFlag(t *testing.T) {
 	}
 	dir := t.TempDir()
 	data := filepath.Join(dir, "d.libsvm")
-	if err := dataset.SaveLibSVMFile(data, d); err != nil {
+	if err := dataset.SaveLibSVMFile(data, d, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -22,7 +22,7 @@ func splitFiles(t *testing.T, dir string, d *dataset.Dataset, counts []int) (joi
 	}
 	joined, a, b = filepath.Join(dir, "joined.libsvm"), filepath.Join(dir, "a.libsvm"), filepath.Join(dir, "b.libsvm")
 	for path, ds := range map[string]*dataset.Dataset{joined: d, a: parts[0], b: parts[1]} {
-		if err := dataset.SaveLibSVMFile(path, ds); err != nil {
+		if err := dataset.SaveLibSVMFile(path, ds, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,7 +157,7 @@ func TestClosedStdoutKeepsModel(t *testing.T) {
 	}
 	dir := t.TempDir()
 	data := filepath.Join(dir, "d.libsvm")
-	if err := dataset.SaveLibSVMFile(data, d); err != nil {
+	if err := dataset.SaveLibSVMFile(data, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, cmd := range [][]string{

@@ -176,7 +176,7 @@ func TestFragmentCarriesLearningRate(t *testing.T) {
 	dir := t.TempDir()
 	file := func(name string) string { return filepath.Join(dir, name) }
 	for i, name := range []string{"a.libsvm", "b.libsvm"} {
-		if err := dataset.SaveLibSVMFile(file(name), parts[i]); err != nil {
+		if err := dataset.SaveLibSVMFile(file(name), parts[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}

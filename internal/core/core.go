@@ -108,15 +108,16 @@ type Config struct {
 	// node ships the same slots one to a ciphertext.
 	HistogramPacking bool
 
-	// FastObfuscation replaces the per-encryption Paillier obfuscator
-	// r^n mod n² with a DJN-style short-exponent h^x served from
-	// precomputed fixed-base tables (internal/paillier/fixedbase.go):
-	// the base h = r₀^n is derived once at session setup and shipped to
-	// passive parties in the setup message, cutting obfuscator cost on
-	// every party by roughly an order of magnitude. An extension beyond
-	// the paper, whose cost model assumes full r^n obfuscation; turn it
-	// off (BaselineConfig does) for the exact-paper baseline. Ignored by
-	// the mock scheme.
+	// FastObfuscation replaces Party B's per-encryption Paillier
+	// obfuscator r^n mod n² with a DJN-style short-exponent h^x served
+	// from the key owner's CRT tables (internal/paillier/owner.go): B
+	// draws the base h = r₀^n once at session setup and keeps it with its
+	// private key. Only B encrypts (a passive party receives even its
+	// packing shift as B's ciphertext), so only B holds tables, and its
+	// obfuscator cost falls by roughly two orders of magnitude. An
+	// extension beyond the paper, whose cost model assumes full r^n
+	// obfuscation; turn it off (BaselineConfig does) for the exact-paper
+	// baseline. Ignored by the mock scheme.
 	FastObfuscation bool
 
 	// BatchSize is the blaster batch size in instances (Section 4.1);

@@ -40,15 +40,20 @@ func mustObjective(t testing.TB, spec string) objective.Objective {
 	return o
 }
 
-// localParams mirrors a federated config for the co-located trainer.
-func localParams(cfg Config) gbdt.Params {
+// trainLocal trains the co-located reference of a federated config
+// under obj.
+func trainLocal(d *dataset.Dataset, obj gbdt.MultiObjective, cfg Config) (*gbdt.Model, error) {
 	lp := gbdt.DefaultParams()
 	lp.NumTrees = cfg.Trees
 	lp.LearningRate = cfg.LearningRate
 	lp.MaxDepth = cfg.MaxDepth
 	lp.MaxBins = cfg.MaxBins
 	lp.Split = cfg.Split
-	return lp
+	view, err := binDataset(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return gbdt.TrainBinned(view, d.Labels, obj, lp)
 }
 
 // TestMulticlassLosslessVsLocal is the multiclass variant of the paper's
@@ -72,7 +77,7 @@ func TestMulticlassLosslessVsLocal(t *testing.T) {
 		t.Fatalf("trained %d trees, want %d rounds x 3 classes = %d", got, cfg.Trees, cfg.Trees*3)
 	}
 
-	local, err := gbdt.TrainMulti(joined, mustObjective(t, "multiclass:3"), localParams(cfg))
+	local, err := trainLocal(joined, mustObjective(t, "multiclass:3"), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +211,7 @@ func TestRankingLosslessVsLocal(t *testing.T) {
 	if err := localObj.(objective.GroupAware).SetGroups(groups); err != nil {
 		t.Fatal(err)
 	}
-	local, err := gbdt.TrainMulti(d, localObj, localParams(cfg))
+	local, err := trainLocal(d, localObj, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

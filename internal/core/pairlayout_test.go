@@ -349,9 +349,9 @@ func TestPassiveRejectsHostileFrames(t *testing.T) {
 
 // runPassiveOn feeds frames (MsgX values, or raw []byte frames) from B into
 // a fresh passive party over rows instances and returns the error its run
-// ends with. Every such run must end in an error, and the last frame the
-// party sent must be the abort naming it (a valid setup is answered
-// first), so B never waits on an answer that will not come.
+// ends with. Every such run must end in an error within 5 s, and the last
+// frame the party sent must be the abort naming it (a valid setup is
+// answered first), so B never waits on an answer that will not come.
 func runPassiveOn(t *testing.T, rows int, frames ...any) error {
 	t.Helper()
 	_, parts := twoPartyData(t, rows, 2, 2, 1, true, 75)
@@ -366,7 +366,12 @@ func runPassiveOn(t *testing.T, rows int, frames ...any) error {
 			t.Fatal(err)
 		}
 	}
-	_, runErr := p.run()
+	// A frame the party wrongly accepts leaves it waiting on an empty
+	// link, so the run is bounded: a hang fails the row, not the binary.
+	runErr := withinSeconds(t, 5, func() error {
+		_, err := p.run()
+		return err
+	})
 	if runErr == nil {
 		t.Fatal("hostile frame accepted")
 	}

@@ -232,10 +232,10 @@ func TestPresets(t *testing.T) {
 func TestLibSVMRoundTrip(t *testing.T) {
 	d, _ := Generate(GenOptions{Rows: 40, Cols: 12, Density: 0.3, Seed: 3})
 	var buf bytes.Buffer
-	if err := WriteLibSVM(&buf, d); err != nil {
+	if err := WriteLibSVM(&buf, d, nil); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadLibSVM(&buf, d.Cols())
+	back, _, err := ReadLibSVM(&buf, d.Cols())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestLibSVMRoundTrip(t *testing.T) {
 
 func TestLibSVMParsing(t *testing.T) {
 	in := "+1 1:0.5 3:2\n-1 2:1\n\n# comment\n0 1:7\n"
-	d, err := ReadLibSVM(strings.NewReader(in), 0)
+	d, _, err := ReadLibSVM(strings.NewReader(in), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +271,11 @@ func TestLibSVMParsing(t *testing.T) {
 	}
 
 	for _, bad := range []string{"x 1:1\n", "1 foo\n", "1 0:1\n", "1 1:zzz\n"} {
-		if _, err := ReadLibSVM(strings.NewReader(bad), 0); err == nil {
+		if _, _, err := ReadLibSVM(strings.NewReader(bad), 0); err == nil {
 			t.Errorf("parsed invalid input %q", bad)
 		}
 	}
-	if _, err := ReadLibSVM(strings.NewReader(""), 0); err == nil {
+	if _, _, err := ReadLibSVM(strings.NewReader(""), 0); err == nil {
 		t.Error("empty input accepted")
 	}
 }

@@ -10,32 +10,30 @@ import (
 	"strings"
 )
 
-// ScanLibSVM streams the LibSVM text format ("label idx:val idx:val ...",
-// 1-based indices) through a row callback without materializing a
-// Dataset — the ingestion primitive of the out-of-core path, where a file
-// can be far larger than memory. Each row's entries are delivered sorted
-// by column with duplicates rejected, matching Builder.AddRow's
-// invariants; the indices and values slices are reused between callbacks
-// and must be copied if retained. cols > 0 bounds the column indices;
-// cols <= 0 accepts any index. It returns the number of rows delivered
-// and the widest column count seen (max index + 1). Labels of -1 are
-// normalized to 0.
-func ScanLibSVM(r io.Reader, cols int, fn func(indices []int32, values []float64, label float64) error) (rows, maxCols int, err error) {
-	return ScanLibSVMRanked(r, cols, func(indices []int32, values []float64, label float64, _ int64) error {
-		return fn(indices, values, label)
-	})
-}
-
-// ScanLibSVMRanked is ScanLibSVM extended with the ranking variant of
-// the format: an optional "qid:N" token after the label names the row's
-// query group. Rows without one are delivered with qid -1. Binary-label
-// normalization (-1 → 0) only applies to files with no qid tokens —
-// ranking labels are relevance grades, not classes.
-func ScanLibSVMRanked(r io.Reader, cols int, fn func(indices []int32, values []float64, label float64, qid int64) error) (rows, maxCols int, err error) {
+// ScanLibSVM streams the LibSVM text format ("label [qid:N] idx:val
+// idx:val ...", 1-based indices) through a row callback without
+// materializing a Dataset — the ingestion primitive of the out-of-core
+// path, where a file can be far larger than memory. Each row's entries
+// are delivered sorted by column with duplicates rejected, matching
+// Builder.AddRow's invariants; the indices and values slices are reused
+// between callbacks and must be copied if retained. cols > 0 bounds the
+// column indices; cols <= 0 accepts any index. It returns the number of
+// rows delivered and the widest column count seen (max index + 1).
+//
+// A "qid:N" token after the label names the row's query group (the
+// ranking variant of the format). The first row decides: either every
+// row has a qid or none does, and the rows of one query are contiguous —
+// a qid may not reappear after another. Rows are delivered with their
+// qid, or with -1 in a file without qids. Labels of -1 are normalized to
+// 0 only in a file without qids: ranking labels are relevance grades,
+// not classes.
+func ScanLibSVM(r io.Reader, cols int, fn func(indices []int32, values []float64, label float64, qid int64) error) (rows, maxCols int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var idxBuf []int32
 	var valBuf []float64
+	var seen map[int64]bool // the qids met so far; nil in a file without qids
+	lastQid := int64(-1)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -57,6 +55,19 @@ func ScanLibSVMRanked(r io.Reader, cols int, fn func(indices []int32, values []f
 			}
 			qid = q
 			feats = feats[1:]
+		}
+		if rows == 0 && qid >= 0 {
+			seen = map[int64]bool{}
+		}
+		if (qid >= 0) != (seen != nil) {
+			return rows, maxCols, fmt.Errorf("dataset: line %d: a file has a qid on every row or on none", lineNo)
+		}
+		if qid >= 0 && qid != lastQid {
+			if seen[qid] {
+				return rows, maxCols, fmt.Errorf("dataset: line %d: qid %d reappears after another group (rows of one query must be contiguous)", lineNo, qid)
+			}
+			seen[qid] = true
+			lastQid = qid
 		}
 		// Normalize {-1,+1} labels to {0,1}.
 		if label == -1 && qid < 0 {
@@ -118,60 +129,25 @@ func (s *rowSorter) Swap(x, y int) {
 	s.vals[x], s.vals[y] = s.vals[y], s.vals[x]
 }
 
-// ReadLibSVM parses the LibSVM text format into an in-memory Dataset.
-// cols <= 0 infers the column count from the data. It appends straight
-// into the CSR arrays as ScanLibSVM delivers rows, so peak memory is one
-// copy of the data rather than the two a buffered parse would hold.
-func ReadLibSVM(r io.Reader, cols int) (*Dataset, error) {
-	d := &Dataset{rowPtr: []int32{0}}
-	var labels []float64
-	rows, maxCols, err := ScanLibSVM(r, cols, func(indices []int32, values []float64, label float64) error {
-		d.colIdx = append(d.colIdx, indices...)
-		d.values = append(d.values, values...)
-		d.rowPtr = append(d.rowPtr, int32(len(d.colIdx)))
-		labels = append(labels, label)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if cols <= 0 {
-		cols = maxCols
-	}
-	if cols == 0 {
-		return nil, fmt.Errorf("dataset: no feature columns found")
-	}
-	d.rows = rows
-	d.cols = cols
-	d.Labels = labels
-	return d, nil
-}
-
-// ReadLibSVMRanking parses the ranking variant of the LibSVM format
-// ("label qid:N idx:val ...") and returns the dataset together with the
-// query-group sizes in row order. Every row must carry a qid, rows of
-// one query must be contiguous, and a qid may not reappear after
-// another — NDCG and the pairwise gradients are only defined over
-// contiguous groups.
-func ReadLibSVMRanking(r io.Reader, cols int) (*Dataset, []int, error) {
+// ReadLibSVM parses the LibSVM text format into an in-memory Dataset and
+// the query-group sizes in row order, which are nil for a file without
+// qid tokens (see ScanLibSVM for the rules a file must keep). cols <= 0
+// infers the column count from the data. It appends straight into the
+// CSR arrays as ScanLibSVM delivers rows, so peak memory is one copy of
+// the data rather than the two a buffered parse would hold.
+func ReadLibSVM(r io.Reader, cols int) (*Dataset, []int, error) {
 	d := &Dataset{rowPtr: []int32{0}}
 	var labels []float64
 	var groups []int
-	seen := map[int64]bool{}
-	cur := int64(-1)
-	rows, maxCols, err := ScanLibSVMRanked(r, cols, func(indices []int32, values []float64, label float64, qid int64) error {
-		if qid < 0 {
-			return fmt.Errorf("dataset: ranking row %d has no qid", len(labels)+1)
-		}
-		if qid != cur {
-			if seen[qid] {
-				return fmt.Errorf("dataset: qid %d reappears after another group (rows of one query must be contiguous)", qid)
+	lastQid := int64(-1)
+	rows, maxCols, err := ScanLibSVM(r, cols, func(indices []int32, values []float64, label float64, qid int64) error {
+		if qid >= 0 {
+			if qid != lastQid {
+				groups = append(groups, 0)
+				lastQid = qid
 			}
-			seen[qid] = true
-			cur = qid
-			groups = append(groups, 0)
+			groups[len(groups)-1]++
 		}
-		groups[len(groups)-1]++
 		d.colIdx = append(d.colIdx, indices...)
 		d.values = append(d.values, values...)
 		d.rowPtr = append(d.rowPtr, int32(len(d.colIdx)))
@@ -193,31 +169,56 @@ func ReadLibSVMRanking(r io.Reader, cols int) (*Dataset, []int, error) {
 	return d, groups, nil
 }
 
-// LoadLibSVMRankingFile reads a ranking LibSVM file from disk.
-func LoadLibSVMRankingFile(path string, cols int) (*Dataset, []int, error) {
-	f, err := os.Open(path)
+// WriteLibSVM writes the dataset in LibSVM format, the inverse of
+// ReadLibSVM. Unlabeled datasets are written with label 0. groups, when
+// not nil, holds the sizes of consecutive query groups covering every
+// row exactly; group g's rows carry the token qid:g+1.
+func WriteLibSVM(w io.Writer, d *Dataset, groups []int) error {
+	qids, err := groupQids(groups, d.Rows())
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	defer f.Close()
-	return ReadLibSVMRanking(f, cols)
-}
-
-// WriteLibSVM writes the dataset in LibSVM format. Unlabeled datasets are
-// written with label 0.
-func WriteLibSVM(w io.Writer, d *Dataset) error {
 	lw := NewLibSVMWriter(w)
 	for i := 0; i < d.Rows(); i++ {
 		label := 0.0
 		if d.Labels != nil {
 			label = d.Labels[i]
 		}
+		qid := int64(-1)
+		if qids != nil {
+			qid = qids[i]
+		}
 		cols, vals := d.Row(i)
-		if err := lw.WriteRow(cols, vals, label); err != nil {
+		if err := lw.WriteRow(cols, vals, label, qid); err != nil {
 			return err
 		}
 	}
 	return lw.Flush()
+}
+
+// groupQids expands group sizes into every row's 1-based qid; nil groups
+// give nil.
+func groupQids(groups []int, rows int) ([]int64, error) {
+	if groups == nil {
+		return nil, nil
+	}
+	total := 0
+	for gi, g := range groups {
+		if g <= 0 {
+			return nil, fmt.Errorf("dataset: group %d has non-positive size %d", gi, g)
+		}
+		total += g
+	}
+	if total != rows {
+		return nil, fmt.Errorf("dataset: groups cover %d rows, dataset has %d", total, rows)
+	}
+	qids := make([]int64, 0, rows)
+	for gi, g := range groups {
+		for ; g > 0; g-- {
+			qids = append(qids, int64(gi+1))
+		}
+	}
+	return qids, nil
 }
 
 // LibSVMWriter emits LibSVM rows one at a time, so generators can write
@@ -233,10 +234,16 @@ func NewLibSVMWriter(w io.Writer) *LibSVMWriter {
 }
 
 // WriteRow appends one row; indices are 0-based and sorted, written
-// 1-based as the format requires.
-func (w *LibSVMWriter) WriteRow(indices []int32, values []float64, label float64) error {
+// 1-based as the format requires. A qid >= 0 is written as the row's
+// qid:N token; -1 writes none.
+func (w *LibSVMWriter) WriteRow(indices []int32, values []float64, label float64, qid int64) error {
 	if _, err := fmt.Fprintf(w.bw, "%g", label); err != nil {
 		return err
+	}
+	if qid >= 0 {
+		if _, err := fmt.Fprintf(w.bw, " qid:%d", qid); err != nil {
+			return err
+		}
 	}
 	for k, j := range indices {
 		if _, err := fmt.Fprintf(w.bw, " %d:%g", j+1, values[k]); err != nil {
@@ -249,75 +256,23 @@ func (w *LibSVMWriter) WriteRow(indices []int32, values []float64, label float64
 // Flush drains the buffer to the underlying writer.
 func (w *LibSVMWriter) Flush() error { return w.bw.Flush() }
 
-// LoadLibSVMFile reads a LibSVM file from disk.
-func LoadLibSVMFile(path string, cols int) (*Dataset, error) {
+// LoadLibSVMFile reads a LibSVM file from disk (see ReadLibSVM).
+func LoadLibSVMFile(path string, cols int) (*Dataset, []int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	return ReadLibSVM(f, cols)
 }
 
-// SaveLibSVMFile writes a LibSVM file to disk.
-func SaveLibSVMFile(path string, d *Dataset) error {
+// SaveLibSVMFile writes a LibSVM file to disk (see WriteLibSVM).
+func SaveLibSVMFile(path string, d *Dataset, groups []int) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteLibSVM(f, d); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// WriteLibSVMRanking writes the dataset with qid:N query-group tokens,
-// the inverse of ReadLibSVMRanking: groups holds the run-length sizes of
-// consecutive query groups (1-based qids), covering every row exactly.
-func WriteLibSVMRanking(w io.Writer, d *Dataset, groups []int) error {
-	total := 0
-	for gi, g := range groups {
-		if g <= 0 {
-			return fmt.Errorf("dataset: group %d has non-positive size %d", gi, g)
-		}
-		total += g
-	}
-	if total != d.Rows() {
-		return fmt.Errorf("dataset: groups cover %d rows, dataset has %d", total, d.Rows())
-	}
-	bw := bufio.NewWriter(w)
-	row := 0
-	for gi, g := range groups {
-		for end := row + g; row < end; row++ {
-			label := 0.0
-			if d.Labels != nil {
-				label = d.Labels[row]
-			}
-			if _, err := fmt.Fprintf(bw, "%g qid:%d", label, gi+1); err != nil {
-				return err
-			}
-			cols, vals := d.Row(row)
-			for k, j := range cols {
-				if _, err := fmt.Fprintf(bw, " %d:%g", j+1, vals[k]); err != nil {
-					return err
-				}
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveLibSVMRankingFile writes a ranking LibSVM file to disk.
-func SaveLibSVMRankingFile(path string, d *Dataset, groups []int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteLibSVMRanking(f, d, groups); err != nil {
+	if err := WriteLibSVM(f, d, groups); err != nil {
 		f.Close()
 		return err
 	}

@@ -87,7 +87,10 @@ func TestStreamGeneratorRowShape(t *testing.T) {
 func TestScanLibSVMCallback(t *testing.T) {
 	in := "1 1:0.5 3:2\n\n# comment\n-1 2:1.5\n"
 	var rows []rowCopy
-	n, maxCols, err := ScanLibSVM(strings.NewReader(in), 0, func(indices []int32, values []float64, label float64) error {
+	n, maxCols, err := ScanLibSVM(strings.NewReader(in), 0, func(indices []int32, values []float64, label float64, qid int64) error {
+		if qid != -1 {
+			t.Errorf("row without a qid token delivered qid %d", qid)
+		}
 		rows = append(rows, rowCopy{
 			idx:   append([]int32(nil), indices...),
 			vals:  append([]float64(nil), values...),

@@ -92,8 +92,9 @@ type ObjRank struct {
 	Baseline float64 `json:"baseline"`
 }
 
-// localMultiParams mirrors a federated config for gbdt.TrainMulti.
-func localMultiParams(cfg core.Config) gbdt.Params {
+// trainLocalMulti trains the co-located reference of a federated config
+// under obj.
+func trainLocalMulti(d *dataset.Dataset, obj gbdt.MultiObjective, cfg core.Config) (*gbdt.Model, error) {
 	p := gbdt.DefaultParams()
 	p.NumTrees = cfg.Trees
 	p.LearningRate = cfg.LearningRate
@@ -101,7 +102,11 @@ func localMultiParams(cfg core.Config) gbdt.Params {
 	p.MaxBins = cfg.MaxBins
 	p.Split = cfg.Split
 	p.Workers = 1
-	return p
+	mapper, err := gbdt.NewBinMapper(d, p.MaxBins)
+	if err != nil {
+		return nil, err
+	}
+	return gbdt.TrainBinned(gbdt.NewBinnedMatrix(d, mapper), d.Labels, obj, p)
 }
 
 // runObjFed trains one federated session and keeps it alive for its
@@ -201,7 +206,7 @@ func ObjScale(tc ObjScaleConfig) ([]ObjRow, ObjRank, error) {
 			row.NaiveDecRatio = float64(row.Decryptions) / (float64(k) * float64(ref.Decryptions))
 
 			obj, _ := objective.New(fmt.Sprintf("multiclass:%d", k))
-			local, err := gbdt.TrainMulti(d, obj, localMultiParams(cfg))
+			local, err := trainLocalMulti(d, obj, cfg)
 			if err != nil {
 				return nil, ObjRank{}, err
 			}
@@ -276,7 +281,7 @@ func objRank(tc ObjScaleConfig, base core.Config) (ObjRank, error) {
 	if err := localObj.(objective.GroupAware).SetGroups(groups); err != nil {
 		return ObjRank{}, err
 	}
-	local, err := gbdt.TrainMulti(d, localObj, localMultiParams(cfg))
+	local, err := trainLocalMulti(d, localObj, cfg)
 	if err != nil {
 		return ObjRank{}, err
 	}

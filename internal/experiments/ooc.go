@@ -194,7 +194,7 @@ func OOCScale(tc OOCConfig) (OOCBuild, []OOCRow, error) {
 		runtime.GC()
 		hs := startHeapSampler()
 		start := time.Now()
-		m, err := gbdt.TrainBinned(st, labels, p)
+		m, err := gbdt.TrainBinned(st, labels, nil, p)
 		if err != nil {
 			hs.Stop()
 			return build, nil, err

@@ -70,9 +70,6 @@ type Codec struct {
 // Option configures a Codec.
 type Option func(*Codec)
 
-// WithBase sets the encoding base B (must be >= 2).
-func WithBase(b int) Option { return func(c *Codec) { c.base = b } }
-
 // WithExponents sets the minimum exponent and the number of distinct
 // exponent values used for obfuscation (spread >= 1; spread == 1 disables
 // obfuscation and makes encoding deterministic).
@@ -98,9 +95,6 @@ func NewCodec(scheme he.Scheme, opts ...Option) *Codec {
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if c.base < 2 {
-		panic("fixedpoint: base must be >= 2")
 	}
 	if c.expSpread < 1 {
 		panic("fixedpoint: exponent spread must be >= 1")

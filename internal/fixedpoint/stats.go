@@ -40,12 +40,6 @@ func (s *Stats) Scalings() int64 { return atomic.LoadInt64(&s.scalings) }
 // workspaces, report through these).
 func (s *Stats) AddHAdds(n int64) { s.addHAdd(n) }
 
-// AddSMuls counts externally-performed scalar multiplications.
-func (s *Stats) AddSMuls(n int64) { s.addSMul(n) }
-
-// AddScalings counts externally-performed exponent scalings.
-func (s *Stats) AddScalings(n int64) { s.addScale(n) }
-
 // AddDecryptions counts externally-performed decryptions.
 func (s *Stats) AddDecryptions(n int64) { s.addDec(n) }
 

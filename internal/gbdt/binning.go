@@ -8,11 +8,9 @@ import (
 	"vf2boost/internal/quantile"
 )
 
-// SketchThreshold is the column size above which cut proposal switches
-// from exact sorting to the GK sketch. It is exported so the out-of-core
-// sketch pass (internal/ooc) makes the same exact-vs-sketch decision and
-// proposes byte-identical cuts.
-const SketchThreshold = 1 << 15
+// sketchThreshold is the column size above which cut proposal switches
+// from exact sorting to the GK sketch.
+const sketchThreshold = 1 << 15
 
 // BinView is the read interface over a party's binned feature rows that
 // histogram construction, split routing, and tree growth sweep. Two
@@ -51,29 +49,61 @@ type BinMapper struct {
 }
 
 // NewBinMapper proposes up to maxBins-1 cuts per feature from the stored
-// values of each column, using exact quantiles for small columns and a GK
-// sketch for large ones.
+// values of each column, fed column by column through a CutAccumulator.
 func NewBinMapper(d *dataset.Dataset, maxBins int) (*BinMapper, error) {
 	if maxBins < 2 || maxBins > 256 {
 		return nil, fmt.Errorf("gbdt: maxBins %d out of [2,256]", maxBins)
 	}
 	cuts := make([][]float64, d.Cols())
-	for j := 0; j < d.Cols(); j++ {
-		vals := d.ColumnValues(j)
-		switch {
-		case len(vals) == 0:
-			cuts[j] = nil
-		case len(vals) <= SketchThreshold:
-			cuts[j] = quantile.Exact(vals, maxBins)
-		default:
-			sk := quantile.MustNew(0.5 / float64(maxBins))
-			for _, v := range vals {
-				sk.Add(v)
-			}
-			cuts[j] = sk.Quantiles(maxBins)
+	for j := range cuts {
+		var acc CutAccumulator
+		for _, v := range d.ColumnValues(j) {
+			acc.Add(v, maxBins)
 		}
+		cuts[j] = acc.Cuts(maxBins)
 	}
 	return &BinMapper{Cuts: cuts, MaxBins: maxBins}, nil
+}
+
+// CutAccumulator is the one cut rule: it proposes one feature's cuts
+// from that feature's stored values, fed in row order. Values buffer
+// exactly until the column outgrows sketchThreshold, then spill, in
+// insertion order, into a GK sketch of eps 0.5/maxBins. So a small column
+// gets exact quantiles and a large one sketch quantiles, and the cuts
+// depend only on the value sequence: NewBinMapper feeds a whole column,
+// the out-of-core build (internal/ooc) feeds every column a row at a time,
+// and both propose byte-identical cuts. At most sketchThreshold values
+// are buffered, so a streamed build's memory is bounded by its column
+// count however many rows pass. The zero value is empty.
+type CutAccumulator struct {
+	buf []float64
+	sk  *quantile.Sketch
+}
+
+// Add feeds the feature's next stored value. maxBins must be the same on
+// every call and in Cuts.
+func (a *CutAccumulator) Add(v float64, maxBins int) {
+	if a.sk != nil {
+		a.sk.Add(v)
+		return
+	}
+	a.buf = append(a.buf, v)
+	if len(a.buf) > sketchThreshold {
+		a.sk = quantile.MustNew(0.5 / float64(maxBins))
+		for _, x := range a.buf {
+			a.sk.Add(x)
+		}
+		a.buf = nil
+	}
+}
+
+// Cuts returns up to maxBins-1 strictly increasing cuts; nil when no
+// value was added.
+func (a *CutAccumulator) Cuts(maxBins int) []float64 {
+	if a.sk != nil {
+		return a.sk.Quantiles(maxBins)
+	}
+	return quantile.Exact(a.buf, maxBins)
 }
 
 // NumBins returns the bin count of feature j (at least 1).

@@ -12,7 +12,7 @@ import (
 // only activates above the exact-sort threshold, and checks the cuts are
 // close to true quantiles.
 func TestBinMapperSketchPath(t *testing.T) {
-	const rows = SketchThreshold + 5000
+	const rows = sketchThreshold + 5000
 	rng := rand.New(rand.NewSource(7))
 	b := dataset.NewBuilder(1)
 	values := make([]float64, rows)

@@ -25,6 +25,40 @@ type Loss interface {
 	GradBound() float64
 }
 
+// MultiObjective is the slice of the objective-layer interface the
+// trainer consumes, declared structurally so gbdt does not import
+// internal/objective (which imports gbdt for the Loss compat shim).
+// An implementation with NumOutputs() == k trains k trees per boosting
+// round over a k×n margin matrix; GradHess is called once per round and
+// its k gradient vectors are shared by all k trees of that round.
+type MultiObjective interface {
+	Name() string
+	NumOutputs() int
+	InitMargin(labels []float64, output int) float64
+	GradHess(labels []float64, margins, grads, hess [][]float64) error
+}
+
+// ScalarObjective lifts a per-instance Loss into the one-output
+// MultiObjective the trainer runs. Its name is the loss's, so a model
+// trained on it records "logistic" or "squared".
+type ScalarObjective struct {
+	Loss Loss
+}
+
+func (o ScalarObjective) Name() string                    { return o.Loss.Name() }
+func (ScalarObjective) NumOutputs() int                   { return 1 }
+func (ScalarObjective) InitMargin([]float64, int) float64 { return 0 }
+
+// GradHess is the one scalar-loss gradient pass: g and h of every
+// instance at its margin. The matrices must be 1×len(labels).
+func (o ScalarObjective) GradHess(labels []float64, margins, grads, hess [][]float64) error {
+	m, g, h := margins[0], grads[0], hess[0]
+	for i, y := range labels {
+		g[i], h[i] = o.Loss.GradHess(y, m[i])
+	}
+	return nil
+}
+
 // LogisticLoss is the binary cross-entropy on raw margins, the paper's
 // loss for all classification experiments.
 type LogisticLoss struct{}

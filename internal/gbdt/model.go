@@ -64,13 +64,3 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	return mf.Model, nil
 }
-
-// LoadFile reads a model from a file.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
-}

@@ -73,13 +73,13 @@ func TestShardMajorModelParity(t *testing.T) {
 			p.MaxBins = 16
 			p.Workers = workers
 
-			ref, err := TrainBinned(bm, d.Labels, p)
+			ref, err := TrainBinned(bm, d.Labels, nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, chunk := range []int{64, 1 << 10} {
 				cv := &chunkedView{BinnedMatrix: bm, chunk: chunk}
-				got, err := TrainBinned(cv, d.Labels, p)
+				got, err := TrainBinned(cv, d.Labels, nil, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,7 +168,7 @@ func TestGoldenModelAtEveryWorkerCount(t *testing.T) {
 			for _, view := range []BinView{bm, &chunkedView{BinnedMatrix: bm, chunk: 256}} {
 				p := DefaultParams()
 				p.NumTrees, p.MaxDepth, p.MaxBins, p.Workers = 3, 5, 16, workers
-				m, err := TrainBinned(view, d.Labels, p)
+				m, err := TrainBinned(view, d.Labels, nil, p)
 				if err != nil {
 					t.Fatal(err)
 				}

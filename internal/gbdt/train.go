@@ -78,7 +78,8 @@ type Model struct {
 	LossName     string  `json:"loss"`
 	NumFeatures  int     `json:"num_features"`
 	// NumOutputs is k for multi-output models (trees stored round-robin,
-	// tree t belongs to output t mod k); 0 or 1 means single-output.
+	// tree t belongs to output t mod k); 0 or 1 means single-output, and
+	// the trainer leaves it 0.
 	NumOutputs int `json:"num_outputs,omitempty"`
 }
 
@@ -102,6 +103,40 @@ func (m *Model) PredictAll(d *dataset.Dataset) []float64 {
 	return out
 }
 
+// Outputs returns the model's output count, 1 for a single-output model
+// (NumOutputs 0).
+func (m *Model) Outputs() int {
+	if m.NumOutputs > 1 {
+		return m.NumOutputs
+	}
+	return 1
+}
+
+// PredictAllOutputs returns the k×n raw margin matrix for every row.
+// Trees are stored round-robin: tree t belongs to output t mod k.
+func (m *Model) PredictAllOutputs(d *dataset.Dataset) [][]float64 {
+	k := m.Outputs()
+	out := make([][]float64, k)
+	for c := range out {
+		out[c] = make([]float64, d.Rows())
+	}
+	parallelRows(d.Rows(), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			for t, tree := range m.Trees {
+				out[t%k][i] += m.LearningRate * tree.Predict(d, i)
+			}
+		}
+	})
+	if m.BaseScore != 0 {
+		for c := range out {
+			for i := range out[c] {
+				out[c][i] += m.BaseScore
+			}
+		}
+	}
+	return out
+}
+
 // nodeWork is the per-node state during layer-wise growth.
 type nodeWork struct {
 	id    int32
@@ -109,7 +144,7 @@ type nodeWork struct {
 	g, h  float64
 }
 
-// Train fits a GBDT model on a labeled dataset.
+// Train fits a GBDT model on a labeled dataset under p.Loss.
 func Train(d *dataset.Dataset, p Params) (*Model, error) {
 	if d.Labels == nil {
 		return nil, fmt.Errorf("gbdt: dataset has no labels")
@@ -121,51 +156,75 @@ func Train(d *dataset.Dataset, p Params) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return TrainBinned(NewBinnedMatrix(d, mapper), d.Labels, p)
+	return TrainBinned(NewBinnedMatrix(d, mapper), d.Labels, nil, p)
 }
 
-// TrainBinned fits a GBDT model from an already-discretized view and its
-// label vector — the shared entry point of the in-memory path (Train
-// above) and the out-of-core path (internal/ooc), which never
-// materializes a Dataset. Margins are updated through binned routing,
-// which is exactly equivalent to raw-value routing: every split
-// threshold is a cut value, so "v <= Cuts[f][k]" and "Bin(f, v) <= k"
-// partition instances identically.
-func TrainBinned(bv BinView, labels []float64, p Params) (*Model, error) {
+// TrainBinned fits a k-output GBDT model from an already-discretized
+// view and its label vector — the one trainer of the in-memory path
+// (Train above) and the out-of-core path (internal/ooc), which never
+// materializes a Dataset. A nil obj trains p.Loss (ScalarObjective).
+//
+// Each of the p.NumTrees boosting rounds grows k trees, one per output in
+// round-robin order; k = 1 is the classic one tree per round. The
+// objective's GradHess runs once per round — the local mirror of the
+// federated engine's one-encryption-pass-per-round schedule — and the
+// round's k trees consume its k gradient vectors. Margins are updated
+// through binned routing, which is exactly equivalent to raw-value
+// routing: every split threshold is a cut value, so "v <= Cuts[f][k]"
+// and "Bin(f, v) <= k" partition instances identically.
+func TrainBinned(bv BinView, labels []float64, obj MultiObjective, p Params) (*Model, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
+	}
+	if obj == nil {
+		obj = ScalarObjective{p.Loss}
+	}
+	k := obj.NumOutputs()
+	if k < 1 {
+		return nil, fmt.Errorf("gbdt: objective %s has %d outputs", obj.Name(), k)
 	}
 	n := bv.Rows()
 	if len(labels) != n {
 		return nil, fmt.Errorf("gbdt: %d labels for %d rows", len(labels), n)
 	}
-	margins := make([]float64, n)
-	for i := range margins {
-		margins[i] = p.BaseScore
+	margins := make([][]float64, k)
+	grads := make([][]float64, k)
+	hess := make([][]float64, k)
+	for c := 0; c < k; c++ {
+		margins[c] = make([]float64, n)
+		grads[c] = make([]float64, n)
+		hess[c] = make([]float64, n)
+		init := p.BaseScore + obj.InitMargin(labels, c)
+		for i := range margins[c] {
+			margins[c][i] = init
+		}
 	}
-	grads := make([]float64, n)
-	hess := make([]float64, n)
 	model := &Model{
 		LearningRate: p.LearningRate,
 		BaseScore:    p.BaseScore,
-		LossName:     p.Loss.Name(),
+		LossName:     obj.Name(),
 		NumFeatures:  len(bv.Mapper().Cuts),
 	}
+	if k > 1 {
+		model.NumOutputs = k
+	}
 
-	for t := 0; t < p.NumTrees; t++ {
-		for i := 0; i < n; i++ {
-			grads[i], hess[i] = p.Loss.GradHess(labels[i], margins[i])
-		}
-		tree, err := growTree(bv, grads, hess, p)
-		if err != nil {
+	for round := 0; round < p.NumTrees; round++ {
+		if err := obj.GradHess(labels, margins, grads, hess); err != nil {
 			return nil, err
 		}
-		model.Trees = append(model.Trees, tree)
-		if err := updateMarginsBinned(margins, tree, bv, p.LearningRate, p.Workers); err != nil {
-			return nil, err
+		for c := 0; c < k; c++ {
+			tree, err := growTree(bv, grads[c], hess[c], p)
+			if err != nil {
+				return nil, err
+			}
+			model.Trees = append(model.Trees, tree)
+			if err := updateMarginsBinned(margins[c], tree, bv, p.LearningRate, p.Workers); err != nil {
+				return nil, err
+			}
 		}
 		if p.OnTreeDone != nil {
-			p.OnTreeDone(t, model)
+			p.OnTreeDone(round, model)
 		}
 	}
 	return model, nil

@@ -36,7 +36,8 @@ func init() {
 
 // FromLoss lifts a scalar gbdt.Loss into a single-output Objective — the
 // compat shim that lets every existing binary/regression code path run
-// unchanged behind the objective layer. The logistic loss surfaces as
+// unchanged behind the objective layer. It builds on gbdt's own lift, so
+// the scalar gradient pass exists once. The logistic loss surfaces as
 // "binary" (sigmoid transform, AUC metric); any other loss keeps its own
 // name with an identity transform and RMSE.
 func FromLoss(l gbdt.Loss) Objective {
@@ -44,33 +45,26 @@ func FromLoss(l gbdt.Loss) Objective {
 	if name == "logistic" {
 		name = "binary"
 	}
-	return &lossObjective{name: name, loss: l}
+	return &lossObjective{ScalarObjective: gbdt.ScalarObjective{Loss: l}, name: name}
 }
 
 type lossObjective struct {
+	gbdt.ScalarObjective
 	name string
-	loss gbdt.Loss
 }
 
 func (o *lossObjective) Name() string       { return o.name }
-func (o *lossObjective) NumOutputs() int    { return 1 }
-func (o *lossObjective) GradBound() float64 { return o.loss.GradBound() }
+func (o *lossObjective) GradBound() float64 { return o.Loss().GradBound() }
 
 // Loss exposes the wrapped scalar loss so the engine can keep its
 // loss-typed configuration (checkpoints fingerprint the loss type).
-func (o *lossObjective) Loss() gbdt.Loss { return o.loss }
-
-func (o *lossObjective) InitMargin([]float64, int) float64 { return 0 }
+func (o *lossObjective) Loss() gbdt.Loss { return o.ScalarObjective.Loss }
 
 func (o *lossObjective) GradHess(labels []float64, margins, grads, hess [][]float64) error {
 	if err := checkShape(1, len(labels), margins, grads, hess); err != nil {
 		return err
 	}
-	m, g, h := margins[0], grads[0], hess[0]
-	for i, y := range labels {
-		g[i], h[i] = o.loss.GradHess(y, m[i])
-	}
-	return nil
+	return o.ScalarObjective.GradHess(labels, margins, grads, hess)
 }
 
 func (o *lossObjective) Transform(margins, out []float64) {
@@ -114,8 +108,8 @@ func (o *lossObjective) Validate(labels []float64) error {
 // replaces the historical constant-64 bound with one derived from the
 // observed label range before the packing shift is planned.
 func (o *lossObjective) FitBound(labels []float64) Objective {
-	if sq, ok := o.loss.(gbdt.SquaredLoss); ok && sq.Bound == 0 {
-		return &lossObjective{name: o.name, loss: gbdt.SquaredLoss{Bound: gbdt.FitSquaredBound(labels)}}
+	if sq, ok := o.Loss().(gbdt.SquaredLoss); ok && sq.Bound == 0 {
+		return FromLoss(gbdt.SquaredLoss{Bound: gbdt.FitSquaredBound(labels)})
 	}
 	return o
 }

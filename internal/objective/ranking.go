@@ -58,7 +58,7 @@ func (r *lambdaRank) GradBound() float64 {
 // SetGroups installs the query-group sizes in row order (GroupAware).
 func (r *lambdaRank) SetGroups(sizes []int) error {
 	if len(sizes) == 0 {
-		return errors.New("objective: ranking needs at least one query group")
+		return errors.New("objective: ranking needs at least one query group (qid:N tokens)")
 	}
 	maxG := 0
 	for _, g := range sizes {

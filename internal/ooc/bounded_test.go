@@ -66,7 +66,7 @@ func TestBoundedMemoryTraining(t *testing.T) {
 	p.MaxDepth = 5
 	p.Workers = 1
 	runtime.GC()
-	if _, err := gbdt.TrainBinned(st, labels, p); err != nil {
+	if _, err := gbdt.TrainBinned(st, labels, nil, p); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)

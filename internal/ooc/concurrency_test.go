@@ -276,7 +276,7 @@ func TestTrainingLoadsBound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := gbdt.TrainBinned(st, labels, p)
+			m, err := gbdt.TrainBinned(st, labels, nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -353,7 +353,7 @@ func TestParallelBuildByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			path := filepath.Join(t.TempDir(), "data.libsvm")
-			if err := dataset.SaveLibSVMFile(path, d); err != nil {
+			if err := dataset.SaveLibSVMFile(path, d, nil); err != nil {
 				t.Fatal(err)
 			}
 			src, err := NewLibSVMSource(path, 0)

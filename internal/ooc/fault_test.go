@@ -380,7 +380,7 @@ func trainStoreBytes(t *testing.T, dir string, d *dataset.Dataset, p gbdt.Params
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := gbdt.TrainBinned(st, labels, p)
+	m, err := gbdt.TrainBinned(st, labels, nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,10 @@
 // "Large-Scale Secure XGB for Vertical Federated Learning").
 //
 // The store is built from a rescannable row Source in two passes. Pass 1
-// feeds per-feature quantile accumulators that reproduce the in-memory
-// binning decision exactly: a feature's values buffer until the column
-// outgrows gbdt.SketchThreshold, then spill into a GK sketch in the same
-// insertion order the in-memory path uses — so the proposed cuts, and
-// therefore every split of the trained model, are byte-identical to
-// gbdt.NewBinMapper over the materialized dataset. Pass 2 discretizes
+// feeds each feature's values, in row order, to the gbdt.CutAccumulator
+// that gbdt.NewBinMapper feeds column by column — so the proposed cuts,
+// and therefore every split of the trained model, are byte-identical to
+// the in-memory binning of the materialized dataset. Pass 2 discretizes
 // each row through the mapper and spills CRC-guarded binned shards to
 // disk, each covering a contiguous row range of the party's feature
 // group (in vertical FL, every party's store holds exactly its own
@@ -87,7 +85,7 @@ func NewLibSVMSource(path string, cols int) (*LibSVMSource, error) {
 		if err != nil {
 			return nil, err
 		}
-		_, maxCols, err := dataset.ScanLibSVM(f, 0, func([]int32, []float64, float64) error { return nil })
+		_, maxCols, err := dataset.ScanLibSVM(f, 0, func([]int32, []float64, float64, int64) error { return nil })
 		f.Close()
 		if err != nil {
 			return nil, err
@@ -114,7 +112,7 @@ func (s *LibSVMSource) Scan(fn func(row int, indices []int32, values []float64, 
 	}
 	defer f.Close()
 	row := 0
-	_, _, err = dataset.ScanLibSVM(f, s.cols, func(indices []int32, values []float64, label float64) error {
+	_, _, err = dataset.ScanLibSVM(f, s.cols, func(indices []int32, values []float64, label float64, _ int64) error {
 		err := fn(row, indices, values, label)
 		row++
 		return err

@@ -81,12 +81,12 @@ func TestStoreMatchesBinnedMatrix(t *testing.T) {
 	}
 }
 
-// Columns past SketchThreshold take the GK-sketch path in both builders;
-// the cuts must still match bit for bit.
+// Columns past gbdt's exact-sort threshold (2^15 values) take the
+// GK-sketch path in both builders; the cuts must still match bit for bit.
 func TestStoreMatchesBinnedMatrixSketchPath(t *testing.T) {
-	rows := gbdt.SketchThreshold + 500
+	rows := 1<<15 + 500
 	if testing.Short() {
-		t.Skip("sketch-path column needs >SketchThreshold rows")
+		t.Skip("sketch-path column needs more than 2^15 rows")
 	}
 	d, err := dataset.Generate(dataset.GenOptions{Rows: rows, Cols: 2, Density: 1, Dense: true, Seed: 11})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestModelByteParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ooc, err := gbdt.TrainBinned(st, labels, p)
+	ooc, err := gbdt.TrainBinned(st, labels, nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,12 +188,12 @@ func TestShardCorruptionTypedError(t *testing.T) {
 func TestShardCorruptionRebuildsFromSource(t *testing.T) {
 	d := synth(t, 200, 6)
 	path := filepath.Join(t.TempDir(), "data.libsvm")
-	if err := dataset.SaveLibSVMFile(path, d); err != nil {
+	if err := dataset.SaveLibSVMFile(path, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	// LibSVM text round-trips through %g, so the file's rows are the
 	// reference for the store built from it.
-	fromFile, err := dataset.LoadLibSVMFile(path, 0)
+	fromFile, _, err := dataset.LoadLibSVMFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestColumnSliceMatchesVerticalSplit(t *testing.T) {
 func TestLibSVMSourceRoundTrip(t *testing.T) {
 	d := synth(t, 150, 8)
 	path := filepath.Join(t.TempDir(), "data.libsvm")
-	if err := dataset.SaveLibSVMFile(path, d); err != nil {
+	if err := dataset.SaveLibSVMFile(path, d, nil); err != nil {
 		t.Fatal(err)
 	}
 	src, err := NewLibSVMSource(path, 0)
@@ -363,7 +363,7 @@ func TestLibSVMSourceRoundTrip(t *testing.T) {
 
 	// LibSVM text round-trips through %g, so re-read the file rather than
 	// comparing against the original float values.
-	d2, err := dataset.LoadLibSVMFile(path, 0)
+	d2, _, err := dataset.LoadLibSVMFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

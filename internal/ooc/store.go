@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -647,20 +646,4 @@ func (s *Store) evictLRU(skip1, skip2 int) bool {
 	s.resident -= sd.memBytes()
 	s.stats.Evictions++
 	return true
-}
-
-// RemoveStore deletes a store directory and everything in it. Any
-// manifest generation marks the directory as a store — a half-repaired
-// store (newest generation torn) is still removable.
-func RemoveStore(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("ooc: %s is not a store: %w", dir, err)
-	}
-	for _, e := range entries {
-		if _, ok := parseManifestGen(e.Name()); ok {
-			return os.RemoveAll(dir)
-		}
-	}
-	return fmt.Errorf("ooc: %s is not a store: no manifest", dir)
 }

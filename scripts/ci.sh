@@ -77,6 +77,21 @@ if [ -n "$retired" ]; then
   exit 1
 fi
 
+echo "== one trainer, one LibSVM path, one cut rule (no twins) =="
+# gbdt.TrainBinned is the one boosting loop (single output is k = 1), the
+# LibSVM reader and writer take query groups as an optional value, and
+# gbdt.CutAccumulator is the one exact-vs-sketch cut rule that the
+# in-memory and out-of-core binning share. A name below in non-test code
+# would be a twin path coming back. benchmark/ is left out: it is frozen
+# and names none of them.
+twins=$(grep -rnE '\b(ScanLibSVMRanked|ReadLibSVMRanking|LoadLibSVMRankingFile|WriteLibSVMRanking|SaveLibSVMRankingFile|TrainMultiBinned|PredictOutputs|SketchThreshold)\b|\bTrainMulti\(' \
+  --include='*.go' --exclude-dir=benchmark . | grep -v '_test\.go:' || true)
+if [ -n "$twins" ]; then
+  echo "a retired twin path is back:" >&2
+  echo "$twins" >&2
+  exit 1
+fi
+
 echo "== go build =="
 go build ./...
 

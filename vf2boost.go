@@ -65,8 +65,9 @@ func Generate(o SynthOptions) (*Dataset, error) {
 }
 
 // LoadLibSVM reads a LibSVM-format file. cols <= 0 infers the width.
+// Query-group tokens (qid:N) are checked and dropped.
 func LoadLibSVM(path string, cols int) (*Dataset, error) {
-	ds, err := dataset.LoadLibSVMFile(path, cols)
+	ds, _, err := dataset.LoadLibSVMFile(path, cols)
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +75,7 @@ func LoadLibSVM(path string, cols int) (*Dataset, error) {
 }
 
 // SaveLibSVM writes the dataset in LibSVM format.
-func (d *Dataset) SaveLibSVM(path string) error { return dataset.SaveLibSVMFile(path, d.ds) }
+func (d *Dataset) SaveLibSVM(path string) error { return dataset.SaveLibSVMFile(path, d.ds, nil) }
 
 // Rows returns the instance count.
 func (d *Dataset) Rows() int { return d.ds.Rows() }
