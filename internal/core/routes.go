@@ -23,6 +23,9 @@ import (
 //     nodes addressed by index. Every split reads a bitmap: another
 //     party's from that party's answer, the table party's own from the
 //     column pass over its own block. A hop is a bit lookup and an index.
+//     It also ties every other party's split to the nearest split above
+//     it that the same party owns, which is what lets that party answer
+//     with only the bits the table reads (reach.go).
 //
 // Split semantics are the model's everywhere: a stored value <= threshold
 // goes left, and a missing value goes left.
@@ -66,14 +69,35 @@ type ownedSplit struct {
 	threshold  float64
 }
 
+// reachLink ties a split to the nearest split above it that the same
+// party owns; splits of other parties in between do not count. above
+// indexes that split in the same list (-1: there is none, and every row
+// reaches the split as far as its party can tell), and left says which
+// side of it the split lies on.
+type reachLink struct {
+	above int32
+	left  bool
+}
+
 // RouteTable is the compiled, immutable form of one model fragment. It is
 // safe for concurrent use; all per-round state lives in the caller.
 type RouteTable struct {
 	party int
 
-	// Scoring side: every split the party owns.
+	// Scoring side: every split the party owns, and per tree the root's
+	// node id. up[i] links owned[i] to the party's split whose child it is
+	// in the fragment (above -1: none is).
 	owned    []ownedSplit
 	features []int32 // ascending feature ids the owned splits read, by slot
+	rootIDs  []int32
+	up       []reachLink
+
+	// Answer side, set by Bind: answer lists the trees of a round's answer
+	// in order, each packing owned[lo:hi] (the splits Party B reads, parents
+	// first), and reach[i] is owned[i]'s link within that order.
+	bound  bool
+	answer []answerTree
+	reach  []reachLink
 
 	// Routing side; routable is false for a table built by
 	// CompileOwnedSplits. Bitmap slots [0, len(slotKeys)) read other
@@ -87,16 +111,69 @@ type RouteTable struct {
 	owners   [][]int                  // per tree, the other parties owning any split in it
 	slotKeys []RouteKey               // per answer slot, the split it reads
 	slotOf   map[int]map[uint64]int32 // party → treeNode(tree, node) → answer slot
+	links    []reachLink              // per answer slot, its link to another slot of the same party
 	reached  []ownedSplit             // the party's own splits the trees route through
 }
 
-// CompileOwnedSplits builds the scoring side of a fragment only: what a
-// passive party needs to answer rounds. It never fails — the fragment's
-// structure is not consulted — and the table cannot route.
-func CompileOwnedSplits(frag *PartyModel) *RouteTable {
+// CompileOwnedSplits builds the scoring side of a passive party's
+// fragment: what the party needs to answer rounds once Bind gives it Party
+// B's reach links. The fragment holds the party's own splits and their
+// children's ids (the rest of the structure is B's), and those links must
+// be sound: no split names itself or one node twice as its children, no
+// node is the child of two of the party's splits, and no chain of them is
+// a cycle or lies deeper than maxRouteDepth. A violation, or an empty
+// tree, is an ErrModelStructure naming the tree (and node). The table
+// cannot route.
+func CompileOwnedSplits(frag *PartyModel) (*RouteTable, error) {
+	for ti, tree := range frag.Trees {
+		if tree == nil {
+			return nil, fmt.Errorf("%w: tree %d is empty", ErrModelStructure, ti)
+		}
+	}
 	t := &RouteTable{party: frag.Party}
 	t.compileOwned(frag)
-	return t
+	return t, t.checkOwnedLinks(frag)
+}
+
+// checkOwnedLinks validates the links among the party's own splits and
+// fills t.up.
+func (t *RouteTable) checkOwnedLinks(frag *PartyModel) error {
+	index := make(map[uint64]int32, len(t.owned))
+	for i, o := range t.owned {
+		key, _ := treeNode(int(o.tree), o.node)
+		index[key] = int32(i)
+	}
+	t.up = make([]reachLink, len(t.owned))
+	for i := range t.up {
+		t.up[i].above = -1
+	}
+	named := make(map[uint64]bool) // (tree, node) some split names as a child
+	for i, o := range t.owned {
+		tree := frag.Trees[o.tree]
+		nd := tree.Nodes[o.node]
+		for _, c := range [2]int32{nd.Left, nd.Right} {
+			key, _ := treeNode(int(o.tree), c)
+			if c == o.node || named[key] || nd.Left == nd.Right {
+				return fmt.Errorf("%w: tree %d node %d reaches node %d twice (a cycle or shared subtree)", ErrModelStructure, o.tree, o.node, c)
+			}
+			named[key] = true
+			if k, ok := index[key]; ok {
+				t.up[k] = reachLink{above: int32(i), left: c == nd.Left}
+			}
+		}
+	}
+	for i, o := range t.owned {
+		depth := 0
+		for a := t.up[i].above; a >= 0; a = t.up[a].above {
+			if a == int32(i) {
+				return fmt.Errorf("%w: tree %d node %d reaches node %d twice (a cycle or shared subtree)", ErrModelStructure, o.tree, o.node, o.node)
+			}
+			if depth++; depth > maxRouteDepth {
+				return fmt.Errorf("%w: tree %d node %d lies deeper than %d", ErrModelStructure, o.tree, o.node, maxRouteDepth)
+			}
+		}
+	}
+	return nil
 }
 
 // CompileFragment builds both sides of a fragment that holds the full tree
@@ -112,23 +189,32 @@ func CompileFragment(frag *PartyModel) (*RouteTable, error) {
 // evaluates itself.
 func compileFragment(frag *PartyModel, party int) (*RouteTable, error) {
 	t := &RouteTable{party: party, routable: true, slotOf: make(map[int]map[uint64]int32)}
-	featSlot := t.compileOwned(frag)
+	tc := &treeCompiler{featSlot: t.compileOwned(frag)}
 	t.roots = make([]int32, len(frag.Trees))
 	t.slotLo = make([]int32, len(frag.Trees)+1)
 	t.owners = make([][]int, len(frag.Trees))
-	var own []int32 // nodes that are the party's own splits, by reached index
 	for ti, tree := range frag.Trees {
 		t.slotLo[ti] = int32(len(t.slotKeys))
-		var err error
-		if own, err = t.compileTree(ti, tree, featSlot, own); err != nil {
+		if err := t.compileTree(ti, tree, tc); err != nil {
 			return nil, err
 		}
 	}
 	t.slotLo[len(frag.Trees)] = int32(len(t.slotKeys))
-	for i, ni := range own {
+	for i, ni := range tc.own {
 		t.nodes[ni].at = int32(len(t.slotKeys)+i) * blockBytes
 	}
 	return t, nil
+}
+
+// treeCompiler is compileTree's state across trees: the feature slots,
+// the indices of the party's own splits (their bitmap slots are numbered
+// once every tree is in), and per node index its parent's index and
+// whether it is that parent's left child.
+type treeCompiler struct {
+	featSlot map[int32]int32
+	own      []int32
+	up       []int32
+	left     []bool
 }
 
 // treeNode packs a (tree, node) address into one map key; ok is false for
@@ -153,10 +239,12 @@ func (t *RouteTable) answerSlot(party, tree int, node int32) (int32, bool) {
 // compileOwned fills the scoring side and returns the feature → slot map.
 func (t *RouteTable) compileOwned(frag *PartyModel) map[int32]int32 {
 	featSlot := make(map[int32]int32)
+	t.rootIDs = make([]int32, len(frag.Trees))
 	for ti, tree := range frag.Trees {
 		if tree == nil {
 			continue
 		}
+		t.rootIDs[ti] = tree.Root
 		var ids []int32
 		for id, nd := range tree.Nodes {
 			if nd != nil && nd.Owner == t.party {
@@ -184,11 +272,11 @@ func (t *RouteTable) compileOwned(frag *PartyModel) map[int32]int32 {
 }
 
 // compileTree flattens tree ti depth-first from its root, validating the
-// structure as it goes. own collects the indices of the party's own
-// splits; their bitmap slots are numbered once every tree is in.
-func (t *RouteTable) compileTree(ti int, tree *FedTree, featSlot map[int32]int32, own []int32) ([]int32, error) {
+// structure as it goes. Every tree is laid out parents first, and so are
+// the answer slots it adds.
+func (t *RouteTable) compileTree(ti int, tree *FedTree, tc *treeCompiler) error {
 	if tree == nil {
-		return nil, fmt.Errorf("%w: tree %d is empty", ErrModelStructure, ti)
+		return fmt.Errorf("%w: tree %d is empty", ErrModelStructure, ti)
 	}
 	owners := make(map[int]bool)
 	for _, nd := range tree.Nodes {
@@ -202,7 +290,7 @@ func (t *RouteTable) compileTree(ti int, tree *FedTree, featSlot map[int32]int32
 	sort.Ints(t.owners[ti])
 
 	if tree.Nodes[tree.Root] == nil {
-		return nil, fmt.Errorf("%w: tree %d root %d missing", ErrModelStructure, ti, tree.Root)
+		return fmt.Errorf("%w: tree %d root %d missing", ErrModelStructure, ti, tree.Root)
 	}
 	// Each stack entry is a node to place and the parent link that gets
 	// its index (parent -1: the root; kid 0 right, 1 left).
@@ -227,8 +315,8 @@ func (t *RouteTable) compileTree(ti int, tree *FedTree, featSlot map[int32]int32
 		case nd.Owner == OwnerLeaf:
 			weight = nd.Weight
 		case nd.Owner == t.party:
-			own = append(own, idx)
-			t.reached = append(t.reached, ownedSplit{tree: int32(ti), node: p.id, feature: featSlot[nd.Feature], threshold: nd.Threshold})
+			tc.own = append(tc.own, idx)
+			t.reached = append(t.reached, ownedSplit{tree: int32(ti), node: p.id, feature: tc.featSlot[nd.Feature], threshold: nd.Threshold})
 		case nd.Owner >= 0:
 			slot := int32(len(t.slotKeys))
 			rn.at = slot * blockBytes
@@ -238,31 +326,46 @@ func (t *RouteTable) compileTree(ti int, tree *FedTree, featSlot map[int32]int32
 			key, _ := treeNode(ti, p.id)
 			t.slotOf[nd.Owner][key] = slot
 			t.slotKeys = append(t.slotKeys, RouteKey{Party: nd.Owner, Tree: ti, Node: p.id})
+			t.links = append(t.links, t.linkAbove(tc, nd.Owner, p.parent, p.kid == 1))
 		default:
-			return nil, fmt.Errorf("%w: tree %d node %d has invalid owner %d", ErrModelStructure, ti, p.id, nd.Owner)
+			return fmt.Errorf("%w: tree %d node %d has invalid owner %d", ErrModelStructure, ti, p.id, nd.Owner)
 		}
 		t.nodes = append(t.nodes, rn)
 		t.weights = append(t.weights, weight)
+		tc.up = append(tc.up, p.parent)
+		tc.left = append(tc.left, p.kid == 1)
 		if nd.Owner == OwnerLeaf {
 			continue
 		}
 		if p.depth >= maxRouteDepth {
-			return nil, fmt.Errorf("%w: tree %d node %d lies deeper than %d", ErrModelStructure, ti, p.id, maxRouteDepth)
+			return fmt.Errorf("%w: tree %d node %d lies deeper than %d", ErrModelStructure, ti, p.id, maxRouteDepth)
 		}
 		// Push the right child first so the left subtree is laid out right
 		// after its parent.
 		for kid, c := range [2]int32{nd.Right, nd.Left} {
 			if tree.Nodes[c] == nil {
-				return nil, fmt.Errorf("%w: tree %d node %d has dangling child %d", ErrModelStructure, ti, p.id, c)
+				return fmt.Errorf("%w: tree %d node %d has dangling child %d", ErrModelStructure, ti, p.id, c)
 			}
 			if reached[c] {
-				return nil, fmt.Errorf("%w: tree %d node %d reaches node %d twice (a cycle or shared subtree)", ErrModelStructure, ti, p.id, c)
+				return fmt.Errorf("%w: tree %d node %d reaches node %d twice (a cycle or shared subtree)", ErrModelStructure, ti, p.id, c)
 			}
 			reached[c] = true
 			stack = append(stack, pending{id: c, depth: p.depth + 1, parent: idx, kid: int32(kid)})
 		}
 	}
-	return own, nil
+	return nil
+}
+
+// linkAbove finds the nearest answer slot of party above a node being
+// placed under node index parent (on its left side when left): the walk
+// skips every split of another party, and the table party's own.
+func (t *RouteTable) linkAbove(tc *treeCompiler, party int, parent int32, left bool) reachLink {
+	for a := parent; a >= 0; a, left = tc.up[a], tc.left[a] {
+		if at := t.nodes[a].at; at >= 0 && t.slotKeys[at/blockBytes].Party == party {
+			return reachLink{above: at / blockBytes, left: left}
+		}
+	}
+	return reachLink{above: -1}
 }
 
 // Party returns the party whose own splits the table evaluates.
@@ -371,69 +474,6 @@ func checkRows(data *dataset.Dataset, rows []int32) (int, error) {
 		}
 	}
 	return len(rows), nil
-}
-
-// Score computes the routing bitmaps the table's party contributes for
-// the given shard rows: one PredictNodeBits per owned split, in (tree,
-// ascending node id) order, bit k describing the k-th requested row. A
-// nil rows slice scores every shard row in order.
-func (t *RouteTable) Score(data *dataset.Dataset, rows []int32) ([]PredictNodeBits, error) {
-	n, err := checkRows(data, rows)
-	if err != nil {
-		return nil, err
-	}
-	if len(t.owned) == 0 {
-		return nil, nil
-	}
-	w := (n + 7) / 8
-	buf := make([]byte, len(t.owned)*w)
-	out := make([]PredictNodeBits, len(t.owned))
-	for i, o := range t.owned {
-		out[i] = PredictNodeBits{Tree: int(o.tree), Node: o.node, Bits: buf[i*w : (i+1)*w : (i+1)*w]}
-	}
-	var cb colBlock
-	for lo := 0; lo < n; lo += routeBlock {
-		hi := min(lo+routeBlock, n)
-		cb.gather(t.features, data, rows, lo, hi)
-		for i, o := range t.owned {
-			cb.leftBits(o.feature, o.threshold, out[i].Bits[lo/8:])
-		}
-	}
-	return out, nil
-}
-
-// RoundBits collects one round's routing bitmaps from the other parties,
-// one per answer slot of the table that made it.
-type RoundBits struct {
-	table *RouteTable
-	rows  int
-	slots [][]byte
-}
-
-// NewRoundBits starts collecting bitmaps for a round of the given size.
-func (t *RouteTable) NewRoundBits(rows int) *RoundBits {
-	return &RoundBits{table: t, rows: rows, slots: make([][]byte, len(t.slotKeys))}
-}
-
-// Place files a party's answer. Every bitmap must be exactly ⌈rows/8⌉
-// bytes; a wrong length is an ErrRoutingBits naming the party, tree and
-// node, nothing of the answer is filed, and the caller must treat it as a
-// protocol violation. Bitmaps for splits the table does not route through
-// are ignored.
-func (rb *RoundBits) Place(party int, nodes []PredictNodeBits) error {
-	want := (rb.rows + 7) / 8
-	for _, nb := range nodes {
-		if len(nb.Bits) != want {
-			return fmt.Errorf("%w: party %d sent %d bytes for tree %d node %d, want %d for %d rows",
-				ErrRoutingBits, party, len(nb.Bits), nb.Tree, nb.Node, want, rb.rows)
-		}
-	}
-	for _, nb := range nodes {
-		if s, ok := rb.table.answerSlot(party, nb.Tree, nb.Node); ok {
-			rb.slots[s] = nb.Bits
-		}
-	}
-	return nil
 }
 
 // skipTrees marks the trees that need a missing party's bits.

@@ -352,6 +352,82 @@ func TestRouteMarginsRefusesWrongLengthBitmap(t *testing.T) {
 	}
 }
 
+// checkPrunedRound plays one scoring round in its wire form: every
+// passive party whose fragment compiles and binds B's reach links answers
+// with pruned per-tree bits, and B expands and routes them. The margins
+// must be those of the full bitmaps, with the parties that could not bind
+// missing as well. Then party 0 sends an answer made of fuzz bytes: B must
+// file it or refuse it with an ErrRoutingBits naming the party and the
+// tree, and a filed one must route or be refused, never panic.
+func checkPrunedRound(t *testing.T, m *FederatedModel, parts []*dataset.Dataset, rows []int32, missing map[int]bool, in *fuzzBytes) {
+	t.Helper()
+	last := len(parts) - 1
+	b := m.Parties[last]
+	bt, err := CompileFragment(b)
+	if err != nil {
+		return // the full round's checks cover a refused structure
+	}
+	out := make(map[int]bool)
+	for p := range missing {
+		out[p] = true
+	}
+	rb := bt.NewRoundBits(len(rows))
+	full := make(map[RouteKey][]byte)
+	for p := 0; p < last; p++ {
+		owned, err := CompileOwnedSplits(m.Parties[p])
+		if err == nil {
+			owned, err = owned.Bind(bt.Reach(p))
+		}
+		if err != nil {
+			if !errors.Is(err, ErrModelStructure) {
+				t.Fatalf("party %d: untyped refusal %v", p, err)
+			}
+			out[p] = true
+			continue
+		}
+		answer, err := owned.Score(parts[p], rows)
+		if err != nil {
+			t.Fatalf("party %d: %v", p, err)
+		}
+		if err := rb.Place(p, answer); err != nil {
+			t.Fatalf("party %d's own answer refused: %v", p, err)
+		}
+		nodes, _ := ScorePlacements(m.Parties[p], parts[p], rows)
+		for _, nb := range nodes {
+			full[RouteKey{Party: p, Tree: nb.Tree, Node: nb.Node}] = nb.Bits
+		}
+	}
+	got, skipped, err := bt.RouteMargins(m.LearningRate, m.BaseScore, parts[last], rows, rb, out)
+	want, wantSkipped, wantErr := RoutePartialMargins(b, m.LearningRate, m.BaseScore, parts[last], rows, full, out)
+	switch {
+	case (err != nil) != (wantErr != nil):
+		t.Fatalf("pruned round: %v; full bitmaps: %v", err, wantErr)
+	case err != nil && !typedRouteError(err):
+		t.Fatalf("pruned round: untyped error %v", err)
+	case err == nil && (skipped != wantSkipped || !sameFloats(got, want)):
+		t.Fatalf("pruned round: %d skipped, margins %v; full bitmaps: %d skipped, %v", skipped, got, wantSkipped, want)
+	}
+
+	var blob []PredictNodeBits
+	for k := in.next() % 4; k > 0; k-- {
+		nb := PredictNodeBits{Tree: in.next()%5 - 1, Node: int32(in.next()%6 - 1), Bits: make([]byte, in.next()%6)}
+		for i := range nb.Bits {
+			nb.Bits[i] = byte(in.next())
+		}
+		blob = append(blob, nb)
+	}
+	rb = bt.NewRoundBits(len(rows))
+	if err := rb.Place(0, blob); err != nil {
+		if !errors.Is(err, ErrRoutingBits) || !strings.Contains(err.Error(), "party 0 sent") || !strings.Contains(err.Error(), "tree") {
+			t.Fatalf("arbitrary answer refused with %v, want an ErrRoutingBits naming party 0 and the tree", err)
+		}
+		return
+	}
+	if _, _, err := bt.RouteMargins(m.LearningRate, m.BaseScore, parts[last], rows, rb, missing); err != nil && !typedRouteError(err) {
+		t.Fatalf("arbitrary answer: untyped error %v", err)
+	}
+}
+
 // fuzzBytes hands out fuzz input a byte at a time, zeros once it runs out.
 type fuzzBytes []byte
 
@@ -417,7 +493,10 @@ func typedRouteError(err error) bool {
 
 // FuzzRouteTables: over arbitrary fragment shapes, rounds and bitmaps,
 // the compiled tables never panic, and they either agree with the oracle
-// exactly or refuse with ErrModelStructure or ErrRoutingBits.
+// exactly or refuse with ErrModelStructure or ErrRoutingBits. Every round
+// also goes over the wire form (checkPrunedRound): the pruned answers
+// route exactly as the full bitmaps do, and an arbitrary answer routes or
+// is refused.
 func FuzzRouteTables(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 5, 0, 1, 2, 3, 1, 2, 0, 1, 1, 2, 0, 0, 8, 2, 1, 1, 9, 0, 4, 5, 6})
 	f.Add([]byte{1, 2, 3, 11, 1, 2, 1, 3, 0, 5, 2, 3, 4, 1, 2, 7, 3, 1, 4, 5, 1, 6, 7, 9, 9, 0, 17, 3, 1})
@@ -484,6 +563,7 @@ func FuzzRouteTables(f *testing.F) {
 				missing[p] = true
 			}
 		}
+		checkPrunedRound(t, m, parts, rows, missing, &in)
 		b := m.Parties[last]
 		margins, skipped, err := RoutePartialMargins(b, m.LearningRate, m.BaseScore, parts[last], rows, routes, missing)
 		if err != nil {

@@ -8,11 +8,13 @@ import (
 // only its own model fragment, so scoring aligned instances is itself a
 // protocol, and this is the only one: a session is opened once and then
 // serves a stream of scoring rounds. Party B pins a model version and a
-// round ID per batch of rows, every passive party answers with one routing
-// bitmap per split node it owns over just the requested rows (bit k set =
-// k-th requested row goes left), and B — which knows the full tree
-// structure — routes every row locally. The session ends with an explicit
-// close handshake. Passive parties reveal exactly what they reveal during
+// round ID per batch of rows, every passive party answers with its routing
+// bits over just the requested rows — per tree, only the bits of the rows
+// its own splits send toward each of its splits (reach.go) — and B, which
+// knows the full tree structure, routes every row locally. Before the
+// first round at a version, B sends each party the reach links of that
+// version (MsgScoreReach). The session ends with an explicit close
+// handshake. Passive parties reveal at most what they reveal during
 // training (placements), never features or thresholds. Online serving and
 // batch prediction (`vf2boost predict`, one session in rounds of a fixed
 // row count) both run it; the orchestration (registries, batching, HTTP)
@@ -22,8 +24,9 @@ import (
 
 // ScoreProtoVersion versions the online scoring wire protocol. A party
 // that receives an unknown version answers with a structured error instead
-// of guessing.
-const ScoreProtoVersion = 1
+// of guessing. Version 2 answers with pruned per-tree bits; version 1
+// answered with one full bitmap per split.
+const ScoreProtoVersion = 2
 
 // MsgScoreOpen starts an online scoring session. Session is an opaque
 // identifier echoed in logs/traces on both sides.
@@ -42,7 +45,7 @@ type MsgScoreOpenAck struct {
 	Error    string
 }
 
-// MsgScoreRequest asks for routing bitmaps over the listed shard rows,
+// MsgScoreRequest asks for routing bits over the listed shard rows,
 // pinned to one model version. Round increases per request on a session
 // and is echoed back, so a response can never be attributed to the wrong
 // batch.
@@ -52,9 +55,21 @@ type MsgScoreRequest struct {
 	Rows    []int32
 }
 
-// MsgScoreResponse carries one routing bitmap per split node the worker's
-// pinned-version fragment owns (bit k = k-th requested row goes left), or
-// a structured error. An error fails the round but keeps the session open.
+// MsgScoreReach gives a passive party the reach links of one model
+// version (Party B's RouteTable.Reach for that party). B sends it on a
+// session before the first request pinned to the version; the party binds
+// it to its fragment (RouteTable.Bind) and answers every round at the
+// version in that order.
+type MsgScoreReach struct {
+	Version uint64
+	Trees   []ReachTree
+}
+
+// MsgScoreResponse carries, per tree in which Party B reads any of the
+// party's splits, one PredictNodeBits addressed by the tree's root whose
+// Bits pack the pruned routing bits of the round's rows (RouteTable.Score),
+// or a structured error. An error fails the round but keeps the session
+// open.
 type MsgScoreResponse struct {
 	Round   uint64
 	Version uint64
@@ -63,7 +78,9 @@ type MsgScoreResponse struct {
 	Error   string
 }
 
-// PredictNodeBits is the routing bitmap of one owned node of one tree.
+// PredictNodeBits is a routing bitmap: in memory, the full bitmap of one
+// owned node of one tree (bit k = k-th row goes left); on the wire, one
+// tree's pruned bits under the tree's root.
 type PredictNodeBits struct {
 	Tree int
 	Node int32
@@ -87,13 +104,17 @@ type RouteKey struct {
 	Node  int32
 }
 
-// ScorePlacements computes the routing bitmaps a passive fragment
+// ScorePlacements computes the full routing bitmaps a passive fragment
 // contributes for the given shard rows: one PredictNodeBits per split node
 // the fragment owns, with bit k describing the k-th requested row. A nil
-// rows slice means "every shard row in order". It compiles the fragment on every call; a party that
-// answers many rounds compiles once (CompileOwnedSplits) and calls Score.
+// rows slice means "every shard row in order". It is the in-process form
+// of an answer and compiles the fragment on every call; a party that
+// answers rounds compiles once (CompileOwnedSplits), binds B's reach links
+// and calls Score.
 func ScorePlacements(fragment *PartyModel, data *dataset.Dataset, rows []int32) ([]PredictNodeBits, error) {
-	return CompileOwnedSplits(fragment).Score(data, rows)
+	t := &RouteTable{party: fragment.Party}
+	t.compileOwned(fragment)
+	return t.placements(data, rows)
 }
 
 // RouteMargins routes every requested row through every tree of Party B's
@@ -123,7 +144,7 @@ func RoutePartialMargins(bFragment *PartyModel, learningRate, baseScore float64,
 	}
 	rb := t.NewRoundBits(n)
 	for k, bits := range routes {
-		if err := rb.Place(k.Party, []PredictNodeBits{{Tree: k.Tree, Node: k.Node, Bits: bits}}); err != nil {
+		if err := rb.placeFull(k.Party, []PredictNodeBits{{Tree: k.Tree, Node: k.Node, Bits: bits}}); err != nil {
 			return nil, 0, err
 		}
 	}

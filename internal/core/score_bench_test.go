@@ -59,8 +59,15 @@ func serveShape(b *testing.B) (*FederatedModel, []*dataset.Dataset) {
 // Party B filing that answer and routing the rows through its own.
 func BenchmarkScoreRound(b *testing.B) {
 	m, parts := serveShape(b)
-	passive := CompileOwnedSplits(m.Parties[0])
 	active, err := CompileFragment(m.Parties[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	owned, err := CompileOwnedSplits(m.Parties[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	passive, err := owned.Bind(active.Reach(0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -97,6 +97,9 @@ const (
 	// obfuscation base replaced by B's encryption of the packing shift
 	// (ShiftCt).
 	idSetupV6 uint16 = 35
+	// idScoreReach gives a passive party one model version's reach links
+	// before the first scoring round at that version.
+	idScoreReach uint16 = 36
 )
 
 // All ends of a deployment ship the same binary, so a frame carrying a
@@ -127,6 +130,7 @@ func init() {
 	wire.Register(idScoreResponse, "MsgScoreResponse", decodeMsg[MsgScoreResponse])
 	wire.Register(idScoreClose, "MsgScoreClose", decodeMsg[MsgScoreClose])
 	wire.Register(idScoreCloseAck, "MsgScoreCloseAck", decodeMsg[MsgScoreCloseAck])
+	wire.Register(idScoreReach, "MsgScoreReach", decodeMsg[MsgScoreReach])
 	wire.Register(idEnvelope, "MsgEnvelope", decodeMsg[MsgEnvelope])
 	wire.Register(idAck, "MsgAck", decodeMsg[MsgAck])
 	wire.Register(idHeartbeat, "MsgHeartbeat", decodeMsg[MsgHeartbeat])
@@ -653,6 +657,37 @@ func (m *MsgScoreResponse) DecodeFrom(body []byte) error {
 	m.Party = d.Int()
 	m.Nodes = decodeNodeBits(d)
 	m.Error = d.String()
+	return d.Finish()
+}
+
+func (MsgScoreReach) WireID() uint16 { return idScoreReach }
+
+func (m MsgScoreReach) AppendTo(b []byte) []byte {
+	b = wire.AppendUvarint(b, m.Version)
+	b = wire.AppendUvarint(b, uint64(len(m.Trees)))
+	for _, rt := range m.Trees {
+		b = wire.AppendInt(b, rt.Tree)
+		b = wire.AppendInt32(b, rt.Root)
+		b = wire.AppendUvarint(b, uint64(len(rt.Splits)))
+		for _, sp := range rt.Splits {
+			b = wire.AppendInt32(b, sp.Node)
+			b = wire.AppendInt32(b, sp.Above)
+			b = wire.AppendBool(b, sp.Left)
+		}
+	}
+	return b
+}
+
+func (m *MsgScoreReach) DecodeFrom(body []byte) error {
+	d := wire.NewDec(body)
+	m.Version = d.Uvarint()
+	m.Trees = decodeSeq(d, func(d *wire.Dec) ReachTree {
+		rt := ReachTree{Tree: d.Int(), Root: d.Int32()}
+		rt.Splits = decodeSeq(d, func(d *wire.Dec) ReachSplit {
+			return ReachSplit{Node: d.Int32(), Above: d.Int32(), Left: d.Bool()}
+		})
+		return rt
+	})
 	return d.Finish()
 }
 

@@ -76,6 +76,10 @@ func sampleMessages() []any {
 		MsgScoreOpenAck{Proto: ScoreProtoVersion, Party: 1, Rows: 1000, Versions: []uint64{1, 2, 7}},
 		MsgScoreOpenAck{Proto: 9, Error: "protocol version 9 not supported"},
 		MsgScoreRequest{Round: 77, Version: 3, Rows: []int32{5, 1, 900}},
+		MsgScoreReach{Version: 3, Trees: []ReachTree{
+			{Tree: 0, Root: 1, Splits: []ReachSplit{{Node: 1, Above: -1}, {Node: 4, Above: 0, Left: true}, {Node: 9, Above: 1}}},
+			{Tree: 5, Root: 1, Splits: []ReachSplit{{Node: 3, Above: -1, Left: true}}},
+		}},
 		MsgScoreResponse{Round: 77, Version: 3, Party: 1, Nodes: []PredictNodeBits{{Tree: 2, Node: 9, Bits: []byte{0x07}}}},
 		MsgScoreResponse{Round: 78, Version: 3, Party: 0, Error: "model version 3 not published"},
 		MsgScoreClose{Reason: "server shutdown"},

@@ -52,7 +52,6 @@ type EncNum struct {
 // values over a given scheme. It is safe for concurrent use.
 type Codec struct {
 	scheme    he.Scheme
-	base      int
 	baseExp   int
 	expSpread int
 
@@ -86,7 +85,6 @@ func WithSeed(seed int64) Option {
 func NewCodec(scheme he.Scheme, opts ...Option) *Codec {
 	c := &Codec{
 		scheme:    scheme,
-		base:      DefaultBase,
 		baseExp:   DefaultBaseExp,
 		expSpread: DefaultExpSpread,
 		seed:      1,
@@ -108,8 +106,8 @@ func (c *Codec) Scheme() he.Scheme { return c.scheme }
 // Stats returns the codec's operation counters.
 func (c *Codec) Stats() *Stats { return c.stats }
 
-// Base returns the encoding base B.
-func (c *Codec) Base() int { return c.base }
+// Base returns the encoding base B, which is DefaultBase for every codec.
+func (c *Codec) Base() int { return DefaultBase }
 
 // BaseExp returns the minimum encoding exponent.
 func (c *Codec) BaseExp() int { return c.baseExp }
@@ -128,7 +126,7 @@ func (c *Codec) pow(k int) *big.Int {
 	if ok {
 		return p
 	}
-	p = new(big.Int).Exp(big.NewInt(int64(c.base)), big.NewInt(int64(k)), nil)
+	p = new(big.Int).Exp(big.NewInt(DefaultBase), big.NewInt(int64(k)), nil)
 	c.powMu.Lock()
 	c.pows[k] = p
 	c.powMu.Unlock()
@@ -167,16 +165,16 @@ func (c *Codec) RandExp() int {
 	return c.ExpAt(-1, 0, int(c.draws.Add(1)))
 }
 
-// roundedMagnitude is round(v·base^exp), half away from zero, as a signed
+// roundedMagnitude is round(v·B^exp), half away from zero, as a signed
 // integer. It needs no scheme, so constants such as the folded pair's
 // field limits are derived with the rounding EncodeAt applies. Scaled
 // values beyond the int64 fast path multiply the 53-bit mantissa by the
 // exact integer power.
-func roundedMagnitude(v float64, base, exp int) *big.Int {
-	if scaled := v * math.Pow(float64(base), float64(exp)); math.Abs(scaled) < math.MaxInt64/2 {
+func roundedMagnitude(v float64, exp int) *big.Int {
+	if scaled := v * math.Pow(DefaultBase, float64(exp)); math.Abs(scaled) < math.MaxInt64/2 {
 		return big.NewInt(int64(math.Round(scaled)))
 	}
-	pow := new(big.Int).Exp(big.NewInt(int64(base)), big.NewInt(int64(exp)), nil)
+	pow := new(big.Int).Exp(big.NewInt(DefaultBase), big.NewInt(int64(exp)), nil)
 	bf := new(big.Float).SetPrec(128).SetFloat64(v)
 	bf.Mul(bf, new(big.Float).SetPrec(128).SetInt(pow))
 	if bf.Signbit() {
@@ -194,7 +192,7 @@ func (c *Codec) EncodeAt(v float64, exp int) (Num, error) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return Num{}, fmt.Errorf("fixedpoint: cannot encode %v", v)
 	}
-	man := roundedMagnitude(v, c.base, exp)
+	man := roundedMagnitude(v, exp)
 	if man.CmpAbs(c.scheme.N()) >= 0 {
 		return Num{}, fmt.Errorf("fixedpoint: %g at exponent %d exceeds the plaintext space", v, exp)
 	}
@@ -213,14 +211,14 @@ func (c *Codec) Encode(v float64) (Num, error) {
 func (c *Codec) Decode(n Num) float64 {
 	signed := he.Signed(c.scheme, n.Man)
 	f, _ := new(big.Float).SetInt(signed).Float64()
-	return f / math.Pow(float64(c.base), float64(n.Exp))
+	return f / math.Pow(DefaultBase, float64(n.Exp))
 }
 
 // DecodeShifted decodes a mantissa that is known to be non-negative (for
 // example after the histogram-packing shift), without the signed mapping.
 func (c *Codec) DecodeShifted(man *big.Int, exp int) float64 {
 	f, _ := new(big.Float).SetInt(man).Float64()
-	return f / math.Pow(float64(c.base), float64(exp))
+	return f / math.Pow(DefaultBase, float64(exp))
 }
 
 // DecodeSigned converts an already-signed mantissa (no modular wrapping)

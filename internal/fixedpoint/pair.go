@@ -46,7 +46,7 @@ func (c *Codec) PlanPairs(rows int, bound float64) (PairPlan, error) {
 		return PairPlan{}, fmt.Errorf("fixedpoint: pair plan needs rows >= 1 and a positive gradient bound, got %d rows, bound %v", rows, bound)
 	}
 	top := c.baseExp + c.expSpread - 1
-	w := int(math.Ceil(math.Log2(float64(rows)*bound)+float64(top)*math.Log2(float64(c.base)))) + 2
+	w := int(math.Ceil(math.Log2(float64(rows)*bound)+float64(top)*math.Log2(DefaultBase))) + 2
 	if w < 2 {
 		w = 2
 	}
@@ -69,8 +69,8 @@ func (p PairPlan) Encode(g, h float64, exp int) (Num, error) {
 	if exp < c.baseExp || exp > top {
 		return Num{}, fmt.Errorf("fixedpoint: pair exponent %d outside [%d,%d]", exp, c.baseExp, top)
 	}
-	gm := roundedMagnitude(g, c.base, exp)
-	hm := roundedMagnitude(h, c.base, exp)
+	gm := roundedMagnitude(g, exp)
+	hm := roundedMagnitude(h, exp)
 	scale := c.pow(top - exp)
 	for _, m := range []*big.Int{gm, hm} {
 		if new(big.Int).Mul(m, scale).CmpAbs(p.limit) > 0 {
@@ -108,7 +108,7 @@ func (p PairPlan) Split(sum *big.Int) (g, h *big.Int) {
 // Decode splits a signed folded sum at the given exponent into floats.
 func (p PairPlan) Decode(sum *big.Int, exp int) (g, h float64) {
 	gm, hm := p.Split(sum)
-	return DecodeSigned(gm, p.codec.base, exp), DecodeSigned(hm, p.codec.base, exp)
+	return DecodeSigned(gm, DefaultBase, exp), DecodeSigned(hm, DefaultBase, exp)
 }
 
 // Decrypt recovers the ⟨Σg, Σh⟩ of an encrypted folded sum.

@@ -98,12 +98,13 @@ func (a *CutAccumulator) Add(v float64, maxBins int) {
 }
 
 // Cuts returns up to maxBins-1 strictly increasing cuts; nil when no
-// value was added.
+// value was added. It is the accumulator's last call: it sorts the
+// buffered values in place rather than copying them.
 func (a *CutAccumulator) Cuts(maxBins int) []float64 {
 	if a.sk != nil {
 		return a.sk.Quantiles(maxBins)
 	}
-	return quantile.Exact(a.buf, maxBins)
+	return quantile.ExactInPlace(a.buf, maxBins)
 }
 
 // NumBins returns the bin count of feature j (at least 1).

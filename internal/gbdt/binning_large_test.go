@@ -2,10 +2,12 @@ package gbdt
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"vf2boost/internal/dataset"
+	"vf2boost/internal/quantile"
 )
 
 // TestBinMapperSketchPath exercises the GK-sketch proposal path, which
@@ -128,6 +130,59 @@ func TestLeafWeightMinimizesObjective(t *testing.T) {
 		for _, eps := range []float64{-0.1, -0.01, 0.01, 0.1} {
 			if obj(g, h, lambda, w+eps) < best-1e-12 {
 				t.Fatalf("trial %d: ω*+%g beats ω*", trial, eps)
+			}
+		}
+	}
+}
+
+// TestCutAccumulatorSortsInPlace: Cuts sorts the buffer the accumulator
+// owns instead of copying it, and proposes the cuts the copying path does
+// — exact quantiles of a sorted copy for a column that stays in memory, a
+// sketch fed the values in order for one that spills — whether the
+// column is fed whole (NewBinMapper) or a row at a time beside another
+// column (the streamed build). The dataset's values keep their order.
+func TestCutAccumulatorSortsInPlace(t *testing.T) {
+	const maxBins = 16
+	for _, rows := range []int{1000, sketchThreshold + 3000} {
+		rng := rand.New(rand.NewSource(int64(rows)))
+		b := dataset.NewBuilder(2)
+		cols := [2][]float64{make([]float64, rows), make([]float64, rows)}
+		for i := 0; i < rows; i++ {
+			cols[0][i], cols[1][i] = rng.NormFloat64(), float64(rng.Intn(40))
+			if err := b.AddRow([]int32{0, 1}, []float64{cols[0][i], cols[1][i]}, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := b.Build()
+		m, err := NewBinMapper(d, maxBins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var streamed [2]CutAccumulator
+		for i := 0; i < rows; i++ {
+			for j := range streamed {
+				streamed[j].Add(cols[j][i], maxBins)
+			}
+		}
+		for j, values := range cols {
+			var want []float64
+			if rows <= sketchThreshold {
+				want = quantile.Exact(append([]float64(nil), values...), maxBins)
+			} else {
+				sk := quantile.MustNew(0.5 / maxBins)
+				for _, v := range values {
+					sk.Add(v)
+				}
+				want = sk.Quantiles(maxBins)
+			}
+			if !reflect.DeepEqual(m.Cuts[j], want) {
+				t.Errorf("%d rows, column %d: NewBinMapper cuts %v, copying path %v", rows, j, m.Cuts[j], want)
+			}
+			if got := streamed[j].Cuts(maxBins); !reflect.DeepEqual(got, want) {
+				t.Errorf("%d rows, column %d: streamed cuts %v, copying path %v", rows, j, got, want)
+			}
+			if !reflect.DeepEqual(d.ColumnValues(j), values) {
+				t.Errorf("%d rows, column %d: proposing cuts reordered the dataset's values", rows, j)
 			}
 		}
 	}

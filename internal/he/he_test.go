@@ -205,9 +205,12 @@ func TestPaillierFastObfuscationRoundTrip(t *testing.T) {
 // TestSharedAddendConcurrentAdds has several goroutines add one shared
 // wire ciphertext — an addend under the 2048-bit digit form — and one
 // shared canonical ciphertext, as the pack workers share a node's shift
-// ciphertext: as b of AddInto and as operands of Add. Under -race any
-// write to a shared operand fails the run, and every result must marshal
-// to big.Int's bytes.
+// ciphertext: as b of AddInto and as operands of Add, and shift it by a
+// power of two as the packing chain does (each goroutine's first shift
+// may be the one that caches the key's K_s addend). Under -race any write
+// to a shared operand fails the run, and every result must marshal to
+// big.Int's bytes. Under the digit form Add and the shift return
+// accumulators, so a chain of them never leaves it.
 func TestSharedAddendConcurrentAdds(t *testing.T) {
 	pd, err := NewPaillier(2048)
 	if err != nil {
@@ -233,6 +236,8 @@ func TestSharedAddendConcurrentAdds(t *testing.T) {
 	sumBytes := new(big.Int).Exp(c, big.NewInt(adds), pk.NSquared).Bytes()
 	ck := new(big.Int).Mul(c, k)
 	withShift := ck.Mod(ck, pk.NSquared).Bytes()
+	pow := new(big.Int).Lsh(big.NewInt(1), 114)
+	scaled := new(big.Int).Exp(c, pow, pk.NSquared).Bytes()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -250,6 +255,10 @@ func TestSharedAddendConcurrentAdds(t *testing.T) {
 						return
 					}
 				}
+				if got := s.MulScalar(shared, pow); !bytes.Equal(s.Marshal(got), scaled) {
+					t.Error("MulScalar by 2^114: bytes differ from big.Int's power")
+					return
+				}
 			}
 			if !bytes.Equal(s.Marshal(acc), sumBytes) {
 				t.Errorf("%d adds of the shared addend: bytes differ from big.Int's power", adds)
@@ -262,5 +271,12 @@ func TestSharedAddendConcurrentAdds(t *testing.T) {
 	}
 	if m, err := pd.Decrypt(s.Add(shared, shared)); err != nil || m.Int64() != 10 {
 		t.Fatalf("Dec(shared + shared) = %v, %v; want 10", m, err)
+	}
+	if pk.DigitForm() {
+		for name, got := range map[string]Ciphertext{"Add": s.Add(shared, shift), "MulScalar": s.MulScalar(s.Add(shared, shift), pow)} {
+			if _, ok := got.(paillierAcc); !ok {
+				t.Errorf("%s returned %T under the digit form, want an accumulator", name, got)
+			}
+		}
 	}
 }

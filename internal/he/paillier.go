@@ -12,19 +12,21 @@ import (
 // (so boxing it in a Ciphertext allocates nothing) and holding one copy
 // of the value:
 //
-//   - paillierCt, the canonical residue in [0, n²): what Encrypt,
-//     Add and MulScalar return, and the only form at widths and on
-//     platforms without the digit form (paillier.PublicKey.DigitForm);
+//   - paillierCt, the canonical residue in [0, n²): what Encrypt
+//     returns, and the only form at widths and on platforms without the
+//     digit form (paillier.PublicKey.DigitForm);
 //   - paillierAcc, an accumulator's n-adic digits, which AddInto
-//     multiplies into in place;
+//     multiplies into in place. Add, and MulScalar by a power of two,
+//     return one, so a chain of them (a histogram's finalization, a
+//     packing Horner chain) converts to big.Int only when marshaled;
 //   - paillierAddend, the digits of R·c mod n² that an HAdd's right
 //     operand takes. A passive party's Unmarshal converts each wire
 //     ciphertext into one (the key owner's, which only decrypts what it
 //     receives, keeps the canonical residue); it is never written again,
 //     so one addend may be shared.
 //
-// Marshal, Add, MulScalar and Decrypt read the canonical residue of any
-// form; the digit forms exist only where DigitForm holds.
+// Marshal, Decrypt and MulScalar by any other scalar read the canonical
+// residue of any form; the digit forms exist only where DigitForm holds.
 type (
 	paillierCt     struct{ ct paillier.Ciphertext }
 	paillierAcc    struct{ d *paillier.Accumulator }
@@ -149,8 +151,29 @@ func (s *PaillierScheme) canonical(ct Ciphertext) paillier.Ciphertext {
 	return ct.(paillierCt).ct
 }
 
+// Add returns a fresh ciphertext of the sum. Under the digit form it is
+// an accumulator: a copy of a (accumulatorOf) with b added into it.
 func (s *PaillierScheme) Add(a, b Ciphertext) Ciphertext {
+	if s.digits {
+		return s.AddInto(paillierAcc{s.accumulatorOf(a)}, b)
+	}
 	return paillierCt{s.pk.Add(s.canonical(a), s.canonical(b))}
+}
+
+// accumulatorOf returns a fresh accumulator of ct in any form, with no
+// big.Int round trip for the digit forms: an accumulator's digits are
+// copied, and an addend is added into the accumulator of 1.
+func (s *PaillierScheme) accumulatorOf(ct Ciphertext) *paillier.Accumulator {
+	switch c := ct.(type) {
+	case paillierAcc:
+		cp := *c.d
+		return &cp
+	case paillierAddend:
+		acc := s.pk.ZeroAccumulator()
+		s.pk.AddAddend(acc, c.d)
+		return acc
+	}
+	return s.pk.NewAccumulator(ct.(paillierCt).ct)
 }
 
 // AddInto multiplies b into dst in place when dst is an accumulator.
@@ -179,7 +202,17 @@ func (s *PaillierScheme) AddInto(dst, b Ciphertext) Ciphertext {
 	return acc
 }
 
+// MulScalar returns a fresh ciphertext of k·m. Under the digit form a
+// power-of-two k scales a copy of a in place and returns the accumulator
+// (paillier.PublicKey.ScaleAccumulator); any other k, and every k without
+// the digit form, takes the canonical residue through
+// paillier.PublicKey.MulScalar.
 func (s *PaillierScheme) MulScalar(a Ciphertext, k *big.Int) Ciphertext {
+	if s.digits {
+		if acc := s.accumulatorOf(a); s.pk.ScaleAccumulator(acc, k) {
+			return paillierAcc{acc}
+		}
+	}
 	ct, err := s.pk.MulScalar(s.canonical(a), k)
 	if err != nil {
 		// Unreachable for scheme-produced ciphertexts: Encrypt outputs

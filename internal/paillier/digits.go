@@ -83,6 +83,20 @@ func (pk *PublicKey) AddAccumulator(acc, b *Accumulator) {
 	pk.mont.hadd(acc, (*Addend)(&t))
 }
 
+// ScaleAccumulator sets acc to the ciphertext of k·m in place, where acc
+// holds the ciphertext of m, when k mod n is a power of two 2^s — every
+// scalar on the training path — and reports whether it did: s squaring
+// steps on its digits (the chain of MulScalar) and one HAdd by the cached
+// addend of K_s = R^(2^s−1), with no conversion to big.Int and back. Any
+// other k leaves acc as it was.
+func (pk *PublicKey) ScaleAccumulator(acc *Accumulator, k *big.Int) bool {
+	s, ok := pow2Exponent(pk.reduceScalar(k))
+	if ok {
+		pk.mont.scale(acc, s)
+	}
+	return ok
+}
+
 // AccumulatorCiphertext returns the canonical residue α + γ·n that acc
 // holds.
 func (pk *PublicKey) AccumulatorCiphertext(acc *Accumulator) Ciphertext {

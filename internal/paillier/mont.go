@@ -228,8 +228,9 @@ func (mm *montModulus) exp(base, e *big.Int) *big.Int {
 // packing shift and the 16^d exponent scalings).
 type montChain struct {
 	montModulus
-	n2 *big.Int
-	k  sync.Map // int → *big.Int
+	n2       *big.Int
+	k        sync.Map // int → *big.Int
+	kAddends sync.Map // int → the *Addend of K_s
 	// rr is the addend of R mod n², whose digits are those of R² mod n²:
 	// an HAdd by it turns a ciphertext's digits into its addend (digits.go).
 	rr Addend
@@ -263,27 +264,41 @@ func (ch *montChain) kFor(s int) *big.Int {
 	return got.(*big.Int)
 }
 
-// squarePow2 is PublicKey.squarePow2 on the kernel. It keeps c ≡
-// R^e·(α + γ·n) (mod n²) with α, γ < n, starting from e = 0 and the
-// n-adic digits of c. Squaring, with u = montMul(α, α), its reduction
-// words M (α² + M·n = (u + j·n)·R) and j its final subtraction,
+// squarePow2 is PublicKey.squarePow2 on the kernel: the n-adic digits of
+// c, squareSteps, and one multiplication by K_s = R^(2^s−1) mod n² that
+// recombines the canonical residue Exp returns.
+func (ch *montChain) squarePow2(c *big.Int, s int) *big.Int {
+	var q, r big.Int
+	q.QuoRem(c, ch.mod, &r)
+	var a, g nat
+	a.setBig(&r)
+	g.setBig(&q)
+	ch.squareSteps(&a, &g, s)
+	out := g.toBig(new(big.Int))
+	out.Mul(out, ch.mod)
+	out.Add(out, a.toBig(&r))
+	prod := new(big.Int).Mul(out, ch.kFor(s))
+	q.QuoRem(prod, ch.n2, out)
+	return out
+}
+
+// squareSteps squares c ≡ R^e·(α + γ·n) (mod n²), held as its digits
+// α, γ < n, s times in place, starting from e = 0. Squaring, with
+// u = montMul(α, α), its reduction words M (α² + M·n = (u + j·n)·R) and j
+// its final subtraction,
 //
 //	(α + γ·n)² ≡ α² + 2αγ·n ≡ R·(u + ((2αγ − M)·R⁻¹ + j)·n)  (mod n²),
 //
 // so α ← u, γ ← (2αγ − M)·R⁻¹ + j mod n and e ← 2e + 1: after s steps
-// e = 2^s − 1 and one multiplication by K_s = R^(2^s−1) mod n² recombines
-// the canonical residue Exp returns. The γ step is one Montgomery product
-// of α and 2γ mod n over the addend n − (M mod n) ≡ −M. No inverse is
-// taken, so non-units work as they do on the big.Int chain.
-func (ch *montChain) squarePow2(c *big.Int, s int) *big.Int {
-	var q, r big.Int
-	q.QuoRem(c, ch.mod, &r)
-	var a, g, u, g2, m nat
-	a.setBig(&r)
-	g.setBig(&q)
+// e = 2^s − 1, and the digits times K_s = R^(2^s−1) are c^(2^s). The γ
+// step is one Montgomery product of α and 2γ mod n over the addend
+// n − (M mod n) ≡ −M. No inverse is taken, so non-units work as they do
+// on the big.Int chain.
+func (ch *montChain) squareSteps(a, g *nat, s int) {
+	var u, g2, m nat
 	var t [2 * montLimbs]uint
 	for i := 0; i < s; i++ {
-		j := ch.mul(&u, &a, &a, &m)
+		j := ch.mul(&u, a, a, &m)
 		// g2 = 2γ mod n.
 		var carry uint
 		for w := range g2 {
@@ -293,7 +308,7 @@ func (ch *montChain) squarePow2(c *big.Int, s int) *big.Int {
 			g2.sub(&ch.m)
 		}
 		ch.negAddend(&t, &m)
-		ch.montgomery(&g, &t, &a, &g2, nil)
+		ch.montgomery(g, &t, a, &g2, nil)
 		// γ + j ≤ n, so one subtraction again suffices.
 		if j != 0 {
 			for w := range g {
@@ -305,14 +320,29 @@ func (ch *montChain) squarePow2(c *big.Int, s int) *big.Int {
 				g.sub(&ch.m)
 			}
 		}
-		a = u
+		*a = u
 	}
-	out := g.toBig(new(big.Int))
-	out.Mul(out, ch.mod)
-	out.Add(out, a.toBig(&r))
-	prod := new(big.Int).Mul(out, ch.kFor(s))
-	q.QuoRem(prod, ch.n2, out)
-	return out
+}
+
+// scale sets acc to acc^(2^s) in place: squareSteps on its digits, then
+// one HAdd by the addend of K_s, cached per s.
+func (ch *montChain) scale(acc *Accumulator, s int) {
+	if s == 0 {
+		return
+	}
+	ch.squareSteps(&acc.a, &acc.g, s)
+	b, ok := ch.kAddends.Load(s)
+	if !ok {
+		k := ch.kFor(s)
+		var q, r big.Int
+		q.QuoRem(k, ch.mod, &r)
+		add := new(Addend)
+		add.a.setBig(&r)
+		add.g.setBig(&q)
+		ch.hadd((*Accumulator)(add), &ch.rr)
+		b, _ = ch.kAddends.LoadOrStore(s, add)
+	}
+	ch.hadd(acc, b.(*Addend))
 }
 
 // newMontFixedBase is newFixedBase modulo a 2048-bit mm, with every entry

@@ -324,14 +324,25 @@ func (pk *PublicKey) MulScalar(ct Ciphertext, k *big.Int) (Ciphertext, error) {
 	if err := pk.ValidateCiphertext(ct); err != nil {
 		return Ciphertext{}, err
 	}
-	e := k
-	if k.Sign() < 0 || k.Cmp(pk.N) >= 0 {
-		e = new(big.Int).Mod(k, pk.N)
-	}
-	if s := e.BitLen() - 1; s >= 0 && e.TrailingZeroBits() == uint(s) && pk.N.BitLen() >= pow2ChainMinBits {
+	e := pk.reduceScalar(k)
+	if s, ok := pow2Exponent(e); ok && pk.N.BitLen() >= pow2ChainMinBits {
 		return Ciphertext{C: pk.squarePow2(ct.C, s)}, nil
 	}
 	return Ciphertext{C: new(big.Int).Exp(ct.C, e, pk.NSquared)}, nil
+}
+
+// reduceScalar returns k mod n, k itself when it already lies in [0, n).
+func (pk *PublicKey) reduceScalar(k *big.Int) *big.Int {
+	if k.Sign() < 0 || k.Cmp(pk.N) >= 0 {
+		return new(big.Int).Mod(k, pk.N)
+	}
+	return k
+}
+
+// pow2Exponent reports whether e = 2^s.
+func pow2Exponent(e *big.Int) (s int, ok bool) {
+	s = e.BitLen() - 1
+	return s, s >= 0 && e.TrailingZeroBits() == uint(s)
 }
 
 // pow2ChainMinBits is the modulus size from which squarePow2 beats

@@ -131,7 +131,9 @@ func TestMulScalarPow2SharedCiphertext(t *testing.T) {
 // an arbitrary power of two: it must never panic, must reject exactly what
 // ValidateCiphertext rejects, and must equal Exp otherwise (shifts past n's
 // width reduce modulo n and leave the chain). The key is 2048 bits, so on
-// a host with the kernel the chain runs in Montgomery form.
+// a host with the kernel the chain runs in Montgomery form, and the same
+// shift of the ciphertext's accumulator, scaled in place, must hold Exp's
+// residue too.
 func FuzzMulScalarPow2(f *testing.F) {
 	priv := testKey(f, montBits)
 	for _, ct := range pow2Ciphertexts(f, priv) {
@@ -154,8 +156,22 @@ func FuzzMulScalarPow2(f *testing.F) {
 		if err != nil {
 			t.Fatalf("MulScalar(%x, 2^%d): %v", raw, shift%4097, err)
 		}
-		if want := new(big.Int).Exp(ct.C, k.Mod(k, priv.N), priv.NSquared); got.C.Cmp(want) != 0 {
+		want := new(big.Int).Exp(ct.C, new(big.Int).Mod(k, priv.N), priv.NSquared)
+		if got.C.Cmp(want) != 0 {
 			t.Fatalf("MulScalar(%x, 2^%d) != Exp", raw, shift%4097)
+		}
+		if !priv.DigitForm() {
+			return
+		}
+		acc := priv.NewAccumulator(ct)
+		if !priv.ScaleAccumulator(acc, k) {
+			if _, pow2 := pow2Exponent(new(big.Int).Mod(k, priv.N)); pow2 {
+				t.Fatalf("ScaleAccumulator refused 2^%d, a power of two modulo n", shift%4097)
+			}
+			return
+		}
+		if priv.AccumulatorCiphertext(acc).C.Cmp(want) != 0 {
+			t.Fatalf("ScaleAccumulator(%x, 2^%d) != Exp", raw, shift%4097)
 		}
 	})
 }

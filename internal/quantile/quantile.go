@@ -180,10 +180,16 @@ func (s *Sketch) Size() int {
 // used when the column is small enough to sort outright. values is not
 // modified. Duplicate cuts are removed.
 func Exact(values []float64, k int) []float64 {
+	return ExactInPlace(append([]float64(nil), values...), k)
+}
+
+// ExactInPlace is Exact for a caller that owns values: it sorts them in
+// place instead of copying them first.
+func ExactInPlace(values []float64, k int) []float64 {
 	if len(values) == 0 || k < 2 {
 		return nil
 	}
-	sorted := append([]float64(nil), values...)
+	sorted := values
 	sort.Float64s(sorted)
 	cuts := make([]float64, 0, k-1)
 	for i := 1; i < k; i++ {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestShortBitmapSeversSession: a worker that answers a 64-row round with
-// a 1-byte routing bitmap has broken the protocol, like one answering at
-// the wrong version. The server severs its session (one breaker failure)
+// 1 byte of routing bits for a tree whose reach needs more has broken the
+// protocol, like one answering at the wrong version. The server severs its session (one breaker failure)
 // and, without panicking, fails the round under FailClosed or serves it
 // without that party under ServePartial.
 func TestShortBitmapSeversSession(t *testing.T) {
@@ -26,10 +26,10 @@ func TestShortBitmapSeversSession(t *testing.T) {
 			l := f.links[0]
 			r := f.score(context.Background(), rows)
 			l.nextRequest()
-			// The fake worker: the real answer, with one bitmap cut short.
+			// The fake worker: the real answer, with one tree's bits cut short.
 			short := l.nextAnswer().resp
-			if len(short.Nodes) == 0 {
-				t.Fatal("the model has no party-0 splits; a short bitmap would be invisible")
+			if len(short.Nodes) == 0 || len(short.Nodes[0].Bits) < 2 {
+				t.Fatal("the model's first tree has under 2 bytes of party-0 bits; a short answer would be invisible")
 			}
 			short.Nodes = append([]core.PredictNodeBits(nil), short.Nodes...)
 			short.Nodes[0].Bits = short.Nodes[0].Bits[:1]
@@ -41,8 +41,8 @@ func TestShortBitmapSeversSession(t *testing.T) {
 				if !errors.Is(o.err, ErrPartyUnavailable) {
 					t.Fatalf("round with a short bitmap returned %v, want ErrPartyUnavailable", o.err)
 				}
-				// The round's error keeps its cause, naming party, tree and node.
-				want := fmt.Sprintf("party 0 sent 1 bytes for tree %d node %d", short.Nodes[0].Tree, short.Nodes[0].Node)
+				// The round's error keeps its cause, naming party and tree.
+				want := fmt.Sprintf("party 0 sent 1 bytes for tree %d,", short.Nodes[0].Tree)
 				if !errors.Is(o.err, core.ErrRoutingBits) || !strings.Contains(o.err.Error(), want) {
 					t.Fatalf("round with a short bitmap returned %v, want it to wrap ErrRoutingBits with %q", o.err, want)
 				}

@@ -241,10 +241,10 @@ func TestServeHardCutRedialRecovery(t *testing.T) {
 	}
 	worker := NewPassiveWorker(0, parts[0], wreg)
 
-	// Session 1: cut after 3 sends (open + two rounds; the third round's
-	// request hits the severed link).
+	// Session 1: cut after 4 sends (open, the version's reach links and
+	// two rounds; the third round's request hits the severed link).
 	srvEnd, wkEnd := closablePair()
-	cut := fault.Wrap(srvEnd, fault.Config{Seed: 1, DisconnectAfter: 3})
+	cut := fault.Wrap(srvEnd, fault.Config{Seed: 1, DisconnectAfter: 4})
 	go worker.Run(wkEnd)
 
 	// The dialer only answers once the test "heals" the peer.

@@ -41,11 +41,12 @@ func NewRegistry() *Registry {
 // Publish installs a model version and atomically makes it current.
 // Version numbers are chosen by the operator (they must agree across
 // parties) and must be fresh and non-zero. The fragment is compiled here,
-// once: Party B's entry (one with scoring parameters) must hold a sound
-// tree structure, and one that does not — a missing root, a dangling
-// child, a cycle — is refused with an error naming the tree and node. A
-// passive party's fragment holds only its own splits, which is all its
-// table needs.
+// once, with the structure it holds. Party B's entry (one with scoring
+// parameters) must hold a sound tree structure: a missing root, a
+// dangling child, a cycle is refused with an error naming the tree and
+// node. A passive party's fragment holds its own splits and their
+// children's ids, and is refused when those links are not sound
+// (core.CompileOwnedSplits).
 func (r *Registry) Publish(m Model) error {
 	if m.Version == 0 {
 		return fmt.Errorf("serve: model version must be non-zero")
@@ -53,13 +54,13 @@ func (r *Registry) Publish(m Model) error {
 	if m.Fragment == nil {
 		return fmt.Errorf("serve: model version %d has no fragment", m.Version)
 	}
-	routes, err := core.CompileFragment(m.Fragment)
-	switch {
-	case err == nil:
-	case m.LearningRate != 0 || m.BaseScore != 0: // Party B's entry
+	compile := core.CompileOwnedSplits
+	if m.LearningRate != 0 || m.BaseScore != 0 { // Party B's entry
+		compile = core.CompileFragment
+	}
+	routes, err := compile(m.Fragment)
+	if err != nil {
 		return fmt.Errorf("serve: model version %d refused: %w", m.Version, err)
-	default:
-		routes = core.CompileOwnedSplits(m.Fragment)
 	}
 	m.routes = routes
 	r.mu.Lock()

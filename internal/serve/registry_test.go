@@ -67,7 +67,8 @@ func TestRegistryPublishAndPin(t *testing.T) {
 // it is published, so a dangling child, a cycle or a missing root is
 // refused then, by tree and node, instead of failing every scoring round;
 // the registry keeps serving the version it had. A passive fragment holds
-// only its own splits (their children live in B's fragment) and publishes.
+// only its own splits (their children live in B's fragment) and publishes
+// unless the links among them are broken.
 func TestPublishRefusesBrokenFragment(t *testing.T) {
 	sound := func() *core.PartyModel {
 		tr := core.NewFedTree(1)
@@ -106,5 +107,12 @@ func TestPublishRefusesBrokenFragment(t *testing.T) {
 	passive.Nodes[1] = &core.FedNode{Owner: 0, Feature: 2, Threshold: 0.5, Left: 2, Right: 3}
 	if err := NewRegistry().Publish(Model{Version: 1, Fragment: &core.PartyModel{Party: 0, Trees: []*core.FedTree{passive}}}); err != nil {
 		t.Errorf("passive fragment refused: %v", err)
+	}
+	// A passive fragment's own links must be sound too: here node 2 is a
+	// child of node 1 and its parent at once.
+	passive.Nodes[2] = &core.FedNode{Owner: 0, Feature: 1, Left: 1, Right: 4}
+	err := NewRegistry().Publish(Model{Version: 1, Fragment: &core.PartyModel{Party: 0, Trees: []*core.FedTree{passive}}})
+	if !errors.Is(err, core.ErrModelStructure) || !strings.Contains(err.Error(), "tree 0 node 1 reaches node 1 twice") {
+		t.Errorf("passive fragment with a cycle: Publish returned %v, want a refusal naming tree 0 node 1", err)
 	}
 }

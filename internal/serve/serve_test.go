@@ -61,6 +61,17 @@ func predictAll(t testing.TB, m *core.FederatedModel, parts []*dataset.Dataset) 
 	return want
 }
 
+// reachMsg is the reach links Party B's server sends passive party p at
+// version before the first round pinned to it.
+func reachMsg(t testing.TB, m *core.FederatedModel, p int, version uint64) core.MsgScoreReach {
+	t.Helper()
+	routes, err := core.CompileFragment(m.Parties[len(m.Parties)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core.MsgScoreReach{Version: version, Trees: routes.Reach(p)}
+}
+
 func bModel(version uint64, m *core.FederatedModel) Model {
 	return Model{
 		Version:      version,
@@ -468,6 +479,9 @@ func TestWorkerStructuredErrorsKeepSession(t *testing.T) {
 	}
 
 	// Round 1: unknown version → structured error.
+	if err := l.Send(reachMsg(t, m1, 0, 1)); err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Send(core.MsgScoreRequest{Round: 1, Version: 99, Rows: []int32{0}}); err != nil {
 		t.Fatal(err)
 	}
@@ -608,6 +622,9 @@ func TestWorkerRunLoopSurvivesPeerRestarts(t *testing.T) {
 			t.Fatal(err)
 		} else if _, ok := msg.(core.MsgScoreOpenAck); !ok {
 			t.Fatalf("session %d: got %T, want open ack", s, msg)
+		}
+		if err := l.Send(reachMsg(t, m, 0, 1)); err != nil {
+			t.Fatal(err)
 		}
 		if err := l.Send(core.MsgScoreRequest{Round: uint64(s), Version: 1, Rows: []int32{0, 1}}); err != nil {
 			t.Fatal(err)

@@ -99,6 +99,10 @@ type workerSession struct {
 	closed chan struct{}             // closed by the pump on the close ack
 	done   chan struct{}             // closed by sever, after err is set
 
+	// reach holds the model versions whose reach links the session has
+	// carried; guarded by the server's send lock.
+	reach map[uint64]bool
+
 	// Guarded by workerState.mu.
 	waiters map[uint64]chan workerAnswer // request id → the round waiting for it
 	err     error                        // why the session died; nil while it lives
@@ -137,6 +141,7 @@ func (ws *workerState) attach(tr core.Transport) *workerSession {
 		ack:     make(chan core.MsgScoreOpenAck, 1),
 		closed:  make(chan struct{}),
 		done:    make(chan struct{}),
+		reach:   make(map[uint64]bool),
 		waiters: make(map[uint64]chan workerAnswer),
 	}
 	ws.mu.Lock()
@@ -423,6 +428,9 @@ func (s *Server) checkOpenAck(i int, ack core.MsgScoreOpenAck) error {
 	if ack.Error != "" {
 		return fmt.Errorf("serve: worker %d rejected session: %s", i, ack.Error)
 	}
+	if ack.Proto != core.ScoreProtoVersion {
+		return fmt.Errorf("serve: worker %d speaks scoring protocol %d, this server %d", i, ack.Proto, core.ScoreProtoVersion)
+	}
 	if ack.Party != i {
 		return fmt.Errorf("serve: transport %d is connected to party %d; order transports by party index", i, ack.Party)
 	}
@@ -550,6 +558,7 @@ func (s *Server) ScoreRows(rows []int32) ([]float64, uint64, error) {
 
 // roundWaiter is one round's claim on one worker link.
 type roundWaiter struct {
+	routes  *core.RouteTable  // the pinned version's table, whose reach links the link needs
 	ch      chan workerAnswer // buffered: the pump never blocks on a waiter
 	sess    *workerSession    // the session the request was last written to
 	id      uint64            // the request id it was written under
@@ -646,7 +655,7 @@ func (s *Server) scoreHeld(ctx context.Context, rows []int32) (BatchResult, erro
 			missing[i] = true
 			continue
 		}
-		w := &roundWaiter{ch: make(chan workerAnswer, 1)}
+		w := &roundWaiter{routes: mv.routes, ch: make(chan workerAnswer, 1)}
 		if err := s.post(ctx, ws, req, w); err != nil {
 			missing[i], causes[i] = true, err
 			continue
@@ -705,12 +714,13 @@ func (s *Server) scoreHeld(ctx context.Context, rows []int32) (BatchResult, erro
 }
 
 // post writes req to worker ws and registers w for the answer, feeding
-// the breaker on failure. A dead session is re-opened first (dialer and
-// retry budget permitting); a link that fails under the write is severed
-// and, once per round and link, re-opened and written to again. A re-sent
-// request takes a fresh id, so nothing the dead session (or a leftover of
-// it on the same topics) still answers can satisfy it. Called under the
-// send lock.
+// the breaker on failure. A session that has not carried the reach links
+// of the request's version gets them first. A dead session is re-opened
+// first (dialer and retry budget permitting); a link that fails under the
+// write is severed and, once per round and link, re-opened and written to
+// again. A re-sent request takes a fresh id, so nothing the dead session
+// (or a leftover of it on the same topics) still answers can satisfy it.
+// Called under the send lock.
 func (s *Server) post(ctx context.Context, ws *workerState, req core.MsgScoreRequest, w *roundWaiter) error {
 	for {
 		var lost uint64
@@ -724,8 +734,15 @@ func (s *Server) post(ctx context.Context, ws *workerState, req core.MsgScoreReq
 		}
 		w.sess, w.id = ss, req.Round
 		if err = ws.register(w); err == nil {
-			if err = ss.link.SendContext(ctx, req); err == nil {
-				return nil
+			if !ss.reach[req.Version] {
+				if err = ss.link.SendContext(ctx, core.MsgScoreReach{Version: req.Version, Trees: w.routes.Reach(ws.party)}); err == nil {
+					ss.reach[req.Version] = true
+				}
+			}
+			if err == nil {
+				if err = ss.link.SendContext(ctx, req); err == nil {
+					return nil
+				}
 			}
 			ws.forget(w)
 		}

@@ -41,6 +41,9 @@ type PassiveWorker struct {
 	// clock is the time source of RunLoop's waits; tests put it on
 	// virtual time, everything else leaves it nil for the wall clock.
 	clock clock.Clock
+	// proto is the scoring protocol version the worker speaks; tests set
+	// an older one, everything else leaves 0 for core.ScoreProtoVersion.
+	proto int
 
 	rounds atomic.Int64
 	errors atomic.Int64
@@ -75,6 +78,7 @@ func (w *PassiveWorker) RoundErrors() int64 { return w.errors.Load() }
 // that peer is broken or from an incompatible build, not flaky.
 func (w *PassiveWorker) Run(tr core.Transport) error {
 	l := core.NewLink(tr)
+	reach := make(map[uint64]*boundVersion) // this session's reach links, by version
 	for {
 		msg, err := l.Recv()
 		if errors.Is(err, core.ErrUndecodable) {
@@ -87,20 +91,26 @@ func (w *PassiveWorker) Run(tr core.Transport) error {
 		}
 		switch m := msg.(type) {
 		case core.MsgScoreOpen:
+			speaks := w.proto
+			if speaks == 0 {
+				speaks = core.ScoreProtoVersion
+			}
 			ack := core.MsgScoreOpenAck{
-				Proto:    core.ScoreProtoVersion,
+				Proto:    speaks,
 				Party:    w.Party,
 				Rows:     w.Data.Rows(),
 				Versions: w.Registry.Versions(),
 			}
-			if m.Proto != core.ScoreProtoVersion {
-				ack.Error = fmt.Sprintf("serve: protocol version %d not supported (worker speaks %d)", m.Proto, core.ScoreProtoVersion)
+			if m.Proto != speaks {
+				ack.Error = fmt.Sprintf("serve: protocol version %d not supported (worker speaks %d)", m.Proto, speaks)
 			}
 			if err := l.Send(ack); err != nil {
 				return err
 			}
+		case core.MsgScoreReach:
+			reach[m.Version] = &boundVersion{links: m.Trees}
 		case core.MsgScoreRequest:
-			if err := l.Send(w.answer(m)); err != nil {
+			if err := l.Send(w.answer(m, reach[m.Version])); err != nil {
 				return err
 			}
 		case core.MsgScoreClose:
@@ -166,8 +176,29 @@ func (w *PassiveWorker) RunLoop(dial func() (core.Transport, error)) error {
 	}
 }
 
-// answer computes one round's routing bitmaps against the pinned version.
-func (w *PassiveWorker) answer(m core.MsgScoreRequest) core.MsgScoreResponse {
+// boundVersion is one model version's reach links as a session received
+// them, and the table they bound to the version's fragment (or why they
+// did not).
+type boundVersion struct {
+	links []core.ReachTree
+	base  *core.RouteTable // the fragment's table the binding was made for
+	table *core.RouteTable
+	err   error
+}
+
+// bind returns the answering table for the version's fragment, binding the
+// links on first use and again if the version was republished since.
+func (b *boundVersion) bind(routes *core.RouteTable) (*core.RouteTable, error) {
+	if b.base != routes {
+		b.base = routes
+		b.table, b.err = routes.Bind(b.links)
+	}
+	return b.table, b.err
+}
+
+// answer computes one round's routing bits against the pinned version and
+// the reach links the session received for it.
+func (w *PassiveWorker) answer(m core.MsgScoreRequest, reach *boundVersion) core.MsgScoreResponse {
 	var lane trace.Lane
 	var label string
 	if w.Trace != nil {
@@ -183,12 +214,18 @@ func (w *PassiveWorker) answer(m core.MsgScoreRequest) core.MsgScoreResponse {
 		resp.Error = fmt.Sprintf("serve: model version %d not published at party %d", m.Version, w.Party)
 		return resp
 	}
-	nodes, err := mv.routes.Score(w.Data, m.Rows)
+	if reach == nil {
+		w.errors.Add(1)
+		resp.Error = fmt.Sprintf("serve: party %d has no reach links for model version %d", w.Party, m.Version)
+		return resp
+	}
+	table, err := reach.bind(mv.routes)
+	if err == nil {
+		resp.Nodes, err = table.Score(w.Data, m.Rows)
+	}
 	if err != nil {
 		w.errors.Add(1)
 		resp.Error = err.Error()
-		return resp
 	}
-	resp.Nodes = nodes
 	return resp
 }
